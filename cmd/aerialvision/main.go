@@ -6,6 +6,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -15,52 +16,50 @@ import (
 	"repro/internal/serve"
 )
 
-// writeKernelMem writes the per-kernel memory-counter table.
-func writeKernelMem(path string, kernels []cudart.KernelStats) {
+// writeFile creates path, fills it through write and reports it with an
+// optional note; file errors are fatal.
+func writeFile(path, note string, write func(io.Writer) error) {
 	f, err := os.Create(path)
+	if err == nil {
+		err = write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	defer f.Close()
-	fmt.Fprintln(f, "kernel,l2_accesses,l2_hits,l2_misses,dram_accesses,dram_rowhits,mem_stall_cycles")
-	for _, k := range kernels {
-		fmt.Fprintf(f, "%s#%d,%d,%d,%d,%d,%d,%d\n",
-			k.Name, k.LaunchID, k.L2Accesses, k.L2Hits, k.L2Misses,
-			k.DRAMAccesses, k.DRAMRowHits, k.MemStallCycles)
-	}
-	fmt.Println("wrote", f.Name())
+	fmt.Printf("wrote %s%s\n", path, note)
+}
+
+// writeKernelMem writes the per-kernel memory-counter table.
+func writeKernelMem(path string, kernels []cudart.KernelStats) {
+	writeFile(path, "", func(w io.Writer) error {
+		fmt.Fprintln(w, "kernel,l2_accesses,l2_hits,l2_misses,dram_accesses,dram_rowhits,mem_stall_cycles")
+		for _, k := range kernels {
+			fmt.Fprintf(w, "%s#%d,%d,%d,%d,%d,%d,%d\n",
+				k.Name, k.LaunchID, k.L2Accesses, k.L2Hits, k.L2Misses,
+				k.DRAMAccesses, k.DRAMRowHits, k.MemStallCycles)
+		}
+		return nil
+	})
+}
+
+func die(err error) {
+	fmt.Fprintln(os.Stderr, "aerialvision:", err)
+	os.Exit(1)
 }
 
 // writeKernelReplay runs the transformer batch in hybrid replay mode and
 // writes the per-kernel replay coverage table.
 func writeKernelReplay(path string, resampleEvery int) {
-	res, err := core.RunTransformerReplay(1, 1, 12, 4, resampleEvery, true)
+	res, err := core.RunTransformerReplay(1, 1, 12, 4, resampleEvery, true, true)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "aerialvision:", err)
-		os.Exit(1)
+		die(err)
 	}
-	var rows []aerial.KernelReplayRow
-	for _, k := range res.PerKernel {
-		rows = append(rows, aerial.KernelReplayRow{
-			Name:           k.Name,
-			Launches:       uint64(k.Launches),
-			Replayed:       uint64(k.Replayed),
-			Cycles:         k.Cycles,
-			ReplayedCycles: k.ReplayedCycles,
-		})
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := aerial.KernelReplayCSV(f, rows); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s (replay coverage %.1f%%)\n", f.Name(), 100*res.Coverage)
+	writeFile(path, fmt.Sprintf(" (replay coverage %.1f%%)", 100*res.Stats.ReplayCoverage()),
+		aerial.KernelReplayTable("", res.PerKernel).WriteCSV)
 }
 
 // writeDecodeThroughput runs the repeated KV-cached greedy-decode batch
@@ -71,36 +70,17 @@ func writeDecodeThroughput(path string) {
 		seqs, promptLen, newTokens = 2, 4, 6
 		iters                      = 4
 	)
-	var rows []aerial.DecodeThroughputRow
-	for _, mode := range []struct {
-		name   string
-		replay bool
-	}{{"detailed", false}, {"hybrid", true}} {
-		res, err := core.RunDecodeReplay(1, seqs, promptLen, newTokens, iters, 0, mode.replay)
+	modes := []string{"detailed", "hybrid"}
+	var runs []*core.DecodeReplayResult
+	for _, mode := range modes {
+		res, err := core.RunDecodeReplay(1, seqs, promptLen, newTokens, iters, 0, true, mode == "hybrid")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "aerialvision:", err)
-			os.Exit(1)
+			die(err)
 		}
-		rows = append(rows, aerial.DecodeThroughputRow{
-			Mode:            mode.name,
-			Iters:           res.Iters,
-			Tokens:          res.Seqs * res.NewTokens * res.Iters,
-			TotalCycles:     res.TotalCycles,
-			TokensPerMcycle: res.TokensPerMcycle(),
-			Coverage:        res.Coverage,
-		})
+		runs = append(runs, res)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := aerial.DecodeThroughputCSV(f, rows); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s (hybrid coverage %.1f%%)\n", f.Name(), 100*rows[1].Coverage)
+	writeFile(path, fmt.Sprintf(" (hybrid coverage %.1f%%)", 100*runs[1].Stats.ReplayCoverage()),
+		aerial.DecodeThroughputTable("", modes, runs).WriteCSV)
 }
 
 // writeTrainLoss runs the transformer training-step workload in hybrid
@@ -109,29 +89,10 @@ func writeDecodeThroughput(path string) {
 func writeTrainLoss(path string, steps int) {
 	res, err := core.RunTrainSample(1, steps, 8, 0, true)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "aerialvision:", err)
-		os.Exit(1)
+		die(err)
 	}
-	rows := make([]aerial.TrainLossRow, len(res.Losses))
-	for i := range res.Losses {
-		rows[i] = aerial.TrainLossRow{
-			Step:     i,
-			Loss:     float64(res.Losses[i]),
-			CPULoss:  float64(res.CPULosses[i]),
-			Replayed: res.StepReplayHits[i] > 0,
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := aerial.TrainLossCSV(f, rows); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s (%d steps, max |device-cpu| loss diff %.2g)\n", f.Name(), res.Steps, res.MaxLossDiff)
+	writeFile(path, fmt.Sprintf(" (%d steps, max |device-cpu| loss diff %.2g)", res.Iters, res.MaxLossDiff),
+		aerial.TrainLossTable("", res).WriteCSV)
 }
 
 // writeServeLatency runs a seeded open-loop serving scenario under
@@ -141,28 +102,10 @@ func writeServeLatency(path string, rate float64, requests int) {
 	tr := serve.Poisson(1, rate, requests, 12, 2)
 	res, err := serve.Run(serve.Config{}, tr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "aerialvision:", err)
-		os.Exit(1)
+		die(err)
 	}
-	var rows []aerial.ServeLatencyRow
-	for _, b := range res.LatencyOverTime(8) {
-		rows = append(rows, aerial.ServeLatencyRow{
-			EndCycle: b.EndCycle, Completed: b.Completed,
-			P50: b.P50, P99: b.P99, P999: b.P999,
-		})
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := aerial.ServeLatencyCSV(f, rows); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s (goodput %.1f req/Mcycle vs offered %.1f)\n",
-		f.Name(), res.Goodput(), tr.OfferedLoad())
+	writeFile(path, fmt.Sprintf(" (goodput %.1f req/Mcycle vs offered %.1f)", res.Goodput(), tr.OfferedLoad()),
+		aerial.ServeLatencyTable("", res.LatencyOverTime(8)).WriteCSV)
 }
 
 func main() {
@@ -189,17 +132,7 @@ func main() {
 		os.Exit(1)
 	}
 	write := func(name string, rowNames []string, rows [][]float64) {
-		f, err := os.Create(filepath.Join(*out, name))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := aerial.CSV(f, rowNames, rows); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", f.Name())
+		writeFile(filepath.Join(*out, name), "", func(w io.Writer) error { return aerial.CSV(w, rowNames, rows) })
 	}
 
 	st := res.Engine.Stats()

@@ -23,36 +23,25 @@ func runDecodeWorkload(o workloadOpts) error {
 	}
 	fmt.Printf("decode workload: %d layers, %d heads, d_model %d — %d sequences, prompt %d + %d generated tokens, %d kernel launches\n",
 		res.Config.Layers, res.Config.Heads, res.Config.DModel,
-		res.Seqs, res.PromptLen, res.NewTokens, res.Launches)
+		res.Seqs, res.PromptLen, res.NewTokens, res.Launches())
 	fmt.Printf("%d streams: %d total cycles concurrent vs %d serialized (overlap speedup %.2fx)\n",
-		res.Seqs, res.ConcurrentCycles, res.SerializedCycles, res.Speedup())
+		res.Seqs, res.TotalCycles, res.SerializedCycles, res.Speedup())
 	clockMHz := timing.GTX1050().ClockMHz
 	tokens := res.Seqs * res.NewTokens
-	tokensPerSec := float64(tokens) / (float64(res.ConcurrentCycles) / (clockMHz * 1e6))
+	tokensPerSec := float64(tokens) / (float64(res.TotalCycles) / (clockMHz * 1e6))
 	fmt.Printf("throughput %.2f tokens/Mcycle (%.0f tokens/sec at the %.0f MHz modelled clock)\n",
 		res.TokensPerMcycle(), tokensPerSec, clockMHz)
 
 	const iters = 4
-	rep, err := core.RunDecodeReplay(o.workers, o.streams, o.prompt, o.gen, iters, o.resampleEvery, true)
+	rep, err := core.RunDecodeReplay(o.workers, o.streams, o.prompt, o.gen, iters, o.resampleEvery, true, true)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("replay: %d identical generate batches on one engine, %d kernel launches\n",
-		rep.Iters, rep.Launches)
-	fmt.Printf("replay coverage %.1f%%: %d hits, %d misses, %d resamples, %d memo-applied\n",
-		100*rep.Coverage, rep.ReplayHits, rep.ReplayMisses, rep.ReplayResamples, rep.ReplayMemoApplied)
+		rep.Iters, rep.Launches())
+	printReplayCoverage(&rep.Stats)
 	fmt.Printf("cycles: %d first iteration (detailed), %d total; hybrid throughput %.2f tokens/Mcycle\n",
 		rep.FirstIterCycles, rep.TotalCycles, rep.TokensPerMcycle())
-	var rows []aerial.KernelReplayRow
-	for _, k := range rep.PerKernel {
-		rows = append(rows, aerial.KernelReplayRow{
-			Name:           k.Name,
-			Launches:       uint64(k.Launches),
-			Replayed:       uint64(k.Replayed),
-			Cycles:         k.Cycles,
-			ReplayedCycles: k.ReplayedCycles,
-		})
-	}
-	aerial.KernelReplaySummary(os.Stdout, "per-kernel replay coverage", rows)
+	aerial.KernelReplayTable("per-kernel replay coverage", rep.PerKernel).WriteText(os.Stdout)
 	return nil
 }

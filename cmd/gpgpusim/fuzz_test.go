@@ -14,7 +14,9 @@ func FuzzValidateFlagCombos(f *testing.F) {
 	// from the CLI smoke test
 	f.Add("train", "steps", false, 1)
 	f.Add("train", "steps,replay", false, 1)
-	f.Add("train", "steps,j,replay-resample", false, 1)
+	f.Add("train", "steps,j,replay,replay-resample", false, 1)
+	f.Add("train", "steps,j,replay-resample", false, 1) // rejected: no -replay
+	f.Add("decode", "replay-resample", false, 1)        // accepted: decode always replays
 	f.Add("decode", "steps", false, 1)
 	f.Add("", "steps", false, 1)
 	f.Add("decode", "decode", false, 1)

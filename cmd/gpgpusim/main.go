@@ -203,6 +203,11 @@ func validateFlagCombos(workload string, serveDecode bool, devices int, set map[
 	if set["steps"] && workload != "train" {
 		return fmt.Errorf("-steps only applies to -workload train; it would be silently ignored here (usage: `gpgpusim -workload train -steps 4`)")
 	}
+	// a bare PTX run rejects both replay flags in main; decode always
+	// runs its hybrid pass
+	if set["replay-resample"] && !set["replay"] && workload != "" && workload != "decode" {
+		return fmt.Errorf("-replay-resample only applies with -replay; it would be silently ignored here (usage: `gpgpusim -workload transformer -replay -replay-resample 2`)")
+	}
 	return nil
 }
 
@@ -301,24 +306,18 @@ func runMemBoundWorkload(workers int) error {
 	fmt.Printf("membound workload: streaming strided_saxpy, %d threads/CTA, stride %d\n",
 		res.Threads, res.Stride)
 	fmt.Printf("%-6s %10s %14s %14s %12s\n", "ctas", "cycles", "avg_seg_lat", "ingress_stall", "dram_rowhit")
-	var rows []aerial.KernelMemRow
+	var launches []cudart.KernelStats
 	for _, p := range res.Points {
 		fmt.Printf("%-6d %10d %14.1f %14d %12d\n",
 			p.CTAs, p.Cycles, p.AvgSegLatency, p.IngressStalls, p.Kernel.DRAMRowHits)
-		rows = append(rows, aerial.KernelMemRow{
-			Name:           fmt.Sprintf("saxpy_ctas%d", p.CTAs),
-			Launches:       1,
-			L2Accesses:     p.Kernel.L2Accesses,
-			L2Hits:         p.Kernel.L2Hits,
-			DRAMAccesses:   p.Kernel.DRAMAccesses,
-			DRAMRowHits:    p.Kernel.DRAMRowHits,
-			MemStallCycles: p.Kernel.MemStallCycles,
-		})
+		k := p.Kernel
+		k.Name = fmt.Sprintf("saxpy_ctas%d", p.CTAs)
+		launches = append(launches, k)
 	}
 	lo, hi := res.Points[0], res.Points[len(res.Points)-1]
 	fmt.Printf("load-dependent latency: %.1f cycles at %d CTAs -> %.1f cycles at %d CTAs (%.2fx)\n",
 		lo.AvgSegLatency, lo.CTAs, hi.AvgSegLatency, hi.CTAs, hi.AvgSegLatency/lo.AvgSegLatency)
-	aerial.KernelMemSummary(os.Stdout, "per-kernel memory counters", rows)
+	aerial.KernelMemTable("per-kernel memory counters", launches).WriteText(os.Stdout)
 	return nil
 }
 
@@ -332,10 +331,10 @@ func runTransformerWorkload(workers, streams int) error {
 		return err
 	}
 	fmt.Printf("transformer workload: %d layers, %d heads, d_model %d — %d sequences × %d tokens, %d kernel launches\n",
-		res.Config.Layers, res.Config.Heads, res.Config.DModel, res.Seqs, res.SeqLen, res.Launches)
+		res.Config.Layers, res.Config.Heads, res.Config.DModel, res.Seqs, res.SeqLen, res.Launches())
 	fmt.Printf("max |sim - cpu| = %.2g\n", res.MaxAbsDiff)
 	fmt.Printf("%d streams: %d total cycles concurrent vs %d serialized (overlap speedup %.2fx), IPC %.2f\n",
-		res.Seqs, res.ConcurrentCycles, res.SerializedCycles, res.Speedup(), res.IPC())
+		res.Seqs, res.TotalCycles, res.SerializedCycles, res.Speedup(), res.IPC())
 	return nil
 }
 
@@ -345,33 +344,29 @@ func runTransformerWorkload(workers, streams int) error {
 // line is what smoke_test.go pins.
 func runTransformerReplayWorkload(o workloadOpts) error {
 	const iters = 4
-	res, err := core.RunTransformerReplay(o.workers, o.streams, 12, iters, o.resampleEvery, true)
+	res, err := core.RunTransformerReplay(o.workers, o.streams, 12, iters, o.resampleEvery, true, true)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("transformer replay workload: %d layers, %d heads, d_model %d — %d sequences × %d tokens, %d iterations, %d kernel launches\n",
-		res.Config.Layers, res.Config.Heads, res.Config.DModel, res.Seqs, res.SeqLen, res.Iters, res.Launches)
+		res.Config.Layers, res.Config.Heads, res.Config.DModel, res.Seqs, res.SeqLen, res.Iters, res.Launches())
 	fmt.Printf("max |sim - cpu| = %.2g (first iteration; later iterations bit-equal by construction)\n", res.MaxAbsDiff)
-	fmt.Printf("replay coverage %.1f%%: %d hits, %d misses, %d resamples, %d memo-applied\n",
-		100*res.Coverage, res.ReplayHits, res.ReplayMisses, res.ReplayResamples, res.ReplayMemoApplied)
+	printReplayCoverage(&res.Stats)
 	fmt.Printf("cycles: %d first iteration (detailed), %d total; %d replayed vs %d detailed kernel cycles",
-		res.FirstIterCycles, res.TotalCycles, res.ReplayedCycles, res.DetailedKernelCycles)
-	if res.ReplayResamples > 0 {
-		fmt.Printf("; resample drift %d cycles", res.ReplayDriftCycles)
+		res.FirstIterCycles, res.TotalCycles, res.Stats.ReplayedCycles, res.Stats.DetailedKernelCycles)
+	if res.Stats.ReplayResamples > 0 {
+		fmt.Printf("; resample drift %d cycles", res.Stats.ReplayDriftCycles)
 	}
 	fmt.Println()
-	var rows []aerial.KernelReplayRow
-	for _, k := range res.PerKernel {
-		rows = append(rows, aerial.KernelReplayRow{
-			Name:           k.Name,
-			Launches:       uint64(k.Launches),
-			Replayed:       uint64(k.Replayed),
-			Cycles:         k.Cycles,
-			ReplayedCycles: k.ReplayedCycles,
-		})
-	}
-	aerial.KernelReplaySummary(os.Stdout, "per-kernel replay coverage", rows)
+	aerial.KernelReplayTable("per-kernel replay coverage", res.PerKernel).WriteText(os.Stdout)
 	return nil
+}
+
+// printReplayCoverage prints the replay-cache coverage line the
+// transformer, decode and train workloads share.
+func printReplayCoverage(st *timing.Stats) {
+	fmt.Printf("replay coverage %.1f%%: %d hits, %d misses, %d resamples, %d memo-applied\n",
+		100*st.ReplayCoverage(), st.ReplayHits, st.ReplayMisses, st.ReplayResamples, st.ReplayMemoApplied)
 }
 
 // runStreamWorkload runs the kernel once per lane on a fresh context and

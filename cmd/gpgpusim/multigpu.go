@@ -14,23 +14,6 @@ import (
 	"repro/internal/multigpu"
 )
 
-// deviceRows converts per-device stats into the aerial table rows.
-func deviceRows(per []multigpu.DeviceStats) []aerial.DeviceRow {
-	rows := make([]aerial.DeviceRow, len(per))
-	for i, d := range per {
-		rows[i] = aerial.DeviceRow{
-			Device:              d.Device,
-			Cycles:              d.Cycles,
-			Instructions:        d.Instructions,
-			L2Accesses:          d.L2Accesses,
-			DRAMAccesses:        d.DRAMAccesses,
-			FastForwardedCycles: d.FastForwardedCycles,
-			Launches:            uint64(d.Launches),
-		}
-	}
-	return rows
-}
-
 // runMultiTrainWorkload trains the sample encoder data-parallel across
 // -devices simulated GPUs: per-device replicas, per-rank sequences, a
 // modelled ring all-reduce feeding SGD with lr/N. The driver verifies
@@ -64,7 +47,7 @@ func runMultiTrainWorkload(o workloadOpts) error {
 	if res.Replay {
 		fmt.Printf("replay: %d hits, %d misses across devices\n", res.ReplayHits, res.ReplayMisses)
 	}
-	aerial.DeviceSummary(os.Stdout, "per-device engine counters", deviceRows(res.PerDevice))
+	aerial.DeviceTable("per-device engine counters", res.PerDevice).WriteText(os.Stdout)
 	return nil
 }
 
@@ -87,6 +70,6 @@ func runMultiTransformerWorkload(o workloadOpts) error {
 		res.TokensPerMcycle(), res.Cycles, res.Gathers)
 	fmt.Printf("nvlink: %d transfers, %d bytes, %d link-occupancy cycles, %d stall cycles\n",
 		res.NVLink.Transfers, res.NVLink.BytesMoved, res.NVLink.OccupancyCycles, res.NVLink.StallCycles)
-	aerial.DeviceSummary(os.Stdout, "per-device engine counters", deviceRows(res.PerDevice))
+	aerial.DeviceTable("per-device engine counters", res.PerDevice).WriteText(os.Stdout)
 	return nil
 }

@@ -73,20 +73,6 @@ func runServeWorkload(o workloadOpts) error {
 		fmt.Printf("replay coverage %.1f%%: %d hits, %d misses, %d resamples, %d memo-applied\n",
 			100*cov, st.ReplayHits, st.ReplayMisses, st.ReplayResamples, st.ReplayMemoApplied)
 	}
-	aerial.ServeLatencySummary(os.Stdout, "latency percentiles over serving time", serveLatencyRows(res))
+	aerial.ServeLatencyTable("latency percentiles over serving time", res.LatencyOverTime(8)).WriteText(os.Stdout)
 	return nil
-}
-
-// serveLatencyRows converts a run's latency-over-time windows to the
-// aerial row type shared with aerialvision's serve_latency.csv.
-func serveLatencyRows(res *serve.Result) []aerial.ServeLatencyRow {
-	buckets := res.LatencyOverTime(8)
-	rows := make([]aerial.ServeLatencyRow, len(buckets))
-	for i, b := range buckets {
-		rows[i] = aerial.ServeLatencyRow{
-			EndCycle: b.EndCycle, Completed: b.Completed,
-			P50: b.P50, P99: b.P99, P999: b.P999,
-		}
-	}
-	return rows
 }

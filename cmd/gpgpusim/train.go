@@ -25,41 +25,14 @@ func runTrainWorkload(o workloadOpts) error {
 	}
 	fmt.Printf("train workload: %d layers, %d heads, d_model %d, vocab %d — %d steps × %d tokens, lr %g, %d kernel launches\n",
 		res.Config.Layers, res.Config.Heads, res.Config.DModel, res.Config.Vocab,
-		res.Steps, res.SeqLen, res.LR, res.Launches)
-	rows := trainLossRows(res)
-	aerial.TrainLossSummary(os.Stdout, "training loss (device vs CPU mirror)", rows)
+		res.Iters, res.SeqLen, res.LR, res.Launches())
+	aerial.TrainLossTable("training loss (device vs CPU mirror)", res).WriteText(os.Stdout)
 	fmt.Printf("max |device - cpu| loss diff %.2g (tolerance %g)\n", res.MaxLossDiff, core.TrainLossTolerance)
 	fmt.Printf("throughput %.2f tokens/Mcycle: %d total cycles, %d first step\n",
-		res.TokensPerMcycle(), res.TotalCycles, res.FirstStepCycles)
+		res.TokensPerMcycle(), res.TotalCycles, res.FirstIterCycles)
 	if res.Replay {
-		fmt.Printf("replay coverage %.1f%%: %d hits, %d misses, %d resamples, %d memo-applied\n",
-			100*res.Coverage, res.ReplayHits, res.ReplayMisses, res.ReplayResamples, res.ReplayMemoApplied)
-		var krows []aerial.KernelReplayRow
-		for _, k := range res.PerKernel {
-			krows = append(krows, aerial.KernelReplayRow{
-				Name:           k.Name,
-				Launches:       uint64(k.Launches),
-				Replayed:       uint64(k.Replayed),
-				Cycles:         k.Cycles,
-				ReplayedCycles: k.ReplayedCycles,
-			})
-		}
-		aerial.KernelReplaySummary(os.Stdout, "per-kernel replay coverage", krows)
+		printReplayCoverage(&res.Stats)
+		aerial.KernelReplayTable("per-kernel replay coverage", res.PerKernel).WriteText(os.Stdout)
 	}
 	return nil
-}
-
-// trainLossRows converts a TrainResult's loss trajectories into the
-// aerial table rows.
-func trainLossRows(res *core.TrainResult) []aerial.TrainLossRow {
-	rows := make([]aerial.TrainLossRow, len(res.Losses))
-	for i := range res.Losses {
-		rows[i] = aerial.TrainLossRow{
-			Step:     i,
-			Loss:     float64(res.Losses[i]),
-			CPULoss:  float64(res.CPULosses[i]),
-			Replayed: res.StepReplayHits[i] > 0,
-		}
-	}
-	return rows
 }

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/aerial"
 	"repro/internal/core"
+	"repro/internal/cudart"
 )
 
 const (
@@ -35,15 +36,7 @@ func run(name string, stride int) {
 	fmt.Printf("\n--- %s (stride %d floats) ---\n", name, stride)
 	fmt.Printf("%d cycles, avg segment latency %.1f, DRAM row hits %d/%d, ingress stalls %d\n",
 		res.Cycles, st.AvgSegmentLatency(), st.DRAMRowHits, st.DRAMAccesses, st.IngressStallCycles)
-	aerial.KernelMemSummary(os.Stdout, "per-kernel memory counters", []aerial.KernelMemRow{{
-		Name:           res.Kernel.Name,
-		Launches:       1,
-		L2Accesses:     res.Kernel.L2Accesses,
-		L2Hits:         res.Kernel.L2Hits,
-		DRAMAccesses:   res.Kernel.DRAMAccesses,
-		DRAMRowHits:    res.Kernel.DRAMRowHits,
-		MemStallCycles: res.Kernel.MemStallCycles,
-	}})
+	aerial.KernelMemTable("per-kernel memory counters", []cudart.KernelStats{res.Kernel}).WriteText(os.Stdout)
 	for pi, ch := range res.Engine.Partitions() {
 		reads, writes, _, busy := ch.Totals()
 		if reads+writes == 0 {

@@ -37,7 +37,7 @@ func main() {
 	}
 	fmt.Printf("max |sim - cpu| = %.2g over %d outputs\n", res.MaxAbsDiff, res.Seqs*res.SeqLen*cfg.DModel)
 	fmt.Printf("%d sequences on %d concurrent streams: %d cycles (IPC %.2f)\n",
-		res.Seqs, res.Seqs, res.ConcurrentCycles, res.IPC())
+		res.Seqs, res.Seqs, res.TotalCycles, res.IPC())
 	fmt.Printf("same batch serialized on the default stream: %d cycles\n", res.SerializedCycles)
 	fmt.Printf("overlap speedup: %.2fx\n", res.Speedup())
 }

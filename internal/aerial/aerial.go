@@ -99,234 +99,6 @@ func StackedSummary(w io.Writer, title string, names []string, series [][]float6
 	}
 }
 
-// KernelMemRow is one kernel's memory-system summary for KernelMemSummary
-// (mirrors the timing engine's per-kernel MemCounters without importing
-// the timing package).
-type KernelMemRow struct {
-	Name           string
-	Launches       uint64
-	L2Accesses     uint64
-	L2Hits         uint64
-	DRAMAccesses   uint64
-	DRAMRowHits    uint64
-	MemStallCycles uint64
-}
-
-// KernelMemSummary renders the per-kernel memory counters the paper's
-// memory-behavior study revolves around: L2 hit rate, DRAM row-buffer
-// locality, and the cycles each kernel's segments spent stalled on
-// partition ingress/port/MSHR reservations.
-func KernelMemSummary(w io.Writer, title string, rows []KernelMemRow) {
-	fmt.Fprintf(w, "== %s ==\n", title)
-	fmt.Fprintf(w, "%-24s %8s %10s %8s %10s %8s %12s\n",
-		"kernel", "launches", "l2_acc", "l2_hit%", "dram", "rowhit%", "mem_stall_cy")
-	pct := func(n, d uint64) string {
-		if d == 0 {
-			return "n/a"
-		}
-		return fmt.Sprintf("%.1f", 100*float64(n)/float64(d))
-	}
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-24s %8d %10d %8s %10d %8s %12d\n",
-			r.Name, r.Launches, r.L2Accesses, pct(r.L2Hits, r.L2Accesses),
-			r.DRAMAccesses, pct(r.DRAMRowHits, r.DRAMAccesses), r.MemStallCycles)
-	}
-}
-
-// KernelReplayRow is one kernel's hybrid-replay summary for
-// KernelReplaySummary and KernelReplayCSV: how many of its launches were
-// retired from the replay cache and what fraction of its modelled cycles
-// that covered.
-type KernelReplayRow struct {
-	Name           string
-	Launches       uint64
-	Replayed       uint64 // launches retired from the replay cache
-	Cycles         uint64 // all launches
-	ReplayedCycles uint64 // replayed launches only
-}
-
-// KernelReplaySummary renders the per-kernel replay coverage of a hybrid
-// run: which kernels the cache absorbed and which still pay detailed
-// simulation (the re-sampling budget should go where replayed% is low).
-func KernelReplaySummary(w io.Writer, title string, rows []KernelReplayRow) {
-	fmt.Fprintf(w, "== %s ==\n", title)
-	fmt.Fprintf(w, "%-24s %8s %9s %10s %12s %12s\n",
-		"kernel", "launches", "replayed", "replayed%", "cycles", "replayed_cy")
-	pct := func(n, d uint64) string {
-		if d == 0 {
-			return "n/a"
-		}
-		return fmt.Sprintf("%.1f", 100*float64(n)/float64(d))
-	}
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-24s %8d %9d %10s %12d %12d\n",
-			r.Name, r.Launches, r.Replayed, pct(r.Replayed, r.Launches),
-			r.Cycles, r.ReplayedCycles)
-	}
-}
-
-// KernelReplayCSV writes the replay coverage rows as kernel_replay.csv.
-func KernelReplayCSV(w io.Writer, rows []KernelReplayRow) error {
-	var b strings.Builder
-	b.WriteString("kernel,launches,replayed,cycles,replayed_cycles\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%s,%d,%d,%d,%d\n", r.Name, r.Launches, r.Replayed, r.Cycles, r.ReplayedCycles)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// DeviceRow is one simulated GPU's share of a multi-device node run for
-// DeviceSummary (mirrors the multigpu package's per-device counters
-// without importing it).
-type DeviceRow struct {
-	Device              int
-	Cycles              uint64
-	Instructions        uint64
-	L2Accesses          uint64
-	DRAMAccesses        uint64
-	FastForwardedCycles uint64 // idle cycles bridged at collective barriers
-	Launches            uint64
-}
-
-// DeviceSummary renders the per-device engine counters of a multi-GPU
-// node run: every device ends at the same barrier cycle, so the
-// interesting columns are the per-rank work split and how many of each
-// rank's cycles were bridged waiting at collectives.
-func DeviceSummary(w io.Writer, title string, rows []DeviceRow) {
-	fmt.Fprintf(w, "== %s ==\n", title)
-	fmt.Fprintf(w, "%-8s %12s %14s %10s %10s %12s %9s\n",
-		"device", "cycles", "instrs", "l2_acc", "dram", "barrier_cy", "launches")
-	for _, r := range rows {
-		fmt.Fprintf(w, "gpu%-5d %12d %14d %10d %10d %12d %9d\n",
-			r.Device, r.Cycles, r.Instructions, r.L2Accesses, r.DRAMAccesses,
-			r.FastForwardedCycles, r.Launches)
-	}
-}
-
-// DecodeThroughputRow is one simulation mode's summary of a repeated
-// KV-cached greedy-decode batch for DecodeThroughputSummary and
-// DecodeThroughputCSV: generated tokens against modelled cycles, plus
-// the replay-cache coverage the mode achieved (0 in detailed mode).
-type DecodeThroughputRow struct {
-	Mode            string // "detailed" or "hybrid"
-	Iters           int
-	Tokens          int // generated tokens across all iterations
-	TotalCycles     uint64
-	TokensPerMcycle float64
-	Coverage        float64 // replayed fraction of launches, 0..1
-}
-
-// DecodeThroughputSummary renders the decode throughput comparison: what
-// the steady-state decode loop costs in modelled cycles and how much of
-// it the replay cache absorbs.
-func DecodeThroughputSummary(w io.Writer, title string, rows []DecodeThroughputRow) {
-	fmt.Fprintf(w, "== %s ==\n", title)
-	fmt.Fprintf(w, "%-10s %6s %8s %14s %12s %10s\n",
-		"mode", "iters", "tokens", "total_cycles", "tok/Mcycle", "coverage%")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %6d %8d %14d %12.2f %10.1f\n",
-			r.Mode, r.Iters, r.Tokens, r.TotalCycles, r.TokensPerMcycle, 100*r.Coverage)
-	}
-}
-
-// DecodeThroughputCSV writes the decode throughput rows as
-// decode_throughput.csv.
-func DecodeThroughputCSV(w io.Writer, rows []DecodeThroughputRow) error {
-	var b strings.Builder
-	b.WriteString("mode,iters,tokens,total_cycles,tokens_per_mcycle,coverage\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%s,%d,%d,%d,%.6g,%.6g\n",
-			r.Mode, r.Iters, r.Tokens, r.TotalCycles, r.TokensPerMcycle, r.Coverage)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// ServeLatencyRow is one serving-clock window of an inference-serving
-// run for ServeLatencySummary and ServeLatencyCSV: completions in the
-// window with their nearest-rank latency percentiles (mirrors the serve
-// package's LatencyBucket without importing it).
-type ServeLatencyRow struct {
-	EndCycle  uint64
-	Completed int
-	P50       float64
-	P99       float64
-	P999      float64
-}
-
-// ServeLatencySummary renders latency percentiles over serving time —
-// the aerial view of a saturation transient: watch p99 climb window by
-// window once the open-loop queue outruns the batch.
-func ServeLatencySummary(w io.Writer, title string, rows []ServeLatencyRow) {
-	fmt.Fprintf(w, "== %s ==\n", title)
-	fmt.Fprintf(w, "%12s %10s %12s %12s %12s\n",
-		"window_end", "completed", "p50_cy", "p99_cy", "p99.9_cy")
-	for _, r := range rows {
-		if r.Completed == 0 {
-			fmt.Fprintf(w, "%12d %10d %12s %12s %12s\n", r.EndCycle, 0, "-", "-", "-")
-			continue
-		}
-		fmt.Fprintf(w, "%12d %10d %12.0f %12.0f %12.0f\n",
-			r.EndCycle, r.Completed, r.P50, r.P99, r.P999)
-	}
-}
-
-// ServeLatencyCSV writes the serving latency windows as serve_latency.csv.
-func ServeLatencyCSV(w io.Writer, rows []ServeLatencyRow) error {
-	var b strings.Builder
-	b.WriteString("window_end_cycle,completed,p50_cycles,p99_cycles,p999_cycles\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%d,%d,%.6g,%.6g,%.6g\n", r.EndCycle, r.Completed, r.P50, r.P99, r.P999)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// TrainLossRow is one training step of a transformer training run for
-// TrainLossSummary and TrainLossCSV: the device loss next to the CPU
-// mirror's, so a plotted curve shows both trajectories and their gap.
-type TrainLossRow struct {
-	Step     int
-	Loss     float64
-	CPULoss  float64
-	Replayed bool // step retired (at least partly) from the replay cache
-}
-
-// TrainLossSummary renders the loss curve of a training run — the
-// aerial view of the training-step workload: device loss, host-mirror
-// loss and whether the step replayed from the cache.
-func TrainLossSummary(w io.Writer, title string, rows []TrainLossRow) {
-	fmt.Fprintf(w, "== %s ==\n", title)
-	fmt.Fprintf(w, "%6s %12s %12s %10s %8s\n", "step", "loss", "cpu_loss", "|diff|", "replayed")
-	for _, r := range rows {
-		d := r.Loss - r.CPULoss
-		if d < 0 {
-			d = -d
-		}
-		rep := ""
-		if r.Replayed {
-			rep = "yes"
-		}
-		fmt.Fprintf(w, "%6d %12.5f %12.5f %10.2g %8s\n", r.Step, r.Loss, r.CPULoss, d, rep)
-	}
-}
-
-// TrainLossCSV writes the training loss curve as train_loss.csv.
-func TrainLossCSV(w io.Writer, rows []TrainLossRow) error {
-	var b strings.Builder
-	b.WriteString("step,loss,cpu_loss,replayed\n")
-	for _, r := range rows {
-		rep := 0
-		if r.Replayed {
-			rep = 1
-		}
-		fmt.Fprintf(&b, "%d,%.6g,%.6g,%d\n", r.Step, r.Loss, r.CPULoss, rep)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
 // CSV writes rows as CSV with a header of bucket indices.
 func CSV(w io.Writer, rowNames []string, rows [][]float64) error {
 	width := 0

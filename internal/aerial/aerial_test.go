@@ -3,6 +3,11 @@ package aerial
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/cudart"
+	"repro/internal/multigpu"
+	"repro/internal/serve"
 )
 
 func TestHeatMapRendering(t *testing.T) {
@@ -64,12 +69,12 @@ func TestCSV(t *testing.T) {
 	}
 }
 
-func TestKernelMemSummary(t *testing.T) {
+func TestKernelMemTable(t *testing.T) {
 	var b strings.Builder
-	KernelMemSummary(&b, "mem", []KernelMemRow{
-		{Name: "saxpy", Launches: 2, L2Accesses: 100, L2Hits: 25, DRAMAccesses: 75, DRAMRowHits: 30, MemStallCycles: 12},
-		{Name: "cold", Launches: 1}, // zero traffic: rates must render n/a, not NaN
-	})
+	KernelMemTable("mem", []cudart.KernelStats{
+		{Name: "saxpy", L2Accesses: 100, L2Hits: 25, DRAMAccesses: 75, DRAMRowHits: 30, MemStallCycles: 12},
+		{Name: "cold"}, // zero traffic: rates must render n/a, not NaN
+	}).WriteText(&b)
 	out := b.String()
 	for _, want := range []string{"saxpy", "25.0", "40.0", "12", "n/a"} {
 		if !strings.Contains(out, want) {
@@ -78,13 +83,13 @@ func TestKernelMemSummary(t *testing.T) {
 	}
 }
 
-func TestKernelReplaySummary(t *testing.T) {
+func TestKernelReplayTable(t *testing.T) {
 	var b strings.Builder
-	rows := []KernelReplayRow{
+	tab := KernelReplayTable("replay", []core.KernelAgg{
 		{Name: "matmul", Launches: 10, Replayed: 9, Cycles: 1000, ReplayedCycles: 880},
 		{Name: "once", Launches: 1}, // never replayed: rate must render, no NaN
-	}
-	KernelReplaySummary(&b, "replay", rows)
+	})
+	tab.WriteText(&b)
 	out := b.String()
 	for _, want := range []string{"matmul", "90.0", "880", "once", "0.0"} {
 		if !strings.Contains(out, want) {
@@ -93,7 +98,7 @@ func TestKernelReplaySummary(t *testing.T) {
 	}
 
 	b.Reset()
-	if err := KernelReplayCSV(&b, rows); err != nil {
+	if err := tab.WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
@@ -105,13 +110,18 @@ func TestKernelReplaySummary(t *testing.T) {
 	}
 }
 
-func TestDecodeThroughputSummary(t *testing.T) {
+func TestDecodeThroughputTable(t *testing.T) {
 	var b strings.Builder
-	rows := []DecodeThroughputRow{
-		{Mode: "detailed", Iters: 5, Tokens: 60, TotalCycles: 1_500_000, TokensPerMcycle: 40},
-		{Mode: "hybrid", Iters: 5, Tokens: 60, TotalCycles: 1_480_000, TokensPerMcycle: 40.54, Coverage: 0.8},
+	// 5 iterations x 2 sequences x 6 tokens = 60 tokens per run
+	run := func(cycles, hits, misses uint64) *core.DecodeReplayResult {
+		r := &core.DecodeReplayResult{Seqs: 2, NewTokens: 6}
+		r.Iters, r.TotalCycles = 5, cycles
+		r.Stats.ReplayHits, r.Stats.ReplayMisses = hits, misses
+		return r
 	}
-	DecodeThroughputSummary(&b, "decode throughput", rows)
+	tab := DecodeThroughputTable("decode throughput", []string{"detailed", "hybrid"},
+		[]*core.DecodeReplayResult{run(1_500_000, 0, 0), run(1_480_000, 4, 1)})
+	tab.WriteText(&b)
 	out := b.String()
 	for _, want := range []string{"decode throughput", "tok/Mcycle", "detailed", "hybrid", "40.54", "80.0"} {
 		if !strings.Contains(out, want) {
@@ -120,25 +130,27 @@ func TestDecodeThroughputSummary(t *testing.T) {
 	}
 
 	b.Reset()
-	if err := DecodeThroughputCSV(&b, rows); err != nil {
+	if err := tab.WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
 	if lines[0] != "mode,iters,tokens,total_cycles,tokens_per_mcycle,coverage" {
 		t.Errorf("header = %q", lines[0])
 	}
-	if lines[2] != "hybrid,5,60,1480000,40.54,0.8" {
+	// tokens/Mcycle is derived from the run now (60 / 1.48), no longer a
+	// free-standing row field
+	if lines[2] != "hybrid,5,60,1480000,40.5405,0.8" {
 		t.Errorf("row = %q", lines[2])
 	}
 }
 
-func TestServeLatencySummary(t *testing.T) {
+func TestServeLatencyTable(t *testing.T) {
 	var b strings.Builder
-	rows := []ServeLatencyRow{
+	tab := ServeLatencyTable("serving latency", []serve.LatencyBucket{
 		{EndCycle: 1000, Completed: 3, P50: 400, P99: 900, P999: 950},
 		{EndCycle: 2000, Completed: 0}, // empty window: dashes, not zeros
-	}
-	ServeLatencySummary(&b, "serving latency", rows)
+	})
+	tab.WriteText(&b)
 	out := b.String()
 	for _, want := range []string{"serving latency", "window_end", "p99.9_cy", "400", "900", "950", "-"} {
 		if !strings.Contains(out, want) {
@@ -147,7 +159,7 @@ func TestServeLatencySummary(t *testing.T) {
 	}
 
 	b.Reset()
-	if err := ServeLatencyCSV(&b, rows); err != nil {
+	if err := tab.WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
@@ -159,6 +171,35 @@ func TestServeLatencySummary(t *testing.T) {
 	}
 	if lines[2] != "2000,0,0,0,0" {
 		t.Errorf("empty-window row = %q", lines[2])
+	}
+}
+
+// TestTableTextLayout pins the text form byte for byte on the two tables
+// that mix left-aligned, formatted and text-only columns.
+func TestTableTextLayout(t *testing.T) {
+	var b strings.Builder
+	DeviceTable("per-device engine counters", []multigpu.DeviceStats{
+		{Device: 1, Cycles: 340351, Instructions: 1047156, L2Accesses: 12855, DRAMAccesses: 1973, FastForwardedCycles: 142258, Launches: 324},
+	}).WriteText(&b)
+	res := &core.TrainResult{Losses: []float32{6.5, 4.25}, CPULosses: []float32{6.5, 4.5}, StepReplayHits: []uint64{0, 7}}
+	tab := TrainLossTable("training loss", res)
+	tab.WriteText(&b)
+	want := "== per-device engine counters ==\n" +
+		"device         cycles         instrs     l2_acc       dram   barrier_cy  launches\n" +
+		"gpu1           340351        1047156      12855       1973       142258       324\n" +
+		"== training loss ==\n" +
+		"  step         loss     cpu_loss     |diff| replayed\n" +
+		"     0      6.50000      6.50000          0         \n" +
+		"     1      4.25000      4.50000       0.25      yes\n"
+	if b.String() != want {
+		t.Errorf("text form:\n%q\nwant:\n%q", b.String(), want)
+	}
+	b.Reset()
+	if err := tab.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := "step,loss,cpu_loss,replayed\n0,6.5,6.5,0\n1,4.25,4.5,1\n"; b.String() != want {
+		t.Errorf("CSV form = %q, want %q", b.String(), want)
 	}
 }
 

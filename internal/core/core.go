@@ -15,6 +15,7 @@ import (
 	"repro/internal/hwmodel"
 	"repro/internal/mnist"
 	"repro/internal/power"
+	"repro/internal/session"
 	"repro/internal/stats"
 	"repro/internal/timing"
 	"repro/internal/torch"
@@ -72,15 +73,12 @@ func RunMNISTCorrelation(images int) (*MNISTCorrelationResult, error) {
 	imgs, _ := ds.Batch(images)
 
 	// --- detailed simulator (performance mode, GTX 1050) ---
-	simDev, err := torch.NewDevice(exec.BugSet{})
+	sim, err := session.New(timing.GTX1050(), 1)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := timing.New(timing.GTX1050())
-	if err != nil {
-		return nil, err
-	}
-	simDev.Ctx.SetRunner(timing.Runner{E: eng})
+	defer sim.Close()
+	simDev, eng := sim.Dev, sim.Eng
 	simModel, err := mnist.NewLeNet(simDev, 7, mnist.DefaultAlgos())
 	if err != nil {
 		return nil, err
@@ -187,8 +185,9 @@ func AlgorithmsFor(dir ConvDirection) []string {
 	return nil
 }
 
-// ConvSampleResult carries the timing engine (for the AerialVision
-// plots) and kernel log of one conv_sample run.
+// ConvSampleResult carries the timing engine (closed; its statistics
+// and partitions feed the AerialVision plots) and kernel log of one
+// conv_sample run.
 type ConvSampleResult struct {
 	Algo    string
 	Dir     ConvDirection
@@ -212,16 +211,12 @@ func RunConvSampleWorkers(gpu GPU, dir ConvDirection, algo string, shape ConvSam
 	if err != nil {
 		return nil, err
 	}
-	ctx := cudart.NewContext(exec.BugSet{})
-	h, err := cudnn.Create(ctx)
+	s, err := session.New(cfg, workers)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := timing.New(cfg, timing.WithWorkers(workers))
-	if err != nil {
-		return nil, err
-	}
-	ctx.SetRunner(timing.Runner{E: eng})
+	defer s.Close()
+	ctx, h, eng := s.Dev.Ctx, s.Dev.H, s.Eng
 
 	xd := cudnn.TensorDesc{N: shape.N, C: shape.C, H: shape.H, W: shape.W}
 	fd := cudnn.FilterDesc{K: shape.K, C: shape.C, R: shape.R, S: shape.R}

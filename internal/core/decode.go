@@ -6,172 +6,30 @@ package core
 // (per step and layer: three projections, cache appends, the cached
 // attention GEMVs, causal softmax, FF, then logit GEMV + argmax) — the
 // many-small-launch population the paper identifies as the cycle-level
-// simulator's worst case. RunDecodeSample runs the chains twice, stream-
-// overlapped and serialized, and verifies both token-for-token against
-// GenerateCPU; RunDecodeReplay repeats identical generate batches on one
-// engine so the replay cache can memoize the steady-state decode steps.
+// simulator's worst case. RunDecodeReplay repeats identical generate
+// batches on one session so the replay cache can memoize the steady-
+// state decode steps; RunDecodeSample is two 1-iteration runs, stream-
+// overlapped and serialized, compared token for token.
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
-	"repro/internal/cudart"
-	"repro/internal/exec"
-	"repro/internal/timing"
+	"repro/internal/session"
 	"repro/internal/torch"
 )
 
-// DecodeSampleResult summarises the concurrent + serialized decode runs.
-type DecodeSampleResult struct {
-	Config           torch.TransformerConfig
-	Seqs             int
-	PromptLen        int
-	NewTokens        int
-	Launches         int
-	ConcurrentCycles uint64
-	SerializedCycles uint64
-	TotalInstrs      uint64
-	Tokens           [][]int32 // generated ids, oracle-verified
-	PerKernel        []TransformerKernelAgg
-}
-
-// Speedup returns the serialized/concurrent cycle ratio.
-func (r *DecodeSampleResult) Speedup() float64 {
-	return float64(r.SerializedCycles) / float64(r.ConcurrentCycles)
-}
-
-// TokensPerMcycle returns generated tokens per million modelled cycles
-// of the concurrent run — the decode throughput metric.
-func (r *DecodeSampleResult) TokensPerMcycle() float64 {
-	return float64(r.Seqs*r.NewTokens) / (float64(r.ConcurrentCycles) / 1e6)
-}
-
-// decodePrompts builds `seqs` deterministic prompts of promptLen tokens.
-func decodePrompts(seqs, promptLen, vocab int) [][]int32 {
-	return transformerBatch(seqs, promptLen, vocab)
-}
-
-// RunDecodeSample greedy-decodes `seqs` prompts of `promptLen` tokens
-// for `newTokens` tokens each under the GTX 1050 model with `workers`
-// engine worker goroutines, once stream-overlapped and once serialized,
-// checking tokens against the GenerateCPU oracle and each other.
-func RunDecodeSample(workers, seqs, promptLen, newTokens int) (*DecodeSampleResult, error) {
-	cfg := DefaultTransformerConfig()
-	if seqs < 1 {
-		seqs = 1
-	}
-	if promptLen < 1 {
-		promptLen = 1
-	}
-	if newTokens < 1 {
-		newTokens = 1
-	}
-	if promptLen+newTokens-1 > cfg.MaxSeq {
-		return nil, fmt.Errorf("core: prompt %d + %d generated tokens exceed MaxSeq %d",
-			promptLen, newTokens, cfg.MaxSeq)
-	}
-	prompts := decodePrompts(seqs, promptLen, cfg.Vocab)
-
-	run := func(concurrent bool) (uint64, [][]int32, []cudart.KernelStats, *torch.TransformerDecoder, error) {
-		dev, err := torch.NewDevice(exec.BugSet{})
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		eng, err := timing.New(timing.GTX1050(), timing.WithWorkers(workers))
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		dev.Ctx.SetRunner(timing.Runner{E: eng})
-		dec, err := torch.NewTransformerDecoder(dev, rand.New(rand.NewSource(7)), cfg)
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		start := eng.Cycle()
-		outs, err := dec.GenerateBatch(prompts, newTokens, concurrent)
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		return eng.Cycle() - start, outs, dev.Ctx.KernelStatsLog(), dec, nil
-	}
-
-	conc, outs, log, dec, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	serial, serialOuts, _, _, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &DecodeSampleResult{
-		Config: cfg, Seqs: seqs, PromptLen: promptLen, NewTokens: newTokens,
-		Launches: len(log), ConcurrentCycles: conc, SerializedCycles: serial,
-		Tokens: outs,
-	}
-	// self-check: simulated tokens vs the GenerateCPU oracle, token for
-	// token, and the stream-overlapped run vs the serialized run
-	for i, p := range prompts {
-		want, err := dec.GenerateCPU(p, newTokens)
-		if err != nil {
-			return nil, err
-		}
-		for j := range want {
-			if outs[i][j] != want[j] {
-				return nil, fmt.Errorf("core: decode seq %d token %d: device %d, oracle %d",
-					i, j, outs[i][j], want[j])
-			}
-			if outs[i][j] != serialOuts[i][j] {
-				return nil, fmt.Errorf("core: stream vs serial decode diverged at seq %d token %d", i, j)
-			}
-		}
-	}
-
-	byName := map[string]*TransformerKernelAgg{}
-	var names []string
-	for _, k := range log {
-		a := byName[k.Name]
-		if a == nil {
-			a = &TransformerKernelAgg{Name: k.Name}
-			byName[k.Name] = a
-			names = append(names, k.Name)
-		}
-		a.Launches++
-		a.WarpInstrs += k.WarpInstrs
-		a.Cycles += k.Cycles
-		res.TotalInstrs += k.WarpInstrs
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		res.PerKernel = append(res.PerKernel, *byName[n])
-	}
-	return res, nil
-}
-
-// DecodeReplayResult summarises a repeated decode run on one engine.
+// DecodeReplayResult summarises a repeated decode run on one session.
 type DecodeReplayResult struct {
 	Config    torch.TransformerConfig
 	Seqs      int
 	PromptLen int
 	NewTokens int
-	Iters     int
 	Replay    bool
-
-	Launches        int
-	FirstIterCycles uint64
-	TotalCycles     uint64
-
-	ReplayHits           uint64
-	ReplayMisses         uint64
-	ReplayResamples      uint64
-	ReplayedCycles       uint64
-	DetailedKernelCycles uint64
-	ReplayDriftCycles    uint64
-	ReplayMemoApplied    uint64
-	Coverage             float64
+	session.Iterations
 
 	Tokens    [][]int32 // first iteration's generated ids, oracle-verified
-	PerKernel []TransformerReplayKernelAgg
+	PerKernel []KernelAgg
 }
 
 // TokensPerMcycle returns generated tokens per million modelled cycles
@@ -180,14 +38,13 @@ func (r *DecodeReplayResult) TokensPerMcycle() float64 {
 	return float64(r.Seqs*r.NewTokens*r.Iters) / (float64(r.TotalCycles) / 1e6)
 }
 
-// RunDecodeReplay runs `iters` identical stream-overlapped generate
-// batches on a single GTX 1050 engine. Sessions and activation tensors
-// are freed after every iteration, so the first-fit allocator re-issues
-// identical addresses and — with replay=true — the steady-state decode
-// steps retire from the replay cache. The first iteration is verified
-// token-for-token against GenerateCPU; later iterations must reproduce
-// it bit-exactly (replay memoizes timing, not semantics).
-func RunDecodeReplay(workers, seqs, promptLen, newTokens, iters, resampleEvery int, replay bool) (*DecodeReplayResult, error) {
+// RunDecodeReplay runs `iters` identical generate batches (`seqs`
+// prompts of `promptLen` tokens greedy-decoding `newTokens` each; every
+// sequence's chain on its own CUDA stream when concurrent) on a single
+// GTX 1050 session. The first iteration is verified token-for-token
+// against GenerateCPU; later iterations must reproduce it bit-exactly
+// (replay memoizes timing, not semantics).
+func RunDecodeReplay(workers, seqs, promptLen, newTokens, iters, resampleEvery int, concurrent, replay bool) (*DecodeReplayResult, error) {
 	cfg := DefaultTransformerConfig()
 	if seqs < 1 {
 		seqs = 1
@@ -198,114 +55,95 @@ func RunDecodeReplay(workers, seqs, promptLen, newTokens, iters, resampleEvery i
 	if newTokens < 1 {
 		newTokens = 1
 	}
-	if iters < 1 {
-		iters = 1
-	}
 	if promptLen+newTokens-1 > cfg.MaxSeq {
 		return nil, fmt.Errorf("core: prompt %d + %d generated tokens exceed MaxSeq %d",
 			promptLen, newTokens, cfg.MaxSeq)
 	}
-	prompts := decodePrompts(seqs, promptLen, cfg.Vocab)
+	prompts := TransformerBatch(seqs, promptLen, cfg.Vocab)
 
-	dev, err := torch.NewDevice(exec.BugSet{})
+	s, err := sampleSession(workers, resampleEvery, replay)
 	if err != nil {
 		return nil, err
 	}
-	tcfg := timing.GTX1050()
-	tcfg.ReplayEnabled = replay
-	tcfg.ReplayResampleEvery = resampleEvery
-	eng, err := timing.New(tcfg, timing.WithWorkers(workers))
+	defer s.Close()
+	dec, err := torch.NewTransformerDecoder(s.Dev, rand.New(rand.NewSource(7)), cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer eng.Close()
-	dev.Ctx.SetRunner(timing.Runner{E: eng})
-	dec, err := torch.NewTransformerDecoder(dev, rand.New(rand.NewSource(7)), cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	baseline := map[uint64]bool{}
-	for _, a := range dev.Ctx.Alloc.LiveAllocations() {
-		baseline[a] = true
-	}
+	s.Pin()
 
 	res := &DecodeReplayResult{
-		Config: cfg, Seqs: seqs, PromptLen: promptLen, NewTokens: newTokens,
-		Iters: iters, Replay: replay,
+		Config: cfg, Seqs: seqs, PromptLen: promptLen, NewTokens: newTokens, Replay: replay,
 	}
-	start := eng.Cycle()
-	for it := 0; it < iters; it++ {
-		iterStart := eng.Cycle()
-		outs, err := dec.GenerateBatch(prompts, newTokens, true)
+	res.Iterations, err = s.Iterate(iters, func(it int) error {
+		outs, err := dec.GenerateBatch(prompts, newTokens, concurrent)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if it == 0 {
-			res.FirstIterCycles = eng.Cycle() - iterStart
 			res.Tokens = outs
 			for i, p := range prompts {
 				want, err := dec.GenerateCPU(p, newTokens)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				for j := range want {
 					if outs[i][j] != want[j] {
-						return nil, fmt.Errorf("core: decode seq %d token %d: device %d, oracle %d",
+						return fmt.Errorf("core: decode seq %d token %d: device %d, oracle %d",
 							i, j, outs[i][j], want[j])
 					}
 				}
 			}
-		} else {
-			for i := range outs {
-				for j := range outs[i] {
-					if outs[i][j] != res.Tokens[i][j] {
-						return nil, fmt.Errorf("core: replay iteration %d tokens diverged at seq %d token %d", it+1, i, j)
-					}
+			return nil
+		}
+		for i := range outs {
+			for j := range outs[i] {
+				if outs[i][j] != res.Tokens[i][j] {
+					return fmt.Errorf("core: replay iteration %d tokens diverged at seq %d token %d", it+1, i, j)
 				}
 			}
 		}
-		for _, a := range dev.Ctx.Alloc.LiveAllocations() {
-			if !baseline[a] {
-				if err := dev.Ctx.Free(a); err != nil {
-					return nil, err
-				}
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.TotalCycles = eng.Cycle() - start
-
-	st := eng.Stats()
-	res.ReplayHits = st.ReplayHits
-	res.ReplayMisses = st.ReplayMisses
-	res.ReplayResamples = st.ReplayResamples
-	res.ReplayedCycles = st.ReplayedCycles
-	res.DetailedKernelCycles = st.DetailedKernelCycles
-	res.ReplayDriftCycles = st.ReplayDriftCycles
-	res.ReplayMemoApplied = st.ReplayMemoApplied
-	res.Coverage = st.ReplayCoverage()
-
-	log := dev.Ctx.KernelStatsLog()
-	res.Launches = len(log)
-	byName := map[string]*TransformerReplayKernelAgg{}
-	var names []string
-	for _, k := range log {
-		a := byName[k.Name]
-		if a == nil {
-			a = &TransformerReplayKernelAgg{Name: k.Name}
-			byName[k.Name] = a
-			names = append(names, k.Name)
-		}
-		a.Launches++
-		a.Cycles += k.Cycles
-		if k.Replayed {
-			a.Replayed++
-			a.ReplayedCycles += k.Cycles
-		}
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		res.PerKernel = append(res.PerKernel, *byName[n])
-	}
+	res.PerKernel = AggregateKernels(res.Log)
 	return res, nil
+}
+
+// DecodeSampleResult is the stream-overlapped run plus the cycle count
+// of the serialized run it was checked against.
+type DecodeSampleResult struct {
+	*DecodeReplayResult
+	SerializedCycles uint64
+}
+
+// Speedup returns the serialized/concurrent cycle ratio.
+func (r *DecodeSampleResult) Speedup() float64 {
+	return float64(r.SerializedCycles) / float64(r.TotalCycles)
+}
+
+// RunDecodeSample greedy-decodes `seqs` prompts of `promptLen` tokens
+// for `newTokens` tokens each under the GTX 1050 model with `workers`
+// engine worker goroutines, once stream-overlapped and once serialized
+// (each on a fresh session, each checked against the GenerateCPU
+// oracle), and checks the two runs' tokens against each other.
+func RunDecodeSample(workers, seqs, promptLen, newTokens int) (*DecodeSampleResult, error) {
+	conc, err := RunDecodeReplay(workers, seqs, promptLen, newTokens, 1, 0, true, false)
+	if err != nil {
+		return nil, err
+	}
+	serial, err := RunDecodeReplay(workers, seqs, promptLen, newTokens, 1, 0, false, false)
+	if err != nil {
+		return nil, err
+	}
+	for i := range conc.Tokens {
+		for j := range conc.Tokens[i] {
+			if conc.Tokens[i][j] != serial.Tokens[i][j] {
+				return nil, fmt.Errorf("core: stream vs serial decode diverged at seq %d token %d", i, j)
+			}
+		}
+	}
+	return &DecodeSampleResult{conc, serial.TotalCycles}, nil
 }

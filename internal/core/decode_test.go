@@ -15,7 +15,7 @@ func TestRunDecodeSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Launches == 0 || res.TotalInstrs == 0 {
+	if res.Launches() == 0 || TotalInstrs(res.PerKernel) == 0 {
 		t.Fatalf("decode issued no work: %+v", res)
 	}
 	if len(res.Tokens) != seqs {
@@ -54,22 +54,22 @@ func TestRunDecodeSample(t *testing.T) {
 // baseline's first iteration matches the hybrid run's cycle for cycle.
 func TestRunDecodeReplay(t *testing.T) {
 	const iters = 3
-	res, err := RunDecodeReplay(1, 2, 3, 3, iters, 0, true)
+	res, err := RunDecodeReplay(1, 2, 3, 3, iters, 0, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perIter := res.Launches / iters
-	if res.Launches != perIter*iters {
-		t.Errorf("launch count %d not divisible by %d iterations", res.Launches, iters)
+	perIter := res.Launches() / iters
+	if res.Launches() != perIter*iters {
+		t.Errorf("launch count %d not divisible by %d iterations", res.Launches(), iters)
 	}
-	if got, want := res.ReplayMisses, uint64(perIter); got != want {
+	if got, want := res.Stats.ReplayMisses, uint64(perIter); got != want {
 		t.Errorf("ReplayMisses = %d, want %d (first iteration only)", got, want)
 	}
-	if got, want := res.ReplayHits, uint64(perIter*(iters-1)); got != want {
+	if got, want := res.Stats.ReplayHits, uint64(perIter*(iters-1)); got != want {
 		t.Errorf("ReplayHits = %d, want %d (every later launch)", got, want)
 	}
-	if want := float64(iters-1) / float64(iters); res.Coverage < want-1e-9 {
-		t.Errorf("Coverage = %v, want %v", res.Coverage, want)
+	if want := float64(iters-1) / float64(iters); res.Stats.ReplayCoverage() < want-1e-9 {
+		t.Errorf("Coverage = %v, want %v", res.Stats.ReplayCoverage(), want)
 	}
 	for _, k := range res.PerKernel {
 		if want := k.Launches * (iters - 1) / iters; k.Replayed != want {
@@ -77,11 +77,11 @@ func TestRunDecodeReplay(t *testing.T) {
 		}
 	}
 
-	det, err := RunDecodeReplay(1, 2, 3, 3, iters, 0, false)
+	det, err := RunDecodeReplay(1, 2, 3, 3, iters, 0, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if det.ReplayHits != 0 || det.ReplayMisses != 0 || det.Coverage != 0 {
+	if det.Stats.ReplayHits != 0 || det.Stats.ReplayMisses != 0 || det.Stats.ReplayCoverage() != 0 {
 		t.Errorf("detailed run counted replay activity: %+v", det)
 	}
 	if res.FirstIterCycles != det.FirstIterCycles {
@@ -105,15 +105,15 @@ func BenchmarkDecodeThroughput(b *testing.B) {
 	}{{"detailed", false}, {"hybrid", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := RunDecodeReplay(1, seqs, promptLen, newTokens, iters, 0, mode.replay)
+				res, err := RunDecodeReplay(1, seqs, promptLen, newTokens, iters, 0, true, mode.replay)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if mode.replay && res.Coverage == 0 {
+				if mode.replay && res.Stats.ReplayCoverage() == 0 {
 					b.Fatal("hybrid decode never hit the replay cache")
 				}
 				b.ReportMetric(res.TokensPerMcycle(), "tokens_per_mcycle")
-				b.ReportMetric(res.Coverage, "coverage")
+				b.ReportMetric(res.Stats.ReplayCoverage(), "coverage")
 			}
 		})
 	}

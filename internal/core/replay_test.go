@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"time"
 )
 
 // TestRunTransformerReplay exercises the repeated-batch driver in hybrid
@@ -12,27 +14,27 @@ import (
 // per-kernel aggregation splits out the replayed launches.
 func TestRunTransformerReplay(t *testing.T) {
 	const iters = 3
-	res, err := RunTransformerReplay(1, 2, 8, iters, 0, true)
+	res, err := RunTransformerReplay(1, 2, 8, iters, 0, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perIter := res.Launches / iters
-	if res.Launches != perIter*iters {
-		t.Errorf("launch count %d not divisible by %d iterations", res.Launches, iters)
+	perIter := res.Launches() / iters
+	if res.Launches() != perIter*iters {
+		t.Errorf("launch count %d not divisible by %d iterations", res.Launches(), iters)
 	}
-	if got, want := res.ReplayMisses, uint64(perIter); got != want {
+	if got, want := res.Stats.ReplayMisses, uint64(perIter); got != want {
 		t.Errorf("ReplayMisses = %d, want %d (first iteration only)", got, want)
 	}
-	if got, want := res.ReplayHits, uint64(perIter*(iters-1)); got != want {
+	if got, want := res.Stats.ReplayHits, uint64(perIter*(iters-1)); got != want {
 		t.Errorf("ReplayHits = %d, want %d (every later launch)", got, want)
 	}
-	if want := float64(iters-1) / float64(iters); res.Coverage < want-1e-9 {
-		t.Errorf("Coverage = %v, want %v", res.Coverage, want)
+	if want := float64(iters-1) / float64(iters); res.Stats.ReplayCoverage() < want-1e-9 {
+		t.Errorf("Coverage = %v, want %v", res.Stats.ReplayCoverage(), want)
 	}
 	// iteration 2 captures each kernel's functional memo while
 	// executing; iteration 3 onward must ride the write-set fast path
 	// (the batch is bit-repeatable, so every read-set validates)
-	if got, want := res.ReplayMemoApplied, uint64(perIter*(iters-2)); got != want {
+	if got, want := res.Stats.ReplayMemoApplied, uint64(perIter*(iters-2)); got != want {
 		t.Errorf("ReplayMemoApplied = %d, want %d", got, want)
 	}
 	if res.MaxAbsDiff > 1e-4 {
@@ -44,11 +46,11 @@ func TestRunTransformerReplay(t *testing.T) {
 		}
 	}
 
-	det, err := RunTransformerReplay(1, 2, 8, iters, 0, false)
+	det, err := RunTransformerReplay(1, 2, 8, iters, 0, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if det.ReplayHits != 0 || det.ReplayMisses != 0 || det.Coverage != 0 {
+	if det.Stats.ReplayHits != 0 || det.Stats.ReplayMisses != 0 || det.Stats.ReplayCoverage() != 0 {
 		t.Errorf("detailed run counted replay activity: %+v", det)
 	}
 	// cold caches make the detailed baseline's first iteration identical
@@ -74,15 +76,34 @@ func BenchmarkTransformerReplay(b *testing.B) {
 	}{{"detailed", false}, {"hybrid", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := RunTransformerReplay(1, seqs, seqLen, iters, 0, mode.replay)
+				res, err := RunTransformerReplay(1, seqs, seqLen, iters, 0, true, mode.replay)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if mode.replay && res.Coverage == 0 {
+				if mode.replay && res.Stats.ReplayCoverage() == 0 {
 					b.Fatal("hybrid run never hit the replay cache")
 				}
-				b.ReportMetric(res.Coverage, "coverage")
+				b.ReportMetric(res.Stats.ReplayCoverage(), "coverage")
 			}
 		})
+	}
+}
+
+// TestDriversCloseTheirSessions: a driver that does not hand its engine
+// out must not leave the engine's worker goroutines behind. With -j 4
+// RunTransformerSample builds two sessions; the goroutine count has to
+// return to its pre-call value.
+func TestDriversCloseTheirSessions(t *testing.T) {
+	before := runtime.NumGoroutine()
+	if _, err := RunTransformerSample(4, 2, 8); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before RunTransformerSample(4, 2, 8), %d still running after",
+				before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

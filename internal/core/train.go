@@ -5,9 +5,8 @@ package core
 // the full training pipeline — encoder forward, tied-embedding logits,
 // fused softmax+cross-entropy, backward through every block, SGD — as
 // one long kernel chain, and is checked step-for-step against the
-// independent CPUTrainState host mirror. Per-step activation
-// allocations are freed between steps so the first-fit allocator
-// re-issues identical addresses; with replay enabled the steady-state
+// independent CPUTrainState host mirror. Each step is one session
+// iteration over a primed arena; with replay enabled the steady-state
 // steps then retire from the replay cache (the weight updates fail the
 // memo read-set check, so replay degrades gracefully to memoized timing
 // with functional re-execution).
@@ -16,10 +15,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
-	"repro/internal/exec"
-	"repro/internal/timing"
+	"repro/internal/session"
 	"repro/internal/torch"
 )
 
@@ -31,39 +28,27 @@ const TrainLossTolerance = 5e-2
 // DefaultTrainLR is the SGD learning rate used by the sample.
 const DefaultTrainLR = 0.05
 
-// TrainResult summarises a multi-step training run.
+// TrainResult summarises a multi-step training run; Iters is the step
+// count and FirstIterCycles the (always detailed) first step.
 type TrainResult struct {
 	Config  torch.TransformerConfig
-	Steps   int
 	SeqLen  int
 	LR      float32
 	Replay  bool
 	Workers int
-
-	Launches        int
-	FirstStepCycles uint64
-	TotalCycles     uint64
+	session.Iterations
 
 	Losses         []float32 // device loss per step
 	CPULosses      []float32 // host-mirror loss per step
 	StepReplayHits []uint64  // replay-cache hits registered during each step
 	MaxLossDiff    float64
 
-	ReplayHits           uint64
-	ReplayMisses         uint64
-	ReplayResamples      uint64
-	ReplayedCycles       uint64
-	DetailedKernelCycles uint64
-	ReplayDriftCycles    uint64
-	ReplayMemoApplied    uint64
-	Coverage             float64
-
-	PerKernel []TransformerReplayKernelAgg
+	PerKernel []KernelAgg
 }
 
 // TokensPerMcycle returns trained tokens per million modelled cycles.
 func (r *TrainResult) TokensPerMcycle() float64 {
-	return float64(r.Steps*r.SeqLen) / (float64(r.TotalCycles) / 1e6)
+	return float64(r.Iters*r.SeqLen) / (float64(r.TotalCycles) / 1e6)
 }
 
 // trainSequence builds the deterministic token sequence for one step.
@@ -76,13 +61,10 @@ func trainSequence(step, seqLen, vocab int) []int32 {
 }
 
 // RunTrainSample trains the sample encoder for `steps` steps of `seqLen`
-// tokens on one GTX 1050 engine with `workers` worker goroutines,
+// tokens on one GTX 1050 session with `workers` worker goroutines,
 // verifying every step's loss against the CPU mirror.
 func RunTrainSample(workers, steps, seqLen, resampleEvery int, replay bool) (*TrainResult, error) {
 	cfg := DefaultTransformerConfig()
-	if steps < 1 {
-		steps = 1
-	}
 	if seqLen < 1 {
 		seqLen = 1
 	}
@@ -90,64 +72,36 @@ func RunTrainSample(workers, steps, seqLen, resampleEvery int, replay bool) (*Tr
 		return nil, fmt.Errorf("core: train seqLen %d exceeds MaxSeq %d", seqLen, cfg.MaxSeq)
 	}
 
-	dev, err := torch.NewDevice(exec.BugSet{})
+	s, err := sampleSession(workers, resampleEvery, replay)
 	if err != nil {
 		return nil, err
 	}
-	tcfg := timing.GTX1050()
-	tcfg.ReplayEnabled = replay
-	tcfg.ReplayResampleEvery = resampleEvery
-	eng, err := timing.New(tcfg, timing.WithWorkers(workers))
+	defer s.Close()
+	model, err := torch.NewTransformerEncoder(s.Dev, rand.New(rand.NewSource(7)), cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer eng.Close()
-	dev.Ctx.SetRunner(timing.Runner{E: eng})
-
-	model, err := torch.NewTransformerEncoder(dev, rand.New(rand.NewSource(7)), cfg)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := torch.NewTransformerTrainer(dev, model, DefaultTrainLR)
+	tr, err := torch.NewTransformerTrainer(s.Dev, model, DefaultTrainLR)
 	if err != nil {
 		return nil, err
 	}
 	cpu := torch.NewCPUTrainState(model)
-
-	// Prime the allocator: reserve-and-release one large span above the
-	// permanent weights. Without it step 0 carves the pristine bump
-	// region while steps 1+ carve a recycled coalescing span, the two
-	// make different first-fit placements around mid-step frees, and the
-	// shifted addresses change launch signatures — replay would only
-	// reach steady state at step 2. (Pages are materialised on write, so
-	// the reservation itself costs nothing.)
-	arena, err := dev.Ctx.Malloc(16 << 20)
-	if err != nil {
+	// weights + gradient buffers are permanent; the primed arena makes
+	// step 0's placements match the steady-state steps'
+	if err := s.PrimeArena(); err != nil {
 		return nil, err
 	}
-	if err := dev.Ctx.Free(arena); err != nil {
-		return nil, err
-	}
-
-	// weights + gradient buffers are permanent; everything allocated past
-	// this point is per-step state to be freed between steps
-	baseline := map[uint64]bool{}
-	for _, a := range dev.Ctx.Alloc.LiveAllocations() {
-		baseline[a] = true
-	}
+	s.Pin()
 
 	res := &TrainResult{
-		Config: cfg, Steps: steps, SeqLen: seqLen, LR: DefaultTrainLR,
-		Replay: replay, Workers: workers,
+		Config: cfg, SeqLen: seqLen, LR: DefaultTrainLR, Replay: replay, Workers: workers,
 	}
-	start := eng.Cycle()
 	var prevHits uint64
-	for step := 0; step < steps; step++ {
-		stepStart := eng.Cycle()
+	res.Iterations, err = s.Iterate(steps, func(step int) error {
 		ids := trainSequence(step, seqLen, cfg.Vocab)
 		devLoss, err := tr.TrainStep(ids)
 		if err != nil {
-			return nil, fmt.Errorf("core: train step %d: %w", step, err)
+			return fmt.Errorf("core: train step %d: %w", step, err)
 		}
 		cpuLoss := cpu.TrainStep(ids, DefaultTrainLR)
 		d := math.Abs(float64(devLoss - cpuLoss))
@@ -155,58 +109,19 @@ func RunTrainSample(workers, steps, seqLen, resampleEvery int, replay bool) (*Tr
 			res.MaxLossDiff = d
 		}
 		if d > TrainLossTolerance {
-			return nil, fmt.Errorf("core: train step %d loss diverged: device %g, cpu oracle %g",
+			return fmt.Errorf("core: train step %d loss diverged: device %g, cpu oracle %g",
 				step, devLoss, cpuLoss)
 		}
 		res.Losses = append(res.Losses, devLoss)
 		res.CPULosses = append(res.CPULosses, cpuLoss)
-		hits := eng.Stats().ReplayHits
+		hits := s.Eng.Stats().ReplayHits
 		res.StepReplayHits = append(res.StepReplayHits, hits-prevHits)
 		prevHits = hits
-		if step == 0 {
-			res.FirstStepCycles = eng.Cycle() - stepStart
-		}
-		for _, a := range dev.Ctx.Alloc.LiveAllocations() {
-			if !baseline[a] {
-				if err := dev.Ctx.Free(a); err != nil {
-					return nil, err
-				}
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.TotalCycles = eng.Cycle() - start
-
-	st := eng.Stats()
-	res.ReplayHits = st.ReplayHits
-	res.ReplayMisses = st.ReplayMisses
-	res.ReplayResamples = st.ReplayResamples
-	res.ReplayedCycles = st.ReplayedCycles
-	res.DetailedKernelCycles = st.DetailedKernelCycles
-	res.ReplayDriftCycles = st.ReplayDriftCycles
-	res.ReplayMemoApplied = st.ReplayMemoApplied
-	res.Coverage = st.ReplayCoverage()
-
-	log := dev.Ctx.KernelStatsLog()
-	res.Launches = len(log)
-	byName := map[string]*TransformerReplayKernelAgg{}
-	var names []string
-	for _, k := range log {
-		a := byName[k.Name]
-		if a == nil {
-			a = &TransformerReplayKernelAgg{Name: k.Name}
-			byName[k.Name] = a
-			names = append(names, k.Name)
-		}
-		a.Launches++
-		a.Cycles += k.Cycles
-		if k.Replayed {
-			a.Replayed++
-			a.ReplayedCycles += k.Cycles
-		}
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		res.PerKernel = append(res.PerKernel, *byName[n])
-	}
+	res.PerKernel = AggregateKernels(res.Log)
 	return res, nil
 }

@@ -27,9 +27,9 @@ func TestRunTrainSample(t *testing.T) {
 	if res.MaxLossDiff > TrainLossTolerance {
 		t.Fatalf("device/CPU loss divergence %g exceeds %g", res.MaxLossDiff, TrainLossTolerance)
 	}
-	if res.Launches == 0 || res.TotalCycles == 0 || res.FirstStepCycles == 0 {
+	if res.Launches() == 0 || res.TotalCycles == 0 || res.FirstIterCycles == 0 {
 		t.Fatalf("implausible run: %d launches, %d cycles, %d first-step cycles",
-			res.Launches, res.TotalCycles, res.FirstStepCycles)
+			res.Launches(), res.TotalCycles, res.FirstIterCycles)
 	}
 	if res.TokensPerMcycle() <= 0 {
 		t.Fatalf("tokens/Mcycle = %g", res.TokensPerMcycle())
@@ -79,33 +79,33 @@ func TestRunTrainReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if detailed.ReplayHits != 0 || detailed.ReplayMisses != 0 || detailed.Coverage != 0 {
+	if detailed.Stats.ReplayHits != 0 || detailed.Stats.ReplayMisses != 0 || detailed.Stats.ReplayCoverage() != 0 {
 		t.Fatalf("detailed run has replay activity: hits %d misses %d coverage %g",
-			detailed.ReplayHits, detailed.ReplayMisses, detailed.Coverage)
+			detailed.Stats.ReplayHits, detailed.Stats.ReplayMisses, detailed.Stats.ReplayCoverage())
 	}
-	if hybrid.Launches != detailed.Launches {
-		t.Fatalf("launch count differs: hybrid %d vs detailed %d", hybrid.Launches, detailed.Launches)
+	if hybrid.Launches() != detailed.Launches() {
+		t.Fatalf("launch count differs: hybrid %d vs detailed %d", hybrid.Launches(), detailed.Launches())
 	}
-	if hybrid.Launches%steps != 0 {
-		t.Fatalf("launches %d not divisible by %d steps", hybrid.Launches, steps)
+	if hybrid.Launches()%steps != 0 {
+		t.Fatalf("launches %d not divisible by %d steps", hybrid.Launches(), steps)
 	}
-	perStep := hybrid.Launches / steps
+	perStep := hybrid.Launches() / steps
 	// per-step activations are freed between steps, so the allocator
 	// re-issues identical addresses and every steady-state launch
 	// signature repeats: steps 2..n replay entirely from the cache
-	if want := uint64(perStep); hybrid.ReplayMisses != want {
-		t.Fatalf("replay misses %d, want first-step launches %d", hybrid.ReplayMisses, want)
+	if want := uint64(perStep); hybrid.Stats.ReplayMisses != want {
+		t.Fatalf("replay misses %d, want first-step launches %d", hybrid.Stats.ReplayMisses, want)
 	}
-	if want := uint64(perStep * (steps - 1)); hybrid.ReplayHits != want {
-		t.Fatalf("replay hits %d, want %d (steps 2..%d fully replayed)", hybrid.ReplayHits, want, steps)
+	if want := uint64(perStep * (steps - 1)); hybrid.Stats.ReplayHits != want {
+		t.Fatalf("replay hits %d, want %d (steps 2..%d fully replayed)", hybrid.Stats.ReplayHits, want, steps)
 	}
-	if min := float64(steps-1) / float64(steps); hybrid.Coverage < min {
-		t.Fatalf("coverage %g below %g", hybrid.Coverage, min)
+	if min := float64(steps-1) / float64(steps); hybrid.Stats.ReplayCoverage() < min {
+		t.Fatalf("coverage %g below %g", hybrid.Stats.ReplayCoverage(), min)
 	}
 	// first step is always detailed, so its cycle count matches exactly
-	if hybrid.FirstStepCycles != detailed.FirstStepCycles {
+	if hybrid.FirstIterCycles != detailed.FirstIterCycles {
 		t.Fatalf("first-step cycles differ: hybrid %d vs detailed %d",
-			hybrid.FirstStepCycles, detailed.FirstStepCycles)
+			hybrid.FirstIterCycles, detailed.FirstIterCycles)
 	}
 	// replay memoizes timing, not semantics: losses track the detailed
 	// run to atomic-accumulation rounding
@@ -136,10 +136,10 @@ func BenchmarkTrainStep(b *testing.B) {
 				last = res
 			}
 			b.ReportMetric(last.TokensPerMcycle(), "tokens_per_mcycle")
-			b.ReportMetric(last.Coverage, "coverage")
+			b.ReportMetric(last.Stats.ReplayCoverage(), "coverage")
 			b.ReportMetric(float64(last.Losses[len(last.Losses)-1]), "final_loss")
 			b.Log(fmt.Sprintf("losses=%v replay hits=%d misses=%d memo=%d",
-				last.Losses, last.ReplayHits, last.ReplayMisses, last.ReplayMemoApplied))
+				last.Losses, last.Stats.ReplayHits, last.Stats.ReplayMisses, last.Stats.ReplayMemoApplied))
 		})
 	}
 }

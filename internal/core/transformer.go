@@ -1,11 +1,16 @@
 package core
 
 // The transformer-inference sample: the shared driver behind
-// `cmd/gpgpusim -workload transformer` and examples/transformer_inference.
-// It runs a small encoder forward batch twice under the GTX 1050 model —
-// once with every sequence's kernel chain on its own CUDA stream, once
-// serialized on the default stream — verifies both against the CPU
-// oracle and each other, and aggregates the per-kernel statistics.
+// `cmd/gpgpusim -workload transformer [-replay]`, the kernel_replay.csv
+// aerialvision export, examples/transformer_inference and
+// BenchmarkTransformerReplay. RunTransformerReplay runs a small encoder
+// forward batch `iters` times on one session — the repeated-launch
+// pattern hybrid replay mode exists for — and verifies the replay
+// contract end to end: iteration 1 simulates in detail (checked against
+// the CPU oracle) and warms the cache; every later iteration must
+// reproduce iteration 1's outputs exactly even though its kernels retire
+// from memoized timing. RunTransformerSample is two 1-iteration runs,
+// stream-overlapped and serialized, compared with each other.
 
 import (
 	"fmt"
@@ -14,7 +19,7 @@ import (
 	"sort"
 
 	"repro/internal/cudart"
-	"repro/internal/exec"
+	"repro/internal/session"
 	"repro/internal/timing"
 	"repro/internal/torch"
 )
@@ -28,39 +33,66 @@ func DefaultTransformerConfig() torch.TransformerConfig {
 	}
 }
 
-// TransformerKernelAgg aggregates one kernel name's launches.
-type TransformerKernelAgg struct {
-	Name       string
-	Launches   int
-	WarpInstrs uint64
-	Cycles     uint64
+// KernelAgg aggregates one kernel name's launches across a run,
+// splitting out the ones retired from the replay cache.
+type KernelAgg struct {
+	Name           string
+	Launches       int
+	Replayed       int // launches retired from the replay cache
+	WarpInstrs     uint64
+	Cycles         uint64 // all launches
+	ReplayedCycles uint64 // replayed launches only
 }
 
-// TransformerSampleResult summarises the concurrent + serialized runs.
-type TransformerSampleResult struct {
-	Config           torch.TransformerConfig
-	Seqs             int
-	SeqLen           int
-	Launches         int
-	ConcurrentCycles uint64
-	SerializedCycles uint64
-	TotalInstrs      uint64
-	MaxAbsDiff       float64 // |simulated - ForwardCPU oracle|
-	PerKernel        []TransformerKernelAgg
+// AggregateKernels folds a launch log by kernel name, sorted by name.
+func AggregateKernels(log []cudart.KernelStats) []KernelAgg {
+	byName := map[string]*KernelAgg{}
+	var names []string
+	for _, k := range log {
+		a := byName[k.Name]
+		if a == nil {
+			a = &KernelAgg{Name: k.Name}
+			byName[k.Name] = a
+			names = append(names, k.Name)
+		}
+		a.Launches++
+		a.WarpInstrs += k.WarpInstrs
+		a.Cycles += k.Cycles
+		if k.Replayed {
+			a.Replayed++
+			a.ReplayedCycles += k.Cycles
+		}
+	}
+	sort.Strings(names)
+	out := make([]KernelAgg, len(names))
+	for i, n := range names {
+		out[i] = *byName[n]
+	}
+	return out
 }
 
-// Speedup returns the serialized/concurrent cycle ratio.
-func (r *TransformerSampleResult) Speedup() float64 {
-	return float64(r.SerializedCycles) / float64(r.ConcurrentCycles)
+// TotalInstrs sums the warp instructions of an aggregated log.
+func TotalInstrs(per []KernelAgg) uint64 {
+	var n uint64
+	for _, k := range per {
+		n += k.WarpInstrs
+	}
+	return n
 }
 
-// IPC returns warp instructions per cycle of the concurrent run.
-func (r *TransformerSampleResult) IPC() float64 {
-	return float64(r.TotalInstrs) / float64(r.ConcurrentCycles)
+// sampleSession builds the GTX 1050 session the transformer-family
+// drivers run on. With replay=true the engine runs in hybrid replay mode
+// (resampleEvery as Config.ReplayResampleEvery); replay=false is the
+// all-detailed baseline.
+func sampleSession(workers, resampleEvery int, replay bool) (*session.Session, error) {
+	cfg := timing.GTX1050()
+	cfg.ReplayEnabled = replay
+	cfg.ReplayResampleEvery = resampleEvery
+	return session.New(cfg, workers)
 }
 
-// transformerBatch builds `seqs` deterministic token sequences.
-func transformerBatch(seqs, seqLen, vocab int) [][]int32 {
+// TransformerBatch builds `seqs` deterministic token sequences.
+func TransformerBatch(seqs, seqLen, vocab int) [][]int32 {
 	batch := make([][]int32, seqs)
 	for i := range batch {
 		ids := make([]int32, seqLen)
@@ -72,81 +104,114 @@ func transformerBatch(seqs, seqLen, vocab int) [][]int32 {
 	return batch
 }
 
-// RunTransformerSample executes the sample with `seqs` sequences of
-// `seqLen` tokens and `workers` engine worker goroutines.
-func RunTransformerSample(workers, seqs, seqLen int) (*TransformerSampleResult, error) {
+// TransformerReplayResult summarises a repeated-batch run.
+type TransformerReplayResult struct {
+	Config torch.TransformerConfig
+	Seqs   int
+	SeqLen int
+	Replay bool // hybrid replay mode on?
+	session.Iterations
+
+	MaxAbsDiff float64     // first iteration vs the ForwardCPU oracle
+	Outputs    [][]float32 // first iteration's activations
+	PerKernel  []KernelAgg
+}
+
+// RunTransformerReplay runs `iters` identical transformer forward
+// batches (`seqs` sequences of `seqLen` tokens; each sequence's chain on
+// its own CUDA stream when concurrent, serialized on the default stream
+// otherwise) on a single GTX 1050 session with `workers` worker
+// goroutines.
+func RunTransformerReplay(workers, seqs, seqLen, iters, resampleEvery int, concurrent, replay bool) (*TransformerReplayResult, error) {
 	cfg := DefaultTransformerConfig()
 	if seqs < 1 {
 		seqs = 1
 	}
-	batch := transformerBatch(seqs, seqLen, cfg.Vocab)
+	batch := TransformerBatch(seqs, seqLen, cfg.Vocab)
 
-	run := func(concurrent bool) (uint64, [][]float32, []cudart.KernelStats, *torch.TransformerEncoder, error) {
-		dev, err := torch.NewDevice(exec.BugSet{})
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		eng, err := timing.New(timing.GTX1050(), timing.WithWorkers(workers))
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		dev.Ctx.SetRunner(timing.Runner{E: eng})
-		enc, err := torch.NewTransformerEncoder(dev, rand.New(rand.NewSource(7)), cfg)
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		start := eng.Cycle()
+	s, err := sampleSession(workers, resampleEvery, replay)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	enc, err := torch.NewTransformerEncoder(s.Dev, rand.New(rand.NewSource(7)), cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.Pin()
+
+	res := &TransformerReplayResult{Config: cfg, Seqs: seqs, SeqLen: seqLen, Replay: replay}
+	res.Iterations, err = s.Iterate(iters, func(it int) error {
 		outs, err := enc.ForwardBatch(batch, concurrent)
 		if err != nil {
-			return 0, nil, nil, nil, err
+			return err
 		}
-		return eng.Cycle() - start, outs, dev.Ctx.KernelStatsLog(), enc, nil
-	}
-
-	conc, outs, log, enc, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	serial, serialOuts, _, _, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &TransformerSampleResult{
-		Config: cfg, Seqs: seqs, SeqLen: seqLen, Launches: len(log),
-		ConcurrentCycles: conc, SerializedCycles: serial,
-	}
-	// self-check: simulated output vs the ForwardCPU oracle, and the
-	// stream-overlapped run vs the serialized run (must be identical)
-	for i, ids := range batch {
-		want, _ := enc.ForwardCPU(ids)
-		for j := range want {
-			if d := math.Abs(float64(outs[i][j] - want[j])); d > res.MaxAbsDiff {
-				res.MaxAbsDiff = d
+		if it == 0 {
+			res.Outputs = outs
+			for i, ids := range batch {
+				want, _ := enc.ForwardCPU(ids)
+				for j := range want {
+					if d := math.Abs(float64(outs[i][j] - want[j])); d > res.MaxAbsDiff {
+						res.MaxAbsDiff = d
+					}
+				}
 			}
-			if outs[i][j] != serialOuts[i][j] {
+			return nil
+		}
+		// replay memoizes timing, not semantics: repeated iterations
+		// must be bit-equal to the detailed first one
+		for i := range outs {
+			for j := range outs[i] {
+				if outs[i][j] != res.Outputs[i][j] {
+					return fmt.Errorf("core: replay iteration %d output diverged at seq %d elem %d", it+1, i, j)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.PerKernel = AggregateKernels(res.Log)
+	return res, nil
+}
+
+// TransformerSampleResult is the stream-overlapped run plus the cycle
+// count of the serialized run it was checked against.
+type TransformerSampleResult struct {
+	*TransformerReplayResult
+	SerializedCycles uint64
+}
+
+// Speedup returns the serialized/concurrent cycle ratio.
+func (r *TransformerSampleResult) Speedup() float64 {
+	return float64(r.SerializedCycles) / float64(r.TotalCycles)
+}
+
+// IPC returns warp instructions per cycle of the concurrent run.
+func (r *TransformerSampleResult) IPC() float64 {
+	return float64(TotalInstrs(r.PerKernel)) / float64(r.TotalCycles)
+}
+
+// RunTransformerSample executes the sample with `seqs` sequences of
+// `seqLen` tokens and `workers` engine worker goroutines: one detailed
+// stream-overlapped run, one serialized, each on a fresh session and
+// checked against the CPU oracle, and the two against each other.
+func RunTransformerSample(workers, seqs, seqLen int) (*TransformerSampleResult, error) {
+	conc, err := RunTransformerReplay(workers, seqs, seqLen, 1, 0, true, false)
+	if err != nil {
+		return nil, err
+	}
+	serial, err := RunTransformerReplay(workers, seqs, seqLen, 1, 0, false, false)
+	if err != nil {
+		return nil, err
+	}
+	for i := range conc.Outputs {
+		for j := range conc.Outputs[i] {
+			if conc.Outputs[i][j] != serial.Outputs[i][j] {
 				return nil, fmt.Errorf("core: stream vs serial output diverged at seq %d elem %d", i, j)
 			}
 		}
 	}
-
-	byName := map[string]*TransformerKernelAgg{}
-	var names []string
-	for _, k := range log {
-		a := byName[k.Name]
-		if a == nil {
-			a = &TransformerKernelAgg{Name: k.Name}
-			byName[k.Name] = a
-			names = append(names, k.Name)
-		}
-		a.Launches++
-		a.WarpInstrs += k.WarpInstrs
-		a.Cycles += k.Cycles
-		res.TotalInstrs += k.WarpInstrs
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		res.PerKernel = append(res.PerKernel, *byName[n])
-	}
-	return res, nil
+	return &TransformerSampleResult{conc, serial.TotalCycles}, nil
 }

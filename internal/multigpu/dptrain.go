@@ -82,10 +82,10 @@ func dpSequence(step, rank, seqLen, vocab int) []int32 {
 
 // deviceStats snapshots one device's counters.
 func deviceStats(n *Node, rank, launches int) DeviceStats {
-	st := n.Engines[rank].Stats()
+	st := n.Sessions[rank].Eng.Stats()
 	return DeviceStats{
 		Device:              rank,
-		Cycles:              n.Engines[rank].Cycle(),
+		Cycles:              n.Sessions[rank].Eng.Cycle(),
 		Instructions:        st.Instructions,
 		L2Accesses:          st.L2Accesses,
 		DRAMAccesses:        st.DRAMAccesses,
@@ -119,7 +119,6 @@ func RunDPTrain(cfg Config, steps, seqLen int) (*DPTrainResult, error) {
 
 	trainers := make([]*torch.TransformerTrainer, world)
 	mirrors := make([]*torch.CPUTrainState, world)
-	baselines := make([]map[uint64]bool, world)
 	// Replica construction is per-rank-local and could ride the pool, but
 	// building on the coordinator keeps NewCPUTrainState's weight
 	// readbacks trivially race-free; steady-state steps dominate anyway.
@@ -133,20 +132,11 @@ func RunDPTrain(cfg Config, steps, seqLen int) (*DPTrainResult, error) {
 			return nil, err
 		}
 		mirrors[r] = torch.NewCPUTrainState(model)
-		// Arena priming, as in the single-device sample: keeps per-step
-		// first-fit placements identical from step 0 so replay reaches
-		// steady state immediately.
-		arena, err := dev.Ctx.Malloc(16 << 20)
-		if err != nil {
+		// Training frees mid-step: prime, as in the single-device sample.
+		if err := n.Sessions[r].PrimeArena(); err != nil {
 			return nil, err
 		}
-		if err := dev.Ctx.Free(arena); err != nil {
-			return nil, err
-		}
-		baselines[r] = map[uint64]bool{}
-		for _, a := range dev.Ctx.Alloc.LiveAllocations() {
-			baselines[r][a] = true
-		}
+		n.Sessions[r].Pin()
 	}
 
 	res := &DPTrainResult{
@@ -178,8 +168,7 @@ func RunDPTrain(cfg Config, steps, seqLen int) (*DPTrainResult, error) {
 		}
 
 		// Update phase: each replica applies SGD(lr/N) to the summed
-		// gradients, then frees its per-step activations so the next
-		// step's allocations land at the same addresses. The per-rank
+		// gradients, then ends its session's iteration. The per-rank
 		// half of the mirror step (forward+backward on rank r's mirror)
 		// rides the same phase — it is rank-local host math.
 		cpuLoss := make([]float32, world)
@@ -187,12 +176,8 @@ func RunDPTrain(cfg Config, steps, seqLen int) (*DPTrainResult, error) {
 			if err := trainers[r].Opt.Step(); err != nil {
 				return err
 			}
-			for _, a := range n.Devs[r].Ctx.Alloc.LiveAllocations() {
-				if !baselines[r][a] {
-					if err := n.Devs[r].Ctx.Free(a); err != nil {
-						return err
-					}
-				}
+			if err := n.Sessions[r].EndIteration(); err != nil {
+				return err
 			}
 			cpuLoss[r] = mirrors[r].ForwardBackward(dpSequence(step, r, seqLen, mcfg.Vocab))
 			return nil

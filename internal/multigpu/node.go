@@ -1,6 +1,6 @@
 // Package multigpu couples N independent timing engines into one
-// simulated multi-GPU node. Each device is a full (Context, Handle,
-// Engine) stack of its own; the node adds a modelled NVLink fabric
+// simulated multi-GPU node. Each device is a session.Session of its
+// own; the node adds a modelled NVLink fabric
 // (internal/nvlink) and a coordinator that drives per-device work in
 // *phases*: between collectives every device runs freely — and the host
 // steps them concurrently on the shared worker pool — while at a
@@ -21,8 +21,8 @@ import (
 	"math"
 	"runtime"
 
-	"repro/internal/exec"
 	"repro/internal/nvlink"
+	"repro/internal/session"
 	"repro/internal/timing"
 	"repro/internal/torch"
 )
@@ -46,11 +46,11 @@ type Config struct {
 
 // Node is one simulated multi-GPU machine.
 type Node struct {
-	Devs    []*torch.Device
-	Engines []*timing.Engine
-	Fabric  *nvlink.Fabric
-	pool    *timing.Pool
-	workers int
+	Sessions []*session.Session
+	Devs     []*torch.Device // Sessions[r].Dev by rank; the benchmark pins this field
+	Fabric   *nvlink.Fabric
+	pool     *timing.Pool
+	workers  int
 }
 
 // NewNode builds cfg.Devices identical GTX 1050 devices, each with its
@@ -72,30 +72,24 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	n := &Node{Fabric: fab, workers: workers, pool: timing.NewPool(workers)}
 	for i := 0; i < cfg.Devices; i++ {
-		dev, err := torch.NewDevice(exec.BugSet{})
-		if err != nil {
-			n.Close()
-			return nil, err
-		}
 		tcfg := timing.GTX1050()
 		tcfg.ReplayEnabled = cfg.Replay
 		tcfg.ReplayResampleEvery = cfg.ReplayResampleEvery
-		eng, err := timing.New(tcfg, timing.WithWorkers(1))
+		s, err := session.New(tcfg, 1)
 		if err != nil {
 			n.Close()
 			return nil, err
 		}
-		dev.Ctx.SetRunner(timing.Runner{E: eng})
-		n.Devs = append(n.Devs, dev)
-		n.Engines = append(n.Engines, eng)
+		n.Sessions = append(n.Sessions, s)
+		n.Devs = append(n.Devs, s.Dev)
 	}
 	return n, nil
 }
 
-// Close releases the node's engines and pool.
+// Close releases the node's sessions and pool.
 func (n *Node) Close() {
-	for _, e := range n.Engines {
-		e.Close()
+	for _, s := range n.Sessions {
+		s.Close()
 	}
 	n.pool.Close()
 }
@@ -110,8 +104,8 @@ func (n *Node) Workers() int { return n.workers }
 // collective boundaries all devices agree).
 func (n *Node) Cycle() uint64 {
 	var m uint64
-	for _, e := range n.Engines {
-		if c := e.Cycle(); c > m {
+	for _, s := range n.Sessions {
+		if c := s.Eng.Cycle(); c > m {
 			m = c
 		}
 	}
@@ -131,16 +125,6 @@ func (n *Node) Parallel(f func(rank int) error) error {
 		}
 	}
 	return nil
-}
-
-// MergedStats folds every device's engine statistics into one node-wide
-// view, in rank order.
-func (n *Node) MergedStats() *timing.Stats {
-	s := timing.NewStats(n.Engines[0].Config())
-	for _, e := range n.Engines {
-		s.Merge(e.Stats())
-	}
-	return s
 }
 
 // readF32 reads a tensor's payload straight from device memory (no
@@ -178,8 +162,8 @@ func putLeU32(b []byte, v uint32) {
 // advanceAll fast-forwards every engine to the collective completion
 // cycle.
 func (n *Node) advanceAll(cycle uint64) error {
-	for r, e := range n.Engines {
-		if err := e.AdvanceTo(cycle); err != nil {
+	for r, s := range n.Sessions {
+		if err := s.Eng.AdvanceTo(cycle); err != nil {
 			return fmt.Errorf("multigpu: device %d: %w", r, err)
 		}
 	}
@@ -188,9 +172,9 @@ func (n *Node) advanceAll(cycle uint64) error {
 
 // readyCycles snapshots every engine's clock (collective readiness).
 func (n *Node) readyCycles() []uint64 {
-	ready := make([]uint64, len(n.Engines))
-	for i, e := range n.Engines {
-		ready[i] = e.Cycle()
+	ready := make([]uint64, len(n.Sessions))
+	for i, s := range n.Sessions {
+		ready[i] = s.Eng.Cycle()
 	}
 	return ready
 }

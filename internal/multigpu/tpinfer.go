@@ -49,20 +49,6 @@ func (r *TPInferResult) TokensPerMcycle() float64 {
 	return float64(r.Seqs*r.SeqLen) / (float64(r.Cycles) / 1e6)
 }
 
-// tpBatch builds the deterministic inference batch (same token formula
-// as the single-device transformer sample).
-func tpBatch(seqs, seqLen, vocab int) [][]int32 {
-	batch := make([][]int32, seqs)
-	for i := range batch {
-		ids := make([]int32, seqLen)
-		for j := range ids {
-			ids[j] = int32((i*13 + j*5) % vocab)
-		}
-		batch[i] = ids
-	}
-	return batch
-}
-
 // gather runs one all-gather collective over every shard's pending
 // (shard, destination) pair.
 func tpGather(n *Node, shards []*torch.TPShard) error {
@@ -110,17 +96,13 @@ func RunTPInfer(cfg Config, seqs, seqLen int) (*TPInferResult, error) {
 	}
 
 	shards := make([]*torch.TPShard, world)
-	baselines := make([]map[uint64]bool, world)
 	for r := 0; r < world; r++ {
 		// Sequential construction: NewTPShard reads the shared reference
 		// weights back to the host.
 		if shards[r], err = torch.NewTPShard(n.Devs[r], ref, r, world); err != nil {
 			return nil, err
 		}
-		baselines[r] = map[uint64]bool{}
-		for _, a := range n.Devs[r].Ctx.Alloc.LiveAllocations() {
-			baselines[r][a] = true
-		}
+		n.Sessions[r].Pin()
 	}
 
 	res := &TPInferResult{
@@ -129,7 +111,7 @@ func RunTPInfer(cfg Config, seqs, seqLen int) (*TPInferResult, error) {
 	}
 	digest := fnv.New64a()
 	outs := make([][]float32, world)
-	for _, ids := range tpBatch(seqs, seqLen, mcfg.Vocab) {
+	for _, ids := range core.TransformerBatch(seqs, seqLen, mcfg.Vocab) {
 		if err := n.Parallel(func(r int) error { return shards[r].StartForward(ids) }); err != nil {
 			return nil, err
 		}
@@ -190,17 +172,8 @@ func RunTPInfer(cfg Config, seqs, seqLen int) (*TPInferResult, error) {
 		}
 		digest.Write(buf)
 
-		// Free per-sequence activations (and the reference's).
-		if err := n.Parallel(func(r int) error {
-			for _, a := range n.Devs[r].Ctx.Alloc.LiveAllocations() {
-				if !baselines[r][a] {
-					if err := n.Devs[r].Ctx.Free(a); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}); err != nil {
+		// Free per-sequence activations.
+		if err := n.Parallel(func(r int) error { return n.Sessions[r].EndIteration() }); err != nil {
 			return nil, err
 		}
 	}

@@ -20,7 +20,7 @@ import (
 	"math/rand"
 
 	"repro/internal/cudart"
-	"repro/internal/exec"
+	"repro/internal/session"
 	"repro/internal/stats"
 	"repro/internal/timing"
 	"repro/internal/torch"
@@ -235,9 +235,9 @@ type activeReq struct {
 	stepsLeft int
 	admitted  bool // false until its first chain iteration completes
 	// session is the request's KV-cache decode state (decode traces
-	// only). It persists across chain iterations — its allocations are
-	// excluded from the per-boundary transient frees — and is released
-	// at retirement, returning its bytes to the KV admission budget.
+	// only). Its allocations are Keep'd across chain iterations and
+	// released at retirement, returning its bytes to the KV admission
+	// budget.
 	session *torch.DecodeSession
 }
 
@@ -275,16 +275,12 @@ func Run(cfg Config, tr Trace) (*Result, error) {
 		workers = 1
 	}
 
-	dev, err := torch.NewDevice(exec.BugSet{})
+	s, err := session.New(engCfg, workers)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := timing.New(engCfg, timing.WithWorkers(workers))
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Close()
-	dev.Ctx.SetRunner(timing.Runner{E: eng})
+	defer s.Close()
+	dev, eng := s.Dev, s.Eng
 	var (
 		enc *torch.TransformerEncoder
 		dec *torch.TransformerDecoder
@@ -307,16 +303,10 @@ func Run(cfg Config, tr Trace) (*Result, error) {
 		return nil, fmt.Errorf("serve: KV budget %d bytes cannot hold even one session (%d bytes per request)", kvBudget, kvBytes)
 	}
 
-	// Everything live now is model state (weights, tables) that persists
-	// across iterations; allocations made past this point are
-	// iteration-transient and freed at each chain boundary, so the
-	// first-fit allocator re-issues identical addresses for identical
-	// batch compositions — the replay cache's hit condition, and a bound
-	// on the simulated memory a long trace touches.
-	baseline := map[uint64]bool{}
-	for _, a := range dev.Ctx.Alloc.LiveAllocations() {
-		baseline[a] = true
-	}
+	// Model state persists; everything allocated past this point is
+	// freed at each chain boundary unless a resident session Keeps it, so
+	// identical batch compositions see identical device addresses.
+	s.Pin()
 
 	batchCap := cfg.MaxBatch
 	if batchCap <= 0 {
@@ -367,19 +357,16 @@ func Run(cfg Config, tr Trace) (*Result, error) {
 				},
 			}
 			if decode {
-				// The session (KV caches + id buffer) is allocated at the
-				// chain boundary — allocator state here is baseline plus
-				// the resident sessions, so identical batch compositions
-				// see identical addresses. Its allocations persist until
-				// retirement.
-				s, err := dec.NewSession(tokensFor(r.ID, r.Prefill, model.Vocab))
+				// The decode session (KV caches + id buffer) is allocated
+				// at the chain boundary — allocator state here is the
+				// pinned model plus the resident sessions — and persists
+				// until retirement.
+				ds, err := dec.NewSession(tokensFor(r.ID, r.Prefill, model.Vocab))
 				if err != nil {
 					return nil, err
 				}
-				a.session = s
-				for _, addr := range s.Allocations() {
-					baseline[addr] = true
-				}
+				a.session = ds
+				s.Keep(ds.Allocations())
 				kvUsed += kvBytes
 				if kvUsed > res.PeakKVBytes {
 					res.PeakKVBytes = kvUsed
@@ -458,9 +445,7 @@ func Run(cfg Config, tr Trace) (*Result, error) {
 				if cfg.KeepOutputs {
 					res.Tokens[a.req.ID] = a.session.Tokens()
 				}
-				for _, addr := range a.session.Allocations() {
-					delete(baseline, addr)
-				}
+				s.Drop(a.session.Allocations())
 				a.session.Free()
 				kvUsed -= kvBytes
 			} else if cfg.KeepOutputs {
@@ -472,15 +457,9 @@ func Run(cfg Config, tr Trace) (*Result, error) {
 		}
 		active = keep
 
-		// Free the iteration's transient allocations (id uploads,
-		// activations); outputs are already on the host and resident
-		// sessions sit in the persist set.
-		for _, a := range dev.Ctx.Alloc.LiveAllocations() {
-			if !baseline[a] {
-				if err := dev.Ctx.Free(a); err != nil {
-					return nil, err
-				}
-			}
+		// Outputs are already on the host; id uploads and activations go.
+		if err := s.EndIteration(); err != nil {
+			return nil, err
 		}
 	}
 	res.TotalCycles = now

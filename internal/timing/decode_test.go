@@ -1,12 +1,14 @@
 package timing_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/cudart"
 	"repro/internal/exec"
+	"repro/internal/session"
 	"repro/internal/timing"
 	"repro/internal/torch"
 )
@@ -25,59 +27,41 @@ type decodeSnapshot struct {
 }
 
 // runDecode greedy-decodes a `seqs`-prompt batch (3 prompt tokens, 4
-// generated) `iters` times on one engine, freeing iteration-transient
-// allocations between batches so the first-fit allocator re-issues
-// identical addresses and — with replay on — later iterations retire
-// from the replay cache.
+// generated) `iters` times on one session — the production iteration
+// driver — so with replay on, later iterations retire from the replay
+// cache.
 func runDecode(t testing.TB, workers, seqs int, concurrent, replay bool, iters int) decodeSnapshot {
 	t.Helper()
-	dev, err := torch.NewDevice(exec.BugSet{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	tcfg := timing.GTX1050()
 	tcfg.ReplayEnabled = replay
-	eng, err := timing.New(tcfg, timing.WithWorkers(workers))
+	s, err := session.New(tcfg, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
-	dev.Ctx.SetRunner(timing.Runner{E: eng})
-	dec, err := torch.NewTransformerDecoder(dev, rand.New(rand.NewSource(99)), testTransformerConfig)
+	defer s.Close()
+	dec, err := torch.NewTransformerDecoder(s.Dev, rand.New(rand.NewSource(99)), testTransformerConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Pin()
 	prompts := transformerBatch(seqs, 3, testTransformerConfig.Vocab)
-	baseline := map[uint64]bool{}
-	for _, a := range dev.Ctx.Alloc.LiveAllocations() {
-		baseline[a] = true
-	}
-	start := eng.Cycle()
 	var tokens [][]int32
-	for it := 0; it < iters; it++ {
+	run, err := s.Iterate(iters, func(it int) error {
 		outs, err := dec.GenerateBatch(prompts, 4, concurrent)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		if it == 0 {
 			tokens = outs
 		} else if !reflect.DeepEqual(tokens, outs) {
-			t.Fatalf("iteration %d tokens diverged: %v vs %v", it+1, outs, tokens)
+			return fmt.Errorf("iteration %d tokens diverged: %v vs %v", it+1, outs, tokens)
 		}
-		for _, a := range dev.Ctx.Alloc.LiveAllocations() {
-			if !baseline[a] {
-				if err := dev.Ctx.Free(a); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return decodeSnapshot{
-		Cycles: eng.Cycle() - start,
-		Log:    append([]cudart.KernelStats(nil), dev.Ctx.KernelStatsLog()...),
-		Tokens: tokens,
-		Stats:  *eng.Stats(),
-	}
+	return decodeSnapshot{Cycles: run.TotalCycles, Log: run.Log, Tokens: tokens, Stats: run.Stats}
 }
 
 // TestDecodeSimMatchesCPU runs the stream-overlapped decode through the

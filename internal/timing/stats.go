@@ -213,16 +213,6 @@ func (s *Stats) addIdleBulk(from, span uint64, cfg Config) {
 // (the multi-GPU driver merges per-device stats in rank order).
 func NewStats(cfg Config) *Stats { return newStats(cfg) }
 
-// Merge folds another engine's accumulated statistics into s: counters
-// and time series add, and o's per-kernel samples append in retirement
-// order. Both sides must be shaped for the same Config (same SM count).
-// Merging per-device stats in a fixed rank order keeps the result
-// byte-identical for any host worker count.
-func (s *Stats) Merge(o *Stats) {
-	s.merge(o)
-	s.PerKernel = append(s.PerKernel, o.PerKernel...)
-}
-
 // merge adds another Stats' counters and time series into s. The engine
 // gives each SM core its own shard so the parallel issue stage never
 // contends on (or races over) the shared accumulators; shards are merged

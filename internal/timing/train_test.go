@@ -1,13 +1,14 @@
 package timing_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/cudart"
-	"repro/internal/exec"
+	"repro/internal/session"
 	"repro/internal/timing"
 	"repro/internal/torch"
 )
@@ -30,72 +31,51 @@ type trainSnapshot struct {
 }
 
 // runTrain executes `steps` training steps of a 6-token sequence on the
-// small test encoder and snapshots cycles, the kernel log, the replay
-// counters, the loss trajectories and the final weights. Per-step
-// activations are freed between steps (after priming the allocator with
-// a reserve-and-release arena so step 0 sees the steady-state free-list
-// shape) — with replay enabled, steps 2..n retire from the cache.
+// small test encoder — one session iteration per step over a primed
+// arena, as the production drivers run them — and snapshots cycles, the
+// kernel log, the replay counters, the loss trajectories and the final
+// weights. With replay enabled, steps 2..n retire from the cache.
 func runTrain(t testing.TB, workers, steps int, replay bool) trainSnapshot {
 	t.Helper()
-	dev, err := torch.NewDevice(exec.BugSet{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	tcfg := timing.GTX1050()
 	tcfg.ReplayEnabled = replay
-	eng, err := timing.New(tcfg, timing.WithWorkers(workers))
+	s, err := session.New(tcfg, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
-	dev.Ctx.SetRunner(timing.Runner{E: eng})
-
-	enc, err := torch.NewTransformerEncoder(dev, rand.New(rand.NewSource(7)), testTransformerConfig)
+	defer s.Close()
+	enc, err := torch.NewTransformerEncoder(s.Dev, rand.New(rand.NewSource(7)), testTransformerConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := torch.NewTransformerTrainer(dev, enc, 0.05)
+	tr, err := torch.NewTransformerTrainer(s.Dev, enc, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cpu := torch.NewCPUTrainState(enc)
-
-	arena, err := dev.Ctx.Malloc(16 << 20)
-	if err != nil {
+	if err := s.PrimeArena(); err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.Ctx.Free(arena); err != nil {
-		t.Fatal(err)
-	}
-	baseline := map[uint64]bool{}
-	for _, a := range dev.Ctx.Alloc.LiveAllocations() {
-		baseline[a] = true
-	}
+	s.Pin()
 
 	snap := trainSnapshot{}
-	start := eng.Cycle()
-	for step := 0; step < steps; step++ {
+	run, err := s.Iterate(steps, func(step int) error {
 		ids := make([]int32, 6)
 		for j := range ids {
 			ids[j] = int32((step*17 + j*3 + 1) % testTransformerConfig.Vocab)
 		}
 		loss, err := tr.TrainStep(ids)
 		if err != nil {
-			t.Fatalf("train step %d: %v", step, err)
+			return fmt.Errorf("train step %d: %w", step, err)
 		}
 		snap.Losses = append(snap.Losses, loss)
 		snap.CPU = append(snap.CPU, cpu.TrainStep(ids, 0.05))
-		for _, a := range dev.Ctx.Alloc.LiveAllocations() {
-			if !baseline[a] {
-				if err := dev.Ctx.Free(a); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	snap.Cycles = eng.Cycle() - start
-	snap.Log = append([]cudart.KernelStats(nil), dev.Ctx.KernelStatsLog()...)
-	snap.Stats = *eng.Stats()
+	snap.Cycles, snap.Log, snap.Stats = run.TotalCycles, run.Log, run.Stats
 	for _, p := range enc.Params() {
 		snap.Weights = append(snap.Weights, p.W.ToHost())
 	}

@@ -222,6 +222,8 @@ func TestMainPackagesSmoke(t *testing.T) {
 			{[]string{"-workload", "train", "-devices", "0"}, "-devices must be >= 1"},
 			{[]string{"-workload", "serve", "-devices", "2"}, "-devices only applies to -workload train or transformer"},
 			{[]string{"-workload", "transformer", "-devices", "2", "-streams", "2"}, "-streams only applies to single-device runs"},
+			{[]string{"-workload", "train", "-replay-resample", "2"}, "-replay-resample only applies with -replay"},
+			{[]string{"-workload", "serve", "-replay-resample", "2"}, "-replay-resample only applies with -replay"},
 		} {
 			out, code := runBinaryExpectError(t, filepath.Join(bin, "gpgpusim"), c.args...)
 			if code != 2 {
