@@ -13,7 +13,7 @@ func TestMemoryReadWriteProperty(t *testing.T) {
 			return true
 		}
 		// straddle page boundaries deliberately
-		addr := GlobalBase + uint64(off) + pageSize - 8
+		addr := GlobalBase + uint64(off) + PageSize - 8
 		mem.Write(addr, data)
 		got := make([]byte, len(data))
 		mem.Read(addr, got)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Address-space windows for generic addressing. A generic 64-bit address
@@ -33,45 +34,118 @@ func InLocalWindow(addr uint64) bool {
 	return addr >= LocalWindowBase && addr < LocalWindowBase+LocalWindowSize
 }
 
-const pageBits = 12
-const pageSize = 1 << pageBits
+// PageBits and PageSize give the granularity at which global memory
+// becomes resident. They are exported so the interpreter can resolve a
+// page once per run of same-page lanes (Memory.Page / Memory.Touch) and
+// move the bytes itself.
+const (
+	PageBits = 12
+	PageSize = 1 << PageBits
+)
+
+// Page is one resident page of global memory.
+type Page [PageSize]byte
+
+// The page table is a radix tree over the 52-bit page number: a 256-way
+// root for the top 8 bits, then four 2048-way levels of 11 bits each, the
+// last of which holds the pages. Every 64-bit address is valid; a tree
+// that holds a few MiB costs tens of KiB of tables.
+const (
+	fanBits = 11
+	fanMask = 1<<fanBits - 1
+)
+
+type table[T any] [1 << fanBits]atomic.Pointer[T]
+
+type (
+	level4 = table[Page]   // 8 MiB of address space
+	level3 = table[level4] // 16 GiB
+	level2 = table[level3] // 32 TiB
+	level1 = table[level2] // 64 PiB
+	level0 [1 << 8]atomic.Pointer[level1]
+)
 
 // Memory is a sparse, page-backed global memory image.
 //
-// The page *directory* (the map from page number to backing slice) is
-// guarded by a lock so concurrent warps — the parallel timing engine steps
-// SM cores on multiple goroutines — can fault in pages safely. The page
-// *contents* are intentionally unguarded: simulated threads of a data-
-// race-free kernel touch disjoint bytes, and racy kernels are racy on
-// real hardware too. Cross-CTA atomics are serialised by the timing
-// engine itself (deferred-atomic drain), not here.
+// Lookups are lock-free: every table slot and the root are atomically
+// published pointers, so concurrent warps — the parallel timing engine
+// steps SM cores on multiple goroutines — resolve resident pages without
+// synchronising. The mutex serialises only the writers of the *table*:
+// page fault-in, Snapshot and Restore. The page *contents* are
+// intentionally unguarded: simulated threads of a data-race-free kernel
+// touch disjoint bytes, and racy kernels are racy on real hardware too.
+// Cross-CTA atomics are serialised by the timing engine itself
+// (deferred-atomic drain), not here. Restore publishes a whole new tree,
+// so it must not run while a kernel is executing.
 type Memory struct {
-	mu    sync.RWMutex
-	pages map[uint64][]byte
+	mu       sync.Mutex
+	root     atomic.Pointer[level0]
+	resident atomic.Int64 // pages faulted in
 }
 
 // NewMemory returns an empty global memory image.
 func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint64][]byte)}
+	m := &Memory{}
+	m.root.Store(new(level0))
+	return m
 }
 
-// page returns the backing slice for a page number. With create, a missing
-// page is faulted in under the write lock; the double-checked lookup keeps
-// the common resident-page path on the read lock only.
-func (m *Memory) page(pn uint64, create bool) []byte {
-	m.mu.RLock()
-	p := m.pages[pn]
-	m.mu.RUnlock()
-	if p != nil || !create {
+// Page returns the resident page with the given page number (address >>
+// PageBits), or nil when nothing was ever written there — such memory
+// reads as zero, and looking it up does not make it resident.
+func (m *Memory) Page(pn uint64) *Page {
+	t1 := m.root.Load()[uint8(pn>>(4*fanBits))].Load()
+	if t1 == nil {
+		return nil
+	}
+	t2 := t1[pn>>(3*fanBits)&fanMask].Load()
+	if t2 == nil {
+		return nil
+	}
+	t3 := t2[pn>>(2*fanBits)&fanMask].Load()
+	if t3 == nil {
+		return nil
+	}
+	t4 := t3[pn>>fanBits&fanMask].Load()
+	if t4 == nil {
+		return nil
+	}
+	return t4[pn&fanMask].Load()
+}
+
+// Touch returns the page with the given page number, faulting it in
+// (zero-filled) when it is not resident yet.
+func (m *Memory) Touch(pn uint64) *Page {
+	if p := m.Page(pn); p != nil {
 		return p
 	}
 	m.mu.Lock()
-	p = m.pages[pn]
-	if p == nil {
-		p = make([]byte, pageSize)
-		m.pages[pn] = p
+	defer m.mu.Unlock()
+	return m.root.Load().touch(pn, &m.resident)
+}
+
+// child returns the table or page a slot points to, creating it first
+// when the slot is empty. Callers hold Memory.mu (or own the tree), so
+// load-then-store cannot lose a concurrent creation; the atomic store is
+// what publishes the new node to the lock-free readers.
+func child[T any](slot *atomic.Pointer[T]) (p *T, created bool) {
+	if p = slot.Load(); p != nil {
+		return p, false
 	}
-	m.mu.Unlock()
+	p = new(T)
+	slot.Store(p)
+	return p, true
+}
+
+func (t0 *level0) touch(pn uint64, resident *atomic.Int64) *Page {
+	t1, _ := child(&t0[uint8(pn>>(4*fanBits))])
+	t2, _ := child(&t1[pn>>(3*fanBits)&fanMask])
+	t3, _ := child(&t2[pn>>(2*fanBits)&fanMask])
+	t4, _ := child(&t3[pn>>fanBits&fanMask])
+	p, created := child(&t4[pn&fanMask])
+	if created {
+		resident.Add(1)
+	}
 	return p
 }
 
@@ -79,18 +153,15 @@ func (m *Memory) page(pn uint64, create bool) []byte {
 // reads as zero.
 func (m *Memory) Read(addr uint64, buf []byte) {
 	for len(buf) > 0 {
-		pn := addr >> pageBits
-		off := int(addr & (pageSize - 1))
-		n := pageSize - off
+		off := int(addr & (PageSize - 1))
+		n := PageSize - off
 		if n > len(buf) {
 			n = len(buf)
 		}
-		if p := m.page(pn, false); p != nil {
+		if p := m.Page(addr >> PageBits); p != nil {
 			copy(buf[:n], p[off:off+n])
 		} else {
-			for i := 0; i < n; i++ {
-				buf[i] = 0
-			}
+			clear(buf[:n])
 		}
 		buf = buf[n:]
 		addr += uint64(n)
@@ -100,13 +171,12 @@ func (m *Memory) Read(addr uint64, buf []byte) {
 // Write copies buf into memory starting at addr.
 func (m *Memory) Write(addr uint64, buf []byte) {
 	for len(buf) > 0 {
-		pn := addr >> pageBits
-		off := int(addr & (pageSize - 1))
-		n := pageSize - off
+		off := int(addr & (PageSize - 1))
+		n := PageSize - off
 		if n > len(buf) {
 			n = len(buf)
 		}
-		copy(m.page(pn, true)[off:off+n], buf[:n])
+		copy(m.Touch(addr >> PageBits)[off:off+n], buf[:n])
 		buf = buf[n:]
 		addr += uint64(n)
 	}
@@ -133,20 +203,34 @@ type Snapshot struct {
 	Pages    [][]byte
 }
 
+// each calls f for every non-empty slot in index order.
+func each[T any](t []atomic.Pointer[T], f func(i uint64, p *T)) {
+	for i := range t {
+		if p := t[i].Load(); p != nil {
+			f(uint64(i), p)
+		}
+	}
+}
+
 // Snapshot captures the current memory image.
 func (m *Memory) Snapshot() *Snapshot {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	s := &Snapshot{}
-	for pn := range m.pages {
-		s.PageNums = append(s.PageNums, pn)
-	}
-	sort.Slice(s.PageNums, func(i, j int) bool { return s.PageNums[i] < s.PageNums[j] })
-	for _, pn := range s.PageNums {
-		p := make([]byte, pageSize)
-		copy(p, m.pages[pn])
-		s.Pages = append(s.Pages, p)
-	}
+	// an in-order walk visits page numbers in ascending order
+	each(m.root.Load()[:], func(i0 uint64, t1 *level1) {
+		each(t1[:], func(i1 uint64, t2 *level2) {
+			each(t2[:], func(i2 uint64, t3 *level3) {
+				each(t3[:], func(i3 uint64, t4 *level4) {
+					each(t4[:], func(i4 uint64, p *Page) {
+						pn := (((i0<<fanBits|i1)<<fanBits|i2)<<fanBits|i3)<<fanBits | i4
+						s.PageNums = append(s.PageNums, pn)
+						s.Pages = append(s.Pages, append([]byte(nil), p[:]...))
+					})
+				})
+			})
+		})
+	})
 	return s
 }
 
@@ -154,19 +238,18 @@ func (m *Memory) Snapshot() *Snapshot {
 func (m *Memory) Restore(s *Snapshot) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.pages = make(map[uint64][]byte, len(s.PageNums))
+	root := new(level0)
+	var resident atomic.Int64
 	for i, pn := range s.PageNums {
-		p := make([]byte, pageSize)
-		copy(p, s.Pages[i])
-		m.pages[pn] = p
+		copy(root.touch(pn, &resident)[:], s.Pages[i])
 	}
+	m.resident.Store(resident.Load())
+	m.root.Store(root)
 }
 
 // TouchedBytes returns the number of resident bytes (page granularity).
 func (m *Memory) TouchedBytes() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.pages) * pageSize
+	return int(m.resident.Load()) * PageSize
 }
 
 // Allocator is a simple first-fit device memory allocator handing out

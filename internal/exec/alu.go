@@ -285,10 +285,16 @@ func madOp(in *ptx.Instr, t ptx.Type, a, b, c uint64) (uint64, error) {
 	return truncToType(uint64(int64(p)+int64(c)), t), nil
 }
 
+// fmaF32 is fma.f32: the product is exact in float64, so one rounding to
+// float32 at the end reproduces a fused single-precision multiply-add.
+func fmaF32(a, b, c uint64) uint64 {
+	return f32bits(float32(math.FMA(float64(bitsF32(a)), float64(bitsF32(b)), float64(bitsF32(c)))))
+}
+
 func fmaOp(in *ptx.Instr, t ptx.Type, a, b, c uint64) (uint64, error) {
 	switch t {
 	case ptx.F32:
-		return f32bits(float32(math.FMA(float64(bitsF32(a)), float64(bitsF32(b)), float64(bitsF32(c))))), nil
+		return fmaF32(a, b, c), nil
 	case ptx.F64:
 		return f64bits(math.FMA(bitsF64(a), bitsF64(b), bitsF64(c))), nil
 	case ptx.F16:
@@ -608,6 +614,42 @@ func roundIfInt(r ptx.RndMode, v float64) float64 {
 	return v
 }
 
+// intCmp evaluates one of the six ordering comparisons on integers already
+// extended to 64 bits; ok is false for any other operator.
+func intCmp[T int64 | uint64](c ptx.CmpOp, x, y T) (res, ok bool) {
+	switch c {
+	case ptx.CmpEq:
+		return x == y, true
+	case ptx.CmpNe:
+		return x != y, true
+	case ptx.CmpLt:
+		return x < y, true
+	case ptx.CmpLe:
+		return x <= y, true
+	case ptx.CmpGt:
+		return x > y, true
+	case ptx.CmpGe:
+		return x >= y, true
+	}
+	return false, false
+}
+
+// unsignedCmp maps lo/ls/hi/hs, which compare unsigned whatever the type
+// specifier says, to their ordering equivalents (CmpNone for the rest).
+func unsignedCmp(c ptx.CmpOp) ptx.CmpOp {
+	switch c {
+	case ptx.CmpLo:
+		return ptx.CmpLt
+	case ptx.CmpLs:
+		return ptx.CmpLe
+	case ptx.CmpHi:
+		return ptx.CmpGt
+	case ptx.CmpHs:
+		return ptx.CmpGe
+	}
+	return ptx.CmpNone
+}
+
 // compare evaluates a setp comparison on raw bits of type t.
 func compare(c ptx.CmpOp, t ptx.Type, a, b uint64) (bool, error) {
 	if t.Float() {
@@ -653,51 +695,22 @@ func compare(c ptx.CmpOp, t ptx.Type, a, b uint64) (bool, error) {
 		}
 		return false, fmt.Errorf("bad float comparison %v", c)
 	}
-	// Integer comparisons. lo/ls/hi/hs force unsigned regardless of type.
-	switch c {
-	case ptx.CmpLo:
-		return truncUnsigned(a, t) < truncUnsigned(b, t), nil
-	case ptx.CmpLs:
-		return truncUnsigned(a, t) <= truncUnsigned(b, t), nil
-	case ptx.CmpHi:
-		return truncUnsigned(a, t) > truncUnsigned(b, t), nil
-	case ptx.CmpHs:
-		return truncUnsigned(a, t) >= truncUnsigned(b, t), nil
+	if u := unsignedCmp(c); u != ptx.CmpNone {
+		res, _ := intCmp(u, truncUnsigned(a, t), truncUnsigned(b, t))
+		return res, nil
 	}
 	if t.Signed() {
-		x, y := int64(truncToType(a, t)), int64(truncToType(b, t))
-		switch c {
-		case ptx.CmpEq:
-			return x == y, nil
-		case ptx.CmpNe:
-			return x != y, nil
-		case ptx.CmpLt:
-			return x < y, nil
-		case ptx.CmpLe:
-			return x <= y, nil
-		case ptx.CmpGt:
-			return x > y, nil
-		case ptx.CmpGe:
-			return x >= y, nil
+		res, ok := intCmp(c, int64(truncToType(a, t)), int64(truncToType(b, t)))
+		if !ok {
+			return false, fmt.Errorf("bad signed comparison %v", c)
 		}
-		return false, fmt.Errorf("bad signed comparison %v", c)
+		return res, nil
 	}
-	x, y := truncUnsigned(a, t), truncUnsigned(b, t)
-	switch c {
-	case ptx.CmpEq:
-		return x == y, nil
-	case ptx.CmpNe:
-		return x != y, nil
-	case ptx.CmpLt:
-		return x < y, nil
-	case ptx.CmpLe:
-		return x <= y, nil
-	case ptx.CmpGt:
-		return x > y, nil
-	case ptx.CmpGe:
-		return x >= y, nil
+	res, ok := intCmp(c, truncUnsigned(a, t), truncUnsigned(b, t))
+	if !ok {
+		return false, fmt.Errorf("bad unsigned comparison %v", c)
 	}
-	return false, fmt.Errorf("bad unsigned comparison %v", c)
+	return res, nil
 }
 
 func truncUnsigned(v uint64, t ptx.Type) uint64 {

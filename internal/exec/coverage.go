@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"sort"
-
-	"repro/internal/ptx"
-)
+import "repro/internal/ptx"
 
 // CovKey identifies one instruction-implementation path: opcode plus type
 // specifier. The paper's "differential coverage analysis" (§III-D) compares
@@ -16,45 +12,48 @@ type CovKey struct {
 	T  ptx.Type
 }
 
-// Coverage counts executed instructions per implementation path.
+// Coverage counts executed instructions per implementation path, in a
+// dense table indexed by covIndex so that counting a warp instruction is
+// one array increment.
 type Coverage struct {
-	counts map[CovKey]uint64
+	counts [ptx.OpLimit * ptx.TypeLimit]uint64
+	total  uint64
+}
+
+// covIndex maps a path to its slot. Out-of-range values (only reachable
+// from hand-built instructions) count as the invalid opcode.
+func covIndex(op ptx.Op, t ptx.Type) uint16 {
+	if int(op) >= ptx.OpLimit || int(t) >= ptx.TypeLimit {
+		return 0
+	}
+	return uint16(int(op)*ptx.TypeLimit + int(t))
 }
 
 // NewCoverage returns empty coverage.
-func NewCoverage() *Coverage {
-	return &Coverage{counts: make(map[CovKey]uint64)}
-}
+func NewCoverage() *Coverage { return &Coverage{} }
 
 // Note records one executed warp instruction.
-func (c *Coverage) Note(in *ptx.Instr, mask uint32) {
-	c.counts[CovKey{Op: in.Op, T: in.T}]++
+func (c *Coverage) Note(in *ptx.Instr, mask uint32) { c.note(covIndex(in.Op, in.T)) }
+
+func (c *Coverage) note(idx uint16) {
+	c.counts[idx]++
+	c.total++
 }
 
 // Count returns the execution count of one path.
-func (c *Coverage) Count(k CovKey) uint64 { return c.counts[k] }
+func (c *Coverage) Count(k CovKey) uint64 { return c.counts[covIndex(k.Op, k.T)] }
 
 // Total returns the total executed warp-instruction count.
-func (c *Coverage) Total() uint64 {
-	var t uint64
-	for _, v := range c.counts {
-		t += v
-	}
-	return t
-}
+func (c *Coverage) Total() uint64 { return c.total }
 
-// Keys returns all exercised paths, deterministically ordered.
+// Keys returns all exercised paths, ordered by opcode then type.
 func (c *Coverage) Keys() []CovKey {
-	out := make([]CovKey, 0, len(c.counts))
-	for k := range c.counts {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Op != out[j].Op {
-			return out[i].Op < out[j].Op
+	var out []CovKey
+	for i, n := range c.counts {
+		if n != 0 {
+			out = append(out, CovKey{Op: ptx.Op(i / ptx.TypeLimit), T: ptx.Type(i % ptx.TypeLimit)})
 		}
-		return out[i].T < out[j].T
-	})
+	}
 	return out
 }
 
@@ -64,7 +63,7 @@ func (c *Coverage) Keys() []CovKey {
 func (c *Coverage) Diff(base *Coverage) []CovKey {
 	var out []CovKey
 	for _, k := range c.Keys() {
-		if base.counts[k] == 0 {
+		if base.Count(k) == 0 {
 			out = append(out, k)
 		}
 	}
@@ -73,12 +72,18 @@ func (c *Coverage) Diff(base *Coverage) []CovKey {
 
 // Merge adds other's counts into c.
 func (c *Coverage) Merge(other *Coverage) {
-	for k, v := range other.counts {
-		c.counts[k] += v
+	if other.total == 0 {
+		return
 	}
+	for i, n := range other.counts {
+		c.counts[i] += n
+	}
+	c.total += other.total
 }
 
 // Reset clears all counters.
 func (c *Coverage) Reset() {
-	c.counts = make(map[CovKey]uint64)
+	if c.total != 0 {
+		*c = Coverage{}
+	}
 }

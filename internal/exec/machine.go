@@ -8,6 +8,7 @@ package exec
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/device"
 	"repro/internal/ptx"
@@ -47,12 +48,23 @@ type Machine struct {
 
 	cov *Coverage
 	rec *memRecorder // non-nil only inside CaptureGrid (memo.go)
+
+	// The program cache lives as long as the Machine and is never evicted:
+	// it holds every kernel launched so far (136 bytes per instruction, a
+	// few hundred KiB for the whole cuDNN-style library) and keeps the
+	// *ptx.Kernel reachable, as cudart.Context.modules — which never
+	// unloads — already does. A long-lived Machine fed an unbounded stream
+	// of freshly parsed modules grows without bound; make a new Machine.
+	progMu sync.Mutex
+	progs  map[*ptx.Kernel]*program // kernels lowered so far (decode.go)
+	consts map[uint64]*row          // immediates broadcast to rows, shared by those programs
 }
 
 // NewMachine creates a functional machine over the given memory image and
 // texture registry (either may be shared with a runtime context).
 func NewMachine(cfg Config, mem *device.Memory, tex *device.TextureRegistry) *Machine {
-	return &Machine{cfg: cfg, Mem: mem, Tex: tex, cov: NewCoverage()}
+	return &Machine{cfg: cfg, Mem: mem, Tex: tex, cov: NewCoverage(),
+		progs: make(map[*ptx.Kernel]*program), consts: make(map[uint64]*row)}
 }
 
 // Coverage returns the machine's instruction-implementation coverage
@@ -71,10 +83,12 @@ type Grid struct {
 	SharedDyn int // dynamic shared memory bytes (third launch parameter)
 
 	machine *Machine
+	prog    *program // Kernel lowered for machine
 }
 
 // NewGrid prepares a launch. The parameter buffer must match the kernel's
-// parameter layout (see cudart for the marshalling helpers).
+// parameter layout (see cudart for the marshalling helpers). The first
+// launch of a kernel on a machine lowers it (decode.go).
 func (m *Machine) NewGrid(k *ptx.Kernel, gridDim, blockDim Dim3, params []byte, sharedDyn int) (*Grid, error) {
 	if k == nil {
 		return nil, fmt.Errorf("exec: nil kernel")
@@ -88,7 +102,7 @@ func (m *Machine) NewGrid(k *ptx.Kernel, gridDim, blockDim Dim3, params []byte, 
 	}
 	return &Grid{
 		Kernel: k, GridDim: gridDim, BlockDim: blockDim,
-		Params: params, SharedDyn: sharedDyn, machine: m,
+		Params: params, SharedDyn: sharedDyn, machine: m, prog: m.program(k),
 	}, nil
 }
 
@@ -138,36 +152,50 @@ type CTA struct {
 
 // InitCTA builds the architectural state for block index i (registers
 // zeroed, SIMT stacks at PC 0). This corresponds to GPGPU-Sim's CTA issue.
+// It only allocates; reset defines the state.
 func (g *Grid) InitCTA(i int) *CTA {
 	k := g.Kernel
 	nThreads := g.BlockDim.Count()
-	nWarps := g.NumWarpsPerCTA()
-	cta := &CTA{Grid: g, Index: i, Shared: make([]byte, g.SharedBytes())}
-	for w := 0; w < nWarps; w++ {
+	cta := &CTA{Grid: g, Shared: make([]byte, g.SharedBytes())}
+	for w := 0; w < g.NumWarpsPerCTA(); w++ {
 		warp := &Warp{
 			ID:    w,
-			Stack: make([]StackEntry, 1, 4),
+			Stack: make([]StackEntry, 0, 4),
 			Regs:  make([]uint64, k.NumSlots*WarpSize),
 		}
-		var mask uint32
 		for l := 0; l < WarpSize; l++ {
 			if w*WarpSize+l < nThreads {
-				mask |= 1 << l
+				warp.InitMask |= 1 << l
 			}
 		}
-		warp.InitMask = mask
-		warp.Stack[0] = StackEntry{PC: 0, RPC: -1, Mask: mask}
 		if k.LocalBytes > 0 {
 			warp.Locals = make([][]byte, WarpSize)
 			for l := 0; l < WarpSize; l++ {
-				if mask&(1<<l) != 0 {
+				if warp.InitMask&(1<<l) != 0 {
 					warp.Locals[l] = make([]byte, k.LocalBytes)
 				}
 			}
 		}
 		cta.Warps = append(cta.Warps, warp)
 	}
+	cta.reset(i)
 	return cta
+}
+
+// reset puts the CTA in the state of block index i about to issue. Every
+// block of a grid has the same shape, so RunGrid runs them all through one
+// CTA's storage instead of allocating a set of register files per block.
+func (c *CTA) reset(i int) {
+	c.Index = i
+	clear(c.Shared)
+	for _, w := range c.Warps {
+		clear(w.Regs)
+		for _, lm := range w.Locals {
+			clear(lm)
+		}
+		w.Stack = append(w.Stack[:0], StackEntry{PC: 0, RPC: -1, Mask: w.InitMask})
+		w.AtBarrier, w.Done, w.InstrCount = false, false, 0
+	}
 }
 
 // Done reports whether every warp of the CTA has retired.
@@ -197,72 +225,83 @@ type StepInfo struct {
 	IsAtomic   bool
 	Space      ptx.Space
 	AccSize    int // bytes accessed per lane (vector width included)
-	Addrs      [WarpSize]uint64
-	Barrier    bool
-	WarpDone   bool
+	// Addrs holds the address each lane accessed. Only the lanes in
+	// ActiveMask of a memory instruction are meaningful: a StepInfo is
+	// reused across steps and the other entries keep stale values.
+	Addrs    [WarpSize]uint64
+	Barrier  bool
+	WarpDone bool
 }
 
-// linearThread returns the linear thread id of (warp, lane).
-func linearThread(w *Warp, lane int) int { return w.ID*WarpSize + lane }
+// reset clears everything a step reports except Addrs.
+func (s *StepInfo) reset() {
+	s.PC, s.Instr, s.ActiveMask = 0, nil, 0
+	s.IsMem, s.IsStore, s.IsAtomic = false, false, false
+	s.Space, s.AccSize = ptx.SpaceNone, 0
+	s.Barrier, s.WarpDone = false, false
+}
 
-func (m *Machine) sregValue(c *CTA, w *Warp, lane int, s ptx.SReg) uint64 {
+// sregRow materialises a special register for every lane of the warp.
+// Thread coordinates advance with carries from the warp's first thread, so
+// no lane pays a division; everything else is warp-uniform.
+func sregRow(c *CTA, w *Warp, s ptx.SReg, out *row) {
 	g := c.Grid
-	bx, by := g.BlockDim.X, g.BlockDim.Y
-	if bx == 0 {
-		bx = 1
-	}
-	if by == 0 {
-		by = 1
-	}
-	lin := linearThread(w, lane)
-	gx, gy := g.GridDim.X, g.GridDim.Y
-	if gx == 0 {
-		gx = 1
-	}
-	if gy == 0 {
-		gy = 1
-	}
+	bx, by, bz := max(g.BlockDim.X, 1), max(g.BlockDim.Y, 1), max(g.BlockDim.Z, 1)
+	gx, gy, gz := max(g.GridDim.X, 1), max(g.GridDim.Y, 1), max(g.GridDim.Z, 1)
+	var v uint64
 	switch s {
-	case ptx.SRegTidX:
-		return uint64(lin % bx)
-	case ptx.SRegTidY:
-		return uint64((lin / bx) % by)
-	case ptx.SRegTidZ:
-		return uint64(lin / (bx * by))
-	case ptx.SRegNtidX:
-		return uint64(bx)
-	case ptx.SRegNtidY:
-		return uint64(by)
-	case ptx.SRegNtidZ:
-		z := g.BlockDim.Z
-		if z == 0 {
-			z = 1
+	case ptx.SRegTidX, ptx.SRegTidY, ptx.SRegTidZ:
+		lin := w.ID * WarpSize
+		x, y, z := lin%bx, (lin/bx)%by, lin/(bx*by)
+		for l := range out {
+			switch s {
+			case ptx.SRegTidX:
+				out[l] = uint64(x)
+			case ptx.SRegTidY:
+				out[l] = uint64(y)
+			default:
+				out[l] = uint64(z)
+			}
+			if x++; x == bx {
+				x = 0
+				if y++; y == by {
+					y = 0
+					z++
+				}
+			}
 		}
-		return uint64(z)
-	case ptx.SRegCtaidX:
-		return uint64(c.Index % gx)
-	case ptx.SRegCtaidY:
-		return uint64((c.Index / gx) % gy)
-	case ptx.SRegCtaidZ:
-		return uint64(c.Index / (gx * gy))
-	case ptx.SRegNctaidX:
-		return uint64(gx)
-	case ptx.SRegNctaidY:
-		return uint64(gy)
-	case ptx.SRegNctaidZ:
-		z := g.GridDim.Z
-		if z == 0 {
-			z = 1
-		}
-		return uint64(z)
+		return
 	case ptx.SRegLaneID:
-		return uint64(lane)
+		for l := range out {
+			out[l] = uint64(l)
+		}
+		return
+	case ptx.SRegNtidX:
+		v = uint64(bx)
+	case ptx.SRegNtidY:
+		v = uint64(by)
+	case ptx.SRegNtidZ:
+		v = uint64(bz)
+	case ptx.SRegCtaidX:
+		v = uint64(c.Index % gx)
+	case ptx.SRegCtaidY:
+		v = uint64((c.Index / gx) % gy)
+	case ptx.SRegCtaidZ:
+		v = uint64(c.Index / (gx * gy))
+	case ptx.SRegNctaidX:
+		v = uint64(gx)
+	case ptx.SRegNctaidY:
+		v = uint64(gy)
+	case ptx.SRegNctaidZ:
+		v = uint64(gz)
 	case ptx.SRegWarpID:
-		return uint64(w.ID)
+		v = uint64(w.ID)
 	case ptx.SRegClock:
-		return w.InstrCount
+		v = w.InstrCount
 	}
-	return 0
+	for l := range out {
+		out[l] = v
+	}
 }
 
 // immValue converts an immediate operand to raw bits of type t. Float
@@ -284,37 +323,6 @@ func immValue(o *ptx.Operand, t ptx.Type) uint64 {
 	}
 }
 
-// symAddress resolves a bare symbol operand (shared/local variable name)
-// to its windowed generic address.
-func (m *Machine) symAddress(k *ptx.Kernel, sym string) (uint64, error) {
-	for _, v := range k.SharedVars {
-		if v.Name == sym {
-			return device.SharedWindowBase + uint64(v.Offset), nil
-		}
-	}
-	for _, v := range k.LocalVars {
-		if v.Name == sym {
-			return device.LocalWindowBase + uint64(v.Offset), nil
-		}
-	}
-	return 0, fmt.Errorf("exec: unknown symbol %q in kernel %s", sym, k.Name)
-}
-
-// readOperand fetches one scalar source operand for a lane.
-func (m *Machine) readOperand(c *CTA, w *Warp, lane int, o *ptx.Operand, t ptx.Type) (uint64, error) {
-	switch o.Kind {
-	case ptx.OperandReg:
-		return w.Reg(o.Reg, lane), nil
-	case ptx.OperandSReg:
-		return m.sregValue(c, w, lane, o.SReg), nil
-	case ptx.OperandImm:
-		return immValue(o, t), nil
-	case ptx.OperandSym:
-		return m.symAddress(c.Grid.Kernel, o.Sym)
-	}
-	return 0, fmt.Errorf("exec: unsupported source operand kind %d", o.Kind)
-}
-
 // classifySpace resolves the effective space of a generic address.
 func classifySpace(space ptx.Space, addr uint64) ptx.Space {
 	if space != ptx.SpaceGeneric && space != ptx.SpaceNone {
@@ -328,91 +336,4 @@ func classifySpace(space ptx.Space, addr uint64) ptx.Space {
 	default:
 		return ptx.SpaceGlobal
 	}
-}
-
-func (m *Machine) loadBytes(c *CTA, w *Warp, lane int, space ptx.Space, addr uint64, buf []byte) error {
-	switch classifySpace(space, addr) {
-	case ptx.SpaceShared:
-		off := addr
-		if device.InSharedWindow(addr) {
-			off = addr - device.SharedWindowBase
-		}
-		if int(off)+len(buf) > len(c.Shared) {
-			return fmt.Errorf("exec: shared load out of bounds: off %d size %d (smem %d)", off, len(buf), len(c.Shared))
-		}
-		copy(buf, c.Shared[off:])
-	case ptx.SpaceLocal:
-		off := addr
-		if device.InLocalWindow(addr) {
-			off = addr - device.LocalWindowBase
-		}
-		lm := w.Locals[lane]
-		if int(off)+len(buf) > len(lm) {
-			return fmt.Errorf("exec: local load out of bounds: off %d size %d (lmem %d)", off, len(buf), len(lm))
-		}
-		copy(buf, lm[off:])
-	case ptx.SpaceParam:
-		p := c.Grid.Params
-		if int(addr)+len(buf) > len(p) {
-			return fmt.Errorf("exec: param load out of bounds: off %d size %d (params %d)", addr, len(buf), len(p))
-		}
-		copy(buf, p[addr:])
-	default: // global, const
-		m.Mem.Read(addr, buf)
-		if m.rec != nil {
-			m.rec.recordRead(addr, buf)
-		}
-	}
-	return nil
-}
-
-func (m *Machine) storeBytes(c *CTA, w *Warp, lane int, space ptx.Space, addr uint64, buf []byte) error {
-	switch classifySpace(space, addr) {
-	case ptx.SpaceShared:
-		off := addr
-		if device.InSharedWindow(addr) {
-			off = addr - device.SharedWindowBase
-		}
-		if int(off)+len(buf) > len(c.Shared) {
-			return fmt.Errorf("exec: shared store out of bounds: off %d size %d (smem %d)", off, len(buf), len(c.Shared))
-		}
-		copy(c.Shared[off:], buf)
-	case ptx.SpaceLocal:
-		off := addr
-		if device.InLocalWindow(addr) {
-			off = addr - device.LocalWindowBase
-		}
-		lm := w.Locals[lane]
-		if int(off)+len(buf) > len(lm) {
-			return fmt.Errorf("exec: local store out of bounds: off %d size %d (lmem %d)", off, len(buf), len(lm))
-		}
-		copy(lm[off:], buf)
-	case ptx.SpaceParam:
-		return fmt.Errorf("exec: store to parameter space")
-	default:
-		if m.rec != nil {
-			m.rec.recordWrite(addr, buf)
-		}
-		m.Mem.Write(addr, buf)
-	}
-	return nil
-}
-
-// memAddress computes the effective address of a memory operand for a lane.
-// For ld.param with a symbol base, the address is the parameter offset.
-func (m *Machine) memAddress(c *CTA, w *Warp, lane int, in *ptx.Instr, o *ptx.Operand) (uint64, ptx.Space, error) {
-	space := in.Space
-	if o.Base >= 0 {
-		return uint64(int64(w.Reg(o.Base, lane)) + o.Offset), space, nil
-	}
-	// Symbol base: parameter name or shared/local variable.
-	k := c.Grid.Kernel
-	if p := k.ParamByName(o.BaseSym); p != nil {
-		return uint64(int64(p.Offset) + o.Offset), ptx.SpaceParam, nil
-	}
-	base, err := m.symAddress(k, o.BaseSym)
-	if err != nil {
-		return 0, space, err
-	}
-	return uint64(int64(base) + o.Offset), space, nil
 }

@@ -2,7 +2,9 @@ package exec
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/device"
@@ -16,7 +18,7 @@ type testEnv struct {
 	m     *Machine
 }
 
-func newEnv(t *testing.T, bugs BugSet) *testEnv {
+func newEnv(t testing.TB, bugs BugSet) *testEnv {
 	t.Helper()
 	mem := device.NewMemory()
 	return &testEnv{
@@ -715,6 +717,156 @@ func TestBrevKernel(t *testing.T) {
 		}
 		if got[i] != want {
 			t.Fatalf("brev(%d) = %#x, want %#x", i, got[i], want)
+		}
+	}
+}
+
+// TestMalformedInstructionsError feeds the interpreter instructions the
+// parser accepts but no handler can execute — wrong operand counts and
+// kinds, mismatched vector widths, unknown symbols, addresses that go
+// negative. Each used to be an index- or slice-out-of-range panic reachable
+// from `gpgpusim file.ptx`; each must now be an error raised when the
+// instruction executes, naming it, and must leave the machine able to run
+// a good kernel.
+func TestMalformedInstructionsError(t *testing.T) {
+	const wrap = `
+.version 6.0
+.target sm_61
+.address_size 64
+.visible .entry bad(.param .u64 p)
+{
+	.reg .pred %%p<3>;
+	.reg .b32 %%r<8>;
+	.reg .f32 %%f<8>;
+	.reg .b64 %%rd<4>;
+	.shared .align 4 .b8 sbuf[64];
+	ld.param.u64 %%rd1, [p];
+	%s
+	ret;
+}
+`
+	e := newEnv(t, BugSet{})
+	buf := e.allocF32(t, make([]float32, 64))
+	good := mustKernel(t, vecAddSrc, "vecadd")
+	for _, tc := range []struct{ name, body, want string }{
+		{"six operands", `add.s32 %r1,%r2,%r3,%r4,%r5,%r6;`, "add takes 2 source operands, got 5"},
+		{"one source for setp", `setp.lt.s32 %p1,%r1;`, "setp takes 2 source operands, got 1"},
+		{"three sources for bfi", `bfi.b32 %r1,%r2,%r3,%r4;`, "bfi takes 4 source operands, got 3"},
+		{"short vector destination", `ld.global.v4.f32 {%f1,%f2},[%rd1];`, "vector operand has 2 elements, want 4"},
+		{"scalar destination on a vector load", `ld.global.v2.f32 %f1,[%rd1];`, "vector operand"},
+		{"vector value on a scalar store", `st.global.f32 [%rd1],{%f1,%f2};`, "vector operand on a scalar access"},
+		{"store without a value", `st.global.f32 [%rd1];`, "st takes an address and a value"},
+		{"load without an address", `ld.global.f32 %r1;`, "ld takes a destination and an address"},
+		{"load from a register", `ld.global.f32 %f1,%r1;`, "load source is not a memory operand"},
+		{"atomic on a register", `atom.global.add.f32 %f1,%f2,%f3;`, "atomic target is not a memory operand"},
+		{"cas without a swap value", `atom.global.cas.b32 %r1,[%rd1],%r2;`, "atom.cas takes an address and 2 values"},
+		{"unknown symbol", `mov.u32 %r1, nosuch;`, `unknown symbol "nosuch"`},
+		{"unknown symbol base", `ld.shared.f32 %f1,[nosuch+4];`, `unknown symbol "nosuch"`},
+		{"negative shared address", "mov.u64 %rd1, -4;\n\tld.shared.s32 %r1,[%rd1];", "shared load out of bounds"},
+		{"negative shared store", "mov.u64 %rd1, -4;\n\tst.shared.u32 [%rd1],%r1;", "shared store out of bounds"},
+		{"shared access past the end", "mov.u64 %rd1, 62;\n\tld.shared.s32 %r1,[%rd1];", "shared load out of bounds"},
+		{"negative parameter offset", `ld.param.s32 %r1,[p+-16];`, "param load out of bounds"},
+		{"parameter read past the end", `ld.param.u64 %rd2,[p+4];`, "param load out of bounds"},
+		{"local access without local memory", `ld.local.u32 %r1,[%rd1];`, "local load out of bounds"},
+		{"store to a parameter", `st.param.u32 [p],%r1;`, "store to parameter space"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := mustKernel(t, fmt.Sprintf(wrap, tc.body), "bad")
+			g, err := e.m.NewGrid(k, Dim3{X: 1}, Dim3{X: 64}, params(buf), 0)
+			if err != nil {
+				t.Fatalf("NewGrid: %v (decode errors must wait until the instruction executes)", err)
+			}
+			err = e.m.RunGrid(g)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RunGrid error = %v, want one containing %q", err, tc.want)
+			}
+			bad := strings.TrimSpace(tc.body[strings.LastIndexByte(tc.body, '\n')+1:])
+			if op := bad[:strings.IndexByte(bad, '.')]; !strings.Contains(err.Error(), `"`+op) {
+				t.Errorf("error %q does not quote the %s instruction", err, op)
+			}
+
+			// the same machine still runs a good kernel
+			out := e.allocF32(t, make([]float32, 64))
+			gg, err := e.m.NewGrid(good, Dim3{X: 1}, Dim3{X: 64}, params(buf, buf, out, 64), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.m.RunGrid(gg); err != nil {
+				t.Fatalf("good kernel after a bad one: %v", err)
+			}
+		})
+	}
+
+	// an instruction that cannot execute is harmless until it does
+	k := mustKernel(t, fmt.Sprintf(wrap, "setp.ne.u32 %p1, 0, 0;\n\t@%p1 mov.u32 %r1, nosuch;"), "bad")
+	g, err := e.m.NewGrid(k, Dim3{X: 1}, Dim3{X: 64}, params(buf), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.m.RunGrid(g); err != nil {
+		t.Fatalf("guarded-off malformed instruction raised %v", err)
+	}
+
+	// operands past the ones an opcode reads are ignored, as they always were
+	k = mustKernel(t, fmt.Sprintf(wrap, "mov.u32 %r2, 5;\n\tmov.u32 %r3, 7;\n\tadd.s32 %r1,%r2,%r3,%r4;\n\tst.global.u32 [%rd1],%r1;"), "bad")
+	if g, err = e.m.NewGrid(k, Dim3{X: 1}, Dim3{X: 1}, params(buf), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.m.RunGrid(g); err != nil {
+		t.Fatalf("trailing operand raised %v", err)
+	}
+	if got := e.mem.Load(buf, 4); got != 12 {
+		t.Fatalf("add with a trailing operand stored %d, want 12", got)
+	}
+}
+
+// TestRunGridBlocksStartZeroed: RunGrid runs every block of a grid through
+// one set of register files and one shared-memory buffer, so each block
+// must still start from zeroed registers, shared and local memory, and a
+// fresh %clock.
+func TestRunGridBlocksStartZeroed(t *testing.T) {
+	src := `
+.version 6.0
+.target sm_61
+.address_size 64
+.visible .entry stale(.param .u64 pOut)
+{
+	.reg .b32 %r<8>;
+	.reg .b64 %rd<4>;
+	.shared .align 4 .b8 sbuf[4];
+	.local .align 4 .b8 lbuf[4];
+	ld.param.u64 %rd1, [pOut];
+	mov.u32 %r7, %clock;
+	add.u32 %r1, %r1, 1;
+	ld.shared.u32 %r2, [sbuf];
+	add.u32 %r2, %r2, 5;
+	st.shared.u32 [sbuf], %r2;
+	ld.local.u32 %r3, [lbuf];
+	add.u32 %r3, %r3, 7;
+	st.local.u32 [lbuf], %r3;
+	add.u32 %r4, %r1, %r2;
+	add.u32 %r4, %r4, %r3;
+	add.u32 %r4, %r4, %r7;
+	mov.u32 %r5, %ctaid.x;
+	mul.wide.u32 %rd2, %r5, 4;
+	add.s64 %rd3, %rd1, %rd2;
+	st.global.u32 [%rd3], %r4;
+	ret;
+}
+`
+	e := newEnv(t, BugSet{})
+	const ctas = 5
+	out := e.allocU32(t, make([]uint32, ctas))
+	g, err := e.m.NewGrid(mustKernel(t, src, "stale"), Dim3{X: ctas}, Dim3{X: 1}, params(out), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.m.RunGrid(g); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range e.readU32(ctas, out) {
+		if v != 1+5+7+2 { // %clock is 2 at the second instruction
+			t.Errorf("block %d computed %d from its start state, want 15", i, v)
 		}
 	}
 }

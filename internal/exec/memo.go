@@ -21,17 +21,28 @@ package exec
 // (callers fall back to plain re-execution) rather than risk validating
 // against stale array contents.
 
-import "bytes"
+import (
+	"bytes"
+	"math/bits"
+	"slices"
 
-// memoPageSize is the shadow-page granularity of the capture recorder.
-const memoPageSize = 4096
+	"repro/internal/device"
+)
+
+// memoPageSize is the shadow-page granularity of the capture recorder: the
+// device page size, so a page-resolved access lands in one shadow page.
+const memoPageSize = device.PageSize
+
+// byteMask has one bit per byte of a shadow page, 64 bytes to a word, so a
+// naturally aligned access of up to 64 bytes is one mask operation.
+type byteMask [memoPageSize / 64]uint64
 
 // memoPage shadows one page of global memory during capture: which bytes
 // the execution has written, which it has recorded as read-before-write,
 // and the observed/final values of each.
 type memoPage struct {
-	written  [memoPageSize / 8]byte
-	readRec  [memoPageSize / 8]byte
+	written  byteMask
+	readRec  byteMask
 	readVal  [memoPageSize]byte
 	writeVal [memoPageSize]byte
 }
@@ -40,45 +51,62 @@ type memoPage struct {
 // CaptureGrid call. The interpreter is single-goroutine, so no locking.
 type memRecorder struct {
 	pages   map[uint64]*memoPage
+	lastPN  uint64 // the page most recently touched, and its shadow
+	last    *memoPage
 	unsound bool // touched state the memo cannot validate (textures)
 }
 
 func (r *memRecorder) page(pn uint64) *memoPage {
+	if r.last != nil && r.lastPN == pn {
+		return r.last
+	}
 	p := r.pages[pn]
 	if p == nil {
 		p = &memoPage{}
 		r.pages[pn] = p
 	}
+	r.lastPN, r.last = pn, p
 	return p
+}
+
+// chunk locates the leading part of an n-byte access at addr that falls in
+// one mask word: its shadow page, byte offset in the page, length, mask
+// word index and the mask of its bytes within that word.
+func (r *memRecorder) chunk(addr uint64, n int) (p *memoPage, off, ln int, word int, m uint64) {
+	off = int(addr % memoPageSize)
+	bit := off % 64
+	ln = min(64-bit, n)
+	return r.page(addr / memoPageSize), off, ln, off / 64, ^uint64(0) >> (64 - ln) << bit
 }
 
 // recordRead marks buf's bytes as read-before-write unless the execution
 // already wrote (or already recorded) them.
 func (r *memRecorder) recordRead(addr uint64, buf []byte) {
-	for i := 0; i < len(buf); {
-		pn := (addr + uint64(i)) / memoPageSize
-		off := int((addr + uint64(i)) % memoPageSize)
-		p := r.page(pn)
-		for ; off < memoPageSize && i < len(buf); off, i = off+1, i+1 {
-			bit := byte(1 << (off % 8))
-			if p.written[off/8]&bit == 0 && p.readRec[off/8]&bit == 0 {
-				p.readRec[off/8] |= bit
-				p.readVal[off] = buf[i]
+	for len(buf) > 0 {
+		p, off, n, word, m := r.chunk(addr, len(buf))
+		switch need := m &^ (p.written[word] | p.readRec[word]); need {
+		case 0:
+		case m:
+			copy(p.readVal[off:], buf[:n])
+			p.readRec[word] |= m
+		default:
+			p.readRec[word] |= need
+			for need >>= off % 64; need != 0; need &= need - 1 {
+				i := bits.TrailingZeros64(need)
+				p.readVal[off+i] = buf[i]
 			}
 		}
+		buf, addr = buf[n:], addr+uint64(n)
 	}
 }
 
 // recordWrite marks buf's bytes written and remembers their final value.
 func (r *memRecorder) recordWrite(addr uint64, buf []byte) {
-	for i := 0; i < len(buf); {
-		pn := (addr + uint64(i)) / memoPageSize
-		off := int((addr + uint64(i)) % memoPageSize)
-		p := r.page(pn)
-		for ; off < memoPageSize && i < len(buf); off, i = off+1, i+1 {
-			p.written[off/8] |= byte(1 << (off % 8))
-			p.writeVal[off] = buf[i]
-		}
+	for len(buf) > 0 {
+		p, off, n, word, m := r.chunk(addr, len(buf))
+		p.written[word] |= m
+		copy(p.writeVal[off:], buf[:n])
+		buf, addr = buf[n:], addr+uint64(n)
 	}
 }
 
@@ -98,16 +126,27 @@ type GridMemo struct {
 }
 
 // spans converts one shadow bitmap into coalesced spans.
-func spans(pn uint64, mask *[memoPageSize / 8]byte, vals *[memoPageSize]byte, out []memSpan) []memSpan {
+func spans(pn uint64, mask *byteMask, vals *[memoPageSize]byte, out []memSpan) []memSpan {
 	base := pn * memoPageSize
 	for off := 0; off < memoPageSize; {
-		if mask[off/8]&(1<<(off%8)) == 0 {
-			off++
+		// skip to the next marked byte, a whole mask word at a time
+		w := mask[off/64] >> (off % 64)
+		if w == 0 {
+			off = (off | 63) + 1
 			continue
 		}
+		off += bits.TrailingZeros64(w)
 		start := off
-		for off < memoPageSize && mask[off/8]&(1<<(off%8)) != 0 {
-			off++
+		// extend over the run of marked bytes, which may cross words
+		for off < memoPageSize {
+			// the zeros the shift brings in at the top stop the count at
+			// the word boundary
+			room := 64 - off%64
+			run := bits.TrailingZeros64(^(mask[off/64] >> (off % 64)))
+			off += run
+			if run < room {
+				break
+			}
 		}
 		// merge with the previous span when pages abut
 		if n := len(out); n > 0 && out[n-1].addr+uint64(len(out[n-1].data)) == base+uint64(start) {
@@ -129,11 +168,7 @@ func (r *memRecorder) memo() *GridMemo {
 		pns = append(pns, pn)
 	}
 	// sorted page order keeps spans sorted and mergeable across pages
-	for i := 1; i < len(pns); i++ {
-		for j := i; j > 0 && pns[j-1] > pns[j]; j-- {
-			pns[j-1], pns[j] = pns[j], pns[j-1]
-		}
-	}
+	slices.Sort(pns)
 	mo := &GridMemo{}
 	for _, pn := range pns {
 		p := r.pages[pn]

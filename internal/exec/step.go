@@ -7,11 +7,11 @@ import (
 )
 
 // StepWarp executes exactly one warp instruction (the instruction at the
-// top of the warp's SIMT stack) and returns what happened. It is the
-// single execution entry point for both the fast functional mode and the
-// cycle-level timing model.
-func (m *Machine) StepWarp(c *CTA, w *Warp) (StepInfo, error) {
-	return m.StepWarpCov(c, w, m.cov)
+// top of the warp's SIMT stack) and describes what happened in *info. It
+// is the single execution entry point for both the fast functional mode
+// and the cycle-level timing model.
+func (m *Machine) StepWarp(c *CTA, w *Warp, info *StepInfo) error {
+	return m.StepWarpCov(c, w, m.cov, info)
 }
 
 // StepWarpCov is StepWarp with an explicit coverage sink. Concurrent
@@ -20,13 +20,17 @@ func (m *Machine) StepWarp(c *CTA, w *Warp) (StepInfo, error) {
 // never written from two goroutines; shards are merged back with
 // Coverage.Merge at kernel boundaries. A nil cov disables coverage
 // recording.
-func (m *Machine) StepWarpCov(c *CTA, w *Warp, cov *Coverage) (StepInfo, error) {
-	var info StepInfo
+//
+// info is filled in place so callers can keep one StepInfo per core or
+// per warp loop instead of copying ~300 bytes per instruction; every
+// field except Addrs is reset on each call (see StepInfo.Addrs).
+func (m *Machine) StepWarpCov(c *CTA, w *Warp, cov *Coverage, info *StepInfo) error {
+	info.reset()
 	if w.Done {
-		return info, fmt.Errorf("exec: step of retired warp %d", w.ID)
+		return fmt.Errorf("exec: step of retired warp %d", w.ID)
 	}
 	if w.AtBarrier {
-		return info, fmt.Errorf("exec: step of warp %d blocked at barrier", w.ID)
+		return fmt.Errorf("exec: step of warp %d blocked at barrier", w.ID)
 	}
 
 	// Pop reconverged entries.
@@ -42,98 +46,115 @@ func (m *Machine) StepWarpCov(c *CTA, w *Warp, cov *Coverage) (StepInfo, error) 
 	if top.Mask == 0 {
 		w.Done = true
 		info.WarpDone = true
-		return info, nil
+		return nil
 	}
 
-	k := c.Grid.Kernel
-	if top.PC >= len(k.Instrs) {
+	code := c.Grid.prog.code
+	if top.PC >= len(code) {
 		// Fell off the end of the kernel: implicit ret for all lanes.
 		m.retireLanes(w, top.Mask)
 		info.WarpDone = w.Done
-		return info, nil
+		return nil
 	}
 
-	in := &k.Instrs[top.PC]
-	info.PC = top.PC
+	pc := top.PC
+	d := &code[pc]
+	in := d.in
+	info.PC = pc
 	info.Instr = in
 
 	// Guard predicate: per-lane execution mask.
 	execMask := top.Mask
-	if in.PredReg >= 0 {
-		var pm uint32
-		for l := 0; l < WarpSize; l++ {
-			if top.Mask&(1<<l) == 0 {
-				continue
-			}
-			p := w.Reg(in.PredReg, l) != 0
-			if p != in.PredNeg {
-				pm |= 1 << l
-			}
-		}
-		execMask = pm
+	if d.pred >= 0 {
+		execMask &= predMask((*row)(w.Regs[d.pred:]), d.predNeg)
 	}
 	info.ActiveMask = execMask
 	w.InstrCount++
 	if cov != nil {
-		cov.Note(in, execMask)
+		cov.note(d.cov)
 	}
 
-	switch in.Op {
-	case ptx.OpBra:
-		m.stepBranch(w, top, in, execMask)
-		return info, nil
+	switch d.h {
+	case hbra:
+		m.stepBranch(w, top, pc, in, execMask)
+		return nil
 
-	case ptx.OpRet, ptx.OpExit:
-		if execMask == top.Mask {
-			m.retireLanes(w, execMask)
-		} else {
-			m.retireLanes(w, execMask)
-			if !w.Done {
-				nt := &w.Stack[len(w.Stack)-1]
-				if nt.PC == in.PC { // surviving lanes continue past the guard
-					nt.PC++
-				}
+	case hret:
+		partial := execMask != top.Mask
+		m.retireLanes(w, execMask)
+		if partial && !w.Done {
+			nt := &w.Stack[len(w.Stack)-1]
+			if nt.PC == pc { // surviving lanes continue past the guard
+				nt.PC++
 			}
 		}
 		info.WarpDone = w.Done
-		return info, nil
+		return nil
 
-	case ptx.OpBar:
+	case hbar:
 		if len(w.Stack) != 1 {
-			return info, fmt.Errorf("exec: kernel %s pc %d: bar.sync in divergent control flow", k.Name, in.PC)
+			return fmt.Errorf("exec: kernel %s pc %d: bar.sync in divergent control flow", c.Grid.Kernel.Name, pc)
 		}
 		w.AtBarrier = true
 		top.PC++
 		info.Barrier = true
-		return info, nil
+		return nil
 
-	case ptx.OpMembar:
-		top.PC++
-		return info, nil
+	case hmembar:
 
-	case ptx.OpLd:
-		if err := m.stepLoad(c, w, in, execMask, &info); err != nil {
-			return info, err
+	case hld:
+		if err := m.stepLoad(c, w, d, execMask, info); err != nil {
+			return err
 		}
-	case ptx.OpSt:
-		if err := m.stepStore(c, w, in, execMask, &info); err != nil {
-			return info, err
+	case hst:
+		if err := m.stepStore(c, w, d, execMask, info); err != nil {
+			return err
 		}
-	case ptx.OpAtom:
-		if err := m.stepAtom(c, w, in, execMask, &info); err != nil {
-			return info, err
+	case hatom:
+		if err := m.stepAtom(c, w, d, execMask, info); err != nil {
+			return err
 		}
-	case ptx.OpTex:
-		if err := m.stepTex(c, w, in, execMask, &info); err != nil {
-			return info, err
+	case htex:
+		if err := m.stepTex(c, w, d, execMask, info); err != nil {
+			return err
+		}
+	case herr:
+		if execMask != 0 {
+			return d.err
 		}
 	default:
-		if err := m.stepALU(c, w, in, execMask); err != nil {
-			return info, err
+		if err := m.stepALU(c, w, d, execMask); err != nil {
+			return err
 		}
 	}
 	top.PC++
-	return info, nil
+	return nil
+}
+
+// predMask gathers a predicate row into a lane mask: bit l is set when
+// lane l's predicate is true (false with neg). Four independent
+// accumulators keep the 32 tests from serialising on one register.
+func predMask(p *row, neg bool) uint32 {
+	var m0, m1, m2, m3 uint32
+	for l := 0; l < 8; l++ {
+		if p[l] != 0 {
+			m0 |= 1 << l
+		}
+		if p[l+8] != 0 {
+			m1 |= 1 << l
+		}
+		if p[l+16] != 0 {
+			m2 |= 1 << l
+		}
+		if p[l+24] != 0 {
+			m3 |= 1 << l
+		}
+	}
+	pm := m0 | m1<<8 | m2<<16 | m3<<24
+	if neg {
+		pm = ^pm
+	}
+	return pm
 }
 
 // PeekWarp returns the instruction the warp will execute next, after
@@ -178,7 +199,7 @@ func (m *Machine) retireLanes(w *Warp, mask uint32) {
 
 // stepBranch implements SIMT-stack branch handling with reconvergence at
 // the branch's immediate post-dominator (in.RPC).
-func (m *Machine) stepBranch(w *Warp, top *StackEntry, in *ptx.Instr, takenMask uint32) {
+func (m *Machine) stepBranch(w *Warp, top *StackEntry, pc int, in *ptx.Instr, takenMask uint32) {
 	active := top.Mask
 	notTaken := active &^ takenMask
 	switch {
@@ -188,7 +209,7 @@ func (m *Machine) stepBranch(w *Warp, top *StackEntry, in *ptx.Instr, takenMask 
 		top.PC++
 	default: // divergence: current entry becomes the reconvergence entry
 		rpc := in.RPC
-		fall := in.PC + 1
+		fall := pc + 1
 		top.PC = rpc
 		w.Stack = append(w.Stack,
 			StackEntry{PC: fall, RPC: rpc, Mask: notTaken},
@@ -197,294 +218,17 @@ func (m *Machine) stepBranch(w *Warp, top *StackEntry, in *ptx.Instr, takenMask 
 	}
 }
 
-func (m *Machine) stepALU(c *CTA, w *Warp, in *ptx.Instr, execMask uint32) error {
-	if len(in.Dst) == 0 {
-		return fmt.Errorf("exec: %q: missing destination", in.Raw)
-	}
-	d := &in.Dst[0]
-	// mov of a vector (pack/unpack) is unsupported; scalar only.
-	if d.Kind != ptx.OperandReg {
-		return fmt.Errorf("exec: %q: non-register destination", in.Raw)
-	}
-	srcT := in.T
-	if in.Op == ptx.OpCvt && in.T2 != ptx.TypeNone {
-		srcT = in.T2
-	}
-	var s [4]uint64
-	for l := 0; l < WarpSize; l++ {
-		if execMask&(1<<l) == 0 {
-			continue
-		}
-		for i := range in.Src {
-			st := srcT
-			if in.Op == ptx.OpSelp && i == 2 {
-				st = ptx.Pred
-			}
-			if in.Op == ptx.OpSlct && i == 2 {
-				st = in.T2
-			}
-			v, err := m.readOperand(c, w, l, &in.Src[i], st)
-			if err != nil {
-				return fmt.Errorf("exec: %q: %w", in.Raw, err)
-			}
-			s[i] = v
-		}
-		r, err := m.evalALU(in, s)
-		if err != nil {
-			return err
-		}
-		w.SetReg(d.Reg, l, r)
-	}
-	return nil
-}
-
-func (m *Machine) stepLoad(c *CTA, w *Warp, in *ptx.Instr, execMask uint32, info *StepInfo) error {
-	src := &in.Src[0]
-	if src.Kind != ptx.OperandMem {
-		return fmt.Errorf("exec: %q: load source is not a memory operand", in.Raw)
-	}
-	elemSize := in.T.Size()
-	total := elemSize * in.Vec
-	info.IsMem = true
-	info.AccSize = total
-	var buf [32]byte
-	for l := 0; l < WarpSize; l++ {
-		if execMask&(1<<l) == 0 {
-			continue
-		}
-		addr, space, err := m.memAddress(c, w, l, in, src)
-		if err != nil {
-			return fmt.Errorf("exec: %q: %w", in.Raw, err)
-		}
-		if info.Space == ptx.SpaceNone {
-			info.Space = classifySpace(space, addr)
-		}
-		info.Addrs[l] = addr
-		if err := m.loadBytes(c, w, l, space, addr, buf[:total]); err != nil {
-			return fmt.Errorf("exec: %q: %w", in.Raw, err)
-		}
-		if in.Vec == 1 {
-			v := leLoad(buf[:elemSize])
-			// Loads do not sign-extend beyond the register width; widening
-			// is handled by the type: ld.s16 into a 32-bit register
-			// sign-extends per PTX semantics.
-			w.SetReg(in.Dst[0].Reg, l, truncToType(v, in.T))
-		} else {
-			for e := 0; e < in.Vec; e++ {
-				v := leLoad(buf[e*elemSize : (e+1)*elemSize])
-				w.SetReg(in.Dst[0].Elems[e].Reg, l, truncToType(v, in.T))
-			}
-		}
-	}
-	return nil
-}
-
-func (m *Machine) stepStore(c *CTA, w *Warp, in *ptx.Instr, execMask uint32, info *StepInfo) error {
-	addrOp := &in.Src[0]
-	valOp := &in.Src[1]
-	if addrOp.Kind != ptx.OperandMem {
-		return fmt.Errorf("exec: %q: store target is not a memory operand", in.Raw)
-	}
-	elemSize := in.T.Size()
-	total := elemSize * in.Vec
-	info.IsMem = true
-	info.IsStore = true
-	info.AccSize = total
-	var buf [32]byte
-	for l := 0; l < WarpSize; l++ {
-		if execMask&(1<<l) == 0 {
-			continue
-		}
-		addr, space, err := m.memAddress(c, w, l, in, addrOp)
-		if err != nil {
-			return fmt.Errorf("exec: %q: %w", in.Raw, err)
-		}
-		if info.Space == ptx.SpaceNone {
-			info.Space = classifySpace(space, addr)
-		}
-		info.Addrs[l] = addr
-		if in.Vec == 1 {
-			v, err := m.readOperand(c, w, l, valOp, in.T)
-			if err != nil {
-				return fmt.Errorf("exec: %q: %w", in.Raw, err)
-			}
-			leStore(buf[:elemSize], v)
-		} else {
-			for e := 0; e < in.Vec; e++ {
-				v, err := m.readOperand(c, w, l, &valOp.Elems[e], in.T)
-				if err != nil {
-					return fmt.Errorf("exec: %q: %w", in.Raw, err)
-				}
-				leStore(buf[e*elemSize:(e+1)*elemSize], v)
-			}
-		}
-		if err := m.storeBytes(c, w, l, space, addr, buf[:total]); err != nil {
-			return fmt.Errorf("exec: %q: %w", in.Raw, err)
-		}
-	}
-	return nil
-}
-
-func (m *Machine) stepAtom(c *CTA, w *Warp, in *ptx.Instr, execMask uint32, info *StepInfo) error {
-	addrOp := &in.Src[0]
-	size := in.T.Size()
-	info.IsMem = true
-	info.IsAtomic = true
-	info.AccSize = size
-	var buf [8]byte
-	for l := 0; l < WarpSize; l++ {
-		if execMask&(1<<l) == 0 {
-			continue
-		}
-		addr, space, err := m.memAddress(c, w, l, in, addrOp)
-		if err != nil {
-			return fmt.Errorf("exec: %q: %w", in.Raw, err)
-		}
-		info.Addrs[l] = addr
-		if info.Space == ptx.SpaceNone {
-			info.Space = classifySpace(space, addr)
-		}
-		if err := m.loadBytes(c, w, l, space, addr, buf[:size]); err != nil {
-			return err
-		}
-		old := truncToType(leLoad(buf[:size]), in.T)
-		b, err := m.readOperand(c, w, l, &in.Src[1], in.T)
-		if err != nil {
-			return err
-		}
-		var newV uint64
-		switch in.Atom {
-		case ptx.AtomAdd:
-			if in.T.Float() {
-				if in.T == ptx.F64 {
-					newV = f64bits(bitsF64(old) + bitsF64(b))
-				} else {
-					newV = f32bits(bitsF32(old) + bitsF32(b))
-				}
-			} else {
-				newV = truncToType(uint64(int64(old)+int64(b)), in.T)
-			}
-		case ptx.AtomMin, ptx.AtomMax:
-			v, err := minMaxOp(in, in.T, old, b, in.Atom == ptx.AtomMin)
-			if err != nil {
-				return err
-			}
-			newV = v
-		case ptx.AtomExch:
-			newV = b
-		case ptx.AtomAnd:
-			newV = old & b
-		case ptx.AtomOr:
-			newV = old | b
-		case ptx.AtomXor:
-			newV = old ^ b
-		case ptx.AtomCas:
-			cVal, err := m.readOperand(c, w, l, &in.Src[2], in.T)
-			if err != nil {
-				return err
-			}
-			if old == truncToType(b, in.T) {
-				newV = cVal
-			} else {
-				newV = old
-			}
-		default:
-			return fmt.Errorf("exec: %q: unsupported atomic op", in.Raw)
-		}
-		leStore(buf[:size], newV)
-		if err := m.storeBytes(c, w, l, space, addr, buf[:size]); err != nil {
-			return err
-		}
-		if len(in.Dst) > 0 && in.Dst[0].Kind == ptx.OperandReg {
-			w.SetReg(in.Dst[0].Reg, l, old)
-		}
-	}
-	return nil
-}
-
-func (m *Machine) stepTex(c *CTA, w *Warp, in *ptx.Instr, execMask uint32, info *StepInfo) error {
-	if m.Tex == nil {
-		return fmt.Errorf("exec: %q: no texture registry attached", in.Raw)
-	}
-	name := in.Src[0].Sym
-	arr, err := m.Tex.LookupByName(name)
-	if err != nil {
-		return fmt.Errorf("exec: %q: %w", in.Raw, err)
-	}
-	if m.rec != nil {
-		// texture arrays live outside the recorded device memory, so a
-		// capture that reads one cannot be validated later
-		m.rec.unsound = true
-	}
-	coord := &in.Src[1]
-	dst := &in.Dst[0]
-	info.IsMem = true
-	info.Space = ptx.SpaceTex
-	info.AccSize = 16
-	for l := 0; l < WarpSize; l++ {
-		if execMask&(1<<l) == 0 {
-			continue
-		}
-		var x, y int
-		switch coord.Kind {
-		case ptx.OperandVec:
-			v0, err := m.readOperand(c, w, l, &coord.Elems[0], ptx.S32)
-			if err != nil {
-				return err
-			}
-			x = int(int32(v0))
-			if in.Geom == 2 && len(coord.Elems) > 1 {
-				v1, err := m.readOperand(c, w, l, &coord.Elems[1], ptx.S32)
-				if err != nil {
-					return err
-				}
-				y = int(int32(v1))
-			}
-		default:
-			v0, err := m.readOperand(c, w, l, coord, ptx.S32)
-			if err != nil {
-				return err
-			}
-			x = int(int32(v0))
-		}
-		texel := arr.Fetch(x, y)
-		if dst.Kind == ptx.OperandVec {
-			for e := 0; e < len(dst.Elems) && e < 4; e++ {
-				w.SetReg(dst.Elems[e].Reg, l, f32bits(texel[e]))
-			}
-		} else {
-			w.SetReg(dst.Reg, l, f32bits(texel[0]))
-		}
-		info.Addrs[l] = uint64(y*arr.Width+x) * 4
-	}
-	return nil
-}
-
-func leLoad(b []byte) uint64 {
-	var v uint64
-	for i := len(b) - 1; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
-}
-
-func leStore(b []byte, v uint64) {
-	for i := range b {
-		b[i] = byte(v)
-		v >>= 8
-	}
-}
-
 // RunWarp executes a warp until it retires, blocks at a barrier, or the
 // instruction budget is exhausted (budget < 0 means unlimited). It returns
 // the number of instructions executed.
 func (m *Machine) RunWarp(c *CTA, w *Warp, budget int64) (int64, error) {
 	var n int64
+	var info StepInfo
 	for !w.Done && !w.AtBarrier {
 		if budget >= 0 && n >= budget {
 			break
 		}
-		if _, err := m.StepWarp(c, w); err != nil {
+		if err := m.StepWarp(c, w, &info); err != nil {
 			return n, err
 		}
 		n++
@@ -561,8 +305,11 @@ func (c *CTA) ReleaseBarrier() bool {
 // RunGrid functionally executes an entire launch, CTA by CTA. This is the
 // paper's fast Functional simulation mode.
 func (m *Machine) RunGrid(g *Grid) error {
+	cta := g.InitCTA(0)
 	for i := 0; i < g.NumCTAs(); i++ {
-		cta := g.InitCTA(i)
+		if i > 0 {
+			cta.reset(i)
+		}
 		if err := m.RunCTA(cta); err != nil {
 			return err
 		}

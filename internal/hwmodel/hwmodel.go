@@ -101,6 +101,8 @@ func (o *Oracle) RunKernel(g *exec.Grid) (cudart.KernelStats, error) {
 	var warpInstrs uint64
 	var memBytes uint64
 	segSize := uint64(128)
+	var info exec.StepInfo
+	segs := make([]uint64, 0, exec.WarpSize) // scratch, reused per memory instruction
 
 	for i := 0; i < g.NumCTAs(); i++ {
 		cta := g.InitCTA(i)
@@ -108,15 +110,14 @@ func (o *Oracle) RunKernel(g *exec.Grid) (cudart.KernelStats, error) {
 			progressed := false
 			for _, w := range cta.Warps {
 				for !w.Done && !w.AtBarrier {
-					info, err := m.StepWarp(cta, w)
-					if err != nil {
+					if err := m.StepWarp(cta, w, &info); err != nil {
 						return cudart.KernelStats{}, err
 					}
 					progressed = true
 					warpInstrs++
 					if info.IsMem && info.Space != 0 {
 						// count unique 128B segments like the coalescer
-						var segs []uint64
+						segs = segs[:0]
 						for l := 0; l < exec.WarpSize; l++ {
 							if info.ActiveMask&(1<<l) == 0 {
 								continue

@@ -206,8 +206,15 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
+// OpLimit and TypeLimit bound the Op and Type enumerations from above, for
+// dense tables indexed by them (the interpreter's coverage counters).
+const (
+	OpLimit   = int(opMax)
+	TypeLimit = int(Pred) + 1
+)
+
 // NumOps returns the number of defined opcodes, for coverage accounting.
-func NumOps() int { return int(opMax) }
+func NumOps() int { return OpLimit }
 
 // CmpOp is a comparison operator used by setp and slct.
 type CmpOp uint8

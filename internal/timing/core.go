@@ -47,6 +47,7 @@ type smCore struct {
 
 	stats *Stats         // per-core shard, merged at drain boundaries
 	cov   *exec.Coverage // per-core functional coverage shard
+	info  exec.StepInfo  // the step in flight, filled in place by the interpreter
 
 	// runInstrs shards warp-instruction counts by resident-grid id so
 	// per-kernel stats stay attributable while several grids share the
@@ -216,7 +217,7 @@ func (c *smCore) stepScheduler(m *exec.Machine, sched int, now uint64) {
 		in := m.PeekWarp(w.cta, w.warp)
 		if in == nil {
 			// will retire on next step; issue it to make progress
-			if _, err := m.StepWarpCov(w.cta, w.warp, c.cov); err != nil {
+			if err := m.StepWarpCov(w.cta, w.warp, c.cov, &c.info); err != nil {
 				c.err = err
 				c.errRunID = w.runID
 				return
@@ -274,8 +275,8 @@ func (c *smCore) stepScheduler(m *exec.Machine, sched int, now uint64) {
 // inside the coordinator's sequential drain for atomics.
 func (c *smCore) issue(m *exec.Machine, w *warpCtx, now uint64) error {
 	e := c.eng
-	info, err := m.StepWarpCov(w.cta, w.warp, c.cov)
-	if err != nil {
+	info := &c.info
+	if err := m.StepWarpCov(w.cta, w.warp, c.cov, info); err != nil {
 		return err
 	}
 	lanes := popcount(info.ActiveMask)
@@ -298,7 +299,7 @@ func (c *smCore) issue(m *exec.Machine, w *warpCtx, now uint64) error {
 
 	switch info.Space {
 	case ptx.SpaceShared:
-		conflict := sharedConflictDegree(&info)
+		conflict := sharedConflictDegree(info)
 		lat := uint64(e.cfg.SharedLat + (conflict-1)*2)
 		if info.IsStore {
 			w.minIssueAt = now + uint64(conflict) // port serialization
@@ -307,7 +308,7 @@ func (c *smCore) issue(m *exec.Machine, w *warpCtx, now uint64) error {
 		}
 		c.stats.SharedAccesses++
 	case ptx.SpaceLocal, ptx.SpaceGlobal, ptx.SpaceConst, ptx.SpaceNone:
-		c.memIssue(&info, w, now)
+		c.memIssue(info, w, now)
 	case ptx.SpaceTex:
 		// texture fetch: modelled as an L1/texture-cache hit latency
 		w.markDst(in, now+uint64(e.cfg.L1HitLat))

@@ -412,6 +412,14 @@ func (e *Engine) drain(workers int) error {
 	nParts := len(e.parts)
 	deadline := e.cycle + 2_000_000_000 // runaway guard
 
+	// The bodies of the per-cycle stages are built once, here: a closure
+	// handed to pool.run escapes, so building them inside the loop would
+	// heap-allocate one of each per simulated cycle. They read the cycle
+	// from the engine, which only moves between stages.
+	issueStage := func(i int) { e.cores[i].stageIssue(m, e.cycle) }
+	partitionStage := func(i int) { e.parts[i].drain(&e.cfg) }
+	applyStage := func(i int) { e.cores[i].applyMem(e.cycle) }
+
 	for {
 		// Complete in-flight timed operations — copies run their
 		// functional memory effect now that the modelled transfer has
@@ -507,7 +515,7 @@ func (e *Engine) drain(workers int) error {
 		now := e.cycle
 
 		// Phase 1: parallel issue stage.
-		p.run(nCores, func(i int) { e.cores[i].stageIssue(m, now) })
+		p.run(nCores, issueStage)
 
 		anyIssued := false
 		anyMem := false
@@ -561,9 +569,9 @@ func (e *Engine) drain(workers int) error {
 				}
 			}
 			// Phase 3: parallel partition drain (canonical order inside).
-			p.run(nParts, func(i int) { e.parts[i].drain(&e.cfg) })
+			p.run(nParts, partitionStage)
 			// Phase 4: parallel scoreboard/L1 apply.
-			p.run(nCores, func(i int) { e.cores[i].applyMem(now) })
+			p.run(nCores, applyStage)
 		}
 
 		// Retire finished grids in submission order; each retirement

@@ -153,7 +153,7 @@ func grow(s []uint64, idx uint64) []uint64 {
 	return s
 }
 
-func (s *Stats) noteIssue(core int, cycle uint64, info exec.StepInfo, lanes int) {
+func (s *Stats) noteIssue(core int, cycle uint64, info *exec.StepInfo, lanes int) {
 	s.Instructions++
 	s.ThreadInstrs += uint64(lanes)
 	if info.Instr != nil {
