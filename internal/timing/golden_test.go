@@ -33,6 +33,18 @@ type goldenEntry struct {
 	L2Accesses   uint64  `json:"l2_accesses"`
 	DRAMAccesses uint64  `json:"dram_accesses"`
 	L2MissRate   float64 `json:"l2_miss_rate"` // DRAM/L2, rounded to 1e-4
+	// Stall attribution, pinned to absolute values: the whole-run W0
+	// bucket sums per kind (every non-issuing scheduler slot of every
+	// stepped or fast-forwarded cycle lands in exactly one), plus the two
+	// counters the fast-forward maintains. The -j1/-jN and
+	// legacy-vs-production differentials only compare two runs of the
+	// same issue stage; these catch a scheduler change that moves both.
+	W0Idle              uint64 `json:"w0_idle"`
+	W0DataHazard        uint64 `json:"w0_data_hazard"`
+	W0Barrier           uint64 `json:"w0_barrier"`
+	W0Memory            uint64 `json:"w0_memory"`
+	IdleSlotCycles      uint64 `json:"idle_slot_cycles"`
+	FastForwardedCycles uint64 `json:"fast_forwarded_cycles"`
 	// PerKernel pins the instruction counts of every kernel family the
 	// workload launched (aggregated by name, sorted), so a silent change
 	// in any one kernel's codegen or launch count fails CI even when the
@@ -121,7 +133,12 @@ func makeGoldenEntry(cycles uint64, log []cudart.KernelStats, st *timing.Stats, 
 		L1Accesses:   st.L1Accesses,
 		L2Accesses:   st.L2Accesses,
 		DRAMAccesses: st.DRAMAccesses,
+
+		IdleSlotCycles:      st.IdleSlotCycles,
+		FastForwardedCycles: st.FastForwardedCycles,
 	}
+	w0 := timing.StallTotals(st)
+	e.W0Idle, e.W0DataHazard, e.W0Barrier, e.W0Memory = w0[0], w0[1], w0[2], w0[3]
 	if e.L2Accesses > 0 {
 		e.L2MissRate = float64(e.DRAMAccesses*10000/e.L2Accesses) / 10000
 	}
