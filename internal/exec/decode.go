@@ -106,7 +106,8 @@ type decoded struct {
 // program is a kernel lowered for one Machine (the Machine's BugSet picks
 // handlers, so programs are not shared between machines).
 type program struct {
-	code []decoded
+	code  []decoded
+	issue []IssueInfo // per PC, for pipeline models (issue.go)
 }
 
 // program returns the decoded form of k, lowering it on first use.
@@ -129,7 +130,7 @@ type decoder struct {
 
 func (m *Machine) decode(k *ptx.Kernel) *program {
 	dc := &decoder{m: m, k: k}
-	p := &program{code: make([]decoded, len(k.Instrs))}
+	p := &program{code: make([]decoded, len(k.Instrs)), issue: issueTable(k)}
 	for i := range k.Instrs {
 		d := &p.code[i]
 		if err := dc.instr(d, &k.Instrs[i]); err != nil {

@@ -152,7 +152,7 @@ type CTA struct {
 
 // InitCTA builds the architectural state for block index i (registers
 // zeroed, SIMT stacks at PC 0). This corresponds to GPGPU-Sim's CTA issue.
-// It only allocates; reset defines the state.
+// It only allocates; Reset defines the state.
 func (g *Grid) InitCTA(i int) *CTA {
 	k := g.Kernel
 	nThreads := g.BlockDim.Count()
@@ -178,14 +178,16 @@ func (g *Grid) InitCTA(i int) *CTA {
 		}
 		cta.Warps = append(cta.Warps, warp)
 	}
-	cta.reset(i)
+	cta.Reset(i)
 	return cta
 }
 
-// reset puts the CTA in the state of block index i about to issue. Every
-// block of a grid has the same shape, so RunGrid runs them all through one
-// CTA's storage instead of allocating a set of register files per block.
-func (c *CTA) reset(i int) {
+// Reset puts the CTA in the state of block index i about to issue. Every
+// block of a grid has the same shape, so whoever runs blocks one after
+// another (RunGrid, the timing dispatcher, the hardware oracle) reuses a
+// finished CTA's storage instead of allocating a set of register files
+// per block.
+func (c *CTA) Reset(i int) {
 	c.Index = i
 	clear(c.Shared)
 	for _, w := range c.Warps {

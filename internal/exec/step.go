@@ -157,13 +157,13 @@ func predMask(p *row, neg bool) uint32 {
 	return pm
 }
 
-// PeekWarp returns the instruction the warp will execute next, after
-// popping any reconverged stack entries (idempotent bookkeeping). It
-// returns nil when the warp has retired or will retire on its next step.
+// PeekPC returns the PC of the instruction the warp will execute next,
+// after popping any reconverged stack entries (idempotent bookkeeping). It
+// returns -1 when the warp has retired or will retire on its next step.
 // The timing model uses this to consult the scoreboard before issue.
-func (m *Machine) PeekWarp(c *CTA, w *Warp) *ptx.Instr {
+func (m *Machine) PeekPC(c *CTA, w *Warp) int {
 	if w.Done {
-		return nil
+		return -1
 	}
 	for len(w.Stack) > 1 {
 		top := &w.Stack[len(w.Stack)-1]
@@ -174,14 +174,10 @@ func (m *Machine) PeekWarp(c *CTA, w *Warp) *ptx.Instr {
 		break
 	}
 	top := &w.Stack[len(w.Stack)-1]
-	if top.Mask == 0 {
-		return nil
+	if top.Mask == 0 || top.PC >= len(c.Grid.prog.code) {
+		return -1
 	}
-	k := c.Grid.Kernel
-	if top.PC >= len(k.Instrs) {
-		return nil
-	}
-	return &k.Instrs[top.PC]
+	return top.PC
 }
 
 // retireLanes removes lanes from every stack entry and pops empty entries.
@@ -308,7 +304,7 @@ func (m *Machine) RunGrid(g *Grid) error {
 	cta := g.InitCTA(0)
 	for i := 0; i < g.NumCTAs(); i++ {
 		if i > 0 {
-			cta.reset(i)
+			cta.Reset(i)
 		}
 		if err := m.RunCTA(cta); err != nil {
 			return err

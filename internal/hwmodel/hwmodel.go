@@ -104,8 +104,12 @@ func (o *Oracle) RunKernel(g *exec.Grid) (cudart.KernelStats, error) {
 	var info exec.StepInfo
 	segs := make([]uint64, 0, exec.WarpSize) // scratch, reused per memory instruction
 
+	// every block has the same shape: one CTA's storage serves them all
+	cta := g.InitCTA(0)
 	for i := 0; i < g.NumCTAs(); i++ {
-		cta := g.InitCTA(i)
+		if i > 0 {
+			cta.Reset(i)
+		}
 		for {
 			progressed := false
 			for _, w := range cta.Warps {

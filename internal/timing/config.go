@@ -10,6 +10,7 @@ package timing
 import (
 	"repro/internal/cache"
 	"repro/internal/dram"
+	"repro/internal/exec"
 )
 
 // Config describes the modelled GPU.
@@ -118,4 +119,15 @@ func (c *Config) sectorBytes() uint64 {
 		s = c.L2.LineBytes
 	}
 	return uint64(s)
+}
+
+// latency maps a non-memory instruction's functional-unit class to cycles.
+func (c *Config) latency(class exec.LatencyClass) int {
+	switch class {
+	case exec.LatSFU:
+		return c.SFULat
+	case exec.LatIntDiv:
+		return c.IntDivLat
+	}
+	return c.ALULat
 }

@@ -1,25 +1,25 @@
 package timing
 
 import (
+	"math/bits"
+
 	"repro/internal/cache"
 	"repro/internal/exec"
 	"repro/internal/ptx"
 )
 
-// schedState is one warp scheduler's persistent state: its candidate list
-// and round-robin pointer. The candidate list is maintained incrementally
-// as CTAs arrive and retire instead of being re-gathered (and reallocated)
-// every cycle.
-type schedState struct {
-	cands []*warpCtx
-	rr    int
-}
-
 type ctaSlot struct {
 	cta   *exec.CTA
 	run   *gridRun // resident grid this CTA belongs to
-	warps []*warpCtx
-	done  bool
+	warps []warpCtx
+	// check asks the end of this cycle's issue stage to look at the CTA's
+	// barrier and at whether it has retired: set when it is placed and
+	// when one of its warps hits bar.sync or retires, the only events
+	// either answer depends on.
+	check bool
+	// preloaded marks a checkpoint-restored CTA. Its storage is the
+	// caller's, so it is never recycled for a later block of the grid.
+	preloaded bool
 }
 
 // smCore is one streaming multiprocessor. All of its fields are owned by
@@ -54,9 +54,17 @@ type smCore struct {
 	// core; sized by the engine at the start of every drain.
 	runInstrs []uint64
 
+	// checkSlots: some resident slot has check set.
+	checkSlots bool
+
+	// readinessEvals counts scoreboard evaluations (evaluate calls): the
+	// issue stage's deterministic unit of work, which tests hold to a
+	// small constant per issued instruction.
+	readinessEvals uint64
+
 	// per-cycle outputs, read by the coordinator between phase barriers
 	issuedAny    bool
-	nextAt       uint64
+	nextAt       uint64 // earliest pending wakeup of the core, ^0 when none
 	retiredSlots []*ctaSlot
 	err          error
 	errRunID     int
@@ -79,41 +87,40 @@ func newCore(id int, e *Engine, l1 *cache.Cache) *smCore {
 
 // addCTA installs a dispatched CTA, distributing its warps across the
 // schedulers (warp i goes to scheduler i mod S, like GPGPU-Sim's "lrr"
-// distribution).
+// distribution). Every warp arrives re-armed: its scheduler evaluates it
+// at the next pick.
 func (c *smCore) addCTA(slot *ctaSlot) {
 	c.slots = append(c.slots, slot)
 	c.warpsUsed += len(slot.warps)
-	if slot.run != nil {
-		c.smemUsed += slot.run.smemPerCTA
-	}
-	for wi, w := range slot.warps {
-		sc := &c.scheds[wi%len(c.scheds)]
-		sc.cands = append(sc.cands, w)
+	c.smemUsed += slot.run.smemPerCTA
+	slot.check, c.checkSlots = true, true
+	for wi := range slot.warps {
+		c.schedOf(wi).add(&slot.warps[wi])
 	}
 }
 
-// removeCTA compacts the retired CTA's warps out of every scheduler's
-// candidate list in place, preserving relative order (no reallocation).
+// schedOf returns the scheduler that owns warp wi of any CTA on this core.
+func (c *smCore) schedOf(wi int) *schedState { return &c.scheds[wi%len(c.scheds)] }
+
+// removeCTA takes a retired CTA's warps out of every scheduler.
 func (c *smCore) removeCTA(slot *ctaSlot) {
 	for si := range c.scheds {
-		sc := &c.scheds[si]
-		keep := sc.cands[:0]
-		for _, w := range sc.cands {
-			if w.cta != slot.cta {
-				keep = append(keep, w)
-			}
-		}
-		// clear the tail so retired warp contexts can be collected
-		for i := len(keep); i < len(sc.cands); i++ {
-			sc.cands[i] = nil
-		}
-		sc.cands = keep
-		if len(keep) > 0 {
-			sc.rr %= len(keep)
-		} else {
-			sc.rr = 0
-		}
+		c.scheds[si].remove(slot)
 	}
+}
+
+// reset empties the core of resident work after an aborted batch: no CTA,
+// no candidate, and no ready, re-armed or parked warp survives into the
+// next batch.
+func (c *smCore) reset() {
+	clear(c.slots)
+	c.slots = c.slots[:0]
+	c.warpsUsed, c.smemUsed = 0, 0
+	c.checkSlots = false
+	for i := range c.scheds {
+		c.scheds[i].reset()
+	}
+	c.err = nil
 }
 
 // releaseBatchRefs drops the batch-lifetime references a core's reusable
@@ -137,7 +144,7 @@ func (c *smCore) releaseBatchRefs() {
 	mq := c.memQ[:cap(c.memQ)]
 	for i := range mq {
 		mq[i].w = nil
-		mq[i].in = nil
+		mq[i].dst = nil
 	}
 	c.memQ = c.memQ[:0]
 	aq := c.atomQ[:cap(c.atomQ)]
@@ -152,6 +159,12 @@ func (c *smCore) releaseBatchRefs() {
 // core-owned state (plus the functional machine, which is safe for
 // concurrent per-core stepping). Memory-system traffic and atomics are
 // queued for the ordered phases that follow.
+//
+// The stage is event-driven (scoreboard.go): a stepped cycle costs the
+// issues it makes and the wakeups that fall due, not a visit to every
+// resident warp. All scheduler state is core-owned and changes only here,
+// in addCTA/removeCTA and in reset; issue and applyMem write the
+// scoreboards that the next cycle's evaluations read.
 func (c *smCore) stageIssue(m *exec.Machine, now uint64) {
 	c.issuedAny = false
 	c.nextAt = ^uint64(0)
@@ -162,111 +175,139 @@ func (c *smCore) stageIssue(m *exec.Machine, now uint64) {
 	c.atomQ = c.atomQ[:0]
 
 	for sched := range c.scheds {
-		c.stepScheduler(m, sched, now)
+		c.stepScheduler(m, &c.scheds[sched], now)
 		if c.err != nil {
 			return
 		}
 	}
 
-	// retire finished CTAs, release barriers
-	for si := 0; si < len(c.slots); si++ {
-		s := c.slots[si]
-		s.cta.ReleaseBarrier()
-		if !s.done && s.cta.Done() {
-			s.done = true
-			c.retiredSlots = append(c.retiredSlots, s)
-			c.warpsUsed -= len(s.warps)
-			if s.run != nil {
-				c.smemUsed -= s.run.smemPerCTA
+	// Release barriers and retire finished CTAs, in slot order: two CTAs
+	// retiring in one cycle compact the candidate lists (and fold rr) in
+	// that order.
+	if c.checkSlots {
+		c.checkSlots = false
+		for si := 0; si < len(c.slots); si++ {
+			s := c.slots[si]
+			if !s.check {
+				continue
 			}
-			c.slots = append(c.slots[:si], c.slots[si+1:]...)
-			si--
-			c.removeCTA(s)
+			s.check = false
+			if s.cta.ReleaseBarrier() {
+				for wi := range s.warps {
+					if w := &s.warps[wi]; w.state == warpAtBarrier {
+						c.schedOf(wi).rearm(w)
+					}
+				}
+			}
+			if s.cta.Done() {
+				c.retiredSlots = append(c.retiredSlots, s)
+				c.warpsUsed -= len(s.warps)
+				c.smemUsed -= s.run.smemPerCTA
+				c.slots = append(c.slots[:si], c.slots[si+1:]...)
+				si--
+				c.removeCTA(s)
+			}
+		}
+	}
+
+	// The core's next event, for the engine's fast-forward. Everything due
+	// at or before now was popped above, and a core that re-armed a warp
+	// this cycle also issued, so the engine will not read this.
+	for i := range c.scheds {
+		if q := c.scheds[i].wakeQ; len(q) > 0 && q[0].wake < c.nextAt {
+			c.nextAt = q[0].wake
 		}
 	}
 }
 
-func (c *smCore) stepScheduler(m *exec.Machine, sched int, now uint64) {
-	st := &c.scheds[sched]
-	cands := st.cands
-	if len(cands) == 0 {
-		c.stats.noteStall(c.id, now, stallIdle)
+// stepScheduler is one scheduler's cycle: evaluate the warps whose wakeup
+// fell due and the ones re-armed since the last pick, then issue the
+// first ready warp at or after rr (loose round-robin), or charge the slot
+// to a stall kind.
+func (c *smCore) stepScheduler(m *exec.Machine, sc *schedState, now uint64) {
+	for len(sc.wakeQ) > 0 && sc.wakeQ[0].wake <= now {
+		c.evaluate(m, sc, sc.popWake(), now)
+	}
+	for i, w := range sc.rearmed {
+		sc.rearmed[i] = nil
+		c.evaluate(m, sc, w, now)
+	}
+	sc.rearmed = sc.rearmed[:0]
+
+	pos := sc.firstReady()
+	if pos < 0 {
+		c.stats.noteStall(c.id, now, sc.stallKind())
 		return
 	}
-	issued := false
-	live := 0
-	sawData, sawBarrier, sawMem := false, false, false
-	start := st.rr
-	for k := 0; k < len(cands); k++ {
-		w := cands[(start+k)%len(cands)]
-		if w.warp.Done {
-			continue
-		}
-		live++
-		if w.warp.AtBarrier {
-			sawBarrier = true
-			continue
-		}
-		if w.minIssueAt > now {
-			sawMem = true
-			if w.minIssueAt < c.nextAt {
-				c.nextAt = w.minIssueAt
+	w := sc.cands[pos]
+	sc.rr = (pos + 1) % len(sc.cands)
+	c.issuedAny = true
+
+	var err error
+	switch {
+	case w.pc < 0:
+		// The step that retires the warp: taken to make progress, not
+		// counted as an instruction.
+		err = m.StepWarpCov(w.slot.cta, w.warp, c.cov, &c.info)
+	case w.issue[w.pc].Atomic:
+		// Atomics read-modify-write memory that other cores may touch
+		// in the same cycle. Defer both the functional execution and
+		// the timing to the coordinator's sequential drain so the
+		// interleaving is identical for every worker count.
+		c.atomQ = append(c.atomQ, w)
+		sc.rearm(w)
+		return
+	default:
+		err = c.issue(m, w, now)
+	}
+	if err != nil {
+		c.err = err
+		c.errRunID = w.runID
+		return
+	}
+	if c.info.Barrier || w.warp.Done {
+		w.slot.check, c.checkSlots = true, true
+	}
+	if w.warp.Done {
+		// Dead now rather than at the next evaluation: its CTA may retire
+		// and be recycled before then.
+		sc.move(w, warpDead)
+	} else {
+		sc.rearm(w)
+	}
+}
+
+// evaluate decides where warp w stands at cycle now: dead, at a barrier,
+// parked until an absolute cycle, or ready. It runs once after the warp
+// issues and once more each time something re-arms it; in between nothing
+// can change the answer, because only the warp's own issue and applyMem
+// write its scoreboard and both land before the next cycle's pick.
+func (c *smCore) evaluate(m *exec.Machine, sc *schedState, w *warpCtx, now uint64) {
+	c.readinessEvals++
+	switch {
+	case w.warp.Done:
+		sc.move(w, warpDead)
+	case w.warp.AtBarrier:
+		sc.move(w, warpAtBarrier)
+	case w.minIssueAt > now:
+		// Parked as a memory stall until minIssueAt; if a source is still
+		// busy then, that evaluation re-parks it as a data hazard.
+		sc.park(w, warpOnIssue, w.minIssueAt)
+	default:
+		w.pc = m.PeekPC(w.slot.cta, w.warp)
+		if w.pc >= 0 {
+			var latest uint64
+			for _, slot := range w.issue[w.pc].Src {
+				if r := w.regReady[slot]; r > latest {
+					latest = r
+				}
 			}
-			continue
-		}
-		in := m.PeekWarp(w.cta, w.warp)
-		if in == nil {
-			// will retire on next step; issue it to make progress
-			if err := m.StepWarpCov(w.cta, w.warp, c.cov, &c.info); err != nil {
-				c.err = err
-				c.errRunID = w.runID
+			if latest > now {
+				sc.park(w, warpOnData, latest)
 				return
 			}
-			issued = true
-			st.rr = (start + k + 1) % len(cands)
-			break
 		}
-		if rdy, at := w.srcReady(in, now); !rdy {
-			sawData = true
-			if at < c.nextAt {
-				c.nextAt = at
-			}
-			continue
-		}
-		if in.Op == ptx.OpAtom {
-			// Atomics read-modify-write memory that other cores may touch
-			// in the same cycle. Defer both the functional execution and
-			// the timing to the coordinator's sequential drain so the
-			// interleaving is identical for every worker count.
-			c.atomQ = append(c.atomQ, w)
-			issued = true
-			st.rr = (start + k + 1) % len(cands)
-			break
-		}
-		if err := c.issue(m, w, now); err != nil {
-			c.err = err
-			c.errRunID = w.runID
-			return
-		}
-		issued = true
-		st.rr = (start + k + 1) % len(cands)
-		break
-	}
-	if issued {
-		c.issuedAny = true
-		return
-	}
-	switch {
-	case live == 0:
-		c.stats.noteStall(c.id, now, stallIdle)
-	case sawBarrier:
-		c.stats.noteStall(c.id, now, stallBarrier)
-	case sawData:
-		c.stats.noteStall(c.id, now, stallData)
-	case sawMem:
-		c.stats.noteStall(c.id, now, stallMem)
-	default:
-		c.stats.noteStall(c.id, now, stallIdle)
+		sc.move(w, warpReady)
 	}
 }
 
@@ -276,24 +317,24 @@ func (c *smCore) stepScheduler(m *exec.Machine, sched int, now uint64) {
 func (c *smCore) issue(m *exec.Machine, w *warpCtx, now uint64) error {
 	e := c.eng
 	info := &c.info
-	if err := m.StepWarpCov(w.cta, w.warp, c.cov, info); err != nil {
+	if err := m.StepWarpCov(w.slot.cta, w.warp, c.cov, info); err != nil {
 		return err
 	}
-	lanes := popcount(info.ActiveMask)
-	c.stats.noteIssue(c.id, now, info, lanes)
+	var ii *exec.IssueInfo
+	if info.Instr != nil {
+		ii = &w.issue[info.PC]
+	}
+	c.stats.noteIssue(c.id, now, ii, bits.OnesCount32(info.ActiveMask))
 	if w.runID >= 0 && w.runID < len(c.runInstrs) {
 		c.runInstrs[w.runID]++
 	}
 
-	if info.Instr == nil || info.Barrier || info.WarpDone {
+	if ii == nil || info.Barrier || info.WarpDone {
 		return nil
 	}
-	in := info.Instr
 
 	if !info.IsMem {
-		lat, sfu := latencyClass(&e.cfg, in)
-		_ = sfu
-		w.markDst(in, now+uint64(lat))
+		w.markDst(ii.Dst, now+uint64(e.cfg.latency(ii.Lat)))
 		return nil
 	}
 
@@ -304,17 +345,17 @@ func (c *smCore) issue(m *exec.Machine, w *warpCtx, now uint64) error {
 		if info.IsStore {
 			w.minIssueAt = now + uint64(conflict) // port serialization
 		} else {
-			w.markDst(in, now+lat)
+			w.markDst(ii.Dst, now+lat)
 		}
 		c.stats.SharedAccesses++
 	case ptx.SpaceLocal, ptx.SpaceGlobal, ptx.SpaceConst, ptx.SpaceNone:
 		c.memIssue(info, w, now)
 	case ptx.SpaceTex:
 		// texture fetch: modelled as an L1/texture-cache hit latency
-		w.markDst(in, now+uint64(e.cfg.L1HitLat))
+		w.markDst(ii.Dst, now+uint64(e.cfg.L1HitLat))
 		c.stats.TextureAccesses++
 	case ptx.SpaceParam:
-		w.markDst(in, now+uint64(e.cfg.ALULat))
+		w.markDst(ii.Dst, now+uint64(e.cfg.ALULat))
 	}
 	return nil
 }

@@ -23,6 +23,12 @@ type gridRun struct {
 	total   int
 	pending []*exec.CTA // checkpoint-preloaded CTAs to place first
 	done    int         // CTAs retired so far
+
+	// free holds the slots of retired CTAs — register files, warp contexts
+	// and scoreboards — for the grid's next blocks: every block of a grid
+	// has the same shape. It never outgrows the run's resident capacity
+	// and dies with the run.
+	free []*ctaSlot
 }
 
 // newGridRun computes the per-grid occupancy limit for a launch: the
@@ -61,6 +67,58 @@ func newGridRun(cfg *Config, op *Ticket) (*gridRun, error) {
 		done:        op.skipCTAs,
 	}
 	return r, nil
+}
+
+// place returns a slot holding the run's next CTA: a preloaded one first,
+// then fresh blocks in index order through a recycled slot when one is
+// free. Coordinator-only, like everything that touches the free list.
+func (r *gridRun) place() *ctaSlot {
+	if len(r.pending) > 0 {
+		slot := r.newSlot(r.pending[0])
+		slot.preloaded = true
+		r.pending = r.pending[1:]
+		return slot
+	}
+	i := r.nextCTA
+	r.nextCTA++
+	n := len(r.free)
+	if n == 0 {
+		return r.newSlot(r.grid.InitCTA(i))
+	}
+	slot := r.free[n-1]
+	r.free[n-1] = nil
+	r.free = r.free[:n-1]
+	slot.cta.Reset(i)
+	for wi := range slot.warps {
+		w := &slot.warps[wi]
+		clear(w.regReady)
+		w.minIssueAt = 0
+	}
+	return slot
+}
+
+// newSlot builds the timing-side state of a CTA: one warp context and one
+// all-readable scoreboard per warp.
+func (r *gridRun) newSlot(cta *exec.CTA) *ctaSlot {
+	slot := &ctaSlot{cta: cta, run: r, warps: make([]warpCtx, len(cta.Warps))}
+	slots := r.grid.Kernel.NumSlots
+	regReady := make([]uint64, len(cta.Warps)*slots)
+	for wi, w := range cta.Warps {
+		slot.warps[wi] = warpCtx{
+			slot: slot, warp: w, issue: r.grid.IssueTable(), runID: r.id,
+			regReady: regReady[wi*slots : (wi+1)*slots : (wi+1)*slots],
+		}
+	}
+	return slot
+}
+
+// retireCTA accounts for a CTA that left its core and keeps its slot for
+// the run's next block. Runs on the coordinator, in canonical core order.
+func (r *gridRun) retireCTA(slot *ctaSlot) {
+	r.done++
+	if !slot.preloaded {
+		r.free = append(r.free, slot)
+	}
 }
 
 // exhausted reports whether the run has no more CTAs to dispatch.
@@ -121,22 +179,7 @@ func (d *dispatcher) fill(cfg *Config, cores []*smCore) {
 				if !c.canHold(cfg, r) {
 					continue
 				}
-				var cta *exec.CTA
-				if len(r.pending) > 0 {
-					cta = r.pending[0]
-					r.pending = r.pending[1:]
-				} else {
-					cta = r.grid.InitCTA(r.nextCTA)
-					r.nextCTA++
-				}
-				slot := &ctaSlot{cta: cta, run: r}
-				for _, w := range cta.Warps {
-					slot.warps = append(slot.warps, &warpCtx{
-						cta: cta, warp: w, runID: r.id,
-						regReady: make([]uint64, r.grid.Kernel.NumSlots),
-					})
-				}
-				c.addCTA(slot)
+				c.addCTA(r.place())
 				placed = true
 			}
 		}

@@ -545,7 +545,7 @@ func (e *Engine) drain(workers int) error {
 				disp.dirty = true
 			}
 			for _, s := range c.retiredSlots {
-				s.run.done++
+				s.run.retireCTA(s)
 			}
 		}
 
@@ -844,23 +844,9 @@ func (e *Engine) abortBatch(m *exec.Machine, cause error, runID int) error {
 		t.done = true
 	}
 	for _, c := range e.cores {
-		for i := range c.slots {
-			c.slots[i] = nil
-		}
-		c.slots = c.slots[:0]
-		c.warpsUsed = 0
-		c.smemUsed = 0
-		for i := range c.scheds {
-			sc := &c.scheds[i]
-			for j := range sc.cands {
-				sc.cands[j] = nil
-			}
-			sc.cands = sc.cands[:0]
-			sc.rr = 0
-		}
-		c.err = nil
 		// retiredSlots/memQ/atomQ backing refs are cleared by the
 		// releaseQueue call below (releaseBatchRefs per core).
+		c.reset()
 	}
 	// drop the killed in-flight copies' engine occupancy so it cannot
 	// leak into the next batch's transfer start times

@@ -184,7 +184,7 @@ func (e *Engine) drainLegacyForTest(workers int) error {
 			}
 			// CTA retirement, attributed per grid in canonical core order.
 			for _, s := range c.retiredSlots {
-				s.run.done++
+				s.run.retireCTA(s)
 			}
 		}
 

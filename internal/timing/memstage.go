@@ -3,7 +3,6 @@ package timing
 import (
 	"repro/internal/cache"
 	"repro/internal/exec"
-	"repro/internal/ptx"
 )
 
 // The memory stage models everything below a core's issue logic: the
@@ -42,7 +41,7 @@ type segRequest struct {
 // stage for the current cycle.
 type memRequest struct {
 	w        *warpCtx
-	in       *ptx.Instr
+	dst      []int32 // the instruction's destination slots
 	isStore  bool
 	isAtomic bool
 	done     uint64 // running max completion over already-resolved segments
@@ -114,7 +113,7 @@ func (c *smCore) memIssue(info *exec.StepInfo, w *warpCtx, now uint64) {
 
 	req := c.newReq()
 	req.w = w
-	req.in = info.Instr
+	req.dst = w.issue[info.PC].Dst
 	req.isStore = info.IsStore
 	req.isAtomic = info.IsAtomic
 	req.done = now
@@ -207,13 +206,11 @@ func (c *smCore) applyMem(now uint64) {
 		switch {
 		case req.isAtomic:
 			w.minIssueAt = done
-			if len(req.in.Dst) > 0 {
-				w.markDst(req.in, done)
-			}
+			w.markDst(req.dst, done)
 		case req.isStore:
 			// stores don't block the warp
 		default:
-			w.markDst(req.in, done)
+			w.markDst(req.dst, done)
 		}
 	}
 }

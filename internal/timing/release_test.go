@@ -46,7 +46,7 @@ func assertCoresReleased(t *testing.T, e *Engine) {
 			}
 		}
 		for i, r := range c.memQ[:cap(c.memQ)] {
-			if r.w != nil || r.in != nil {
+			if r.w != nil || r.dst != nil {
 				t.Errorf("core %d: memQ backing array still pins warp context at %d", c.id, i)
 			}
 		}

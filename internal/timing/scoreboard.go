@@ -1,8 +1,23 @@
 package timing
 
 import (
+	"math/bits"
+
 	"repro/internal/exec"
-	"repro/internal/ptx"
+)
+
+// warpState is where a resident warp stands with its scheduler. A warp is
+// in exactly one state, and the scheduler keeps a count of each.
+type warpState uint8
+
+const (
+	warpDead      warpState = iota // retired; its CTA has not left the core yet
+	warpRearmed                    // issued, released or placed since it was last evaluated
+	warpReady                      // in the ready set: may issue at any pick
+	warpAtBarrier                  // waiting for its CTA's barrier to release
+	warpOnData                     // parked until its latest busy source register is readable
+	warpOnIssue                    // parked until minIssueAt (structural: atomics, port serialization)
+	numWarpStates
 )
 
 // warpCtx is the per-warp pipeline state: the warp's functional state plus
@@ -11,86 +26,199 @@ import (
 // exactly one SM core (and within it, one scheduler), so it is never
 // touched by two workers concurrently.
 type warpCtx struct {
-	cta        *exec.CTA
+	slot       *ctaSlot
 	warp       *exec.Warp
-	runID      int      // dense per-drain id of the owning grid (stat attribution)
-	regReady   []uint64 // scoreboard: per register slot, cycle it becomes readable
-	minIssueAt uint64   // structural stall (atomics, retry delays)
-}
+	issue      []exec.IssueInfo // the kernel's per-PC table
+	runID      int              // dense per-drain id of the owning grid (stat attribution)
+	regReady   []uint64         // scoreboard: per register slot, cycle it becomes readable
+	minIssueAt uint64           // structural stall (atomics, retry delays)
 
-// srcReady consults the scoreboard for every source register of in. It
-// returns whether all sources are readable at cycle now, and if not the
-// cycle at which the latest one becomes ready.
-func (w *warpCtx) srcReady(in *ptx.Instr, now uint64) (bool, uint64) {
-	var latest uint64
-	check := func(slot int) {
-		if r := w.regReady[slot]; r > latest {
-			latest = r
-		}
-	}
-	if in.PredReg >= 0 {
-		check(in.PredReg)
-	}
-	for i := range in.Src {
-		o := &in.Src[i]
-		switch o.Kind {
-		case ptx.OperandReg:
-			check(o.Reg)
-		case ptx.OperandMem:
-			if o.Base >= 0 {
-				check(o.Base)
-			}
-		case ptx.OperandVec:
-			for j := range o.Elems {
-				if o.Elems[j].Kind == ptx.OperandReg {
-					check(o.Elems[j].Reg)
-				}
-			}
-		}
-	}
-	// store address operand lives in Src[0]; dst regs for loads checked
-	// for WAR-free pipelines are skipped (in-order issue makes WAW safe
-	// because writes complete in latency order per class).
-	return latest <= now, latest
+	// Scheduler bookkeeping, owned by the warp's schedState.
+	state warpState
+	pos   int    // index in the scheduler's candidate list
+	pc    int    // warpReady: the instruction it issues next, -1 for the step that retires it
+	wake  uint64 // warpOnData/warpOnIssue: absolute cycle of its re-evaluation
 }
 
 // markDst sets destination registers busy until `ready`.
-func (w *warpCtx) markDst(in *ptx.Instr, ready uint64) {
-	for i := range in.Dst {
-		o := &in.Dst[i]
-		switch o.Kind {
-		case ptx.OperandReg:
-			w.regReady[o.Reg] = ready
-		case ptx.OperandVec:
-			for j := range o.Elems {
-				if o.Elems[j].Kind == ptx.OperandReg {
-					w.regReady[o.Elems[j].Reg] = ready
-				}
+func (w *warpCtx) markDst(dst []int32, ready uint64) {
+	for _, slot := range dst {
+		w.regReady[slot] = ready
+	}
+}
+
+// schedState is one warp scheduler: its candidate list (maintained
+// incrementally as CTAs arrive and retire), the round-robin pointer into
+// it, and the event-driven view of those candidates — which are ready,
+// which wait to be evaluated, and when each parked one wakes.
+//
+// Invariant for anything that delays a warp: the delay must re-arm the
+// warp it delays — as an absolute wake cycle in its scoreboard or
+// minIssueAt (evaluate parks on those), or by calling rearm when the
+// event happens (barrier release, CTA placement). A warp nobody re-arms
+// never issues again.
+type schedState struct {
+	// cands order and the rr arithmetic are modelled policy (loose
+	// round-robin): a pick is the first ready candidate at or after rr,
+	// and rr then points past it. removeCTA compacts cands in place and
+	// folds rr with a modulo, without following the warp it pointed at.
+	cands []*warpCtx
+	rr    int
+
+	ready   []uint64   // bit i set: cands[i] is warpReady
+	rearmed []*warpCtx // the warpRearmed candidates, evaluated at the next pick
+	wakeQ   []*warpCtx // the parked candidates, a min-heap on wake
+
+	n [numWarpStates]int // candidates per state
+}
+
+// add appends a newly placed warp to the candidates, re-armed.
+func (sc *schedState) add(w *warpCtx) {
+	w.pos = len(sc.cands)
+	sc.cands = append(sc.cands, w)
+	if len(sc.ready)*64 < len(sc.cands) {
+		sc.ready = append(sc.ready, 0)
+	}
+	w.state = warpRearmed
+	sc.n[warpRearmed]++
+	sc.rearmed = append(sc.rearmed, w)
+}
+
+// remove compacts a retired CTA's warps — all dead by then — out of the
+// candidate list in place, preserving relative order (no reallocation).
+func (sc *schedState) remove(slot *ctaSlot) {
+	clear(sc.ready)
+	keep := sc.cands[:0]
+	for _, w := range sc.cands {
+		if w.slot == slot {
+			sc.n[w.state]--
+			continue
+		}
+		w.pos = len(keep)
+		if w.state == warpReady {
+			sc.ready[w.pos>>6] |= 1 << (w.pos & 63)
+		}
+		keep = append(keep, w)
+	}
+	// clear the tail so retired warp contexts can be collected
+	clear(sc.cands[len(keep):])
+	sc.cands = keep
+	if len(keep) > 0 {
+		sc.rr %= len(keep)
+	} else {
+		sc.rr = 0
+	}
+}
+
+func (sc *schedState) reset() {
+	clear(sc.cands)
+	clear(sc.rearmed)
+	clear(sc.wakeQ)
+	clear(sc.ready)
+	*sc = schedState{cands: sc.cands[:0], ready: sc.ready, rearmed: sc.rearmed[:0], wakeQ: sc.wakeQ[:0]}
+}
+
+// move changes a candidate's state, keeping the ready set and the counts.
+func (sc *schedState) move(w *warpCtx, to warpState) {
+	if w.state == warpReady {
+		sc.ready[w.pos>>6] &^= 1 << (w.pos & 63)
+	}
+	sc.n[w.state]--
+	sc.n[to]++
+	w.state = to
+	if to == warpReady {
+		sc.ready[w.pos>>6] |= 1 << (w.pos & 63)
+	}
+}
+
+// rearm queues a candidate for evaluation at the next pick.
+func (sc *schedState) rearm(w *warpCtx) {
+	sc.move(w, warpRearmed)
+	sc.rearmed = append(sc.rearmed, w)
+}
+
+// park puts a candidate to sleep until the absolute cycle wake.
+func (sc *schedState) park(w *warpCtx, as warpState, wake uint64) {
+	sc.move(w, as)
+	w.wake = wake
+	q := append(sc.wakeQ, w)
+	i := len(q) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if q[up].wake <= wake {
+			break
+		}
+		q[i] = q[up]
+		i = up
+	}
+	q[i] = w
+	sc.wakeQ = q
+}
+
+// popWake removes and returns the parked candidate that wakes first.
+func (sc *schedState) popWake() *warpCtx {
+	q := sc.wakeQ
+	top := q[0]
+	last := q[len(q)-1]
+	q[len(q)-1] = nil
+	q = q[:len(q)-1]
+	if n := len(q); n > 0 {
+		i := 0
+		for {
+			kid := 2*i + 1
+			if kid >= n {
+				break
 			}
+			if kid+1 < n && q[kid+1].wake < q[kid].wake {
+				kid++
+			}
+			if last.wake <= q[kid].wake {
+				break
+			}
+			q[i] = q[kid]
+			i = kid
 		}
+		q[i] = last
 	}
+	sc.wakeQ = q
+	return top
 }
 
-func latencyClass(cfg *Config, in *ptx.Instr) (lat int, sfu bool) {
-	switch in.Op {
-	case ptx.OpSqrt, ptx.OpRsqrt, ptx.OpRcp, ptx.OpLg2, ptx.OpEx2, ptx.OpSin, ptx.OpCos:
-		return cfg.SFULat, true
-	case ptx.OpDiv, ptx.OpRem:
-		if in.T.Float() {
-			return cfg.SFULat, true
-		}
-		return cfg.IntDivLat, true
-	case ptx.OpFma, ptx.OpMad:
-		return cfg.ALULat, false
-	default:
-		return cfg.ALULat, false
+// firstReady returns the position of the first ready candidate at or
+// after rr, wrapping around, or -1 when none is ready.
+func (sc *schedState) firstReady() int {
+	if sc.n[warpReady] == 0 {
+		return -1
 	}
+	word, below := sc.rr>>6, uint64(1)<<(sc.rr&63)-1
+	if m := sc.ready[word] &^ below; m != 0 {
+		return word<<6 + bits.TrailingZeros64(m)
+	}
+	for i := word + 1; i < len(sc.ready); i++ {
+		if m := sc.ready[i]; m != 0 {
+			return i<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	for i := 0; i < word; i++ {
+		if m := sc.ready[i]; m != 0 {
+			return i<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	return word<<6 + bits.TrailingZeros64(sc.ready[word]&below)
 }
 
-func popcount(m uint32) int {
-	n := 0
-	for ; m != 0; m &= m - 1 {
-		n++
+// stallKind classes an issue slot that no candidate could take. The
+// precedence is the warp plots': no live warp is idle; otherwise a warp at
+// a barrier outranks one parked on a data hazard, which outranks one
+// parked on minIssueAt (memory).
+func (sc *schedState) stallKind() stallKind {
+	switch {
+	case sc.n[warpAtBarrier] > 0:
+		return stallBarrier
+	case sc.n[warpOnData] > 0:
+		return stallData
+	case sc.n[warpOnIssue] > 0:
+		return stallMem
 	}
-	return n
+	return stallIdle
 }

@@ -1,9 +1,6 @@
 package timing
 
-import (
-	"repro/internal/exec"
-	"repro/internal/ptx"
-)
+import "repro/internal/exec"
 
 type stallKind int
 
@@ -153,14 +150,15 @@ func grow(s []uint64, idx uint64) []uint64 {
 	return s
 }
 
-func (s *Stats) noteIssue(core int, cycle uint64, info *exec.StepInfo, lanes int) {
+// noteIssue counts one issued warp instruction; ii is nil for a step that
+// executed no instruction (a warp falling off the end of its kernel).
+func (s *Stats) noteIssue(core int, cycle uint64, ii *exec.IssueInfo, lanes int) {
 	s.Instructions++
 	s.ThreadInstrs += uint64(lanes)
-	if info.Instr != nil {
-		switch info.Instr.Op {
-		case ptx.OpSqrt, ptx.OpRsqrt, ptx.OpRcp, ptx.OpLg2, ptx.OpEx2, ptx.OpSin, ptx.OpCos:
+	if ii != nil {
+		if ii.SFU {
 			s.SFUOps += uint64(lanes)
-		default:
+		} else {
 			s.ALUOps += uint64(lanes)
 		}
 	}
