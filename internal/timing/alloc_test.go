@@ -74,3 +74,41 @@ func TestDrainCycleAllocatesNothing(t *testing.T) {
 			longCycles-shortCycles, longAllocs-shortAllocs, longAllocs, shortAllocs)
 	}
 }
+
+// TestLaunchAllocationsBoundedByResidency guards the dispatcher's CTA free
+// list: a grid's blocks run through the register files, warp contexts and
+// scoreboards of the blocks that retired before them, so what a launch
+// allocates is set by how many CTAs the machine holds at once, not by how
+// many the grid has.
+func TestLaunchAllocationsBoundedByResidency(t *testing.T) {
+	cfg := GTX1050()
+	cfg.SampleInterval = 0 // the time series grow by design
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := cudart.NewContext(exec.BugSet{})
+	mod, err := ctx.RegisterModule(aluLoopPTX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	launch := func(ctas int) float64 {
+		g, err := ctx.M.NewGrid(mod.Kernels["aluloop"], exec.Dim3{X: ctas}, exec.Dim3{X: 64}, cudart.NewParams().U32(4).Bytes(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := eng.RunGrid(g); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	resident := cfg.NumSMs * cfg.MaxCTAsPerSM // 2-warp CTAs: the CTA cap binds before the warp cap
+	twice := launch(2 * resident)             // every slot allocated once, then recycled once
+	many := launch(16 * resident)
+	if many > twice {
+		t.Errorf("%d CTAs cost %.0f allocations per launch against %.0f for %d, on a machine that holds %d: blocks past residency allocate",
+			16*resident, many, twice, 2*resident, resident)
+	}
+}

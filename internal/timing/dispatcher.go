@@ -26,8 +26,10 @@ type gridRun struct {
 
 	// free holds the slots of retired CTAs — register files, warp contexts
 	// and scoreboards — for the grid's next blocks: every block of a grid
-	// has the same shape. It never outgrows the run's resident capacity
-	// and dies with the run.
+	// has the same shape. It never outgrows the run's resident capacity,
+	// and it is dropped as soon as the last block is placed: a finished
+	// run stays reachable from its ticket until the batch drains, and a
+	// batch can hold hundreds of them.
 	free []*ctaSlot
 }
 
@@ -88,6 +90,9 @@ func (r *gridRun) place() *ctaSlot {
 	slot := r.free[n-1]
 	r.free[n-1] = nil
 	r.free = r.free[:n-1]
+	if r.exhausted() {
+		r.free = nil
+	}
 	slot.cta.Reset(i)
 	for wi := range slot.warps {
 		w := &slot.warps[wi]
@@ -116,7 +121,7 @@ func (r *gridRun) newSlot(cta *exec.CTA) *ctaSlot {
 // the run's next block. Runs on the coordinator, in canonical core order.
 func (r *gridRun) retireCTA(slot *ctaSlot) {
 	r.done++
-	if !slot.preloaded {
+	if !slot.preloaded && !r.exhausted() {
 		r.free = append(r.free, slot)
 	}
 }

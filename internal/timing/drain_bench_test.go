@@ -85,7 +85,7 @@ func BenchmarkDrainQueueDepth(b *testing.B) {
 func BenchmarkDrainQueueDepthLegacy(b *testing.B) {
 	for _, depth := range drainDepths {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			benchDrainDepth(b, depth, func(e *Engine) error { return e.drainLegacyForTest(1) })
+			benchDrainDepth(b, depth, func(e *Engine) error { return e.drainLegacyForTest(1, nil) })
 		})
 	}
 }

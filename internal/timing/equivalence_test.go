@@ -25,8 +25,10 @@ import (
 // deliberate deviations flagged inline (stream linking inlined, the
 // fast-forward observability counter, and forcing the dispatcher dirty
 // flag so the reference keeps its original every-cycle unconditional
-// fill), the body is the pre-active-set code unchanged.
-func (e *Engine) drainLegacyForTest(workers int) error {
+// fill), the body is the pre-active-set code unchanged. afterCycle, when
+// not nil, runs at the end of every stepped cycle, before the clock
+// moves: the scheduler invariant check (scheduler_test.go) hooks in there.
+func (e *Engine) drainLegacyForTest(workers int, afterCycle func(now uint64)) error {
 	if len(e.queue) == 0 {
 		return nil
 	}
@@ -221,6 +223,9 @@ func (e *Engine) drainLegacyForTest(workers int) error {
 		}
 		disp.retire()
 
+		if afterCycle != nil {
+			afterCycle(now)
+		}
 		e.cycle++
 		if !anyIssued {
 			// fast-forward over a fully stalled machine.
@@ -390,7 +395,7 @@ func runEqPlan(t *testing.T, ops []eqOp, streams int, serialize, legacy bool) eq
 	}
 
 	if legacy {
-		err = eng.drainLegacyForTest(1)
+		err = eng.drainLegacyForTest(1, func(now uint64) { checkSchedulers(t, eng, ctx.M, now) })
 	} else {
 		err = eng.drain(1)
 	}
@@ -452,7 +457,7 @@ func TestCopyCompletionSubmissionOrder(t *testing.T) {
 		eng.SubmitCopy(2, 0, func() { order = append(order, 1) })     // B: zero-size, behind the kernel
 		eng.SubmitCopy(1, 1<<20, func() { order = append(order, 2) }) // A: long transfer, admitted at cycle 0
 		if legacy {
-			err = eng.drainLegacyForTest(1)
+			err = eng.drainLegacyForTest(1, nil)
 		} else {
 			err = eng.drain(1)
 		}
@@ -502,7 +507,7 @@ func TestResumeFullyRetiredGrid(t *testing.T) {
 			t.Fatal(err)
 		}
 		if legacy {
-			err = eng.drainLegacyForTest(1)
+			err = eng.drainLegacyForTest(1, nil)
 		} else {
 			err = eng.drain(1)
 		}

@@ -11,3 +11,13 @@ func StallTotals(s *Stats) [numStallKinds]uint64 {
 	}
 	return out
 }
+
+// ReadinessEvals sums the cores' scoreboard-evaluation counters over the
+// engine's lifetime: the issue stage's deterministic unit of work.
+func ReadinessEvals(e *Engine) uint64 {
+	var n uint64
+	for _, c := range e.cores {
+		n += c.readinessEvals
+	}
+	return n
+}

@@ -28,12 +28,36 @@ const oobSharedPTX = `
 // pins batch state through its backing array: retiredSlots (which held
 // the last cycle's retired ctaSlots and through them the grids), the
 // slots tail left by the in-place retirement compaction, and the
-// memQ/atomQ warp-context pointers.
+// memQ/atomQ warp-context pointers. It also checks every scheduler is
+// empty — no candidate and no ready, re-armed or parked warp the next
+// batch's picks could trip over.
 func assertCoresReleased(t *testing.T, e *Engine) {
 	t.Helper()
 	for _, c := range e.cores {
 		if len(c.slots) != 0 {
 			t.Errorf("core %d: %d resident CTAs survive the batch", c.id, len(c.slots))
+		}
+		if c.warpsUsed != 0 || c.smemUsed != 0 || c.checkSlots {
+			t.Errorf("core %d: occupancy %d warps / %d B shared, checkSlots=%v after the batch", c.id, c.warpsUsed, c.smemUsed, c.checkSlots)
+		}
+		for si := range c.scheds {
+			sc := &c.scheds[si]
+			if len(sc.cands) != 0 || len(sc.rearmed) != 0 || len(sc.wakeQ) != 0 || sc.rr != 0 || sc.n != [numWarpStates]int{} {
+				t.Errorf("core %d sched %d: %d candidates, %d re-armed, %d parked, rr %d, counts %v survive the batch",
+					c.id, si, len(sc.cands), len(sc.rearmed), len(sc.wakeQ), sc.rr, sc.n)
+			}
+			for _, word := range sc.ready {
+				if word != 0 {
+					t.Errorf("core %d sched %d: ready set %#x survives the batch", c.id, si, word)
+				}
+			}
+			for _, list := range [][]*warpCtx{sc.cands[:cap(sc.cands)], sc.rearmed[:cap(sc.rearmed)], sc.wakeQ[:cap(sc.wakeQ)]} {
+				for _, w := range list {
+					if w != nil {
+						t.Errorf("core %d sched %d: a scheduler list's backing array still pins a warp context", c.id, si)
+					}
+				}
+			}
 		}
 		for i, s := range c.retiredSlots[:cap(c.retiredSlots)] {
 			if s != nil {
@@ -136,4 +160,16 @@ func TestDrainReleasesSlots(t *testing.T) {
 		t.Fatal("expected the faulting batch to error")
 	}
 	assertCoresReleased(t, eng)
+
+	// The abort came mid-drain, with warps ready, re-armed and parked; the
+	// next batch must run as if it never happened.
+	tk3 := submit(1)
+	if err := eng.Drain(); err != nil {
+		t.Fatalf("batch after the aborted one: %v", err)
+	}
+	assertCoresReleased(t, eng)
+	st1, _ := tk1.Stats()
+	if st3, err := tk3.Stats(); err != nil || st3.WarpInstrs != st1.WarpInstrs {
+		t.Errorf("batch after the aborted one issued %d warp instructions (%v), want %d", st3.WarpInstrs, err, st1.WarpInstrs)
+	}
 }
