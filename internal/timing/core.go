@@ -320,16 +320,15 @@ func (c *smCore) issue(m *exec.Machine, w *warpCtx, now uint64) error {
 	if err := m.StepWarpCov(w.slot.cta, w.warp, c.cov, info); err != nil {
 		return err
 	}
-	var ii *exec.IssueInfo
-	if info.Instr != nil {
-		ii = &w.issue[info.PC]
-	}
-	c.stats.noteIssue(c.id, now, ii, bits.OnesCount32(info.ActiveMask))
+	// stepScheduler only sends warps with an instruction to execute (the
+	// step that merely retires a warp never comes here)
+	ii := &w.issue[info.PC]
+	c.stats.noteIssue(c.id, now, ii.SFU, bits.OnesCount32(info.ActiveMask))
 	if w.runID >= 0 && w.runID < len(c.runInstrs) {
 		c.runInstrs[w.runID]++
 	}
 
-	if ii == nil || info.Barrier || info.WarpDone {
+	if info.Barrier || info.WarpDone {
 		return nil
 	}
 

@@ -1,7 +1,5 @@
 package timing
 
-import "repro/internal/exec"
-
 type stallKind int
 
 const (
@@ -150,17 +148,15 @@ func grow(s []uint64, idx uint64) []uint64 {
 	return s
 }
 
-// noteIssue counts one issued warp instruction; ii is nil for a step that
-// executed no instruction (a warp falling off the end of its kernel).
-func (s *Stats) noteIssue(core int, cycle uint64, ii *exec.IssueInfo, lanes int) {
+// noteIssue counts one issued warp instruction; sfu says whether the power
+// model sees it as SFU work (exec.IssueInfo.SFU) or ALU work.
+func (s *Stats) noteIssue(core int, cycle uint64, sfu bool, lanes int) {
 	s.Instructions++
 	s.ThreadInstrs += uint64(lanes)
-	if ii != nil {
-		if ii.SFU {
-			s.SFUOps += uint64(lanes)
-		} else {
-			s.ALUOps += uint64(lanes)
-		}
+	if sfu {
+		s.SFUOps += uint64(lanes)
+	} else {
+		s.ALUOps += uint64(lanes)
 	}
 	if s.interval == 0 {
 		return
@@ -183,7 +179,9 @@ func (s *Stats) noteStall(core int, cycle uint64, k stallKind) {
 		return
 	}
 	b := cycle/s.interval - s.base
-	s.stalls[k] = grow(s.stalls[k], b)
+	if b >= uint64(len(s.stalls[k])) {
+		s.stalls[k] = grow(s.stalls[k], b)
+	}
 	s.stalls[k][b]++
 }
 
