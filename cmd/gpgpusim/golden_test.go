@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -72,5 +73,84 @@ func TestCLIGoldens(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFoldedBinaryGoldens pins, on the binaries they come from, the
+// stdout and CSV bytes that the registry entries replacing mnistsim,
+// convsample, bank_camping and aerialvision must reproduce.
+func TestFoldedBinaryGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs binaries; skipped in -short mode")
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not in PATH")
+	}
+	dir := t.TempDir()
+	if out, err := exec.Command(goTool, "build", "-o", dir+string(os.PathSeparator),
+		"../mnistsim", "../convsample", "../aerialvision", "../../examples/bank_camping").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, c := range []struct {
+		name, bin string
+		args      []string
+	}{
+		{"mnist_images1", "mnistsim", []string{"-images", "1"}},
+		{"convsample_small", "convsample", []string{"-c", "2", "-k", "2", "-hw", "12"}},
+		{"convsample_sweep_small", "convsample", []string{"-sweep", "-c", "2", "-k", "2", "-hw", "12"}},
+		{"camping", "bank_camping", nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := exec.Command(filepath.Join(dir, c.bin), c.args...).Output()
+			if err != nil {
+				t.Fatalf("%s %v: %v", c.bin, c.args, err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", c.name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("stdout of %s %v differs from its golden:\n--- got\n%s--- want\n%s", c.bin, c.args, got, want)
+			}
+		})
+	}
+	t.Run("convsample_fft_csv", func(t *testing.T) {
+		out := filepath.Join(t.TempDir(), "csv")
+		if msg, err := exec.Command(filepath.Join(dir, "aerialvision"), "-o", out).CombinedOutput(); err != nil {
+			t.Fatalf("aerialvision: %v\n%s", err, msg)
+		}
+		compareCSVDir(t, out, filepath.Join("testdata", "convsample_fft_csv"))
+	})
+}
+
+// compareCSVDir checks that dir holds exactly the files golden/MANIFEST
+// lists (sha256, size, name — one per line, sorted by name), byte for
+// byte, and that kernel_mem.csv equals the copy kept next to it.
+func compareCSVDir(t *testing.T, dir, golden string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	for _, e := range entries { // ReadDir sorts by name
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "%x  %d  %s\n", sha256.Sum256(b), len(b), e.Name())
+	}
+	want, err := os.ReadFile(filepath.Join(golden, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("CSV files differ from %s/MANIFEST:\n--- got\n%s--- want\n%s", golden, got.Bytes(), want)
+	}
+	gotMem, _ := os.ReadFile(filepath.Join(dir, "kernel_mem.csv"))
+	wantMem, _ := os.ReadFile(filepath.Join(golden, "kernel_mem.csv"))
+	if !bytes.Equal(gotMem, wantMem) {
+		t.Errorf("kernel_mem.csv:\n--- got\n%s--- want\n%s", gotMem, wantMem)
 	}
 }
