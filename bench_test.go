@@ -23,7 +23,7 @@ func benchConvCase(b *testing.B, dir core.ConvDirection, algo string) {
 	var res *core.ConvSampleResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = core.RunConvSample(core.GTX1080Ti, dir, algo, core.DefaultConvShape())
+		res, err = core.RunConvSample(core.GTX1080Ti, 1, dir, algo, core.DefaultConvShape())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func BenchmarkFig06MNISTCorrelation(b *testing.B) {
 	var res *core.MNISTCorrelationResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = core.RunMNISTCorrelation(1)
+		res, err = core.RunMNISTCorrelation(1, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func BenchmarkFig07PerKernelCorrelation(b *testing.B) {
 	var res *core.MNISTCorrelationResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = core.RunMNISTCorrelation(1)
+		res, err = core.RunMNISTCorrelation(1, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func BenchmarkFig08PowerBreakdown(b *testing.B) {
 	var res *core.MNISTCorrelationResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = core.RunMNISTCorrelation(1)
+		res, err = core.RunMNISTCorrelation(1, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func BenchmarkParallelWorkers(b *testing.B) {
 			var res *core.ConvSampleResult
 			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = core.RunConvSampleWorkers(core.GTX1080Ti, core.Forward, "implicit_gemm", core.DefaultConvShape(), w)
+				res, err = core.RunConvSample(core.GTX1080Ti, w, core.Forward, "implicit_gemm", core.DefaultConvShape())
 				if err != nil {
 					b.Fatal(err)
 				}

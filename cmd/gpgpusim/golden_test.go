@@ -21,17 +21,8 @@ var update = flag.Bool("update", false, "regenerate testdata/*.golden from the c
 // -update` (the flag goes AFTER the package path). The binary runs from
 // the repository root so the trace path prints as a user would type it.
 func TestCLIGoldens(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the binary; skipped in -short mode")
-	}
-	goTool, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not in PATH")
-	}
-	bin := filepath.Join(t.TempDir(), "gpgpusim")
-	if out, err := exec.Command(goTool, "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildCLI(t)
+	saxpy := []string{"-grid", "2", "-block", "128", filepath.Join("cmd", "gpgpusim", "testdata", "saxpy.ptx")}
 	for _, c := range []struct {
 		name string
 		args []string
@@ -44,11 +35,26 @@ func TestCLIGoldens(t *testing.T) {
 		{"transformer_devices2", []string{"-workload", "transformer", "-devices", "2"}},
 		{"serve_diurnal", []string{"-workload", "serve", "-trace", "internal/serve/testdata/diurnal.trace"}},
 		{"membound", []string{"-workload", "membound"}},
+		// recorded from mnistsim, convsample and examples/bank_camping
+		// before they were folded into the registry
+		{"mnist_images1", []string{"-workload", "mnist", "-images", "1"}},
+		{"convsample_small", []string{"-workload", "convsample", "-c", "2", "-k", "2", "-hw", "12"}},
+		{"convsample_sweep_small", []string{"-workload", "convsample", "-sweep", "-c", "2", "-k", "2", "-hw", "12"}},
+		{"camping", []string{"-workload", "camping"}},
+		// the PTX-file mode, recorded before its single-launch path
+		// became the one-lane case of the stream run
+		{"ptx_functional", append([]string{"-args", "buf256,buf256,f2,i256"}, saxpy...)},
+		{"ptx_perf", append([]string{"-perf", "-args", "buf256,buf256,f2,i256"}, saxpy...)},
+		{"ptx_perf_streams3", append([]string{"-perf", "-streams", "3", "-dump", "4", "-args", "buf256,buf256,f2,i256"}, saxpy...)},
 	} {
 		golden := filepath.Join("testdata", c.name+".golden")
 		for _, j := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/j%d", c.name, j), func(t *testing.T) {
-				cmd := exec.Command(bin, append([]string{"-j", fmt.Sprint(j)}, c.args...)...)
+				args := append([]string{"-j", fmt.Sprint(j)}, c.args...)
+				if c.name == "ptx_functional" {
+					args = c.args // no detailed model for -j to step
+				}
+				cmd := exec.Command(bin, args...)
 				cmd.Dir = filepath.Join("..", "..")
 				var stderr bytes.Buffer
 				cmd.Stderr = &stderr
@@ -76,52 +82,38 @@ func TestCLIGoldens(t *testing.T) {
 	}
 }
 
-// TestFoldedBinaryGoldens pins, on the binaries they come from, the
-// stdout and CSV bytes that the registry entries replacing mnistsim,
-// convsample, bank_camping and aerialvision must reproduce.
-func TestFoldedBinaryGoldens(t *testing.T) {
+// buildCLI builds the binary into a temporary directory.
+func buildCLI(t *testing.T) string {
+	t.Helper()
 	if testing.Short() {
-		t.Skip("builds and runs binaries; skipped in -short mode")
+		t.Skip("builds and runs the binary; skipped in -short mode")
 	}
 	goTool, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("go toolchain not in PATH")
 	}
-	dir := t.TempDir()
-	if out, err := exec.Command(goTool, "build", "-o", dir+string(os.PathSeparator),
-		"../mnistsim", "../convsample", "../aerialvision", "../../examples/bank_camping").CombinedOutput(); err != nil {
+	bin := filepath.Join(t.TempDir(), "gpgpusim")
+	if out, err := exec.Command(goTool, "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	for _, c := range []struct {
-		name, bin string
-		args      []string
-	}{
-		{"mnist_images1", "mnistsim", []string{"-images", "1"}},
-		{"convsample_small", "convsample", []string{"-c", "2", "-k", "2", "-hw", "12"}},
-		{"convsample_sweep_small", "convsample", []string{"-sweep", "-c", "2", "-k", "2", "-hw", "12"}},
-		{"camping", "bank_camping", nil},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			got, err := exec.Command(filepath.Join(dir, c.bin), c.args...).Output()
-			if err != nil {
-				t.Fatalf("%s %v: %v", c.bin, c.args, err)
+	return bin
+}
+
+// TestCSVGoldens pins the files -o writes for the conv_sample case
+// aerialvision exported before it was folded into the registry (fwd/fft,
+// default shape): the same 26 files, byte for byte, at -j 1 and -j 2.
+func TestCSVGoldens(t *testing.T) {
+	bin := buildCLI(t)
+	for _, j := range []int{1, 2} {
+		t.Run(fmt.Sprintf("convsample_fft/j%d", j), func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "csv")
+			cmd := exec.Command(bin, "-j", fmt.Sprint(j), "-workload", "convsample", "-algo", "fft", "-o", out)
+			if msg, err := cmd.CombinedOutput(); err != nil {
+				t.Fatalf("%v: %v\n%s", cmd.Args, err, msg)
 			}
-			want, err := os.ReadFile(filepath.Join("testdata", c.name+".golden"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("stdout of %s %v differs from its golden:\n--- got\n%s--- want\n%s", c.bin, c.args, got, want)
-			}
+			compareCSVDir(t, out, filepath.Join("testdata", "convsample_fft_csv"))
 		})
 	}
-	t.Run("convsample_fft_csv", func(t *testing.T) {
-		out := filepath.Join(t.TempDir(), "csv")
-		if msg, err := exec.Command(filepath.Join(dir, "aerialvision"), "-o", out).CombinedOutput(); err != nil {
-			t.Fatalf("aerialvision: %v\n%s", err, msg)
-		}
-		compareCSVDir(t, out, filepath.Join("testdata", "convsample_fft_csv"))
-	})
 }
 
 // compareCSVDir checks that dir holds exactly the files golden/MANIFEST

@@ -1,0 +1,166 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"io"
+	"strings"
+	"testing"
+
+	"repro/internal/exec"
+)
+
+// entryFlags returns the names an entry's flag set defines.
+func entryFlags(w *workload) map[string]bool {
+	fs, _, _ := w.flagSet(io.Discard)
+	names := map[string]bool{}
+	fs.VisitAll(func(f *flag.Flag) { names[f.Name] = true })
+	return names
+}
+
+// TestRegistryMatrix is generated from the registry itself: every flag
+// some entry defines is, under every entry that does not define it,
+// rejected by the flag package — exit 2, naming the flag — before
+// anything runs. No entry can accept a flag and ignore it.
+func TestRegistryMatrix(t *testing.T) {
+	all := map[string]bool{}
+	for i := range workloads {
+		for name := range entryFlags(&workloads[i]) {
+			all[name] = true
+		}
+	}
+	if len(all) > 32 {
+		t.Errorf("the front door has %d distinct flags, want at most 32", len(all))
+	}
+	cells := 0
+	for i := range workloads {
+		w := &workloads[i]
+		own := entryFlags(w)
+		for name := range all {
+			if own[name] {
+				continue
+			}
+			cells++
+			args := []string{"-workload", w.name, "-" + name, "1"}
+			if w.name == "" {
+				args = args[2:]
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 2 {
+				t.Errorf("gpgpusim %v exited %d, want 2", args, code)
+			}
+			if want := "flag provided but not defined: -" + name; !strings.Contains(stderr.String(), want) {
+				t.Errorf("gpgpusim %v: stderr lacks %q:\n%s", args, want, stderr.String())
+			}
+			if stdout.Len() > 0 {
+				t.Errorf("gpgpusim %v ran before rejecting the flag:\n%s", args, stdout.String())
+			}
+		}
+	}
+	if cells < 100 {
+		t.Errorf("matrix covered only %d (entry, foreign flag) cells", cells)
+	}
+}
+
+// TestEntriesParseEmptyFlagSet: a bare `-workload NAME` runs with
+// defaults, so every entry's flag set must accept it.
+func TestEntriesParseEmptyFlagSet(t *testing.T) {
+	for i := range workloads {
+		w := &workloads[i]
+		var args []string
+		if w.name != "" {
+			args = []string{"-workload", w.name}
+		}
+		fs, _, _ := w.flagSet(io.Discard)
+		if err := fs.Parse(args); err != nil {
+			t.Errorf("entry %q rejects %v: %v", w.name, args, err)
+		}
+		if got := workloadArg(args); got != w.name {
+			t.Errorf("workloadArg(%v) = %q, want %q", args, got, w.name)
+		}
+	}
+}
+
+func TestWorkloadArg(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-j", "2", "-workload", "serve", "-replay"}, "serve"},
+		{[]string{"--workload=train", "-steps", "2"}, "train"},
+		{[]string{"-perf", "file.ptx"}, ""},
+		{[]string{"-workload"}, ""},
+		{[]string{"--", "-workload", "serve"}, ""},
+	} {
+		if got := workloadArg(c.args); got != c.want {
+			t.Errorf("workloadArg(%v) = %q, want %q", c.args, got, c.want)
+		}
+	}
+}
+
+// TestParseDim: a malformed -grid/-block is an error, not a silently
+// different launch shape.
+func TestParseDim(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want exec.Dim3
+		ok   bool
+	}{
+		{"2", exec.Dim3{X: 2, Y: 1, Z: 1}, true},
+		{"2,3", exec.Dim3{X: 2, Y: 3, Z: 1}, true},
+		{" 4, 5 ,6", exec.Dim3{X: 4, Y: 5, Z: 6}, true},
+		{"abc", exec.Dim3{}, false},
+		{"12x8", exec.Dim3{}, false},
+		{"2,,1", exec.Dim3{}, false},
+		{"", exec.Dim3{}, false},
+		{"0", exec.Dim3{}, false},
+		{"4,-1", exec.Dim3{}, false},
+		{"1,2,3,4", exec.Dim3{}, false},
+	} {
+		got, err := parseDim(c.in)
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("parseDim(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
+		}
+	}
+}
+
+// TestValueChecks: the checks that sit next to the flags they check
+// reject a value or combination the entry could not honour — exit 2,
+// naming the flag, before anything runs.
+func TestValueChecks(t *testing.T) {
+	for _, c := range []struct {
+		args string
+		want string
+	}{
+		{"-workload serve -rate 10 -trace x.trace", "-rate and -trace are mutually exclusive"},
+		{"-workload serve -requests 3 -trace x.trace", "-requests and -trace are mutually exclusive"},
+		{"-workload serve -decode -trace x.trace", "-decode and -trace are mutually exclusive"},
+		{"-workload serve -prompt 3", "-prompt/-gen only apply with -decode"},
+		{"-workload serve -replay-resample 2", "-replay-resample only applies with -replay"},
+		{"-workload train -replay-resample 2", "-replay-resample only applies with -replay"},
+		{"-workload transformer -replay-resample 2", "-replay-resample only applies with -replay"},
+		{"-workload train -devices 0", "-devices must be >= 1"},
+		{"-workload transformer -devices -3", "-devices must be >= 1"},
+		{"-workload transformer -devices 2 -streams 2", "-streams only applies to single-device runs"},
+		{"-workload transformer -devices 2 -replay", "-replay with -devices only applies to -workload train"},
+		{"-workload convsample -sweep -algo fft", "-algo selects one case"},
+		{"-workload membound extra", `unexpected argument "extra"`},
+		{"-streams 2 file.ptx", "-streams needs -perf"},
+		{"-j 2 file.ptx", "-j needs -perf"},
+		{"-grid abc file.ptx", "-grid"},
+		{"-block 12x8 file.ptx", "-block"},
+		{"-perf", "usage: gpgpusim [flags] file.ptx"},
+		{"-workload nosuch", `unknown workload "nosuch"`},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(strings.Fields(c.args), &stdout, &stderr); code != 2 {
+			t.Errorf("gpgpusim %s exited %d, want 2", c.args, code)
+		}
+		if !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("gpgpusim %s: stderr lacks %q:\n%s", c.args, c.want, stderr.String())
+		}
+		if stdout.Len() > 0 {
+			t.Errorf("gpgpusim %s ran before rejecting:\n%s", c.args, stdout.String())
+		}
+	}
+}

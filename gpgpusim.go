@@ -20,7 +20,7 @@
 //   - DebugTool: the §III-D functional-debug methodology.
 //   - CheckpointCapture / CheckpointResume: the §III-F flow.
 //
-// See README.md for a quickstart and DESIGN.md for the system inventory.
+// See README.md for a quickstart and the system inventory.
 package gpgpusim
 
 import (
@@ -152,10 +152,10 @@ func NewMNISTDataset(seed int64) *mnist.Dataset { return mnist.NewDataset(seed) 
 
 // RunMNISTCorrelation reproduces the paper's §IV (Figs. 6-8).
 func RunMNISTCorrelation(images int) (*core.MNISTCorrelationResult, error) {
-	return core.RunMNISTCorrelation(images)
+	return core.RunMNISTCorrelation(1, images)
 }
 
 // RunConvSample reproduces one case of the paper's §V sweep (Figs. 9-25).
 func RunConvSample(gpu GPU, dir core.ConvDirection, algo string, shape core.ConvSampleShape) (*core.ConvSampleResult, error) {
-	return core.RunConvSample(gpu, dir, algo, shape)
+	return core.RunConvSample(gpu, 1, dir, algo, shape)
 }

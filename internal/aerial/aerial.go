@@ -2,7 +2,8 @@
 // it renders the timing model's per-interval metrics — per-bank DRAM
 // efficiency/utilization, global and per-shader IPC, and the warp-issue
 // breakdown — as ASCII heat maps and CSV, the same views the paper's
-// Figs. 9-25 show.
+// Figs. 9-25 show, and carries the tables (Table) and the per-run report
+// (Report) cmd/gpgpusim prints and exports.
 package aerial
 
 import (

@@ -25,10 +25,12 @@ type Column struct {
 
 // Table is a titled table of per-kernel, per-device, per-window or
 // per-step figures that renders as aligned text (the CLI summaries) and
-// as CSV (the aerialvision exports). One constructor below per table the
-// tools show.
+// as CSV (the CLI's -o export). One constructor below per table the CLI
+// shows; each names the file its CSV form goes to. A Report prints a
+// table that has a title and exports one that has a file.
 type Table struct {
 	Title   string
+	File    string
 	Columns []Column
 	Rows    [][]any // one value per column
 }
@@ -82,6 +84,23 @@ func (t *Table) WriteText(w io.Writer) {
 // WriteCSV renders the CSV header and every row.
 func (t *Table) WriteCSV(w io.Writer) error { return t.write(w, true) }
 
+// CSVTable is an export-only table of preformatted cells: the CSV form
+// of a table the CLI prints with stats.Table from the same rows.
+func CSVTable(file string, heads []string, rows [][]string) *Table {
+	t := &Table{File: file}
+	for _, h := range heads {
+		t.Columns = append(t.Columns, Column{CSVHead: h, CSVVerb: "%s"})
+	}
+	for _, r := range rows {
+		cells := make([]any, len(r))
+		for i, c := range r {
+			cells[i] = c
+		}
+		t.Rows = append(t.Rows, cells)
+	}
+	return t
+}
+
 // pct formats n/d as a percentage, "n/a" when d is zero.
 func pct(n, d uint64) string {
 	if d == 0 {
@@ -93,21 +112,27 @@ func pct(n, d uint64) string {
 // KernelMemTable is the per-launch memory counters the paper's
 // memory-behavior study revolves around: L2 hit rate, DRAM row-buffer
 // locality, and the cycles each launch's segments spent stalled on
-// partition ingress/port/MSHR reservations.
+// partition ingress/port/MSHR reservations. Its CSV form, with raw
+// counts and launch ids instead of rates, is kernel_mem.csv.
 func KernelMemTable(title string, launches []cudart.KernelStats) *Table {
-	t := &Table{Title: title, Columns: []Column{
+	t := &Table{Title: title, File: "kernel_mem.csv", Columns: []Column{
 		{Head: "kernel", Width: -24, Verb: "%s"},
+		{CSVHead: "kernel", CSVVerb: "%s"},
 		{Head: "launches", Width: 8, Verb: "%d"},
-		{Head: "l2_acc", Width: 10, Verb: "%d"},
+		{Head: "l2_acc", Width: 10, Verb: "%d", CSVHead: "l2_accesses", CSVVerb: "%d"},
 		{Head: "l2_hit%", Width: 8, Verb: "%s"},
-		{Head: "dram", Width: 10, Verb: "%d"},
+		{CSVHead: "l2_hits", CSVVerb: "%d"},
+		{CSVHead: "l2_misses", CSVVerb: "%d"},
+		{Head: "dram", Width: 10, Verb: "%d", CSVHead: "dram_accesses", CSVVerb: "%d"},
 		{Head: "rowhit%", Width: 8, Verb: "%s"},
-		{Head: "mem_stall_cy", Width: 12, Verb: "%d"},
+		{CSVHead: "dram_rowhits", CSVVerb: "%d"},
+		{Head: "mem_stall_cy", Width: 12, Verb: "%d", CSVHead: "mem_stall_cycles", CSVVerb: "%d"},
 	}}
 	for _, k := range launches {
 		t.Rows = append(t.Rows, []any{
-			k.Name, 1, k.L2Accesses, pct(k.L2Hits, k.L2Accesses),
-			k.DRAMAccesses, pct(k.DRAMRowHits, k.DRAMAccesses), k.MemStallCycles,
+			k.Name, fmt.Sprintf("%s#%d", k.Name, k.LaunchID), 1,
+			k.L2Accesses, pct(k.L2Hits, k.L2Accesses), k.L2Hits, k.L2Misses,
+			k.DRAMAccesses, pct(k.DRAMRowHits, k.DRAMAccesses), k.DRAMRowHits, k.MemStallCycles,
 		})
 	}
 	return t
@@ -118,7 +143,7 @@ func KernelMemTable(title string, launches []cudart.KernelStats) *Table {
 // simulation (the re-sampling budget should go where replayed% is low).
 // Its CSV form is kernel_replay.csv.
 func KernelReplayTable(title string, kernels []core.KernelAgg) *Table {
-	t := &Table{Title: title, Columns: []Column{
+	t := &Table{Title: title, File: "kernel_replay.csv", Columns: []Column{
 		{Head: "kernel", Width: -24, Verb: "%s", CSVHead: "kernel", CSVVerb: "%s"},
 		{Head: "launches", Width: 8, Verb: "%d", CSVHead: "launches", CSVVerb: "%d"},
 		{Head: "replayed", Width: 9, Verb: "%d", CSVHead: "replayed", CSVVerb: "%d"},
@@ -138,16 +163,16 @@ func KernelReplayTable(title string, kernels []core.KernelAgg) *Table {
 // DeviceTable is the per-device engine counters of a multi-GPU node run:
 // every device ends at the same barrier cycle, so the interesting
 // columns are the per-rank work split and how many of each rank's cycles
-// were bridged waiting at collectives.
+// were bridged waiting at collectives. Its CSV form is devices.csv.
 func DeviceTable(title string, devices []multigpu.DeviceStats) *Table {
-	t := &Table{Title: title, Columns: []Column{
-		{Head: "device", Width: -8, Verb: "gpu%d"},
-		{Head: "cycles", Width: 12, Verb: "%d"},
-		{Head: "instrs", Width: 14, Verb: "%d"},
-		{Head: "l2_acc", Width: 10, Verb: "%d"},
-		{Head: "dram", Width: 10, Verb: "%d"},
-		{Head: "barrier_cy", Width: 12, Verb: "%d"},
-		{Head: "launches", Width: 9, Verb: "%d"},
+	t := &Table{Title: title, File: "devices.csv", Columns: []Column{
+		{Head: "device", Width: -8, Verb: "gpu%d", CSVHead: "device", CSVVerb: "%d"},
+		{Head: "cycles", Width: 12, Verb: "%d", CSVHead: "cycles", CSVVerb: "%d"},
+		{Head: "instrs", Width: 14, Verb: "%d", CSVHead: "instructions", CSVVerb: "%d"},
+		{Head: "l2_acc", Width: 10, Verb: "%d", CSVHead: "l2_accesses", CSVVerb: "%d"},
+		{Head: "dram", Width: 10, Verb: "%d", CSVHead: "dram_accesses", CSVVerb: "%d"},
+		{Head: "barrier_cy", Width: 12, Verb: "%d", CSVHead: "barrier_cycles", CSVVerb: "%d"},
+		{Head: "launches", Width: 9, Verb: "%d", CSVHead: "launches", CSVVerb: "%d"},
 	}}
 	for _, d := range devices {
 		t.Rows = append(t.Rows, []any{
@@ -163,7 +188,7 @@ func DeviceTable(title string, devices []multigpu.DeviceStats) *Table {
 // in modelled cycles and how much of it the replay cache absorbs. Its
 // CSV form is decode_throughput.csv. modes[i] names runs[i].
 func DecodeThroughputTable(title string, modes []string, runs []*core.DecodeReplayResult) *Table {
-	t := &Table{Title: title, Columns: []Column{
+	t := &Table{Title: title, File: "decode_throughput.csv", Columns: []Column{
 		{Head: "mode", Width: -10, Verb: "%s", CSVHead: "mode", CSVVerb: "%s"},
 		{Head: "iters", Width: 6, Verb: "%d", CSVHead: "iters", CSVVerb: "%d"},
 		{Head: "tokens", Width: 8, Verb: "%d", CSVHead: "tokens", CSVVerb: "%d"},
@@ -187,7 +212,7 @@ func DecodeThroughputTable(title string, modes []string, runs []*core.DecodeRepl
 // window once the open-loop queue outruns the batch. Empty windows show
 // dashes in text and zeros in serve_latency.csv, its CSV form.
 func ServeLatencyTable(title string, windows []serve.LatencyBucket) *Table {
-	t := &Table{Title: title, Columns: []Column{
+	t := &Table{Title: title, File: "serve_latency.csv", Columns: []Column{
 		{Head: "window_end", Width: 12, Verb: "%d", CSVHead: "window_end_cycle", CSVVerb: "%d"},
 		{Head: "completed", Width: 10, Verb: "%d", CSVHead: "completed", CSVVerb: "%d"},
 		{Head: "p50_cy", Width: 12, Verb: "%s"},
@@ -216,7 +241,7 @@ func ServeLatencyTable(title string, windows []serve.LatencyBucket) *Table {
 // next to the CPU mirror's, their gap, and whether the step retired (at
 // least partly) from the replay cache. Its CSV form is train_loss.csv.
 func TrainLossTable(title string, res *core.TrainResult) *Table {
-	t := &Table{Title: title, Columns: []Column{
+	t := &Table{Title: title, File: "train_loss.csv", Columns: []Column{
 		{Head: "step", Width: 6, Verb: "%d", CSVHead: "step", CSVVerb: "%d"},
 		{Head: "loss", Width: 12, Verb: "%.5f", CSVHead: "loss", CSVVerb: "%.6g"},
 		{Head: "cpu_loss", Width: 12, Verb: "%.5f", CSVHead: "cpu_loss", CSVVerb: "%.6g"},

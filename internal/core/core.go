@@ -41,17 +41,6 @@ func (g GPU) TimingConfig() (timing.Config, error) {
 	return timing.Config{}, fmt.Errorf("core: unknown GPU %q", g)
 }
 
-// Oracle returns the hardware oracle for a GPU.
-func (g GPU) Oracle() (*hwmodel.Oracle, error) {
-	switch g {
-	case GTX1050:
-		return hwmodel.GTX1050(), nil
-	case GTX1080Ti:
-		return hwmodel.GTX1080Ti(), nil
-	}
-	return nil, fmt.Errorf("core: unknown GPU %q", g)
-}
-
 // MNISTCorrelationResult holds the Figs. 6-8 data.
 type MNISTCorrelationResult struct {
 	Images      int
@@ -67,13 +56,14 @@ type MNISTCorrelationResult struct {
 
 // RunMNISTCorrelation reproduces §IV: run LeNet/MNIST inference on the
 // detailed timing model and on the hardware oracle, correlate per-kernel
-// cycles (Figs. 6-7), and compute the power breakdown (Fig. 8).
-func RunMNISTCorrelation(images int) (*MNISTCorrelationResult, error) {
+// cycles (Figs. 6-7), and compute the power breakdown (Fig. 8). The
+// detailed engine steps SM cores on `workers` host goroutines.
+func RunMNISTCorrelation(workers, images int) (*MNISTCorrelationResult, error) {
 	ds := mnist.NewDataset(1)
 	imgs, _ := ds.Batch(images)
 
 	// --- detailed simulator (performance mode, GTX 1050) ---
-	sim, err := session.New(timing.GTX1050(), 1)
+	sim, err := session.New(timing.GTX1050(), workers)
 	if err != nil {
 		return nil, err
 	}
@@ -189,24 +179,16 @@ func AlgorithmsFor(dir ConvDirection) []string {
 // and partitions feed the AerialVision plots) and kernel log of one
 // conv_sample run.
 type ConvSampleResult struct {
-	Algo    string
-	Dir     ConvDirection
 	Engine  *timing.Engine
-	Ctx     *cudart.Context
 	Cycles  uint64
 	Kernels []cudart.KernelStats
 }
 
 // RunConvSample runs one (direction, algorithm) case of §V on the given
-// GPU's timing model.
-func RunConvSample(gpu GPU, dir ConvDirection, algo string, shape ConvSampleShape) (*ConvSampleResult, error) {
-	return RunConvSampleWorkers(gpu, dir, algo, shape, 1)
-}
-
-// RunConvSampleWorkers is RunConvSample with the timing engine stepping
-// SM cores across `workers` host goroutines (0 = NumCPU). Results are
-// identical for any worker count; only wall-clock time changes.
-func RunConvSampleWorkers(gpu GPU, dir ConvDirection, algo string, shape ConvSampleShape, workers int) (*ConvSampleResult, error) {
+// GPU's timing model, stepping SM cores across `workers` host goroutines
+// (0 = NumCPU). Results are identical for any worker count; only
+// wall-clock time changes.
+func RunConvSample(gpu GPU, workers int, dir ConvDirection, algo string, shape ConvSampleShape) (*ConvSampleResult, error) {
 	cfg, err := gpu.TimingConfig()
 	if err != nil {
 		return nil, err
@@ -225,95 +207,42 @@ func RunConvSampleWorkers(gpu GPU, dir ConvDirection, algo string, shape ConvSam
 	ow := cd.OutDim(xd.W, fd.S)
 	yd := cudnn.TensorDesc{N: xd.N, C: fd.K, H: oh, W: ow}
 
-	x := synth(xd.Count(), 0.7)
-	w := synth(fd.Count(), -0.3)
-	dy := synth(yd.Count(), 0.2)
-	px, err := ctx.Malloc(uint64(4 * xd.Count()))
-	if err != nil {
-		return nil, err
+	// x, w, dy, y, dx, dw — allocated in this order, inputs uploaded
+	var ptrs [6]uint64
+	for i, n := range []int{xd.Count(), fd.Count(), yd.Count(), yd.Count(), xd.Count(), fd.Count()} {
+		if ptrs[i], err = ctx.Malloc(uint64(4 * n)); err != nil {
+			return nil, err
+		}
 	}
-	ctx.MemcpyF32HtoD(px, x)
-	pw, err := ctx.Malloc(uint64(4 * fd.Count()))
-	if err != nil {
-		return nil, err
-	}
-	ctx.MemcpyF32HtoD(pw, w)
-	pdy, err := ctx.Malloc(uint64(4 * yd.Count()))
-	if err != nil {
-		return nil, err
-	}
-	ctx.MemcpyF32HtoD(pdy, dy)
-	py, err := ctx.Malloc(uint64(4 * yd.Count()))
-	if err != nil {
-		return nil, err
-	}
-	pdx, err := ctx.Malloc(uint64(4 * xd.Count()))
-	if err != nil {
-		return nil, err
-	}
-	pdw, err := ctx.Malloc(uint64(4 * fd.Count()))
-	if err != nil {
-		return nil, err
-	}
+	px, pw, pdy, py, pdx, pdw := ptrs[0], ptrs[1], ptrs[2], ptrs[3], ptrs[4], ptrs[5]
+	ctx.MemcpyF32HtoD(px, synth(xd.Count(), 0.7))
+	ctx.MemcpyF32HtoD(pw, synth(fd.Count(), -0.3))
+	ctx.MemcpyF32HtoD(pdy, synth(yd.Count(), 0.2))
 
 	switch dir {
 	case Forward:
-		var fa cudnn.ConvFwdAlgo
-		switch algo {
-		case "fft":
-			fa = cudnn.FwdAlgoFFT
-		case "fft_tiling":
-			fa = cudnn.FwdAlgoFFTTiling
-		case "gemm":
-			fa = cudnn.FwdAlgoGemm
-		case "implicit_gemm":
-			fa = cudnn.FwdAlgoImplicitGemm
-		case "winograd":
-			fa = cudnn.FwdAlgoWinograd
-		case "winograd_nonfused":
-			fa = cudnn.FwdAlgoWinogradNonfused
-		default:
-			return nil, fmt.Errorf("core: unknown forward algorithm %q", algo)
+		fa, err := algoNamed(algo, cudnn.FwdAlgoImplicitGemm, cudnn.FwdAlgoGemm, cudnn.FwdAlgoFFT,
+			cudnn.FwdAlgoFFTTiling, cudnn.FwdAlgoWinograd, cudnn.FwdAlgoWinogradNonfused)
+		if err != nil {
+			return nil, err
 		}
 		if _, err := h.ConvolutionForward(fa, px, xd, pw, fd, cd, py); err != nil {
 			return nil, err
 		}
 	case BackwardData:
-		var ba cudnn.ConvBwdDataAlgo
-		switch algo {
-		case "algo0":
-			ba = cudnn.BwdDataAlgo0
-		case "algo1":
-			ba = cudnn.BwdDataAlgo1
-		case "fft_tiling":
-			ba = cudnn.BwdDataFFTTiling
-		case "winograd":
-			ba = cudnn.BwdDataWinograd
-		case "winograd_nonfused":
-			ba = cudnn.BwdDataWinogradNonfused
-		default:
-			return nil, fmt.Errorf("core: unknown backward-data algorithm %q", algo)
+		ba, err := algoNamed(algo, cudnn.BwdDataAlgo0, cudnn.BwdDataAlgo1, cudnn.BwdDataFFTTiling,
+			cudnn.BwdDataWinograd, cudnn.BwdDataWinogradNonfused)
+		if err != nil {
+			return nil, err
 		}
 		if err := h.ConvolutionBackwardData(ba, pw, fd, pdy, yd, cd, pdx, xd); err != nil {
 			return nil, err
 		}
 	case BackwardFilter:
-		var ba cudnn.ConvBwdFilterAlgo
-		switch algo {
-		case "algo0":
-			ba = cudnn.BwdFilterAlgo0
-		case "algo1":
-			ba = cudnn.BwdFilterAlgo1
-		case "algo3":
-			ba = cudnn.BwdFilterAlgo3
-		case "fft":
-			ba = cudnn.BwdFilterFFT
-		case "fft_tiling":
-			ba = cudnn.BwdFilterFFTTiling
-		case "winograd_nonfused":
-			ba = cudnn.BwdFilterWinogradNonfused
-		default:
-			return nil, fmt.Errorf("core: unknown backward-filter algorithm %q", algo)
+		ba, err := algoNamed(algo, cudnn.BwdFilterAlgo0, cudnn.BwdFilterAlgo1, cudnn.BwdFilterAlgo3,
+			cudnn.BwdFilterFFT, cudnn.BwdFilterFFTTiling, cudnn.BwdFilterWinogradNonfused)
+		if err != nil {
+			return nil, err
 		}
 		if err := h.ConvolutionBackwardFilter(ba, px, xd, pdy, yd, cd, pdw, fd); err != nil {
 			return nil, err
@@ -322,10 +251,19 @@ func RunConvSampleWorkers(gpu GPU, dir ConvDirection, algo string, shape ConvSam
 		return nil, fmt.Errorf("core: unknown direction %q", dir)
 	}
 
-	return &ConvSampleResult{
-		Algo: algo, Dir: dir, Engine: eng, Ctx: ctx,
-		Cycles: eng.Cycle(), Kernels: ctx.KernelStatsLog(),
-	}, nil
+	return &ConvSampleResult{Engine: eng, Cycles: eng.Cycle(), Kernels: ctx.KernelStatsLog()}, nil
+}
+
+// algoNamed returns the one of algos that prints as name: the cuDNN
+// enums' String forms are the names the §V-A sweep uses.
+func algoNamed[A fmt.Stringer](name string, algos ...A) (A, error) {
+	for _, a := range algos {
+		if a.String() == name {
+			return a, nil
+		}
+	}
+	var none A
+	return none, fmt.Errorf("core: unknown algorithm %q", name)
 }
 
 func synth(n int, phase float32) []float32 {

@@ -15,7 +15,7 @@ func TestConvSampleSweepAllAlgorithms(t *testing.T) {
 	shape := core.ConvSampleShape{N: 1, C: 4, H: 16, W: 16, K: 4, R: 3, Pad: 1}
 	for _, dir := range []core.ConvDirection{core.Forward, core.BackwardData, core.BackwardFilter} {
 		for _, algo := range core.AlgorithmsFor(dir) {
-			res, err := core.RunConvSample(core.GTX1080Ti, dir, algo, shape)
+			res, err := core.RunConvSample(core.GTX1080Ti, 1, dir, algo, shape)
 			if err != nil {
 				t.Errorf("%s/%s: %v", dir, algo, err)
 				continue
@@ -37,7 +37,7 @@ func TestMNISTCorrelationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("correlation run is slow under -short")
 	}
-	res, err := core.RunMNISTCorrelation(1)
+	res, err := core.RunMNISTCorrelation(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

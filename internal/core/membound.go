@@ -1,10 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/cudart"
 	"repro/internal/exec"
+	"repro/internal/session"
 	"repro/internal/timing"
 )
 
@@ -55,11 +54,11 @@ DONE:
 }
 `
 
-// StridedRunResult is one strided_saxpy run on a fresh engine.
+// StridedRunResult is one strided_saxpy run on a fresh engine (closed;
+// its statistics and partitions stay readable).
 type StridedRunResult struct {
 	Engine *timing.Engine
 	Kernel cudart.KernelStats
-	Cycles uint64
 }
 
 // CampingStrideFloats returns the float32 stride that makes consecutive
@@ -71,21 +70,21 @@ func CampingStrideFloats(cfg timing.Config) int {
 	return cfg.DRAM.RowBytes * cfg.DRAM.NumBanks / 4
 }
 
-// RunStridedSaxpy launches strided_saxpy once on a fresh context and
-// engine: `ctas` blocks of `threads` threads, each thread touching
-// x[i*stride] and y[i*stride]. Occupancy (ctas*threads in flight) is the
-// load knob; stride is the locality knob.
+// RunStridedSaxpy launches strided_saxpy once on a fresh session: `ctas`
+// blocks of `threads` threads, each thread touching x[i*stride] and
+// y[i*stride]. Occupancy (ctas*threads in flight) is the load knob;
+// stride is the locality knob.
 func RunStridedSaxpy(gpu GPU, workers, ctas, threads, stride int) (*StridedRunResult, error) {
 	cfg, err := gpu.TimingConfig()
 	if err != nil {
 		return nil, err
 	}
-	ctx := cudart.NewContext(exec.BugSet{})
-	eng, err := timing.New(cfg, timing.WithWorkers(workers))
+	s, err := session.New(cfg, workers)
 	if err != nil {
 		return nil, err
 	}
-	ctx.SetRunner(timing.Runner{E: eng})
+	defer s.Close()
+	ctx := s.Dev.Ctx
 	if _, err := ctx.RegisterModule(stridedSaxpyPTX); err != nil {
 		return nil, err
 	}
@@ -110,46 +109,5 @@ func RunStridedSaxpy(gpu GPU, workers, ctas, threads, stride int) (*StridedRunRe
 	if err != nil {
 		return nil, err
 	}
-	return &StridedRunResult{Engine: eng, Kernel: st, Cycles: st.Cycles}, nil
-}
-
-// MemBoundPoint is one occupancy level of the membound sweep.
-type MemBoundPoint struct {
-	CTAs          int
-	Cycles        uint64
-	AvgSegLatency float64 // mean issue-to-response segment latency
-	IngressStalls uint64
-	Kernel        cudart.KernelStats
-}
-
-// MemBoundResult is the occupancy sweep of the streaming strided_saxpy
-// workload: rising AvgSegLatency with occupancy is the bandwidth-aware
-// hierarchy responding to load (a fixed-latency memory model reports the
-// same latency at every point).
-type MemBoundResult struct {
-	Threads int
-	Stride  int
-	Points  []MemBoundPoint
-}
-
-// RunMemBound sweeps the streaming kernel across CTA counts, one fresh
-// engine per point so the latency numbers are not polluted by warm caches
-// from the previous level.
-func RunMemBound(gpu GPU, workers, threads, stride int, ctas []int) (*MemBoundResult, error) {
-	res := &MemBoundResult{Threads: threads, Stride: stride}
-	for _, n := range ctas {
-		r, err := RunStridedSaxpy(gpu, workers, n, threads, stride)
-		if err != nil {
-			return nil, fmt.Errorf("membound ctas=%d: %w", n, err)
-		}
-		st := r.Engine.Stats()
-		res.Points = append(res.Points, MemBoundPoint{
-			CTAs:          n,
-			Cycles:        r.Cycles,
-			AvgSegLatency: st.AvgSegmentLatency(),
-			IngressStalls: st.IngressStallCycles,
-			Kernel:        r.Kernel,
-		})
-	}
-	return res, nil
+	return &StridedRunResult{Engine: s.Eng, Kernel: st}, nil
 }

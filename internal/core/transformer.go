@@ -1,9 +1,8 @@
 package core
 
 // The transformer-inference sample: the shared driver behind
-// `cmd/gpgpusim -workload transformer [-replay]`, the kernel_replay.csv
-// aerialvision export, examples/transformer_inference and
-// BenchmarkTransformerReplay. RunTransformerReplay runs a small encoder
+// `cmd/gpgpusim -workload transformer [-replay]` (text and, under -o,
+// kernel_replay.csv) and BenchmarkTransformerReplay. RunTransformerReplay runs a small encoder
 // forward batch `iters` times on one session — the repeated-launch
 // pattern hybrid replay mode exists for — and verifies the replay
 // contract end to end: iteration 1 simulates in detail (checked against

@@ -197,6 +197,14 @@ func (c *Context) RegisterModule(src string) (*ptx.Module, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.RegisterParsed(m)
+	return m, nil
+}
+
+// RegisterParsed registers an already parsed translation unit. The
+// context only reads it, so one parsed module can be registered with
+// any number of contexts (the kernel library is: kernels.ParsedModules).
+func (c *Context) RegisterParsed(m *ptx.Module) {
 	c.modules = append(c.modules, m)
 	for _, name := range m.Textures {
 		if _, ok := c.texRefs[name]; !ok {
@@ -205,7 +213,6 @@ func (c *Context) RegisterModule(src string) (*ptx.Module, error) {
 			c.texRefs[name] = ref
 		}
 	}
-	return m, nil
 }
 
 // Modules returns the registered modules in registration order.

@@ -118,10 +118,12 @@ type Handle struct {
 // Create registers the kernel library with the context and returns a
 // handle.
 func Create(ctx *cudart.Context) (*Handle, error) {
-	for i, src := range kernels.AllModules() {
-		if _, err := ctx.RegisterModule(src); err != nil {
-			return nil, fmt.Errorf("cudnn: registering library module %d: %w", i, err)
-		}
+	mods, err := kernels.ParsedModules()
+	if err != nil {
+		return nil, fmt.Errorf("cudnn: %w", err)
+	}
+	for _, m := range mods {
+		ctx.RegisterParsed(m)
 	}
 	return &Handle{ctx: ctx}, nil
 }

@@ -343,3 +343,20 @@ func TestUnsupportedCombos(t *testing.T) {
 		t.Errorf("fft stride 2 = %v, want ErrNotSupported", err)
 	}
 }
+
+// TestDevicesShareParsedLibrary checks the library is parsed once per
+// process: two contexts resolve a kernel name to the same *ptx.Kernel.
+func TestDevicesShareParsedLibrary(t *testing.T) {
+	a, _ := newHandle(t)
+	b, _ := newHandle(t)
+	for _, name := range []string{"sgemm_tiled", "fill_zero", "layernorm_forward", "sgd_update"} {
+		_, ka, err := a.LookupKernel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, kb, _ := b.LookupKernel(name)
+		if ka != kb {
+			t.Errorf("%s: the two contexts hold different parsed kernels", name)
+		}
+	}
+}

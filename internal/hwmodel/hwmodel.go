@@ -5,7 +5,7 @@
 // traffic counts, the quantities NVProf reports) with an analytical
 // throughput model of the target card, plus per-kernel-family calibration
 // factors derived from the paper's published per-kernel discrepancies
-// (Fig. 7). See DESIGN.md "Substitutions".
+// (Fig. 7).
 package hwmodel
 
 import (

@@ -36,6 +36,10 @@ var regClassTypes = map[string]string{
 	"p": "pred", "r": "b32", "rd": "b64", "f": "f32", "fd": "f64", "h": "b16",
 }
 
+// regClassOrder is the order Build declares the classes in, so a kernel's
+// text is the same on every call.
+var regClassOrder = []string{"p", "r", "rd", "f", "fd", "h"}
+
 // R allocates a fresh virtual register of the given class and returns its
 // name (e.g. "%r7").
 func (b *Builder) R(class string) string {
@@ -100,8 +104,10 @@ func (b *Builder) Build() string {
 		fmt.Fprintf(&sb, "\t%s%s\n", p, sep)
 	}
 	sb.WriteString(")\n{\n")
-	for class, n := range b.counts {
-		fmt.Fprintf(&sb, "\t.reg .%s %%%s<%d>;\n", regClassTypes[class], class, n+1)
+	for _, class := range regClassOrder {
+		if n := b.counts[class]; n > 0 {
+			fmt.Fprintf(&sb, "\t.reg .%s %%%s<%d>;\n", regClassTypes[class], class, n+1)
+		}
 	}
 	for _, d := range b.decls {
 		sb.WriteString("\t" + d + "\n")

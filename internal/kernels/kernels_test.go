@@ -77,6 +77,17 @@ func TestAllModulesParse(t *testing.T) {
 	}
 }
 
+// TestAllModulesReproducible pins that the library text does not depend
+// on map iteration order: two generations are byte-identical.
+func TestAllModulesReproducible(t *testing.T) {
+	a, b := kernels.AllModules(), kernels.AllModules()
+	for i := range a {
+		if a[i] != b[i] {
+			t.Errorf("module %d differs between two AllModules calls", i)
+		}
+	}
+}
+
 func TestSgemmTiled(t *testing.T) {
 	ctx := newCtx(t)
 	rng := rand.New(rand.NewSource(1))

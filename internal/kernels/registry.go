@@ -1,5 +1,12 @@
 package kernels
 
+import (
+	"fmt"
+	"sync"
+
+	"repro/internal/ptx"
+)
+
 // Library assembly. Mirroring real cuDNN — whose shared library embeds
 // many PTX translation units, with some symbol names repeated across
 // units (§III-A) — the kernel corpus is split into several modules that
@@ -101,3 +108,19 @@ func AllModules() []string {
 		ModuleTransformer(), ModuleDecode(), ModuleTrain(),
 	}
 }
+
+// ParsedModules returns AllModules parsed, in registration order. The
+// library is generated and parsed once per process: a parsed module is
+// never written after ptx.Parse returns, so every device in the process
+// registers the same *ptx.Module values.
+var ParsedModules = sync.OnceValues(func() ([]*ptx.Module, error) {
+	var mods []*ptx.Module
+	for i, src := range AllModules() {
+		m, err := ptx.Parse(src)
+		if err != nil {
+			return nil, fmt.Errorf("kernels: parsing library module %d: %w", i, err)
+		}
+		mods = append(mods, m)
+	}
+	return mods, nil
+})

@@ -1,40 +1,21 @@
 package multigpu
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"testing"
 )
-
-// benchResult is one row of the BENCH_10.json scaling report.
-type benchResult struct {
-	Devices        int     `json:"devices"`
-	WallNsPerOp    int64   `json:"wall_ns_per_op"`
-	NsPerSimCycle  float64 `json:"ns_per_sim_cycle"`
-	TokensPerSec   float64 `json:"tokens_per_sec"`
-	SpeedupVsOneX  float64 `json:"speedup_vs_1dev"` // (devices × wall(1)) / wall(N)
-	SimCyclesPerOp uint64  `json:"sim_cycles_per_op"`
-}
 
 // BenchmarkMultiDeviceScaling measures the host-parallelism payoff of
 // sharding the simulation: one data-parallel training run at 1, 2 and 4
 // devices with one host worker per device. Simulated work grows
 // linearly with the device count (each replica trains its own
-// sequences), so ideal wall-clock is flat and the speedup
-// (devices × wall(1)) / wall(N) approaches the device count on a host
-// with ≥ devices cores; on fewer cores it degenerates to per-device
-// efficiency (≈ 1.0). When BENCH_OUT is set the measured table is
-// written there as JSON (relative paths resolve in the package
-// directory — pass an absolute path), with the host core count
-// recorded so the number can be judged in context.
+// sequences), so ideal wall-clock is flat across the sub-benchmarks on a
+// host with ≥ devices cores; on fewer cores it grows with the device
+// count. bench/'s dp_train_2dev workload is the recorded version
+// (multigpu.parallel_speedup).
 func BenchmarkMultiDeviceScaling(b *testing.B) {
 	const steps, seqLen = 2, 8
-	counts := []int{1, 2, 4}
-	byDevices := map[int]benchResult{} // the harness reruns sub-benches; keep the final (longest) run
-	for _, devices := range counts {
-		devices := devices
+	for _, devices := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("devices=%d", devices), func(b *testing.B) {
 			var simCycles uint64
 			for i := 0; i < b.N; i++ {
@@ -44,48 +25,8 @@ func BenchmarkMultiDeviceScaling(b *testing.B) {
 				}
 				simCycles += res.Cycles * uint64(devices)
 			}
-			nsPerCycle := float64(b.Elapsed().Nanoseconds()) / float64(simCycles)
-			tokensPerSec := float64(devices*steps*seqLen*b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(nsPerCycle, "ns/sim-cycle")
-			b.ReportMetric(tokensPerSec, "tokens/s")
-			byDevices[devices] = benchResult{
-				Devices:        devices,
-				WallNsPerOp:    b.Elapsed().Nanoseconds() / int64(b.N),
-				NsPerSimCycle:  nsPerCycle,
-				TokensPerSec:   tokensPerSec,
-				SimCyclesPerOp: simCycles / uint64(b.N),
-			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(simCycles), "ns/sim-cycle")
+			b.ReportMetric(float64(devices*steps*seqLen*b.N)/b.Elapsed().Seconds(), "tokens/s")
 		})
-	}
-	var rows []benchResult
-	for _, devices := range counts {
-		if r, ok := byDevices[devices]; ok {
-			rows = append(rows, r)
-		}
-	}
-	if len(rows) > 0 && rows[0].Devices == 1 && rows[0].WallNsPerOp > 0 {
-		for i := range rows {
-			rows[i].SpeedupVsOneX = float64(rows[i].Devices) * float64(rows[0].WallNsPerOp) / float64(rows[i].WallNsPerOp)
-		}
-	}
-	if out := os.Getenv("BENCH_OUT"); out != "" {
-		report := struct {
-			Bench    string        `json:"bench"`
-			Workload string        `json:"workload"`
-			HostCPUs int           `json:"host_cpus"`
-			Results  []benchResult `json:"results"`
-		}{
-			Bench:    "BenchmarkMultiDeviceScaling",
-			Workload: fmt.Sprintf("dp_train steps=%d seqLen=%d workers=devices", steps, seqLen),
-			HostCPUs: runtime.NumCPU(),
-			Results:  rows,
-		}
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -32,7 +32,7 @@ DONE:
 }
 `
 
-// TestDrainCycleAllocatesNothing guards the steady state of Engine.drain:
+// TestDrainCycleAllocatesNothing guards the steady state of Engine.Drain:
 // whatever one launch allocates (CTA state, the ticket, statistics
 // buckets sized by the sampling interval) must not grow with the number
 // of cycles it simulates. The stage bodies handed to the worker pool used

@@ -73,7 +73,7 @@ var drainDepths = []int{1, 16, 256, 1024}
 func BenchmarkDrainQueueDepth(b *testing.B) {
 	for _, depth := range drainDepths {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			benchDrainDepth(b, depth, func(e *Engine) error { return e.drain(1) })
+			benchDrainDepth(b, depth, func(e *Engine) error { return e.Drain() })
 		})
 	}
 }

@@ -109,17 +109,6 @@ func (e *Engine) Stats() *Stats { return e.stats }
 // Cycle returns the current cycle.
 func (e *Engine) Cycle() uint64 { return e.cycle }
 
-// Workers returns the configured worker count.
-func (e *Engine) Workers() int { return e.workers }
-
-// SetWorkers changes the worker count for subsequent kernel launches.
-func (e *Engine) SetWorkers(n int) {
-	if n <= 0 {
-		n = runtime.NumCPU()
-	}
-	e.workers = n
-}
-
 // AdvanceTo fast-forwards an idle engine's clock to the given absolute
 // cycle, charging the bridged span to the idle statistics exactly like
 // the drain loop's idle fast-forward (so bucket sums keep matching
@@ -159,17 +148,11 @@ type KernelStats = cudart.KernelStats
 // switches the context into the paper's Performance simulation mode. It
 // also implements cudart.StreamRunner, so async launches and copies on
 // non-default streams execute concurrently inside the detailed model.
-type Runner struct {
-	E *Engine
-	// Workers overrides the engine's worker count for launches made
-	// through this runner: 0 keeps the engine's setting, a negative
-	// value selects runtime.NumCPU().
-	Workers int
-}
+type Runner struct{ E *Engine }
 
 // RunKernel implements cudart.Runner.
 func (r Runner) RunKernel(g *exec.Grid) (cudart.KernelStats, error) {
-	return r.E.runGrid(g, 0, nil, r.Workers)
+	return r.E.RunGrid(g)
 }
 
 // SubmitKernel implements cudart.StreamRunner: the launch is queued on
@@ -185,7 +168,7 @@ func (r Runner) SubmitCopy(stream, bytes int, apply func()) cudart.AsyncTicket {
 }
 
 // DrainAll implements cudart.StreamRunner.
-func (r Runner) DrainAll() error { return r.E.drain(r.Workers) }
+func (r Runner) DrainAll() error { return r.E.Drain() }
 
 // ClockMHz implements cudart.StreamRunner (for cycle → µs conversion on
 // the context's coarse stream timeline).
@@ -306,30 +289,21 @@ func (e *Engine) SubmitCopy(stream, bytes int, apply func()) *Ticket {
 	return t
 }
 
-// Drain simulates until every submitted operation has retired. Statistics
-// land on the tickets; the first failure aborts the whole batch and is
-// returned (every unfinished ticket gets an error).
-func (e *Engine) Drain() error { return e.drain(0) }
-
 // RunGrid simulates one kernel launch to completion (any previously
 // submitted operations drain along with it).
 func (e *Engine) RunGrid(g *exec.Grid) (cudart.KernelStats, error) {
-	return e.runGrid(g, 0, nil, 0)
+	return e.RunGridResume(g, 0, nil)
 }
 
 // RunGridResume simulates a launch whose first skipCTAs blocks already
 // completed before a checkpoint, with `preload` holding mid-flight CTAs
 // restored from checkpoint Data1 (paper §III-F resume flow, Fig. 5).
 func (e *Engine) RunGridResume(g *exec.Grid, skipCTAs int, preload []*exec.CTA) (cudart.KernelStats, error) {
-	return e.runGrid(g, skipCTAs, preload, 0)
-}
-
-func (e *Engine) runGrid(g *exec.Grid, skipCTAs int, preload []*exec.CTA, workers int) (cudart.KernelStats, error) {
 	t, err := e.submit(g, 0, skipCTAs, preload)
 	if err != nil {
 		return cudart.KernelStats{}, err
 	}
-	if err := e.drain(workers); err != nil {
+	if err := e.Drain(); err != nil {
 		if t.err != nil {
 			return cudart.KernelStats{}, t.err
 		}
@@ -352,8 +326,11 @@ func (e *Engine) copyCycles(bytes int) uint64 {
 	return uint64(float64(bytes)/bpc + 0.5)
 }
 
-// drain is the engine's main loop: admit eligible operations, step the
-// machine cycle by cycle, retire operations, until the queue is empty.
+// Drain simulates until every submitted operation has retired: admit
+// eligible operations, step the machine cycle by cycle, retire
+// operations, until the queue is empty. Statistics land on the tickets;
+// the first failure aborts the whole batch and is returned (every
+// unfinished ticket gets an error).
 //
 // Per-cycle work is O(active grids + active copies + newly ready
 // tickets), not O(total queued tickets): the schedule (schedule.go)
@@ -367,7 +344,7 @@ func (e *Engine) copyCycles(bytes int) uint64 {
 // cycles; the skipped cycles are charged to the stall statistics so the
 // modelled cycle counts and bucket sums are identical to a cycle-by-
 // cycle walk.
-func (e *Engine) drain(workers int) error {
+func (e *Engine) Drain() error {
 	if len(e.queue) == 0 {
 		return nil
 	}
@@ -400,12 +377,7 @@ func (e *Engine) drain(workers int) error {
 		}
 	}
 
-	if workers == 0 {
-		workers = e.workers
-	} else if workers < 0 {
-		workers = runtime.NumCPU()
-	}
-	p := e.getPool(workers)
+	p := e.getPool(e.workers)
 
 	var disp dispatcher
 	nCores := len(e.cores)

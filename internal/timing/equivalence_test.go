@@ -21,7 +21,7 @@ import (
 // loops and demands byte-identical cycles, per-ticket stats, engine
 // counters and final device memory.
 
-// drainLegacyForTest is the old Engine.drain. Apart from the three
+// drainLegacyForTest is the old Engine.Drain. Apart from the three
 // deliberate deviations flagged inline (stream linking inlined, the
 // fast-forward observability counter, and forcing the dispatcher dirty
 // flag so the reference keeps its original every-cycle unconditional
@@ -397,7 +397,7 @@ func runEqPlan(t *testing.T, ops []eqOp, streams int, serialize, legacy bool) eq
 	if legacy {
 		err = eng.drainLegacyForTest(1, func(now uint64) { checkSchedulers(t, eng, ctx.M, now) })
 	} else {
-		err = eng.drain(1)
+		err = eng.Drain()
 	}
 	if err != nil {
 		t.Fatalf("drain (legacy=%v): %v", legacy, err)
@@ -459,7 +459,7 @@ func TestCopyCompletionSubmissionOrder(t *testing.T) {
 		if legacy {
 			err = eng.drainLegacyForTest(1, nil)
 		} else {
-			err = eng.drain(1)
+			err = eng.Drain()
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -509,7 +509,7 @@ func TestResumeFullyRetiredGrid(t *testing.T) {
 		if legacy {
 			err = eng.drainLegacyForTest(1, nil)
 		} else {
-			err = eng.drain(1)
+			err = eng.Drain()
 		}
 		if err != nil {
 			t.Fatalf("drain (legacy=%v) rejected a fully retired resume: %v", legacy, err)

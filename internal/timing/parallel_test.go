@@ -251,28 +251,3 @@ func TestEngineSurvivesFailedLaunch(t *testing.T) {
 		t.Fatal("engine clock did not advance after the failed launch")
 	}
 }
-
-// TestRunnerWorkerOverride checks the per-runner worker override takes
-// effect without disturbing determinism.
-func TestRunnerWorkerOverride(t *testing.T) {
-	ctx := cudart.NewContext(exec.BugSet{})
-	h, err := cudnn.Create(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := timing.New(timing.GTX1050())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Workers() != 1 {
-		t.Fatalf("default workers = %d, want 1", eng.Workers())
-	}
-	ctx.SetRunner(timing.Runner{E: eng, Workers: 4})
-	out, n := gemmLoad(t, ctx, h)
-	_ = ctx.MemcpyF32DtoH(out, n)
-
-	serial := runWorkload(t, 1, gemmLoad)
-	if eng.Cycle() != serial.Cycles {
-		t.Fatalf("runner override diverged: %d vs %d cycles", eng.Cycle(), serial.Cycles)
-	}
-}

@@ -32,7 +32,7 @@ import (
 func runReplaySchedule(t *testing.T, ops []eqOp, streams int, cfg Config, workers int, rounds [][]int) []eqResult {
 	t.Helper()
 	ctx := cudart.NewContext(exec.BugSet{})
-	eng, err := New(cfg)
+	eng, err := New(cfg, WithWorkers(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func runReplaySchedule(t *testing.T, ops []eqOp, streams int, cfg Config, worker
 				tickets = append(tickets, eng.SubmitCopy(op.stream, 4*op.n, func() { ctx.MemcpyF32HtoD(dst, data) }))
 			}
 		}
-		if err := eng.drain(workers); err != nil {
+		if err := eng.Drain(); err != nil {
 			t.Fatalf("drain: %v", err)
 		}
 		res := eqResult{Cycles: eng.Cycle(), Stats: *eng.Stats()}

@@ -437,7 +437,7 @@ func runSchedKernel(t *testing.T, name string, ctas, threads int, legacy bool) s
 	if legacy {
 		err = eng.drainLegacyForTest(1, func(now uint64) { checkSchedulers(t, eng, ctx.M, now) })
 	} else {
-		err = eng.drain(1)
+		err = eng.Drain()
 	}
 	if err != nil {
 		t.Fatalf("%s (legacy=%v): %v", name, legacy, err)

@@ -2,7 +2,8 @@ package gpgpusim
 
 // Smoke tests for the main packages under cmd/ and examples/: every one
 // must compile, and the quickstart / standalone-simulator / LeNet paths
-// must run end to end with tiny configurations.
+// and every workload of the one front door must run end to end with
+// tiny configurations.
 
 import (
 	"fmt"
@@ -81,10 +82,8 @@ func TestMainPackagesSmoke(t *testing.T) {
 
 	// every expected binary exists
 	for _, name := range []string{
-		"gpgpusim", "mnistsim", "aerialvision", "convsample", "debugtool",
-		"quickstart", "lenet_mnist", "conv_algorithms", "checkpoint_resume",
-		"debug_workflow", "concurrent_streams", "transformer_inference",
-		"bank_camping",
+		"gpgpusim", "debugtool", "quickstart", "lenet_mnist",
+		"checkpoint_resume", "debug_workflow", "concurrent_streams",
 	} {
 		if _, err := os.Stat(filepath.Join(bin, name)); err != nil {
 			t.Errorf("binary %s not built: %v", name, err)
@@ -207,23 +206,33 @@ func TestMainPackagesSmoke(t *testing.T) {
 		}
 	})
 
-	// invalid flag combinations must fail loudly (exit 2 with a usage
-	// hint) instead of silently ignoring the flag
+	// a flag the workload does not define, and a value or combination it
+	// could not honour, must fail loudly (exit 2 naming the flag) instead
+	// of being silently ignored
 	t.Run("gpgpusim_invalid_flag_combos", func(t *testing.T) {
 		for _, c := range []struct {
 			args []string
 			want string
 		}{
-			{[]string{"-workload", "decode", "-decode"}, "-decode only applies to -workload serve"},
-			{[]string{"-workload", "transformer", "-prompt", "3"}, "-prompt/-gen only apply to"},
-			{[]string{"-workload", "transformer", "-gen", "5"}, "-prompt/-gen only apply to"},
+			{[]string{"-workload", "decode", "-decode"}, "flag provided but not defined: -decode"},
+			{[]string{"-workload", "transformer", "-prompt", "3"}, "flag provided but not defined: -prompt"},
+			{[]string{"-workload", "transformer", "-gen", "5"}, "flag provided but not defined: -gen"},
 			{[]string{"-workload", "serve", "-rate", "10", "-trace", "x.trace"}, "mutually exclusive"},
-			{[]string{"-workload", "decode", "-steps", "2"}, "-steps only applies to -workload train"},
+			{[]string{"-workload", "serve", "-prompt", "3"}, "-prompt/-gen only apply with -decode"},
+			{[]string{"-workload", "decode", "-steps", "2"}, "flag provided but not defined: -steps"},
 			{[]string{"-workload", "train", "-devices", "0"}, "-devices must be >= 1"},
-			{[]string{"-workload", "serve", "-devices", "2"}, "-devices only applies to -workload train or transformer"},
+			{[]string{"-workload", "serve", "-devices", "2"}, "flag provided but not defined: -devices"},
 			{[]string{"-workload", "transformer", "-devices", "2", "-streams", "2"}, "-streams only applies to single-device runs"},
+			{[]string{"-workload", "transformer", "-devices", "2", "-replay"}, "-replay with -devices only applies to -workload train"},
 			{[]string{"-workload", "train", "-replay-resample", "2"}, "-replay-resample only applies with -replay"},
 			{[]string{"-workload", "serve", "-replay-resample", "2"}, "-replay-resample only applies with -replay"},
+			// both ran to completion, every flag after the name ignored,
+			// when one flag set served every mode
+			{[]string{"-workload", "membound", "-streams", "4", "-rate", "3", "-requests", "9", "-serve-seed", "2", "-perf", "-kernel", "foo", "-grid", "9"}, "flag provided but not defined: -streams"},
+			{[]string{"-workload", "train", "-streams", "3", "-trace", "nosuch.trace"}, "flag provided but not defined: -streams"},
+			// ran one CTA / one-thread blocks instead of the shape typed
+			{[]string{"-grid", "abc", ptxFile}, "-grid"},
+			{[]string{"-block", "12x8", ptxFile}, "-block"},
 		} {
 			out, code := runBinaryExpectError(t, filepath.Join(bin, "gpgpusim"), c.args...)
 			if code != 2 {
@@ -287,44 +296,38 @@ func TestMainPackagesSmoke(t *testing.T) {
 		}
 	})
 
+	// the paper's experiments, folded into the front door (their full
+	// stdout is pinned in cmd/gpgpusim/testdata)
 	t.Run("bank_camping", func(t *testing.T) {
-		out := runBinary(t, filepath.Join(bin, "bank_camping"))
+		out := runBinary(t, filepath.Join(bin, "gpgpusim"), "-workload", "camping")
 		for _, want := range []string{"camped", "streaming", "DRAM utilization", "avg segment latency"} {
 			if !strings.Contains(out, want) {
-				t.Fatalf("missing %q in bank_camping output:\n%s", want, out)
+				t.Fatalf("missing %q in camping workload output:\n%s", want, out)
 			}
 		}
 	})
 
-	t.Run("transformer_inference", func(t *testing.T) {
-		out := runBinary(t, filepath.Join(bin, "transformer_inference"))
-		for _, want := range []string{"transformer encoder", "warp instrs", "max |sim - cpu|", "overlap speedup"} {
-			if !strings.Contains(out, want) {
-				t.Fatalf("missing %q in transformer_inference output:\n%s", want, out)
-			}
-		}
-	})
-
-	// the remaining fast binaries must emit their statistics output, not
-	// just exit 0 (lenet_mnist and conv_algorithms run for tens of
-	// seconds and stay build-only here)
-	t.Run("mnistsim", func(t *testing.T) {
-		out := runBinary(t, filepath.Join(bin, "mnistsim"), "-images", "1")
+	t.Run("gpgpusim_workload_mnist", func(t *testing.T) {
+		out := runBinary(t, filepath.Join(bin, "gpgpusim"), "-workload", "mnist", "-images", "1")
 		for _, want := range []string{"self-check", "correlation", "cycles"} {
 			if !strings.Contains(out, want) {
-				t.Fatalf("missing %q in mnistsim output:\n%s", want, out)
+				t.Fatalf("missing %q in mnist workload output:\n%s", want, out)
 			}
 		}
 	})
 
 	t.Run("convsample", func(t *testing.T) {
-		out := runBinary(t, filepath.Join(bin, "convsample"), "-c", "2", "-k", "2", "-hw", "12")
+		out := runBinary(t, filepath.Join(bin, "gpgpusim"), "-workload", "convsample", "-c", "2", "-k", "2", "-hw", "12")
 		for _, want := range []string{"conv_sample", "cycles", "IPC"} {
 			if !strings.Contains(out, want) {
-				t.Fatalf("missing %q in convsample output:\n%s", want, out)
+				t.Fatalf("missing %q in convsample workload output:\n%s", want, out)
 			}
 		}
 	})
+
+	// the remaining fast binaries must emit their statistics output, not
+	// just exit 0 (lenet_mnist runs for tens of seconds and stays
+	// build-only here)
 
 	t.Run("debugtool", func(t *testing.T) {
 		out := runBinary(t, filepath.Join(bin, "debugtool"))
@@ -351,46 +354,35 @@ func TestMainPackagesSmoke(t *testing.T) {
 		}
 	})
 
+	// -o writes the tables of the run it rides on as CSV: the AerialVision
+	// series and per-kernel memory counters of a conv_sample case, and the
+	// table each transformer-family workload prints
 	t.Run("aerialvision", func(t *testing.T) {
-		dir := filepath.Join(t.TempDir(), "aerial")
-		out := runBinary(t, filepath.Join(bin, "aerialvision"), "-o", dir, "-replay", "-decode", "-serve", "-train", "-train-steps", "2")
-		if !strings.Contains(out, "wrote") {
-			t.Fatalf("aerialvision reported no files:\n%s", out)
-		}
-		entries, err := os.ReadDir(dir)
-		if err != nil || len(entries) == 0 {
-			t.Fatalf("aerialvision wrote no CSVs (err=%v)", err)
-		}
-		if _, err := os.Stat(filepath.Join(dir, "kernel_mem.csv")); err != nil {
-			t.Fatalf("aerialvision did not write the per-kernel memory CSV: %v", err)
-		}
-		replayCSV, err := os.ReadFile(filepath.Join(dir, "kernel_replay.csv"))
-		if err != nil {
-			t.Fatalf("aerialvision -replay did not write the replay coverage CSV: %v", err)
-		}
-		if !strings.HasPrefix(string(replayCSV), "kernel,launches,replayed,") {
-			t.Fatalf("kernel_replay.csv header unexpected:\n%s", replayCSV[:min(len(replayCSV), 200)])
-		}
-		decodeCSV, err := os.ReadFile(filepath.Join(dir, "decode_throughput.csv"))
-		if err != nil {
-			t.Fatalf("aerialvision -decode did not write the decode throughput CSV: %v", err)
-		}
-		if !strings.HasPrefix(string(decodeCSV), "mode,iters,tokens,total_cycles,") {
-			t.Fatalf("decode_throughput.csv header unexpected:\n%s", decodeCSV[:min(len(decodeCSV), 200)])
-		}
-		serveCSV, err := os.ReadFile(filepath.Join(dir, "serve_latency.csv"))
-		if err != nil {
-			t.Fatalf("aerialvision -serve did not write the serving latency CSV: %v", err)
-		}
-		if !strings.HasPrefix(string(serveCSV), "window_end_cycle,completed,p50_cycles,") {
-			t.Fatalf("serve_latency.csv header unexpected:\n%s", serveCSV[:min(len(serveCSV), 200)])
-		}
-		trainCSV, err := os.ReadFile(filepath.Join(dir, "train_loss.csv"))
-		if err != nil {
-			t.Fatalf("aerialvision -train did not write the training loss CSV: %v", err)
-		}
-		if !strings.HasPrefix(string(trainCSV), "step,loss,cpu_loss,replayed") {
-			t.Fatalf("train_loss.csv header unexpected:\n%s", trainCSV[:min(len(trainCSV), 200)])
+		for _, c := range []struct {
+			args   []string
+			file   string
+			header string
+		}{
+			{[]string{"-workload", "convsample", "-c", "2", "-k", "2", "-hw", "12"}, "kernel_mem.csv", "kernel,l2_accesses,l2_hits,"},
+			{[]string{"-workload", "convsample", "-c", "2", "-k", "2", "-hw", "12"}, "warp_breakdown.csv", "series,0,1,"},
+			{[]string{"-workload", "transformer", "-replay"}, "kernel_replay.csv", "kernel,launches,replayed,"},
+			{[]string{"-workload", "decode", "-prompt", "2", "-gen", "2"}, "decode_throughput.csv", "mode,iters,tokens,total_cycles,"},
+			{[]string{"-workload", "serve", "-requests", "8"}, "serve_latency.csv", "window_end_cycle,completed,p50_cycles,"},
+			{[]string{"-workload", "train", "-steps", "2", "-replay"}, "train_loss.csv", "step,loss,cpu_loss,replayed"},
+		} {
+			dir := filepath.Join(t.TempDir(), "aerial")
+			out := runBinary(t, filepath.Join(bin, "gpgpusim"), append(c.args, "-o", dir)...)
+			path := filepath.Join(dir, c.file)
+			if !strings.Contains(out, "wrote "+path) {
+				t.Errorf("gpgpusim %v -o did not report %s:\n%s", c.args, c.file, out)
+			}
+			csv, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("gpgpusim %v -o did not write %s: %v", c.args, c.file, err)
+			}
+			if !strings.HasPrefix(string(csv), c.header) {
+				t.Errorf("%s header unexpected:\n%s", c.file, csv[:min(len(csv), 200)])
+			}
 		}
 	})
 }
