@@ -78,11 +78,11 @@ func workloadArg(args []string) string {
 
 // names lists the -workload values.
 func names() string {
-	var names []string
+	var list []string
 	for _, w := range workloads[1:] {
-		names = append(names, w.name)
+		list = append(list, w.name)
 	}
-	return strings.Join(names, ", ")
+	return strings.Join(list, ", ")
 }
 
 // flagSet builds the entry's flag set: the front door's three flags plus
@@ -125,7 +125,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	rep := &aerial.Report{W: stdout}
 	var err error
-	if w.name != "" && fs.NArg() > 0 {
+	if parsed := fs.Lookup("workload").Value.String(); parsed != w.name {
+		err = usagef("-workload names both %q and %q", w.name, parsed) // the pre-scan takes the first, flag the last
+	} else if w.name != "" && fs.NArg() > 0 {
 		err = usagef("unexpected argument %q: -workload %s takes flags only", fs.Arg(0), w.name)
 	} else if err = runFn(rep); err == nil && *out != "" {
 		err = rep.WriteCSV(*out)

@@ -145,6 +145,7 @@ func TestValueChecks(t *testing.T) {
 		{"-workload transformer -devices 2 -replay", "-replay with -devices only applies to -workload train"},
 		{"-workload convsample -sweep -algo fft", "-algo selects one case"},
 		{"-workload membound extra", `unexpected argument "extra"`},
+		{"-workload membound -workload camping", `-workload names both "membound" and "camping"`},
 		{"-streams 2 file.ptx", "-streams needs -perf"},
 		{"-j 2 file.ptx", "-j needs -perf"},
 		{"-grid abc file.ptx", "-grid"},

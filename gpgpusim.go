@@ -16,11 +16,12 @@
 //     Performance simulation mode (GTX 1050 / GTX 1080 Ti models).
 //   - NewDevice / LeNet / dataset helpers: the PyTorch-analog framework
 //     and the MNIST workload.
-//   - RunMNISTCorrelation / RunConvSample: the paper's experiments.
 //   - DebugTool: the §III-D functional-debug methodology.
 //   - CheckpointCapture / CheckpointResume: the §III-F flow.
 //
-// See README.md for a quickstart and the system inventory.
+// The paper's experiments (§IV correlation and power, §V conv_sample and
+// bank camping) are workloads of cmd/gpgpusim; internal/core has their
+// drivers. See README.md for a quickstart and the system inventory.
 package gpgpusim
 
 import (
@@ -149,13 +150,3 @@ func NewLeNet(bugs BugSet) (*LeNet, *Device, error) { return mnist.NewDefaultLeN
 
 // NewMNISTDataset builds the deterministic synthetic MNIST-like dataset.
 func NewMNISTDataset(seed int64) *mnist.Dataset { return mnist.NewDataset(seed) }
-
-// RunMNISTCorrelation reproduces the paper's §IV (Figs. 6-8).
-func RunMNISTCorrelation(images int) (*core.MNISTCorrelationResult, error) {
-	return core.RunMNISTCorrelation(1, images)
-}
-
-// RunConvSample reproduces one case of the paper's §V sweep (Figs. 9-25).
-func RunConvSample(gpu GPU, dir core.ConvDirection, algo string, shape core.ConvSampleShape) (*core.ConvSampleResult, error) {
-	return core.RunConvSample(gpu, 1, dir, algo, shape)
-}

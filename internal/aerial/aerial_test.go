@@ -1,6 +1,8 @@
 package aerial
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -79,6 +81,56 @@ func TestKernelMemTable(t *testing.T) {
 	for _, want := range []string{"saxpy", "25.0", "40.0", "12", "n/a"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in summary:\n%s", want, out)
+		}
+	}
+}
+
+// TestKernelMemTableCSV pins kernel_mem.csv's form: raw counts, the
+// launch id in the kernel column, no rates.
+func TestKernelMemTableCSV(t *testing.T) {
+	var b strings.Builder
+	tab := KernelMemTable("", []cudart.KernelStats{
+		{Name: "saxpy", LaunchID: 3, L2Accesses: 100, L2Hits: 25, L2Misses: 75, DRAMAccesses: 75, DRAMRowHits: 30, MemStallCycles: 12},
+	})
+	if err := tab.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := "kernel,l2_accesses,l2_hits,l2_misses,dram_accesses,dram_rowhits,mem_stall_cycles\nsaxpy#3,100,25,75,75,30,12\n"
+	if b.String() != want || tab.File != "kernel_mem.csv" {
+		t.Errorf("%s:\n%s\nwant:\n%s", tab.File, b.String(), want)
+	}
+}
+
+// TestReport: a table is printed when it has a title and exported when
+// it names a file; series are export-only; WriteCSV writes what was kept
+// and reports each path.
+func TestReport(t *testing.T) {
+	var text strings.Builder
+	rep := &Report{W: &text}
+	rep.Printf("summary %d\n", 7)
+	rep.Table(KernelReplayTable("shown", []core.KernelAgg{{Name: "k", Launches: 2}}))
+	rep.Table(CSVTable("cells.csv", []string{"a", "b"}, [][]string{{"1", "x"}}))
+	rep.Series("ipc.csv", []string{"ipc"}, [][]float64{{0.5, 1}})
+	if got := text.String(); !strings.HasPrefix(got, "summary 7\n== shown ==\n") || strings.Contains(got, "cells") {
+		t.Errorf("text form:\n%s", got)
+	}
+
+	dir := filepath.Join(t.TempDir(), "out")
+	text.Reset()
+	if err := rep.WriteCSV(dir); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{
+		"kernel_replay.csv": "kernel,launches,replayed,cycles,replayed_cycles\nk,2,0,0,0\n",
+		"cells.csv":         "a,b\n1,x\n",
+		"ipc.csv":           "series,0,1\nipc,0.5,1\n",
+	} {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || string(got) != want {
+			t.Errorf("%s = %q (%v), want %q", name, got, err, want)
+		}
+		if !strings.Contains(text.String(), "wrote "+filepath.Join(dir, name)+"\n") {
+			t.Errorf("%s not reported:\n%s", name, text.String())
 		}
 	}
 }

@@ -13,6 +13,7 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -31,19 +32,17 @@ func NewBuilder(name string) *Builder {
 	return &Builder{name: name, counts: make(map[string]int)}
 }
 
-// Reg classes: p=pred, r=b32, rd=b64, f=f32, fd=f64, h=b16.
-var regClassTypes = map[string]string{
-	"p": "pred", "r": "b32", "rd": "b64", "f": "f32", "fd": "f64", "h": "b16",
+// regClasses are the register classes and their PTX types, in the order
+// Build declares them (a fixed one, so a kernel's text is the same on
+// every call).
+var regClasses = [][2]string{
+	{"p", "pred"}, {"r", "b32"}, {"rd", "b64"}, {"f", "f32"}, {"fd", "f64"}, {"h", "b16"},
 }
-
-// regClassOrder is the order Build declares the classes in, so a kernel's
-// text is the same on every call.
-var regClassOrder = []string{"p", "r", "rd", "f", "fd", "h"}
 
 // R allocates a fresh virtual register of the given class and returns its
 // name (e.g. "%r7").
 func (b *Builder) R(class string) string {
-	if _, ok := regClassTypes[class]; !ok {
+	if !slices.ContainsFunc(regClasses, func(c [2]string) bool { return c[0] == class }) {
 		panic("kernels: unknown register class " + class)
 	}
 	b.counts[class]++
@@ -104,9 +103,9 @@ func (b *Builder) Build() string {
 		fmt.Fprintf(&sb, "\t%s%s\n", p, sep)
 	}
 	sb.WriteString(")\n{\n")
-	for _, class := range regClassOrder {
-		if n := b.counts[class]; n > 0 {
-			fmt.Fprintf(&sb, "\t.reg .%s %%%s<%d>;\n", regClassTypes[class], class, n+1)
+	for _, c := range regClasses {
+		if n := b.counts[c[0]]; n > 0 {
+			fmt.Fprintf(&sb, "\t.reg .%s %%%s<%d>;\n", c[1], c[0], n+1)
 		}
 	}
 	for _, d := range b.decls {
