@@ -195,3 +195,104 @@ func (b *Builder) GuardEnd(idx, n, endLabel string) {
 	b.I("setp.ge.u32 %s, %s, %s;", p, idx, n)
 	b.I("@%s bra %s;", p, endLabel)
 }
+
+// ---- shared emitters ----
+//
+// Every emitter allocates its registers and labels in one fixed order, so
+// a kernel's text depends only on the order it calls them in. Labels are
+// passed in by name: fixed loop heads as given, generated ones as the
+// hint handed to NewLabel.
+
+// loop emits `for i = start; i < limit; i += step { body(i) }` over a
+// fresh u32 counter. start, limit and step are registers or immediates;
+// head is the loop label, endHint names the generated exit label.
+func (b *Builder) loop(head, endHint, start, limit, step string, body func(i string)) {
+	b.loopNext(head, "", endHint, start, limit, step, func(i, _ string) { body(i) })
+}
+
+// loopNext is loop with a `continue` target: a label generated from
+// nextHint (ahead of the exit label) and placed just before the
+// increment, which body branches to in order to skip an iteration.
+func (b *Builder) loopNext(head, nextHint, endHint, start, limit, step string, body func(i, next string)) {
+	i := b.R("r")
+	b.I("mov.u32 %s, %s;", i, start)
+	b.L(head)
+	p := b.R("p")
+	var next string
+	if nextHint != "" {
+		next = b.NewLabel(nextHint)
+	}
+	end := b.NewLabel(endHint)
+	b.I("setp.ge.u32 %s, %s, %s;", p, i, limit)
+	b.I("@%s bra %s;", p, end)
+	body(i, next)
+	if next != "" {
+		b.L(next)
+	}
+	b.I("add.u32 %s, %s, %s;", i, i, step)
+	b.I("bra %s;", head)
+	b.L(end)
+}
+
+// remDiv emits one step of a flat-index decomposition: rem = x % d and
+// quot = x / d, in that order.
+func (b *Builder) remDiv(x, d string) (rem, quot string) {
+	rem, quot = b.R("r"), b.R("r")
+	b.I("rem.u32 %s, %s, %s;", rem, x, d)
+	b.I("div.u32 %s, %s, %s;", quot, x, d)
+	return rem, quot
+}
+
+// divRem is remDiv for the kernels that take the quotient first.
+func (b *Builder) divRem(x, d string) (quot, rem string) {
+	quot, rem = b.R("r"), b.R("r")
+	b.I("div.u32 %s, %s, %s;", quot, x, d)
+	b.I("rem.u32 %s, %s, %s;", rem, x, d)
+	return quot, rem
+}
+
+// flatIndex emits the row-major flat index ((i0*d1 + i1)*d2 + i2)… into
+// a fresh register; after the leading index the arguments alternate
+// extent, index: flatIndex(i0, d1, i1, d2, i2).
+func (b *Builder) flatIndex(i0 string, extIdx ...string) string {
+	out, acc := b.R("r"), i0
+	for j := 0; j < len(extIdx); j += 2 {
+		b.I("mad.lo.s32 %s, %s, %s, %s;", out, acc, extIdx[j], extIdx[j+1])
+		acc = out
+	}
+	return out
+}
+
+// reduceShared emits a shared-memory tree reduction over width lanes (a
+// power of two): every lane stores partial into its own slot, and after
+// log2(width) halving steps the slot of lane 0 holds the op ("add" or
+// "max") of all of them. loop is the loop label; endHint and skipHint
+// name the generated exit and inactive-lane labels.
+func (b *Builder) reduceShared(op string, width int, tid, slot, partial, loop, endHint, skipHint string) {
+	b.I("st.shared.f32 [%s], %s;", slot, partial)
+	b.I("bar.sync 0;")
+	step := b.R("r")
+	b.I("mov.u32 %s, %d;", step, width/2)
+	b.L(loop)
+	pz := b.R("p")
+	end := b.NewLabel(endHint)
+	b.I("setp.eq.u32 %s, %s, 0;", pz, step)
+	b.I("@%s bra %s;", pz, end)
+	pact := b.R("p")
+	skip := b.NewLabel(skipHint)
+	b.I("setp.ge.u32 %s, %s, %s;", pact, tid, step)
+	b.I("@%s bra %s;", pact, skip)
+	offr, other := b.R("r"), b.R("r")
+	b.I("shl.b32 %s, %s, 2;", offr, step)
+	b.I("add.u32 %s, %s, %s;", other, slot, offr)
+	va, vb := b.R("f"), b.R("f")
+	b.I("ld.shared.f32 %s, [%s];", va, slot)
+	b.I("ld.shared.f32 %s, [%s];", vb, other)
+	b.I("%s.f32 %s, %s, %s;", op, va, va, vb)
+	b.I("st.shared.f32 [%s], %s;", slot, va)
+	b.L(skip)
+	b.I("bar.sync 0;")
+	b.I("shr.u32 %s, %s, 1;", step, step)
+	b.I("bra %s;", loop)
+	b.L(end)
+}

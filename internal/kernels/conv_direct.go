@@ -4,34 +4,50 @@ package kernels
 // "Algorithm 0/1/3" backward kernels the paper's conv_sample case study
 // sweeps over (§V-A). Tensors are NCHW; filters are KCRS.
 
-// convIndexHeader emits the common idx -> (k, oy, ox) decomposition for
-// per-output-pixel kernels. Returns (idx, k, oy, ox) registers; grid.y
-// carries the image index n.
-func convIndexHeader(b *Builder, pK, pOH, pOW string, end string) (idx, kk, oy, ox, n string) {
+// pixelIndex emits the common one-thread-per-pixel decomposition over a
+// [C, H, W] plane stack whose extents are the u32 parameters pC, pH, pW:
+// idx -> (c, y, x), guarded against idx >= C*H*W. grid.y carries the
+// image index n. ext returns the three loaded extents.
+func pixelIndex(b *Builder, pC, pH, pW, end string) (idx, c, y, x, n string, ext [3]string) {
 	idx = b.GlobalTidX()
-	k := b.LoadU32(pK)
-	oh := b.LoadU32(pOH)
-	ow := b.LoadU32(pOW)
+	ext = [3]string{b.LoadU32(pC), b.LoadU32(pH), b.LoadU32(pW)}
 	tot := b.R("r")
-	b.I("mul.lo.u32 %s, %s, %s;", tot, k, oh)
-	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, ow)
+	b.I("mul.lo.u32 %s, %s, %s;", tot, ext[0], ext[1])
+	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, ext[2])
 	b.GuardEnd(idx, tot, end)
-	ox, t1 := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", ox, idx, ow)
-	b.I("div.u32 %s, %s, %s;", t1, idx, ow)
-	oy, kk = b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", oy, t1, oh)
-	b.I("div.u32 %s, %s, %s;", kk, t1, oh)
+	x, t1 := b.remDiv(idx, ext[2])
+	y, c = b.remDiv(t1, ext[1])
 	n = b.R("r")
 	b.I("mov.u32 %s, %%ctaid.y;", n)
-	return idx, kk, oy, ox, n
+	return idx, c, y, x, n, ext
 }
 
-// ConvForwardImplicitGemm computes y[n,k,oy,ox] = sum_{c,r,s}
+// patchOrigin emits the top-left input coordinate (oy*stride-pad,
+// ox*stride-pad) of the filter window of output pixel (oy, ox).
+func patchOrigin(b *Builder, oy, ox, stride, pad string) (iy0, ix0 string) {
+	iy0, ix0 = b.R("r"), b.R("r")
+	b.I("mul.lo.u32 %s, %s, %s;", iy0, oy, stride)
+	b.I("sub.u32 %s, %s, %s;", iy0, iy0, pad)
+	b.I("mul.lo.u32 %s, %s, %s;", ix0, ox, stride)
+	b.I("sub.u32 %s, %s, %s;", ix0, ix0, pad)
+	return iy0, ix0
+}
+
+// imageOffset emits n*C*H*W, the flat offset of image n.
+func imageOffset(b *Builder, n, c, h, w string) string {
+	chw := b.R("r")
+	b.I("mul.lo.u32 %s, %s, %s;", chw, c, h)
+	b.I("mul.lo.u32 %s, %s, %s;", chw, chw, w)
+	imgOff := b.R("r")
+	b.I("mul.lo.u32 %s, %s, %s;", imgOff, n, chw)
+	return imgOff
+}
+
+// convForwardImplicitGemm computes y[n,k,oy,ox] = sum_{c,r,s}
 // x[n,c,oy*st-pad+r,ox*st-pad+s] * w[k,c,r,s] directly (no im2col
 // staging). One thread per output pixel; border handling branches cause
 // the idle-warp/data-hazard pattern of the paper's Fig. 23.
-func ConvForwardImplicitGemm() string {
+func convForwardImplicitGemm() string {
 	b := NewBuilder("implicit_gemm_conv_fwd")
 	pX, pW, pY := b.PtrParam("pX"), b.PtrParam("pW"), b.PtrParam("pY")
 	pC, pH, pWw := b.U32Param("pC"), b.U32Param("pH"), b.U32Param("pWidth")
@@ -39,7 +55,7 @@ func ConvForwardImplicitGemm() string {
 	pOH, pOW := b.U32Param("pOH"), b.U32Param("pOW")
 	pStride, pPad := b.U32Param("pStrideC"), b.U32Param("pPad")
 	end := b.NewLabel("end")
-	idx, kk, oy, ox, n := convIndexHeader(b, pK, pOH, pOW, end)
+	idx, kk, oy, ox, n, _ := pixelIndex(b, pK, pOH, pOW, end)
 
 	c := b.LoadU32(pC)
 	h := b.LoadU32(pH)
@@ -52,80 +68,38 @@ func ConvForwardImplicitGemm() string {
 	wB := b.LoadPtr(pW)
 	yB := b.LoadPtr(pY)
 
-	// x image base: n*C*H*W
-	chw := b.R("r")
-	b.I("mul.lo.u32 %s, %s, %s;", chw, c, h)
-	b.I("mul.lo.u32 %s, %s, %s;", chw, chw, w)
-	imgOff := b.R("r")
-	b.I("mul.lo.u32 %s, %s, %s;", imgOff, n, chw)
-	// top-left input coordinate
-	iy0, ix0 := b.R("r"), b.R("r")
-	b.I("mul.lo.u32 %s, %s, %s;", iy0, oy, stride)
-	b.I("sub.u32 %s, %s, %s;", iy0, iy0, pad)
-	b.I("mul.lo.u32 %s, %s, %s;", ix0, ox, stride)
-	b.I("sub.u32 %s, %s, %s;", ix0, ix0, pad)
+	imgOff := imageOffset(b, n, c, h, w)
+	iy0, ix0 := patchOrigin(b, oy, ox, stride, pad)
 
 	acc := b.MovF32(0)
-	cc := b.R("r")
-	b.I("mov.u32 %s, 0;", cc)
-	cloop := b.L("C_LOOP")
-	pc := b.R("p")
-	cend := b.NewLabel("c_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pc, cc, c)
-	b.I("@%s bra %s;", pc, cend)
-	rr := b.R("r")
-	b.I("mov.u32 %s, 0;", rr)
-	rloop := b.L("RR_LOOP")
-	prr := b.R("p")
-	rend := b.NewLabel("rr_end")
-	b.I("setp.ge.u32 %s, %s, %s;", prr, rr, r)
-	b.I("@%s bra %s;", prr, rend)
-	iy := b.R("r")
-	b.I("add.u32 %s, %s, %s;", iy, iy0, rr)
-	pskipR := b.R("p")
-	rnext := b.NewLabel("rr_next")
-	b.I("setp.ge.u32 %s, %s, %s;", pskipR, iy, h)
-	b.I("@%s bra %s;", pskipR, rnext)
-	ss := b.R("r")
-	b.I("mov.u32 %s, 0;", ss)
-	sloop := b.L("SS_LOOP")
-	pss := b.R("p")
-	snext := b.NewLabel("ss_next")
-	ssend := b.NewLabel("ss_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pss, ss, s)
-	b.I("@%s bra %s;", pss, ssend)
-	ix := b.R("r")
-	b.I("add.u32 %s, %s, %s;", ix, ix0, ss)
-	pskipS := b.R("p")
-	b.I("setp.ge.u32 %s, %s, %s;", pskipS, ix, w)
-	b.I("@%s bra %s;", pskipS, snext)
-	// x[n, cc, iy, ix]
-	xi := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", xi, cc, h, iy)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", xi, xi, w, ix)
-	b.I("add.u32 %s, %s, %s;", xi, xi, imgOff)
-	ax := b.ElemAddr(xB, xi, 4)
-	// w[kk, cc, rr, ss]
-	wi := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", wi, kk, c, cc)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", wi, wi, r, rr)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", wi, wi, s, ss)
-	aw := b.ElemAddr(wB, wi, 4)
-	vx, vw := b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", vx, ax)
-	b.I("ld.global.f32 %s, [%s];", vw, aw)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vx, vw, acc)
-	b.L(snext)
-	b.I("add.u32 %s, %s, 1;", ss, ss)
-	b.I("bra %s;", sloop)
-	b.L(ssend)
-	b.L(rnext)
-	b.I("add.u32 %s, %s, 1;", rr, rr)
-	b.I("bra %s;", rloop)
-	b.L(rend)
-	b.I("add.u32 %s, %s, 1;", cc, cc)
-	b.I("bra %s;", cloop)
-	b.L(cend)
+	b.loop("C_LOOP", "c_end", "0", c, "1", func(cc string) {
+		b.loop("RR_LOOP", "rr_end", "0", r, "1", func(rr string) {
+			iy := b.R("r")
+			b.I("add.u32 %s, %s, %s;", iy, iy0, rr)
+			pskipR := b.R("p")
+			rnext := b.NewLabel("rr_next")
+			b.I("setp.ge.u32 %s, %s, %s;", pskipR, iy, h)
+			b.I("@%s bra %s;", pskipR, rnext)
+			b.loopNext("SS_LOOP", "ss_next", "ss_end", "0", s, "1", func(ss, snext string) {
+				ix := b.R("r")
+				b.I("add.u32 %s, %s, %s;", ix, ix0, ss)
+				pskipS := b.R("p")
+				b.I("setp.ge.u32 %s, %s, %s;", pskipS, ix, w)
+				b.I("@%s bra %s;", pskipS, snext)
+				// x[n, cc, iy, ix]
+				xi := b.flatIndex(cc, h, iy, w, ix)
+				b.I("add.u32 %s, %s, %s;", xi, xi, imgOff)
+				ax := b.ElemAddr(xB, xi, 4)
+				// w[kk, cc, rr, ss]
+				aw := b.ElemAddr(wB, b.flatIndex(kk, c, cc, r, rr, s, ss), 4)
+				vx, vw := b.R("f"), b.R("f")
+				b.I("ld.global.f32 %s, [%s];", vx, ax)
+				b.I("ld.global.f32 %s, [%s];", vw, aw)
+				b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vx, vw, acc)
+			})
+			b.L(rnext)
+		})
+	})
 
 	// y[n, kk, oy, ox] = acc  (idx already enumerates k*OH*OW)
 	ohw := b.R("r")
@@ -135,17 +109,15 @@ func ConvForwardImplicitGemm() string {
 	ow2 := b.LoadU32(pOW)
 	b.I("mul.lo.u32 %s, %s, %s;", ohw, oh2, ow2)
 	b.I("mul.lo.u32 %s, %s, %s;", khw, kreg, ohw)
-	yi := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", yi, n, khw, idx)
-	ay := b.ElemAddr(yB, yi, 4)
+	ay := b.ElemAddr(yB, b.flatIndex(n, khw, idx), 4)
 	b.I("st.global.f32 [%s], %s;", ay, acc)
 	b.L(end)
 	return b.Build()
 }
 
-// ConvBwdDataAlgo0 computes dx[n,c,iy,ix] = sum_{k,r,s valid}
+// convBwdDataAlgo0 computes dx[n,c,iy,ix] = sum_{k,r,s valid}
 // dy[n,k,oy,ox] * w[k,c,r,s] (gather form, deterministic, no atomics).
-func ConvBwdDataAlgo0() string {
+func convBwdDataAlgo0() string {
 	b := NewBuilder("conv_bwd_data_algo0")
 	pDY, pW, pDX := b.PtrParam("pDY"), b.PtrParam("pW"), b.PtrParam("pDX")
 	pC, pH, pWw := b.U32Param("pC"), b.U32Param("pH"), b.U32Param("pWidth")
@@ -153,22 +125,8 @@ func ConvBwdDataAlgo0() string {
 	pOH, pOW := b.U32Param("pOH"), b.U32Param("pOW")
 	pStride, pPad := b.U32Param("pStrideC"), b.U32Param("pPad")
 	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	c := b.LoadU32(pC)
-	h := b.LoadU32(pH)
-	w := b.LoadU32(pWw)
-	tot := b.R("r")
-	b.I("mul.lo.u32 %s, %s, %s;", tot, c, h)
-	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, w)
-	b.GuardEnd(idx, tot, end)
-	ix, t1 := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", ix, idx, w)
-	b.I("div.u32 %s, %s, %s;", t1, idx, w)
-	iy, cc := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", iy, t1, h)
-	b.I("div.u32 %s, %s, %s;", cc, t1, h)
-	n := b.R("r")
-	b.I("mov.u32 %s, %%ctaid.y;", n)
+	idx, cc, iy, ix, n, ext := pixelIndex(b, pC, pH, pWw, end)
+	c, h, w := ext[0], ext[1], ext[2]
 
 	k := b.LoadU32(pK)
 	r := b.LoadU32(pR)
@@ -182,103 +140,72 @@ func ConvBwdDataAlgo0() string {
 	dxB := b.LoadPtr(pDX)
 
 	acc := b.MovF32(0)
-	kk := b.R("r")
-	b.I("mov.u32 %s, 0;", kk)
-	kloop := b.L("K_LOOP")
-	pk := b.R("p")
-	kend := b.NewLabel("k_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pk, kk, k)
-	b.I("@%s bra %s;", pk, kend)
-	rr := b.R("r")
-	b.I("mov.u32 %s, 0;", rr)
-	rloop := b.L("RD_LOOP")
-	pr := b.R("p")
-	rend := b.NewLabel("rd_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pr, rr, r)
-	b.I("@%s bra %s;", pr, rend)
-	ss := b.R("r")
-	b.I("mov.u32 %s, 0;", ss)
-	sloop := b.L("SD_LOOP")
-	psv := b.R("p")
-	snext := b.NewLabel("sd_next")
-	send := b.NewLabel("sd_end")
-	b.I("setp.ge.u32 %s, %s, %s;", psv, ss, s)
-	b.I("@%s bra %s;", psv, send)
-
-	ny, nx := b.R("r"), b.R("r")
-	b.I("add.u32 %s, %s, %s;", ny, iy, pad)
-	b.I("sub.u32 %s, %s, %s;", ny, ny, rr)
-	b.I("add.u32 %s, %s, %s;", nx, ix, pad)
-	b.I("sub.u32 %s, %s, %s;", nx, nx, ss)
-	pv := b.R("p")
-	lim := b.R("r")
-	b.I("mul.lo.u32 %s, %s, %s;", lim, oh, stride)
-	b.I("setp.ge.u32 %s, %s, %s;", pv, ny, lim)
-	b.I("@%s bra %s;", pv, snext)
-	b.I("mul.lo.u32 %s, %s, %s;", lim, ow, stride)
-	b.I("setp.ge.u32 %s, %s, %s;", pv, nx, lim)
-	b.I("@%s bra %s;", pv, snext)
-	remv := b.R("r")
-	b.I("rem.u32 %s, %s, %s;", remv, ny, stride)
-	b.I("setp.ne.u32 %s, %s, 0;", pv, remv)
-	b.I("@%s bra %s;", pv, snext)
-	b.I("rem.u32 %s, %s, %s;", remv, nx, stride)
-	b.I("setp.ne.u32 %s, %s, 0;", pv, remv)
-	b.I("@%s bra %s;", pv, snext)
-	oyv, oxv := b.R("r"), b.R("r")
-	b.I("div.u32 %s, %s, %s;", oyv, ny, stride)
-	b.I("div.u32 %s, %s, %s;", oxv, nx, stride)
-	// dy[n, kk, oyv, oxv]
-	dyi := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dyi, n, k, kk)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dyi, dyi, oh, oyv)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dyi, dyi, ow, oxv)
-	ady := b.ElemAddr(dyB, dyi, 4)
-	// w[kk, cc, rr, ss]
-	wi := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", wi, kk, c, cc)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", wi, wi, r, rr)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", wi, wi, s, ss)
-	aw := b.ElemAddr(wB, wi, 4)
-	vdy, vw := b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", vdy, ady)
-	b.I("ld.global.f32 %s, [%s];", vw, aw)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vdy, vw, acc)
-	b.L(snext)
-	b.I("add.u32 %s, %s, 1;", ss, ss)
-	b.I("bra %s;", sloop)
-	b.L(send)
-	b.I("add.u32 %s, %s, 1;", rr, rr)
-	b.I("bra %s;", rloop)
-	b.L(rend)
-	b.I("add.u32 %s, %s, 1;", kk, kk)
-	b.I("bra %s;", kloop)
-	b.L(kend)
+	b.loop("K_LOOP", "k_end", "0", k, "1", func(kk string) {
+		b.loop("RD_LOOP", "rd_end", "0", r, "1", func(rr string) {
+			b.loopNext("SD_LOOP", "sd_next", "sd_end", "0", s, "1", func(ss, snext string) {
+				ny, nx := b.R("r"), b.R("r")
+				b.I("add.u32 %s, %s, %s;", ny, iy, pad)
+				b.I("sub.u32 %s, %s, %s;", ny, ny, rr)
+				b.I("add.u32 %s, %s, %s;", nx, ix, pad)
+				b.I("sub.u32 %s, %s, %s;", nx, nx, ss)
+				pv := b.R("p")
+				lim := b.R("r")
+				b.I("mul.lo.u32 %s, %s, %s;", lim, oh, stride)
+				b.I("setp.ge.u32 %s, %s, %s;", pv, ny, lim)
+				b.I("@%s bra %s;", pv, snext)
+				b.I("mul.lo.u32 %s, %s, %s;", lim, ow, stride)
+				b.I("setp.ge.u32 %s, %s, %s;", pv, nx, lim)
+				b.I("@%s bra %s;", pv, snext)
+				remv := b.R("r")
+				b.I("rem.u32 %s, %s, %s;", remv, ny, stride)
+				b.I("setp.ne.u32 %s, %s, 0;", pv, remv)
+				b.I("@%s bra %s;", pv, snext)
+				b.I("rem.u32 %s, %s, %s;", remv, nx, stride)
+				b.I("setp.ne.u32 %s, %s, 0;", pv, remv)
+				b.I("@%s bra %s;", pv, snext)
+				oyv, oxv := b.R("r"), b.R("r")
+				b.I("div.u32 %s, %s, %s;", oyv, ny, stride)
+				b.I("div.u32 %s, %s, %s;", oxv, nx, stride)
+				// dy[n, kk, oyv, oxv] and w[kk, cc, rr, ss]
+				ady := b.ElemAddr(dyB, b.flatIndex(n, k, kk, oh, oyv, ow, oxv), 4)
+				aw := b.ElemAddr(wB, b.flatIndex(kk, c, cc, r, rr, s, ss), 4)
+				vdy, vw := b.R("f"), b.R("f")
+				b.I("ld.global.f32 %s, [%s];", vdy, ady)
+				b.I("ld.global.f32 %s, [%s];", vw, aw)
+				b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vdy, vw, acc)
+			})
+		})
+	})
 
 	chw := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", chw, c, h)
 	b.I("mul.lo.u32 %s, %s, %s;", chw, chw, w)
-	dxi := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dxi, n, chw, idx)
-	adx := b.ElemAddr(dxB, dxi, 4)
+	adx := b.ElemAddr(dxB, b.flatIndex(n, chw, idx), 4)
 	b.I("st.global.f32 [%s], %s;", adx, acc)
 	b.L(end)
 	return b.Build()
 }
 
-// ConvBwdDataAlgo1 scatters dy through the filter into dx with
-// atom.global.add.f32 — one thread per output-gradient pixel. Matches
-// cuDNN's atomics-based "Algorithm 1" flavour.
-func ConvBwdDataAlgo1() string {
-	b := NewBuilder("conv_bwd_data_algo1")
-	pDY, pW, pDX := b.PtrParam("pDY"), b.PtrParam("pW"), b.PtrParam("pDX")
+// convAlgo1 emits the two atomics-based "Algorithm 1" backward kernels,
+// which differ only in the direction of the scatter. One thread per
+// output-gradient pixel (k, oy, ox) of image n = ctaid.y loads its dy
+// value once, loops over (c, r, s), multiplies dy with the element its
+// source tensor pairs with that step and adds the product into its
+// destination tensor with atom.global.add.f32. For the data gradient the
+// pointers are (dy, w, dx): the source is the filter, the destination
+// the input gradient; with toFilter they are (x, dy, dw): the source is
+// the input, the destination the filter gradient. tag makes the labels.
+func convAlgo1(name string, ptrs [3]string, tag string, toFilter bool) string {
+	b := NewBuilder(name)
+	for _, p := range ptrs {
+		b.PtrParam(p)
+	}
 	pC, pH, pWw := b.U32Param("pC"), b.U32Param("pH"), b.U32Param("pWidth")
 	pK, pR, pS := b.U32Param("pK"), b.U32Param("pR"), b.U32Param("pS")
 	pOH, pOW := b.U32Param("pOH"), b.U32Param("pOW")
 	pStride, pPad := b.U32Param("pStrideC"), b.U32Param("pPad")
 	end := b.NewLabel("end")
-	idx, kk, oy, ox, n := convIndexHeader(b, pK, pOH, pOW, end)
-	_ = idx
+	_, kk, oy, ox, n, _ := pixelIndex(b, pK, pOH, pOW, end)
 
 	c := b.LoadU32(pC)
 	h := b.LoadU32(pH)
@@ -290,93 +217,74 @@ func ConvBwdDataAlgo1() string {
 	ow := b.LoadU32(pOW)
 	stride := b.LoadU32(pStride)
 	pad := b.LoadU32(pPad)
-	dyB := b.LoadPtr(pDY)
-	wB := b.LoadPtr(pW)
-	dxB := b.LoadPtr(pDX)
+	dyB, srcB, dstB := b.LoadPtr(ptrs[0]), b.LoadPtr(ptrs[1]), b.LoadPtr(ptrs[2])
+	if toFilter {
+		dyB, srcB = srcB, dyB
+	}
 
 	// load this thread's dy value once
-	dyi := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dyi, n, k, kk)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dyi, dyi, oh, oy)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dyi, dyi, ow, ox)
-	ady := b.ElemAddr(dyB, dyi, 4)
+	ady := b.ElemAddr(dyB, b.flatIndex(n, k, kk, oh, oy, ow, ox), 4)
 	vdy := b.R("f")
 	b.I("ld.global.f32 %s, [%s];", vdy, ady)
 
-	iy0, ix0 := b.R("r"), b.R("r")
-	b.I("mul.lo.u32 %s, %s, %s;", iy0, oy, stride)
-	b.I("sub.u32 %s, %s, %s;", iy0, iy0, pad)
-	b.I("mul.lo.u32 %s, %s, %s;", ix0, ox, stride)
-	b.I("sub.u32 %s, %s, %s;", ix0, ix0, pad)
-	chw := b.R("r")
-	b.I("mul.lo.u32 %s, %s, %s;", chw, c, h)
-	b.I("mul.lo.u32 %s, %s, %s;", chw, chw, w)
-	imgOff := b.R("r")
-	b.I("mul.lo.u32 %s, %s, %s;", imgOff, n, chw)
+	iy0, ix0 := patchOrigin(b, oy, ox, stride, pad)
+	imgOff := imageOffset(b, n, c, h, w)
 
-	cc := b.R("r")
-	b.I("mov.u32 %s, 0;", cc)
-	cloop := b.L("CA_LOOP")
-	pc := b.R("p")
-	cend := b.NewLabel("ca_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pc, cc, c)
-	b.I("@%s bra %s;", pc, cend)
-	rr := b.R("r")
-	b.I("mov.u32 %s, 0;", rr)
-	rloop := b.L("RA_LOOP")
-	pr := b.R("p")
-	rend := b.NewLabel("ra_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pr, rr, r)
-	b.I("@%s bra %s;", pr, rend)
-	ss := b.R("r")
-	b.I("mov.u32 %s, 0;", ss)
-	sloop := b.L("SA_LOOP")
-	psv := b.R("p")
-	snext := b.NewLabel("sa_next")
-	send := b.NewLabel("sa_end")
-	b.I("setp.ge.u32 %s, %s, %s;", psv, ss, s)
-	b.I("@%s bra %s;", psv, send)
-	iy, ix := b.R("r"), b.R("r")
-	b.I("add.u32 %s, %s, %s;", iy, iy0, rr)
-	b.I("add.u32 %s, %s, %s;", ix, ix0, ss)
-	pv := b.R("p")
-	b.I("setp.ge.u32 %s, %s, %s;", pv, iy, h)
-	b.I("@%s bra %s;", pv, snext)
-	b.I("setp.ge.u32 %s, %s, %s;", pv, ix, w)
-	b.I("@%s bra %s;", pv, snext)
-	wi := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", wi, kk, c, cc)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", wi, wi, r, rr)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", wi, wi, s, ss)
-	aw := b.ElemAddr(wB, wi, 4)
-	vw, contrib := b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", vw, aw)
-	b.I("mul.f32 %s, %s, %s;", contrib, vdy, vw)
-	dxi := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dxi, cc, h, iy)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dxi, dxi, w, ix)
-	b.I("add.u32 %s, %s, %s;", dxi, dxi, imgOff)
-	adx := b.ElemAddr(dxB, dxi, 4)
-	oldv := b.R("f")
-	b.I("atom.global.add.f32 %s, [%s], %s;", oldv, adx, contrib)
-	b.L(snext)
-	b.I("add.u32 %s, %s, 1;", ss, ss)
-	b.I("bra %s;", sloop)
-	b.L(send)
-	b.I("add.u32 %s, %s, 1;", rr, rr)
-	b.I("bra %s;", rloop)
-	b.L(rend)
-	b.I("add.u32 %s, %s, 1;", cc, cc)
-	b.I("bra %s;", cloop)
-	b.L(cend)
+	b.loop("C"+tag+"_LOOP", "c"+tag+"_end", "0", c, "1", func(cc string) {
+		b.loop("R"+tag+"_LOOP", "r"+tag+"_end", "0", r, "1", func(rr string) {
+			b.loopNext("S"+tag+"_LOOP", "s"+tag+"_next", "s"+tag+"_end", "0", s, "1", func(ss, snext string) {
+				iy, ix := b.R("r"), b.R("r")
+				b.I("add.u32 %s, %s, %s;", iy, iy0, rr)
+				b.I("add.u32 %s, %s, %s;", ix, ix0, ss)
+				pv := b.R("p")
+				b.I("setp.ge.u32 %s, %s, %s;", pv, iy, h)
+				b.I("@%s bra %s;", pv, snext)
+				b.I("setp.ge.u32 %s, %s, %s;", pv, ix, w)
+				b.I("@%s bra %s;", pv, snext)
+				// this step pairs filter element [kk, cc, rr, ss] with
+				// image element [n, cc, iy, ix]
+				filterIdx := func() string { return b.flatIndex(kk, c, cc, r, rr, s, ss) }
+				imageIdx := func() string {
+					xi := b.flatIndex(cc, h, iy, w, ix)
+					b.I("add.u32 %s, %s, %s;", xi, xi, imgOff)
+					return xi
+				}
+				srcIdx, dstIdx := filterIdx, imageIdx
+				if toFilter {
+					srcIdx, dstIdx = imageIdx, filterIdx
+				}
+				asrc := b.ElemAddr(srcB, srcIdx(), 4)
+				vsrc, contrib := b.R("f"), b.R("f")
+				b.I("ld.global.f32 %s, [%s];", vsrc, asrc)
+				b.I("mul.f32 %s, %s, %s;", contrib, vdy, vsrc)
+				adst := b.ElemAddr(dstB, dstIdx(), 4)
+				oldv := b.R("f")
+				b.I("atom.global.add.f32 %s, [%s], %s;", oldv, adst, contrib)
+			})
+		})
+	})
 	b.L(end)
 	return b.Build()
 }
 
-// ConvBwdFilterAlgo0 computes dw[k,c,r,s] = sum_{n,oy,ox} dy[n,k,oy,ox] *
+// convBwdDataAlgo1 scatters dy through the filter into dx with
+// atom.global.add.f32 — one thread per output-gradient pixel. Matches
+// cuDNN's atomics-based "Algorithm 1" flavour.
+func convBwdDataAlgo1() string {
+	return convAlgo1("conv_bwd_data_algo1", [3]string{"pDY", "pW", "pDX"}, "A", false)
+}
+
+// convBwdFilterAlgo1 scatters per-output-pixel contributions into dw with
+// atomics: one thread per (k, oy, ox) pixel of image n = ctaid.y, looping
+// over (c, r, s).
+func convBwdFilterAlgo1() string {
+	return convAlgo1("conv_bwd_filter_algo1", [3]string{"pX", "pDY", "pDW"}, "F1", true)
+}
+
+// convBwdFilterAlgo0 computes dw[k,c,r,s] = sum_{n,oy,ox} dy[n,k,oy,ox] *
 // x[n,c,oy*st-pad+r,ox*st-pad+s]. One thread per filter element;
 // deterministic.
-func ConvBwdFilterAlgo0() string {
+func convBwdFilterAlgo0() string {
 	b := NewBuilder("conv_bwd_filter_algo0")
 	pX, pDY, pDW := b.PtrParam("pX"), b.PtrParam("pDY"), b.PtrParam("pDW")
 	pN, pC, pH, pWw := b.U32Param("pN"), b.U32Param("pC"), b.U32Param("pH"), b.U32Param("pWidth")
@@ -394,15 +302,9 @@ func ConvBwdFilterAlgo0() string {
 	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, r)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, s)
 	b.GuardEnd(idx, tot, end)
-	ss, t1 := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", ss, idx, s)
-	b.I("div.u32 %s, %s, %s;", t1, idx, s)
-	rr, t2 := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", rr, t1, r)
-	b.I("div.u32 %s, %s, %s;", t2, t1, r)
-	cc, kk := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", cc, t2, c)
-	b.I("div.u32 %s, %s, %s;", kk, t2, c)
+	ss, t1 := b.remDiv(idx, s)
+	rr, t2 := b.remDiv(t1, r)
+	cc, kk := b.remDiv(t2, c)
 
 	nN := b.LoadU32(pN)
 	h := b.LoadU32(pH)
@@ -416,68 +318,33 @@ func ConvBwdFilterAlgo0() string {
 	dwB := b.LoadPtr(pDW)
 
 	acc := b.MovF32(0)
-	nn := b.R("r")
-	b.I("mov.u32 %s, 0;", nn)
-	nloop := b.L("NF_LOOP")
-	pn := b.R("p")
-	nend := b.NewLabel("nf_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pn, nn, nN)
-	b.I("@%s bra %s;", pn, nend)
-	oyv := b.R("r")
-	b.I("mov.u32 %s, 0;", oyv)
-	yloop := b.L("YF_LOOP")
-	py := b.R("p")
-	yend := b.NewLabel("yf_end")
-	b.I("setp.ge.u32 %s, %s, %s;", py, oyv, oh)
-	b.I("@%s bra %s;", py, yend)
-	iy := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", iy, oyv, stride, rr)
-	b.I("sub.u32 %s, %s, %s;", iy, iy, pad)
-	pskipY := b.R("p")
-	ynext := b.NewLabel("yf_next")
-	b.I("setp.ge.u32 %s, %s, %s;", pskipY, iy, h)
-	b.I("@%s bra %s;", pskipY, ynext)
-	oxv := b.R("r")
-	b.I("mov.u32 %s, 0;", oxv)
-	xloop := b.L("XF_LOOP")
-	px := b.R("p")
-	xnext := b.NewLabel("xf_next")
-	xend := b.NewLabel("xf_end")
-	b.I("setp.ge.u32 %s, %s, %s;", px, oxv, ow)
-	b.I("@%s bra %s;", px, xend)
-	ix := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", ix, oxv, stride, ss)
-	b.I("sub.u32 %s, %s, %s;", ix, ix, pad)
-	pskipX := b.R("p")
-	b.I("setp.ge.u32 %s, %s, %s;", pskipX, ix, w)
-	b.I("@%s bra %s;", pskipX, xnext)
-	// dy[nn, kk, oyv, oxv]
-	dyi := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dyi, nn, k, kk)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dyi, dyi, oh, oyv)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dyi, dyi, ow, oxv)
-	ady := b.ElemAddr(dyB, dyi, 4)
-	// x[nn, cc, iy, ix]
-	xi := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", xi, nn, c, cc)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", xi, xi, h, iy)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", xi, xi, w, ix)
-	ax := b.ElemAddr(xB, xi, 4)
-	vdy, vx := b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", vdy, ady)
-	b.I("ld.global.f32 %s, [%s];", vx, ax)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vdy, vx, acc)
-	b.L(xnext)
-	b.I("add.u32 %s, %s, 1;", oxv, oxv)
-	b.I("bra %s;", xloop)
-	b.L(xend)
-	b.L(ynext)
-	b.I("add.u32 %s, %s, 1;", oyv, oyv)
-	b.I("bra %s;", yloop)
-	b.L(yend)
-	b.I("add.u32 %s, %s, 1;", nn, nn)
-	b.I("bra %s;", nloop)
-	b.L(nend)
+	b.loop("NF_LOOP", "nf_end", "0", nN, "1", func(nn string) {
+		b.loop("YF_LOOP", "yf_end", "0", oh, "1", func(oyv string) {
+			iy := b.R("r")
+			b.I("mad.lo.s32 %s, %s, %s, %s;", iy, oyv, stride, rr)
+			b.I("sub.u32 %s, %s, %s;", iy, iy, pad)
+			pskipY := b.R("p")
+			ynext := b.NewLabel("yf_next")
+			b.I("setp.ge.u32 %s, %s, %s;", pskipY, iy, h)
+			b.I("@%s bra %s;", pskipY, ynext)
+			b.loopNext("XF_LOOP", "xf_next", "xf_end", "0", ow, "1", func(oxv, xnext string) {
+				ix := b.R("r")
+				b.I("mad.lo.s32 %s, %s, %s, %s;", ix, oxv, stride, ss)
+				b.I("sub.u32 %s, %s, %s;", ix, ix, pad)
+				pskipX := b.R("p")
+				b.I("setp.ge.u32 %s, %s, %s;", pskipX, ix, w)
+				b.I("@%s bra %s;", pskipX, xnext)
+				// dy[nn, kk, oyv, oxv] and x[nn, cc, iy, ix]
+				ady := b.ElemAddr(dyB, b.flatIndex(nn, k, kk, oh, oyv, ow, oxv), 4)
+				ax := b.ElemAddr(xB, b.flatIndex(nn, c, cc, h, iy, w, ix), 4)
+				vdy, vx := b.R("f"), b.R("f")
+				b.I("ld.global.f32 %s, [%s];", vdy, ady)
+				b.I("ld.global.f32 %s, [%s];", vx, ax)
+				b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vdy, vx, acc)
+			})
+			b.L(ynext)
+		})
+	})
 
 	adw := b.ElemAddr(dwB, idx, 4)
 	b.I("st.global.f32 [%s], %s;", adw, acc)
@@ -485,116 +352,11 @@ func ConvBwdFilterAlgo0() string {
 	return b.Build()
 }
 
-// ConvBwdFilterAlgo1 scatters per-output-pixel contributions into dw with
-// atomics: one thread per (k, oy, ox) pixel of image n = ctaid.y, looping
-// over (c, r, s).
-func ConvBwdFilterAlgo1() string {
-	b := NewBuilder("conv_bwd_filter_algo1")
-	pX, pDY, pDW := b.PtrParam("pX"), b.PtrParam("pDY"), b.PtrParam("pDW")
-	pC, pH, pWw := b.U32Param("pC"), b.U32Param("pH"), b.U32Param("pWidth")
-	pK, pR, pS := b.U32Param("pK"), b.U32Param("pR"), b.U32Param("pS")
-	pOH, pOW := b.U32Param("pOH"), b.U32Param("pOW")
-	pStride, pPad := b.U32Param("pStrideC"), b.U32Param("pPad")
-	end := b.NewLabel("end")
-	_, kk, oy, ox, n := convIndexHeader(b, pK, pOH, pOW, end)
-
-	c := b.LoadU32(pC)
-	h := b.LoadU32(pH)
-	w := b.LoadU32(pWw)
-	k := b.LoadU32(pK)
-	r := b.LoadU32(pR)
-	s := b.LoadU32(pS)
-	oh := b.LoadU32(pOH)
-	ow := b.LoadU32(pOW)
-	stride := b.LoadU32(pStride)
-	pad := b.LoadU32(pPad)
-	xB := b.LoadPtr(pX)
-	dyB := b.LoadPtr(pDY)
-	dwB := b.LoadPtr(pDW)
-
-	dyi := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dyi, n, k, kk)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dyi, dyi, oh, oy)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dyi, dyi, ow, ox)
-	ady := b.ElemAddr(dyB, dyi, 4)
-	vdy := b.R("f")
-	b.I("ld.global.f32 %s, [%s];", vdy, ady)
-
-	iy0, ix0 := b.R("r"), b.R("r")
-	b.I("mul.lo.u32 %s, %s, %s;", iy0, oy, stride)
-	b.I("sub.u32 %s, %s, %s;", iy0, iy0, pad)
-	b.I("mul.lo.u32 %s, %s, %s;", ix0, ox, stride)
-	b.I("sub.u32 %s, %s, %s;", ix0, ix0, pad)
-	chw := b.R("r")
-	b.I("mul.lo.u32 %s, %s, %s;", chw, c, h)
-	b.I("mul.lo.u32 %s, %s, %s;", chw, chw, w)
-	imgOff := b.R("r")
-	b.I("mul.lo.u32 %s, %s, %s;", imgOff, n, chw)
-
-	cc := b.R("r")
-	b.I("mov.u32 %s, 0;", cc)
-	cloop := b.L("CF1_LOOP")
-	pc := b.R("p")
-	cend := b.NewLabel("cf1_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pc, cc, c)
-	b.I("@%s bra %s;", pc, cend)
-	rr := b.R("r")
-	b.I("mov.u32 %s, 0;", rr)
-	rloop := b.L("RF1_LOOP")
-	pr := b.R("p")
-	rend := b.NewLabel("rf1_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pr, rr, r)
-	b.I("@%s bra %s;", pr, rend)
-	ss := b.R("r")
-	b.I("mov.u32 %s, 0;", ss)
-	sloop := b.L("SF1_LOOP")
-	psv := b.R("p")
-	snext := b.NewLabel("sf1_next")
-	send := b.NewLabel("sf1_end")
-	b.I("setp.ge.u32 %s, %s, %s;", psv, ss, s)
-	b.I("@%s bra %s;", psv, send)
-	iy, ix := b.R("r"), b.R("r")
-	b.I("add.u32 %s, %s, %s;", iy, iy0, rr)
-	b.I("add.u32 %s, %s, %s;", ix, ix0, ss)
-	pv := b.R("p")
-	b.I("setp.ge.u32 %s, %s, %s;", pv, iy, h)
-	b.I("@%s bra %s;", pv, snext)
-	b.I("setp.ge.u32 %s, %s, %s;", pv, ix, w)
-	b.I("@%s bra %s;", pv, snext)
-	xi := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", xi, cc, h, iy)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", xi, xi, w, ix)
-	b.I("add.u32 %s, %s, %s;", xi, xi, imgOff)
-	ax := b.ElemAddr(xB, xi, 4)
-	vx, contrib := b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", vx, ax)
-	b.I("mul.f32 %s, %s, %s;", contrib, vdy, vx)
-	dwi := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dwi, kk, c, cc)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dwi, dwi, r, rr)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dwi, dwi, s, ss)
-	adw := b.ElemAddr(dwB, dwi, 4)
-	oldv := b.R("f")
-	b.I("atom.global.add.f32 %s, [%s], %s;", oldv, adw, contrib)
-	b.L(snext)
-	b.I("add.u32 %s, %s, 1;", ss, ss)
-	b.I("bra %s;", sloop)
-	b.L(send)
-	b.I("add.u32 %s, %s, 1;", rr, rr)
-	b.I("bra %s;", rloop)
-	b.L(rend)
-	b.I("add.u32 %s, %s, 1;", cc, cc)
-	b.I("bra %s;", cloop)
-	b.L(cend)
-	b.L(end)
-	return b.Build()
-}
-
-// ConvBwdFilterAlgo3 is the tiled variant: each block owns one filter
+// convBwdFilterAlgo3 is the tiled variant: each block owns one filter
 // element (ctaid.x indexes k*c*r*s) and its 256 threads stride over all
 // (n, oy, ox) positions, reduce in shared memory, and thread 0 writes the
 // block's sum — deterministic, one store per filter element.
-func ConvBwdFilterAlgo3() string {
+func convBwdFilterAlgo3() string {
 	b := NewBuilder("conv_bwd_filter_algo3")
 	pX, pDY, pDW := b.PtrParam("pX"), b.PtrParam("pDY"), b.PtrParam("pDW")
 	pN, pC, pH, pWw := b.U32Param("pN"), b.U32Param("pC"), b.U32Param("pH"), b.U32Param("pWidth")
@@ -611,15 +373,9 @@ func ConvBwdFilterAlgo3() string {
 	c := b.LoadU32(pC)
 	r := b.LoadU32(pR)
 	s := b.LoadU32(pS)
-	ss, t1 := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", ss, fidx, s)
-	b.I("div.u32 %s, %s, %s;", t1, fidx, s)
-	rr, t2 := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", rr, t1, r)
-	b.I("div.u32 %s, %s, %s;", t2, t1, r)
-	cc, kk := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", cc, t2, c)
-	b.I("div.u32 %s, %s, %s;", kk, t2, c)
+	ss, t1 := b.remDiv(fidx, s)
+	rr, t2 := b.remDiv(t1, r)
+	cc, kk := b.remDiv(t2, c)
 
 	nN := b.LoadU32(pN)
 	h := b.LoadU32(pH)
@@ -636,80 +392,33 @@ func ConvBwdFilterAlgo3() string {
 	b.I("mul.lo.u32 %s, %s, %s;", tot, nN, oh)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, ow)
 	acc := b.MovF32(0)
-	pos := b.R("r")
-	b.I("mov.u32 %s, %s;", pos, tid)
-	loop := b.L("P3_LOOP")
-	pp := b.R("p")
-	lend := b.NewLabel("p3_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pp, pos, tot)
-	b.I("@%s bra %s;", pp, lend)
-	oxv, tq := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", oxv, pos, ow)
-	b.I("div.u32 %s, %s, %s;", tq, pos, ow)
-	oyv, nn := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", oyv, tq, oh)
-	b.I("div.u32 %s, %s, %s;", nn, tq, oh)
-	iy, ix := b.R("r"), b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", iy, oyv, stride, rr)
-	b.I("sub.u32 %s, %s, %s;", iy, iy, pad)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", ix, oxv, stride, ss)
-	b.I("sub.u32 %s, %s, %s;", ix, ix, pad)
-	pv := b.R("p")
-	pnext := b.NewLabel("p3_next")
-	b.I("setp.ge.u32 %s, %s, %s;", pv, iy, h)
-	b.I("@%s bra %s;", pv, pnext)
-	b.I("setp.ge.u32 %s, %s, %s;", pv, ix, w)
-	b.I("@%s bra %s;", pv, pnext)
-	dyi := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dyi, nn, k, kk)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dyi, dyi, oh, oyv)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dyi, dyi, ow, oxv)
-	ady := b.ElemAddr(dyB, dyi, 4)
-	xi := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", xi, nn, c, cc)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", xi, xi, h, iy)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", xi, xi, w, ix)
-	ax := b.ElemAddr(xB, xi, 4)
-	vdy, vx := b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", vdy, ady)
-	b.I("ld.global.f32 %s, [%s];", vx, ax)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vdy, vx, acc)
-	b.L(pnext)
-	b.I("add.u32 %s, %s, 256;", pos, pos)
-	b.I("bra %s;", loop)
-	b.L(lend)
+	b.loop("P3_LOOP", "p3_end", tid, tot, "256", func(pos string) {
+		oxv, tq := b.remDiv(pos, ow)
+		oyv, nn := b.remDiv(tq, oh)
+		iy, ix := b.R("r"), b.R("r")
+		b.I("mad.lo.s32 %s, %s, %s, %s;", iy, oyv, stride, rr)
+		b.I("sub.u32 %s, %s, %s;", iy, iy, pad)
+		b.I("mad.lo.s32 %s, %s, %s, %s;", ix, oxv, stride, ss)
+		b.I("sub.u32 %s, %s, %s;", ix, ix, pad)
+		pv := b.R("p")
+		pnext := b.NewLabel("p3_next")
+		b.I("setp.ge.u32 %s, %s, %s;", pv, iy, h)
+		b.I("@%s bra %s;", pv, pnext)
+		b.I("setp.ge.u32 %s, %s, %s;", pv, ix, w)
+		b.I("@%s bra %s;", pv, pnext)
+		// dy[nn, kk, oyv, oxv] and x[nn, cc, iy, ix]
+		ady := b.ElemAddr(dyB, b.flatIndex(nn, k, kk, oh, oyv, ow, oxv), 4)
+		ax := b.ElemAddr(xB, b.flatIndex(nn, c, cc, h, iy, w, ix), 4)
+		vdy, vx := b.R("f"), b.R("f")
+		b.I("ld.global.f32 %s, [%s];", vdy, ady)
+		b.I("ld.global.f32 %s, [%s];", vx, ax)
+		b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vdy, vx, acc)
+		b.L(pnext)
+	})
 
 	// tree reduction in shared memory
-	sbase := b.R("r")
-	b.I("mov.u32 %s, %s;", sbase, sred)
-	myslot := b.R("r")
-	b.I("mad.lo.s32 %s, %s, 4, %s;", myslot, tid, sbase)
-	b.I("st.shared.f32 [%s], %s;", myslot, acc)
-	b.I("bar.sync 0;")
-	step := b.R("r")
-	b.I("mov.u32 %s, 128;", step)
-	redLoop := b.L("RED_LOOP")
-	pz := b.R("p")
-	redEnd := b.NewLabel("red_end")
-	b.I("setp.eq.u32 %s, %s, 0;", pz, step)
-	b.I("@%s bra %s;", pz, redEnd)
-	pact := b.R("p")
-	skipAdd := b.NewLabel("skip_add")
-	b.I("setp.ge.u32 %s, %s, %s;", pact, tid, step)
-	b.I("@%s bra %s;", pact, skipAdd)
-	otherOff, other := b.R("r"), b.R("r")
-	b.I("shl.b32 %s, %s, 2;", otherOff, step)
-	b.I("add.u32 %s, %s, %s;", other, myslot, otherOff)
-	va, vb := b.R("f"), b.R("f")
-	b.I("ld.shared.f32 %s, [%s];", va, myslot)
-	b.I("ld.shared.f32 %s, [%s];", vb, other)
-	b.I("add.f32 %s, %s, %s;", va, va, vb)
-	b.I("st.shared.f32 [%s], %s;", myslot, va)
-	b.L(skipAdd)
-	b.I("bar.sync 0;")
-	b.I("shr.u32 %s, %s, 1;", step, step)
-	b.I("bra %s;", redLoop)
-	b.L(redEnd)
+	_, myslot := b.laneSlots(sred, tid)
+	b.reduceShared("add", 256, tid, myslot, acc, "RED_LOOP", "red_end", "skip_add")
 
 	pw := b.R("p")
 	done := b.NewLabel("done")

@@ -11,11 +11,11 @@ package kernels
 // worst case for cycle-level simulation, and the stress workload the
 // active-set scheduler and replay cache exist for.
 
-// KVCacheAppend scatters a [seq, heads*dh] projection into the head-major
+// kvCacheAppend scatters a [seq, heads*dh] projection into the head-major
 // KV cache [heads, maxSeq, dh] at row offset pos:
 // cache[(h*maxSeq+pos+s)*dh+d] = in[(s*heads+h)*dh+d]. One thread per
 // element; seq=1 is the decode step, seq=P the prefill bulk append.
-func KVCacheAppend() string {
+func kvCacheAppend() string {
 	b := NewBuilder("kv_cache_append")
 	pIn, pCache := b.PtrParam("pIn"), b.PtrParam("pCache")
 	pSeq, pHeads, pDh := b.U32Param("pSeq"), b.U32Param("pHeads"), b.U32Param("pDh")
@@ -30,12 +30,8 @@ func KVCacheAppend() string {
 	b.I("mul.lo.u32 %s, %s, %s;", total, total, dh)
 	b.GuardEnd(idx, total, end)
 	// idx -> (h, s, d) over the cache-side [heads, seq, dh] iteration space
-	d, t := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", d, idx, dh)
-	b.I("div.u32 %s, %s, %s;", t, idx, dh)
-	s, h := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", s, t, seq)
-	b.I("div.u32 %s, %s, %s;", h, t, seq)
+	d, t := b.remDiv(idx, dh)
+	s, h := b.remDiv(t, seq)
 	// src = (s*heads + h)*dh + d
 	src := b.R("r")
 	b.I("mad.lo.s32 %s, %s, %s, %s;", src, s, heads, h)
@@ -60,11 +56,11 @@ func KVCacheAppend() string {
 	return b.Build()
 }
 
-// AttnQKCached is the decode-step attention-score GEMV: one query token
+// attnQKCached is the decode-step attention-score GEMV: one query token
 // against the cache prefix, scores[h*len+t] = scale·Σ_d q[h*dh+d] ·
 // cacheK[(h*maxSeq+t)*dh+d] for t < len. One thread per (head, cache
 // position) pair — the single-token Q·Kᵀ the tentpole names.
-func AttnQKCached() string {
+func attnQKCached() string {
 	b := NewBuilder("attn_qk_cached")
 	pQ, pK, pS := b.PtrParam("pQ"), b.PtrParam("pK"), b.PtrParam("pS")
 	pHeads, pDh := b.U32Param("pHeads"), b.U32Param("pDh")
@@ -77,9 +73,7 @@ func AttnQKCached() string {
 	total := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", total, heads, ln)
 	b.GuardEnd(idx, total, end)
-	h, t := b.R("r"), b.R("r")
-	b.I("div.u32 %s, %s, %s;", h, idx, ln)
-	b.I("rem.u32 %s, %s, %s;", t, idx, ln)
+	h, t := b.divRem(idx, ln)
 	dh := b.LoadU32(pDh)
 	maxSeq := b.LoadU32(pMaxSeq)
 	qB := b.LoadPtr(pQ)
@@ -93,22 +87,14 @@ func AttnQKCached() string {
 	qa := b.ElemAddr(qB, qi, 4)
 	ka := b.ElemAddr(kB, ki, 4)
 	acc := b.MovF32(0)
-	d := b.R("r")
-	b.I("mov.u32 %s, 0;", d)
-	loop := b.L("QK_DOT")
-	pd := b.R("p")
-	done := b.NewLabel("qk_done")
-	b.I("setp.ge.u32 %s, %s, %s;", pd, d, dh)
-	b.I("@%s bra %s;", pd, done)
-	vq, vk := b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", vq, qa)
-	b.I("ld.global.f32 %s, [%s];", vk, ka)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vq, vk, acc)
-	b.I("add.u64 %s, %s, 4;", qa, qa)
-	b.I("add.u64 %s, %s, 4;", ka, ka)
-	b.I("add.u32 %s, %s, 1;", d, d)
-	b.I("bra %s;", loop)
-	b.L(done)
+	b.loop("QK_DOT", "qk_done", "0", dh, "1", func(string) {
+		vq, vk := b.R("f"), b.R("f")
+		b.I("ld.global.f32 %s, [%s];", vq, qa)
+		b.I("ld.global.f32 %s, [%s];", vk, ka)
+		b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vq, vk, acc)
+		b.I("add.u64 %s, %s, 4;", qa, qa)
+		b.I("add.u64 %s, %s, 4;", ka, ka)
+	})
 	scale := b.LoadF32(pScale)
 	b.I("mul.f32 %s, %s, %s;", acc, acc, scale)
 	sB := b.LoadPtr(pS)
@@ -118,11 +104,11 @@ func AttnQKCached() string {
 	return b.Build()
 }
 
-// AttnAVCached is the decode-step probabilities·V GEMV:
+// attnAVCached is the decode-step probabilities·V GEMV:
 // out[h*dh+d] = Σ_t probs[h*len+t] · cacheV[(h*maxSeq+t)*dh+d], writing
 // the context row directly in merged [1, heads*dh] layout (a decode step
 // needs no merge_heads permute). One thread per (head, dh) pair.
-func AttnAVCached() string {
+func attnAVCached() string {
 	b := NewBuilder("attn_av_cached")
 	pP, pV, pOut := b.PtrParam("pP"), b.PtrParam("pV"), b.PtrParam("pOut")
 	pHeads, pDh := b.U32Param("pHeads"), b.U32Param("pDh")
@@ -134,9 +120,7 @@ func AttnAVCached() string {
 	total := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", total, heads, dh)
 	b.GuardEnd(idx, total, end)
-	h, d := b.R("r"), b.R("r")
-	b.I("div.u32 %s, %s, %s;", h, idx, dh)
-	b.I("rem.u32 %s, %s, %s;", d, idx, dh)
+	h, d := b.divRem(idx, dh)
 	ln := b.LoadU32(pLen)
 	maxSeq := b.LoadU32(pMaxSeq)
 	pB := b.LoadPtr(pP)
@@ -153,22 +137,14 @@ func AttnAVCached() string {
 	rowStride := b.R("rd")
 	b.I("mul.wide.u32 %s, %s, 4;", rowStride, dh)
 	acc := b.MovF32(0)
-	t := b.R("r")
-	b.I("mov.u32 %s, 0;", t)
-	loop := b.L("AV_DOT")
-	pd := b.R("p")
-	done := b.NewLabel("av_done")
-	b.I("setp.ge.u32 %s, %s, %s;", pd, t, ln)
-	b.I("@%s bra %s;", pd, done)
-	vp, vv := b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", vp, pa)
-	b.I("ld.global.f32 %s, [%s];", vv, va)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vp, vv, acc)
-	b.I("add.u64 %s, %s, 4;", pa, pa)
-	b.I("add.u64 %s, %s, %s;", va, va, rowStride)
-	b.I("add.u32 %s, %s, 1;", t, t)
-	b.I("bra %s;", loop)
-	b.L(done)
+	b.loop("AV_DOT", "av_done", "0", ln, "1", func(string) {
+		vp, vv := b.R("f"), b.R("f")
+		b.I("ld.global.f32 %s, [%s];", vp, pa)
+		b.I("ld.global.f32 %s, [%s];", vv, va)
+		b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vp, vv, acc)
+		b.I("add.u64 %s, %s, 4;", pa, pa)
+		b.I("add.u64 %s, %s, %s;", va, va, rowStride)
+	})
 	oB := b.LoadPtr(pOut)
 	oa := b.ElemAddr(oB, idx, 4)
 	b.I("st.global.f32 [%s], %s;", oa, acc)
@@ -176,22 +152,19 @@ func AttnAVCached() string {
 	return b.Build()
 }
 
-// SoftmaxCausal is the causal-masked row softmax over x[rows, cols]:
+// softmaxCausal is the causal-masked row softmax over x[rows, cols]:
 // row r belongs to query position pos + (r % seq), so only the first
 // pos + (r%seq) + 1 columns are attendable; masked columns are written
 // as exact zeros (the downstream probabilities·V GEMM reads all cols).
 // Same launch shape as softmax_forward: one 32-thread CTA per row.
-func SoftmaxCausal() string {
+func softmaxCausal() string {
 	b := NewBuilder("softmax_causal")
 	pX, pY := b.PtrParam("pX"), b.PtrParam("pY")
 	pCols := b.U32Param("pCols")
 	pSeq, pPos := b.U32Param("pSeq"), b.U32Param("pPos")
 	sred := b.Shared("scmax", 32*4, 4)
 
-	tid := b.R("r")
-	b.I("mov.u32 %s, %%tid.x;", tid)
-	row := b.R("r")
-	b.I("mov.u32 %s, %%ctaid.x;", row)
+	tid, row := b.laneAndRow()
 	cols := b.LoadU32(pCols)
 	seq := b.LoadU32(pSeq)
 	pos := b.LoadU32(pPos)
@@ -204,131 +177,41 @@ func SoftmaxCausal() string {
 	yB := b.LoadPtr(pY)
 	rowOff := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", rowOff, row, cols)
+	sbase, slot := b.laneSlots(sred, tid)
 
-	sbase := b.R("r")
-	b.I("mov.u32 %s, %s;", sbase, sred)
-	slot := b.R("r")
-	b.I("mad.lo.s32 %s, %s, 4, %s;", slot, tid, sbase)
-
-	// local max over the attendable strided elements
-	best := b.MovF32(-3.4e38)
-	i := b.R("r")
-	b.I("mov.u32 %s, %s;", i, tid)
-	mloop := b.L("SC_MAX")
-	pm := b.R("p")
-	mend := b.NewLabel("sc_max_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pm, i, vlen)
-	b.I("@%s bra %s;", pm, mend)
-	ei := b.R("r")
-	b.I("add.u32 %s, %s, %s;", ei, rowOff, i)
-	ax := b.ElemAddr(xB, ei, 4)
-	v := b.R("f")
-	b.I("ld.global.f32 %s, [%s];", v, ax)
-	b.I("max.f32 %s, %s, %s;", best, best, v)
-	b.I("add.u32 %s, %s, 32;", i, i)
-	b.I("bra %s;", mloop)
-	b.L(mend)
-
-	b.I("st.shared.f32 [%s], %s;", slot, best)
-	b.I("bar.sync 0;")
-	reduceMax32(b, tid, slot)
+	// row max over the attendable prefix
+	best := b.laneMax("SC_MAX", "sc_max_end", tid, vlen, xB, rowOff)
+	b.reduceShared("max", 32, tid, slot, best, b.NewLabel("rmx"), "rmx_end", "rmx_skip")
 	rowMax := b.R("f")
 	b.I("ld.shared.f32 %s, [%s];", rowMax, sbase)
 	b.I("bar.sync 0;")
 
-	// local sum of exp(x - max) over the attendable prefix, exp via ex2
-	log2e := b.MovF32(1.4426950408889634)
-	sum := b.MovF32(0)
-	i2 := b.R("r")
-	b.I("mov.u32 %s, %s;", i2, tid)
-	sloop := b.L("SC_SUM")
-	ps := b.R("p")
-	send := b.NewLabel("sc_sum_end")
-	b.I("setp.ge.u32 %s, %s, %s;", ps, i2, vlen)
-	b.I("@%s bra %s;", ps, send)
-	ei2 := b.R("r")
-	b.I("add.u32 %s, %s, %s;", ei2, rowOff, i2)
-	ax2 := b.ElemAddr(xB, ei2, 4)
-	v2, sh, ev := b.R("f"), b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", v2, ax2)
-	b.I("sub.f32 %s, %s, %s;", sh, v2, rowMax)
-	b.I("mul.f32 %s, %s, %s;", sh, sh, log2e)
-	b.I("ex2.approx.f32 %s, %s;", ev, sh)
-	b.I("add.f32 %s, %s, %s;", sum, sum, ev)
-	b.I("add.u32 %s, %s, 32;", i2, i2)
-	b.I("bra %s;", sloop)
-	b.L(send)
-
-	b.I("st.shared.f32 [%s], %s;", slot, sum)
-	b.I("bar.sync 0;")
-	reduceAdd32(b, tid, slot)
+	// row total of exp(x - max) over the attendable prefix
+	log2e, sum := b.laneExpSum("SC_SUM", "sc_sum_end", tid, vlen, xB, rowOff, rowMax)
+	b.reduceAdd32(tid, slot, sum)
 	totalv := b.R("f")
 	b.I("ld.shared.f32 %s, [%s];", totalv, sbase)
 
 	// write all cols: exp(x-max)/total inside the prefix, exact 0 beyond
 	zero := b.MovF32(0)
-	i3 := b.R("r")
-	b.I("mov.u32 %s, %s;", i3, tid)
-	wloop := b.L("SC_WRITE")
-	pw := b.R("p")
-	wend := b.NewLabel("sc_write_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pw, i3, cols)
-	b.I("@%s bra %s;", pw, wend)
-	ei3 := b.R("r")
-	b.I("add.u32 %s, %s, %s;", ei3, rowOff, i3)
-	ax3 := b.ElemAddr(xB, ei3, 4)
-	ay3 := b.ElemAddr(yB, ei3, 4)
-	v3, sh3, ev3 := b.R("f"), b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", v3, ax3)
-	b.I("sub.f32 %s, %s, %s;", sh3, v3, rowMax)
-	b.I("mul.f32 %s, %s, %s;", sh3, sh3, log2e)
-	b.I("ex2.approx.f32 %s, %s;", ev3, sh3)
-	b.I("div.rn.f32 %s, %s, %s;", ev3, ev3, totalv)
-	pvalid := b.R("p")
-	b.I("setp.lt.u32 %s, %s, %s;", pvalid, i3, vlen)
-	b.I("selp.b32 %s, %s, %s, %s;", ev3, ev3, zero, pvalid)
-	b.I("st.global.f32 [%s], %s;", ay3, ev3)
-	b.I("add.u32 %s, %s, 32;", i3, i3)
-	b.I("bra %s;", wloop)
-	b.L(wend)
+	b.loop("SC_WRITE", "sc_write_end", tid, cols, "32", func(i string) {
+		ei, ax := b.rowElem(xB, rowOff, i)
+		ay := b.ElemAddr(yB, ei, 4)
+		ev := b.expShifted(ax, rowMax, log2e)
+		b.I("div.rn.f32 %s, %s, %s;", ev, ev, totalv)
+		pvalid := b.R("p")
+		b.I("setp.lt.u32 %s, %s, %s;", pvalid, i, vlen)
+		b.I("selp.b32 %s, %s, %s, %s;", ev, ev, zero, pvalid)
+		b.I("st.global.f32 [%s], %s;", ay, ev)
+	})
 	return b.Build()
 }
 
-// reduceMax32 emits a 32-lane shared-memory max-reduction, the max twin
-// of reduceAdd32: every lane has stored its partial into [slot];
-// afterwards [sbase] holds the maximum.
-func reduceMax32(b *Builder, tid, slot string) {
-	step := b.R("r")
-	b.I("mov.u32 %s, 16;", step)
-	loop := b.L(b.NewLabel("rmx"))
-	pz := b.R("p")
-	end := b.NewLabel("rmx_end")
-	b.I("setp.eq.u32 %s, %s, 0;", pz, step)
-	b.I("@%s bra %s;", pz, end)
-	pact := b.R("p")
-	skip := b.NewLabel("rmx_skip")
-	b.I("setp.ge.u32 %s, %s, %s;", pact, tid, step)
-	b.I("@%s bra %s;", pact, skip)
-	offr, other := b.R("r"), b.R("r")
-	b.I("shl.b32 %s, %s, 2;", offr, step)
-	b.I("add.u32 %s, %s, %s;", other, slot, offr)
-	va, vb := b.R("f"), b.R("f")
-	b.I("ld.shared.f32 %s, [%s];", va, slot)
-	b.I("ld.shared.f32 %s, [%s];", vb, other)
-	b.I("max.f32 %s, %s, %s;", va, va, vb)
-	b.I("st.shared.f32 [%s], %s;", slot, va)
-	b.L(skip)
-	b.I("bar.sync 0;")
-	b.I("shr.u32 %s, %s, 1;", step, step)
-	b.I("bra %s;", loop)
-	b.L(end)
-}
-
-// LogitGemv computes the tied-embedding output head as a GEMV:
+// logitGemv computes the tied-embedding output head as a GEMV:
 // logits[v] = Σ_d x[d] · table[v*dim+d] for the single final-layernorm
 // activation row x[dim] against the embedding table [vocab, dim]. One
 // thread per vocabulary entry.
-func LogitGemv() string {
+func logitGemv() string {
 	b := NewBuilder("logit_gemv")
 	pX, pT, pL := b.PtrParam("pX"), b.PtrParam("pTable"), b.PtrParam("pLogits")
 	pVocab, pDim := b.U32Param("pVocab"), b.U32Param("pDim")
@@ -344,22 +227,14 @@ func LogitGemv() string {
 	xa := b.ElemAddr(xB, b.movZero(), 4)
 	ta := b.ElemAddr(tB, ti, 4)
 	acc := b.MovF32(0)
-	d := b.R("r")
-	b.I("mov.u32 %s, 0;", d)
-	loop := b.L("LG_DOT")
-	pd := b.R("p")
-	done := b.NewLabel("lg_done")
-	b.I("setp.ge.u32 %s, %s, %s;", pd, d, dim)
-	b.I("@%s bra %s;", pd, done)
-	vx, vt := b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", vx, xa)
-	b.I("ld.global.f32 %s, [%s];", vt, ta)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vx, vt, acc)
-	b.I("add.u64 %s, %s, 4;", xa, xa)
-	b.I("add.u64 %s, %s, 4;", ta, ta)
-	b.I("add.u32 %s, %s, 1;", d, d)
-	b.I("bra %s;", loop)
-	b.L(done)
+	b.loop("LG_DOT", "lg_done", "0", dim, "1", func(string) {
+		vx, vt := b.R("f"), b.R("f")
+		b.I("ld.global.f32 %s, [%s];", vx, xa)
+		b.I("ld.global.f32 %s, [%s];", vt, ta)
+		b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vx, vt, acc)
+		b.I("add.u64 %s, %s, 4;", xa, xa)
+		b.I("add.u64 %s, %s, 4;", ta, ta)
+	})
 	lB := b.LoadPtr(pL)
 	la := b.ElemAddr(lB, idx, 4)
 	b.I("st.global.f32 [%s], %s;", la, acc)
@@ -375,13 +250,13 @@ func (b *Builder) movZero() string {
 	return r
 }
 
-// ArgmaxU32 writes the index of the largest of n floats as a u32 into
+// argmaxU32 writes the index of the largest of n floats as a u32 into
 // out[outIdx] — the greedy-decode token selection, kept on the device so
 // a whole generate chain needs no host synchronisation between steps.
 // One 32-thread CTA; ties resolve to the lowest index (matching a
 // first-strictly-greater CPU scan), via a shared-memory (value, index)
 // reduction.
-func ArgmaxU32() string {
+func argmaxU32() string {
 	b := NewBuilder("argmax_u32")
 	pX := b.PtrParam("pX")
 	pN := b.U32Param("pN")
@@ -399,23 +274,15 @@ func ArgmaxU32() string {
 	best := b.MovF32(-3.4e38)
 	bestIdx := b.R("r")
 	b.I("mov.u32 %s, 0;", bestIdx)
-	i := b.R("r")
-	b.I("mov.u32 %s, %s;", i, tid)
-	loop := b.L("AG_SCAN")
-	pm := b.R("p")
-	send := b.NewLabel("ag_scan_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pm, i, n)
-	b.I("@%s bra %s;", pm, send)
-	ax := b.ElemAddr(xB, i, 4)
-	v := b.R("f")
-	b.I("ld.global.f32 %s, [%s];", v, ax)
-	pg := b.R("p")
-	b.I("setp.gt.f32 %s, %s, %s;", pg, v, best)
-	b.I("selp.b32 %s, %s, %s, %s;", best, v, best, pg)
-	b.I("selp.b32 %s, %s, %s, %s;", bestIdx, i, bestIdx, pg)
-	b.I("add.u32 %s, %s, 32;", i, i)
-	b.I("bra %s;", loop)
-	b.L(send)
+	b.loop("AG_SCAN", "ag_scan_end", tid, n, "32", func(i string) {
+		ax := b.ElemAddr(xB, i, 4)
+		v := b.R("f")
+		b.I("ld.global.f32 %s, [%s];", v, ax)
+		pg := b.R("p")
+		b.I("setp.gt.f32 %s, %s, %s;", pg, v, best)
+		b.I("selp.b32 %s, %s, %s, %s;", best, v, best, pg)
+		b.I("selp.b32 %s, %s, %s, %s;", bestIdx, i, bestIdx, pg)
+	})
 
 	vbase, ibase := b.R("r"), b.R("r")
 	b.I("mov.u32 %s, %s;", vbase, sval)

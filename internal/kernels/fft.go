@@ -1,8 +1,8 @@
 package kernels
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 )
 
 // FFT convolution kernels. The kernel names replicate the cuDNN kernels
@@ -15,25 +15,12 @@ import (
 // complex [plane][N*N] float2 (ld/st.v2.f32). One thread block of N
 // threads handles one plane: thread t FFTs row t, barrier, then column t.
 
-// fftLog2 returns log2(n) for the supported power-of-two tile edges.
-func fftLog2(n int) int {
-	switch n {
-	case 8:
-		return 3
-	case 16:
-		return 4
-	case 32:
-		return 5
-	}
-	panic(fmt.Sprintf("kernels: unsupported FFT size %d", n))
-}
-
 // emitButterflies generates the in-place radix-2 DIT butterfly loops over
-// one line of the shared-memory tile. base is a b32 shared byte address of
-// element 0 of the line; strideElems is the element distance within the
-// line (1 for rows, N for columns). sign is -1 for forward, +1 for inverse.
-func emitButterflies(b *Builder, n int, base string, strideElems int, sign float32, uniq string) {
-	log2n := fftLog2(n)
+// one line (n = 1<<log2n elements) of the shared-memory tile. base is a
+// b32 shared byte address of element 0 of the line; strideElems is the
+// element distance within the line (1 for rows, N for columns). sign is
+// -1 for forward, +1 for inverse.
+func emitButterflies(b *Builder, log2n int, base string, strideElems int, sign float32, uniq string) {
 	pi := b.MovF32(sign * float32(math.Pi))
 	s := b.R("r")
 	b.I("mov.u32 %s, 1;", s)
@@ -50,57 +37,47 @@ func emitButterflies(b *Builder, n int, base string, strideElems int, sign float
 	halfMask := b.R("r")
 	b.I("sub.u32 %s, %s, 1;", halfMask, half)
 
-	j := b.R("r")
-	b.I("mov.u32 %s, 0;", j)
-	jLoop := b.L("FFT_J_" + uniq)
-	pj := b.R("p")
-	jEnd := b.NewLabel("fft_j_end_" + uniq)
-	b.I("setp.ge.u32 %s, %s, %d;", pj, j, n/2)
-	b.I("@%s bra %s;", pj, jEnd)
+	b.loop("FFT_J_"+uniq, "fft_j_end_"+uniq, "0", strconv.Itoa(1<<(log2n-1)), "1", func(j string) {
+		grp, pos := b.R("r"), b.R("r")
+		b.I("shr.u32 %s, %s, %s;", grp, j, sm1)
+		b.I("and.b32 %s, %s, %s;", pos, j, halfMask)
+		i1, i2 := b.R("r"), b.R("r")
+		b.I("mad.lo.s32 %s, %s, %s, %s;", i1, grp, m, pos)
+		b.I("add.u32 %s, %s, %s;", i2, i1, half)
 
-	grp, pos := b.R("r"), b.R("r")
-	b.I("shr.u32 %s, %s, %s;", grp, j, sm1)
-	b.I("and.b32 %s, %s, %s;", pos, j, halfMask)
-	i1, i2 := b.R("r"), b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", i1, grp, m, pos)
-	b.I("add.u32 %s, %s, %s;", i2, i1, half)
+		// twiddle: ang = sign*pi*pos/half
+		posF, halfF, ang := b.R("f"), b.R("f"), b.R("f")
+		b.I("cvt.rn.f32.u32 %s, %s;", posF, pos)
+		b.I("cvt.rn.f32.u32 %s, %s;", halfF, half)
+		b.I("div.rn.f32 %s, %s, %s;", ang, posF, halfF)
+		b.I("mul.f32 %s, %s, %s;", ang, ang, pi)
+		wr, wi := b.R("f"), b.R("f")
+		b.I("cos.approx.f32 %s, %s;", wr, ang)
+		b.I("sin.approx.f32 %s, %s;", wi, ang)
 
-	// twiddle: ang = sign*pi*pos/half
-	posF, halfF, ang := b.R("f"), b.R("f"), b.R("f")
-	b.I("cvt.rn.f32.u32 %s, %s;", posF, pos)
-	b.I("cvt.rn.f32.u32 %s, %s;", halfF, half)
-	b.I("div.rn.f32 %s, %s, %s;", ang, posF, halfF)
-	b.I("mul.f32 %s, %s, %s;", ang, ang, pi)
-	wr, wi := b.R("f"), b.R("f")
-	b.I("cos.approx.f32 %s, %s;", wr, ang)
-	b.I("sin.approx.f32 %s, %s;", wi, ang)
-
-	a1, a2 := b.R("r"), b.R("r")
-	b.I("mad.lo.s32 %s, %s, %d, %s;", a1, i1, strideElems*8, base)
-	b.I("mad.lo.s32 %s, %s, %d, %s;", a2, i2, strideElems*8, base)
-	r2, im2 := b.R("f"), b.R("f")
-	b.I("ld.shared.v2.f32 {%s, %s}, [%s];", r2, im2, a2)
-	tr, ti := b.R("f"), b.R("f")
-	tmp := b.R("f")
-	b.I("mul.f32 %s, %s, %s;", tr, wr, r2)
-	b.I("mul.f32 %s, %s, %s;", tmp, wi, im2)
-	b.I("sub.f32 %s, %s, %s;", tr, tr, tmp)
-	b.I("mul.f32 %s, %s, %s;", ti, wr, im2)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", ti, wi, r2, ti)
-	r1, im1 := b.R("f"), b.R("f")
-	b.I("ld.shared.v2.f32 {%s, %s}, [%s];", r1, im1, a1)
-	or2, oi2 := b.R("f"), b.R("f")
-	b.I("sub.f32 %s, %s, %s;", or2, r1, tr)
-	b.I("sub.f32 %s, %s, %s;", oi2, im1, ti)
-	b.I("st.shared.v2.f32 [%s], {%s, %s};", a2, or2, oi2)
-	or1, oi1 := b.R("f"), b.R("f")
-	b.I("add.f32 %s, %s, %s;", or1, r1, tr)
-	b.I("add.f32 %s, %s, %s;", oi1, im1, ti)
-	b.I("st.shared.v2.f32 [%s], {%s, %s};", a1, or1, oi1)
-
-	b.I("add.u32 %s, %s, 1;", j, j)
-	b.I("bra %s;", jLoop)
-	b.L(jEnd)
+		a1, a2 := b.R("r"), b.R("r")
+		b.I("mad.lo.s32 %s, %s, %d, %s;", a1, i1, strideElems*8, base)
+		b.I("mad.lo.s32 %s, %s, %d, %s;", a2, i2, strideElems*8, base)
+		r2, im2 := b.R("f"), b.R("f")
+		b.I("ld.shared.v2.f32 {%s, %s}, [%s];", r2, im2, a2)
+		tr, ti := b.R("f"), b.R("f")
+		tmp := b.R("f")
+		b.I("mul.f32 %s, %s, %s;", tr, wr, r2)
+		b.I("mul.f32 %s, %s, %s;", tmp, wi, im2)
+		b.I("sub.f32 %s, %s, %s;", tr, tr, tmp)
+		b.I("mul.f32 %s, %s, %s;", ti, wr, im2)
+		b.I("fma.rn.f32 %s, %s, %s, %s;", ti, wi, r2, ti)
+		r1, im1 := b.R("f"), b.R("f")
+		b.I("ld.shared.v2.f32 {%s, %s}, [%s];", r1, im1, a1)
+		or2, oi2 := b.R("f"), b.R("f")
+		b.I("sub.f32 %s, %s, %s;", or2, r1, tr)
+		b.I("sub.f32 %s, %s, %s;", oi2, im1, ti)
+		b.I("st.shared.v2.f32 [%s], {%s, %s};", a2, or2, oi2)
+		or1, oi1 := b.R("f"), b.R("f")
+		b.I("add.f32 %s, %s, %s;", or1, r1, tr)
+		b.I("add.f32 %s, %s, %s;", oi1, im1, ti)
+		b.I("st.shared.v2.f32 [%s], {%s, %s};", a1, or1, oi1)
+	})
 	b.I("add.u32 %s, %s, 1;", s, s)
 	b.I("bra %s;", sLoop)
 	b.L(sEnd)
@@ -114,14 +91,15 @@ func bitRev(b *Builder, j string, log2n int) string {
 	return jr
 }
 
-// FFT2D generates one of the fft2d kernels.
+// fft2D generates one of the fft2d kernels.
 //   - name: entry name (e.g. "fft2d_r2c_32x32")
-//   - n: tile edge (16 or 32)
+//   - log2n: log2 of the tile edge n (4 or 5 for the shipped 16 and 32)
 //   - inverse: inverse transform (positive twiddle sign)
 //   - realIn: input planes are real floats (forward r2c staging)
 //   - realOut: output planes are real floats scaled by pScale (c2r)
-func FFT2D(name string, n int, inverse, realIn, realOut bool) string {
-	log2n := fftLog2(n)
+func fft2D(name string, log2n int, inverse, realIn, realOut bool) string {
+	n := 1 << log2n
+	edge := strconv.Itoa(n)
 	b := NewBuilder(name)
 	pIn, pOut := b.PtrParam("pIn"), b.PtrParam("pOut")
 	var pScale string
@@ -149,72 +127,52 @@ func FFT2D(name string, n int, inverse, realIn, realOut bool) string {
 	rowBase := b.R("r")
 	b.I("mad.lo.s32 %s, %s, %d, %s;", rowBase, t, n*8, smBase)
 	planeOffIn := b.R("r")
-	if realIn {
-		b.I("mul.lo.u32 %s, %s, %d;", planeOffIn, plane, n*n)
-	} else {
-		b.I("mul.lo.u32 %s, %s, %d;", planeOffIn, plane, n*n)
-	}
-	j := b.R("r")
-	b.I("mov.u32 %s, 0;", j)
-	loadLoop := b.L("LOAD_LOOP")
-	pl := b.R("p")
-	loadEnd := b.NewLabel("load_end")
-	b.I("setp.ge.u32 %s, %s, %d;", pl, j, n)
-	b.I("@%s bra %s;", pl, loadEnd)
-	srcIdx := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %d, %s;", srcIdx, t, n, j)
-	b.I("add.u32 %s, %s, %s;", srcIdx, srcIdx, planeOffIn)
-	re, im := b.R("f"), b.R("f")
-	if realIn {
-		aIn := b.ElemAddr(inB, srcIdx, 4)
-		b.I("ld.global.f32 %s, [%s];", re, aIn)
-		b.I("mov.f32 %s, %s;", im, F32Imm(0))
-	} else {
-		aIn := b.ElemAddr(inB, srcIdx, 8)
-		b.I("ld.global.v2.f32 {%s, %s}, [%s];", re, im, aIn)
-	}
-	jr := bitRev(b, j, log2n)
-	dst := b.R("r")
-	b.I("mad.lo.s32 %s, %s, 8, %s;", dst, jr, rowBase)
-	b.I("st.shared.v2.f32 [%s], {%s, %s};", dst, re, im)
-	b.I("add.u32 %s, %s, 1;", j, j)
-	b.I("bra %s;", loadLoop)
-	b.L(loadEnd)
+	b.I("mul.lo.u32 %s, %s, %d;", planeOffIn, plane, n*n)
+	b.loop("LOAD_LOOP", "load_end", "0", edge, "1", func(j string) {
+		srcIdx := b.R("r")
+		b.I("mad.lo.s32 %s, %s, %d, %s;", srcIdx, t, n, j)
+		b.I("add.u32 %s, %s, %s;", srcIdx, srcIdx, planeOffIn)
+		re, im := b.R("f"), b.R("f")
+		if realIn {
+			aIn := b.ElemAddr(inB, srcIdx, 4)
+			b.I("ld.global.f32 %s, [%s];", re, aIn)
+			b.I("mov.f32 %s, %s;", im, F32Imm(0))
+		} else {
+			aIn := b.ElemAddr(inB, srcIdx, 8)
+			b.I("ld.global.v2.f32 {%s, %s}, [%s];", re, im, aIn)
+		}
+		jr := bitRev(b, j, log2n)
+		dst := b.R("r")
+		b.I("mad.lo.s32 %s, %s, 8, %s;", dst, jr, rowBase)
+		b.I("st.shared.v2.f32 [%s], {%s, %s};", dst, re, im)
+	})
 
-	emitButterflies(b, n, rowBase, 1, sign, "row")
+	emitButterflies(b, log2n, rowBase, 1, sign, "row")
 	b.I("bar.sync 0;")
 
 	// ---- Phase B: column t ----
 	colBase := b.R("r")
 	b.I("mad.lo.s32 %s, %s, 8, %s;", colBase, t, smBase)
 	// In-place bit-reversal permutation along the column.
-	j2 := b.R("r")
-	b.I("mov.u32 %s, 0;", j2)
-	permLoop := b.L("PERM_LOOP")
-	pp := b.R("p")
-	permEnd := b.NewLabel("perm_end")
-	b.I("setp.ge.u32 %s, %s, %d;", pp, j2, n)
-	b.I("@%s bra %s;", pp, permEnd)
-	jr2 := bitRev(b, j2, log2n)
-	pswap := b.R("p")
-	noswap := b.NewLabel("noswap")
-	b.I("setp.ge.u32 %s, %s, %s;", pswap, j2, jr2)
-	b.I("@%s bra %s;", pswap, noswap)
-	aA, aB := b.R("r"), b.R("r")
-	b.I("mad.lo.s32 %s, %s, %d, %s;", aA, j2, n*8, colBase)
-	b.I("mad.lo.s32 %s, %s, %d, %s;", aB, jr2, n*8, colBase)
-	ra, ia := b.R("f"), b.R("f")
-	rb, ib := b.R("f"), b.R("f")
-	b.I("ld.shared.v2.f32 {%s, %s}, [%s];", ra, ia, aA)
-	b.I("ld.shared.v2.f32 {%s, %s}, [%s];", rb, ib, aB)
-	b.I("st.shared.v2.f32 [%s], {%s, %s};", aA, rb, ib)
-	b.I("st.shared.v2.f32 [%s], {%s, %s};", aB, ra, ia)
-	b.L(noswap)
-	b.I("add.u32 %s, %s, 1;", j2, j2)
-	b.I("bra %s;", permLoop)
-	b.L(permEnd)
+	b.loop("PERM_LOOP", "perm_end", "0", edge, "1", func(j string) {
+		jr := bitRev(b, j, log2n)
+		pswap := b.R("p")
+		noswap := b.NewLabel("noswap")
+		b.I("setp.ge.u32 %s, %s, %s;", pswap, j, jr)
+		b.I("@%s bra %s;", pswap, noswap)
+		aA, aB := b.R("r"), b.R("r")
+		b.I("mad.lo.s32 %s, %s, %d, %s;", aA, j, n*8, colBase)
+		b.I("mad.lo.s32 %s, %s, %d, %s;", aB, jr, n*8, colBase)
+		ra, ia := b.R("f"), b.R("f")
+		rb, ib := b.R("f"), b.R("f")
+		b.I("ld.shared.v2.f32 {%s, %s}, [%s];", ra, ia, aA)
+		b.I("ld.shared.v2.f32 {%s, %s}, [%s];", rb, ib, aB)
+		b.I("st.shared.v2.f32 [%s], {%s, %s};", aA, rb, ib)
+		b.I("st.shared.v2.f32 [%s], {%s, %s};", aB, ra, ia)
+		b.L(noswap)
+	})
 
-	emitButterflies(b, n, colBase, n, sign, "col")
+	emitButterflies(b, log2n, colBase, n, sign, "col")
 
 	// ---- write out ----
 	var scale string
@@ -223,54 +181,46 @@ func FFT2D(name string, n int, inverse, realIn, realOut bool) string {
 	}
 	planeOffOut := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %d;", planeOffOut, plane, n*n)
-	j3 := b.R("r")
-	b.I("mov.u32 %s, 0;", j3)
-	outLoop := b.L("OUT_LOOP")
-	po := b.R("p")
-	outEnd := b.NewLabel("out_end")
-	b.I("setp.ge.u32 %s, %s, %d;", po, j3, n)
-	b.I("@%s bra %s;", po, outEnd)
-	sAddr := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %d, %s;", sAddr, j3, n*8, colBase)
-	vr, vi := b.R("f"), b.R("f")
-	b.I("ld.shared.v2.f32 {%s, %s}, [%s];", vr, vi, sAddr)
-	dstIdx := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %d, %s;", dstIdx, j3, n, t)
-	b.I("add.u32 %s, %s, %s;", dstIdx, dstIdx, planeOffOut)
-	if realOut {
-		b.I("mul.f32 %s, %s, %s;", vr, vr, scale)
-		aOut := b.ElemAddr(outB, dstIdx, 4)
-		b.I("st.global.f32 [%s], %s;", aOut, vr)
-	} else {
-		aOut := b.ElemAddr(outB, dstIdx, 8)
-		b.I("st.global.v2.f32 [%s], {%s, %s};", aOut, vr, vi)
-	}
-	b.I("add.u32 %s, %s, 1;", j3, j3)
-	b.I("bra %s;", outLoop)
-	b.L(outEnd)
+	b.loop("OUT_LOOP", "out_end", "0", edge, "1", func(j string) {
+		sAddr := b.R("r")
+		b.I("mad.lo.s32 %s, %s, %d, %s;", sAddr, j, n*8, colBase)
+		vr, vi := b.R("f"), b.R("f")
+		b.I("ld.shared.v2.f32 {%s, %s}, [%s];", vr, vi, sAddr)
+		dstIdx := b.R("r")
+		b.I("mad.lo.s32 %s, %s, %d, %s;", dstIdx, j, n, t)
+		b.I("add.u32 %s, %s, %s;", dstIdx, dstIdx, planeOffOut)
+		if realOut {
+			b.I("mul.f32 %s, %s, %s;", vr, vr, scale)
+			aOut := b.ElemAddr(outB, dstIdx, 4)
+			b.I("st.global.f32 [%s], %s;", aOut, vr)
+		} else {
+			aOut := b.ElemAddr(outB, dstIdx, 8)
+			b.I("st.global.v2.f32 [%s], {%s, %s};", aOut, vr, vi)
+		}
+	})
 	return b.Build()
 }
 
-// FFTR2C32 is fft2d_r2c_32x32 — the kernel in which the paper's debug
+// fftR2C32 is fft2d_r2c_32x32 — the kernel in which the paper's debug
 // flow localised GPGPU-Sim's rem.u32 bug.
-func FFTR2C32() string { return FFT2D("fft2d_r2c_32x32", 32, false, true, false) }
+func fftR2C32() string { return fft2D("fft2d_r2c_32x32", 5, false, true, false) }
 
-// FFTR2C16 is fft2d_r2c_16x16.
-func FFTR2C16() string { return FFT2D("fft2d_r2c_16x16", 16, false, true, false) }
+// fftR2C16 is fft2d_r2c_16x16.
+func fftR2C16() string { return fft2D("fft2d_r2c_16x16", 4, false, true, false) }
 
-// FFTC2R32 is fft2d_c2r_32x32 (inverse, real output, scaled).
-func FFTC2R32() string { return FFT2D("fft2d_c2r_32x32", 32, true, false, true) }
+// fftC2R32 is fft2d_c2r_32x32 (inverse, real output, scaled).
+func fftC2R32() string { return fft2D("fft2d_c2r_32x32", 5, true, false, true) }
 
-// FFTC2R16 is fft2d_c2r_16x16.
-func FFTC2R16() string { return FFT2D("fft2d_c2r_16x16", 16, true, false, true) }
+// fftC2R16 is fft2d_c2r_16x16.
+func fftC2R16() string { return fft2D("fft2d_c2r_16x16", 4, true, false, true) }
 
-// CGemm is the pointwise complex accumulation across channels in the
+// cgemm is the pointwise complex accumulation across channels in the
 // frequency domain: for tile tt (= ctaid.y) and each (k, f),
 //
 //	Y[(k*NT+tt), f] = sum_c conj(W[(k*C+c), f]) * X[(c*NT+tt), f]
 //
 // conj(W)·X implements cross-correlation (what CNN "convolution" is).
-func CGemm() string {
+func cgemm() string {
 	b := NewBuilder("cgemm")
 	pX, pW, pY := b.PtrParam("pX"), b.PtrParam("pW"), b.PtrParam("pY")
 	pC, pK, pNN, pNT := b.U32Param("pC"), b.U32Param("pK"), b.U32Param("pNN"), b.U32Param("pNT")
@@ -281,9 +231,7 @@ func CGemm() string {
 	tot := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", tot, k, nn)
 	b.GuardEnd(idx, tot, end)
-	f, kk := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", f, idx, nn)
-	b.I("div.u32 %s, %s, %s;", kk, idx, nn)
+	f, kk := b.remDiv(idx, nn)
 	tt := b.R("r")
 	b.I("mov.u32 %s, %%ctaid.y;", tt)
 	c := b.LoadU32(pC)
@@ -294,50 +242,33 @@ func CGemm() string {
 
 	accR := b.MovF32(0)
 	accI := b.MovF32(0)
-	cc := b.R("r")
-	b.I("mov.u32 %s, 0;", cc)
-	loop := b.L("CG_LOOP")
-	pc := b.R("p")
-	lend := b.NewLabel("cg_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pc, cc, c)
-	b.I("@%s bra %s;", pc, lend)
-	// X[(cc*NT+tt)*NN + f]
-	xi := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", xi, cc, nt, tt)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", xi, xi, nn, f)
-	ax := b.ElemAddr(xB, xi, 8)
-	xr, xim := b.R("f"), b.R("f")
-	b.I("ld.global.v2.f32 {%s, %s}, [%s];", xr, xim, ax)
-	// W[(kk*C+cc)*NN + f]
-	wi := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", wi, kk, c, cc)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", wi, wi, nn, f)
-	aw := b.ElemAddr(wB, wi, 8)
-	wr, wim := b.R("f"), b.R("f")
-	b.I("ld.global.v2.f32 {%s, %s}, [%s];", wr, wim, aw)
-	// conj(W)*X = (wr - i wi)(xr + i xi) = (wr*xr + wi*xi) + i(wr*xi - wi*xr)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", accR, wr, xr, accR)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", accR, wim, xim, accR)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", accI, wr, xim, accI)
-	t1 := b.R("f")
-	b.I("mul.f32 %s, %s, %s;", t1, wim, xr)
-	b.I("sub.f32 %s, %s, %s;", accI, accI, t1)
-	b.I("add.u32 %s, %s, 1;", cc, cc)
-	b.I("bra %s;", loop)
-	b.L(lend)
+	b.loop("CG_LOOP", "cg_end", "0", c, "1", func(cc string) {
+		// X[(cc*NT+tt)*NN + f]
+		ax := b.ElemAddr(xB, b.flatIndex(cc, nt, tt, nn, f), 8)
+		xr, xim := b.R("f"), b.R("f")
+		b.I("ld.global.v2.f32 {%s, %s}, [%s];", xr, xim, ax)
+		// W[(kk*C+cc)*NN + f]
+		aw := b.ElemAddr(wB, b.flatIndex(kk, c, cc, nn, f), 8)
+		wr, wim := b.R("f"), b.R("f")
+		b.I("ld.global.v2.f32 {%s, %s}, [%s];", wr, wim, aw)
+		// conj(W)*X = (wr - i wi)(xr + i xi) = (wr*xr + wi*xi) + i(wr*xi - wi*xr)
+		b.I("fma.rn.f32 %s, %s, %s, %s;", accR, wr, xr, accR)
+		b.I("fma.rn.f32 %s, %s, %s, %s;", accR, wim, xim, accR)
+		b.I("fma.rn.f32 %s, %s, %s, %s;", accI, wr, xim, accI)
+		t1 := b.R("f")
+		b.I("mul.f32 %s, %s, %s;", t1, wim, xr)
+		b.I("sub.f32 %s, %s, %s;", accI, accI, t1)
+	})
 
-	yi := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", yi, kk, nt, tt)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", yi, yi, nn, f)
-	ay := b.ElemAddr(yB, yi, 8)
+	ay := b.ElemAddr(yB, b.flatIndex(kk, nt, tt, nn, f), 8)
 	b.I("st.global.v2.f32 [%s], {%s, %s};", ay, accR, accI)
 	b.L(end)
 	return b.Build()
 }
 
-// FFTCrop extracts the valid correlation region from full inverse-FFT
+// fftCrop extracts the valid correlation region from full inverse-FFT
 // frames: out[p, u, v] = in[p, (u-P) mod N, (v-P) mod N] for planes p.
-func FFTCrop() string {
+func fftCrop() string {
 	b := NewBuilder("fft_crop")
 	pIn, pOut := b.PtrParam("pIn"), b.PtrParam("pOut")
 	pN := b.U32Param("pN")
@@ -352,9 +283,7 @@ func FFTCrop() string {
 	b.GuardEnd(idx, tot, end)
 	plane := b.R("r")
 	b.I("mov.u32 %s, %%ctaid.y;", plane)
-	u, v := b.R("r"), b.R("r")
-	b.I("div.u32 %s, %s, %s;", u, idx, ow)
-	b.I("rem.u32 %s, %s, %s;", v, idx, ow)
+	u, v := b.divRem(idx, ow)
 	n := b.LoadU32(pN)
 	pad := b.LoadU32(pPad)
 	su, sv := b.R("r"), b.R("r")
@@ -375,18 +304,16 @@ func FFTCrop() string {
 	ain := b.ElemAddr(inB, si, 4)
 	val := b.R("f")
 	b.I("ld.global.f32 %s, [%s];", val, ain)
-	di := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", di, plane, tot, idx)
-	aout := b.ElemAddr(outB, di, 4)
+	aout := b.ElemAddr(outB, b.flatIndex(plane, tot, idx), 4)
 	b.I("st.global.f32 [%s], %s;", aout, val)
 	b.L(end)
 	return b.Build()
 }
 
-// FFTTileExtract cuts overlapping tileN x tileN tiles out of x[C,H,W] for
+// fftTileExtract cuts overlapping tileN x tileN tiles out of x[C,H,W] for
 // the FFT-Tiling algorithm: dst plane (c*ntX*ntY + ty*ntX + tx) holds the
 // tile whose origin is (ty*step-pad, tx*step-pad), zero-filled outside.
-func FFTTileExtract() string {
+func fftTileExtract() string {
 	b := NewBuilder("fft_tile_extract")
 	pX, pOut := b.PtrParam("pX"), b.PtrParam("pOut")
 	b.U32Param("pC") // kept for a cuDNN-shaped signature; plane = ctaid.y
@@ -407,15 +334,9 @@ func FFTTileExtract() string {
 	// plane -> (c, ty, tx)
 	tiles := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", tiles, ntx, nty)
-	tIdx, c := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", tIdx, plane, tiles)
-	b.I("div.u32 %s, %s, %s;", c, plane, tiles)
-	ty, tx := b.R("r"), b.R("r")
-	b.I("div.u32 %s, %s, %s;", ty, tIdx, ntx)
-	b.I("rem.u32 %s, %s, %s;", tx, tIdx, ntx)
-	u, v := b.R("r"), b.R("r")
-	b.I("div.u32 %s, %s, %s;", u, idx, tn)
-	b.I("rem.u32 %s, %s, %s;", v, idx, tn)
+	tIdx, c := b.remDiv(plane, tiles)
+	ty, tx := b.divRem(tIdx, ntx)
+	u, v := b.divRem(idx, tn)
 	step := b.LoadU32(pStep)
 	pad := b.LoadU32(pPad)
 	iy, ix := b.R("r"), b.R("r")
@@ -436,27 +357,24 @@ func FFTTileExtract() string {
 	b.I("and.pred %s, %s, %s;", pin, pin, ptmp)
 	xB := b.LoadPtr(pX)
 	outB := b.LoadPtr(pOut)
-	si, clamped := b.R("r"), b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", si, c, h, iy)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", si, si, w, ix)
+	si := b.flatIndex(c, h, iy, w, ix)
+	clamped := b.R("r")
 	b.I("selp.b32 %s, %s, 0, %s;", clamped, si, pin)
 	ax := b.ElemAddr(xB, clamped, 4)
 	val := b.R("f")
 	z := b.MovF32(0)
 	b.I("ld.global.f32 %s, [%s];", val, ax)
 	b.I("selp.b32 %s, %s, %s, %s;", val, val, z, pin)
-	di := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", di, plane, nn, idx)
-	aout := b.ElemAddr(outB, di, 4)
+	aout := b.ElemAddr(outB, b.flatIndex(plane, nn, idx), 4)
 	b.I("st.global.f32 [%s], %s;", aout, val)
 	b.L(end)
 	return b.Build()
 }
 
-// FFTTileStitch assembles the per-tile correlation results back into
+// fftTileStitch assembles the per-tile correlation results back into
 // y[k, OH, OW]: each output pixel belongs to exactly one tile of edge
 // step; tiles are laid out as planes (k*ntX*ntY + ty*ntX + tx) of tileN².
-func FFTTileStitch() string {
+func fftTileStitch() string {
 	b := NewBuilder("fft_tile_stitch")
 	pTiles, pY := b.PtrParam("pTiles"), b.PtrParam("pY")
 	pOH, pOW := b.U32Param("pOH"), b.U32Param("pOW")
@@ -471,16 +389,10 @@ func FFTTileStitch() string {
 	b.GuardEnd(idx, tot, end)
 	k := b.R("r")
 	b.I("mov.u32 %s, %%ctaid.y;", k)
-	oy, ox := b.R("r"), b.R("r")
-	b.I("div.u32 %s, %s, %s;", oy, idx, ow)
-	b.I("rem.u32 %s, %s, %s;", ox, idx, ow)
+	oy, ox := b.divRem(idx, ow)
 	step := b.LoadU32(pStep)
-	ty, u := b.R("r"), b.R("r")
-	b.I("div.u32 %s, %s, %s;", ty, oy, step)
-	b.I("rem.u32 %s, %s, %s;", u, oy, step)
-	tx, v := b.R("r"), b.R("r")
-	b.I("div.u32 %s, %s, %s;", tx, ox, step)
-	b.I("rem.u32 %s, %s, %s;", v, ox, step)
+	ty, u := b.divRem(oy, step)
+	tx, v := b.divRem(ox, step)
 	ntx := b.LoadU32(pNTX)
 	nty := b.LoadU32(pNTY)
 	tn := b.LoadU32(pTileN)
@@ -501,22 +413,20 @@ func FFTTileStitch() string {
 	ain := b.ElemAddr(tB, si, 4)
 	val := b.R("f")
 	b.I("ld.global.f32 %s, [%s];", val, ain)
-	di := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", di, k, tot, idx)
-	aout := b.ElemAddr(yB, di, 4)
+	aout := b.ElemAddr(yB, b.flatIndex(k, tot, idx), 4)
 	b.I("st.global.f32 [%s], %s;", aout, val)
 	b.L(end)
 	return b.Build()
 }
 
-// CGemmBwdFilter accumulates filter-gradient spectra:
+// cgemmBwdFilter accumulates filter-gradient spectra:
 //
 //	dWspec[(k*C+c), f] += sum_t conj(DY[(k*NT+t), f]) * X[(c*NT+t), f]
 //
 // where t enumerates the NT tiles of one image (NT=1 for the plain FFT
 // algorithm). The caller zeroes dWspec once and launches per image, so the
 // image sum also accumulates in the frequency domain.
-func CGemmBwdFilter() string {
+func cgemmBwdFilter() string {
 	b := NewBuilder("cgemm_bwd_filter")
 	pX, pDY, pDW := b.PtrParam("pX"), b.PtrParam("pDY"), b.PtrParam("pDW")
 	pC, pK, pNN, pNT := b.U32Param("pC"), b.U32Param("pK"), b.U32Param("pNN"), b.U32Param("pNT")
@@ -529,12 +439,8 @@ func CGemmBwdFilter() string {
 	b.I("mul.lo.u32 %s, %s, %s;", tot, k, c)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, nn)
 	b.GuardEnd(idx, tot, end)
-	f, t1 := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", f, idx, nn)
-	b.I("div.u32 %s, %s, %s;", t1, idx, nn)
-	cc, kk := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", cc, t1, c)
-	b.I("div.u32 %s, %s, %s;", kk, t1, c)
+	f, t1 := b.remDiv(idx, nn)
+	cc, kk := b.remDiv(t1, c)
 	nt := b.LoadU32(pNT)
 	xB := b.LoadPtr(pX)
 	dyB := b.LoadPtr(pDY)
@@ -542,35 +448,21 @@ func CGemmBwdFilter() string {
 
 	accR := b.MovF32(0)
 	accI := b.MovF32(0)
-	tt := b.R("r")
-	b.I("mov.u32 %s, 0;", tt)
-	loop := b.L("CGBF_LOOP")
-	pt := b.R("p")
-	lend := b.NewLabel("cgbf_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pt, tt, nt)
-	b.I("@%s bra %s;", pt, lend)
-	xi := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", xi, cc, nt, tt)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", xi, xi, nn, f)
-	ax := b.ElemAddr(xB, xi, 8)
-	xr, xim := b.R("f"), b.R("f")
-	b.I("ld.global.v2.f32 {%s, %s}, [%s];", xr, xim, ax)
-	dyi := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dyi, kk, nt, tt)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dyi, dyi, nn, f)
-	ady := b.ElemAddr(dyB, dyi, 8)
-	yr, yim := b.R("f"), b.R("f")
-	b.I("ld.global.v2.f32 {%s, %s}, [%s];", yr, yim, ady)
-	// conj(DY)*X = (yr - i yi)(xr + i xi)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", accR, yr, xr, accR)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", accR, yim, xim, accR)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", accI, yr, xim, accI)
-	tmp := b.R("f")
-	b.I("mul.f32 %s, %s, %s;", tmp, yim, xr)
-	b.I("sub.f32 %s, %s, %s;", accI, accI, tmp)
-	b.I("add.u32 %s, %s, 1;", tt, tt)
-	b.I("bra %s;", loop)
-	b.L(lend)
+	b.loop("CGBF_LOOP", "cgbf_end", "0", nt, "1", func(tt string) {
+		ax := b.ElemAddr(xB, b.flatIndex(cc, nt, tt, nn, f), 8)
+		xr, xim := b.R("f"), b.R("f")
+		b.I("ld.global.v2.f32 {%s, %s}, [%s];", xr, xim, ax)
+		ady := b.ElemAddr(dyB, b.flatIndex(kk, nt, tt, nn, f), 8)
+		yr, yim := b.R("f"), b.R("f")
+		b.I("ld.global.v2.f32 {%s, %s}, [%s];", yr, yim, ady)
+		// conj(DY)*X = (yr - i yi)(xr + i xi)
+		b.I("fma.rn.f32 %s, %s, %s, %s;", accR, yr, xr, accR)
+		b.I("fma.rn.f32 %s, %s, %s, %s;", accR, yim, xim, accR)
+		b.I("fma.rn.f32 %s, %s, %s, %s;", accI, yr, xim, accI)
+		tmp := b.R("f")
+		b.I("mul.f32 %s, %s, %s;", tmp, yim, xr)
+		b.I("sub.f32 %s, %s, %s;", accI, accI, tmp)
+	})
 
 	awOut := b.ElemAddr(dwB, idx, 8)
 	oldR, oldI := b.R("f"), b.R("f")

@@ -1,5 +1,7 @@
 package kernels
 
+import "strconv"
+
 // GEMM-family kernels: the tiled shared-memory SGEMM used by the GEMM
 // convolution algorithm (and by Winograd-Nonfused's batched stage via
 // grid.z), and GEMV2T, the transposed matrix-vector kernel cuDNN uses for
@@ -8,18 +10,20 @@ package kernels
 // GemmTile is the square tile edge of the SGEMM kernel.
 const GemmTile = 16
 
-// SgemmTiled computes C = alpha*A*B + beta*C for row-major A[M,K], B[K,N],
-// C[M,N]. grid.z selects a batch slice at the given element strides, which
-// lets the same kernel serve both plain and batched (Winograd, FFT) GEMMs.
-// Launch with block (16,16), grid (ceil(N/16), ceil(M/16), batches).
-func SgemmTiled() string {
-	b := NewBuilder("sgemm_tiled")
+// sgemm emits the tiled shared-memory GEMM C = alpha*op(A)*op(B) + beta*C
+// for row-major C[M,N]: A is [M,K], or [K,M] with transA; B is [K,N], or
+// [N,K] with transB. The library ships the NN, NT and TN layouts. grid.z
+// selects a batch slice at the given element strides. Launch with block
+// (16,16), grid (ceil(N/16), ceil(M/16), batches).
+func sgemm(name string, transA, transB bool) string {
+	b := NewBuilder(name)
 	pA, pB, pC := b.PtrParam("pA"), b.PtrParam("pB"), b.PtrParam("pC")
 	pM, pN, pK := b.U32Param("pM"), b.U32Param("pN"), b.U32Param("pK")
 	pSA, pSB, pSC := b.U32Param("pStrideA"), b.U32Param("pStrideB"), b.U32Param("pStrideC")
 	pAl, pBe := b.F32Param("pAlpha"), b.F32Param("pBeta")
 	as := b.Shared("As", GemmTile*GemmTile*4, 4)
 	bs := b.Shared("Bs", GemmTile*GemmTile*4, 4)
+	tile := strconv.Itoa(GemmTile)
 
 	tx, ty := b.R("r"), b.R("r")
 	b.I("mov.u32 %s, %%tid.x;", tx)
@@ -31,6 +35,14 @@ func SgemmTiled() string {
 	row, col := b.R("r"), b.R("r")
 	b.I("mad.lo.s32 %s, %s, %d, %s;", row, by, GemmTile, ty)
 	b.I("mad.lo.s32 %s, %s, %d, %s;", col, bx, GemmTile, tx)
+	// with transA, the M index this thread stages into As (both tiles
+	// then load with tx as the fast axis so global reads stay
+	// row-contiguous)
+	var mcol string
+	if transA {
+		mcol = b.R("r")
+		b.I("mad.lo.s32 %s, %s, %d, %s;", mcol, by, GemmTile, tx)
+	}
 
 	m, n, k := b.LoadU32(pM), b.LoadU32(pN), b.LoadU32(pK)
 	aBase, bBase, cBase := b.LoadPtr(pA), b.LoadPtr(pB), b.LoadPtr(pC)
@@ -60,73 +72,62 @@ func SgemmTiled() string {
 	b.I("mad.lo.s32 %s, %s, 4, %s;", asSt, lin, asAddr)
 	b.I("mad.lo.s32 %s, %s, 4, %s;", bsSt, lin, bsAddr)
 
-	t := b.R("r")
-	b.I("mov.u32 %s, 0;", t)
-	tileLoop := b.L("TILE_LOOP")
-	pDone := b.R("p")
-	endTiles := b.NewLabel("end_tiles")
-	b.I("setp.ge.u32 %s, %s, %s;", pDone, t, numTiles)
-	b.I("@%s bra %s;", pDone, endTiles)
+	// stage stores element (i, j) of the row-major [iMax, jMax] operand
+	// at base (element (j, i) of a [jMax, iMax] one when swapped) into
+	// the tile slot st, guarded via selp clamp: zero outside the matrix
+	stage := func(base, i, iMax, j, jMax, st string, swapped bool) {
+		p1, p2 := b.R("p"), b.R("p")
+		b.I("setp.lt.u32 %s, %s, %s;", p1, i, iMax)
+		b.I("setp.lt.u32 %s, %s, %s;", p2, j, jMax)
+		b.I("and.pred %s, %s, %s;", p1, p1, p2)
+		idx := b.R("r")
+		if swapped {
+			b.I("mad.lo.s32 %s, %s, %s, %s;", idx, j, iMax, i)
+		} else {
+			b.I("mad.lo.s32 %s, %s, %s, %s;", idx, i, jMax, j)
+		}
+		b.I("selp.b32 %s, %s, 0, %s;", idx, idx, p1)
+		addr := b.ElemAddr(base, idx, 4)
+		v := b.R("f")
+		b.I("ld.global.f32 %s, [%s];", v, addr)
+		b.I("selp.b32 %s, %s, %s, %s;", v, v, zero, p1)
+		b.I("st.shared.f32 [%s], %s;", st, v)
+	}
 
-	// load A element (row, t*16+tx), guarded via selp clamp
-	aCol := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %d, %s;", aCol, t, GemmTile, tx)
-	pa1, pa2 := b.R("p"), b.R("p")
-	b.I("setp.lt.u32 %s, %s, %s;", pa1, row, m)
-	b.I("setp.lt.u32 %s, %s, %s;", pa2, aCol, k)
-	b.I("and.pred %s, %s, %s;", pa1, pa1, pa2)
-	aIdx := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", aIdx, row, k, aCol)
-	b.I("selp.b32 %s, %s, 0, %s;", aIdx, aIdx, pa1)
-	aAddr := b.ElemAddr(aBase, aIdx, 4)
-	va := b.R("f")
-	b.I("ld.global.f32 %s, [%s];", va, aAddr)
-	b.I("selp.b32 %s, %s, %s, %s;", va, va, zero, pa1)
-	b.I("st.shared.f32 [%s], %s;", asSt, va)
+	b.loop("TILE_LOOP", "end_tiles", "0", numTiles, "1", func(t string) {
+		// As[ty][tx] = A(row, t*16+tx); with transA both tiles share the
+		// K coordinate t*16+ty and As[ty][tx] = A(t*16+ty, mcol)
+		kA := b.R("r")
+		kB := kA
+		aStride, aStep := GemmTile*4, 4
+		if transA {
+			b.I("mad.lo.s32 %s, %s, %d, %s;", kA, t, GemmTile, ty)
+			stage(aBase, kA, k, mcol, m, asSt, false)
+			aStride, aStep = 4, GemmTile*4
+		} else {
+			b.I("mad.lo.s32 %s, %s, %d, %s;", kA, t, GemmTile, tx)
+			stage(aBase, row, m, kA, k, asSt, false)
+			kB = b.R("r")
+			b.I("mad.lo.s32 %s, %s, %d, %s;", kB, t, GemmTile, ty)
+		}
+		// Bs[ty][tx] = op(B)(t*16+ty, col)
+		stage(bBase, kB, k, col, n, bsSt, transB)
+		b.I("bar.sync 0;")
 
-	// load B element (t*16+ty, col)
-	bRow := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %d, %s;", bRow, t, GemmTile, ty)
-	pb1, pb2 := b.R("p"), b.R("p")
-	b.I("setp.lt.u32 %s, %s, %s;", pb1, bRow, k)
-	b.I("setp.lt.u32 %s, %s, %s;", pb2, col, n)
-	b.I("and.pred %s, %s, %s;", pb1, pb1, pb2)
-	bIdx := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", bIdx, bRow, n, col)
-	b.I("selp.b32 %s, %s, 0, %s;", bIdx, bIdx, pb1)
-	bAddr := b.ElemAddr(bBase, bIdx, 4)
-	vb := b.R("f")
-	b.I("ld.global.f32 %s, [%s];", vb, bAddr)
-	b.I("selp.b32 %s, %s, %s, %s;", vb, vb, zero, pb1)
-	b.I("st.shared.f32 [%s], %s;", bsSt, vb)
-
-	b.I("bar.sync 0;")
-
-	// inner product over the tile
-	asPtr, bsPtr := b.R("r"), b.R("r")
-	b.I("mad.lo.s32 %s, %s, %d, %s;", asPtr, ty, GemmTile*4, asAddr)
-	b.I("mad.lo.s32 %s, %s, 4, %s;", bsPtr, tx, bsAddr)
-	kk := b.R("r")
-	b.I("mov.u32 %s, 0;", kk)
-	inner := b.L("INNER")
-	pInner := b.R("p")
-	innerEnd := b.NewLabel("inner_end")
-	b.I("setp.ge.u32 %s, %s, %d;", pInner, kk, GemmTile)
-	b.I("@%s bra %s;", pInner, innerEnd)
-	ea, eb := b.R("f"), b.R("f")
-	b.I("ld.shared.f32 %s, [%s];", ea, asPtr)
-	b.I("ld.shared.f32 %s, [%s];", eb, bsPtr)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", acc, ea, eb, acc)
-	b.I("add.u32 %s, %s, 4;", asPtr, asPtr)
-	b.I("add.u32 %s, %s, %d;", bsPtr, bsPtr, GemmTile*4)
-	b.I("add.u32 %s, %s, 1;", kk, kk)
-	b.I("bra %s;", inner)
-	b.L(innerEnd)
-
-	b.I("bar.sync 0;")
-	b.I("add.u32 %s, %s, 1;", t, t)
-	b.I("bra %s;", tileLoop)
-	b.L(endTiles)
+		// inner product over the tile: acc += As(ty, kk) * Bs[kk][tx]
+		asPtr, bsPtr := b.R("r"), b.R("r")
+		b.I("mad.lo.s32 %s, %s, %d, %s;", asPtr, ty, aStride, asAddr)
+		b.I("mad.lo.s32 %s, %s, 4, %s;", bsPtr, tx, bsAddr)
+		b.loop("INNER", "inner_end", "0", tile, "1", func(string) {
+			ea, eb := b.R("f"), b.R("f")
+			b.I("ld.shared.f32 %s, [%s];", ea, asPtr)
+			b.I("ld.shared.f32 %s, [%s];", eb, bsPtr)
+			b.I("fma.rn.f32 %s, %s, %s, %s;", acc, ea, eb, acc)
+			b.I("add.u32 %s, %s, %d;", asPtr, asPtr, aStep)
+			b.I("add.u32 %s, %s, %d;", bsPtr, bsPtr, GemmTile*4)
+		})
+		b.I("bar.sync 0;")
+	})
 
 	// write back
 	end := b.NewLabel("end")
@@ -149,10 +150,15 @@ func SgemmTiled() string {
 	return b.Build()
 }
 
-// Gemv2T computes y = alpha * A^T x + beta * y for row-major A[rows,
+// sgemmTiled is sgemm_tiled: C = alpha*A*B + beta*C for row-major A[M,K],
+// B[K,N], C[M,N]. Its grid.z batching lets the same kernel serve both
+// plain and batched (Winograd, FFT) GEMMs.
+func sgemmTiled() string { return sgemm("sgemm_tiled", false, false) }
+
+// gemv2T computes y = alpha * A^T x + beta * y for row-major A[rows,
 // cols]: y[j] = sum_i A[i, j] * x[i]. One thread per output element; this
 // is the "GEMV2T" kernel shape cuDNN uses for fully-connected layers.
-func Gemv2T() string {
+func gemv2T() string {
 	b := NewBuilder("gemv2t")
 	pA, pX, pY := b.PtrParam("pA"), b.PtrParam("pX"), b.PtrParam("pY")
 	pRows, pCols := b.U32Param("pRows"), b.U32Param("pCols")
@@ -171,22 +177,14 @@ func Gemv2T() string {
 	b.I("mov.u64 %s, %s;", xPtr, xBase)
 	strideBytes := b.R("rd")
 	b.I("mul.wide.u32 %s, %s, 4;", strideBytes, cols)
-	i := b.R("r")
-	b.I("mov.u32 %s, 0;", i)
-	loop := b.L("ROW_LOOP")
-	p := b.R("p")
-	loopEnd := b.NewLabel("row_end")
-	b.I("setp.ge.u32 %s, %s, %s;", p, i, rows)
-	b.I("@%s bra %s;", p, loopEnd)
-	va, vx := b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", va, aPtr)
-	b.I("ld.global.f32 %s, [%s];", vx, xPtr)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", acc, va, vx, acc)
-	b.I("add.s64 %s, %s, %s;", aPtr, aPtr, strideBytes)
-	b.I("add.s64 %s, %s, 4;", xPtr, xPtr)
-	b.I("add.u32 %s, %s, 1;", i, i)
-	b.I("bra %s;", loop)
-	b.L(loopEnd)
+	b.loop("ROW_LOOP", "row_end", "0", rows, "1", func(string) {
+		va, vx := b.R("f"), b.R("f")
+		b.I("ld.global.f32 %s, [%s];", va, aPtr)
+		b.I("ld.global.f32 %s, [%s];", vx, xPtr)
+		b.I("fma.rn.f32 %s, %s, %s, %s;", acc, va, vx, acc)
+		b.I("add.s64 %s, %s, %s;", aPtr, aPtr, strideBytes)
+		b.I("add.s64 %s, %s, 4;", xPtr, xPtr)
+	})
 
 	alpha, beta := b.LoadF32(pAl), b.LoadF32(pBe)
 	yAddr := b.ElemAddr(yBase, j, 4)

@@ -4,9 +4,9 @@ package kernels
 // Both lean heavily on div.u32/rem.u32 index arithmetic, as the real
 // cuDNN lowering does.
 
-// Im2Col expands x[C,H,W] into col[(C*R*S), (OH*OW)] for a convolution
+// im2Col expands x[C,H,W] into col[(C*R*S), (OH*OW)] for a convolution
 // with square stride/padding. One thread per output element of col.
-func Im2Col() string {
+func im2Col() string {
 	b := NewBuilder("im2col")
 	pX, pCol := b.PtrParam("pX"), b.PtrParam("pCol")
 	pC, pH, pW := b.U32Param("pC"), b.U32Param("pH"), b.U32Param("pW")
@@ -28,18 +28,10 @@ func Im2Col() string {
 	b.GuardEnd(idx, tot, end)
 
 	// idx -> (cc, rr, ss, oy, ox), row-major in that order
-	ox, t1 := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", ox, idx, ow)
-	b.I("div.u32 %s, %s, %s;", t1, idx, ow)
-	oy, t2 := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", oy, t1, oh)
-	b.I("div.u32 %s, %s, %s;", t2, t1, oh)
-	ss, t3 := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", ss, t2, s)
-	b.I("div.u32 %s, %s, %s;", t3, t2, s)
-	rr, cc := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", rr, t3, r)
-	b.I("div.u32 %s, %s, %s;", cc, t3, r)
+	ox, t1 := b.remDiv(idx, ow)
+	oy, t2 := b.remDiv(t1, oh)
+	ss, t3 := b.remDiv(t2, s)
+	rr, cc := b.remDiv(t3, r)
 
 	stride := b.LoadU32(pStride)
 	pad := b.LoadU32(pPad)
@@ -58,9 +50,8 @@ func Im2Col() string {
 
 	x := b.LoadPtr(pX)
 	col := b.LoadPtr(pCol)
-	sidx, clamped := b.R("r"), b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", sidx, cc, h, iy)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", sidx, sidx, w, ix)
+	sidx := b.flatIndex(cc, h, iy, w, ix)
+	clamped := b.R("r")
 	b.I("selp.b32 %s, %s, 0, %s;", clamped, sidx, pin)
 	ax := b.ElemAddr(x, clamped, 4)
 	v := b.R("f")
@@ -73,9 +64,9 @@ func Im2Col() string {
 	return b.Build()
 }
 
-// Col2Im folds col[(C*R*S), (OH*OW)] gradients back into dx[C,H,W]
+// col2Im folds col[(C*R*S), (OH*OW)] gradients back into dx[C,H,W]
 // (gather formulation: one thread per input pixel, no atomics).
-func Col2Im() string {
+func col2Im() string {
 	b := NewBuilder("col2im")
 	pCol, pDX := b.PtrParam("pCol"), b.PtrParam("pDX")
 	pC, pH, pW := b.U32Param("pC"), b.U32Param("pH"), b.U32Param("pW")
@@ -92,12 +83,8 @@ func Col2Im() string {
 	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, w)
 	b.GuardEnd(idx, tot, end)
 
-	ix, t1 := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", ix, idx, w)
-	b.I("div.u32 %s, %s, %s;", t1, idx, w)
-	iy, cc := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", iy, t1, h)
-	b.I("div.u32 %s, %s, %s;", cc, t1, h)
+	ix, t1 := b.remDiv(idx, w)
+	iy, cc := b.remDiv(t1, h)
 
 	r := b.LoadU32(pR)
 	s := b.LoadU32(pS)
@@ -110,66 +97,43 @@ func Col2Im() string {
 	ohw := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", ohw, oh, ow)
 
-	// for rr in [0,R): for ss in [0,S):
-	rr := b.R("r")
-	b.I("mov.u32 %s, 0;", rr)
-	rloop := b.L("R_LOOP")
-	pr := b.R("p")
-	rend := b.NewLabel("r_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pr, rr, r)
-	b.I("@%s bra %s;", pr, rend)
-	ss := b.R("r")
-	b.I("mov.u32 %s, 0;", ss)
-	sloop := b.L("S_LOOP")
-	ps := b.R("p")
-	send := b.NewLabel("s_end")
-	b.I("setp.ge.u32 %s, %s, %s;", ps, ss, s)
-	b.I("@%s bra %s;", ps, send)
-
-	// oy = (iy + pad - rr) / stride, valid if non-negative, divisible, < OH
-	ny, nx := b.R("r"), b.R("r")
-	b.I("add.u32 %s, %s, %s;", ny, iy, pad)
-	b.I("sub.u32 %s, %s, %s;", ny, ny, rr)
-	b.I("add.u32 %s, %s, %s;", nx, ix, pad)
-	b.I("sub.u32 %s, %s, %s;", nx, nx, ss)
-	skip := b.NewLabel("skip")
-	bigP := b.R("p")
-	// unsigned wraparound: a huge value means iy+pad < rr
-	lim := b.R("r")
-	b.I("mul.lo.u32 %s, %s, %s;", lim, oh, stride)
-	b.I("setp.ge.u32 %s, %s, %s;", bigP, ny, lim)
-	b.I("@%s bra %s;", bigP, skip)
-	limx := b.R("r")
-	b.I("mul.lo.u32 %s, %s, %s;", limx, ow, stride)
-	b.I("setp.ge.u32 %s, %s, %s;", bigP, nx, limx)
-	b.I("@%s bra %s;", bigP, skip)
-	remy, remx := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", remy, ny, stride)
-	b.I("setp.ne.u32 %s, %s, 0;", bigP, remy)
-	b.I("@%s bra %s;", bigP, skip)
-	b.I("rem.u32 %s, %s, %s;", remx, nx, stride)
-	b.I("setp.ne.u32 %s, %s, 0;", bigP, remx)
-	b.I("@%s bra %s;", bigP, skip)
-	oy, oxv := b.R("r"), b.R("r")
-	b.I("div.u32 %s, %s, %s;", oy, ny, stride)
-	b.I("div.u32 %s, %s, %s;", oxv, nx, stride)
-	// col index: (((cc*R+rr)*S+ss)*OH + oy)*OW + ox
-	ci := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", ci, cc, r, rr)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", ci, ci, s, ss)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", ci, ci, oh, oy)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", ci, ci, ow, oxv)
-	ac := b.ElemAddr(col, ci, 4)
-	v := b.R("f")
-	b.I("ld.global.f32 %s, [%s];", v, ac)
-	b.I("add.f32 %s, %s, %s;", acc, acc, v)
-	b.L(skip)
-	b.I("add.u32 %s, %s, 1;", ss, ss)
-	b.I("bra %s;", sloop)
-	b.L(send)
-	b.I("add.u32 %s, %s, 1;", rr, rr)
-	b.I("bra %s;", rloop)
-	b.L(rend)
+	b.loop("R_LOOP", "r_end", "0", r, "1", func(rr string) {
+		b.loop("S_LOOP", "s_end", "0", s, "1", func(ss string) {
+			// oy = (iy + pad - rr) / stride, valid if non-negative, divisible, < OH
+			ny, nx := b.R("r"), b.R("r")
+			b.I("add.u32 %s, %s, %s;", ny, iy, pad)
+			b.I("sub.u32 %s, %s, %s;", ny, ny, rr)
+			b.I("add.u32 %s, %s, %s;", nx, ix, pad)
+			b.I("sub.u32 %s, %s, %s;", nx, nx, ss)
+			skip := b.NewLabel("skip")
+			bigP := b.R("p")
+			// unsigned wraparound: a huge value means iy+pad < rr
+			lim := b.R("r")
+			b.I("mul.lo.u32 %s, %s, %s;", lim, oh, stride)
+			b.I("setp.ge.u32 %s, %s, %s;", bigP, ny, lim)
+			b.I("@%s bra %s;", bigP, skip)
+			limx := b.R("r")
+			b.I("mul.lo.u32 %s, %s, %s;", limx, ow, stride)
+			b.I("setp.ge.u32 %s, %s, %s;", bigP, nx, limx)
+			b.I("@%s bra %s;", bigP, skip)
+			remy, remx := b.R("r"), b.R("r")
+			b.I("rem.u32 %s, %s, %s;", remy, ny, stride)
+			b.I("setp.ne.u32 %s, %s, 0;", bigP, remy)
+			b.I("@%s bra %s;", bigP, skip)
+			b.I("rem.u32 %s, %s, %s;", remx, nx, stride)
+			b.I("setp.ne.u32 %s, %s, 0;", bigP, remx)
+			b.I("@%s bra %s;", bigP, skip)
+			oy, oxv := b.R("r"), b.R("r")
+			b.I("div.u32 %s, %s, %s;", oy, ny, stride)
+			b.I("div.u32 %s, %s, %s;", oxv, nx, stride)
+			// col index: (((cc*R+rr)*S+ss)*OH + oy)*OW + ox
+			ac := b.ElemAddr(col, b.flatIndex(cc, r, rr, s, ss, oh, oy, ow, oxv), 4)
+			v := b.R("f")
+			b.I("ld.global.f32 %s, [%s];", v, ac)
+			b.I("add.f32 %s, %s, %s;", acc, acc, v)
+			b.L(skip)
+		})
+	})
 
 	dx := b.LoadPtr(pDX)
 	adx := b.ElemAddr(dx, idx, 4)

@@ -9,13 +9,35 @@ package kernels
 // LRNTexName is the module-level texref the LRN forward kernel samples.
 const LRNTexName = "lrn_tex"
 
-// LRNForward computes cross-channel LRN over x[C,H,W] (one image):
+// lrnWindowLoop emits `for j = lo; j <= hi; j++` over the channel window
+// of one pixel, skipping body for j >= c — which drops both the channels
+// past the last one and, by unsigned wraparound, those before the first.
+func lrnWindowLoop(b *Builder, head, endHint, skipHint, lo, hi, c string, body func(j string)) {
+	j := b.R("r")
+	b.I("mov.u32 %s, %s;", j, lo)
+	b.L(head)
+	pj := b.R("p")
+	end := b.NewLabel(endHint)
+	b.I("setp.gt.u32 %s, %s, %s;", pj, j, hi)
+	b.I("@%s bra %s;", pj, end)
+	pval := b.R("p")
+	skip := b.NewLabel(skipHint)
+	b.I("setp.ge.u32 %s, %s, %s;", pval, j, c)
+	b.I("@%s bra %s;", pval, skip)
+	body(j)
+	b.L(skip)
+	b.I("add.u32 %s, %s, 1;", j, j)
+	b.I("bra %s;", head)
+	b.L(end)
+}
+
+// lrnForward computes cross-channel LRN over x[C,H,W] (one image):
 //
 //	y[c,i] = x[c,i] / (k + alpha/n * sum_{c' in window} x[c',i]^2)^beta
 //
 // The input is fetched through the lrn_tex texture reference; pow is
 // synthesised from lg2/ex2 as GPU code generators do.
-func LRNForward() string {
+func lrnForward() string {
 	b := NewBuilder("lrn_forward")
 	pY := b.PtrParam("pY")
 	pC, pHW := b.U32Param("pC"), b.U32Param("pHW")
@@ -28,9 +50,7 @@ func LRNForward() string {
 	tot := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", tot, c, hw)
 	b.GuardEnd(idx, tot, end)
-	pos, cc := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", pos, idx, hw)
-	b.I("div.u32 %s, %s, %s;", cc, idx, hw)
+	pos, cc := b.remDiv(idx, hw)
 
 	win := b.LoadU32(pN)
 	half := b.R("r")
@@ -44,26 +64,12 @@ func LRNForward() string {
 	b.I("add.u32 %s, %s, %s;", hi, cc, half)
 
 	sum := b.MovF32(0)
-	j := b.R("r")
-	b.I("mov.u32 %s, %s;", j, lo)
-	loop := b.L("LRN_LOOP")
-	pj := b.R("p")
-	lend := b.NewLabel("lrn_end")
-	b.I("setp.gt.u32 %s, %s, %s;", pj, j, hi)
-	b.I("@%s bra %s;", pj, lend)
-	pval := b.R("p")
-	skip := b.NewLabel("lrn_skip")
-	b.I("setp.ge.u32 %s, %s, %s;", pval, j, c) // skips both <0 (wrapped) and >=C
-	b.I("@%s bra %s;", pval, skip)
-	ti := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", ti, j, hw, pos)
-	v0, v1, v2, v3 := b.R("f"), b.R("f"), b.R("f"), b.R("f")
-	b.I("tex.1d.v4.f32.s32 {%s, %s, %s, %s}, [%s, {%s}];", v0, v1, v2, v3, LRNTexName, ti)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", sum, v0, v0, sum)
-	b.L(skip)
-	b.I("add.u32 %s, %s, 1;", j, j)
-	b.I("bra %s;", loop)
-	b.L(lend)
+	lrnWindowLoop(b, "LRN_LOOP", "lrn_end", "lrn_skip", lo, hi, c, func(j string) {
+		ti := b.flatIndex(j, hw, pos)
+		v0, v1, v2, v3 := b.R("f"), b.R("f"), b.R("f"), b.R("f")
+		b.I("tex.1d.v4.f32.s32 {%s, %s, %s, %s}, [%s, {%s}];", v0, v1, v2, v3, LRNTexName, ti)
+		b.I("fma.rn.f32 %s, %s, %s, %s;", sum, v0, v0, sum)
+	})
 
 	kc := b.LoadF32(pK)
 	alpha := b.LoadF32(pAlpha)
@@ -92,7 +98,7 @@ func LRNForward() string {
 	return b.Build()
 }
 
-// LRNBackward computes the LRN input gradient without textures (plain
+// lrnBackward computes the LRN input gradient without textures (plain
 // loads), using the forward activations:
 //
 //	dx[c,i] = dy[c,i]*den(c)^-beta -
@@ -100,7 +106,7 @@ func LRNForward() string {
 //
 // For tractability we use the widely-used approximation that recomputes
 // den per channel in the window.
-func LRNBackward() string {
+func lrnBackward() string {
 	b := NewBuilder("lrn_backward")
 	pX, pY, pDY, pDX := b.PtrParam("pX"), b.PtrParam("pY"), b.PtrParam("pDY"), b.PtrParam("pDX")
 	pC, pHW := b.U32Param("pC"), b.U32Param("pHW")
@@ -113,9 +119,7 @@ func LRNBackward() string {
 	tot := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", tot, c, hw)
 	b.GuardEnd(idx, tot, end)
-	pos, cc := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", pos, idx, hw)
-	b.I("div.u32 %s, %s, %s;", cc, idx, hw)
+	pos, cc := b.remDiv(idx, hw)
 
 	win := b.LoadU32(pN)
 	half := b.R("r")
@@ -137,27 +141,12 @@ func LRNBackward() string {
 	b.I("setp.lt.u32 %s, %s, %s;", pwrap, cc, half)
 	b.I("selp.b32 %s, 0, %s, %s;", lo, lo, pwrap) // clamp window start at 0
 	b.I("add.u32 %s, %s, %s;", hi, cc, half)
-	j := b.R("r")
-	b.I("mov.u32 %s, %s;", j, lo)
-	l1 := b.L("LB_DEN")
-	p1 := b.R("p")
-	l1end := b.NewLabel("lb_den_end")
-	b.I("setp.gt.u32 %s, %s, %s;", p1, j, hi)
-	b.I("@%s bra %s;", p1, l1end)
-	pskip := b.R("p")
-	sk1 := b.NewLabel("lb_sk1")
-	b.I("setp.ge.u32 %s, %s, %s;", pskip, j, c)
-	b.I("@%s bra %s;", pskip, sk1)
-	ti := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", ti, j, hw, pos)
-	axj := b.ElemAddr(xB, ti, 4)
-	vx := b.R("f")
-	b.I("ld.global.f32 %s, [%s];", vx, axj)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", sum, vx, vx, sum)
-	b.L(sk1)
-	b.I("add.u32 %s, %s, 1;", j, j)
-	b.I("bra %s;", l1)
-	b.L(l1end)
+	lrnWindowLoop(b, "LB_DEN", "lb_den_end", "lb_sk1", lo, hi, c, func(j string) {
+		axj := b.ElemAddr(xB, b.flatIndex(j, hw, pos), 4)
+		vx := b.R("f")
+		b.I("ld.global.f32 %s, [%s];", vx, axj)
+		b.I("fma.rn.f32 %s, %s, %s, %s;", sum, vx, vx, sum)
+	})
 	den := b.R("f")
 	b.I("fma.rn.f32 %s, %s, %s, %s;", den, aOverN, sum, kc)
 	lg, e, powv := b.R("f"), b.R("f"), b.R("f")
@@ -167,31 +156,17 @@ func LRNBackward() string {
 
 	// cross term: sum over window of dy*y/den(c') ~ dy*y/den (approx)
 	cross := b.MovF32(0)
-	j2 := b.R("r")
-	b.I("mov.u32 %s, %s;", j2, lo)
-	l2 := b.L("LB_CROSS")
-	p2 := b.R("p")
-	l2end := b.NewLabel("lb_cross_end")
-	b.I("setp.gt.u32 %s, %s, %s;", p2, j2, hi)
-	b.I("@%s bra %s;", p2, l2end)
-	pskip2 := b.R("p")
-	sk2 := b.NewLabel("lb_sk2")
-	b.I("setp.ge.u32 %s, %s, %s;", pskip2, j2, c)
-	b.I("@%s bra %s;", pskip2, sk2)
-	ti2 := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", ti2, j2, hw, pos)
-	ady := b.ElemAddr(dyB, ti2, 4)
-	ayj := b.ElemAddr(yB, ti2, 4)
-	vdy, vy, t := b.R("f"), b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", vdy, ady)
-	b.I("ld.global.f32 %s, [%s];", vy, ayj)
-	b.I("mul.f32 %s, %s, %s;", t, vdy, vy)
-	b.I("div.rn.f32 %s, %s, %s;", t, t, den)
-	b.I("add.f32 %s, %s, %s;", cross, cross, t)
-	b.L(sk2)
-	b.I("add.u32 %s, %s, 1;", j2, j2)
-	b.I("bra %s;", l2)
-	b.L(l2end)
+	lrnWindowLoop(b, "LB_CROSS", "lb_cross_end", "lb_sk2", lo, hi, c, func(j string) {
+		ti := b.flatIndex(j, hw, pos)
+		ady := b.ElemAddr(dyB, ti, 4)
+		ayj := b.ElemAddr(yB, ti, 4)
+		vdy, vy, t := b.R("f"), b.R("f"), b.R("f")
+		b.I("ld.global.f32 %s, [%s];", vdy, ady)
+		b.I("ld.global.f32 %s, [%s];", vy, ayj)
+		b.I("mul.f32 %s, %s, %s;", t, vdy, vy)
+		b.I("div.rn.f32 %s, %s, %s;", t, t, den)
+		b.I("add.f32 %s, %s, %s;", cross, cross, t)
+	})
 
 	adyc := b.ElemAddr(dyB, idx, 4)
 	axc := b.ElemAddr(xB, idx, 4)

@@ -3,31 +3,17 @@ package kernels
 // Max-pooling kernels (forward records argmax indices so backward can
 // route gradients exactly, matching cuDNN's deterministic pooling).
 
-// MaxPoolForward pools x[C,H,W] (image n = ctaid.y) with a square window
+// maxPoolForward pools x[C,H,W] (image n = ctaid.y) with a square window
 // and stride; emits y[C,OH,OW] and the flat argmax index per output.
-func MaxPoolForward() string {
+func maxPoolForward() string {
 	b := NewBuilder("maxpool_forward")
 	pX, pY, pIdx := b.PtrParam("pX"), b.PtrParam("pY"), b.PtrParam("pIdx")
 	pC, pH, pW := b.U32Param("pC"), b.U32Param("pH"), b.U32Param("pWidth")
 	pWin, pStride := b.U32Param("pWin"), b.U32Param("pStrideC")
 	pOH, pOW := b.U32Param("pOH"), b.U32Param("pOW")
 	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	c := b.LoadU32(pC)
-	oh := b.LoadU32(pOH)
-	ow := b.LoadU32(pOW)
-	tot := b.R("r")
-	b.I("mul.lo.u32 %s, %s, %s;", tot, c, oh)
-	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, ow)
-	b.GuardEnd(idx, tot, end)
-	ox, t1 := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", ox, idx, ow)
-	b.I("div.u32 %s, %s, %s;", t1, idx, ow)
-	oy, cc := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", oy, t1, oh)
-	b.I("div.u32 %s, %s, %s;", cc, t1, oh)
-	n := b.R("r")
-	b.I("mov.u32 %s, %%ctaid.y;", n)
+	idx, cc, oy, ox, n, ext := pixelIndex(b, pC, pOH, pOW, end)
+	c, oh, ow := ext[0], ext[1], ext[2]
 
 	h := b.LoadU32(pH)
 	w := b.LoadU32(pW)
@@ -52,56 +38,36 @@ func MaxPoolForward() string {
 	b.I("mul.lo.u32 %s, %s, %s;", iy0, oy, stride)
 	b.I("mul.lo.u32 %s, %s, %s;", ix0, ox, stride)
 
-	dy := b.R("r")
-	b.I("mov.u32 %s, 0;", dy)
-	yloop := b.L("PY_LOOP")
-	py := b.R("p")
-	yend := b.NewLabel("py_end")
-	b.I("setp.ge.u32 %s, %s, %s;", py, dy, win)
-	b.I("@%s bra %s;", py, yend)
-	iy := b.R("r")
-	b.I("add.u32 %s, %s, %s;", iy, iy0, dy)
-	pySkip := b.R("p")
-	ynext := b.NewLabel("py_next")
-	b.I("setp.ge.u32 %s, %s, %s;", pySkip, iy, h)
-	b.I("@%s bra %s;", pySkip, ynext)
-	dx := b.R("r")
-	b.I("mov.u32 %s, 0;", dx)
-	xloop := b.L("PX_LOOP")
-	px := b.R("p")
-	xnext := b.NewLabel("px_next")
-	xend := b.NewLabel("px_end")
-	b.I("setp.ge.u32 %s, %s, %s;", px, dx, win)
-	b.I("@%s bra %s;", px, xend)
-	ix := b.R("r")
-	b.I("add.u32 %s, %s, %s;", ix, ix0, dx)
-	pxSkip := b.R("p")
-	b.I("setp.ge.u32 %s, %s, %s;", pxSkip, ix, w)
-	b.I("@%s bra %s;", pxSkip, xnext)
-	xi := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", xi, iy, w, ix)
-	b.I("add.u32 %s, %s, %s;", xi, xi, base)
-	ax := b.ElemAddr(xB, xi, 4)
-	v := b.R("f")
-	b.I("ld.global.f32 %s, [%s];", v, ax)
-	pbetter := b.R("p")
-	b.I("setp.gt.f32 %s, %s, %s;", pbetter, v, best)
-	b.I("selp.b32 %s, %s, %s, %s;", best, v, best, pbetter)
-	b.I("selp.b32 %s, %s, %s, %s;", bestIdx, xi, bestIdx, pbetter)
-	b.L(xnext)
-	b.I("add.u32 %s, %s, 1;", dx, dx)
-	b.I("bra %s;", xloop)
-	b.L(xend)
-	b.L(ynext)
-	b.I("add.u32 %s, %s, 1;", dy, dy)
-	b.I("bra %s;", yloop)
-	b.L(yend)
+	b.loop("PY_LOOP", "py_end", "0", win, "1", func(dy string) {
+		iy := b.R("r")
+		b.I("add.u32 %s, %s, %s;", iy, iy0, dy)
+		pySkip := b.R("p")
+		ynext := b.NewLabel("py_next")
+		b.I("setp.ge.u32 %s, %s, %s;", pySkip, iy, h)
+		b.I("@%s bra %s;", pySkip, ynext)
+		b.loopNext("PX_LOOP", "px_next", "px_end", "0", win, "1", func(dx, xnext string) {
+			ix := b.R("r")
+			b.I("add.u32 %s, %s, %s;", ix, ix0, dx)
+			pxSkip := b.R("p")
+			b.I("setp.ge.u32 %s, %s, %s;", pxSkip, ix, w)
+			b.I("@%s bra %s;", pxSkip, xnext)
+			xi := b.flatIndex(iy, w, ix)
+			b.I("add.u32 %s, %s, %s;", xi, xi, base)
+			ax := b.ElemAddr(xB, xi, 4)
+			v := b.R("f")
+			b.I("ld.global.f32 %s, [%s];", v, ax)
+			pbetter := b.R("p")
+			b.I("setp.gt.f32 %s, %s, %s;", pbetter, v, best)
+			b.I("selp.b32 %s, %s, %s, %s;", best, v, best, pbetter)
+			b.I("selp.b32 %s, %s, %s, %s;", bestIdx, xi, bestIdx, pbetter)
+		})
+		b.L(ynext)
+	})
 
 	cohw := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", cohw, c, oh)
 	b.I("mul.lo.u32 %s, %s, %s;", cohw, cohw, ow)
-	outIdx := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", outIdx, n, cohw, idx)
+	outIdx := b.flatIndex(n, cohw, idx)
 	yB := b.LoadPtr(pY)
 	idxB := b.LoadPtr(pIdx)
 	ay := b.ElemAddr(yB, outIdx, 4)
@@ -112,9 +78,9 @@ func MaxPoolForward() string {
 	return b.Build()
 }
 
-// MaxPoolBackward scatters dy through the recorded argmax indices:
+// maxPoolBackward scatters dy through the recorded argmax indices:
 // dx[idx[o]] += dy[o] via atomics (windows may overlap).
-func MaxPoolBackward() string {
+func maxPoolBackward() string {
 	b := NewBuilder("maxpool_backward")
 	pDY, pIdx, pDX := b.PtrParam("pDY"), b.PtrParam("pIdx"), b.PtrParam("pDX")
 	pTot := b.U32Param("pTot")

@@ -14,99 +14,79 @@ import (
 // The fill_zero helper is intentionally present in two modules to keep
 // the duplicate-symbol behaviour exercised.
 
-// ModuleElementwise contains activation/bias/SGD/conversion kernels.
-func ModuleElementwise() string {
-	return Module(nil,
-		ReluForward(), ReluBackward(), AddBias(), SGDUpdate(), Scale(),
-		AccumulateAdd(), FillZero(), RotateFilter180(), Pad2D(),
-		F32ToF16Kernel(), F16ToF32Kernel(),
-	)
-}
-
-// ModuleGemm contains the GEMM family and im2col/col2im staging.
-func ModuleGemm() string {
-	return Module(nil, SgemmTiled(), Gemv2T(), Im2Col(), Col2Im())
-}
-
-// ModuleConvDirect contains the direct (implicit GEMM / Algorithm 0/1/3)
-// convolution kernels.
-func ModuleConvDirect() string {
-	return Module(nil,
-		ConvForwardImplicitGemm(), ConvBwdDataAlgo0(), ConvBwdDataAlgo1(),
-		ConvBwdFilterAlgo0(), ConvBwdFilterAlgo1(), ConvBwdFilterAlgo3(),
-	)
-}
-
-// ModuleFFT contains the FFT convolution pipeline. It deliberately also
-// carries its own copy of fill_zero (duplicate symbol across modules).
-func ModuleFFT() string {
-	return Module(nil,
-		FFTR2C32(), FFTR2C16(), FFTC2R32(), FFTC2R16(),
-		CGemm(), CGemmBwdFilter(), FFTCrop(), FFTTileExtract(), FFTTileStitch(), FillZero(),
-	)
-}
-
-// ModuleWinograd contains the Winograd kernels.
-func ModuleWinograd() string {
-	return Module(nil,
-		WinogradFused(), WinogradFilterTransform(), WinogradInputTransform(),
-		WinogradOutputTransform(), WinogradBwdFilter(),
-	)
-}
-
-// ModulePoolSoftmax contains pooling and softmax kernels.
-func ModulePoolSoftmax() string {
-	return Module(nil,
-		MaxPoolForward(), MaxPoolBackward(), SoftmaxForward(), SoftmaxNLLBackward(),
-	)
-}
-
-// ModuleLRN contains the texture-based LRN kernels and declares the
-// module-level texref they sample.
-func ModuleLRN() string {
-	return Module([]string{LRNTexName}, LRNForward(), LRNBackward())
-}
-
-// ModuleTransformer contains the transformer-inference kernels: the NT
-// strided-batched GEMM (attention scores), layernorm, GELU, residual
-// add, the head split/merge permutes and the embedding gather.
-func ModuleTransformer() string {
-	return Module(nil,
-		SgemmNTBatched(), LayerNormForward(), GeluForward(), ResidualAdd(),
-		SplitHeads(), MergeHeads(), EmbeddingLookup(),
-	)
-}
-
-// ModuleDecode contains the KV-cached autoregressive-decode kernels:
-// cache append, the single-token attention GEMVs over the cache, the
-// causal-masked softmax, the tied-embedding logit GEMV and the on-device
-// greedy argmax.
-func ModuleDecode() string {
-	return Module(nil,
-		KVCacheAppend(), AttnQKCached(), AttnAVCached(), SoftmaxCausal(),
-		LogitGemv(), ArgmaxU32(),
-	)
-}
-
-// ModuleTrain contains the transformer training kernels: the TN
-// strided-batched GEMM (weight gradients, attention dK/dV), the
-// layernorm/GELU/softmax backward passes, the fused softmax +
-// cross-entropy loss gradient, and the atomics-based embedding
-// scatter-add.
-func ModuleTrain() string {
-	return Module(nil,
-		SgemmTNBatched(), LayerNormBackward(), GeluBackward(),
-		SoftmaxBackward(), SoftmaxXentBackward(), EmbeddingBackward(),
-	)
+// library lists the modules in registration order: the texrefs each one
+// declares and the generators of its kernels. A new kernel is a generator
+// function plus a row entry here (then TestLibraryPTXPinned -update).
+var library = []struct {
+	textures []string
+	kernels  []func() string
+}{
+	// elementwise: activation/bias/SGD/conversion kernels
+	{nil, []func() string{
+		reluForward, reluBackward, addBias, sgdUpdate, scaleF32,
+		accumulateAdd, fillZero, rotateFilter180, pad2D,
+		f32ToF16Kernel, f16ToF32Kernel,
+	}},
+	// gemm: the GEMM family and im2col/col2im staging
+	{nil, []func() string{sgemmTiled, gemv2T, im2Col, col2Im}},
+	// conv_direct: the direct (implicit GEMM / Algorithm 0/1/3)
+	// convolution kernels
+	{nil, []func() string{
+		convForwardImplicitGemm, convBwdDataAlgo0, convBwdDataAlgo1,
+		convBwdFilterAlgo0, convBwdFilterAlgo1, convBwdFilterAlgo3,
+	}},
+	// fft: the FFT convolution pipeline. It deliberately also carries its
+	// own copy of fill_zero (duplicate symbol across modules).
+	{nil, []func() string{
+		fftR2C32, fftR2C16, fftC2R32, fftC2R16,
+		cgemm, cgemmBwdFilter, fftCrop, fftTileExtract, fftTileStitch, fillZero,
+	}},
+	// winograd: the Winograd kernels
+	{nil, []func() string{
+		winogradFused, winogradFilterTransform, winogradInputTransform,
+		winogradOutputTransform, winogradBwdFilter,
+	}},
+	// pool_softmax: pooling and softmax kernels
+	{nil, []func() string{maxPoolForward, maxPoolBackward, softmaxForward, softmaxNLLBackward}},
+	// lrn: the texture-based LRN kernels; declares the module-level
+	// texref they sample
+	{[]string{LRNTexName}, []func() string{lrnForward, lrnBackward}},
+	// transformer: the transformer-inference kernels — the NT
+	// strided-batched GEMM (attention scores), layernorm, GELU, residual
+	// add, the head split/merge permutes and the embedding gather
+	{nil, []func() string{
+		sgemmNTBatched, layerNormForward, geluForward, residualAdd,
+		splitHeads, mergeHeads, embeddingLookup,
+	}},
+	// decode: the KV-cached autoregressive-decode kernels — cache append,
+	// the single-token attention GEMVs over the cache, the causal-masked
+	// softmax, the tied-embedding logit GEMV and the on-device greedy
+	// argmax
+	{nil, []func() string{
+		kvCacheAppend, attnQKCached, attnAVCached, softmaxCausal,
+		logitGemv, argmaxU32,
+	}},
+	// train: the transformer training kernels — the TN strided-batched
+	// GEMM (weight gradients, attention dK/dV), the layernorm/GELU/softmax
+	// backward passes, the fused softmax + cross-entropy loss gradient,
+	// and the atomics-based embedding scatter-add
+	{nil, []func() string{
+		sgemmTNBatched, layerNormBackward, geluBackward,
+		softmaxBackward, softmaxXentBackward, embeddingBackward,
+	}},
 }
 
 // AllModules returns every library module, in registration order.
 func AllModules() []string {
-	return []string{
-		ModuleElementwise(), ModuleGemm(), ModuleConvDirect(),
-		ModuleFFT(), ModuleWinograd(), ModulePoolSoftmax(), ModuleLRN(),
-		ModuleTransformer(), ModuleDecode(), ModuleTrain(),
+	var mods []string
+	for _, m := range library {
+		var srcs []string
+		for _, gen := range m.kernels {
+			srcs = append(srcs, gen())
+		}
+		mods = append(mods, Module(m.textures, srcs...))
 	}
+	return mods
 }
 
 // ParsedModules returns AllModules parsed, in registration order. The

@@ -1,161 +1,52 @@
 package kernels
 
 // Softmax and loss kernels: one CTA per row (batch sample), warp-wide
-// shared-memory reductions for the max and the sum; exp is synthesised
-// from ex2 (exp(x) = 2^(x*log2 e)) as real GPU code generators do.
+// shared-memory reductions for the max and the sum (phases in row.go).
 
-// SoftmaxForward computes y[row] = softmax(x[row]) for rows of length
+// softmaxForward computes y[row] = softmax(x[row]) for rows of length
 // cols. One 32-thread block per row; cols must fit a strided loop.
-func SoftmaxForward() string {
+func softmaxForward() string {
 	b := NewBuilder("softmax_forward")
 	pX, pY := b.PtrParam("pX"), b.PtrParam("pY")
 	pCols := b.U32Param("pCols")
 	sred := b.Shared("smax", 32*4, 4)
 
-	tid := b.R("r")
-	b.I("mov.u32 %s, %%tid.x;", tid)
-	row := b.R("r")
-	b.I("mov.u32 %s, %%ctaid.x;", row)
+	tid, row := b.laneAndRow()
 	cols := b.LoadU32(pCols)
 	xB := b.LoadPtr(pX)
 	yB := b.LoadPtr(pY)
 	rowOff := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", rowOff, row, cols)
 
-	// local max over strided elements
-	best := b.MovF32(-3.4e38)
-	i := b.R("r")
-	b.I("mov.u32 %s, %s;", i, tid)
-	mloop := b.L("SM_MAX")
-	pm := b.R("p")
-	mend := b.NewLabel("sm_max_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pm, i, cols)
-	b.I("@%s bra %s;", pm, mend)
-	ei := b.R("r")
-	b.I("add.u32 %s, %s, %s;", ei, rowOff, i)
-	ax := b.ElemAddr(xB, ei, 4)
-	v := b.R("f")
-	b.I("ld.global.f32 %s, [%s];", v, ax)
-	b.I("max.f32 %s, %s, %s;", best, best, v)
-	b.I("add.u32 %s, %s, 32;", i, i)
-	b.I("bra %s;", mloop)
-	b.L(mend)
-
-	// shared-memory max reduction over the 32 lanes
-	sbase := b.R("r")
-	b.I("mov.u32 %s, %s;", sbase, sred)
-	slot := b.R("r")
-	b.I("mad.lo.s32 %s, %s, 4, %s;", slot, tid, sbase)
-	b.I("st.shared.f32 [%s], %s;", slot, best)
-	b.I("bar.sync 0;")
-	step := b.R("r")
-	b.I("mov.u32 %s, 16;", step)
-	rl := b.L("SM_RED")
-	pz := b.R("p")
-	rlEnd := b.NewLabel("sm_red_end")
-	b.I("setp.eq.u32 %s, %s, 0;", pz, step)
-	b.I("@%s bra %s;", pz, rlEnd)
-	pact := b.R("p")
-	skip := b.NewLabel("sm_skip")
-	b.I("setp.ge.u32 %s, %s, %s;", pact, tid, step)
-	b.I("@%s bra %s;", pact, skip)
-	offr, other := b.R("r"), b.R("r")
-	b.I("shl.b32 %s, %s, 2;", offr, step)
-	b.I("add.u32 %s, %s, %s;", other, slot, offr)
-	va, vb := b.R("f"), b.R("f")
-	b.I("ld.shared.f32 %s, [%s];", va, slot)
-	b.I("ld.shared.f32 %s, [%s];", vb, other)
-	b.I("max.f32 %s, %s, %s;", va, va, vb)
-	b.I("st.shared.f32 [%s], %s;", slot, va)
-	b.L(skip)
-	b.I("bar.sync 0;")
-	b.I("shr.u32 %s, %s, 1;", step, step)
-	b.I("bra %s;", rl)
-	b.L(rlEnd)
+	// row max: local max over strided elements, then a shared-memory max
+	// reduction over the 32 lanes
+	best := b.laneMax("SM_MAX", "sm_max_end", tid, cols, xB, rowOff)
+	sbase, slot := b.laneSlots(sred, tid)
+	b.reduceShared("max", 32, tid, slot, best, "SM_RED", "sm_red_end", "sm_skip")
 	rowMax := b.R("f")
 	b.I("ld.shared.f32 %s, [%s];", rowMax, sbase)
 	b.I("bar.sync 0;")
 
-	// local sum of exp(x - max), exp via ex2
-	log2e := b.MovF32(1.4426950408889634)
-	sum := b.MovF32(0)
-	i2 := b.R("r")
-	b.I("mov.u32 %s, %s;", i2, tid)
-	sloop := b.L("SM_SUM")
-	ps := b.R("p")
-	send := b.NewLabel("sm_sum_end")
-	b.I("setp.ge.u32 %s, %s, %s;", ps, i2, cols)
-	b.I("@%s bra %s;", ps, send)
-	ei2 := b.R("r")
-	b.I("add.u32 %s, %s, %s;", ei2, rowOff, i2)
-	ax2 := b.ElemAddr(xB, ei2, 4)
-	v2, sh, ev := b.R("f"), b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", v2, ax2)
-	b.I("sub.f32 %s, %s, %s;", sh, v2, rowMax)
-	b.I("mul.f32 %s, %s, %s;", sh, sh, log2e)
-	b.I("ex2.approx.f32 %s, %s;", ev, sh)
-	b.I("add.f32 %s, %s, %s;", sum, sum, ev)
-	b.I("add.u32 %s, %s, 32;", i2, i2)
-	b.I("bra %s;", sloop)
-	b.L(send)
-
-	b.I("st.shared.f32 [%s], %s;", slot, sum)
-	b.I("bar.sync 0;")
-	step2 := b.R("r")
-	b.I("mov.u32 %s, 16;", step2)
-	rl2 := b.L("SM_RED2")
-	pz2 := b.R("p")
-	rl2End := b.NewLabel("sm_red2_end")
-	b.I("setp.eq.u32 %s, %s, 0;", pz2, step2)
-	b.I("@%s bra %s;", pz2, rl2End)
-	pact2 := b.R("p")
-	skip2 := b.NewLabel("sm_skip2")
-	b.I("setp.ge.u32 %s, %s, %s;", pact2, tid, step2)
-	b.I("@%s bra %s;", pact2, skip2)
-	offr2, other2 := b.R("r"), b.R("r")
-	b.I("shl.b32 %s, %s, 2;", offr2, step2)
-	b.I("add.u32 %s, %s, %s;", other2, slot, offr2)
-	va2, vb2 := b.R("f"), b.R("f")
-	b.I("ld.shared.f32 %s, [%s];", va2, slot)
-	b.I("ld.shared.f32 %s, [%s];", vb2, other2)
-	b.I("add.f32 %s, %s, %s;", va2, va2, vb2)
-	b.I("st.shared.f32 [%s], %s;", slot, va2)
-	b.L(skip2)
-	b.I("bar.sync 0;")
-	b.I("shr.u32 %s, %s, 1;", step2, step2)
-	b.I("bra %s;", rl2)
-	b.L(rl2End)
+	// row total of exp(x - max)
+	log2e, sum := b.laneExpSum("SM_SUM", "sm_sum_end", tid, cols, xB, rowOff, rowMax)
+	b.reduceShared("add", 32, tid, slot, sum, "SM_RED2", "sm_red2_end", "sm_skip2")
 	total := b.R("f")
 	b.I("ld.shared.f32 %s, [%s];", total, sbase)
 
 	// write y = exp(x - max) / total
-	i3 := b.R("r")
-	b.I("mov.u32 %s, %s;", i3, tid)
-	wloop := b.L("SM_WRITE")
-	pw := b.R("p")
-	wend := b.NewLabel("sm_write_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pw, i3, cols)
-	b.I("@%s bra %s;", pw, wend)
-	ei3 := b.R("r")
-	b.I("add.u32 %s, %s, %s;", ei3, rowOff, i3)
-	ax3 := b.ElemAddr(xB, ei3, 4)
-	ay3 := b.ElemAddr(yB, ei3, 4)
-	v3, sh3, ev3 := b.R("f"), b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", v3, ax3)
-	b.I("sub.f32 %s, %s, %s;", sh3, v3, rowMax)
-	b.I("mul.f32 %s, %s, %s;", sh3, sh3, log2e)
-	b.I("ex2.approx.f32 %s, %s;", ev3, sh3)
-	b.I("div.rn.f32 %s, %s, %s;", ev3, ev3, total)
-	b.I("st.global.f32 [%s], %s;", ay3, ev3)
-	b.I("add.u32 %s, %s, 32;", i3, i3)
-	b.I("bra %s;", wloop)
-	b.L(wend)
+	b.loop("SM_WRITE", "sm_write_end", tid, cols, "32", func(i string) {
+		ei, ax := b.rowElem(xB, rowOff, i)
+		ay := b.ElemAddr(yB, ei, 4)
+		ev := b.expShifted(ax, rowMax, log2e)
+		b.I("div.rn.f32 %s, %s, %s;", ev, ev, total)
+		b.I("st.global.f32 [%s], %s;", ay, ev)
+	})
 	return b.Build()
 }
 
-// SoftmaxNLLBackward computes the fused softmax+NLL gradient:
+// softmaxNLLBackward computes the fused softmax+NLL gradient:
 // dx[row, j] = (y[row, j] - onehot(label[row], j)) / batch.
-func SoftmaxNLLBackward() string {
+func softmaxNLLBackward() string {
 	b := NewBuilder("softmax_nll_backward")
 	pY, pLabels, pDX := b.PtrParam("pY"), b.PtrParam("pLabels"), b.PtrParam("pDX")
 	pCols, pBatch := b.U32Param("pCols"), b.U32Param("pBatch")
@@ -166,9 +57,7 @@ func SoftmaxNLLBackward() string {
 	tot := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", tot, cols, batch)
 	b.GuardEnd(idx, tot, end)
-	j, row := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", j, idx, cols)
-	b.I("div.u32 %s, %s, %s;", row, idx, cols)
+	j, row := b.remDiv(idx, cols)
 	yB := b.LoadPtr(pY)
 	lB := b.LoadPtr(pLabels)
 	dxB := b.LoadPtr(pDX)

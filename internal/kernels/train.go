@@ -9,155 +9,17 @@ package kernels
 // Shapes and reduction structure mirror the forward kernels in
 // transformer.go; gradients compare against internal/ref oracles.
 
-// SgemmTNBatched computes C = alpha*Aᵀ*B + beta*C for row-major A[K,M],
-// B[K,N], C[M,N] — the weight-gradient GEMM. grid.z selects a batch
-// slice at the given element strides (per-head dK/dV in attention
-// backward). Launch with block (16,16), grid (ceil(N/16), ceil(M/16),
-// batches).
-func SgemmTNBatched() string {
-	b := NewBuilder("sgemm_tn_batched")
-	pA, pB, pC := b.PtrParam("pA"), b.PtrParam("pB"), b.PtrParam("pC")
-	pM, pN, pK := b.U32Param("pM"), b.U32Param("pN"), b.U32Param("pK")
-	pSA, pSB, pSC := b.U32Param("pStrideA"), b.U32Param("pStrideB"), b.U32Param("pStrideC")
-	pAl, pBe := b.F32Param("pAlpha"), b.F32Param("pBeta")
-	as := b.Shared("As", GemmTile*GemmTile*4, 4)
-	bs := b.Shared("Bs", GemmTile*GemmTile*4, 4)
+// sgemmTNBatched is sgemm_tn_batched: C = alpha*Aᵀ*B + beta*C for
+// row-major A[K,M], B[K,N], C[M,N] — the weight-gradient GEMM; grid.z
+// carries the per-head dK/dV slices of attention backward.
+func sgemmTNBatched() string { return sgemm("sgemm_tn_batched", true, false) }
 
-	tx, ty := b.R("r"), b.R("r")
-	b.I("mov.u32 %s, %%tid.x;", tx)
-	b.I("mov.u32 %s, %%tid.y;", ty)
-	bx, by, bz := b.R("r"), b.R("r"), b.R("r")
-	b.I("mov.u32 %s, %%ctaid.x;", bx)
-	b.I("mov.u32 %s, %%ctaid.y;", by)
-	b.I("mov.u32 %s, %%ctaid.z;", bz)
-	row, col := b.R("r"), b.R("r")
-	b.I("mad.lo.s32 %s, %s, %d, %s;", row, by, GemmTile, ty)
-	b.I("mad.lo.s32 %s, %s, %d, %s;", col, bx, GemmTile, tx)
-	// the M index this thread stages into As (both tiles load with tx as
-	// the fast axis so global reads stay row-contiguous)
-	mcol := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %d, %s;", mcol, by, GemmTile, tx)
-
-	m, n, k := b.LoadU32(pM), b.LoadU32(pN), b.LoadU32(pK)
-	aBase, bBase, cBase := b.LoadPtr(pA), b.LoadPtr(pB), b.LoadPtr(pC)
-	for _, pair := range [][2]string{{aBase, pSA}, {bBase, pSB}, {cBase, pSC}} {
-		stride := b.LoadU32(pair[1])
-		off32 := b.R("r")
-		off := b.R("rd")
-		b.I("mul.lo.u32 %s, %s, %s;", off32, bz, stride)
-		b.I("mul.wide.u32 %s, %s, 4;", off, off32)
-		b.I("add.s64 %s, %s, %s;", pair[0], pair[0], off)
-	}
-
-	acc := b.MovF32(0)
-	zero := b.MovF32(0)
-	numTiles := b.R("r")
-	b.I("add.u32 %s, %s, %d;", numTiles, k, GemmTile-1)
-	b.I("div.u32 %s, %s, %d;", numTiles, numTiles, GemmTile)
-
-	asAddr, bsAddr := b.R("r"), b.R("r")
-	b.I("mov.u32 %s, %s;", asAddr, as)
-	b.I("mov.u32 %s, %s;", bsAddr, bs)
-	asSt, bsSt := b.R("r"), b.R("r")
-	lin := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %d, %s;", lin, ty, GemmTile, tx)
-	b.I("mad.lo.s32 %s, %s, 4, %s;", asSt, lin, asAddr)
-	b.I("mad.lo.s32 %s, %s, 4, %s;", bsSt, lin, bsAddr)
-
-	t := b.R("r")
-	b.I("mov.u32 %s, 0;", t)
-	tileLoop := b.L("TILE_LOOP")
-	pDone := b.R("p")
-	endTiles := b.NewLabel("end_tiles")
-	b.I("setp.ge.u32 %s, %s, %s;", pDone, t, numTiles)
-	b.I("@%s bra %s;", pDone, endTiles)
-
-	// both tiles share the K coordinate t*16+ty
-	kRow := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %d, %s;", kRow, t, GemmTile, ty)
-
-	// load A element (kRow, mcol) into As[ty][tx], guarded via selp clamp
-	pa1, pa2 := b.R("p"), b.R("p")
-	b.I("setp.lt.u32 %s, %s, %s;", pa1, kRow, k)
-	b.I("setp.lt.u32 %s, %s, %s;", pa2, mcol, m)
-	b.I("and.pred %s, %s, %s;", pa1, pa1, pa2)
-	aIdx := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", aIdx, kRow, m, mcol)
-	b.I("selp.b32 %s, %s, 0, %s;", aIdx, aIdx, pa1)
-	aAddr := b.ElemAddr(aBase, aIdx, 4)
-	va := b.R("f")
-	b.I("ld.global.f32 %s, [%s];", va, aAddr)
-	b.I("selp.b32 %s, %s, %s, %s;", va, va, zero, pa1)
-	b.I("st.shared.f32 [%s], %s;", asSt, va)
-
-	// load B element (kRow, col) into Bs[ty][tx]
-	pb1, pb2 := b.R("p"), b.R("p")
-	b.I("setp.lt.u32 %s, %s, %s;", pb1, kRow, k)
-	b.I("setp.lt.u32 %s, %s, %s;", pb2, col, n)
-	b.I("and.pred %s, %s, %s;", pb1, pb1, pb2)
-	bIdx := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", bIdx, kRow, n, col)
-	b.I("selp.b32 %s, %s, 0, %s;", bIdx, bIdx, pb1)
-	bAddr := b.ElemAddr(bBase, bIdx, 4)
-	vb := b.R("f")
-	b.I("ld.global.f32 %s, [%s];", vb, bAddr)
-	b.I("selp.b32 %s, %s, %s, %s;", vb, vb, zero, pb1)
-	b.I("st.shared.f32 [%s], %s;", bsSt, vb)
-
-	b.I("bar.sync 0;")
-
-	// acc += As[kk][ty] * Bs[kk][tx]
-	asPtr, bsPtr := b.R("r"), b.R("r")
-	b.I("mad.lo.s32 %s, %s, 4, %s;", asPtr, ty, asAddr)
-	b.I("mad.lo.s32 %s, %s, 4, %s;", bsPtr, tx, bsAddr)
-	kk := b.R("r")
-	b.I("mov.u32 %s, 0;", kk)
-	inner := b.L("INNER")
-	pInner := b.R("p")
-	innerEnd := b.NewLabel("inner_end")
-	b.I("setp.ge.u32 %s, %s, %d;", pInner, kk, GemmTile)
-	b.I("@%s bra %s;", pInner, innerEnd)
-	ea, eb := b.R("f"), b.R("f")
-	b.I("ld.shared.f32 %s, [%s];", ea, asPtr)
-	b.I("ld.shared.f32 %s, [%s];", eb, bsPtr)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", acc, ea, eb, acc)
-	b.I("add.u32 %s, %s, %d;", asPtr, asPtr, GemmTile*4)
-	b.I("add.u32 %s, %s, %d;", bsPtr, bsPtr, GemmTile*4)
-	b.I("add.u32 %s, %s, 1;", kk, kk)
-	b.I("bra %s;", inner)
-	b.L(innerEnd)
-
-	b.I("bar.sync 0;")
-	b.I("add.u32 %s, %s, 1;", t, t)
-	b.I("bra %s;", tileLoop)
-	b.L(endTiles)
-
-	end := b.NewLabel("end")
-	pc1, pc2 := b.R("p"), b.R("p")
-	b.I("setp.ge.u32 %s, %s, %s;", pc1, row, m)
-	b.I("@%s bra %s;", pc1, end)
-	b.I("setp.ge.u32 %s, %s, %s;", pc2, col, n)
-	b.I("@%s bra %s;", pc2, end)
-	cIdx := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", cIdx, row, n, col)
-	cAddr := b.ElemAddr(cBase, cIdx, 4)
-	alpha, beta := b.LoadF32(pAl), b.LoadF32(pBe)
-	old := b.R("f")
-	b.I("ld.global.f32 %s, [%s];", old, cAddr)
-	resv := b.R("f")
-	b.I("mul.f32 %s, %s, %s;", resv, acc, alpha)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", resv, old, beta, resv)
-	b.I("st.global.f32 [%s], %s;", cAddr, resv)
-	b.L(end)
-	return b.Build()
-}
-
-// LayerNormBackward differentiates layernorm_forward for one row per
+// layerNormBackward differentiates layernorm_forward for one row per
 // 32-thread CTA: it recomputes μ and 1/√(σ²+ε), reduces Σ(dy·γ) and
 // Σ(dy·γ·x̂), writes dx = (dy·γ - mean - x̂·mean(dy·γ·x̂))·inv, and
 // accumulates the per-column parameter gradients dgamma[j] += dy·x̂ and
 // dbeta[j] += dy with global atomics (rows race on the same columns).
-func LayerNormBackward() string {
+func layerNormBackward() string {
 	b := NewBuilder("layernorm_backward")
 	pX, pG := b.PtrParam("pX"), b.PtrParam("pGamma")
 	pDY, pDX := b.PtrParam("pDY"), b.PtrParam("pDX")
@@ -166,10 +28,7 @@ func LayerNormBackward() string {
 	pEps := b.F32Param("pEps")
 	sred := b.Shared("slnb", 32*4, 4)
 
-	tid := b.R("r")
-	b.I("mov.u32 %s, %%tid.x;", tid)
-	row := b.R("r")
-	b.I("mov.u32 %s, %%ctaid.x;", row)
+	tid, row := b.laneAndRow()
 	cols := b.LoadU32(pCols)
 	xB := b.LoadPtr(pX)
 	gB := b.LoadPtr(pG)
@@ -179,162 +38,77 @@ func LayerNormBackward() string {
 	dbB := b.LoadPtr(pDB)
 	rowOff := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", rowOff, row, cols)
+	sbase, slot := b.laneSlots(sred, tid)
 
-	sbase := b.R("r")
-	b.I("mov.u32 %s, %s;", sbase, sred)
-	slot := b.R("r")
-	b.I("mad.lo.s32 %s, %s, 4, %s;", slot, tid, sbase)
-
-	// pass 1: strided partial sum of x
-	sum := b.MovF32(0)
-	i := b.R("r")
-	b.I("mov.u32 %s, %s;", i, tid)
-	sl := b.L("LNB_SUM")
-	ps := b.R("p")
-	send := b.NewLabel("lnb_sum_end")
-	b.I("setp.ge.u32 %s, %s, %s;", ps, i, cols)
-	b.I("@%s bra %s;", ps, send)
-	ei := b.R("r")
-	b.I("add.u32 %s, %s, %s;", ei, rowOff, i)
-	ax := b.ElemAddr(xB, ei, 4)
-	v := b.R("f")
-	b.I("ld.global.f32 %s, [%s];", v, ax)
-	b.I("add.f32 %s, %s, %s;", sum, sum, v)
-	b.I("add.u32 %s, %s, 32;", i, i)
-	b.I("bra %s;", sl)
-	b.L(send)
-
-	b.I("st.shared.f32 [%s], %s;", slot, sum)
-	b.I("bar.sync 0;")
-	reduceAdd32(b, tid, slot)
-	colsF := b.R("f")
-	b.I("cvt.rn.f32.u32 %s, %s;", colsF, cols)
-	mean := b.R("f")
-	b.I("ld.shared.f32 %s, [%s];", mean, sbase)
-	b.I("div.rn.f32 %s, %s, %s;", mean, mean, colsF)
-	b.I("bar.sync 0;")
-
-	// pass 2: strided partial sum of squared deviations
-	sq := b.MovF32(0)
-	i2 := b.R("r")
-	b.I("mov.u32 %s, %s;", i2, tid)
-	vl := b.L("LNB_VAR")
-	pv := b.R("p")
-	vend := b.NewLabel("lnb_var_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pv, i2, cols)
-	b.I("@%s bra %s;", pv, vend)
-	ei2 := b.R("r")
-	b.I("add.u32 %s, %s, %s;", ei2, rowOff, i2)
-	ax2 := b.ElemAddr(xB, ei2, 4)
-	v2, d := b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", v2, ax2)
-	b.I("sub.f32 %s, %s, %s;", d, v2, mean)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", sq, d, d, sq)
-	b.I("add.u32 %s, %s, 32;", i2, i2)
-	b.I("bra %s;", vl)
-	b.L(vend)
-
-	b.I("st.shared.f32 [%s], %s;", slot, sq)
-	b.I("bar.sync 0;")
-	reduceAdd32(b, tid, slot)
-	variance := b.R("f")
-	b.I("ld.shared.f32 %s, [%s];", variance, sbase)
-	b.I("div.rn.f32 %s, %s, %s;", variance, variance, colsF)
-	eps := b.LoadF32(pEps)
-	inv := b.R("f")
-	b.I("add.f32 %s, %s, %s;", inv, variance, eps)
-	b.I("rsqrt.approx.f32 %s, %s;", inv, inv)
+	// passes 1 and 2: row mean and inverse standard deviation
+	mean, inv, colsF := b.rowMeanInv("LNB", tid, cols, xB, rowOff, sbase, slot, pEps)
 	b.I("bar.sync 0;")
 
 	// pass 3: partial s1 = Σ dy·γ and s2 = Σ dy·γ·x̂ in one strided loop
 	ps1 := b.MovF32(0)
 	ps2 := b.MovF32(0)
-	i3 := b.R("r")
-	b.I("mov.u32 %s, %s;", i3, tid)
-	gl := b.L("LNB_GSUM")
-	pg3 := b.R("p")
-	gend := b.NewLabel("lnb_gsum_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pg3, i3, cols)
-	b.I("@%s bra %s;", pg3, gend)
-	ei3 := b.R("r")
-	b.I("add.u32 %s, %s, %s;", ei3, rowOff, i3)
-	ax3 := b.ElemAddr(xB, ei3, 4)
-	ady3 := b.ElemAddr(dyB, ei3, 4)
-	ag3 := b.ElemAddr(gB, i3, 4)
-	vx3, vdy3, vg3 := b.R("f"), b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", vx3, ax3)
-	b.I("ld.global.f32 %s, [%s];", vdy3, ady3)
-	b.I("ld.global.f32 %s, [%s];", vg3, ag3)
-	xh3, g3 := b.R("f"), b.R("f")
-	b.I("sub.f32 %s, %s, %s;", xh3, vx3, mean)
-	b.I("mul.f32 %s, %s, %s;", xh3, xh3, inv)
-	b.I("mul.f32 %s, %s, %s;", g3, vdy3, vg3)
-	b.I("add.f32 %s, %s, %s;", ps1, ps1, g3)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", ps2, g3, xh3, ps2)
-	b.I("add.u32 %s, %s, 32;", i3, i3)
-	b.I("bra %s;", gl)
-	b.L(gend)
+	b.loop("LNB_GSUM", "lnb_gsum_end", tid, cols, "32", func(i string) {
+		ei, ax := b.rowElem(xB, rowOff, i)
+		ady := b.ElemAddr(dyB, ei, 4)
+		ag := b.ElemAddr(gB, i, 4)
+		vx, vdy, vg := b.R("f"), b.R("f"), b.R("f")
+		b.I("ld.global.f32 %s, [%s];", vx, ax)
+		b.I("ld.global.f32 %s, [%s];", vdy, ady)
+		b.I("ld.global.f32 %s, [%s];", vg, ag)
+		xh, g := b.R("f"), b.R("f")
+		b.I("sub.f32 %s, %s, %s;", xh, vx, mean)
+		b.I("mul.f32 %s, %s, %s;", xh, xh, inv)
+		b.I("mul.f32 %s, %s, %s;", g, vdy, vg)
+		b.I("add.f32 %s, %s, %s;", ps1, ps1, g)
+		b.I("fma.rn.f32 %s, %s, %s, %s;", ps2, g, xh, ps2)
+	})
 
-	b.I("st.shared.f32 [%s], %s;", slot, ps1)
-	b.I("bar.sync 0;")
-	reduceAdd32(b, tid, slot)
+	b.reduceAdd32(tid, slot, ps1)
 	s1 := b.R("f")
 	b.I("ld.shared.f32 %s, [%s];", s1, sbase)
 	b.I("div.rn.f32 %s, %s, %s;", s1, s1, colsF)
 	b.I("bar.sync 0;")
-	b.I("st.shared.f32 [%s], %s;", slot, ps2)
-	b.I("bar.sync 0;")
-	reduceAdd32(b, tid, slot)
+	b.reduceAdd32(tid, slot, ps2)
 	s2 := b.R("f")
 	b.I("ld.shared.f32 %s, [%s];", s2, sbase)
 	b.I("div.rn.f32 %s, %s, %s;", s2, s2, colsF)
 
 	// pass 4: write dx and atomically accumulate dgamma/dbeta
-	i4 := b.R("r")
-	b.I("mov.u32 %s, %s;", i4, tid)
-	wl := b.L("LNB_WRITE")
-	pw := b.R("p")
-	wend := b.NewLabel("lnb_write_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pw, i4, cols)
-	b.I("@%s bra %s;", pw, wend)
-	ei4 := b.R("r")
-	b.I("add.u32 %s, %s, %s;", ei4, rowOff, i4)
-	ax4 := b.ElemAddr(xB, ei4, 4)
-	ady4 := b.ElemAddr(dyB, ei4, 4)
-	ag4 := b.ElemAddr(gB, i4, 4)
-	adx4 := b.ElemAddr(dxB, ei4, 4)
-	adg4 := b.ElemAddr(dgB, i4, 4)
-	adb4 := b.ElemAddr(dbB, i4, 4)
-	vx4, vdy4, vg4 := b.R("f"), b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", vx4, ax4)
-	b.I("ld.global.f32 %s, [%s];", vdy4, ady4)
-	b.I("ld.global.f32 %s, [%s];", vg4, ag4)
-	xh4, g4 := b.R("f"), b.R("f")
-	b.I("sub.f32 %s, %s, %s;", xh4, vx4, mean)
-	b.I("mul.f32 %s, %s, %s;", xh4, xh4, inv)
-	b.I("mul.f32 %s, %s, %s;", g4, vdy4, vg4)
-	dx4 := b.R("f")
-	b.I("sub.f32 %s, %s, %s;", dx4, g4, s1)
-	neg := b.R("f")
-	b.I("mul.f32 %s, %s, %s;", neg, xh4, s2)
-	b.I("sub.f32 %s, %s, %s;", dx4, dx4, neg)
-	b.I("mul.f32 %s, %s, %s;", dx4, dx4, inv)
-	b.I("st.global.f32 [%s], %s;", adx4, dx4)
-	cg := b.R("f")
-	b.I("mul.f32 %s, %s, %s;", cg, vdy4, xh4)
-	oldg, oldb := b.R("f"), b.R("f")
-	b.I("atom.global.add.f32 %s, [%s], %s;", oldg, adg4, cg)
-	b.I("atom.global.add.f32 %s, [%s], %s;", oldb, adb4, vdy4)
-	b.I("add.u32 %s, %s, 32;", i4, i4)
-	b.I("bra %s;", wl)
-	b.L(wend)
+	b.loop("LNB_WRITE", "lnb_write_end", tid, cols, "32", func(i string) {
+		ei, ax := b.rowElem(xB, rowOff, i)
+		ady := b.ElemAddr(dyB, ei, 4)
+		ag := b.ElemAddr(gB, i, 4)
+		adx := b.ElemAddr(dxB, ei, 4)
+		adg := b.ElemAddr(dgB, i, 4)
+		adb := b.ElemAddr(dbB, i, 4)
+		vx, vdy, vg := b.R("f"), b.R("f"), b.R("f")
+		b.I("ld.global.f32 %s, [%s];", vx, ax)
+		b.I("ld.global.f32 %s, [%s];", vdy, ady)
+		b.I("ld.global.f32 %s, [%s];", vg, ag)
+		xh, g := b.R("f"), b.R("f")
+		b.I("sub.f32 %s, %s, %s;", xh, vx, mean)
+		b.I("mul.f32 %s, %s, %s;", xh, xh, inv)
+		b.I("mul.f32 %s, %s, %s;", g, vdy, vg)
+		dx := b.R("f")
+		b.I("sub.f32 %s, %s, %s;", dx, g, s1)
+		neg := b.R("f")
+		b.I("mul.f32 %s, %s, %s;", neg, xh, s2)
+		b.I("sub.f32 %s, %s, %s;", dx, dx, neg)
+		b.I("mul.f32 %s, %s, %s;", dx, dx, inv)
+		b.I("st.global.f32 [%s], %s;", adx, dx)
+		cg := b.R("f")
+		b.I("mul.f32 %s, %s, %s;", cg, vdy, xh)
+		oldg, oldb := b.R("f"), b.R("f")
+		b.I("atom.global.add.f32 %s, [%s], %s;", oldg, adg, cg)
+		b.I("atom.global.add.f32 %s, [%s], %s;", oldb, adb, vdy)
+	})
 	return b.Build()
 }
 
-// GeluBackward computes dx = dy·GELU'(x) for the tanh-form GELU, with
-// tanh synthesised from ex2 exactly as in gelu_forward so forward and
-// backward agree on the saturated tails.
-func GeluBackward() string {
+// geluBackward computes dx = dy·GELU'(x) for the tanh-form GELU, with
+// gelu_forward's tanh (geluTanh) so forward and backward agree on the
+// saturated tails.
+func geluBackward() string {
 	b := NewBuilder("gelu_backward")
 	pX, pDY, pDX := b.PtrParam("pX"), b.PtrParam("pDY"), b.PtrParam("pDX")
 	pN := b.U32Param("pN")
@@ -357,24 +131,7 @@ func GeluBackward() string {
 	b.I("mul.f32 %s, %s, %s;", x2, v, v)
 	x3 := b.R("f")
 	b.I("mul.f32 %s, %s, %s;", x3, x2, v)
-	z := b.R("f")
-	b.I("fma.rn.f32 %s, %s, %s, %s;", z, c1, x3, v)
-	b.I("mul.f32 %s, %s, %s;", z, z, c0)
-	hi := b.MovF32(10)
-	lo := b.MovF32(-10)
-	b.I("min.f32 %s, %s, %s;", z, z, hi)
-	b.I("max.f32 %s, %s, %s;", z, z, lo)
-	twoLog2e := b.MovF32(2.8853900817779268) // 2*log2(e)
-	e := b.R("f")
-	b.I("mul.f32 %s, %s, %s;", e, z, twoLog2e)
-	b.I("ex2.approx.f32 %s, %s;", e, e)
-	one := b.MovF32(1)
-	num, den := b.R("f"), b.R("f")
-	b.I("sub.f32 %s, %s, %s;", num, e, one)
-	b.I("add.f32 %s, %s, %s;", den, e, one)
-	th := b.R("f")
-	b.I("div.rn.f32 %s, %s, %s;", th, num, den)
-	half := b.MovF32(0.5)
+	th, one, half := geluTanh(b, v, x3, c0, c1)
 	// 0.5·(1+tanh)
 	d1 := b.R("f")
 	b.I("add.f32 %s, %s, %s;", d1, th, one)
@@ -401,102 +158,69 @@ func GeluBackward() string {
 	return b.Build()
 }
 
-// SoftmaxBackward differentiates a row softmax given its forward output:
+// softmaxBackward differentiates a row softmax given its forward output:
 // dx[row,j] = p[row,j]·(dp[row,j] - Σ_k dp[row,k]·p[row,k]). One
 // 32-thread CTA per row with one shared-memory dot-product reduction —
 // the attention-probability gradient between the two strided-batched
 // GEMMs of attention backward.
-func SoftmaxBackward() string {
+func softmaxBackward() string {
 	b := NewBuilder("softmax_backward")
 	pP, pDP, pDX := b.PtrParam("pP"), b.PtrParam("pDP"), b.PtrParam("pDX")
 	pCols := b.U32Param("pCols")
 	sred := b.Shared("ssb", 32*4, 4)
 
-	tid := b.R("r")
-	b.I("mov.u32 %s, %%tid.x;", tid)
-	row := b.R("r")
-	b.I("mov.u32 %s, %%ctaid.x;", row)
+	tid, row := b.laneAndRow()
 	cols := b.LoadU32(pCols)
 	pB := b.LoadPtr(pP)
 	dpB := b.LoadPtr(pDP)
 	dxB := b.LoadPtr(pDX)
 	rowOff := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", rowOff, row, cols)
-
-	sbase := b.R("r")
-	b.I("mov.u32 %s, %s;", sbase, sred)
-	slot := b.R("r")
-	b.I("mad.lo.s32 %s, %s, 4, %s;", slot, tid, sbase)
+	sbase, slot := b.laneSlots(sred, tid)
 
 	// strided partial dot = Σ p·dp
 	dot := b.MovF32(0)
-	i := b.R("r")
-	b.I("mov.u32 %s, %s;", i, tid)
-	dl := b.L("SB_DOT")
-	pd := b.R("p")
-	dend := b.NewLabel("sb_dot_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pd, i, cols)
-	b.I("@%s bra %s;", pd, dend)
-	ei := b.R("r")
-	b.I("add.u32 %s, %s, %s;", ei, rowOff, i)
-	ap := b.ElemAddr(pB, ei, 4)
-	adp := b.ElemAddr(dpB, ei, 4)
-	vp, vdp := b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", vp, ap)
-	b.I("ld.global.f32 %s, [%s];", vdp, adp)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", dot, vp, vdp, dot)
-	b.I("add.u32 %s, %s, 32;", i, i)
-	b.I("bra %s;", dl)
-	b.L(dend)
-
-	b.I("st.shared.f32 [%s], %s;", slot, dot)
-	b.I("bar.sync 0;")
-	reduceAdd32(b, tid, slot)
+	b.loop("SB_DOT", "sb_dot_end", tid, cols, "32", func(i string) {
+		ei, ap := b.rowElem(pB, rowOff, i)
+		adp := b.ElemAddr(dpB, ei, 4)
+		vp, vdp := b.R("f"), b.R("f")
+		b.I("ld.global.f32 %s, [%s];", vp, ap)
+		b.I("ld.global.f32 %s, [%s];", vdp, adp)
+		b.I("fma.rn.f32 %s, %s, %s, %s;", dot, vp, vdp, dot)
+	})
+	b.reduceAdd32(tid, slot, dot)
 	total := b.R("f")
 	b.I("ld.shared.f32 %s, [%s];", total, sbase)
 
 	// write dx = p·(dp - dot)
-	i2 := b.R("r")
-	b.I("mov.u32 %s, %s;", i2, tid)
-	wl := b.L("SB_WRITE")
-	pw := b.R("p")
-	wend := b.NewLabel("sb_write_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pw, i2, cols)
-	b.I("@%s bra %s;", pw, wend)
-	ei2 := b.R("r")
-	b.I("add.u32 %s, %s, %s;", ei2, rowOff, i2)
-	ap2 := b.ElemAddr(pB, ei2, 4)
-	adp2 := b.ElemAddr(dpB, ei2, 4)
-	adx2 := b.ElemAddr(dxB, ei2, 4)
-	vp2, vdp2 := b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", vp2, ap2)
-	b.I("ld.global.f32 %s, [%s];", vdp2, adp2)
-	g := b.R("f")
-	b.I("sub.f32 %s, %s, %s;", g, vdp2, total)
-	b.I("mul.f32 %s, %s, %s;", g, g, vp2)
-	b.I("st.global.f32 [%s], %s;", adx2, g)
-	b.I("add.u32 %s, %s, 32;", i2, i2)
-	b.I("bra %s;", wl)
-	b.L(wend)
+	b.loop("SB_WRITE", "sb_write_end", tid, cols, "32", func(i string) {
+		ei, ap := b.rowElem(pB, rowOff, i)
+		adp := b.ElemAddr(dpB, ei, 4)
+		adx := b.ElemAddr(dxB, ei, 4)
+		vp, vdp := b.R("f"), b.R("f")
+		b.I("ld.global.f32 %s, [%s];", vp, ap)
+		b.I("ld.global.f32 %s, [%s];", vdp, adp)
+		g := b.R("f")
+		b.I("sub.f32 %s, %s, %s;", g, vdp, total)
+		b.I("mul.f32 %s, %s, %s;", g, g, vp)
+		b.I("st.global.f32 [%s], %s;", adx, g)
+	})
 	return b.Build()
 }
 
-// SoftmaxXentBackward fuses the training loss head: for each row of raw
+// softmaxXentBackward fuses the training loss head: for each row of raw
 // logits[rows, cols] it computes the softmax in place (max + exp-sum
 // reductions like softmax_forward), writes the cross-entropy gradient
 // dx = (softmax - onehot(label))/rows, and stores the per-row loss
 // -log softmax[label] (natural log via lg2). One 32-thread CTA per row.
-func SoftmaxXentBackward() string {
+func softmaxXentBackward() string {
 	b := NewBuilder("softmax_xent_backward")
 	pX, pLab := b.PtrParam("pX"), b.PtrParam("pLabels")
 	pDX, pLoss := b.PtrParam("pDX"), b.PtrParam("pLoss")
 	pCols, pRows := b.U32Param("pCols"), b.U32Param("pRows")
 	sred := b.Shared("sxe", 32*4, 4)
 
-	tid := b.R("r")
-	b.I("mov.u32 %s, %%tid.x;", tid)
-	row := b.R("r")
-	b.I("mov.u32 %s, %%ctaid.x;", row)
+	tid, row := b.laneAndRow()
 	cols := b.LoadU32(pCols)
 	rows := b.LoadU32(pRows)
 	xB := b.LoadPtr(pX)
@@ -509,86 +233,18 @@ func SoftmaxXentBackward() string {
 	lab := b.R("r")
 	b.I("ld.global.u32 %s, [%s];", lab, alab)
 
-	// local max over strided elements
-	best := b.MovF32(-3.4e38)
-	i := b.R("r")
-	b.I("mov.u32 %s, %s;", i, tid)
-	mloop := b.L("XE_MAX")
-	pm := b.R("p")
-	mend := b.NewLabel("xe_max_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pm, i, cols)
-	b.I("@%s bra %s;", pm, mend)
-	ei := b.R("r")
-	b.I("add.u32 %s, %s, %s;", ei, rowOff, i)
-	ax := b.ElemAddr(xB, ei, 4)
-	v := b.R("f")
-	b.I("ld.global.f32 %s, [%s];", v, ax)
-	b.I("max.f32 %s, %s, %s;", best, best, v)
-	b.I("add.u32 %s, %s, 32;", i, i)
-	b.I("bra %s;", mloop)
-	b.L(mend)
-
-	// shared-memory max reduction over the 32 lanes
-	sbase := b.R("r")
-	b.I("mov.u32 %s, %s;", sbase, sred)
-	slot := b.R("r")
-	b.I("mad.lo.s32 %s, %s, 4, %s;", slot, tid, sbase)
-	b.I("st.shared.f32 [%s], %s;", slot, best)
-	b.I("bar.sync 0;")
-	step := b.R("r")
-	b.I("mov.u32 %s, 16;", step)
-	rl := b.L("XE_RED")
-	pz := b.R("p")
-	rlEnd := b.NewLabel("xe_red_end")
-	b.I("setp.eq.u32 %s, %s, 0;", pz, step)
-	b.I("@%s bra %s;", pz, rlEnd)
-	pact := b.R("p")
-	skip := b.NewLabel("xe_skip")
-	b.I("setp.ge.u32 %s, %s, %s;", pact, tid, step)
-	b.I("@%s bra %s;", pact, skip)
-	offr, other := b.R("r"), b.R("r")
-	b.I("shl.b32 %s, %s, 2;", offr, step)
-	b.I("add.u32 %s, %s, %s;", other, slot, offr)
-	va, vb := b.R("f"), b.R("f")
-	b.I("ld.shared.f32 %s, [%s];", va, slot)
-	b.I("ld.shared.f32 %s, [%s];", vb, other)
-	b.I("max.f32 %s, %s, %s;", va, va, vb)
-	b.I("st.shared.f32 [%s], %s;", slot, va)
-	b.L(skip)
-	b.I("bar.sync 0;")
-	b.I("shr.u32 %s, %s, 1;", step, step)
-	b.I("bra %s;", rl)
-	b.L(rlEnd)
+	// row max: local max over strided elements, then a shared-memory max
+	// reduction over the 32 lanes
+	best := b.laneMax("XE_MAX", "xe_max_end", tid, cols, xB, rowOff)
+	sbase, slot := b.laneSlots(sred, tid)
+	b.reduceShared("max", 32, tid, slot, best, "XE_RED", "xe_red_end", "xe_skip")
 	rowMax := b.R("f")
 	b.I("ld.shared.f32 %s, [%s];", rowMax, sbase)
 	b.I("bar.sync 0;")
 
-	// local sum of exp(x - max), exp via ex2
-	log2e := b.MovF32(1.4426950408889634)
-	sum := b.MovF32(0)
-	i2 := b.R("r")
-	b.I("mov.u32 %s, %s;", i2, tid)
-	sloop := b.L("XE_SUM")
-	ps := b.R("p")
-	send := b.NewLabel("xe_sum_end")
-	b.I("setp.ge.u32 %s, %s, %s;", ps, i2, cols)
-	b.I("@%s bra %s;", ps, send)
-	ei2 := b.R("r")
-	b.I("add.u32 %s, %s, %s;", ei2, rowOff, i2)
-	ax2 := b.ElemAddr(xB, ei2, 4)
-	v2, sh, ev := b.R("f"), b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", v2, ax2)
-	b.I("sub.f32 %s, %s, %s;", sh, v2, rowMax)
-	b.I("mul.f32 %s, %s, %s;", sh, sh, log2e)
-	b.I("ex2.approx.f32 %s, %s;", ev, sh)
-	b.I("add.f32 %s, %s, %s;", sum, sum, ev)
-	b.I("add.u32 %s, %s, 32;", i2, i2)
-	b.I("bra %s;", sloop)
-	b.L(send)
-
-	b.I("st.shared.f32 [%s], %s;", slot, sum)
-	b.I("bar.sync 0;")
-	reduceAdd32(b, tid, slot)
+	// row total of exp(x - max)
+	log2e, sum := b.laneExpSum("XE_SUM", "xe_sum_end", tid, cols, xB, rowOff, rowMax)
+	b.reduceAdd32(tid, slot, sum)
 	total := b.R("f")
 	b.I("ld.shared.f32 %s, [%s];", total, sbase)
 
@@ -597,9 +253,7 @@ func SoftmaxXentBackward() string {
 	noLoss := b.NewLabel("xe_no_loss")
 	b.I("setp.ne.u32 %s, %s, 0;", pl, tid)
 	b.I("@%s bra %s;", pl, noLoss)
-	eiL := b.R("r")
-	b.I("add.u32 %s, %s, %s;", eiL, rowOff, lab)
-	axL := b.ElemAddr(xB, eiL, 4)
+	_, axL := b.rowElem(xB, rowOff, lab)
 	vL := b.R("f")
 	b.I("ld.global.f32 %s, [%s];", vL, axL)
 	b.I("sub.f32 %s, %s, %s;", vL, vL, rowMax)
@@ -618,43 +272,29 @@ func SoftmaxXentBackward() string {
 	b.I("cvt.rn.f32.u32 %s, %s;", rowsF, rows)
 	one := b.MovF32(1)
 	zero := b.MovF32(0)
-	i3 := b.R("r")
-	b.I("mov.u32 %s, %s;", i3, tid)
-	wloop := b.L("XE_WRITE")
-	pw := b.R("p")
-	wend := b.NewLabel("xe_write_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pw, i3, cols)
-	b.I("@%s bra %s;", pw, wend)
-	ei3 := b.R("r")
-	b.I("add.u32 %s, %s, %s;", ei3, rowOff, i3)
-	ax3 := b.ElemAddr(xB, ei3, 4)
-	adx3 := b.ElemAddr(dxB, ei3, 4)
-	v3, sh3, ev3 := b.R("f"), b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", v3, ax3)
-	b.I("sub.f32 %s, %s, %s;", sh3, v3, rowMax)
-	b.I("mul.f32 %s, %s, %s;", sh3, sh3, log2e)
-	b.I("ex2.approx.f32 %s, %s;", ev3, sh3)
-	b.I("div.rn.f32 %s, %s, %s;", ev3, ev3, total)
-	ph := b.R("p")
-	hot := b.R("f")
-	b.I("setp.eq.u32 %s, %s, %s;", ph, i3, lab)
-	b.I("selp.b32 %s, %s, %s, %s;", hot, one, zero, ph)
-	g := b.R("f")
-	b.I("sub.f32 %s, %s, %s;", g, ev3, hot)
-	b.I("div.rn.f32 %s, %s, %s;", g, g, rowsF)
-	b.I("st.global.f32 [%s], %s;", adx3, g)
-	b.I("add.u32 %s, %s, 32;", i3, i3)
-	b.I("bra %s;", wloop)
-	b.L(wend)
+	b.loop("XE_WRITE", "xe_write_end", tid, cols, "32", func(i string) {
+		ei, ax := b.rowElem(xB, rowOff, i)
+		adx := b.ElemAddr(dxB, ei, 4)
+		ev := b.expShifted(ax, rowMax, log2e)
+		b.I("div.rn.f32 %s, %s, %s;", ev, ev, total)
+		ph := b.R("p")
+		hot := b.R("f")
+		b.I("setp.eq.u32 %s, %s, %s;", ph, i, lab)
+		b.I("selp.b32 %s, %s, %s, %s;", hot, one, zero, ph)
+		g := b.R("f")
+		b.I("sub.f32 %s, %s, %s;", g, ev, hot)
+		b.I("div.rn.f32 %s, %s, %s;", g, g, rowsF)
+		b.I("st.global.f32 [%s], %s;", adx, g)
+	})
 	return b.Build()
 }
 
-// EmbeddingBackward scatter-adds the output gradient dy[rows, cols] into
+// embeddingBackward scatter-adds the output gradient dy[rows, cols] into
 // the table gradient by token id: dtable[ids[i], j] += dy[i, j]. One
 // thread per dy element; repeated tokens collide on the same table row,
 // so the accumulation uses atom.global.add.f32 (drained in submission
 // order on the coordinator — the weight-update-atomics contract).
-func EmbeddingBackward() string {
+func embeddingBackward() string {
 	b := NewBuilder("embedding_backward")
 	pDY, pIds, pDT := b.PtrParam("pDY"), b.PtrParam("pIds"), b.PtrParam("pDTable")
 	pRows, pCols := b.U32Param("pRows"), b.U32Param("pCols")
@@ -665,15 +305,12 @@ func EmbeddingBackward() string {
 	total := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", total, rows, cols)
 	b.GuardEnd(idx, total, end)
-	row, col := b.R("r"), b.R("r")
-	b.I("div.u32 %s, %s, %s;", row, idx, cols)
-	b.I("rem.u32 %s, %s, %s;", col, idx, cols)
+	row, col := b.divRem(idx, cols)
 	ids := b.LoadPtr(pIds)
 	aid := b.ElemAddr(ids, row, 4)
 	id := b.R("r")
 	b.I("ld.global.u32 %s, [%s];", id, aid)
-	dst := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dst, id, cols, col)
+	dst := b.flatIndex(id, cols, col)
 	dyB := b.LoadPtr(pDY)
 	dtB := b.LoadPtr(pDT)
 	ady := b.ElemAddr(dyB, idx, 4)

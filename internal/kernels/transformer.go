@@ -9,188 +9,23 @@ package kernels
 // kernel-population shape the paper's stream-concurrency analysis is
 // about, now exercised by the detailed engine's multi-grid dispatcher.
 
-// SgemmNTBatched computes C = alpha*A*Bᵀ + beta*C for row-major A[M,K],
-// B[N,K], C[M,N] — the Q·Kᵀ attention-score kernel. grid.z selects a
-// batch slice at the given element strides (one attention head per z).
-// Launch with block (16,16), grid (ceil(N/16), ceil(M/16), batches).
-func SgemmNTBatched() string {
-	b := NewBuilder("sgemm_nt_batched")
-	pA, pB, pC := b.PtrParam("pA"), b.PtrParam("pB"), b.PtrParam("pC")
-	pM, pN, pK := b.U32Param("pM"), b.U32Param("pN"), b.U32Param("pK")
-	pSA, pSB, pSC := b.U32Param("pStrideA"), b.U32Param("pStrideB"), b.U32Param("pStrideC")
-	pAl, pBe := b.F32Param("pAlpha"), b.F32Param("pBeta")
-	as := b.Shared("As", GemmTile*GemmTile*4, 4)
-	bs := b.Shared("Bs", GemmTile*GemmTile*4, 4)
+// sgemmNTBatched is sgemm_nt_batched: C = alpha*A*Bᵀ + beta*C for
+// row-major A[M,K], B[N,K], C[M,N] — the Q·Kᵀ attention-score kernel, one
+// attention head per grid.z slice.
+func sgemmNTBatched() string { return sgemm("sgemm_nt_batched", false, true) }
 
-	tx, ty := b.R("r"), b.R("r")
-	b.I("mov.u32 %s, %%tid.x;", tx)
-	b.I("mov.u32 %s, %%tid.y;", ty)
-	bx, by, bz := b.R("r"), b.R("r"), b.R("r")
-	b.I("mov.u32 %s, %%ctaid.x;", bx)
-	b.I("mov.u32 %s, %%ctaid.y;", by)
-	b.I("mov.u32 %s, %%ctaid.z;", bz)
-	row, col := b.R("r"), b.R("r")
-	b.I("mad.lo.s32 %s, %s, %d, %s;", row, by, GemmTile, ty)
-	b.I("mad.lo.s32 %s, %s, %d, %s;", col, bx, GemmTile, tx)
-
-	m, n, k := b.LoadU32(pM), b.LoadU32(pN), b.LoadU32(pK)
-	aBase, bBase, cBase := b.LoadPtr(pA), b.LoadPtr(pB), b.LoadPtr(pC)
-	for _, pair := range [][2]string{{aBase, pSA}, {bBase, pSB}, {cBase, pSC}} {
-		stride := b.LoadU32(pair[1])
-		off32 := b.R("r")
-		off := b.R("rd")
-		b.I("mul.lo.u32 %s, %s, %s;", off32, bz, stride)
-		b.I("mul.wide.u32 %s, %s, 4;", off, off32)
-		b.I("add.s64 %s, %s, %s;", pair[0], pair[0], off)
-	}
-
-	acc := b.MovF32(0)
-	zero := b.MovF32(0)
-	numTiles := b.R("r")
-	b.I("add.u32 %s, %s, %d;", numTiles, k, GemmTile-1)
-	b.I("div.u32 %s, %s, %d;", numTiles, numTiles, GemmTile)
-
-	asAddr, bsAddr := b.R("r"), b.R("r")
-	b.I("mov.u32 %s, %s;", asAddr, as)
-	b.I("mov.u32 %s, %s;", bsAddr, bs)
-	asSt, bsSt := b.R("r"), b.R("r")
-	lin := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %d, %s;", lin, ty, GemmTile, tx)
-	b.I("mad.lo.s32 %s, %s, 4, %s;", asSt, lin, asAddr)
-	b.I("mad.lo.s32 %s, %s, 4, %s;", bsSt, lin, bsAddr)
-
-	t := b.R("r")
-	b.I("mov.u32 %s, 0;", t)
-	tileLoop := b.L("TILE_LOOP")
-	pDone := b.R("p")
-	endTiles := b.NewLabel("end_tiles")
-	b.I("setp.ge.u32 %s, %s, %s;", pDone, t, numTiles)
-	b.I("@%s bra %s;", pDone, endTiles)
-
-	// load A element (row, t*16+tx), guarded via selp clamp
-	aCol := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %d, %s;", aCol, t, GemmTile, tx)
-	pa1, pa2 := b.R("p"), b.R("p")
-	b.I("setp.lt.u32 %s, %s, %s;", pa1, row, m)
-	b.I("setp.lt.u32 %s, %s, %s;", pa2, aCol, k)
-	b.I("and.pred %s, %s, %s;", pa1, pa1, pa2)
-	aIdx := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", aIdx, row, k, aCol)
-	b.I("selp.b32 %s, %s, 0, %s;", aIdx, aIdx, pa1)
-	aAddr := b.ElemAddr(aBase, aIdx, 4)
-	va := b.R("f")
-	b.I("ld.global.f32 %s, [%s];", va, aAddr)
-	b.I("selp.b32 %s, %s, %s, %s;", va, va, zero, pa1)
-	b.I("st.shared.f32 [%s], %s;", asSt, va)
-
-	// load Bᵀ element (t*16+ty, col) = B[col, t*16+ty]
-	bRow := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %d, %s;", bRow, t, GemmTile, ty)
-	pb1, pb2 := b.R("p"), b.R("p")
-	b.I("setp.lt.u32 %s, %s, %s;", pb1, bRow, k)
-	b.I("setp.lt.u32 %s, %s, %s;", pb2, col, n)
-	b.I("and.pred %s, %s, %s;", pb1, pb1, pb2)
-	bIdx := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", bIdx, col, k, bRow)
-	b.I("selp.b32 %s, %s, 0, %s;", bIdx, bIdx, pb1)
-	bAddr := b.ElemAddr(bBase, bIdx, 4)
-	vb := b.R("f")
-	b.I("ld.global.f32 %s, [%s];", vb, bAddr)
-	b.I("selp.b32 %s, %s, %s, %s;", vb, vb, zero, pb1)
-	b.I("st.shared.f32 [%s], %s;", bsSt, vb)
-
-	b.I("bar.sync 0;")
-
-	asPtr, bsPtr := b.R("r"), b.R("r")
-	b.I("mad.lo.s32 %s, %s, %d, %s;", asPtr, ty, GemmTile*4, asAddr)
-	b.I("mad.lo.s32 %s, %s, 4, %s;", bsPtr, tx, bsAddr)
-	kk := b.R("r")
-	b.I("mov.u32 %s, 0;", kk)
-	inner := b.L("INNER")
-	pInner := b.R("p")
-	innerEnd := b.NewLabel("inner_end")
-	b.I("setp.ge.u32 %s, %s, %d;", pInner, kk, GemmTile)
-	b.I("@%s bra %s;", pInner, innerEnd)
-	ea, eb := b.R("f"), b.R("f")
-	b.I("ld.shared.f32 %s, [%s];", ea, asPtr)
-	b.I("ld.shared.f32 %s, [%s];", eb, bsPtr)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", acc, ea, eb, acc)
-	b.I("add.u32 %s, %s, 4;", asPtr, asPtr)
-	b.I("add.u32 %s, %s, %d;", bsPtr, bsPtr, GemmTile*4)
-	b.I("add.u32 %s, %s, 1;", kk, kk)
-	b.I("bra %s;", inner)
-	b.L(innerEnd)
-
-	b.I("bar.sync 0;")
-	b.I("add.u32 %s, %s, 1;", t, t)
-	b.I("bra %s;", tileLoop)
-	b.L(endTiles)
-
-	end := b.NewLabel("end")
-	pc1, pc2 := b.R("p"), b.R("p")
-	b.I("setp.ge.u32 %s, %s, %s;", pc1, row, m)
-	b.I("@%s bra %s;", pc1, end)
-	b.I("setp.ge.u32 %s, %s, %s;", pc2, col, n)
-	b.I("@%s bra %s;", pc2, end)
-	cIdx := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", cIdx, row, n, col)
-	cAddr := b.ElemAddr(cBase, cIdx, 4)
-	alpha, beta := b.LoadF32(pAl), b.LoadF32(pBe)
-	old := b.R("f")
-	b.I("ld.global.f32 %s, [%s];", old, cAddr)
-	resv := b.R("f")
-	b.I("mul.f32 %s, %s, %s;", resv, acc, alpha)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", resv, old, beta, resv)
-	b.I("st.global.f32 [%s], %s;", cAddr, resv)
-	b.L(end)
-	return b.Build()
-}
-
-// reduceAdd32 emits a 32-lane shared-memory add-reduction: every lane has
-// stored its partial into [slot]; afterwards [sbase] holds the total. The
-// structure mirrors the softmax kernel's reductions.
-func reduceAdd32(b *Builder, tid, slot string) {
-	step := b.R("r")
-	b.I("mov.u32 %s, 16;", step)
-	loop := b.L(b.NewLabel("red"))
-	pz := b.R("p")
-	end := b.NewLabel("red_end")
-	b.I("setp.eq.u32 %s, %s, 0;", pz, step)
-	b.I("@%s bra %s;", pz, end)
-	pact := b.R("p")
-	skip := b.NewLabel("red_skip")
-	b.I("setp.ge.u32 %s, %s, %s;", pact, tid, step)
-	b.I("@%s bra %s;", pact, skip)
-	offr, other := b.R("r"), b.R("r")
-	b.I("shl.b32 %s, %s, 2;", offr, step)
-	b.I("add.u32 %s, %s, %s;", other, slot, offr)
-	va, vb := b.R("f"), b.R("f")
-	b.I("ld.shared.f32 %s, [%s];", va, slot)
-	b.I("ld.shared.f32 %s, [%s];", vb, other)
-	b.I("add.f32 %s, %s, %s;", va, va, vb)
-	b.I("st.shared.f32 [%s], %s;", slot, va)
-	b.L(skip)
-	b.I("bar.sync 0;")
-	b.I("shr.u32 %s, %s, 1;", step, step)
-	b.I("bra %s;", loop)
-	b.L(end)
-}
-
-// LayerNormForward normalises each row of x[rows, cols] to zero mean and
+// layerNormForward normalises each row of x[rows, cols] to zero mean and
 // unit variance, then applies the learned affine: y = (x-μ)/√(σ²+ε)·γ+β.
 // One 32-thread CTA per row (ctaid.x = row), two shared-memory reductions
 // (sum, then sum of squared deviations), like the softmax kernel.
-func LayerNormForward() string {
+func layerNormForward() string {
 	b := NewBuilder("layernorm_forward")
 	pX, pG, pBt, pY := b.PtrParam("pX"), b.PtrParam("pGamma"), b.PtrParam("pBeta"), b.PtrParam("pY")
 	pCols := b.U32Param("pCols")
 	pEps := b.F32Param("pEps")
 	sred := b.Shared("sln", 32*4, 4)
 
-	tid := b.R("r")
-	b.I("mov.u32 %s, %%tid.x;", tid)
-	row := b.R("r")
-	b.I("mov.u32 %s, %%ctaid.x;", row)
+	tid, row := b.laneAndRow()
 	cols := b.LoadU32(pCols)
 	xB := b.LoadPtr(pX)
 	gB := b.LoadPtr(pG)
@@ -198,106 +33,60 @@ func LayerNormForward() string {
 	yB := b.LoadPtr(pY)
 	rowOff := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", rowOff, row, cols)
+	sbase, slot := b.laneSlots(sred, tid)
 
-	sbase := b.R("r")
-	b.I("mov.u32 %s, %s;", sbase, sred)
-	slot := b.R("r")
-	b.I("mad.lo.s32 %s, %s, 4, %s;", slot, tid, sbase)
-
-	// pass 1: strided partial sum
-	sum := b.MovF32(0)
-	i := b.R("r")
-	b.I("mov.u32 %s, %s;", i, tid)
-	sl := b.L("LN_SUM")
-	ps := b.R("p")
-	send := b.NewLabel("ln_sum_end")
-	b.I("setp.ge.u32 %s, %s, %s;", ps, i, cols)
-	b.I("@%s bra %s;", ps, send)
-	ei := b.R("r")
-	b.I("add.u32 %s, %s, %s;", ei, rowOff, i)
-	ax := b.ElemAddr(xB, ei, 4)
-	v := b.R("f")
-	b.I("ld.global.f32 %s, [%s];", v, ax)
-	b.I("add.f32 %s, %s, %s;", sum, sum, v)
-	b.I("add.u32 %s, %s, 32;", i, i)
-	b.I("bra %s;", sl)
-	b.L(send)
-
-	b.I("st.shared.f32 [%s], %s;", slot, sum)
-	b.I("bar.sync 0;")
-	reduceAdd32(b, tid, slot)
-	colsF := b.R("f")
-	b.I("cvt.rn.f32.u32 %s, %s;", colsF, cols)
-	mean := b.R("f")
-	b.I("ld.shared.f32 %s, [%s];", mean, sbase)
-	b.I("div.rn.f32 %s, %s, %s;", mean, mean, colsF)
-	b.I("bar.sync 0;")
-
-	// pass 2: strided partial sum of squared deviations
-	sq := b.MovF32(0)
-	i2 := b.R("r")
-	b.I("mov.u32 %s, %s;", i2, tid)
-	vl := b.L("LN_VAR")
-	pv := b.R("p")
-	vend := b.NewLabel("ln_var_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pv, i2, cols)
-	b.I("@%s bra %s;", pv, vend)
-	ei2 := b.R("r")
-	b.I("add.u32 %s, %s, %s;", ei2, rowOff, i2)
-	ax2 := b.ElemAddr(xB, ei2, 4)
-	v2, d := b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", v2, ax2)
-	b.I("sub.f32 %s, %s, %s;", d, v2, mean)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", sq, d, d, sq)
-	b.I("add.u32 %s, %s, 32;", i2, i2)
-	b.I("bra %s;", vl)
-	b.L(vend)
-
-	b.I("st.shared.f32 [%s], %s;", slot, sq)
-	b.I("bar.sync 0;")
-	reduceAdd32(b, tid, slot)
-	variance := b.R("f")
-	b.I("ld.shared.f32 %s, [%s];", variance, sbase)
-	b.I("div.rn.f32 %s, %s, %s;", variance, variance, colsF)
-	eps := b.LoadF32(pEps)
-	inv := b.R("f")
-	b.I("add.f32 %s, %s, %s;", inv, variance, eps)
-	b.I("rsqrt.approx.f32 %s, %s;", inv, inv)
+	// passes 1 and 2: row mean and inverse standard deviation
+	mean, inv, _ := b.rowMeanInv("LN", tid, cols, xB, rowOff, sbase, slot, pEps)
 
 	// pass 3: write y = (x - mean) * inv * gamma[col] + beta[col]
-	i3 := b.R("r")
-	b.I("mov.u32 %s, %s;", i3, tid)
-	wl := b.L("LN_WRITE")
-	pw := b.R("p")
-	wend := b.NewLabel("ln_write_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pw, i3, cols)
-	b.I("@%s bra %s;", pw, wend)
-	ei3 := b.R("r")
-	b.I("add.u32 %s, %s, %s;", ei3, rowOff, i3)
-	ax3 := b.ElemAddr(xB, ei3, 4)
-	ag := b.ElemAddr(gB, i3, 4)
-	ab := b.ElemAddr(btB, i3, 4)
-	ay := b.ElemAddr(yB, ei3, 4)
-	v3, vg, vb2 := b.R("f"), b.R("f"), b.R("f")
-	b.I("ld.global.f32 %s, [%s];", v3, ax3)
-	b.I("ld.global.f32 %s, [%s];", vg, ag)
-	b.I("ld.global.f32 %s, [%s];", vb2, ab)
-	b.I("sub.f32 %s, %s, %s;", v3, v3, mean)
-	b.I("mul.f32 %s, %s, %s;", v3, v3, inv)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", v3, v3, vg, vb2)
-	b.I("st.global.f32 [%s], %s;", ay, v3)
-	b.I("add.u32 %s, %s, 32;", i3, i3)
-	b.I("bra %s;", wl)
-	b.L(wend)
+	b.loop("LN_WRITE", "ln_write_end", tid, cols, "32", func(i string) {
+		ei, ax := b.rowElem(xB, rowOff, i)
+		ag := b.ElemAddr(gB, i, 4)
+		ab := b.ElemAddr(btB, i, 4)
+		ay := b.ElemAddr(yB, ei, 4)
+		v, vg, vb := b.R("f"), b.R("f"), b.R("f")
+		b.I("ld.global.f32 %s, [%s];", v, ax)
+		b.I("ld.global.f32 %s, [%s];", vg, ag)
+		b.I("ld.global.f32 %s, [%s];", vb, ab)
+		b.I("sub.f32 %s, %s, %s;", v, v, mean)
+		b.I("mul.f32 %s, %s, %s;", v, v, inv)
+		b.I("fma.rn.f32 %s, %s, %s, %s;", v, v, vg, vb)
+		b.I("st.global.f32 [%s], %s;", ay, v)
+	})
 	return b.Build()
 }
 
-// GeluForward computes the tanh-form GELU over n elements:
-// y = 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))), with tanh synthesised
-// from ex2 (tanh z = (2^(2z·log₂e) - 1)/(2^(2z·log₂e) + 1)) and the
-// argument clamped to ±10 so the exponential cannot overflow to a NaN
-// quotient.
-func GeluForward() string {
+// geluTanh emits th = tanh(c0·(v + c1·x3)), the inner term of the
+// tanh-form GELU for input v with x3 = v³: tanh is synthesised from ex2
+// (tanh z = (2^(2z·log₂e) - 1)/(2^(2z·log₂e) + 1)) with the argument
+// clamped to ±10 so the exponential cannot overflow to a NaN quotient.
+// Forward and backward share it so they agree on the saturated tails;
+// the 1 and 0.5 constant registers it makes are returned for reuse.
+func geluTanh(b *Builder, v, x3, c0, c1 string) (th, one, half string) {
+	z := b.R("f")
+	b.I("fma.rn.f32 %s, %s, %s, %s;", z, c1, x3, v)
+	b.I("mul.f32 %s, %s, %s;", z, z, c0)
+	hi := b.MovF32(10)
+	lo := b.MovF32(-10)
+	b.I("min.f32 %s, %s, %s;", z, z, hi)
+	b.I("max.f32 %s, %s, %s;", z, z, lo)
+	twoLog2e := b.MovF32(2.8853900817779268) // 2*log2(e)
+	e := b.R("f")
+	b.I("mul.f32 %s, %s, %s;", e, z, twoLog2e)
+	b.I("ex2.approx.f32 %s, %s;", e, e)
+	one = b.MovF32(1)
+	num, den := b.R("f"), b.R("f")
+	b.I("sub.f32 %s, %s, %s;", num, e, one)
+	b.I("add.f32 %s, %s, %s;", den, e, one)
+	th = b.R("f")
+	b.I("div.rn.f32 %s, %s, %s;", th, num, den)
+	half = b.MovF32(0.5)
+	return th, one, half
+}
+
+// geluForward computes the tanh-form GELU over n elements:
+// y = 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))), tanh as in geluTanh.
+func geluForward() string {
 	b := NewBuilder("gelu_forward")
 	pX, pY := b.PtrParam("pX"), b.PtrParam("pY")
 	pN := b.U32Param("pN")
@@ -316,24 +105,7 @@ func GeluForward() string {
 	x3 := b.R("f")
 	b.I("mul.f32 %s, %s, %s;", x3, v, v)
 	b.I("mul.f32 %s, %s, %s;", x3, x3, v)
-	z := b.R("f")
-	b.I("fma.rn.f32 %s, %s, %s, %s;", z, c1, x3, v)
-	b.I("mul.f32 %s, %s, %s;", z, z, c0)
-	hi := b.MovF32(10)
-	lo := b.MovF32(-10)
-	b.I("min.f32 %s, %s, %s;", z, z, hi)
-	b.I("max.f32 %s, %s, %s;", z, z, lo)
-	twoLog2e := b.MovF32(2.8853900817779268) // 2*log2(e)
-	e := b.R("f")
-	b.I("mul.f32 %s, %s, %s;", e, z, twoLog2e)
-	b.I("ex2.approx.f32 %s, %s;", e, e)
-	one := b.MovF32(1)
-	num, den := b.R("f"), b.R("f")
-	b.I("sub.f32 %s, %s, %s;", num, e, one)
-	b.I("add.f32 %s, %s, %s;", den, e, one)
-	th := b.R("f")
-	b.I("div.rn.f32 %s, %s, %s;", th, num, den)
-	half := b.MovF32(0.5)
+	th, one, half := geluTanh(b, v, x3, c0, c1)
 	out := b.R("f")
 	b.I("add.f32 %s, %s, %s;", out, th, one)
 	b.I("mul.f32 %s, %s, %s;", out, out, v)
@@ -343,9 +115,9 @@ func GeluForward() string {
 	return b.Build()
 }
 
-// ResidualAdd computes y[i] = x[i] + r[i] — the skip-connection add,
+// residualAdd computes y[i] = x[i] + r[i] — the skip-connection add,
 // fused into one pass (unlike accumulate_add it does not read y).
-func ResidualAdd() string {
+func residualAdd() string {
 	b := NewBuilder("residual_add")
 	pX, pR, pY := b.PtrParam("pX"), b.PtrParam("pR"), b.PtrParam("pY")
 	pN := b.U32Param("pN")
@@ -368,10 +140,10 @@ func ResidualAdd() string {
 	return b.Build()
 }
 
-// SplitHeads permutes a [seq, heads*dh] activation into per-head
+// splitHeads permutes a [seq, heads*dh] activation into per-head
 // [heads, seq, dh] layout: out[(h*S+s)*dh+d] = in[(s*H+h)*dh+d]. One
 // thread per element, div/rem index decomposition on the output index.
-func SplitHeads() string {
+func splitHeads() string {
 	b := NewBuilder("split_heads")
 	pIn, pOut := b.PtrParam("pIn"), b.PtrParam("pOut")
 	pSeq, pHeads, pDh := b.U32Param("pSeq"), b.U32Param("pHeads"), b.U32Param("pDh")
@@ -385,12 +157,8 @@ func SplitHeads() string {
 	b.I("mul.lo.u32 %s, %s, %s;", total, total, dh)
 	b.GuardEnd(idx, total, end)
 	// output idx -> (h, s, d)
-	d, t := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", d, idx, dh)
-	b.I("div.u32 %s, %s, %s;", t, idx, dh)
-	s, h := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", s, t, seq)
-	b.I("div.u32 %s, %s, %s;", h, t, seq)
+	d, t := b.remDiv(idx, dh)
+	s, h := b.remDiv(t, seq)
 	// input idx = (s*H + h)*dh + d
 	src := b.R("r")
 	b.I("mad.lo.s32 %s, %s, %s, %s;", src, s, heads, h)
@@ -407,9 +175,9 @@ func SplitHeads() string {
 	return b.Build()
 }
 
-// MergeHeads is the inverse permute, [heads, seq, dh] back to
+// mergeHeads is the inverse permute, [heads, seq, dh] back to
 // [seq, heads*dh]: out[(s*H+h)*dh+d] = in[(h*S+s)*dh+d].
-func MergeHeads() string {
+func mergeHeads() string {
 	b := NewBuilder("merge_heads")
 	pIn, pOut := b.PtrParam("pIn"), b.PtrParam("pOut")
 	pSeq, pHeads, pDh := b.U32Param("pSeq"), b.U32Param("pHeads"), b.U32Param("pDh")
@@ -423,12 +191,8 @@ func MergeHeads() string {
 	b.I("mul.lo.u32 %s, %s, %s;", total, total, dh)
 	b.GuardEnd(idx, total, end)
 	// output idx -> (s, h, d)
-	d, t := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", d, idx, dh)
-	b.I("div.u32 %s, %s, %s;", t, idx, dh)
-	h, s := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", h, t, heads)
-	b.I("div.u32 %s, %s, %s;", s, t, heads)
+	d, t := b.remDiv(idx, dh)
+	h, s := b.remDiv(t, heads)
 	// input idx = (h*S + s)*dh + d
 	src := b.R("r")
 	b.I("mad.lo.s32 %s, %s, %s, %s;", src, h, seq, s)
@@ -445,9 +209,9 @@ func MergeHeads() string {
 	return b.Build()
 }
 
-// EmbeddingLookup gathers rows of table[vocab, cols] selected by the u32
+// embeddingLookup gathers rows of table[vocab, cols] selected by the u32
 // ids buffer: out[i, j] = table[ids[i], j]. One thread per output element.
-func EmbeddingLookup() string {
+func embeddingLookup() string {
 	b := NewBuilder("embedding_lookup")
 	pT, pIds, pOut := b.PtrParam("pTable"), b.PtrParam("pIds"), b.PtrParam("pOut")
 	pRows, pCols := b.U32Param("pRows"), b.U32Param("pCols")
@@ -458,15 +222,12 @@ func EmbeddingLookup() string {
 	total := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", total, rows, cols)
 	b.GuardEnd(idx, total, end)
-	row, col := b.R("r"), b.R("r")
-	b.I("div.u32 %s, %s, %s;", row, idx, cols)
-	b.I("rem.u32 %s, %s, %s;", col, idx, cols)
+	row, col := b.divRem(idx, cols)
 	ids := b.LoadPtr(pIds)
 	aid := b.ElemAddr(ids, row, 4)
 	id := b.R("r")
 	b.I("ld.global.u32 %s, [%s];", id, aid)
-	src := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", src, id, cols, col)
+	src := b.flatIndex(id, cols, col)
 	table := b.LoadPtr(pT)
 	out := b.LoadPtr(pOut)
 	at := b.ElemAddr(table, src, 4)

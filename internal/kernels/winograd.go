@@ -108,6 +108,27 @@ func emitOutputTransform(b *Builder, m [16]string) [4]string {
 	return y
 }
 
+// emitLoadBounded loads element (y, x) of the HxW plane at flat offset
+// base in ptr into a fresh f32 register, or the zero in register z when
+// (y, x) lies outside the plane (the address is clamped to the plane's
+// first element so the load itself stays in range).
+func emitLoadBounded(b *Builder, ptr, base, y, x, h, w, z string) string {
+	pin, ptmp := b.R("p"), b.R("p")
+	b.I("setp.lt.u32 %s, %s, %s;", pin, y, h)
+	b.I("setp.lt.u32 %s, %s, %s;", ptmp, x, w)
+	b.I("and.pred %s, %s, %s;", pin, pin, ptmp)
+	si := b.flatIndex(y, w, x)
+	clamped := b.R("r")
+	b.I("add.u32 %s, %s, %s;", si, si, base)
+	b.I("selp.b32 %s, %s, %s, %s;", clamped, si, base, pin)
+	a := b.ElemAddr(ptr, clamped, 4)
+	v := b.R("f")
+	b.I("ld.global.f32 %s, [%s];", v, a)
+	vv := b.R("f")
+	b.I("selp.b32 %s, %s, %s, %s;", vv, v, z, pin)
+	return vv
+}
+
 // emitLoadPatch4 loads a 4x4 input patch at (y0, x0) of plane base
 // (bounds-checked, zeros outside) into 16 fresh f32 registers.
 func emitLoadPatch4(b *Builder, xB, base, y0, x0, h, w string) [16]string {
@@ -118,29 +139,89 @@ func emitLoadPatch4(b *Builder, xB, base, y0, x0, h, w string) [16]string {
 			iy, ix := b.R("r"), b.R("r")
 			b.I("add.u32 %s, %s, %d;", iy, y0, i)
 			b.I("add.u32 %s, %s, %d;", ix, x0, j)
-			pin, ptmp := b.R("p"), b.R("p")
-			b.I("setp.lt.u32 %s, %s, %s;", pin, iy, h)
-			b.I("setp.lt.u32 %s, %s, %s;", ptmp, ix, w)
-			b.I("and.pred %s, %s, %s;", pin, pin, ptmp)
-			si, clamped := b.R("r"), b.R("r")
-			b.I("mad.lo.s32 %s, %s, %s, %s;", si, iy, w, ix)
-			b.I("add.u32 %s, %s, %s;", si, si, base)
-			b.I("selp.b32 %s, %s, %s, %s;", clamped, si, base, pin)
-			a := b.ElemAddr(xB, clamped, 4)
-			v := b.R("f")
-			b.I("ld.global.f32 %s, [%s];", v, a)
-			vv := b.R("f")
-			b.I("selp.b32 %s, %s, %s, %s;", vv, v, z, pin)
-			d[i*4+j] = vv
+			d[i*4+j] = emitLoadBounded(b, xB, base, iy, ix, h, w, z)
 		}
 	}
 	return d
 }
 
-// WinogradFused is the single-kernel F(2x2,3x3) convolution ("Winograd" in
+// emitLoadFilter3 loads the 3x3 filter whose first element has flat index
+// fbase in wB into 9 fresh f32 registers.
+func emitLoadFilter3(b *Builder, wB, fbase string) [9]string {
+	var g [9]string
+	for i := range g {
+		fi := b.R("r")
+		b.I("add.u32 %s, %s, %d;", fi, fbase, i)
+		a := b.ElemAddr(wB, fi, 4)
+		g[i] = b.R("f")
+		b.I("ld.global.f32 %s, [%s];", g[i], a)
+	}
+	return g
+}
+
+// emitTileCounts emits the number of 2x2 output tiles down and across an
+// OHxOW plane: (oh+1)/2 and (ow+1)/2.
+func emitTileCounts(b *Builder, oh, ow string) (tilesY, tilesX string) {
+	tilesY, tilesX = b.R("r"), b.R("r")
+	b.I("add.u32 %s, %s, 1;", tilesY, oh)
+	b.I("shr.u32 %s, %s, 1;", tilesY, tilesY)
+	b.I("add.u32 %s, %s, 1;", tilesX, ow)
+	b.I("shr.u32 %s, %s, 1;", tilesX, tilesX)
+	return tilesY, tilesX
+}
+
+// emitPatchOrigin emits the input-patch origin (2*ty - pad, 2*tx - pad)
+// of output tile (ty, tx).
+func emitPatchOrigin(b *Builder, ty, tx, pad string) (y0, x0 string) {
+	y0, x0 = b.R("r"), b.R("r")
+	b.I("shl.b32 %s, %s, 1;", y0, ty)
+	b.I("sub.u32 %s, %s, %s;", y0, y0, pad)
+	b.I("shl.b32 %s, %s, 1;", x0, tx)
+	b.I("sub.u32 %s, %s, %s;", x0, x0, pad)
+	return y0, x0
+}
+
+// emitStoreTransformed stores the 16 transform-domain values of work item
+// idx into the [16][count] matrix at base: element xi goes to xi*count+idx.
+func emitStoreTransformed(b *Builder, base, count, idx string, vals [16]string) {
+	for xi, v := range vals {
+		ei := b.R("r")
+		b.I("mad.lo.s32 %s, %s, %d, %s;", ei, count, xi, idx)
+		a := b.ElemAddr(base, ei, 4)
+		b.I("st.global.f32 [%s], %s;", a, v)
+	}
+}
+
+// emitStoreTile2 stores the 2x2 output tile yv of tile (ty, tx) into the
+// OHxOW plane at flat offset outBase, skipping the pixels a ragged edge
+// leaves outside it. skipHint names the generated skip labels.
+func emitStoreTile2(b *Builder, yB string, yv [4]string, ty, tx, oh, ow, outBase, skipHint string) {
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 2; j++ {
+			oy, oxr := b.R("r"), b.R("r")
+			b.I("shl.b32 %s, %s, 1;", oy, ty)
+			b.I("add.u32 %s, %s, %d;", oy, oy, i)
+			b.I("shl.b32 %s, %s, 1;", oxr, tx)
+			b.I("add.u32 %s, %s, %d;", oxr, oxr, j)
+			pin, ptmp := b.R("p"), b.R("p")
+			skip := b.NewLabel(skipHint)
+			b.I("setp.ge.u32 %s, %s, %s;", pin, oy, oh)
+			b.I("@%s bra %s;", pin, skip)
+			b.I("setp.ge.u32 %s, %s, %s;", ptmp, oxr, ow)
+			b.I("@%s bra %s;", ptmp, skip)
+			oi := b.flatIndex(oy, ow, oxr)
+			b.I("add.u32 %s, %s, %s;", oi, oi, outBase)
+			a := b.ElemAddr(yB, oi, 4)
+			b.I("st.global.f32 [%s], %s;", a, yv[i*2+j])
+			b.L(skip)
+		}
+	}
+}
+
+// winogradFused is the single-kernel F(2x2,3x3) convolution ("Winograd" in
 // Fig. 7): one thread per (k, output tile) of image n = ctaid.y; filters
 // are transformed on the fly.
-func WinogradFused() string {
+func winogradFused() string {
 	b := NewBuilder("winograd_fused_2x2_3x3")
 	pX, pW, pY := b.PtrParam("pX"), b.PtrParam("pW"), b.PtrParam("pY")
 	pC, pH, pWw := b.U32Param("pC"), b.U32Param("pH"), b.U32Param("pWidth")
@@ -151,22 +232,14 @@ func WinogradFused() string {
 	k := b.LoadU32(pK)
 	oh := b.LoadU32(pOH)
 	ow := b.LoadU32(pOW)
-	tilesY, tilesX := b.R("r"), b.R("r")
-	b.I("add.u32 %s, %s, 1;", tilesY, oh)
-	b.I("shr.u32 %s, %s, 1;", tilesY, tilesY)
-	b.I("add.u32 %s, %s, 1;", tilesX, ow)
-	b.I("shr.u32 %s, %s, 1;", tilesX, tilesX)
+	tilesY, tilesX := emitTileCounts(b, oh, ow)
 	tiles := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", tiles, tilesY, tilesX)
 	tot := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", tot, k, tiles)
 	b.GuardEnd(idx, tot, end)
-	tileIdx, kk := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", tileIdx, idx, tiles)
-	b.I("div.u32 %s, %s, %s;", kk, idx, tiles)
-	ty, tx := b.R("r"), b.R("r")
-	b.I("div.u32 %s, %s, %s;", ty, tileIdx, tilesX)
-	b.I("rem.u32 %s, %s, %s;", tx, tileIdx, tilesX)
+	tileIdx, kk := b.remDiv(idx, tiles)
+	ty, tx := b.divRem(tileIdx, tilesX)
 	n := b.R("r")
 	b.I("mov.u32 %s, %%ctaid.y;", n)
 
@@ -183,12 +256,7 @@ func WinogradFused() string {
 	for i := range acc {
 		acc[i] = b.MovF32(0)
 	}
-	// patch origin: (2*ty - pad, 2*tx - pad)
-	y0, x0 := b.R("r"), b.R("r")
-	b.I("shl.b32 %s, %s, 1;", y0, ty)
-	b.I("sub.u32 %s, %s, %s;", y0, y0, pad)
-	b.I("shl.b32 %s, %s, 1;", x0, tx)
-	b.I("sub.u32 %s, %s, %s;", x0, x0, pad)
+	y0, x0 := emitPatchOrigin(b, ty, tx, pad)
 	hw := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", hw, h, w)
 	chw := b.R("r")
@@ -196,37 +264,18 @@ func WinogradFused() string {
 	imgOff := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", imgOff, n, chw)
 
-	cc := b.R("r")
-	b.I("mov.u32 %s, 0;", cc)
-	cloop := b.L("WF_C")
-	pc := b.R("p")
-	cend := b.NewLabel("wf_c_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pc, cc, c)
-	b.I("@%s bra %s;", pc, cend)
-	base := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", base, cc, hw, imgOff)
-	d := emitLoadPatch4(b, xB, base, y0, x0, h, w)
-	v := emitInputTransform(b, d)
-	// load 3x3 filter w[kk, cc]
-	var g [9]string
-	fbase := b.R("r")
-	b.I("mad.lo.s32 %s, %s, %s, %s;", fbase, kk, c, cc)
-	b.I("mul.lo.u32 %s, %s, 9;", fbase, fbase)
-	for i := 0; i < 9; i++ {
-		fi := b.R("r")
-		b.I("add.u32 %s, %s, %d;", fi, fbase, i)
-		a := b.ElemAddr(wB, fi, 4)
-		gv := b.R("f")
-		b.I("ld.global.f32 %s, [%s];", gv, a)
-		g[i] = gv
-	}
-	u := emitFilterTransform(b, g)
-	for i := 0; i < 16; i++ {
-		b.I("fma.rn.f32 %s, %s, %s, %s;", acc[i], u[i], v[i], acc[i])
-	}
-	b.I("add.u32 %s, %s, 1;", cc, cc)
-	b.I("bra %s;", cloop)
-	b.L(cend)
+	b.loop("WF_C", "wf_c_end", "0", c, "1", func(cc string) {
+		base := b.flatIndex(cc, hw, imgOff)
+		d := emitLoadPatch4(b, xB, base, y0, x0, h, w)
+		v := emitInputTransform(b, d)
+		// load 3x3 filter w[kk, cc]
+		fbase := b.flatIndex(kk, c, cc)
+		b.I("mul.lo.u32 %s, %s, 9;", fbase, fbase)
+		u := emitFilterTransform(b, emitLoadFilter3(b, wB, fbase))
+		for i := 0; i < 16; i++ {
+			b.I("fma.rn.f32 %s, %s, %s, %s;", acc[i], u[i], v[i], acc[i])
+		}
+	})
 
 	yv := emitOutputTransform(b, acc)
 	// store 2x2 with bounds
@@ -237,34 +286,14 @@ func WinogradFused() string {
 	outBase := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", outBase, n, kohw)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", outBase, kk, ohw, outBase)
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			oy, oxr := b.R("r"), b.R("r")
-			b.I("shl.b32 %s, %s, 1;", oy, ty)
-			b.I("add.u32 %s, %s, %d;", oy, oy, i)
-			b.I("shl.b32 %s, %s, 1;", oxr, tx)
-			b.I("add.u32 %s, %s, %d;", oxr, oxr, j)
-			pin, ptmp := b.R("p"), b.R("p")
-			skip := b.NewLabel("wf_skip")
-			b.I("setp.ge.u32 %s, %s, %s;", pin, oy, oh)
-			b.I("@%s bra %s;", pin, skip)
-			b.I("setp.ge.u32 %s, %s, %s;", ptmp, oxr, ow)
-			b.I("@%s bra %s;", ptmp, skip)
-			oi := b.R("r")
-			b.I("mad.lo.s32 %s, %s, %s, %s;", oi, oy, ow, oxr)
-			b.I("add.u32 %s, %s, %s;", oi, oi, outBase)
-			a := b.ElemAddr(yB, oi, 4)
-			b.I("st.global.f32 [%s], %s;", a, yv[i*2+j])
-			b.L(skip)
-		}
-	}
+	emitStoreTile2(b, yB, yv, ty, tx, oh, ow, outBase, "wf_skip")
 	b.L(end)
 	return b.Build()
 }
 
-// WinogradFilterTransform (non-fused stage 1): U[xi, k*C+c] = (G g Gᵀ)[xi]
+// winogradFilterTransform (non-fused stage 1): U[xi, k*C+c] = (G g Gᵀ)[xi]
 // for one thread per (k, c). Layout: U is [16][K*C].
-func WinogradFilterTransform() string {
+func winogradFilterTransform() string {
 	b := NewBuilder("winograd_filter_transform")
 	pW, pU := b.PtrParam("pW"), b.PtrParam("pU")
 	pKC := b.U32Param("pKC")
@@ -274,32 +303,18 @@ func WinogradFilterTransform() string {
 	b.GuardEnd(idx, kc, end)
 	wB := b.LoadPtr(pW)
 	uB := b.LoadPtr(pU)
-	var g [9]string
 	fbase := b.R("r")
 	b.I("mul.lo.u32 %s, %s, 9;", fbase, idx)
-	for i := 0; i < 9; i++ {
-		fi := b.R("r")
-		b.I("add.u32 %s, %s, %d;", fi, fbase, i)
-		a := b.ElemAddr(wB, fi, 4)
-		gv := b.R("f")
-		b.I("ld.global.f32 %s, [%s];", gv, a)
-		g[i] = gv
-	}
-	u := emitFilterTransform(b, g)
-	for xi := 0; xi < 16; xi++ {
-		ui := b.R("r")
-		b.I("mad.lo.s32 %s, %s, %d, %s;", ui, kc, xi, idx)
-		a := b.ElemAddr(uB, ui, 4)
-		b.I("st.global.f32 [%s], %s;", a, u[xi])
-	}
+	u := emitFilterTransform(b, emitLoadFilter3(b, wB, fbase))
+	emitStoreTransformed(b, uB, kc, idx, u)
 	b.L(end)
 	return b.Build()
 }
 
-// WinogradInputTransform (non-fused stage 2): V[xi, c*P+p] = (Bᵀ d B)[xi]
+// winogradInputTransform (non-fused stage 2): V[xi, c*P+p] = (Bᵀ d B)[xi]
 // for one thread per (c, p) where p enumerates (n, ty, tx) tiles.
 // Layout: V is [16][C*P].
-func WinogradInputTransform() string {
+func winogradInputTransform() string {
 	b := NewBuilder("winograd_input_transform")
 	pX, pV := b.PtrParam("pX"), b.PtrParam("pV")
 	pC, pH, pWw := b.U32Param("pC"), b.U32Param("pH"), b.U32Param("pWidth")
@@ -319,15 +334,9 @@ func WinogradInputTransform() string {
 	b.I("mul.lo.u32 %s, %s, %s;", tot, c, p)
 	b.GuardEnd(idx, tot, end)
 	// idx -> (cc, pp); pp -> (n, tyy, txx)
-	pp, cc := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", pp, idx, p)
-	b.I("div.u32 %s, %s, %s;", cc, idx, p)
-	tIdx, n := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", tIdx, pp, tilesPerImg)
-	b.I("div.u32 %s, %s, %s;", n, pp, tilesPerImg)
-	tyy, txx := b.R("r"), b.R("r")
-	b.I("div.u32 %s, %s, %s;", tyy, tIdx, tx)
-	b.I("rem.u32 %s, %s, %s;", txx, tIdx, tx)
+	pp, cc := b.remDiv(idx, p)
+	tIdx, n := b.remDiv(pp, tilesPerImg)
+	tyy, txx := b.divRem(tIdx, tx)
 
 	h := b.LoadU32(pH)
 	w := b.LoadU32(pWw)
@@ -341,26 +350,17 @@ func WinogradInputTransform() string {
 	base := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", base, n, chw)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", base, cc, hw, base)
-	y0, x0 := b.R("r"), b.R("r")
-	b.I("shl.b32 %s, %s, 1;", y0, tyy)
-	b.I("sub.u32 %s, %s, %s;", y0, y0, pad)
-	b.I("shl.b32 %s, %s, 1;", x0, txx)
-	b.I("sub.u32 %s, %s, %s;", x0, x0, pad)
+	y0, x0 := emitPatchOrigin(b, tyy, txx, pad)
 	d := emitLoadPatch4(b, xB, base, y0, x0, h, w)
 	v := emitInputTransform(b, d)
-	for xi := 0; xi < 16; xi++ {
-		vi := b.R("r")
-		b.I("mad.lo.s32 %s, %s, %d, %s;", vi, tot, xi, idx)
-		a := b.ElemAddr(vB, vi, 4)
-		b.I("st.global.f32 [%s], %s;", a, v[xi])
-	}
+	emitStoreTransformed(b, vB, tot, idx, v)
 	b.L(end)
 	return b.Build()
 }
 
-// WinogradOutputTransform (non-fused stage 4): y tile = Aᵀ m A where
+// winogradOutputTransform (non-fused stage 4): y tile = Aᵀ m A where
 // m[xi] = M[xi, k*P+p]; M is [16][K*P].
-func WinogradOutputTransform() string {
+func winogradOutputTransform() string {
 	b := NewBuilder("winograd_output_transform")
 	pM, pY := b.PtrParam("pM"), b.PtrParam("pY")
 	pK, pOH, pOW := b.U32Param("pK"), b.U32Param("pOH"), b.U32Param("pOW")
@@ -378,15 +378,9 @@ func WinogradOutputTransform() string {
 	tot := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", tot, k, p)
 	b.GuardEnd(idx, tot, end)
-	pp, kk := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", pp, idx, p)
-	b.I("div.u32 %s, %s, %s;", kk, idx, p)
-	tIdx, n := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", tIdx, pp, tilesPerImg)
-	b.I("div.u32 %s, %s, %s;", n, pp, tilesPerImg)
-	tyy, txx := b.R("r"), b.R("r")
-	b.I("div.u32 %s, %s, %s;", tyy, tIdx, tx)
-	b.I("rem.u32 %s, %s, %s;", txx, tIdx, tx)
+	pp, kk := b.remDiv(idx, p)
+	tIdx, n := b.remDiv(pp, tilesPerImg)
+	tyy, txx := b.divRem(tIdx, tx)
 
 	mB := b.LoadPtr(pM)
 	yB := b.LoadPtr(pY)
@@ -409,36 +403,16 @@ func WinogradOutputTransform() string {
 	outBase := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", outBase, n, kohw)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", outBase, kk, ohw, outBase)
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			oy, oxr := b.R("r"), b.R("r")
-			b.I("shl.b32 %s, %s, 1;", oy, tyy)
-			b.I("add.u32 %s, %s, %d;", oy, oy, i)
-			b.I("shl.b32 %s, %s, 1;", oxr, txx)
-			b.I("add.u32 %s, %s, %d;", oxr, oxr, j)
-			pskip, ptmp := b.R("p"), b.R("p")
-			skip := b.NewLabel("wo_skip")
-			b.I("setp.ge.u32 %s, %s, %s;", pskip, oy, oh)
-			b.I("@%s bra %s;", pskip, skip)
-			b.I("setp.ge.u32 %s, %s, %s;", ptmp, oxr, ow)
-			b.I("@%s bra %s;", ptmp, skip)
-			oi := b.R("r")
-			b.I("mad.lo.s32 %s, %s, %s, %s;", oi, oy, ow, oxr)
-			b.I("add.u32 %s, %s, %s;", oi, oi, outBase)
-			a := b.ElemAddr(yB, oi, 4)
-			b.I("st.global.f32 [%s], %s;", a, yv[i*2+j])
-			b.L(skip)
-		}
-	}
+	emitStoreTile2(b, yB, yv, tyy, txx, oh, ow, outBase, "wo_skip")
 	b.L(end)
 	return b.Build()
 }
 
-// WinogradBwdFilter computes dW[k,c] = Gᵀ [ Σ_tiles (Bᵀ d B) ⊙ (A dy Aᵀ) ] G.
+// winogradBwdFilter computes dW[k,c] = Gᵀ [ Σ_tiles (Bᵀ d B) ⊙ (A dy Aᵀ) ] G.
 // One 64-thread block per (k, c); threads stride over tiles and reduce the
 // 16 transform-domain accumulators in shared memory. The grid has only K*C
 // blocks, which is what starves most SMs in the paper's Figs. 20–21.
-func WinogradBwdFilter() string {
+func winogradBwdFilter() string {
 	b := NewBuilder("winograd_bwd_filter")
 	pX, pDY, pDW := b.PtrParam("pX"), b.PtrParam("pDY"), b.PtrParam("pDW")
 	pC, pH, pWw := b.U32Param("pC"), b.U32Param("pH"), b.U32Param("pWidth")
@@ -452,18 +426,11 @@ func WinogradBwdFilter() string {
 	b.I("mov.u32 %s, %%ctaid.x;", fid)
 	c := b.LoadU32(pC)
 	k := b.LoadU32(pK)
-	cc, kk := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", cc, fid, c)
-	b.I("div.u32 %s, %s, %s;", kk, fid, c)
-	_ = k
+	cc, kk := b.remDiv(fid, c)
 
 	oh := b.LoadU32(pOH)
 	ow := b.LoadU32(pOW)
-	tilesY, tilesX := b.R("r"), b.R("r")
-	b.I("add.u32 %s, %s, 1;", tilesY, oh)
-	b.I("shr.u32 %s, %s, 1;", tilesY, tilesY)
-	b.I("add.u32 %s, %s, 1;", tilesX, ow)
-	b.I("shr.u32 %s, %s, 1;", tilesX, tilesX)
+	tilesY, tilesX := emitTileCounts(b, oh, ow)
 	nimg := b.LoadU32(pNImg)
 	tilesPerImg := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", tilesPerImg, tilesY, tilesX)
@@ -489,94 +456,65 @@ func WinogradBwdFilter() string {
 	for i := range acc {
 		acc[i] = b.MovF32(0)
 	}
-	pos := b.R("r")
-	b.I("mov.u32 %s, %s;", pos, tid)
-	loop := b.L("WBF_LOOP")
-	pd := b.R("p")
-	lend := b.NewLabel("wbf_end")
-	b.I("setp.ge.u32 %s, %s, %s;", pd, pos, tot)
-	b.I("@%s bra %s;", pd, lend)
-	tIdx, n := b.R("r"), b.R("r")
-	b.I("rem.u32 %s, %s, %s;", tIdx, pos, tilesPerImg)
-	b.I("div.u32 %s, %s, %s;", n, pos, tilesPerImg)
-	tyy, txx := b.R("r"), b.R("r")
-	b.I("div.u32 %s, %s, %s;", tyy, tIdx, tilesX)
-	b.I("rem.u32 %s, %s, %s;", txx, tIdx, tilesX)
-	// input patch of x[n, cc]
-	base := b.R("r")
-	b.I("mul.lo.u32 %s, %s, %s;", base, n, chw)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", base, cc, hw, base)
-	y0, x0 := b.R("r"), b.R("r")
-	b.I("shl.b32 %s, %s, 1;", y0, tyy)
-	b.I("sub.u32 %s, %s, %s;", y0, y0, pad)
-	b.I("shl.b32 %s, %s, 1;", x0, txx)
-	b.I("sub.u32 %s, %s, %s;", x0, x0, pad)
-	d := emitLoadPatch4(b, xB, base, y0, x0, h, w)
-	v := emitInputTransform(b, d)
-	// dy 2x2 tile of dy[n, kk] (zeros outside)
-	dyBase := b.R("r")
-	b.I("mul.lo.u32 %s, %s, %s;", dyBase, n, kohw)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", dyBase, kk, ohw, dyBase)
-	var dyv [4]string
-	z := b.MovF32(0)
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			oy, oxr := b.R("r"), b.R("r")
-			b.I("shl.b32 %s, %s, 1;", oy, tyy)
-			b.I("add.u32 %s, %s, %d;", oy, oy, i)
-			b.I("shl.b32 %s, %s, 1;", oxr, txx)
-			b.I("add.u32 %s, %s, %d;", oxr, oxr, j)
-			pin, ptmp := b.R("p"), b.R("p")
-			b.I("setp.lt.u32 %s, %s, %s;", pin, oy, oh)
-			b.I("setp.lt.u32 %s, %s, %s;", ptmp, oxr, ow)
-			b.I("and.pred %s, %s, %s;", pin, pin, ptmp)
-			si, clamped := b.R("r"), b.R("r")
-			b.I("mad.lo.s32 %s, %s, %s, %s;", si, oy, ow, oxr)
-			b.I("add.u32 %s, %s, %s;", si, si, dyBase)
-			b.I("selp.b32 %s, %s, %s, %s;", clamped, si, dyBase, pin)
-			a := b.ElemAddr(dyB, clamped, 4)
-			dv := b.R("f")
-			b.I("ld.global.f32 %s, [%s];", dv, a)
-			dvv := b.R("f")
-			b.I("selp.b32 %s, %s, %s, %s;", dvv, dv, z, pin)
-			dyv[i*2+j] = dvv
+	b.loop("WBF_LOOP", "wbf_end", tid, tot, "64", func(pos string) {
+		tIdx, n := b.remDiv(pos, tilesPerImg)
+		tyy, txx := b.divRem(tIdx, tilesX)
+		// input patch of x[n, cc]
+		base := b.R("r")
+		b.I("mul.lo.u32 %s, %s, %s;", base, n, chw)
+		b.I("mad.lo.s32 %s, %s, %s, %s;", base, cc, hw, base)
+		y0, x0 := emitPatchOrigin(b, tyy, txx, pad)
+		d := emitLoadPatch4(b, xB, base, y0, x0, h, w)
+		v := emitInputTransform(b, d)
+		// dy 2x2 tile of dy[n, kk] (zeros outside)
+		dyBase := b.R("r")
+		b.I("mul.lo.u32 %s, %s, %s;", dyBase, n, kohw)
+		b.I("mad.lo.s32 %s, %s, %s, %s;", dyBase, kk, ohw, dyBase)
+		var dyv [4]string
+		z := b.MovF32(0)
+		for i := 0; i < 2; i++ {
+			for j := 0; j < 2; j++ {
+				oy, oxr := b.R("r"), b.R("r")
+				b.I("shl.b32 %s, %s, 1;", oy, tyy)
+				b.I("add.u32 %s, %s, %d;", oy, oy, i)
+				b.I("shl.b32 %s, %s, 1;", oxr, txx)
+				b.I("add.u32 %s, %s, %d;", oxr, oxr, j)
+				dyv[i*2+j] = emitLoadBounded(b, dyB, dyBase, oy, oxr, oh, ow, z)
+			}
 		}
-	}
-	// Mdy = A dy Aᵀ where A (4x2) = [[1,0],[1,1],[1,-1],[0,-1]]
-	var trows [8]string // 4x2: A*dy
-	for j := 0; j < 2; j++ {
-		t0 := dyv[0*2+j]
-		t1 := b.R("f")
-		b.I("add.f32 %s, %s, %s;", t1, dyv[0*2+j], dyv[1*2+j])
-		t2 := b.R("f")
-		b.I("sub.f32 %s, %s, %s;", t2, dyv[0*2+j], dyv[1*2+j])
-		t3 := b.R("f")
-		b.I("neg.f32 %s, %s;", t3, dyv[1*2+j])
-		trows[0*2+j] = t0
-		trows[1*2+j] = t1
-		trows[2*2+j] = t2
-		trows[3*2+j] = t3
-	}
-	var mdy [16]string
-	for i := 0; i < 4; i++ {
-		m0 := trows[i*2+0]
-		m1 := b.R("f")
-		b.I("add.f32 %s, %s, %s;", m1, trows[i*2+0], trows[i*2+1])
-		m2 := b.R("f")
-		b.I("sub.f32 %s, %s, %s;", m2, trows[i*2+0], trows[i*2+1])
-		m3 := b.R("f")
-		b.I("neg.f32 %s, %s;", m3, trows[i*2+1])
-		mdy[i*4+0] = m0
-		mdy[i*4+1] = m1
-		mdy[i*4+2] = m2
-		mdy[i*4+3] = m3
-	}
-	for i := 0; i < 16; i++ {
-		b.I("fma.rn.f32 %s, %s, %s, %s;", acc[i], v[i], mdy[i], acc[i])
-	}
-	b.I("add.u32 %s, %s, 64;", pos, pos)
-	b.I("bra %s;", loop)
-	b.L(lend)
+		// Mdy = A dy Aᵀ where A (4x2) = [[1,0],[1,1],[1,-1],[0,-1]]
+		var trows [8]string // 4x2: A*dy
+		for j := 0; j < 2; j++ {
+			t0 := dyv[0*2+j]
+			t1 := b.R("f")
+			b.I("add.f32 %s, %s, %s;", t1, dyv[0*2+j], dyv[1*2+j])
+			t2 := b.R("f")
+			b.I("sub.f32 %s, %s, %s;", t2, dyv[0*2+j], dyv[1*2+j])
+			t3 := b.R("f")
+			b.I("neg.f32 %s, %s;", t3, dyv[1*2+j])
+			trows[0*2+j] = t0
+			trows[1*2+j] = t1
+			trows[2*2+j] = t2
+			trows[3*2+j] = t3
+		}
+		var mdy [16]string
+		for i := 0; i < 4; i++ {
+			m0 := trows[i*2+0]
+			m1 := b.R("f")
+			b.I("add.f32 %s, %s, %s;", m1, trows[i*2+0], trows[i*2+1])
+			m2 := b.R("f")
+			b.I("sub.f32 %s, %s, %s;", m2, trows[i*2+0], trows[i*2+1])
+			m3 := b.R("f")
+			b.I("neg.f32 %s, %s;", m3, trows[i*2+1])
+			mdy[i*4+0] = m0
+			mdy[i*4+1] = m1
+			mdy[i*4+2] = m2
+			mdy[i*4+3] = m3
+		}
+		for i := 0; i < 16; i++ {
+			b.I("fma.rn.f32 %s, %s, %s, %s;", acc[i], v[i], mdy[i], acc[i])
+		}
+	})
 
 	// reduce 16 accumulators across the 64 threads via shared memory
 	sbase := b.R("r")
