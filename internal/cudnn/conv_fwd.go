@@ -87,11 +87,7 @@ func (h *Handle) convFwdGemm(x uint64, xd TensorDesc, w uint64, fd FilterDesc, c
 			return err
 		}
 		yOff := y + uint64(4*n*fd.K*ohw)
-		gp := cudart.NewParams().Ptr(w).Ptr(col).Ptr(yOff).
-			U32(uint32(fd.K)).U32(uint32(ohw)).U32(uint32(crs)).
-			U32(0).U32(0).U32(0).F32(1).F32(0)
-		g := exec.Dim3{X: (ohw + 15) / 16, Y: (fd.K + 15) / 16, Z: 1}
-		if err := h.launch("sgemm_tiled", g, exec.Dim3{X: 16, Y: 16}, gp); err != nil {
+		if err := h.sgemm("sgemm_tiled", w, col, yOff, fd.K, ohw, crs, 0, 0, 0, 1, 1, 0); err != nil {
 			return err
 		}
 	}
@@ -328,11 +324,7 @@ func (h *Handle) convFwdWinogradNonfused(x uint64, xd TensorDesc, w uint64, fd F
 	if err := h.launch1D("winograd_input_transform", cp, 64, p); err != nil {
 		return err
 	}
-	gp := cudart.NewParams().Ptr(u).Ptr(v).Ptr(m).
-		U32(uint32(fd.K)).U32(uint32(P)).U32(uint32(fd.C)).
-		U32(uint32(kc)).U32(uint32(cp)).U32(uint32(kp)).F32(1).F32(0)
-	g := exec.Dim3{X: (P + 15) / 16, Y: (fd.K + 15) / 16, Z: 16}
-	if err := h.launch("sgemm_tiled", g, exec.Dim3{X: 16, Y: 16}, gp); err != nil {
+	if err := h.sgemm("sgemm_tiled", u, v, m, fd.K, P, fd.C, kc, cp, kp, 16, 1, 0); err != nil {
 		return err
 	}
 	op := cudart.NewParams().Ptr(m).Ptr(y).

@@ -291,14 +291,23 @@ func (h *Handle) GemvT(a, x, y uint64, rows, cols int, alpha, beta float32) erro
 			U32(uint32(rows)).U32(uint32(cols)).F32(alpha).F32(beta))
 }
 
+// sgemm launches one of the tiled SGEMM kernels (sgemm_tiled,
+// sgemm_nt_batched, sgemm_tn_batched — same parameter block, same launch
+// shape) for C[m,n], reduction length k and `batch` grid.z slices at the
+// given element strides.
+func (h *Handle) sgemm(kernel string, a, bm, cm uint64, m, n, k, strideA, strideB, strideC, batch int, alpha, beta float32) error {
+	p := cudart.NewParams().Ptr(a).Ptr(bm).Ptr(cm).
+		U32(uint32(m)).U32(uint32(n)).U32(uint32(k)).
+		U32(uint32(strideA)).U32(uint32(strideB)).U32(uint32(strideC)).
+		F32(alpha).F32(beta)
+	g := exec.Dim3{X: (n + 15) / 16, Y: (m + 15) / 16, Z: batch}
+	return h.launch(kernel, g, exec.Dim3{X: 16, Y: 16}, p)
+}
+
 // Gemm computes C = alpha A B + beta C via the tiled SGEMM kernel.
 func (h *Handle) Gemm(a, bm, cm uint64, m, n, k int, alpha, beta float32) error {
 	h.ctx.SetAPITag("cublasSgemm")
-	p := cudart.NewParams().Ptr(a).Ptr(bm).Ptr(cm).
-		U32(uint32(m)).U32(uint32(n)).U32(uint32(k)).
-		U32(0).U32(0).U32(0).F32(alpha).F32(beta)
-	g := exec.Dim3{X: (n + 15) / 16, Y: (m + 15) / 16, Z: 1}
-	return h.launch("sgemm_tiled", g, exec.Dim3{X: 16, Y: 16}, p)
+	return h.sgemm("sgemm_tiled", a, bm, cm, m, n, k, 0, 0, 0, 1, alpha, beta)
 }
 
 // SGDUpdate applies w -= lr*g.

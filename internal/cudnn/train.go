@@ -16,12 +16,7 @@ import (
 // (dW = xᵀ·dy with batch 1, per-head dK/dV with batch = heads).
 func (h *Handle) GemmTNStridedBatched(a, bm, cm uint64, m, n, k, strideA, strideB, strideC, batch int, alpha, beta float32) error {
 	h.ctx.SetAPITag("cublasSgemmStridedBatched")
-	p := cudart.NewParams().Ptr(a).Ptr(bm).Ptr(cm).
-		U32(uint32(m)).U32(uint32(n)).U32(uint32(k)).
-		U32(uint32(strideA)).U32(uint32(strideB)).U32(uint32(strideC)).
-		F32(alpha).F32(beta)
-	g := exec.Dim3{X: (n + 15) / 16, Y: (m + 15) / 16, Z: batch}
-	return h.launch("sgemm_tn_batched", g, exec.Dim3{X: 16, Y: 16}, p)
+	return h.sgemm("sgemm_tn_batched", a, bm, cm, m, n, k, strideA, strideB, strideC, batch, alpha, beta)
 }
 
 // LayerNormBackward computes dx for x[rows, cols] and accumulates the

@@ -16,12 +16,7 @@ import (
 // cublasSgemmStridedBatched analog; grid.z selects the slice).
 func (h *Handle) GemmStridedBatched(a, bm, cm uint64, m, n, k, strideA, strideB, strideC, batch int, alpha, beta float32) error {
 	h.ctx.SetAPITag("cublasSgemmStridedBatched")
-	p := cudart.NewParams().Ptr(a).Ptr(bm).Ptr(cm).
-		U32(uint32(m)).U32(uint32(n)).U32(uint32(k)).
-		U32(uint32(strideA)).U32(uint32(strideB)).U32(uint32(strideC)).
-		F32(alpha).F32(beta)
-	g := exec.Dim3{X: (n + 15) / 16, Y: (m + 15) / 16, Z: batch}
-	return h.launch("sgemm_tiled", g, exec.Dim3{X: 16, Y: 16}, p)
+	return h.sgemm("sgemm_tiled", a, bm, cm, m, n, k, strideA, strideB, strideC, batch, alpha, beta)
 }
 
 // GemmNTStridedBatched computes C[b] = alpha*A[b]*B[b]ᵀ + beta*C[b] for
@@ -29,12 +24,7 @@ func (h *Handle) GemmStridedBatched(a, bm, cm uint64, m, n, k, strideA, strideB,
 // (Q·Kᵀ), batched over heads via grid.z.
 func (h *Handle) GemmNTStridedBatched(a, bm, cm uint64, m, n, k, strideA, strideB, strideC, batch int, alpha, beta float32) error {
 	h.ctx.SetAPITag("cublasSgemmStridedBatched")
-	p := cudart.NewParams().Ptr(a).Ptr(bm).Ptr(cm).
-		U32(uint32(m)).U32(uint32(n)).U32(uint32(k)).
-		U32(uint32(strideA)).U32(uint32(strideB)).U32(uint32(strideC)).
-		F32(alpha).F32(beta)
-	g := exec.Dim3{X: (n + 15) / 16, Y: (m + 15) / 16, Z: batch}
-	return h.launch("sgemm_nt_batched", g, exec.Dim3{X: 16, Y: 16}, p)
+	return h.sgemm("sgemm_nt_batched", a, bm, cm, m, n, k, strideA, strideB, strideC, batch, alpha, beta)
 }
 
 // LayerNormForward normalises each of the `rows` rows of x to zero mean

@@ -88,60 +88,6 @@ func TestAllModulesReproducible(t *testing.T) {
 	}
 }
 
-func TestSgemmTiled(t *testing.T) {
-	ctx := newCtx(t)
-	rng := rand.New(rand.NewSource(1))
-	cases := []struct{ m, n, k int }{
-		{16, 16, 16}, {33, 17, 25}, {5, 70, 3}, {64, 64, 64},
-	}
-	for _, c := range cases {
-		a := randSlice(rng, c.m*c.k)
-		bm := randSlice(rng, c.k*c.n)
-		cm := randSlice(rng, c.m*c.n)
-		want := append([]float32(nil), cm...)
-		ref.Gemm(a, bm, want, c.m, c.n, c.k, 1.5, 0.5)
-
-		pa, pb, pc := upload(t, ctx, a), upload(t, ctx, bm), upload(t, ctx, cm)
-		params := cudart.NewParams().Ptr(pa).Ptr(pb).Ptr(pc).
-			U32(uint32(c.m)).U32(uint32(c.n)).U32(uint32(c.k)).
-			U32(0).U32(0).U32(0).F32(1.5).F32(0.5)
-		grid := exec.Dim3{X: (c.n + 15) / 16, Y: (c.m + 15) / 16, Z: 1}
-		if _, err := ctx.Launch("sgemm_tiled", grid, exec.Dim3{X: 16, Y: 16}, params, 0); err != nil {
-			t.Fatalf("launch: %v", err)
-		}
-		got := ctx.MemcpyF32DtoH(pc, c.m*c.n)
-		if d := maxAbsDiff(got, want); d > 1e-4 {
-			t.Fatalf("gemm %dx%dx%d: max diff %g", c.m, c.n, c.k, d)
-		}
-	}
-}
-
-func TestSgemmBatchedStrides(t *testing.T) {
-	ctx := newCtx(t)
-	rng := rand.New(rand.NewSource(2))
-	m, n, k, batch := 8, 12, 10, 4
-	a := randSlice(rng, batch*m*k)
-	bm := randSlice(rng, batch*k*n)
-	cm := make([]float32, batch*m*n)
-	want := make([]float32, batch*m*n)
-	for bz := 0; bz < batch; bz++ {
-		w := want[bz*m*n : (bz+1)*m*n]
-		ref.Gemm(a[bz*m*k:], bm[bz*k*n:], w, m, n, k, 1, 0)
-	}
-	pa, pb, pc := upload(t, ctx, a), upload(t, ctx, bm), upload(t, ctx, cm)
-	params := cudart.NewParams().Ptr(pa).Ptr(pb).Ptr(pc).
-		U32(uint32(m)).U32(uint32(n)).U32(uint32(k)).
-		U32(uint32(m * k)).U32(uint32(k * n)).U32(uint32(m * n)).F32(1).F32(0)
-	grid := exec.Dim3{X: (n + 15) / 16, Y: (m + 15) / 16, Z: batch}
-	if _, err := ctx.Launch("sgemm_tiled", grid, exec.Dim3{X: 16, Y: 16}, params, 0); err != nil {
-		t.Fatalf("launch: %v", err)
-	}
-	got := ctx.MemcpyF32DtoH(pc, batch*m*n)
-	if d := maxAbsDiff(got, want); d > 1e-4 {
-		t.Fatalf("batched gemm: max diff %g", d)
-	}
-}
-
 func TestGemv2T(t *testing.T) {
 	ctx := newCtx(t)
 	rng := rand.New(rand.NewSource(3))

@@ -29,48 +29,6 @@ func uploadIDs(t *testing.T, ctx *cudart.Context, ids []int32) uint64 {
 	return addr
 }
 
-func TestSgemmTNBatched(t *testing.T) {
-	ctx := newCtx(t)
-	rng := rand.New(rand.NewSource(31))
-	cases := []struct {
-		name        string
-		m, n, k     int
-		batch       int
-		alpha, beta float32
-	}{
-		{"single_tile", 16, 16, 16, 1, 1, 0},
-		{"batch1_odd_shapes", 5, 7, 13, 1, 1.5, 0.5},
-		{"k1_rank1_update", 9, 11, 1, 1, 1, 1},
-		{"partial_tiles_batched", 33, 17, 25, 4, 2, 0.25},
-		{"accumulate_beta1", 8, 8, 37, 2, 1, 1},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			a := randSlice(rng, c.batch*c.k*c.m)
-			bm := randSlice(rng, c.batch*c.k*c.n)
-			cm := randSlice(rng, c.batch*c.m*c.n)
-			want := append([]float32(nil), cm...)
-			for bz := 0; bz < c.batch; bz++ {
-				ref.GemmTN(a[bz*c.k*c.m:], bm[bz*c.k*c.n:], want[bz*c.m*c.n:(bz+1)*c.m*c.n],
-					c.m, c.n, c.k, c.alpha, c.beta)
-			}
-			pa, pb, pc := upload(t, ctx, a), upload(t, ctx, bm), upload(t, ctx, cm)
-			params := cudart.NewParams().Ptr(pa).Ptr(pb).Ptr(pc).
-				U32(uint32(c.m)).U32(uint32(c.n)).U32(uint32(c.k)).
-				U32(uint32(c.k * c.m)).U32(uint32(c.k * c.n)).U32(uint32(c.m * c.n)).
-				F32(c.alpha).F32(c.beta)
-			grid := exec.Dim3{X: (c.n + 15) / 16, Y: (c.m + 15) / 16, Z: c.batch}
-			if _, err := ctx.Launch("sgemm_tn_batched", grid, exec.Dim3{X: 16, Y: 16}, params, 0); err != nil {
-				t.Fatalf("launch: %v", err)
-			}
-			got := ctx.MemcpyF32DtoH(pc, c.batch*c.m*c.n)
-			if d := maxAbsDiff(got, want); d > 1e-4 {
-				t.Fatalf("gemm_tn %s: max diff %g", c.name, d)
-			}
-		})
-	}
-}
-
 func TestLayerNormBackwardKernel(t *testing.T) {
 	ctx := newCtx(t)
 	rng := rand.New(rand.NewSource(32))

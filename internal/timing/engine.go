@@ -675,7 +675,6 @@ func (e *Engine) finishReplay(t *Ticket) error {
 	st.Replayed = true
 	t.done = true
 	s := e.stats
-	s.noteKernel(t.grid.Kernel.Name, st.Cycles, ent.instrs, ent.mem)
 	s.Instructions += ent.instrs
 	s.L2Accesses += ent.mem.L2Accesses
 	s.L2Hits += ent.mem.L2Hits
@@ -719,7 +718,6 @@ func (e *Engine) finishRun(r *gridRun, now uint64) {
 	st.DRAMRowHits = mem.DRAMRowHits
 	st.MemStallCycles = mem.StallCycles
 	r.op.done = true
-	e.stats.noteKernel(r.grid.Kernel.Name, st.Cycles, instrs, mem)
 	e.stats.DetailedKernelCycles += st.Cycles
 	if e.replay != nil && r.op.hasSig {
 		if r.op.resample {

@@ -222,10 +222,9 @@ func TestDirtyEvictionWriteback(t *testing.T) {
 	t.Logf("writebacks=%d dram_writes=%d", st.L2Writebacks, dramWrites)
 }
 
-// TestPerKernelMemCounters locks the per-grid attribution: the sum of
-// the per-kernel memory counters over all retired kernels must equal the
-// engine-wide totals, and the same numbers must land on the launch's
-// KernelStats ticket.
+// TestPerKernelMemCounters locks the per-grid attribution: the memory
+// counters on the launches' KernelStats tickets, summed over all retired
+// kernels, must equal the engine-wide totals.
 func TestPerKernelMemCounters(t *testing.T) {
 	ctx := cudart.NewContext(exec.BugSet{})
 	eng, err := New(GTX1050())
@@ -260,33 +259,25 @@ func TestPerKernelMemCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := eng.Stats()
-	if len(st.PerKernel) != 3 {
-		t.Fatalf("PerKernel has %d samples, want 3", len(st.PerKernel))
-	}
 	var sum MemCounters
-	for _, k := range st.PerKernel {
-		sum.add(k.Mem)
-	}
-	if sum.L2Accesses != st.L2Accesses || sum.L2Hits != st.L2Hits ||
-		sum.L2Misses != st.L2Misses || sum.DRAMAccesses != st.DRAMAccesses ||
-		sum.DRAMRowHits != st.DRAMRowHits || sum.StallCycles != st.IngressStallCycles {
-		t.Fatalf("per-kernel sums %+v do not match engine totals (L2 %d/%d/%d DRAM %d/%d stall %d)",
-			sum, st.L2Accesses, st.L2Hits, st.L2Misses, st.DRAMAccesses, st.DRAMRowHits, st.IngressStallCycles)
-	}
-	if st.L2Accesses == 0 {
-		t.Fatal("workload produced no L2 traffic — attribution untested")
-	}
 	for i, tk := range tickets {
 		ks, err := tk.Stats()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := st.PerKernel[i].Mem
-		if ks.L2Accesses != want.L2Accesses || ks.L2Hits != want.L2Hits ||
-			ks.L2Misses != want.L2Misses || ks.DRAMAccesses != want.DRAMAccesses ||
-			ks.DRAMRowHits != want.DRAMRowHits || ks.MemStallCycles != want.StallCycles {
-			t.Errorf("ticket %d mem counters %+v diverge from PerKernel sample %+v", i, ks, want)
+		if ks.L2Accesses == 0 {
+			t.Errorf("ticket %d carries no L2 traffic", i)
 		}
+		sum.add(MemCounters{
+			L2Accesses: ks.L2Accesses, L2Hits: ks.L2Hits, L2Misses: ks.L2Misses,
+			DRAMAccesses: ks.DRAMAccesses, DRAMRowHits: ks.DRAMRowHits, StallCycles: ks.MemStallCycles,
+		})
+	}
+	if sum.L2Accesses != st.L2Accesses || sum.L2Hits != st.L2Hits ||
+		sum.L2Misses != st.L2Misses || sum.DRAMAccesses != st.DRAMAccesses ||
+		sum.DRAMRowHits != st.DRAMRowHits || sum.StallCycles != st.IngressStallCycles {
+		t.Fatalf("per-ticket sums %+v do not match engine totals (L2 %d/%d/%d DRAM %d/%d stall %d)",
+			sum, st.L2Accesses, st.L2Hits, st.L2Misses, st.DRAMAccesses, st.DRAMRowHits, st.IngressStallCycles)
 	}
 }
 

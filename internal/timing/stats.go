@@ -41,16 +41,6 @@ func (m *MemCounters) add(o MemCounters) {
 	m.SegServed += o.SegServed
 }
 
-// KernelSample records one kernel's timing outcome, including its share
-// of the memory-system traffic (attributed per grid by the partition
-// shards, merged at retirement).
-type KernelSample struct {
-	Name   string
-	Cycles uint64
-	Instrs uint64
-	Mem    MemCounters
-}
-
 // Stats accumulates engine-wide counters and AerialVision time series.
 type Stats struct {
 	interval uint64
@@ -124,10 +114,6 @@ type Stats struct {
 	coreIPC   [][]uint64 // [core][bucket] warp instructions issued
 	laneCount [][]uint64 // [active lanes 1..32 -> idx 0..31][bucket]
 	stalls    [numStallKinds][]uint64
-
-	// PerKernel holds one sample per retired kernel launch, in retirement
-	// order, each carrying its attributed memory counters.
-	PerKernel []KernelSample
 }
 
 func newStats(cfg Config) *Stats {
@@ -278,7 +264,6 @@ func (s *Stats) rebase(cycle uint64) {
 
 // reset clears a shard for reuse, keeping allocated series storage.
 func (s *Stats) reset() {
-	kernels := s.PerKernel
 	interval, numSMs, scheds := s.interval, s.numSMs, s.scheds
 	coreIPC, laneCount, stalls := s.coreIPC, s.laneCount, s.stalls
 	*s = Stats{interval: interval, numSMs: numSMs, scheds: scheds}
@@ -292,11 +277,6 @@ func (s *Stats) reset() {
 		stalls[i] = stalls[i][:0]
 	}
 	s.coreIPC, s.laneCount, s.stalls = coreIPC, laneCount, stalls
-	s.PerKernel = kernels[:0]
-}
-
-func (s *Stats) noteKernel(name string, cycles, instrs uint64, mem MemCounters) {
-	s.PerKernel = append(s.PerKernel, KernelSample{Name: name, Cycles: cycles, Instrs: instrs, Mem: mem})
 }
 
 // AvgSegmentLatency returns the mean issue-to-response latency of the
