@@ -9,19 +9,9 @@ import (
 	"repro/internal/ref"
 )
 
-// sgemmLayouts are the three operand layouts the one sgemm emitter ships,
-// each with its CPU reference and the extents of its A and B operands.
-var sgemmLayouts = map[string]struct {
-	ref  func(a, bm, cm []float32, m, n, k int, alpha, beta float32)
-	a, b func(m, n, k int) int
-}{
-	"sgemm_tiled":      {ref.Gemm, func(m, n, k int) int { return m * k }, func(m, n, k int) int { return k * n }},
-	"sgemm_nt_batched": {ref.GemmNT, func(m, n, k int) int { return m * k }, func(m, n, k int) int { return n * k }},
-	"sgemm_tn_batched": {ref.GemmTN, func(m, n, k int) int { return k * m }, func(m, n, k int) int { return k * n }},
-}
-
-// sgemmCases is the shape table every layout runs: the union of the
-// cases the per-layout tests used to carry separately.
+// sgemmCases is the shape table every layout runs: a single tile, full
+// tiles, m = n = 1, k = 1, k below and not a multiple of the tile edge,
+// beta = 1, and partial tiles with batch strides and beta ≠ 0.
 var sgemmCases = []struct {
 	name        string
 	m, n, k     int
@@ -40,21 +30,24 @@ var sgemmCases = []struct {
 	{"partial_tiles_batched", 33, 17, 25, 4, 2, 0.25},
 }
 
-// testSgemmLayout runs sgemmCases through one kernel of the sgemm
-// family, batch slices packed back to back, against the CPU reference.
-func testSgemmLayout(t *testing.T, kernel string) {
-	layout := sgemmLayouts[kernel]
+// gemmRef is the signature ref.Gemm, ref.GemmNT and ref.GemmTN share.
+type gemmRef func(a, bm, cm []float32, m, n, k int, alpha, beta float32)
+
+// testSgemmLayout runs sgemmCases through one kernel of the sgemm family
+// against its CPU reference, batch slices packed back to back (whatever
+// the layout, A holds m*k elements a slice and B k*n).
+func testSgemmLayout(t *testing.T, kernel string, want gemmRef) {
 	ctx := newCtx(t)
 	rng := rand.New(rand.NewSource(21))
 	for _, c := range sgemmCases {
 		t.Run(c.name, func(t *testing.T) {
-			sa, sb, sc := layout.a(c.m, c.n, c.k), layout.b(c.m, c.n, c.k), c.m*c.n
+			sa, sb, sc := c.m*c.k, c.k*c.n, c.m*c.n
 			a := randSlice(rng, c.batch*sa)
 			bm := randSlice(rng, c.batch*sb)
 			cm := randSlice(rng, c.batch*sc)
-			want := append([]float32(nil), cm...)
+			exp := append([]float32(nil), cm...)
 			for bz := 0; bz < c.batch; bz++ {
-				layout.ref(a[bz*sa:], bm[bz*sb:], want[bz*sc:(bz+1)*sc], c.m, c.n, c.k, c.alpha, c.beta)
+				want(a[bz*sa:], bm[bz*sb:], exp[bz*sc:(bz+1)*sc], c.m, c.n, c.k, c.alpha, c.beta)
 			}
 			pa, pb, pc := upload(t, ctx, a), upload(t, ctx, bm), upload(t, ctx, cm)
 			params := cudart.NewParams().Ptr(pa).Ptr(pb).Ptr(pc).
@@ -66,16 +59,16 @@ func testSgemmLayout(t *testing.T, kernel string) {
 				t.Fatalf("launch: %v", err)
 			}
 			got := ctx.MemcpyF32DtoH(pc, c.batch*sc)
-			if d := maxAbsDiff(got, want); d > 1e-4 {
+			if d := maxAbsDiff(got, exp); d > 1e-4 {
 				t.Fatalf("%s %s: max diff %g", kernel, c.name, d)
 			}
 		})
 	}
 }
 
-// The three layouts keep one entry point each, so `-run TestSgemmNTBatched`
-// still selects the attention-score GEMM alone.
+// One entry point per layout, so `-run TestSgemmNTBatched` selects the
+// attention-score GEMM alone.
 
-func TestSgemmTiled(t *testing.T)     { testSgemmLayout(t, "sgemm_tiled") }
-func TestSgemmNTBatched(t *testing.T) { testSgemmLayout(t, "sgemm_nt_batched") }
-func TestSgemmTNBatched(t *testing.T) { testSgemmLayout(t, "sgemm_tn_batched") }
+func TestSgemmTiled(t *testing.T)     { testSgemmLayout(t, "sgemm_tiled", ref.Gemm) }
+func TestSgemmNTBatched(t *testing.T) { testSgemmLayout(t, "sgemm_nt_batched", ref.GemmNT) }
+func TestSgemmTNBatched(t *testing.T) { testSgemmLayout(t, "sgemm_tn_batched", ref.GemmTN) }

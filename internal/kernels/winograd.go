@@ -118,8 +118,8 @@ func emitLoadBounded(b *Builder, ptr, base, y, x, h, w, z string) string {
 	b.I("setp.lt.u32 %s, %s, %s;", ptmp, x, w)
 	b.I("and.pred %s, %s, %s;", pin, pin, ptmp)
 	si := b.flatIndex(y, w, x)
-	clamped := b.R("r")
 	b.I("add.u32 %s, %s, %s;", si, si, base)
+	clamped := b.R("r")
 	b.I("selp.b32 %s, %s, %s, %s;", clamped, si, base, pin)
 	a := b.ElemAddr(ptr, clamped, 4)
 	v := b.R("f")
@@ -170,9 +170,9 @@ func emitTileCounts(b *Builder, oh, ow string) (tilesY, tilesX string) {
 	return tilesY, tilesX
 }
 
-// emitPatchOrigin emits the input-patch origin (2*ty - pad, 2*tx - pad)
+// emitTileOrigin emits the input-patch origin (2*ty - pad, 2*tx - pad)
 // of output tile (ty, tx).
-func emitPatchOrigin(b *Builder, ty, tx, pad string) (y0, x0 string) {
+func emitTileOrigin(b *Builder, ty, tx, pad string) (y0, x0 string) {
 	y0, x0 = b.R("r"), b.R("r")
 	b.I("shl.b32 %s, %s, 1;", y0, ty)
 	b.I("sub.u32 %s, %s, %s;", y0, y0, pad)
@@ -256,7 +256,7 @@ func winogradFused() string {
 	for i := range acc {
 		acc[i] = b.MovF32(0)
 	}
-	y0, x0 := emitPatchOrigin(b, ty, tx, pad)
+	y0, x0 := emitTileOrigin(b, ty, tx, pad)
 	hw := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", hw, h, w)
 	chw := b.R("r")
@@ -350,7 +350,7 @@ func winogradInputTransform() string {
 	base := b.R("r")
 	b.I("mul.lo.u32 %s, %s, %s;", base, n, chw)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", base, cc, hw, base)
-	y0, x0 := emitPatchOrigin(b, tyy, txx, pad)
+	y0, x0 := emitTileOrigin(b, tyy, txx, pad)
 	d := emitLoadPatch4(b, xB, base, y0, x0, h, w)
 	v := emitInputTransform(b, d)
 	emitStoreTransformed(b, vB, tot, idx, v)
@@ -463,7 +463,7 @@ func winogradBwdFilter() string {
 		base := b.R("r")
 		b.I("mul.lo.u32 %s, %s, %s;", base, n, chw)
 		b.I("mad.lo.s32 %s, %s, %s, %s;", base, cc, hw, base)
-		y0, x0 := emitPatchOrigin(b, tyy, txx, pad)
+		y0, x0 := emitTileOrigin(b, tyy, txx, pad)
 		d := emitLoadPatch4(b, xB, base, y0, x0, h, w)
 		v := emitInputTransform(b, d)
 		// dy 2x2 tile of dy[n, kk] (zeros outside)
