@@ -23,14 +23,8 @@ import (
 	"repro/internal/torch"
 )
 
-// DefaultTransformerConfig sizes the sample encoder: small enough for
-// the detailed model to run in seconds, big enough that every kernel
-// family appears.
-func DefaultTransformerConfig() torch.TransformerConfig {
-	return torch.TransformerConfig{
-		Layers: 2, Heads: 4, DModel: 32, FF: 64, Vocab: 61, MaxSeq: 16,
-	}
-}
+// DefaultTransformerConfig sizes the sample encoder.
+func DefaultTransformerConfig() torch.TransformerConfig { return torch.SampleTransformerConfig() }
 
 // KernelAgg aggregates one kernel name's launches across a run,
 // splitting out the ones retired from the replay cache.

@@ -1,12 +1,11 @@
 package multigpu
 
 import (
-	"encoding/json"
 	"flag"
-	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
+
+	"repro/internal/golden"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden stats file")
@@ -76,42 +75,5 @@ func TestGoldenStats(t *testing.T) {
 	}
 	got["tp_transformer_small"] = tpEntry(tp)
 
-	path := filepath.Join("testdata", "golden_stats.json")
-	if *update {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("updated %s", path)
-		return
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading golden file (run with -update to create): %v", err)
-	}
-	var want map[string]goldenEntry
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	for name, w := range want {
-		g, ok := got[name]
-		if !ok {
-			t.Errorf("golden file has stale workload %q", name)
-			continue
-		}
-		if !reflect.DeepEqual(g, w) {
-			t.Errorf("%s drifted:\n  got:  %+v\n  want: %+v", name, g, w)
-		}
-	}
-	for name := range got {
-		if _, ok := want[name]; !ok {
-			t.Errorf("workload %q missing from golden file (run with -update)", name)
-		}
-	}
+	golden.Check(t, filepath.Join("testdata", "golden_stats.json"), *update, got, nil)
 }

@@ -64,11 +64,7 @@ const DefaultKVBudgetBytes = 256 << 10
 
 // DefaultModel is the served encoder: the same shape the transformer
 // workload family uses, so serve runs exercise every kernel family.
-func DefaultModel() torch.TransformerConfig {
-	return torch.TransformerConfig{
-		Layers: 2, Heads: 4, DModel: 32, FF: 64, Vocab: 61, MaxSeq: 16,
-	}
-}
+func DefaultModel() torch.TransformerConfig { return torch.SampleTransformerConfig() }
 
 // RequestStats is one request's serving outcome. All times are absolute
 // cycles on the serving clock (cycle 0 = serving start).
@@ -385,28 +381,15 @@ func Run(cfg Config, tr Trace) (*Result, error) {
 		iterStart := eng.Cycle()
 		var outs [][]float32
 		if decode {
-			var streams []cudart.Stream
-			for _, a := range active {
-				st := dev.Ctx.StreamCreate()
-				streams = append(streams, st)
-				dev.H.SetStream(st)
-				var err error
-				if a.session.Len == 0 {
-					err = dec.PrefillStep(a.session)
-				} else {
-					err = dec.DecodeStep(a.session)
+			err := dev.OnStreams(len(active), true, func(i int) error {
+				ds := active[i].session
+				if ds.Len == 0 {
+					return dec.PrefillStep(ds)
 				}
-				if err != nil {
-					dev.H.SetStream(cudart.DefaultStream)
-					return nil, err
-				}
-			}
-			dev.H.SetStream(cudart.DefaultStream)
-			if err := dev.Ctx.DeviceSynchronize(); err != nil {
+				return dec.DecodeStep(ds)
+			})
+			if err != nil {
 				return nil, err
-			}
-			for _, st := range streams {
-				dev.Ctx.StreamDestroy(st)
 			}
 		} else {
 			batch := make([][]int32, len(active))

@@ -1,9 +1,7 @@
 package timing_test
 
 import (
-	"encoding/json"
 	"flag"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -11,6 +9,7 @@ import (
 
 	"repro/internal/cudart"
 	"repro/internal/cudnn"
+	"repro/internal/golden"
 	"repro/internal/serve"
 	"repro/internal/timing"
 	"repro/internal/torch"
@@ -225,49 +224,7 @@ func TestGoldenStats(t *testing.T) {
 		"decode_small":                 goldenDecode(t),
 		"train_small":                  goldenTrain(t),
 	}
-	path := filepath.Join("testdata", "golden_stats.json")
-
-	if *update {
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s", path)
-		return
-	}
-
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run `go test -run Golden ./internal/timing -update` — the -update flag must come after the package path): %v", err)
-	}
-	var want map[string]goldenEntry
-	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatal(err)
-	}
-	for name, g := range got {
-		w, ok := want[name]
-		if !ok {
-			t.Errorf("workload %s missing from golden file — rerun with -update", name)
-			continue
-		}
-		if !reflect.DeepEqual(g, w) {
-			t.Errorf("timing drift in %s:\n got %+v\nwant %+v\n"+
-				"(intentional? regenerate with `go test -run Golden ./internal/timing -update`; "+
-				"-update is a test-binary flag, so it must come AFTER the package path — "+
-				"before it, `go test` fails with \"flag provided but not defined\")", name, g, w)
-		}
-	}
-	for name := range want {
-		if _, ok := got[name]; !ok {
-			t.Errorf("golden file has stale workload %s — rerun with -update", name)
-		}
-	}
+	golden.Check(t, filepath.Join("testdata", "golden_stats.json"), *update, got, nil)
 }
 
 // TestGoldenStatsStable double-checks the golden workloads really are

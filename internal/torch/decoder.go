@@ -17,7 +17,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/cudart"
 	"repro/internal/ref"
 )
 
@@ -178,25 +177,25 @@ func (d *TransformerDecoder) DecodeStep(s *DecodeSession) error {
 }
 
 // stepDevice runs seq tokens at positions pos..pos+seq-1 through the
-// causal blocks and writes argmax(logits of the last row) to
-// ids[pos+seq].
+// causal blocks — a block's phases with ForwardCached as its attention —
+// and writes argmax(logits of the last row) to ids[pos+seq].
 func (d *TransformerDecoder) stepDevice(s *DecodeSession, seq, pos int) error {
 	cfg := d.Cfg
 	dm := cfg.DModel
-	e, err := d.Embed.ForwardDevice(s.ids+uint64(4*pos), seq)
+	x, err := d.embed(s.ids+uint64(4*pos), seq, pos)
 	if err != nil {
-		return err
-	}
-	x, err := d.Dev.NewTensor(seq, dm)
-	if err != nil {
-		return err
-	}
-	// positional rows pos..pos+seq-1
-	if err := d.Dev.H.ResidualAdd(e.Ptr, d.Pos.W.Ptr+uint64(4*pos*dm), x.Ptr, seq*dm); err != nil {
 		return err
 	}
 	for i, blk := range d.Blocks {
-		if x, err = blk.forwardCausal(x, s.cache[i], pos, cfg.MaxSeq); err != nil {
+		n1, err := blk.Ln1.Forward(x)
+		if err != nil {
+			return err
+		}
+		att, err := blk.Attn.ForwardCached(n1, s.cache[i], pos, cfg.MaxSeq)
+		if err != nil {
+			return err
+		}
+		if x, err = blk.feedForward(x, att); err != nil {
 			return err
 		}
 	}
@@ -214,66 +213,23 @@ func (d *TransformerDecoder) stepDevice(s *DecodeSession, seq, pos int) error {
 	return d.Dev.H.ArgmaxU32(logits.Ptr, cfg.Vocab, s.ids, pos+seq)
 }
 
-// forwardCausal is TransformerBlock.Forward with cached causal attention.
-func (b *TransformerBlock) forwardCausal(x *Tensor, kv layerKV, pos, maxSeq int) (*Tensor, error) {
-	seq := x.Dim(0)
-	n1, err := b.Ln1.Forward(x)
-	if err != nil {
-		return nil, err
-	}
-	att, err := b.Attn.ForwardCached(n1, kv, pos, maxSeq)
-	if err != nil {
-		return nil, err
-	}
-	h, err := b.residual(x, att)
-	if err != nil {
-		return nil, err
-	}
-	n2, err := b.Ln2.Forward(h)
-	if err != nil {
-		return nil, err
-	}
-	f1, err := b.Fc1.apply(b.Dev, n2, seq, b.Dm, b.Ff)
-	if err != nil {
-		return nil, err
-	}
-	a, err := b.Act.Forward(f1)
-	if err != nil {
-		return nil, err
-	}
-	f2, err := b.Fc2.apply(b.Dev, a, seq, b.Ff, b.Dm)
-	if err != nil {
-		return nil, err
-	}
-	return b.residual(h, f2)
-}
-
 // ForwardCached is causal self-attention over x[seq, DModel] with the
 // layer's KV cache holding pos earlier positions: K/V projections of x
 // are appended at rows pos..pos+seq-1, then each query row attends over
 // the cache prefix. seq==1 (a decode step) takes the GEMV path — no head
 // permutes, scores and context are single-token products against the
-// cache; seq>1 (prefill) batches the same computation through the
-// strided GEMMs at cache stride MaxSeq·dh.
+// cache; seq>1 (prefill) is Forward's attend phase reading keys and
+// values from the cache, at cache stride MaxSeq·dh.
 func (m *MultiHeadAttention) ForwardCached(x *Tensor, kv layerKV, pos, maxSeq int) (*Tensor, error) {
 	seq := x.Dim(0)
-	dm := m.DModel
-	dh := dm / m.Heads
+	dh := m.headDim()
 	cacheLen := pos + seq
 	if cacheLen > maxSeq {
 		return nil, fmt.Errorf("torch: cache length %d exceeds maxSeq %d", cacheLen, maxSeq)
 	}
 	h := m.Dev.H
 
-	q, err := m.Wq.apply(m.Dev, x, seq, dm, dm)
-	if err != nil {
-		return nil, err
-	}
-	k, err := m.Wk.apply(m.Dev, x, seq, dm, dm)
-	if err != nil {
-		return nil, err
-	}
-	v, err := m.Wv.apply(m.Dev, x, seq, dm, dm)
+	q, k, v, err := m.qkv(x)
 	if err != nil {
 		return nil, err
 	}
@@ -283,10 +239,10 @@ func (m *MultiHeadAttention) ForwardCached(x *Tensor, kv layerKV, pos, maxSeq in
 	if err := h.KVCacheAppend(v.Ptr, kv.V.Ptr, seq, m.Heads, dh, maxSeq, pos); err != nil {
 		return nil, err
 	}
-	scale := float32(1 / math.Sqrt(float64(dh)))
 
 	if seq == 1 {
 		// decode step: [1, Heads*dh] is already [Heads, 1, dh]
+		scale := float32(1 / math.Sqrt(float64(dh)))
 		scores, err := m.Dev.NewTensor(m.Heads, cacheLen)
 		if err != nil {
 			return nil, err
@@ -301,97 +257,48 @@ func (m *MultiHeadAttention) ForwardCached(x *Tensor, kv layerKV, pos, maxSeq in
 		if err := h.SoftmaxCausalForward(scores.Ptr, probs.Ptr, m.Heads, cacheLen, 1, cacheLen-1); err != nil {
 			return nil, err
 		}
-		ctx, err := m.Dev.NewTensor(1, dm)
+		ctx, err := m.Dev.NewTensor(1, m.Heads*dh)
 		if err != nil {
 			return nil, err
 		}
 		if err := h.AttnContextCached(probs.Ptr, kv.V.Ptr, ctx.Ptr, m.Heads, dh, maxSeq, cacheLen); err != nil {
 			return nil, err
 		}
-		return m.Wo.apply(m.Dev, ctx, 1, dm, dm)
+		return m.Wo.apply(m.Dev, ctx)
 	}
 
-	qh, err := m.Dev.NewTensor(m.Heads, seq, dh)
+	qh, err := m.splitHeads(q)
 	if err != nil {
 		return nil, err
 	}
-	if err := h.SplitHeads(q.Ptr, qh.Ptr, seq, m.Heads, dh); err != nil {
-		return nil, err
-	}
-	scores, err := m.Dev.NewTensor(m.Heads, seq, cacheLen)
+	_, merged, err := m.attend(qh, kv.K, kv.V, cacheLen, maxSeq*dh, pos)
 	if err != nil {
 		return nil, err
 	}
-	if err := h.GemmNTStridedBatched(qh.Ptr, kv.K.Ptr, scores.Ptr,
-		seq, cacheLen, dh, seq*dh, maxSeq*dh, seq*cacheLen, m.Heads, scale, 0); err != nil {
-		return nil, err
-	}
-	probs, err := m.Dev.NewTensor(m.Heads, seq, cacheLen)
-	if err != nil {
-		return nil, err
-	}
-	if err := h.SoftmaxCausalForward(scores.Ptr, probs.Ptr, m.Heads*seq, cacheLen, seq, pos); err != nil {
-		return nil, err
-	}
-	ctxh, err := m.Dev.NewTensor(m.Heads, seq, dh)
-	if err != nil {
-		return nil, err
-	}
-	if err := h.GemmStridedBatched(probs.Ptr, kv.V.Ptr, ctxh.Ptr,
-		seq, dh, cacheLen, seq*cacheLen, maxSeq*dh, seq*dh, m.Heads, 1, 0); err != nil {
-		return nil, err
-	}
-	merged, err := m.Dev.NewTensor(seq, dm)
-	if err != nil {
-		return nil, err
-	}
-	if err := h.MergeHeads(ctxh.Ptr, merged.Ptr, seq, m.Heads, dh); err != nil {
-		return nil, err
-	}
-	return m.Wo.apply(m.Dev, merged, seq, dm, dm)
+	return m.Wo.apply(m.Dev, merged)
 }
 
-// Generate runs the full greedy decode serially on the handle's current
-// stream: prefill the prompt, then n-1 decode steps, drain, and return
-// the n generated token ids. The prompt plus generated tokens must fit
-// the cache: len(prompt)+n-1 <= MaxSeq.
+// Generate greedy-decodes one prompt serially on the default stream:
+// prefill, then n-1 decode steps, drain, and return the n generated
+// token ids. The prompt plus generated tokens must fit the cache:
+// len(prompt)+n-1 <= MaxSeq.
 func (d *TransformerDecoder) Generate(prompt []int32, n int) ([]int32, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("torch: generate count %d < 1", n)
-	}
-	if len(prompt)+n-1 > d.Cfg.MaxSeq {
-		return nil, fmt.Errorf("torch: prompt %d + %d generated tokens exceed MaxSeq %d",
-			len(prompt), n, d.Cfg.MaxSeq)
-	}
-	s, err := d.NewSession(prompt)
+	outs, err := d.GenerateBatch([][]int32{prompt}, n, false)
 	if err != nil {
 		return nil, err
 	}
-	defer s.Free()
-	if err := d.PrefillStep(s); err != nil {
-		return nil, err
-	}
-	for i := 1; i < n; i++ {
-		if err := d.DecodeStep(s); err != nil {
-			return nil, err
-		}
-	}
-	if err := d.Dev.Ctx.DeviceSynchronize(); err != nil {
-		return nil, err
-	}
-	return s.Tokens(), nil
+	return outs[0], nil
 }
 
 // GenerateBatch greedy-decodes several prompts for n tokens each. With
 // concurrent=true each sequence's whole prefill+decode kernel chain is
-// issued on its own CUDA stream (the ForwardBatch overlap contract);
+// issued on its own CUDA stream (Device.OnStreams, as ForwardBatch);
 // otherwise everything serialises on the default stream. Sessions are
 // created (synchronous uploads) before the first launch.
 func (d *TransformerDecoder) GenerateBatch(prompts [][]int32, n int, concurrent bool) ([][]int32, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("torch: generate count %d < 1", n)
 	}
-	ctx := d.Dev.Ctx
 	sessions := make([]*DecodeSession, len(prompts))
 	defer func() {
 		for _, s := range sessions {
@@ -411,30 +318,14 @@ func (d *TransformerDecoder) GenerateBatch(prompts [][]int32, n int, concurrent 
 		}
 		sessions[i] = s
 	}
-	var streams []cudart.Stream
-	defer func() {
-		for _, s := range streams {
-			ctx.StreamDestroy(s)
-		}
-	}()
-	for i := range sessions {
-		st := cudart.DefaultStream
-		if concurrent {
-			st = ctx.StreamCreate()
-			streams = append(streams, st)
-		}
-		d.Dev.H.SetStream(st)
+	err := d.Dev.OnStreams(len(sessions), concurrent, func(i int) error {
 		err := d.PrefillStep(sessions[i])
 		for j := 1; err == nil && j < n; j++ {
 			err = d.DecodeStep(sessions[i])
 		}
-		if err != nil {
-			d.Dev.H.SetStream(cudart.DefaultStream)
-			return nil, err
-		}
-	}
-	d.Dev.H.SetStream(cudart.DefaultStream)
-	if err := ctx.DeviceSynchronize(); err != nil {
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	outs := make([][]int32, len(prompts))
@@ -448,49 +339,7 @@ func (d *TransformerDecoder) GenerateBatch(prompts [][]int32, n int, concurrent 
 // pipeline with causally masked attention. Returns the [len(ids),
 // DModel] final activations.
 func (d *TransformerDecoder) ForwardCPU(ids []int32) ([]float32, []int) {
-	seq := len(ids)
-	dm := d.Cfg.DModel
-	x, _ := d.Embed.ForwardCPU(ids)
-	pos := d.Pos.W.ToHost()
-	x = ref.AddResidual(x, pos[:seq*dm])
-	for _, blk := range d.Blocks {
-		x = blk.forwardCausalCPU(x, seq)
-	}
-	x, shape := d.Final.ForwardCPU(x, []int{seq, dm})
-	return x, shape
-}
-
-// forwardCausalCPU mirrors forwardCausal on the host.
-func (b *TransformerBlock) forwardCausalCPU(x []float32, seq int) []float32 {
-	shape := []int{seq, b.Dm}
-	n1, _ := b.Ln1.ForwardCPU(x, shape)
-	att := b.Attn.forwardCausalCPU(n1, seq)
-	h := ref.AddResidual(x, att)
-	n2, _ := b.Ln2.ForwardCPU(h, shape)
-	f1 := b.Fc1.applyCPU(n2, seq, b.Dm, b.Ff)
-	a := ref.Gelu(f1)
-	f2 := b.Fc2.applyCPU(a, seq, b.Ff, b.Dm)
-	return ref.AddResidual(h, f2)
-}
-
-// forwardCausalCPU mirrors ForwardCached (from an empty cache) on the
-// host: per-head causal attention over the full sequence.
-func (m *MultiHeadAttention) forwardCausalCPU(x []float32, seq int) []float32 {
-	dm := m.DModel
-	dh := dm / m.Heads
-	q := ref.SplitHeads(m.Wq.applyCPU(x, seq, dm, dm), seq, m.Heads, dh)
-	k := ref.SplitHeads(m.Wk.applyCPU(x, seq, dm, dm), seq, m.Heads, dh)
-	v := ref.SplitHeads(m.Wv.applyCPU(x, seq, dm, dm), seq, m.Heads, dh)
-	scale := float32(1 / math.Sqrt(float64(dh)))
-	ctxh := make([]float32, m.Heads*seq*dh)
-	for hh := 0; hh < m.Heads; hh++ {
-		scores := make([]float32, seq*seq)
-		ref.GemmNT(q[hh*seq*dh:], k[hh*seq*dh:], scores, seq, seq, dh, scale, 0)
-		probs := ref.SoftmaxCausal(scores, seq, seq, seq, 0)
-		ref.Gemm(probs, v[hh*seq*dh:(hh+1)*seq*dh], ctxh[hh*seq*dh:(hh+1)*seq*dh], seq, dh, seq, 1, 0)
-	}
-	merged := ref.MergeHeads(ctxh, seq, m.Heads, dh)
-	return m.Wo.applyCPU(merged, seq, dm, dm)
+	return d.forwardCPU(ids, true)
 }
 
 // GenerateCPU is the host oracle of Generate: greedy decode with a full

@@ -31,6 +31,37 @@ func NewDevice(bugs exec.BugSet) (*Device, error) {
 	return &Device{Ctx: ctx, H: h}, nil
 }
 
+// OnStreams issues n kernel chains, chain i by issue(i) — which must only
+// launch, never synchronise — and drains the device. With concurrent set
+// every chain rides a CUDA stream of its own (the handle's SetStream, the
+// cudnnSetStream analog), so the detailed timing model overlaps them;
+// otherwise all serialise on the default stream. The streams are
+// single-use: on every path, a failed chain included, the handle is back
+// on the default stream and the streams are destroyed (which first drains
+// whatever earlier chains queued), so repeated batches do not accumulate
+// stream bookkeeping.
+func (d *Device) OnStreams(n int, concurrent bool, issue func(i int) error) error {
+	var streams []cudart.Stream
+	defer func() {
+		d.H.SetStream(cudart.DefaultStream)
+		for _, s := range streams {
+			d.Ctx.StreamDestroy(s)
+		}
+	}()
+	for i := 0; i < n; i++ {
+		s := cudart.DefaultStream
+		if concurrent {
+			s = d.Ctx.StreamCreate()
+			streams = append(streams, s)
+		}
+		d.H.SetStream(s)
+		if err := issue(i); err != nil {
+			return err
+		}
+	}
+	return d.Ctx.DeviceSynchronize()
+}
+
 // Tensor is a float32 NCHW (or flat) device tensor.
 type Tensor struct {
 	Shape []int

@@ -23,21 +23,7 @@ package torch
 // concurrently on the host pool and find every engine idle at the
 // collective boundary.
 
-import (
-	"fmt"
-	"math"
-)
-
-// tpBlock holds rank-local weights of one transformer block: replicated
-// layer norms, column-sharded projections.
-type tpBlock struct {
-	ln1G, ln1B *Tensor
-	ln2G, ln2B *Tensor
-	wq, wk, wv *projection // [DModel, DModel/world]
-	wo         *projection // [DModel, DModel/world]
-	fc1        *projection // [DModel, FF/world]
-	fc2        *projection // [FF, DModel/world]
-}
+import "fmt"
 
 // TPShard is one rank of a tensor-parallel replica of a
 // TransformerEncoder. The embedding, positional table and layer norms
@@ -48,20 +34,15 @@ type TPShard struct {
 	Rank  int
 	World int
 
-	localHeads int // Heads / World
-	dh         int // DModel / Heads
-	dmShard    int // DModel / World
-	ffShard    int // FF / World
-	eps        float32
-
-	table  *Tensor // [Vocab, DModel] replicated
-	pos    *Tensor // [MaxSeq, DModel] replicated
-	blocks []*tpBlock
-	finalG *Tensor
-	finalB *Tensor
+	// model holds the rank-local weights in the encoder's own types, so
+	// the phase methods below issue TransformerBlock's phases: replicated
+	// tables and norms, and blocks whose projections are column shards
+	// (Attn.Heads is the rank's share of the heads). Only the phases are
+	// meaningful on it — a sharded block's Forward would feed a column
+	// shard where the next projection expects the gathered activation.
+	model *TransformerEncoder
 
 	// forward state threaded between phases
-	seq   int
 	x     *Tensor // residual stream [seq, DModel]
 	h     *Tensor // post-attention residual [seq, DModel]
 	shard *Tensor // column shard the last phase produced
@@ -78,10 +59,12 @@ func colShard(w []float32, rows, cols, c0, n int) []float32 {
 	return out
 }
 
-// shardProjection uploads rank-local column shards of a reference
-// projection (weight [in, out] → [in, n]; bias [out] → [n]).
-func shardProjection(dev *Device, ref *projection, in, out, c0, n int) (*projection, error) {
-	w, err := dev.FromHost(colShard(ref.W.W.ToHost(), in, out, c0, n), in, n)
+// shardProjection uploads rank's column shard of a reference projection
+// (weight [in, out] → [in, out/world]; bias [out] → [out/world]).
+func shardProjection(dev *Device, ref *projection, rank, world int) (*projection, error) {
+	n := ref.out / world
+	c0 := rank * n
+	w, err := dev.FromHost(colShard(ref.W.W.ToHost(), ref.in, ref.out, c0, n), ref.in, n)
 	if err != nil {
 		return nil, err
 	}
@@ -89,12 +72,30 @@ func shardProjection(dev *Device, ref *projection, in, out, c0, n int) (*project
 	if err != nil {
 		return nil, err
 	}
-	return &projection{W: &Param{W: w, Name: ref.W.Name}, B: &Param{W: b, Name: ref.B.Name}}, nil
+	return &projection{in: ref.in, out: n,
+		W: &Param{W: w, Name: ref.W.Name}, B: &Param{W: b, Name: ref.B.Name}}, nil
 }
 
-// replicate uploads a full copy of a reference tensor.
-func replicate(dev *Device, src *Tensor) (*Tensor, error) {
-	return dev.FromHost(src.ToHost(), src.Shape...)
+// replicate uploads a full copy of a reference parameter.
+func replicate(dev *Device, src *Param) (*Param, error) {
+	w, err := dev.FromHost(src.W.ToHost(), src.W.Shape...)
+	if err != nil {
+		return nil, err
+	}
+	return &Param{W: w, Name: src.Name}, nil
+}
+
+// replicateNorm uploads a full copy of a reference layer norm.
+func replicateNorm(dev *Device, src *LayerNorm) (*LayerNorm, error) {
+	g, err := replicate(dev, src.Gamma)
+	if err != nil {
+		return nil, err
+	}
+	b, err := replicate(dev, src.Beta)
+	if err != nil {
+		return nil, err
+	}
+	return &LayerNorm{Dev: dev, Dim: src.Dim, Eps: src.Eps, Gamma: g, Beta: b}, nil
 }
 
 // NewTPShard builds rank `rank` of a `world`-way tensor-parallel copy of
@@ -111,83 +112,57 @@ func NewTPShard(dev *Device, ref *TransformerEncoder, rank, world int) (*TPShard
 		return nil, fmt.Errorf("torch: tensor-parallel world %d must divide heads %d, d_model %d and ff %d",
 			world, cfg.Heads, cfg.DModel, cfg.FF)
 	}
-	s := &TPShard{
-		Dev: dev, Cfg: cfg, Rank: rank, World: world,
-		localHeads: cfg.Heads / world,
-		dh:         cfg.DModel / cfg.Heads,
-		dmShard:    cfg.DModel / world,
-		ffShard:    cfg.FF / world,
-		eps:        ref.Final.Eps,
-	}
-	var err error
-	if s.table, err = replicate(dev, ref.Embed.Table.W); err != nil {
+	// Upload order is device-address order: tables, then per block both
+	// norms before the six projections, then the final norm.
+	m := &TransformerEncoder{Dev: dev, Cfg: cfg}
+	table, err := replicate(dev, ref.Embed.Table)
+	if err != nil {
 		return nil, err
 	}
-	if s.pos, err = replicate(dev, ref.Pos.W); err != nil {
+	m.Embed = &Embedding{Dev: dev, Vocab: cfg.Vocab, Dim: cfg.DModel, Table: table}
+	if m.Pos, err = replicate(dev, ref.Pos); err != nil {
 		return nil, err
 	}
 	for _, blk := range ref.Blocks {
-		b := &tpBlock{}
-		if b.ln1G, err = replicate(dev, blk.Ln1.Gamma.W); err != nil {
+		attn := &MultiHeadAttention{Dev: dev, Heads: cfg.Heads / world}
+		b := &TransformerBlock{Dev: dev, Attn: attn, Act: &GELU{Dev: dev}}
+		if b.Ln1, err = replicateNorm(dev, blk.Ln1); err != nil {
 			return nil, err
 		}
-		if b.ln1B, err = replicate(dev, blk.Ln1.Beta.W); err != nil {
+		if b.Ln2, err = replicateNorm(dev, blk.Ln2); err != nil {
 			return nil, err
 		}
-		if b.ln2G, err = replicate(dev, blk.Ln2.Gamma.W); err != nil {
-			return nil, err
+		for _, p := range []struct {
+			dst **projection
+			ref *projection
+		}{{&attn.Wq, blk.Attn.Wq}, {&attn.Wk, blk.Attn.Wk}, {&attn.Wv, blk.Attn.Wv}, {&attn.Wo, blk.Attn.Wo},
+			{&b.Fc1, blk.Fc1}, {&b.Fc2, blk.Fc2}} {
+			if *p.dst, err = shardProjection(dev, p.ref, rank, world); err != nil {
+				return nil, err
+			}
 		}
-		if b.ln2B, err = replicate(dev, blk.Ln2.Beta.W); err != nil {
-			return nil, err
-		}
-		dm := cfg.DModel
-		if b.wq, err = shardProjection(dev, blk.Attn.Wq, dm, dm, rank*s.dmShard, s.dmShard); err != nil {
-			return nil, err
-		}
-		if b.wk, err = shardProjection(dev, blk.Attn.Wk, dm, dm, rank*s.dmShard, s.dmShard); err != nil {
-			return nil, err
-		}
-		if b.wv, err = shardProjection(dev, blk.Attn.Wv, dm, dm, rank*s.dmShard, s.dmShard); err != nil {
-			return nil, err
-		}
-		if b.wo, err = shardProjection(dev, blk.Attn.Wo, dm, dm, rank*s.dmShard, s.dmShard); err != nil {
-			return nil, err
-		}
-		if b.fc1, err = shardProjection(dev, blk.Fc1, dm, cfg.FF, rank*s.ffShard, s.ffShard); err != nil {
-			return nil, err
-		}
-		if b.fc2, err = shardProjection(dev, blk.Fc2, cfg.FF, dm, rank*s.dmShard, s.dmShard); err != nil {
-			return nil, err
-		}
-		s.blocks = append(s.blocks, b)
+		m.Blocks = append(m.Blocks, b)
 	}
-	if s.finalG, err = replicate(dev, ref.Final.Gamma.W); err != nil {
+	if m.Final, err = replicateNorm(dev, ref.Final); err != nil {
 		return nil, err
 	}
-	if s.finalB, err = replicate(dev, ref.Final.Beta.W); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return &TPShard{Dev: dev, Cfg: cfg, Rank: rank, World: world, model: m}, nil
 }
 
 // Layers returns the number of transformer blocks.
-func (s *TPShard) Layers() int { return len(s.blocks) }
+func (s *TPShard) Layers() int { return len(s.model.Blocks) }
 
 // PendingGather returns the column shard the last phase produced and
 // the full-width destination the next phase consumes. The node's
 // all-gather collective fills dst from every rank's shard.
 func (s *TPShard) PendingGather() (shard, dst *Tensor) { return s.shard, s.full }
 
-// layerNorm applies a replicated layer norm out-of-place.
-func (s *TPShard) layerNorm(x, g, b *Tensor, rows int) (*Tensor, error) {
-	y, err := s.Dev.NewTensor(rows, s.Cfg.DModel)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Dev.H.LayerNormForward(x.Ptr, g.Ptr, b.Ptr, y.Ptr, rows, s.Cfg.DModel, s.eps); err != nil {
-		return nil, err
-	}
-	return y, nil
+// produced records a phase's column shard and allocates the full-width
+// [seq, cols] buffer the next collective gathers it into.
+func (s *TPShard) produced(shard *Tensor, cols int) (err error) {
+	s.shard = shard
+	s.full, err = s.Dev.NewTensor(s.x.Dim(0), cols)
+	return err
 }
 
 // StartForward begins a sequence: uploads the ids, gathers embeddings
@@ -197,29 +172,13 @@ func (s *TPShard) StartForward(ids []int32) error {
 	if err := validateTokenIDs(ids, s.Cfg.Vocab); err != nil {
 		return err
 	}
-	seq := len(ids)
-	if seq > s.Cfg.MaxSeq {
-		return fmt.Errorf("torch: sequence length %d exceeds MaxSeq %d", seq, s.Cfg.MaxSeq)
-	}
 	addr, err := s.Dev.UploadLabels(ids)
 	if err != nil {
 		return err
 	}
-	e, err := s.Dev.NewTensor(seq, s.Cfg.DModel)
-	if err != nil {
+	if s.x, err = s.model.embed(addr, len(ids), 0); err != nil {
 		return err
 	}
-	if err := s.Dev.H.EmbeddingLookup(s.table.Ptr, addr, e.Ptr, seq, s.Cfg.DModel); err != nil {
-		return err
-	}
-	x, err := s.Dev.NewTensor(seq, s.Cfg.DModel)
-	if err != nil {
-		return err
-	}
-	if err := s.Dev.H.ResidualAdd(e.Ptr, s.pos.Ptr, x.Ptr, seq*s.Cfg.DModel); err != nil {
-		return err
-	}
-	s.seq, s.x = seq, x
 	s.shard, s.full = nil, nil
 	return nil
 }
@@ -228,156 +187,57 @@ func (s *TPShard) StartForward(ids []int32) error {
 // producing the context column shard [seq, DModel/World]. Next
 // collective: gather the full context.
 func (s *TPShard) AttnCtx(blk int) error {
-	b := s.blocks[blk]
-	seq, dm, dh := s.seq, s.Cfg.DModel, s.dh
-	h := s.Dev.H
-	n1, err := s.layerNorm(s.x, b.ln1G, b.ln1B, seq)
+	b := s.model.Blocks[blk]
+	n1, err := b.Ln1.Forward(s.x)
 	if err != nil {
 		return err
 	}
-	cols := s.dmShard // localHeads*dh
-	q, err := b.wq.apply(s.Dev, n1, seq, dm, cols)
+	merged, err := b.Attn.context(n1)
 	if err != nil {
 		return err
 	}
-	k, err := b.wk.apply(s.Dev, n1, seq, dm, cols)
-	if err != nil {
-		return err
-	}
-	v, err := b.wv.apply(s.Dev, n1, seq, dm, cols)
-	if err != nil {
-		return err
-	}
-	heads := make([]*Tensor, 3)
-	for i, src := range []*Tensor{q, k, v} {
-		t, err := s.Dev.NewTensor(s.localHeads, seq, dh)
-		if err != nil {
-			return err
-		}
-		if err := h.SplitHeads(src.Ptr, t.Ptr, seq, s.localHeads, dh); err != nil {
-			return err
-		}
-		heads[i] = t
-	}
-	qh, kh, vh := heads[0], heads[1], heads[2]
-	scores, err := s.Dev.NewTensor(s.localHeads, seq, seq)
-	if err != nil {
-		return err
-	}
-	scale := float32(1 / math.Sqrt(float64(dh)))
-	if err := h.GemmNTStridedBatched(qh.Ptr, kh.Ptr, scores.Ptr,
-		seq, seq, dh, seq*dh, seq*dh, seq*seq, s.localHeads, scale, 0); err != nil {
-		return err
-	}
-	probs, err := s.Dev.NewTensor(s.localHeads, seq, seq)
-	if err != nil {
-		return err
-	}
-	if err := h.SoftmaxForward(scores.Ptr, probs.Ptr, s.localHeads*seq, seq); err != nil {
-		return err
-	}
-	ctxh, err := s.Dev.NewTensor(s.localHeads, seq, dh)
-	if err != nil {
-		return err
-	}
-	if err := h.GemmStridedBatched(probs.Ptr, vh.Ptr, ctxh.Ptr,
-		seq, dh, seq, seq*seq, seq*dh, seq*dh, s.localHeads, 1, 0); err != nil {
-		return err
-	}
-	merged, err := s.Dev.NewTensor(seq, cols)
-	if err != nil {
-		return err
-	}
-	if err := h.MergeHeads(ctxh.Ptr, merged.Ptr, seq, s.localHeads, dh); err != nil {
-		return err
-	}
-	s.shard = merged
-	if s.full, err = s.Dev.NewTensor(seq, dm); err != nil {
-		return err
-	}
-	return nil
+	return s.produced(merged, s.Cfg.DModel)
 }
 
 // AttnOut consumes the gathered full context and produces the output
 // projection's column shard. Next collective: gather the full attention
 // output.
 func (s *TPShard) AttnOut(blk int) error {
-	b := s.blocks[blk]
-	seq, dm := s.seq, s.Cfg.DModel
-	o, err := b.wo.apply(s.Dev, s.full, seq, dm, s.dmShard)
+	o, err := s.model.Blocks[blk].Attn.Wo.apply(s.Dev, s.full)
 	if err != nil {
 		return err
 	}
-	s.shard = o
-	if s.full, err = s.Dev.NewTensor(seq, dm); err != nil {
-		return err
-	}
-	return nil
+	return s.produced(o, s.Cfg.DModel)
 }
 
 // MLPAct consumes the gathered attention output: adds the residual,
 // runs ln2 and the rank's fc1 column shard plus GELU. Next collective:
 // gather the full [seq, FF] activation.
 func (s *TPShard) MLPAct(blk int) error {
-	b := s.blocks[blk]
-	seq, dm := s.seq, s.Cfg.DModel
-	hres, err := s.Dev.NewTensor(seq, dm)
+	h, act, err := s.model.Blocks[blk].mlpAct(s.x, s.full)
 	if err != nil {
 		return err
 	}
-	if err := s.Dev.H.ResidualAdd(s.x.Ptr, s.full.Ptr, hres.Ptr, seq*dm); err != nil {
-		return err
-	}
-	n2, err := s.layerNorm(hres, b.ln2G, b.ln2B, seq)
-	if err != nil {
-		return err
-	}
-	f1, err := b.fc1.apply(s.Dev, n2, seq, dm, s.ffShard)
-	if err != nil {
-		return err
-	}
-	act, err := s.Dev.NewTensor(seq, s.ffShard)
-	if err != nil {
-		return err
-	}
-	if err := s.Dev.H.GeluForward(f1.Ptr, act.Ptr, f1.Count()); err != nil {
-		return err
-	}
-	s.h = hres
-	s.shard = act
-	if s.full, err = s.Dev.NewTensor(seq, s.Cfg.FF); err != nil {
-		return err
-	}
-	return nil
+	s.h = h
+	return s.produced(act, s.Cfg.FF)
 }
 
 // MLPOut consumes the gathered full GELU activation and produces the
 // fc2 column shard. Next collective: gather the full MLP output.
 func (s *TPShard) MLPOut(blk int) error {
-	b := s.blocks[blk]
-	seq := s.seq
-	f2, err := b.fc2.apply(s.Dev, s.full, seq, s.Cfg.FF, s.dmShard)
+	f2, err := s.model.Blocks[blk].Fc2.apply(s.Dev, s.full)
 	if err != nil {
 		return err
 	}
-	s.shard = f2
-	if s.full, err = s.Dev.NewTensor(seq, s.Cfg.DModel); err != nil {
-		return err
-	}
-	return nil
+	return s.produced(f2, s.Cfg.DModel)
 }
 
 // EndBlock consumes the gathered full MLP output and closes block blk
 // with the second residual add, leaving the stream ready for the next
 // block's AttnCtx.
 func (s *TPShard) EndBlock(blk int) error {
-	_ = blk
-	seq, dm := s.seq, s.Cfg.DModel
-	x, err := s.Dev.NewTensor(seq, dm)
+	x, err := s.model.Blocks[blk].residual(s.h, s.full)
 	if err != nil {
-		return err
-	}
-	if err := s.Dev.H.ResidualAdd(s.h.Ptr, s.full.Ptr, x.Ptr, seq*dm); err != nil {
 		return err
 	}
 	s.x = x
@@ -388,13 +248,4 @@ func (s *TPShard) EndBlock(blk int) error {
 // Output applies the replicated final layer norm and returns the
 // [seq, DModel] activation — bitwise identical on every rank, and to
 // the single-device encoder's Forward with the same weights.
-func (s *TPShard) Output() (*Tensor, error) {
-	y, err := s.Dev.NewTensor(s.seq, s.Cfg.DModel)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Dev.H.LayerNormForward(s.x.Ptr, s.finalG.Ptr, s.finalB.Ptr, y.Ptr, s.seq, s.Cfg.DModel, s.eps); err != nil {
-		return nil, err
-	}
-	return y, nil
-}
+func (s *TPShard) Output() (*Tensor, error) { return s.model.Final.Forward(s.x) }

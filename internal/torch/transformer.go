@@ -17,7 +17,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/cudart"
 	"repro/internal/cudnn"
 	"repro/internal/ref"
 )
@@ -154,12 +153,14 @@ func (g *GELU) ForwardCPU(x []float32, shape []int) ([]float32, []int) {
 	return ref.Gelu(x), shape
 }
 
-// projection is one [In, Out] dense weight + bias applied with the tiled
+// projection is one [in, out] dense weight + bias applied with the tiled
 // SGEMM kernel (one launch per matrix, unlike Linear's per-row GEMV —
-// transformer projections are batched over the whole sequence).
+// transformer projections are batched over the whole sequence). It
+// carries its own dimensions; the row count comes with the input.
 type projection struct {
-	W *Param
-	B *Param
+	in, out int
+	W       *Param
+	B       *Param
 }
 
 func newProjection(dev *Device, rng *rand.Rand, in, out int, name string) (*projection, error) {
@@ -172,22 +173,23 @@ func newProjection(dev *Device, rng *rand.Rand, in, out int, name string) (*proj
 		return nil, err
 	}
 	w.RandInit(rng, float32(math.Sqrt(2.0/float64(in))))
-	return &projection{
+	return &projection{in: in, out: out,
 		W: &Param{W: w, Name: name + ".weight"},
 		B: &Param{W: b, Name: name + ".bias"},
 	}, nil
 }
 
 // apply computes y = x·W + b for x[rows, in] on the device.
-func (p *projection) apply(dev *Device, x *Tensor, rows, in, out int) (*Tensor, error) {
-	y, err := dev.NewTensor(rows, out)
+func (p *projection) apply(dev *Device, x *Tensor) (*Tensor, error) {
+	rows := x.Count() / p.in
+	y, err := dev.NewTensor(rows, p.out)
 	if err != nil {
 		return nil, err
 	}
-	if err := dev.H.Gemm(x.Ptr, p.W.W.Ptr, y.Ptr, rows, out, in, 1, 0); err != nil {
+	if err := dev.H.Gemm(x.Ptr, p.W.W.Ptr, y.Ptr, rows, p.out, p.in, 1, 0); err != nil {
 		return nil, err
 	}
-	yd := cudnn.TensorDesc{N: rows, C: out, H: 1, W: 1}
+	yd := cudnn.TensorDesc{N: rows, C: p.out, H: 1, W: 1}
 	if err := dev.H.AddTensor(p.B.W.Ptr, y.Ptr, yd); err != nil {
 		return nil, err
 	}
@@ -195,20 +197,22 @@ func (p *projection) apply(dev *Device, x *Tensor, rows, in, out int) (*Tensor, 
 }
 
 // applyCPU mirrors apply on the host.
-func (p *projection) applyCPU(x []float32, rows, in, out int) []float32 {
-	y := make([]float32, rows*out)
-	ref.Gemm(x, p.W.W.ToHost(), y, rows, out, in, 1, 0)
-	ref.AddBias(y, p.B.W.ToHost(), rows, out, 1)
+func (p *projection) applyCPU(x []float32) []float32 {
+	rows := len(x) / p.in
+	y := make([]float32, rows*p.out)
+	ref.Gemm(x, p.W.W.ToHost(), y, rows, p.out, p.in, 1, 0)
+	ref.AddBias(y, p.B.W.ToHost(), rows, p.out, 1)
 	return y
 }
 
 // backward computes dx = dy·Wᵀ and accumulates dW += xᵀ·dy and
 // db += Σ_rows dy, where x is the cached forward input of this
 // projection.
-func (p *projection) backward(dev *Device, x, dy *Tensor, rows, in, out int) (*Tensor, error) {
+func (p *projection) backward(dev *Device, x, dy *Tensor) (*Tensor, error) {
 	if err := gradsRequired(p.W, p.B); err != nil {
 		return nil, err
 	}
+	rows, in, out := x.Count()/p.in, p.in, p.out
 	dx, err := dev.NewTensor(rows, in)
 	if err != nil {
 		return nil, err
@@ -238,15 +242,16 @@ func (p *projection) backward(dev *Device, x, dy *Tensor, rows, in, out int) (*T
 // MultiHeadAttention is scaled dot-product self-attention over a
 // [seq, DModel] activation: per-head Q·Kᵀ via the NT strided-batched
 // GEMM, row-softmax, probabilities·V via the NN strided-batched GEMM,
-// with split/merge head permutes and four dense projections.
+// with split/merge head permutes and four dense projections. Heads is
+// the number of heads computed here — all of them, or a tensor-parallel
+// rank's share, in which case q/k/v/out hold that rank's columns.
 type MultiHeadAttention struct {
-	Dev    *Device
-	Heads  int
-	DModel int
-	Wq     *projection
-	Wk     *projection
-	Wv     *projection
-	Wo     *projection
+	Dev   *Device
+	Heads int
+	Wq    *projection
+	Wk    *projection
+	Wv    *projection
+	Wo    *projection
 	// forward activation cache (pointers only) for Backward
 	lastX   *Tensor
 	lastSeq int
@@ -262,7 +267,7 @@ func NewMultiHeadAttention(dev *Device, rng *rand.Rand, heads, dModel int) (*Mul
 	if dModel%heads != 0 {
 		return nil, fmt.Errorf("torch: dModel %d not divisible by %d heads", dModel, heads)
 	}
-	m := &MultiHeadAttention{Dev: dev, Heads: heads, DModel: dModel}
+	m := &MultiHeadAttention{Dev: dev, Heads: heads}
 	var err error
 	for _, p := range []struct {
 		dst  **projection
@@ -275,78 +280,127 @@ func NewMultiHeadAttention(dev *Device, rng *rand.Rand, heads, dModel int) (*Mul
 	return m, nil
 }
 
-// Forward implements Module for x of shape [seq, DModel].
-func (m *MultiHeadAttention) Forward(x *Tensor) (*Tensor, error) {
-	seq := x.Dim(0)
-	dm := m.DModel
-	dh := dm / m.Heads
+// The forward chain below is spelled out once, as phases, and issued on
+// three schedules: Forward (the encoder, back to back), ForwardCached
+// (the KV-cached decoder) and TPShard (one phase per collective). Every
+// phase allocates its tensors and launches in a fixed order; that order
+// is the model's device addresses, replay signatures and modelled
+// cycles, pinned by TestLaunchChainPinned.
+
+// headDim is the per-head width dh.
+func (m *MultiHeadAttention) headDim() int { return m.Wq.out / m.Heads }
+
+// qkv projects x[seq, DModel] into queries, keys and values, each
+// [seq, Heads·dh].
+func (m *MultiHeadAttention) qkv(x *Tensor) (q, k, v *Tensor, err error) {
+	if q, err = m.Wq.apply(m.Dev, x); err != nil {
+		return nil, nil, nil, err
+	}
+	if k, err = m.Wk.apply(m.Dev, x); err != nil {
+		return nil, nil, nil, err
+	}
+	if v, err = m.Wv.apply(m.Dev, x); err != nil {
+		return nil, nil, nil, err
+	}
+	return q, k, v, nil
+}
+
+// splitHeads permutes x[seq, Heads·dh] into a fresh per-head
+// [Heads, seq, dh] tensor.
+func (m *MultiHeadAttention) splitHeads(x *Tensor) (*Tensor, error) {
+	seq, dh := x.Dim(0), m.headDim()
+	t, err := m.Dev.NewTensor(m.Heads, seq, dh)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.Dev.H.SplitHeads(x.Ptr, t.Ptr, seq, m.Heads, dh); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// bidirectional is attend's pos for unmasked attention.
+const bidirectional = -1
+
+// attend is the attention core: per-head queries qh[Heads, seq, dh]
+// against kvLen key and value rows per head, one head's rows kvStride
+// floats from the next's (seq·dh for freshly split heads, MaxSeq·dh
+// inside a KV cache). scores[h] = Qh·Khᵀ/sqrt(dh), row softmax,
+// context[h] = probs·Vh, merged back to [seq, Heads·dh]. With pos >= 0
+// the softmax is causal — query row i sits at position pos+i and sees
+// keys 0..pos+i. probs is returned for Backward.
+func (m *MultiHeadAttention) attend(qh, k, v *Tensor, kvLen, kvStride, pos int) (probs, merged *Tensor, err error) {
+	seq, dh := qh.Dim(1), m.headDim()
 	h := m.Dev.H
-
-	q, err := m.Wq.apply(m.Dev, x, seq, dm, dm)
+	scores, err := m.Dev.NewTensor(m.Heads, seq, kvLen)
 	if err != nil {
-		return nil, err
-	}
-	k, err := m.Wk.apply(m.Dev, x, seq, dm, dm)
-	if err != nil {
-		return nil, err
-	}
-	v, err := m.Wv.apply(m.Dev, x, seq, dm, dm)
-	if err != nil {
-		return nil, err
-	}
-
-	// per-head layout [Heads, seq, dh]
-	heads := make([]*Tensor, 3)
-	for i, src := range []*Tensor{q, k, v} {
-		t, err := m.Dev.NewTensor(m.Heads, seq, dh)
-		if err != nil {
-			return nil, err
-		}
-		if err := h.SplitHeads(src.Ptr, t.Ptr, seq, m.Heads, dh); err != nil {
-			return nil, err
-		}
-		heads[i] = t
-	}
-	qh, kh, vh := heads[0], heads[1], heads[2]
-
-	// scores[h] = Qh·Khᵀ / sqrt(dh), then row softmax
-	scores, err := m.Dev.NewTensor(m.Heads, seq, seq)
-	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	scale := float32(1 / math.Sqrt(float64(dh)))
-	if err := h.GemmNTStridedBatched(qh.Ptr, kh.Ptr, scores.Ptr,
-		seq, seq, dh, seq*dh, seq*dh, seq*seq, m.Heads, scale, 0); err != nil {
-		return nil, err
+	if err := h.GemmNTStridedBatched(qh.Ptr, k.Ptr, scores.Ptr,
+		seq, kvLen, dh, seq*dh, kvStride, seq*kvLen, m.Heads, scale, 0); err != nil {
+		return nil, nil, err
 	}
-	probs, err := m.Dev.NewTensor(m.Heads, seq, seq)
+	if probs, err = m.Dev.NewTensor(m.Heads, seq, kvLen); err != nil {
+		return nil, nil, err
+	}
+	if pos < 0 {
+		err = h.SoftmaxForward(scores.Ptr, probs.Ptr, m.Heads*seq, kvLen)
+	} else {
+		err = h.SoftmaxCausalForward(scores.Ptr, probs.Ptr, m.Heads*seq, kvLen, seq, pos)
+	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err := h.SoftmaxForward(scores.Ptr, probs.Ptr, m.Heads*seq, seq); err != nil {
-		return nil, err
-	}
-
-	// context[h] = probs·Vh, merged back to [seq, DModel]
 	ctxh, err := m.Dev.NewTensor(m.Heads, seq, dh)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err := h.GemmStridedBatched(probs.Ptr, vh.Ptr, ctxh.Ptr,
-		seq, dh, seq, seq*seq, seq*dh, seq*dh, m.Heads, 1, 0); err != nil {
-		return nil, err
+	if err := h.GemmStridedBatched(probs.Ptr, v.Ptr, ctxh.Ptr,
+		seq, dh, kvLen, seq*kvLen, kvStride, seq*dh, m.Heads, 1, 0); err != nil {
+		return nil, nil, err
 	}
-	merged, err := m.Dev.NewTensor(seq, dm)
+	if merged, err = m.Dev.NewTensor(seq, m.Heads*dh); err != nil {
+		return nil, nil, err
+	}
+	if err := h.MergeHeads(ctxh.Ptr, merged.Ptr, seq, m.Heads, dh); err != nil {
+		return nil, nil, err
+	}
+	return probs, merged, nil
+}
+
+// context is unmasked self-attention up to the merged per-head context
+// [seq, Heads·dh] — everything before the output projection.
+func (m *MultiHeadAttention) context(x *Tensor) (*Tensor, error) {
+	seq := x.Dim(0)
+	q, k, v, err := m.qkv(x)
 	if err != nil {
 		return nil, err
 	}
-	if err := h.MergeHeads(ctxh.Ptr, merged.Ptr, seq, m.Heads, dh); err != nil {
+	var heads [3]*Tensor
+	for i, src := range []*Tensor{q, k, v} {
+		if heads[i], err = m.splitHeads(src); err != nil {
+			return nil, err
+		}
+	}
+	qh, kh, vh := heads[0], heads[1], heads[2]
+	probs, merged, err := m.attend(qh, kh, vh, seq, seq*m.headDim(), bidirectional)
+	if err != nil {
 		return nil, err
 	}
 	m.lastX, m.lastSeq = x, seq
 	m.qh, m.kh, m.vh = qh, kh, vh
 	m.probs, m.merged = probs, merged
-	return m.Wo.apply(m.Dev, merged, seq, dm, dm)
+	return merged, nil
+}
+
+// Forward implements Module for x of shape [seq, DModel].
+func (m *MultiHeadAttention) Forward(x *Tensor) (*Tensor, error) {
+	merged, err := m.context(x)
+	if err != nil {
+		return nil, err
+	}
+	return m.Wo.apply(m.Dev, merged)
 }
 
 // Backward implements Module: walks the attention graph in reverse —
@@ -355,12 +409,12 @@ func (m *MultiHeadAttention) Forward(x *Tensor) (*Tensor, error) {
 // whose input gradients sum into dx.
 func (m *MultiHeadAttention) Backward(dy *Tensor) (*Tensor, error) {
 	seq := m.lastSeq
-	dm := m.DModel
+	dm := m.Wq.out
 	dh := dm / m.Heads
 	h := m.Dev.H
 	scale := float32(1 / math.Sqrt(float64(dh)))
 
-	dmerged, err := m.Wo.backward(m.Dev, m.merged, dy, seq, dm, dm)
+	dmerged, err := m.Wo.backward(m.Dev, m.merged, dy)
 	if err != nil {
 		return nil, err
 	}
@@ -428,12 +482,12 @@ func (m *MultiHeadAttention) Backward(dy *Tensor) (*Tensor, error) {
 		}
 		grads[i] = t
 	}
-	dx, err := m.Wq.backward(m.Dev, m.lastX, grads[0], seq, dm, dm)
+	dx, err := m.Wq.backward(m.Dev, m.lastX, grads[0])
 	if err != nil {
 		return nil, err
 	}
 	for i, p := range []*projection{m.Wk, m.Wv} {
-		d, err := p.backward(m.Dev, m.lastX, grads[i+1], seq, dm, dm)
+		d, err := p.backward(m.Dev, m.lastX, grads[i+1])
 		if err != nil {
 			return nil, err
 		}
@@ -451,30 +505,37 @@ func (m *MultiHeadAttention) Params() []*Param {
 
 // ForwardCPU implements Module.
 func (m *MultiHeadAttention) ForwardCPU(x []float32, shape []int) ([]float32, []int) {
-	seq := shape[0]
-	dm := m.DModel
-	dh := dm / m.Heads
-	q := ref.SplitHeads(m.Wq.applyCPU(x, seq, dm, dm), seq, m.Heads, dh)
-	k := ref.SplitHeads(m.Wk.applyCPU(x, seq, dm, dm), seq, m.Heads, dh)
-	v := ref.SplitHeads(m.Wv.applyCPU(x, seq, dm, dm), seq, m.Heads, dh)
+	return m.forwardCPU(x, shape[0], false), shape
+}
+
+// forwardCPU mirrors Forward on the host or, with causal set,
+// ForwardCached from an empty cache: per-head causally masked attention
+// over the full sequence.
+func (m *MultiHeadAttention) forwardCPU(x []float32, seq int, causal bool) []float32 {
+	dh := m.headDim()
+	q := ref.SplitHeads(m.Wq.applyCPU(x), seq, m.Heads, dh)
+	k := ref.SplitHeads(m.Wk.applyCPU(x), seq, m.Heads, dh)
+	v := ref.SplitHeads(m.Wv.applyCPU(x), seq, m.Heads, dh)
 	scale := float32(1 / math.Sqrt(float64(dh)))
 	ctxh := make([]float32, m.Heads*seq*dh)
 	for hh := 0; hh < m.Heads; hh++ {
 		scores := make([]float32, seq*seq)
 		ref.GemmNT(q[hh*seq*dh:], k[hh*seq*dh:], scores, seq, seq, dh, scale, 0)
-		probs := ref.Softmax(scores, seq, seq)
+		var probs []float32
+		if causal {
+			probs = ref.SoftmaxCausal(scores, seq, seq, seq, 0)
+		} else {
+			probs = ref.Softmax(scores, seq, seq)
+		}
 		ref.Gemm(probs, v[hh*seq*dh:(hh+1)*seq*dh], ctxh[hh*seq*dh:(hh+1)*seq*dh], seq, dh, seq, 1, 0)
 	}
-	merged := ref.MergeHeads(ctxh, seq, m.Heads, dh)
-	return m.Wo.applyCPU(merged, seq, dm, dm), shape
+	return m.Wo.applyCPU(ref.MergeHeads(ctxh, seq, m.Heads, dh))
 }
 
 // TransformerBlock is one pre-LN encoder block:
 // h = x + Attn(LN1(x)); y = h + W2·GELU(W1·LN2(h)).
 type TransformerBlock struct {
 	Dev  *Device
-	Dm   int
-	Ff   int
 	Ln1  *LayerNorm
 	Attn *MultiHeadAttention
 	Ln2  *LayerNorm
@@ -482,7 +543,6 @@ type TransformerBlock struct {
 	Fc2  *projection
 	Act  *GELU
 	// forward activation cache (pointers only) for Backward
-	lastSeq int
 	lastN2  *Tensor
 	lastAct *Tensor
 }
@@ -509,7 +569,7 @@ func NewTransformerBlock(dev *Device, rng *rand.Rand, heads, dModel, ff int) (*T
 	if err != nil {
 		return nil, err
 	}
-	return &TransformerBlock{Dev: dev, Dm: dModel, Ff: ff,
+	return &TransformerBlock{Dev: dev,
 		Ln1: ln1, Attn: attn, Ln2: ln2, Fc1: fc1, Fc2: fc2, Act: &GELU{Dev: dev}}, nil
 }
 
@@ -525,9 +585,44 @@ func (b *TransformerBlock) residual(x, r *Tensor) (*Tensor, error) {
 	return y, nil
 }
 
-// Forward implements Module for x of shape [seq, Dm].
+// mlpAct opens the feed-forward branch on the attention output att:
+// h = x + att, then a = GELU(Fc1(LN2(h))). h comes back for the closing
+// residual.
+func (b *TransformerBlock) mlpAct(x, att *Tensor) (h, a *Tensor, err error) {
+	if h, err = b.residual(x, att); err != nil {
+		return nil, nil, err
+	}
+	n2, err := b.Ln2.Forward(h)
+	if err != nil {
+		return nil, nil, err
+	}
+	f1, err := b.Fc1.apply(b.Dev, n2)
+	if err != nil {
+		return nil, nil, err
+	}
+	if a, err = b.Act.Forward(f1); err != nil {
+		return nil, nil, err
+	}
+	b.lastN2, b.lastAct = n2, a
+	return h, a, nil
+}
+
+// feedForward is the block after its attention: y = h + Fc2(a), with h
+// and a from mlpAct.
+func (b *TransformerBlock) feedForward(x, att *Tensor) (*Tensor, error) {
+	h, a, err := b.mlpAct(x, att)
+	if err != nil {
+		return nil, err
+	}
+	f2, err := b.Fc2.apply(b.Dev, a)
+	if err != nil {
+		return nil, err
+	}
+	return b.residual(h, f2)
+}
+
+// Forward implements Module for x of shape [seq, DModel].
 func (b *TransformerBlock) Forward(x *Tensor) (*Tensor, error) {
-	seq := x.Dim(0)
 	n1, err := b.Ln1.Forward(x)
 	if err != nil {
 		return nil, err
@@ -536,28 +631,7 @@ func (b *TransformerBlock) Forward(x *Tensor) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := b.residual(x, att)
-	if err != nil {
-		return nil, err
-	}
-	n2, err := b.Ln2.Forward(h)
-	if err != nil {
-		return nil, err
-	}
-	f1, err := b.Fc1.apply(b.Dev, n2, seq, b.Dm, b.Ff)
-	if err != nil {
-		return nil, err
-	}
-	a, err := b.Act.Forward(f1)
-	if err != nil {
-		return nil, err
-	}
-	f2, err := b.Fc2.apply(b.Dev, a, seq, b.Ff, b.Dm)
-	if err != nil {
-		return nil, err
-	}
-	b.lastSeq, b.lastN2, b.lastAct = seq, n2, a
-	return b.residual(h, f2)
+	return b.feedForward(x, att)
 }
 
 // Backward implements Module. The two residual connections make the
@@ -565,9 +639,8 @@ func (b *TransformerBlock) Forward(x *Tensor) (*Tensor, error) {
 // h; the combined dh then reaches both the attention branch and (again
 // as a pass-through) x.
 func (b *TransformerBlock) Backward(dy *Tensor) (*Tensor, error) {
-	seq := b.lastSeq
 	// FF branch: y = h + Fc2(GELU(Fc1(LN2(h))))
-	da, err := b.Fc2.backward(b.Dev, b.lastAct, dy, seq, b.Ff, b.Dm)
+	da, err := b.Fc2.backward(b.Dev, b.lastAct, dy)
 	if err != nil {
 		return nil, err
 	}
@@ -575,7 +648,7 @@ func (b *TransformerBlock) Backward(dy *Tensor) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	dn2, err := b.Fc1.backward(b.Dev, b.lastN2, df1, seq, b.Dm, b.Ff)
+	dn2, err := b.Fc1.backward(b.Dev, b.lastN2, df1)
 	if err != nil {
 		return nil, err
 	}
@@ -609,15 +682,18 @@ func (b *TransformerBlock) Params() []*Param {
 
 // ForwardCPU implements Module.
 func (b *TransformerBlock) ForwardCPU(x []float32, shape []int) ([]float32, []int) {
-	seq := shape[0]
+	return b.forwardCPU(x, shape, false), shape
+}
+
+// forwardCPU mirrors Forward on the host; causal selects the decoder's
+// masked attention.
+func (b *TransformerBlock) forwardCPU(x []float32, shape []int, causal bool) []float32 {
 	n1, _ := b.Ln1.ForwardCPU(x, shape)
-	att, _ := b.Attn.ForwardCPU(n1, shape)
+	att := b.Attn.forwardCPU(n1, shape[0], causal)
 	h := ref.AddResidual(x, att)
 	n2, _ := b.Ln2.ForwardCPU(h, shape)
-	f1 := b.Fc1.applyCPU(n2, seq, b.Dm, b.Ff)
-	a := ref.Gelu(f1)
-	f2 := b.Fc2.applyCPU(a, seq, b.Ff, b.Dm)
-	return ref.AddResidual(h, f2), shape
+	a := ref.Gelu(b.Fc1.applyCPU(n2))
+	return ref.AddResidual(h, b.Fc2.applyCPU(a))
 }
 
 // Embedding gathers learned [Vocab, Dim] rows by token id. It is not a
@@ -694,16 +770,23 @@ type TransformerConfig struct {
 	MaxSeq int
 }
 
+// SampleTransformerConfig sizes the sample model the transformer
+// drivers, the serving layer and the benchmark share: small enough for
+// the detailed model to run in seconds, big enough that every kernel
+// family appears.
+func SampleTransformerConfig() TransformerConfig {
+	return TransformerConfig{Layers: 2, Heads: 4, DModel: 32, FF: 64, Vocab: 61, MaxSeq: 16}
+}
+
 // TransformerEncoder is a small N-layer pre-LN encoder: token embedding
 // + learned positional embedding, Layers blocks, and a final LayerNorm.
 type TransformerEncoder struct {
-	Dev     *Device
-	Cfg     TransformerConfig
-	Embed   *Embedding
-	Pos     *Param
-	Blocks  []*TransformerBlock
-	Final   *LayerNorm
-	lastSeq int
+	Dev    *Device
+	Cfg    TransformerConfig
+	Embed  *Embedding
+	Pos    *Param
+	Blocks []*TransformerBlock
+	Final  *LayerNorm
 }
 
 // NewTransformerEncoder builds the model with deterministic rng-seeded
@@ -733,22 +816,32 @@ func NewTransformerEncoder(dev *Device, rng *rand.Rand, cfg TransformerConfig) (
 	return enc, nil
 }
 
-// forwardDevice runs the encoder over pre-uploaded ids, launching only
-// kernels (no synchronising copies), so it can ride a CUDA stream.
-func (t *TransformerEncoder) forwardDevice(ids uint64, seq int) (*Tensor, error) {
-	if seq > t.Cfg.MaxSeq {
-		return nil, fmt.Errorf("torch: sequence length %d exceeds MaxSeq %d", seq, t.Cfg.MaxSeq)
+// embed is every schedule's prologue: it gathers the embedding rows of
+// seq pre-uploaded ids and adds positional rows pos..pos+seq-1.
+func (t *TransformerEncoder) embed(ids uint64, seq, pos int) (*Tensor, error) {
+	if pos+seq > t.Cfg.MaxSeq {
+		return nil, fmt.Errorf("torch: sequence length %d exceeds MaxSeq %d", pos+seq, t.Cfg.MaxSeq)
 	}
+	dm := t.Cfg.DModel
 	e, err := t.Embed.ForwardDevice(ids, seq)
 	if err != nil {
 		return nil, err
 	}
-	x, err := t.Dev.NewTensor(seq, t.Cfg.DModel)
+	x, err := t.Dev.NewTensor(seq, dm)
 	if err != nil {
 		return nil, err
 	}
-	// positional rows 0..seq-1 are the table prefix
-	if err := t.Dev.H.ResidualAdd(e.Ptr, t.Pos.W.Ptr, x.Ptr, seq*t.Cfg.DModel); err != nil {
+	if err := t.Dev.H.ResidualAdd(e.Ptr, t.Pos.W.Ptr+uint64(4*pos*dm), x.Ptr, seq*dm); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// forwardDevice runs the encoder over pre-uploaded ids, launching only
+// kernels (no synchronising copies), so it can ride a CUDA stream.
+func (t *TransformerEncoder) forwardDevice(ids uint64, seq int) (*Tensor, error) {
+	x, err := t.embed(ids, seq, 0)
+	if err != nil {
 		return nil, err
 	}
 	for _, blk := range t.Blocks {
@@ -756,7 +849,6 @@ func (t *TransformerEncoder) forwardDevice(ids uint64, seq int) (*Tensor, error)
 			return nil, err
 		}
 	}
-	t.lastSeq = seq
 	return t.Final.Forward(x)
 }
 
@@ -769,7 +861,6 @@ func (t *TransformerEncoder) Backward(dy *Tensor) error {
 	if err := gradsRequired(t.Pos); err != nil {
 		return err
 	}
-	seq := t.lastSeq
 	dx, err := t.Final.Backward(dy)
 	if err != nil {
 		return err
@@ -780,7 +871,7 @@ func (t *TransformerEncoder) Backward(dy *Tensor) error {
 		}
 	}
 	// x0 = embed + pos[:seq] — dx feeds both tables
-	if err := t.Dev.H.AccumulateAdd(dx.Ptr, t.Pos.Grad.Ptr, seq*t.Cfg.DModel); err != nil {
+	if err := t.Dev.H.AccumulateAdd(dx.Ptr, t.Pos.Grad.Ptr, dx.Count()); err != nil {
 		return err
 	}
 	return t.Embed.Backward(dx)
@@ -801,26 +892,28 @@ func (t *TransformerEncoder) Forward(ids []int32) (*Tensor, error) {
 
 // ForwardCPU is the host oracle of Forward.
 func (t *TransformerEncoder) ForwardCPU(ids []int32) ([]float32, []int) {
-	seq := len(ids)
+	return t.forwardCPU(ids, false)
+}
+
+// forwardCPU is the host pipeline behind the encoder's oracle and, with
+// causally masked attention, the decoder's.
+func (t *TransformerEncoder) forwardCPU(ids []int32, causal bool) ([]float32, []int) {
 	x, shape := t.Embed.ForwardCPU(ids)
-	pos := t.Pos.W.ToHost()
-	x = ref.AddResidual(x, pos[:seq*t.Cfg.DModel])
+	x = ref.AddResidual(x, t.Pos.W.ToHost()[:len(x)])
 	for _, blk := range t.Blocks {
-		x, shape = blk.ForwardCPU(x, shape)
+		x = blk.forwardCPU(x, shape, causal)
 	}
-	x, shape = t.Final.ForwardCPU(x, shape)
-	return x, shape
+	return t.Final.ForwardCPU(x, shape)
 }
 
 // ForwardBatch runs several sequences through the encoder. With
 // concurrent=true each sequence's kernel chain is issued on its own CUDA
-// stream (via the handle's SetStream, the cudnnSetStream analog) so the
-// detailed timing model overlaps them; otherwise everything serialises
-// on the default stream. All id uploads happen before the first launch —
-// synchronous copies are device-synchronizing and would drain the
-// streams. Returns the downloaded [seq, DModel] outputs in input order.
+// stream (Device.OnStreams) so the detailed timing model overlaps them;
+// otherwise everything serialises on the default stream. All id uploads
+// happen before the first launch — synchronous copies are
+// device-synchronizing and would drain the streams. Returns the
+// downloaded [seq, DModel] outputs in input order.
 func (t *TransformerEncoder) ForwardBatch(batch [][]int32, concurrent bool) ([][]float32, error) {
-	ctx := t.Dev.Ctx
 	idBufs := make([]uint64, len(batch))
 	for i, ids := range batch {
 		if err := validateTokenIDs(ids, t.Cfg.Vocab); err != nil {
@@ -833,30 +926,11 @@ func (t *TransformerEncoder) ForwardBatch(batch [][]int32, concurrent bool) ([][
 		idBufs[i] = addr
 	}
 	outs := make([]*Tensor, len(batch))
-	// the per-sequence streams are single-use; release their state (on
-	// every path) so repeated batches do not accumulate stream bookkeeping
-	var streams []cudart.Stream
-	defer func() {
-		for _, s := range streams {
-			ctx.StreamDestroy(s)
-		}
-	}()
-	for i, ids := range batch {
-		s := cudart.DefaultStream
-		if concurrent {
-			s = ctx.StreamCreate()
-			streams = append(streams, s)
-		}
-		t.Dev.H.SetStream(s)
-		y, err := t.forwardDevice(idBufs[i], len(ids))
-		if err != nil {
-			t.Dev.H.SetStream(cudart.DefaultStream)
-			return nil, err
-		}
-		outs[i] = y
-	}
-	t.Dev.H.SetStream(cudart.DefaultStream)
-	if err := ctx.DeviceSynchronize(); err != nil {
+	err := t.Dev.OnStreams(len(batch), concurrent, func(i int) (err error) {
+		outs[i], err = t.forwardDevice(idBufs[i], len(batch[i]))
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	res := make([][]float32, len(batch))

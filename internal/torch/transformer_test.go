@@ -1,9 +1,14 @@
 package torch_test
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/cudart"
+	"repro/internal/session"
+	"repro/internal/timing"
 	"repro/internal/torch"
 )
 
@@ -142,6 +147,86 @@ func TestTransformerForwardBatchRepeats(t *testing.T) {
 				if got[s][j] != first[s][j] {
 					t.Fatalf("repeat %d seq %d: output drifted at %d", i, s, j)
 				}
+			}
+		}
+	}
+}
+
+// TestOnStreamsFailedChain makes chain 1 of 3 fail on a device with the
+// detailed engine behind it, where chain 0's launch really is queued:
+// the error comes back, the handle is on the default stream again, the
+// streams created so far are destroyed (which drains chain 0), and the
+// device serves a following batch exactly as a fresh one does.
+func TestOnStreamsFailedChain(t *testing.T) {
+	cfg := torch.TransformerConfig{Layers: 1, Heads: 2, DModel: 8, FF: 16, Vocab: 13, MaxSeq: 6}
+	batch := [][]int32{{1, 5, 9}, {12, 0, 3}, {4, 4}}
+	rig := func() (*session.Session, *torch.TransformerEncoder) {
+		t.Helper()
+		s, err := session.New(timing.GTX1050(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		enc, err := torch.NewTransformerEncoder(s.Dev, rand.New(rand.NewSource(48)), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, enc
+	}
+	s, enc := rig()
+	dev := s.Dev
+	x, err := dev.FromHost(randInput(rand.New(rand.NewSource(50)), 64), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := dev.NewTensor(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	boom := errors.New("chain 1 cannot be issued")
+	var created []cudart.Stream
+	err = dev.OnStreams(3, true, func(i int) error {
+		created = append(created, dev.H.Stream())
+		if i == 1 {
+			return boom
+		}
+		return dev.H.GeluForward(x.Ptr, y.Ptr, 64)
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("OnStreams returned %v, want the failed chain's error", err)
+	}
+	if len(created) != 2 {
+		t.Fatalf("%d chains issued, want 2 (nothing after the failed one)", len(created))
+	}
+	if got := dev.H.Stream(); got != cudart.DefaultStream {
+		t.Fatalf("handle left on stream %d, want the default stream", got)
+	}
+	if s.Eng.Cycle() == 0 {
+		t.Fatal("chain 0 is still queued: the engine has not run a cycle")
+	}
+	for _, st := range created {
+		if st == cudart.DefaultStream {
+			t.Fatal("a concurrent chain was issued on the default stream")
+		}
+		if err := dev.Ctx.StreamSynchronize(st); err == nil || !strings.Contains(err.Error(), "invalid stream handle") {
+			t.Fatalf("StreamSynchronize(%d) = %v, want an invalid-handle error (stream destroyed)", st, err)
+		}
+	}
+
+	got, err := enc.ForwardBatch(batch, true)
+	if err != nil {
+		t.Fatalf("ForwardBatch after the failed chains: %v", err)
+	}
+	_, fresh := rig()
+	want, err := fresh.ForwardBatch(batch, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		for j := range want[i] {
+			if got[i][j] != want[i][j] {
+				t.Fatalf("seq %d output[%d] = %v after the failed chains, %v on a fresh device", i, j, got[i][j], want[i][j])
 			}
 		}
 	}
