@@ -49,6 +49,16 @@ type goldenEntry struct {
 	// in any one kernel's codegen or launch count fails CI even when the
 	// headline totals happen to cancel out.
 	PerKernel []kernelGolden `json:"per_kernel,omitempty"`
+	// Hybrid-replay pins, set only by the *_replay_warm entries: the
+	// counters a warm run is judged by and a digest of every per-launch
+	// KernelStats record, so a replay-path change that moves any single
+	// launch's cycles, counters or Replayed mark fails even when the
+	// totals agree.
+	ReplayHits        uint64 `json:"replay_hits,omitempty"`
+	ReplayMisses      uint64 `json:"replay_misses,omitempty"`
+	ReplayMemoApplied uint64 `json:"replay_memo_applied,omitempty"`
+	ReplayedCycles    uint64 `json:"replayed_cycles,omitempty"`
+	LogDigest         string `json:"log_digest,omitempty"`
 }
 
 // kernelGolden aggregates one kernel name's launches in a workload,
@@ -223,6 +233,8 @@ func TestGoldenStats(t *testing.T) {
 		"serve_small":                  goldenServe(t),
 		"decode_small":                 goldenDecode(t),
 		"train_small":                  goldenTrain(t),
+		"transformer_replay_warm":      goldenTransformerReplayWarm(t),
+		"decode_replay_warm":           goldenDecodeReplayWarm(t),
 	}
 	golden.Check(t, filepath.Join("testdata", "golden_stats.json"), *update, got, nil)
 }
