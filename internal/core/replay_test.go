@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/torch"
 )
 
 // TestRunTransformerReplay exercises the repeated-batch driver in hybrid
@@ -86,6 +89,57 @@ func BenchmarkTransformerReplay(b *testing.B) {
 				b.ReportMetric(res.Stats.ReplayCoverage(), "coverage")
 			}
 		})
+	}
+}
+
+// BenchmarkReplayWarmIteration times the steady state of hybrid replay:
+// 200 iterations of the sample forward batch (4 sequences x 12 tokens on
+// 4 streams, 204 launches) on one session, of which the first four are
+// the ladder's climb (detailed, memo capture, two all-applied sightings)
+// and the rest retire through the replay cache's batch rung. It is the
+// handle for a profile of what a warm iteration still costs:
+//
+//	go test ./internal/core -run '^$' -bench ReplayWarmIteration -benchtime 5x -cpuprofile cpu.prof
+func BenchmarkReplayWarmIteration(b *testing.B) {
+	const (
+		seqs, seqLen = 4, 12
+		iters, climb = 200, 4
+	)
+	cfg := DefaultTransformerConfig()
+	batch := TransformerBatch(seqs, seqLen, cfg.Vocab)
+	for i := 0; i < b.N; i++ {
+		s, err := sampleSession(1, 0, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		enc, err := torch.NewTransformerEncoder(s.Dev, rand.New(rand.NewSource(7)), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Pin()
+		var warmStart time.Time
+		var before, after runtime.MemStats
+		run, err := s.Iterate(iters, func(it int) error {
+			if it == climb {
+				runtime.ReadMemStats(&before)
+				warmStart = time.Now()
+			}
+			_, err := enc.ForwardBatch(batch, true)
+			return err
+		})
+		elapsed := time.Since(warmStart)
+		runtime.ReadMemStats(&after)
+		s.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := run.Stats.ReplayBatchHits; got != iters-climb {
+			b.Fatalf("%d of %d warm iterations retired as a batch", got, iters-climb)
+		}
+		warmLaunches := run.Launches() / iters * (iters - climb)
+		b.ReportMetric(float64(elapsed.Microseconds())/float64(iters-climb), "us_per_warm_iter")
+		b.ReportMetric(float64(run.Stats.ReplayBatchHits), "batch_hits")
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(warmLaunches), "allocs_per_launch")
 	}
 }
 

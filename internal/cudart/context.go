@@ -135,6 +135,9 @@ type Context struct {
 
 	runner  Runner
 	modules []*ptx.Module
+	// kernels resolves a runtime-API launch's name without walking the
+	// modules: filled by RegisterParsed, first registration wins.
+	kernels map[string]kernelRef
 
 	streams     map[Stream]*streamState
 	events      map[Event]*eventState
@@ -151,6 +154,12 @@ type Context struct {
 	// async operations queued on a StreamRunner, awaiting a sync point
 	pending  []pendingLaunch
 	asyncErr error // sticky first failure of a drained batch
+}
+
+// kernelRef is a kernel and the module that defines it.
+type kernelRef struct {
+	mod *ptx.Module
+	k   *ptx.Kernel
 }
 
 // pendingLaunch tracks one async operation: the runner's ticket plus,
@@ -172,6 +181,7 @@ func NewContext(bugs exec.BugSet) *Context {
 		Tex:     tex,
 		M:       exec.NewMachine(exec.Config{Bugs: bugs}, mem, tex),
 		runner:  FunctionalRunner{},
+		kernels: make(map[string]kernelRef),
 		streams: make(map[Stream]*streamState),
 		events:  make(map[Event]*eventState),
 		texRefs: make(map[string]*device.TexRef),
@@ -206,6 +216,11 @@ func (c *Context) RegisterModule(src string) (*ptx.Module, error) {
 // any number of contexts (the kernel library is: kernels.ParsedModules).
 func (c *Context) RegisterParsed(m *ptx.Module) {
 	c.modules = append(c.modules, m)
+	for name, k := range m.Kernels {
+		if _, dup := c.kernels[name]; !dup {
+			c.kernels[name] = kernelRef{m, k}
+		}
+	}
 	for _, name := range m.Textures {
 		if _, ok := c.texRefs[name]; !ok {
 			ref := &device.TexRef{}
@@ -218,14 +233,12 @@ func (c *Context) RegisterParsed(m *ptx.Module) {
 // Modules returns the registered modules in registration order.
 func (c *Context) Modules() []*ptx.Module { return c.modules }
 
-// LookupKernel finds a kernel by name, searching modules in registration
-// order (first match wins; use cuLaunchKernel with an explicit module to
-// disambiguate duplicates).
+// LookupKernel finds a kernel by name: of the modules that define it, the
+// one registered first wins (use cuLaunchKernel with an explicit module
+// to disambiguate duplicates).
 func (c *Context) LookupKernel(name string) (*ptx.Module, *ptx.Kernel, error) {
-	for _, m := range c.modules {
-		if k, ok := m.Kernels[name]; ok {
-			return m, k, nil
-		}
+	if ref, ok := c.kernels[name]; ok {
+		return ref.mod, ref.k, nil
 	}
 	return nil, nil, fmt.Errorf("cudart: no kernel named %q in %d registered modules", name, len(c.modules))
 }

@@ -1,6 +1,7 @@
 package cudart_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cudart"
@@ -147,6 +148,81 @@ func TestLaunchErrors(t *testing.T) {
 	p := cudart.NewParams().Ptr(px).U32(4)
 	if _, err := ctx.Launch("incr", exec.Dim3{X: 1}, exec.Dim3{X: 2048}, p, 0); err == nil {
 		t.Fatal("expected block-size error")
+	}
+}
+
+// TestLookupKernelFirstRegistrationWins: the name index resolves a kernel
+// two modules define to the module registered first — incr adds 1, the
+// second module's incr adds 2 — while the driver-API path still reaches
+// the second through its explicit module handle, and an unknown name
+// errors with the number of modules searched.
+func TestLookupKernelFirstRegistrationWins(t *testing.T) {
+	ctx := cudart.NewContext(exec.BugSet{})
+	first, err := ctx.RegisterModule(incrPTX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := ctx.RegisterModule(strings.Replace(incrPTX, "0f3F800000", "0f40000000", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, k, err := ctx.LookupKernel("incr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mod != first || k != first.Kernels["incr"] {
+		t.Errorf("LookupKernel resolved to module %p kernel %p, want the first registration %p %p", mod, k, first, first.Kernels["incr"])
+	}
+	px, _ := ctx.Malloc(4)
+	ctx.MemcpyF32HtoD(px, []float32{10})
+	p := cudart.NewParams().Ptr(px).U32(1)
+	if _, err := ctx.Launch("incr", exec.Dim3{X: 1}, exec.Dim3{X: 32}, p, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := ctx.MemcpyF32DtoH(px, 1)[0]; got != 11 {
+		t.Errorf("runtime-API launch ran the second module's kernel: x = %v, want 11", got)
+	}
+	if _, err := ctx.CuLaunchKernel(second, "incr", exec.Dim3{X: 1}, exec.Dim3{X: 32}, p.Bytes(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := ctx.MemcpyF32DtoH(px, 1)[0]; got != 13 {
+		t.Errorf("driver-API launch with the second module's handle: x = %v, want 13", got)
+	}
+	if _, _, err := ctx.LookupKernel("nope"); err == nil || !strings.Contains(err.Error(), `"nope" in 2 registered modules`) {
+		t.Errorf("unknown name: error %v, want it to name the kernel and the 2 modules searched", err)
+	}
+}
+
+// TestKernelLogDoubles: the launch-ordered log grows by doubling, so a
+// long run re-copies it O(log n) times, and growing never disturbs the
+// records already in it.
+func TestKernelLogDoubles(t *testing.T) {
+	ctx := cudart.NewContext(exec.BugSet{})
+	if _, err := ctx.RegisterModule(incrPTX); err != nil {
+		t.Fatal(err)
+	}
+	px, _ := ctx.Malloc(4)
+	p := cudart.NewParams().Ptr(px).U32(1)
+	grows, lastCap := 0, 0
+	const launches = 1000
+	for i := 0; i < launches; i++ {
+		if _, err := ctx.Launch("incr", exec.Dim3{X: 1}, exec.Dim3{X: 32}, p, 0); err != nil {
+			t.Fatal(err)
+		}
+		if c := cap(ctx.KernelStatsLog()); c != lastCap {
+			if lastCap != 0 && c != 2*lastCap {
+				t.Fatalf("log capacity went %d -> %d at launch %d, want doubling", lastCap, c, i)
+			}
+			grows, lastCap = grows+1, c
+		}
+	}
+	if grows > 6 {
+		t.Errorf("%d launches grew the log %d times", launches, grows)
+	}
+	for i, k := range ctx.KernelStatsLog() {
+		if k.LaunchID != i || k.Name != "incr" {
+			t.Fatalf("record %d after growth: %+v", i, k)
+		}
 	}
 }
 

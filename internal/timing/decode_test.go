@@ -29,8 +29,8 @@ type decodeSnapshot struct {
 // runDecode greedy-decodes a `seqs`-prompt batch (3 prompt tokens, 4
 // generated) `iters` times on one session — the production iteration
 // driver — so with replay on, later iterations retire from the replay
-// cache.
-func runDecode(t testing.TB, workers, seqs int, concurrent, replay bool, iters int) decodeSnapshot {
+// cache. prepare hooks see the engine before the first launch.
+func runDecode(t testing.TB, workers, seqs int, concurrent, replay bool, iters int, prepare ...func(*timing.Engine)) decodeSnapshot {
 	t.Helper()
 	tcfg := timing.GTX1050()
 	tcfg.ReplayEnabled = replay
@@ -44,6 +44,9 @@ func runDecode(t testing.TB, workers, seqs int, concurrent, replay bool, iters i
 		t.Fatal(err)
 	}
 	s.Pin()
+	for _, p := range prepare {
+		p(s.Eng)
+	}
 	prompts := transformerBatch(seqs, 3, testTransformerConfig.Vocab)
 	var tokens [][]int32
 	run, err := s.Iterate(iters, func(it int) error {

@@ -348,7 +348,12 @@ func (e *Engine) Drain() error {
 	if len(e.queue) == 0 {
 		return nil
 	}
+	if e.replayBatch() {
+		e.releaseQueue()
+		return nil
+	}
 	m := e.machine
+	batchStart := e.cycle
 
 	// Dense per-batch kernel ids index the cores' instruction shards.
 	nKernels := 0
@@ -599,6 +604,7 @@ func (e *Engine) Drain() error {
 		// whole batch retired cleanly: later batches may replay them, the
 		// batch that recorded them never could.
 		e.replay.commit()
+		e.replay.noteBatch(e.queue, batchStart)
 	}
 	e.releaseQueue()
 	return nil
@@ -647,10 +653,14 @@ func (e *Engine) finishReplay(t *Ticket) error {
 	// unmemoizable state (textures). All three produce byte-identical
 	// memory; only wall-clock (and the functional coverage counters,
 	// which the apply path does not bump) differs.
+	if ent.memo != nil {
+		e.replay.validated += uint64(ent.memo.ReadBytes())
+	}
 	switch {
 	case ent.memo != nil && ent.memo.Matches(e.machine):
 		ent.memo.Apply(e.machine)
 		e.stats.ReplayMemoApplied++
+		e.replay.applied = append(e.replay.applied, t)
 	case !ent.memoTried || ent.memo != nil:
 		ent.memoTried = true
 		memo, err := e.machine.CaptureGrid(t.grid)
@@ -663,6 +673,16 @@ func (e *Engine) finishReplay(t *Ticket) error {
 			return err
 		}
 	}
+	e.retireReplayed(t, ent)
+	return nil
+}
+
+// retireReplayed is the bookkeeping of a replay hit whose functional
+// effect is in memory and whose start and end cycles are set: the
+// memoized per-kernel statistics fill the ticket and fold into the
+// engine-wide accumulators. Shared by the per-launch path (finishReplay)
+// and the batch rung (replayBatch), so the two cannot diverge on it.
+func (e *Engine) retireReplayed(t *Ticket, ent *replayEntry) {
 	st := &t.stats
 	st.Cycles = t.endCycle - t.startCycle
 	st.WarpInstrs = ent.instrs
@@ -685,7 +705,6 @@ func (e *Engine) finishReplay(t *Ticket) error {
 	s.SegCycles += ent.mem.SegCycles
 	s.SegServed += ent.mem.SegServed
 	s.ReplayedCycles += st.Cycles
-	return nil
 }
 
 // finishRun retires a finished grid at cycle now: per-core instruction

@@ -21,3 +21,16 @@ func ReadinessEvals(e *Engine) uint64 {
 	}
 	return n
 }
+
+// SetReplayBatch switches the replay cache's batch rung (replayBatch) on
+// or off: with it off every batch takes the per-launch path, the
+// reference the rung is tested against. A test seam, not a knob.
+func SetReplayBatch(e *Engine, on bool) { e.replay.noBatch = !on }
+
+// ReplayComposes returns how many chains the replay cache has composed.
+func ReplayComposes(e *Engine) uint64 { return e.replay.composes }
+
+// ReplayValidatedBytes returns the read-set bytes the engine has handed to
+// GridMemo.Matches, per launch or per batch: replay's deterministic unit
+// of validation work.
+func ReplayValidatedBytes(e *Engine) uint64 { return e.replay.validated }

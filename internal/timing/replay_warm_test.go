@@ -21,9 +21,8 @@ import (
 // encoderReplayOpts shapes one run; the zero value of every field but
 // iters is the plain -j1 run.
 type encoderReplayOpts struct {
-	workers       int
-	iters         int
-	resampleEvery int
+	workers int
+	iters   int
 	// prepare sees the engine before the first launch.
 	prepare func(*timing.Engine)
 	// before runs ahead of iteration it (the previous one's transients
@@ -43,7 +42,6 @@ func runEncoderReplay(t testing.TB, o encoderReplayOpts) encoderReplayRun {
 	t.Helper()
 	tcfg := timing.GTX1050()
 	tcfg.ReplayEnabled = true
-	tcfg.ReplayResampleEvery = o.resampleEvery
 	s, err := session.New(tcfg, max(o.workers, 1))
 	if err != nil {
 		t.Fatal(err)

@@ -103,6 +103,10 @@ type Stats struct {
 	// counts the hits whose functional effect came from a validated
 	// write-set memo (exec.GridMemo) instead of re-interpretation — the
 	// wall-clock fast path; the remaining hits re-executed functionally.
+	// ReplayBatchHits counts the drain batches that retired as one
+	// memoized unit (replayBatch); their launches are in ReplayHits and
+	// ReplayMemoApplied like any other, so this one only says how the
+	// hits were served.
 	ReplayHits           uint64
 	ReplayMisses         uint64
 	ReplayResamples      uint64
@@ -110,6 +114,7 @@ type Stats struct {
 	DetailedKernelCycles uint64
 	ReplayDriftCycles    uint64
 	ReplayMemoApplied    uint64
+	ReplayBatchHits      uint64
 
 	coreIPC   [][]uint64 // [core][bucket] warp instructions issued
 	laneCount [][]uint64 // [active lanes 1..32 -> idx 0..31][bucket]
@@ -230,6 +235,7 @@ func (s *Stats) merge(o *Stats) {
 	s.DetailedKernelCycles += o.DetailedKernelCycles
 	s.ReplayDriftCycles += o.ReplayDriftCycles
 	s.ReplayMemoApplied += o.ReplayMemoApplied
+	s.ReplayBatchHits += o.ReplayBatchHits
 	for c := range o.coreIPC {
 		s.coreIPC[c] = mergeSeries(s.coreIPC[c], o.coreIPC[c], o.base)
 	}
