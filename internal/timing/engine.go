@@ -344,6 +344,11 @@ func (e *Engine) copyCycles(bytes int) uint64 {
 // cycles; the skipped cycles are charged to the stall statistics so the
 // modelled cycle counts and bucket sums are identical to a cycle-by-
 // cycle walk.
+//
+// Under hybrid replay a batch the cache has already seen retire launch
+// for launch from applied memos skips all of that and retires as one
+// memoized unit (replayBatch, replay.go), with the same cycles,
+// statistics and memory as the loop below would have left.
 func (e *Engine) Drain() error {
 	if len(e.queue) == 0 {
 		return nil

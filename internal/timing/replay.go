@@ -258,15 +258,14 @@ func (rc *replayCache) denseStream(id int) int {
 }
 
 // noteBatch runs when a batch first admitted at cycle start has retired
-// on the per-launch path. If every
-// ticket of it — at least two — was a replay hit whose memo applied, the
-// batch is a sighting of a chain. The first sighting of a launch sequence
-// stores only the sequence, an O(n) copy, so a batch that never repeats
-// costs no more; a different sequence under the same first launch
-// replaces it, so two alternating sequences never get further. The second
-// consecutive sighting composes the chain from this batch's retirements:
-// the members' memos in retirement order, which is the order their
-// effects reached memory.
+// on the per-launch path. If every ticket of it — at least two — was a
+// replay hit whose memo applied, the batch is a sighting of a chain. The
+// first sighting of a launch sequence stores only the sequence, an O(n)
+// copy, so a batch that never repeats costs no more; a different sequence
+// under the same first launch replaces it, so two alternating sequences
+// never get further. The second consecutive sighting composes the chain
+// from this batch's retirements: the members' memos in retirement order,
+// which is the order their effects reached memory.
 func (rc *replayCache) noteBatch(queue []*Ticket, start uint64) {
 	applied := rc.applied
 	defer rc.dropApplied()
@@ -353,20 +352,21 @@ func (e *Engine) replayBatch() bool {
 	for i, t := range e.queue {
 		l := &ch.launches[i]
 		t.startCycle, t.endCycle = start+l.start, start+l.end
-		t.admitted = true
 		e.stats.ReplayHits++
 		e.stats.ReplayMemoApplied++
 		e.retireReplayed(t, l.ent)
 	}
 	e.stats.ReplayBatchHits++
 	// The clock makes the per-launch path's jumps, retirement to
-	// retirement, not one over the span: addIdleBulk splits a span that
-	// crosses sample buckets differently from the sum of its parts, and
-	// the stall series is pinned to the parts.
+	// retirement, not one over the span: addIdleBulk steps by the sample
+	// interval instead of to the next bucket edge, so a span that starts
+	// inside a bucket and crosses several is charged less W0_memory than
+	// its parts are, and golden_stats.json pins what the parts charge.
 	for _, w := range ch.wakes {
-		e.stats.addIdleBulk(e.cycle, start+w-e.cycle, e.cfg)
-		e.stats.FastForwardedCycles += start + w - e.cycle
-		e.cycle = start + w
+		span := start + w - e.cycle
+		e.stats.addIdleBulk(e.cycle, span, e.cfg)
+		e.stats.FastForwardedCycles += span
+		e.cycle += span
 	}
 	return true
 }
