@@ -135,8 +135,8 @@ type Context struct {
 
 	runner  Runner
 	modules []*ptx.Module
-	// kernels resolves a runtime-API launch's name without walking the
-	// modules: filled by RegisterParsed, first registration wins.
+	// kernels remembers what LookupKernel resolved a name to, so a launch
+	// walks the modules' maps once per name, not once per launch.
 	kernels map[string]kernelRef
 
 	streams     map[Stream]*streamState
@@ -216,11 +216,6 @@ func (c *Context) RegisterModule(src string) (*ptx.Module, error) {
 // any number of contexts (the kernel library is: kernels.ParsedModules).
 func (c *Context) RegisterParsed(m *ptx.Module) {
 	c.modules = append(c.modules, m)
-	for name, k := range m.Kernels {
-		if _, dup := c.kernels[name]; !dup {
-			c.kernels[name] = kernelRef{m, k}
-		}
-	}
 	for _, name := range m.Textures {
 		if _, ok := c.texRefs[name]; !ok {
 			ref := &device.TexRef{}
@@ -233,12 +228,19 @@ func (c *Context) RegisterParsed(m *ptx.Module) {
 // Modules returns the registered modules in registration order.
 func (c *Context) Modules() []*ptx.Module { return c.modules }
 
-// LookupKernel finds a kernel by name: of the modules that define it, the
-// one registered first wins (use cuLaunchKernel with an explicit module
-// to disambiguate duplicates).
+// LookupKernel finds a kernel by name, searching modules in registration
+// order (first match wins; use cuLaunchKernel with an explicit module to
+// disambiguate duplicates). A match is remembered: registration only
+// appends, so the first module that defines a name stays the first.
 func (c *Context) LookupKernel(name string) (*ptx.Module, *ptx.Kernel, error) {
 	if ref, ok := c.kernels[name]; ok {
 		return ref.mod, ref.k, nil
+	}
+	for _, m := range c.modules {
+		if k, ok := m.Kernels[name]; ok {
+			c.kernels[name] = kernelRef{m, k}
+			return m, k, nil
+		}
 	}
 	return nil, nil, fmt.Errorf("cudart: no kernel named %q in %d registered modules", name, len(c.modules))
 }

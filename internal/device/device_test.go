@@ -24,6 +24,37 @@ func TestMemoryReadWriteProperty(t *testing.T) {
 	}
 }
 
+// TestMemoryEqualProperty: Equal agrees with Read-then-compare on spans
+// that straddle pages, on unwritten memory (equal to zeros, without making
+// it resident) and with one byte flipped anywhere in the span.
+func TestMemoryEqualProperty(t *testing.T) {
+	mem := NewMemory()
+	f := func(off uint16, data []byte, flip uint16) bool {
+		if len(data) == 0 {
+			return true
+		}
+		addr := GlobalBase + uint64(off) + PageSize - 8
+		mem.Write(addr, data)
+		if !mem.Equal(addr, data) {
+			return false
+		}
+		other := append([]byte(nil), data...)
+		other[int(flip)%len(other)] ^= 1
+		return !mem.Equal(addr, other)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	before := mem.TouchedBytes()
+	far := uint64(GlobalBase) + 64*PageSize - 3
+	if !mem.Equal(far, make([]byte, PageSize+6)) || mem.Equal(far, append(make([]byte, PageSize+5), 1)) {
+		t.Error("unwritten memory must compare equal to zeros and to nothing else")
+	}
+	if mem.TouchedBytes() != before {
+		t.Error("comparing unwritten memory made it resident")
+	}
+}
+
 func TestMemoryZeroFill(t *testing.T) {
 	mem := NewMemory()
 	buf := make([]byte, 64)

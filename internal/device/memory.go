@@ -6,6 +6,7 @@
 package device
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -167,6 +168,31 @@ func (m *Memory) Read(addr uint64, buf []byte) {
 		addr += uint64(n)
 	}
 }
+
+// Equal reports whether the len(buf) bytes starting at addr equal buf,
+// comparing them where they are. Unwritten memory compares as zero.
+func (m *Memory) Equal(addr uint64, buf []byte) bool {
+	for len(buf) > 0 {
+		off := int(addr & (PageSize - 1))
+		n := PageSize - off
+		if n > len(buf) {
+			n = len(buf)
+		}
+		p := m.Page(addr >> PageBits)
+		if p == nil {
+			p = &zeroPage
+		}
+		if !bytes.Equal(p[off:off+n], buf[:n]) {
+			return false
+		}
+		buf = buf[n:]
+		addr += uint64(n)
+	}
+	return true
+}
+
+// zeroPage is what a page nothing was written to reads as.
+var zeroPage Page
 
 // Write copies buf into memory starting at addr.
 func (m *Memory) Write(addr uint64, buf []byte) {

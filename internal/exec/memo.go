@@ -22,7 +22,6 @@ package exec
 // against stale array contents.
 
 import (
-	"bytes"
 	"math/bits"
 	"slices"
 
@@ -122,8 +121,7 @@ type memSpan struct {
 type GridMemo struct {
 	reads     []memSpan
 	writes    []memSpan
-	readBytes int    // total length of reads
-	scratch   []byte // reusable Matches read buffer, sized to the largest read span
+	readBytes int // total length of reads
 }
 
 // spans converts one shadow bitmap into coalesced spans.
@@ -176,14 +174,9 @@ func (r *memRecorder) memo() *GridMemo {
 		mo.reads = spans(pn, &p.readRec, &p.readVal, mo.reads)
 		mo.writes = spans(pn, &p.written, &p.writeVal, mo.writes)
 	}
-	max := 0
 	for _, s := range mo.reads {
 		mo.readBytes += len(s.data)
-		if len(s.data) > max {
-			max = len(s.data)
-		}
 	}
-	mo.scratch = make([]byte, max)
 	return mo
 }
 
@@ -191,9 +184,7 @@ func (r *memRecorder) memo() *GridMemo {
 // holds its captured value — the soundness condition for Apply.
 func (mo *GridMemo) Matches(m *Machine) bool {
 	for _, s := range mo.reads {
-		buf := mo.scratch[:len(s.data)]
-		m.Mem.Read(s.addr, buf)
-		if !bytes.Equal(buf, s.data) {
+		if !m.Mem.Equal(s.addr, s.data) {
 			return false
 		}
 	}

@@ -658,11 +658,13 @@ func (e *Engine) finishReplay(t *Ticket) error {
 	// unmemoizable state (textures). All three produce byte-identical
 	// memory; only wall-clock (and the functional coverage counters,
 	// which the apply path does not bump) differs.
+	matched := false
 	if ent.memo != nil {
 		e.replay.validated += uint64(ent.memo.ReadBytes())
+		matched = ent.memo.Matches(e.machine)
 	}
 	switch {
-	case ent.memo != nil && ent.memo.Matches(e.machine):
+	case matched:
 		ent.memo.Apply(e.machine)
 		e.stats.ReplayMemoApplied++
 		e.replay.applied = append(e.replay.applied, t)

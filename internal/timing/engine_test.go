@@ -225,8 +225,13 @@ type edgeHarness struct {
 
 func newEdgeHarness(t *testing.T) *edgeHarness {
 	t.Helper()
+	return newEdgeHarnessOn(t, timing.GTX1050(), 1)
+}
+
+func newEdgeHarnessOn(t *testing.T, cfg timing.Config, workers int) *edgeHarness {
+	t.Helper()
 	ctx := cudart.NewContext(exec.BugSet{})
-	eng, err := timing.New(timing.GTX1050())
+	eng, err := timing.New(cfg, timing.WithWorkers(workers))
 	if err != nil {
 		t.Fatal(err)
 	}

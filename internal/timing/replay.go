@@ -322,28 +322,33 @@ func (e *Engine) replayBatch() bool {
 	if ch == nil || ch.memo == nil || !ch.sameLaunches(rc, e.queue) {
 		return false
 	}
+	for i := range ch.launches {
+		if l := &ch.launches[i]; l.ent.stale || l.ent.memo != l.memo {
+			// re-measured or re-captured since: the chain re-earns its two
+			// sightings
+			delete(rc.chains, key)
+			return false
+		}
+	}
 	// The cadence is per entry, so count the hits first; an entry the
 	// batch launches twice advances twice.
-	every, ok := uint64(e.cfg.ReplayResampleEvery), true
-	due := false
+	every, due := uint64(e.cfg.ReplayResampleEvery), false
 	for i := range ch.launches {
-		l := &ch.launches[i]
-		ok = ok && !l.ent.stale && l.ent.memo == l.memo
-		l.ent.hits++
-		due = due || every > 0 && l.ent.hits%every == 0
+		ent := ch.launches[i].ent
+		ent.hits++
+		due = due || every > 0 && ent.hits%every == 0
 	}
-	if ok && !due {
+	matched := false
+	if !due {
 		rc.validated += uint64(ch.memo.ReadBytes())
-		ok = ch.memo.Matches(e.machine)
+		if matched = ch.memo.Matches(e.machine); !matched {
+			// the batch's inputs moved: the chain goes with them
+			delete(rc.chains, key)
+		}
 	}
-	if !ok || due {
+	if !matched {
 		for i := range ch.launches {
 			ch.launches[i].ent.hits--
-		}
-		if !ok {
-			// an entry was re-measured or re-captured, or the batch's
-			// inputs moved: the chain re-earns its two sightings
-			delete(rc.chains, key)
 		}
 		return false
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/cudart"
-	"repro/internal/exec"
 	"repro/internal/timing"
 	"repro/internal/torch"
 )
@@ -290,21 +289,12 @@ func queueRows() []queueRow {
 // its memos keep applying.
 func runQueueRounds(t *testing.T, workers int, rung bool, resampleEvery int, rounds [][]queueOp) queueRun {
 	t.Helper()
-	ctx := cudart.NewContext(exec.BugSet{})
 	cfg := timing.GTX1050()
 	cfg.ReplayEnabled = true
 	cfg.ReplayResampleEvery = resampleEvery
-	eng, err := timing.New(cfg, timing.WithWorkers(workers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	h := newEdgeHarnessOn(t, cfg, workers)
+	ctx, eng := h.ctx, h.eng
 	timing.SetReplayBatch(eng, rung)
-	for _, src := range []string{streamPTX, oobPTX} {
-		if _, err := ctx.RegisterModule(src); err != nil {
-			t.Fatal(err)
-		}
-	}
 	bufs := make([]uint64, queueLanes*queueStages)
 	initial := make([][]float32, len(bufs))
 	for i := range bufs {
@@ -312,22 +302,7 @@ func runQueueRounds(t *testing.T, workers int, rung bool, resampleEvery int, rou
 		for j := range initial[i] {
 			initial[i][j] = float32((i*5+j)%11)*0.25 - 1
 		}
-		bufs[i], _ = ctx.Malloc(4 * queueN)
-	}
-	submit := func(stream int, name string, ctas int, p *cudart.Params) *timing.Ticket {
-		_, k, err := ctx.LookupKernel(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := ctx.M.NewGrid(k, exec.Dim3{X: ctas}, exec.Dim3{X: 64}, p.Bytes(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tk, err := eng.Submit(g, stream)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tk
+		bufs[i] = h.alloc(initial[i])
 	}
 
 	var run queueRun
@@ -340,13 +315,12 @@ func runQueueRounds(t *testing.T, workers int, rung bool, resampleEvery int, rou
 			stream := 1 + r*queueLanes + op.lane
 			switch op.kind {
 			case 'k':
-				p := cudart.NewParams().Ptr(bufs[op.x]).Ptr(bufs[op.y]).U32(uint32(op.n))
-				tickets = append(tickets, submit(stream, "sqadd", (op.n+63)/64, p))
+				tickets = append(tickets, h.submitSqadd(stream, bufs[op.x], bufs[op.y], op.n))
 			case 'c':
 				dst, data := bufs[op.y], initial[op.y][:op.n]
 				tickets = append(tickets, eng.SubmitCopy(stream, 4*op.n, func() { ctx.MemcpyF32HtoD(dst, data) }))
 			case 'f':
-				tickets = append(tickets, submit(stream, "oob", 2, cudart.NewParams()))
+				tickets = append(tickets, h.submitOOB(stream))
 			}
 		}
 		res := queueRound{}
