@@ -99,6 +99,44 @@ func buildCLI(t *testing.T) string {
 	return bin
 }
 
+// TestPaperFlowGoldens pins the stdout of the paper's two tool flows
+// (§III-D fault localisation, §III-F checkpoint/resume) as printed by
+// cmd/debugtool and examples/checkpoint_resume, before they are folded
+// into the registry.
+func TestPaperFlowGoldens(t *testing.T) {
+	buildCLI(t) // for its skips
+	root := filepath.Join("..", "..")
+	for _, c := range []struct {
+		name, pkg string
+		args      []string
+	}{
+		{"debug_rem", "./cmd/debugtool", []string{"-break", "rem"}},
+		{"debug_brev", "./cmd/debugtool", []string{"-break", "brev"}},
+		{"debug_fma", "./cmd/debugtool", []string{"-break", "fma"}},
+		{"checkpoint", "./examples/checkpoint_resume", nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bin := filepath.Join(t.TempDir(), "main")
+			build := exec.Command("go", "build", "-o", bin, c.pkg)
+			build.Dir = root
+			if out, err := build.CombinedOutput(); err != nil {
+				t.Fatalf("go build %s: %v\n%s", c.pkg, err, out)
+			}
+			got, err := exec.Command(bin, c.args...).Output()
+			if err != nil {
+				t.Fatalf("%s %v: %v", c.pkg, c.args, err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", c.name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("stdout of %s %v differs from %s.golden:\n--- got\n%s--- want\n%s", c.pkg, c.args, c.name, got, want)
+			}
+		})
+	}
+}
+
 // TestCSVGoldens pins the files -o writes for the conv_sample case
 // aerialvision exported before it was folded into the registry (fwd/fft,
 // default shape): the same 26 files, byte for byte, at -j 1 and -j 2.

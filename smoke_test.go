@@ -124,8 +124,12 @@ func TestMainPackagesSmoke(t *testing.T) {
 
 	t.Run("concurrent_streams", func(t *testing.T) {
 		out := runBinary(t, filepath.Join(bin, "concurrent_streams"))
-		if !strings.Contains(out, "overlap speedup") {
-			t.Fatalf("concurrent_streams did not report a speedup:\n%s", out)
+		want, err := os.ReadFile(filepath.Join("testdata", "concurrent_streams.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != string(want) {
+			t.Fatalf("concurrent_streams output differs from its golden:\n--- got\n%s--- want\n%s", out, want)
 		}
 	})
 
