@@ -10,8 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/debug"
-	"repro/internal/exec"
 	"repro/internal/ptx"
 	"repro/internal/timing"
 )
@@ -161,11 +159,7 @@ func BenchmarkParallelWorkers(b *testing.B) {
 // an injected faulty rem implementation (Figs. 2-3).
 func BenchmarkDebugWorkflow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tool := &debug.Tool{
-			Workload: debugWorkload,
-			Bugs:     exec.BugSet{BreakOp: ptx.OpRem},
-		}
-		rep, err := tool.Run()
+		rep, err := core.RunDebugSample(ptx.OpRem, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -178,7 +172,7 @@ func BenchmarkDebugWorkflow(b *testing.B) {
 // BenchmarkCheckpointResume times the §III-F capture + resume flow.
 func BenchmarkCheckpointResume(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := runCheckpointRoundTrip(); err != nil {
+		if _, err := core.RunCheckpointSample(1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -186,11 +180,11 @@ func BenchmarkCheckpointResume(b *testing.B) {
 
 // BenchmarkFunctionalVsPerformanceMode measures the paper's §III-F claim
 // that performance mode is several times slower than functional mode, on
-// the same kernel sequence.
+// the checkpoint flow's kernel sequence.
 func BenchmarkFunctionalVsPerformanceMode(b *testing.B) {
 	b.Run("functional", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := runModeProbe(nil); err != nil {
+			if _, err := core.RunCheckpointApp(nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -201,7 +195,9 @@ func BenchmarkFunctionalVsPerformanceMode(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := runModeProbe(eng); err != nil {
+			_, err = core.RunCheckpointApp(eng)
+			eng.Close()
+			if err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -46,12 +47,18 @@ func TestCLIGoldens(t *testing.T) {
 		{"ptx_functional", append([]string{"-args", "buf256,buf256,f2,i256"}, saxpy...)},
 		{"ptx_perf", append([]string{"-perf", "-args", "buf256,buf256,f2,i256"}, saxpy...)},
 		{"ptx_perf_streams3", append([]string{"-perf", "-streams", "3", "-dump", "4", "-args", "buf256,buf256,f2,i256"}, saxpy...)},
+		// the paper's two tool flows, recorded from cmd/debugtool and
+		// examples/checkpoint_resume before they became registry entries
+		{"debug_rem", []string{"-workload", "debug", "-break", "rem"}},
+		{"debug_brev", []string{"-workload", "debug", "-break", "brev"}},
+		{"debug_fma", []string{"-workload", "debug", "-break", "fma"}},
+		{"checkpoint", []string{"-workload", "checkpoint"}},
 	} {
 		golden := filepath.Join("testdata", c.name+".golden")
 		for _, j := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/j%d", c.name, j), func(t *testing.T) {
 				args := append([]string{"-j", fmt.Sprint(j)}, c.args...)
-				if c.name == "ptx_functional" {
+				if c.name == "ptx_functional" || strings.HasPrefix(c.name, "debug_") {
 					args = c.args // no detailed model for -j to step
 				}
 				cmd := exec.Command(bin, args...)
@@ -97,44 +104,6 @@ func buildCLI(t *testing.T) string {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	return bin
-}
-
-// TestPaperFlowGoldens pins the stdout of the paper's two tool flows
-// (§III-D fault localisation, §III-F checkpoint/resume) as printed by
-// cmd/debugtool and examples/checkpoint_resume, before they are folded
-// into the registry.
-func TestPaperFlowGoldens(t *testing.T) {
-	buildCLI(t) // for its skips
-	root := filepath.Join("..", "..")
-	for _, c := range []struct {
-		name, pkg string
-		args      []string
-	}{
-		{"debug_rem", "./cmd/debugtool", []string{"-break", "rem"}},
-		{"debug_brev", "./cmd/debugtool", []string{"-break", "brev"}},
-		{"debug_fma", "./cmd/debugtool", []string{"-break", "fma"}},
-		{"checkpoint", "./examples/checkpoint_resume", nil},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			bin := filepath.Join(t.TempDir(), "main")
-			build := exec.Command("go", "build", "-o", bin, c.pkg)
-			build.Dir = root
-			if out, err := build.CombinedOutput(); err != nil {
-				t.Fatalf("go build %s: %v\n%s", c.pkg, err, out)
-			}
-			got, err := exec.Command(bin, c.args...).Output()
-			if err != nil {
-				t.Fatalf("%s %v: %v", c.pkg, c.args, err)
-			}
-			want, err := os.ReadFile(filepath.Join("testdata", c.name+".golden"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("stdout of %s %v differs from %s.golden:\n--- got\n%s--- want\n%s", c.pkg, c.args, c.name, got, want)
-			}
-		})
-	}
 }
 
 // TestCSVGoldens pins the files -o writes for the conv_sample case

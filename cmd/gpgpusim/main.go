@@ -39,6 +39,7 @@ type workload struct {
 var workloads = []workload{
 	ptxWorkload, transformerWorkload, decodeWorkload, serveWorkload, trainWorkload,
 	memboundWorkload, mnistWorkload, convsampleWorkload, campingWorkload,
+	debugWorkload, checkpointWorkload,
 }
 
 // usageError is a rejected flag value or combination: the run exits 2,

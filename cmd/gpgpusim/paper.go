@@ -1,20 +1,24 @@
 package main
 
-// The paper's own experiments as registry entries: the §IV LeNet/MNIST
-// correlation and power study (Figs. 6-8), the §V-A conv_sample
-// algorithm sweep with its AerialVision plots (Figs. 9-25), the §V-B
-// bank-camping pathology, and the memory-bound occupancy sweep.
+// The paper's own experiments and tool flows as registry entries: the
+// §IV LeNet/MNIST correlation and power study (Figs. 6-8), the §V-A
+// conv_sample algorithm sweep with its AerialVision plots (Figs. 9-25),
+// the §V-B bank-camping pathology, the memory-bound occupancy sweep, the
+// §III-D fault localisation (Figs. 2-3) and the §III-F checkpoint/resume
+// round trip (Figs. 4-5).
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/aerial"
 	"repro/internal/core"
 	"repro/internal/cudart"
 	"repro/internal/dram"
+	"repro/internal/ptx"
 	"repro/internal/stats"
 	"repro/internal/timing"
 )
@@ -246,6 +250,87 @@ var memboundWorkload = workload{
 			rep.Printf("load-dependent latency: %.1f cycles at %d CTAs -> %.1f cycles at %d CTAs (%.2fx)\n",
 				lat[lo], ctas[lo], lat[hi], ctas[hi], lat[hi]/lat[lo])
 			rep.Table(aerial.KernelMemTable("per-kernel memory counters", launches))
+			return nil
+		}
+	},
+}
+
+// debugBreakOps are the opcodes -break can break: ones the FFT
+// convolution executes and the instrumentation pass itself does not rely
+// on (its logging code runs on the same broken simulator).
+var debugBreakOps = []ptx.Op{ptx.OpRem, ptx.OpDiv, ptx.OpBrev, ptx.OpShr, ptx.OpFma}
+
+var debugWorkload = workload{
+	name: "debug",
+	desc: "reproduces the paper's §III-D functional-debug methodology (Figs. 2-3): inject a faulty instruction implementation into the simulator, then localise it by differential coverage, API-call/kernel bisection and instruction-level comparison against the golden executor",
+	define: func(fs *flag.FlagSet, workers *int) func(*aerial.Report) error {
+		var names []string
+		for _, op := range debugBreakOps {
+			names = append(names, op.String())
+		}
+		opName := fs.String("break", "rem", "opcode whose implementation to break ("+strings.Join(names, ", ")+")")
+		entries := fs.Int("entries", 4096, "instruction-log entries per thread")
+		return func(rep *aerial.Report) error {
+			i := slices.Index(names, *opName)
+			if i < 0 {
+				return usagef("-break: unknown opcode %q (one of %s)", *opName, strings.Join(names, ", "))
+			}
+			if *entries < 1 {
+				return usagef("-entries must be >= 1, got %d", *entries)
+			}
+			if isSet(fs, "j") {
+				return usagef("-j does not apply to -workload debug (every run is functional: no SM cores to step)")
+			}
+			op := debugBreakOps[i]
+			rep.Printf("injecting a faulty %s implementation into the simulator…\n", op)
+			res, err := core.RunDebugSample(op, *entries)
+			if err != nil {
+				return err
+			}
+
+			rep.Printf("\nstep 1 — differential coverage (failing app vs regression suite):\n")
+			switch {
+			case res.RegressionErr != nil:
+				rep.Printf("  (skipped: the regression suite fails on the suspect simulator too: %v)\n", res.RegressionErr)
+			case len(res.SuspiciousPaths) == 0:
+				rep.Printf("  (no exclusive paths)\n")
+			}
+			for _, p := range res.SuspiciousPaths {
+				rep.Printf("  suspicious implementation path: %s.%s\n", p.Op, p.T)
+			}
+
+			rep.Printf("\nstep 2 — API-call / kernel bisection:\n")
+			if res.BadLaunch < 0 {
+				rep.Printf("  no output divergence found\n")
+				return nil
+			}
+			rep.Printf("  first incorrect API call: %s\n", res.BadAPI)
+			rep.Printf("  first incorrect kernel:   %s (launch %d)\n", res.BadKernel, res.BadLaunch)
+
+			rep.Printf("\nstep 3 — instruction bisection (instrumented PTX replay):\n")
+			rep.Printf("  first incorrectly executing instruction: pc %d: %s\n", res.BadPC, res.BadInstr)
+			rep.Printf("  thread %d: golden value %#x, simulator value %#x\n",
+				res.BadThread, res.GoldenVal, res.BuggyVal)
+			return nil
+		}
+	},
+}
+
+var checkpointWorkload = workload{
+	name: "checkpoint",
+	desc: "reproduces the paper's §III-F checkpoint/resume flow (Figs. 4-5): fast-forward a relu -> GEMM -> relu application functionally to a point inside the GEMM, save Data1 (registers, SIMT stacks, shared memory) and Data2 (global memory), then resume inside the kernel on the GTX 1050 performance model and check the result against an uninterrupted run",
+	define: func(fs *flag.FlagSet, workers *int) func(*aerial.Report) error {
+		return func(rep *aerial.Report) error {
+			res, err := core.RunCheckpointSample(*workers)
+			if err != nil {
+				return err
+			}
+			rep.Printf("checkpoint at kernel x=%d, CTA M=%d, t=%d, y=%d instructions/warp\n",
+				res.Point.KernelX, res.Point.CTAM, res.Point.CTAT, res.Point.InstrY)
+			rep.Printf("  kernel: %s; in-flight CTAs saved: %d; serialized size: %d bytes\n",
+				res.Kernel, res.InFlight, res.BlobBytes)
+			rep.Printf("resumed in performance mode: %d cycles simulated\n", res.Cycles)
+			rep.Printf("final output[0:6] = %v\n", res.Output[:6])
 			return nil
 		}
 	},

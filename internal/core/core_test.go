@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -75,5 +76,27 @@ func TestMNISTCorrelationShape(t *testing.T) {
 	}
 	if res.Power.Idle/total < 0.1 || res.Power.Idle/total > 0.45 {
 		t.Errorf("idle power share = %.0f%%, want a sizeable minority", res.Power.Idle/total*100)
+	}
+}
+
+// TestCheckpointSampleWorkerIdentity: the §III-F round trip resumes on an
+// engine stepped by any number of workers to the same cycle and the same
+// output (the driver itself checks that output against an uninterrupted
+// run).
+func TestCheckpointSampleWorkerIdentity(t *testing.T) {
+	one, err := core.RunCheckpointSample(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := core.RunCheckpointSample(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(one, two) {
+		t.Errorf("-j 1 and -j 2 disagree:\n%+v\n%+v", one, two)
+	}
+	if one.Cycles == 0 || one.InFlight != 2 || one.Kernel != "sgemm_tiled" {
+		t.Errorf("checkpoint landed in %s with %d CTAs in flight and resumed for %d cycles; want sgemm_tiled, 2, > 0",
+			one.Kernel, one.InFlight, one.Cycles)
 	}
 }

@@ -32,6 +32,10 @@ type Workload func(ctx *cudart.Context) error
 type Report struct {
 	// Step 1
 	SuspiciousPaths []exec.CovKey
+	// RegressionErr is why step 1 was skipped: the regression suite
+	// itself failed on the suspect machine (the injected bug reaches it
+	// too), so there is no passing coverage to subtract.
+	RegressionErr error
 	// Step 2
 	BadLaunch int    // launch id of the first incorrect kernel (-1 if none)
 	BadAPI    string // the library call it belongs to
@@ -59,6 +63,9 @@ type Tool struct {
 func (t *Tool) Run() (*Report, error) {
 	rep := &Report{BadLaunch: -1, BadPC: -1}
 	entries := t.EntriesPerThread
+	if entries < 0 {
+		return nil, fmt.Errorf("debug: EntriesPerThread is %d, want a positive log size (0 = default)", entries)
+	}
 	if entries == 0 {
 		entries = 4096
 	}
@@ -67,11 +74,12 @@ func (t *Tool) Run() (*Report, error) {
 	if t.Regression != nil {
 		regCtx := cudart.NewContext(t.Bugs)
 		if err := t.Regression(regCtx); err != nil {
-			return nil, fmt.Errorf("debug: regression workload: %w", err)
-		}
-		failCtx := cudart.NewContext(t.Bugs)
-		if err := t.Workload(failCtx); err == nil {
-			rep.SuspiciousPaths = failCtx.M.Coverage().Diff(regCtx.M.Coverage())
+			rep.RegressionErr = err
+		} else {
+			failCtx := cudart.NewContext(t.Bugs)
+			if err := t.Workload(failCtx); err == nil {
+				rep.SuspiciousPaths = failCtx.M.Coverage().Diff(regCtx.M.Coverage())
+			}
 		}
 	}
 

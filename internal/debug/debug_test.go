@@ -1,6 +1,7 @@
 package debug_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -125,6 +126,34 @@ func TestDebugNoBugNoFinding(t *testing.T) {
 	}
 	if rep.BadLaunch >= 0 {
 		t.Fatalf("clean run flagged launch %d (%s)", rep.BadLaunch, rep.BadKernel)
+	}
+}
+
+// TestDebugRegressionFailureSkipsStep1: a regression suite that fails on
+// the suspect machine (the injected bug reaches it too) costs step 1 only;
+// steps 2 and 3 still localise the fault. A negative log size is an error,
+// not a panic in make().
+func TestDebugRegressionFailureSkipsStep1(t *testing.T) {
+	broken := errors.New("regression suite hit the bug")
+	tool := &debug.Tool{
+		Workload:   convWorkload,
+		Regression: func(*cudart.Context) error { return broken },
+		Bugs:       exec.BugSet{BreakOp: ptx.OpRem},
+	}
+	rep, err := tool.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(rep.RegressionErr, broken) || len(rep.SuspiciousPaths) != 0 {
+		t.Errorf("RegressionErr = %v, %d suspicious paths; want the suite's error and none", rep.RegressionErr, len(rep.SuspiciousPaths))
+	}
+	if !strings.HasPrefix(rep.BadInstr, "rem") {
+		t.Errorf("first faulty instruction = %q, want a rem", rep.BadInstr)
+	}
+
+	tool.EntriesPerThread = -1
+	if _, err := tool.Run(); err == nil || !strings.Contains(err.Error(), "EntriesPerThread") {
+		t.Errorf("EntriesPerThread -1: Run returned %v, want an error naming the field", err)
 	}
 }
 

@@ -49,6 +49,8 @@ type Machine struct {
 	cov *Coverage
 	rec *memRecorder // non-nil only inside CaptureGrid (memo.go)
 
+	warpCeiling int64 // maxWarpInstrs; tests lower it (export_test.go)
+
 	// The program cache lives as long as the Machine and is never evicted:
 	// it holds every kernel launched so far (136 bytes per instruction, a
 	// few hundred KiB for the whole cuDNN-style library) and keeps the
@@ -63,7 +65,7 @@ type Machine struct {
 // NewMachine creates a functional machine over the given memory image and
 // texture registry (either may be shared with a runtime context).
 func NewMachine(cfg Config, mem *device.Memory, tex *device.TextureRegistry) *Machine {
-	return &Machine{cfg: cfg, Mem: mem, Tex: tex, cov: NewCoverage(),
+	return &Machine{cfg: cfg, Mem: mem, Tex: tex, cov: NewCoverage(), warpCeiling: maxWarpInstrs,
 		progs: make(map[*ptx.Kernel]*program), consts: make(map[uint64]*row)}
 }
 

@@ -214,22 +214,43 @@ func (m *Machine) stepBranch(w *Warp, top *StackEntry, pc int, in *ptx.Instr, ta
 	}
 }
 
-// RunWarp executes a warp until it retires, blocks at a barrier, or the
-// instruction budget is exhausted (budget < 0 means unlimited). It returns
-// the number of instructions executed.
+// RunWarp executes a warp until it retires, blocks at a barrier, or has
+// executed budget instructions. It returns the number of instructions
+// executed.
 func (m *Machine) RunWarp(c *CTA, w *Warp, budget int64) (int64, error) {
 	var n int64
 	var info StepInfo
-	for !w.Done && !w.AtBarrier {
-		if budget >= 0 && n >= budget {
-			break
-		}
+	for !w.Done && !w.AtBarrier && n < budget {
 		if err := m.StepWarp(c, w, &info); err != nil {
 			return n, err
 		}
 		n++
 	}
 	return n, nil
+}
+
+// maxWarpInstrs is the functional interpreter's runaway guard, the
+// counterpart of the cycle deadline in timing.Engine.Drain: a warp that
+// has executed this many instructions in one CTA (barrier episodes
+// included) is taken to be spinning — a loop bound computed by a broken
+// instruction implementation is how internal/debug meets one — and RunCTA
+// gives up with a RunawayError. The largest count any tier-1 test or
+// benchmark workload reaches is 24,774 (conv_bwd_filter_algo0 in LeNet's
+// training step), 677x below it; every warp of the CTA spins to the
+// ceiling together, so an 8-warp CTA costs about ten seconds to give up on.
+const maxWarpInstrs = 1 << 24
+
+// RunawayError reports a warp stopped by the maxWarpInstrs guard. The
+// Machine stays usable: the next launch starts from fresh CTA state.
+type RunawayError struct {
+	Kernel    string
+	CTA, Warp int
+	Instrs    uint64
+}
+
+func (e *RunawayError) Error() string {
+	return fmt.Sprintf("exec: kernel %s cta %d warp %d still running after %d instructions (runaway loop?)",
+		e.Kernel, e.CTA, e.Warp, e.Instrs)
 }
 
 // RunCTA functionally executes one CTA to completion, interleaving warps
@@ -241,10 +262,13 @@ func (m *Machine) RunCTA(c *CTA) error {
 			if w.Done || w.AtBarrier {
 				continue
 			}
-			n, err := m.RunWarp(c, w, -1)
+			n, err := m.RunWarp(c, w, max(m.warpCeiling-int64(w.InstrCount), 0))
 			if err != nil {
 				return fmt.Errorf("exec: kernel %s cta %d warp %d: %w",
 					c.Grid.Kernel.Name, c.Index, w.ID, err)
+			}
+			if !w.Done && !w.AtBarrier {
+				return &RunawayError{Kernel: c.Grid.Kernel.Name, CTA: c.Index, Warp: w.ID, Instrs: w.InstrCount}
 			}
 			if n > 0 {
 				progressed = true
