@@ -67,9 +67,8 @@ type AsyncTicket interface {
 // concurrent multi-kernel stream execution (the detailed timing engine).
 // When a context's runner implements it, launches and async copies on
 // non-default streams are queued on the runner and simulated
-// concurrently at the next synchronisation point; the context's coarse
-// analytical timeline remains only as the fallback for purely
-// functional runners.
+// concurrently at the next synchronisation point. Modelled time is the
+// runner's to report (timing.Engine.Cycle); a context keeps no clock.
 type StreamRunner interface {
 	Runner
 	// SubmitKernel queues a launch on a stream without running it.
@@ -81,9 +80,6 @@ type StreamRunner interface {
 	SubmitCopy(stream, bytes int, apply func()) AsyncTicket
 	// DrainAll simulates until every queued operation has retired.
 	DrainAll() error
-	// ClockMHz reports the modelled core clock for cycle → µs
-	// conversion on the context timeline.
-	ClockMHz() float64
 }
 
 // FunctionalRunner runs grids in the fast functional mode (no timing).
@@ -139,11 +135,10 @@ type Context struct {
 	// walks the modules' maps once per name, not once per launch.
 	kernels map[string]kernelRef
 
-	streams     map[Stream]*streamState
-	events      map[Event]*eventState
+	streams     map[Stream]bool // live handles; streams and events only order work
+	events      map[Event]bool
 	nextStream  Stream
 	nextEvent   Event
-	timeline    timeline
 	launchCount int
 	capture     bool
 	apiTag      string
@@ -168,7 +163,6 @@ type kernelRef struct {
 type pendingLaunch struct {
 	ticket AsyncTicket
 	logIdx int
-	stream Stream
 }
 
 // NewContext creates a context with a fresh device and functional runner.
@@ -182,11 +176,10 @@ func NewContext(bugs exec.BugSet) *Context {
 		M:       exec.NewMachine(exec.Config{Bugs: bugs}, mem, tex),
 		runner:  FunctionalRunner{},
 		kernels: make(map[string]kernelRef),
-		streams: make(map[Stream]*streamState),
-		events:  make(map[Event]*eventState),
+		streams: map[Stream]bool{DefaultStream: true},
+		events:  make(map[Event]bool),
 		texRefs: make(map[string]*device.TexRef),
 	}
-	c.streams[DefaultStream] = &streamState{}
 	return c
 }
 
@@ -256,8 +249,6 @@ func (c *Context) drainPending() error {
 		return nil
 	}
 	err := sr.DrainAll()
-	mhz := c.runnerClockMHz()
-	t := &c.timeline
 	for _, p := range c.pending {
 		st, serr := p.ticket.Stats()
 		if serr != nil {
@@ -271,14 +262,6 @@ func (c *Context) drainPending() error {
 			st.Name = entry.Name
 			st.LaunchID = entry.LaunchID
 			*entry = st
-		}
-		// Coarse µs timeline: each stream advances by its operations'
-		// modelled durations — kernels and copies alike (cross-stream
-		// overlap is already reflected in the cycle numbers the
-		// detailed model produced).
-		if ss, ok := c.streams[p.stream]; ok {
-			start := maxF(ss.readyAt, t.now)
-			ss.readyAt = start + float64(st.Cycles)/mhz
 		}
 	}
 	c.pending = c.pending[:0]
@@ -302,19 +285,6 @@ func (c *Context) Free(addr uint64) error {
 	return c.Alloc.Free(addr)
 }
 
-// syncCopy models a blocking memcpy on the legacy default stream, which
-// is device-synchronizing: the copy starts only after every stream's
-// outstanding work, then occupies the copy engine and the host.
-func (c *Context) syncCopy(n int) {
-	t := &c.timeline
-	for _, ss := range c.streams {
-		if ss.readyAt > t.now {
-			t.now = ss.readyAt
-		}
-	}
-	t.memcpy(c.streams[DefaultStream], n)
-}
-
 // MemcpyHtoD copies host bytes to device (cudaMemcpy HostToDevice). It
 // is device-synchronizing: queued async work drains first; a deferred
 // async failure stays sticky and surfaces at the next StreamSynchronize
@@ -322,7 +292,6 @@ func (c *Context) syncCopy(n int) {
 func (c *Context) MemcpyHtoD(dst uint64, src []byte) {
 	_ = c.drainPending()
 	c.Mem.Write(dst, src)
-	c.syncCopy(len(src))
 }
 
 // MemcpyDtoH copies device bytes to host. Like MemcpyHtoD it drains
@@ -331,21 +300,6 @@ func (c *Context) MemcpyHtoD(dst uint64, src []byte) {
 func (c *Context) MemcpyDtoH(dst []byte, src uint64) {
 	_ = c.drainPending()
 	c.Mem.Read(src, dst)
-	c.syncCopy(len(dst))
-}
-
-// runnerClockMHz reports the modelled core clock for cycle ↔ µs
-// conversion on the coarse stream timeline: the runner's, when it
-// implements StreamRunner and reports one, else DefaultClockMHz. Both
-// the synchronous launch path and the async drain use this, so mixed
-// timelines stay coherent.
-func (c *Context) runnerClockMHz() float64 {
-	if sr, ok := c.runner.(StreamRunner); ok {
-		if m := sr.ClockMHz(); m > 0 {
-			return m
-		}
-	}
-	return DefaultClockMHz
 }
 
 // AsyncError returns (and consumes) the sticky error of a failed async
@@ -364,7 +318,6 @@ func (c *Context) MemcpyDtoD(dst, src uint64, n int) {
 	buf := make([]byte, n)
 	c.Mem.Read(src, buf)
 	c.Mem.Write(dst, buf)
-	c.syncCopy(n)
 }
 
 // Memset fills n bytes at dst with value b (cudaMemset). Like the sync

@@ -88,8 +88,7 @@ func (c *Context) CuLaunchKernel(mod *ptx.Module, name string, grid, block exec.
 }
 
 func (c *Context) launch(s Stream, mod *ptx.Module, k *ptx.Kernel, grid, block exec.Dim3, rawParams []byte, sharedBytes int) (KernelStats, error) {
-	ss, ok := c.streams[s]
-	if !ok {
+	if !c.streams[s] {
 		return KernelStats{}, errBadStream(s)
 	}
 	g, err := c.M.NewGrid(k, grid, block, rawParams, sharedBytes)
@@ -109,7 +108,7 @@ func (c *Context) launch(s Stream, mod *ptx.Module, k *ptx.Kernel, grid, block e
 		c.launchCount++
 		ph := KernelStats{Name: k.Name, LaunchID: id, GridDim: grid, BlockDim: block}
 		c.logKernel(ph)
-		c.pending = append(c.pending, pendingLaunch{ticket: tk, logIdx: len(c.kernelStats) - 1, stream: s})
+		c.pending = append(c.pending, pendingLaunch{ticket: tk, logIdx: len(c.kernelStats) - 1})
 		return ph, nil
 	}
 
@@ -148,12 +147,6 @@ func (c *Context) launch(s Stream, mod *ptx.Module, k *ptx.Kernel, grid, block e
 	if rec != nil {
 		rec.Stats = stats
 	}
-
-	// Timeline: the kernel occupies the stream for its modelled duration
-	// (Cycles is 0 in functional mode, so this is a no-op there).
-	t := &c.timeline
-	start := maxF(ss.readyAt, t.now)
-	ss.readyAt = start + float64(stats.Cycles)/c.runnerClockMHz()
 	return stats, nil
 }
 

@@ -11,67 +11,11 @@ const DefaultStream Stream = 0
 // Event is a CUDA event handle.
 type Event int
 
-type streamState struct {
-	readyAt float64 // model time (µs) when the stream's last op finishes
-}
-
-type eventState struct {
-	recordedAt float64
-	recorded   bool
-}
-
-// timeline models overlap between streams and the copy engine. Functional
-// effects always happen in call order (which is legal for any correctly
-// synchronised program); the timeline computes what the concurrent
-// schedule would have been, so stream overlap is still observable.
-type timeline struct {
-	copyEngineAt float64
-	now          float64 // host-side issue clock
-	copyBWBytes  float64 // bytes per µs
-}
-
-// DefaultCopyBWBytesPerUs is the fallback copy-engine bandwidth
-// (~12 GB/s, PCIe 3.0 x16) in bytes per microsecond — shared by the
-// analytical timeline here and the detailed model's copy engine so the
-// two stay consistent.
-const DefaultCopyBWBytesPerUs = 12e3
-
-// DefaultClockMHz is the fallback core clock for cycle ↔ µs conversion
-// when the runner does not report one.
-const DefaultClockMHz = 1400
-
-func (t *timeline) bw() float64 {
-	if t.copyBWBytes == 0 {
-		return DefaultCopyBWBytesPerUs
-	}
-	return t.copyBWBytes
-}
-
-// occupy books an n-byte transfer on the copy engine for a stream: the
-// transfer waits for the stream's prior work and the copy engine, then
-// occupies both for its duration. It returns the completion time. This is
-// the §III-B stream-overlap model: back-to-back copies serialise on the
-// copy engine while kernels on other streams keep running.
-func (t *timeline) occupy(ss *streamState, n int) float64 {
-	start := maxF(ss.readyAt, t.copyEngineAt, t.now)
-	end := start + float64(n)/t.bw()
-	ss.readyAt = end
-	t.copyEngineAt = end
-	return end
-}
-
-// memcpy models a synchronous cudaMemcpy: like the async variant it rides
-// the copy engine, but it also blocks the host, so the host-side issue
-// clock advances past the completion.
-func (t *timeline) memcpy(ss *streamState, n int) {
-	t.now = t.occupy(ss, n)
-}
-
 // StreamCreate returns a new stream.
 func (c *Context) StreamCreate() Stream {
 	c.nextStream++
 	s := c.nextStream
-	c.streams[s] = &streamState{}
+	c.streams[s] = true
 	return s
 }
 
@@ -88,99 +32,66 @@ func (c *Context) StreamDestroy(s Stream) {
 func (c *Context) EventCreate() Event {
 	c.nextEvent++
 	e := c.nextEvent
-	c.events[e] = &eventState{}
+	c.events[e] = true
 	return e
 }
 
-// EventRecord records the event at the stream's current ready time
-// (draining queued async work first so the time includes it).
+// EventRecord records the event behind the stream's work so far. It is a
+// drain point: everything queued ahead of it has retired — and its
+// effects are in memory — when it returns.
 func (c *Context) EventRecord(e Event, s Stream) error {
 	if err := c.drainPending(); err != nil {
 		return err
 	}
-	es, ok := c.events[e]
-	if !ok {
+	if !c.events[e] {
 		return errBadEvent(e)
 	}
-	ss, ok := c.streams[s]
-	if !ok {
+	if !c.streams[s] {
 		return errBadStream(s)
 	}
-	es.recordedAt = ss.readyAt
-	es.recorded = true
 	return nil
 }
 
 // StreamWaitEvent makes all later work in the stream wait for the event —
-// the API call the paper added to GPGPU-Sim for cuDNN (§III-B).
+// the API call the paper added to GPGPU-Sim for cuDNN (§III-B). Recording
+// an event drains, so whatever the event stands for has already retired
+// when later work is queued: the wait holds by construction, and only
+// the handles are checked.
 func (c *Context) StreamWaitEvent(s Stream, e Event) error {
-	ss, ok := c.streams[s]
-	if !ok {
+	if !c.streams[s] {
 		return errBadStream(s)
 	}
-	es, ok := c.events[e]
-	if !ok {
+	if !c.events[e] {
 		return errBadEvent(e)
-	}
-	if es.recorded && es.recordedAt > ss.readyAt {
-		ss.readyAt = es.recordedAt
 	}
 	return nil
 }
 
 // StreamSynchronize blocks until a stream's work completes: queued async
-// operations drain through the detailed model (when one is installed)
-// and the host clock advances. Errors from drained kernels surface here.
+// operations drain through the detailed model (when one is installed).
+// Errors from drained kernels surface here.
 func (c *Context) StreamSynchronize(s Stream) error {
 	derr := c.drainPending()
-	ss, ok := c.streams[s]
-	if !ok {
+	if !c.streams[s] {
 		return errBadStream(s)
 	}
-	if ss.readyAt > c.timeline.now {
-		c.timeline.now = ss.readyAt
-	}
-	// reporting the failure (from this drain, or stored by an earlier
-	// implicit one) consumes the sticky error
-	if derr == nil {
-		derr = c.asyncErr
-	}
-	c.asyncErr = nil
-	return derr
+	return c.stickyError(derr)
 }
 
 // DeviceSynchronize waits for all streams. Errors from drained async
-// kernels surface here (CUDA-style sticky error reporting: returning
-// the failure consumes it).
-func (c *Context) DeviceSynchronize() error {
-	derr := c.drainPending()
-	for _, ss := range c.streams {
-		if ss.readyAt > c.timeline.now {
-			c.timeline.now = ss.readyAt
-		}
-	}
+// kernels surface here.
+func (c *Context) DeviceSynchronize() error { return c.stickyError(c.drainPending()) }
+
+// stickyError is CUDA-style sticky error reporting for the explicit
+// synchronisation calls: the failure is the drain's own or, failing
+// that, the one an earlier implicit drain stored, and returning it
+// consumes it.
+func (c *Context) stickyError(derr error) error {
 	if derr == nil {
 		derr = c.asyncErr
 	}
 	c.asyncErr = nil
 	return derr
-}
-
-// EventElapsed returns the modelled time between two recorded events in
-// microseconds.
-func (c *Context) EventElapsed(start, end Event) (float64, error) {
-	a, ok := c.events[start]
-	if !ok {
-		return 0, errBadEvent(start)
-	}
-	b, ok := c.events[end]
-	if !ok {
-		return 0, errBadEvent(end)
-	}
-	if !a.recorded || !b.recorded {
-		return 0, errNotRecorded
-	}
-	return b.recordedAt - a.recordedAt, nil
 }
 
 // MemcpyHtoDAsync is an asynchronous host-to-device copy on a stream.
@@ -189,13 +100,11 @@ func (c *Context) EventElapsed(start, end Event) (float64, error) {
 // stream, the copy is queued into the detailed model: it orders against
 // kernels on its stream, serialises on the modelled copy engine, and its
 // functional memory effect happens when the modelled transfer completes
-// — so copy/kernel overlap shows up in cycle numbers, not just on the
-// coarse µs timeline. Otherwise (functional runner, or the legacy
-// device-synchronizing default stream), the copy happens immediately and
-// only occupies the analytical timeline, as before.
+// — so copy/kernel overlap shows up in the engine's cycle numbers.
+// Otherwise (functional runner, or the legacy device-synchronizing
+// default stream), the copy happens immediately.
 func (c *Context) MemcpyHtoDAsync(dst uint64, src []byte, s Stream) error {
-	ss, ok := c.streams[s]
-	if !ok {
+	if !c.streams[s] {
 		return errBadStream(s)
 	}
 	if sr, async := c.runner.(StreamRunner); async && s != DefaultStream {
@@ -203,55 +112,28 @@ func (c *Context) MemcpyHtoDAsync(dst uint64, src []byte, s Stream) error {
 		// matching cudaMemcpyAsync's pageable-memory staging behaviour.
 		staged := append([]byte(nil), src...)
 		tk := sr.SubmitCopy(int(s), len(src), func() { c.Mem.Write(dst, staged) })
-		c.pending = append(c.pending, pendingLaunch{ticket: tk, logIdx: -1, stream: s})
+		c.pending = append(c.pending, pendingLaunch{ticket: tk, logIdx: -1})
 		return nil
 	}
 	_ = c.drainPending()
 	c.Mem.Write(dst, src)
-	c.timeline.occupy(ss, len(src))
 	return nil
 }
 
 // MemcpyDtoHAsync is the device-to-host analog of MemcpyHtoDAsync. The
 // host buffer is only valid after the stream synchronises.
 func (c *Context) MemcpyDtoHAsync(dst []byte, src uint64, s Stream) error {
-	_, ok := c.streams[s]
-	if !ok {
+	if !c.streams[s] {
 		return errBadStream(s)
 	}
 	if sr, async := c.runner.(StreamRunner); async && s != DefaultStream {
 		tk := sr.SubmitCopy(int(s), len(dst), func() { c.Mem.Read(src, dst) })
-		c.pending = append(c.pending, pendingLaunch{ticket: tk, logIdx: -1, stream: s})
+		c.pending = append(c.pending, pendingLaunch{ticket: tk, logIdx: -1})
 		return nil
 	}
 	_ = c.drainPending()
-	ss := c.streams[s]
 	c.Mem.Read(src, dst)
-	c.timeline.occupy(ss, len(dst))
 	return nil
-}
-
-// ModelTime returns the current modelled elapsed time (µs) assuming all
-// streams have been synchronised (queued async work drains first).
-func (c *Context) ModelTime() float64 {
-	_ = c.drainPending()
-	t := c.timeline.now
-	for _, ss := range c.streams {
-		if ss.readyAt > t {
-			t = ss.readyAt
-		}
-	}
-	return t
-}
-
-func maxF(vals ...float64) float64 {
-	m := vals[0]
-	for _, v := range vals[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 type errBadStream Stream
@@ -261,9 +143,3 @@ func (e errBadStream) Error() string { return "cudart: invalid stream handle" }
 type errBadEvent Event
 
 func (e errBadEvent) Error() string { return "cudart: invalid event handle" }
-
-var errNotRecorded = errString("cudart: event not recorded")
-
-type errString string
-
-func (e errString) Error() string { return string(e) }

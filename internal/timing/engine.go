@@ -170,8 +170,10 @@ func (r Runner) SubmitCopy(stream, bytes int, apply func()) cudart.AsyncTicket {
 // DrainAll implements cudart.StreamRunner.
 func (r Runner) DrainAll() error { return r.E.Drain() }
 
-// ClockMHz implements cudart.StreamRunner (for cycle → µs conversion on
-// the context's coarse stream timeline).
+// ClockMHz reports the modelled core clock. Nothing in this module calls
+// it: bench/runners.go wraps a Runner method for method, and bench/ is
+// only changed by benchmark PRs (ROADMAP item 6(a) drops it there, then
+// here).
 func (r Runner) ClockMHz() float64 { return r.E.cfg.ClockMHz }
 
 // opKind distinguishes queued operations.
@@ -312,16 +314,22 @@ func (e *Engine) RunGridResume(g *exec.Grid, skipCTAs int, preload []*exec.CTA) 
 	return t.stats, t.err
 }
 
+// The copy engine's fallbacks: ~12 GB/s (PCIe 3.0 x16) in bytes per µs,
+// and the core clock assumed when the Config names none.
+const (
+	defaultCopyBytesPerUs = 12e3
+	defaultClockMHz       = 1400
+)
+
 // copyCycles converts a transfer size to copy-engine cycles.
 func (e *Engine) copyCycles(bytes int) uint64 {
 	bpc := e.cfg.CopyBytesPerCycle
 	if bpc <= 0 {
-		// the analytical timeline's PCIe bandwidth, at the core clock
 		mhz := e.cfg.ClockMHz
 		if mhz <= 0 {
-			mhz = cudart.DefaultClockMHz
+			mhz = defaultClockMHz
 		}
-		bpc = cudart.DefaultCopyBWBytesPerUs / mhz
+		bpc = defaultCopyBytesPerUs / mhz
 	}
 	return uint64(float64(bytes)/bpc + 0.5)
 }

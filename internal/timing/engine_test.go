@@ -1,6 +1,7 @@
 package timing_test
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -294,7 +295,9 @@ func (h *edgeHarness) submitOOB(stream int) *timing.Ticket {
 // mid-drain takes the whole batch with it but leaves the engine
 // reusable, a copy submitted after its consumer kernel on the same
 // stream applies after it, a zero-size copy retires without wedging the
-// drain, and Drain is idempotent.
+// drain, async copies on different streams serialise on the copy engine
+// with a synchronous copy behind them landing last, and Drain is
+// idempotent.
 func TestDrainQueueEdgeCases(t *testing.T) {
 	const n = 256
 	mkData := func(scale float32) []float32 {
@@ -390,6 +393,48 @@ func TestDrainQueueEdgeCases(t *testing.T) {
 			}
 			if kst, _ := k.Stats(); kst.WarpInstrs == 0 {
 				t.Error("kernel behind the zero-size copy never ran")
+			}
+		}},
+		{"async_copies_serialise_and_sync_copy_lands_after", func(t *testing.T, h *edgeHarness) {
+			// Through the runtime: async uploads on two streams share the
+			// one modelled copy engine, and a synchronous MemcpyHtoD behind
+			// them is device-synchronizing, so it drains both and lands on
+			// top. Time is the engine's; the runtime keeps no clock.
+			h.ctx.SetRunner(timing.Runner{E: h.eng})
+			s1, s2 := h.ctx.StreamCreate(), h.ctx.StreamCreate()
+			const size = 1 << 16
+			pa, _ := h.ctx.Malloc(size)
+			pb, _ := h.ctx.Malloc(size)
+			upload := func(dst uint64, fill byte, s cudart.Stream) {
+				if err := h.ctx.MemcpyHtoDAsync(dst, bytes.Repeat([]byte{fill}, size), s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			start := h.eng.Cycle()
+			upload(pa, 1, s1)
+			if err := h.ctx.DeviceSynchronize(); err != nil {
+				t.Fatal(err)
+			}
+			one := h.eng.Cycle() - start
+			if one == 0 {
+				t.Fatal("an async copy on a created stream took no engine cycles")
+			}
+
+			start = h.eng.Cycle()
+			upload(pa, 2, s1)
+			upload(pb, 3, s2)
+			h.ctx.MemcpyHtoD(pa, []byte{9, 9, 9, 9})
+			if two := h.eng.Cycle() - start; two < 2*one {
+				t.Errorf("two %d-byte copies on different streams took %d cycles, one takes %d: they overlapped on the copy engine", size, two, one)
+			}
+			got := make([]byte, 8)
+			h.ctx.MemcpyDtoH(got, pa)
+			if want := []byte{9, 9, 9, 9, 2, 2, 2, 2}; !bytes.Equal(got, want) {
+				t.Errorf("after the sync copy the buffer starts % x, want % x (async upload first, sync copy on top)", got, want)
+			}
+			h.ctx.MemcpyDtoH(got, pb+size-8)
+			if want := bytes.Repeat([]byte{3}, 8); !bytes.Equal(got, want) {
+				t.Errorf("the second stream's upload ends % x, want % x", got, want)
 			}
 		}},
 		{"drain_called_twice", func(t *testing.T, h *edgeHarness) {
