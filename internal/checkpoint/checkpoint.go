@@ -82,13 +82,9 @@ func Decode(data []byte) (*State, error) {
 	return &s, nil
 }
 
-// ErrCheckpointTaken is returned by the capture runner once the
-// checkpoint has been captured; subsequent kernels are skipped (paper:
-// "All kernels with kernel_id > x are not executed").
-var ErrCheckpointTaken = fmt.Errorf("checkpoint: captured")
-
 // CaptureRunner is a cudart.Runner that runs kernels functionally until
-// the checkpoint point, captures Data1/Data2, and skips everything after.
+// the checkpoint point, captures Data1/Data2, and skips everything after
+// (paper: "All kernels with kernel_id > x are not executed").
 type CaptureRunner struct {
 	Ctx   *cudart.Context
 	P     Point
@@ -150,21 +146,17 @@ func (r *CaptureRunner) RunKernel(g *exec.Grid) (cudart.KernelStats, error) {
 // barriers (a warp blocked at a barrier before exhausting its budget
 // waits for the others, exactly like the functional scheduler).
 func runBudget(m *exec.Machine, cta *exec.CTA, budget int64) error {
-	remaining := make(map[*exec.Warp]int64, len(cta.Warps))
-	for _, w := range cta.Warps {
-		remaining[w] = budget
-	}
 	for {
 		progressed := false
 		for _, w := range cta.Warps {
-			if w.Done || w.AtBarrier || remaining[w] <= 0 {
+			left := budget - int64(w.InstrCount) // counted from the fresh CTA
+			if w.Done || w.AtBarrier || left <= 0 {
 				continue
 			}
-			n, err := m.RunWarp(cta, w, remaining[w])
+			n, err := m.RunWarp(cta, w, left)
 			if err != nil {
 				return err
 			}
-			remaining[w] -= n
 			if n > 0 {
 				progressed = true
 			}

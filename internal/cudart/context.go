@@ -187,9 +187,6 @@ func NewContext(bugs exec.BugSet) *Context {
 // checkpoint flow switches a context from functional to performance mode.
 func (c *Context) SetRunner(r Runner) { c.runner = r }
 
-// Runner returns the active runner.
-func (c *Context) Runner() Runner { return c.runner }
-
 // RegisterModule parses one PTX translation unit and registers its
 // kernels. Each embedded PTX file of a library must be registered with a
 // separate call — GPGPU-Sim originally merged all PTX into one file and

@@ -18,7 +18,9 @@
 package debug
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
 
 	"repro/internal/cudart"
 	"repro/internal/exec"
@@ -141,20 +143,4 @@ func (t *Tool) Run() (*Report, error) {
 	return rep, nil
 }
 
-func buffersEqual(a, b map[uint64][]byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for base, ab := range a {
-		bb, ok := b[base]
-		if !ok || len(ab) != len(bb) {
-			return false
-		}
-		for i := range ab {
-			if ab[i] != bb[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
+func buffersEqual(a, b map[uint64][]byte) bool { return maps.EqualFunc(a, b, bytes.Equal) }

@@ -46,7 +46,8 @@ const (
 	// hand-specialised loops (alu_warp.go) pinned to evalALU bit for bit
 	// by TestSpecialisedMatchesScalar. A shape earns a loop by reaching
 	// about 1% of the warp instructions of a benchmark workload (the
-	// histogram is in ROADMAP.md, open item 2); everything else is generic.
+	// histogram is in README.md, "Functional interpreter"); everything
+	// else is generic.
 	hgeneric
 	hmov
 	hadd32u
