@@ -43,20 +43,15 @@ func debugWorkload(ctx *cudart.Context) error {
 	for i := range w {
 		w[i] = float32(i%11)*0.25 - 1.25
 	}
-	px, err := ctx.Malloc(uint64(4 * len(x)))
-	if err != nil {
-		return err
+	var ptrs [3]uint64 // x, w, y — allocated in this order
+	for i, floats := range []int{len(x), len(w), fd.K * cd.OutDim(xd.H, fd.R) * cd.OutDim(xd.W, fd.S)} {
+		if ptrs[i], err = ctx.Malloc(uint64(4 * floats)); err != nil {
+			return err
+		}
 	}
+	px, pw, py := ptrs[0], ptrs[1], ptrs[2]
 	ctx.MemcpyF32HtoD(px, x)
-	pw, err := ctx.Malloc(uint64(4 * len(w)))
-	if err != nil {
-		return err
-	}
 	ctx.MemcpyF32HtoD(pw, w)
-	py, err := ctx.Malloc(uint64(4 * fd.K * cd.OutDim(xd.H, fd.R) * cd.OutDim(xd.W, fd.S)))
-	if err != nil {
-		return err
-	}
 	_, err = h.ConvolutionForward(cudnn.FwdAlgoFFT, px, xd, pw, fd, cd, py)
 	return err
 }
