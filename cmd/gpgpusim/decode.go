@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 
 	"repro/internal/aerial"
@@ -22,6 +23,9 @@ var decodeWorkload = workload{
 		prompt, gen := decodeFlags(fs, "")
 		resample := resampleFlag(fs, "in the hybrid pass: ")
 		return func(rep *aerial.Report) error {
+			if err := cmp.Or(atLeast("streams", *streams, 1), checkDecode(*prompt, *gen)); err != nil {
+				return err
+			}
 			res, err := core.RunDecodeSample(*workers, *streams, *prompt, *gen)
 			if err != nil {
 				return err
@@ -59,4 +63,8 @@ var decodeWorkload = workload{
 func decodeFlags(fs *flag.FlagSet, when string) (prompt, gen *int) {
 	return fs.Int("prompt", 4, when+"prompt tokens each sequence prefills"),
 		fs.Int("gen", 8, when+"tokens each sequence greedy-decodes")
+}
+
+func checkDecode(prompt, gen int) error {
+	return cmp.Or(atLeast("prompt", prompt, 1), atLeast("gen", gen, 1))
 }

@@ -168,9 +168,12 @@ func devicesFlag(fs *flag.FlagSet, effect string) *int {
 	return fs.Int("devices", 1, "simulate N GPUs as one node over a modelled NVLink fabric ("+effect+"); -j host workers step the devices concurrently")
 }
 
-func checkDevices(devices int) error {
-	if devices < 1 {
-		return usagef("-devices must be >= 1, got %d", devices)
+// atLeast rejects an integer flag below the smallest value its entry can
+// honour: a count of zero or less would run some other shape than the one
+// typed, or reach a make() or an allocator with it.
+func atLeast(name string, v, lo int) error {
+	if v < lo {
+		return usagef("-%s must be >= %d, got %d", name, lo, v)
 	}
 	return nil
 }

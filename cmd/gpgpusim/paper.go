@@ -8,6 +8,7 @@ package main
 // round trip (Figs. 4-5).
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -32,6 +33,9 @@ var mnistWorkload = workload{
 		fig7 := fs.Bool("fig7", false, "print only the Fig. 7 per-kernel correlation")
 		fig8 := fs.Bool("fig8", false, "print only the Fig. 8 power breakdown")
 		return func(rep *aerial.Report) error {
+			if err := atLeast("images", *images, 1); err != nil {
+				return err
+			}
 			res, err := core.RunMNISTCorrelation(*workers, *images)
 			if err != nil {
 				return err
@@ -90,6 +94,17 @@ var convsampleWorkload = workload{
 		k := fs.Int("k", 8, "output channels")
 		hw := fs.Int("hw", 28, "input height/width")
 		return func(rep *aerial.Report) error {
+			if err := cmp.Or(atLeast("c", *c, 1), atLeast("k", *k, 1), atLeast("hw", *hw, 1)); err != nil {
+				return err
+			}
+			want := map[string]bool{"dram": false, "ipc": false, "warp": false}
+			for _, p := range strings.Split(*plots, ",") {
+				p = strings.TrimSpace(p)
+				if _, ok := want[p]; !ok {
+					return usagef("-plot: unknown plot %q (dram, ipc, warp)", p)
+				}
+				want[p] = true
+			}
 			shape := core.DefaultConvShape()
 			shape.C, shape.K, shape.H, shape.W = *c, *k, *hw, *hw
 			if *sweep {
@@ -107,10 +122,6 @@ var convsampleWorkload = workload{
 			st := res.Engine.Stats()
 			rep.Printf("conv_sample %s/%s on GTX 1080 Ti model: %d cycles, %d kernels, IPC %.2f\n\n",
 				*dir, *algo, res.Cycles, len(res.Kernels), st.TotalIPC(res.Cycles))
-			want := map[string]bool{}
-			for _, p := range strings.Split(*plots, ",") {
-				want[strings.TrimSpace(p)] = true
-			}
 			interval := st.Interval()
 			if want["dram"] {
 				parts := res.Engine.Partitions()

@@ -31,6 +31,9 @@ var ptxWorkload = workload{
 			if fs.NArg() != 1 {
 				return usagef("usage: gpgpusim [flags] file.ptx  (or -workload NAME; see -h)")
 			}
+			if err := atLeast("streams", *streams, 1); err != nil {
+				return err
+			}
 			if *streams > 1 && !*perf {
 				return usagef("-streams needs -perf (concurrent streams run in the detailed model)")
 			}
@@ -100,7 +103,7 @@ var ptxWorkload = workload{
 			// serialized on a fresh engine, not as the sum of the
 			// concurrent per-kernel cycles (those span the overlapped
 			// window and would inflate the win).
-			cycles, ctx, bufs, err := launch(max(*streams, 1), *streams > 1)
+			cycles, ctx, bufs, err := launch(*streams, *streams > 1)
 			if err != nil {
 				return err
 			}

@@ -146,6 +146,31 @@ func TestValueChecks(t *testing.T) {
 		{"-workload transformer -devices 2 -streams 2", "-streams only applies to single-device runs"},
 		{"-workload transformer -devices 2 -replay", "-replay with -devices only applies to -workload train"},
 		{"-workload convsample -sweep -algo fft", "-algo selects one case"},
+		// counts below 1 and a rate that is not positive: these panicked in
+		// make (-images -1, -requests -5), ran to cycle 2^63 (-rate 0), died
+		// on a trace or allocator error (-rate -1, -images 0, -c 0), ran some
+		// other shape than the one typed (-streams, -steps, -prompt, -gen) or
+		// printed nothing (-plot foo)
+		{"-workload mnist -images -1", "-images must be >= 1, got -1"},
+		{"-workload mnist -images 0", "-images must be >= 1"},
+		{"-workload serve -requests -5", "-requests must be >= 1, got -5"},
+		{"-workload serve -rate 0", "-rate must be > 0"},
+		{"-workload serve -rate -1", "-rate must be > 0"},
+		{"-workload serve -rate NaN", "-rate must be > 0"},
+		{"-workload serve -decode -gen 0", "-gen must be >= 1"},
+		{"-workload transformer -streams 0", "-streams must be >= 1"},
+		{"-workload transformer -streams -2", "-streams must be >= 1"},
+		{"-workload decode -streams 0", "-streams must be >= 1"},
+		{"-workload decode -streams -2", "-streams must be >= 1"},
+		{"-workload decode -prompt 0", "-prompt must be >= 1"},
+		{"-workload decode -gen -1", "-gen must be >= 1"},
+		{"-workload train -steps 0", "-steps must be >= 1"},
+		{"-workload train -steps -3", "-steps must be >= 1"},
+		{"-workload convsample -plot foo", `-plot: unknown plot "foo"`},
+		{"-workload convsample -c 0", "-c must be >= 1"},
+		{"-workload convsample -k 0", "-k must be >= 1"},
+		{"-workload convsample -hw -28", "-hw must be >= 1"},
+		{"-perf -streams 0 file.ptx", "-streams must be >= 1"},
 		{"-workload debug -entries 0", "-entries must be >= 1"},
 		{"-workload debug -entries -1", "-entries must be >= 1"}, // reached make() in the log replay and panicked
 		{"-workload debug -break mul", `-break: unknown opcode "mul"`},

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -27,8 +28,11 @@ var serveWorkload = workload{
 		prompt, gen := decodeFlags(fs, "with -decode: ")
 		replay, resample := replayFlags(fs, "retire repeated kernel chains from the replay cache")
 		return func(rep *aerial.Report) error {
-			if err := checkReplay(*replay, *resample); err != nil {
+			if err := cmp.Or(checkReplay(*replay, *resample), atLeast("requests", *requests, 1), checkDecode(*prompt, *gen)); err != nil {
 				return err
+			}
+			if !(*rate > 0) { // NaN included: the arrival gaps are drawn from 1/rate
+				return usagef("-rate must be > 0 requests per million cycles, got %g", *rate)
 			}
 			if (isSet(fs, "prompt") || isSet(fs, "gen")) && !*decode {
 				return usagef("-prompt/-gen only apply with -decode")

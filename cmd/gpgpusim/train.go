@@ -29,7 +29,7 @@ var trainWorkload = workload{
 		replay, resample := replayFlags(fs, "retire steady-state steps from the replay cache")
 		devices := devicesFlag(fs, "data-parallel training")
 		return func(rep *aerial.Report) error {
-			if err := cmp.Or(checkDevices(*devices), checkReplay(*replay, *resample)); err != nil {
+			if err := cmp.Or(atLeast("devices", *devices, 1), atLeast("steps", *steps, 1), checkReplay(*replay, *resample)); err != nil {
 				return err
 			}
 			if *devices > 1 {

@@ -23,7 +23,7 @@ var transformerWorkload = workload{
 		replay, resample := replayFlags(fs, "repeat the batch four times on one engine and report cache coverage")
 		devices := devicesFlag(fs, "tensor-parallel inference")
 		return func(rep *aerial.Report) error {
-			if err := cmp.Or(checkDevices(*devices), checkReplay(*replay, *resample)); err != nil {
+			if err := cmp.Or(atLeast("devices", *devices, 1), atLeast("streams", *streams, 1), checkReplay(*replay, *resample)); err != nil {
 				return err
 			}
 			switch {

@@ -47,11 +47,12 @@ func (h *Handle) bwdDataAsForward(algo ConvBwdDataAlgo, w uint64, fd FilterDesc,
 	if cd.Stride != 1 {
 		return ErrNotSupported{Reason: algo.String() + " backward data requires stride 1"}
 	}
-	rot, release, err := h.workspace(uint64(4 * fd.Count()))
-	if err != nil {
-		return err
+	ws := h.scratch()
+	defer ws.release()
+	rot := ws.alloc(4 * fd.Count())
+	if ws.err != nil {
+		return ws.err
 	}
-	defer release()
 	p := cudart.NewParams().Ptr(w).Ptr(rot).
 		U32(uint32(fd.K)).U32(uint32(fd.C)).U32(uint32(fd.R)).U32(uint32(fd.S))
 	if err := h.launch1D("rotate_filter_180", fd.Count(), 128, p); err != nil {
@@ -146,7 +147,7 @@ func (h *Handle) bwdFilterFFT(x uint64, xd TensorDesc, dy uint64, yd TensorDesc,
 		ntx = (yd.W + step - 1) / step
 		nty = (yd.H + step - 1) / step
 	} else {
-		need := maxInt(xd.H, xd.W) + 2*cd.Pad
+		need := max(xd.H, xd.W) + 2*cd.Pad
 		var err error
 		n, err = pickFFTSize(need)
 		if err != nil {
@@ -159,37 +160,17 @@ func (h *Handle) bwdFilterFFT(x uint64, xd TensorDesc, dy uint64, yd TensorDesc,
 	nn := n * n
 	r2c, c2r := fftKernelNames(n)
 
-	xTiles, relXT, err := h.workspace(uint64(4 * xd.C * nt * nn))
-	if err != nil {
-		return err
+	ws := h.scratch()
+	defer ws.release()
+	xTiles := ws.alloc(4 * xd.C * nt * nn)
+	dyTiles := ws.alloc(4 * fd.K * nt * nn)
+	xSpec := ws.alloc(8 * xd.C * nt * nn)
+	dySpec := ws.alloc(8 * fd.K * nt * nn)
+	dwSpec := ws.alloc(8 * fd.K * fd.C * nn)
+	dwFull := ws.alloc(4 * fd.K * fd.C * nn)
+	if ws.err != nil {
+		return ws.err
 	}
-	defer relXT()
-	dyTiles, relDT, err := h.workspace(uint64(4 * fd.K * nt * nn))
-	if err != nil {
-		return err
-	}
-	defer relDT()
-	xSpec, relXS, err := h.workspace(uint64(8 * xd.C * nt * nn))
-	if err != nil {
-		return err
-	}
-	defer relXS()
-	dySpec, relDS, err := h.workspace(uint64(8 * fd.K * nt * nn))
-	if err != nil {
-		return err
-	}
-	defer relDS()
-	dwSpec, relWS, err := h.workspace(uint64(8 * fd.K * fd.C * nn))
-	if err != nil {
-		return err
-	}
-	defer relWS()
-	dwFull, relWF, err := h.workspace(uint64(4 * fd.K * fd.C * nn))
-	if err != nil {
-		return err
-	}
-	defer relWF()
-
 	if err := h.zero(dwSpec, 2*fd.K*fd.C*nn); err != nil {
 		return err
 	}

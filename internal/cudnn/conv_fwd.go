@@ -1,6 +1,7 @@
 package cudnn
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/cudart"
@@ -70,12 +71,12 @@ func (h *Handle) convFwdImplicitGemm(x uint64, xd TensorDesc, w uint64, fd Filte
 func (h *Handle) convFwdGemm(x uint64, xd TensorDesc, w uint64, fd FilterDesc, cd ConvDesc, y uint64, yd TensorDesc) error {
 	crs := fd.C * fd.R * fd.S
 	ohw := yd.H * yd.W
-	colBytes := uint64(4 * crs * ohw)
-	col, release, err := h.workspace(colBytes)
-	if err != nil {
-		return err
+	ws := h.scratch()
+	defer ws.release()
+	col := ws.alloc(4 * crs * ohw)
+	if ws.err != nil {
+		return ws.err
 	}
-	defer release()
 	for n := 0; n < xd.N; n++ {
 		xOff := x + uint64(4*n*xd.C*xd.H*xd.W)
 		p := cudart.NewParams().Ptr(xOff).Ptr(col).
@@ -96,32 +97,25 @@ func (h *Handle) convFwdGemm(x uint64, xd TensorDesc, w uint64, fd FilterDesc, c
 
 // filterSpectra pads the KCRS filter bank into n x n frames and runs the
 // forward FFT, returning the spectra buffer [(K*C) planes][n*n] complex.
-func (h *Handle) filterSpectra(w uint64, fd FilterDesc, n int) (uint64, func(), error) {
+func (h *Handle) filterSpectra(ws *scratch, w uint64, fd FilterDesc, n int) (uint64, error) {
 	planes := fd.K * fd.C
-	pad, relPad, err := h.workspace(uint64(4 * planes * n * n))
-	if err != nil {
-		return 0, nil, err
+	// the padded frames are dead once transformed: they go back before the
+	// caller allocates anything, the spectra live in the caller's scratch
+	tmp := h.scratch()
+	defer tmp.release()
+	pad := tmp.alloc(4 * planes * n * n)
+	spec := ws.alloc(8 * planes * n * n)
+	if err := cmp.Or(tmp.err, ws.err); err != nil {
+		return 0, err
 	}
-	spec, relSpec, err := h.workspace(uint64(8 * planes * n * n))
-	if err != nil {
-		relPad()
-		return 0, nil, err
-	}
-	release := func() { relSpec(); relPad() }
 	p := cudart.NewParams().Ptr(w).Ptr(pad).
 		U32(uint32(fd.R)).U32(uint32(fd.S)).U32(uint32(n)).U32(uint32(n)).
 		U32(0).U32(0)
 	if err := h.launch2D("pad2d", n*n, 256, planes, p); err != nil {
-		release()
-		return 0, nil, err
+		return 0, err
 	}
 	r2c, _ := fftKernelNames(n)
-	if err := h.launch(r2c, exec.Dim3{X: planes}, exec.Dim3{X: n}, cudart.NewParams().Ptr(pad).Ptr(spec)); err != nil {
-		release()
-		return 0, nil, err
-	}
-	relPad()
-	return spec, relSpec, nil
+	return spec, h.launch(r2c, exec.Dim3{X: planes}, exec.Dim3{X: n}, cudart.NewParams().Ptr(pad).Ptr(spec))
 }
 
 // convFwdFFT is the plain FFT algorithm: whole-image frames. This is the
@@ -132,7 +126,7 @@ func (h *Handle) convFwdFFT(x uint64, xd TensorDesc, w uint64, fd FilterDesc, cd
 	if cd.Stride != 1 {
 		return ErrNotSupported{Reason: "FFT convolution requires stride 1"}
 	}
-	need := maxInt(xd.H, xd.W) + fd.R - 1
+	need := max(xd.H, xd.W) + fd.R - 1
 	n, err := pickFFTSize(need)
 	if err != nil {
 		return err
@@ -140,33 +134,19 @@ func (h *Handle) convFwdFFT(x uint64, xd TensorDesc, w uint64, fd FilterDesc, cd
 	r2c, c2r := fftKernelNames(n)
 	nn := n * n
 
-	wSpec, relW, err := h.filterSpectra(w, fd, n)
+	ws := h.scratch()
+	defer ws.release()
+	wSpec, err := h.filterSpectra(ws, w, fd, n)
 	if err != nil {
 		return err
 	}
-	defer relW()
-
-	xPad, relXP, err := h.workspace(uint64(4 * xd.C * nn))
-	if err != nil {
-		return err
+	xPad := ws.alloc(4 * xd.C * nn)
+	xSpec := ws.alloc(8 * xd.C * nn)
+	ySpec := ws.alloc(8 * fd.K * nn)
+	yFull := ws.alloc(4 * fd.K * nn)
+	if ws.err != nil {
+		return ws.err
 	}
-	defer relXP()
-	xSpec, relXS, err := h.workspace(uint64(8 * xd.C * nn))
-	if err != nil {
-		return err
-	}
-	defer relXS()
-	ySpec, relYS, err := h.workspace(uint64(8 * fd.K * nn))
-	if err != nil {
-		return err
-	}
-	defer relYS()
-	yFull, relYF, err := h.workspace(uint64(4 * fd.K * nn))
-	if err != nil {
-		return err
-	}
-	defer relYF()
-
 	for img := 0; img < xd.N; img++ {
 		xOff := x + uint64(4*img*xd.C*xd.H*xd.W)
 		p := cudart.NewParams().Ptr(xOff).Ptr(xPad).
@@ -214,33 +194,19 @@ func (h *Handle) convFwdFFTTiling(x uint64, xd TensorDesc, w uint64, fd FilterDe
 	nn := n * n
 	r2c, c2r := fftKernelNames(n)
 
-	wSpec, relW, err := h.filterSpectra(w, fd, n)
+	ws := h.scratch()
+	defer ws.release()
+	wSpec, err := h.filterSpectra(ws, w, fd, n)
 	if err != nil {
 		return err
 	}
-	defer relW()
-
-	tiles, relT, err := h.workspace(uint64(4 * xd.C * nt * nn))
-	if err != nil {
-		return err
+	tiles := ws.alloc(4 * xd.C * nt * nn)
+	xSpec := ws.alloc(8 * xd.C * nt * nn)
+	ySpec := ws.alloc(8 * fd.K * nt * nn)
+	yFull := ws.alloc(4 * fd.K * nt * nn)
+	if ws.err != nil {
+		return ws.err
 	}
-	defer relT()
-	xSpec, relXS, err := h.workspace(uint64(8 * xd.C * nt * nn))
-	if err != nil {
-		return err
-	}
-	defer relXS()
-	ySpec, relYS, err := h.workspace(uint64(8 * fd.K * nt * nn))
-	if err != nil {
-		return err
-	}
-	defer relYS()
-	yFull, relYF, err := h.workspace(uint64(4 * fd.K * nt * nn))
-	if err != nil {
-		return err
-	}
-	defer relYF()
-
 	for img := 0; img < xd.N; img++ {
 		xOff := x + uint64(4*img*xd.C*xd.H*xd.W)
 		p := cudart.NewParams().Ptr(xOff).Ptr(tiles).
@@ -297,22 +263,14 @@ func (h *Handle) convFwdWinogradNonfused(x uint64, xd TensorDesc, w uint64, fd F
 	cp := fd.C * P
 	kp := fd.K * P
 
-	u, relU, err := h.workspace(uint64(4 * 16 * kc))
-	if err != nil {
-		return err
+	ws := h.scratch()
+	defer ws.release()
+	u := ws.alloc(4 * 16 * kc)
+	v := ws.alloc(4 * 16 * cp)
+	m := ws.alloc(4 * 16 * kp)
+	if ws.err != nil {
+		return ws.err
 	}
-	defer relU()
-	v, relV, err := h.workspace(uint64(4 * 16 * cp))
-	if err != nil {
-		return err
-	}
-	defer relV()
-	m, relM, err := h.workspace(uint64(4 * 16 * kp))
-	if err != nil {
-		return err
-	}
-	defer relM()
-
 	if err := h.launch1D("winograd_filter_transform", kc, 64,
 		cudart.NewParams().Ptr(w).Ptr(u).U32(uint32(kc))); err != nil {
 		return err
@@ -331,11 +289,4 @@ func (h *Handle) convFwdWinogradNonfused(x uint64, xd TensorDesc, w uint64, fd F
 		U32(uint32(fd.K)).U32(uint32(yd.H)).U32(uint32(yd.W)).
 		U32(uint32(tilesX)).U32(uint32(tilesY)).U32(uint32(xd.N))
 	return h.launch1D("winograd_output_transform", kp, 64, op)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

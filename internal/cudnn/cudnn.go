@@ -8,6 +8,7 @@ package cudnn
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cudart"
 	"repro/internal/device"
@@ -168,13 +169,33 @@ func (h *Handle) zero(addr uint64, n int) error {
 	return h.launch1D("fill_zero", n, 256, cudart.NewParams().Ptr(addr).U32(uint32(n)))
 }
 
-// workspace allocates scratch device memory released by the returned func.
-func (h *Handle) workspace(bytes uint64) (uint64, func(), error) {
-	addr, err := h.ctx.Malloc(bytes)
-	if err != nil {
-		return 0, nil, err
+// scratch is one call's device workspace. alloc hands out buffers in call
+// order and remembers the first failure — once err is set it allocates
+// nothing more and returns 0, so a call checks err once, after its last
+// alloc — and release frees them newest first. Allocation and free order
+// are what the first-fit allocator turns into addresses, and addresses
+// are in every launch's parameter bytes.
+type scratch struct {
+	ctx   *cudart.Context
+	addrs []uint64
+	err   error
+}
+
+func (h *Handle) scratch() *scratch { return &scratch{ctx: h.ctx} }
+
+func (s *scratch) alloc(bytes int) (addr uint64) {
+	if s.err == nil {
+		if addr, s.err = s.ctx.Malloc(uint64(bytes)); s.err == nil {
+			s.addrs = append(s.addrs, addr)
+		}
 	}
-	return addr, func() { _ = h.ctx.Free(addr) }, nil
+	return addr
+}
+
+func (s *scratch) release() {
+	for _, addr := range slices.Backward(s.addrs) {
+		_ = s.ctx.Free(addr) // addrs holds only what Malloc returned and nothing else frees
+	}
 }
 
 // AddTensor adds a per-channel bias to an NCHW tensor (cudnnAddTensor).

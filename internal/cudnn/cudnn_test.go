@@ -360,3 +360,20 @@ func TestDevicesShareParsedLibrary(t *testing.T) {
 		}
 	}
 }
+
+// TestScratchReleasedOnFailure: a convolution whose second workspace
+// buffer cannot be allocated (an empty batch makes it zero bytes) fails
+// with the allocator's error and gives back the buffer it already held.
+func TestScratchReleasedOnFailure(t *testing.T) {
+	ctx, h := newHandle(t)
+	x, w, y := alloc(t, ctx, 64), alloc(t, ctx, 64), alloc(t, ctx, 64)
+	live := len(ctx.Alloc.LiveAllocations())
+	_, err := h.ConvolutionForward(cudnn.FwdAlgoWinogradNonfused, x, cudnn.TensorDesc{N: 0, C: 2, H: 4, W: 4},
+		w, cudnn.FilterDesc{K: 2, C: 2, R: 3, S: 3}, cudnn.ConvDesc{Pad: 1, Stride: 1}, y)
+	if err == nil {
+		t.Fatal("a zero-byte workspace buffer went unnoticed")
+	}
+	if got := len(ctx.Alloc.LiveAllocations()); got != live {
+		t.Errorf("%d allocations live after the failed call, %d before: workspace leaked (%v)", got, live, err)
+	}
+}

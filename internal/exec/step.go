@@ -219,12 +219,19 @@ func (m *Machine) stepBranch(w *Warp, top *StackEntry, pc int, in *ptx.Instr, ta
 // executed.
 func (m *Machine) RunWarp(c *CTA, w *Warp, budget int64) (int64, error) {
 	var n int64
-	var info StepInfo
+	var scratch StepInfo
+	info := &scratch
+	if m.observe != nil {
+		info = &m.observed
+	}
 	for !w.Done && !w.AtBarrier && n < budget {
-		if err := m.StepWarp(c, w, &info); err != nil {
+		if err := m.StepWarp(c, w, info); err != nil {
 			return n, err
 		}
 		n++
+		if m.observe != nil {
+			m.observe(&m.observed)
+		}
 	}
 	return n, nil
 }
@@ -320,6 +327,17 @@ func (c *CTA) ReleaseBarrier() bool {
 		return true
 	}
 	return false
+}
+
+// ObserveGrid is RunGrid with observe called after every warp instruction
+// (every StepWarp the loop makes, a warp's retiring step included): what a
+// profiler that counts instructions or memory traffic needs, on the one
+// loop, so it shares RunGrid's exits — a faulting instruction and the
+// runaway guard both end the launch with an error.
+func (m *Machine) ObserveGrid(g *Grid, observe func(*StepInfo)) error {
+	m.observe = observe
+	defer func() { m.observe = nil }()
+	return m.RunGrid(g)
 }
 
 // RunGrid functionally executes an entire launch, CTA by CTA. This is the

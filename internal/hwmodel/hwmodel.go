@@ -97,73 +97,33 @@ func (o *Oracle) fudgeFor(name string) float64 {
 // (hardware is always functionally correct) while counting instructions
 // and coalesced memory traffic, then applies the throughput model.
 func (o *Oracle) RunKernel(g *exec.Grid) (cudart.KernelStats, error) {
-	m := g.Machine()
-	var warpInstrs uint64
-	var memBytes uint64
-	segSize := uint64(128)
-	var info exec.StepInfo
-	segs := make([]uint64, 0, exec.WarpSize) // scratch, reused per memory instruction
-
-	// every block has the same shape: one CTA's storage serves them all
-	cta := g.InitCTA(0)
-	for i := 0; i < g.NumCTAs(); i++ {
-		if i > 0 {
-			cta.Reset(i)
+	var warpInstrs, memBytes uint64
+	const segSize = 128
+	scratch := make([]uint64, 0, exec.WarpSize) // a warp touches at most WarpSize segments: never regrown
+	err := g.Machine().ObserveGrid(g, func(info *exec.StepInfo) {
+		warpInstrs++
+		if !info.IsMem || info.Space == 0 {
+			return
 		}
-		for {
-			progressed := false
-			for _, w := range cta.Warps {
-				for !w.Done && !w.AtBarrier {
-					if err := m.StepWarp(cta, w, &info); err != nil {
-						return cudart.KernelStats{}, err
-					}
-					progressed = true
-					warpInstrs++
-					if info.IsMem && info.Space != 0 {
-						// count unique 128B segments like the coalescer
-						segs = segs[:0]
-						for l := 0; l < exec.WarpSize; l++ {
-							if info.ActiveMask&(1<<l) == 0 {
-								continue
-							}
-							s := info.Addrs[l] &^ (segSize - 1)
-							dup := false
-							for _, e := range segs {
-								if e == s {
-									dup = true
-									break
-								}
-							}
-							if !dup {
-								segs = append(segs, s)
-							}
-						}
-						memBytes += uint64(len(segs)) * segSize
-					}
-				}
-			}
-			live, waiting := 0, 0
-			for _, w := range cta.Warps {
-				if !w.Done {
-					live++
-					if w.AtBarrier {
-						waiting++
-					}
-				}
-			}
-			if live == 0 {
-				break
-			}
-			if waiting == live {
-				for _, w := range cta.Warps {
-					w.AtBarrier = false
-				}
+		// count unique 128B segments like the coalescer
+		segs := scratch
+	lanes:
+		for l := 0; l < exec.WarpSize; l++ {
+			if info.ActiveMask&(1<<l) == 0 {
 				continue
 			}
-			if !progressed {
-				break
+			s := info.Addrs[l] &^ (segSize - 1)
+			for _, e := range segs {
+				if e == s {
+					continue lanes
+				}
 			}
+			segs = append(segs, s)
 		}
+		memBytes += uint64(len(segs)) * segSize
+	})
+	if err != nil {
+		return cudart.KernelStats{}, err
 	}
 
 	compute := float64(warpInstrs) / (float64(o.NumSMs) * o.IssuePerSM)

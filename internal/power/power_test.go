@@ -32,7 +32,8 @@ func TestFractionsSumToOne(t *testing.T) {
 	m := DefaultModel()
 	st := &timing.Stats{
 		ALUOps: 5e6, SFUOps: 1e5, Instructions: 2e5,
-		L1Accesses: 3e4, L2Accesses: 1e4, DRAMAccesses: 3e3, NoCFlits: 2e4,
+		L1Accesses: 3e4, NoCFlits: 2e4,
+		MemCounters: timing.MemCounters{L2Accesses: 1e4, DRAMAccesses: 3e3},
 	}
 	b := m.Average(st, 200000, 1400)
 	var sum float64

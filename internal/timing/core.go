@@ -45,13 +45,14 @@ type smCore struct {
 	// lastMissDone approximates MSHR-full retry latency.
 	lastMissDone uint64
 
-	stats *Stats         // per-core shard, merged at drain boundaries
+	stats *Stats         // per-core shard (what a core writes: see Stats), merged at drain boundaries
 	cov   *exec.Coverage // per-core functional coverage shard
 	info  exec.StepInfo  // the step in flight, filled in place by the interpreter
 
-	// runInstrs shards warp-instruction counts by resident-grid id so
-	// per-kernel stats stay attributable while several grids share the
-	// core; sized by the engine at the start of every drain.
+	// runInstrs is the counter ledger's instruction half: warp
+	// instructions committed per dense per-drain grid id, counted here and
+	// nowhere else. Sized by the engine at the start of every drain, taken
+	// out when the kernel retires (Engine.foldRun).
 	runInstrs []uint64
 
 	// checkSlots: some resident slot has check set.
@@ -79,7 +80,7 @@ func newCore(id int, e *Engine, l1 *cache.Cache) *smCore {
 	c := &smCore{
 		id: id, eng: e, l1: l1,
 		scheds: make([]schedState, e.cfg.SchedulersPerSM),
-		stats:  newStats(e.cfg),
+		stats:  NewStats(e.cfg),
 		cov:    exec.NewCoverage(),
 	}
 	return c
@@ -324,9 +325,7 @@ func (c *smCore) issue(m *exec.Machine, w *warpCtx, now uint64) error {
 	// step that merely retires a warp never comes here)
 	ii := &w.issue[info.PC]
 	c.stats.noteIssue(c.id, now, ii.SFU, bits.OnesCount32(info.ActiveMask))
-	if w.runID >= 0 && w.runID < len(c.runInstrs) {
-		c.runInstrs[w.runID]++
-	}
+	c.runInstrs[w.runID]++
 
 	if info.Barrier || info.WarpDone {
 		return nil

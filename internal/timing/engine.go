@@ -3,6 +3,7 @@ package timing
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/cudart"
@@ -75,7 +76,7 @@ func WithWorkers(n int) Option {
 
 // New builds an engine for a machine configuration.
 func New(cfg Config, opts ...Option) (*Engine, error) {
-	e := &Engine{cfg: cfg, stats: newStats(cfg), workers: 1}
+	e := &Engine{cfg: cfg, stats: NewStats(cfg), workers: 1}
 	for i := 0; i < cfg.NumSMs; i++ {
 		l1, err := cache.New(cfg.L1)
 		if err != nil {
@@ -122,14 +123,24 @@ func (e *Engine) AdvanceTo(cycle uint64) error {
 	if len(e.queue) != 0 {
 		return fmt.Errorf("timing: AdvanceTo(%d) with %d queued operations (drain first)", cycle, len(e.queue))
 	}
+	e.idleTo(cycle)
+	return nil
+}
+
+// idleTo moves the clock forward to an absolute cycle over a span in
+// which no scheduler can issue, charging the span to the stall series and
+// IdleSlotCycles so bucket sums keep matching elapsed cycles. Every clock
+// jump goes through here: the drain loop's two fast-forwards, the batch
+// rung's retirement-to-retirement jumps and AdvanceTo. A target at or
+// before the current cycle is a no-op.
+func (e *Engine) idleTo(cycle uint64) {
 	if cycle <= e.cycle {
-		return nil
+		return
 	}
 	span := cycle - e.cycle
-	e.stats.addIdleBulk(e.cycle, span, e.cfg)
+	e.stats.addIdleBulk(e.cycle, span)
 	e.stats.FastForwardedCycles += span
 	e.cycle = cycle
-	return nil
 }
 
 // Partitions exposes the DRAM channels (for the aerial plots).
@@ -212,7 +223,8 @@ type Ticket struct {
 	startCycle uint64 // kernels: admission cycle; copies: transfer start
 	endCycle   uint64 // copies and replay hits: modelled completion cycle
 	done       bool
-	stats      cudart.KernelStats
+	mem        MemCounters        // the kernel's record, as retirement assigned it
+	stats      cudart.KernelStats // what the launch log keeps of it
 	err        error
 
 	// Hybrid replay (replay.go). sig/hasSig: the launch's replay
@@ -241,6 +253,21 @@ func (t *Ticket) Stats() (cudart.KernelStats, error) {
 		return t.stats, fmt.Errorf("timing: ticket not drained yet (call Engine.Drain)")
 	}
 	return t.stats, nil
+}
+
+// record assigns the ticket its kernel's record: the one conversion from
+// the ledger to the launch log's view of it (KernelStats has no room for
+// the segment latency sums, which the ticket keeps in mem).
+func (t *Ticket) record(instrs uint64, mem MemCounters) {
+	t.mem = mem
+	st := &t.stats
+	st.WarpInstrs = instrs
+	st.L2Accesses = mem.L2Accesses
+	st.L2Hits = mem.L2Hits
+	st.L2Misses = mem.L2Misses
+	st.DRAMAccesses = mem.DRAMAccesses
+	st.DRAMRowHits = mem.DRAMRowHits
+	st.MemStallCycles = mem.IngressStallCycles
 }
 
 // Submit queues a kernel launch on a stream without running it. Launches
@@ -368,32 +395,8 @@ func (e *Engine) Drain() error {
 	m := e.machine
 	batchStart := e.cycle
 
-	// Dense per-batch kernel ids index the cores' instruction shards.
-	nKernels := 0
-	for _, t := range e.queue {
-		if t.kind == opKernel {
-			t.run.id = nKernels
-			nKernels++
-		}
-	}
+	e.sizeShards()
 	sch := newSchedule(e.queue)
-	for _, pt := range e.parts {
-		pt.sizeKernelShard(nKernels)
-	}
-	for _, c := range e.cores {
-		for i := range c.scheds {
-			c.scheds[i].rr = 0
-		}
-		c.stats.rebase(e.cycle)
-		if cap(c.runInstrs) < nKernels {
-			c.runInstrs = make([]uint64, nKernels)
-		} else {
-			c.runInstrs = c.runInstrs[:nKernels]
-			for i := range c.runInstrs {
-				c.runInstrs[i] = 0
-			}
-		}
-	}
 
 	p := e.getPool(e.workers)
 
@@ -491,11 +494,7 @@ func (e *Engine) Drain() error {
 			if wake == ^uint64(0) {
 				return e.abortBatch(m, fmt.Errorf("timing: drain stalled with pending work"), -1)
 			}
-			if wake > e.cycle {
-				e.stats.addIdleBulk(e.cycle, wake-e.cycle, e.cfg)
-				e.stats.FastForwardedCycles += wake - e.cycle
-				e.cycle = wake
-			}
+			e.idleTo(wake)
 			continue
 		}
 
@@ -602,11 +601,8 @@ func (e *Engine) Drain() error {
 				if !sch.drained() && len(sch.ready) == 0 {
 					return e.abortBatch(m, fmt.Errorf("timing: machine deadlocked with resident work"), -1)
 				}
-			} else if wake > e.cycle {
-				skip := wake - e.cycle
-				e.stats.addIdleBulk(e.cycle, skip, e.cfg)
-				e.stats.FastForwardedCycles += skip
-				e.cycle = wake
+			} else {
+				e.idleTo(wake)
 			}
 		}
 	}
@@ -621,6 +617,31 @@ func (e *Engine) Drain() error {
 	}
 	e.releaseQueue()
 	return nil
+}
+
+// sizeShards opens the ledger for the queued batch: kernels get dense
+// ids in submission order, and every core and partition a zeroed record
+// per id. The cores' schedulers and series restart with it.
+func (e *Engine) sizeShards() {
+	nKernels := 0
+	for _, t := range e.queue {
+		if t.kind == opKernel {
+			t.run.id = nKernels
+			nKernels++
+		}
+	}
+	for _, pt := range e.parts {
+		pt.perKernel = slices.Grow(pt.perKernel[:0], nKernels)[:nKernels]
+		clear(pt.perKernel)
+	}
+	for _, c := range e.cores {
+		for i := range c.scheds {
+			c.scheds[i].rr = 0
+		}
+		c.stats.rebase(e.cycle)
+		c.runInstrs = slices.Grow(c.runInstrs[:0], nKernels)[:nKernels]
+		clear(c.runInstrs)
+	}
 }
 
 // replayLookup consults the replay cache at admission. A nil return means
@@ -693,71 +714,56 @@ func (e *Engine) finishReplay(t *Ticket) error {
 }
 
 // retireReplayed is the bookkeeping of a replay hit whose functional
-// effect is in memory and whose start and end cycles are set: the
-// memoized per-kernel statistics fill the ticket and fold into the
-// engine-wide accumulators. Shared by the per-launch path (finishReplay)
-// and the batch rung (replayBatch), so the two cannot diverge on it.
+// effect is in memory and whose start and end cycles are set: the entry's
+// memoized record goes to the ticket and into the engine totals through
+// the same two helpers a detailed retirement uses. Shared by the
+// per-launch path (finishReplay) and the batch rung (replayBatch), so the
+// two cannot diverge on it.
 func (e *Engine) retireReplayed(t *Ticket, ent *replayEntry) {
-	st := &t.stats
-	st.Cycles = t.endCycle - t.startCycle
-	st.WarpInstrs = ent.instrs
-	st.L2Accesses = ent.mem.L2Accesses
-	st.L2Hits = ent.mem.L2Hits
-	st.L2Misses = ent.mem.L2Misses
-	st.DRAMAccesses = ent.mem.DRAMAccesses
-	st.DRAMRowHits = ent.mem.DRAMRowHits
-	st.MemStallCycles = ent.mem.StallCycles
-	st.Replayed = true
+	t.record(ent.instrs, ent.mem)
+	e.stats.add(ent.instrs, ent.mem)
+	t.stats.Cycles = t.endCycle - t.startCycle
+	t.stats.Replayed = true
 	t.done = true
-	s := e.stats
-	s.Instructions += ent.instrs
-	s.L2Accesses += ent.mem.L2Accesses
-	s.L2Hits += ent.mem.L2Hits
-	s.L2Misses += ent.mem.L2Misses
-	s.DRAMAccesses += ent.mem.DRAMAccesses
-	s.DRAMRowHits += ent.mem.DRAMRowHits
-	s.IngressStallCycles += ent.mem.StallCycles
-	s.SegCycles += ent.mem.SegCycles
-	s.SegServed += ent.mem.SegServed
-	s.ReplayedCycles += st.Cycles
+	e.stats.ReplayedCycles += t.stats.Cycles
 }
 
-// finishRun retires a finished grid at cycle now: per-core instruction
-// shards and per-partition memory-counter shards (both indexed by the
-// run's dense id) fold into the ticket stats and the engine's per-kernel
-// samples. Runs on the coordinator between cycle phases — partitions and
-// cores are idle — so reading the shards is race-free. Shared by the
-// production drain and the legacy reference loop so the two cannot
-// quietly diverge on retirement accounting.
-func (e *Engine) finishRun(r *gridRun, now uint64) {
-	end := now + 1
-	var instrs uint64
+// foldRun takes kernel id's record out of the cores' and partitions'
+// shards and adds it to the engine totals — the one place a detailed
+// kernel's counters are read, so totals are sums of records by
+// construction. Runs on the coordinator between cycle phases (cores and
+// partitions idle), so reading the shards is race-free.
+func (e *Engine) foldRun(id int) (instrs uint64, mem MemCounters) {
 	for _, c := range e.cores {
-		instrs += c.runInstrs[r.id]
+		instrs += c.runInstrs[id]
+		c.runInstrs[id] = 0
 	}
-	var mem MemCounters
 	for _, pt := range e.parts {
-		if r.id >= 0 && r.id < len(pt.perKernel) {
-			mem.add(pt.perKernel[r.id])
-			pt.perKernel[r.id] = MemCounters{}
-		}
+		mem.add(pt.perKernel[id])
+		pt.perKernel[id] = MemCounters{}
 	}
-	st := &r.op.stats
-	st.Cycles = end - r.op.startCycle
-	st.WarpInstrs = instrs
-	st.L2Accesses = mem.L2Accesses
-	st.L2Hits = mem.L2Hits
-	st.L2Misses = mem.L2Misses
-	st.DRAMAccesses = mem.DRAMAccesses
-	st.DRAMRowHits = mem.DRAMRowHits
-	st.MemStallCycles = mem.StallCycles
-	r.op.done = true
+	e.stats.add(instrs, mem)
+	return instrs, mem
+}
+
+// finishRun retires a finished grid at cycle now: its record is folded
+// out of the shards, assigned to the ticket and, under replay, staged as
+// the signature's entry. Shared by the production drain and the legacy
+// reference loop so the two cannot quietly diverge on retirement
+// accounting.
+func (e *Engine) finishRun(r *gridRun, now uint64) {
+	t := r.op
+	instrs, mem := e.foldRun(r.id)
+	t.record(instrs, mem)
+	st := &t.stats
+	st.Cycles = now + 1 - t.startCycle
+	t.done = true
 	e.stats.DetailedKernelCycles += st.Cycles
-	if e.replay != nil && r.op.hasSig {
-		if r.op.resample {
+	if e.replay != nil && t.hasSig {
+		if t.resample {
 			// Re-sampled hit: measure how far the memoized timing has
 			// drifted from a fresh detailed run before refreshing it.
-			if old := e.replay.entries[r.op.sig]; old != nil {
+			if old := e.replay.entries[t.sig]; old != nil {
 				d := st.Cycles - old.cycles
 				if old.cycles > st.Cycles {
 					d = old.cycles - st.Cycles
@@ -765,7 +771,7 @@ func (e *Engine) finishRun(r *gridRun, now uint64) {
 				e.stats.ReplayDriftCycles += d
 			}
 		}
-		e.replay.stage(r.op.sig, replayEntry{cycles: st.Cycles, instrs: instrs, mem: mem})
+		e.replay.stage(t.sig, replayEntry{cycles: st.Cycles, instrs: instrs, mem: mem})
 	}
 }
 
@@ -817,9 +823,9 @@ func (e *Engine) getPool(workers int) *pool {
 func (e *Engine) Close() { e.pool.close() }
 
 // abortBatch restores the engine to a reusable state after a failure:
-// resident CTAs are dropped from every core, stat shards are folded in so
-// they cannot be misattributed to the next batch, and every unfinished
-// ticket is marked failed. runID attributes the failure to a specific
+// resident CTAs are dropped from every core, every unfinished ticket is
+// marked failed and takes the record of what it had counted, and the
+// cores' shards are merged. runID attributes the failure to a specific
 // kernel (-1 when unknown). Returns the error recorded on the faulting
 // ticket.
 func (e *Engine) abortBatch(m *exec.Machine, cause error, runID int) error {
@@ -839,6 +845,11 @@ func (e *Engine) abortBatch(m *exec.Machine, cause error, runID int) error {
 	for _, t := range e.queue {
 		if t.done {
 			continue
+		}
+		if t.kind == opKernel {
+			// what the kernel counted before the abort stays its own, and
+			// cannot be misattributed to the next batch
+			t.record(e.foldRun(t.run.id))
 		}
 		if t == faulty {
 			t.err = err
@@ -866,9 +877,10 @@ func (e *Engine) abortBatch(m *exec.Machine, cause error, runID int) error {
 	return err
 }
 
-// mergeShards folds the per-core and per-partition statistic shards (and
-// the per-core functional coverage shards) into the engine-wide
-// accumulators at a batch boundary.
+// mergeShards folds what is not per kernel — the cores' statistic and
+// functional coverage shards, the partitions' writeback counts — into the
+// engine-wide accumulators at a batch boundary. The per-kernel records
+// are empty by now: every kernel of the batch retired or was aborted.
 func (e *Engine) mergeShards(m *exec.Machine) {
 	for _, c := range e.cores {
 		e.stats.merge(c.stats)
@@ -879,6 +891,7 @@ func (e *Engine) mergeShards(m *exec.Machine) {
 		}
 	}
 	for _, p := range e.parts {
-		p.mergeStats(e.stats)
+		e.stats.L2Writebacks += p.l2Writebacks
+		p.l2Writebacks = 0
 	}
 }

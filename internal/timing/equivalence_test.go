@@ -34,14 +34,11 @@ func (e *Engine) drainLegacyForTest(workers int, afterCycle func(now uint64)) er
 	}
 	m := e.machine
 
-	// Dense per-batch kernel ids index the cores' instruction shards.
-	nKernels := 0
-	for _, t := range e.queue {
-		if t.kind == opKernel {
-			t.run.id = nKernels
-			nKernels++
-		}
-	}
+	// deviation (PR 5, PR 24): dense kernel ids and the per-kernel
+	// counter shards of cores and partitions are opened by the engine's
+	// own helper; both loops must size them or retirement attribution
+	// would diverge.
+	e.sizeShards()
 	// deviation: the old linkStreams helper, inlined (production now
 	// links prev/next in newSchedule).
 	last := make(map[int]*Ticket)
@@ -49,27 +46,6 @@ func (e *Engine) drainLegacyForTest(workers int, afterCycle func(now uint64)) er
 		t.prev = last[t.stream]
 		last[t.stream] = t
 	}
-	// deviation (PR 5): the bandwidth-aware memory hierarchy shards
-	// per-kernel memory counters per partition; both loops must size the
-	// shards or retirement attribution would diverge.
-	for _, pt := range e.parts {
-		pt.sizeKernelShard(nKernels)
-	}
-	for _, c := range e.cores {
-		for i := range c.scheds {
-			c.scheds[i].rr = 0
-		}
-		c.stats.rebase(e.cycle)
-		if cap(c.runInstrs) < nKernels {
-			c.runInstrs = make([]uint64, nKernels)
-		} else {
-			c.runInstrs = c.runInstrs[:nKernels]
-			for i := range c.runInstrs {
-				c.runInstrs[i] = 0
-			}
-		}
-	}
-
 	if workers == 0 {
 		workers = e.workers
 	} else if workers < 0 {
@@ -145,13 +121,10 @@ func (e *Engine) drainLegacyForTest(workers int, afterCycle func(now uint64)) er
 			if wake == ^uint64(0) {
 				return e.abortBatch(m, fmt.Errorf("timing: drain stalled with pending work"), -1)
 			}
-			if wake > e.cycle {
-				e.stats.addIdleBulk(e.cycle, wake-e.cycle, e.cfg)
-				// deviation: mirror the new loop's observability counter
-				// so whole-Stats comparison stays byte-exact.
-				e.stats.FastForwardedCycles += wake - e.cycle
-				e.cycle = wake
-			}
+			// deviation: the engine's clock-jump helper, which also bumps
+			// the new loop's observability counter so whole-Stats
+			// comparison stays byte-exact.
+			e.idleTo(wake)
 			continue
 		}
 
@@ -235,12 +208,8 @@ func (e *Engine) drainLegacyForTest(workers int, afterCycle func(now uint64)) er
 					wake = t.endCycle
 				}
 			}
-			if wake != ^uint64(0) && wake > e.cycle {
-				skip := wake - e.cycle
-				e.stats.addIdleBulk(e.cycle, skip, e.cfg)
-				// deviation: observability counter, as above.
-				e.stats.FastForwardedCycles += skip
-				e.cycle = wake
+			if wake != ^uint64(0) {
+				e.idleTo(wake) // deviation: as above
 			}
 		}
 	}

@@ -222,62 +222,162 @@ func TestDirtyEvictionWriteback(t *testing.T) {
 	t.Logf("writebacks=%d dram_writes=%d", st.L2Writebacks, dramWrites)
 }
 
-// TestPerKernelMemCounters locks the per-grid attribution: the memory
-// counters on the launches' KernelStats tickets, summed over all retired
-// kernels, must equal the engine-wide totals.
-func TestPerKernelMemCounters(t *testing.T) {
+// ledgerRig drives the sqadd kernel over zeroed buffers (y += 0 leaves
+// memory as it was, so a replayed launch's memo keeps matching) and
+// keeps every kernel ticket it submits.
+type ledgerRig struct {
+	t       *testing.T
+	ctx     *cudart.Context
+	eng     *Engine
+	tickets []*Ticket
+}
+
+func newLedgerRig(t *testing.T, cfg Config) *ledgerRig {
+	t.Helper()
 	ctx := cudart.NewContext(exec.BugSet{})
-	eng, err := New(GTX1050())
+	eng, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
-	if _, err := ctx.RegisterModule(eqPTX); err != nil {
-		t.Fatal(err)
+	t.Cleanup(eng.Close)
+	for _, src := range []string{eqPTX, oobSharedPTX} {
+		if _, err := ctx.RegisterModule(src); err != nil {
+			t.Fatal(err)
+		}
 	}
-	_, kern, err := ctx.LookupKernel("sqadd")
+	return &ledgerRig{t: t, ctx: ctx, eng: eng}
+}
+
+// buffers returns an x/y pair of n zeroed floats.
+func (r *ledgerRig) buffers(n int) (px, py uint64) {
+	px, _ = r.ctx.Malloc(uint64(4 * n))
+	py, _ = r.ctx.Malloc(uint64(4 * n))
+	r.ctx.MemcpyF32HtoD(px, make([]float32, n))
+	r.ctx.MemcpyF32HtoD(py, make([]float32, n))
+	return px, py
+}
+
+// submit queues one launch of the named kernel on a stream.
+func (r *ledgerRig) submit(stream int, kernel string, ctas int, params []byte) *Ticket {
+	r.t.Helper()
+	_, kern, err := r.ctx.LookupKernel(kernel)
 	if err != nil {
-		t.Fatal(err)
+		r.t.Fatal(err)
 	}
-	var tickets []*Ticket
-	for i := 0; i < 3; i++ {
-		n := 64 * (i + 1)
-		px, _ := ctx.Malloc(uint64(4 * n))
-		py, _ := ctx.Malloc(uint64(4 * n))
-		p := cudart.NewParams().Ptr(px).Ptr(py).U32(uint32(n))
-		g, err := ctx.M.NewGrid(kern, exec.Dim3{X: (n + 63) / 64}, exec.Dim3{X: 64}, p.Bytes(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tk, err := eng.Submit(g, i) // separate streams: concurrent grids
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets = append(tickets, tk)
+	g, err := r.ctx.M.NewGrid(kern, exec.Dim3{X: ctas}, exec.Dim3{X: 64}, params, 0)
+	if err != nil {
+		r.t.Fatal(err)
 	}
-	if err := eng.Drain(); err != nil {
-		t.Fatal(err)
+	tk, err := r.eng.Submit(g, stream)
+	if err != nil {
+		r.t.Fatal(err)
 	}
-	st := eng.Stats()
-	var sum MemCounters
-	for i, tk := range tickets {
-		ks, err := tk.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ks.L2Accesses == 0 {
-			t.Errorf("ticket %d carries no L2 traffic", i)
-		}
-		sum.add(MemCounters{
-			L2Accesses: ks.L2Accesses, L2Hits: ks.L2Hits, L2Misses: ks.L2Misses,
-			DRAMAccesses: ks.DRAMAccesses, DRAMRowHits: ks.DRAMRowHits, StallCycles: ks.MemStallCycles,
+	r.tickets = append(r.tickets, tk)
+	return tk
+}
+
+func (r *ledgerRig) sqadd(stream int, px, py uint64, n int) *Ticket {
+	return r.submit(stream, "sqadd", (n+63)/64, cudart.NewParams().Ptr(px).Ptr(py).U32(uint32(n)).Bytes())
+}
+
+func (r *ledgerRig) drain() {
+	r.t.Helper()
+	if err := r.eng.Drain(); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+// TestPerKernelMemCounters locks the counter ledger's invariant: the
+// engine totals are the sum of the per-kernel records on the tickets —
+// whole MemCounters records, segment latency sums included, and the warp
+// instruction counts — however the kernels retired: in detail next to
+// each other, from a replay entry, as one memoized batch, or not at all
+// because a neighbour faulted.
+func TestPerKernelMemCounters(t *testing.T) {
+	replay := GTX1050()
+	replay.ReplayEnabled = true
+	rows := []struct {
+		name string
+		cfg  Config
+		run  func(t *testing.T, r *ledgerRig)
+	}{
+		{"concurrent_grids_and_copy", GTX1050(), func(t *testing.T, r *ledgerRig) {
+			for i := 0; i < 3; i++ {
+				n := 64 * (i + 1)
+				px, py := r.buffers(n)
+				r.sqadd(i, px, py, n) // separate streams: concurrent grids
+			}
+			r.eng.SubmitCopy(1, 4096, nil) // behind stream 1's kernel
+			r.drain()
+			for i, tk := range r.tickets {
+				if tk.mem.L2Accesses == 0 {
+					t.Errorf("ticket %d carries no L2 traffic", i)
+				}
+			}
+		}},
+		{"replay_per_launch_warm", replay, func(t *testing.T, r *ledgerRig) {
+			px, py := r.buffers(192)
+			for i := 0; i < 3; i++ { // detailed, hit + capture, hit + apply
+				r.sqadd(0, px, py, 192)
+				r.drain()
+			}
+			st := r.eng.Stats()
+			if !r.tickets[2].stats.Replayed || st.ReplayMemoApplied != 1 || st.ReplayBatchHits != 0 {
+				t.Fatalf("third launch replayed=%v, %d memos applied, %d batch hits: not a warm per-launch iteration",
+					r.tickets[2].stats.Replayed, st.ReplayMemoApplied, st.ReplayBatchHits)
+			}
+		}},
+		{"replay_batch_rung", replay, func(t *testing.T, r *ledgerRig) {
+			px, py := r.buffers(192)
+			qx, qy := r.buffers(64)
+			for i := 0; i < 6; i++ { // the rung fires once two applied batches were sighted
+				r.sqadd(0, px, py, 192)
+				r.sqadd(1, qx, qy, 64)
+				r.sqadd(1, px, py, 192)
+				r.drain()
+			}
+			if r.eng.Stats().ReplayBatchHits == 0 {
+				t.Fatal("no batch retired as one memoized unit")
+			}
+		}},
+		{"batch_aborted_by_fault", GTX1050(), func(t *testing.T, r *ledgerRig) {
+			px, py := r.buffers(64 * 400)
+			qx, qy := r.buffers(64)
+			r.sqadd(1, qx, qy, 64)
+			long := r.sqadd(0, px, py, 64*400)
+			// admitted when the short kernel retires, placed (left-over
+			// policy) when the long one has dispatched its last CTA and
+			// still waits on their loads
+			r.submit(1, "oob", 2, nil)
+			if err := r.eng.Drain(); err == nil {
+				t.Fatal("expected the faulting batch to error")
+			}
+			if _, err := long.Stats(); err == nil || long.mem.L2Accesses == 0 {
+				t.Fatalf("long kernel: err %v, record %+v: want it aborted with traffic already counted", err, long.mem)
+			}
+			r.sqadd(0, qx, qy, 64) // the engine stays usable and the ledger clean
+			r.drain()
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			r := newLedgerRig(t, row.cfg)
+			row.run(t, r)
+			var sum MemCounters
+			var instrs uint64
+			for _, tk := range r.tickets {
+				sum.add(tk.mem)
+				instrs += tk.stats.WarpInstrs
+			}
+			st := r.eng.Stats()
+			if sum != st.MemCounters || instrs != st.Instructions {
+				t.Fatalf("summed ticket records %+v, %d instructions; engine totals %+v, %d",
+					sum, instrs, st.MemCounters, st.Instructions)
+			}
+			if sum.SegServed == 0 || sum.SegCycles == 0 {
+				t.Fatalf("no segment latency on the tickets: %+v", sum)
+			}
 		})
-	}
-	if sum.L2Accesses != st.L2Accesses || sum.L2Hits != st.L2Hits ||
-		sum.L2Misses != st.L2Misses || sum.DRAMAccesses != st.DRAMAccesses ||
-		sum.DRAMRowHits != st.DRAMRowHits || sum.StallCycles != st.IngressStallCycles {
-		t.Fatalf("per-ticket sums %+v do not match engine totals (L2 %d/%d/%d DRAM %d/%d stall %d)",
-			sum, st.L2Accesses, st.L2Hits, st.L2Misses, st.DRAMAccesses, st.DRAMRowHits, st.IngressStallCycles)
 	}
 }
 

@@ -187,6 +187,7 @@ func (c *smCore) applyMem(now uint64) {
 					d = now + hitLat
 				}
 			} else {
+				c.stats.NoCFlits++ // the partition's response
 				if s.fillL1 {
 					c.l1.Fill(s.addr, false)
 				}

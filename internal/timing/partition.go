@@ -57,24 +57,15 @@ type partition struct {
 	wbRefs   []*dram.Req
 	mergedQ  []*segRequest
 
-	// partition-local stat shard, merged into the engine stats at kernel
-	// boundaries
-	l2Accesses         uint64
-	l2Hits             uint64
-	l2Misses           uint64
-	l2Writebacks       uint64
-	dramAccesses       uint64
-	dramRowHits        uint64
-	nocFlits           uint64
-	ingressStallCycles uint64
-	segCycles          uint64
-	segServed          uint64
-
-	// perKernel shards the memory counters by dense per-drain grid id so
-	// per-kernel stats stay attributable while several grids share the
-	// machine; sized by the engine at the start of every drain and folded
-	// into the tickets at retirement.
+	// perKernel is the counter ledger's memory half: one record per dense
+	// per-drain grid id, the only place drain counts anything a kernel can
+	// be charged with. The engine sizes it at the start of every drain and
+	// takes each record out when its kernel retires (Engine.foldRun).
 	perKernel []MemCounters
+
+	// l2Writebacks is the one count kept out of the records (see
+	// Stats.L2Writebacks); the engine folds it at batch boundaries.
+	l2Writebacks uint64
 }
 
 func newPartition(id int, l2 *cache.Cache, ch *dram.Channel, l2MSHRs int) *partition {
@@ -92,15 +83,6 @@ func newPartition(id int, l2 *cache.Cache, ch *dram.Channel, l2MSHRs int) *parti
 // line, so this routing is total.
 func (e *Engine) partOf(addr uint64) int {
 	return int(addr/uint64(e.cfg.L2.LineBytes)) % len(e.parts)
-}
-
-// shard returns the per-kernel counter shard for a segment (nil when the
-// segment carries no grid attribution, e.g. runID -1).
-func (p *partition) shard(s *segRequest) *MemCounters {
-	if s.runID >= 0 && s.runID < len(p.perKernel) {
-		return &p.perKernel[s.runID]
-	}
-	return nil
 }
 
 // reserve advances an absolute-time resource horizon: the segment starts
@@ -152,26 +134,15 @@ func (p *partition) drain(cfg *Config) {
 
 	// Phase 1: ingress, L2 port, L2 lookup.
 	for _, s := range p.queue {
-		p.l2Accesses++
-		sh := p.shard(s)
-		if sh != nil {
-			sh.L2Accesses++
-		}
+		sh := &p.perKernel[s.runID]
+		sh.L2Accesses++
 		t := reserve(&p.ingressFree, s.arrive, cfg.L2IngressCycles)
 		t = reserve(&p.portFree, t, cfg.L2PortCycles)
-		if stall := t - s.arrive; stall > 0 {
-			p.ingressStallCycles += stall
-			if sh != nil {
-				sh.StallCycles += stall
-			}
-		}
+		stall := t - s.arrive
 		res, _ := p.l2.Access(s.addr, s.write)
 		switch res {
 		case cache.Hit:
-			p.l2Hits++
-			if sh != nil {
-				sh.L2Hits++
-			}
+			sh.L2Hits++
 			s.done = t + l2Lat // ready time; response path added in phase 4
 		case cache.MissMerged:
 			// rides an in-flight miss of the same batch; resolved in
@@ -179,12 +150,8 @@ func (p *partition) drain(cfg *Config) {
 			s.done = t + l2Lat
 			p.mergedQ = append(p.mergedQ, s)
 		default: // Miss or ReservationFail: go to DRAM
-			p.l2Misses++
-			p.dramAccesses++
-			if sh != nil {
-				sh.L2Misses++
-				sh.DRAMAccesses++
-			}
+			sh.L2Misses++
+			sh.DRAMAccesses++
 			start := t + l2Lat
 			slot := -1
 			if len(p.mshrFree) > 0 {
@@ -199,11 +166,7 @@ func (p *partition) drain(cfg *Config) {
 					}
 				}
 				if p.mshrFree[slot] > start {
-					stall := p.mshrFree[slot] - start
-					p.ingressStallCycles += stall
-					if sh != nil {
-						sh.StallCycles += stall
-					}
+					stall += p.mshrFree[slot] - start
 					start = p.mshrFree[slot]
 				}
 				// provisional hold so later misses of this same batch see
@@ -217,6 +180,7 @@ func (p *partition) drain(cfg *Config) {
 			p.missSlot = append(p.missSlot, slot)
 			p.missFill = append(p.missFill, res == cache.Miss)
 		}
+		sh.IngressStallCycles += stall
 	}
 
 	// Phase 2: FR-FCFS DRAM scheduling over this cycle's miss batch.
@@ -232,10 +196,7 @@ func (p *partition) drain(cfg *Config) {
 	for i, s := range p.missSegs {
 		req := &p.dramReqs[i]
 		if req.RowHit {
-			p.dramRowHits++
-			if sh := p.shard(s); sh != nil {
-				sh.DRAMRowHits++
-			}
+			p.perKernel[s.runID].DRAMRowHits++
 		}
 		if slot := p.missSlot[i]; slot >= 0 && req.Done > p.mshrFree[slot] {
 			// raise, never lower: FR-FCFS may have completed a slot's
@@ -284,45 +245,11 @@ func (p *partition) drain(cfg *Config) {
 	for _, s := range p.queue {
 		r := reserve(&p.respFree, s.done, cfg.L2RespCycles)
 		s.done = r + uint64(cfg.NoCLat)
-		p.nocFlits++
-		p.segCycles += s.done - s.issue
-		p.segServed++
-		if sh := p.shard(s); sh != nil {
-			// per-kernel segment latency attribution: replay entries
-			// memoize it so AvgSegmentLatency stays meaningful when a
-			// launch's partition traffic never re-executes
-			sh.SegCycles += s.done - s.issue
-			sh.SegServed++
-		}
+		// replay entries memoize the latency with the rest of the record, so
+		// AvgSegmentLatency stays meaningful when a launch's partition
+		// traffic never re-executes
+		sh := &p.perKernel[s.runID]
+		sh.SegCycles += s.done - s.issue
+		sh.SegServed++
 	}
-}
-
-// sizeKernelShard prepares the per-kernel counter shard for a drain with
-// nKernels dense grid ids.
-func (p *partition) sizeKernelShard(nKernels int) {
-	if cap(p.perKernel) < nKernels {
-		p.perKernel = make([]MemCounters, nKernels)
-		return
-	}
-	p.perKernel = p.perKernel[:nKernels]
-	for i := range p.perKernel {
-		p.perKernel[i] = MemCounters{}
-	}
-}
-
-// mergeStats folds the partition shard into the engine-wide stats.
-func (p *partition) mergeStats(s *Stats) {
-	s.L2Accesses += p.l2Accesses
-	s.L2Hits += p.l2Hits
-	s.L2Misses += p.l2Misses
-	s.L2Writebacks += p.l2Writebacks
-	s.DRAMAccesses += p.dramAccesses
-	s.DRAMRowHits += p.dramRowHits
-	s.NoCFlits += p.nocFlits
-	s.IngressStallCycles += p.ingressStallCycles
-	s.SegCycles += p.segCycles
-	s.SegServed += p.segServed
-	p.l2Accesses, p.l2Hits, p.l2Misses, p.l2Writebacks = 0, 0, 0, 0
-	p.dramAccesses, p.dramRowHits, p.nocFlits = 0, 0, 0
-	p.ingressStallCycles, p.segCycles, p.segServed = 0, 0, 0
 }

@@ -368,10 +368,7 @@ func (e *Engine) replayBatch() bool {
 	// inside a bucket and crosses several is charged less W0_memory than
 	// its parts are, and golden_stats.json pins what the parts charge.
 	for _, w := range ch.wakes {
-		span := start + w - e.cycle
-		e.stats.addIdleBulk(e.cycle, span, e.cfg)
-		e.stats.FastForwardedCycles += span
-		e.cycle += span
+		e.idleTo(start + w)
 	}
 	return true
 }

@@ -14,20 +14,25 @@ const (
 // the AerialVision warp plots).
 var StallNames = [numStallKinds]string{"W0_idle", "W0_data_hazard", "W0_barrier", "W0_memory"}
 
-// MemCounters is one kernel's (or one partition shard's) view of the
-// shared memory system: L2 outcomes, DRAM demand traffic and row-buffer
-// locality, and the cycles its segments spent stalled on partition
-// ingress/MSHR/port reservations. Addition is commutative, so shards can
-// be merged in any order.
+// MemCounters is the per-kernel record of the shared memory system: L2
+// outcomes, DRAM demand traffic and row-buffer locality, and the latency
+// and back-pressure its segments saw. It is the one record type of the
+// counter ledger: partition.drain increments a field at exactly one site,
+// into the record of the grid that issued the segment; a ticket's
+// KernelStats, a replay entry and the engine totals (Stats embeds one)
+// are that record assigned or summed, never counted again. Addition is
+// commutative, so records can be summed in any order.
 type MemCounters struct {
 	L2Accesses   uint64
 	L2Hits       uint64
 	L2Misses     uint64 // demand misses sent to DRAM (incl. MSHR-bypass)
 	DRAMAccesses uint64
 	DRAMRowHits  uint64
-	StallCycles  uint64 // ingress/port/MSHR reservation waits, summed over segments
-	SegCycles    uint64 // issue-to-response latency, summed over serviced segments
-	SegServed    uint64 // partition-serviced segment count
+	// cycles segments waited on a partition ingress slot, L2 port or L2
+	// MSHR reservation (the bandwidth-aware hierarchy's back-pressure)
+	IngressStallCycles uint64
+	SegCycles          uint64 // issue-to-response latency, summed over serviced segments
+	SegServed          uint64 // partition-serviced segment count
 }
 
 func (m *MemCounters) add(o MemCounters) {
@@ -36,7 +41,7 @@ func (m *MemCounters) add(o MemCounters) {
 	m.L2Misses += o.L2Misses
 	m.DRAMAccesses += o.DRAMAccesses
 	m.DRAMRowHits += o.DRAMRowHits
-	m.StallCycles += o.StallCycles
+	m.IngressStallCycles += o.IngressStallCycles
 	m.SegCycles += o.SegCycles
 	m.SegServed += o.SegServed
 }
@@ -53,18 +58,19 @@ type Stats struct {
 	// to the kernel's own length, not to the engine's total run length.
 	base uint64
 
-	Instructions uint64 // warp instructions committed
-	ThreadInstrs uint64 // lane-instructions committed
+	// Folded from the per-kernel records when a kernel retires, detailed
+	// or replayed (add): the sum of every kernel's memory-system record,
+	// and the warp instructions committed.
+	MemCounters
+	Instructions uint64
 
+	// Written by the SM cores, each into its own shard (a Stats of which
+	// only this block and the series are ever set), merged at batch
+	// boundaries. Replay leaves them flat.
+	ThreadInstrs    uint64 // lane-instructions committed
 	ALUOps          uint64
 	SFUOps          uint64
 	L1Accesses      uint64
-	L2Accesses      uint64
-	L2Hits          uint64
-	L2Misses        uint64
-	L2Writebacks    uint64 // dirty L2 evictions turned into DRAM write traffic
-	DRAMAccesses    uint64
-	DRAMRowHits     uint64
 	NoCFlits        uint64
 	SharedAccesses  uint64
 	TextureAccesses uint64
@@ -73,14 +79,11 @@ type Stats struct {
 	MSHRFull        uint64
 	IdleSlotCycles  uint64
 
-	// IngressStallCycles sums, over all partition-serviced segments, the
-	// cycles each spent waiting on a partition ingress slot, L2 port or
-	// L2 MSHR reservation (the bandwidth-aware hierarchy's back-pressure).
-	IngressStallCycles uint64
-	// SegCycles/SegServed track total and count of partition-serviced
-	// segment latencies (issue to response), for AvgSegmentLatency.
-	SegCycles uint64
-	SegServed uint64
+	// L2Writebacks counts dirty L2 evictions turned into DRAM write
+	// traffic. The one partition counter outside the per-kernel record: a
+	// victim line is some earlier kernel's, not the evicting one's, and
+	// replay leaves the count flat like the cores' counters above.
+	L2Writebacks uint64
 
 	// FastForwardedCycles counts cycles the drain loop's idle-cycle
 	// fast-forward bridged instead of ticking (machine fully stalled on
@@ -121,7 +124,10 @@ type Stats struct {
 	stalls    [numStallKinds][]uint64
 }
 
-func newStats(cfg Config) *Stats {
+// NewStats returns an empty engine-shaped accumulator for cfg: the
+// engine's own, a core's shard, or a caller's that folds several engines'
+// statistics into one node-wide view.
+func NewStats(cfg Config) *Stats {
 	s := &Stats{
 		interval: uint64(cfg.SampleInterval),
 		numSMs:   cfg.NumSMs,
@@ -142,7 +148,6 @@ func grow(s []uint64, idx uint64) []uint64 {
 // noteIssue counts one issued warp instruction; sfu says whether the power
 // model sees it as SFU work (exec.IssueInfo.SFU) or ALU work.
 func (s *Stats) noteIssue(core int, cycle uint64, sfu bool, lanes int) {
-	s.Instructions++
 	s.ThreadInstrs += uint64(lanes)
 	if sfu {
 		s.SFUOps += uint64(lanes)
@@ -178,9 +183,8 @@ func (s *Stats) noteStall(core int, cycle uint64, k stallKind) {
 
 // addIdleBulk charges fast-forwarded cycles to the memory-stall category
 // (the machine was waiting on outstanding memory when it fast-forwards).
-func (s *Stats) addIdleBulk(from, span uint64, cfg Config) {
-	slots := span * uint64(cfg.NumSMs*cfg.SchedulersPerSM)
-	s.IdleSlotCycles += slots
+func (s *Stats) addIdleBulk(from, span uint64) {
+	s.IdleSlotCycles += span * uint64(s.numSMs*s.scheds)
 	if s.interval == 0 {
 		return
 	}
@@ -191,32 +195,27 @@ func (s *Stats) addIdleBulk(from, span uint64, cfg Config) {
 			width = from + span - c
 		}
 		s.stalls[stallMem] = grow(s.stalls[stallMem], b)
-		s.stalls[stallMem][b] += width * uint64(cfg.NumSMs*cfg.SchedulersPerSM)
+		s.stalls[stallMem][b] += width * uint64(s.numSMs*s.scheds)
 	}
 }
 
-// NewStats returns an empty engine-shaped accumulator for cfg, for
-// callers that fold several engines' statistics into one node-wide view
-// (the multi-GPU driver merges per-device stats in rank order).
-func NewStats(cfg Config) *Stats { return newStats(cfg) }
+// add folds one kernel's record into the totals: what a detailed
+// retirement read out of the shards, or what a replay entry memoized.
+func (s *Stats) add(instrs uint64, mem MemCounters) {
+	s.Instructions += instrs
+	s.MemCounters.add(mem)
+}
 
-// merge adds another Stats' counters and time series into s. The engine
-// gives each SM core its own shard so the parallel issue stage never
-// contends on (or races over) the shared accumulators; shards are merged
-// here at kernel boundaries. Addition is commutative, so the merged result
-// is independent of worker scheduling.
+// merge adds a core's shard — the counters a core writes and its time
+// series — into s. The engine gives each SM core its own shard so the
+// parallel issue stage never contends on (or races over) the shared
+// accumulators; shards are merged here at batch boundaries. Addition is
+// commutative, so the merged result is independent of worker scheduling.
 func (s *Stats) merge(o *Stats) {
-	s.Instructions += o.Instructions
 	s.ThreadInstrs += o.ThreadInstrs
 	s.ALUOps += o.ALUOps
 	s.SFUOps += o.SFUOps
 	s.L1Accesses += o.L1Accesses
-	s.L2Accesses += o.L2Accesses
-	s.L2Hits += o.L2Hits
-	s.L2Misses += o.L2Misses
-	s.L2Writebacks += o.L2Writebacks
-	s.DRAMAccesses += o.DRAMAccesses
-	s.DRAMRowHits += o.DRAMRowHits
 	s.NoCFlits += o.NoCFlits
 	s.SharedAccesses += o.SharedAccesses
 	s.TextureAccesses += o.TextureAccesses
@@ -224,18 +223,6 @@ func (s *Stats) merge(o *Stats) {
 	s.MemSegments += o.MemSegments
 	s.MSHRFull += o.MSHRFull
 	s.IdleSlotCycles += o.IdleSlotCycles
-	s.IngressStallCycles += o.IngressStallCycles
-	s.SegCycles += o.SegCycles
-	s.SegServed += o.SegServed
-	s.FastForwardedCycles += o.FastForwardedCycles
-	s.ReplayHits += o.ReplayHits
-	s.ReplayMisses += o.ReplayMisses
-	s.ReplayResamples += o.ReplayResamples
-	s.ReplayedCycles += o.ReplayedCycles
-	s.DetailedKernelCycles += o.DetailedKernelCycles
-	s.ReplayDriftCycles += o.ReplayDriftCycles
-	s.ReplayMemoApplied += o.ReplayMemoApplied
-	s.ReplayBatchHits += o.ReplayBatchHits
 	for c := range o.coreIPC {
 		s.coreIPC[c] = mergeSeries(s.coreIPC[c], o.coreIPC[c], o.base)
 	}
@@ -270,41 +257,38 @@ func (s *Stats) rebase(cycle uint64) {
 
 // reset clears a shard for reuse, keeping allocated series storage.
 func (s *Stats) reset() {
-	interval, numSMs, scheds := s.interval, s.numSMs, s.scheds
-	coreIPC, laneCount, stalls := s.coreIPC, s.laneCount, s.stalls
-	*s = Stats{interval: interval, numSMs: numSMs, scheds: scheds}
-	for i := range coreIPC {
-		coreIPC[i] = coreIPC[i][:0]
+	for i := range s.coreIPC {
+		s.coreIPC[i] = s.coreIPC[i][:0]
 	}
-	for i := range laneCount {
-		laneCount[i] = laneCount[i][:0]
+	for i := range s.laneCount {
+		s.laneCount[i] = s.laneCount[i][:0]
 	}
-	for i := range stalls {
-		stalls[i] = stalls[i][:0]
+	for i := range s.stalls {
+		s.stalls[i] = s.stalls[i][:0]
 	}
-	s.coreIPC, s.laneCount, s.stalls = coreIPC, laneCount, stalls
+	*s = Stats{interval: s.interval, numSMs: s.numSMs, scheds: s.scheds,
+		coreIPC: s.coreIPC, laneCount: s.laneCount, stalls: s.stalls}
 }
 
 // AvgSegmentLatency returns the mean issue-to-response latency of the
 // segments the partitions serviced — the load-dependent number the
 // bandwidth-aware hierarchy exists to produce (a lightly loaded machine
 // sees raw L2/DRAM latency; a saturated one sees queueing on top).
-func (s *Stats) AvgSegmentLatency() float64 {
-	if s.SegServed == 0 {
-		return 0
-	}
-	return float64(s.SegCycles) / float64(s.SegServed)
-}
+func (s *Stats) AvgSegmentLatency() float64 { return ratio(s.SegCycles, s.SegServed) }
 
 // ReplayCoverage returns the fraction of kernel launches retired from
 // the replay cache: hits / (hits + misses + resamples). 0 when replay
 // is disabled or no kernel has been launched.
 func (s *Stats) ReplayCoverage() float64 {
-	total := s.ReplayHits + s.ReplayMisses + s.ReplayResamples
-	if total == 0 {
+	return ratio(s.ReplayHits, s.ReplayHits+s.ReplayMisses+s.ReplayResamples)
+}
+
+// ratio is num/den, 0 over an empty denominator.
+func ratio(num, den uint64) float64 {
+	if den == 0 {
 		return 0
 	}
-	return float64(s.ReplayHits) / float64(total)
+	return float64(num) / float64(den)
 }
 
 // Interval returns the sample bucket width in cycles.
@@ -388,9 +372,4 @@ func wName(lanes int) string {
 }
 
 // TotalIPC returns whole-run warp IPC over the given cycle span.
-func (s *Stats) TotalIPC(cycles uint64) float64 {
-	if cycles == 0 {
-		return 0
-	}
-	return float64(s.Instructions) / float64(cycles)
-}
+func (s *Stats) TotalIPC(cycles uint64) float64 { return ratio(s.Instructions, cycles) }
