@@ -339,6 +339,44 @@ func TestDrainQueueEdgeCases(t *testing.T) {
 				t.Errorf("post-abort launch has no stats: %+v, %v", st, err)
 			}
 		}},
+		{"stall_ledger_after_aborted_batch", func(t *testing.T, _ *edgeHarness) {
+			// What the stall series hold once a batch aborts mid-drain: the
+			// faulting kernel queued behind a finished one, another kernel
+			// still running beside it. The abort must charge every slot the
+			// per-cycle walk had charged when the failing scheduler stopped
+			// and none after, at any worker count. Narrow sample buckets, so
+			// the series digest sees where each slot landed.
+			cfg := timing.GTX1050()
+			cfg.SampleInterval = 50
+			type ledger struct {
+				Cycle          uint64
+				Stalls         [4]uint64
+				IdleSlotCycles uint64
+				Series         string
+			}
+			want := ledger{269, [4]uint64{812, 160, 0, 3980}, 4852, "7a550db157e5c4f9"}
+			for _, workers := range []int{1, 2} {
+				h := newEdgeHarnessOn(t, cfg, workers)
+				px, py := h.alloc(mkData(0.5)), h.alloc(mkData(0.25))
+				var beside *timing.Ticket
+				for range 4 {
+					beside = h.submitSqadd(1, px, py, n)
+				}
+				h.submitSqadd(2, h.alloc(mkData(1)), h.alloc(mkData(2)), n)
+				h.submitOOB(2)
+				if err := h.eng.Drain(); err == nil {
+					t.Fatal("expected the faulting batch to error")
+				}
+				if _, err := beside.Stats(); err == nil {
+					t.Fatal("the kernel beside the fault retired before it: nothing was running at the abort")
+				}
+				st := h.eng.Stats()
+				got := ledger{h.eng.Cycle(), timing.StallTotals(st), st.IdleSlotCycles, timing.SeriesDigest(st)}
+				if got != want {
+					t.Errorf("-j%d: after the aborted batch %+v, want %+v", workers, got, want)
+				}
+			}
+		}},
 		{"copy_after_consumer_kernel_same_stream", func(t *testing.T, h *edgeHarness) {
 			x, y := mkData(1), make([]float32, n)
 			px, py := h.alloc(x), h.alloc(y)

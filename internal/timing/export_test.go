@@ -1,5 +1,11 @@
 package timing
 
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+)
+
 // StallTotals returns the whole-run W0 bucket sums in StallNames order, so
 // the external golden tests can pin stall attribution to absolute values.
 func StallTotals(s *Stats) [numStallKinds]uint64 {
@@ -10,6 +16,29 @@ func StallTotals(s *Stats) [numStallKinds]uint64 {
 		}
 	}
 	return out
+}
+
+// SeriesDigest hashes every per-bucket series of s — the stall kinds, the
+// per-core IPC and the lane counts, lengths included — so a golden can pin
+// which bucket each slot landed in, not only the totals.
+func SeriesDigest(s *Stats) string {
+	h := sha256.New()
+	put := func(series []uint64) {
+		h.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(series))))
+		for _, v := range series {
+			h.Write(binary.LittleEndian.AppendUint64(nil, v))
+		}
+	}
+	for _, st := range s.stalls {
+		put(st)
+	}
+	for _, c := range s.coreIPC {
+		put(c)
+	}
+	for _, lc := range s.laneCount {
+		put(lc)
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
 // ReadinessEvals sums the cores' scoreboard-evaluation counters over the

@@ -44,6 +44,10 @@ type goldenEntry struct {
 	W0Memory            uint64 `json:"w0_memory"`
 	IdleSlotCycles      uint64 `json:"idle_slot_cycles"`
 	FastForwardedCycles uint64 `json:"fast_forwarded_cycles"`
+	// SeriesDigest pins the per-bucket series behind those totals (stall
+	// kinds, per-core IPC, lane counts): a ledger that charged a slot to
+	// the wrong sample bucket leaves every total above unchanged.
+	SeriesDigest string `json:"series_digest,omitempty"`
 	// PerKernel pins the instruction counts of every kernel family the
 	// workload launched (aggregated by name, sorted), so a silent change
 	// in any one kernel's codegen or launch count fails CI even when the
@@ -145,6 +149,7 @@ func makeGoldenEntry(cycles uint64, log []cudart.KernelStats, st *timing.Stats, 
 
 		IdleSlotCycles:      st.IdleSlotCycles,
 		FastForwardedCycles: st.FastForwardedCycles,
+		SeriesDigest:        timing.SeriesDigest(st),
 	}
 	w0 := timing.StallTotals(st)
 	e.W0Idle, e.W0DataHazard, e.W0Barrier, e.W0Memory = w0[0], w0[1], w0[2], w0[3]
