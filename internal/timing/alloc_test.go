@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -39,42 +40,48 @@ DONE:
 // whatever one launch allocates (CTA state, the ticket, statistics
 // buckets sized by the sampling interval) must not grow with the number
 // of cycles it simulates. The stage bodies handed to the worker pool used
-// to be rebuilt — and heap-allocated — every cycle.
+// to be rebuilt — and heap-allocated — every cycle, and so was the pool's
+// per-run job state. The grid puts a CTA on every SM, so at -j2 every
+// stage of every cycle goes through the pool.
 func TestDrainCycleAllocatesNothing(t *testing.T) {
-	cfg := GTX1050()
-	cfg.SampleInterval = 0 // the time series grow by design
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	ctx := cudart.NewContext(exec.BugSet{})
-	mod, err := ctx.RegisterModule(aluLoopPTX)
-	if err != nil {
-		t.Fatal(err)
-	}
-	launch := func(iters uint32) (allocs float64, cycles uint64) {
-		g, err := ctx.M.NewGrid(mod.Kernels["aluloop"], exec.Dim3{X: 1}, exec.Dim3{X: 64}, cudart.NewParams().U32(iters).Bytes(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		allocs = testing.AllocsPerRun(5, func() {
-			st, err := eng.RunGrid(g)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("j%d", workers), func(t *testing.T) {
+			cfg := GTX1050()
+			cfg.SampleInterval = 0 // the time series grow by design
+			eng, err := New(cfg, WithWorkers(workers))
 			if err != nil {
 				t.Fatal(err)
 			}
-			cycles = st.Cycles
+			defer eng.Close()
+			ctx := cudart.NewContext(exec.BugSet{})
+			mod, err := ctx.RegisterModule(aluLoopPTX)
+			if err != nil {
+				t.Fatal(err)
+			}
+			launch := func(iters uint32) (allocs float64, cycles uint64) {
+				g, err := ctx.M.NewGrid(mod.Kernels["aluloop"], exec.Dim3{X: cfg.NumSMs}, exec.Dim3{X: 64}, cudart.NewParams().U32(iters).Bytes(), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				allocs = testing.AllocsPerRun(5, func() {
+					st, err := eng.RunGrid(g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cycles = st.Cycles
+				})
+				return allocs, cycles
+			}
+			shortAllocs, shortCycles := launch(16)
+			longAllocs, longCycles := launch(16 * 64)
+			if longCycles < 32*shortCycles {
+				t.Fatalf("long launch ran %d cycles against %d: not a longer drain", longCycles, shortCycles)
+			}
+			if longAllocs > shortAllocs {
+				t.Errorf("%d extra cycles cost %.0f extra allocations (%.0f vs %.0f per launch): a drain cycle allocates",
+					longCycles-shortCycles, longAllocs-shortAllocs, longAllocs, shortAllocs)
+			}
 		})
-		return allocs, cycles
-	}
-	shortAllocs, shortCycles := launch(16)
-	longAllocs, longCycles := launch(16 * 64)
-	if longCycles < 32*shortCycles {
-		t.Fatalf("long launch ran %d cycles against %d: not a longer drain", longCycles, shortCycles)
-	}
-	if longAllocs > shortAllocs {
-		t.Errorf("%d extra cycles cost %.0f extra allocations (%.0f vs %.0f per launch): a drain cycle allocates",
-			longCycles-shortCycles, longAllocs-shortAllocs, longAllocs, shortAllocs)
 	}
 }
 

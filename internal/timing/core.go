@@ -58,17 +58,27 @@ type smCore struct {
 	// checkSlots: some resident slot has check set.
 	checkSlots bool
 
-	// readinessEvals counts scoreboard evaluations (evaluate calls): the
-	// issue stage's deterministic unit of work, which tests hold to a
-	// small constant per issued instruction.
+	// readinessEvals counts scoreboard evaluations (evaluate calls) and
+	// schedSteps scheduler steps: the issue stage's deterministic units
+	// of work, which tests hold to a small constant per issued
+	// instruction.
 	readinessEvals uint64
+	schedSteps     uint64
+
+	// Whether the engine visits the core at the next cycle: hot says a
+	// scheduler holds a re-armed or ready warp (set by addCTA and by the
+	// end of stageIssue), nextAt is the earliest pending wakeup, ^0 when
+	// none. A core that is neither hot nor has a wakeup due is skipped,
+	// and both stay valid while it sleeps.
+	hot    bool
+	nextAt uint64
 
 	// per-cycle outputs, read by the coordinator between phase barriers
 	issuedAny    bool
-	nextAt       uint64 // earliest pending wakeup of the core, ^0 when none
 	retiredSlots []*ctaSlot
 	err          error
 	errRunID     int
+	errSched     int // with err: the scheduler whose issue failed
 
 	memQ  []memRequest // memory-stage requests issued this cycle, in issue order
 	atomQ []*warpCtx   // atomics deferred to the coordinator's sequential drain
@@ -82,6 +92,7 @@ func newCore(id int, e *Engine, l1 *cache.Cache) *smCore {
 		scheds: make([]schedState, e.cfg.SchedulersPerSM),
 		stats:  NewStats(e.cfg),
 		cov:    exec.NewCoverage(),
+		nextAt: ^uint64(0),
 	}
 	return c
 }
@@ -94,7 +105,7 @@ func (c *smCore) addCTA(slot *ctaSlot) {
 	c.slots = append(c.slots, slot)
 	c.warpsUsed += len(slot.warps)
 	c.smemUsed += slot.run.smemPerCTA
-	slot.check, c.checkSlots = true, true
+	slot.check, c.checkSlots, c.hot = true, true, true
 	for wi := range slot.warps {
 		c.schedOf(wi).add(&slot.warps[wi])
 	}
@@ -117,7 +128,7 @@ func (c *smCore) reset() {
 	clear(c.slots)
 	c.slots = c.slots[:0]
 	c.warpsUsed, c.smemUsed = 0, 0
-	c.checkSlots = false
+	c.checkSlots, c.hot, c.nextAt = false, false, ^uint64(0)
 	for i := range c.scheds {
 		c.scheds[i].reset()
 	}
@@ -163,9 +174,11 @@ func (c *smCore) releaseBatchRefs() {
 //
 // The stage is event-driven (scoreboard.go): a stepped cycle costs the
 // issues it makes and the wakeups that fall due, not a visit to every
-// resident warp. All scheduler state is core-owned and changes only here,
-// in addCTA/removeCTA and in reset; issue and applyMem write the
-// scoreboards that the next cycle's evaluations read.
+// resident warp, and a scheduler with nothing due is not stepped at all —
+// its stall slots are charged in one span when it settles. All scheduler
+// state is core-owned and changes only here, in addCTA/removeCTA and in
+// reset; issue and applyMem write the scoreboards that the next cycle's
+// evaluations read.
 func (c *smCore) stageIssue(m *exec.Machine, now uint64) {
 	c.issuedAny = false
 	c.nextAt = ^uint64(0)
@@ -175,10 +188,13 @@ func (c *smCore) stageIssue(m *exec.Machine, now uint64) {
 	c.memQ = c.memQ[:0]
 	c.atomQ = c.atomQ[:0]
 
-	for sched := range c.scheds {
-		c.stepScheduler(m, &c.scheds[sched], now)
-		if c.err != nil {
-			return
+	for i := range c.scheds {
+		if sc := &c.scheds[i]; sc.due(now) {
+			c.stepScheduler(m, sc, now)
+			if c.err != nil {
+				c.errSched = i
+				return
+			}
 		}
 	}
 
@@ -211,21 +227,27 @@ func (c *smCore) stageIssue(m *exec.Machine, now uint64) {
 		}
 	}
 
-	// The core's next event, for the engine's fast-forward. Everything due
-	// at or before now was popped above, and a core that re-armed a warp
-	// this cycle also issued, so the engine will not read this.
+	// Whether the engine visits the core next cycle, and its next event
+	// for the fast-forward. Everything due at or before now was popped
+	// above, and a core that re-armed a warp this cycle also issued, so
+	// the engine will not read nextAt unless the core goes to sleep.
+	c.hot = false
 	for i := range c.scheds {
-		if q := c.scheds[i].wakeQ; len(q) > 0 && q[0].wake < c.nextAt {
+		sc := &c.scheds[i]
+		c.hot = c.hot || sc.n[warpRearmed]+sc.n[warpReady] > 0
+		if q := sc.wakeQ; len(q) > 0 && q[0].wake < c.nextAt {
 			c.nextAt = q[0].wake
 		}
 	}
 }
 
-// stepScheduler is one scheduler's cycle: evaluate the warps whose wakeup
-// fell due and the ones re-armed since the last pick, then issue the
-// first ready warp at or after rr (loose round-robin), or charge the slot
-// to a stall kind.
+// stepScheduler is one scheduler's cycle: settle its last quiet interval,
+// evaluate the warps whose wakeup fell due and the ones re-armed since the
+// last pick, then issue the first ready warp at or after rr (loose
+// round-robin), or open a quiet interval with the slot at now.
 func (c *smCore) stepScheduler(m *exec.Machine, sc *schedState, now uint64) {
+	c.schedSteps++
+	sc.settle(c.stats, now)
 	for len(sc.wakeQ) > 0 && sc.wakeQ[0].wake <= now {
 		c.evaluate(m, sc, sc.popWake(), now)
 	}
@@ -237,9 +259,10 @@ func (c *smCore) stepScheduler(m *exec.Machine, sc *schedState, now uint64) {
 
 	pos := sc.firstReady()
 	if pos < 0 {
-		c.stats.noteStall(c.id, now, sc.stallKind())
+		sc.kind, sc.from = sc.stallKind(), now
 		return
 	}
+	sc.from = now + 1
 	w := sc.cands[pos]
 	sc.rr = (pos + 1) % len(sc.cands)
 	c.issuedAny = true
@@ -271,8 +294,10 @@ func (c *smCore) stepScheduler(m *exec.Machine, sc *schedState, now uint64) {
 	}
 	if w.warp.Done {
 		// Dead now rather than at the next evaluation: its CTA may retire
-		// and be recycled before then.
+		// and be recycled before then. Nothing may be left to re-arm the
+		// scheduler, so its kind is read off now.
 		sc.move(w, warpDead)
+		sc.kind = sc.stallKind()
 	} else {
 		sc.rearm(w)
 	}

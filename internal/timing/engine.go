@@ -42,6 +42,7 @@ import (
 type Engine struct {
 	cfg     Config
 	cores   []*smCore
+	active  []*smCore // the stepped cycle's cores with something due, in id order
 	parts   []*partition
 	cycle   uint64
 	stats   *Stats
@@ -76,7 +77,7 @@ func WithWorkers(n int) Option {
 
 // New builds an engine for a machine configuration.
 func New(cfg Config, opts ...Option) (*Engine, error) {
-	e := &Engine{cfg: cfg, stats: NewStats(cfg), workers: 1}
+	e := &Engine{cfg: cfg, stats: NewStats(cfg), workers: 1, active: make([]*smCore, 0, cfg.NumSMs)}
 	for i := 0; i < cfg.NumSMs; i++ {
 		l1, err := cache.New(cfg.L1)
 		if err != nil {
@@ -130,9 +131,9 @@ func (e *Engine) AdvanceTo(cycle uint64) error {
 // idleTo moves the clock forward to an absolute cycle over a span in
 // which no scheduler can issue, charging the span to the stall series and
 // IdleSlotCycles so bucket sums keep matching elapsed cycles. Every clock
-// jump goes through here: the drain loop's two fast-forwards, the batch
-// rung's retirement-to-retirement jumps and AdvanceTo. A target at or
-// before the current cycle is a no-op.
+// jump goes through here: the drain loop's two fast-forwards (by way of
+// jumpTo), the batch rung's retirement-to-retirement jumps and AdvanceTo.
+// A target at or before the current cycle is a no-op.
 func (e *Engine) idleTo(cycle uint64) {
 	if cycle <= e.cycle {
 		return
@@ -141,6 +142,42 @@ func (e *Engine) idleTo(cycle uint64) {
 	e.stats.addIdleBulk(e.cycle, span)
 	e.stats.FastForwardedCycles += span
 	e.cycle = cycle
+}
+
+// jumpTo is the drain loop's fast-forward: every scheduler settles its
+// quiet interval up to the current cycle, the clock jumps (idleTo, which
+// charges the bridged span), and the intervals resume at the target. Only
+// a drain has open intervals; the batch rung and AdvanceTo jump between
+// drains and call idleTo alone.
+func (e *Engine) jumpTo(cycle uint64) {
+	if cycle <= e.cycle {
+		return
+	}
+	for _, c := range e.cores {
+		for i := range c.scheds {
+			sc := &c.scheds[i]
+			sc.settle(c.stats, e.cycle)
+			sc.from = cycle
+		}
+	}
+	e.idleTo(cycle)
+}
+
+// settleStepped charges the stepped cycle now to every scheduler the
+// per-cycle walk would have charged before a failure inside that cycle:
+// all of them, except, on a core whose issue stage failed, the scheduler
+// that failed and the ones after it, which the walk never reached.
+// abortBatch settles the rest up to now.
+func (e *Engine) settleStepped(now uint64) {
+	for _, c := range e.cores {
+		scheds := c.scheds
+		if c.err != nil {
+			scheds = scheds[:c.errSched]
+		}
+		for i := range scheds {
+			scheds[i].settle(c.stats, now+1)
+		}
+	}
 }
 
 // Partitions exposes the DRAM channels (for the aerial plots).
@@ -401,17 +438,17 @@ func (e *Engine) Drain() error {
 	p := e.getPool(e.workers)
 
 	var disp dispatcher
-	nCores := len(e.cores)
 	nParts := len(e.parts)
 	deadline := e.cycle + 2_000_000_000 // runaway guard
 
 	// The bodies of the per-cycle stages are built once, here: a closure
 	// handed to pool.run escapes, so building them inside the loop would
 	// heap-allocate one of each per simulated cycle. They read the cycle
-	// from the engine, which only moves between stages.
-	issueStage := func(i int) { e.cores[i].stageIssue(m, e.cycle) }
+	// and the active cores from the engine, which only change between
+	// stages.
+	issueStage := func(i int) { e.active[i].stageIssue(m, e.cycle) }
 	partitionStage := func(i int) { e.parts[i].drain(&e.cfg) }
-	applyStage := func(i int) { e.cores[i].applyMem(e.cycle) }
+	applyStage := func(i int) { e.active[i].applyMem(e.cycle) }
 
 	for {
 		// Complete in-flight timed operations — copies run their
@@ -494,7 +531,7 @@ func (e *Engine) Drain() error {
 			if wake == ^uint64(0) {
 				return e.abortBatch(m, fmt.Errorf("timing: drain stalled with pending work"), -1)
 			}
-			e.idleTo(wake)
+			e.jumpTo(wake)
 			continue
 		}
 
@@ -503,19 +540,33 @@ func (e *Engine) Drain() error {
 		}
 		now := e.cycle
 
+		// Only cores with something due are visited: a re-armed or ready
+		// warp (hot) or a wakeup at or before now. A sleeping core's nextAt
+		// is still its next event, so it bounds the fast-forward as is.
+		progressAt := uint64(^uint64(0))
+		e.active = e.active[:0]
+		for _, c := range e.cores {
+			if c.hot || c.nextAt <= now {
+				e.active = append(e.active, c)
+			} else if c.nextAt < progressAt {
+				progressAt = c.nextAt
+			}
+		}
+
 		// Phase 1: parallel issue stage.
-		p.run(nCores, issueStage)
+		p.run(len(e.active), issueStage)
 
 		anyIssued := false
 		anyMem := false
-		progressAt := uint64(^uint64(0))
-		for _, c := range e.cores {
+		for _, c := range e.active {
 			if c.err != nil {
+				e.settleStepped(now)
 				return e.abortBatch(m, c.err, c.errRunID)
 			}
 			// Phase 2: sequential atomic drain, core id order.
 			for _, w := range c.atomQ {
 				if err := c.issue(m, w, now); err != nil {
+					e.settleStepped(now)
 					return e.abortBatch(m, err, w.runID)
 				}
 			}
@@ -546,7 +597,7 @@ func (e *Engine) Drain() error {
 			for _, pt := range e.parts {
 				pt.queue = pt.queue[:0]
 			}
-			for _, c := range e.cores {
+			for _, c := range e.active {
 				for i := range c.memQ {
 					req := &c.memQ[i]
 					for j := range req.segs {
@@ -560,7 +611,7 @@ func (e *Engine) Drain() error {
 			// Phase 3: parallel partition drain (canonical order inside).
 			p.run(nParts, partitionStage)
 			// Phase 4: parallel scoreboard/L1 apply.
-			p.run(nCores, applyStage)
+			p.run(len(e.active), applyStage)
 		}
 
 		// Retire finished grids in submission order; each retirement
@@ -602,7 +653,7 @@ func (e *Engine) Drain() error {
 					return e.abortBatch(m, fmt.Errorf("timing: machine deadlocked with resident work"), -1)
 				}
 			} else {
-				e.idleTo(wake)
+				e.jumpTo(wake)
 			}
 		}
 	}
@@ -621,7 +672,9 @@ func (e *Engine) Drain() error {
 
 // sizeShards opens the ledger for the queued batch: kernels get dense
 // ids in submission order, and every core and partition a zeroed record
-// per id. The cores' schedulers and series restart with it.
+// per id. The cores' schedulers and series restart with it: every stall
+// ledger opens at the batch's first cycle (between drains the clock moves
+// by idleTo alone, which charges its spans itself).
 func (e *Engine) sizeShards() {
 	nKernels := 0
 	for _, t := range e.queue {
@@ -636,7 +689,7 @@ func (e *Engine) sizeShards() {
 	}
 	for _, c := range e.cores {
 		for i := range c.scheds {
-			c.scheds[i].rr = 0
+			c.scheds[i].rr, c.scheds[i].from = 0, e.cycle
 		}
 		c.stats.rebase(e.cycle)
 		c.runInstrs = slices.Grow(c.runInstrs[:0], nKernels)[:nKernels]
@@ -823,11 +876,12 @@ func (e *Engine) getPool(workers int) *pool {
 func (e *Engine) Close() { e.pool.close() }
 
 // abortBatch restores the engine to a reusable state after a failure:
-// resident CTAs are dropped from every core, every unfinished ticket is
-// marked failed and takes the record of what it had counted, and the
-// cores' shards are merged. runID attributes the failure to a specific
-// kernel (-1 when unknown). Returns the error recorded on the faulting
-// ticket.
+// every unfinished ticket is marked failed and takes the record of what it
+// had counted, the cores' shards are merged — the stall ledgers settled up
+// to the current cycle, so the series hold what the per-cycle walk had
+// charged — and resident CTAs are dropped from every core. runID
+// attributes the failure to a specific kernel (-1 when unknown). Returns
+// the error recorded on the faulting ticket.
 func (e *Engine) abortBatch(m *exec.Machine, cause error, runID int) error {
 	name := "?"
 	var faulty *Ticket
@@ -858,6 +912,7 @@ func (e *Engine) abortBatch(m *exec.Machine, cause error, runID int) error {
 		}
 		t.done = true
 	}
+	e.mergeShards(m)
 	for _, c := range e.cores {
 		// retiredSlots/memQ/atomQ backing refs are cleared by the
 		// releaseQueue call below (releaseBatchRefs per core).
@@ -872,17 +927,20 @@ func (e *Engine) abortBatch(m *exec.Machine, cause error, runID int) error {
 		// Never memoize timing measured in an aborted batch.
 		e.replay.discard()
 	}
-	e.mergeShards(m)
 	e.releaseQueue()
 	return err
 }
 
 // mergeShards folds what is not per kernel — the cores' statistic and
 // functional coverage shards, the partitions' writeback counts — into the
-// engine-wide accumulators at a batch boundary. The per-kernel records
-// are empty by now: every kernel of the batch retired or was aborted.
+// engine-wide accumulators at a batch boundary, settling every scheduler's
+// stall ledger up to the current cycle first. The per-kernel records are
+// empty by now: every kernel of the batch retired or was aborted.
 func (e *Engine) mergeShards(m *exec.Machine) {
 	for _, c := range e.cores {
+		for i := range c.scheds {
+			c.scheds[i].settle(c.stats, e.cycle)
+		}
 		e.stats.merge(c.stats)
 		c.stats.reset()
 		if m != nil {

@@ -21,13 +21,15 @@ import (
 // loops and demands byte-identical cycles, per-ticket stats, engine
 // counters and final device memory.
 
-// drainLegacyForTest is the old Engine.Drain. Apart from the three
-// deliberate deviations flagged inline (stream linking inlined, the
-// fast-forward observability counter, and forcing the dispatcher dirty
-// flag so the reference keeps its original every-cycle unconditional
-// fill), the body is the pre-active-set code unchanged. afterCycle, when
-// not nil, runs at the end of every stepped cycle, before the clock
-// moves: the scheduler invariant check (scheduler_test.go) hooks in there.
+// drainLegacyForTest is the old Engine.Drain. Apart from the deliberate
+// deviations flagged inline (stream linking inlined, the fast-forward
+// observability counter and stall-ledger settling, forcing the dispatcher
+// dirty flag so the reference keeps its original every-cycle
+// unconditional fill), the body is the pre-active-set code unchanged: in
+// particular it steps every core on every stepped cycle, where production
+// visits only the cores with something due. afterCycle, when not nil,
+// runs at the end of every stepped cycle, before the clock moves: the
+// scheduler invariant check (scheduler_test.go) hooks in there.
 func (e *Engine) drainLegacyForTest(workers int, afterCycle func(now uint64)) error {
 	if len(e.queue) == 0 {
 		return nil
@@ -122,9 +124,9 @@ func (e *Engine) drainLegacyForTest(workers int, afterCycle func(now uint64)) er
 				return e.abortBatch(m, fmt.Errorf("timing: drain stalled with pending work"), -1)
 			}
 			// deviation: the engine's clock-jump helper, which also bumps
-			// the new loop's observability counter so whole-Stats
-			// comparison stays byte-exact.
-			e.idleTo(wake)
+			// the new loop's observability counter and settles the stall
+			// ledgers (PR 25) so whole-Stats comparison stays byte-exact.
+			e.jumpTo(wake)
 			continue
 		}
 
@@ -141,11 +143,13 @@ func (e *Engine) drainLegacyForTest(workers int, afterCycle func(now uint64)) er
 		progressAt := uint64(^uint64(0))
 		for _, c := range e.cores {
 			if c.err != nil {
+				e.settleStepped(now) // deviation (PR 25): the stall ledger's abort charge
 				return e.abortBatch(m, c.err, c.errRunID)
 			}
 			// Phase 2: sequential atomic drain, core id order.
 			for _, w := range c.atomQ {
 				if err := c.issue(m, w, now); err != nil {
+					e.settleStepped(now) // deviation (PR 25): as above
 					return e.abortBatch(m, err, w.runID)
 				}
 			}
@@ -209,7 +213,7 @@ func (e *Engine) drainLegacyForTest(workers int, afterCycle func(now uint64)) er
 				}
 			}
 			if wake != ^uint64(0) {
-				e.idleTo(wake) // deviation: as above
+				e.jumpTo(wake) // deviation: as above
 			}
 		}
 	}
@@ -426,7 +430,7 @@ func TestCopyCompletionSubmissionOrder(t *testing.T) {
 		eng.SubmitCopy(2, 0, func() { order = append(order, 1) })     // B: zero-size, behind the kernel
 		eng.SubmitCopy(1, 1<<20, func() { order = append(order, 2) }) // A: long transfer, admitted at cycle 0
 		if legacy {
-			err = eng.drainLegacyForTest(1, nil)
+			err = eng.drainLegacyForTest(1, func(now uint64) { checkSchedulers(t, eng, ctx.M, now) })
 		} else {
 			err = eng.Drain()
 		}
@@ -476,7 +480,7 @@ func TestResumeFullyRetiredGrid(t *testing.T) {
 			t.Fatal(err)
 		}
 		if legacy {
-			err = eng.drainLegacyForTest(1, nil)
+			err = eng.drainLegacyForTest(1, func(now uint64) { checkSchedulers(t, eng, ctx.M, now) })
 		} else {
 			err = eng.Drain()
 		}

@@ -51,6 +51,17 @@ func ReadinessEvals(e *Engine) uint64 {
 	return n
 }
 
+// SchedulerSteps sums the cores' scheduler-step counters over the engine's
+// lifetime: how many times a scheduler was stepped, which a scheduler with
+// nothing due never is.
+func SchedulerSteps(e *Engine) uint64 {
+	var n uint64
+	for _, c := range e.cores {
+		n += c.schedSteps
+	}
+	return n
+}
+
 // SetReplayBatch switches the replay cache's batch rung (replayBatch) on
 // or off: with it off every batch takes the per-launch path, the
 // reference the rung is tested against. A test seam, not a knob.

@@ -12,40 +12,63 @@ import (
 // 64 threads, from a fraction of one SM to several machine-fulls.
 var memBoundSweep = []int{4, 16, 64, 256}
 
-// issueWork launches the streaming strided_saxpy kernel once on a fresh
-// engine and returns it with the issue stage's work per issued warp
-// instruction (scoreboard evaluations / instructions).
-func issueWork(tb testing.TB, ctas, threads int) (*timing.Engine, float64) {
+// issueWork is the issue stage's work per issued warp instruction on an
+// engine that has run: scoreboard evaluations and scheduler steps.
+func issueWork(e *timing.Engine) (evals, steps float64) {
+	instrs := float64(e.Stats().Instructions)
+	return float64(timing.ReadinessEvals(e)) / instrs, float64(timing.SchedulerSteps(e)) / instrs
+}
+
+// stridedSaxpy launches the streaming strided_saxpy kernel once on a fresh
+// engine.
+func stridedSaxpy(tb testing.TB, ctas, threads int) *timing.Engine {
 	tb.Helper()
 	res, err := core.RunStridedSaxpy(core.GTX1050, 1, ctas, threads, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e := res.Engine
-	return e, float64(timing.ReadinessEvals(e)) / float64(e.Stats().Instructions)
+	return res.Engine
 }
 
 // TestIssueWorkPerInstruction pins the event-driven issue stage's cost in
-// a unit that repeats exactly: a warp is evaluated once after it issues
-// and once more each time a wakeup, a barrier release or its placement
+// units that repeat exactly. A warp is evaluated once after it issues and
+// once more each time a wakeup, a barrier release or its placement
 // re-arms it, so evaluations per issued instruction is a small constant
-// whatever the occupancy. The all-candidates scan this replaced spent
+// whatever the occupancy; the all-candidates scan this replaced spent
 // 47.4 on the membound_stream launch shape, growing with resident warps.
+// A scheduler is stepped only when something is due, so steps per issued
+// instruction is a small constant too; stepping every scheduler of every
+// core on every stepped cycle cost ~6 on that shape and ~8.4 on the
+// paper's LeNet.
 func TestIssueWorkPerInstruction(t *testing.T) {
-	const bound = 3
-	e, perInstr := issueWork(t, 2048, 128)
-	e.Close()
-	if perInstr > bound {
-		t.Errorf("membound_stream shape: %.2f readiness evaluations per issued instruction, want <= %d", perInstr, bound)
-	}
-	lo, hi := float64(bound), 0.0
-	for _, ctas := range memBoundSweep {
-		e, perInstr := issueWork(t, ctas, 64)
+	const evalBound, stepBound = 3, 2
+	check := func(shape string, e *timing.Engine) (evals float64) {
+		t.Helper()
+		evals, steps := issueWork(e)
 		e.Close()
-		lo, hi = min(lo, perInstr), max(hi, perInstr)
+		t.Logf("%s: %.2f readiness evaluations, %.2f scheduler steps per issued instruction", shape, evals, steps)
+		if evals > evalBound {
+			t.Errorf("%s: %.2f readiness evaluations per issued instruction, want <= %d", shape, evals, evalBound)
+		}
+		if steps > stepBound {
+			t.Errorf("%s: %.2f scheduler steps per issued instruction, want <= %d", shape, steps, stepBound)
+		}
+		return evals
 	}
-	if hi > bound || hi > 1.25*lo {
-		t.Errorf("readiness evaluations per instruction range %.2f-%.2f over the occupancy sweep, want flat and <= %d", lo, hi, bound)
+	check("membound_stream shape", stridedSaxpy(t, 2048, 128))
+	res, err := core.RunMNISTCorrelation(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("lenet_mnist, one image", res.Engine)
+
+	lo, hi := float64(evalBound), 0.0
+	for _, ctas := range memBoundSweep {
+		evals := check(fmt.Sprintf("%d CTAs", ctas), stridedSaxpy(t, ctas, 64))
+		lo, hi = min(lo, evals), max(hi, evals)
+	}
+	if hi > 1.25*lo {
+		t.Errorf("readiness evaluations per instruction range %.2f-%.2f over the occupancy sweep, want flat", lo, hi)
 	}
 }
 
@@ -56,17 +79,17 @@ func TestIssueWorkPerInstruction(t *testing.T) {
 // stepped cycle must stay flat as occupancy grows: the partition's
 // absolute-time resource reservations are O(1) per segment and the issue
 // stage does work per issue and per wakeup, not per resident warp
-// (readiness_evals_per_instr is that work, counted). ns_per_sim_cycle
-// divides by fast-forwarded cycles too, so it falls as stalls lengthen;
-// ns_per_stepped_cycle does not.
+// (readiness_evals_per_instr and sched_steps_per_instr are that work,
+// counted). ns_per_sim_cycle divides by fast-forwarded cycles too, so it
+// falls as stalls lengthen; ns_per_stepped_cycle does not.
 func BenchmarkMemoryBoundStream(b *testing.B) {
 	for _, ctas := range memBoundSweep {
 		b.Run(fmt.Sprintf("ctas=%d", ctas), func(b *testing.B) {
 			var cycles, stepped uint64
-			var avgLat, perInstr float64
+			var avgLat, evals, steps float64
 			for i := 0; i < b.N; i++ {
-				var e *timing.Engine
-				e, perInstr = issueWork(b, ctas, 64)
+				e := stridedSaxpy(b, ctas, 64)
+				evals, steps = issueWork(e)
 				cycles = e.Cycle()
 				stepped = cycles - e.Stats().FastForwardedCycles
 				avgLat = e.Stats().AvgSegmentLatency()
@@ -75,7 +98,8 @@ func BenchmarkMemoryBoundStream(b *testing.B) {
 			nsPerLaunch := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 			b.ReportMetric(float64(cycles), "sim_cycles")
 			b.ReportMetric(avgLat, "avg_seg_latency_cycles")
-			b.ReportMetric(perInstr, "readiness_evals_per_instr")
+			b.ReportMetric(evals, "readiness_evals_per_instr")
+			b.ReportMetric(steps, "sched_steps_per_instr")
 			b.ReportMetric(nsPerLaunch/float64(cycles), "ns_per_sim_cycle")
 			b.ReportMetric(nsPerLaunch/float64(stepped), "ns_per_stepped_cycle")
 		})

@@ -18,16 +18,18 @@ import (
 // identical simulation state.
 type pool struct {
 	workers int
-	jobs    chan poolJob
+	jobs    chan struct{} // one token per helper joining the run in flight
 	once    sync.Once
 	closed  atomic.Bool
-}
 
-type poolJob struct {
+	// The run in flight. Reused by every run call, so a run allocates
+	// nothing: the caller writes f and n before it hands out tokens, and
+	// a helper reads them only after taking one. Runs never overlap (one
+	// caller per pool).
 	f    func(int)
-	next *atomic.Int64
 	n    int
-	wg   *sync.WaitGroup
+	next atomic.Int64
+	wg   sync.WaitGroup
 }
 
 // newPool starts workers-1 background goroutines (the calling goroutine
@@ -35,11 +37,11 @@ type poolJob struct {
 func newPool(workers int) *pool {
 	p := &pool{workers: workers}
 	if workers > 1 {
-		p.jobs = make(chan poolJob, workers)
+		p.jobs = make(chan struct{}, workers)
 		for i := 0; i < workers-1; i++ {
 			go func() {
-				for j := range p.jobs {
-					j.run()
+				for range p.jobs {
+					p.work()
 				}
 			}()
 		}
@@ -47,15 +49,16 @@ func newPool(workers int) *pool {
 	return p
 }
 
-func (j poolJob) run() {
+// work takes tasks of the run in flight until none is left.
+func (p *pool) work() {
 	for {
-		i := int(j.next.Add(1)) - 1
-		if i >= j.n {
+		i := int(p.next.Add(1)) - 1
+		if i >= p.n {
 			break
 		}
-		j.f(i)
+		p.f(i)
 	}
-	j.wg.Done()
+	p.wg.Done()
 }
 
 // run executes f(0..n-1) across the pool and waits for completion.
@@ -66,19 +69,19 @@ func (p *pool) run(n int, f func(int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	k := p.workers
-	if k > n {
-		k = n
-	}
-	wg.Add(k)
-	j := poolJob{f: f, next: &next, n: n, wg: &wg}
+	k := min(p.workers, n)
+	p.f, p.n = f, n
+	p.next.Store(0)
+	p.wg.Add(k)
 	for i := 0; i < k-1; i++ {
-		p.jobs <- j
+		p.jobs <- struct{}{}
 	}
-	j.run() // the coordinator works too
-	wg.Wait()
+	p.work() // the coordinator works too
+	p.wg.Wait()
+	// f usually closes over the engine, and the pool's goroutines keep
+	// the pool reachable: holding f would keep the engine alive and its
+	// cleanup (Engine.getPool) from ever closing them.
+	p.f = nil
 }
 
 // Pool is the exported handle to the engine's fixed-size worker pool,

@@ -16,9 +16,11 @@ import (
 // for each resident warp — from the warp's functional flags, its
 // scoreboard and a from-scratch walk of the ptx operand lists — and
 // compares it with the scheduler's ready set, parked kinds, wake cycles
-// and counts. A lost wakeup, a stale ready bit or a wake time that moved
-// after it was computed fails here, at the cycle it happens, rather than
-// as a golden cycle count that drifted.
+// and counts, its stall ledger, and the core's hot flag and nextAt that
+// decide whether production visits it. A lost wakeup, a stale ready bit,
+// a wake time that moved after it was computed or a sleeping scheduler
+// charging the wrong kind fails here, at the cycle it happens, rather
+// than as a golden cycle count that drifted.
 
 // refLatest is the reference scoreboard walk (the old srcReady): the cycle
 // at which the latest source of in becomes readable, over the guard
@@ -92,6 +94,7 @@ func checkSchedulers(t *testing.T, e *Engine, m *exec.Machine, now uint64) {
 
 		cands := 0
 		nextAt := ^uint64(0)
+		hot := false
 		for si := range c.scheds {
 			sc := &c.scheds[si]
 			where := fmt.Sprintf("cycle %d core %d sched %d", now, c.id, si)
@@ -191,12 +194,65 @@ func checkSchedulers(t *testing.T, e *Engine, m *exec.Machine, now uint64) {
 			if len(sc.rearmed) != n[warpRearmed] || len(sc.wakeQ) != n[warpOnData]+n[warpOnIssue] {
 				t.Fatalf("%s: %d re-armed and %d parked entries for counts %v", where, len(sc.rearmed), len(sc.wakeQ), n)
 			}
+
+			// The stall ledger: nothing is charged past the next cycle, and
+			// a scheduler nothing re-arms or readies — one that sleeps until
+			// a wakeup — holds the kind its recounted states imply, the kind
+			// every slot of its quiet interval is charged to.
+			if sc.from > now+1 {
+				t.Fatalf("%s: ledger open from %d, past the next cycle", where, sc.from)
+			}
+			busy := n[warpRearmed]+n[warpReady] > 0
+			hot = hot || busy
+			if kind := (&schedState{n: n}).stallKind(); !busy && sc.kind != kind {
+				t.Fatalf("%s: ledger kind %s, recounted states %v imply %s", where, StallNames[sc.kind], n, StallNames[kind])
+			}
 		}
 		if cands != resident {
 			t.Fatalf("cycle %d core %d: %d candidates for %d resident warps", now, c.id, cands, resident)
 		}
 		if c.nextAt != nextAt {
 			t.Fatalf("cycle %d core %d: nextAt %d, earliest pending wakeup %d", now, c.id, c.nextAt, nextAt)
+		}
+		// The rule that decides whether the core is visited next cycle.
+		if c.hot != hot {
+			t.Fatalf("cycle %d core %d: hot %v, some scheduler holds a re-armed or ready warp: %v", now, c.id, c.hot, hot)
+		}
+	}
+}
+
+// TestAddStall pins how the scheduler ledger charges a quiet interval:
+// split at every sample-bucket edge, into the shard's rebased buckets,
+// with idle spans also counted in IdleSlotCycles.
+func TestAddStall(t *testing.T) {
+	cases := []struct {
+		name           string
+		interval, base uint64
+		kind           stallKind
+		from, span     uint64
+		want           []uint64 // the kind's series
+		wantIdle       uint64
+	}{
+		{"inside one bucket", 500, 0, stallData, 10, 100, []uint64{100}, 0},
+		{"ending on an edge", 500, 0, stallBarrier, 400, 100, []uint64{100}, 0},
+		{"starting on an edge", 500, 0, stallBarrier, 500, 100, []uint64{0, 100}, 0},
+		// the span addIdleBulk charges 750 of (ROADMAP open item 2(i))
+		{"crossing several edges", 500, 0, stallMem, 250, 1500, []uint64{250, 500, 500, 250}, 0},
+		{"rebased shard", 500, 2, stallData, 1200, 600, []uint64{300, 300}, 0},
+		{"idle", 500, 0, stallIdle, 0, 700, []uint64{500, 200}, 700},
+		{"idle, no series", 0, 0, stallIdle, 3, 40, nil, 40},
+		{"empty span", 500, 0, stallMem, 250, 0, nil, 0},
+	}
+	for _, tc := range cases {
+		s := &Stats{interval: tc.interval, base: tc.base}
+		s.addStall(tc.kind, tc.from, tc.span)
+		if !reflect.DeepEqual(s.stalls[tc.kind], tc.want) || s.IdleSlotCycles != tc.wantIdle {
+			t.Errorf("%s: series %v, IdleSlotCycles %d; want %v, %d", tc.name, s.stalls[tc.kind], s.IdleSlotCycles, tc.want, tc.wantIdle)
+		}
+		for k := range s.stalls {
+			if stallKind(k) != tc.kind && s.stalls[k] != nil {
+				t.Errorf("%s: charged %s too", tc.name, StallNames[k])
+			}
 		}
 	}
 }

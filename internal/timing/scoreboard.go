@@ -70,6 +70,29 @@ type schedState struct {
 	wakeQ   []*warpCtx // the parked candidates, a min-heap on wake
 
 	n [numWarpStates]int // candidates per state
+
+	// The stall ledger. kind is the stall kind the scheduler's state
+	// implied after its last step; from is the first slot not yet
+	// charged. Until the scheduler is due again nothing can change its
+	// state, so every slot from `from` on stalls with kind, and settle
+	// charges them in one span.
+	kind stallKind
+	from uint64
+}
+
+// due reports whether the scheduler has work at cycle now: a re-armed
+// warp to evaluate, a ready warp to issue, or a wakeup that fell due. A
+// scheduler that is not due is not stepped.
+func (sc *schedState) due(now uint64) bool {
+	return sc.n[warpRearmed]+sc.n[warpReady] > 0 || len(sc.wakeQ) > 0 && sc.wakeQ[0].wake <= now
+}
+
+// settle charges the quiet interval [from, to) to kind.
+func (sc *schedState) settle(s *Stats, to uint64) {
+	if to > sc.from {
+		s.addStall(sc.kind, sc.from, to-sc.from)
+		sc.from = to
+	}
 }
 
 // add appends a newly placed warp to the candidates, re-armed.
