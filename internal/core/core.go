@@ -8,17 +8,17 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cudart"
 	"repro/internal/cudnn"
-	"repro/internal/exec"
 	"repro/internal/hwmodel"
 	"repro/internal/mnist"
 	"repro/internal/power"
+	"repro/internal/ref"
 	"repro/internal/session"
 	"repro/internal/stats"
 	"repro/internal/timing"
-	"repro/internal/torch"
 )
 
 // GPU selects a modelled card.
@@ -47,6 +47,7 @@ type MNISTCorrelationResult struct {
 	Correlation stats.Correlation
 	Power       power.Breakdown
 	Engine      *timing.Engine
+	Kernels     []cudart.KernelStats // the detailed run's kernel log
 	SimCycles   uint64
 	HWCycles    float64
 	SelfCheckOK bool
@@ -54,86 +55,54 @@ type MNISTCorrelationResult struct {
 	CPUClasses  []int
 }
 
-// RunMNISTCorrelation reproduces §IV: run LeNet/MNIST inference on the
-// detailed timing model and on the hardware oracle, correlate per-kernel
-// cycles (Figs. 6-7), and compute the power breakdown (Fig. 8). The
-// detailed engine steps SM cores on `workers` host goroutines.
+// RunMNISTCorrelation reproduces §IV: run LeNet/MNIST inference once on
+// the detailed timing model, score its kernel log with the hardware
+// oracle and correlate per-kernel cycles (Figs. 6-7), compute the power
+// breakdown (Fig. 8), and self-check the classes against the CPU
+// reference. The detailed engine steps SM cores on `workers` host
+// goroutines.
 func RunMNISTCorrelation(workers, images int) (*MNISTCorrelationResult, error) {
-	ds := mnist.NewDataset(1)
-	imgs, _ := ds.Batch(images)
-
-	// --- detailed simulator (performance mode, GTX 1050) ---
-	sim, err := session.New(timing.GTX1050(), workers)
+	imgs, _ := mnist.NewDataset(1).Batch(images)
+	s, err := session.New(timing.GTX1050(), workers)
 	if err != nil {
 		return nil, err
 	}
-	defer sim.Close()
-	simDev, eng := sim.Dev, sim.Eng
-	simModel, err := mnist.NewLeNet(simDev, 7, mnist.DefaultAlgos())
+	defer s.Close()
+	model, err := mnist.NewLeNet(s.Dev, 7, mnist.DefaultAlgos())
 	if err != nil {
 		return nil, err
 	}
-	if _, err := simModel.Forward(imgs, images); err != nil {
+	probs, err := model.Forward(imgs, images)
+	if err != nil {
 		return nil, fmt.Errorf("core: simulator run: %w", err)
 	}
 
-	// --- hardware oracle (same weights: same seed) ---
-	hwDev, err := torch.NewDevice(exec.BugSet{})
-	if err != nil {
-		return nil, err
-	}
 	oracle := hwmodel.GTX1050()
-	hwDev.Ctx.SetRunner(oracle)
-	hwModel, err := mnist.NewLeNet(hwDev, 7, mnist.DefaultAlgos())
-	if err != nil {
-		return nil, err
-	}
-	if _, err := hwModel.Forward(imgs, images); err != nil {
-		return nil, fmt.Errorf("core: oracle run: %w", err)
-	}
-
-	// pair per-launch samples by position (same deterministic sequence)
-	simLog := simDev.Ctx.KernelStatsLog()
-	hwLog := oracle.Samples
-	n := len(simLog)
-	if len(hwLog) < n {
-		n = len(hwLog)
-	}
-	var samples []stats.KernelTime
-	for i := 0; i < n; i++ {
-		if simLog[i].Name != hwLog[i].Name {
-			return nil, fmt.Errorf("core: kernel sequences diverged at %d: %s vs %s",
-				i, simLog[i].Name, hwLog[i].Name)
-		}
-		samples = append(samples, stats.KernelTime{
-			Name: simLog[i].Name, SimCycles: float64(simLog[i].Cycles),
-			HWCycles: hwLog[i].Cycles, Launches: 1,
-		})
+	log := s.Dev.Ctx.KernelStatsLog()
+	samples := make([]stats.KernelTime, len(log))
+	for i, k := range log {
+		samples[i] = stats.KernelTime{Name: k.Name, SimCycles: float64(k.Cycles), HWCycles: oracle.Estimate(k), Launches: 1}
 	}
 	corr := stats.Correlate(samples)
 	corr.SortByHW()
 
-	pm := power.DefaultModel()
-	pb := pm.Average(eng.Stats(), eng.Cycle(), eng.Config().ClockMHz)
+	eng := s.Eng
+	pb := power.DefaultModel().Average(eng.Stats(), eng.Cycle(), eng.Config().ClockMHz)
 
-	// self check on the functional device (the sample's own validation)
-	fnModel, _, err := mnist.NewDefaultLeNet(exec.BugSet{})
-	if err != nil {
-		return nil, err
-	}
-	ok, gpu, cpu, err := fnModel.SelfCheck(imgs, images)
-	if err != nil {
-		return nil, err
-	}
+	// the sample's own validation: memory is exact in timing mode, so the
+	// detailed run's probabilities are the GPU's answer
+	gpu := ref.Argmax(probs, images, mnist.NumClasses)
+	cpu := ref.Argmax(model.ForwardCPU(imgs, images), images, mnist.NumClasses)
 
 	return &MNISTCorrelationResult{
 		Images:      images,
 		Correlation: corr,
 		Power:       pb,
 		Engine:      eng,
+		Kernels:     log,
 		SimCycles:   eng.Cycle(),
 		HWCycles:    corr.TotalHW,
-		SelfCheckOK: ok,
+		SelfCheckOK: slices.Equal(gpu, cpu),
 		GPUClasses:  gpu,
 		CPUClasses:  cpu,
 	}, nil

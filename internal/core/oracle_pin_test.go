@@ -35,13 +35,16 @@ type oracleLaunch struct {
 	CyclesBits uint64 `json:"cycles_bits"`
 }
 
-// TestOraclePinned pins the oracle's samples and the correlation for
-// LeNet at 1 and 4 images.
+// TestOraclePinned pins the oracle's view of the §IV run for LeNet at 1
+// and 4 images, read off the detailed run's kernel log through Estimate.
+// The Runner form, which counts on a functional pass of its own, must
+// agree with it launch for launch.
 func TestOraclePinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two correlation runs are slow under -short")
 	}
 	got := map[string]oraclePin{}
+	oracle := hwmodel.GTX1050()
 	for _, images := range []int{1, 4} {
 		res, err := core.RunMNISTCorrelation(1, images)
 		if err != nil {
@@ -52,10 +55,21 @@ func TestOraclePinned(t *testing.T) {
 			HWCycles:      res.HWCycles,
 			Pearson:       res.Correlation.Pearson,
 		}
-		for _, s := range oracleSamples(t, images) {
-			pin.Launches = append(pin.Launches, oracleLaunch{s.Name, s.WarpInstrs, s.MemBytes, math.Float64bits(s.Cycles)})
+		for _, k := range res.Kernels {
+			pin.Launches = append(pin.Launches, oracleLaunch{k.Name, k.WarpInstrs, uint64(k.OracleSegments) * exec.SegmentBytes, math.Float64bits(oracle.Estimate(k))})
 		}
-		got[fmt.Sprintf("lenet_images%d", images)] = pin
+		name := fmt.Sprintf("lenet_images%d", images)
+		got[name] = pin
+
+		samples := oracleSamples(t, images)
+		if len(samples) != len(pin.Launches) {
+			t.Fatalf("%s: the Runner form sampled %d launches, the detailed log has %d", name, len(samples), len(pin.Launches))
+		}
+		for i, s := range samples {
+			if l := (oracleLaunch{s.Name, s.WarpInstrs, s.MemBytes, math.Float64bits(s.Cycles)}); l != pin.Launches[i] {
+				t.Errorf("%s launch %d: the Runner form sampled %+v, the detailed log scores %+v", name, i, l, pin.Launches[i])
+			}
+		}
 	}
 	golden.Check(t, filepath.Join("testdata", "oracle_pin.json"), *update, got, nil)
 }

@@ -40,6 +40,15 @@ type KernelStats struct {
 	DRAMRowHits    uint64
 	MemStallCycles uint64
 
+	// OracleSegments sums exec.StepInfo.Segments over the launch's memory
+	// instructions: the traffic the hardware oracle (internal/hwmodel)
+	// scores. Counted by the timing engine's cores, memoized under replay;
+	// 0 in functional mode. A uint32 shares its word with Replayed, so the
+	// launch log, one record per launch, did not grow with it. It wraps
+	// past 2^32 segments in one launch, at least 2^27 memory warp
+	// instructions; LeNet's largest launch counts 335,104.
+	OracleSegments uint32
+
 	// Replayed marks a launch the timing engine retired from its hybrid
 	// replay cache (Config.ReplayEnabled): Cycles and the memory counters
 	// above are memoized from an earlier identical launch rather than

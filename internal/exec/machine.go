@@ -251,6 +251,52 @@ func (s *StepInfo) reset() {
 	s.Barrier, s.WarpDone = false, false
 }
 
+// SegmentBytes is the size of the segments Segments counts.
+const SegmentBytes = 128
+
+// Segments counts the distinct SegmentBytes segments that the active lanes
+// of a memory instruction start in, whatever the space: the traffic count
+// the hardware oracle (internal/hwmodel) reads. An access that straddles a
+// segment edge counts where it starts only; the timing coalescer, which
+// counts both segments, has its own rule. 0 for other instructions.
+func (s *StepInfo) Segments() int {
+	m := s.ActiveMask
+	if !s.IsMem || m == 0 {
+		return 0
+	}
+	// one pass while the lanes' segments ascend, the usual case
+	n, prev := 1, s.Addrs[lane(m)]/SegmentBytes
+	for m &= m - 1; m != 0; m &= m - 1 {
+		seg := s.Addrs[lane(m)] / SegmentBytes
+		if seg == prev {
+			continue
+		}
+		if seg < prev {
+			return s.segmentsAnyOrder()
+		}
+		n, prev = n+1, seg
+	}
+	return n
+}
+
+// segmentsAnyOrder is Segments for lanes in any order: a lane counts
+// unless a lower active lane starts in the same segment.
+func (s *StepInfo) segmentsAnyOrder() int {
+	n := 0
+lanes:
+	for m := s.ActiveMask; m != 0; m &= m - 1 {
+		l := lane(m)
+		seg := s.Addrs[l] / SegmentBytes
+		for below := s.ActiveMask & (1<<l - 1); below != 0; below &= below - 1 {
+			if s.Addrs[lane(below)]/SegmentBytes == seg {
+				continue lanes
+			}
+		}
+		n++
+	}
+	return n
+}
+
 // sregRow materialises a special register for every lane of the warp.
 // Thread coordinates advance with carries from the warp's first thread, so
 // no lane pays a division; everything else is warp-uniform.

@@ -1,11 +1,10 @@
 // Package hwmodel plays the role real silicon plays in the paper's §IV
 // correlation study: an *independent* per-kernel execution-time source to
 // correlate the detailed simulator against. Since no GPU is available, the
-// oracle combines a functional profiling pass (instruction and memory-
-// traffic counts, the quantities NVProf reports) with an analytical
-// throughput model of the target card, plus per-kernel-family calibration
-// factors derived from the paper's published per-kernel discrepancies
-// (Fig. 7).
+// oracle combines each launch's instruction and memory-traffic counts (the
+// quantities NVProf reports) with an analytical throughput model of the
+// target card, plus per-kernel-family calibration factors derived from the
+// paper's published per-kernel discrepancies (Fig. 7).
 package hwmodel
 
 import (
@@ -15,16 +14,18 @@ import (
 	"repro/internal/exec"
 )
 
-// Oracle estimates hardware cycles for kernel launches. It implements
-// cudart.Runner, so installing it on a context is the analog of "running
-// the application on the GPU under NVProf".
+// Oracle estimates hardware cycles for kernel launches from the two
+// counts a profiler reports per launch: warp instructions and 128-byte
+// memory segments (cudart.KernelStats.WarpInstrs and OracleSegments). The
+// detailed engine's kernel log carries both, so Estimate scores a log
+// directly. Oracle also implements cudart.Runner, which counts them on a
+// functional pass instead: installing it on a context is the analog of
+// "running the application on the GPU under NVProf".
 type Oracle struct {
-	Name            string
 	NumSMs          int
 	IssuePerSM      float64 // warp instructions per cycle per SM
 	BWBytesPerCycle float64 // DRAM bandwidth at core clock
 	LaunchOverhead  float64 // fixed per-launch cycles
-	ClockMHz        float64
 
 	// Fudge maps kernel-name substrings to calibration multipliers. The
 	// entries encode the relative behaviour the paper reports: cuDNN's
@@ -33,7 +34,8 @@ type Oracle struct {
 	// kernels with the largest discrepancies in Fig. 7.
 	Fudge map[string]float64
 
-	// Samples records one entry per launch (NVProf-style report).
+	// Samples records one entry per launch the Runner form ran
+	// (NVProf-style report).
 	Samples []Sample
 }
 
@@ -48,21 +50,9 @@ type Sample struct {
 // GTX1050 models the paper's correlation target (§IV).
 func GTX1050() *Oracle {
 	return &Oracle{
-		Name: "GTX1050", NumSMs: 5, IssuePerSM: 3.2,
+		NumSMs: 5, IssuePerSM: 3.2,
 		BWBytesPerCycle: 112e9 / 1392e6, // 112 GB/s at 1392 MHz
 		LaunchOverhead:  2800,
-		ClockMHz:        1392,
-		Fudge:           defaultFudge(),
-	}
-}
-
-// GTX1080Ti models the case-study target (§V-A).
-func GTX1080Ti() *Oracle {
-	return &Oracle{
-		Name: "GTX1080Ti", NumSMs: 28, IssuePerSM: 3.2,
-		BWBytesPerCycle: 484e9 / 1481e6,
-		LaunchOverhead:  2800,
-		ClockMHz:        1481,
 		Fudge:           defaultFudge(),
 	}
 }
@@ -93,55 +83,33 @@ func (o *Oracle) fudgeFor(name string) float64 {
 	return 1.0
 }
 
+// Estimate is the hardware cycles of one launch: the larger of its issue
+// time and its DRAM-bandwidth time, scaled by the kernel family's
+// calibration factor, plus the fixed launch overhead. It reads the
+// record's Name, WarpInstrs and OracleSegments only.
+func (o *Oracle) Estimate(k cudart.KernelStats) float64 {
+	compute := float64(k.WarpInstrs) / (float64(o.NumSMs) * o.IssuePerSM)
+	mem := float64(uint64(k.OracleSegments)*exec.SegmentBytes) / o.BWBytesPerCycle
+	return o.LaunchOverhead + max(compute, mem)*o.fudgeFor(k.Name)
+}
+
 // RunKernel implements cudart.Runner: it executes the kernel functionally
-// (hardware is always functionally correct) while counting instructions
-// and coalesced memory traffic, then applies the throughput model.
+// (hardware is always functionally correct) while counting what Estimate
+// reads, and records the launch in Samples.
 func (o *Oracle) RunKernel(g *exec.Grid) (cudart.KernelStats, error) {
-	var warpInstrs, memBytes uint64
-	const segSize = 128
-	scratch := make([]uint64, 0, exec.WarpSize) // a warp touches at most WarpSize segments: never regrown
+	k := cudart.KernelStats{Name: g.Kernel.Name, GridDim: g.GridDim, BlockDim: g.BlockDim}
 	err := g.Machine().ObserveGrid(g, func(info *exec.StepInfo) {
-		warpInstrs++
-		if !info.IsMem || info.Space == 0 {
-			return
-		}
-		// count unique 128B segments like the coalescer
-		segs := scratch
-	lanes:
-		for l := 0; l < exec.WarpSize; l++ {
-			if info.ActiveMask&(1<<l) == 0 {
-				continue
-			}
-			s := info.Addrs[l] &^ (segSize - 1)
-			for _, e := range segs {
-				if e == s {
-					continue lanes
-				}
-			}
-			segs = append(segs, s)
-		}
-		memBytes += uint64(len(segs)) * segSize
+		k.WarpInstrs++
+		k.OracleSegments += uint32(info.Segments())
 	})
 	if err != nil {
 		return cudart.KernelStats{}, err
 	}
-
-	compute := float64(warpInstrs) / (float64(o.NumSMs) * o.IssuePerSM)
-	mem := float64(memBytes) / o.BWBytesPerCycle
-	cycles := compute
-	if mem > cycles {
-		cycles = mem
-	}
-	cycles = o.LaunchOverhead + cycles*o.fudgeFor(g.Kernel.Name)
+	cycles := o.Estimate(k)
 	o.Samples = append(o.Samples, Sample{
-		Name: g.Kernel.Name, Cycles: cycles,
-		WarpInstrs: warpInstrs, MemBytes: memBytes,
+		Name: k.Name, Cycles: cycles,
+		WarpInstrs: k.WarpInstrs, MemBytes: uint64(k.OracleSegments) * exec.SegmentBytes,
 	})
-	return cudart.KernelStats{
-		Name: g.Kernel.Name, GridDim: g.GridDim, BlockDim: g.BlockDim,
-		Cycles: uint64(cycles), WarpInstrs: warpInstrs,
-	}, nil
+	k.Cycles = uint64(cycles)
+	return k, nil
 }
-
-// Reset clears recorded samples.
-func (o *Oracle) Reset() { o.Samples = nil }

@@ -1,6 +1,7 @@
 package hwmodel_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cudart"
@@ -50,34 +51,50 @@ func TestOracleRunsFunctionally(t *testing.T) {
 	if s.WarpInstrs == 0 || s.MemBytes == 0 {
 		t.Errorf("profile counters empty: %+v", s)
 	}
+	// the launch log's record carries the counts the sample was made from,
+	// and scoring it gives the sample's cycles
+	k := ctx.KernelStatsLog()[0]
+	if k.WarpInstrs != s.WarpInstrs || uint64(k.OracleSegments)*exec.SegmentBytes != s.MemBytes {
+		t.Errorf("record counts %d instructions, %d segments; sample %+v", k.WarpInstrs, k.OracleSegments, s)
+	}
+	if got := oracle.Estimate(k); got != s.Cycles {
+		t.Errorf("Estimate(record) = %v, sample cycles %v", got, s.Cycles)
+	}
 }
 
-// TestFudgeMatchesKernelFamilies pins the calibration table's dispatch.
+// TestFudgeMatchesKernelFamilies pins the calibration table's dispatch
+// through Estimate: a kernel's overhead-free estimate over a plain
+// kernel's, for the same counts, is its family's factor. The memBound rows
+// put the bandwidth term on top, so the factor scales whichever term wins.
 func TestFudgeMatchesKernelFamilies(t *testing.T) {
 	o := hwmodel.GTX1050()
-	cases := map[string]bool{ // name -> expect fudge < 1
-		"fft2d_r2c_32x32": true,
-		"cgemm":           true,
-		"gemv2t":          true,
-		"lrn_forward":     true,
-		"relu_forward":    false,
+	issueBound := cudart.KernelStats{WarpInstrs: 1 << 20, OracleSegments: 1}
+	memBound := cudart.KernelStats{WarpInstrs: 1, OracleSegments: 1 << 28} // 2^35 bytes: past uint32
+	for _, c := range []struct {
+		name   string
+		counts cudart.KernelStats
+		factor float64
+	}{
+		{"fft2d_r2c_32x32", issueBound, 0.50},
+		{"fft2d_c2r_16x16", memBound, 0.50},
+		{"cgemm", issueBound, 0.35},
+		{"gemv2t", issueBound, 0.55},
+		{"lrn_forward", memBound, 0.25},
+		{"LRN_Backward", issueBound, 0.25}, // matched case-insensitively
+		{"winograd_fused_2x2_3x3", issueBound, 0.60},
+		{"sgemm_tiled", issueBound, 0.85},
+		{"relu_forward", issueBound, 1},
+		{"pad2d", memBound, 1},
+	} {
+		plain, k := c.counts, c.counts
+		plain.Name, k.Name = "plain", c.name
+		got := (o.Estimate(k) - o.LaunchOverhead) / (o.Estimate(plain) - o.LaunchOverhead)
+		if math.Abs(got-c.factor) > 1e-12 {
+			t.Errorf("%s: estimate scaled by %v, want %v", c.name, got, c.factor)
+		}
 	}
-	for name, fudged := range cases {
-		// exercise via a private-equivalent path: compare two oracles'
-		// overhead-stripped estimates using the exported Fudge map
-		f := 1.0
-		for sub, v := range o.Fudge {
-			low := name
-			if len(sub) <= len(low) {
-				for i := 0; i+len(sub) <= len(low); i++ {
-					if low[i:i+len(sub)] == sub {
-						f = v
-					}
-				}
-			}
-		}
-		if (f < 1) != fudged {
-			t.Errorf("%s: fudge %v, expected fudged=%v", name, f, fudged)
-		}
+	if o.Estimate(memBound) <= o.Estimate(issueBound) {
+		t.Errorf("2^28 segments (%v cycles) estimated no slower than 2^20 instructions (%v): the bandwidth term is not the larger",
+			o.Estimate(memBound), o.Estimate(issueBound))
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"math/rand"
 
 	"repro/internal/cudnn"
-	"repro/internal/exec"
 	"repro/internal/ref"
 	"repro/internal/torch"
 )
@@ -210,40 +209,6 @@ func (m *LeNet) TrainStep(images []float32, labels []int32, lr float32) (float32
 		return 0, err
 	}
 	return loss, nil
-}
-
-// SelfCheck classifies n images on the simulated GPU and on the CPU
-// reference and reports whether every classification agrees — the analog
-// of the MNIST sample's self-checking code that the paper relied on for
-// functional validation.
-func (m *LeNet) SelfCheck(images []float32, n int) (bool, []int, []int, error) {
-	gpuProbs, err := m.Forward(images, n)
-	if err != nil {
-		return false, nil, nil, err
-	}
-	cpuProbs := m.ForwardCPU(images, n)
-	gpuCls := ref.Argmax(gpuProbs, n, NumClasses)
-	cpuCls := ref.Argmax(cpuProbs, n, NumClasses)
-	ok := true
-	for i := range gpuCls {
-		if gpuCls[i] != cpuCls[i] {
-			ok = false
-		}
-	}
-	return ok, gpuCls, cpuCls, nil
-}
-
-// NewDefaultLeNet builds a LeNet on a fresh device with default algorithms.
-func NewDefaultLeNet(bugs exec.BugSet) (*LeNet, *torch.Device, error) {
-	dev, err := torch.NewDevice(bugs)
-	if err != nil {
-		return nil, nil, err
-	}
-	model, err := NewLeNet(dev, 7, DefaultAlgos())
-	if err != nil {
-		return nil, nil, err
-	}
-	return model, dev, nil
 }
 
 // Describe returns a human-readable summary of the network.

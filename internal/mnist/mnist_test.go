@@ -2,38 +2,52 @@ package mnist_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/exec"
 	"repro/internal/mnist"
 	"repro/internal/ptx"
+	"repro/internal/ref"
+	"repro/internal/torch"
 )
+
+// newLeNet builds the §IV model (seed 7, default algorithms) on a fresh
+// functional device.
+func newLeNet(t *testing.T, bugs exec.BugSet) *mnist.LeNet {
+	t.Helper()
+	dev, err := torch.NewDevice(bugs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := mnist.NewLeNet(dev, 7, mnist.DefaultAlgos())
+	if err != nil {
+		t.Fatalf("model: %v", err)
+	}
+	return model
+}
 
 // TestSelfCheckInference is the paper's functional validation: the LeNet
 // forward pass on the simulated GPU (FFT + Winograd + GEMV2T + LRN
 // kernels) must classify exactly like the CPU reference.
 func TestSelfCheckInference(t *testing.T) {
-	model, _, err := mnist.NewDefaultLeNet(exec.BugSet{})
-	if err != nil {
-		t.Fatalf("model: %v", err)
-	}
+	model := newLeNet(t, exec.BugSet{})
 	ds := mnist.NewDataset(1)
 	images, _ := ds.Batch(3) // the paper simulates 3 images
-	ok, gpu, cpu, err := model.SelfCheck(images, 3)
+	probs, err := model.Forward(images, 3)
 	if err != nil {
-		t.Fatalf("self check: %v", err)
+		t.Fatalf("forward: %v", err)
 	}
-	if !ok {
+	gpu := ref.Argmax(probs, 3, mnist.NumClasses)
+	cpu := ref.Argmax(model.ForwardCPU(images, 3), 3, mnist.NumClasses)
+	if !slices.Equal(gpu, cpu) {
 		t.Fatalf("GPU and CPU classifications disagree: %v vs %v", gpu, cpu)
 	}
 }
 
 // TestGPUProbsMatchCPU tightens the self-check to the probability level.
 func TestGPUProbsMatchCPU(t *testing.T) {
-	model, _, err := mnist.NewDefaultLeNet(exec.BugSet{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	model := newLeNet(t, exec.BugSet{})
 	ds := mnist.NewDataset(2)
 	images, _ := ds.Batch(2)
 	gpuProbs, err := model.Forward(images, 2)
@@ -60,10 +74,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training loop is slow under -short")
 	}
-	model, _, err := mnist.NewDefaultLeNet(exec.BugSet{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	model := newLeNet(t, exec.BugSet{})
 	ds := mnist.NewDataset(3)
 	images, labels := ds.Batch(2)
 	first, err := model.TrainStep(images, labels, 0.05)
@@ -97,14 +108,8 @@ func TestTrainingReducesLoss(t *testing.T) {
 // which perturbs every rem result the way any incorrect implementation
 // would have.
 func TestRemBugBreaksMNIST(t *testing.T) {
-	good, _, err := mnist.NewDefaultLeNet(exec.BugSet{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad, _, err := mnist.NewDefaultLeNet(exec.BugSet{BreakOp: ptx.OpRem})
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := newLeNet(t, exec.BugSet{})
+	bad := newLeNet(t, exec.BugSet{BreakOp: ptx.OpRem})
 	ds := mnist.NewDataset(4)
 	images, _ := ds.Batch(1)
 	goodProbs, err := good.Forward(images, 1)

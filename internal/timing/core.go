@@ -51,9 +51,12 @@ type smCore struct {
 
 	// runInstrs is the counter ledger's instruction half: warp
 	// instructions committed per dense per-drain grid id, counted here and
-	// nowhere else. Sized by the engine at the start of every drain, taken
-	// out when the kernel retires (Engine.foldRun).
+	// nowhere else; runSegs beside it sums their StepInfo.Segments, the
+	// hardware oracle's traffic count, which has no engine total. Sized by
+	// the engine at the start of every drain, taken out when the kernel
+	// retires (Engine.foldRun).
 	runInstrs []uint64
+	runSegs   []uint64
 
 	// checkSlots: some resident slot has check set.
 	checkSlots bool
@@ -360,6 +363,7 @@ func (c *smCore) issue(m *exec.Machine, w *warpCtx, now uint64) error {
 		w.markDst(ii.Dst, now+uint64(e.cfg.latency(ii.Lat)))
 		return nil
 	}
+	c.runSegs[w.runID] += uint64(info.Segments())
 
 	switch info.Space {
 	case ptx.SpaceShared:

@@ -295,10 +295,11 @@ func (t *Ticket) Stats() (cudart.KernelStats, error) {
 // record assigns the ticket its kernel's record: the one conversion from
 // the ledger to the launch log's view of it (KernelStats has no room for
 // the segment latency sums, which the ticket keeps in mem).
-func (t *Ticket) record(instrs uint64, mem MemCounters) {
+func (t *Ticket) record(instrs, segs uint64, mem MemCounters) {
 	t.mem = mem
 	st := &t.stats
 	st.WarpInstrs = instrs
+	st.OracleSegments = uint32(segs)
 	st.L2Accesses = mem.L2Accesses
 	st.L2Hits = mem.L2Hits
 	st.L2Misses = mem.L2Misses
@@ -694,6 +695,8 @@ func (e *Engine) sizeShards() {
 		c.stats.rebase(e.cycle)
 		c.runInstrs = slices.Grow(c.runInstrs[:0], nKernels)[:nKernels]
 		clear(c.runInstrs)
+		c.runSegs = slices.Grow(c.runSegs[:0], nKernels)[:nKernels]
+		clear(c.runSegs)
 	}
 }
 
@@ -773,7 +776,7 @@ func (e *Engine) finishReplay(t *Ticket) error {
 // per-launch path (finishReplay) and the batch rung (replayBatch), so the
 // two cannot diverge on it.
 func (e *Engine) retireReplayed(t *Ticket, ent *replayEntry) {
-	t.record(ent.instrs, ent.mem)
+	t.record(ent.instrs, ent.segs, ent.mem)
 	e.stats.add(ent.instrs, ent.mem)
 	t.stats.Cycles = t.endCycle - t.startCycle
 	t.stats.Replayed = true
@@ -784,19 +787,21 @@ func (e *Engine) retireReplayed(t *Ticket, ent *replayEntry) {
 // foldRun takes kernel id's record out of the cores' and partitions'
 // shards and adds it to the engine totals — the one place a detailed
 // kernel's counters are read, so totals are sums of records by
-// construction. Runs on the coordinator between cycle phases (cores and
-// partitions idle), so reading the shards is race-free.
-func (e *Engine) foldRun(id int) (instrs uint64, mem MemCounters) {
+// construction (segs has no total: it lives in the kernel log only). Runs
+// on the coordinator between cycle phases (cores and partitions idle), so
+// reading the shards is race-free.
+func (e *Engine) foldRun(id int) (instrs, segs uint64, mem MemCounters) {
 	for _, c := range e.cores {
 		instrs += c.runInstrs[id]
-		c.runInstrs[id] = 0
+		segs += c.runSegs[id]
+		c.runInstrs[id], c.runSegs[id] = 0, 0
 	}
 	for _, pt := range e.parts {
 		mem.add(pt.perKernel[id])
 		pt.perKernel[id] = MemCounters{}
 	}
 	e.stats.add(instrs, mem)
-	return instrs, mem
+	return instrs, segs, mem
 }
 
 // finishRun retires a finished grid at cycle now: its record is folded
@@ -806,8 +811,8 @@ func (e *Engine) foldRun(id int) (instrs uint64, mem MemCounters) {
 // accounting.
 func (e *Engine) finishRun(r *gridRun, now uint64) {
 	t := r.op
-	instrs, mem := e.foldRun(r.id)
-	t.record(instrs, mem)
+	instrs, segs, mem := e.foldRun(r.id)
+	t.record(instrs, segs, mem)
 	st := &t.stats
 	st.Cycles = now + 1 - t.startCycle
 	t.done = true
@@ -824,7 +829,7 @@ func (e *Engine) finishRun(r *gridRun, now uint64) {
 				e.stats.ReplayDriftCycles += d
 			}
 		}
-		e.replay.stage(t.sig, replayEntry{cycles: st.Cycles, instrs: instrs, mem: mem})
+		e.replay.stage(t.sig, replayEntry{cycles: st.Cycles, instrs: instrs, segs: segs, mem: mem})
 	}
 }
 

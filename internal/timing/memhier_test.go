@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -232,10 +233,10 @@ type ledgerRig struct {
 	tickets []*Ticket
 }
 
-func newLedgerRig(t *testing.T, cfg Config) *ledgerRig {
+func newLedgerRig(t *testing.T, cfg Config, opts ...Option) *ledgerRig {
 	t.Helper()
 	ctx := cudart.NewContext(exec.BugSet{})
-	eng, err := New(cfg)
+	eng, err := New(cfg, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,6 +339,40 @@ func TestPerKernelMemCounters(t *testing.T) {
 			}
 			if r.eng.Stats().ReplayBatchHits == 0 {
 				t.Fatal("no batch retired as one memoized unit")
+			}
+		}},
+		{"mem_segments_every_retirement", replay, func(t *testing.T, r *ledgerRig) {
+			// the hardware oracle's traffic count of one signature is the
+			// same however its launch retires, at -j1 and -j2
+			walk := func(r *ledgerRig) (segs []uint32, how map[string]bool) {
+				px, py := r.buffers(192)
+				qx, qy := r.buffers(64)
+				how = map[string]bool{}
+				for i := 0; i < 6; i++ {
+					rungHits := r.eng.Stats().ReplayBatchHits
+					tk := r.sqadd(0, px, py, 192)
+					r.sqadd(1, qx, qy, 64)
+					r.sqadd(1, px, py, 192)
+					r.drain()
+					switch {
+					case r.eng.Stats().ReplayBatchHits > rungHits:
+						how["batch rung"] = true
+					case tk.stats.Replayed:
+						how["per-launch replay"] = true
+					default:
+						how["detailed"] = true
+					}
+					segs = append(segs, tk.stats.OracleSegments)
+				}
+				return segs, how
+			}
+			j1, how := walk(r)
+			j2, _ := walk(newLedgerRig(t, replay, WithWorkers(2)))
+			if len(how) != 3 {
+				t.Fatalf("the launch retired %v; want detailed, per-launch replay and batch rung", how)
+			}
+			if j1[0] == 0 || slices.ContainsFunc(j1, func(s uint32) bool { return s != j1[0] }) || !slices.Equal(j1, j2) {
+				t.Fatalf("OracleSegments per retirement: %v at -j1, %v at -j2; want one non-zero value", j1, j2)
 			}
 		}},
 		{"batch_aborted_by_fault", GTX1050(), func(t *testing.T, r *ledgerRig) {

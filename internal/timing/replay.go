@@ -61,6 +61,7 @@ type replaySig struct {
 type replayEntry struct {
 	cycles uint64      // admission-to-retirement duration
 	instrs uint64      // warp instructions committed
+	segs   uint64      // their StepInfo.Segments (cudart.KernelStats.OracleSegments)
 	mem    MemCounters // per-kernel memory counters, incl. segment latency stats
 	hits   uint64      // lookups served since recorded; drives the re-sampling cadence
 	stale  bool        // commit replaced it: no longer the cache's entry for its signature

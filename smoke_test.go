@@ -51,9 +51,6 @@ func TestMainPackagesSmoke(t *testing.T) {
 		{"gpgpusim_workload_transformer_multigpu", "transformer_devices2", []string{"-workload", "transformer", "-devices", "2"}},
 		{"gpgpusim_workload_serve", "", []string{"-workload", "serve", "-requests", "8"}},
 		{"gpgpusim_workload_serve_diurnal", "serve_diurnal", []string{"-workload", "serve", "-trace", "internal/serve/testdata/diurnal.trace"}},
-		{"gpgpusim_workload_membound", "membound", []string{"-workload", "membound"}},
-		{"bank_camping", "camping", []string{"-workload", "camping"}},
-		{"gpgpusim_workload_mnist", "mnist_images1", []string{"-workload", "mnist", "-images", "1"}},
 		{"convsample", "convsample_small", []string{"-workload", "convsample", "-c", "2", "-k", "2", "-hw", "12"}},
 		{"debugtool", "debug_rem", []string{"-workload", "debug", "-break", "rem"}},
 		{"debug_workflow", "debug_brev", []string{"-workload", "debug", "-break", "brev"}},
