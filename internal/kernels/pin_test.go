@@ -32,7 +32,17 @@ var moduleNames = []string{
 type libraryPin struct {
 	SHA256  string      `json:"sha256"` // of the ten modules concatenated
 	Bytes   int         `json:"bytes"`
+	Kernels []kernelPin `json:"kernels"`
 	Modules []modulePin `json:"modules"`
+}
+
+// kernelPin pins one .entry of one module (fill_zero is in two), so a
+// pin diff names exactly the kernels it adds, removes or changes.
+type kernelPin struct {
+	Module string `json:"module"`
+	Entry  string `json:"entry"`
+	SHA256 string `json:"sha256"`
+	Bytes  int    `json:"bytes"`
 }
 
 type modulePin struct {
@@ -67,8 +77,33 @@ func pinOf(mods []string) libraryPin {
 		pin.Modules = append(pin.Modules, modulePin{
 			Name: moduleNames[i], SHA256: sha(src), Bytes: len(src), Lines: marks.String(),
 		})
+		for _, k := range entries(src) {
+			pin.Kernels = append(pin.Kernels, kernelPin{
+				Module: moduleNames[i], Entry: k.name, SHA256: sha(k.text), Bytes: len(k.text),
+			})
+		}
 	}
 	return pin
+}
+
+type entry struct{ name, text string }
+
+// entries splits a module into its kernels: each runs from its
+// ".visible .entry" line through the closing brace Builder.Build emits.
+func entries(src string) []entry {
+	const head = ".visible .entry "
+	var out []entry
+	for {
+		start := strings.Index(src, head)
+		if start < 0 {
+			return out
+		}
+		src = src[start:]
+		end := strings.Index(src, "\n}\n") + len("\n}\n")
+		name, _, _ := strings.Cut(src[len(head):], "(")
+		out = append(out, entry{name, src[:end]})
+		src = src[end:]
+	}
 }
 
 // firstDiff locates the first line of src whose mark differs from the
@@ -130,6 +165,25 @@ func TestLibraryPTXPinned(t *testing.T) {
 			t.Errorf("module %d (%s): %d bytes sha256 %s, pinned %d bytes sha256 %s\n\t%s",
 				i, w.Name, g.Bytes, g.SHA256, w.Bytes, w.SHA256, firstDiff(mods[i], w.Lines))
 		}
+	}
+	gotKernels := map[[2]string]kernelPin{}
+	for _, k := range got.Kernels {
+		gotKernels[[2]string{k.Module, k.Entry}] = k
+	}
+	for _, w := range want.Kernels {
+		key := [2]string{w.Module, w.Entry}
+		g, ok := gotKernels[key]
+		switch {
+		case !ok:
+			t.Errorf("kernel %s/%s: pinned, no longer generated", w.Module, w.Entry)
+		case g != w:
+			t.Errorf("kernel %s/%s: %d bytes sha256 %s, pinned %d bytes sha256 %s",
+				w.Module, w.Entry, g.Bytes, g.SHA256, w.Bytes, w.SHA256)
+		}
+		delete(gotKernels, key)
+	}
+	for key := range gotKernels {
+		t.Errorf("kernel %s/%s: generated, not pinned", key[0], key[1])
 	}
 	if got.SHA256 != want.SHA256 || got.Bytes != want.Bytes {
 		t.Errorf("library: %d bytes sha256 %s, pinned %d bytes sha256 %s",
