@@ -17,7 +17,7 @@ func stepBenchKernel(class string) string {
 	iters := b.LoadU32(b.U32Param("pIters"))
 	gid := b.GlobalTidX()
 	addr := b.ElemAddr(buf, gid, 4)
-	i := b.R("r")
+	i := b.R(kernels.B32)
 	loop, done := b.NewLabel("loop"), b.NewLabel("done")
 	// each case emits its set-up now and returns the eight-instruction body
 	var body func()
@@ -30,7 +30,7 @@ func stepBenchKernel(class string) string {
 	}
 	switch class {
 	case "alu_f32":
-		x, h, t, u := b.MovF32(1), b.MovF32(0.5), b.R("f"), b.R("f")
+		x, h, t, u := b.MovF32(1), b.MovF32(0.5), b.R(kernels.F32), b.R(kernels.F32)
 		body = repeat(2, func() {
 			b.I("fma.rn.f32 %s, %s, %s, %s;", x, x, h, h)
 			b.I("add.f32 %s, %s, %s;", t, x, h)
@@ -38,7 +38,7 @@ func stepBenchKernel(class string) string {
 			b.I("max.f32 %s, %s, %s;", x, u, h)
 		})
 	case "alu_s32":
-		x, t, u, v := b.R("r"), b.R("r"), b.R("r"), b.R("r")
+		x, t, u, v := b.R(kernels.B32), b.R(kernels.B32), b.R(kernels.B32), b.R(kernels.B32)
 		b.I("mov.u32 %s, 3;", x)
 		body = repeat(2, func() {
 			b.I("add.s32 %s, %s, %s;", t, gid, x)
@@ -47,7 +47,7 @@ func stepBenchKernel(class string) string {
 			b.I("and.b32 %s, %s, 1023;", x, v)
 		})
 	case "cvt_setp":
-		lim, f, r, p, q := b.MovF32(2), b.R("f"), b.R("r"), b.R("p"), b.R("p")
+		lim, f, r, p, q := b.MovF32(2), b.R(kernels.F32), b.R(kernels.B32), b.R(kernels.Pred), b.R(kernels.Pred)
 		body = repeat(2, func() {
 			b.I("cvt.rn.f32.u32 %s, %s;", f, i)
 			b.I("setp.lt.f32 %s, %s, %s;", p, f, lim)
@@ -55,24 +55,24 @@ func stepBenchKernel(class string) string {
 			b.I("setp.eq.s32 %s, %s, %s;", q, r, gid)
 		})
 	case "ld_global":
-		f := b.R("f")
+		f := b.R(kernels.F32)
 		body = repeat(8, func() { b.I("ld.global.f32 %s, [%s];", f, addr) })
 	case "st_global":
 		f := b.MovF32(1)
 		body = repeat(8, func() { b.I("st.global.f32 [%s], %s;", addr, f) })
 	case "ld_shared":
 		sbuf := b.Shared("sbuf", 512, 4)
-		base, sa, f, tid := b.R("r"), b.R("r"), b.R("f"), b.R("r")
+		base, sa, f, tid := b.R(kernels.B32), b.R(kernels.B32), b.R(kernels.F32), b.R(kernels.B32)
 		b.I("mov.u32 %s, %s;", base, sbuf)
 		b.I("mov.u32 %s, %%tid.x;", tid)
 		b.I("mad.lo.s32 %s, %s, 4, %s;", sa, tid, base)
 		b.I("st.shared.f32 [%s], %s;", sa, b.MovF32(1))
 		body = repeat(8, func() { b.I("ld.shared.f32 %s, [%s];", f, sa) })
 	case "atom_global":
-		f, one := b.R("f"), b.MovF32(1)
+		f, one := b.R(kernels.F32), b.MovF32(1)
 		body = repeat(8, func() { b.I("atom.global.add.f32 %s, [%s], %s;", f, addr, one) })
 	case "bra_div":
-		odd, p, n := b.R("r"), b.R("p"), b.R("r")
+		odd, p, n := b.R(kernels.B32), b.R(kernels.Pred), b.R(kernels.B32)
 		b.I("and.b32 %s, %s, 1;", odd, gid)
 		b.I("setp.eq.u32 %s, %s, 1;", p, odd)
 		b.I("mov.u32 %s, 0;", n)

@@ -13,7 +13,6 @@ package kernels
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 )
 
@@ -23,30 +22,38 @@ type Builder struct {
 	params     []string
 	decls      []string
 	body       []string
-	counts     map[string]int
+	counts     [numRegClasses]int
 	labelCount int
 }
 
 // NewBuilder starts a kernel with the given entry name.
 func NewBuilder(name string) *Builder {
-	return &Builder{name: name, counts: make(map[string]int)}
+	return &Builder{name: name}
 }
 
-// regClasses are the register classes and their PTX types, in the order
-// Build declares them (a fixed one, so a kernel's text is the same on
-// every call).
-var regClasses = [][2]string{
-	{"p", "pred"}, {"r", "b32"}, {"rd", "b64"}, {"f", "f32"}, {"fd", "f64"}, {"h", "b16"},
+// RegClass is a virtual-register class. Build declares the classes in
+// this order (a fixed one, so a kernel's text is the same on every call).
+type RegClass uint8
+
+const (
+	Pred RegClass = iota // %p<n>, .pred
+	B32                  // %r<n>, .b32
+	B64                  // %rd<n>, .b64
+	F32                  // %f<n>, .f32
+	B16                  // %h<n>, .b16
+	numRegClasses
+)
+
+// regClasses holds each class's register-name prefix and PTX type.
+var regClasses = [numRegClasses]struct{ prefix, typ string }{
+	Pred: {"p", "pred"}, B32: {"r", "b32"}, B64: {"rd", "b64"}, F32: {"f", "f32"}, B16: {"h", "b16"},
 }
 
 // R allocates a fresh virtual register of the given class and returns its
 // name (e.g. "%r7").
-func (b *Builder) R(class string) string {
-	if !slices.ContainsFunc(regClasses, func(c [2]string) bool { return c[0] == class }) {
-		panic("kernels: unknown register class " + class)
-	}
+func (b *Builder) R(class RegClass) string {
 	b.counts[class]++
-	return fmt.Sprintf("%%%s%d", class, b.counts[class])
+	return fmt.Sprintf("%%%s%d", regClasses[class].prefix, b.counts[class])
 }
 
 // PtrParam declares a .u64 pointer parameter.
@@ -103,9 +110,9 @@ func (b *Builder) Build() string {
 		fmt.Fprintf(&sb, "\t%s%s\n", p, sep)
 	}
 	sb.WriteString(")\n{\n")
-	for _, c := range regClasses {
-		if n := b.counts[c[0]]; n > 0 {
-			fmt.Fprintf(&sb, "\t.reg .%s %%%s<%d>;\n", c[1], c[0], n+1)
+	for class, n := range b.counts {
+		if c := regClasses[class]; n > 0 {
+			fmt.Fprintf(&sb, "\t.reg .%s %%%s<%d>;\n", c.typ, c.prefix, n+1)
 		}
 	}
 	for _, d := range b.decls {
@@ -136,8 +143,8 @@ func Module(textures []string, kernelSrcs ...string) string {
 
 // GlobalTidX emits code computing ctaid.x*ntid.x+tid.x into a fresh b32.
 func (b *Builder) GlobalTidX() string {
-	cta, nt, tid := b.R("r"), b.R("r"), b.R("r")
-	out := b.R("r")
+	cta, nt, tid := b.R(B32), b.R(B32), b.R(B32)
+	out := b.R(B32)
 	b.I("mov.u32 %s, %%ctaid.x;", cta)
 	b.I("mov.u32 %s, %%ntid.x;", nt)
 	b.I("mov.u32 %s, %%tid.x;", tid)
@@ -147,7 +154,7 @@ func (b *Builder) GlobalTidX() string {
 
 // LoadPtr loads a pointer parameter and converts it to a global address.
 func (b *Builder) LoadPtr(param string) string {
-	rd := b.R("rd")
+	rd := b.R(B64)
 	b.I("ld.param.u64 %s, [%s];", rd, param)
 	b.I("cvta.to.global.u64 %s, %s;", rd, rd)
 	return rd
@@ -155,22 +162,22 @@ func (b *Builder) LoadPtr(param string) string {
 
 // LoadU32 loads a u32 parameter.
 func (b *Builder) LoadU32(param string) string {
-	r := b.R("r")
+	r := b.R(B32)
 	b.I("ld.param.u32 %s, [%s];", r, param)
 	return r
 }
 
 // LoadF32 loads an f32 parameter.
 func (b *Builder) LoadF32(param string) string {
-	f := b.R("f")
+	f := b.R(F32)
 	b.I("ld.param.f32 %s, [%s];", f, param)
 	return f
 }
 
 // ElemAddr emits address arithmetic: base + idx*elemSize (idx is b32).
 func (b *Builder) ElemAddr(base, idx string, elemSize int) string {
-	off := b.R("rd")
-	out := b.R("rd")
+	off := b.R(B64)
+	out := b.R(B64)
 	b.I("mul.wide.u32 %s, %s, %d;", off, idx, elemSize)
 	b.I("add.s64 %s, %s, %s;", out, base, off)
 	return out
@@ -183,7 +190,7 @@ func F32Imm(v float32) string {
 
 // MovF32 emits a float constant into a fresh f32 register.
 func (b *Builder) MovF32(v float32) string {
-	f := b.R("f")
+	f := b.R(F32)
 	b.I("mov.f32 %s, %s;", f, F32Imm(v))
 	return f
 }
@@ -191,7 +198,7 @@ func (b *Builder) MovF32(v float32) string {
 // GuardEnd emits "if idx >= n goto END" using a fresh predicate; the
 // caller must emit the END label before ret (Build adds ret after body).
 func (b *Builder) GuardEnd(idx, n, endLabel string) {
-	p := b.R("p")
+	p := b.R(Pred)
 	b.I("setp.ge.u32 %s, %s, %s;", p, idx, n)
 	b.I("@%s bra %s;", p, endLabel)
 }
@@ -214,10 +221,10 @@ func (b *Builder) loop(head, endHint, start, limit, step string, body func(i str
 // nextHint (ahead of the exit label) and placed just before the
 // increment, which body branches to in order to skip an iteration.
 func (b *Builder) loopNext(head, nextHint, endHint, start, limit, step string, body func(i, next string)) {
-	i := b.R("r")
+	i := b.R(B32)
 	b.I("mov.u32 %s, %s;", i, start)
 	b.L(head)
-	p := b.R("p")
+	p := b.R(Pred)
 	var next string
 	if nextHint != "" {
 		next = b.NewLabel(nextHint)
@@ -237,7 +244,7 @@ func (b *Builder) loopNext(head, nextHint, endHint, start, limit, step string, b
 // remDiv emits one step of a flat-index decomposition: rem = x % d and
 // quot = x / d, in that order.
 func (b *Builder) remDiv(x, d string) (rem, quot string) {
-	rem, quot = b.R("r"), b.R("r")
+	rem, quot = b.R(B32), b.R(B32)
 	b.I("rem.u32 %s, %s, %s;", rem, x, d)
 	b.I("div.u32 %s, %s, %s;", quot, x, d)
 	return rem, quot
@@ -245,7 +252,7 @@ func (b *Builder) remDiv(x, d string) (rem, quot string) {
 
 // divRem is remDiv for the kernels that take the quotient first.
 func (b *Builder) divRem(x, d string) (quot, rem string) {
-	quot, rem = b.R("r"), b.R("r")
+	quot, rem = b.R(B32), b.R(B32)
 	b.I("div.u32 %s, %s, %s;", quot, x, d)
 	b.I("rem.u32 %s, %s, %s;", rem, x, d)
 	return quot, rem
@@ -255,7 +262,7 @@ func (b *Builder) divRem(x, d string) (quot, rem string) {
 // a fresh register; after the leading index the arguments alternate
 // extent, index: flatIndex(i0, d1, i1, d2, i2).
 func (b *Builder) flatIndex(i0 string, extIdx ...string) string {
-	out, acc := b.R("r"), i0
+	out, acc := b.R(B32), i0
 	for j := 0; j < len(extIdx); j += 2 {
 		b.I("mad.lo.s32 %s, %s, %s, %s;", out, acc, extIdx[j], extIdx[j+1])
 		acc = out
@@ -271,21 +278,21 @@ func (b *Builder) flatIndex(i0 string, extIdx ...string) string {
 func (b *Builder) reduceShared(op string, width int, tid, slot, partial, loop, endHint, skipHint string) {
 	b.I("st.shared.f32 [%s], %s;", slot, partial)
 	b.I("bar.sync 0;")
-	step := b.R("r")
+	step := b.R(B32)
 	b.I("mov.u32 %s, %d;", step, width/2)
 	b.L(loop)
-	pz := b.R("p")
+	pz := b.R(Pred)
 	end := b.NewLabel(endHint)
 	b.I("setp.eq.u32 %s, %s, 0;", pz, step)
 	b.I("@%s bra %s;", pz, end)
-	pact := b.R("p")
+	pact := b.R(Pred)
 	skip := b.NewLabel(skipHint)
 	b.I("setp.ge.u32 %s, %s, %s;", pact, tid, step)
 	b.I("@%s bra %s;", pact, skip)
-	offr, other := b.R("r"), b.R("r")
+	offr, other := b.R(B32), b.R(B32)
 	b.I("shl.b32 %s, %s, 2;", offr, step)
 	b.I("add.u32 %s, %s, %s;", other, slot, offr)
-	va, vb := b.R("f"), b.R("f")
+	va, vb := b.R(F32), b.R(F32)
 	b.I("ld.shared.f32 %s, [%s];", va, slot)
 	b.I("ld.shared.f32 %s, [%s];", vb, other)
 	b.I("%s.f32 %s, %s, %s;", op, va, va, vb)

@@ -11,13 +11,13 @@ package kernels
 func pixelIndex(b *Builder, pC, pH, pW, end string) (idx, c, y, x, n string, ext [3]string) {
 	idx = b.GlobalTidX()
 	ext = [3]string{b.LoadU32(pC), b.LoadU32(pH), b.LoadU32(pW)}
-	tot := b.R("r")
+	tot := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, ext[0], ext[1])
 	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, ext[2])
 	b.GuardEnd(idx, tot, end)
 	x, t1 := b.remDiv(idx, ext[2])
 	y, c = b.remDiv(t1, ext[1])
-	n = b.R("r")
+	n = b.R(B32)
 	b.I("mov.u32 %s, %%ctaid.y;", n)
 	return idx, c, y, x, n, ext
 }
@@ -25,7 +25,7 @@ func pixelIndex(b *Builder, pC, pH, pW, end string) (idx, c, y, x, n string, ext
 // patchOrigin emits the top-left input coordinate (oy*stride-pad,
 // ox*stride-pad) of the filter window of output pixel (oy, ox).
 func patchOrigin(b *Builder, oy, ox, stride, pad string) (iy0, ix0 string) {
-	iy0, ix0 = b.R("r"), b.R("r")
+	iy0, ix0 = b.R(B32), b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", iy0, oy, stride)
 	b.I("sub.u32 %s, %s, %s;", iy0, iy0, pad)
 	b.I("mul.lo.u32 %s, %s, %s;", ix0, ox, stride)
@@ -35,10 +35,10 @@ func patchOrigin(b *Builder, oy, ox, stride, pad string) (iy0, ix0 string) {
 
 // imageOffset emits n*C*H*W, the flat offset of image n.
 func imageOffset(b *Builder, n, c, h, w string) string {
-	chw := b.R("r")
+	chw := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", chw, c, h)
 	b.I("mul.lo.u32 %s, %s, %s;", chw, chw, w)
-	imgOff := b.R("r")
+	imgOff := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", imgOff, n, chw)
 	return imgOff
 }
@@ -74,16 +74,16 @@ func convForwardImplicitGemm() string {
 	acc := b.MovF32(0)
 	b.loop("C_LOOP", "c_end", "0", c, "1", func(cc string) {
 		b.loop("RR_LOOP", "rr_end", "0", r, "1", func(rr string) {
-			iy := b.R("r")
+			iy := b.R(B32)
 			b.I("add.u32 %s, %s, %s;", iy, iy0, rr)
-			pskipR := b.R("p")
+			pskipR := b.R(Pred)
 			rnext := b.NewLabel("rr_next")
 			b.I("setp.ge.u32 %s, %s, %s;", pskipR, iy, h)
 			b.I("@%s bra %s;", pskipR, rnext)
 			b.loopNext("SS_LOOP", "ss_next", "ss_end", "0", s, "1", func(ss, snext string) {
-				ix := b.R("r")
+				ix := b.R(B32)
 				b.I("add.u32 %s, %s, %s;", ix, ix0, ss)
-				pskipS := b.R("p")
+				pskipS := b.R(Pred)
 				b.I("setp.ge.u32 %s, %s, %s;", pskipS, ix, w)
 				b.I("@%s bra %s;", pskipS, snext)
 				// x[n, cc, iy, ix]
@@ -92,7 +92,7 @@ func convForwardImplicitGemm() string {
 				ax := b.ElemAddr(xB, xi, 4)
 				// w[kk, cc, rr, ss]
 				aw := b.ElemAddr(wB, b.flatIndex(kk, c, cc, r, rr, s, ss), 4)
-				vx, vw := b.R("f"), b.R("f")
+				vx, vw := b.R(F32), b.R(F32)
 				b.I("ld.global.f32 %s, [%s];", vx, ax)
 				b.I("ld.global.f32 %s, [%s];", vw, aw)
 				b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vx, vw, acc)
@@ -102,8 +102,8 @@ func convForwardImplicitGemm() string {
 	})
 
 	// y[n, kk, oy, ox] = acc  (idx already enumerates k*OH*OW)
-	ohw := b.R("r")
-	khw := b.R("r")
+	ohw := b.R(B32)
+	khw := b.R(B32)
 	kreg := b.LoadU32(pK)
 	oh2 := b.LoadU32(pOH)
 	ow2 := b.LoadU32(pOW)
@@ -143,33 +143,33 @@ func convBwdDataAlgo0() string {
 	b.loop("K_LOOP", "k_end", "0", k, "1", func(kk string) {
 		b.loop("RD_LOOP", "rd_end", "0", r, "1", func(rr string) {
 			b.loopNext("SD_LOOP", "sd_next", "sd_end", "0", s, "1", func(ss, snext string) {
-				ny, nx := b.R("r"), b.R("r")
+				ny, nx := b.R(B32), b.R(B32)
 				b.I("add.u32 %s, %s, %s;", ny, iy, pad)
 				b.I("sub.u32 %s, %s, %s;", ny, ny, rr)
 				b.I("add.u32 %s, %s, %s;", nx, ix, pad)
 				b.I("sub.u32 %s, %s, %s;", nx, nx, ss)
-				pv := b.R("p")
-				lim := b.R("r")
+				pv := b.R(Pred)
+				lim := b.R(B32)
 				b.I("mul.lo.u32 %s, %s, %s;", lim, oh, stride)
 				b.I("setp.ge.u32 %s, %s, %s;", pv, ny, lim)
 				b.I("@%s bra %s;", pv, snext)
 				b.I("mul.lo.u32 %s, %s, %s;", lim, ow, stride)
 				b.I("setp.ge.u32 %s, %s, %s;", pv, nx, lim)
 				b.I("@%s bra %s;", pv, snext)
-				remv := b.R("r")
+				remv := b.R(B32)
 				b.I("rem.u32 %s, %s, %s;", remv, ny, stride)
 				b.I("setp.ne.u32 %s, %s, 0;", pv, remv)
 				b.I("@%s bra %s;", pv, snext)
 				b.I("rem.u32 %s, %s, %s;", remv, nx, stride)
 				b.I("setp.ne.u32 %s, %s, 0;", pv, remv)
 				b.I("@%s bra %s;", pv, snext)
-				oyv, oxv := b.R("r"), b.R("r")
+				oyv, oxv := b.R(B32), b.R(B32)
 				b.I("div.u32 %s, %s, %s;", oyv, ny, stride)
 				b.I("div.u32 %s, %s, %s;", oxv, nx, stride)
 				// dy[n, kk, oyv, oxv] and w[kk, cc, rr, ss]
 				ady := b.ElemAddr(dyB, b.flatIndex(n, k, kk, oh, oyv, ow, oxv), 4)
 				aw := b.ElemAddr(wB, b.flatIndex(kk, c, cc, r, rr, s, ss), 4)
-				vdy, vw := b.R("f"), b.R("f")
+				vdy, vw := b.R(F32), b.R(F32)
 				b.I("ld.global.f32 %s, [%s];", vdy, ady)
 				b.I("ld.global.f32 %s, [%s];", vw, aw)
 				b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vdy, vw, acc)
@@ -177,7 +177,7 @@ func convBwdDataAlgo0() string {
 		})
 	})
 
-	chw := b.R("r")
+	chw := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", chw, c, h)
 	b.I("mul.lo.u32 %s, %s, %s;", chw, chw, w)
 	adx := b.ElemAddr(dxB, b.flatIndex(n, chw, idx), 4)
@@ -224,7 +224,7 @@ func convAlgo1(name string, ptrs [3]string, tag string, toFilter bool) string {
 
 	// load this thread's dy value once
 	ady := b.ElemAddr(dyB, b.flatIndex(n, k, kk, oh, oy, ow, ox), 4)
-	vdy := b.R("f")
+	vdy := b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", vdy, ady)
 
 	iy0, ix0 := patchOrigin(b, oy, ox, stride, pad)
@@ -233,10 +233,10 @@ func convAlgo1(name string, ptrs [3]string, tag string, toFilter bool) string {
 	b.loop("C"+tag+"_LOOP", "c"+tag+"_end", "0", c, "1", func(cc string) {
 		b.loop("R"+tag+"_LOOP", "r"+tag+"_end", "0", r, "1", func(rr string) {
 			b.loopNext("S"+tag+"_LOOP", "s"+tag+"_next", "s"+tag+"_end", "0", s, "1", func(ss, snext string) {
-				iy, ix := b.R("r"), b.R("r")
+				iy, ix := b.R(B32), b.R(B32)
 				b.I("add.u32 %s, %s, %s;", iy, iy0, rr)
 				b.I("add.u32 %s, %s, %s;", ix, ix0, ss)
-				pv := b.R("p")
+				pv := b.R(Pred)
 				b.I("setp.ge.u32 %s, %s, %s;", pv, iy, h)
 				b.I("@%s bra %s;", pv, snext)
 				b.I("setp.ge.u32 %s, %s, %s;", pv, ix, w)
@@ -254,11 +254,11 @@ func convAlgo1(name string, ptrs [3]string, tag string, toFilter bool) string {
 					srcIdx, dstIdx = imageIdx, filterIdx
 				}
 				asrc := b.ElemAddr(srcB, srcIdx(), 4)
-				vsrc, contrib := b.R("f"), b.R("f")
+				vsrc, contrib := b.R(F32), b.R(F32)
 				b.I("ld.global.f32 %s, [%s];", vsrc, asrc)
 				b.I("mul.f32 %s, %s, %s;", contrib, vdy, vsrc)
 				adst := b.ElemAddr(dstB, dstIdx(), 4)
-				oldv := b.R("f")
+				oldv := b.R(F32)
 				b.I("atom.global.add.f32 %s, [%s], %s;", oldv, adst, contrib)
 			})
 		})
@@ -297,7 +297,7 @@ func convBwdFilterAlgo0() string {
 	c := b.LoadU32(pC)
 	r := b.LoadU32(pR)
 	s := b.LoadU32(pS)
-	tot := b.R("r")
+	tot := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, k, c)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, r)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, s)
@@ -320,24 +320,24 @@ func convBwdFilterAlgo0() string {
 	acc := b.MovF32(0)
 	b.loop("NF_LOOP", "nf_end", "0", nN, "1", func(nn string) {
 		b.loop("YF_LOOP", "yf_end", "0", oh, "1", func(oyv string) {
-			iy := b.R("r")
+			iy := b.R(B32)
 			b.I("mad.lo.s32 %s, %s, %s, %s;", iy, oyv, stride, rr)
 			b.I("sub.u32 %s, %s, %s;", iy, iy, pad)
-			pskipY := b.R("p")
+			pskipY := b.R(Pred)
 			ynext := b.NewLabel("yf_next")
 			b.I("setp.ge.u32 %s, %s, %s;", pskipY, iy, h)
 			b.I("@%s bra %s;", pskipY, ynext)
 			b.loopNext("XF_LOOP", "xf_next", "xf_end", "0", ow, "1", func(oxv, xnext string) {
-				ix := b.R("r")
+				ix := b.R(B32)
 				b.I("mad.lo.s32 %s, %s, %s, %s;", ix, oxv, stride, ss)
 				b.I("sub.u32 %s, %s, %s;", ix, ix, pad)
-				pskipX := b.R("p")
+				pskipX := b.R(Pred)
 				b.I("setp.ge.u32 %s, %s, %s;", pskipX, ix, w)
 				b.I("@%s bra %s;", pskipX, xnext)
 				// dy[nn, kk, oyv, oxv] and x[nn, cc, iy, ix]
 				ady := b.ElemAddr(dyB, b.flatIndex(nn, k, kk, oh, oyv, ow, oxv), 4)
 				ax := b.ElemAddr(xB, b.flatIndex(nn, c, cc, h, iy, w, ix), 4)
-				vdy, vx := b.R("f"), b.R("f")
+				vdy, vx := b.R(F32), b.R(F32)
 				b.I("ld.global.f32 %s, [%s];", vdy, ady)
 				b.I("ld.global.f32 %s, [%s];", vx, ax)
 				b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vdy, vx, acc)
@@ -365,9 +365,9 @@ func convBwdFilterAlgo3() string {
 	pStride, pPad := b.U32Param("pStrideC"), b.U32Param("pPad")
 	sred := b.Shared("sred", 256*4, 4)
 
-	fidx := b.R("r")
+	fidx := b.R(B32)
 	b.I("mov.u32 %s, %%ctaid.x;", fidx)
-	tid := b.R("r")
+	tid := b.R(B32)
 	b.I("mov.u32 %s, %%tid.x;", tid)
 	k := b.LoadU32(pK)
 	c := b.LoadU32(pC)
@@ -388,19 +388,19 @@ func convBwdFilterAlgo3() string {
 	dyB := b.LoadPtr(pDY)
 	dwB := b.LoadPtr(pDW)
 
-	tot := b.R("r")
+	tot := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, nN, oh)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, ow)
 	acc := b.MovF32(0)
 	b.loop("P3_LOOP", "p3_end", tid, tot, "256", func(pos string) {
 		oxv, tq := b.remDiv(pos, ow)
 		oyv, nn := b.remDiv(tq, oh)
-		iy, ix := b.R("r"), b.R("r")
+		iy, ix := b.R(B32), b.R(B32)
 		b.I("mad.lo.s32 %s, %s, %s, %s;", iy, oyv, stride, rr)
 		b.I("sub.u32 %s, %s, %s;", iy, iy, pad)
 		b.I("mad.lo.s32 %s, %s, %s, %s;", ix, oxv, stride, ss)
 		b.I("sub.u32 %s, %s, %s;", ix, ix, pad)
-		pv := b.R("p")
+		pv := b.R(Pred)
 		pnext := b.NewLabel("p3_next")
 		b.I("setp.ge.u32 %s, %s, %s;", pv, iy, h)
 		b.I("@%s bra %s;", pv, pnext)
@@ -409,7 +409,7 @@ func convBwdFilterAlgo3() string {
 		// dy[nn, kk, oyv, oxv] and x[nn, cc, iy, ix]
 		ady := b.ElemAddr(dyB, b.flatIndex(nn, k, kk, oh, oyv, ow, oxv), 4)
 		ax := b.ElemAddr(xB, b.flatIndex(nn, c, cc, h, iy, w, ix), 4)
-		vdy, vx := b.R("f"), b.R("f")
+		vdy, vx := b.R(F32), b.R(F32)
 		b.I("ld.global.f32 %s, [%s];", vdy, ady)
 		b.I("ld.global.f32 %s, [%s];", vx, ax)
 		b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vdy, vx, acc)
@@ -420,11 +420,11 @@ func convBwdFilterAlgo3() string {
 	_, myslot := b.laneSlots(sred, tid)
 	b.reduceShared("add", 256, tid, myslot, acc, "RED_LOOP", "red_end", "skip_add")
 
-	pw := b.R("p")
+	pw := b.R(Pred)
 	done := b.NewLabel("done")
 	b.I("setp.ne.u32 %s, %s, 0;", pw, tid)
 	b.I("@%s bra %s;", pw, done)
-	res := b.R("f")
+	res := b.R(F32)
 	b.I("ld.shared.f32 %s, [%s];", res, myslot)
 	adw := b.ElemAddr(dwB, fidx, 4)
 	b.I("st.global.f32 [%s], %s;", adw, res)

@@ -25,7 +25,7 @@ func kvCacheAppend() string {
 	seq := b.LoadU32(pSeq)
 	heads := b.LoadU32(pHeads)
 	dh := b.LoadU32(pDh)
-	total := b.R("r")
+	total := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", total, seq, heads)
 	b.I("mul.lo.u32 %s, %s, %s;", total, total, dh)
 	b.GuardEnd(idx, total, end)
@@ -33,14 +33,14 @@ func kvCacheAppend() string {
 	d, t := b.remDiv(idx, dh)
 	s, h := b.remDiv(t, seq)
 	// src = (s*heads + h)*dh + d
-	src := b.R("r")
+	src := b.R(B32)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", src, s, heads, h)
 	b.I("mul.lo.u32 %s, %s, %s;", src, src, dh)
 	b.I("add.u32 %s, %s, %s;", src, src, d)
 	// dst = (h*maxSeq + pos + s)*dh + d
 	maxSeq := b.LoadU32(pMaxSeq)
 	pos := b.LoadU32(pPos)
-	dst := b.R("r")
+	dst := b.R(B32)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", dst, h, maxSeq, pos)
 	b.I("add.u32 %s, %s, %s;", dst, dst, s)
 	b.I("mul.lo.u32 %s, %s, %s;", dst, dst, dh)
@@ -49,7 +49,7 @@ func kvCacheAppend() string {
 	cache := b.LoadPtr(pCache)
 	ain := b.ElemAddr(in, src, 4)
 	aout := b.ElemAddr(cache, dst, 4)
-	v := b.R("f")
+	v := b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", v, ain)
 	b.I("st.global.f32 [%s], %s;", aout, v)
 	b.L(end)
@@ -70,7 +70,7 @@ func attnQKCached() string {
 	idx := b.GlobalTidX()
 	heads := b.LoadU32(pHeads)
 	ln := b.LoadU32(pLen)
-	total := b.R("r")
+	total := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", total, heads, ln)
 	b.GuardEnd(idx, total, end)
 	h, t := b.divRem(idx, ln)
@@ -79,16 +79,16 @@ func attnQKCached() string {
 	qB := b.LoadPtr(pQ)
 	kB := b.LoadPtr(pK)
 	// q row base = h*dh, cache row base = (h*maxSeq + t)*dh
-	qi := b.R("r")
+	qi := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", qi, h, dh)
-	ki := b.R("r")
+	ki := b.R(B32)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", ki, h, maxSeq, t)
 	b.I("mul.lo.u32 %s, %s, %s;", ki, ki, dh)
 	qa := b.ElemAddr(qB, qi, 4)
 	ka := b.ElemAddr(kB, ki, 4)
 	acc := b.MovF32(0)
 	b.loop("QK_DOT", "qk_done", "0", dh, "1", func(string) {
-		vq, vk := b.R("f"), b.R("f")
+		vq, vk := b.R(F32), b.R(F32)
 		b.I("ld.global.f32 %s, [%s];", vq, qa)
 		b.I("ld.global.f32 %s, [%s];", vk, ka)
 		b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vq, vk, acc)
@@ -117,7 +117,7 @@ func attnAVCached() string {
 	idx := b.GlobalTidX()
 	heads := b.LoadU32(pHeads)
 	dh := b.LoadU32(pDh)
-	total := b.R("r")
+	total := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", total, heads, dh)
 	b.GuardEnd(idx, total, end)
 	h, d := b.divRem(idx, dh)
@@ -126,19 +126,19 @@ func attnAVCached() string {
 	pB := b.LoadPtr(pP)
 	vB := b.LoadPtr(pV)
 	// probs row base = h*len; cache column walk starts at (h*maxSeq)*dh + d
-	pi := b.R("r")
+	pi := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", pi, h, ln)
-	vi := b.R("r")
+	vi := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", vi, h, maxSeq)
 	b.I("mul.lo.u32 %s, %s, %s;", vi, vi, dh)
 	b.I("add.u32 %s, %s, %s;", vi, vi, d)
 	pa := b.ElemAddr(pB, pi, 4)
 	va := b.ElemAddr(vB, vi, 4)
-	rowStride := b.R("rd")
+	rowStride := b.R(B64)
 	b.I("mul.wide.u32 %s, %s, 4;", rowStride, dh)
 	acc := b.MovF32(0)
 	b.loop("AV_DOT", "av_done", "0", ln, "1", func(string) {
-		vp, vv := b.R("f"), b.R("f")
+		vp, vv := b.R(F32), b.R(F32)
 		b.I("ld.global.f32 %s, [%s];", vp, pa)
 		b.I("ld.global.f32 %s, [%s];", vv, va)
 		b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vp, vv, acc)
@@ -169,27 +169,27 @@ func softmaxCausal() string {
 	seq := b.LoadU32(pSeq)
 	pos := b.LoadU32(pPos)
 	// vlen = pos + (row % seq) + 1: attendable prefix of this row
-	vlen := b.R("r")
+	vlen := b.R(B32)
 	b.I("rem.u32 %s, %s, %s;", vlen, row, seq)
 	b.I("add.u32 %s, %s, %s;", vlen, vlen, pos)
 	b.I("add.u32 %s, %s, 1;", vlen, vlen)
 	xB := b.LoadPtr(pX)
 	yB := b.LoadPtr(pY)
-	rowOff := b.R("r")
+	rowOff := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", rowOff, row, cols)
 	sbase, slot := b.laneSlots(sred, tid)
 
 	// row max over the attendable prefix
 	best := b.laneMax("SC_MAX", "sc_max_end", tid, vlen, xB, rowOff)
 	b.reduceShared("max", 32, tid, slot, best, b.NewLabel("rmx"), "rmx_end", "rmx_skip")
-	rowMax := b.R("f")
+	rowMax := b.R(F32)
 	b.I("ld.shared.f32 %s, [%s];", rowMax, sbase)
 	b.I("bar.sync 0;")
 
 	// row total of exp(x - max) over the attendable prefix
 	log2e, sum := b.laneExpSum("SC_SUM", "sc_sum_end", tid, vlen, xB, rowOff, rowMax)
 	b.reduceAdd32(tid, slot, sum)
-	totalv := b.R("f")
+	totalv := b.R(F32)
 	b.I("ld.shared.f32 %s, [%s];", totalv, sbase)
 
 	// write all cols: exp(x-max)/total inside the prefix, exact 0 beyond
@@ -199,7 +199,7 @@ func softmaxCausal() string {
 		ay := b.ElemAddr(yB, ei, 4)
 		ev := b.expShifted(ax, rowMax, log2e)
 		b.I("div.rn.f32 %s, %s, %s;", ev, ev, totalv)
-		pvalid := b.R("p")
+		pvalid := b.R(Pred)
 		b.I("setp.lt.u32 %s, %s, %s;", pvalid, i, vlen)
 		b.I("selp.b32 %s, %s, %s, %s;", ev, ev, zero, pvalid)
 		b.I("st.global.f32 [%s], %s;", ay, ev)
@@ -222,13 +222,13 @@ func logitGemv() string {
 	dim := b.LoadU32(pDim)
 	xB := b.LoadPtr(pX)
 	tB := b.LoadPtr(pT)
-	ti := b.R("r")
+	ti := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", ti, idx, dim)
 	xa := b.ElemAddr(xB, b.movZero(), 4)
 	ta := b.ElemAddr(tB, ti, 4)
 	acc := b.MovF32(0)
 	b.loop("LG_DOT", "lg_done", "0", dim, "1", func(string) {
-		vx, vt := b.R("f"), b.R("f")
+		vx, vt := b.R(F32), b.R(F32)
 		b.I("ld.global.f32 %s, [%s];", vx, xa)
 		b.I("ld.global.f32 %s, [%s];", vt, ta)
 		b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vx, vt, acc)
@@ -245,7 +245,7 @@ func logitGemv() string {
 // movZero emits a u32 zero into a fresh register (helper for ElemAddr
 // with index 0).
 func (b *Builder) movZero() string {
-	r := b.R("r")
+	r := b.R(B32)
 	b.I("mov.u32 %s, 0;", r)
 	return r
 }
@@ -265,29 +265,29 @@ func argmaxU32() string {
 	sval := b.Shared("sagv", 32*4, 4)
 	sidx := b.Shared("sagi", 32*4, 4)
 
-	tid := b.R("r")
+	tid := b.R(B32)
 	b.I("mov.u32 %s, %%tid.x;", tid)
 	n := b.LoadU32(pN)
 	xB := b.LoadPtr(pX)
 
 	// strided scan: strictly-greater keeps the lowest index per lane
 	best := b.MovF32(-3.4e38)
-	bestIdx := b.R("r")
+	bestIdx := b.R(B32)
 	b.I("mov.u32 %s, 0;", bestIdx)
 	b.loop("AG_SCAN", "ag_scan_end", tid, n, "32", func(i string) {
 		ax := b.ElemAddr(xB, i, 4)
-		v := b.R("f")
+		v := b.R(F32)
 		b.I("ld.global.f32 %s, [%s];", v, ax)
-		pg := b.R("p")
+		pg := b.R(Pred)
 		b.I("setp.gt.f32 %s, %s, %s;", pg, v, best)
 		b.I("selp.b32 %s, %s, %s, %s;", best, v, best, pg)
 		b.I("selp.b32 %s, %s, %s, %s;", bestIdx, i, bestIdx, pg)
 	})
 
-	vbase, ibase := b.R("r"), b.R("r")
+	vbase, ibase := b.R(B32), b.R(B32)
 	b.I("mov.u32 %s, %s;", vbase, sval)
 	b.I("mov.u32 %s, %s;", ibase, sidx)
-	vslot, islot := b.R("r"), b.R("r")
+	vslot, islot := b.R(B32), b.R(B32)
 	b.I("mad.lo.s32 %s, %s, 4, %s;", vslot, tid, vbase)
 	b.I("mad.lo.s32 %s, %s, 4, %s;", islot, tid, ibase)
 	b.I("st.shared.f32 [%s], %s;", vslot, best)
@@ -296,29 +296,29 @@ func argmaxU32() string {
 
 	// (value, index) pair reduction: take the other lane's pair if its
 	// value is strictly greater, or equal with a lower index
-	step := b.R("r")
+	step := b.R(B32)
 	b.I("mov.u32 %s, 16;", step)
 	rl := b.L("AG_RED")
-	pz := b.R("p")
+	pz := b.R(Pred)
 	rlEnd := b.NewLabel("ag_red_end")
 	b.I("setp.eq.u32 %s, %s, 0;", pz, step)
 	b.I("@%s bra %s;", pz, rlEnd)
-	pact := b.R("p")
+	pact := b.R(Pred)
 	skip := b.NewLabel("ag_skip")
 	b.I("setp.ge.u32 %s, %s, %s;", pact, tid, step)
 	b.I("@%s bra %s;", pact, skip)
-	offr := b.R("r")
+	offr := b.R(B32)
 	b.I("shl.b32 %s, %s, 2;", offr, step)
-	vother, iother := b.R("r"), b.R("r")
+	vother, iother := b.R(B32), b.R(B32)
 	b.I("add.u32 %s, %s, %s;", vother, vslot, offr)
 	b.I("add.u32 %s, %s, %s;", iother, islot, offr)
-	va, vb := b.R("f"), b.R("f")
-	ia, ib := b.R("r"), b.R("r")
+	va, vb := b.R(F32), b.R(F32)
+	ia, ib := b.R(B32), b.R(B32)
 	b.I("ld.shared.f32 %s, [%s];", va, vslot)
 	b.I("ld.shared.f32 %s, [%s];", vb, vother)
 	b.I("ld.shared.u32 %s, [%s];", ia, islot)
 	b.I("ld.shared.u32 %s, [%s];", ib, iother)
-	pgt, peq, plt := b.R("p"), b.R("p"), b.R("p")
+	pgt, peq, plt := b.R(Pred), b.R(Pred), b.R(Pred)
 	b.I("setp.gt.f32 %s, %s, %s;", pgt, vb, va)
 	b.I("setp.eq.f32 %s, %s, %s;", peq, vb, va)
 	b.I("setp.lt.u32 %s, %s, %s;", plt, ib, ia)
@@ -336,10 +336,10 @@ func argmaxU32() string {
 
 	// lane 0 writes the winning index
 	end := b.NewLabel("end")
-	p0 := b.R("p")
+	p0 := b.R(Pred)
 	b.I("setp.ne.u32 %s, %s, 0;", p0, tid)
 	b.I("@%s bra %s;", p0, end)
-	win := b.R("r")
+	win := b.R(B32)
 	b.I("ld.shared.u32 %s, [%s];", win, ibase)
 	oB := b.LoadPtr(pOut)
 	oi := b.LoadU32(pOutIdx)

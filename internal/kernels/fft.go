@@ -22,58 +22,58 @@ import (
 // -1 for forward, +1 for inverse.
 func emitButterflies(b *Builder, log2n int, base string, strideElems int, sign float32, uniq string) {
 	pi := b.MovF32(sign * float32(math.Pi))
-	s := b.R("r")
+	s := b.R(B32)
 	b.I("mov.u32 %s, 1;", s)
 	sLoop := b.L("FFT_S_" + uniq)
-	pDone := b.R("p")
+	pDone := b.R(Pred)
 	sEnd := b.NewLabel("fft_s_end_" + uniq)
 	b.I("setp.gt.u32 %s, %s, %d;", pDone, s, log2n)
 	b.I("@%s bra %s;", pDone, sEnd)
-	m, half := b.R("r"), b.R("r")
+	m, half := b.R(B32), b.R(B32)
 	b.I("shl.b32 %s, 1, %s;", m, s)
 	b.I("shr.u32 %s, %s, 1;", half, m)
-	sm1 := b.R("r")
+	sm1 := b.R(B32)
 	b.I("sub.u32 %s, %s, 1;", sm1, s)
-	halfMask := b.R("r")
+	halfMask := b.R(B32)
 	b.I("sub.u32 %s, %s, 1;", halfMask, half)
 
 	b.loop("FFT_J_"+uniq, "fft_j_end_"+uniq, "0", strconv.Itoa(1<<(log2n-1)), "1", func(j string) {
-		grp, pos := b.R("r"), b.R("r")
+		grp, pos := b.R(B32), b.R(B32)
 		b.I("shr.u32 %s, %s, %s;", grp, j, sm1)
 		b.I("and.b32 %s, %s, %s;", pos, j, halfMask)
-		i1, i2 := b.R("r"), b.R("r")
+		i1, i2 := b.R(B32), b.R(B32)
 		b.I("mad.lo.s32 %s, %s, %s, %s;", i1, grp, m, pos)
 		b.I("add.u32 %s, %s, %s;", i2, i1, half)
 
 		// twiddle: ang = sign*pi*pos/half
-		posF, halfF, ang := b.R("f"), b.R("f"), b.R("f")
+		posF, halfF, ang := b.R(F32), b.R(F32), b.R(F32)
 		b.I("cvt.rn.f32.u32 %s, %s;", posF, pos)
 		b.I("cvt.rn.f32.u32 %s, %s;", halfF, half)
 		b.I("div.rn.f32 %s, %s, %s;", ang, posF, halfF)
 		b.I("mul.f32 %s, %s, %s;", ang, ang, pi)
-		wr, wi := b.R("f"), b.R("f")
+		wr, wi := b.R(F32), b.R(F32)
 		b.I("cos.approx.f32 %s, %s;", wr, ang)
 		b.I("sin.approx.f32 %s, %s;", wi, ang)
 
-		a1, a2 := b.R("r"), b.R("r")
+		a1, a2 := b.R(B32), b.R(B32)
 		b.I("mad.lo.s32 %s, %s, %d, %s;", a1, i1, strideElems*8, base)
 		b.I("mad.lo.s32 %s, %s, %d, %s;", a2, i2, strideElems*8, base)
-		r2, im2 := b.R("f"), b.R("f")
+		r2, im2 := b.R(F32), b.R(F32)
 		b.I("ld.shared.v2.f32 {%s, %s}, [%s];", r2, im2, a2)
-		tr, ti := b.R("f"), b.R("f")
-		tmp := b.R("f")
+		tr, ti := b.R(F32), b.R(F32)
+		tmp := b.R(F32)
 		b.I("mul.f32 %s, %s, %s;", tr, wr, r2)
 		b.I("mul.f32 %s, %s, %s;", tmp, wi, im2)
 		b.I("sub.f32 %s, %s, %s;", tr, tr, tmp)
 		b.I("mul.f32 %s, %s, %s;", ti, wr, im2)
 		b.I("fma.rn.f32 %s, %s, %s, %s;", ti, wi, r2, ti)
-		r1, im1 := b.R("f"), b.R("f")
+		r1, im1 := b.R(F32), b.R(F32)
 		b.I("ld.shared.v2.f32 {%s, %s}, [%s];", r1, im1, a1)
-		or2, oi2 := b.R("f"), b.R("f")
+		or2, oi2 := b.R(F32), b.R(F32)
 		b.I("sub.f32 %s, %s, %s;", or2, r1, tr)
 		b.I("sub.f32 %s, %s, %s;", oi2, im1, ti)
 		b.I("st.shared.v2.f32 [%s], {%s, %s};", a2, or2, oi2)
-		or1, oi1 := b.R("f"), b.R("f")
+		or1, oi1 := b.R(F32), b.R(F32)
 		b.I("add.f32 %s, %s, %s;", or1, r1, tr)
 		b.I("add.f32 %s, %s, %s;", oi1, im1, ti)
 		b.I("st.shared.v2.f32 [%s], {%s, %s};", a1, or1, oi1)
@@ -85,7 +85,7 @@ func emitButterflies(b *Builder, log2n int, base string, strideElems int, sign f
 
 // bitRev emits jr = brev(j) >> (32 - log2n).
 func bitRev(b *Builder, j string, log2n int) string {
-	jr := b.R("r")
+	jr := b.R(B32)
 	b.I("brev.b32 %s, %s;", jr, j)
 	b.I("shr.u32 %s, %s, %d;", jr, jr, 32-log2n)
 	return jr
@@ -108,13 +108,13 @@ func fft2D(name string, log2n int, inverse, realIn, realOut bool) string {
 	}
 	sm := b.Shared("tile", n*n*8, 8)
 
-	t := b.R("r")
+	t := b.R(B32)
 	b.I("mov.u32 %s, %%tid.x;", t)
-	plane := b.R("r")
+	plane := b.R(B32)
 	b.I("mov.u32 %s, %%ctaid.x;", plane)
 	inB := b.LoadPtr(pIn)
 	outB := b.LoadPtr(pOut)
-	smBase := b.R("r")
+	smBase := b.R(B32)
 	b.I("mov.u32 %s, %s;", smBase, sm)
 
 	sign := float32(-1)
@@ -124,15 +124,15 @@ func fft2D(name string, log2n int, inverse, realIn, realOut bool) string {
 
 	// ---- Phase A: row t ----
 	// Load row elements into bit-reversed positions of shared memory.
-	rowBase := b.R("r")
+	rowBase := b.R(B32)
 	b.I("mad.lo.s32 %s, %s, %d, %s;", rowBase, t, n*8, smBase)
-	planeOffIn := b.R("r")
+	planeOffIn := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %d;", planeOffIn, plane, n*n)
 	b.loop("LOAD_LOOP", "load_end", "0", edge, "1", func(j string) {
-		srcIdx := b.R("r")
+		srcIdx := b.R(B32)
 		b.I("mad.lo.s32 %s, %s, %d, %s;", srcIdx, t, n, j)
 		b.I("add.u32 %s, %s, %s;", srcIdx, srcIdx, planeOffIn)
-		re, im := b.R("f"), b.R("f")
+		re, im := b.R(F32), b.R(F32)
 		if realIn {
 			aIn := b.ElemAddr(inB, srcIdx, 4)
 			b.I("ld.global.f32 %s, [%s];", re, aIn)
@@ -142,7 +142,7 @@ func fft2D(name string, log2n int, inverse, realIn, realOut bool) string {
 			b.I("ld.global.v2.f32 {%s, %s}, [%s];", re, im, aIn)
 		}
 		jr := bitRev(b, j, log2n)
-		dst := b.R("r")
+		dst := b.R(B32)
 		b.I("mad.lo.s32 %s, %s, 8, %s;", dst, jr, rowBase)
 		b.I("st.shared.v2.f32 [%s], {%s, %s};", dst, re, im)
 	})
@@ -151,20 +151,20 @@ func fft2D(name string, log2n int, inverse, realIn, realOut bool) string {
 	b.I("bar.sync 0;")
 
 	// ---- Phase B: column t ----
-	colBase := b.R("r")
+	colBase := b.R(B32)
 	b.I("mad.lo.s32 %s, %s, 8, %s;", colBase, t, smBase)
 	// In-place bit-reversal permutation along the column.
 	b.loop("PERM_LOOP", "perm_end", "0", edge, "1", func(j string) {
 		jr := bitRev(b, j, log2n)
-		pswap := b.R("p")
+		pswap := b.R(Pred)
 		noswap := b.NewLabel("noswap")
 		b.I("setp.ge.u32 %s, %s, %s;", pswap, j, jr)
 		b.I("@%s bra %s;", pswap, noswap)
-		aA, aB := b.R("r"), b.R("r")
+		aA, aB := b.R(B32), b.R(B32)
 		b.I("mad.lo.s32 %s, %s, %d, %s;", aA, j, n*8, colBase)
 		b.I("mad.lo.s32 %s, %s, %d, %s;", aB, jr, n*8, colBase)
-		ra, ia := b.R("f"), b.R("f")
-		rb, ib := b.R("f"), b.R("f")
+		ra, ia := b.R(F32), b.R(F32)
+		rb, ib := b.R(F32), b.R(F32)
 		b.I("ld.shared.v2.f32 {%s, %s}, [%s];", ra, ia, aA)
 		b.I("ld.shared.v2.f32 {%s, %s}, [%s];", rb, ib, aB)
 		b.I("st.shared.v2.f32 [%s], {%s, %s};", aA, rb, ib)
@@ -179,14 +179,14 @@ func fft2D(name string, log2n int, inverse, realIn, realOut bool) string {
 	if realOut {
 		scale = b.LoadF32(pScale)
 	}
-	planeOffOut := b.R("r")
+	planeOffOut := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %d;", planeOffOut, plane, n*n)
 	b.loop("OUT_LOOP", "out_end", "0", edge, "1", func(j string) {
-		sAddr := b.R("r")
+		sAddr := b.R(B32)
 		b.I("mad.lo.s32 %s, %s, %d, %s;", sAddr, j, n*8, colBase)
-		vr, vi := b.R("f"), b.R("f")
+		vr, vi := b.R(F32), b.R(F32)
 		b.I("ld.shared.v2.f32 {%s, %s}, [%s];", vr, vi, sAddr)
-		dstIdx := b.R("r")
+		dstIdx := b.R(B32)
 		b.I("mad.lo.s32 %s, %s, %d, %s;", dstIdx, j, n, t)
 		b.I("add.u32 %s, %s, %s;", dstIdx, dstIdx, planeOffOut)
 		if realOut {
@@ -228,11 +228,11 @@ func cgemm() string {
 	idx := b.GlobalTidX()
 	k := b.LoadU32(pK)
 	nn := b.LoadU32(pNN)
-	tot := b.R("r")
+	tot := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, k, nn)
 	b.GuardEnd(idx, tot, end)
 	f, kk := b.remDiv(idx, nn)
-	tt := b.R("r")
+	tt := b.R(B32)
 	b.I("mov.u32 %s, %%ctaid.y;", tt)
 	c := b.LoadU32(pC)
 	nt := b.LoadU32(pNT)
@@ -245,17 +245,17 @@ func cgemm() string {
 	b.loop("CG_LOOP", "cg_end", "0", c, "1", func(cc string) {
 		// X[(cc*NT+tt)*NN + f]
 		ax := b.ElemAddr(xB, b.flatIndex(cc, nt, tt, nn, f), 8)
-		xr, xim := b.R("f"), b.R("f")
+		xr, xim := b.R(F32), b.R(F32)
 		b.I("ld.global.v2.f32 {%s, %s}, [%s];", xr, xim, ax)
 		// W[(kk*C+cc)*NN + f]
 		aw := b.ElemAddr(wB, b.flatIndex(kk, c, cc, nn, f), 8)
-		wr, wim := b.R("f"), b.R("f")
+		wr, wim := b.R(F32), b.R(F32)
 		b.I("ld.global.v2.f32 {%s, %s}, [%s];", wr, wim, aw)
 		// conj(W)*X = (wr - i wi)(xr + i xi) = (wr*xr + wi*xi) + i(wr*xi - wi*xr)
 		b.I("fma.rn.f32 %s, %s, %s, %s;", accR, wr, xr, accR)
 		b.I("fma.rn.f32 %s, %s, %s, %s;", accR, wim, xim, accR)
 		b.I("fma.rn.f32 %s, %s, %s, %s;", accI, wr, xim, accI)
-		t1 := b.R("f")
+		t1 := b.R(F32)
 		b.I("mul.f32 %s, %s, %s;", t1, wim, xr)
 		b.I("sub.f32 %s, %s, %s;", accI, accI, t1)
 	})
@@ -278,15 +278,15 @@ func fftCrop() string {
 	idx := b.GlobalTidX()
 	oh := b.LoadU32(pOH)
 	ow := b.LoadU32(pOW)
-	tot := b.R("r")
+	tot := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, oh, ow)
 	b.GuardEnd(idx, tot, end)
-	plane := b.R("r")
+	plane := b.R(B32)
 	b.I("mov.u32 %s, %%ctaid.y;", plane)
 	u, v := b.divRem(idx, ow)
 	n := b.LoadU32(pN)
 	pad := b.LoadU32(pPad)
-	su, sv := b.R("r"), b.R("r")
+	su, sv := b.R(B32), b.R(B32)
 	b.I("add.u32 %s, %s, %s;", su, u, n)
 	b.I("sub.u32 %s, %s, %s;", su, su, pad)
 	b.I("rem.u32 %s, %s, %s;", su, su, n)
@@ -295,14 +295,14 @@ func fftCrop() string {
 	b.I("rem.u32 %s, %s, %s;", sv, sv, n)
 	inB := b.LoadPtr(pIn)
 	outB := b.LoadPtr(pOut)
-	nn := b.R("r")
+	nn := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", nn, n, n)
-	si := b.R("r")
+	si := b.R(B32)
 	b.I("mad.lo.s32 %s, %s, %s, 0;", si, plane, nn)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", si, su, n, si)
 	b.I("add.u32 %s, %s, %s;", si, si, sv)
 	ain := b.ElemAddr(inB, si, 4)
-	val := b.R("f")
+	val := b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", val, ain)
 	aout := b.ElemAddr(outB, b.flatIndex(plane, tot, idx), 4)
 	b.I("st.global.f32 [%s], %s;", aout, val)
@@ -324,29 +324,29 @@ func fftTileExtract() string {
 	end := b.NewLabel("end")
 	idx := b.GlobalTidX()
 	tn := b.LoadU32(pTileN)
-	nn := b.R("r")
+	nn := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", nn, tn, tn)
 	b.GuardEnd(idx, nn, end)
-	plane := b.R("r")
+	plane := b.R(B32)
 	b.I("mov.u32 %s, %%ctaid.y;", plane)
 	ntx := b.LoadU32(pNTX)
 	nty := b.LoadU32(pNTY)
 	// plane -> (c, ty, tx)
-	tiles := b.R("r")
+	tiles := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", tiles, ntx, nty)
 	tIdx, c := b.remDiv(plane, tiles)
 	ty, tx := b.divRem(tIdx, ntx)
 	u, v := b.divRem(idx, tn)
 	step := b.LoadU32(pStep)
 	pad := b.LoadU32(pPad)
-	iy, ix := b.R("r"), b.R("r")
+	iy, ix := b.R(B32), b.R(B32)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", iy, ty, step, u)
 	b.I("sub.u32 %s, %s, %s;", iy, iy, pad)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", ix, tx, step, v)
 	b.I("sub.u32 %s, %s, %s;", ix, ix, pad)
 	h := b.LoadU32(pH)
 	w := b.LoadU32(pW)
-	pin, ptmp := b.R("p"), b.R("p")
+	pin, ptmp := b.R(Pred), b.R(Pred)
 	b.I("setp.lt.u32 %s, %s, %s;", pin, iy, h)
 	b.I("setp.lt.u32 %s, %s, %s;", ptmp, ix, w)
 	b.I("and.pred %s, %s, %s;", pin, pin, ptmp)
@@ -358,10 +358,10 @@ func fftTileExtract() string {
 	xB := b.LoadPtr(pX)
 	outB := b.LoadPtr(pOut)
 	si := b.flatIndex(c, h, iy, w, ix)
-	clamped := b.R("r")
+	clamped := b.R(B32)
 	b.I("selp.b32 %s, %s, 0, %s;", clamped, si, pin)
 	ax := b.ElemAddr(xB, clamped, 4)
-	val := b.R("f")
+	val := b.R(F32)
 	z := b.MovF32(0)
 	b.I("ld.global.f32 %s, [%s];", val, ax)
 	b.I("selp.b32 %s, %s, %s, %s;", val, val, z, pin)
@@ -384,10 +384,10 @@ func fftTileStitch() string {
 	idx := b.GlobalTidX()
 	oh := b.LoadU32(pOH)
 	ow := b.LoadU32(pOW)
-	tot := b.R("r")
+	tot := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, oh, ow)
 	b.GuardEnd(idx, tot, end)
-	k := b.R("r")
+	k := b.R(B32)
 	b.I("mov.u32 %s, %%ctaid.y;", k)
 	oy, ox := b.divRem(idx, ow)
 	step := b.LoadU32(pStep)
@@ -396,22 +396,22 @@ func fftTileStitch() string {
 	ntx := b.LoadU32(pNTX)
 	nty := b.LoadU32(pNTY)
 	tn := b.LoadU32(pTileN)
-	tiles := b.R("r")
+	tiles := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", tiles, ntx, nty)
-	plane := b.R("r")
+	plane := b.R(B32)
 	b.I("mad.lo.s32 %s, %s, %s, 0;", plane, k, tiles)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", plane, ty, ntx, plane)
 	b.I("add.u32 %s, %s, %s;", plane, plane, tx)
-	nn := b.R("r")
+	nn := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", nn, tn, tn)
-	si := b.R("r")
+	si := b.R(B32)
 	b.I("mad.lo.s32 %s, %s, %s, 0;", si, plane, nn)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", si, u, tn, si)
 	b.I("add.u32 %s, %s, %s;", si, si, v)
 	tB := b.LoadPtr(pTiles)
 	yB := b.LoadPtr(pY)
 	ain := b.ElemAddr(tB, si, 4)
-	val := b.R("f")
+	val := b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", val, ain)
 	aout := b.ElemAddr(yB, b.flatIndex(k, tot, idx), 4)
 	b.I("st.global.f32 [%s], %s;", aout, val)
@@ -435,7 +435,7 @@ func cgemmBwdFilter() string {
 	c := b.LoadU32(pC)
 	k := b.LoadU32(pK)
 	nn := b.LoadU32(pNN)
-	tot := b.R("r")
+	tot := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, k, c)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, nn)
 	b.GuardEnd(idx, tot, end)
@@ -450,22 +450,22 @@ func cgemmBwdFilter() string {
 	accI := b.MovF32(0)
 	b.loop("CGBF_LOOP", "cgbf_end", "0", nt, "1", func(tt string) {
 		ax := b.ElemAddr(xB, b.flatIndex(cc, nt, tt, nn, f), 8)
-		xr, xim := b.R("f"), b.R("f")
+		xr, xim := b.R(F32), b.R(F32)
 		b.I("ld.global.v2.f32 {%s, %s}, [%s];", xr, xim, ax)
 		ady := b.ElemAddr(dyB, b.flatIndex(kk, nt, tt, nn, f), 8)
-		yr, yim := b.R("f"), b.R("f")
+		yr, yim := b.R(F32), b.R(F32)
 		b.I("ld.global.v2.f32 {%s, %s}, [%s];", yr, yim, ady)
 		// conj(DY)*X = (yr - i yi)(xr + i xi)
 		b.I("fma.rn.f32 %s, %s, %s, %s;", accR, yr, xr, accR)
 		b.I("fma.rn.f32 %s, %s, %s, %s;", accR, yim, xim, accR)
 		b.I("fma.rn.f32 %s, %s, %s, %s;", accI, yr, xim, accI)
-		tmp := b.R("f")
+		tmp := b.R(F32)
 		b.I("mul.f32 %s, %s, %s;", tmp, yim, xr)
 		b.I("sub.f32 %s, %s, %s;", accI, accI, tmp)
 	})
 
 	awOut := b.ElemAddr(dwB, idx, 8)
-	oldR, oldI := b.R("f"), b.R("f")
+	oldR, oldI := b.R(F32), b.R(F32)
 	b.I("ld.global.v2.f32 {%s, %s}, [%s];", oldR, oldI, awOut)
 	b.I("add.f32 %s, %s, %s;", accR, accR, oldR)
 	b.I("add.f32 %s, %s, %s;", accI, accI, oldI)

@@ -25,14 +25,14 @@ func sgemm(name string, transA, transB bool) string {
 	bs := b.Shared("Bs", GemmTile*GemmTile*4, 4)
 	tile := strconv.Itoa(GemmTile)
 
-	tx, ty := b.R("r"), b.R("r")
+	tx, ty := b.R(B32), b.R(B32)
 	b.I("mov.u32 %s, %%tid.x;", tx)
 	b.I("mov.u32 %s, %%tid.y;", ty)
-	bx, by, bz := b.R("r"), b.R("r"), b.R("r")
+	bx, by, bz := b.R(B32), b.R(B32), b.R(B32)
 	b.I("mov.u32 %s, %%ctaid.x;", bx)
 	b.I("mov.u32 %s, %%ctaid.y;", by)
 	b.I("mov.u32 %s, %%ctaid.z;", bz)
-	row, col := b.R("r"), b.R("r")
+	row, col := b.R(B32), b.R(B32)
 	b.I("mad.lo.s32 %s, %s, %d, %s;", row, by, GemmTile, ty)
 	b.I("mad.lo.s32 %s, %s, %d, %s;", col, bx, GemmTile, tx)
 	// with transA, the M index this thread stages into As (both tiles
@@ -40,7 +40,7 @@ func sgemm(name string, transA, transB bool) string {
 	// row-contiguous)
 	var mcol string
 	if transA {
-		mcol = b.R("r")
+		mcol = b.R(B32)
 		b.I("mad.lo.s32 %s, %s, %d, %s;", mcol, by, GemmTile, tx)
 	}
 
@@ -49,8 +49,8 @@ func sgemm(name string, transA, transB bool) string {
 	// batch offsets
 	for _, pair := range [][2]string{{aBase, pSA}, {bBase, pSB}, {cBase, pSC}} {
 		stride := b.LoadU32(pair[1])
-		off32 := b.R("r")
-		off := b.R("rd")
+		off32 := b.R(B32)
+		off := b.R(B64)
 		b.I("mul.lo.u32 %s, %s, %s;", off32, bz, stride)
 		b.I("mul.wide.u32 %s, %s, 4;", off, off32)
 		b.I("add.s64 %s, %s, %s;", pair[0], pair[0], off)
@@ -58,16 +58,16 @@ func sgemm(name string, transA, transB bool) string {
 
 	acc := b.MovF32(0)
 	zero := b.MovF32(0)
-	numTiles := b.R("r")
+	numTiles := b.R(B32)
 	b.I("add.u32 %s, %s, %d;", numTiles, k, GemmTile-1)
 	b.I("div.u32 %s, %s, %d;", numTiles, numTiles, GemmTile)
 
-	asAddr, bsAddr := b.R("r"), b.R("r")
+	asAddr, bsAddr := b.R(B32), b.R(B32)
 	b.I("mov.u32 %s, %s;", asAddr, as)
 	b.I("mov.u32 %s, %s;", bsAddr, bs)
 	// this thread's store slots in the tiles
-	asSt, bsSt := b.R("r"), b.R("r")
-	lin := b.R("r")
+	asSt, bsSt := b.R(B32), b.R(B32)
+	lin := b.R(B32)
 	b.I("mad.lo.s32 %s, %s, %d, %s;", lin, ty, GemmTile, tx)
 	b.I("mad.lo.s32 %s, %s, 4, %s;", asSt, lin, asAddr)
 	b.I("mad.lo.s32 %s, %s, 4, %s;", bsSt, lin, bsAddr)
@@ -76,11 +76,11 @@ func sgemm(name string, transA, transB bool) string {
 	// at base (element (j, i) of a [jMax, iMax] one when swapped) into
 	// the tile slot st, guarded via selp clamp: zero outside the matrix
 	stage := func(base, i, iMax, j, jMax, st string, swapped bool) {
-		p1, p2 := b.R("p"), b.R("p")
+		p1, p2 := b.R(Pred), b.R(Pred)
 		b.I("setp.lt.u32 %s, %s, %s;", p1, i, iMax)
 		b.I("setp.lt.u32 %s, %s, %s;", p2, j, jMax)
 		b.I("and.pred %s, %s, %s;", p1, p1, p2)
-		idx := b.R("r")
+		idx := b.R(B32)
 		if swapped {
 			b.I("mad.lo.s32 %s, %s, %s, %s;", idx, j, iMax, i)
 		} else {
@@ -88,7 +88,7 @@ func sgemm(name string, transA, transB bool) string {
 		}
 		b.I("selp.b32 %s, %s, 0, %s;", idx, idx, p1)
 		addr := b.ElemAddr(base, idx, 4)
-		v := b.R("f")
+		v := b.R(F32)
 		b.I("ld.global.f32 %s, [%s];", v, addr)
 		b.I("selp.b32 %s, %s, %s, %s;", v, v, zero, p1)
 		b.I("st.shared.f32 [%s], %s;", st, v)
@@ -97,7 +97,7 @@ func sgemm(name string, transA, transB bool) string {
 	b.loop("TILE_LOOP", "end_tiles", "0", numTiles, "1", func(t string) {
 		// As[ty][tx] = A(row, t*16+tx); with transA both tiles share the
 		// K coordinate t*16+ty and As[ty][tx] = A(t*16+ty, mcol)
-		kA := b.R("r")
+		kA := b.R(B32)
 		kB := kA
 		aStride, aStep := GemmTile*4, 4
 		if transA {
@@ -107,7 +107,7 @@ func sgemm(name string, transA, transB bool) string {
 		} else {
 			b.I("mad.lo.s32 %s, %s, %d, %s;", kA, t, GemmTile, tx)
 			stage(aBase, row, m, kA, k, asSt, false)
-			kB = b.R("r")
+			kB = b.R(B32)
 			b.I("mad.lo.s32 %s, %s, %d, %s;", kB, t, GemmTile, ty)
 		}
 		// Bs[ty][tx] = op(B)(t*16+ty, col)
@@ -115,11 +115,11 @@ func sgemm(name string, transA, transB bool) string {
 		b.I("bar.sync 0;")
 
 		// inner product over the tile: acc += As(ty, kk) * Bs[kk][tx]
-		asPtr, bsPtr := b.R("r"), b.R("r")
+		asPtr, bsPtr := b.R(B32), b.R(B32)
 		b.I("mad.lo.s32 %s, %s, %d, %s;", asPtr, ty, aStride, asAddr)
 		b.I("mad.lo.s32 %s, %s, 4, %s;", bsPtr, tx, bsAddr)
 		b.loop("INNER", "inner_end", "0", tile, "1", func(string) {
-			ea, eb := b.R("f"), b.R("f")
+			ea, eb := b.R(F32), b.R(F32)
 			b.I("ld.shared.f32 %s, [%s];", ea, asPtr)
 			b.I("ld.shared.f32 %s, [%s];", eb, bsPtr)
 			b.I("fma.rn.f32 %s, %s, %s, %s;", acc, ea, eb, acc)
@@ -131,18 +131,18 @@ func sgemm(name string, transA, transB bool) string {
 
 	// write back
 	end := b.NewLabel("end")
-	pc1, pc2 := b.R("p"), b.R("p")
+	pc1, pc2 := b.R(Pred), b.R(Pred)
 	b.I("setp.ge.u32 %s, %s, %s;", pc1, row, m)
 	b.I("@%s bra %s;", pc1, end)
 	b.I("setp.ge.u32 %s, %s, %s;", pc2, col, n)
 	b.I("@%s bra %s;", pc2, end)
-	cIdx := b.R("r")
+	cIdx := b.R(B32)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", cIdx, row, n, col)
 	cAddr := b.ElemAddr(cBase, cIdx, 4)
 	alpha, beta := b.LoadF32(pAl), b.LoadF32(pBe)
-	old := b.R("f")
+	old := b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", old, cAddr)
-	resv := b.R("f")
+	resv := b.R(F32)
 	b.I("mul.f32 %s, %s, %s;", resv, acc, alpha)
 	b.I("fma.rn.f32 %s, %s, %s, %s;", resv, old, beta, resv)
 	b.I("st.global.f32 [%s], %s;", cAddr, resv)
@@ -173,12 +173,12 @@ func gemv2T() string {
 	acc := b.MovF32(0)
 	// aPtr walks down column j with stride cols*4
 	aPtr := b.ElemAddr(aBase, j, 4)
-	xPtr := b.R("rd")
+	xPtr := b.R(B64)
 	b.I("mov.u64 %s, %s;", xPtr, xBase)
-	strideBytes := b.R("rd")
+	strideBytes := b.R(B64)
 	b.I("mul.wide.u32 %s, %s, 4;", strideBytes, cols)
 	b.loop("ROW_LOOP", "row_end", "0", rows, "1", func(string) {
-		va, vx := b.R("f"), b.R("f")
+		va, vx := b.R(F32), b.R(F32)
 		b.I("ld.global.f32 %s, [%s];", va, aPtr)
 		b.I("ld.global.f32 %s, [%s];", vx, xPtr)
 		b.I("fma.rn.f32 %s, %s, %s, %s;", acc, va, vx, acc)
@@ -188,7 +188,7 @@ func gemv2T() string {
 
 	alpha, beta := b.LoadF32(pAl), b.LoadF32(pBe)
 	yAddr := b.ElemAddr(yBase, j, 4)
-	old, res := b.R("f"), b.R("f")
+	old, res := b.R(F32), b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", old, yAddr)
 	b.I("mul.f32 %s, %s, %s;", res, acc, alpha)
 	b.I("fma.rn.f32 %s, %s, %s, %s;", res, old, beta, res)

@@ -20,7 +20,7 @@ func im2Col() string {
 	s := b.LoadU32(pS)
 	oh := b.LoadU32(pOH)
 	ow := b.LoadU32(pOW)
-	tot := b.R("r")
+	tot := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, c, r)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, s)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, oh)
@@ -37,13 +37,13 @@ func im2Col() string {
 	pad := b.LoadU32(pPad)
 	h := b.LoadU32(pH)
 	w := b.LoadU32(pW)
-	iy, ix := b.R("r"), b.R("r")
+	iy, ix := b.R(B32), b.R(B32)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", iy, oy, stride, rr)
 	b.I("sub.u32 %s, %s, %s;", iy, iy, pad)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", ix, ox, stride, ss)
 	b.I("sub.u32 %s, %s, %s;", ix, ix, pad)
 
-	pin, ptmp := b.R("p"), b.R("p")
+	pin, ptmp := b.R(Pred), b.R(Pred)
 	b.I("setp.lt.u32 %s, %s, %s;", pin, iy, h)
 	b.I("setp.lt.u32 %s, %s, %s;", ptmp, ix, w)
 	b.I("and.pred %s, %s, %s;", pin, pin, ptmp)
@@ -51,10 +51,10 @@ func im2Col() string {
 	x := b.LoadPtr(pX)
 	col := b.LoadPtr(pCol)
 	sidx := b.flatIndex(cc, h, iy, w, ix)
-	clamped := b.R("r")
+	clamped := b.R(B32)
 	b.I("selp.b32 %s, %s, 0, %s;", clamped, sidx, pin)
 	ax := b.ElemAddr(x, clamped, 4)
-	v := b.R("f")
+	v := b.R(F32)
 	z := b.MovF32(0)
 	b.I("ld.global.f32 %s, [%s];", v, ax)
 	b.I("selp.b32 %s, %s, %s, %s;", v, v, z, pin)
@@ -78,7 +78,7 @@ func col2Im() string {
 	c := b.LoadU32(pC)
 	h := b.LoadU32(pH)
 	w := b.LoadU32(pW)
-	tot := b.R("r")
+	tot := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, c, h)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, w)
 	b.GuardEnd(idx, tot, end)
@@ -94,41 +94,41 @@ func col2Im() string {
 	pad := b.LoadU32(pPad)
 	col := b.LoadPtr(pCol)
 	acc := b.MovF32(0)
-	ohw := b.R("r")
+	ohw := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", ohw, oh, ow)
 
 	b.loop("R_LOOP", "r_end", "0", r, "1", func(rr string) {
 		b.loop("S_LOOP", "s_end", "0", s, "1", func(ss string) {
 			// oy = (iy + pad - rr) / stride, valid if non-negative, divisible, < OH
-			ny, nx := b.R("r"), b.R("r")
+			ny, nx := b.R(B32), b.R(B32)
 			b.I("add.u32 %s, %s, %s;", ny, iy, pad)
 			b.I("sub.u32 %s, %s, %s;", ny, ny, rr)
 			b.I("add.u32 %s, %s, %s;", nx, ix, pad)
 			b.I("sub.u32 %s, %s, %s;", nx, nx, ss)
 			skip := b.NewLabel("skip")
-			bigP := b.R("p")
+			bigP := b.R(Pred)
 			// unsigned wraparound: a huge value means iy+pad < rr
-			lim := b.R("r")
+			lim := b.R(B32)
 			b.I("mul.lo.u32 %s, %s, %s;", lim, oh, stride)
 			b.I("setp.ge.u32 %s, %s, %s;", bigP, ny, lim)
 			b.I("@%s bra %s;", bigP, skip)
-			limx := b.R("r")
+			limx := b.R(B32)
 			b.I("mul.lo.u32 %s, %s, %s;", limx, ow, stride)
 			b.I("setp.ge.u32 %s, %s, %s;", bigP, nx, limx)
 			b.I("@%s bra %s;", bigP, skip)
-			remy, remx := b.R("r"), b.R("r")
+			remy, remx := b.R(B32), b.R(B32)
 			b.I("rem.u32 %s, %s, %s;", remy, ny, stride)
 			b.I("setp.ne.u32 %s, %s, 0;", bigP, remy)
 			b.I("@%s bra %s;", bigP, skip)
 			b.I("rem.u32 %s, %s, %s;", remx, nx, stride)
 			b.I("setp.ne.u32 %s, %s, 0;", bigP, remx)
 			b.I("@%s bra %s;", bigP, skip)
-			oy, oxv := b.R("r"), b.R("r")
+			oy, oxv := b.R(B32), b.R(B32)
 			b.I("div.u32 %s, %s, %s;", oy, ny, stride)
 			b.I("div.u32 %s, %s, %s;", oxv, nx, stride)
 			// col index: (((cc*R+rr)*S+ss)*OH + oy)*OW + ox
 			ac := b.ElemAddr(col, b.flatIndex(cc, r, rr, s, ss, oh, oy, ow, oxv), 4)
-			v := b.R("f")
+			v := b.R(F32)
 			b.I("ld.global.f32 %s, [%s];", v, ac)
 			b.I("add.f32 %s, %s, %s;", acc, acc, v)
 			b.L(skip)

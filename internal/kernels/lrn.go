@@ -13,14 +13,14 @@ const LRNTexName = "lrn_tex"
 // of one pixel, skipping body for j >= c — which drops both the channels
 // past the last one and, by unsigned wraparound, those before the first.
 func lrnWindowLoop(b *Builder, head, endHint, skipHint, lo, hi, c string, body func(j string)) {
-	j := b.R("r")
+	j := b.R(B32)
 	b.I("mov.u32 %s, %s;", j, lo)
 	b.L(head)
-	pj := b.R("p")
+	pj := b.R(Pred)
 	end := b.NewLabel(endHint)
 	b.I("setp.gt.u32 %s, %s, %s;", pj, j, hi)
 	b.I("@%s bra %s;", pj, end)
-	pval := b.R("p")
+	pval := b.R(Pred)
 	skip := b.NewLabel(skipHint)
 	b.I("setp.ge.u32 %s, %s, %s;", pval, j, c)
 	b.I("@%s bra %s;", pval, skip)
@@ -47,26 +47,26 @@ func lrnForward() string {
 	idx := b.GlobalTidX()
 	c := b.LoadU32(pC)
 	hw := b.LoadU32(pHW)
-	tot := b.R("r")
+	tot := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, c, hw)
 	b.GuardEnd(idx, tot, end)
 	pos, cc := b.remDiv(idx, hw)
 
 	win := b.LoadU32(pN)
-	half := b.R("r")
+	half := b.R(B32)
 	b.I("shr.u32 %s, %s, 1;", half, win)
-	lo := b.R("r")
+	lo := b.R(B32)
 	b.I("sub.u32 %s, %s, %s;", lo, cc, half)
-	pwrap := b.R("p")
+	pwrap := b.R(Pred)
 	b.I("setp.lt.u32 %s, %s, %s;", pwrap, cc, half)
 	b.I("selp.b32 %s, 0, %s, %s;", lo, lo, pwrap) // clamp window start at 0
-	hi := b.R("r")
+	hi := b.R(B32)
 	b.I("add.u32 %s, %s, %s;", hi, cc, half)
 
 	sum := b.MovF32(0)
 	lrnWindowLoop(b, "LRN_LOOP", "lrn_end", "lrn_skip", lo, hi, c, func(j string) {
 		ti := b.flatIndex(j, hw, pos)
-		v0, v1, v2, v3 := b.R("f"), b.R("f"), b.R("f"), b.R("f")
+		v0, v1, v2, v3 := b.R(F32), b.R(F32), b.R(F32), b.R(F32)
 		b.I("tex.1d.v4.f32.s32 {%s, %s, %s, %s}, [%s, {%s}];", v0, v1, v2, v3, LRNTexName, ti)
 		b.I("fma.rn.f32 %s, %s, %s, %s;", sum, v0, v0, sum)
 	})
@@ -74,22 +74,22 @@ func lrnForward() string {
 	kc := b.LoadF32(pK)
 	alpha := b.LoadF32(pAlpha)
 	beta := b.LoadF32(pBeta)
-	nf := b.R("f")
+	nf := b.R(F32)
 	b.I("cvt.rn.f32.u32 %s, %s;", nf, win)
-	scaled := b.R("f")
+	scaled := b.R(F32)
 	b.I("div.rn.f32 %s, %s, %s;", scaled, alpha, nf)
-	den := b.R("f")
+	den := b.R(F32)
 	b.I("fma.rn.f32 %s, %s, %s, %s;", den, scaled, sum, kc)
 	// den^beta = ex2(beta * lg2(den))
-	lg, e := b.R("f"), b.R("f")
+	lg, e := b.R(F32), b.R(F32)
 	b.I("lg2.approx.f32 %s, %s;", lg, den)
 	b.I("mul.f32 %s, %s, %s;", e, lg, beta)
-	powv := b.R("f")
+	powv := b.R(F32)
 	b.I("ex2.approx.f32 %s, %s;", powv, e)
 
-	x0, x1, x2, x3 := b.R("f"), b.R("f"), b.R("f"), b.R("f")
+	x0, x1, x2, x3 := b.R(F32), b.R(F32), b.R(F32), b.R(F32)
 	b.I("tex.1d.v4.f32.s32 {%s, %s, %s, %s}, [%s, {%s}];", x0, x1, x2, x3, LRNTexName, idx)
-	res := b.R("f")
+	res := b.R(F32)
 	b.I("div.rn.f32 %s, %s, %s;", res, x0, powv)
 	y := b.LoadPtr(pY)
 	ay := b.ElemAddr(y, idx, 4)
@@ -116,40 +116,40 @@ func lrnBackward() string {
 	idx := b.GlobalTidX()
 	c := b.LoadU32(pC)
 	hw := b.LoadU32(pHW)
-	tot := b.R("r")
+	tot := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, c, hw)
 	b.GuardEnd(idx, tot, end)
 	pos, cc := b.remDiv(idx, hw)
 
 	win := b.LoadU32(pN)
-	half := b.R("r")
+	half := b.R(B32)
 	b.I("shr.u32 %s, %s, 1;", half, win)
 	xB, yB, dyB, dxB := b.LoadPtr(pX), b.LoadPtr(pY), b.LoadPtr(pDY), b.LoadPtr(pDX)
 	kc := b.LoadF32(pK)
 	alpha := b.LoadF32(pAlpha)
 	beta := b.LoadF32(pBeta)
-	nf := b.R("f")
+	nf := b.R(F32)
 	b.I("cvt.rn.f32.u32 %s, %s;", nf, win)
-	aOverN := b.R("f")
+	aOverN := b.R(F32)
 	b.I("div.rn.f32 %s, %s, %s;", aOverN, alpha, nf)
 
 	// denominator for this channel: k + alpha/n * sum x^2 over window
 	sum := b.MovF32(0)
-	lo, hi := b.R("r"), b.R("r")
+	lo, hi := b.R(B32), b.R(B32)
 	b.I("sub.u32 %s, %s, %s;", lo, cc, half)
-	pwrap := b.R("p")
+	pwrap := b.R(Pred)
 	b.I("setp.lt.u32 %s, %s, %s;", pwrap, cc, half)
 	b.I("selp.b32 %s, 0, %s, %s;", lo, lo, pwrap) // clamp window start at 0
 	b.I("add.u32 %s, %s, %s;", hi, cc, half)
 	lrnWindowLoop(b, "LB_DEN", "lb_den_end", "lb_sk1", lo, hi, c, func(j string) {
 		axj := b.ElemAddr(xB, b.flatIndex(j, hw, pos), 4)
-		vx := b.R("f")
+		vx := b.R(F32)
 		b.I("ld.global.f32 %s, [%s];", vx, axj)
 		b.I("fma.rn.f32 %s, %s, %s, %s;", sum, vx, vx, sum)
 	})
-	den := b.R("f")
+	den := b.R(F32)
 	b.I("fma.rn.f32 %s, %s, %s, %s;", den, aOverN, sum, kc)
-	lg, e, powv := b.R("f"), b.R("f"), b.R("f")
+	lg, e, powv := b.R(F32), b.R(F32), b.R(F32)
 	b.I("lg2.approx.f32 %s, %s;", lg, den)
 	b.I("mul.f32 %s, %s, %s;", e, lg, beta)
 	b.I("ex2.approx.f32 %s, %s;", powv, e)
@@ -160,7 +160,7 @@ func lrnBackward() string {
 		ti := b.flatIndex(j, hw, pos)
 		ady := b.ElemAddr(dyB, ti, 4)
 		ayj := b.ElemAddr(yB, ti, 4)
-		vdy, vy, t := b.R("f"), b.R("f"), b.R("f")
+		vdy, vy, t := b.R(F32), b.R(F32), b.R(F32)
 		b.I("ld.global.f32 %s, [%s];", vdy, ady)
 		b.I("ld.global.f32 %s, [%s];", vy, ayj)
 		b.I("mul.f32 %s, %s, %s;", t, vdy, vy)
@@ -170,19 +170,19 @@ func lrnBackward() string {
 
 	adyc := b.ElemAddr(dyB, idx, 4)
 	axc := b.ElemAddr(xB, idx, 4)
-	vdyc, vxc := b.R("f"), b.R("f")
+	vdyc, vxc := b.R(F32), b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", vdyc, adyc)
 	b.I("ld.global.f32 %s, [%s];", vxc, axc)
-	direct := b.R("f")
+	direct := b.R(F32)
 	b.I("div.rn.f32 %s, %s, %s;", direct, vdyc, powv)
-	coef := b.R("f")
+	coef := b.R(F32)
 	two := b.MovF32(2)
 	b.I("mul.f32 %s, %s, %s;", coef, aOverN, beta)
 	b.I("mul.f32 %s, %s, %s;", coef, coef, two)
-	corr := b.R("f")
+	corr := b.R(F32)
 	b.I("mul.f32 %s, %s, %s;", corr, coef, vxc)
 	b.I("mul.f32 %s, %s, %s;", corr, corr, cross)
-	res := b.R("f")
+	res := b.R(F32)
 	b.I("sub.f32 %s, %s, %s;", res, direct, corr)
 	adx := b.ElemAddr(dxB, idx, 4)
 	b.I("st.global.f32 [%s], %s;", adx, res)

@@ -21,42 +21,42 @@ func maxPoolForward() string {
 	stride := b.LoadU32(pStride)
 	xB := b.LoadPtr(pX)
 
-	chw := b.R("r")
+	chw := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", chw, c, h)
 	b.I("mul.lo.u32 %s, %s, %s;", chw, chw, w)
 	// base index of the (n, cc) plane = n*C*H*W + cc*H*W
-	hw := b.R("r")
+	hw := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", hw, h, w)
-	base := b.R("r")
+	base := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", base, n, chw)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", base, cc, hw, base)
 
 	best := b.MovF32(-3.4e38)
-	bestIdx := b.R("r")
+	bestIdx := b.R(B32)
 	b.I("mov.u32 %s, 0;", bestIdx)
-	iy0, ix0 := b.R("r"), b.R("r")
+	iy0, ix0 := b.R(B32), b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", iy0, oy, stride)
 	b.I("mul.lo.u32 %s, %s, %s;", ix0, ox, stride)
 
 	b.loop("PY_LOOP", "py_end", "0", win, "1", func(dy string) {
-		iy := b.R("r")
+		iy := b.R(B32)
 		b.I("add.u32 %s, %s, %s;", iy, iy0, dy)
-		pySkip := b.R("p")
+		pySkip := b.R(Pred)
 		ynext := b.NewLabel("py_next")
 		b.I("setp.ge.u32 %s, %s, %s;", pySkip, iy, h)
 		b.I("@%s bra %s;", pySkip, ynext)
 		b.loopNext("PX_LOOP", "px_next", "px_end", "0", win, "1", func(dx, xnext string) {
-			ix := b.R("r")
+			ix := b.R(B32)
 			b.I("add.u32 %s, %s, %s;", ix, ix0, dx)
-			pxSkip := b.R("p")
+			pxSkip := b.R(Pred)
 			b.I("setp.ge.u32 %s, %s, %s;", pxSkip, ix, w)
 			b.I("@%s bra %s;", pxSkip, xnext)
 			xi := b.flatIndex(iy, w, ix)
 			b.I("add.u32 %s, %s, %s;", xi, xi, base)
 			ax := b.ElemAddr(xB, xi, 4)
-			v := b.R("f")
+			v := b.R(F32)
 			b.I("ld.global.f32 %s, [%s];", v, ax)
-			pbetter := b.R("p")
+			pbetter := b.R(Pred)
 			b.I("setp.gt.f32 %s, %s, %s;", pbetter, v, best)
 			b.I("selp.b32 %s, %s, %s, %s;", best, v, best, pbetter)
 			b.I("selp.b32 %s, %s, %s, %s;", bestIdx, xi, bestIdx, pbetter)
@@ -64,7 +64,7 @@ func maxPoolForward() string {
 		b.L(ynext)
 	})
 
-	cohw := b.R("r")
+	cohw := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", cohw, c, oh)
 	b.I("mul.lo.u32 %s, %s, %s;", cohw, cohw, ow)
 	outIdx := b.flatIndex(n, cohw, idx)
@@ -93,12 +93,12 @@ func maxPoolBackward() string {
 	dx := b.LoadPtr(pDX)
 	ady := b.ElemAddr(dy, i, 4)
 	ai := b.ElemAddr(idxp, i, 4)
-	v := b.R("f")
-	target := b.R("r")
+	v := b.R(F32)
+	target := b.R(B32)
 	b.I("ld.global.f32 %s, [%s];", v, ady)
 	b.I("ld.global.u32 %s, [%s];", target, ai)
 	adx := b.ElemAddr(dx, target, 4)
-	oldv := b.R("f")
+	oldv := b.R(F32)
 	b.I("atom.global.add.f32 %s, [%s], %s;", oldv, adx, v)
 	b.L(end)
 	return b.Build()

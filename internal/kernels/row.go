@@ -7,9 +7,9 @@ package kernels
 
 // laneAndRow emits tid = %tid.x and row = %ctaid.x.
 func (b *Builder) laneAndRow() (tid, row string) {
-	tid = b.R("r")
+	tid = b.R(B32)
 	b.I("mov.u32 %s, %%tid.x;", tid)
-	row = b.R("r")
+	row = b.R(B32)
 	b.I("mov.u32 %s, %%ctaid.x;", row)
 	return tid, row
 }
@@ -18,9 +18,9 @@ func (b *Builder) laneAndRow() (tid, row string) {
 // (lane 0's slot, where a reduction leaves its result) and of this lane's
 // slot in it.
 func (b *Builder) laneSlots(sred, tid string) (sbase, slot string) {
-	sbase = b.R("r")
+	sbase = b.R(B32)
 	b.I("mov.u32 %s, %s;", sbase, sred)
-	slot = b.R("r")
+	slot = b.R(B32)
 	b.I("mad.lo.s32 %s, %s, 4, %s;", slot, tid, sbase)
 	return sbase, slot
 }
@@ -28,7 +28,7 @@ func (b *Builder) laneSlots(sred, tid string) (sbase, slot string) {
 // rowElem emits the flat index rowOff+i of a row's element i and its f32
 // address in base.
 func (b *Builder) rowElem(base, rowOff, i string) (idx, addr string) {
-	idx = b.R("r")
+	idx = b.R(B32)
 	b.I("add.u32 %s, %s, %s;", idx, rowOff, i)
 	return idx, b.ElemAddr(base, idx, 4)
 }
@@ -45,7 +45,7 @@ func (b *Builder) laneMax(head, endHint, tid, limit, xB, rowOff string) string {
 	best := b.MovF32(-3.4e38)
 	b.loop(head, endHint, tid, limit, "32", func(i string) {
 		_, ax := b.rowElem(xB, rowOff, i)
-		v := b.R("f")
+		v := b.R(F32)
 		b.I("ld.global.f32 %s, [%s];", v, ax)
 		b.I("max.f32 %s, %s, %s;", best, best, v)
 	})
@@ -55,7 +55,7 @@ func (b *Builder) laneMax(head, endHint, tid, limit, xB, rowOff string) string {
 // expShifted loads x from addr and emits exp(x - rowMax), exp synthesised
 // from ex2 (exp(x) = 2^(x*log2 e)) as real GPU code generators do.
 func (b *Builder) expShifted(addr, rowMax, log2e string) string {
-	v, sh, ev := b.R("f"), b.R("f"), b.R("f")
+	v, sh, ev := b.R(F32), b.R(F32), b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", v, addr)
 	b.I("sub.f32 %s, %s, %s;", sh, v, rowMax)
 	b.I("mul.f32 %s, %s, %s;", sh, sh, log2e)
@@ -86,14 +86,14 @@ func (b *Builder) rowMeanInv(tag, tid, cols, xB, rowOff, sbase, slot, pEps strin
 	sum := b.MovF32(0)
 	b.loop(tag+"_SUM", tag+"_sum_end", tid, cols, "32", func(i string) {
 		_, ax := b.rowElem(xB, rowOff, i)
-		v := b.R("f")
+		v := b.R(F32)
 		b.I("ld.global.f32 %s, [%s];", v, ax)
 		b.I("add.f32 %s, %s, %s;", sum, sum, v)
 	})
 	b.reduceAdd32(tid, slot, sum)
-	colsF = b.R("f")
+	colsF = b.R(F32)
 	b.I("cvt.rn.f32.u32 %s, %s;", colsF, cols)
-	mean = b.R("f")
+	mean = b.R(F32)
 	b.I("ld.shared.f32 %s, [%s];", mean, sbase)
 	b.I("div.rn.f32 %s, %s, %s;", mean, mean, colsF)
 	b.I("bar.sync 0;")
@@ -102,17 +102,17 @@ func (b *Builder) rowMeanInv(tag, tid, cols, xB, rowOff, sbase, slot, pEps strin
 	sq := b.MovF32(0)
 	b.loop(tag+"_VAR", tag+"_var_end", tid, cols, "32", func(i string) {
 		_, ax := b.rowElem(xB, rowOff, i)
-		v, d := b.R("f"), b.R("f")
+		v, d := b.R(F32), b.R(F32)
 		b.I("ld.global.f32 %s, [%s];", v, ax)
 		b.I("sub.f32 %s, %s, %s;", d, v, mean)
 		b.I("fma.rn.f32 %s, %s, %s, %s;", sq, d, d, sq)
 	})
 	b.reduceAdd32(tid, slot, sq)
-	variance := b.R("f")
+	variance := b.R(F32)
 	b.I("ld.shared.f32 %s, [%s];", variance, sbase)
 	b.I("div.rn.f32 %s, %s, %s;", variance, variance, colsF)
 	eps := b.LoadF32(pEps)
-	inv = b.R("f")
+	inv = b.R(F32)
 	b.I("add.f32 %s, %s, %s;", inv, variance, eps)
 	b.I("rsqrt.approx.f32 %s, %s;", inv, inv)
 	return mean, inv, colsF

@@ -15,7 +15,7 @@ func softmaxForward() string {
 	cols := b.LoadU32(pCols)
 	xB := b.LoadPtr(pX)
 	yB := b.LoadPtr(pY)
-	rowOff := b.R("r")
+	rowOff := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", rowOff, row, cols)
 
 	// row max: local max over strided elements, then a shared-memory max
@@ -23,14 +23,14 @@ func softmaxForward() string {
 	best := b.laneMax("SM_MAX", "sm_max_end", tid, cols, xB, rowOff)
 	sbase, slot := b.laneSlots(sred, tid)
 	b.reduceShared("max", 32, tid, slot, best, "SM_RED", "sm_red_end", "sm_skip")
-	rowMax := b.R("f")
+	rowMax := b.R(F32)
 	b.I("ld.shared.f32 %s, [%s];", rowMax, sbase)
 	b.I("bar.sync 0;")
 
 	// row total of exp(x - max)
 	log2e, sum := b.laneExpSum("SM_SUM", "sm_sum_end", tid, cols, xB, rowOff, rowMax)
 	b.reduceShared("add", 32, tid, slot, sum, "SM_RED2", "sm_red2_end", "sm_skip2")
-	total := b.R("f")
+	total := b.R(F32)
 	b.I("ld.shared.f32 %s, [%s];", total, sbase)
 
 	// write y = exp(x - max) / total
@@ -54,7 +54,7 @@ func softmaxNLLBackward() string {
 	idx := b.GlobalTidX()
 	cols := b.LoadU32(pCols)
 	batch := b.LoadU32(pBatch)
-	tot := b.R("r")
+	tot := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, cols, batch)
 	b.GuardEnd(idx, tot, end)
 	j, row := b.remDiv(idx, cols)
@@ -63,19 +63,19 @@ func softmaxNLLBackward() string {
 	dxB := b.LoadPtr(pDX)
 	ay := b.ElemAddr(yB, idx, 4)
 	al := b.ElemAddr(lB, row, 4)
-	vy := b.R("f")
-	lab := b.R("r")
+	vy := b.R(F32)
+	lab := b.R(B32)
 	b.I("ld.global.f32 %s, [%s];", vy, ay)
 	b.I("ld.global.u32 %s, [%s];", lab, al)
-	ph := b.R("p")
+	ph := b.R(Pred)
 	one := b.MovF32(1)
 	zero := b.MovF32(0)
-	hot := b.R("f")
+	hot := b.R(F32)
 	b.I("setp.eq.u32 %s, %s, %s;", ph, j, lab)
 	b.I("selp.b32 %s, %s, %s, %s;", hot, one, zero, ph)
-	g := b.R("f")
+	g := b.R(F32)
 	b.I("sub.f32 %s, %s, %s;", g, vy, hot)
-	bf := b.R("f")
+	bf := b.R(F32)
 	b.I("cvt.rn.f32.u32 %s, %s;", bf, batch)
 	b.I("div.rn.f32 %s, %s, %s;", g, g, bf)
 	adx := b.ElemAddr(dxB, idx, 4)

@@ -36,7 +36,7 @@ func layerNormBackward() string {
 	dxB := b.LoadPtr(pDX)
 	dgB := b.LoadPtr(pDG)
 	dbB := b.LoadPtr(pDB)
-	rowOff := b.R("r")
+	rowOff := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", rowOff, row, cols)
 	sbase, slot := b.laneSlots(sred, tid)
 
@@ -51,11 +51,11 @@ func layerNormBackward() string {
 		ei, ax := b.rowElem(xB, rowOff, i)
 		ady := b.ElemAddr(dyB, ei, 4)
 		ag := b.ElemAddr(gB, i, 4)
-		vx, vdy, vg := b.R("f"), b.R("f"), b.R("f")
+		vx, vdy, vg := b.R(F32), b.R(F32), b.R(F32)
 		b.I("ld.global.f32 %s, [%s];", vx, ax)
 		b.I("ld.global.f32 %s, [%s];", vdy, ady)
 		b.I("ld.global.f32 %s, [%s];", vg, ag)
-		xh, g := b.R("f"), b.R("f")
+		xh, g := b.R(F32), b.R(F32)
 		b.I("sub.f32 %s, %s, %s;", xh, vx, mean)
 		b.I("mul.f32 %s, %s, %s;", xh, xh, inv)
 		b.I("mul.f32 %s, %s, %s;", g, vdy, vg)
@@ -64,12 +64,12 @@ func layerNormBackward() string {
 	})
 
 	b.reduceAdd32(tid, slot, ps1)
-	s1 := b.R("f")
+	s1 := b.R(F32)
 	b.I("ld.shared.f32 %s, [%s];", s1, sbase)
 	b.I("div.rn.f32 %s, %s, %s;", s1, s1, colsF)
 	b.I("bar.sync 0;")
 	b.reduceAdd32(tid, slot, ps2)
-	s2 := b.R("f")
+	s2 := b.R(F32)
 	b.I("ld.shared.f32 %s, [%s];", s2, sbase)
 	b.I("div.rn.f32 %s, %s, %s;", s2, s2, colsF)
 
@@ -81,24 +81,24 @@ func layerNormBackward() string {
 		adx := b.ElemAddr(dxB, ei, 4)
 		adg := b.ElemAddr(dgB, i, 4)
 		adb := b.ElemAddr(dbB, i, 4)
-		vx, vdy, vg := b.R("f"), b.R("f"), b.R("f")
+		vx, vdy, vg := b.R(F32), b.R(F32), b.R(F32)
 		b.I("ld.global.f32 %s, [%s];", vx, ax)
 		b.I("ld.global.f32 %s, [%s];", vdy, ady)
 		b.I("ld.global.f32 %s, [%s];", vg, ag)
-		xh, g := b.R("f"), b.R("f")
+		xh, g := b.R(F32), b.R(F32)
 		b.I("sub.f32 %s, %s, %s;", xh, vx, mean)
 		b.I("mul.f32 %s, %s, %s;", xh, xh, inv)
 		b.I("mul.f32 %s, %s, %s;", g, vdy, vg)
-		dx := b.R("f")
+		dx := b.R(F32)
 		b.I("sub.f32 %s, %s, %s;", dx, g, s1)
-		neg := b.R("f")
+		neg := b.R(F32)
 		b.I("mul.f32 %s, %s, %s;", neg, xh, s2)
 		b.I("sub.f32 %s, %s, %s;", dx, dx, neg)
 		b.I("mul.f32 %s, %s, %s;", dx, dx, inv)
 		b.I("st.global.f32 [%s], %s;", adx, dx)
-		cg := b.R("f")
+		cg := b.R(F32)
 		b.I("mul.f32 %s, %s, %s;", cg, vdy, xh)
-		oldg, oldb := b.R("f"), b.R("f")
+		oldg, oldb := b.R(F32), b.R(F32)
 		b.I("atom.global.add.f32 %s, [%s], %s;", oldg, adg, cg)
 		b.I("atom.global.add.f32 %s, [%s], %s;", oldb, adb, vdy)
 	})
@@ -122,36 +122,36 @@ func geluBackward() string {
 	ax := b.ElemAddr(x, idx, 4)
 	ady := b.ElemAddr(dyB, idx, 4)
 	adx := b.ElemAddr(dxB, idx, 4)
-	v, vdy := b.R("f"), b.R("f")
+	v, vdy := b.R(F32), b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", v, ax)
 	b.I("ld.global.f32 %s, [%s];", vdy, ady)
 	c0 := b.MovF32(0.7978845608028654) // sqrt(2/pi)
 	c1 := b.MovF32(0.044715)
-	x2 := b.R("f")
+	x2 := b.R(F32)
 	b.I("mul.f32 %s, %s, %s;", x2, v, v)
-	x3 := b.R("f")
+	x3 := b.R(F32)
 	b.I("mul.f32 %s, %s, %s;", x3, x2, v)
 	th, one, half := geluTanh(b, v, x3, c0, c1)
 	// 0.5·(1+tanh)
-	d1 := b.R("f")
+	d1 := b.R(F32)
 	b.I("add.f32 %s, %s, %s;", d1, th, one)
 	b.I("mul.f32 %s, %s, %s;", d1, d1, half)
 	// 0.5·x·(1-tanh²)·√(2/π)·(1+3·0.044715·x²)
-	tt := b.R("f")
+	tt := b.R(F32)
 	b.I("mul.f32 %s, %s, %s;", tt, th, th)
-	omt := b.R("f")
+	omt := b.R(F32)
 	b.I("sub.f32 %s, %s, %s;", omt, one, tt)
 	c3 := b.MovF32(0.134145) // 3*0.044715
-	du := b.R("f")
+	du := b.R(F32)
 	b.I("fma.rn.f32 %s, %s, %s, %s;", du, c3, x2, one)
 	b.I("mul.f32 %s, %s, %s;", du, du, c0)
-	d2 := b.R("f")
+	d2 := b.R(F32)
 	b.I("mul.f32 %s, %s, %s;", d2, v, omt)
 	b.I("mul.f32 %s, %s, %s;", d2, d2, du)
 	b.I("mul.f32 %s, %s, %s;", d2, d2, half)
-	dg := b.R("f")
+	dg := b.R(F32)
 	b.I("add.f32 %s, %s, %s;", dg, d1, d2)
-	out := b.R("f")
+	out := b.R(F32)
 	b.I("mul.f32 %s, %s, %s;", out, vdy, dg)
 	b.I("st.global.f32 [%s], %s;", adx, out)
 	b.L(end)
@@ -174,7 +174,7 @@ func softmaxBackward() string {
 	pB := b.LoadPtr(pP)
 	dpB := b.LoadPtr(pDP)
 	dxB := b.LoadPtr(pDX)
-	rowOff := b.R("r")
+	rowOff := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", rowOff, row, cols)
 	sbase, slot := b.laneSlots(sred, tid)
 
@@ -183,13 +183,13 @@ func softmaxBackward() string {
 	b.loop("SB_DOT", "sb_dot_end", tid, cols, "32", func(i string) {
 		ei, ap := b.rowElem(pB, rowOff, i)
 		adp := b.ElemAddr(dpB, ei, 4)
-		vp, vdp := b.R("f"), b.R("f")
+		vp, vdp := b.R(F32), b.R(F32)
 		b.I("ld.global.f32 %s, [%s];", vp, ap)
 		b.I("ld.global.f32 %s, [%s];", vdp, adp)
 		b.I("fma.rn.f32 %s, %s, %s, %s;", dot, vp, vdp, dot)
 	})
 	b.reduceAdd32(tid, slot, dot)
-	total := b.R("f")
+	total := b.R(F32)
 	b.I("ld.shared.f32 %s, [%s];", total, sbase)
 
 	// write dx = p·(dp - dot)
@@ -197,10 +197,10 @@ func softmaxBackward() string {
 		ei, ap := b.rowElem(pB, rowOff, i)
 		adp := b.ElemAddr(dpB, ei, 4)
 		adx := b.ElemAddr(dxB, ei, 4)
-		vp, vdp := b.R("f"), b.R("f")
+		vp, vdp := b.R(F32), b.R(F32)
 		b.I("ld.global.f32 %s, [%s];", vp, ap)
 		b.I("ld.global.f32 %s, [%s];", vdp, adp)
-		g := b.R("f")
+		g := b.R(F32)
 		b.I("sub.f32 %s, %s, %s;", g, vdp, total)
 		b.I("mul.f32 %s, %s, %s;", g, g, vp)
 		b.I("st.global.f32 [%s], %s;", adx, g)
@@ -227,10 +227,10 @@ func softmaxXentBackward() string {
 	labB := b.LoadPtr(pLab)
 	dxB := b.LoadPtr(pDX)
 	lossB := b.LoadPtr(pLoss)
-	rowOff := b.R("r")
+	rowOff := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", rowOff, row, cols)
 	alab := b.ElemAddr(labB, row, 4)
-	lab := b.R("r")
+	lab := b.R(B32)
 	b.I("ld.global.u32 %s, [%s];", lab, alab)
 
 	// row max: local max over strided elements, then a shared-memory max
@@ -238,37 +238,37 @@ func softmaxXentBackward() string {
 	best := b.laneMax("XE_MAX", "xe_max_end", tid, cols, xB, rowOff)
 	sbase, slot := b.laneSlots(sred, tid)
 	b.reduceShared("max", 32, tid, slot, best, "XE_RED", "xe_red_end", "xe_skip")
-	rowMax := b.R("f")
+	rowMax := b.R(F32)
 	b.I("ld.shared.f32 %s, [%s];", rowMax, sbase)
 	b.I("bar.sync 0;")
 
 	// row total of exp(x - max)
 	log2e, sum := b.laneExpSum("XE_SUM", "xe_sum_end", tid, cols, xB, rowOff, rowMax)
 	b.reduceAdd32(tid, slot, sum)
-	total := b.R("f")
+	total := b.R(F32)
 	b.I("ld.shared.f32 %s, [%s];", total, sbase)
 
 	// lane 0: loss[row] = ln(total) - (x[label] - max)
-	pl := b.R("p")
+	pl := b.R(Pred)
 	noLoss := b.NewLabel("xe_no_loss")
 	b.I("setp.ne.u32 %s, %s, 0;", pl, tid)
 	b.I("@%s bra %s;", pl, noLoss)
 	_, axL := b.rowElem(xB, rowOff, lab)
-	vL := b.R("f")
+	vL := b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", vL, axL)
 	b.I("sub.f32 %s, %s, %s;", vL, vL, rowMax)
-	lg := b.R("f")
+	lg := b.R(F32)
 	b.I("lg2.approx.f32 %s, %s;", lg, total)
 	ln2 := b.MovF32(0.6931471805599453)
 	b.I("mul.f32 %s, %s, %s;", lg, lg, ln2)
-	lossV := b.R("f")
+	lossV := b.R(F32)
 	b.I("sub.f32 %s, %s, %s;", lossV, lg, vL)
 	aLoss := b.ElemAddr(lossB, row, 4)
 	b.I("st.global.f32 [%s], %s;", aLoss, lossV)
 	b.L(noLoss)
 
 	// write dx = (exp(x-max)/total - onehot)/rows
-	rowsF := b.R("f")
+	rowsF := b.R(F32)
 	b.I("cvt.rn.f32.u32 %s, %s;", rowsF, rows)
 	one := b.MovF32(1)
 	zero := b.MovF32(0)
@@ -277,11 +277,11 @@ func softmaxXentBackward() string {
 		adx := b.ElemAddr(dxB, ei, 4)
 		ev := b.expShifted(ax, rowMax, log2e)
 		b.I("div.rn.f32 %s, %s, %s;", ev, ev, total)
-		ph := b.R("p")
-		hot := b.R("f")
+		ph := b.R(Pred)
+		hot := b.R(F32)
 		b.I("setp.eq.u32 %s, %s, %s;", ph, i, lab)
 		b.I("selp.b32 %s, %s, %s, %s;", hot, one, zero, ph)
-		g := b.R("f")
+		g := b.R(F32)
 		b.I("sub.f32 %s, %s, %s;", g, ev, hot)
 		b.I("div.rn.f32 %s, %s, %s;", g, g, rowsF)
 		b.I("st.global.f32 [%s], %s;", adx, g)
@@ -302,22 +302,22 @@ func embeddingBackward() string {
 	idx := b.GlobalTidX()
 	rows := b.LoadU32(pRows)
 	cols := b.LoadU32(pCols)
-	total := b.R("r")
+	total := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", total, rows, cols)
 	b.GuardEnd(idx, total, end)
 	row, col := b.divRem(idx, cols)
 	ids := b.LoadPtr(pIds)
 	aid := b.ElemAddr(ids, row, 4)
-	id := b.R("r")
+	id := b.R(B32)
 	b.I("ld.global.u32 %s, [%s];", id, aid)
 	dst := b.flatIndex(id, cols, col)
 	dyB := b.LoadPtr(pDY)
 	dtB := b.LoadPtr(pDT)
 	ady := b.ElemAddr(dyB, idx, 4)
 	adt := b.ElemAddr(dtB, dst, 4)
-	v := b.R("f")
+	v := b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", v, ady)
-	old := b.R("f")
+	old := b.R(F32)
 	b.I("atom.global.add.f32 %s, [%s], %s;", old, adt, v)
 	b.L(end)
 	return b.Build()

@@ -31,7 +31,7 @@ func layerNormForward() string {
 	gB := b.LoadPtr(pG)
 	btB := b.LoadPtr(pBt)
 	yB := b.LoadPtr(pY)
-	rowOff := b.R("r")
+	rowOff := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", rowOff, row, cols)
 	sbase, slot := b.laneSlots(sred, tid)
 
@@ -44,7 +44,7 @@ func layerNormForward() string {
 		ag := b.ElemAddr(gB, i, 4)
 		ab := b.ElemAddr(btB, i, 4)
 		ay := b.ElemAddr(yB, ei, 4)
-		v, vg, vb := b.R("f"), b.R("f"), b.R("f")
+		v, vg, vb := b.R(F32), b.R(F32), b.R(F32)
 		b.I("ld.global.f32 %s, [%s];", v, ax)
 		b.I("ld.global.f32 %s, [%s];", vg, ag)
 		b.I("ld.global.f32 %s, [%s];", vb, ab)
@@ -63,7 +63,7 @@ func layerNormForward() string {
 // Forward and backward share it so they agree on the saturated tails;
 // the 1 and 0.5 constant registers it makes are returned for reuse.
 func geluTanh(b *Builder, v, x3, c0, c1 string) (th, one, half string) {
-	z := b.R("f")
+	z := b.R(F32)
 	b.I("fma.rn.f32 %s, %s, %s, %s;", z, c1, x3, v)
 	b.I("mul.f32 %s, %s, %s;", z, z, c0)
 	hi := b.MovF32(10)
@@ -71,14 +71,14 @@ func geluTanh(b *Builder, v, x3, c0, c1 string) (th, one, half string) {
 	b.I("min.f32 %s, %s, %s;", z, z, hi)
 	b.I("max.f32 %s, %s, %s;", z, z, lo)
 	twoLog2e := b.MovF32(2.8853900817779268) // 2*log2(e)
-	e := b.R("f")
+	e := b.R(F32)
 	b.I("mul.f32 %s, %s, %s;", e, z, twoLog2e)
 	b.I("ex2.approx.f32 %s, %s;", e, e)
 	one = b.MovF32(1)
-	num, den := b.R("f"), b.R("f")
+	num, den := b.R(F32), b.R(F32)
 	b.I("sub.f32 %s, %s, %s;", num, e, one)
 	b.I("add.f32 %s, %s, %s;", den, e, one)
-	th = b.R("f")
+	th = b.R(F32)
 	b.I("div.rn.f32 %s, %s, %s;", th, num, den)
 	half = b.MovF32(0.5)
 	return th, one, half
@@ -98,15 +98,15 @@ func geluForward() string {
 	y := b.LoadPtr(pY)
 	ax := b.ElemAddr(x, idx, 4)
 	ay := b.ElemAddr(y, idx, 4)
-	v := b.R("f")
+	v := b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", v, ax)
 	c0 := b.MovF32(0.7978845608028654) // sqrt(2/pi)
 	c1 := b.MovF32(0.044715)
-	x3 := b.R("f")
+	x3 := b.R(F32)
 	b.I("mul.f32 %s, %s, %s;", x3, v, v)
 	b.I("mul.f32 %s, %s, %s;", x3, x3, v)
 	th, one, half := geluTanh(b, v, x3, c0, c1)
-	out := b.R("f")
+	out := b.R(F32)
 	b.I("add.f32 %s, %s, %s;", out, th, one)
 	b.I("mul.f32 %s, %s, %s;", out, out, v)
 	b.I("mul.f32 %s, %s, %s;", out, out, half)
@@ -131,7 +131,7 @@ func residualAdd() string {
 	ax := b.ElemAddr(x, idx, 4)
 	ar := b.ElemAddr(r, idx, 4)
 	ay := b.ElemAddr(y, idx, 4)
-	vx, vr := b.R("f"), b.R("f")
+	vx, vr := b.R(F32), b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", vx, ax)
 	b.I("ld.global.f32 %s, [%s];", vr, ar)
 	b.I("add.f32 %s, %s, %s;", vx, vx, vr)
@@ -152,7 +152,7 @@ func splitHeads() string {
 	seq := b.LoadU32(pSeq)
 	heads := b.LoadU32(pHeads)
 	dh := b.LoadU32(pDh)
-	total := b.R("r")
+	total := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", total, seq, heads)
 	b.I("mul.lo.u32 %s, %s, %s;", total, total, dh)
 	b.GuardEnd(idx, total, end)
@@ -160,7 +160,7 @@ func splitHeads() string {
 	d, t := b.remDiv(idx, dh)
 	s, h := b.remDiv(t, seq)
 	// input idx = (s*H + h)*dh + d
-	src := b.R("r")
+	src := b.R(B32)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", src, s, heads, h)
 	b.I("mul.lo.u32 %s, %s, %s;", src, src, dh)
 	b.I("add.u32 %s, %s, %s;", src, src, d)
@@ -168,7 +168,7 @@ func splitHeads() string {
 	out := b.LoadPtr(pOut)
 	ain := b.ElemAddr(in, src, 4)
 	aout := b.ElemAddr(out, idx, 4)
-	v := b.R("f")
+	v := b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", v, ain)
 	b.I("st.global.f32 [%s], %s;", aout, v)
 	b.L(end)
@@ -186,7 +186,7 @@ func mergeHeads() string {
 	seq := b.LoadU32(pSeq)
 	heads := b.LoadU32(pHeads)
 	dh := b.LoadU32(pDh)
-	total := b.R("r")
+	total := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", total, seq, heads)
 	b.I("mul.lo.u32 %s, %s, %s;", total, total, dh)
 	b.GuardEnd(idx, total, end)
@@ -194,7 +194,7 @@ func mergeHeads() string {
 	d, t := b.remDiv(idx, dh)
 	h, s := b.remDiv(t, heads)
 	// input idx = (h*S + s)*dh + d
-	src := b.R("r")
+	src := b.R(B32)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", src, h, seq, s)
 	b.I("mul.lo.u32 %s, %s, %s;", src, src, dh)
 	b.I("add.u32 %s, %s, %s;", src, src, d)
@@ -202,7 +202,7 @@ func mergeHeads() string {
 	out := b.LoadPtr(pOut)
 	ain := b.ElemAddr(in, src, 4)
 	aout := b.ElemAddr(out, idx, 4)
-	v := b.R("f")
+	v := b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", v, ain)
 	b.I("st.global.f32 [%s], %s;", aout, v)
 	b.L(end)
@@ -219,20 +219,20 @@ func embeddingLookup() string {
 	idx := b.GlobalTidX()
 	rows := b.LoadU32(pRows)
 	cols := b.LoadU32(pCols)
-	total := b.R("r")
+	total := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", total, rows, cols)
 	b.GuardEnd(idx, total, end)
 	row, col := b.divRem(idx, cols)
 	ids := b.LoadPtr(pIds)
 	aid := b.ElemAddr(ids, row, 4)
-	id := b.R("r")
+	id := b.R(B32)
 	b.I("ld.global.u32 %s, [%s];", id, aid)
 	src := b.flatIndex(id, cols, col)
 	table := b.LoadPtr(pT)
 	out := b.LoadPtr(pOut)
 	at := b.ElemAddr(table, src, 4)
 	ao := b.ElemAddr(out, idx, 4)
-	v := b.R("f")
+	v := b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", v, at)
 	b.I("st.global.f32 [%s], %s;", ao, v)
 	b.L(end)

@@ -18,24 +18,24 @@ func emitInputTransform(b *Builder, d [16]string) [16]string {
 	var t, v [16]string
 	// t = Bᵀ d : rows combine
 	for j := 0; j < 4; j++ {
-		t[0*4+j] = b.R("f")
+		t[0*4+j] = b.R(F32)
 		b.I("sub.f32 %s, %s, %s;", t[0*4+j], d[0*4+j], d[2*4+j])
-		t[1*4+j] = b.R("f")
+		t[1*4+j] = b.R(F32)
 		b.I("add.f32 %s, %s, %s;", t[1*4+j], d[1*4+j], d[2*4+j])
-		t[2*4+j] = b.R("f")
+		t[2*4+j] = b.R(F32)
 		b.I("sub.f32 %s, %s, %s;", t[2*4+j], d[2*4+j], d[1*4+j])
-		t[3*4+j] = b.R("f")
+		t[3*4+j] = b.R(F32)
 		b.I("sub.f32 %s, %s, %s;", t[3*4+j], d[1*4+j], d[3*4+j])
 	}
 	// v = t B : columns combine
 	for i := 0; i < 4; i++ {
-		v[i*4+0] = b.R("f")
+		v[i*4+0] = b.R(F32)
 		b.I("sub.f32 %s, %s, %s;", v[i*4+0], t[i*4+0], t[i*4+2])
-		v[i*4+1] = b.R("f")
+		v[i*4+1] = b.R(F32)
 		b.I("add.f32 %s, %s, %s;", v[i*4+1], t[i*4+1], t[i*4+2])
-		v[i*4+2] = b.R("f")
+		v[i*4+2] = b.R(F32)
 		b.I("sub.f32 %s, %s, %s;", v[i*4+2], t[i*4+2], t[i*4+1])
-		v[i*4+3] = b.R("f")
+		v[i*4+3] = b.R(F32)
 		b.I("sub.f32 %s, %s, %s;", v[i*4+3], t[i*4+1], t[i*4+3])
 	}
 	return v
@@ -47,16 +47,16 @@ func emitFilterTransform(b *Builder, g [9]string) [16]string {
 	var t [12]string // 4x3
 	for j := 0; j < 3; j++ {
 		t[0*3+j] = g[0*3+j]
-		s1 := b.R("f")
+		s1 := b.R(F32)
 		b.I("add.f32 %s, %s, %s;", s1, g[0*3+j], g[1*3+j])
 		b.I("add.f32 %s, %s, %s;", s1, s1, g[2*3+j])
-		t1 := b.R("f")
+		t1 := b.R(F32)
 		b.I("mul.f32 %s, %s, %s;", t1, s1, half)
 		t[1*3+j] = t1
-		s2 := b.R("f")
+		s2 := b.R(F32)
 		b.I("sub.f32 %s, %s, %s;", s2, g[0*3+j], g[1*3+j])
 		b.I("add.f32 %s, %s, %s;", s2, s2, g[2*3+j])
-		t2 := b.R("f")
+		t2 := b.R(F32)
 		b.I("mul.f32 %s, %s, %s;", t2, s2, half)
 		t[2*3+j] = t2
 		t[3*3+j] = g[2*3+j]
@@ -64,16 +64,16 @@ func emitFilterTransform(b *Builder, g [9]string) [16]string {
 	var u [16]string
 	for i := 0; i < 4; i++ {
 		u[i*4+0] = t[i*3+0]
-		s1 := b.R("f")
+		s1 := b.R(F32)
 		b.I("add.f32 %s, %s, %s;", s1, t[i*3+0], t[i*3+1])
 		b.I("add.f32 %s, %s, %s;", s1, s1, t[i*3+2])
-		u1 := b.R("f")
+		u1 := b.R(F32)
 		b.I("mul.f32 %s, %s, %s;", u1, s1, half)
 		u[i*4+1] = u1
-		s2 := b.R("f")
+		s2 := b.R(F32)
 		b.I("sub.f32 %s, %s, %s;", s2, t[i*3+0], t[i*3+1])
 		b.I("add.f32 %s, %s, %s;", s2, s2, t[i*3+2])
-		u2 := b.R("f")
+		u2 := b.R(F32)
 		b.I("mul.f32 %s, %s, %s;", u2, s2, half)
 		u[i*4+2] = u2
 		u[i*4+3] = t[i*3+2]
@@ -85,22 +85,22 @@ func emitFilterTransform(b *Builder, g [9]string) [16]string {
 func emitOutputTransform(b *Builder, m [16]string) [4]string {
 	var t [8]string // 2x4
 	for j := 0; j < 4; j++ {
-		t0 := b.R("f")
+		t0 := b.R(F32)
 		b.I("add.f32 %s, %s, %s;", t0, m[0*4+j], m[1*4+j])
 		b.I("add.f32 %s, %s, %s;", t0, t0, m[2*4+j])
 		t[0*4+j] = t0
-		t1 := b.R("f")
+		t1 := b.R(F32)
 		b.I("sub.f32 %s, %s, %s;", t1, m[1*4+j], m[2*4+j])
 		b.I("sub.f32 %s, %s, %s;", t1, t1, m[3*4+j])
 		t[1*4+j] = t1
 	}
 	var y [4]string
 	for i := 0; i < 2; i++ {
-		y0 := b.R("f")
+		y0 := b.R(F32)
 		b.I("add.f32 %s, %s, %s;", y0, t[i*4+0], t[i*4+1])
 		b.I("add.f32 %s, %s, %s;", y0, y0, t[i*4+2])
 		y[i*2+0] = y0
-		y1 := b.R("f")
+		y1 := b.R(F32)
 		b.I("sub.f32 %s, %s, %s;", y1, t[i*4+1], t[i*4+2])
 		b.I("sub.f32 %s, %s, %s;", y1, y1, t[i*4+3])
 		y[i*2+1] = y1
@@ -113,18 +113,18 @@ func emitOutputTransform(b *Builder, m [16]string) [4]string {
 // (y, x) lies outside the plane (the address is clamped to the plane's
 // first element so the load itself stays in range).
 func emitLoadBounded(b *Builder, ptr, base, y, x, h, w, z string) string {
-	pin, ptmp := b.R("p"), b.R("p")
+	pin, ptmp := b.R(Pred), b.R(Pred)
 	b.I("setp.lt.u32 %s, %s, %s;", pin, y, h)
 	b.I("setp.lt.u32 %s, %s, %s;", ptmp, x, w)
 	b.I("and.pred %s, %s, %s;", pin, pin, ptmp)
 	si := b.flatIndex(y, w, x)
 	b.I("add.u32 %s, %s, %s;", si, si, base)
-	clamped := b.R("r")
+	clamped := b.R(B32)
 	b.I("selp.b32 %s, %s, %s, %s;", clamped, si, base, pin)
 	a := b.ElemAddr(ptr, clamped, 4)
-	v := b.R("f")
+	v := b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", v, a)
-	vv := b.R("f")
+	vv := b.R(F32)
 	b.I("selp.b32 %s, %s, %s, %s;", vv, v, z, pin)
 	return vv
 }
@@ -136,7 +136,7 @@ func emitLoadPatch4(b *Builder, xB, base, y0, x0, h, w string) [16]string {
 	z := b.MovF32(0)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
-			iy, ix := b.R("r"), b.R("r")
+			iy, ix := b.R(B32), b.R(B32)
 			b.I("add.u32 %s, %s, %d;", iy, y0, i)
 			b.I("add.u32 %s, %s, %d;", ix, x0, j)
 			d[i*4+j] = emitLoadBounded(b, xB, base, iy, ix, h, w, z)
@@ -150,10 +150,10 @@ func emitLoadPatch4(b *Builder, xB, base, y0, x0, h, w string) [16]string {
 func emitLoadFilter3(b *Builder, wB, fbase string) [9]string {
 	var g [9]string
 	for i := range g {
-		fi := b.R("r")
+		fi := b.R(B32)
 		b.I("add.u32 %s, %s, %d;", fi, fbase, i)
 		a := b.ElemAddr(wB, fi, 4)
-		g[i] = b.R("f")
+		g[i] = b.R(F32)
 		b.I("ld.global.f32 %s, [%s];", g[i], a)
 	}
 	return g
@@ -162,7 +162,7 @@ func emitLoadFilter3(b *Builder, wB, fbase string) [9]string {
 // emitTileCounts emits the number of 2x2 output tiles down and across an
 // OHxOW plane: (oh+1)/2 and (ow+1)/2.
 func emitTileCounts(b *Builder, oh, ow string) (tilesY, tilesX string) {
-	tilesY, tilesX = b.R("r"), b.R("r")
+	tilesY, tilesX = b.R(B32), b.R(B32)
 	b.I("add.u32 %s, %s, 1;", tilesY, oh)
 	b.I("shr.u32 %s, %s, 1;", tilesY, tilesY)
 	b.I("add.u32 %s, %s, 1;", tilesX, ow)
@@ -173,7 +173,7 @@ func emitTileCounts(b *Builder, oh, ow string) (tilesY, tilesX string) {
 // emitTileOrigin emits the input-patch origin (2*ty - pad, 2*tx - pad)
 // of output tile (ty, tx).
 func emitTileOrigin(b *Builder, ty, tx, pad string) (y0, x0 string) {
-	y0, x0 = b.R("r"), b.R("r")
+	y0, x0 = b.R(B32), b.R(B32)
 	b.I("shl.b32 %s, %s, 1;", y0, ty)
 	b.I("sub.u32 %s, %s, %s;", y0, y0, pad)
 	b.I("shl.b32 %s, %s, 1;", x0, tx)
@@ -185,7 +185,7 @@ func emitTileOrigin(b *Builder, ty, tx, pad string) (y0, x0 string) {
 // idx into the [16][count] matrix at base: element xi goes to xi*count+idx.
 func emitStoreTransformed(b *Builder, base, count, idx string, vals [16]string) {
 	for xi, v := range vals {
-		ei := b.R("r")
+		ei := b.R(B32)
 		b.I("mad.lo.s32 %s, %s, %d, %s;", ei, count, xi, idx)
 		a := b.ElemAddr(base, ei, 4)
 		b.I("st.global.f32 [%s], %s;", a, v)
@@ -198,12 +198,12 @@ func emitStoreTransformed(b *Builder, base, count, idx string, vals [16]string) 
 func emitStoreTile2(b *Builder, yB string, yv [4]string, ty, tx, oh, ow, outBase, skipHint string) {
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
-			oy, oxr := b.R("r"), b.R("r")
+			oy, oxr := b.R(B32), b.R(B32)
 			b.I("shl.b32 %s, %s, 1;", oy, ty)
 			b.I("add.u32 %s, %s, %d;", oy, oy, i)
 			b.I("shl.b32 %s, %s, 1;", oxr, tx)
 			b.I("add.u32 %s, %s, %d;", oxr, oxr, j)
-			pin, ptmp := b.R("p"), b.R("p")
+			pin, ptmp := b.R(Pred), b.R(Pred)
 			skip := b.NewLabel(skipHint)
 			b.I("setp.ge.u32 %s, %s, %s;", pin, oy, oh)
 			b.I("@%s bra %s;", pin, skip)
@@ -233,14 +233,14 @@ func winogradFused() string {
 	oh := b.LoadU32(pOH)
 	ow := b.LoadU32(pOW)
 	tilesY, tilesX := emitTileCounts(b, oh, ow)
-	tiles := b.R("r")
+	tiles := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", tiles, tilesY, tilesX)
-	tot := b.R("r")
+	tot := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, k, tiles)
 	b.GuardEnd(idx, tot, end)
 	tileIdx, kk := b.remDiv(idx, tiles)
 	ty, tx := b.divRem(tileIdx, tilesX)
-	n := b.R("r")
+	n := b.R(B32)
 	b.I("mov.u32 %s, %%ctaid.y;", n)
 
 	c := b.LoadU32(pC)
@@ -257,11 +257,11 @@ func winogradFused() string {
 		acc[i] = b.MovF32(0)
 	}
 	y0, x0 := emitTileOrigin(b, ty, tx, pad)
-	hw := b.R("r")
+	hw := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", hw, h, w)
-	chw := b.R("r")
+	chw := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", chw, c, hw)
-	imgOff := b.R("r")
+	imgOff := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", imgOff, n, chw)
 
 	b.loop("WF_C", "wf_c_end", "0", c, "1", func(cc string) {
@@ -279,11 +279,11 @@ func winogradFused() string {
 
 	yv := emitOutputTransform(b, acc)
 	// store 2x2 with bounds
-	kohw := b.R("r")
-	ohw := b.R("r")
+	kohw := b.R(B32)
+	ohw := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", ohw, oh, ow)
 	b.I("mul.lo.u32 %s, %s, %s;", kohw, k, ohw)
-	outBase := b.R("r")
+	outBase := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", outBase, n, kohw)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", outBase, kk, ohw, outBase)
 	emitStoreTile2(b, yB, yv, ty, tx, oh, ow, outBase, "wf_skip")
@@ -303,7 +303,7 @@ func winogradFilterTransform() string {
 	b.GuardEnd(idx, kc, end)
 	wB := b.LoadPtr(pW)
 	uB := b.LoadPtr(pU)
-	fbase := b.R("r")
+	fbase := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, 9;", fbase, idx)
 	u := emitFilterTransform(b, emitLoadFilter3(b, wB, fbase))
 	emitStoreTransformed(b, uB, kc, idx, u)
@@ -326,11 +326,11 @@ func winogradInputTransform() string {
 	tx := b.LoadU32(pTX)
 	ty := b.LoadU32(pTY)
 	nimg := b.LoadU32(pNImg)
-	tilesPerImg := b.R("r")
+	tilesPerImg := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", tilesPerImg, tx, ty)
-	p := b.R("r")
+	p := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", p, tilesPerImg, nimg)
-	tot := b.R("r")
+	tot := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, c, p)
 	b.GuardEnd(idx, tot, end)
 	// idx -> (cc, pp); pp -> (n, tyy, txx)
@@ -343,11 +343,11 @@ func winogradInputTransform() string {
 	pad := b.LoadU32(pPad)
 	xB := b.LoadPtr(pX)
 	vB := b.LoadPtr(pV)
-	hw := b.R("r")
+	hw := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", hw, h, w)
-	chw := b.R("r")
+	chw := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", chw, c, hw)
-	base := b.R("r")
+	base := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", base, n, chw)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", base, cc, hw, base)
 	y0, x0 := emitTileOrigin(b, tyy, txx, pad)
@@ -371,11 +371,11 @@ func winogradOutputTransform() string {
 	tx := b.LoadU32(pTX)
 	ty := b.LoadU32(pTY)
 	nimg := b.LoadU32(pNImg)
-	tilesPerImg := b.R("r")
+	tilesPerImg := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", tilesPerImg, tx, ty)
-	p := b.R("r")
+	p := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", p, tilesPerImg, nimg)
-	tot := b.R("r")
+	tot := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, k, p)
 	b.GuardEnd(idx, tot, end)
 	pp, kk := b.remDiv(idx, p)
@@ -386,21 +386,21 @@ func winogradOutputTransform() string {
 	yB := b.LoadPtr(pY)
 	var m [16]string
 	for xi := 0; xi < 16; xi++ {
-		mi := b.R("r")
+		mi := b.R(B32)
 		b.I("mad.lo.s32 %s, %s, %d, %s;", mi, tot, xi, idx)
 		a := b.ElemAddr(mB, mi, 4)
-		mv := b.R("f")
+		mv := b.R(F32)
 		b.I("ld.global.f32 %s, [%s];", mv, a)
 		m[xi] = mv
 	}
 	yv := emitOutputTransform(b, m)
 	oh := b.LoadU32(pOH)
 	ow := b.LoadU32(pOW)
-	ohw := b.R("r")
+	ohw := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", ohw, oh, ow)
-	kohw := b.R("r")
+	kohw := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", kohw, k, ohw)
-	outBase := b.R("r")
+	outBase := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", outBase, n, kohw)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", outBase, kk, ohw, outBase)
 	emitStoreTile2(b, yB, yv, tyy, txx, oh, ow, outBase, "wo_skip")
@@ -420,9 +420,9 @@ func winogradBwdFilter() string {
 	pPad, pNImg := b.U32Param("pPad"), b.U32Param("pNImg")
 	sacc := b.Shared("wacc", 64*16*4, 4)
 
-	tid := b.R("r")
+	tid := b.R(B32)
 	b.I("mov.u32 %s, %%tid.x;", tid)
-	fid := b.R("r")
+	fid := b.R(B32)
 	b.I("mov.u32 %s, %%ctaid.x;", fid)
 	c := b.LoadU32(pC)
 	k := b.LoadU32(pK)
@@ -432,9 +432,9 @@ func winogradBwdFilter() string {
 	ow := b.LoadU32(pOW)
 	tilesY, tilesX := emitTileCounts(b, oh, ow)
 	nimg := b.LoadU32(pNImg)
-	tilesPerImg := b.R("r")
+	tilesPerImg := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", tilesPerImg, tilesY, tilesX)
-	tot := b.R("r")
+	tot := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", tot, tilesPerImg, nimg)
 
 	h := b.LoadU32(pH)
@@ -443,13 +443,13 @@ func winogradBwdFilter() string {
 	xB := b.LoadPtr(pX)
 	dyB := b.LoadPtr(pDY)
 	dwB := b.LoadPtr(pDW)
-	hw := b.R("r")
+	hw := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", hw, h, w)
-	chw := b.R("r")
+	chw := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", chw, c, hw)
-	ohw := b.R("r")
+	ohw := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", ohw, oh, ow)
-	kohw := b.R("r")
+	kohw := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", kohw, k, ohw)
 
 	var acc [16]string
@@ -460,21 +460,21 @@ func winogradBwdFilter() string {
 		tIdx, n := b.remDiv(pos, tilesPerImg)
 		tyy, txx := b.divRem(tIdx, tilesX)
 		// input patch of x[n, cc]
-		base := b.R("r")
+		base := b.R(B32)
 		b.I("mul.lo.u32 %s, %s, %s;", base, n, chw)
 		b.I("mad.lo.s32 %s, %s, %s, %s;", base, cc, hw, base)
 		y0, x0 := emitTileOrigin(b, tyy, txx, pad)
 		d := emitLoadPatch4(b, xB, base, y0, x0, h, w)
 		v := emitInputTransform(b, d)
 		// dy 2x2 tile of dy[n, kk] (zeros outside)
-		dyBase := b.R("r")
+		dyBase := b.R(B32)
 		b.I("mul.lo.u32 %s, %s, %s;", dyBase, n, kohw)
 		b.I("mad.lo.s32 %s, %s, %s, %s;", dyBase, kk, ohw, dyBase)
 		var dyv [4]string
 		z := b.MovF32(0)
 		for i := 0; i < 2; i++ {
 			for j := 0; j < 2; j++ {
-				oy, oxr := b.R("r"), b.R("r")
+				oy, oxr := b.R(B32), b.R(B32)
 				b.I("shl.b32 %s, %s, 1;", oy, tyy)
 				b.I("add.u32 %s, %s, %d;", oy, oy, i)
 				b.I("shl.b32 %s, %s, 1;", oxr, txx)
@@ -486,11 +486,11 @@ func winogradBwdFilter() string {
 		var trows [8]string // 4x2: A*dy
 		for j := 0; j < 2; j++ {
 			t0 := dyv[0*2+j]
-			t1 := b.R("f")
+			t1 := b.R(F32)
 			b.I("add.f32 %s, %s, %s;", t1, dyv[0*2+j], dyv[1*2+j])
-			t2 := b.R("f")
+			t2 := b.R(F32)
 			b.I("sub.f32 %s, %s, %s;", t2, dyv[0*2+j], dyv[1*2+j])
-			t3 := b.R("f")
+			t3 := b.R(F32)
 			b.I("neg.f32 %s, %s;", t3, dyv[1*2+j])
 			trows[0*2+j] = t0
 			trows[1*2+j] = t1
@@ -500,11 +500,11 @@ func winogradBwdFilter() string {
 		var mdy [16]string
 		for i := 0; i < 4; i++ {
 			m0 := trows[i*2+0]
-			m1 := b.R("f")
+			m1 := b.R(F32)
 			b.I("add.f32 %s, %s, %s;", m1, trows[i*2+0], trows[i*2+1])
-			m2 := b.R("f")
+			m2 := b.R(F32)
 			b.I("sub.f32 %s, %s, %s;", m2, trows[i*2+0], trows[i*2+1])
-			m3 := b.R("f")
+			m3 := b.R(F32)
 			b.I("neg.f32 %s, %s;", m3, trows[i*2+1])
 			mdy[i*4+0] = m0
 			mdy[i*4+1] = m1
@@ -517,34 +517,34 @@ func winogradBwdFilter() string {
 	})
 
 	// reduce 16 accumulators across the 64 threads via shared memory
-	sbase := b.R("r")
+	sbase := b.R(B32)
 	b.I("mov.u32 %s, %s;", sbase, sacc)
 	for i := 0; i < 16; i++ {
-		slot := b.R("r")
+		slot := b.R(B32)
 		b.I("mad.lo.s32 %s, %s, 4, %s;", slot, tid, sbase)
 		b.I("add.u32 %s, %s, %d;", slot, slot, i*64*4)
 		b.I("st.shared.f32 [%s], %s;", slot, acc[i])
 	}
 	b.I("bar.sync 0;")
-	step := b.R("r")
+	step := b.R(B32)
 	b.I("mov.u32 %s, 32;", step)
 	rl := b.L("WBF_RED")
-	pz := b.R("p")
+	pz := b.R(Pred)
 	rend := b.NewLabel("wbf_red_end")
 	b.I("setp.eq.u32 %s, %s, 0;", pz, step)
 	b.I("@%s bra %s;", pz, rend)
-	pact := b.R("p")
+	pact := b.R(Pred)
 	skipR := b.NewLabel("wbf_skip")
 	b.I("setp.ge.u32 %s, %s, %s;", pact, tid, step)
 	b.I("@%s bra %s;", pact, skipR)
 	for i := 0; i < 16; i++ {
-		mine, other := b.R("r"), b.R("r")
+		mine, other := b.R(B32), b.R(B32)
 		b.I("mad.lo.s32 %s, %s, 4, %s;", mine, tid, sbase)
 		b.I("add.u32 %s, %s, %d;", mine, mine, i*64*4)
-		stepOff := b.R("r")
+		stepOff := b.R(B32)
 		b.I("shl.b32 %s, %s, 2;", stepOff, step)
 		b.I("add.u32 %s, %s, %s;", other, mine, stepOff)
-		va, vb := b.R("f"), b.R("f")
+		va, vb := b.R(F32), b.R(F32)
 		b.I("ld.shared.f32 %s, [%s];", va, mine)
 		b.I("ld.shared.f32 %s, [%s];", vb, other)
 		b.I("add.f32 %s, %s, %s;", va, va, vb)
@@ -557,15 +557,15 @@ func winogradBwdFilter() string {
 	b.L(rend)
 
 	// thread 0 applies Gᵀ S G and writes the 3x3 filter gradient
-	p0 := b.R("p")
+	p0 := b.R(Pred)
 	done := b.NewLabel("wbf_done")
 	b.I("setp.ne.u32 %s, %s, 0;", p0, tid)
 	b.I("@%s bra %s;", p0, done)
 	var s [16]string
 	for i := 0; i < 16; i++ {
-		a := b.R("r")
+		a := b.R(B32)
 		b.I("add.u32 %s, %s, %d;", a, sbase, i*64*4)
-		sv := b.R("f")
+		sv := b.R(F32)
 		b.I("ld.shared.f32 %s, [%s];", sv, a)
 		s[i] = sv
 	}
@@ -573,15 +573,15 @@ func winogradBwdFilter() string {
 	half := b.MovF32(0.5)
 	var tg [12]string
 	for j := 0; j < 4; j++ {
-		sum12 := b.R("f")
+		sum12 := b.R(F32)
 		b.I("add.f32 %s, %s, %s;", sum12, s[1*4+j], s[2*4+j])
 		b.I("mul.f32 %s, %s, %s;", sum12, sum12, half)
-		dif12 := b.R("f")
+		dif12 := b.R(F32)
 		b.I("sub.f32 %s, %s, %s;", dif12, s[1*4+j], s[2*4+j])
 		b.I("mul.f32 %s, %s, %s;", dif12, dif12, half)
-		t0 := b.R("f")
+		t0 := b.R(F32)
 		b.I("add.f32 %s, %s, %s;", t0, s[0*4+j], sum12)
-		t2 := b.R("f")
+		t2 := b.R(F32)
 		b.I("add.f32 %s, %s, %s;", t2, s[3*4+j], sum12)
 		tg[0*4+j] = t0
 		tg[1*4+j] = dif12
@@ -590,24 +590,24 @@ func winogradBwdFilter() string {
 	// dw = t G : 3x3
 	var dwv [9]string
 	for i := 0; i < 3; i++ {
-		sum12 := b.R("f")
+		sum12 := b.R(F32)
 		b.I("add.f32 %s, %s, %s;", sum12, tg[i*4+1], tg[i*4+2])
 		b.I("mul.f32 %s, %s, %s;", sum12, sum12, half)
-		dif12 := b.R("f")
+		dif12 := b.R(F32)
 		b.I("sub.f32 %s, %s, %s;", dif12, tg[i*4+1], tg[i*4+2])
 		b.I("mul.f32 %s, %s, %s;", dif12, dif12, half)
-		d0 := b.R("f")
+		d0 := b.R(F32)
 		b.I("add.f32 %s, %s, %s;", d0, tg[i*4+0], sum12)
-		d2 := b.R("f")
+		d2 := b.R(F32)
 		b.I("add.f32 %s, %s, %s;", d2, tg[i*4+3], sum12)
 		dwv[i*3+0] = d0
 		dwv[i*3+1] = dif12
 		dwv[i*3+2] = d2
 	}
-	outBase := b.R("r")
+	outBase := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, 9;", outBase, fid)
 	for i := 0; i < 9; i++ {
-		oi := b.R("r")
+		oi := b.R(B32)
 		b.I("add.u32 %s, %s, %d;", oi, outBase, i)
 		a := b.ElemAddr(dwB, oi, 4)
 		b.I("st.global.f32 [%s], %s;", a, dwv[i])
