@@ -210,6 +210,43 @@ func (b *Builder) GuardEnd(idx, n, endLabel string) {
 // passed in by name: fixed loop heads as given, generated ones as the
 // hint handed to NewLabel.
 
+// guardTid is the prologue of a one-thread-per-element kernel: it loads
+// the u32 extent parameters and sends every thread whose global x index
+// is not below their product to the exit label, which it returns along
+// with the index and the loaded extents. The caller places the label
+// last (b.L(end)).
+func (b *Builder) guardTid(params ...string) (end, idx string, ext []string) {
+	end = b.NewLabel("end")
+	idx = b.GlobalTidX()
+	for _, p := range params {
+		ext = append(ext, b.LoadU32(p))
+	}
+	total := ext[0]
+	if len(ext) > 1 {
+		total = b.R(B32)
+		b.I("mul.lo.u32 %s, %s, %s;", total, ext[0], ext[1])
+		for _, e := range ext[2:] {
+			b.I("mul.lo.u32 %s, %s, %s;", total, total, e)
+		}
+	}
+	b.GuardEnd(idx, total, end)
+	return end, idx, ext
+}
+
+// elemAddrs loads the pointer parameters, then emits the address of f32
+// element idx in each of them, in the same order.
+func (b *Builder) elemAddrs(idx string, params ...string) []string {
+	bases := make([]string, len(params))
+	for i, p := range params {
+		bases[i] = b.LoadPtr(p)
+	}
+	addrs := make([]string, len(params))
+	for i, base := range bases {
+		addrs[i] = b.ElemAddr(base, idx, 4)
+	}
+	return addrs
+}
+
 // loop emits `for i = start; i < limit; i += step { body(i) }` over a
 // fresh u32 counter. start, limit and step are registers or immediates;
 // head is the loop label, endHint names the generated exit label.

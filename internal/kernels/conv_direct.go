@@ -4,22 +4,36 @@ package kernels
 // "Algorithm 0/1/3" backward kernels the paper's conv_sample case study
 // sweeps over (§V-A). Tensors are NCHW; filters are KCRS.
 
+// convShape names a convolution kernel's u32 shape parameters.
+type convShape struct{ c, h, w, k, r, s, oh, ow, stride, pad string }
+
+// convParams declares the u32 shape parameters that follow a convolution
+// kernel's pointers (and, in the kernels that loop over images, pN): pC,
+// pH, the width, pK, pR, pS, pOH, pOW, pStrideC, pPad. The direct
+// kernels name the width pWidth, because pW is the filter; im2col, which
+// has no filter, names it pW and declares no pK.
+func (b *Builder) convParams(width string, withK bool) (sh convShape) {
+	sh.c, sh.h, sh.w = b.U32Param("pC"), b.U32Param("pH"), b.U32Param(width)
+	if withK {
+		sh.k = b.U32Param("pK")
+	}
+	sh.r, sh.s = b.U32Param("pR"), b.U32Param("pS")
+	sh.oh, sh.ow = b.U32Param("pOH"), b.U32Param("pOW")
+	sh.stride, sh.pad = b.U32Param("pStrideC"), b.U32Param("pPad")
+	return sh
+}
+
 // pixelIndex emits the common one-thread-per-pixel decomposition over a
 // [C, H, W] plane stack whose extents are the u32 parameters pC, pH, pW:
-// idx -> (c, y, x), guarded against idx >= C*H*W. grid.y carries the
-// image index n. ext returns the three loaded extents.
-func pixelIndex(b *Builder, pC, pH, pW, end string) (idx, c, y, x, n string, ext [3]string) {
-	idx = b.GlobalTidX()
-	ext = [3]string{b.LoadU32(pC), b.LoadU32(pH), b.LoadU32(pW)}
-	tot := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", tot, ext[0], ext[1])
-	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, ext[2])
-	b.GuardEnd(idx, tot, end)
+// idx -> (c, y, x), guarded against idx >= C*H*W (guardTid). grid.y
+// carries the image index n. ext returns the three loaded extents.
+func pixelIndex(b *Builder, pC, pH, pW string) (end, idx, c, y, x, n string, ext []string) {
+	end, idx, ext = b.guardTid(pC, pH, pW)
 	x, t1 := b.remDiv(idx, ext[2])
 	y, c = b.remDiv(t1, ext[1])
 	n = b.R(B32)
 	b.I("mov.u32 %s, %%ctaid.y;", n)
-	return idx, c, y, x, n, ext
+	return end, idx, c, y, x, n, ext
 }
 
 // patchOrigin emits the top-left input coordinate (oy*stride-pad,
@@ -50,20 +64,16 @@ func imageOffset(b *Builder, n, c, h, w string) string {
 func convForwardImplicitGemm() string {
 	b := NewBuilder("implicit_gemm_conv_fwd")
 	pX, pW, pY := b.PtrParam("pX"), b.PtrParam("pW"), b.PtrParam("pY")
-	pC, pH, pWw := b.U32Param("pC"), b.U32Param("pH"), b.U32Param("pWidth")
-	pK, pR, pS := b.U32Param("pK"), b.U32Param("pR"), b.U32Param("pS")
-	pOH, pOW := b.U32Param("pOH"), b.U32Param("pOW")
-	pStride, pPad := b.U32Param("pStrideC"), b.U32Param("pPad")
-	end := b.NewLabel("end")
-	idx, kk, oy, ox, n, _ := pixelIndex(b, pK, pOH, pOW, end)
+	sh := b.convParams("pWidth", true)
+	end, idx, kk, oy, ox, n, _ := pixelIndex(b, sh.k, sh.oh, sh.ow)
 
-	c := b.LoadU32(pC)
-	h := b.LoadU32(pH)
-	w := b.LoadU32(pWw)
-	r := b.LoadU32(pR)
-	s := b.LoadU32(pS)
-	stride := b.LoadU32(pStride)
-	pad := b.LoadU32(pPad)
+	c := b.LoadU32(sh.c)
+	h := b.LoadU32(sh.h)
+	w := b.LoadU32(sh.w)
+	r := b.LoadU32(sh.r)
+	s := b.LoadU32(sh.s)
+	stride := b.LoadU32(sh.stride)
+	pad := b.LoadU32(sh.pad)
 	xB := b.LoadPtr(pX)
 	wB := b.LoadPtr(pW)
 	yB := b.LoadPtr(pY)
@@ -104,9 +114,9 @@ func convForwardImplicitGemm() string {
 	// y[n, kk, oy, ox] = acc  (idx already enumerates k*OH*OW)
 	ohw := b.R(B32)
 	khw := b.R(B32)
-	kreg := b.LoadU32(pK)
-	oh2 := b.LoadU32(pOH)
-	ow2 := b.LoadU32(pOW)
+	kreg := b.LoadU32(sh.k)
+	oh2 := b.LoadU32(sh.oh)
+	ow2 := b.LoadU32(sh.ow)
 	b.I("mul.lo.u32 %s, %s, %s;", ohw, oh2, ow2)
 	b.I("mul.lo.u32 %s, %s, %s;", khw, kreg, ohw)
 	ay := b.ElemAddr(yB, b.flatIndex(n, khw, idx), 4)
@@ -120,21 +130,17 @@ func convForwardImplicitGemm() string {
 func convBwdDataAlgo0() string {
 	b := NewBuilder("conv_bwd_data_algo0")
 	pDY, pW, pDX := b.PtrParam("pDY"), b.PtrParam("pW"), b.PtrParam("pDX")
-	pC, pH, pWw := b.U32Param("pC"), b.U32Param("pH"), b.U32Param("pWidth")
-	pK, pR, pS := b.U32Param("pK"), b.U32Param("pR"), b.U32Param("pS")
-	pOH, pOW := b.U32Param("pOH"), b.U32Param("pOW")
-	pStride, pPad := b.U32Param("pStrideC"), b.U32Param("pPad")
-	end := b.NewLabel("end")
-	idx, cc, iy, ix, n, ext := pixelIndex(b, pC, pH, pWw, end)
+	sh := b.convParams("pWidth", true)
+	end, idx, cc, iy, ix, n, ext := pixelIndex(b, sh.c, sh.h, sh.w)
 	c, h, w := ext[0], ext[1], ext[2]
 
-	k := b.LoadU32(pK)
-	r := b.LoadU32(pR)
-	s := b.LoadU32(pS)
-	oh := b.LoadU32(pOH)
-	ow := b.LoadU32(pOW)
-	stride := b.LoadU32(pStride)
-	pad := b.LoadU32(pPad)
+	k := b.LoadU32(sh.k)
+	r := b.LoadU32(sh.r)
+	s := b.LoadU32(sh.s)
+	oh := b.LoadU32(sh.oh)
+	ow := b.LoadU32(sh.ow)
+	stride := b.LoadU32(sh.stride)
+	pad := b.LoadU32(sh.pad)
 	dyB := b.LoadPtr(pDY)
 	wB := b.LoadPtr(pW)
 	dxB := b.LoadPtr(pDX)
@@ -200,23 +206,19 @@ func convAlgo1(name string, ptrs [3]string, tag string, toFilter bool) string {
 	for _, p := range ptrs {
 		b.PtrParam(p)
 	}
-	pC, pH, pWw := b.U32Param("pC"), b.U32Param("pH"), b.U32Param("pWidth")
-	pK, pR, pS := b.U32Param("pK"), b.U32Param("pR"), b.U32Param("pS")
-	pOH, pOW := b.U32Param("pOH"), b.U32Param("pOW")
-	pStride, pPad := b.U32Param("pStrideC"), b.U32Param("pPad")
-	end := b.NewLabel("end")
-	_, kk, oy, ox, n, _ := pixelIndex(b, pK, pOH, pOW, end)
+	sh := b.convParams("pWidth", true)
+	end, _, kk, oy, ox, n, _ := pixelIndex(b, sh.k, sh.oh, sh.ow)
 
-	c := b.LoadU32(pC)
-	h := b.LoadU32(pH)
-	w := b.LoadU32(pWw)
-	k := b.LoadU32(pK)
-	r := b.LoadU32(pR)
-	s := b.LoadU32(pS)
-	oh := b.LoadU32(pOH)
-	ow := b.LoadU32(pOW)
-	stride := b.LoadU32(pStride)
-	pad := b.LoadU32(pPad)
+	c := b.LoadU32(sh.c)
+	h := b.LoadU32(sh.h)
+	w := b.LoadU32(sh.w)
+	k := b.LoadU32(sh.k)
+	r := b.LoadU32(sh.r)
+	s := b.LoadU32(sh.s)
+	oh := b.LoadU32(sh.oh)
+	ow := b.LoadU32(sh.ow)
+	stride := b.LoadU32(sh.stride)
+	pad := b.LoadU32(sh.pad)
 	dyB, srcB, dstB := b.LoadPtr(ptrs[0]), b.LoadPtr(ptrs[1]), b.LoadPtr(ptrs[2])
 	if toFilter {
 		dyB, srcB = srcB, dyB
@@ -287,32 +289,21 @@ func convBwdFilterAlgo1() string {
 func convBwdFilterAlgo0() string {
 	b := NewBuilder("conv_bwd_filter_algo0")
 	pX, pDY, pDW := b.PtrParam("pX"), b.PtrParam("pDY"), b.PtrParam("pDW")
-	pN, pC, pH, pWw := b.U32Param("pN"), b.U32Param("pC"), b.U32Param("pH"), b.U32Param("pWidth")
-	pK, pR, pS := b.U32Param("pK"), b.U32Param("pR"), b.U32Param("pS")
-	pOH, pOW := b.U32Param("pOH"), b.U32Param("pOW")
-	pStride, pPad := b.U32Param("pStrideC"), b.U32Param("pPad")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	k := b.LoadU32(pK)
-	c := b.LoadU32(pC)
-	r := b.LoadU32(pR)
-	s := b.LoadU32(pS)
-	tot := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", tot, k, c)
-	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, r)
-	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, s)
-	b.GuardEnd(idx, tot, end)
+	pN := b.U32Param("pN")
+	sh := b.convParams("pWidth", true)
+	end, idx, ext := b.guardTid(sh.k, sh.c, sh.r, sh.s)
+	k, c, r, s := ext[0], ext[1], ext[2], ext[3]
 	ss, t1 := b.remDiv(idx, s)
 	rr, t2 := b.remDiv(t1, r)
 	cc, kk := b.remDiv(t2, c)
 
 	nN := b.LoadU32(pN)
-	h := b.LoadU32(pH)
-	w := b.LoadU32(pWw)
-	oh := b.LoadU32(pOH)
-	ow := b.LoadU32(pOW)
-	stride := b.LoadU32(pStride)
-	pad := b.LoadU32(pPad)
+	h := b.LoadU32(sh.h)
+	w := b.LoadU32(sh.w)
+	oh := b.LoadU32(sh.oh)
+	ow := b.LoadU32(sh.ow)
+	stride := b.LoadU32(sh.stride)
+	pad := b.LoadU32(sh.pad)
 	xB := b.LoadPtr(pX)
 	dyB := b.LoadPtr(pDY)
 	dwB := b.LoadPtr(pDW)
@@ -359,31 +350,29 @@ func convBwdFilterAlgo0() string {
 func convBwdFilterAlgo3() string {
 	b := NewBuilder("conv_bwd_filter_algo3")
 	pX, pDY, pDW := b.PtrParam("pX"), b.PtrParam("pDY"), b.PtrParam("pDW")
-	pN, pC, pH, pWw := b.U32Param("pN"), b.U32Param("pC"), b.U32Param("pH"), b.U32Param("pWidth")
-	pK, pR, pS := b.U32Param("pK"), b.U32Param("pR"), b.U32Param("pS")
-	pOH, pOW := b.U32Param("pOH"), b.U32Param("pOW")
-	pStride, pPad := b.U32Param("pStrideC"), b.U32Param("pPad")
+	pN := b.U32Param("pN")
+	sh := b.convParams("pWidth", true)
 	sred := b.Shared("sred", 256*4, 4)
 
 	fidx := b.R(B32)
 	b.I("mov.u32 %s, %%ctaid.x;", fidx)
 	tid := b.R(B32)
 	b.I("mov.u32 %s, %%tid.x;", tid)
-	k := b.LoadU32(pK)
-	c := b.LoadU32(pC)
-	r := b.LoadU32(pR)
-	s := b.LoadU32(pS)
+	k := b.LoadU32(sh.k)
+	c := b.LoadU32(sh.c)
+	r := b.LoadU32(sh.r)
+	s := b.LoadU32(sh.s)
 	ss, t1 := b.remDiv(fidx, s)
 	rr, t2 := b.remDiv(t1, r)
 	cc, kk := b.remDiv(t2, c)
 
 	nN := b.LoadU32(pN)
-	h := b.LoadU32(pH)
-	w := b.LoadU32(pWw)
-	oh := b.LoadU32(pOH)
-	ow := b.LoadU32(pOW)
-	stride := b.LoadU32(pStride)
-	pad := b.LoadU32(pPad)
+	h := b.LoadU32(sh.h)
+	w := b.LoadU32(sh.w)
+	oh := b.LoadU32(sh.oh)
+	ow := b.LoadU32(sh.ow)
+	stride := b.LoadU32(sh.stride)
+	pad := b.LoadU32(sh.pad)
 	xB := b.LoadPtr(pX)
 	dyB := b.LoadPtr(pDY)
 	dwB := b.LoadPtr(pDW)

@@ -20,15 +20,8 @@ func kvCacheAppend() string {
 	pIn, pCache := b.PtrParam("pIn"), b.PtrParam("pCache")
 	pSeq, pHeads, pDh := b.U32Param("pSeq"), b.U32Param("pHeads"), b.U32Param("pDh")
 	pMaxSeq, pPos := b.U32Param("pMaxSeq"), b.U32Param("pPos")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	seq := b.LoadU32(pSeq)
-	heads := b.LoadU32(pHeads)
-	dh := b.LoadU32(pDh)
-	total := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", total, seq, heads)
-	b.I("mul.lo.u32 %s, %s, %s;", total, total, dh)
-	b.GuardEnd(idx, total, end)
+	end, idx, ext := b.guardTid(pSeq, pHeads, pDh)
+	seq, heads, dh := ext[0], ext[1], ext[2]
 	// idx -> (h, s, d) over the cache-side [heads, seq, dh] iteration space
 	d, t := b.remDiv(idx, dh)
 	s, h := b.remDiv(t, seq)
@@ -66,13 +59,8 @@ func attnQKCached() string {
 	pHeads, pDh := b.U32Param("pHeads"), b.U32Param("pDh")
 	pMaxSeq, pLen := b.U32Param("pMaxSeq"), b.U32Param("pLen")
 	pScale := b.F32Param("pScale")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	heads := b.LoadU32(pHeads)
-	ln := b.LoadU32(pLen)
-	total := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", total, heads, ln)
-	b.GuardEnd(idx, total, end)
+	end, idx, ext := b.guardTid(pHeads, pLen)
+	ln := ext[1]
 	h, t := b.divRem(idx, ln)
 	dh := b.LoadU32(pDh)
 	maxSeq := b.LoadU32(pMaxSeq)
@@ -97,8 +85,7 @@ func attnQKCached() string {
 	})
 	scale := b.LoadF32(pScale)
 	b.I("mul.f32 %s, %s, %s;", acc, acc, scale)
-	sB := b.LoadPtr(pS)
-	sa := b.ElemAddr(sB, idx, 4)
+	sa := b.elemAddrs(idx, pS)[0]
 	b.I("st.global.f32 [%s], %s;", sa, acc)
 	b.L(end)
 	return b.Build()
@@ -113,13 +100,8 @@ func attnAVCached() string {
 	pP, pV, pOut := b.PtrParam("pP"), b.PtrParam("pV"), b.PtrParam("pOut")
 	pHeads, pDh := b.U32Param("pHeads"), b.U32Param("pDh")
 	pMaxSeq, pLen := b.U32Param("pMaxSeq"), b.U32Param("pLen")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	heads := b.LoadU32(pHeads)
-	dh := b.LoadU32(pDh)
-	total := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", total, heads, dh)
-	b.GuardEnd(idx, total, end)
+	end, idx, ext := b.guardTid(pHeads, pDh)
+	dh := ext[1]
 	h, d := b.divRem(idx, dh)
 	ln := b.LoadU32(pLen)
 	maxSeq := b.LoadU32(pMaxSeq)
@@ -145,8 +127,7 @@ func attnAVCached() string {
 		b.I("add.u64 %s, %s, 4;", pa, pa)
 		b.I("add.u64 %s, %s, %s;", va, va, rowStride)
 	})
-	oB := b.LoadPtr(pOut)
-	oa := b.ElemAddr(oB, idx, 4)
+	oa := b.elemAddrs(idx, pOut)[0]
 	b.I("st.global.f32 [%s], %s;", oa, acc)
 	b.L(end)
 	return b.Build()
@@ -215,10 +196,7 @@ func logitGemv() string {
 	b := NewBuilder("logit_gemv")
 	pX, pT, pL := b.PtrParam("pX"), b.PtrParam("pTable"), b.PtrParam("pLogits")
 	pVocab, pDim := b.U32Param("pVocab"), b.U32Param("pDim")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	vocab := b.LoadU32(pVocab)
-	b.GuardEnd(idx, vocab, end)
+	end, idx, _ := b.guardTid(pVocab)
 	dim := b.LoadU32(pDim)
 	xB := b.LoadPtr(pX)
 	tB := b.LoadPtr(pT)
@@ -235,8 +213,7 @@ func logitGemv() string {
 		b.I("add.u64 %s, %s, 4;", xa, xa)
 		b.I("add.u64 %s, %s, 4;", ta, ta)
 	})
-	lB := b.LoadPtr(pL)
-	la := b.ElemAddr(lB, idx, 4)
+	la := b.elemAddrs(idx, pL)[0]
 	b.I("st.global.f32 [%s], %s;", la, acc)
 	b.L(end)
 	return b.Build()

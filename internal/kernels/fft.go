@@ -224,13 +224,8 @@ func cgemm() string {
 	b := NewBuilder("cgemm")
 	pX, pW, pY := b.PtrParam("pX"), b.PtrParam("pW"), b.PtrParam("pY")
 	pC, pK, pNN, pNT := b.U32Param("pC"), b.U32Param("pK"), b.U32Param("pNN"), b.U32Param("pNT")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	k := b.LoadU32(pK)
-	nn := b.LoadU32(pNN)
-	tot := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", tot, k, nn)
-	b.GuardEnd(idx, tot, end)
+	end, idx, ext := b.guardTid(pK, pNN)
+	nn := ext[1]
 	f, kk := b.remDiv(idx, nn)
 	tt := b.R(B32)
 	b.I("mov.u32 %s, %%ctaid.y;", tt)

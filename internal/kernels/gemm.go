@@ -163,10 +163,8 @@ func gemv2T() string {
 	pA, pX, pY := b.PtrParam("pA"), b.PtrParam("pX"), b.PtrParam("pY")
 	pRows, pCols := b.U32Param("pRows"), b.U32Param("pCols")
 	pAl, pBe := b.F32Param("pAlpha"), b.F32Param("pBeta")
-	end := b.NewLabel("end")
-	j := b.GlobalTidX()
-	cols := b.LoadU32(pCols)
-	b.GuardEnd(j, cols, end)
+	end, j, ext := b.guardTid(pCols)
+	cols := ext[0]
 	rows := b.LoadU32(pRows)
 	aBase, xBase, yBase := b.LoadPtr(pA), b.LoadPtr(pX), b.LoadPtr(pY)
 

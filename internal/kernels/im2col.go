@@ -9,23 +9,9 @@ package kernels
 func im2Col() string {
 	b := NewBuilder("im2col")
 	pX, pCol := b.PtrParam("pX"), b.PtrParam("pCol")
-	pC, pH, pW := b.U32Param("pC"), b.U32Param("pH"), b.U32Param("pW")
-	pR, pS := b.U32Param("pR"), b.U32Param("pS")
-	pOH, pOW := b.U32Param("pOH"), b.U32Param("pOW")
-	pStride, pPad := b.U32Param("pStrideC"), b.U32Param("pPad")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	c := b.LoadU32(pC)
-	r := b.LoadU32(pR)
-	s := b.LoadU32(pS)
-	oh := b.LoadU32(pOH)
-	ow := b.LoadU32(pOW)
-	tot := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", tot, c, r)
-	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, s)
-	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, oh)
-	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, ow)
-	b.GuardEnd(idx, tot, end)
+	sh := b.convParams("pW", false)
+	end, idx, ext := b.guardTid(sh.c, sh.r, sh.s, sh.oh, sh.ow)
+	r, s, oh, ow := ext[1], ext[2], ext[3], ext[4]
 
 	// idx -> (cc, rr, ss, oy, ox), row-major in that order
 	ox, t1 := b.remDiv(idx, ow)
@@ -33,10 +19,10 @@ func im2Col() string {
 	ss, t3 := b.remDiv(t2, s)
 	rr, cc := b.remDiv(t3, r)
 
-	stride := b.LoadU32(pStride)
-	pad := b.LoadU32(pPad)
-	h := b.LoadU32(pH)
-	w := b.LoadU32(pW)
+	stride := b.LoadU32(sh.stride)
+	pad := b.LoadU32(sh.pad)
+	h := b.LoadU32(sh.h)
+	w := b.LoadU32(sh.w)
 	iy, ix := b.R(B32), b.R(B32)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", iy, oy, stride, rr)
 	b.I("sub.u32 %s, %s, %s;", iy, iy, pad)
@@ -69,29 +55,19 @@ func im2Col() string {
 func col2Im() string {
 	b := NewBuilder("col2im")
 	pCol, pDX := b.PtrParam("pCol"), b.PtrParam("pDX")
-	pC, pH, pW := b.U32Param("pC"), b.U32Param("pH"), b.U32Param("pW")
-	pR, pS := b.U32Param("pR"), b.U32Param("pS")
-	pOH, pOW := b.U32Param("pOH"), b.U32Param("pOW")
-	pStride, pPad := b.U32Param("pStrideC"), b.U32Param("pPad")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	c := b.LoadU32(pC)
-	h := b.LoadU32(pH)
-	w := b.LoadU32(pW)
-	tot := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", tot, c, h)
-	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, w)
-	b.GuardEnd(idx, tot, end)
+	sh := b.convParams("pW", false)
+	end, idx, ext := b.guardTid(sh.c, sh.h, sh.w)
+	h, w := ext[1], ext[2]
 
 	ix, t1 := b.remDiv(idx, w)
 	iy, cc := b.remDiv(t1, h)
 
-	r := b.LoadU32(pR)
-	s := b.LoadU32(pS)
-	oh := b.LoadU32(pOH)
-	ow := b.LoadU32(pOW)
-	stride := b.LoadU32(pStride)
-	pad := b.LoadU32(pPad)
+	r := b.LoadU32(sh.r)
+	s := b.LoadU32(sh.s)
+	oh := b.LoadU32(sh.oh)
+	ow := b.LoadU32(sh.ow)
+	stride := b.LoadU32(sh.stride)
+	pad := b.LoadU32(sh.pad)
 	col := b.LoadPtr(pCol)
 	acc := b.MovF32(0)
 	ohw := b.R(B32)
@@ -135,8 +111,7 @@ func col2Im() string {
 		})
 	})
 
-	dx := b.LoadPtr(pDX)
-	adx := b.ElemAddr(dx, idx, 4)
+	adx := b.elemAddrs(idx, pDX)[0]
 	b.I("st.global.f32 [%s], %s;", adx, acc)
 	b.L(end)
 	return b.Build()

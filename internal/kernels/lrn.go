@@ -43,13 +43,8 @@ func lrnForward() string {
 	pC, pHW := b.U32Param("pC"), b.U32Param("pHW")
 	pN, pK := b.U32Param("pWin"), b.F32Param("pK")
 	pAlpha, pBeta := b.F32Param("pAlpha"), b.F32Param("pBeta")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	c := b.LoadU32(pC)
-	hw := b.LoadU32(pHW)
-	tot := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", tot, c, hw)
-	b.GuardEnd(idx, tot, end)
+	end, idx, ext := b.guardTid(pC, pHW)
+	c, hw := ext[0], ext[1]
 	pos, cc := b.remDiv(idx, hw)
 
 	win := b.LoadU32(pN)
@@ -91,8 +86,7 @@ func lrnForward() string {
 	b.I("tex.1d.v4.f32.s32 {%s, %s, %s, %s}, [%s, {%s}];", x0, x1, x2, x3, LRNTexName, idx)
 	res := b.R(F32)
 	b.I("div.rn.f32 %s, %s, %s;", res, x0, powv)
-	y := b.LoadPtr(pY)
-	ay := b.ElemAddr(y, idx, 4)
+	ay := b.elemAddrs(idx, pY)[0]
 	b.I("st.global.f32 [%s], %s;", ay, res)
 	b.L(end)
 	return b.Build()
@@ -112,13 +106,8 @@ func lrnBackward() string {
 	pC, pHW := b.U32Param("pC"), b.U32Param("pHW")
 	pN, pK := b.U32Param("pWin"), b.F32Param("pK")
 	pAlpha, pBeta := b.F32Param("pAlpha"), b.F32Param("pBeta")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	c := b.LoadU32(pC)
-	hw := b.LoadU32(pHW)
-	tot := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", tot, c, hw)
-	b.GuardEnd(idx, tot, end)
+	end, idx, ext := b.guardTid(pC, pHW)
+	c, hw := ext[0], ext[1]
 	pos, cc := b.remDiv(idx, hw)
 
 	win := b.LoadU32(pN)

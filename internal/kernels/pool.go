@@ -11,8 +11,7 @@ func maxPoolForward() string {
 	pC, pH, pW := b.U32Param("pC"), b.U32Param("pH"), b.U32Param("pWidth")
 	pWin, pStride := b.U32Param("pWin"), b.U32Param("pStrideC")
 	pOH, pOW := b.U32Param("pOH"), b.U32Param("pOW")
-	end := b.NewLabel("end")
-	idx, cc, oy, ox, n, ext := pixelIndex(b, pC, pOH, pOW, end)
+	end, idx, cc, oy, ox, n, ext := pixelIndex(b, pC, pOH, pOW)
 	c, oh, ow := ext[0], ext[1], ext[2]
 
 	h := b.LoadU32(pH)
@@ -68,10 +67,8 @@ func maxPoolForward() string {
 	b.I("mul.lo.u32 %s, %s, %s;", cohw, c, oh)
 	b.I("mul.lo.u32 %s, %s, %s;", cohw, cohw, ow)
 	outIdx := b.flatIndex(n, cohw, idx)
-	yB := b.LoadPtr(pY)
-	idxB := b.LoadPtr(pIdx)
-	ay := b.ElemAddr(yB, outIdx, 4)
-	ai := b.ElemAddr(idxB, outIdx, 4)
+	a := b.elemAddrs(outIdx, pY, pIdx)
+	ay, ai := a[0], a[1]
 	b.I("st.global.f32 [%s], %s;", ay, best)
 	b.I("st.global.u32 [%s], %s;", ai, bestIdx)
 	b.L(end)
@@ -84,10 +81,7 @@ func maxPoolBackward() string {
 	b := NewBuilder("maxpool_backward")
 	pDY, pIdx, pDX := b.PtrParam("pDY"), b.PtrParam("pIdx"), b.PtrParam("pDX")
 	pTot := b.U32Param("pTot")
-	end := b.NewLabel("end")
-	i := b.GlobalTidX()
-	tot := b.LoadU32(pTot)
-	b.GuardEnd(i, tot, end)
+	end, i, _ := b.guardTid(pTot)
 	dy := b.LoadPtr(pDY)
 	idxp := b.LoadPtr(pIdx)
 	dx := b.LoadPtr(pDX)

@@ -50,13 +50,8 @@ func softmaxNLLBackward() string {
 	b := NewBuilder("softmax_nll_backward")
 	pY, pLabels, pDX := b.PtrParam("pY"), b.PtrParam("pLabels"), b.PtrParam("pDX")
 	pCols, pBatch := b.U32Param("pCols"), b.U32Param("pBatch")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	cols := b.LoadU32(pCols)
-	batch := b.LoadU32(pBatch)
-	tot := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", tot, cols, batch)
-	b.GuardEnd(idx, tot, end)
+	end, idx, ext := b.guardTid(pCols, pBatch)
+	cols, batch := ext[0], ext[1]
 	j, row := b.remDiv(idx, cols)
 	yB := b.LoadPtr(pY)
 	lB := b.LoadPtr(pLabels)

@@ -112,16 +112,9 @@ func geluBackward() string {
 	b := NewBuilder("gelu_backward")
 	pX, pDY, pDX := b.PtrParam("pX"), b.PtrParam("pDY"), b.PtrParam("pDX")
 	pN := b.U32Param("pN")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	n := b.LoadU32(pN)
-	b.GuardEnd(idx, n, end)
-	x := b.LoadPtr(pX)
-	dyB := b.LoadPtr(pDY)
-	dxB := b.LoadPtr(pDX)
-	ax := b.ElemAddr(x, idx, 4)
-	ady := b.ElemAddr(dyB, idx, 4)
-	adx := b.ElemAddr(dxB, idx, 4)
+	end, idx, _ := b.guardTid(pN)
+	a := b.elemAddrs(idx, pX, pDY, pDX)
+	ax, ady, adx := a[0], a[1], a[2]
 	v, vdy := b.R(F32), b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", v, ax)
 	b.I("ld.global.f32 %s, [%s];", vdy, ady)
@@ -298,16 +291,10 @@ func embeddingBackward() string {
 	b := NewBuilder("embedding_backward")
 	pDY, pIds, pDT := b.PtrParam("pDY"), b.PtrParam("pIds"), b.PtrParam("pDTable")
 	pRows, pCols := b.U32Param("pRows"), b.U32Param("pCols")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	rows := b.LoadU32(pRows)
-	cols := b.LoadU32(pCols)
-	total := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", total, rows, cols)
-	b.GuardEnd(idx, total, end)
+	end, idx, ext := b.guardTid(pRows, pCols)
+	cols := ext[1]
 	row, col := b.divRem(idx, cols)
-	ids := b.LoadPtr(pIds)
-	aid := b.ElemAddr(ids, row, 4)
+	aid := b.elemAddrs(row, pIds)[0]
 	id := b.R(B32)
 	b.I("ld.global.u32 %s, [%s];", id, aid)
 	dst := b.flatIndex(id, cols, col)

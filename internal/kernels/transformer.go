@@ -90,14 +90,9 @@ func geluForward() string {
 	b := NewBuilder("gelu_forward")
 	pX, pY := b.PtrParam("pX"), b.PtrParam("pY")
 	pN := b.U32Param("pN")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	n := b.LoadU32(pN)
-	b.GuardEnd(idx, n, end)
-	x := b.LoadPtr(pX)
-	y := b.LoadPtr(pY)
-	ax := b.ElemAddr(x, idx, 4)
-	ay := b.ElemAddr(y, idx, 4)
+	end, idx, _ := b.guardTid(pN)
+	a := b.elemAddrs(idx, pX, pY)
+	ax, ay := a[0], a[1]
 	v := b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", v, ax)
 	c0 := b.MovF32(0.7978845608028654) // sqrt(2/pi)
@@ -121,16 +116,9 @@ func residualAdd() string {
 	b := NewBuilder("residual_add")
 	pX, pR, pY := b.PtrParam("pX"), b.PtrParam("pR"), b.PtrParam("pY")
 	pN := b.U32Param("pN")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	n := b.LoadU32(pN)
-	b.GuardEnd(idx, n, end)
-	x := b.LoadPtr(pX)
-	r := b.LoadPtr(pR)
-	y := b.LoadPtr(pY)
-	ax := b.ElemAddr(x, idx, 4)
-	ar := b.ElemAddr(r, idx, 4)
-	ay := b.ElemAddr(y, idx, 4)
+	end, idx, _ := b.guardTid(pN)
+	a := b.elemAddrs(idx, pX, pR, pY)
+	ax, ar, ay := a[0], a[1], a[2]
 	vx, vr := b.R(F32), b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", vx, ax)
 	b.I("ld.global.f32 %s, [%s];", vr, ar)
@@ -147,15 +135,8 @@ func splitHeads() string {
 	b := NewBuilder("split_heads")
 	pIn, pOut := b.PtrParam("pIn"), b.PtrParam("pOut")
 	pSeq, pHeads, pDh := b.U32Param("pSeq"), b.U32Param("pHeads"), b.U32Param("pDh")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	seq := b.LoadU32(pSeq)
-	heads := b.LoadU32(pHeads)
-	dh := b.LoadU32(pDh)
-	total := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", total, seq, heads)
-	b.I("mul.lo.u32 %s, %s, %s;", total, total, dh)
-	b.GuardEnd(idx, total, end)
+	end, idx, ext := b.guardTid(pSeq, pHeads, pDh)
+	seq, heads, dh := ext[0], ext[1], ext[2]
 	// output idx -> (h, s, d)
 	d, t := b.remDiv(idx, dh)
 	s, h := b.remDiv(t, seq)
@@ -181,15 +162,8 @@ func mergeHeads() string {
 	b := NewBuilder("merge_heads")
 	pIn, pOut := b.PtrParam("pIn"), b.PtrParam("pOut")
 	pSeq, pHeads, pDh := b.U32Param("pSeq"), b.U32Param("pHeads"), b.U32Param("pDh")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	seq := b.LoadU32(pSeq)
-	heads := b.LoadU32(pHeads)
-	dh := b.LoadU32(pDh)
-	total := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", total, seq, heads)
-	b.I("mul.lo.u32 %s, %s, %s;", total, total, dh)
-	b.GuardEnd(idx, total, end)
+	end, idx, ext := b.guardTid(pSeq, pHeads, pDh)
+	seq, heads, dh := ext[0], ext[1], ext[2]
 	// output idx -> (s, h, d)
 	d, t := b.remDiv(idx, dh)
 	h, s := b.remDiv(t, heads)
@@ -215,16 +189,10 @@ func embeddingLookup() string {
 	b := NewBuilder("embedding_lookup")
 	pT, pIds, pOut := b.PtrParam("pTable"), b.PtrParam("pIds"), b.PtrParam("pOut")
 	pRows, pCols := b.U32Param("pRows"), b.U32Param("pCols")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	rows := b.LoadU32(pRows)
-	cols := b.LoadU32(pCols)
-	total := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", total, rows, cols)
-	b.GuardEnd(idx, total, end)
+	end, idx, ext := b.guardTid(pRows, pCols)
+	cols := ext[1]
 	row, col := b.divRem(idx, cols)
-	ids := b.LoadPtr(pIds)
-	aid := b.ElemAddr(ids, row, 4)
+	aid := b.elemAddrs(row, pIds)[0]
 	id := b.R(B32)
 	b.I("ld.global.u32 %s, [%s];", id, aid)
 	src := b.flatIndex(id, cols, col)

@@ -297,10 +297,8 @@ func winogradFilterTransform() string {
 	b := NewBuilder("winograd_filter_transform")
 	pW, pU := b.PtrParam("pW"), b.PtrParam("pU")
 	pKC := b.U32Param("pKC")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	kc := b.LoadU32(pKC)
-	b.GuardEnd(idx, kc, end)
+	end, idx, ext := b.guardTid(pKC)
+	kc := ext[0]
 	wB := b.LoadPtr(pW)
 	uB := b.LoadPtr(pU)
 	fbase := b.R(B32)
