@@ -9,15 +9,10 @@ func reluForward() string {
 	b := NewBuilder("relu_forward")
 	pX, pY := b.PtrParam("pX"), b.PtrParam("pY")
 	pN := b.U32Param("pN")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	n := b.LoadU32(pN)
-	b.GuardEnd(idx, n, end)
-	x := b.LoadPtr(pX)
-	y := b.LoadPtr(pY)
-	ax := b.ElemAddr(x, idx, 4)
-	ay := b.ElemAddr(y, idx, 4)
-	v := b.R("f")
+	end, idx, _ := b.guardTid(pN)
+	a := b.elemAddrs(idx, pX, pY)
+	ax, ay := a[0], a[1]
+	v := b.R(F32)
 	z := b.MovF32(0)
 	b.I("ld.global.f32 %s, [%s];", v, ax)
 	b.I("max.f32 %s, %s, %s;", v, v, z)
@@ -31,19 +26,12 @@ func reluBackward() string {
 	b := NewBuilder("relu_backward")
 	pDY, pX, pDX := b.PtrParam("pDY"), b.PtrParam("pX"), b.PtrParam("pDX")
 	pN := b.U32Param("pN")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	n := b.LoadU32(pN)
-	b.GuardEnd(idx, n, end)
-	dy := b.LoadPtr(pDY)
-	x := b.LoadPtr(pX)
-	dx := b.LoadPtr(pDX)
-	ady := b.ElemAddr(dy, idx, 4)
-	ax := b.ElemAddr(x, idx, 4)
-	adx := b.ElemAddr(dx, idx, 4)
-	vdy, vx, out := b.R("f"), b.R("f"), b.R("f")
+	end, idx, _ := b.guardTid(pN)
+	a := b.elemAddrs(idx, pDY, pX, pDX)
+	ady, ax, adx := a[0], a[1], a[2]
+	vdy, vx, out := b.R(F32), b.R(F32), b.R(F32)
 	z := b.MovF32(0)
-	p := b.R("p")
+	p := b.R(Pred)
 	b.I("ld.global.f32 %s, [%s];", vdy, ady)
 	b.I("ld.global.f32 %s, [%s];", vx, ax)
 	b.I("setp.gt.f32 %s, %s, %s;", p, vx, z)
@@ -61,20 +49,17 @@ func addBias() string {
 	b := NewBuilder("add_bias")
 	pY, pB := b.PtrParam("pY"), b.PtrParam("pBias")
 	pN, pC, pSp := b.U32Param("pN"), b.U32Param("pC"), b.U32Param("pSpatial")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	n := b.LoadU32(pN)
-	b.GuardEnd(idx, n, end)
+	end, idx, _ := b.guardTid(pN)
 	c := b.LoadU32(pC)
 	sp := b.LoadU32(pSp)
-	q, ch := b.R("r"), b.R("r")
+	q, ch := b.R(B32), b.R(B32)
 	b.I("div.u32 %s, %s, %s;", q, idx, sp)
 	b.I("rem.u32 %s, %s, %s;", ch, q, c)
 	y := b.LoadPtr(pY)
 	bias := b.LoadPtr(pB)
 	ay := b.ElemAddr(y, idx, 4)
 	ab := b.ElemAddr(bias, ch, 4)
-	vy, vb := b.R("f"), b.R("f")
+	vy, vb := b.R(F32), b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", vy, ay)
 	b.I("ld.global.f32 %s, [%s];", vb, ab)
 	b.I("add.f32 %s, %s, %s;", vy, vy, vb)
@@ -89,17 +74,12 @@ func sgdUpdate() string {
 	pW, pG := b.PtrParam("pW"), b.PtrParam("pG")
 	pN := b.U32Param("pN")
 	pLR := b.F32Param("pLR")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	n := b.LoadU32(pN)
-	b.GuardEnd(idx, n, end)
+	end, idx, _ := b.guardTid(pN)
 	lr := b.LoadF32(pLR)
-	w := b.LoadPtr(pW)
-	g := b.LoadPtr(pG)
-	aw := b.ElemAddr(w, idx, 4)
-	ag := b.ElemAddr(g, idx, 4)
-	vw, vg := b.R("f"), b.R("f")
-	nlr := b.R("f")
+	a := b.elemAddrs(idx, pW, pG)
+	aw, ag := a[0], a[1]
+	vw, vg := b.R(F32), b.R(F32)
+	nlr := b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", vw, aw)
 	b.I("ld.global.f32 %s, [%s];", vg, ag)
 	b.I("neg.f32 %s, %s;", nlr, lr)
@@ -109,43 +89,15 @@ func sgdUpdate() string {
 	return b.Build()
 }
 
-// scaleF32 computes y[i] = alpha * x[i].
-func scaleF32() string {
-	b := NewBuilder("scale_f32")
-	pX, pY := b.PtrParam("pX"), b.PtrParam("pY")
-	pN := b.U32Param("pN")
-	pA := b.F32Param("pAlpha")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	n := b.LoadU32(pN)
-	b.GuardEnd(idx, n, end)
-	alpha := b.LoadF32(pA)
-	x := b.LoadPtr(pX)
-	y := b.LoadPtr(pY)
-	ax := b.ElemAddr(x, idx, 4)
-	ay := b.ElemAddr(y, idx, 4)
-	v := b.R("f")
-	b.I("ld.global.f32 %s, [%s];", v, ax)
-	b.I("mul.f32 %s, %s, %s;", v, v, alpha)
-	b.I("st.global.f32 [%s], %s;", ay, v)
-	b.L(end)
-	return b.Build()
-}
-
 // accumulateAdd computes y[i] += x[i].
 func accumulateAdd() string {
 	b := NewBuilder("accumulate_add")
 	pX, pY := b.PtrParam("pX"), b.PtrParam("pY")
 	pN := b.U32Param("pN")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	n := b.LoadU32(pN)
-	b.GuardEnd(idx, n, end)
-	x := b.LoadPtr(pX)
-	y := b.LoadPtr(pY)
-	ax := b.ElemAddr(x, idx, 4)
-	ay := b.ElemAddr(y, idx, 4)
-	vx, vy := b.R("f"), b.R("f")
+	end, idx, _ := b.guardTid(pN)
+	a := b.elemAddrs(idx, pX, pY)
+	ax, ay := a[0], a[1]
+	vx, vy := b.R(F32), b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", vx, ax)
 	b.I("ld.global.f32 %s, [%s];", vy, ay)
 	b.I("add.f32 %s, %s, %s;", vy, vy, vx)
@@ -159,12 +111,8 @@ func fillZero() string {
 	b := NewBuilder("fill_zero")
 	pY := b.PtrParam("pY")
 	pN := b.U32Param("pN")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	n := b.LoadU32(pN)
-	b.GuardEnd(idx, n, end)
-	y := b.LoadPtr(pY)
-	ay := b.ElemAddr(y, idx, 4)
+	end, idx, _ := b.guardTid(pN)
+	ay := b.elemAddrs(idx, pY)[0]
 	z := b.MovF32(0)
 	b.I("st.global.f32 [%s], %s;", ay, z)
 	b.L(end)
@@ -178,23 +126,14 @@ func rotateFilter180() string {
 	b := NewBuilder("rotate_filter_180")
 	pIn, pOut := b.PtrParam("pIn"), b.PtrParam("pOut")
 	pK, pC, pR, pS := b.U32Param("pK"), b.U32Param("pC"), b.U32Param("pR"), b.U32Param("pS")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	k := b.LoadU32(pK)
-	c := b.LoadU32(pC)
-	r := b.LoadU32(pR)
-	s := b.LoadU32(pS)
-	total := b.R("r")
-	b.I("mul.lo.u32 %s, %s, %s;", total, k, c)
-	b.I("mul.lo.u32 %s, %s, %s;", total, total, r)
-	b.I("mul.lo.u32 %s, %s, %s;", total, total, s)
-	b.GuardEnd(idx, total, end)
+	end, idx, ext := b.guardTid(pK, pC, pR, pS)
+	k, c, r, s := ext[0], ext[1], ext[2], ext[3]
 	// idx -> (kk, cc, rr, ss) in KCRS order
 	ss, t1 := b.remDiv(idx, s)
 	rr, t2 := b.remDiv(t1, r)
 	cc, kk := b.remDiv(t2, c)
 	// out index: ((cc*K + kk)*R + (R-1-rr))*S + (S-1-ss)
-	rref, ssref := b.R("r"), b.R("r")
+	rref, ssref := b.R(B32), b.R(B32)
 	b.I("sub.u32 %s, %s, %s;", rref, r, rr)
 	b.I("sub.u32 %s, %s, 1;", rref, rref)
 	b.I("sub.u32 %s, %s, %s;", ssref, s, ss)
@@ -204,7 +143,7 @@ func rotateFilter180() string {
 	out := b.LoadPtr(pOut)
 	ain := b.ElemAddr(in, idx, 4)
 	aout := b.ElemAddr(out, o, 4)
-	v := b.R("f")
+	v := b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", v, ain)
 	b.I("st.global.f32 [%s], %s;", aout, v)
 	b.L(end)
@@ -220,44 +159,39 @@ func pad2D() string {
 	pH, pW := b.U32Param("pH"), b.U32Param("pW")
 	pOH, pOW := b.U32Param("pOH"), b.U32Param("pOW")
 	pTop, pLeft := b.U32Param("pTop"), b.U32Param("pLeft")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	oh := b.LoadU32(pOH)
-	ow := b.LoadU32(pOW)
-	tot := b.R("r")
-	b.I("mul.lo.u32 %s, %s, %s;", tot, oh, ow)
-	b.GuardEnd(idx, tot, end)
-	plane := b.R("r")
+	end, idx, ext := b.guardTid(pOH, pOW)
+	oh, ow := ext[0], ext[1]
+	plane := b.R(B32)
 	b.I("mov.u32 %s, %%ctaid.y;", plane)
 	oy, ox := b.divRem(idx, ow)
 	top := b.LoadU32(pTop)
 	left := b.LoadU32(pLeft)
 	h := b.LoadU32(pH)
 	w := b.LoadU32(pW)
-	iy, ix := b.R("r"), b.R("r")
+	iy, ix := b.R(B32), b.R(B32)
 	b.I("sub.u32 %s, %s, %s;", iy, oy, top)
 	b.I("sub.u32 %s, %s, %s;", ix, ox, left)
 	// in-bounds test uses unsigned wraparound: iy < H && ix < W
-	pin, ptmp := b.R("p"), b.R("p")
+	pin, ptmp := b.R(Pred), b.R(Pred)
 	b.I("setp.lt.u32 %s, %s, %s;", pin, iy, h)
 	b.I("setp.lt.u32 %s, %s, %s;", ptmp, ix, w)
 	b.I("and.pred %s, %s, %s;", pin, pin, ptmp)
 	in := b.LoadPtr(pIn)
 	out := b.LoadPtr(pOut)
 	// source address (clamped to 0 when out of bounds to stay in range)
-	sidx, clamped := b.R("r"), b.R("r")
+	sidx, clamped := b.R(B32), b.R(B32)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", sidx, iy, w, ix)
-	planeOff := b.R("r")
+	planeOff := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", planeOff, h, w)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", sidx, plane, planeOff, sidx)
 	b.I("selp.b32 %s, %s, 0, %s;", clamped, sidx, pin)
 	ain := b.ElemAddr(in, clamped, 4)
-	v := b.R("f")
+	v := b.R(F32)
 	z := b.MovF32(0)
 	b.I("ld.global.f32 %s, [%s];", v, ain)
 	b.I("selp.b32 %s, %s, %s, %s;", v, v, z, pin)
-	didx := b.R("r")
-	dplaneOff := b.R("r")
+	didx := b.R(B32)
+	dplaneOff := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", dplaneOff, oh, ow)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", didx, plane, dplaneOff, idx)
 	aout := b.ElemAddr(out, didx, 4)
@@ -271,16 +205,13 @@ func f32ToF16Kernel() string {
 	b := NewBuilder("convert_f32_to_f16")
 	pX, pY := b.PtrParam("pX"), b.PtrParam("pY")
 	pN := b.U32Param("pN")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	n := b.LoadU32(pN)
-	b.GuardEnd(idx, n, end)
+	end, idx, _ := b.guardTid(pN)
 	x := b.LoadPtr(pX)
 	y := b.LoadPtr(pY)
 	ax := b.ElemAddr(x, idx, 4)
 	ay := b.ElemAddr(y, idx, 2)
-	v := b.R("f")
-	hreg := b.R("h")
+	v := b.R(F32)
+	hreg := b.R(B16)
 	b.I("ld.global.f32 %s, [%s];", v, ax)
 	b.I("cvt.rn.f16.f32 %s, %s;", hreg, v)
 	b.I("st.global.b16 [%s], %s;", ay, hreg)
@@ -293,16 +224,13 @@ func f16ToF32Kernel() string {
 	b := NewBuilder("convert_f16_to_f32")
 	pX, pY := b.PtrParam("pX"), b.PtrParam("pY")
 	pN := b.U32Param("pN")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	n := b.LoadU32(pN)
-	b.GuardEnd(idx, n, end)
+	end, idx, _ := b.guardTid(pN)
 	x := b.LoadPtr(pX)
 	y := b.LoadPtr(pY)
 	ax := b.ElemAddr(x, idx, 2)
 	ay := b.ElemAddr(y, idx, 4)
-	hreg := b.R("h")
-	v := b.R("f")
+	hreg := b.R(B16)
+	v := b.R(F32)
 	b.I("ld.global.b16 %s, [%s];", hreg, ax)
 	b.I("cvt.f32.f16 %s, %s;", v, hreg)
 	b.I("st.global.f32 [%s], %s;", ay, v)

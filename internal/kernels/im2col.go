@@ -1,8 +1,8 @@
 package kernels
 
-// im2col / col2im staging kernels for the GEMM convolution algorithms.
-// Both lean heavily on div.u32/rem.u32 index arithmetic, as the real
-// cuDNN lowering does.
+// im2col staging kernel for the GEMM convolution algorithm. It leans
+// heavily on div.u32/rem.u32 index arithmetic, as the real cuDNN lowering
+// does.
 
 // im2Col expands x[C,H,W] into col[(C*R*S), (OH*OW)] for a convolution
 // with square stride/padding. One thread per output element of col.
@@ -46,73 +46,6 @@ func im2Col() string {
 	b.I("selp.b32 %s, %s, %s, %s;", v, v, z, pin)
 	acol := b.ElemAddr(col, idx, 4)
 	b.I("st.global.f32 [%s], %s;", acol, v)
-	b.L(end)
-	return b.Build()
-}
-
-// col2Im folds col[(C*R*S), (OH*OW)] gradients back into dx[C,H,W]
-// (gather formulation: one thread per input pixel, no atomics).
-func col2Im() string {
-	b := NewBuilder("col2im")
-	pCol, pDX := b.PtrParam("pCol"), b.PtrParam("pDX")
-	sh := b.convParams("pW", false)
-	end, idx, ext := b.guardTid(sh.c, sh.h, sh.w)
-	h, w := ext[1], ext[2]
-
-	ix, t1 := b.remDiv(idx, w)
-	iy, cc := b.remDiv(t1, h)
-
-	r := b.LoadU32(sh.r)
-	s := b.LoadU32(sh.s)
-	oh := b.LoadU32(sh.oh)
-	ow := b.LoadU32(sh.ow)
-	stride := b.LoadU32(sh.stride)
-	pad := b.LoadU32(sh.pad)
-	col := b.LoadPtr(pCol)
-	acc := b.MovF32(0)
-	ohw := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", ohw, oh, ow)
-
-	b.loop("R_LOOP", "r_end", "0", r, "1", func(rr string) {
-		b.loop("S_LOOP", "s_end", "0", s, "1", func(ss string) {
-			// oy = (iy + pad - rr) / stride, valid if non-negative, divisible, < OH
-			ny, nx := b.R(B32), b.R(B32)
-			b.I("add.u32 %s, %s, %s;", ny, iy, pad)
-			b.I("sub.u32 %s, %s, %s;", ny, ny, rr)
-			b.I("add.u32 %s, %s, %s;", nx, ix, pad)
-			b.I("sub.u32 %s, %s, %s;", nx, nx, ss)
-			skip := b.NewLabel("skip")
-			bigP := b.R(Pred)
-			// unsigned wraparound: a huge value means iy+pad < rr
-			lim := b.R(B32)
-			b.I("mul.lo.u32 %s, %s, %s;", lim, oh, stride)
-			b.I("setp.ge.u32 %s, %s, %s;", bigP, ny, lim)
-			b.I("@%s bra %s;", bigP, skip)
-			limx := b.R(B32)
-			b.I("mul.lo.u32 %s, %s, %s;", limx, ow, stride)
-			b.I("setp.ge.u32 %s, %s, %s;", bigP, nx, limx)
-			b.I("@%s bra %s;", bigP, skip)
-			remy, remx := b.R(B32), b.R(B32)
-			b.I("rem.u32 %s, %s, %s;", remy, ny, stride)
-			b.I("setp.ne.u32 %s, %s, 0;", bigP, remy)
-			b.I("@%s bra %s;", bigP, skip)
-			b.I("rem.u32 %s, %s, %s;", remx, nx, stride)
-			b.I("setp.ne.u32 %s, %s, 0;", bigP, remx)
-			b.I("@%s bra %s;", bigP, skip)
-			oy, oxv := b.R(B32), b.R(B32)
-			b.I("div.u32 %s, %s, %s;", oy, ny, stride)
-			b.I("div.u32 %s, %s, %s;", oxv, nx, stride)
-			// col index: (((cc*R+rr)*S+ss)*OH + oy)*OW + ox
-			ac := b.ElemAddr(col, b.flatIndex(cc, r, rr, s, ss, oh, oy, ow, oxv), 4)
-			v := b.R(F32)
-			b.I("ld.global.f32 %s, [%s];", v, ac)
-			b.I("add.f32 %s, %s, %s;", acc, acc, v)
-			b.L(skip)
-		})
-	})
-
-	adx := b.elemAddrs(idx, pDX)[0]
-	b.I("st.global.f32 [%s], %s;", adx, acc)
 	b.L(end)
 	return b.Build()
 }

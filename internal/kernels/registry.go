@@ -23,12 +23,11 @@ var library = []struct {
 }{
 	// elementwise: activation/bias/SGD/conversion kernels
 	{nil, []func() string{
-		reluForward, reluBackward, addBias, sgdUpdate, scaleF32,
-		accumulateAdd, fillZero, rotateFilter180, pad2D,
-		f32ToF16Kernel, f16ToF32Kernel,
+		reluForward, reluBackward, addBias, sgdUpdate, accumulateAdd,
+		fillZero, rotateFilter180, pad2D, f32ToF16Kernel, f16ToF32Kernel,
 	}},
-	// gemm: the GEMM family and im2col/col2im staging
-	{nil, []func() string{sgemmTiled, gemv2T, im2Col, col2Im}},
+	// gemm: the GEMM family and im2col staging
+	{nil, []func() string{sgemmTiled, gemv2T, im2Col}},
 	// conv_direct: the direct (implicit GEMM / Algorithm 0/1/3)
 	// convolution kernels
 	{nil, []func() string{
