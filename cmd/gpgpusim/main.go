@@ -179,7 +179,7 @@ func atLeast(name string, v, lo int) error {
 }
 
 // printReplayCoverage prints the replay-cache coverage line the
-// transformer, decode and train workloads share.
+// transformer, decode, train and serve workloads share.
 func printReplayCoverage(rep *aerial.Report, st *timing.Stats) {
 	rep.Printf("replay coverage %.1f%%: %d hits, %d misses, %d resamples, %d memo-applied\n",
 		100*st.ReplayCoverage(), st.ReplayHits, st.ReplayMisses, st.ReplayResamples, st.ReplayMemoApplied)

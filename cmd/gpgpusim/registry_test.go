@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -251,6 +254,38 @@ func TestCSVHeaders(t *testing.T) {
 		}
 		if !strings.HasPrefix(string(csv), c.header) {
 			t.Errorf("%s starts %q, want the header %q", c.file, csv[:min(len(csv), 80)], c.header)
+		}
+	}
+}
+
+// TestReplayCoverageLine: the coverage line an entry prints is
+// 100·hits/(hits+misses+resamples) of the counts on the same line —
+// resampled launches count against coverage. Each row resamples.
+func TestReplayCoverageLine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a replayed serve; skipped in -short mode")
+	}
+	line := regexp.MustCompile(`replay coverage ([0-9.]+)%: (\d+) hits, (\d+) misses, (\d+) resamples`)
+	for _, args := range []string{
+		"-workload serve -replay -replay-resample 2 -requests 16",
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(strings.Fields(args), &stdout, &stderr); code != 0 {
+			t.Fatalf("gpgpusim %s: exit %d\n%s", args, code, stderr.String())
+		}
+		m := line.FindStringSubmatch(stdout.String())
+		if m == nil {
+			t.Fatalf("gpgpusim %s printed no replay coverage line:\n%s", args, stdout.String())
+		}
+		var n [3]float64
+		for i := range n {
+			n[i], _ = strconv.ParseFloat(m[i+2], 64)
+		}
+		if n[2] == 0 {
+			t.Errorf("gpgpusim %s: no resamples, so the row checks nothing: %s", args, m[0])
+		}
+		if want := fmt.Sprintf("%.1f", 100*n[0]/(n[0]+n[1]+n[2])); m[1] != want {
+			t.Errorf("gpgpusim %s: %s, want coverage %s%%", args, m[0], want)
 		}
 	}
 }

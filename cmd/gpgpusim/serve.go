@@ -83,13 +83,7 @@ var serveWorkload = workload{
 			rep.Printf("goodput %.1f req/Mcycle vs offered %.1f (utilization %.2f, %d total cycles)\n",
 				res.Goodput(), tr.OfferedLoad(), res.Utilization(), res.TotalCycles)
 			if *replay {
-				st := res.Stats
-				cov := 0.0
-				if total := st.ReplayHits + st.ReplayMisses; total > 0 {
-					cov = float64(st.ReplayHits) / float64(total)
-				}
-				rep.Printf("replay coverage %.1f%%: %d hits, %d misses, %d resamples, %d memo-applied\n",
-					100*cov, st.ReplayHits, st.ReplayMisses, st.ReplayResamples, st.ReplayMemoApplied)
+				printReplayCoverage(rep, &res.Stats)
 			}
 			rep.Table(aerial.ServeLatencyTable("latency percentiles over serving time", res.LatencyOverTime(8)))
 			return nil
