@@ -310,9 +310,6 @@ func (ch *Channel) commitReq(r *Req) {
 // NumBanks returns the bank count.
 func (ch *Channel) NumBanks() int { return ch.cfg.NumBanks }
 
-// BurstCycles returns the data-transfer cycles per access.
-func (ch *Channel) BurstCycles() int { return ch.cfg.TBurst }
-
 // EfficiencySeries returns per-bank per-bucket efficiency in [0,1]: the
 // paper's definition — bandwidth utilization when there is a pending
 // request waiting to be processed.

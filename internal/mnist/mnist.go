@@ -10,7 +10,6 @@
 package mnist
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/cudnn"
@@ -209,14 +208,4 @@ func (m *LeNet) TrainStep(images []float32, labels []int32, lr float32) (float32
 		return 0, err
 	}
 	return loss, nil
-}
-
-// Describe returns a human-readable summary of the network.
-func Describe() string {
-	return fmt.Sprint(
-		"LeNet/MNIST: conv1 1->8 5x5 (FFT 32x32), ReLU, LRN(5), pool2 | ",
-		"conv2 8->16 5x5 (FFT 16x16), ReLU, pool2 | ",
-		"conv3 16->32 3x3 pad1 (Winograd), ReLU | ",
-		"fc 512->84 (GEMV2T), ReLU | fc 84->10 (GEMV2T) | softmax",
-	)
 }

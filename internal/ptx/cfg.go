@@ -211,7 +211,6 @@ func AnalyzeReconvergence(k *Kernel) error {
 	if err := cfg.computePostDominators(); err != nil {
 		return err
 	}
-	k.cfg = cfg
 	for i := range k.Instrs {
 		in := &k.Instrs[i]
 		if in.Op != OpBra {
@@ -223,9 +222,3 @@ func AnalyzeReconvergence(k *Kernel) error {
 	}
 	return nil
 }
-
-// CFGOf exposes the computed CFG (nil before AnalyzeReconvergence).
-func (k *Kernel) CFGOf() *CFG { return k.cfg }
-
-// BlockOf returns the basic-block index containing pc.
-func (cfg *CFG) BlockOf(pc int) int { return cfg.blockOf[pc] }

@@ -34,8 +34,6 @@ type Kernel struct {
 
 	Instrs []Instr
 	Labels map[string]int
-
-	cfg *CFG
 }
 
 // Param describes one kernel parameter.
@@ -62,14 +60,6 @@ func (k *Kernel) ParamBytes() int {
 	}
 	last := k.Params[len(k.Params)-1]
 	return last.Offset + last.Size
-}
-
-// RegSlot returns the register-file slot for a register name, or -1.
-func (k *Kernel) RegSlot(name string) int {
-	if s, ok := k.regSlots[name]; ok {
-		return s
-	}
-	return -1
 }
 
 // RegType returns the declared type of a register slot.

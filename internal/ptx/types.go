@@ -213,9 +213,6 @@ const (
 	TypeLimit = int(Pred) + 1
 )
 
-// NumOps returns the number of defined opcodes, for coverage accounting.
-func NumOps() int { return OpLimit }
-
 // CmpOp is a comparison operator used by setp and slct.
 type CmpOp uint8
 

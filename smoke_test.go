@@ -43,9 +43,7 @@ func TestMainPackagesSmoke(t *testing.T) {
 		{"gpgpusim_functional", "ptx_functional", saxpy},
 		{"quickstart", "ptx_perf", append([]string{"-perf"}, saxpy...)},
 		{"gpgpusim_perf_streams", "ptx_perf_streams3", append([]string{"-perf", "-streams", "3", "-dump", "4"}, saxpy...)},
-		{"gpgpusim_workload_transformer", "transformer_streams2", []string{"-workload", "transformer", "-streams", "2"}},
 		{"gpgpusim_workload_transformer_replay", "transformer_replay", []string{"-workload", "transformer", "-replay"}},
-		{"gpgpusim_workload_decode", "decode_streams2", []string{"-workload", "decode", "-streams", "2", "-prompt", "3", "-gen", "3"}},
 		{"gpgpusim_workload_train", "train_replay", []string{"-workload", "train", "-steps", "3", "-replay"}},
 		{"gpgpusim_workload_train_multigpu", "train_devices2", []string{"-workload", "train", "-devices", "2", "-steps", "2"}},
 		{"gpgpusim_workload_transformer_multigpu", "transformer_devices2", []string{"-workload", "transformer", "-devices", "2"}},
@@ -53,7 +51,6 @@ func TestMainPackagesSmoke(t *testing.T) {
 		{"gpgpusim_workload_serve_diurnal", "serve_diurnal", []string{"-workload", "serve", "-trace", "internal/serve/testdata/diurnal.trace"}},
 		{"convsample", "convsample_small", []string{"-workload", "convsample", "-c", "2", "-k", "2", "-hw", "12"}},
 		{"debugtool", "debug_rem", []string{"-workload", "debug", "-break", "rem"}},
-		{"debug_workflow", "debug_brev", []string{"-workload", "debug", "-break", "brev"}},
 		{"checkpoint_resume", "checkpoint", []string{"-workload", "checkpoint"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
