@@ -92,54 +92,97 @@ func BenchmarkTransformerReplay(b *testing.B) {
 	}
 }
 
+// warmRun is what warmIterations measured over the warm iterations.
+type warmRun struct {
+	iters     int           // warm iterations
+	elapsed   time.Duration // their wall time
+	mallocs   uint64        // heap allocations during them
+	launches  int           // kernel launches during them
+	batchHits uint64        // drain batches the batch rung retired, whole run
+}
+
+// warmClimb is how many iterations of the sample batch the replay ladder
+// takes to climb to its batch rung: detailed, memo capture, two
+// all-applied sightings.
+const warmClimb = 4
+
+// warmIterations runs warmClimb+warm iterations of the sample forward
+// batch (4 sequences x 12 tokens on 4 streams, 204 launches) on one
+// hybrid-replay session and measures the last warm ones.
+func warmIterations(warm int) (warmRun, error) {
+	const seqs, seqLen = 4, 12
+	iters := warmClimb + warm
+	cfg := DefaultTransformerConfig()
+	batch := TransformerBatch(seqs, seqLen, cfg.Vocab)
+	s, err := sampleSession(1, 0, true)
+	if err != nil {
+		return warmRun{}, err
+	}
+	defer s.Close()
+	enc, err := torch.NewTransformerEncoder(s.Dev, rand.New(rand.NewSource(7)), cfg)
+	if err != nil {
+		return warmRun{}, err
+	}
+	s.Pin()
+	var warmStart time.Time
+	var before, after runtime.MemStats
+	run, err := s.Iterate(iters, func(it int) error {
+		if it == warmClimb {
+			runtime.ReadMemStats(&before)
+			warmStart = time.Now()
+		}
+		_, err := enc.ForwardBatch(batch, true)
+		return err
+	})
+	elapsed := time.Since(warmStart)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		return warmRun{}, err
+	}
+	return warmRun{
+		iters: warm, elapsed: elapsed, mallocs: after.Mallocs - before.Mallocs,
+		launches: run.Launches() / iters * warm, batchHits: run.Stats.ReplayBatchHits,
+	}, nil
+}
+
+// TestWarmLaunchAllocs bounds what a warm launch allocates: after the
+// ladder's climb, 20 iterations retire through the batch rung at no more
+// than 5 heap allocations per launch — the parameter buffer, the grid,
+// the replay signature's parameter string, the model layer's tensors;
+// the kernel log, the engine's tickets and the parameter marshalling
+// add none in the steady state.
+func TestWarmLaunchAllocs(t *testing.T) {
+	w, err := warmIterations(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.batchHits != uint64(w.iters) {
+		t.Fatalf("%d of %d warm iterations retired as a batch", w.batchHits, w.iters)
+	}
+	if per := float64(w.mallocs) / float64(w.launches); per > 5 {
+		t.Errorf("%.2f heap allocations per warm launch (%d over %d launches), want at most 5", per, w.mallocs, w.launches)
+	}
+}
+
 // BenchmarkReplayWarmIteration times the steady state of hybrid replay:
-// 200 iterations of the sample forward batch (4 sequences x 12 tokens on
-// 4 streams, 204 launches) on one session, of which the first four are
-// the ladder's climb (detailed, memo capture, two all-applied sightings)
-// and the rest retire through the replay cache's batch rung. It is the
-// handle for a profile of what a warm iteration still costs:
+// 200 iterations of the sample forward batch on one session, of which the
+// first four are the ladder's climb and the rest retire through the
+// replay cache's batch rung. It is the handle for a profile of what a
+// warm iteration still costs:
 //
 //	go test ./internal/core -run '^$' -bench ReplayWarmIteration -benchtime 5x -cpuprofile cpu.prof
 func BenchmarkReplayWarmIteration(b *testing.B) {
-	const (
-		seqs, seqLen = 4, 12
-		iters, climb = 200, 4
-	)
-	cfg := DefaultTransformerConfig()
-	batch := TransformerBatch(seqs, seqLen, cfg.Vocab)
 	for i := 0; i < b.N; i++ {
-		s, err := sampleSession(1, 0, true)
+		w, err := warmIterations(196)
 		if err != nil {
 			b.Fatal(err)
 		}
-		enc, err := torch.NewTransformerEncoder(s.Dev, rand.New(rand.NewSource(7)), cfg)
-		if err != nil {
-			b.Fatal(err)
+		if w.batchHits != uint64(w.iters) {
+			b.Fatalf("%d of %d warm iterations retired as a batch", w.batchHits, w.iters)
 		}
-		s.Pin()
-		var warmStart time.Time
-		var before, after runtime.MemStats
-		run, err := s.Iterate(iters, func(it int) error {
-			if it == climb {
-				runtime.ReadMemStats(&before)
-				warmStart = time.Now()
-			}
-			_, err := enc.ForwardBatch(batch, true)
-			return err
-		})
-		elapsed := time.Since(warmStart)
-		runtime.ReadMemStats(&after)
-		s.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got := run.Stats.ReplayBatchHits; got != iters-climb {
-			b.Fatalf("%d of %d warm iterations retired as a batch", got, iters-climb)
-		}
-		warmLaunches := run.Launches() / iters * (iters - climb)
-		b.ReportMetric(float64(elapsed.Microseconds())/float64(iters-climb), "us_per_warm_iter")
-		b.ReportMetric(float64(run.Stats.ReplayBatchHits), "batch_hits")
-		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(warmLaunches), "allocs_per_launch")
+		b.ReportMetric(float64(w.elapsed.Microseconds())/float64(w.iters), "us_per_warm_iter")
+		b.ReportMetric(float64(w.batchHits), "batch_hits")
+		b.ReportMetric(float64(w.mallocs)/float64(w.launches), "allocs_per_launch")
 	}
 }
 

@@ -152,7 +152,7 @@ type Context struct {
 	capture     bool
 	apiTag      string
 	captureLog  []*LaunchRecord
-	kernelStats []KernelStats
+	log         kernelLog
 	texRefs     map[string]*device.TexRef // host texref handles by symbol
 
 	// async operations queued on a StreamRunner, awaiting a sync point
@@ -264,12 +264,10 @@ func (c *Context) drainPending() error {
 			continue
 		}
 		if p.logIdx >= 0 {
-			entry := &c.kernelStats[p.logIdx]
-			st.Name = entry.Name
-			st.LaunchID = entry.LaunchID
-			*entry = st
+			c.log.fill(p.logIdx, st)
 		}
 	}
+	clear(c.pending) // the backing array must not keep drained tickets alive
 	c.pending = c.pending[:0]
 	if err != nil && c.asyncErr == nil {
 		c.asyncErr = err
@@ -370,16 +368,18 @@ func (c *Context) SetAPITag(tag string) { c.apiTag = tag }
 func (c *Context) CapturedLaunches() []*LaunchRecord { return c.captureLog }
 
 // KernelStatsLog returns per-kernel stats in launch order, draining any
-// queued async launches first so every entry is final.
+// queued async launches first so every entry is final. The slice is
+// built once and returned again until the next launch or drain changes
+// the log.
 func (c *Context) KernelStatsLog() []KernelStats {
 	_ = c.drainPending()
-	return c.kernelStats
+	return c.log.all()
 }
 
 // ResetStats clears accumulated per-kernel statistics and captures.
 func (c *Context) ResetStats() {
 	_ = c.drainPending()
-	c.kernelStats = nil
+	c.log = kernelLog{}
 	c.captureLog = nil
 	c.launchCount = 0
 }

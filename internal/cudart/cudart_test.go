@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cudart"
 	"repro/internal/exec"
+	"repro/internal/kernels"
 )
 
 const incrPTX = `
@@ -165,35 +166,132 @@ func TestLookupKernelFirstRegistrationWins(t *testing.T) {
 	}
 }
 
-// TestKernelLogDoubles: the launch-ordered log grows by doubling, so a
-// long run re-copies it O(log n) times, and growing never disturbs the
-// records already in it.
-func TestKernelLogDoubles(t *testing.T) {
+// countingRunner is a StreamRunner that simulates nothing: every kernel,
+// run or drained, reports as its cycles one more than the number of
+// kernels before it, so a log record shows which launch it came from.
+type countingRunner struct {
+	kernels uint64
+	queued  []*countingTicket
+}
+
+type countingTicket struct {
+	st   cudart.KernelStats
+	done bool
+}
+
+func (t *countingTicket) Stats() (cudart.KernelStats, error) { return t.st, nil }
+func (t *countingTicket) Done() bool                         { return t.done }
+
+func (r *countingRunner) RunKernel(*exec.Grid) (cudart.KernelStats, error) {
+	r.kernels++
+	return cudart.KernelStats{Cycles: r.kernels}, nil
+}
+
+func (r *countingRunner) SubmitKernel(*exec.Grid, int) (cudart.AsyncTicket, error) {
+	r.kernels++
+	t := &countingTicket{st: cudart.KernelStats{Cycles: r.kernels, Name: "runner", LaunchID: -1}}
+	r.queued = append(r.queued, t)
+	return t, nil
+}
+
+func (r *countingRunner) SubmitCopy(int, int, func()) cudart.AsyncTicket {
+	return &countingTicket{}
+}
+
+func (r *countingRunner) DrainAll() error {
+	for _, t := range r.queued {
+		t.done = true
+	}
+	r.queued = r.queued[:0]
+	return nil
+}
+
+// TestKernelLogChunks: the launch-ordered log holds more than two chunks
+// of sync and async launches; every record keeps its launch id as its
+// index and the kernel's name across chunk edges, placeholder slots
+// queued across a chunk edge are filled in place by the drain, a repeated
+// KernelStatsLog call returns the same slice without allocating, and
+// ResetStats empties the log.
+func TestKernelLogChunks(t *testing.T) {
 	ctx := cudart.NewContext(exec.BugSet{})
+	ctx.SetRunner(&countingRunner{})
 	if _, err := ctx.RegisterModule(incrPTX); err != nil {
 		t.Fatal(err)
 	}
+	s := ctx.StreamCreate()
 	px, _ := ctx.Malloc(4)
 	p := cudart.NewParams().Ptr(px).U32(1)
-	grows, lastCap := 0, 0
-	const launches = 1000
+	const chunk = cudart.KernelLogChunk
+	launches := 2*chunk + chunk/2
 	for i := 0; i < launches; i++ {
-		if _, err := ctx.Launch("incr", exec.Dim3{X: 1}, exec.Dim3{X: 32}, p, 0); err != nil {
+		// async runs of 40 launches around every chunk edge, sync between
+		stream := cudart.DefaultStream
+		if d := (i + 20) % chunk; d < 40 {
+			stream = s
+		}
+		ph, err := ctx.LaunchOnStream(stream, "incr", exec.Dim3{X: 1}, exec.Dim3{X: 32}, p, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if c := cap(ctx.KernelStatsLog()); c != lastCap {
-			if lastCap != 0 && c != 2*lastCap {
-				t.Fatalf("log capacity went %d -> %d at launch %d, want doubling", lastCap, c, i)
-			}
-			grows, lastCap = grows+1, c
+		if ph.LaunchID != i {
+			t.Fatalf("launch %d returned launch id %d", i, ph.LaunchID)
 		}
 	}
-	if grows > 6 {
-		t.Errorf("%d launches grew the log %d times", launches, grows)
+	log := ctx.KernelStatsLog()
+	if len(log) != launches {
+		t.Fatalf("log holds %d records, want %d", len(log), launches)
 	}
-	for i, k := range ctx.KernelStatsLog() {
-		if k.LaunchID != i || k.Name != "incr" {
-			t.Fatalf("record %d after growth: %+v", i, k)
+	for i, k := range log {
+		if k.LaunchID != i || k.Name != "incr" || k.Cycles != uint64(i+1) {
+			t.Fatalf("record %d: %+v, want launch id %d, name incr, cycles %d", i, k, i, i+1)
+		}
+	}
+	if again := ctx.KernelStatsLog(); &again[0] != &log[0] || len(again) != len(log) {
+		t.Error("a second KernelStatsLog call built a new slice")
+	}
+	if n := testing.AllocsPerRun(10, func() { ctx.KernelStatsLog() }); n != 0 {
+		t.Errorf("KernelStatsLog allocated %v times on an unchanged log", n)
+	}
+
+	ctx.ResetStats()
+	if n := len(ctx.KernelStatsLog()); n != 0 {
+		t.Fatalf("log holds %d records after ResetStats", n)
+	}
+	if ph, err := ctx.LaunchOnStream(s, "incr", exec.Dim3{X: 1}, exec.Dim3{X: 32}, p, 0); err != nil || ph.LaunchID != 0 {
+		t.Fatalf("first launch after ResetStats: id %d, %v", ph.LaunchID, err)
+	}
+	if log := ctx.KernelStatsLog(); len(log) != 1 || log[0].Name != "incr" || log[0].Cycles != uint64(launches+1) {
+		t.Errorf("log after ResetStats and one async launch: %+v", log)
+	}
+}
+
+// TestParamsOneAllocation: marshalling the parameters of any library
+// kernel allocates the buffer once; Ptr and U32 never grow it.
+func TestParamsOneAllocation(t *testing.T) {
+	mods, err := kernels.ParsedModules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range mods {
+		for name, k := range m.Kernels {
+			var buf []byte
+			allocs := testing.AllocsPerRun(10, func() {
+				p := cudart.NewParams()
+				for _, prm := range k.Params {
+					switch prm.Size {
+					case 8:
+						p.Ptr(0)
+					case 4:
+						p.U32(0)
+					default:
+						t.Fatalf("%s: parameter %s has size %d", name, prm.Name, prm.Size)
+					}
+				}
+				buf = p.Bytes()
+			})
+			if allocs != 1 || len(buf) != k.ParamBytes() {
+				t.Errorf("%s: %v allocations for a %d-byte parameter block (%d marshalled)", name, allocs, k.ParamBytes(), len(buf))
+			}
 		}
 	}
 }

@@ -16,8 +16,13 @@ type Params struct {
 	buf []byte
 }
 
+// paramsReserve is the capacity NewParams reserves: room for the largest
+// parameter block of the kernel library (68 bytes), so marshalling a
+// library launch allocates once and never grows the buffer.
+const paramsReserve = 68
+
 // NewParams returns an empty parameter buffer builder.
-func NewParams() *Params { return &Params{} }
+func NewParams() *Params { return &Params{buf: make([]byte, 0, paramsReserve)} }
 
 func (p *Params) align(n int) {
 	for len(p.buf)%n != 0 {
@@ -107,8 +112,7 @@ func (c *Context) launch(s Stream, mod *ptx.Module, k *ptx.Kernel, grid, block e
 		id := c.launchCount
 		c.launchCount++
 		ph := KernelStats{Name: k.Name, LaunchID: id, GridDim: grid, BlockDim: block}
-		c.logKernel(ph)
-		c.pending = append(c.pending, pendingLaunch{ticket: tk, logIdx: len(c.kernelStats) - 1})
+		c.pending = append(c.pending, pendingLaunch{ticket: tk, logIdx: c.log.add(ph)})
 		return ph, nil
 	}
 
@@ -143,25 +147,59 @@ func (c *Context) launch(s Stream, mod *ptx.Module, k *ptx.Kernel, grid, block e
 	stats.LaunchID = id
 	stats.GridDim = grid
 	stats.BlockDim = block
-	c.logKernel(stats)
+	c.log.add(stats)
 	if rec != nil {
 		rec.Stats = stats
 	}
 	return stats, nil
 }
 
-// logKernel appends one record to the launch-ordered stats log, doubling
-// the log's capacity when it is full. A long replayed run appends
-// hundreds of thousands of pointer-carrying records, and append's 1.25x
-// step for large slices re-allocates, zeroes and re-copies the log five
-// times as often: moving it was a tenth of a warm replayed iteration.
-func (c *Context) logKernel(st KernelStats) {
-	if len(c.kernelStats) == cap(c.kernelStats) {
-		grown := make([]KernelStats, len(c.kernelStats), max(64, 2*cap(c.kernelStats)))
-		copy(grown, c.kernelStats)
-		c.kernelStats = grown
+// logChunk is how many records one chunk of the kernel log holds.
+const logChunk = 1024
+
+// kernelLog is the launch-ordered stats log. A long replayed run logs
+// hundreds of thousands of pointer-carrying records; one growing slice
+// would be re-allocated, zeroed and copied as it grows, and marked whole
+// by every collection. Records go into fixed-size chunks, which are never
+// copied once allocated, and a placeholder is filled in place by its
+// index. flat caches the contiguous view KernelStatsLog returns until
+// the next append or fill.
+type kernelLog struct {
+	chunks [][]KernelStats
+	n      int
+	flat   []KernelStats
+}
+
+// add appends a record and returns its index.
+func (l *kernelLog) add(st KernelStats) int {
+	i := l.n
+	if i%logChunk == 0 {
+		l.chunks = append(l.chunks, make([]KernelStats, logChunk))
 	}
-	c.kernelStats = append(c.kernelStats, st)
+	l.chunks[i/logChunk][i%logChunk] = st
+	l.n++
+	l.flat = nil
+	return i
+}
+
+// fill replaces record i with a drained launch's statistics, keeping the
+// name and launch id the placeholder was logged with.
+func (l *kernelLog) fill(i int, st KernelStats) {
+	slot := &l.chunks[i/logChunk][i%logChunk]
+	st.Name, st.LaunchID = slot.Name, slot.LaunchID
+	*slot = st
+	l.flat = nil
+}
+
+// all returns every record in launch order as one slice (nil when empty).
+func (l *kernelLog) all() []KernelStats {
+	if l.flat == nil && l.n > 0 {
+		l.flat = make([]KernelStats, 0, l.n)
+		for _, ch := range l.chunks {
+			l.flat = append(l.flat, ch[:min(logChunk, l.n-len(l.flat))]...)
+		}
+	}
+	return l.flat
 }
 
 // captureLaunch snapshots the launch inputs: parameter bytes plus the

@@ -33,42 +33,47 @@ type gridRun struct {
 	free []*ctaSlot
 }
 
-// newGridRun computes the per-grid occupancy limit for a launch: the
-// configured CTA cap, shrunk by shared-memory and warp-slot pressure
-// (GPGPU-Sim's max_cta calculation).
-func newGridRun(cfg *Config, op *Ticket) (*gridRun, error) {
-	g := op.grid
+// occupancy computes the per-SM CTA limit for a grid: the configured CTA
+// cap, shrunk by shared-memory and warp-slot pressure (GPGPU-Sim's
+// max_cta calculation). It errors when one CTA cannot fit an SM at all;
+// Submit calls it so that error is synchronous.
+func occupancy(cfg *Config, g *exec.Grid) (int, error) {
 	smemPerCTA := g.SharedBytes()
 	warpsPerCTA := g.NumWarpsPerCTA()
 	if warpsPerCTA > cfg.MaxWarpsPerSM {
-		return nil, fmt.Errorf("timing: CTA needs %d warps, SM holds %d", warpsPerCTA, cfg.MaxWarpsPerSM)
+		return 0, fmt.Errorf("timing: CTA needs %d warps, SM holds %d", warpsPerCTA, cfg.MaxWarpsPerSM)
 	}
 	maxCTAs := cfg.MaxCTAsPerSM
 	if smemPerCTA > 0 {
 		bySmem := cfg.SharedMemPerSM / smemPerCTA
 		if bySmem == 0 {
-			return nil, fmt.Errorf("timing: CTA needs %d B shared memory, SM has %d", smemPerCTA, cfg.SharedMemPerSM)
+			return 0, fmt.Errorf("timing: CTA needs %d B shared memory, SM has %d", smemPerCTA, cfg.SharedMemPerSM)
 		}
-		if bySmem < maxCTAs {
-			maxCTAs = bySmem
-		}
+		maxCTAs = min(maxCTAs, bySmem)
 	}
-	byWarps := cfg.MaxWarpsPerSM / warpsPerCTA
-	if byWarps < maxCTAs {
-		maxCTAs = byWarps
-	}
-	r := &gridRun{
+	return min(maxCTAs, cfg.MaxWarpsPerSM/warpsPerCTA), nil
+}
+
+// initGridRun makes r the resident state of kernel ticket op under dense
+// id. Only the per-launch drain path builds one: a batch-rung hit
+// dispatches nothing. Submit has checked the occupancy, so it cannot fail
+// here.
+func initGridRun(r *gridRun, cfg *Config, op *Ticket, id int) {
+	g := op.grid
+	maxCTAs, _ := occupancy(cfg, g)
+	*r = gridRun{
 		grid:        g,
 		op:          op,
+		id:          id,
 		maxCTAs:     maxCTAs,
-		warpsPerCTA: warpsPerCTA,
-		smemPerCTA:  smemPerCTA,
+		warpsPerCTA: g.NumWarpsPerCTA(),
+		smemPerCTA:  g.SharedBytes(),
 		nextCTA:     op.skipCTAs + len(op.preload),
 		total:       g.NumCTAs(),
 		pending:     append([]*exec.CTA(nil), op.preload...),
 		done:        op.skipCTAs,
 	}
-	return r, nil
+	op.run = r
 }
 
 // place returns a slot holding the run's next CTA: a preloaded one first,

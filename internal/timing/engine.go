@@ -50,6 +50,7 @@ type Engine struct {
 	pool    *pool // cached across launches; rebuilt when the count changes
 
 	queue         []*Ticket     // submitted, not yet drained operations, in submission order
+	tickets       []Ticket      // the current slab chunk tickets come from (newTicket)
 	machine       *exec.Machine // machine bound to the pending batch
 	copyBusyUntil uint64        // cycle the modelled copy engine frees up
 
@@ -241,7 +242,7 @@ type Ticket struct {
 	grid     *exec.Grid
 	skipCTAs int
 	preload  []*exec.CTA
-	run      *gridRun // occupancy precomputed at submit
+	run      *gridRun // resident state, built when a per-launch drain opens (sizeShards)
 
 	copyBytes int
 	copyApply func()
@@ -320,18 +321,17 @@ func (e *Engine) submit(g *exec.Grid, stream, skipCTAs int, preload []*exec.CTA)
 	if e.machine != nil && g.Machine() != e.machine {
 		return nil, fmt.Errorf("timing: engine has pending work from a different machine")
 	}
-	t := &Ticket{
+	if _, err := occupancy(&e.cfg, g); err != nil {
+		return nil, err
+	}
+	t := e.newTicket()
+	*t = Ticket{
 		kind: opKernel, stream: stream,
 		grid: g, skipCTAs: skipCTAs, preload: preload,
 		stats: cudart.KernelStats{
 			Name: g.Kernel.Name, GridDim: g.GridDim, BlockDim: g.BlockDim,
 		},
 	}
-	run, err := newGridRun(&e.cfg, t)
-	if err != nil {
-		return nil, err
-	}
-	t.run = run
 	if e.replay != nil && skipCTAs == 0 && preload == nil {
 		t.sig = e.replay.signature(g)
 		t.hasSig = true
@@ -348,12 +348,28 @@ func (e *Engine) submit(g *exec.Grid, stream, skipCTAs int, preload []*exec.CTA)
 // ticket reports the transfer's occupancy as Stats().Cycles; the other
 // kernel statistics stay zero.
 func (e *Engine) SubmitCopy(stream, bytes int, apply func()) *Ticket {
-	t := &Ticket{
+	t := e.newTicket()
+	*t = Ticket{
 		kind: opCopy, stream: stream,
 		copyBytes: bytes, copyApply: apply,
 	}
 	e.queue = append(e.queue, t)
 	return t
+}
+
+// ticketChunk is how many tickets one slab chunk holds.
+const ticketChunk = 128
+
+// newTicket hands out the next ticket of the engine's slab, one
+// allocation per ticketChunk submissions. A ticket is never recycled: its
+// caller may keep it after the drain, and releaseQueue promises its stats
+// and error survive. A chunk is freed once none of its tickets is held.
+func (e *Engine) newTicket() *Ticket {
+	if len(e.tickets) == cap(e.tickets) {
+		e.tickets = make([]Ticket, 0, ticketChunk)
+	}
+	e.tickets = e.tickets[:len(e.tickets)+1]
+	return &e.tickets[len(e.tickets)-1]
 }
 
 // RunGrid simulates one kernel launch to completion (any previously
@@ -611,6 +627,10 @@ func (e *Engine) Drain() error {
 			}
 			// Phase 3: parallel partition drain (canonical order inside).
 			p.run(nParts, partitionStage)
+			if id, err := e.partitionFault(); err != nil {
+				e.settleStepped(now)
+				return e.abortBatch(m, err, id)
+			}
 			// Phase 4: parallel scoreboard/L1 apply.
 			p.run(len(e.active), applyStage)
 		}
@@ -672,16 +692,24 @@ func (e *Engine) Drain() error {
 }
 
 // sizeShards opens the ledger for the queued batch: kernels get dense
-// ids in submission order, and every core and partition a zeroed record
-// per id. The cores' schedulers and series restart with it: every stall
-// ledger opens at the batch's first cycle (between drains the clock moves
-// by idleTo alone, which charges its spans itself).
+// ids in submission order, their resident state (one array of gridRuns
+// for the batch), and every core and partition a zeroed record per id.
+// The cores' schedulers and series restart with it: every stall ledger
+// opens at the batch's first cycle (between drains the clock moves by
+// idleTo alone, which charges its spans itself).
 func (e *Engine) sizeShards() {
 	nKernels := 0
 	for _, t := range e.queue {
 		if t.kind == opKernel {
-			t.run.id = nKernels
 			nKernels++
+		}
+	}
+	runs := make([]gridRun, nKernels)
+	id := 0
+	for _, t := range e.queue {
+		if t.kind == opKernel {
+			initGridRun(&runs[id], &e.cfg, t, id)
+			id++
 		}
 	}
 	for _, pt := range e.parts {

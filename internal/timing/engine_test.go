@@ -3,6 +3,7 @@ package timing_test
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/cudart"
@@ -375,6 +376,70 @@ func TestDrainQueueEdgeCases(t *testing.T) {
 				if got != want {
 					t.Errorf("-j%d: after the aborted batch %+v, want %+v", workers, got, want)
 				}
+			}
+		}},
+		{"memory_stage_failure_aborts_batch", func(t *testing.T, _ *edgeHarness) {
+			// A segment the memory stage cannot time — an L2 merge with no
+			// parent miss in the batch — fails the batch the way a faulting
+			// kernel does, at any worker count, and the engine stays usable.
+			for _, workers := range []int{1, 2} {
+				h := newEdgeHarnessOn(t, timing.GTX1050(), workers)
+				px := h.alloc(mkData(0.5))
+				fill := timing.OrphanL2Miss(h.eng, px)
+				victim := h.submitSqadd(1, px, h.alloc(mkData(0.25)), n)
+				beside := h.submitSqadd(2, h.alloc(mkData(1)), h.alloc(mkData(2)), n)
+				err := h.eng.Drain()
+				const msg = "L2 merged segment without an in-batch parent miss"
+				if err == nil || !strings.Contains(err.Error(), "kernel sqadd") || !strings.Contains(err.Error(), msg) {
+					t.Fatalf("-j%d: Drain returned %v, want the kernel's %q", workers, err, msg)
+				}
+				if _, verr := victim.Stats(); verr != err {
+					t.Errorf("-j%d: the kernel charged with the failure reports %v, want %v", workers, verr, err)
+				}
+				if _, berr := beside.Stats(); !beside.Done() || berr == nil {
+					t.Errorf("-j%d: the kernel beside it: done %v, error %v", workers, beside.Done(), berr)
+				}
+				fill()
+				after := h.submitSqadd(1, px, h.alloc(mkData(0.25)), n)
+				if err := h.eng.Drain(); err != nil {
+					t.Fatalf("-j%d: engine unusable after the memory stage failed: %v", workers, err)
+				}
+				if st, err := after.Stats(); err != nil || st.WarpInstrs == 0 {
+					t.Errorf("-j%d: launch after the failure: %+v, %v", workers, st, err)
+				}
+			}
+		}},
+		{"ticket_outlives_later_drains", func(t *testing.T, h *edgeHarness) {
+			// Tickets are never recycled: one held across three later drains,
+			// which take more tickets than one slab chunk holds, still reports
+			// its own statistics and error.
+			good := h.submitSqadd(1, h.alloc(mkData(0.5)), h.alloc(mkData(0.25)), n)
+			if err := h.eng.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			bad := h.submitOOB(2)
+			if err := h.eng.Drain(); err == nil {
+				t.Fatal("expected the faulting batch to error")
+			}
+			goodSt, goodErr := good.Stats()
+			badSt, badErr := bad.Stats()
+			if goodErr != nil || goodSt.WarpInstrs == 0 || badErr == nil {
+				t.Fatalf("before the later drains: good %+v, %v; bad error %v", goodSt, goodErr, badErr)
+			}
+			for range 3 {
+				h.submitSqadd(1, h.alloc(mkData(1)), h.alloc(mkData(2)), n)
+				for range 60 {
+					h.eng.SubmitCopy(2, 64, nil)
+				}
+				if err := h.eng.Drain(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st, err := good.Stats(); st != goodSt || err != goodErr {
+				t.Errorf("held ticket now reports %+v, %v; want %+v, %v", st, err, goodSt, goodErr)
+			}
+			if st, err := bad.Stats(); st != badSt || err != badErr {
+				t.Errorf("held failed ticket now reports %+v, %v; want %+v, %v", st, err, badSt, badErr)
 			}
 		}},
 		{"copy_after_consumer_kernel_same_stream", func(t *testing.T, h *edgeHarness) {

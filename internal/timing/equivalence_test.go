@@ -184,6 +184,11 @@ func (e *Engine) drainLegacyForTest(workers int, afterCycle func(now uint64)) er
 			}
 			// Phase 3: parallel partition drain (canonical order inside).
 			p.run(nParts, func(i int) { e.parts[i].drain(&e.cfg) })
+			// deviation: the memory stage's failure, which used to panic
+			if id, err := e.partitionFault(); err != nil {
+				e.settleStepped(now)
+				return e.abortBatch(m, err, id)
+			}
 			// Phase 4: parallel scoreboard/L1 apply.
 			p.run(nCores, func(i int) { e.cores[i].applyMem(now) })
 		}

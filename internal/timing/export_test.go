@@ -74,3 +74,14 @@ func ReplayComposes(e *Engine) uint64 { return e.replay.composes }
 // GridMemo.Matches, per launch or per batch: replay's deterministic unit
 // of validation work.
 func ReplayValidatedBytes(e *Engine) uint64 { return e.replay.validated }
+
+// OrphanL2Miss opens an L2 miss on addr's line that no segment of the next
+// batch issues, as if lineDone had lost the parent miss's entry: the
+// batch's first access to the line merges into it and finds no data-ready
+// time, which the memory stage reports as a failure (partitionFault). The
+// returned func fills the line, closing the miss.
+func OrphanL2Miss(e *Engine, addr uint64) (fill func()) {
+	p := e.parts[e.partOf(addr)]
+	p.l2.Access(addr, false)
+	return func() { p.l2.Fill(addr, false) }
+}

@@ -1,6 +1,8 @@
 package timing
 
 import (
+	"fmt"
+
 	"repro/internal/cache"
 	"repro/internal/dram"
 )
@@ -66,6 +68,12 @@ type partition struct {
 	// l2Writebacks is the one count kept out of the records (see
 	// Stats.L2Writebacks); the engine folds it at batch boundaries.
 	l2Writebacks uint64
+
+	// err is a failure of this cycle's drain, charged to kernel errRunID;
+	// the engine takes it after the memory stage and aborts the batch
+	// (Engine.partitionFault).
+	err      error
+	errRunID int
 }
 
 func newPartition(id int, l2 *cache.Cache, ch *dram.Channel, l2MSHRs int) *partition {
@@ -223,9 +231,11 @@ func (p *partition) drain(cfg *Config) {
 			// MSHR entry, entries are only created by a Miss earlier in
 			// this same batch, and every Miss is filled (clearing the
 			// entry) in this phase — so the parent's data-ready time is
-			// always in lineDone. Fail loudly rather than quietly
+			// always in lineDone. Fail the batch rather than quietly
 			// mis-time segments if a refactor ever breaks that.
-			panic("timing: L2 merged segment without an in-batch parent miss")
+			p.err = fmt.Errorf("timing: partition %d: L2 merged segment without an in-batch parent miss", p.id)
+			p.errRunID = s.runID
+			return
 		}
 		if d > s.done {
 			s.done = d
@@ -252,4 +262,17 @@ func (p *partition) drain(cfg *Config) {
 		sh.SegCycles += s.done - s.issue
 		sh.SegServed++
 	}
+}
+
+// partitionFault takes the memory stage's failure, the first in partition
+// order, with the kernel it is charged to, and clears every partition's.
+func (e *Engine) partitionFault() (runID int, err error) {
+	runID = -1
+	for _, p := range e.parts {
+		if p.err != nil && err == nil {
+			runID, err = p.errRunID, p.err
+		}
+		p.err = nil
+	}
+	return runID, err
 }

@@ -43,9 +43,6 @@ func TestMainPackagesSmoke(t *testing.T) {
 		{"gpgpusim_functional", "ptx_functional", saxpy},
 		{"quickstart", "ptx_perf", append([]string{"-perf"}, saxpy...)},
 		{"gpgpusim_perf_streams", "ptx_perf_streams3", append([]string{"-perf", "-streams", "3", "-dump", "4"}, saxpy...)},
-		{"gpgpusim_workload_transformer_replay", "transformer_replay", []string{"-workload", "transformer", "-replay"}},
-		{"gpgpusim_workload_train", "train_replay", []string{"-workload", "train", "-steps", "3", "-replay"}},
-		{"gpgpusim_workload_train_multigpu", "train_devices2", []string{"-workload", "train", "-devices", "2", "-steps", "2"}},
 		{"gpgpusim_workload_transformer_multigpu", "transformer_devices2", []string{"-workload", "transformer", "-devices", "2"}},
 		{"gpgpusim_workload_serve", "", []string{"-workload", "serve", "-requests", "8"}},
 		{"gpgpusim_workload_serve_diurnal", "serve_diurnal", []string{"-workload", "serve", "-trace", "internal/serve/testdata/diurnal.trace"}},
