@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 
@@ -105,7 +106,15 @@ func (w *workload) flagSet(stderr io.Writer) (fs *flag.FlagSet, out *string, run
 	fs.String("workload", "", "built-in workload to run instead of a PTX file: "+names()+" (each has its own flags: -workload NAME -h)")
 	workers := fs.Int("j", 1, "worker goroutines stepping SM cores in the detailed model (0 = all CPUs); results are identical for any value")
 	out = fs.String("o", "", "directory to write every table and time series of the run into as CSV files (the AerialVision data)")
-	return fs, out, w.define(fs, workers)
+	entry := w.define(fs, workers)
+	// -j is resolved here, once, so every entry and library it reaches
+	// sees a positive count (the libraries read 0 as one worker).
+	return fs, out, func(rep *aerial.Report) error {
+		if *workers <= 0 {
+			*workers = runtime.NumCPU()
+		}
+		return entry(rep)
+	}
 }
 
 // run is main without the process: it returns the exit code.

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -287,5 +288,21 @@ func TestReplayCoverageLine(t *testing.T) {
 		if want := fmt.Sprintf("%.1f", 100*n[0]/(n[0]+n[1]+n[2])); m[1] != want {
 			t.Errorf("gpgpusim %s: %s, want coverage %s%%", args, m[0], want)
 		}
+	}
+}
+
+// TestJZeroMeansAllCPUs: -j 0 is resolved to runtime.NumCPU() at the
+// front door, so it reaches a multi-device run as every CPU rather than
+// as the libraries' zero value, one worker.
+func TestJZeroMeansAllCPUs(t *testing.T) {
+	if runtime.NumCPU() == 1 {
+		t.Skip("one CPU: all CPUs and one worker are the same count")
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(strings.Fields("-workload train -devices 2 -steps 1 -j 0"), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr.String())
+	}
+	if want := fmt.Sprintf(", %d host workers\n", runtime.NumCPU()); !strings.Contains(stdout.String(), want) {
+		t.Errorf("stdout lacks %q:\n%s", want, stdout.String())
 	}
 }

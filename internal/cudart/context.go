@@ -292,28 +292,18 @@ func (c *Context) Free(addr uint64) error {
 // MemcpyHtoD copies host bytes to device (cudaMemcpy HostToDevice). It
 // is device-synchronizing: queued async work drains first; a deferred
 // async failure stays sticky and surfaces at the next StreamSynchronize
-// / DeviceSynchronize / AsyncError call.
+// or DeviceSynchronize call.
 func (c *Context) MemcpyHtoD(dst uint64, src []byte) {
 	_ = c.drainPending()
 	c.Mem.Write(dst, src)
 }
 
 // MemcpyDtoH copies device bytes to host. Like MemcpyHtoD it drains
-// queued async work first; check StreamSynchronize / DeviceSynchronize /
-// AsyncError for deferred failures before trusting the data.
+// queued async work first; check StreamSynchronize or DeviceSynchronize
+// for deferred failures before trusting the data.
 func (c *Context) MemcpyDtoH(dst []byte, src uint64) {
 	_ = c.drainPending()
 	c.Mem.Read(src, dst)
-}
-
-// AsyncError returns (and consumes) the sticky error of a failed async
-// batch, for callers that synchronised implicitly — through a
-// synchronous memcpy, Memset or KernelStatsLog — rather than via
-// StreamSynchronize/DeviceSynchronize, which report it directly.
-func (c *Context) AsyncError() error {
-	err := c.asyncErr
-	c.asyncErr = nil
-	return err
 }
 
 // MemcpyDtoD copies device to device.

@@ -211,11 +211,8 @@ func (h *Handle) bwdFilterFFT(x uint64, xd TensorDesc, dy uint64, yd TensorDesc,
 		cudart.NewParams().Ptr(dwSpec).Ptr(dwFull).F32(1/float32(nn))); err != nil {
 		return err
 	}
-	cropPad := 0
-	if !tiling {
-		cropPad = 0
-	}
+	// crop offset 0: the filter gradient starts at the frame's origin
 	cp := cudart.NewParams().Ptr(dwFull).Ptr(dw).
-		U32(uint32(n)).U32(uint32(fd.R)).U32(uint32(fd.S)).U32(uint32(cropPad))
+		U32(uint32(n)).U32(uint32(fd.R)).U32(uint32(fd.S)).U32(0)
 	return h.launch2D("fft_crop", fd.R*fd.S, 64, fd.K*fd.C, cp)
 }

@@ -162,7 +162,7 @@ func TestSpecialisedMatchesScalar(t *testing.T) {
 					}
 					w.Stack[0].PC, w.Done = 0, false
 					var info StepInfo
-					if err := m.StepWarp(c, w, &info); err != nil {
+					if err := m.StepWarp(c, w, m.cov, &info); err != nil {
 						t.Fatalf("%s: %v", in.Raw, err)
 					}
 					if info.ActiveMask != mask {
@@ -247,7 +247,7 @@ func TestImmediatesDecodeToOperandType(t *testing.T) {
 			w.SetReg(slotA, l, tc.a)
 		}
 		var info StepInfo
-		if err := m.StepWarp(c, w, &info); err != nil {
+		if err := m.StepWarp(c, w, m.cov, &info); err != nil {
 			t.Fatal(err)
 		}
 		for l := 0; l < WarpSize; l++ {

@@ -29,12 +29,7 @@ func covIndex(op ptx.Op, t ptx.Type) uint16 {
 	return uint16(int(op)*ptx.TypeLimit + int(t))
 }
 
-// NewCoverage returns empty coverage.
-func NewCoverage() *Coverage { return &Coverage{} }
-
-// Note records one executed warp instruction.
-func (c *Coverage) Note(in *ptx.Instr, mask uint32) { c.note(covIndex(in.Op, in.T)) }
-
+// note records one executed warp instruction by its covIndex slot.
 func (c *Coverage) note(idx uint16) {
 	c.counts[idx]++
 	c.total++
@@ -68,22 +63,4 @@ func (c *Coverage) Diff(base *Coverage) []CovKey {
 		}
 	}
 	return out
-}
-
-// Merge adds other's counts into c.
-func (c *Coverage) Merge(other *Coverage) {
-	if other.total == 0 {
-		return
-	}
-	for i, n := range other.counts {
-		c.counts[i] += n
-	}
-	c.total += other.total
-}
-
-// Reset clears all counters.
-func (c *Coverage) Reset() {
-	if c.total != 0 {
-		*c = Coverage{}
-	}
 }

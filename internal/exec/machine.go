@@ -71,16 +71,15 @@ type Machine struct {
 // NewMachine creates a functional machine over the given memory image and
 // texture registry (either may be shared with a runtime context).
 func NewMachine(cfg Config, mem *device.Memory, tex *device.TextureRegistry) *Machine {
-	return &Machine{cfg: cfg, Mem: mem, Tex: tex, cov: NewCoverage(), warpCeiling: maxWarpInstrs,
+	return &Machine{cfg: cfg, Mem: mem, Tex: tex, cov: &Coverage{}, warpCeiling: maxWarpInstrs,
 		progs: make(map[*ptx.Kernel]*program), consts: make(map[uint64]*row)}
 }
 
 // Coverage returns the machine's instruction-implementation coverage
 // counters (see coverage.go; used for differential coverage analysis).
+// They count functional-mode executions only — RunGrid and CaptureGrid —
+// never a warp instruction the timing model issues.
 func (m *Machine) Coverage() *Coverage { return m.cov }
-
-// Bugs returns the configured bug injections.
-func (m *Machine) Bugs() BugSet { return m.cfg.Bugs }
 
 // Grid is one kernel launch: grid/block geometry plus launch state.
 type Grid struct {

@@ -7,24 +7,16 @@ import (
 )
 
 // StepWarp executes exactly one warp instruction (the instruction at the
-// top of the warp's SIMT stack) and describes what happened in *info. It
-// is the single execution entry point for both the fast functional mode
-// and the cycle-level timing model.
-func (m *Machine) StepWarp(c *CTA, w *Warp, info *StepInfo) error {
-	return m.StepWarpCov(c, w, m.cov, info)
-}
-
-// StepWarpCov is StepWarp with an explicit coverage sink. Concurrent
-// callers stepping disjoint CTAs (the parallel timing engine) pass
-// per-worker Coverage shards so the shared machine-level counters are
-// never written from two goroutines; shards are merged back with
-// Coverage.Merge at kernel boundaries. A nil cov disables coverage
-// recording.
+// top of the warp's SIMT stack), counts it into cov unless cov is nil, and
+// describes what happened in *info. It is the single execution entry point
+// for both the fast functional mode and the cycle-level timing model.
+// RunWarp passes the machine's Coverage; the timing cores pass nil, so
+// cores stepping disjoint CTAs concurrently never write shared counters.
 //
 // info is filled in place so callers can keep one StepInfo per core or
 // per warp loop instead of copying ~300 bytes per instruction; every
 // field except Addrs is reset on each call (see StepInfo.Addrs).
-func (m *Machine) StepWarpCov(c *CTA, w *Warp, cov *Coverage, info *StepInfo) error {
+func (m *Machine) StepWarp(c *CTA, w *Warp, cov *Coverage, info *StepInfo) error {
 	info.reset()
 	if w.Done {
 		return fmt.Errorf("exec: step of retired warp %d", w.ID)
@@ -33,16 +25,7 @@ func (m *Machine) StepWarpCov(c *CTA, w *Warp, cov *Coverage, info *StepInfo) er
 		return fmt.Errorf("exec: step of warp %d blocked at barrier", w.ID)
 	}
 
-	// Pop reconverged entries.
-	for len(w.Stack) > 1 {
-		top := &w.Stack[len(w.Stack)-1]
-		if top.PC == top.RPC || top.Mask == 0 {
-			w.Stack = w.Stack[:len(w.Stack)-1]
-			continue
-		}
-		break
-	}
-	top := &w.Stack[len(w.Stack)-1]
+	top := popReconverged(w)
 	if top.Mask == 0 {
 		w.Done = true
 		info.WarpDone = true
@@ -165,19 +148,24 @@ func (m *Machine) PeekPC(c *CTA, w *Warp) int {
 	if w.Done {
 		return -1
 	}
-	for len(w.Stack) > 1 {
-		top := &w.Stack[len(w.Stack)-1]
-		if top.PC == top.RPC || top.Mask == 0 {
-			w.Stack = w.Stack[:len(w.Stack)-1]
-			continue
-		}
-		break
-	}
-	top := &w.Stack[len(w.Stack)-1]
+	top := popReconverged(w)
 	if top.Mask == 0 || top.PC >= len(c.Grid.prog.code) {
 		return -1
 	}
 	return top.PC
+}
+
+// popReconverged pops the stack entries whose lanes have reached their
+// reconvergence PC or all retired, and returns the entry left on top.
+func popReconverged(w *Warp) *StackEntry {
+	for len(w.Stack) > 1 {
+		top := &w.Stack[len(w.Stack)-1]
+		if top.PC != top.RPC && top.Mask != 0 {
+			return top
+		}
+		w.Stack = w.Stack[:len(w.Stack)-1]
+	}
+	return &w.Stack[0]
 }
 
 // retireLanes removes lanes from every stack entry and pops empty entries.
@@ -225,7 +213,7 @@ func (m *Machine) RunWarp(c *CTA, w *Warp, budget int64) (int64, error) {
 		info = &m.observed
 	}
 	for !w.Done && !w.AtBarrier && n < budget {
-		if err := m.StepWarp(c, w, info); err != nil {
+		if err := m.StepWarp(c, w, m.cov, info); err != nil {
 			return n, err
 		}
 		n++
@@ -261,55 +249,32 @@ func (e *RunawayError) Error() string {
 }
 
 // RunCTA functionally executes one CTA to completion, interleaving warps
-// at barrier granularity.
+// at barrier granularity. Each pass runs every warp until it retires or
+// reaches the barrier, so after a pass every live warp is waiting and the
+// barrier releases; a pass that leaves no live warp ends the CTA.
 func (m *Machine) RunCTA(c *CTA) error {
 	for {
-		progressed := false
 		for _, w := range c.Warps {
 			if w.Done || w.AtBarrier {
 				continue
 			}
-			n, err := m.RunWarp(c, w, max(m.warpCeiling-int64(w.InstrCount), 0))
-			if err != nil {
+			if _, err := m.RunWarp(c, w, max(m.warpCeiling-int64(w.InstrCount), 0)); err != nil {
 				return fmt.Errorf("exec: kernel %s cta %d warp %d: %w",
 					c.Grid.Kernel.Name, c.Index, w.ID, err)
 			}
 			if !w.Done && !w.AtBarrier {
 				return &RunawayError{Kernel: c.Grid.Kernel.Name, CTA: c.Index, Warp: w.ID, Instrs: w.InstrCount}
 			}
-			if n > 0 {
-				progressed = true
-			}
 		}
-		live, waiting := 0, 0
-		for _, w := range c.Warps {
-			if !w.Done {
-				live++
-				if w.AtBarrier {
-					waiting++
-				}
-			}
-		}
-		if live == 0 {
+		if !c.ReleaseBarrier() {
 			return nil
-		}
-		if waiting == live {
-			for _, w := range c.Warps {
-				w.AtBarrier = false
-			}
-			progressed = true
-			continue
-		}
-		if !progressed {
-			return fmt.Errorf("exec: kernel %s cta %d deadlocked (%d live, %d at barrier)",
-				c.Grid.Kernel.Name, c.Index, live, waiting)
 		}
 	}
 }
 
 // ReleaseBarrier clears the barrier flag on all warps if every live warp
-// has arrived; it reports whether a release happened. The timing model
-// uses this instead of RunCTA's inline logic.
+// has arrived; it reports whether a release happened. RunCTA and the
+// timing model both release barriers through it.
 func (c *CTA) ReleaseBarrier() bool {
 	live, waiting := 0, 0
 	for _, w := range c.Warps {

@@ -35,9 +35,6 @@ type Config struct {
 	// (the -j flag): 0 means 1, negative means all host CPUs. It only
 	// affects wall-clock, never simulation results.
 	Workers int
-	// Link configures the NVLink fabric; zero values select
-	// nvlink.DefaultConfig.
-	Link nvlink.Config
 	// Replay enables kernel-level replay memoization on every engine.
 	Replay bool
 	// ReplayResampleEvery re-details every Nth replay hit (0 = never).
@@ -55,7 +52,7 @@ type Node struct {
 
 // NewNode builds cfg.Devices identical GTX 1050 devices, each with its
 // own single-worker engine (host parallelism lives across devices, not
-// within one), connected by a fresh fabric.
+// within one), connected by a fresh fabric of nvlink.DefaultConfig links.
 func NewNode(cfg Config) (*Node, error) {
 	if cfg.Devices < 1 {
 		return nil, fmt.Errorf("multigpu: node needs at least 1 device, got %d", cfg.Devices)
@@ -66,7 +63,7 @@ func NewNode(cfg Config) (*Node, error) {
 	} else if workers < 0 {
 		workers = runtime.NumCPU()
 	}
-	fab, err := nvlink.New(cfg.Devices, cfg.Link)
+	fab, err := nvlink.New(cfg.Devices, nvlink.Config{})
 	if err != nil {
 		return nil, err
 	}

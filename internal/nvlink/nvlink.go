@@ -75,12 +75,6 @@ func New(n int, cfg Config) (*Fabric, error) {
 	return f, nil
 }
 
-// Devices returns the number of devices the fabric connects.
-func (f *Fabric) Devices() int { return f.n }
-
-// Config returns the fabric's link configuration.
-func (f *Fabric) Config() Config { return f.cfg }
-
 // Stats returns the accumulated fabric counters.
 func (f *Fabric) Stats() Stats { return f.stats }
 

@@ -28,10 +28,9 @@ import (
 
 // Config sizes a serving run.
 type Config struct {
-	// Model is the served transformer; a zero value selects DefaultModel.
+	// Model is the served transformer, on a simulated GTX 1050; a zero
+	// value selects DefaultModel.
 	Model torch.TransformerConfig
-	// Engine is the simulated GPU; a zero Name selects timing.GTX1050().
-	Engine timing.Config
 	// Workers is the engine's host worker count (0 = 1; negative = all
 	// CPUs). Results are byte-identical for any value.
 	Workers int
@@ -247,10 +246,7 @@ func Run(cfg Config, tr Trace) (*Result, error) {
 	if model.Layers == 0 {
 		model = DefaultModel()
 	}
-	engCfg := cfg.Engine
-	if engCfg.Name == "" {
-		engCfg = timing.GTX1050()
-	}
+	engCfg := timing.GTX1050()
 	engCfg.ReplayEnabled = cfg.Replay
 	engCfg.ReplayResampleEvery = cfg.ReplayResampleEvery
 	decode := tr.decodeMode()

@@ -45,12 +45,7 @@ type Config struct {
 
 	// SampleInterval is the AerialVision bucket width in cycles.
 	SampleInterval int
-	ClockMHz       float64
-
-	// CopyBytesPerCycle is the modelled copy-engine bandwidth for
-	// MemcpyHtoDAsync/DtoHAsync routed through the detailed model.
-	// 0 selects ~12 GB/s (PCIe 3.0 x16) at the core clock.
-	CopyBytesPerCycle float64
+	ClockMHz       float64 // also sets the copy engine's bytes per cycle
 
 	// ReplayEnabled turns on hybrid replay mode (see replay.go): every
 	// launch's detailed timing outcome is memoized under a replay

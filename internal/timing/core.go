@@ -45,9 +45,8 @@ type smCore struct {
 	// lastMissDone approximates MSHR-full retry latency.
 	lastMissDone uint64
 
-	stats *Stats         // per-core shard (what a core writes: see Stats), merged at drain boundaries
-	cov   *exec.Coverage // per-core functional coverage shard
-	info  exec.StepInfo  // the step in flight, filled in place by the interpreter
+	stats *Stats        // per-core shard (what a core writes: see Stats), merged at drain boundaries
+	info  exec.StepInfo // the step in flight, filled in place by the interpreter
 
 	// runInstrs is the counter ledger's instruction half: warp
 	// instructions committed per dense per-drain grid id, counted here and
@@ -94,7 +93,6 @@ func newCore(id int, e *Engine, l1 *cache.Cache) *smCore {
 		id: id, eng: e, l1: l1,
 		scheds: make([]schedState, e.cfg.SchedulersPerSM),
 		stats:  NewStats(e.cfg),
-		cov:    exec.NewCoverage(),
 		nextAt: ^uint64(0),
 	}
 	return c
@@ -275,7 +273,7 @@ func (c *smCore) stepScheduler(m *exec.Machine, sc *schedState, now uint64) {
 	case w.pc < 0:
 		// The step that retires the warp: taken to make progress, not
 		// counted as an instruction.
-		err = m.StepWarpCov(w.slot.cta, w.warp, c.cov, &c.info)
+		err = m.StepWarp(w.slot.cta, w.warp, nil, &c.info)
 	case w.issue[w.pc].Atomic:
 		// Atomics read-modify-write memory that other cores may touch
 		// in the same cycle. Defer both the functional execution and
@@ -346,7 +344,7 @@ func (c *smCore) evaluate(m *exec.Machine, sc *schedState, w *warpCtx, now uint6
 func (c *smCore) issue(m *exec.Machine, w *warpCtx, now uint64) error {
 	e := c.eng
 	info := &c.info
-	if err := m.StepWarpCov(w.slot.cta, w.warp, c.cov, info); err != nil {
+	if err := m.StepWarp(w.slot.cta, w.warp, nil, info); err != nil {
 		return err
 	}
 	// stepScheduler only sends warps with an instruction to execute (the

@@ -395,23 +395,14 @@ func (e *Engine) RunGridResume(g *exec.Grid, skipCTAs int, preload []*exec.CTA) 
 	return t.stats, t.err
 }
 
-// The copy engine's fallbacks: ~12 GB/s (PCIe 3.0 x16) in bytes per µs,
-// and the core clock assumed when the Config names none.
-const (
-	defaultCopyBytesPerUs = 12e3
-	defaultClockMHz       = 1400
-)
+// copyBytesPerUs is the copy engine's bandwidth for
+// MemcpyHtoDAsync/DtoHAsync: ~12 GB/s (PCIe 3.0 x16) in bytes per µs.
+const copyBytesPerUs = 12e3
 
-// copyCycles converts a transfer size to copy-engine cycles.
+// copyCycles converts a transfer size to copy-engine cycles at the core
+// clock.
 func (e *Engine) copyCycles(bytes int) uint64 {
-	bpc := e.cfg.CopyBytesPerCycle
-	if bpc <= 0 {
-		mhz := e.cfg.ClockMHz
-		if mhz <= 0 {
-			mhz = defaultClockMHz
-		}
-		bpc = defaultCopyBytesPerUs / mhz
-	}
+	bpc := copyBytesPerUs / e.cfg.ClockMHz
 	return uint64(float64(bytes)/bpc + 0.5)
 }
 
@@ -492,7 +483,7 @@ func (e *Engine) Drain() error {
 			return nil
 		})
 		if ferr != nil {
-			return e.abortBatch(m, ferr, failID)
+			return e.abortBatch(ferr, failID)
 		}
 		if sch.drained() {
 			break
@@ -546,14 +537,14 @@ func (e *Engine) Drain() error {
 			// cycles.
 			wake := sch.earliestTimedEnd()
 			if wake == ^uint64(0) {
-				return e.abortBatch(m, fmt.Errorf("timing: drain stalled with pending work"), -1)
+				return e.abortBatch(fmt.Errorf("timing: drain stalled with pending work"), -1)
 			}
 			e.jumpTo(wake)
 			continue
 		}
 
 		if e.cycle > deadline {
-			return e.abortBatch(m, fmt.Errorf("timing: exceeded cycle budget (deadlock?)"), -1)
+			return e.abortBatch(fmt.Errorf("timing: exceeded cycle budget (deadlock?)"), -1)
 		}
 		now := e.cycle
 
@@ -578,13 +569,13 @@ func (e *Engine) Drain() error {
 		for _, c := range e.active {
 			if c.err != nil {
 				e.settleStepped(now)
-				return e.abortBatch(m, c.err, c.errRunID)
+				return e.abortBatch(c.err, c.errRunID)
 			}
 			// Phase 2: sequential atomic drain, core id order.
 			for _, w := range c.atomQ {
 				if err := c.issue(m, w, now); err != nil {
 					e.settleStepped(now)
-					return e.abortBatch(m, err, w.runID)
+					return e.abortBatch(err, w.runID)
 				}
 			}
 			if c.issuedAny {
@@ -629,7 +620,7 @@ func (e *Engine) Drain() error {
 			p.run(nParts, partitionStage)
 			if id, err := e.partitionFault(); err != nil {
 				e.settleStepped(now)
-				return e.abortBatch(m, err, id)
+				return e.abortBatch(err, id)
 			}
 			// Phase 4: parallel scoreboard/L1 apply.
 			p.run(len(e.active), applyStage)
@@ -671,7 +662,7 @@ func (e *Engine) Drain() error {
 				// and ticking to the cycle budget would just hang —
 				// abort now instead.
 				if !sch.drained() && len(sch.ready) == 0 {
-					return e.abortBatch(m, fmt.Errorf("timing: machine deadlocked with resident work"), -1)
+					return e.abortBatch(fmt.Errorf("timing: machine deadlocked with resident work"), -1)
 				}
 			} else {
 				e.jumpTo(wake)
@@ -679,7 +670,7 @@ func (e *Engine) Drain() error {
 		}
 	}
 
-	e.mergeShards(m)
+	e.mergeShards()
 	if e.replay != nil {
 		// Publish this batch's freshly measured entries only now that the
 		// whole batch retired cleanly: later batches may replay them, the
@@ -915,7 +906,7 @@ func (e *Engine) Close() { e.pool.close() }
 // charged — and resident CTAs are dropped from every core. runID
 // attributes the failure to a specific kernel (-1 when unknown). Returns
 // the error recorded on the faulting ticket.
-func (e *Engine) abortBatch(m *exec.Machine, cause error, runID int) error {
+func (e *Engine) abortBatch(cause error, runID int) error {
 	name := "?"
 	var faulty *Ticket
 	for _, t := range e.queue {
@@ -945,7 +936,7 @@ func (e *Engine) abortBatch(m *exec.Machine, cause error, runID int) error {
 		}
 		t.done = true
 	}
-	e.mergeShards(m)
+	e.mergeShards()
 	for _, c := range e.cores {
 		// retiredSlots/memQ/atomQ backing refs are cleared by the
 		// releaseQueue call below (releaseBatchRefs per core).
@@ -964,22 +955,18 @@ func (e *Engine) abortBatch(m *exec.Machine, cause error, runID int) error {
 	return err
 }
 
-// mergeShards folds what is not per kernel — the cores' statistic and
-// functional coverage shards, the partitions' writeback counts — into the
-// engine-wide accumulators at a batch boundary, settling every scheduler's
-// stall ledger up to the current cycle first. The per-kernel records are
-// empty by now: every kernel of the batch retired or was aborted.
-func (e *Engine) mergeShards(m *exec.Machine) {
+// mergeShards folds what is not per kernel — the cores' statistic shards,
+// the partitions' writeback counts — into the engine-wide accumulators at
+// a batch boundary, settling every scheduler's stall ledger up to the
+// current cycle first. The per-kernel records are empty by now: every
+// kernel of the batch retired or was aborted.
+func (e *Engine) mergeShards() {
 	for _, c := range e.cores {
 		for i := range c.scheds {
 			c.scheds[i].settle(c.stats, e.cycle)
 		}
 		e.stats.merge(c.stats)
 		c.stats.reset()
-		if m != nil {
-			m.Coverage().Merge(c.cov)
-			c.cov.Reset()
-		}
 	}
 	for _, p := range e.parts {
 		e.stats.L2Writebacks += p.l2Writebacks

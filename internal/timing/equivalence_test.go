@@ -121,7 +121,7 @@ func (e *Engine) drainLegacyForTest(workers int, afterCycle func(now uint64)) er
 				}
 			}
 			if wake == ^uint64(0) {
-				return e.abortBatch(m, fmt.Errorf("timing: drain stalled with pending work"), -1)
+				return e.abortBatch(fmt.Errorf("timing: drain stalled with pending work"), -1)
 			}
 			// deviation: the engine's clock-jump helper, which also bumps
 			// the new loop's observability counter and settles the stall
@@ -131,7 +131,7 @@ func (e *Engine) drainLegacyForTest(workers int, afterCycle func(now uint64)) er
 		}
 
 		if e.cycle > deadline {
-			return e.abortBatch(m, fmt.Errorf("timing: exceeded cycle budget (deadlock?)"), -1)
+			return e.abortBatch(fmt.Errorf("timing: exceeded cycle budget (deadlock?)"), -1)
 		}
 		now := e.cycle
 
@@ -144,13 +144,13 @@ func (e *Engine) drainLegacyForTest(workers int, afterCycle func(now uint64)) er
 		for _, c := range e.cores {
 			if c.err != nil {
 				e.settleStepped(now) // deviation (PR 25): the stall ledger's abort charge
-				return e.abortBatch(m, c.err, c.errRunID)
+				return e.abortBatch(c.err, c.errRunID)
 			}
 			// Phase 2: sequential atomic drain, core id order.
 			for _, w := range c.atomQ {
 				if err := c.issue(m, w, now); err != nil {
 					e.settleStepped(now) // deviation (PR 25): as above
-					return e.abortBatch(m, err, w.runID)
+					return e.abortBatch(err, w.runID)
 				}
 			}
 			if c.issuedAny {
@@ -187,7 +187,7 @@ func (e *Engine) drainLegacyForTest(workers int, afterCycle func(now uint64)) er
 			// deviation: the memory stage's failure, which used to panic
 			if id, err := e.partitionFault(); err != nil {
 				e.settleStepped(now)
-				return e.abortBatch(m, err, id)
+				return e.abortBatch(err, id)
 			}
 			// Phase 4: parallel scoreboard/L1 apply.
 			p.run(nCores, func(i int) { e.cores[i].applyMem(now) })
@@ -223,7 +223,7 @@ func (e *Engine) drainLegacyForTest(workers int, afterCycle func(now uint64)) er
 		}
 	}
 
-	e.mergeShards(m)
+	e.mergeShards()
 	e.releaseQueue()
 	return nil
 }

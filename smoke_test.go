@@ -46,9 +46,6 @@ func TestMainPackagesSmoke(t *testing.T) {
 		{"gpgpusim_workload_transformer_multigpu", "transformer_devices2", []string{"-workload", "transformer", "-devices", "2"}},
 		{"gpgpusim_workload_serve", "", []string{"-workload", "serve", "-requests", "8"}},
 		{"gpgpusim_workload_serve_diurnal", "serve_diurnal", []string{"-workload", "serve", "-trace", "internal/serve/testdata/diurnal.trace"}},
-		{"convsample", "convsample_small", []string{"-workload", "convsample", "-c", "2", "-k", "2", "-hw", "12"}},
-		{"debugtool", "debug_rem", []string{"-workload", "debug", "-break", "rem"}},
-		{"checkpoint_resume", "checkpoint", []string{"-workload", "checkpoint"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
