@@ -212,13 +212,6 @@ func (h *Handle) ActivationForward(x, y uint64, n int) error {
 	return h.launch1D("relu_forward", n, 256, cudart.NewParams().Ptr(x).Ptr(y).U32(uint32(n)))
 }
 
-// ActivationBackward computes the ReLU input gradient.
-func (h *Handle) ActivationBackward(dy, x, dx uint64, n int) error {
-	h.ctx.SetAPITag("cudnnActivationBackward")
-	return h.launch1D("relu_backward", n, 256,
-		cudart.NewParams().Ptr(dy).Ptr(x).Ptr(dx).U32(uint32(n)))
-}
-
 // PoolingForward runs max pooling; idx receives argmax indices (u32),
 // sized like the output.
 func (h *Handle) PoolingForward(pd PoolDesc, x uint64, xd TensorDesc, y, idx uint64) (TensorDesc, error) {
@@ -232,17 +225,6 @@ func (h *Handle) PoolingForward(pd PoolDesc, x uint64, xd TensorDesc, y, idx uin
 		U32(uint32(pd.Window)).U32(uint32(pd.Stride)).
 		U32(uint32(oh)).U32(uint32(ow))
 	return yd, h.launch2D("maxpool_forward", per, 256, xd.N, p)
-}
-
-// PoolingBackward scatters dy through the recorded argmax indices.
-func (h *Handle) PoolingBackward(dy, idx, dx uint64, yd TensorDesc, xCount int) error {
-	h.ctx.SetAPITag("cudnnPoolingBackward")
-	if err := h.zero(dx, xCount); err != nil {
-		return err
-	}
-	n := yd.Count()
-	return h.launch1D("maxpool_backward", n, 256,
-		cudart.NewParams().Ptr(dy).Ptr(idx).Ptr(dx).U32(uint32(n)))
 }
 
 // LRNCrossChannelForward runs the texture-based LRN kernel per image. The
@@ -272,36 +254,11 @@ func (h *Handle) LRNCrossChannelForward(ld LRNDesc, x uint64, xd TensorDesc, y u
 	return nil
 }
 
-// LRNCrossChannelBackward computes the LRN input gradient.
-func (h *Handle) LRNCrossChannelBackward(ld LRNDesc, x, y, dy, dx uint64, xd TensorDesc) error {
-	h.ctx.SetAPITag("cudnnLRNCrossChannelBackward")
-	hw := xd.H * xd.W
-	per := xd.C * hw
-	for n := 0; n < xd.N; n++ {
-		off := uint64(4 * n * per)
-		p := cudart.NewParams().Ptr(x + off).Ptr(y + off).Ptr(dy + off).Ptr(dx + off).
-			U32(uint32(xd.C)).U32(uint32(hw)).U32(uint32(ld.N)).
-			F32(ld.K).F32(ld.Alpha).F32(ld.Beta)
-		if err := h.launch1D("lrn_backward", per, 256, p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // SoftmaxForward computes row-wise softmax (rows = n, cols = c).
 func (h *Handle) SoftmaxForward(x, y uint64, rows, cols int) error {
 	h.ctx.SetAPITag("cudnnSoftmaxForward")
 	return h.launch("softmax_forward", exec.Dim3{X: rows}, exec.Dim3{X: 32},
 		cudart.NewParams().Ptr(x).Ptr(y).U32(uint32(cols)))
-}
-
-// SoftmaxNLLBackward computes (softmax - onehot)/batch.
-func (h *Handle) SoftmaxNLLBackward(y, labels, dx uint64, rows, cols int) error {
-	h.ctx.SetAPITag("cudnnSoftmaxBackward")
-	n := rows * cols
-	return h.launch1D("softmax_nll_backward", n, 256,
-		cudart.NewParams().Ptr(y).Ptr(labels).Ptr(dx).U32(uint32(cols)).U32(uint32(rows)))
 }
 
 // GemvT computes y = alpha Aᵀx + beta y (the GEMV2T FC-layer kernel).

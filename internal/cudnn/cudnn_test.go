@@ -202,7 +202,7 @@ func TestLayerOps(t *testing.T) {
 	t.Run("pooling", func(t *testing.T) {
 		xs := ref.TensorShape4{N: 2, C: 2, H: 8, W: 8}
 		x := randSlice(rng, xs.Count())
-		wantY, wantIdx, ys := ref.MaxPoolForward(x, xs, 2, 2)
+		wantY, _, ys := ref.MaxPoolForward(x, xs, 2, 2)
 		px := upload(t, ctx, x)
 		py := alloc(t, ctx, ys.Count())
 		pidx := alloc(t, ctx, ys.Count())
@@ -216,16 +216,6 @@ func TestLayerOps(t *testing.T) {
 		}
 		if d := maxAbsDiff(ctx.MemcpyF32DtoH(py, ys.Count()), wantY); d != 0 {
 			t.Fatalf("pool fwd diff %g", d)
-		}
-		dy := randSlice(rng, ys.Count())
-		wantDX := ref.MaxPoolBackward(dy, wantIdx, xs.Count())
-		pdy := upload(t, ctx, dy)
-		pdx := alloc(t, ctx, xs.Count())
-		if err := h.PoolingBackward(pdy, pidx, pdx, yd, xs.Count()); err != nil {
-			t.Fatal(err)
-		}
-		if d := maxAbsDiff(ctx.MemcpyF32DtoH(pdx, xs.Count()), wantDX); d > 1e-5 {
-			t.Fatalf("pool bwd diff %g", d)
 		}
 	})
 

@@ -230,9 +230,9 @@ func (m *Machine) RunWarp(c *CTA, w *Warp, budget int64) (int64, error) {
 // included) is taken to be spinning — a loop bound computed by a broken
 // instruction implementation is how internal/debug meets one — and RunCTA
 // gives up with a RunawayError. The largest count any tier-1 test or
-// benchmark workload reaches is 24,774 (conv_bwd_filter_algo0 in LeNet's
-// training step), 677x below it; every warp of the CTA spins to the
-// ceiling together, so an 8-warp CTA costs about ten seconds to give up on.
+// benchmark workload reaches is 10,974 (fft2d_r2c_16x16), 1,528x below
+// it; every warp of the CTA spins to the ceiling together, so an 8-warp
+// CTA costs about ten seconds to give up on.
 const maxWarpInstrs = 1 << 24
 
 // RunawayError reports a warp stopped by the maxWarpInstrs guard. The

@@ -21,26 +21,6 @@ func reluForward() string {
 	return b.Build()
 }
 
-// reluBackward computes dx[i] = x[i] > 0 ? dy[i] : 0.
-func reluBackward() string {
-	b := NewBuilder("relu_backward")
-	pDY, pX, pDX := b.PtrParam("pDY"), b.PtrParam("pX"), b.PtrParam("pDX")
-	pN := b.U32Param("pN")
-	end, idx, _ := b.guardTid(pN)
-	a := b.elemAddrs(idx, pDY, pX, pDX)
-	ady, ax, adx := a[0], a[1], a[2]
-	vdy, vx, out := b.R(F32), b.R(F32), b.R(F32)
-	z := b.MovF32(0)
-	p := b.R(Pred)
-	b.I("ld.global.f32 %s, [%s];", vdy, ady)
-	b.I("ld.global.f32 %s, [%s];", vx, ax)
-	b.I("setp.gt.f32 %s, %s, %s;", p, vx, z)
-	b.I("selp.b32 %s, %s, %s, %s;", out, vdy, z, p)
-	b.I("st.global.f32 [%s], %s;", adx, out)
-	b.L(end)
-	return b.Build()
-}
-
 // addBias adds per-channel bias over an NCHW tensor: y[i] += bias[(i /
 // spatial) %% channels]. The channel decomposition uses div.u32 and
 // rem.u32 — the very instruction whose GPGPU-Sim implementation the paper

@@ -151,19 +151,6 @@ func TestElementwiseKernels(t *testing.T) {
 			t.Fatalf("relu diff %g", d)
 		}
 	})
-	t.Run("relu_backward", func(t *testing.T) {
-		dy := randSlice(rng, n)
-		px, pdy := upload(t, ctx, x), upload(t, ctx, dy)
-		pdx := alloc(t, ctx, n)
-		params := cudart.NewParams().Ptr(pdy).Ptr(px).Ptr(pdx).U32(uint32(n))
-		if _, err := ctx.Launch("relu_backward", grid1D(n, 128), exec.Dim3{X: 128}, params, 0); err != nil {
-			t.Fatal(err)
-		}
-		got := ctx.MemcpyF32DtoH(pdx, n)
-		if d := maxAbsDiff(got, ref.ReluBackward(dy, x)); d != 0 {
-			t.Fatalf("relu bwd diff %g", d)
-		}
-	})
 	t.Run("add_bias", func(t *testing.T) {
 		c, spatial := 5, 12
 		nn := 2 * c * spatial
@@ -269,18 +256,10 @@ func TestMaxPool(t *testing.T) {
 	if d := maxAbsDiff(gotY, wantY); d != 0 {
 		t.Fatalf("maxpool fwd diff %g", d)
 	}
-
-	dy := randSlice(rng, ys.Count())
-	wantDX := ref.MaxPoolBackward(dy, wantIdx, xs.Count())
-	pdy := upload(t, ctx, dy)
-	pdx := alloc(t, ctx, xs.Count())
-	params = cudart.NewParams().Ptr(pdy).Ptr(pidx).Ptr(pdx).U32(uint32(ys.Count()))
-	if _, err := ctx.Launch("maxpool_backward", grid1D(ys.Count(), 128), exec.Dim3{X: 128}, params, 0); err != nil {
-		t.Fatal(err)
-	}
-	gotDX := ctx.MemcpyF32DtoH(pdx, xs.Count())
-	if d := maxAbsDiff(gotDX, wantDX); d > 1e-5 {
-		t.Fatalf("maxpool bwd diff %g", d)
+	for i, v := range ctx.MemcpyF32DtoH(pidx, ys.Count()) {
+		if got := int32(math.Float32bits(v)); got != wantIdx[i] {
+			t.Fatalf("maxpool argmax[%d] = %d, want %d", i, got, wantIdx[i])
+		}
 	}
 }
 
@@ -344,32 +323,6 @@ func TestLRNForwardWithTexture(t *testing.T) {
 	got := ctx.MemcpyF32DtoH(py, c*hw)
 	if d := maxAbsDiff(got, want); d > 1e-3 {
 		t.Fatalf("lrn diff %g", d)
-	}
-}
-
-func TestLRNBackward(t *testing.T) {
-	ctx := newCtx(t)
-	rng := rand.New(rand.NewSource(9))
-	c, hw, win := 5, 16, 3
-	k, alpha, beta := float32(2), float32(1e-2), float32(0.75)
-	x := make([]float32, c*hw)
-	for i := range x {
-		x[i] = rng.Float32() * 2
-	}
-	y := ref.LRNForward(x, c, hw, win, k, alpha, beta)
-	dy := randSlice(rng, c*hw)
-	want := ref.LRNBackward(x, y, dy, c, hw, win, k, alpha, beta)
-	px, pyb, pdy := upload(t, ctx, x), upload(t, ctx, y), upload(t, ctx, dy)
-	pdx := alloc(t, ctx, c*hw)
-	params := cudart.NewParams().Ptr(px).Ptr(pyb).Ptr(pdy).Ptr(pdx).
-		U32(uint32(c)).U32(uint32(hw)).U32(uint32(win)).
-		F32(k).F32(alpha).F32(beta)
-	if _, err := ctx.Launch("lrn_backward", grid1D(c*hw, 64), exec.Dim3{X: 64}, params, 0); err != nil {
-		t.Fatal(err)
-	}
-	got := ctx.MemcpyF32DtoH(pdx, c*hw)
-	if d := maxAbsDiff(got, want); d > 1e-3 {
-		t.Fatalf("lrn backward diff %g", d)
 	}
 }
 

@@ -1,7 +1,7 @@
 package kernels
 
-// Max-pooling kernels (forward records argmax indices so backward can
-// route gradients exactly, matching cuDNN's deterministic pooling).
+// Max pooling. The forward kernel also records the argmax index of each
+// output, as cuDNN's deterministic pooling does for its backward pass.
 
 // maxPoolForward pools x[C,H,W] (image n = ctaid.y) with a square window
 // and stride; emits y[C,OH,OW] and the flat argmax index per output.
@@ -71,29 +71,6 @@ func maxPoolForward() string {
 	ay, ai := a[0], a[1]
 	b.I("st.global.f32 [%s], %s;", ay, best)
 	b.I("st.global.u32 [%s], %s;", ai, bestIdx)
-	b.L(end)
-	return b.Build()
-}
-
-// maxPoolBackward scatters dy through the recorded argmax indices:
-// dx[idx[o]] += dy[o] via atomics (windows may overlap).
-func maxPoolBackward() string {
-	b := NewBuilder("maxpool_backward")
-	pDY, pIdx, pDX := b.PtrParam("pDY"), b.PtrParam("pIdx"), b.PtrParam("pDX")
-	pTot := b.U32Param("pTot")
-	end, i, _ := b.guardTid(pTot)
-	dy := b.LoadPtr(pDY)
-	idxp := b.LoadPtr(pIdx)
-	dx := b.LoadPtr(pDX)
-	ady := b.ElemAddr(dy, i, 4)
-	ai := b.ElemAddr(idxp, i, 4)
-	v := b.R(F32)
-	target := b.R(B32)
-	b.I("ld.global.f32 %s, [%s];", v, ady)
-	b.I("ld.global.u32 %s, [%s];", target, ai)
-	adx := b.ElemAddr(dx, target, 4)
-	oldv := b.R(F32)
-	b.I("atom.global.add.f32 %s, [%s], %s;", oldv, adx, v)
 	b.L(end)
 	return b.Build()
 }

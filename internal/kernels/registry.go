@@ -23,7 +23,7 @@ var library = []struct {
 }{
 	// elementwise: activation/bias/SGD/conversion kernels
 	{nil, []func() string{
-		reluForward, reluBackward, addBias, sgdUpdate, accumulateAdd,
+		reluForward, addBias, sgdUpdate, accumulateAdd,
 		fillZero, rotateFilter180, pad2D, f32ToF16Kernel, f16ToF32Kernel,
 	}},
 	// gemm: the GEMM family and im2col staging
@@ -46,10 +46,10 @@ var library = []struct {
 		winogradOutputTransform, winogradBwdFilter,
 	}},
 	// pool_softmax: pooling and softmax kernels
-	{nil, []func() string{maxPoolForward, maxPoolBackward, softmaxForward, softmaxNLLBackward}},
-	// lrn: the texture-based LRN kernels; declares the module-level
-	// texref they sample
-	{[]string{LRNTexName}, []func() string{lrnForward, lrnBackward}},
+	{nil, []func() string{maxPoolForward, softmaxForward}},
+	// lrn: the texture-based LRN kernel; declares the module-level
+	// texref it samples
+	{[]string{LRNTexName}, []func() string{lrnForward}},
 	// transformer: the transformer-inference kernels — the NT
 	// strided-batched GEMM (attention scores), layernorm, GELU, residual
 	// add, the head split/merge permutes and the embedding gather

@@ -104,26 +104,22 @@ func DefaultAlgos() AlgoChoice {
 // LeNet is the model: conv(1→8,5x5) relu LRN pool, conv(8→16,5x5) relu
 // pool, conv(16→32,3x3,pad1) relu, FC 512→84 relu, FC 84→10, softmax.
 type LeNet struct {
-	Dev  *torch.Device
-	Net  *torch.Sequential
-	Head *torch.SoftmaxNLL
+	Dev *torch.Device
+	Net *torch.Sequential
 }
 
 // NewLeNet builds the model with deterministic initial weights.
 func NewLeNet(dev *torch.Device, seed int64, algos AlgoChoice) (*LeNet, error) {
 	rng := rand.New(rand.NewSource(seed))
-	conv1, err := torch.NewConv2d(dev, rng, 1, 8, 5, 0, 1,
-		algos.Conv1Fwd, cudnn.BwdDataAlgo0, cudnn.BwdFilterAlgo0)
+	conv1, err := torch.NewConv2d(dev, rng, 1, 8, 5, 0, 1, algos.Conv1Fwd)
 	if err != nil {
 		return nil, err
 	}
-	conv2, err := torch.NewConv2d(dev, rng, 8, 16, 5, 0, 1,
-		algos.Conv2Fwd, cudnn.BwdDataAlgo0, cudnn.BwdFilterAlgo0)
+	conv2, err := torch.NewConv2d(dev, rng, 8, 16, 5, 0, 1, algos.Conv2Fwd)
 	if err != nil {
 		return nil, err
 	}
-	conv3, err := torch.NewConv2d(dev, rng, 16, 32, 3, 1, 1,
-		algos.Conv3Fwd, cudnn.BwdDataWinograd, cudnn.BwdFilterWinogradNonfused)
+	conv3, err := torch.NewConv2d(dev, rng, 16, 32, 3, 1, 1, algos.Conv3Fwd)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +146,7 @@ func NewLeNet(dev *torch.Device, seed int64, algos AlgoChoice) (*LeNet, error) {
 		&torch.ReLU{Dev: dev},
 		fc2,
 	}}
-	return &LeNet{Dev: dev, Net: net, Head: &torch.SoftmaxNLL{Dev: dev}}, nil
+	return &LeNet{Dev: dev, Net: net}, nil
 }
 
 // Forward runs inference on a batch, returning class probabilities.
@@ -179,33 +175,4 @@ func (m *LeNet) ForwardCPU(images []float32, n int) []float32 {
 	x, shape := images, []int{n, 1, ImageSize, ImageSize}
 	x, shape = m.Net.ForwardCPU(x, shape)
 	return ref.Softmax(x, shape[0], shape[1])
-}
-
-// TrainStep runs one forward+backward+update step; returns the loss.
-func (m *LeNet) TrainStep(images []float32, labels []int32, lr float32) (float32, error) {
-	n := len(labels)
-	x, err := m.Dev.FromHost(images, n, 1, ImageSize, ImageSize)
-	if err != nil {
-		return 0, err
-	}
-	logits, err := m.Net.Forward(x)
-	if err != nil {
-		return 0, err
-	}
-	_, loss, err := m.Head.Forward(logits, labels)
-	if err != nil {
-		return 0, err
-	}
-	dLogits, err := m.Head.Backward()
-	if err != nil {
-		return 0, err
-	}
-	if _, err := m.Net.Backward(dLogits); err != nil {
-		return 0, err
-	}
-	opt := &torch.SGD{Dev: m.Dev, LR: lr, Params: m.Net.Params()}
-	if err := opt.Step(); err != nil {
-		return 0, err
-	}
-	return loss, nil
 }

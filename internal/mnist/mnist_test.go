@@ -67,32 +67,6 @@ func TestGPUProbsMatchCPU(t *testing.T) {
 	}
 }
 
-// TestTrainingReducesLoss runs a few SGD steps end to end on the
-// simulator (forward FFT/Winograd convs, backward data/filter kernels,
-// pooling/LRN/softmax gradients, sgd_update) and checks learning.
-func TestTrainingReducesLoss(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training loop is slow under -short")
-	}
-	model := newLeNet(t, exec.BugSet{})
-	ds := mnist.NewDataset(3)
-	images, labels := ds.Batch(2)
-	first, err := model.TrainStep(images, labels, 0.05)
-	if err != nil {
-		t.Fatalf("train step: %v", err)
-	}
-	var last float32
-	for i := 0; i < 6; i++ {
-		last, err = model.TrainStep(images, labels, 0.05)
-		if err != nil {
-			t.Fatalf("train step %d: %v", i, err)
-		}
-	}
-	if !(last < first) {
-		t.Fatalf("loss did not decrease: first %v, last %v", first, last)
-	}
-}
-
 // TestRemBugBreaksMNIST reproduces the paper's central debugging episode:
 // with a faulty remainder implementation injected, the convolution
 // pipeline (rem.u32-heavy index math in cgemm, im2col, crop and bias
@@ -131,6 +105,39 @@ func TestRemBugBreaksMNIST(t *testing.T) {
 	}
 	if same {
 		t.Fatal("rem bug injection did not perturb MNIST outputs")
+	}
+}
+
+// TestLeNetLayout pins the device address of every LeNet parameter and
+// of the first allocation after the model. The timing model keys caches
+// and DRAM banks on addresses, so these fix LeNet's pinned cycle counts;
+// the unused gradient slots NewConv2d and NewLinear reserve keep them.
+func TestLeNetLayout(t *testing.T) {
+	model := newLeNet(t, exec.BugSet{})
+	var got []uint64
+	for _, m := range model.Net.Mods {
+		switch l := m.(type) {
+		case *torch.Conv2d:
+			got = append(got, l.Weight.Ptr, l.Bias.Ptr)
+		case *torch.Linear:
+			got = append(got, l.Weight.Ptr, l.Bias.Ptr)
+		}
+	}
+	next, err := model.Dev.Ctx.Malloc(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, next)
+	want := []uint64{
+		0x100000000, 0x100000800, // conv1 weight, bias
+		0x100000a00, 0x100006e00, // conv2
+		0x100007000, 0x100010000, // conv3
+		0x100010200, 0x100064200, // fc1
+		0x100064600, 0x100066200, // fc2
+		0x100066400, // first allocation after the model
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("LeNet parameter addresses %#x, want %#x", got, want)
 	}
 }
 

@@ -9,142 +9,86 @@ import (
 	"repro/internal/ref"
 )
 
-// Module is one differentiable layer.
+// Module is one layer of a Sequential model.
 type Module interface {
 	Forward(x *Tensor) (*Tensor, error)
-	// Backward consumes the output gradient, accumulates parameter
-	// gradients, and returns the input gradient (nil for loss-adjacent
-	// modules that do not propagate further).
-	Backward(dy *Tensor) (*Tensor, error)
-	Params() []*Param
 	// ForwardCPU runs the same computation on the host via internal/ref;
 	// this is the self-check oracle (paper §IV: "MNIST contains
 	// self-checking code").
 	ForwardCPU(x []float32, shape []int) ([]float32, []int)
 }
 
-// Param pairs a weight tensor with its gradient accumulator.
-type Param struct {
-	W    *Tensor
-	Grad *Tensor
-	Name string
+// Conv2d is a convolution layer with a selectable cuDNN forward algorithm.
+type Conv2d struct {
+	Dev       *Device
+	InC, OutC int
+	Kernel    int
+	Pad       int
+	Stride    int
+	FwdAlgo   cudnn.ConvFwdAlgo
+	Weight    *Tensor
+	Bias      *Tensor
 }
 
-// Conv2d is a convolution layer with selectable cuDNN algorithms.
-type Conv2d struct {
-	Dev        *Device
-	InC, OutC  int
-	Kernel     int
-	Pad        int
-	Stride     int
-	FwdAlgo    cudnn.ConvFwdAlgo
-	BwdData    cudnn.ConvBwdDataAlgo
-	BwdFilter  cudnn.ConvBwdFilterAlgo
-	Weight     *Param
-	Bias       *Param
-	lastX      *Tensor
-	lastXShape cudnn.TensorDesc
+// reserveGradSlot allocates a zeroed, parameter-sized buffer that nothing
+// uses. NewConv2d and NewLinear reserve one after each parameter because
+// LeNet's device addresses, and with them its pinned cycle counts and
+// statistics hash, depend on that layout (TestLeNetLayout).
+func reserveGradSlot(dev *Device, shape ...int) error {
+	_, err := dev.Zeros(shape...)
+	return err
 }
 
 // NewConv2d builds a convolution layer with He-style initialisation.
-func NewConv2d(dev *Device, rng *rand.Rand, inC, outC, kernel, pad, stride int,
-	fwd cudnn.ConvFwdAlgo, bd cudnn.ConvBwdDataAlgo, bf cudnn.ConvBwdFilterAlgo) (*Conv2d, error) {
+func NewConv2d(dev *Device, rng *rand.Rand, inC, outC, kernel, pad, stride int, fwd cudnn.ConvFwdAlgo) (*Conv2d, error) {
 	w, err := dev.NewTensor(outC, inC, kernel, kernel)
 	if err != nil {
 		return nil, err
 	}
-	gw, err := dev.Zeros(outC, inC, kernel, kernel)
-	if err != nil {
+	if err := reserveGradSlot(dev, outC, inC, kernel, kernel); err != nil {
 		return nil, err
 	}
 	b, err := dev.Zeros(outC)
 	if err != nil {
 		return nil, err
 	}
-	gb, err := dev.Zeros(outC)
-	if err != nil {
+	if err := reserveGradSlot(dev, outC); err != nil {
 		return nil, err
 	}
 	scale := float32(math.Sqrt(2.0 / float64(inC*kernel*kernel)))
 	w.RandInit(rng, scale)
 	return &Conv2d{
 		Dev: dev, InC: inC, OutC: outC, Kernel: kernel, Pad: pad, Stride: stride,
-		FwdAlgo: fwd, BwdData: bd, BwdFilter: bf,
-		Weight: &Param{W: w, Grad: gw, Name: "conv.weight"},
-		Bias:   &Param{W: b, Grad: gb, Name: "conv.bias"},
+		FwdAlgo: fwd, Weight: w, Bias: b,
 	}, nil
 }
-
-func (c *Conv2d) filterDesc() cudnn.FilterDesc {
-	return cudnn.FilterDesc{K: c.OutC, C: c.InC, R: c.Kernel, S: c.Kernel}
-}
-
-func (c *Conv2d) convDesc() cudnn.ConvDesc { return cudnn.ConvDesc{Pad: c.Pad, Stride: c.Stride} }
 
 // Forward implements Module.
 func (c *Conv2d) Forward(x *Tensor) (*Tensor, error) {
 	xd := cudnn.TensorDesc{N: x.Dim(0), C: x.Dim(1), H: x.Dim(2), W: x.Dim(3)}
-	cd := c.convDesc()
+	fd := cudnn.FilterDesc{K: c.OutC, C: c.InC, R: c.Kernel, S: c.Kernel}
+	cd := cudnn.ConvDesc{Pad: c.Pad, Stride: c.Stride}
 	oh := cd.OutDim(xd.H, c.Kernel)
 	ow := cd.OutDim(xd.W, c.Kernel)
 	y, err := c.Dev.NewTensor(xd.N, c.OutC, oh, ow)
 	if err != nil {
 		return nil, err
 	}
-	yd, err := c.Dev.H.ConvolutionForward(c.FwdAlgo, x.Ptr, xd, c.Weight.W.Ptr, c.filterDesc(), cd, y.Ptr)
+	yd, err := c.Dev.H.ConvolutionForward(c.FwdAlgo, x.Ptr, xd, c.Weight.Ptr, fd, cd, y.Ptr)
 	if err != nil {
 		return nil, fmt.Errorf("conv2d forward (%v): %w", c.FwdAlgo, err)
 	}
-	if err := c.Dev.H.AddTensor(c.Bias.W.Ptr, y.Ptr, yd); err != nil {
+	if err := c.Dev.H.AddTensor(c.Bias.Ptr, y.Ptr, yd); err != nil {
 		return nil, err
 	}
-	c.lastX = x
-	c.lastXShape = xd
 	return y, nil
 }
-
-// Backward implements Module.
-func (c *Conv2d) Backward(dy *Tensor) (*Tensor, error) {
-	xd := c.lastXShape
-	yd := cudnn.TensorDesc{N: dy.Dim(0), C: dy.Dim(1), H: dy.Dim(2), W: dy.Dim(3)}
-	cd := c.convDesc()
-	// filter gradient
-	if err := c.Dev.H.ConvolutionBackwardFilter(c.BwdFilter, c.lastX.Ptr, xd, dy.Ptr, yd, cd, c.Weight.Grad.Ptr, c.filterDesc()); err != nil {
-		return nil, fmt.Errorf("conv2d backward filter (%v): %w", c.BwdFilter, err)
-	}
-	// bias gradient: db[k] = sum over n, oh, ow of dy — per image GEMM
-	// against a ones vector (M=K, N=1, K=OH*OW), accumulating with beta=1.
-	ohw := yd.H * yd.W
-	ones, err := c.Dev.FromHost(onesSlice(ohw), ohw)
-	if err != nil {
-		return nil, err
-	}
-	defer ones.Free()
-	for n := 0; n < yd.N; n++ {
-		dyOff := dy.Ptr + uint64(4*n*yd.C*ohw)
-		if err := gemmRaw(c.Dev, dyOff, ones.Ptr, c.Bias.Grad.Ptr, yd.C, 1, ohw, 1, 1); err != nil {
-			return nil, err
-		}
-	}
-	// data gradient
-	dx, err := c.Dev.NewTensor(xd.N, xd.C, xd.H, xd.W)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Dev.H.ConvolutionBackwardData(c.BwdData, c.Weight.W.Ptr, c.filterDesc(), dy.Ptr, yd, cd, dx.Ptr, xd); err != nil {
-		return nil, fmt.Errorf("conv2d backward data (%v): %w", c.BwdData, err)
-	}
-	return dx, nil
-}
-
-// Params implements Module.
-func (c *Conv2d) Params() []*Param { return []*Param{c.Weight, c.Bias} }
 
 // ForwardCPU implements Module.
 func (c *Conv2d) ForwardCPU(x []float32, shape []int) ([]float32, []int) {
 	xs := ref.TensorShape4{N: shape[0], C: shape[1], H: shape[2], W: shape[3]}
-	w := c.Weight.W.ToHost()
-	bias := c.Bias.W.ToHost()
+	w := c.Weight.ToHost()
+	bias := c.Bias.ToHost()
 	y, ys := ref.Conv2DForward(x, xs, w, c.OutC, c.Kernel, ref.ConvParams{Stride: c.Stride, Pad: c.Pad})
 	ref.AddBias(y, bias, ys.N, ys.C, ys.H*ys.W)
 	return y, []int{ys.N, ys.C, ys.H, ys.W}
@@ -152,8 +96,7 @@ func (c *Conv2d) ForwardCPU(x []float32, shape []int) ([]float32, []int) {
 
 // ReLU activation.
 type ReLU struct {
-	Dev   *Device
-	lastX *Tensor
+	Dev *Device
 }
 
 // Forward implements Module.
@@ -165,24 +108,8 @@ func (r *ReLU) Forward(x *Tensor) (*Tensor, error) {
 	if err := r.Dev.H.ActivationForward(x.Ptr, y.Ptr, x.Count()); err != nil {
 		return nil, err
 	}
-	r.lastX = x
 	return y, nil
 }
-
-// Backward implements Module.
-func (r *ReLU) Backward(dy *Tensor) (*Tensor, error) {
-	dx, err := r.Dev.NewTensor(dy.Shape...)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Dev.H.ActivationBackward(dy.Ptr, r.lastX.Ptr, dx.Ptr, dy.Count()); err != nil {
-		return nil, err
-	}
-	return dx, nil
-}
-
-// Params implements Module.
-func (r *ReLU) Params() []*Param { return nil }
 
 // ForwardCPU implements Module.
 func (r *ReLU) ForwardCPU(x []float32, shape []int) ([]float32, []int) {
@@ -191,16 +118,13 @@ func (r *ReLU) ForwardCPU(x []float32, shape []int) ([]float32, []int) {
 
 // MaxPool2d with square window.
 type MaxPool2d struct {
-	Dev         *Device
-	Window      int
-	Stride      int
-	lastIdx     *Tensor
-	inCount     int
-	lastInShape []int
-	outDesc     cudnn.TensorDesc
+	Dev    *Device
+	Window int
+	Stride int
 }
 
-// Forward implements Module.
+// Forward implements Module. The kernel also writes each output's argmax
+// index into a tensor of its own, which nothing reads.
 func (m *MaxPool2d) Forward(x *Tensor) (*Tensor, error) {
 	xd := cudnn.TensorDesc{N: x.Dim(0), C: x.Dim(1), H: x.Dim(2), W: x.Dim(3)}
 	oh := (xd.H-m.Window)/m.Stride + 1
@@ -213,31 +137,11 @@ func (m *MaxPool2d) Forward(x *Tensor) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	yd, err := m.Dev.H.PoolingForward(cudnn.PoolDesc{Window: m.Window, Stride: m.Stride}, x.Ptr, xd, y.Ptr, idx.Ptr)
-	if err != nil {
+	if _, err := m.Dev.H.PoolingForward(cudnn.PoolDesc{Window: m.Window, Stride: m.Stride}, x.Ptr, xd, y.Ptr, idx.Ptr); err != nil {
 		return nil, err
 	}
-	m.lastIdx = idx
-	m.inCount = x.Count()
-	m.lastInShape = append([]int(nil), x.Shape...)
-	m.outDesc = yd
 	return y, nil
 }
-
-// Backward implements Module.
-func (m *MaxPool2d) Backward(dy *Tensor) (*Tensor, error) {
-	dx, err := m.Dev.NewTensor(m.lastInShape...)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Dev.H.PoolingBackward(dy.Ptr, m.lastIdx.Ptr, dx.Ptr, m.outDesc, m.inCount); err != nil {
-		return nil, err
-	}
-	return dx, nil
-}
-
-// Params implements Module.
-func (m *MaxPool2d) Params() []*Param { return nil }
 
 // ForwardCPU implements Module.
 func (m *MaxPool2d) ForwardCPU(x []float32, shape []int) ([]float32, []int) {
@@ -248,10 +152,8 @@ func (m *MaxPool2d) ForwardCPU(x []float32, shape []int) ([]float32, []int) {
 
 // LRN cross-channel normalisation.
 type LRN struct {
-	Dev   *Device
-	Desc  cudnn.LRNDesc
-	lastX *Tensor
-	lastY *Tensor
+	Dev  *Device
+	Desc cudnn.LRNDesc
 }
 
 // Forward implements Module.
@@ -264,25 +166,8 @@ func (l *LRN) Forward(x *Tensor) (*Tensor, error) {
 	if err := l.Dev.H.LRNCrossChannelForward(l.Desc, x.Ptr, xd, y.Ptr); err != nil {
 		return nil, err
 	}
-	l.lastX, l.lastY = x, y
 	return y, nil
 }
-
-// Backward implements Module.
-func (l *LRN) Backward(dy *Tensor) (*Tensor, error) {
-	xd := cudnn.TensorDesc{N: dy.Dim(0), C: dy.Dim(1), H: dy.Dim(2), W: dy.Dim(3)}
-	dx, err := l.Dev.NewTensor(dy.Shape...)
-	if err != nil {
-		return nil, err
-	}
-	if err := l.Dev.H.LRNCrossChannelBackward(l.Desc, l.lastX.Ptr, l.lastY.Ptr, dy.Ptr, dx.Ptr, xd); err != nil {
-		return nil, err
-	}
-	return dx, nil
-}
-
-// Params implements Module.
-func (l *LRN) Params() []*Param { return nil }
 
 // ForwardCPU implements Module.
 func (l *LRN) ForwardCPU(x []float32, shape []int) ([]float32, []int) {
@@ -296,24 +181,13 @@ func (l *LRN) ForwardCPU(x []float32, shape []int) ([]float32, []int) {
 }
 
 // Flatten reshapes NCHW to N x (CHW).
-type Flatten struct {
-	lastShape []int
-}
+type Flatten struct{}
 
 // Forward implements Module.
 func (f *Flatten) Forward(x *Tensor) (*Tensor, error) {
-	f.lastShape = append([]int(nil), x.Shape...)
 	n := x.Dim(0)
 	return &Tensor{Shape: []int{n, x.Count() / n}, Ptr: x.Ptr, dev: x.dev}, nil
 }
-
-// Backward implements Module.
-func (f *Flatten) Backward(dy *Tensor) (*Tensor, error) {
-	return &Tensor{Shape: f.lastShape, Ptr: dy.Ptr, dev: dy.dev}, nil
-}
-
-// Params implements Module.
-func (f *Flatten) Params() []*Param { return nil }
 
 // ForwardCPU implements Module.
 func (f *Flatten) ForwardCPU(x []float32, shape []int) ([]float32, []int) {
@@ -328,12 +202,10 @@ func (f *Flatten) ForwardCPU(x []float32, shape []int) ([]float32, []int) {
 // Linear is a fully-connected layer computed with the GEMV2T kernel
 // (cuDNN's FC kernel in the paper's Fig. 7).
 type Linear struct {
-	Dev      *Device
-	In, Out  int
-	Weight   *Param // [In, Out] row-major
-	Bias     *Param
-	lastX    *Tensor
-	lastRows int
+	Dev     *Device
+	In, Out int
+	Weight  *Tensor // [In, Out] row-major
+	Bias    *Tensor
 }
 
 // NewLinear builds an FC layer.
@@ -342,22 +214,18 @@ func NewLinear(dev *Device, rng *rand.Rand, in, out int) (*Linear, error) {
 	if err != nil {
 		return nil, err
 	}
-	gw, err := dev.Zeros(in, out)
-	if err != nil {
+	if err := reserveGradSlot(dev, in, out); err != nil {
 		return nil, err
 	}
 	b, err := dev.Zeros(out)
 	if err != nil {
 		return nil, err
 	}
-	gb, err := dev.Zeros(out)
-	if err != nil {
+	if err := reserveGradSlot(dev, out); err != nil {
 		return nil, err
 	}
 	w.RandInit(rng, float32(math.Sqrt(2.0/float64(in))))
-	return &Linear{Dev: dev, In: in, Out: out,
-		Weight: &Param{W: w, Grad: gw, Name: "linear.weight"},
-		Bias:   &Param{W: b, Grad: gb, Name: "linear.bias"}}, nil
+	return &Linear{Dev: dev, In: in, Out: out, Weight: w, Bias: b}, nil
 }
 
 // Forward implements Module.
@@ -370,59 +238,22 @@ func (l *Linear) Forward(x *Tensor) (*Tensor, error) {
 	for n := 0; n < rows; n++ {
 		xOff := x.Ptr + uint64(4*n*l.In)
 		yOff := y.Ptr + uint64(4*n*l.Out)
-		if err := l.Dev.H.GemvT(l.Weight.W.Ptr, xOff, yOff, l.In, l.Out, 1, 0); err != nil {
+		if err := l.Dev.H.GemvT(l.Weight.Ptr, xOff, yOff, l.In, l.Out, 1, 0); err != nil {
 			return nil, err
 		}
 	}
 	yd := cudnn.TensorDesc{N: rows, C: l.Out, H: 1, W: 1}
-	if err := l.Dev.H.AddTensor(l.Bias.W.Ptr, y.Ptr, yd); err != nil {
+	if err := l.Dev.H.AddTensor(l.Bias.Ptr, y.Ptr, yd); err != nil {
 		return nil, err
 	}
-	l.lastX = x
-	l.lastRows = rows
 	return y, nil
 }
-
-// Backward implements Module.
-func (l *Linear) Backward(dy *Tensor) (*Tensor, error) {
-	rows := l.lastRows
-	dx, err := l.Dev.NewTensor(rows, l.In)
-	if err != nil {
-		return nil, err
-	}
-	ones, err := l.Dev.FromHost(onesSlice(rows), rows)
-	if err != nil {
-		return nil, err
-	}
-	defer ones.Free()
-	// db = dyᵀ · ones (accumulate)
-	if err := l.Dev.H.GemvT(dy.Ptr, ones.Ptr, l.Bias.Grad.Ptr, rows, l.Out, 1, 1); err != nil {
-		return nil, err
-	}
-	for n := 0; n < rows; n++ {
-		dyOff := dy.Ptr + uint64(4*n*l.Out)
-		xOff := l.lastX.Ptr + uint64(4*n*l.In)
-		dxOff := dx.Ptr + uint64(4*n*l.In)
-		// dx = W · dy : sgemm M=In, N=1, K=Out
-		if err := gemmRaw(l.Dev, l.Weight.W.Ptr, dyOff, dxOff, l.In, 1, l.Out, 1, 0); err != nil {
-			return nil, err
-		}
-		// dW += x ⊗ dy : sgemm M=In, N=Out, K=1, beta=1
-		if err := gemmRaw(l.Dev, xOff, dyOff, l.Weight.Grad.Ptr, l.In, l.Out, 1, 1, 1); err != nil {
-			return nil, err
-		}
-	}
-	return dx, nil
-}
-
-// Params implements Module.
-func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 
 // ForwardCPU implements Module.
 func (l *Linear) ForwardCPU(x []float32, shape []int) ([]float32, []int) {
 	rows := shape[0]
-	w := l.Weight.W.ToHost()
-	bias := l.Bias.W.ToHost()
+	w := l.Weight.ToHost()
+	bias := l.Bias.ToHost()
 	y := make([]float32, rows*l.Out)
 	for n := 0; n < rows; n++ {
 		ref.GemvT(w, x[n*l.In:(n+1)*l.In], y[n*l.Out:(n+1)*l.Out], l.In, l.Out, 1, 0)
@@ -450,114 +281,10 @@ func (s *Sequential) Forward(x *Tensor) (*Tensor, error) {
 	return x, nil
 }
 
-// Backward implements Module.
-func (s *Sequential) Backward(dy *Tensor) (*Tensor, error) {
-	var err error
-	for i := len(s.Mods) - 1; i >= 0; i-- {
-		dy, err = s.Mods[i].Backward(dy)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return dy, nil
-}
-
-// Params implements Module.
-func (s *Sequential) Params() []*Param {
-	var out []*Param
-	for _, m := range s.Mods {
-		out = append(out, m.Params()...)
-	}
-	return out
-}
-
 // ForwardCPU implements Module.
 func (s *Sequential) ForwardCPU(x []float32, shape []int) ([]float32, []int) {
 	for _, m := range s.Mods {
 		x, shape = m.ForwardCPU(x, shape)
 	}
 	return x, shape
-}
-
-// gemmRaw launches sgemm_tiled on raw device pointers.
-func gemmRaw(dev *Device, a, bm, cm uint64, m, n, k int, alpha, beta float32) error {
-	return dev.H.Gemm(a, bm, cm, m, n, k, alpha, beta)
-}
-
-func onesSlice(n int) []float32 {
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = 1
-	}
-	return out
-}
-
-// SGD is a plain stochastic-gradient-descent optimizer whose update runs
-// on the device (sgd_update kernel).
-type SGD struct {
-	Dev    *Device
-	LR     float32
-	Params []*Param
-}
-
-// Step applies one update and zeroes the gradients. Updates are applied
-// in Params order; on error the optimizer state is PARTIAL: parameters
-// before the reported index have been updated (and their gradients
-// zeroed) while the failing parameter and everything after it are
-// untouched. Callers that need all-or-nothing semantics must snapshot
-// weights before calling. The error names the parameter so the caller
-// can tell exactly where the step stopped.
-func (o *SGD) Step() error {
-	for i, p := range o.Params {
-		if p.Grad == nil {
-			return fmt.Errorf("sgd: step stopped at param %d (%s): no gradient buffer (params 0..%d already updated)", i, p.Name, i-1)
-		}
-		if err := o.Dev.H.SGDUpdate(p.W.Ptr, p.Grad.Ptr, p.W.Count(), o.LR); err != nil {
-			return fmt.Errorf("sgd: step stopped at param %d (%s): %w (params 0..%d already updated)", i, p.Name, err, i-1)
-		}
-		o.Dev.Ctx.Memset(p.Grad.Ptr, 0, 4*p.Grad.Count())
-	}
-	return nil
-}
-
-// SoftmaxNLL is the fused softmax + negative-log-likelihood head.
-type SoftmaxNLL struct {
-	Dev    *Device
-	lastY  *Tensor
-	rows   int
-	cols   int
-	labels uint64
-}
-
-// Forward computes probabilities and stores them for Backward; the loss
-// value itself is computed host-side from the downloaded probabilities
-// (like the sample's self-check output).
-func (s *SoftmaxNLL) Forward(x *Tensor, labels []int32) (*Tensor, float32, error) {
-	rows, cols := x.Dim(0), x.Dim(1)
-	y, err := s.Dev.NewTensor(rows, cols)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := s.Dev.H.SoftmaxForward(x.Ptr, y.Ptr, rows, cols); err != nil {
-		return nil, 0, err
-	}
-	lab, err := s.Dev.UploadLabels(labels)
-	if err != nil {
-		return nil, 0, err
-	}
-	s.lastY, s.rows, s.cols, s.labels = y, rows, cols, lab
-	loss := ref.NLLLoss(y.ToHost(), labels, rows, cols)
-	return y, loss, nil
-}
-
-// Backward returns d(loss)/d(logits).
-func (s *SoftmaxNLL) Backward() (*Tensor, error) {
-	dx, err := s.Dev.NewTensor(s.rows, s.cols)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Dev.H.SoftmaxNLLBackward(s.lastY.Ptr, s.labels, dx.Ptr, s.rows, s.cols); err != nil {
-		return nil, err
-	}
-	return dx, nil
 }

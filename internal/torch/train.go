@@ -18,6 +18,13 @@ import (
 	"repro/internal/ref"
 )
 
+// Param pairs a weight tensor with its gradient accumulator.
+type Param struct {
+	W    *Tensor
+	Grad *Tensor
+	Name string
+}
+
 // EnsureGrads allocates a zeroed gradient buffer for every parameter
 // that does not have one yet. Idempotent.
 func EnsureGrads(dev *Device, params []*Param) error {
@@ -30,6 +37,34 @@ func EnsureGrads(dev *Device, params []*Param) error {
 			return fmt.Errorf("torch: allocating gradient for %s: %w", p.Name, err)
 		}
 		p.Grad = g
+	}
+	return nil
+}
+
+// SGD is a plain stochastic-gradient-descent optimizer whose update runs
+// on the device (sgd_update kernel).
+type SGD struct {
+	Dev    *Device
+	LR     float32
+	Params []*Param
+}
+
+// Step applies one update and zeroes the gradients. Updates are applied
+// in Params order; on error the optimizer state is PARTIAL: parameters
+// before the reported index have been updated (and their gradients
+// zeroed) while the failing parameter and everything after it are
+// untouched. Callers that need all-or-nothing semantics must snapshot
+// weights before calling. The error names the parameter so the caller
+// can tell exactly where the step stopped.
+func (o *SGD) Step() error {
+	for i, p := range o.Params {
+		if p.Grad == nil {
+			return fmt.Errorf("sgd: step stopped at param %d (%s): no gradient buffer (params 0..%d already updated)", i, p.Name, i-1)
+		}
+		if err := o.Dev.H.SGDUpdate(p.W.Ptr, p.Grad.Ptr, p.W.Count(), o.LR); err != nil {
+			return fmt.Errorf("sgd: step stopped at param %d (%s): %w (params 0..%d already updated)", i, p.Name, err, i-1)
+		}
+		o.Dev.Ctx.Memset(p.Grad.Ptr, 0, 4*p.Grad.Count())
 	}
 	return nil
 }

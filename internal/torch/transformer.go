@@ -4,11 +4,11 @@ package torch
 // encoder block, the embedding table, and a small encoder model able to
 // overlap per-sequence forward passes on CUDA streams. Every module
 // carries the same ForwardCPU self-check oracle contract as the
-// convolutional layers, and since the training milestone each implements
-// Backward against the train kernel module. Forward caches activation
-// *pointers* only — it allocates nothing beyond what inference always
-// allocated, so inference-path device addresses (and therefore the
-// pinned golden timing stats) are unchanged. Gradient buffers are
+// convolutional layers, and, unlike them, a Backward against the train
+// kernel module. Forward caches activation *pointers* only — it
+// allocates nothing beyond what inference always allocated, so
+// inference-path device addresses (and therefore the pinned golden
+// timing stats) are unchanged. Gradient buffers are
 // allocated lazily by EnsureGrads after model construction; Backward on
 // a parameter without one fails loudly.
 
@@ -44,6 +44,14 @@ func validateTokenIDs(ids []int32, vocab int) error {
 	return nil
 }
 
+func onesSlice(n int) []float32 {
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = 1
+	}
+	return out
+}
+
 // LayerNorm normalises the trailing dimension of a [rows, Dim] tensor.
 type LayerNorm struct {
 	Dev   *Device
@@ -56,11 +64,7 @@ type LayerNorm struct {
 
 // NewLayerNorm builds a layer norm with γ=1, β=0.
 func NewLayerNorm(dev *Device, dim int) (*LayerNorm, error) {
-	ones := make([]float32, dim)
-	for i := range ones {
-		ones[i] = 1
-	}
-	g, err := dev.FromHost(ones, dim)
+	g, err := dev.FromHost(onesSlice(dim), dim)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +91,7 @@ func (l *LayerNorm) Forward(x *Tensor) (*Tensor, error) {
 	return y, nil
 }
 
-// Backward implements Module: dx from the cached input, with dgamma and
+// Backward computes dx from the cached input, with dgamma and
 // dbeta accumulated into the parameter gradients.
 func (l *LayerNorm) Backward(dy *Tensor) (*Tensor, error) {
 	if err := gradsRequired(l.Gamma, l.Beta); err != nil {
@@ -105,7 +109,7 @@ func (l *LayerNorm) Backward(dy *Tensor) (*Tensor, error) {
 	return dx, nil
 }
 
-// Params implements Module.
+// Params lists the trainable parameters.
 func (l *LayerNorm) Params() []*Param { return []*Param{l.Gamma, l.Beta} }
 
 // ForwardCPU implements Module.
@@ -133,7 +137,7 @@ func (g *GELU) Forward(x *Tensor) (*Tensor, error) {
 	return y, nil
 }
 
-// Backward implements Module.
+// Backward computes dx = dy·GELU'(x) from the cached input.
 func (g *GELU) Backward(dy *Tensor) (*Tensor, error) {
 	dx, err := g.Dev.NewTensor(dy.Shape...)
 	if err != nil {
@@ -144,9 +148,6 @@ func (g *GELU) Backward(dy *Tensor) (*Tensor, error) {
 	}
 	return dx, nil
 }
-
-// Params implements Module.
-func (g *GELU) Params() []*Param { return nil }
 
 // ForwardCPU implements Module.
 func (g *GELU) ForwardCPU(x []float32, shape []int) ([]float32, []int) {
@@ -403,10 +404,10 @@ func (m *MultiHeadAttention) Forward(x *Tensor) (*Tensor, error) {
 	return m.Wo.apply(m.Dev, merged)
 }
 
-// Backward implements Module: walks the attention graph in reverse —
-// output projection, head merge, probs·V, the softmax Jacobian, the
-// scaled Q·Kᵀ, the head split, and finally the three input projections
-// whose input gradients sum into dx.
+// Backward walks the attention graph in reverse — output projection,
+// head merge, probs·V, the softmax Jacobian, the scaled Q·Kᵀ, the head
+// split, and finally the three input projections whose input gradients
+// sum into dx.
 func (m *MultiHeadAttention) Backward(dy *Tensor) (*Tensor, error) {
 	seq := m.lastSeq
 	dm := m.Wq.out
@@ -498,7 +499,7 @@ func (m *MultiHeadAttention) Backward(dy *Tensor) (*Tensor, error) {
 	return dx, nil
 }
 
-// Params implements Module.
+// Params lists the trainable parameters.
 func (m *MultiHeadAttention) Params() []*Param {
 	return []*Param{m.Wq.W, m.Wq.B, m.Wk.W, m.Wk.B, m.Wv.W, m.Wv.B, m.Wo.W, m.Wo.B}
 }
@@ -634,10 +635,10 @@ func (b *TransformerBlock) Forward(x *Tensor) (*Tensor, error) {
 	return b.feedForward(x, att)
 }
 
-// Backward implements Module. The two residual connections make the
-// gradient flow: dy reaches both the FF branch and (as a pass-through)
-// h; the combined dh then reaches both the attention branch and (again
-// as a pass-through) x.
+// Backward backpropagates through the block. The two residual
+// connections make the gradient flow: dy reaches both the FF branch and
+// (as a pass-through) h; the combined dh then reaches both the attention
+// branch and (again as a pass-through) x.
 func (b *TransformerBlock) Backward(dy *Tensor) (*Tensor, error) {
 	// FF branch: y = h + Fc2(GELU(Fc1(LN2(h))))
 	da, err := b.Fc2.backward(b.Dev, b.lastAct, dy)
@@ -673,7 +674,7 @@ func (b *TransformerBlock) Backward(dy *Tensor) (*Tensor, error) {
 	return b.residual(dh, dxAttn)
 }
 
-// Params implements Module.
+// Params lists the trainable parameters.
 func (b *TransformerBlock) Params() []*Param {
 	out := append(b.Ln1.Params(), b.Attn.Params()...)
 	out = append(out, b.Ln2.Params()...)

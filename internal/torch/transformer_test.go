@@ -279,7 +279,13 @@ func TestTransformerBackwardRequiresGrads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []torch.Module{ln, blk} {
+	type trainable interface {
+		Forward(*torch.Tensor) (*torch.Tensor, error)
+		Backward(*torch.Tensor) (*torch.Tensor, error)
+		Params() []*torch.Param
+	}
+	mods := []trainable{ln, blk}
+	for _, m := range mods {
 		if _, err := m.Forward(x); err != nil {
 			t.Fatalf("%T.Forward: %v", m, err)
 		}
@@ -288,7 +294,7 @@ func TestTransformerBackwardRequiresGrads(t *testing.T) {
 		}
 	}
 	// EnsureGrads unlocks training on the same modules
-	for _, m := range []torch.Module{ln, blk} {
+	for _, m := range mods {
 		if err := torch.EnsureGrads(dev, m.Params()); err != nil {
 			t.Fatal(err)
 		}
