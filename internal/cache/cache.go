@@ -47,12 +47,9 @@ const (
 
 // Stats accumulates cache statistics.
 type Stats struct {
-	Accesses   uint64
-	Hits       uint64
-	Misses     uint64
-	Merged     uint64
-	ResFails   uint64
-	Writebacks uint64
+	Accesses uint64
+	Hits     uint64
+	Misses   uint64
 }
 
 // Cache is a set-associative cache with MSHRs.
@@ -77,9 +74,6 @@ func New(cfg Config) (*Cache, error) {
 	}
 	return &Cache{cfg: cfg, sets: sets, nsets: nsets, mshrs: make(map[uint64]int)}, nil
 }
-
-// LineBytes returns the configured line size.
-func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	lineAddr := addr / uint64(c.cfg.LineBytes)
@@ -120,11 +114,9 @@ func (c *Cache) Access(addr uint64, write bool) (AccessResult, bool) {
 	lineAddr := c.LineAddr(addr)
 	if _, pending := c.mshrs[lineAddr]; pending {
 		c.mshrs[lineAddr]++
-		c.Stats.Merged++
 		return MissMerged, false
 	}
 	if len(c.mshrs) >= c.cfg.MSHRs {
-		c.Stats.ResFails++
 		return ReservationFail, false
 	}
 	c.mshrs[lineAddr] = 1
@@ -157,25 +149,9 @@ func (c *Cache) Fill(addr uint64, write bool) (writeback bool, victimAddr uint64
 	v := &c.sets[set][victim]
 	writeback = v.valid && v.dirty
 	if writeback {
-		c.Stats.Writebacks++
 		victimAddr = (v.tag*uint64(c.nsets) + uint64(set)) * uint64(c.cfg.LineBytes)
 	}
 	c.tick++
 	*v = line{valid: true, tag: tag, lru: c.tick, dirty: write && c.cfg.WriteBack}
 	return writeback, victimAddr
-}
-
-// PendingMisses returns the number of occupied MSHRs.
-func (c *Cache) PendingMisses() int { return len(c.mshrs) }
-
-// Reset clears all contents and statistics.
-func (c *Cache) Reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = line{}
-		}
-	}
-	c.mshrs = make(map[uint64]int)
-	c.Stats = Stats{}
-	c.tick = 0
 }

@@ -125,7 +125,7 @@ func TestWriteThroughNoAllocate(t *testing.T) {
 	if r, _ := c.Access(0x1000, true); r != Miss {
 		t.Fatal("write miss expected")
 	}
-	if got := c.PendingMisses(); got != 0 {
+	if got := len(c.mshrs); got != 0 {
 		t.Fatalf("write-through miss must not reserve an MSHR, got %d", got)
 	}
 }
@@ -156,7 +156,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestStatsAndReset(t *testing.T) {
+func TestStats(t *testing.T) {
 	c := mustCache(t, smallCfg())
 	c.Access(0x0, false)
 	c.Fill(0x0, false)
@@ -164,12 +164,5 @@ func TestStatsAndReset(t *testing.T) {
 	st := c.Stats
 	if st.Accesses != 2 || st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v", st)
-	}
-	c.Reset()
-	if c.Stats.Accesses != 0 || c.PendingMisses() != 0 {
-		t.Fatal("reset incomplete")
-	}
-	if r, _ := c.Access(0x0, false); r != Miss {
-		t.Fatal("contents must be cleared by reset")
 	}
 }

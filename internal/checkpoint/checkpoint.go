@@ -51,8 +51,14 @@ type CTAState struct {
 	Warps  []WarpState
 }
 
-// State is a complete checkpoint.
+// Version is the checkpoint format Encode writes and Decode accepts.
+// Version 1 was the unversioned format, which resume did not validate.
+const Version = 2
+
+// State is a complete checkpoint. The saved grid (GridDim through Params)
+// is what the resumed application must relaunch at kernel x.
 type State struct {
+	Version   int
 	Point     Point
 	Kernel    string
 	GridDim   exec.Dim3
@@ -73,11 +79,19 @@ func (s *State) Encode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode deserialises a checkpoint.
+// Decode deserialises a checkpoint. It refuses another format version
+// and a Data2 image whose page list and pages disagree; whether Data1
+// fits the kernel is checked when resume relaunches it.
 func Decode(data []byte) (*State, error) {
 	var s State
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&s); err != nil {
 		return nil, err
+	}
+	switch {
+	case s.Version != Version:
+		return nil, fmt.Errorf("checkpoint: format version %d, want %d", s.Version, Version)
+	case s.Mem == nil || len(s.Mem.PageNums) != len(s.Mem.Pages):
+		return nil, fmt.Errorf("checkpoint: global memory image is missing or has page numbers and pages that disagree")
 	}
 	return &s, nil
 }
@@ -108,7 +122,7 @@ func (r *CaptureRunner) RunKernel(g *exec.Grid) (cudart.KernelStats, error) {
 
 	// Kernel x: CTAs before M execute normally (checkpoint flow, Fig. 5).
 	st := &State{
-		Point: r.P, Kernel: g.Kernel.Name,
+		Version: Version, Point: r.P, Kernel: g.Kernel.Name,
 		GridDim: g.GridDim, BlockDim: g.BlockDim,
 		SharedDyn: g.SharedDyn,
 		Params:    append([]byte(nil), g.Params...),
@@ -190,24 +204,83 @@ func snapshotCTA(cta *exec.CTA) CTAState {
 	return cs
 }
 
-func restoreCTA(g *exec.Grid, cs CTAState) *exec.CTA {
+// restoreCTA rebuilds a saved CTA of grid g, refusing one that does not
+// fit a fresh CTA of the grid: another warp count, warp ID, register-file
+// or local-memory size, thread mask, or a SIMT stack the interpreter
+// cannot step.
+func restoreCTA(g *exec.Grid, cs CTAState) (*exec.CTA, error) {
 	cta := g.InitCTA(cs.Index)
+	if len(cs.Warps) != len(cta.Warps) || len(cs.Shared) != len(cta.Shared) {
+		return nil, fmt.Errorf("checkpoint: CTA %d saved %d warps and %d shared bytes, the grid has %d and %d",
+			cs.Index, len(cs.Warps), len(cs.Shared), len(cta.Warps), len(cta.Shared))
+	}
 	copy(cta.Shared, cs.Shared)
 	for i, ws := range cs.Warps {
 		w := cta.Warps[i]
+		if err := ws.fits(w, len(g.Kernel.Instrs)); err != nil {
+			return nil, fmt.Errorf("checkpoint: CTA %d warp %d: %w", cs.Index, i, err)
+		}
 		w.Stack = append(w.Stack[:0], ws.Stack...)
 		copy(w.Regs, ws.Regs)
-		w.InitMask = ws.InitMask
 		w.AtBarrier = ws.AtBarrier
 		w.Done = ws.Done
 		w.InstrCount = ws.InstrCount
 		for l, lm := range ws.Locals {
-			if lm != nil && w.Locals != nil {
-				copy(w.Locals[l], lm)
-			}
+			copy(w.Locals[l], lm)
 		}
 	}
-	return cta
+	return cta, nil
+}
+
+// fits reports why a saved warp cannot take the place of fresh warp w of
+// a kernel with codeLen instructions.
+func (ws *WarpState) fits(w *exec.Warp, codeLen int) error {
+	if ws.ID != w.ID || ws.InitMask != w.InitMask {
+		return fmt.Errorf("saved as warp %d with thread mask %#x, the grid has warp %d with %#x", ws.ID, ws.InitMask, w.ID, w.InitMask)
+	}
+	if len(ws.Regs) != len(w.Regs) || len(ws.Locals) != len(w.Locals) {
+		return fmt.Errorf("%d registers and %d local-memory lanes saved, the kernel has %d and %d",
+			len(ws.Regs), len(ws.Locals), len(w.Regs), len(w.Locals))
+	}
+	for l, lm := range ws.Locals {
+		if len(lm) != len(w.Locals[l]) {
+			return fmt.Errorf("lane %d: %d local-memory bytes saved, the kernel has %d", l, len(lm), len(w.Locals[l]))
+		}
+	}
+	if len(ws.Stack) == 0 && !ws.Done {
+		return fmt.Errorf("live warp saved with an empty SIMT stack")
+	}
+	for _, e := range ws.Stack {
+		if e.PC < 0 || e.PC > codeLen || e.Mask&^ws.InitMask != 0 {
+			return fmt.Errorf("SIMT stack entry at pc %d with mask %#x: the kernel has %d instructions and mask %#x",
+				e.PC, e.Mask, codeLen, ws.InitMask)
+		}
+	}
+	return nil
+}
+
+// fits reports why the state cannot resume grid g, the relaunch of kernel
+// x: the grid must be the one saved, and the saved CTAs must be blocks
+// M, M+1, ... of it, since the engine dispatches the blocks after them.
+func (s *State) fits(g *exec.Grid) error {
+	if g.Kernel.Name != s.Kernel {
+		return fmt.Errorf("checkpoint: replay diverged: kernel %q at launch %d, checkpoint has %q",
+			g.Kernel.Name, s.Launches, s.Kernel)
+	}
+	if g.GridDim != s.GridDim || g.BlockDim != s.BlockDim || g.SharedDyn != s.SharedDyn || !bytes.Equal(g.Params, s.Params) {
+		return fmt.Errorf("checkpoint: kernel %s relaunched as grid %v block %v with %d dynamic shared bytes and parameters %x, checkpoint saved %v %v %d %x",
+			s.Kernel, g.GridDim, g.BlockDim, g.SharedDyn, g.Params, s.GridDim, s.BlockDim, s.SharedDyn, s.Params)
+	}
+	m := s.Point.CTAM
+	if m < 0 || m > g.NumCTAs()-len(s.CTAs) {
+		return fmt.Errorf("checkpoint: %d in-flight CTAs from CTA %d do not fit a grid of %d", len(s.CTAs), m, g.NumCTAs())
+	}
+	for i, cs := range s.CTAs {
+		if cs.Index != m+i {
+			return fmt.Errorf("checkpoint: in-flight CTA %d has index %d, want %d", i, cs.Index, m+i)
+		}
+	}
+	return nil
 }
 
 // ResumeRunner is a cudart.Runner that restores a checkpoint: kernels
@@ -238,14 +311,16 @@ func (r *ResumeRunner) RunKernel(g *exec.Grid) (cudart.KernelStats, error) {
 		return cudart.KernelStats{Name: g.Kernel.Name}, nil
 	case idx == r.State.Launches && !r.resumed:
 		r.resumed = true
-		if g.Kernel.Name != r.State.Kernel {
-			return cudart.KernelStats{}, fmt.Errorf(
-				"checkpoint: replay diverged: kernel %q at launch %d, checkpoint has %q",
-				g.Kernel.Name, idx, r.State.Kernel)
+		if err := r.State.fits(g); err != nil {
+			return cudart.KernelStats{}, err
 		}
 		var preload []*exec.CTA
 		for _, cs := range r.State.CTAs {
-			preload = append(preload, restoreCTA(g, cs))
+			cta, err := restoreCTA(g, cs)
+			if err != nil {
+				return cudart.KernelStats{}, err
+			}
+			preload = append(preload, cta)
 		}
 		return r.Engine.RunGridResume(g, r.State.Point.CTAM, preload)
 	default:

@@ -34,16 +34,7 @@ type CheckpointSampleResult struct {
 // model, stepped by `workers` host goroutines. The resumed output must
 // equal, bit for bit, what an uninterrupted functional run computes.
 func RunCheckpointSample(workers int) (*CheckpointSampleResult, error) {
-	ctx := cudart.NewContext(exec.BugSet{})
-	capture := &checkpoint.CaptureRunner{Ctx: ctx, P: checkpointSamplePoint}
-	ctx.SetRunner(capture)
-	if _, _, err := checkpointApp(ctx); err != nil {
-		return nil, fmt.Errorf("core: capture run: %w", err)
-	}
-	if capture.State == nil {
-		return nil, fmt.Errorf("core: the application ended before kernel %d: no checkpoint captured", checkpointSamplePoint.KernelX)
-	}
-	blob, err := capture.State.Encode()
+	blob, err := captureCheckpointSample()
 	if err != nil {
 		return nil, err
 	}
@@ -51,21 +42,15 @@ func RunCheckpointSample(workers int) (*CheckpointSampleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-
 	eng, err := timing.New(timing.GTX1050(), timing.WithWorkers(workers))
 	if err != nil {
 		return nil, err
 	}
 	defer eng.Close()
-	ctx = cudart.NewContext(exec.BugSet{})
-	resume := &checkpoint.ResumeRunner{Ctx: ctx, State: state, Engine: eng}
-	ctx.SetRunner(resume)
-	resume.Restore()
-	pc, n, err := checkpointApp(ctx)
+	out, err := resumeCheckpointSample(state, eng)
 	if err != nil {
 		return nil, fmt.Errorf("core: resumed run: %w", err)
 	}
-	out := ctx.MemcpyF32DtoH(pc, n)
 
 	want, err := RunCheckpointApp(nil)
 	if err != nil {
@@ -78,6 +63,35 @@ func RunCheckpointSample(workers int) (*CheckpointSampleResult, error) {
 		Point: state.Point, Kernel: state.Kernel, InFlight: len(state.CTAs), BlobBytes: len(blob),
 		Cycles: eng.Cycle(), Output: out,
 	}, nil
+}
+
+// captureCheckpointSample fast-forwards the sample application
+// functionally to checkpointSamplePoint and returns the encoded state.
+func captureCheckpointSample() ([]byte, error) {
+	ctx := cudart.NewContext(exec.BugSet{})
+	capture := &checkpoint.CaptureRunner{Ctx: ctx, P: checkpointSamplePoint}
+	ctx.SetRunner(capture)
+	if _, _, err := checkpointApp(ctx); err != nil {
+		return nil, fmt.Errorf("core: capture run: %w", err)
+	}
+	if capture.State == nil {
+		return nil, fmt.Errorf("core: the application ended before kernel %d: no checkpoint captured", checkpointSamplePoint.KernelX)
+	}
+	return capture.State.Encode()
+}
+
+// resumeCheckpointSample restores state into a fresh context and replays
+// the sample application from it on eng, returning the output.
+func resumeCheckpointSample(state *checkpoint.State, eng *timing.Engine) ([]float32, error) {
+	ctx := cudart.NewContext(exec.BugSet{})
+	resume := &checkpoint.ResumeRunner{Ctx: ctx, State: state, Engine: eng}
+	ctx.SetRunner(resume)
+	resume.Restore()
+	pc, n, err := checkpointApp(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return ctx.MemcpyF32DtoH(pc, n), nil
 }
 
 // RunCheckpointApp runs the sample application uninterrupted —

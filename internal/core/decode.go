@@ -25,7 +25,6 @@ type DecodeReplayResult struct {
 	Seqs      int
 	PromptLen int
 	NewTokens int
-	Replay    bool
 	session.Iterations
 
 	Tokens    [][]int32 // first iteration's generated ids, oracle-verified
@@ -73,7 +72,7 @@ func RunDecodeReplay(workers, seqs, promptLen, newTokens, iters, resampleEvery i
 	s.Pin()
 
 	res := &DecodeReplayResult{
-		Config: cfg, Seqs: seqs, PromptLen: promptLen, NewTokens: newTokens, Replay: replay,
+		Config: cfg, Seqs: seqs, PromptLen: promptLen, NewTokens: newTokens,
 	}
 	res.Iterations, err = s.Iterate(iters, func(it int) error {
 		outs, err := dec.GenerateBatch(prompts, newTokens, concurrent)

@@ -31,11 +31,10 @@ const DefaultTrainLR = 0.05
 // TrainResult summarises a multi-step training run; Iters is the step
 // count and FirstIterCycles the (always detailed) first step.
 type TrainResult struct {
-	Config  torch.TransformerConfig
-	SeqLen  int
-	LR      float32
-	Replay  bool
-	Workers int
+	Config torch.TransformerConfig
+	SeqLen int
+	LR     float32
+	Replay bool
 	session.Iterations
 
 	Losses         []float32 // device loss per step
@@ -94,7 +93,7 @@ func RunTrainSample(workers, steps, seqLen, resampleEvery int, replay bool) (*Tr
 	s.Pin()
 
 	res := &TrainResult{
-		Config: cfg, SeqLen: seqLen, LR: DefaultTrainLR, Replay: replay, Workers: workers,
+		Config: cfg, SeqLen: seqLen, LR: DefaultTrainLR, Replay: replay,
 	}
 	var prevHits uint64
 	res.Iterations, err = s.Iterate(steps, func(step int) error {

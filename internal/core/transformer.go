@@ -102,7 +102,6 @@ type TransformerReplayResult struct {
 	Config torch.TransformerConfig
 	Seqs   int
 	SeqLen int
-	Replay bool // hybrid replay mode on?
 	session.Iterations
 
 	MaxAbsDiff float64     // first iteration vs the ForwardCPU oracle
@@ -133,7 +132,7 @@ func RunTransformerReplay(workers, seqs, seqLen, iters, resampleEvery int, concu
 	}
 	s.Pin()
 
-	res := &TransformerReplayResult{Config: cfg, Seqs: seqs, SeqLen: seqLen, Replay: replay}
+	res := &TransformerReplayResult{Config: cfg, Seqs: seqs, SeqLen: seqLen}
 	res.Iterations, err = s.Iterate(iters, func(it int) error {
 		outs, err := enc.ForwardBatch(batch, concurrent)
 		if err != nil {

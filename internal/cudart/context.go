@@ -113,7 +113,6 @@ func (FunctionalRunner) RunKernel(g *exec.Grid) (KernelStats, error) {
 // being copied to the GPU before a kernel is launched, along with the
 // parameters passed into the kernel"), see Fig. 2.
 type LaunchRecord struct {
-	LaunchID int
 	Module   *ptx.Module
 	Kernel   string
 	GridDim  exec.Dim3
@@ -128,7 +127,6 @@ type LaunchRecord struct {
 	Buffers map[uint64][]byte
 	// BuffersAfter snapshots the same allocations after the kernel ran.
 	BuffersAfter map[uint64][]byte
-	Stats        KernelStats
 }
 
 // Context is a CUDA context: memory, modules, streams, events, textures.
@@ -224,9 +222,6 @@ func (c *Context) RegisterParsed(m *ptx.Module) {
 	}
 }
 
-// Modules returns the registered modules in registration order.
-func (c *Context) Modules() []*ptx.Module { return c.modules }
-
 // LookupKernel finds a kernel by name, searching modules in registration
 // order (first match wins; use cuLaunchKernel with an explicit module to
 // disambiguate duplicates). A match is remembered: registration only
@@ -306,14 +301,6 @@ func (c *Context) MemcpyDtoH(dst []byte, src uint64) {
 	c.Mem.Read(src, dst)
 }
 
-// MemcpyDtoD copies device to device.
-func (c *Context) MemcpyDtoD(dst, src uint64, n int) {
-	_ = c.drainPending()
-	buf := make([]byte, n)
-	c.Mem.Read(src, buf)
-	c.Mem.Write(dst, buf)
-}
-
 // Memset fills n bytes at dst with value b (cudaMemset). Like the sync
 // copies it is device-synchronizing, so queued async work drains first.
 func (c *Context) Memset(dst uint64, b byte, n int) {
@@ -364,12 +351,4 @@ func (c *Context) CapturedLaunches() []*LaunchRecord { return c.captureLog }
 func (c *Context) KernelStatsLog() []KernelStats {
 	_ = c.drainPending()
 	return c.log.all()
-}
-
-// ResetStats clears accumulated per-kernel statistics and captures.
-func (c *Context) ResetStats() {
-	_ = c.drainPending()
-	c.log = kernelLog{}
-	c.captureLog = nil
-	c.launchCount = 0
 }

@@ -48,9 +48,6 @@ func (p *Params) U32(v uint32) *Params {
 	return p
 }
 
-// I32 appends a 32-bit signed scalar.
-func (p *Params) I32(v int32) *Params { return p.U32(uint32(v)) }
-
 // F32 appends a float scalar.
 func (p *Params) F32(v float32) *Params { return p.U32(math.Float32bits(v)) }
 
@@ -126,7 +123,7 @@ func (c *Context) launch(s Stream, mod *ptx.Module, k *ptx.Kernel, grid, block e
 
 	var rec *LaunchRecord
 	if c.capture {
-		rec = c.captureLaunch(id, mod, k, grid, block, rawParams, sharedBytes)
+		rec = c.captureLaunch(mod, k, grid, block, rawParams, sharedBytes)
 	}
 
 	stats, err := c.runner.RunKernel(g)
@@ -148,9 +145,6 @@ func (c *Context) launch(s Stream, mod *ptx.Module, k *ptx.Kernel, grid, block e
 	stats.GridDim = grid
 	stats.BlockDim = block
 	c.log.add(stats)
-	if rec != nil {
-		rec.Stats = stats
-	}
 	return stats, nil
 }
 
@@ -205,9 +199,9 @@ func (l *kernelLog) all() []KernelStats {
 // captureLaunch snapshots the launch inputs: parameter bytes plus the
 // contents of every allocation reachable from a pointer-sized parameter
 // (Fig. 2's "capture and save all relevant data").
-func (c *Context) captureLaunch(id int, mod *ptx.Module, k *ptx.Kernel, grid, block exec.Dim3, rawParams []byte, shared int) *LaunchRecord {
+func (c *Context) captureLaunch(mod *ptx.Module, k *ptx.Kernel, grid, block exec.Dim3, rawParams []byte, shared int) *LaunchRecord {
 	rec := &LaunchRecord{
-		LaunchID: id, Module: mod, Kernel: k.Name, API: c.apiTag,
+		Module: mod, Kernel: k.Name, API: c.apiTag,
 		GridDim: grid, BlockDim: block, Shared: shared,
 		Params:  append([]byte(nil), rawParams...),
 		Buffers: make(map[uint64][]byte),

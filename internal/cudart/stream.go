@@ -120,22 +120,6 @@ func (c *Context) MemcpyHtoDAsync(dst uint64, src []byte, s Stream) error {
 	return nil
 }
 
-// MemcpyDtoHAsync is the device-to-host analog of MemcpyHtoDAsync. The
-// host buffer is only valid after the stream synchronises.
-func (c *Context) MemcpyDtoHAsync(dst []byte, src uint64, s Stream) error {
-	if !c.streams[s] {
-		return errBadStream(s)
-	}
-	if sr, async := c.runner.(StreamRunner); async && s != DefaultStream {
-		tk := sr.SubmitCopy(int(s), len(dst), func() { c.Mem.Read(src, dst) })
-		c.pending = append(c.pending, pendingLaunch{ticket: tk, logIdx: -1})
-		return nil
-	}
-	_ = c.drainPending()
-	c.Mem.Read(src, dst)
-	return nil
-}
-
 type errBadStream Stream
 
 func (e errBadStream) Error() string { return "cudart: invalid stream handle" }

@@ -8,20 +8,6 @@ import (
 	"repro/internal/device"
 )
 
-// MallocArray allocates a cudaArray (cudaMallocArray analog).
-func (c *Context) MallocArray(width, height, channels int) *device.CudaArray {
-	return device.NewCudaArray(width, height, channels)
-}
-
-// MemcpyToArray fills a cudaArray from float32 host data.
-func (c *Context) MemcpyToArray(arr *device.CudaArray, data []float32) error {
-	if len(data) > len(arr.Data) {
-		return fmt.Errorf("cudart: array copy overflow: %d > %d", len(data), len(arr.Data))
-	}
-	copy(arr.Data, data)
-	return nil
-}
-
 // MemcpyToArrayFromDevice fills a cudaArray from device memory (f32).
 // Like the other synchronous copies it is device-synchronizing: queued
 // async stream work drains before the device memory is read.
@@ -32,18 +18,6 @@ func (c *Context) MemcpyToArrayFromDevice(arr *device.CudaArray, src uint64, n i
 	for i := 0; i < n && i < len(arr.Data); i++ {
 		arr.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
 	}
-}
-
-// RegisterTexture registers an additional texref under a texture name —
-// __cudaRegisterTexture. MNIST registers multiple texrefs against the same
-// name, which the pre-fix GPGPU-Sim map dropped (§III-C).
-func (c *Context) RegisterTexture(name string) *device.TexRef {
-	ref := &device.TexRef{}
-	c.Tex.RegisterTexture(name, ref)
-	if _, ok := c.texRefs[name]; !ok {
-		c.texRefs[name] = ref
-	}
-	return ref
 }
 
 // TexRefByName returns the primary host texref handle for a module-level
@@ -59,12 +33,5 @@ func (c *Context) TexRefByName(name string) (*device.TexRef, error) {
 // BindTextureToArray binds an array to a texref (cudaBindTextureToArray).
 // Rebinding implicitly unbinds the previous array first.
 func (c *Context) BindTextureToArray(ref *device.TexRef, arr *device.CudaArray) error {
-	return c.Tex.BindTextureToArray(ref, arr,
-		device.TextureInfo{Format: "f32"},
-		device.TextureReferenceAttr{AddressMode: "clamp", FilterMode: "point"})
-}
-
-// UnbindTexture removes a texref's array binding (cudaUnbindTexture).
-func (c *Context) UnbindTexture(ref *device.TexRef) {
-	c.Tex.UnbindTexture(ref)
+	return c.Tex.BindTextureToArray(ref, arr)
 }

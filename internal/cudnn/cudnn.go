@@ -129,18 +129,12 @@ func Create(ctx *cudart.Context) (*Handle, error) {
 	return &Handle{ctx: ctx}, nil
 }
 
-// Context returns the underlying runtime context.
-func (h *Handle) Context() *cudart.Context { return h.ctx }
-
 // SetStream routes every subsequent library launch onto the given CUDA
 // stream — the cudnnSetStream analog. With a timing runner installed,
 // launches on a non-default stream queue in the detailed model and
 // overlap with work on other streams; the zero value keeps the legacy
 // device-synchronizing default stream.
 func (h *Handle) SetStream(s cudart.Stream) { h.stream = s }
-
-// Stream returns the stream the handle currently launches on.
-func (h *Handle) Stream() cudart.Stream { return h.stream }
 
 // launch launches a kernel on the handle's stream with an explicit grid.
 func (h *Handle) launch(name string, grid, block exec.Dim3, p *cudart.Params) error {

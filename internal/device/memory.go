@@ -295,10 +295,15 @@ func NewAllocator() *Allocator {
 
 const allocAlign = 256 // cudaMalloc guarantees 256-byte alignment
 
-// Alloc reserves size bytes and returns the device address.
+// Alloc reserves size bytes and returns the device address. A size whose
+// alignment or placement would wrap the 64-bit address space is refused
+// (cudaErrorMemoryAllocation) rather than handed out at a wrapped address.
 func (a *Allocator) Alloc(size uint64) (uint64, error) {
 	if size == 0 {
 		return 0, fmt.Errorf("device: zero-byte allocation")
+	}
+	if size > ^uint64(allocAlign-1) {
+		return 0, fmt.Errorf("device: allocation of %d bytes overflows the address space", size)
 	}
 	size = (size + allocAlign - 1) &^ uint64(allocAlign-1)
 	for i, s := range a.free {
@@ -314,6 +319,9 @@ func (a *Allocator) Alloc(size uint64) (uint64, error) {
 		}
 	}
 	addr := a.next
+	if addr+size < addr {
+		return 0, fmt.Errorf("device: allocation of %d bytes at %#x overflows the address space", size, addr)
+	}
 	a.next += size
 	a.sizes[addr] = size
 	return addr, nil

@@ -45,25 +45,12 @@ func (a *CudaArray) Fetch(x, y int) [4]float32 {
 	return out
 }
 
-// TextureInfo carries the metadata cudaBindTextureToArray supplies.
-type TextureInfo struct {
-	Format     string // "f32"
-	Normalized bool
-}
-
-// TextureReferenceAttr carries addressing/filter attributes.
-type TextureReferenceAttr struct {
-	AddressMode string // "clamp"
-	FilterMode  string // "point"
-}
-
 // TexRef is a texture reference object as registered by
-// __cudaRegisterTexture.
+// __cudaRegisterTexture. Every fetch reads f32 texels, point-sampled with
+// clamp-to-edge addressing (CudaArray.Fetch), so a binding carries no
+// format or addressing attributes.
 type TexRef struct {
-	Name  string
-	Array *CudaArray
-	Info  TextureInfo
-	Attr  TextureReferenceAttr
+	Name string
 }
 
 // TextureRegistry implements the texture-name plumbing after the paper's
@@ -72,15 +59,12 @@ type TexRef struct {
 //   - A texture *name* maps to a *set* of texrefs (MNIST registers multiple
 //     texrefs under one name; the pre-fix map silently dropped data).
 //   - The name additionally maps directly to the currently bound cudaArray,
-//     textureInfo and textureReferenceAttr, and texture instructions look
-//     bindings up *by name*.
+//     and texture instructions look bindings up *by name*.
 //   - Rebinding a texref that is already bound implicitly unbinds the old
 //     cudaArray first.
 type TextureRegistry struct {
 	byName   map[string][]*TexRef
 	boundArr map[string]*CudaArray
-	info     map[string]TextureInfo
-	attr     map[string]TextureReferenceAttr
 }
 
 // NewTextureRegistry returns an empty registry.
@@ -88,8 +72,6 @@ func NewTextureRegistry() *TextureRegistry {
 	return &TextureRegistry{
 		byName:   make(map[string][]*TexRef),
 		boundArr: make(map[string]*CudaArray),
-		info:     make(map[string]TextureInfo),
-		attr:     make(map[string]TextureReferenceAttr),
 	}
 }
 
@@ -100,32 +82,15 @@ func (r *TextureRegistry) RegisterTexture(name string, ref *TexRef) {
 	r.byName[name] = append(r.byName[name], ref)
 }
 
-// BindTextureToArray binds a cudaArray to a texref. If the texref already
-// has an array bound, it is implicitly unbound first (paper §III-C second
-// fix). The binding is also recorded against the texture name so that
-// texture instructions can resolve it by name.
-func (r *TextureRegistry) BindTextureToArray(ref *TexRef, arr *CudaArray, info TextureInfo, attr TextureReferenceAttr) error {
+// BindTextureToArray binds a cudaArray to a texref's name, where texture
+// instructions resolve it. A name that already has an array bound is
+// implicitly unbound first (paper §III-C second fix).
+func (r *TextureRegistry) BindTextureToArray(ref *TexRef, arr *CudaArray) error {
 	if len(r.byName[ref.Name]) == 0 {
 		return fmt.Errorf("device: texref %q was never registered", ref.Name)
 	}
-	ref.Array = arr // implicit unbind of any previous array
-	ref.Info = info
-	ref.Attr = attr
 	r.boundArr[ref.Name] = arr
-	r.info[ref.Name] = info
-	r.attr[ref.Name] = attr
 	return nil
-}
-
-// UnbindTexture removes the array binding from a texref (and from the name
-// if this texref provided the name's current binding).
-func (r *TextureRegistry) UnbindTexture(ref *TexRef) {
-	if r.boundArr[ref.Name] == ref.Array {
-		delete(r.boundArr, ref.Name)
-		delete(r.info, ref.Name)
-		delete(r.attr, ref.Name)
-	}
-	ref.Array = nil
 }
 
 // LookupByName resolves the cudaArray bound under a texture name; texture
@@ -137,6 +102,3 @@ func (r *TextureRegistry) LookupByName(name string) (*CudaArray, error) {
 	}
 	return arr, nil
 }
-
-// Refs returns all texrefs registered under a name.
-func (r *TextureRegistry) Refs(name string) []*TexRef { return r.byName[name] }

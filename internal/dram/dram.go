@@ -53,12 +53,11 @@ type Req struct {
 // BankStats accumulates one bank's counters, bucketed per sample interval
 // for the AerialVision-style plots.
 type BankStats struct {
-	BusyCycles    uint64 // data-transfer (useful) cycles
-	PendingCycles uint64 // cycles with at least one request outstanding
-	Activates     uint64
-	Reads         uint64
-	Writes        uint64
-	RowHits       uint64
+	BusyCycles uint64 // data-transfer (useful) cycles
+	Activates  uint64
+	Reads      uint64
+	Writes     uint64
+	RowHits    uint64
 }
 
 // Channel is one DRAM channel with per-bank state.
@@ -66,7 +65,6 @@ type Channel struct {
 	cfg       Config
 	bankReady []uint64 // cycle when bank can accept the next command
 	openRow   []int64  // -1 = closed
-	lastEnd   []uint64 // completion time of last request per bank (pending tracking)
 	busReady  uint64   // shared data bus availability
 
 	// queueFree is the finite request queue as an absolute-time resource:
@@ -93,7 +91,6 @@ func NewChannel(cfg Config, sampleInterval uint64) *Channel {
 		cfg:       cfg,
 		bankReady: make([]uint64, cfg.NumBanks),
 		openRow:   make([]int64, cfg.NumBanks),
-		lastEnd:   make([]uint64, cfg.NumBanks),
 		Banks:     make([]BankStats, cfg.NumBanks),
 		interval:  sampleInterval,
 	}
@@ -128,14 +125,6 @@ func addToBucket(series *[][]uint64, bank int, idx uint64, v uint64) {
 	}
 	s[idx] += v
 	(*series)[bank] = s
-}
-
-// Service schedules one request arriving at cycle `now` and returns its
-// completion cycle — a batch of one (no reordering opportunity).
-func (ch *Channel) Service(now uint64, addr uint64, write bool) uint64 {
-	r := Req{Arrive: now, Addr: addr, Write: write}
-	ch.commitReq(&r)
-	return r.Done
 }
 
 // ServiceBatch schedules a batch of requests with FR-FCFS bank ordering
@@ -278,11 +267,6 @@ func (ch *Channel) commitReq(r *Req) {
 		st.Reads++
 	}
 	st.BusyCycles += uint64(ch.cfg.TBurst)
-	// pending window: arrival -> completion
-	if end > now {
-		st.PendingCycles += end - now
-	}
-	ch.lastEnd[bank] = end
 	r.Done = end
 
 	if ch.interval > 0 {
@@ -373,24 +357,4 @@ func (ch *Channel) Totals() (reads, writes, acts, busy uint64) {
 		busy += ch.Banks[i].BusyCycles
 	}
 	return
-}
-
-// Reset clears state and statistics.
-func (ch *Channel) Reset() {
-	for i := range ch.bankReady {
-		ch.bankReady[i] = 0
-		ch.openRow[i] = -1
-		ch.lastEnd[i] = 0
-		ch.Banks[i] = BankStats{}
-	}
-	ch.busReady = 0
-	for i := range ch.queueFree {
-		ch.queueFree[i] = 0
-	}
-	ch.queueHead = 0
-	if ch.interval > 0 {
-		ch.busySeries = make([][]uint64, ch.cfg.NumBanks)
-		ch.pendSeries = make([][]uint64, ch.cfg.NumBanks)
-		ch.cmdSeries = make([][]uint64, ch.cfg.NumBanks)
-	}
 }

@@ -5,6 +5,14 @@ import (
 	"testing/quick"
 )
 
+// Service schedules one request arriving at cycle now and returns its
+// completion cycle: a batch of one, with no reordering opportunity.
+func (ch *Channel) Service(now uint64, addr uint64, write bool) uint64 {
+	r := Req{Arrive: now, Addr: addr, Write: write}
+	ch.commitReq(&r)
+	return r.Done
+}
+
 func TestRowHitFasterThanRowMiss(t *testing.T) {
 	ch := NewChannel(DefaultConfig(), 0)
 	// first access opens the row
@@ -300,18 +308,5 @@ func TestBatchDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("batch schedule not deterministic at request %d: %d vs %d", i, a[i], b[i])
 		}
-	}
-}
-
-func TestReset(t *testing.T) {
-	ch := NewChannel(DefaultConfig(), 50)
-	ch.Service(0, 0, false)
-	ch.Reset()
-	r, w, a, b := ch.Totals()
-	if r+w+a+b != 0 {
-		t.Fatal("totals not cleared")
-	}
-	if len(ch.EfficiencySeries()[0]) != 0 {
-		t.Fatal("series not cleared")
 	}
 }

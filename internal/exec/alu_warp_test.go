@@ -9,6 +9,12 @@ import (
 	"repro/internal/ptx"
 )
 
+// Reg reads a register slot for one lane.
+func (w *Warp) Reg(slot, lane int) uint64 { return w.Regs[slot*WarpSize+lane] }
+
+// SetReg writes a register slot for one lane.
+func (w *Warp) SetReg(slot, lane int, v uint64) { w.Regs[slot*WarpSize+lane] = v }
+
 // Register slots of the one-instruction kernels the differential test runs.
 const (
 	slotDst = iota

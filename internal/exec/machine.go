@@ -217,17 +217,10 @@ func (c *CTA) Done() bool {
 	return true
 }
 
-// Reg reads a register slot for one lane.
-func (w *Warp) Reg(slot, lane int) uint64 { return w.Regs[slot*WarpSize+lane] }
-
-// SetReg writes a register slot for one lane.
-func (w *Warp) SetReg(slot, lane int, v uint64) { w.Regs[slot*WarpSize+lane] = v }
-
 // StepInfo describes one executed warp instruction; the timing model turns
 // this into pipeline and memory-system events.
 type StepInfo struct {
 	PC         int
-	Instr      *ptx.Instr
 	ActiveMask uint32
 	IsMem      bool
 	IsStore    bool
@@ -244,7 +237,7 @@ type StepInfo struct {
 
 // reset clears everything a step reports except Addrs.
 func (s *StepInfo) reset() {
-	s.PC, s.Instr, s.ActiveMask = 0, nil, 0
+	s.PC, s.ActiveMask = 0, 0
 	s.IsMem, s.IsStore, s.IsAtomic = false, false, false
 	s.Space, s.AccSize = ptx.SpaceNone, 0
 	s.Barrier, s.WarpDone = false, false

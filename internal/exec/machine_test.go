@@ -467,7 +467,7 @@ func TestTextureFetch(t *testing.T) {
 	}
 	ref := &device.TexRef{}
 	e.m.Tex.RegisterTexture("mytex", ref)
-	if err := e.m.Tex.BindTextureToArray(ref, arr, device.TextureInfo{Format: "f32"}, device.TextureReferenceAttr{}); err != nil {
+	if err := e.m.Tex.BindTextureToArray(ref, arr); err != nil {
 		t.Fatalf("bind: %v", err)
 	}
 	out := e.allocF32(t, make([]float32, 32))

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cudart"
 	"repro/internal/exec"
 	"repro/internal/hwmodel"
+	"repro/internal/timing"
 )
 
 // spin loops on a condition that always holds; mark stores 7 to x[0];
@@ -49,29 +50,38 @@ OUT:
 }
 `
 
-// entryPoints are the ways a grid gets executed functionally. All of them
-// run exec's one CTA loop, the hardware oracle included (it used to carry
-// a copy without the loop's error exits).
-var entryPoints = []string{"RunGrid", "CaptureGrid", "FunctionalRunner", "Oracle"}
+// entryPoints are the ways a grid gets executed. The functional ones run
+// exec's one CTA loop, the hardware oracle included (it used to carry a
+// copy without the loop's error exits); Timing is the cycle-level engine,
+// which steps warps itself. All of them meet the guard in StepWarp.
+var entryPoints = []string{"RunGrid", "CaptureGrid", "FunctionalRunner", "Oracle", "Timing"}
 
-// launchVia runs g through the named entry point.
-func launchVia(via string, g *exec.Grid) (err error) {
+// launcher returns a function that runs a grid through the named entry
+// point; the timing engine is made once, so later launches reuse it.
+func launcher(t *testing.T, via string) func(g *exec.Grid) error {
+	var run cudart.Runner
 	switch via {
 	case "RunGrid":
-		return g.Machine().RunGrid(g)
+		return func(g *exec.Grid) error { return g.Machine().RunGrid(g) }
 	case "CaptureGrid":
-		_, err = g.Machine().CaptureGrid(g)
+		return func(g *exec.Grid) error { _, err := g.Machine().CaptureGrid(g); return err }
 	case "FunctionalRunner":
-		_, err = cudart.FunctionalRunner{}.RunKernel(g)
+		run = cudart.FunctionalRunner{}
+	case "Oracle":
+		run = hwmodel.GTX1050()
 	default:
-		_, err = hwmodel.GTX1050().RunKernel(g)
+		eng, err := timing.New(timing.GTX1050())
+		if err != nil {
+			t.Fatal(err)
+		}
+		run = timing.Runner{E: eng}
 	}
-	return err
+	return func(g *exec.Grid) error { _, err := run.RunKernel(g); return err }
 }
 
 // TestRunawayGuard: a kernel that never terminates comes back from every
-// functional entry point as a RunawayError naming kernel, CTA and warp,
-// and the next launch on the same machine runs normally.
+// entry point as a RunawayError naming kernel, CTA and warp, and the next
+// launch on the same machine runs normally.
 func TestRunawayGuard(t *testing.T) {
 	const ceiling = 1000
 	for _, via := range entryPoints {
@@ -86,12 +96,13 @@ func TestRunawayGuard(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			run := launcher(t, via)
 			launch := func(kernel string, params []byte) error {
 				g, err := ctx.M.NewGrid(mod.Kernels[kernel], exec.Dim3{X: 3}, exec.Dim3{X: 64}, params, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return launchVia(via, g)
+				return run(g)
 			}
 			err = launch("spin", nil)
 			var runaway *exec.RunawayError
@@ -134,7 +145,7 @@ func TestBarrierDeadlock(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := launchVia(via, g); err != nil {
+			if err := launcher(t, via)(g); err != nil {
 				t.Fatalf("halfbar: %v", err)
 			}
 			var got [4]byte

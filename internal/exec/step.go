@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ptx"
 )
@@ -44,7 +45,6 @@ func (m *Machine) StepWarp(c *CTA, w *Warp, cov *Coverage, info *StepInfo) error
 	d := &code[pc]
 	in := d.in
 	info.PC = pc
-	info.Instr = in
 
 	// Guard predicate: per-lane execution mask.
 	execMask := top.Mask
@@ -52,6 +52,9 @@ func (m *Machine) StepWarp(c *CTA, w *Warp, cov *Coverage, info *StepInfo) error
 		execMask &= predMask((*row)(w.Regs[d.pred:]), d.predNeg)
 	}
 	info.ActiveMask = execMask
+	if int64(w.InstrCount) >= m.warpCeiling {
+		return &RunawayError{Kernel: c.Grid.Kernel.Name, CTA: c.Index, Warp: w.ID, Instrs: w.InstrCount}
+	}
 	w.InstrCount++
 	if cov != nil {
 		cov.note(d.cov)
@@ -224,19 +227,22 @@ func (m *Machine) RunWarp(c *CTA, w *Warp, budget int64) (int64, error) {
 	return n, nil
 }
 
-// maxWarpInstrs is the functional interpreter's runaway guard, the
-// counterpart of the cycle deadline in timing.Engine.Drain: a warp that
-// has executed this many instructions in one CTA (barrier episodes
-// included) is taken to be spinning — a loop bound computed by a broken
-// instruction implementation is how internal/debug meets one — and RunCTA
-// gives up with a RunawayError. The largest count any tier-1 test or
-// benchmark workload reaches is 10,974 (fft2d_r2c_16x16), 1,528x below
-// it; every warp of the CTA spins to the ceiling together, so an 8-warp
-// CTA costs about ten seconds to give up on.
+// maxWarpInstrs is the interpreter's runaway guard, in functional and
+// timing mode alike: StepWarp refuses the next instruction of a warp that
+// has executed this many in one CTA (barrier episodes included) with a
+// RunawayError. Such a warp is taken to be spinning — a loop bound
+// computed by a broken instruction implementation is how internal/debug
+// meets one. In timing mode the guard ends the batch long before
+// timing.Engine.Drain's cycle deadline would. The largest count any
+// tier-1 test or benchmark workload reaches is 10,974 (fft2d_r2c_16x16),
+// 1,528x below it; every warp of the CTA spins to the ceiling together,
+// so an 8-warp CTA costs about ten seconds to give up on.
 const maxWarpInstrs = 1 << 24
 
-// RunawayError reports a warp stopped by the maxWarpInstrs guard. The
-// Machine stays usable: the next launch starts from fresh CTA state.
+// RunawayError reports a warp stopped by the maxWarpInstrs guard; it names
+// the kernel, CTA and warp itself, so callers return it unwrapped. The
+// Machine (and a timing engine) stays usable: the next launch starts from
+// fresh CTA state.
 type RunawayError struct {
 	Kernel    string
 	CTA, Warp int
@@ -258,12 +264,12 @@ func (m *Machine) RunCTA(c *CTA) error {
 			if w.Done || w.AtBarrier {
 				continue
 			}
-			if _, err := m.RunWarp(c, w, max(m.warpCeiling-int64(w.InstrCount), 0)); err != nil {
+			if _, err := m.RunWarp(c, w, math.MaxInt64); err != nil {
+				if _, runaway := err.(*RunawayError); runaway {
+					return err
+				}
 				return fmt.Errorf("exec: kernel %s cta %d warp %d: %w",
 					c.Grid.Kernel.Name, c.Index, w.ID, err)
-			}
-			if !w.Done && !w.AtBarrier {
-				return &RunawayError{Kernel: c.Grid.Kernel.Name, CTA: c.Index, Warp: w.ID, Instrs: w.InstrCount}
 			}
 		}
 		if !c.ReleaseBarrier() {

@@ -66,9 +66,9 @@ func grid1D(n, block int) exec.Dim3 {
 }
 
 func TestAllModulesParse(t *testing.T) {
-	ctx := newCtx(t)
-	if len(ctx.Modules()) != 10 {
-		t.Fatalf("expected 10 modules, got %d", len(ctx.Modules()))
+	ctx := newCtx(t) // fails on a module that does not parse
+	if n := len(kernels.AllModules()); n != 10 {
+		t.Fatalf("expected 10 modules, got %d", n)
 	}
 	// fill_zero exists in two modules (duplicate symbol across PTX files);
 	// lookup must succeed and return the first registration.

@@ -66,18 +66,6 @@ func (b Breakdown) Total() float64 {
 	return b.Core + b.L1 + b.L2 + b.NOC + b.DRAM + b.Idle
 }
 
-// Fractions returns each component as a fraction of the total.
-func (b Breakdown) Fractions() map[string]float64 {
-	t := b.Total()
-	if t == 0 {
-		return nil
-	}
-	return map[string]float64{
-		"Core": b.Core / t, "L1 Cache": b.L1 / t, "L2 Cache": b.L2 / t,
-		"NOC": b.NOC / t, "DRAM": b.DRAM / t, "Idle": b.Idle / t,
-	}
-}
-
 // Components returns name/watt pairs in the paper's Fig. 8 order.
 func (b Breakdown) Components() ([]string, []float64) {
 	return []string{"Core", "L1 Cache", "L2 Cache", "NOC", "DRAM", "Idle"},

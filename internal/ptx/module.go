@@ -26,7 +26,6 @@ type Kernel struct {
 	regTypes    []Type // slot -> declared type
 	regNames    []string
 	NumSlots    int
-	DeclRegs    map[Type]int // declared counts per class (informational)
 	SharedVars  []MemVar
 	LocalVars   []MemVar
 	SharedBytes int
@@ -159,7 +158,6 @@ type Operand struct {
 
 // Instr is one decoded PTX instruction.
 type Instr struct {
-	PC      int
 	PredReg int // register slot of guard predicate; -1 when unguarded
 	PredNeg bool
 

@@ -154,7 +154,6 @@ func (p *parser) parseEntry() error {
 		Name:     name,
 		Labels:   make(map[string]int),
 		regSlots: make(map[string]int),
-		DeclRegs: make(map[Type]int),
 	}
 	p.k = k
 	p.regPrefix = make(map[string]Type)
@@ -287,15 +286,13 @@ func (p *parser) parseRegDecl() error {
 		name := p.next().text
 		if p.cur().kind == tokPunct && p.cur().text == "<" {
 			p.next()
-			n, _ := strconv.Atoi(p.next().text)
+			p.next() // the count: registers are slotted as they are used
 			if err := p.expectPunct(">"); err != nil {
 				return err
 			}
 			p.regPrefix[name] = rt
-			k.DeclRegs[rt] += n
 		} else {
 			k.addReg(name, rt)
-			k.DeclRegs[rt]++
 		}
 		if p.cur().kind == tokPunct && p.cur().text == "," {
 			p.next()
@@ -378,7 +375,7 @@ func allDigits(s string) bool {
 
 func (p *parser) parseInstr() error {
 	k := p.k
-	in := Instr{PC: len(k.Instrs), PredReg: -1, Vec: 1, Target: -1, RPC: -1}
+	in := Instr{PredReg: -1, Vec: 1, Target: -1, RPC: -1}
 	startTok := p.pos
 
 	if p.cur().kind == tokPunct && p.cur().text == "@" {

@@ -211,15 +211,6 @@ func MaxPoolForward(x []float32, xs TensorShape4, win, stride int) ([]float32, [
 	return y, idx, ys
 }
 
-// MaxPoolBackward scatters dy through argmax indices.
-func MaxPoolBackward(dy []float32, idx []int32, inCount int) []float32 {
-	dx := make([]float32, inCount)
-	for i, g := range dy {
-		dx[idx[i]] += g
-	}
-	return dx
-}
-
 // LRNForward computes cross-channel LRN over one image x[C, HW].
 func LRNForward(x []float32, c, hw, win int, k, alpha, beta float32) []float32 {
 	y := make([]float32, len(x))
@@ -239,37 +230,6 @@ func LRNForward(x []float32, c, hw, win int, k, alpha, beta float32) []float32 {
 		}
 	}
 	return y
-}
-
-// LRNBackward mirrors the GPU kernel's widely-used approximation (the
-// cross term divides by the current channel's denominator).
-func LRNBackward(x, y, dy []float32, c, hw, win int, k, alpha, beta float32) []float32 {
-	dx := make([]float32, len(x))
-	half := win / 2
-	aOverN := alpha / float32(win)
-	for cc := 0; cc < c; cc++ {
-		for i := 0; i < hw; i++ {
-			var sum float32
-			for j := cc - half; j <= cc+half; j++ {
-				if j < 0 || j >= c {
-					continue
-				}
-				v := x[j*hw+i]
-				sum += v * v
-			}
-			den := k + aOverN*sum
-			pow := float32(math.Pow(float64(den), float64(beta)))
-			var cross float32
-			for j := cc - half; j <= cc+half; j++ {
-				if j < 0 || j >= c {
-					continue
-				}
-				cross += dy[j*hw+i] * y[j*hw+i] / den
-			}
-			dx[cc*hw+i] = dy[cc*hw+i]/pow - 2*aOverN*beta*x[cc*hw+i]*cross
-		}
-	}
-	return dx
 }
 
 // Softmax computes row-wise softmax over x[rows, cols].
@@ -296,21 +256,6 @@ func Softmax(x []float32, rows, cols int) []float32 {
 	return y
 }
 
-// SoftmaxNLLBackward computes (y - onehot) / batch.
-func SoftmaxNLLBackward(y []float32, labels []int32, rows, cols int) []float32 {
-	dx := make([]float32, len(y))
-	for r := 0; r < rows; r++ {
-		for j := 0; j < cols; j++ {
-			g := y[r*cols+j]
-			if int32(j) == labels[r] {
-				g -= 1
-			}
-			dx[r*cols+j] = g / float32(rows)
-		}
-	}
-	return dx
-}
-
 // Relu computes max(x, 0).
 func Relu(x []float32) []float32 {
 	y := make([]float32, len(x))
@@ -322,36 +267,12 @@ func Relu(x []float32) []float32 {
 	return y
 }
 
-// ReluBackward computes dy masked by x > 0.
-func ReluBackward(dy, x []float32) []float32 {
-	dx := make([]float32, len(dy))
-	for i := range dy {
-		if x[i] > 0 {
-			dx[i] = dy[i]
-		}
-	}
-	return dx
-}
-
 // AddBias adds bias[c] to every spatial position of channel c.
 func AddBias(y []float32, bias []float32, n, c, spatial int) {
 	for i := range y {
 		ch := (i / spatial) % c
 		y[i] += bias[ch]
 	}
-}
-
-// NLLLoss computes the mean negative log likelihood of softmax outputs.
-func NLLLoss(y []float32, labels []int32, rows, cols int) float32 {
-	var loss float64
-	for r := 0; r < rows; r++ {
-		p := float64(y[r*cols+int(labels[r])])
-		if p < 1e-12 {
-			p = 1e-12
-		}
-		loss -= math.Log(p)
-	}
-	return float32(loss / float64(rows))
 }
 
 // Argmax returns the index of the max element of each row.

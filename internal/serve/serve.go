@@ -69,8 +69,6 @@ func DefaultModel() torch.TransformerConfig { return torch.SampleTransformerConf
 // cycles on the serving clock (cycle 0 = serving start).
 type RequestStats struct {
 	ID         int
-	SeqLen     int
-	Steps      int
 	Arrival    uint64
 	Admitted   uint64 // chain boundary the request joined the batch at
 	FirstToken uint64 // end of its first kernel-chain iteration
@@ -344,8 +342,7 @@ func Run(cfg Config, tr Trace) (*Result, error) {
 				req:       r,
 				stepsLeft: r.Steps,
 				stats: RequestStats{
-					ID: r.ID, SeqLen: r.SeqLen, Steps: r.Steps,
-					Arrival: r.Arrival, Admitted: now,
+					ID: r.ID, Arrival: r.Arrival, Admitted: now,
 				},
 			}
 			if decode {

@@ -48,8 +48,8 @@ func TestPoolExportedRun(t *testing.T) {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
 			}
 		}
-		if p.Workers() != workers {
-			t.Fatalf("Workers() = %d, want %d", p.Workers(), workers)
+		if p.p.workers != workers {
+			t.Fatalf("pool has %d workers, want %d", p.p.workers, workers)
 		}
 		p.Close()
 	}

@@ -190,9 +190,6 @@ func (e *Engine) Partitions() []*dram.Channel {
 	return out
 }
 
-// KernelStats is re-exported for convenience.
-type KernelStats = cudart.KernelStats
-
 // Runner adapts the engine to cudart.Runner — installing it on a context
 // switches the context into the paper's Performance simulation mode. It
 // also implements cudart.StreamRunner, so async launches and copies on
@@ -917,7 +914,7 @@ func (e *Engine) abortBatch(cause error, runID int) error {
 		}
 	}
 	err := fmt.Errorf("timing: kernel %s: %w", name, cause)
-	if faulty == nil {
+	if _, named := cause.(*exec.RunawayError); named || faulty == nil {
 		err = cause
 	}
 	for _, t := range e.queue {

@@ -93,8 +93,7 @@ func (p *pool) run(n int, f func(int)) {
 // the caller, so results are identical for any worker count as long as
 // the tasks are order-independent.
 type Pool struct {
-	p       *pool
-	workers int
+	p *pool
 }
 
 // NewPool builds a pool with the given worker count; workers <= 0
@@ -103,11 +102,8 @@ func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	return &Pool{p: newPool(workers), workers: workers}
+	return &Pool{p: newPool(workers)}
 }
-
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
 
 // Run executes f(0..n-1) across the pool and waits for completion.
 func (p *Pool) Run(n int, f func(int)) { p.p.run(n, f) }

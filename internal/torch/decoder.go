@@ -278,18 +278,6 @@ func (m *MultiHeadAttention) ForwardCached(x *Tensor, kv layerKV, pos, maxSeq in
 	return m.Wo.apply(m.Dev, merged)
 }
 
-// Generate greedy-decodes one prompt serially on the default stream:
-// prefill, then n-1 decode steps, drain, and return the n generated
-// token ids. The prompt plus generated tokens must fit the cache:
-// len(prompt)+n-1 <= MaxSeq.
-func (d *TransformerDecoder) Generate(prompt []int32, n int) ([]int32, error) {
-	outs, err := d.GenerateBatch([][]int32{prompt}, n, false)
-	if err != nil {
-		return nil, err
-	}
-	return outs[0], nil
-}
-
 // GenerateBatch greedy-decodes several prompts for n tokens each. With
 // concurrent=true each sequence's whole prefill+decode kernel chain is
 // issued on its own CUDA stream (Device.OnStreams, as ForwardBatch);

@@ -29,10 +29,8 @@ import "fmt"
 // TransformerEncoder. The embedding, positional table and layer norms
 // are replicated; all projections are column shards.
 type TPShard struct {
-	Dev   *Device
-	Cfg   TransformerConfig
-	Rank  int
-	World int
+	Dev *Device
+	Cfg TransformerConfig
 
 	// model holds the rank-local weights in the encoder's own types, so
 	// the phase methods below issue TransformerBlock's phases: replicated
@@ -146,7 +144,7 @@ func NewTPShard(dev *Device, ref *TransformerEncoder, rank, world int) (*TPShard
 	if m.Final, err = replicateNorm(dev, ref.Final); err != nil {
 		return nil, err
 	}
-	return &TPShard{Dev: dev, Cfg: cfg, Rank: rank, World: world, model: m}, nil
+	return &TPShard{Dev: dev, Cfg: cfg, model: m}, nil
 }
 
 // Layers returns the number of transformer blocks.

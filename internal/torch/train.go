@@ -434,24 +434,8 @@ func (c *CPUTrainState) sgd(lr float32) {
 	step(c.final.b, c.final.db)
 }
 
-// ParamSnapshot returns the mirror's weights for parameter index i, in
-// the same order as TransformerEncoder.Params(): table, pos, then per
-// block ln1.γ/β, q/k/v/o weight+bias, ln2.γ/β, fc1 and fc2 weight+bias,
-// and finally the last norm's γ/β.
-func (c *CPUTrainState) ParamSnapshot(i int) []float32 {
-	var all [][]float32
-	all = append(all, c.table, c.pos)
-	for _, b := range c.blocks {
-		all = append(all, b.ln1.g, b.ln1.b,
-			b.q.w, b.q.b, b.k.w, b.k.b, b.v.w, b.v.b, b.o.w, b.o.b,
-			b.ln2.g, b.ln2.b, b.fc1.w, b.fc1.b, b.fc2.w, b.fc2.b)
-	}
-	all = append(all, c.final.g, c.final.b)
-	return all[i]
-}
-
-// gradSlices returns the mirror's gradient buffers in ParamSnapshot
-// order.
+// gradSlices returns the mirror's gradient buffers in the order of
+// TransformerEncoder.Params().
 func (c *CPUTrainState) gradSlices() [][]float32 {
 	var all [][]float32
 	all = append(all, c.dtable, c.dpos)

@@ -744,18 +744,6 @@ func (e *Embedding) Backward(dy *Tensor) error {
 	return e.Dev.H.EmbeddingBackward(dy.Ptr, e.lastIDs, e.Table.Grad.Ptr, e.lastN, e.Dim)
 }
 
-// Forward uploads the ids and gathers their embedding rows.
-func (e *Embedding) Forward(ids []int32) (*Tensor, error) {
-	if err := validateTokenIDs(ids, e.Vocab); err != nil {
-		return nil, err
-	}
-	addr, err := e.Dev.UploadLabels(ids)
-	if err != nil {
-		return nil, err
-	}
-	return e.ForwardDevice(addr, len(ids))
-}
-
 // ForwardCPU is the host oracle of Forward.
 func (e *Embedding) ForwardCPU(ids []int32) ([]float32, []int) {
 	return ref.EmbeddingLookup(e.Table.W.ToHost(), ids, e.Dim), []int{len(ids), e.Dim}

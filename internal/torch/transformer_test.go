@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cudart"
 	"repro/internal/session"
 	"repro/internal/timing"
 	"repro/internal/torch"
@@ -185,33 +184,39 @@ func TestOnStreamsFailedChain(t *testing.T) {
 	}
 
 	boom := errors.New("chain 1 cannot be issued")
-	var created []cudart.Stream
+	probe := dev.Ctx.StreamCreate() // the chains' streams are numbered after it
+	dev.Ctx.StreamDestroy(probe)
+	issued := 0
 	err = dev.OnStreams(3, true, func(i int) error {
-		created = append(created, dev.H.Stream())
+		issued++
 		if i == 1 {
 			return boom
 		}
-		return dev.H.GeluForward(x.Ptr, y.Ptr, 64)
+		before := s.Eng.Cycle()
+		if err := dev.H.GeluForward(x.Ptr, y.Ptr, 64); err != nil {
+			return err
+		}
+		if s.Eng.Cycle() != before {
+			t.Error("a concurrent chain was issued on the default stream: its launch ran at once")
+		}
+		return nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("OnStreams returned %v, want the failed chain's error", err)
 	}
-	if len(created) != 2 {
-		t.Fatalf("%d chains issued, want 2 (nothing after the failed one)", len(created))
-	}
-	if got := dev.H.Stream(); got != cudart.DefaultStream {
-		t.Fatalf("handle left on stream %d, want the default stream", got)
+	if issued != 2 {
+		t.Fatalf("%d chains issued, want 2 (nothing after the failed one)", issued)
 	}
 	if s.Eng.Cycle() == 0 {
 		t.Fatal("chain 0 is still queued: the engine has not run a cycle")
 	}
-	for _, st := range created {
-		if st == cudart.DefaultStream {
-			t.Fatal("a concurrent chain was issued on the default stream")
-		}
+	for st := probe + 1; st <= probe+2; st++ {
 		if err := dev.Ctx.StreamSynchronize(st); err == nil || !strings.Contains(err.Error(), "invalid stream handle") {
 			t.Fatalf("StreamSynchronize(%d) = %v, want an invalid-handle error (stream destroyed)", st, err)
 		}
+	}
+	if err := dev.H.GeluForward(x.Ptr, y.Ptr, 64); err != nil {
+		t.Fatalf("launch after the failed chains: %v, want the handle back on the default stream", err)
 	}
 
 	got, err := enc.ForwardBatch(batch, true)

@@ -17,9 +17,10 @@ var saxpyPTX = filepath.Join("cmd", "gpgpusim", "testdata", "saxpy.ptx")
 // golden that cmd/gpgpusim's in-package TestCLIGoldens keeps for the same
 // command line (recorded at the default -j 1), so what this adds is only
 // that the built binaries, started the way a user starts them, say the
-// same thing. The subtest names are the ones the suite has always had;
-// where a binary has since been folded into the registry the row runs the
-// entry that replaced it.
+// same thing, for one PTX-file command line and the serve entry. The
+// subtest names are the ones the suite has always had; where a binary has
+// since been folded into the registry the row runs the entry that
+// replaced it.
 func TestMainPackagesSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
@@ -40,10 +41,7 @@ func TestMainPackagesSmoke(t *testing.T) {
 		golden string // under cmd/gpgpusim/testdata; "" = only exit 0 and some output
 		args   []string
 	}{
-		{"gpgpusim_functional", "ptx_functional", saxpy},
 		{"quickstart", "ptx_perf", append([]string{"-perf"}, saxpy...)},
-		{"gpgpusim_perf_streams", "ptx_perf_streams3", append([]string{"-perf", "-streams", "3", "-dump", "4"}, saxpy...)},
-		{"gpgpusim_workload_transformer_multigpu", "transformer_devices2", []string{"-workload", "transformer", "-devices", "2"}},
 		{"gpgpusim_workload_serve", "", []string{"-workload", "serve", "-requests", "8"}},
 		{"gpgpusim_workload_serve_diurnal", "serve_diurnal", []string{"-workload", "serve", "-trace", "internal/serve/testdata/diurnal.trace"}},
 	} {
