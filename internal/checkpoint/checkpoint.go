@@ -134,7 +134,7 @@ func (r *CaptureRunner) RunKernel(g *exec.Grid) (cudart.KernelStats, error) {
 		m0 = total
 	}
 	for i := 0; i < m0; i++ {
-		cta := g.InitCTA(i)
+		cta := g.InitCTA(i, nil)
 		if err := m.RunCTA(cta); err != nil {
 			return cudart.KernelStats{}, err
 		}
@@ -145,7 +145,7 @@ func (r *CaptureRunner) RunKernel(g *exec.Grid) (cudart.KernelStats, error) {
 		hi = total - 1
 	}
 	for i := m0; i <= hi && i < total; i++ {
-		cta := g.InitCTA(i)
+		cta := g.InitCTA(i, nil)
 		if err := runBudget(m, cta, r.P.InstrY); err != nil {
 			return cudart.KernelStats{}, err
 		}
@@ -209,7 +209,7 @@ func snapshotCTA(cta *exec.CTA) CTAState {
 // or local-memory size, thread mask, or a SIMT stack the interpreter
 // cannot step.
 func restoreCTA(g *exec.Grid, cs CTAState) (*exec.CTA, error) {
-	cta := g.InitCTA(cs.Index)
+	cta := g.InitCTA(cs.Index, nil)
 	if len(cs.Warps) != len(cta.Warps) || len(cs.Shared) != len(cta.Shared) {
 		return nil, fmt.Errorf("checkpoint: CTA %d saved %d warps and %d shared bytes, the grid has %d and %d",
 			cs.Index, len(cs.Warps), len(cs.Shared), len(cta.Warps), len(cta.Shared))

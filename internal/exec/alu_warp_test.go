@@ -109,7 +109,7 @@ func oneInstrWarp(t *testing.T, m *Machine, in ptx.Instr) (*CTA, *Warp, *decoded
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := g.InitCTA(0)
+	c := g.InitCTA(0, nil)
 	return c, c.Warps[0], &g.prog.code[0]
 }
 

@@ -17,6 +17,9 @@ import (
 // WarpSize is the number of threads per warp.
 const WarpSize = 32
 
+// maxWarpsPerCTA is the most warps a thread block can have: 1024 threads.
+const maxWarpsPerCTA = 1024 / WarpSize
+
 // Dim3 is a CUDA dim3.
 type Dim3 struct{ X, Y, Z int }
 
@@ -57,6 +60,10 @@ type Machine struct {
 
 	warpCeiling int64 // maxWarpInstrs; tests lower it (export_test.go)
 
+	// free holds the storage of the last CTA RunGrid ran, for the next
+	// one: at most one CTA's worth.
+	free FreeList
+
 	// The program cache lives as long as the Machine and is never evicted:
 	// it holds every kernel launched so far (136 bytes per instruction, a
 	// few hundred KiB for the whole cuDNN-style library) and keeps the
@@ -72,6 +79,7 @@ type Machine struct {
 // texture registry (either may be shared with a runtime context).
 func NewMachine(cfg Config, mem *device.Memory, tex *device.TextureRegistry) *Machine {
 	return &Machine{cfg: cfg, Mem: mem, Tex: tex, cov: &Coverage{}, warpCeiling: maxWarpInstrs,
+		free:  NewFreeList(maxWarpsPerCTA),
 		progs: make(map[*ptx.Kernel]*program), consts: make(map[uint64]*row)}
 }
 
@@ -100,7 +108,7 @@ func (m *Machine) NewGrid(k *ptx.Kernel, gridDim, blockDim Dim3, params []byte, 
 	if k == nil {
 		return nil, fmt.Errorf("exec: nil kernel")
 	}
-	if blockDim.Count() == 0 || blockDim.Count() > 1024 {
+	if blockDim.Count() == 0 || blockDim.Count() > maxWarpsPerCTA*WarpSize {
 		return nil, fmt.Errorf("exec: bad block size %d", blockDim.Count())
 	}
 	if len(params) < k.ParamBytes() {
@@ -159,41 +167,110 @@ type CTA struct {
 
 // InitCTA builds the architectural state for block index i (registers
 // zeroed, SIMT stacks at PC 0). This corresponds to GPGPU-Sim's CTA issue.
-// It only allocates; Reset defines the state.
-func (g *Grid) InitCTA(i int) *CTA {
+// Its storage comes from free when that holds any, from the heap
+// otherwise (a nil or empty free list is the allocate-everything case);
+// either way Reset alone defines the state.
+func (g *Grid) InitCTA(i int, free *FreeList) *CTA {
 	k := g.Kernel
 	nThreads := g.BlockDim.Count()
-	cta := &CTA{Grid: g, Shared: make([]byte, g.SharedBytes())}
-	for w := 0; w < g.NumWarpsPerCTA(); w++ {
-		warp := &Warp{
-			ID:    w,
-			Stack: make([]StackEntry, 0, 4),
-			Regs:  make([]uint64, k.NumSlots*WarpSize),
-		}
-		for l := 0; l < WarpSize; l++ {
-			if w*WarpSize+l < nThreads {
-				warp.InitMask |= 1 << l
-			}
-		}
+	cta := &CTA{Grid: g, Shared: free.shared(g.SharedBytes()), Warps: make([]*Warp, g.NumWarpsPerCTA())}
+	for wi := range cta.Warps {
+		w := free.warp()
+		w.ID = wi
+		w.Regs = resize(w.Regs, k.NumSlots*WarpSize)
+		lanes := min(nThreads-wi*WarpSize, WarpSize)
+		w.InitMask = uint32(uint64(1)<<lanes - 1)
+		w.Locals = w.Locals[:0]
 		if k.LocalBytes > 0 {
-			warp.Locals = make([][]byte, WarpSize)
-			for l := 0; l < WarpSize; l++ {
-				if warp.InitMask&(1<<l) != 0 {
-					warp.Locals[l] = make([]byte, k.LocalBytes)
+			w.Locals = resize(w.Locals, WarpSize)
+			for l := range w.Locals {
+				n := 0
+				if w.InitMask&(1<<l) != 0 {
+					n = k.LocalBytes
 				}
+				w.Locals[l] = resize(w.Locals[l], n)
 			}
 		}
-		cta.Warps = append(cta.Warps, warp)
+		cta.Warps[wi] = w
 	}
 	cta.Reset(i)
 	return cta
 }
 
-// Reset puts the CTA in the state of block index i about to issue. Every
-// block of a grid has the same shape, so whoever runs blocks one after
-// another (RunGrid, the timing dispatcher, the hardware oracle) reuses a
-// finished CTA's storage instead of allocating a set of register files
-// per block.
+// resize returns s resliced to n elements when its capacity allows,
+// a new slice otherwise; the contents are Reset's business.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// FreeList keeps the storage of retired CTAs — warps, each with its
+// register file, SIMT stack and local memory, and shared-memory buffers —
+// for the next CTA of any grid: InitCTA reslices a warp's buffers when
+// their capacity is enough and reallocates only those that are too
+// small, so the list holds no shape. It keeps at most max warps and as
+// many shared buffers. The zero value keeps nothing; it allocates
+// nothing until the first Put. Not safe for concurrent use.
+type FreeList struct {
+	warps   []*Warp
+	shareds [][]byte
+	max     int
+}
+
+// NewFreeList returns an empty free list that keeps at most maxWarps
+// warps.
+func NewFreeList(maxWarps int) FreeList { return FreeList{max: maxWarps} }
+
+// Put hands a retired CTA's storage to the list, keeping what fits under
+// its cap. The caller gives up c: nothing may step or read it afterwards.
+func (f *FreeList) Put(c *CTA) {
+	for _, w := range c.Warps {
+		if len(f.warps) == f.max {
+			break
+		}
+		f.warps = append(f.warps, w)
+	}
+	if cap(c.Shared) > 0 && len(f.shareds) < f.max {
+		f.shareds = append(f.shareds, c.Shared)
+	}
+}
+
+// warp takes a warp off the list, or allocates one.
+func (f *FreeList) warp() *Warp {
+	if f == nil || len(f.warps) == 0 {
+		return &Warp{Stack: make([]StackEntry, 0, 4)}
+	}
+	n := len(f.warps) - 1
+	w := f.warps[n]
+	f.warps[n] = nil
+	f.warps = f.warps[:n]
+	return w
+}
+
+// shared returns an n-byte shared-memory buffer: the list's last one,
+// resliced, or a new one when the list is empty or that one too small
+// (which it drops).
+func (f *FreeList) shared(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	if f == nil || len(f.shareds) == 0 {
+		return make([]byte, n)
+	}
+	last := len(f.shareds) - 1
+	b := f.shareds[last]
+	f.shareds[last] = nil
+	f.shareds = f.shareds[:last]
+	return resize(b, n)
+}
+
+// Reset puts the CTA in the state of block index i about to issue: the
+// one place CTA state is defined, for fresh and recycled storage alike.
+// Every block of a grid has the same shape, so whoever runs blocks one
+// after another (RunGrid, the timing dispatcher) resets a finished CTA
+// for the next block instead of building one.
 func (c *CTA) Reset(i int) {
 	c.Index = i
 	clear(c.Shared)

@@ -134,7 +134,7 @@ func backing(c *CTA, w *Warp, l int, space ptx.Space, addr uint64) (mem []byte, 
 		if device.InLocalWindow(addr) {
 			addr -= device.LocalWindowBase
 		}
-		if w.Locals == nil {
+		if len(w.Locals) == 0 {
 			return nil, addr
 		}
 		return w.Locals[l], addr

@@ -312,9 +312,11 @@ func (m *Machine) ObserveGrid(g *Grid, observe func(*StepInfo)) error {
 }
 
 // RunGrid functionally executes an entire launch, CTA by CTA. This is the
-// paper's fast Functional simulation mode.
+// paper's fast Functional simulation mode. Every block runs in one CTA's
+// storage, which the machine keeps for its next launch.
 func (m *Machine) RunGrid(g *Grid) error {
-	cta := g.InitCTA(0)
+	cta := g.InitCTA(0, &m.free)
+	defer m.free.Put(cta)
 	for i := 0; i < g.NumCTAs(); i++ {
 		if i > 0 {
 			cta.Reset(i)

@@ -3,7 +3,9 @@ package timing
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/cudart"
@@ -244,4 +246,84 @@ func TestWarmBatchWork(t *testing.T) {
 	}
 	t.Logf("warm batch: %d launches, %d bytes validated (per launch: %d), %.2f allocations per Submit",
 		probe.submits/warm, perBatch, perLaunch, float64(probe.submitAllocs)/float64(probe.submits))
+}
+
+// wideRegsPTX is a counted loop over accumulators f1..f20: 24 register
+// slots, a register file per warp the size of a small library kernel's.
+func wideRegsPTX() string {
+	var b strings.Builder
+	b.WriteString(".version 6.0\n.target sm_61\n.address_size 64\n")
+	b.WriteString(".visible .entry wide(.param .u32 pIters)\n{\n\t.reg .pred %p<2>;\n\t.reg .b32 %r<4>;\n\t.reg .f32 %f<21>;\n")
+	b.WriteString("\tld.param.u32 %r1, [pIters];\n\tmov.u32 %r2, %tid.x;\n\tcvt.rn.f32.u32 %f1, %r2;\n\tmov.u32 %r3, 0;\n")
+	for i := 2; i <= 20; i++ {
+		fmt.Fprintf(&b, "\tadd.f32 %%f%d, %%f%d, 0f3F800000;\n", i, i-1)
+	}
+	b.WriteString("LOOP:\n\tsetp.ge.u32 %p1, %r3, %r1;\n\t@%p1 bra DONE;\n")
+	for i := 1; i <= 20; i++ {
+		fmt.Fprintf(&b, "\tadd.f32 %%f%d, %%f%d, %%f%d;\n", i, i, 21-i)
+	}
+	b.WriteString("\tadd.u32 %r3, %r3, 1;\n\tbra LOOP;\nDONE:\n\tret;\n}\n")
+	return b.String()
+}
+
+// freeWarps returns how many warps the engine's CTA free list holds.
+func freeWarps(e *Engine) int { return reflect.ValueOf(&e.free).Elem().FieldByName("warps").Len() }
+
+// TestColdLaunchAllocs bounds what a detailed launch allocates once the
+// engine has run one: a grid's first wave of CTAs is built from the
+// storage earlier kernels' CTAs left on the engine's free list, so 20
+// launches of a three-wave grid allocate, after the first, at most an
+// eighth of one resident wave's register files per launch (a first wave
+// built from the heap allocates all of them). The free list itself never
+// holds more than a full machine's warps.
+func TestColdLaunchAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // no other goroutine allocates while the test counts
+	cfg := GTX1050()
+	cfg.SampleInterval = 0 // the time series grow by design
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := cudart.NewContext(exec.BugSet{})
+	mod, err := ctx.RegisterModule(wideRegsPTX())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := mod.Kernels["wide"]
+	g, err := ctx.M.NewGrid(k, exec.Dim3{X: 1}, exec.Dim3{X: 128}, cudart.NewParams().U32(4).Bytes(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSM, err := occupancy(&cfg, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resident := cfg.NumSMs * perSM * g.NumWarpsPerCTA()
+	g.GridDim.X = 3 * cfg.NumSMs * perSM
+	waveRegBytes := uint64(k.NumSlots * exec.WarpSize * 8 * resident)
+
+	const launches = 20
+	maxFree := cfg.NumSMs * cfg.MaxWarpsPerSM
+	var ms runtime.MemStats
+	var first uint64
+	for i := 0; i < launches; i++ {
+		if i == 1 {
+			runtime.ReadMemStats(&ms)
+			first = ms.TotalAlloc
+		}
+		if _, err := eng.RunGrid(g); err != nil {
+			t.Fatal(err)
+		}
+		if n := freeWarps(eng); n > maxFree {
+			t.Fatalf("launch %d: the free list holds %d warps, more than the machine's %d", i, n, maxFree)
+		}
+	}
+	runtime.ReadMemStats(&ms)
+	perLaunch := (ms.TotalAlloc - first) / (launches - 1)
+	if perLaunch > waveRegBytes/8 {
+		t.Errorf("%d bytes allocated per launch after the first, more than an eighth of a resident wave's %d register bytes (%d slots, %d warps)",
+			perLaunch, waveRegBytes, k.NumSlots, resident)
+	}
+	t.Logf("%d bytes per launch after the first; a resident wave's register files: %d bytes (%d slots, %d warps)", perLaunch, waveRegBytes, k.NumSlots, resident)
 }

@@ -26,11 +26,15 @@ type gridRun struct {
 
 	// free holds the slots of retired CTAs — register files, warp contexts
 	// and scoreboards — for the grid's next blocks: every block of a grid
-	// has the same shape. It never outgrows the run's resident capacity,
-	// and it is dropped as soon as the last block is placed: a finished
-	// run stays reachable from its ticket until the batch drains, and a
-	// batch can hold hundreds of them.
-	free []*ctaSlot
+	// has the same shape. It never outgrows the run's resident capacity.
+	// Once the last block is placed it is emptied into spare, the
+	// engine's shape-agnostic free list of warps, and so is every CTA
+	// that retires after that: the first wave of a later kernel is built
+	// from them. A finished run stays reachable from its ticket until the
+	// batch drains, and a batch can hold hundreds of them, so it keeps no
+	// storage itself.
+	free  []*ctaSlot
+	spare *exec.FreeList
 }
 
 // occupancy computes the per-SM CTA limit for a grid: the configured CTA
@@ -55,10 +59,10 @@ func occupancy(cfg *Config, g *exec.Grid) (int, error) {
 }
 
 // initGridRun makes r the resident state of kernel ticket op under dense
-// id. Only the per-launch drain path builds one: a batch-rung hit
-// dispatches nothing. Submit has checked the occupancy, so it cannot fail
-// here.
-func initGridRun(r *gridRun, cfg *Config, op *Ticket, id int) {
+// id, building its first CTAs from spare. Only the per-launch drain path
+// builds one: a batch-rung hit dispatches nothing. Submit has checked the
+// occupancy, so it cannot fail here.
+func initGridRun(r *gridRun, cfg *Config, op *Ticket, id int, spare *exec.FreeList) {
 	g := op.grid
 	maxCTAs, _ := occupancy(cfg, g)
 	*r = gridRun{
@@ -72,13 +76,15 @@ func initGridRun(r *gridRun, cfg *Config, op *Ticket, id int) {
 		total:       g.NumCTAs(),
 		pending:     append([]*exec.CTA(nil), op.preload...),
 		done:        op.skipCTAs,
+		spare:       spare,
 	}
 	op.run = r
 }
 
 // place returns a slot holding the run's next CTA: a preloaded one first,
 // then fresh blocks in index order through a recycled slot when one is
-// free. Coordinator-only, like everything that touches the free list.
+// free, a new slot over spare storage otherwise. Coordinator-only, like
+// everything that touches the free lists.
 func (r *gridRun) place() *ctaSlot {
 	if len(r.pending) > 0 {
 		slot := r.newSlot(r.pending[0])
@@ -88,21 +94,25 @@ func (r *gridRun) place() *ctaSlot {
 	}
 	i := r.nextCTA
 	r.nextCTA++
-	n := len(r.free)
-	if n == 0 {
-		return r.newSlot(r.grid.InitCTA(i))
+	var slot *ctaSlot
+	if n := len(r.free); n == 0 {
+		slot = r.newSlot(r.grid.InitCTA(i, r.spare))
+	} else {
+		slot = r.free[n-1]
+		r.free[n-1] = nil
+		r.free = r.free[:n-1]
+		slot.cta.Reset(i)
+		for wi := range slot.warps {
+			w := &slot.warps[wi]
+			clear(w.regReady)
+			w.minIssueAt = 0
+		}
 	}
-	slot := r.free[n-1]
-	r.free[n-1] = nil
-	r.free = r.free[:n-1]
 	if r.exhausted() {
+		for _, s := range r.free {
+			r.spare.Put(s.cta)
+		}
 		r.free = nil
-	}
-	slot.cta.Reset(i)
-	for wi := range slot.warps {
-		w := &slot.warps[wi]
-		clear(w.regReady)
-		w.minIssueAt = 0
 	}
 	return slot
 }
@@ -123,10 +133,16 @@ func (r *gridRun) newSlot(cta *exec.CTA) *ctaSlot {
 }
 
 // retireCTA accounts for a CTA that left its core and keeps its slot for
-// the run's next block. Runs on the coordinator, in canonical core order.
+// the run's next block, or its warps for the next kernel's once the run
+// has none left to place. A preloaded CTA is the caller's and is kept by
+// neither. Runs on the coordinator, in canonical core order.
 func (r *gridRun) retireCTA(slot *ctaSlot) {
 	r.done++
-	if !slot.preloaded && !r.exhausted() {
+	switch {
+	case slot.preloaded:
+	case r.exhausted():
+		r.spare.Put(slot.cta)
+	default:
 		r.free = append(r.free, slot)
 	}
 }

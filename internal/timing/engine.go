@@ -54,6 +54,13 @@ type Engine struct {
 	machine       *exec.Machine // machine bound to the pending batch
 	copyBusyUntil uint64        // cycle the modelled copy engine frees up
 
+	// free is the storage of retired CTAs, warps and shared-memory
+	// buffers, that the dispatcher builds the first wave of a kernel from
+	// (gridRun.spare): at most a full machine's warps, NumSMs ×
+	// MaxWarpsPerSM. Coordinator-owned; warps resident at an abort are
+	// dropped, not returned.
+	free exec.FreeList
+
 	// replay is the hybrid-replay memoization cache (replay.go), nil
 	// unless Config.ReplayEnabled. Coordinator-owned: Submit computes
 	// signatures, the drain loop looks up and stages entries, so worker
@@ -78,7 +85,8 @@ func WithWorkers(n int) Option {
 
 // New builds an engine for a machine configuration.
 func New(cfg Config, opts ...Option) (*Engine, error) {
-	e := &Engine{cfg: cfg, stats: NewStats(cfg), workers: 1, active: make([]*smCore, 0, cfg.NumSMs)}
+	e := &Engine{cfg: cfg, stats: NewStats(cfg), workers: 1, active: make([]*smCore, 0, cfg.NumSMs),
+		free: exec.NewFreeList(cfg.NumSMs * cfg.MaxWarpsPerSM)}
 	for i := 0; i < cfg.NumSMs; i++ {
 		l1, err := cache.New(cfg.L1)
 		if err != nil {
@@ -696,7 +704,7 @@ func (e *Engine) sizeShards() {
 	id := 0
 	for _, t := range e.queue {
 		if t.kind == opKernel {
-			initGridRun(&runs[id], &e.cfg, t, id)
+			initGridRun(&runs[id], &e.cfg, t, id, &e.free)
 			id++
 		}
 	}

@@ -17,7 +17,8 @@ var saxpyPTX = filepath.Join("cmd", "gpgpusim", "testdata", "saxpy.ptx")
 // golden that cmd/gpgpusim's in-package TestCLIGoldens keeps for the same
 // command line (recorded at the default -j 1), so what this adds is only
 // that the built binaries, started the way a user starts them, say the
-// same thing, for one PTX-file command line and the serve entry. The
+// same thing, for one PTX-file command line; the serve row only has to
+// run and print. The
 // subtest names are the ones the suite has always had; where a binary has
 // since been folded into the registry the row runs the entry that
 // replaced it.
@@ -43,7 +44,6 @@ func TestMainPackagesSmoke(t *testing.T) {
 	}{
 		{"quickstart", "ptx_perf", append([]string{"-perf"}, saxpy...)},
 		{"gpgpusim_workload_serve", "", []string{"-workload", "serve", "-requests", "8"}},
-		{"gpgpusim_workload_serve_diurnal", "serve_diurnal", []string{"-workload", "serve", "-trace", "internal/serve/testdata/diurnal.trace"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
