@@ -10,9 +10,7 @@
 package cudart
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/device"
 	"repro/internal/exec"
@@ -301,36 +299,29 @@ func (c *Context) MemcpyDtoH(dst []byte, src uint64) {
 	c.Mem.Read(src, dst)
 }
 
-// Memset fills n bytes at dst with value b (cudaMemset). Like the sync
-// copies it is device-synchronizing, so queued async work drains first.
+// Memset fills n bytes at dst with value b (cudaMemset), in place. Like
+// the sync copies it is device-synchronizing, so queued async work
+// drains first. n <= 0 is an empty fill, as a 0-byte cudaMemset is.
 func (c *Context) Memset(dst uint64, b byte, n int) {
 	_ = c.drainPending()
-	buf := make([]byte, n)
-	if b != 0 {
-		for i := range buf {
-			buf[i] = b
-		}
-	}
-	c.Mem.Write(dst, buf)
+	c.Mem.Fill(dst, b, n)
 }
 
-// MemcpyF32HtoD writes a []float32 to the device.
+// MemcpyF32HtoD writes a []float32 to the device, encoding straight
+// into device memory. It is device-synchronizing like MemcpyHtoD.
 func (c *Context) MemcpyF32HtoD(dst uint64, src []float32) {
-	buf := make([]byte, 4*len(src))
-	for i, v := range src {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-	}
-	c.MemcpyHtoD(dst, buf)
+	_ = c.drainPending()
+	c.Mem.WriteF32(dst, src)
 }
 
-// MemcpyF32DtoH reads n float32 values from the device.
+// MemcpyF32DtoH reads n float32 values from the device, decoding
+// straight out of device memory; the result is the only allocation. It
+// drains queued async work first, like MemcpyDtoH. n <= 0 is an empty
+// transfer, as a 0-byte cudaMemcpy is, and returns an empty slice.
 func (c *Context) MemcpyF32DtoH(src uint64, n int) []float32 {
-	buf := make([]byte, 4*n)
-	c.MemcpyDtoH(buf, src)
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
+	_ = c.drainPending()
+	out := make([]float32, max(n, 0))
+	c.Mem.ReadF32(src, out)
 	return out
 }
 

@@ -1,6 +1,7 @@
 package cudart_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -314,5 +315,53 @@ func TestMemoryAPIs(t *testing.T) {
 	}
 	if err := ctx.Free(a); err == nil {
 		t.Fatal("double free not detected")
+	}
+}
+
+// TestTypedCopyAllocs: the float32 copies and Memset move bytes in
+// place — into resident pages they allocate nothing, and MemcpyF32DtoH
+// allocates only the slice it returns. A zero or negative length is an
+// empty transfer, as a 0-byte cudaMemcpy is.
+func TestTypedCopyAllocs(t *testing.T) {
+	ctx := cudart.NewContext(exec.BugSet{})
+	const n = 3000 // a little under three pages of floats
+	dst, err := ctx.Malloc(4 * n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := make([]float32, n)
+	for i := range src {
+		src[i] = float32(i) / 7
+	}
+	ctx.MemcpyF32HtoD(dst, src) // fault the pages in
+	resident := ctx.Mem.TouchedBytes()
+	for _, c := range []struct {
+		name string
+		want float64
+		f    func()
+	}{
+		{"MemcpyF32HtoD", 0, func() { ctx.MemcpyF32HtoD(dst+2, src[:n-1]) }},
+		{"Memset", 0, func() { ctx.Memset(dst+1, 0x5a, 4*n-1) }},
+		{"Memset zero", 0, func() { ctx.Memset(dst, 0, 4*n) }},
+		{"MemcpyF32DtoH", 1, func() { ctx.MemcpyF32DtoH(dst+3, n-1) }},
+	} {
+		if got := testing.AllocsPerRun(10, c.f); got != c.want {
+			t.Errorf("%s: %v allocations per call, want %v", c.name, got, c.want)
+		}
+	}
+	if got := ctx.Mem.TouchedBytes(); got != resident {
+		t.Errorf("copies into resident pages changed residency: %d -> %d bytes", resident, got)
+	}
+
+	ctx.MemcpyF32HtoD(dst, src)
+	for _, k := range []int{0, -1, -4096} {
+		if got := ctx.MemcpyF32DtoH(dst, k); got == nil || len(got) != 0 {
+			t.Errorf("MemcpyF32DtoH(n=%d) = %v, want an empty slice", k, got)
+		}
+		ctx.Memset(dst, 0xff, k)
+		ctx.MemcpyF32HtoD(dst, nil)
+	}
+	if got := ctx.MemcpyF32DtoH(dst, n); !slices.Equal(got, src) {
+		t.Error("an empty transfer changed device memory")
 	}
 }

@@ -1,23 +1,18 @@
 package cudart
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/device"
 )
 
-// MemcpyToArrayFromDevice fills a cudaArray from device memory (f32).
-// Like the other synchronous copies it is device-synchronizing: queued
-// async stream work drains before the device memory is read.
+// MemcpyToArrayFromDevice fills the first n values of a cudaArray (at
+// most its length; n <= 0 copies none) from device memory (f32). Like
+// the other synchronous copies it is device-synchronizing: queued async
+// stream work drains before the device memory is read.
 func (c *Context) MemcpyToArrayFromDevice(arr *device.CudaArray, src uint64, n int) {
 	_ = c.drainPending()
-	buf := make([]byte, 4*n)
-	c.Mem.Read(src, buf)
-	for i := 0; i < n && i < len(arr.Data); i++ {
-		arr.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
+	c.Mem.ReadF32(src, arr.Data[:max(min(n, len(arr.Data)), 0)])
 }
 
 // TexRefByName returns the primary host texref handle for a module-level

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -205,6 +206,70 @@ func (m *Memory) Write(addr uint64, buf []byte) {
 		copy(m.Touch(addr >> PageBits)[off:off+n], buf[:n])
 		buf = buf[n:]
 		addr += uint64(n)
+	}
+}
+
+// WriteF32 stores vals as little-endian float32 starting at addr,
+// encoding straight into the pages: the same bytes, and the same pages
+// made resident, as Write of the encoded buffer. A value that straddles
+// a page edge (addr%4 != 0) takes the byte path.
+func (m *Memory) WriteF32(addr uint64, vals []float32) {
+	for len(vals) > 0 {
+		off := int(addr & (PageSize - 1))
+		n := min((PageSize-off)/4, len(vals))
+		if n == 0 {
+			m.Store(addr, uint64(math.Float32bits(vals[0])), 4)
+			vals, addr = vals[1:], addr+4
+			continue
+		}
+		p := m.Touch(addr >> PageBits)[off:]
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint32(p[4*i:], math.Float32bits(v))
+		}
+		vals, addr = vals[n:], addr+uint64(4*n)
+	}
+}
+
+// ReadF32 loads len(out) little-endian float32 values starting at addr,
+// decoding straight out of the pages. Like Read, unwritten memory reads
+// as zero and stays non-resident.
+func (m *Memory) ReadF32(addr uint64, out []float32) {
+	for len(out) > 0 {
+		off := int(addr & (PageSize - 1))
+		n := min((PageSize-off)/4, len(out))
+		if n == 0 {
+			out[0] = math.Float32frombits(uint32(m.Load(addr, 4)))
+			out, addr = out[1:], addr+4
+			continue
+		}
+		if p := m.Page(addr >> PageBits); p != nil {
+			b := p[off:]
+			for i := range out[:n] {
+				out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+			}
+		} else {
+			clear(out[:n])
+		}
+		out, addr = out[n:], addr+uint64(4*n)
+	}
+}
+
+// Fill sets the n bytes starting at addr to b in place, faulting in the
+// pages Write of the same bytes would — a zero fill included. n <= 0
+// fills nothing.
+func (m *Memory) Fill(addr uint64, b byte, n int) {
+	for n > 0 {
+		off := int(addr & (PageSize - 1))
+		k := min(PageSize-off, n)
+		p := m.Touch(addr >> PageBits)[off : off+k]
+		if b == 0 {
+			clear(p)
+		} else {
+			for i := range p {
+				p[i] = b
+			}
+		}
+		n, addr = n-k, addr+uint64(k)
 	}
 }
 

@@ -18,7 +18,6 @@ package multigpu
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 
 	"repro/internal/nvlink"
@@ -127,33 +126,9 @@ func (n *Node) Parallel(f func(rank int) error) error {
 // readF32 reads a tensor's payload straight from device memory (no
 // modelled transfer — collectives are priced on the fabric instead).
 func readF32(dev *torch.Device, t *torch.Tensor) []float32 {
-	buf := make([]byte, 4*t.Count())
-	dev.Ctx.Mem.Read(t.Ptr, buf)
 	out := make([]float32, t.Count())
-	for i := range out {
-		out[i] = math.Float32frombits(leU32(buf[4*i:]))
-	}
+	dev.Ctx.Mem.ReadF32(t.Ptr, out)
 	return out
-}
-
-// writeF32 writes a float32 slice straight into device memory.
-func writeF32(dev *torch.Device, t *torch.Tensor, vals []float32) {
-	buf := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		putLeU32(buf[4*i:], math.Float32bits(v))
-	}
-	dev.Ctx.Mem.Write(t.Ptr, buf)
-}
-
-func leU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func putLeU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
 }
 
 // advanceAll fast-forwards every engine to the collective completion
@@ -204,7 +179,7 @@ func (n *Node) AllReduce(tensors [][]*torch.Tensor) error {
 			}
 		}
 		for r := 0; r < world; r++ {
-			writeF32(n.Devs[r], tensors[r][p], sum)
+			n.Devs[r].Ctx.Mem.WriteF32(tensors[r][p].Ptr, sum)
 		}
 	}
 	return n.advanceAll(end)

@@ -14,6 +14,7 @@ package multigpu
 // that, per sequence, against the untouched reference model.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -168,7 +169,7 @@ func RunTPInfer(cfg Config, seqs, seqLen int) (*TPInferResult, error) {
 		}
 		buf := make([]byte, 4*len(want))
 		for i, v := range outs[0] {
-			putLeU32(buf[4*i:], math.Float32bits(v))
+			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
 		}
 		digest.Write(buf)
 

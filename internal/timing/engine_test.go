@@ -581,3 +581,73 @@ func TestDRAMSeriesPopulated(t *testing.T) {
 		t.Fatal("no DRAM reads recorded")
 	}
 }
+
+// TestAdvanceTo: AdvanceTo is the multi-GPU layer's clock bridge. An
+// idle engine jumps to a collective's completion cycle with the span
+// charged as idle. An engine with a submitted grid refuses to jump; once
+// drained it jumps again, and the drained launch cost what it costs on a
+// fresh engine.
+func TestAdvanceTo(t *testing.T) {
+	h := newEdgeHarness(t)
+	e := h.eng
+	if err := e.AdvanceTo(1000); err != nil {
+		t.Fatal(err)
+	}
+	if e.Cycle() != 1000 {
+		t.Fatalf("cycle = %d, want 1000", e.Cycle())
+	}
+	if ff := e.Stats().FastForwardedCycles; ff != 1000 {
+		t.Fatalf("FastForwardedCycles = %d, want 1000", ff)
+	}
+	wantIdle := uint64(1000) * uint64(e.Config().NumSMs*e.Config().SchedulersPerSM)
+	if got := e.Stats().IdleSlotCycles; got != wantIdle {
+		t.Fatalf("IdleSlotCycles = %d, want %d (span x issue slots)", got, wantIdle)
+	}
+	// Earlier or equal targets are a no-op — the clock never rewinds.
+	if err := e.AdvanceTo(500); err != nil {
+		t.Fatal(err)
+	}
+	if e.Cycle() != 1000 {
+		t.Fatalf("cycle rewound to %d", e.Cycle())
+	}
+
+	const n = 512
+	x, y := make([]float32, n), make([]float32, n)
+	for i := range x {
+		x[i], y[i] = float32(i%5)*0.5, float32(i%3)
+	}
+	busy := h.submitSqadd(0, h.alloc(x), h.alloc(y), n)
+	if err := e.AdvanceTo(2000); err == nil {
+		t.Fatal("AdvanceTo succeeded with a grid submitted and not drained")
+	}
+	if e.Cycle() != 1000 {
+		t.Fatalf("a refused AdvanceTo moved the clock to %d", e.Cycle())
+	}
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	drained := e.Cycle()
+	if err := e.AdvanceTo(drained + 500); err != nil {
+		t.Fatalf("AdvanceTo after Drain: %v", err)
+	}
+	if e.Cycle() != drained+500 {
+		t.Fatalf("cycle = %d after AdvanceTo(%d)", e.Cycle(), drained+500)
+	}
+
+	fresh := newEdgeHarness(t)
+	ref := fresh.submitSqadd(0, fresh.alloc(x), fresh.alloc(y), n)
+	if err := fresh.eng.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := busy.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cycles == 0 || got != want {
+		t.Fatalf("launch drained after an idle jump: %+v\nfresh engine: %+v", got, want)
+	}
+}

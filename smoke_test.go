@@ -18,10 +18,10 @@ var saxpyPTX = filepath.Join("cmd", "gpgpusim", "testdata", "saxpy.ptx")
 // command line (recorded at the default -j 1), so what this adds is only
 // that the built binaries, started the way a user starts them, say the
 // same thing, for one PTX-file command line; the serve row only has to
-// run and print. The
-// subtest names are the ones the suite has always had; where a binary has
-// since been folded into the registry the row runs the entry that
-// replaced it.
+// run and print. The -o files are not re-checked here: TestCSVGoldens
+// runs the built binary with -o and compares all of them. The subtest
+// names are the ones the suite has always had; where a binary has since
+// been folded into the registry the row runs the entry that replaced it.
 func TestMainPackagesSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
@@ -58,19 +58,6 @@ func TestMainPackagesSmoke(t *testing.T) {
 	t.Run("concurrent_streams", func(t *testing.T) {
 		t.Parallel()
 		sameAsGolden(t, runBinary(t, filepath.Join(bin, "concurrent_streams")), filepath.Join("testdata", "concurrent_streams.golden"))
-	})
-
-	// -o: the per-kernel memory counters of the conv_sample case whose 26
-	// files TestCSVGoldens pins
-	t.Run("aerialvision", func(t *testing.T) {
-		t.Parallel()
-		dir := t.TempDir()
-		runBinary(t, gpgpusim, "-workload", "convsample", "-algo", "fft", "-o", dir)
-		got, err := os.ReadFile(filepath.Join(dir, "kernel_mem.csv"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameAsGolden(t, string(got), filepath.Join("cmd", "gpgpusim", "testdata", "convsample_fft_csv", "kernel_mem.csv"))
 	})
 
 	// what only a process can show: a rejected command line is exit status
