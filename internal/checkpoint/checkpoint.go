@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"repro/internal/cudart"
 	"repro/internal/device"
@@ -36,7 +37,7 @@ type Point struct {
 type WarpState struct {
 	ID         int
 	Stack      []exec.StackEntry
-	Regs       []uint64
+	Regs       []uint64 // exec.Warp.Regs: register rows (State.RegMap), not PTX slots
 	Locals     [][]byte
 	InitMask   uint32
 	AtBarrier  bool
@@ -53,7 +54,17 @@ type CTAState struct {
 
 // Version is the checkpoint format Encode writes and Decode accepts.
 // Version 1 was the unversioned format, which resume did not validate.
-const Version = 2
+// Version 2 saved each warp's registers by PTX register slot; version 3
+// saves the register rows the decoder allocates slots onto.
+const Version = 3
+
+// VersionError is Decode's refusal of a checkpoint in another format
+// version.
+type VersionError struct{ Got, Want int }
+
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("checkpoint: format version %d, want %d", e.Got, e.Want)
+}
 
 // State is a complete checkpoint. The saved grid (GridDim through Params)
 // is what the resumed application must relaunch at kernel x.
@@ -65,9 +76,13 @@ type State struct {
 	BlockDim  exec.Dim3
 	SharedDyn int
 	Params    []byte
-	CTAs      []CTAState       // Data1
-	Mem       *device.Snapshot // Data2
-	Launches  int              // kernels fully executed before the checkpoint kernel
+	// RegMap is kernel x's register slot -> row map (exec.Grid.RegMap)
+	// the saved register files are laid out by. Resume refuses a kernel
+	// the decoder allocates otherwise: the rows would hold other slots.
+	RegMap   []int32
+	CTAs     []CTAState       // Data1
+	Mem      *device.Snapshot // Data2
+	Launches int              // kernels fully executed before the checkpoint kernel
 }
 
 // Encode serialises the state with gob.
@@ -89,7 +104,7 @@ func Decode(data []byte) (*State, error) {
 	}
 	switch {
 	case s.Version != Version:
-		return nil, fmt.Errorf("checkpoint: format version %d, want %d", s.Version, Version)
+		return nil, &VersionError{Got: s.Version, Want: Version}
 	case s.Mem == nil || len(s.Mem.PageNums) != len(s.Mem.Pages):
 		return nil, fmt.Errorf("checkpoint: global memory image is missing or has page numbers and pages that disagree")
 	}
@@ -126,6 +141,7 @@ func (r *CaptureRunner) RunKernel(g *exec.Grid) (cudart.KernelStats, error) {
 		GridDim: g.GridDim, BlockDim: g.BlockDim,
 		SharedDyn: g.SharedDyn,
 		Params:    append([]byte(nil), g.Params...),
+		RegMap:    slices.Clone(g.RegMap()),
 		Launches:  r.n,
 	}
 	total := g.NumCTAs()
@@ -270,6 +286,9 @@ func (s *State) fits(g *exec.Grid) error {
 	if g.GridDim != s.GridDim || g.BlockDim != s.BlockDim || g.SharedDyn != s.SharedDyn || !bytes.Equal(g.Params, s.Params) {
 		return fmt.Errorf("checkpoint: kernel %s relaunched as grid %v block %v with %d dynamic shared bytes and parameters %x, checkpoint saved %v %v %d %x",
 			s.Kernel, g.GridDim, g.BlockDim, g.SharedDyn, g.Params, s.GridDim, s.BlockDim, s.SharedDyn, s.Params)
+	}
+	if !slices.Equal(s.RegMap, g.RegMap()) {
+		return fmt.Errorf("checkpoint: kernel %s saved its registers under another allocation of register slots to rows", s.Kernel)
 	}
 	m := s.Point.CTAM
 	if m < 0 || m > g.NumCTAs()-len(s.CTAs) {

@@ -1,6 +1,11 @@
 package core
 
 import (
+	"compress/gzip"
+	"errors"
+	"io"
+	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -59,6 +64,11 @@ func TestCheckpointResumeRefusesMisfits(t *testing.T) {
 		{"a missing warp", func(s *checkpoint.State) { s.CTAs[1].Warps = s.CTAs[1].Warps[1:] }},
 		{"warp ID", func(s *checkpoint.State) { warp(s).ID = 0 }},
 		{"thread mask", func(s *checkpoint.State) { warp(s).InitMask >>= 1 }},
+		{"register rows permuted", func(s *checkpoint.State) {
+			i := slices.IndexFunc(s.RegMap, func(r int32) bool { return r != s.RegMap[0] })
+			s.RegMap[0], s.RegMap[i] = s.RegMap[i], s.RegMap[0]
+		}},
+		{"no register allocation", func(s *checkpoint.State) { s.RegMap = nil }},
 		{"register file length", func(s *checkpoint.State) { warp(s).Regs = warp(s).Regs[:len(warp(s).Regs)-1] }},
 		{"local memory lanes", func(s *checkpoint.State) { warp(s).Locals = make([][]byte, exec.WarpSize) }},
 		{"negative PC", func(s *checkpoint.State) { warp(s).Stack[0].PC = -1 }},
@@ -96,7 +106,9 @@ func TestCheckpointResumeRefusesMisfits(t *testing.T) {
 
 // FuzzCheckpointDecode: arbitrary bytes either fail to decode or to
 // resume with an error, or resume; they never panic. Seeded with the
-// sample's checkpoint. Before resuming, every saved warp's instruction
+// sample's checkpoint and with the same checkpoint in format version 2
+// (testdata/checkpoint_v2.bin.gz, registers saved by slot), which must
+// fail with a *checkpoint.VersionError. Before resuming, every saved warp's instruction
 // count is raised to within maxWarpResume of the interpreter's runaway
 // ceiling (1<<24, exec's maxWarpInstrs), so a corrupted loop counter ends
 // in a RunawayError within milliseconds instead of seconds.
@@ -106,6 +118,15 @@ func FuzzCheckpointDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(blob)
+	old, err := readGzip("testdata/checkpoint_v2.bin.gz")
+	if err != nil {
+		f.Fatal(err)
+	}
+	var verr *checkpoint.VersionError
+	if _, err := checkpoint.Decode(old); !errors.As(err, &verr) || verr.Got != 2 || verr.Want != checkpoint.Version {
+		f.Fatalf("a version-2 checkpoint decodes with %v, want a version error", err)
+	}
+	f.Add(old)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := checkpoint.Decode(data)
 		if err != nil {
@@ -125,4 +146,18 @@ func FuzzCheckpointDecode(f *testing.F) {
 		defer eng.Close()
 		_, _ = resumeCheckpointSample(st, eng)
 	})
+}
+
+// readGzip returns the decompressed contents of a gzip file.
+func readGzip(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		return nil, err
+	}
+	return io.ReadAll(zr)
 }

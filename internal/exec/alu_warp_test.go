@@ -9,11 +9,41 @@ import (
 	"repro/internal/ptx"
 )
 
-// Reg reads a register slot for one lane.
-func (w *Warp) Reg(slot, lane int) uint64 { return w.Regs[slot*WarpSize+lane] }
+// slotRegs reads and writes a warp's registers by slot, through the
+// allocation its kernel was decoded with.
+type slotRegs struct {
+	w   *Warp
+	row []int32
+}
 
-// SetReg writes a register slot for one lane.
-func (w *Warp) SetReg(slot, lane int, v uint64) { w.Regs[slot*WarpSize+lane] = v }
+func newSlotRegs(c *CTA, w *Warp) slotRegs { return slotRegs{w: w, row: c.Grid.RegMap()} }
+
+// get reads one lane of a slot; a slot no instruction names reads 0.
+func (r slotRegs) get(slot, lane int) uint64 {
+	if row := r.row[slot]; row >= 0 {
+		return r.w.Regs[int(row)*WarpSize+lane]
+	}
+	return 0
+}
+
+// set writes one lane of a slot; a slot no instruction names has no row.
+func (r slotRegs) set(slot, lane int, v uint64) {
+	if row := r.row[slot]; row >= 0 {
+		r.w.Regs[int(row)*WarpSize+lane] = v
+	}
+}
+
+// slotMajor copies the register file out slot by slot:
+// [slot*WarpSize+lane].
+func (r slotRegs) slotMajor() []uint64 {
+	out := make([]uint64, len(r.row)*WarpSize)
+	for slot := range r.row {
+		for l := 0; l < WarpSize; l++ {
+			out[slot*WarpSize+l] = r.get(slot, l)
+		}
+	}
+	return out
+}
 
 // Register slots of the one-instruction kernels the differential test runs.
 const (
@@ -143,6 +173,7 @@ func TestSpecialisedMatchesScalar(t *testing.T) {
 					in.Dst = []ptx.Operand{in.Src[0]} // add %r1, %r1, …
 				}
 				c, w, d := oneInstrWarp(t, m, in)
+				regs := newSlotRegs(c, w)
 				if broken := bugs.broken(in.Op); (d.h == hgeneric) != broken {
 					t.Fatalf("%s under %+v: handler %d", in.Raw, bugs, d.h)
 				}
@@ -155,16 +186,16 @@ func TestSpecialisedMatchesScalar(t *testing.T) {
 						if i := round*WarpSize + l; round < rounds && i < len(edgeOperands)*len(edgeOperands) {
 							a, b = edgeOperands[i/len(edgeOperands)], edgeOperands[i%len(edgeOperands)]
 						}
-						w.SetReg(slotDst, l, 0xDEAD0000+uint64(l))
-						w.SetReg(slotA, l, a)
-						w.SetReg(slotB, l, b)
-						w.SetReg(slotC, l, operand())
-						w.SetReg(slotE, l, operand())
+						regs.set(slotDst, l, 0xDEAD0000+uint64(l))
+						regs.set(slotA, l, a)
+						regs.set(slotB, l, b)
+						regs.set(slotC, l, operand())
+						regs.set(slotE, l, operand())
 					}
-					before := append([]uint64(nil), w.Regs...)
+					before := regs.slotMajor()
 					mask := guardMasks[round%len(guardMasks)]
 					for l := 0; l < WarpSize; l++ {
-						w.SetReg(slotPred, l, uint64(mask>>l&1))
+						regs.set(slotPred, l, uint64(mask>>l&1))
 					}
 					w.Stack[0].PC, w.Done = 0, false
 					var info StepInfo
@@ -186,7 +217,7 @@ func TestSpecialisedMatchesScalar(t *testing.T) {
 								t.Fatalf("%s: scalar reference: %v", in.Raw, err)
 							}
 						}
-						got := w.Reg(dstSlot, l)
+						got := regs.get(dstSlot, l)
 						if mask>>l&1 != 0 && anyNaNPayload(&in, before, l) && isNaN32(got) && isNaN32(want) {
 							continue
 						}
@@ -249,15 +280,16 @@ func TestImmediatesDecodeToOperandType(t *testing.T) {
 		in.PredReg = -1
 		in.Src[1] = tc.imm
 		c, w, _ := oneInstrWarp(t, m, in)
+		regs := newSlotRegs(c, w)
 		for l := 0; l < WarpSize; l++ {
-			w.SetReg(slotA, l, tc.a)
+			regs.set(slotA, l, tc.a)
 		}
 		var info StepInfo
 		if err := m.StepWarp(c, w, m.cov, &info); err != nil {
 			t.Fatal(err)
 		}
 		for l := 0; l < WarpSize; l++ {
-			if got := w.Reg(slotDst, l); got != tc.want {
+			if got := regs.get(slotDst, l); got != tc.want {
 				t.Fatalf("%s lane %d: got %#x, want %#x", in.Raw, l, got, tc.want)
 			}
 		}

@@ -12,7 +12,8 @@ import (
 // otherwise re-derive on every execution — which handler runs it, the
 // register rows it touches, immediates already in the operand type's
 // bits, symbols resolved to parameter offsets or window addresses, the
-// element size and vector width of a memory access. ptx.Kernel.Instrs is
+// element size and vector width of a memory access. Register slots are
+// allocated onto rows first (regalloc.go). ptx.Kernel.Instrs is
 // immutable after ptx.Parse (the debug instrumentation re-parses), so a
 // program never goes stale.
 //
@@ -22,7 +23,7 @@ import (
 // instruction executes with an active lane — exactly when the
 // lane-at-a-time interpreter used to notice.
 
-// row is the register file slice of one slot: 32 lanes of raw bits.
+// row is the register file slice of one row: 32 lanes of raw bits.
 type row = [WarpSize]uint64
 
 // zeroRow stands in for the sources an instruction does not have.
@@ -75,7 +76,7 @@ const (
 // instruction.
 type operand struct {
 	konst *row
-	reg   int32 // row offset (slot*WarpSize) when konst == nil and sreg == SRegNone
+	reg   int32 // row offset (row*WarpSize) when konst == nil and sreg == SRegNone
 	sreg  ptx.SReg
 }
 
@@ -107,8 +108,9 @@ type decoded struct {
 // program is a kernel lowered for one Machine (the Machine's BugSet picks
 // handlers, so programs are not shared between machines).
 type program struct {
-	code  []decoded
-	issue []IssueInfo // per PC, for pipeline models (issue.go)
+	code     []decoded
+	issue    []IssueInfo // per PC, for pipeline models (issue.go)
+	regAlloc             // register slot -> row (regalloc.go)
 }
 
 // program returns the decoded form of k, lowering it on first use.
@@ -127,11 +129,14 @@ func (m *Machine) program(k *ptx.Kernel) *program {
 type decoder struct {
 	m *Machine
 	k *ptx.Kernel
+	p *program
 }
 
 func (m *Machine) decode(k *ptx.Kernel) *program {
-	dc := &decoder{m: m, k: k}
-	p := &program{code: make([]decoded, len(k.Instrs)), issue: issueTable(k)}
+	issue := issueTable(k)
+	p := &program{code: make([]decoded, len(k.Instrs)), issue: issue, regAlloc: allocRegs(k, issue)}
+	p.rename(issue)
+	dc := &decoder{m: m, k: k, p: p}
 	for i := range k.Instrs {
 		d := &p.code[i]
 		if err := dc.instr(d, &k.Instrs[i]); err != nil {
@@ -159,7 +164,7 @@ func (dc *decoder) regRow(slot int) (int32, error) {
 	if slot < 0 || slot >= dc.k.NumSlots {
 		return 0, fmt.Errorf("register slot %d out of range (kernel has %d)", slot, dc.k.NumSlots)
 	}
-	return int32(slot * WarpSize), nil
+	return dc.p.row[slot] * WarpSize, nil
 }
 
 // symAddress resolves a bare symbol operand (shared/local variable name)

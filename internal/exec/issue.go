@@ -13,12 +13,13 @@ const (
 )
 
 // IssueInfo is what a pipeline model needs to know about one instruction
-// before it executes: which register slots a scoreboard must see readable,
+// before it executes: which register rows a scoreboard must see readable,
 // which it marks busy, and how the instruction is classed. One per PC,
-// built when the kernel is lowered (Grid.IssueTable).
+// built when the kernel is lowered (Grid.IssueTable); a scoreboard holds
+// Grid.RegRows entries per warp.
 type IssueInfo struct {
-	Src []int32 // slots read: guard predicate, sources, address bases, vector elements
-	Dst []int32 // slots written: destinations and destination vector elements
+	Src []int32 // rows read: guard predicate, sources, address bases, vector elements
+	Dst []int32 // rows written: destinations and destination vector elements
 	Lat LatencyClass
 	// Atomic marks atom.*: a read-modify-write other cores may race with.
 	Atomic bool
@@ -33,12 +34,13 @@ func (g *Grid) IssueTable() []IssueInfo { return g.prog.issue }
 
 // issueTable walks every instruction's ptx operand lists once. It is the
 // single definition of which slots an instruction reads and writes for
-// scoreboard purposes, and it deliberately works from ptx.Instr rather
-// than the decoded handler operands: the scoreboard waits on every source
-// operand as written — including trailing ones an opcode's handler
-// ignores — and the modelled cycle counts depend on that. Slots outside
-// the kernel's register file are left out; such an instruction raises its
-// decode error when it executes.
+// scoreboard purposes and for register allocation, which then renames the
+// table's slots to rows (regAlloc.rename). It deliberately works from
+// ptx.Instr rather than the decoded handler operands: the scoreboard
+// waits on every source operand as written — including trailing ones an
+// opcode's handler ignores — and the modelled cycle counts depend on
+// that. Slots outside the kernel's register file are left out; such an
+// instruction raises its decode error when it executes.
 func issueTable(k *ptx.Kernel) []IssueInfo {
 	tbl := make([]IssueInfo, len(k.Instrs))
 	var slots []int32 // one backing array for every Src and Dst

@@ -132,6 +132,16 @@ func (g *Grid) NumWarpsPerCTA() int {
 // SharedBytes returns the total shared memory per CTA (static + dynamic).
 func (g *Grid) SharedBytes() int { return g.Kernel.SharedBytes + g.SharedDyn }
 
+// RegRows returns the register rows each warp of the grid holds: the
+// length of a scoreboard over IssueTable's rows.
+func (g *Grid) RegRows() int { return g.prog.rows }
+
+// RegMap returns the row each register slot of the grid's kernel is
+// allocated onto, -1 for a slot no instruction names: lane l of slot s
+// is Warp.Regs[RegMap()[s]*WarpSize+l]. The slice is shared; do not
+// modify it.
+func (g *Grid) RegMap() []int32 { return g.prog.row }
+
 // Machine returns the machine this grid executes on.
 func (g *Grid) Machine() *Machine { return g.machine }
 
@@ -146,8 +156,9 @@ type StackEntry struct {
 type Warp struct {
 	ID    int
 	Stack []StackEntry
-	// Regs holds raw register bits, laid out slot-major:
-	// Regs[slot*WarpSize+lane].
+	// Regs holds raw register bits, laid out row-major:
+	// Regs[row*WarpSize+lane]. The decoder maps each register slot to a
+	// row (regalloc.go); Grid.RegRows rows in all.
 	Regs   []uint64
 	Locals [][]byte // per-lane local memory; nil when kernel uses none
 	// InitMask has a bit per lane that exists in the thread block.
@@ -177,7 +188,7 @@ func (g *Grid) InitCTA(i int, free *FreeList) *CTA {
 	for wi := range cta.Warps {
 		w := free.warp()
 		w.ID = wi
-		w.Regs = resize(w.Regs, k.NumSlots*WarpSize)
+		w.Regs = resize(w.Regs, g.prog.rows*WarpSize)
 		lanes := min(nThreads-wi*WarpSize, WarpSize)
 		w.InitMask = uint32(uint64(1)<<lanes - 1)
 		w.Locals = w.Locals[:0]

@@ -26,6 +26,16 @@ type Block struct {
 
 const noBlock = -1
 
+// BlockOf returns the index of the block holding instruction pc; a pc
+// outside the kernel's instructions (len(Instrs) is where threads end)
+// maps to the virtual exit block.
+func (cfg *CFG) BlockOf(pc int) int {
+	if pc < 0 || pc >= len(cfg.blockOf) {
+		return len(cfg.Blocks) - 1
+	}
+	return cfg.blockOf[pc]
+}
+
 // BuildCFG constructs the CFG for a kernel. A virtual exit block with
 // ID == len(Blocks)-1 collects ret/exit edges.
 func BuildCFG(k *Kernel) (*CFG, error) {

@@ -324,9 +324,9 @@ func (c *smCore) evaluate(m *exec.Machine, sc *schedState, w *warpCtx, now uint6
 		w.pc = m.PeekPC(w.slot.cta, w.warp)
 		if w.pc >= 0 {
 			var latest uint64
-			for _, slot := range w.issue[w.pc].Src {
-				if r := w.regReady[slot]; r > latest {
-					latest = r
+			for _, r := range w.issue[w.pc].Src {
+				if ready := w.regReady[r]; ready > latest {
+					latest = ready
 				}
 			}
 			if latest > now {

@@ -121,12 +121,12 @@ func (r *gridRun) place() *ctaSlot {
 // all-readable scoreboard per warp.
 func (r *gridRun) newSlot(cta *exec.CTA) *ctaSlot {
 	slot := &ctaSlot{cta: cta, run: r, warps: make([]warpCtx, len(cta.Warps))}
-	slots := r.grid.Kernel.NumSlots
-	regReady := make([]uint64, len(cta.Warps)*slots)
+	rows := r.grid.RegRows()
+	regReady := make([]uint64, len(cta.Warps)*rows)
 	for wi, w := range cta.Warps {
 		slot.warps[wi] = warpCtx{
 			slot: slot, warp: w, issue: r.grid.IssueTable(), runID: r.id,
-			regReady: regReady[wi*slots : (wi+1)*slots : (wi+1)*slots],
+			regReady: regReady[wi*rows : (wi+1)*rows : (wi+1)*rows],
 		}
 	}
 	return slot

@@ -24,11 +24,14 @@ import (
 
 // refLatest is the reference scoreboard walk (the old srcReady): the cycle
 // at which the latest source of in becomes readable, over the guard
-// predicate, every Src operand, memory bases and vector elements.
+// predicate, every Src operand, memory bases and vector elements. The
+// scoreboard is indexed by register row, so each slot goes through the
+// grid's allocation (exec.Grid.RegMap).
 func refLatest(w *warpCtx, in *ptx.Instr) uint64 {
 	var latest uint64
+	row := w.slot.cta.Grid.RegMap()
 	see := func(slot int) {
-		if r := w.regReady[slot]; r > latest {
+		if r := w.regReady[row[slot]]; r > latest {
 			latest = r
 		}
 	}

@@ -21,7 +21,7 @@ const (
 )
 
 // warpCtx is the per-warp pipeline state: the warp's functional state plus
-// the scoreboard tracking when each register slot becomes readable and when
+// the scoreboard tracking when each register row becomes readable and when
 // the warp may issue again after a structural stall. A warpCtx is owned by
 // exactly one SM core (and within it, one scheduler), so it is never
 // touched by two workers concurrently.
@@ -30,7 +30,7 @@ type warpCtx struct {
 	warp       *exec.Warp
 	issue      []exec.IssueInfo // the kernel's per-PC table
 	runID      int              // dense per-drain id of the owning grid (stat attribution)
-	regReady   []uint64         // scoreboard: per register slot, cycle it becomes readable
+	regReady   []uint64         // scoreboard: per register row, cycle it becomes readable
 	minIssueAt uint64           // structural stall (atomics, retry delays)
 
 	// Scheduler bookkeeping, owned by the warp's schedState.
@@ -42,8 +42,8 @@ type warpCtx struct {
 
 // markDst sets destination registers busy until `ready`.
 func (w *warpCtx) markDst(dst []int32, ready uint64) {
-	for _, slot := range dst {
-		w.regReady[slot] = ready
+	for _, r := range dst {
+		w.regReady[r] = ready
 	}
 }
 
