@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -43,7 +44,7 @@ func TestDeadCode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library from source")
 	}
-	l := newDeadLoader(t)
+	l := sharedLoader(t)
 	findings := l.findings()
 
 	allow, err := readDeadAllow(deadAllowFile)
@@ -101,6 +102,7 @@ type deadPkg struct {
 	path                 string // import path
 	dir                  string // slash path relative to the repo root
 	files, tests, xtests []*ast.File
+	variants             []*types.Package // the test builds: with in-package tests, the external test package
 }
 
 func (p *deadPkg) all() []*ast.File {
@@ -108,7 +110,7 @@ func (p *deadPkg) all() []*ast.File {
 }
 
 type deadLoader struct {
-	t     *testing.T
+	err   error // the first type-checking error
 	fset  *token.FileSet
 	std   types.Importer
 	pkgs  map[string]*deadPkg // by import path
@@ -117,10 +119,30 @@ type deadLoader struct {
 	info  *types.Info // every check shares it: a non-test file's idents resolve the same in each
 }
 
-func newDeadLoader(t *testing.T) *deadLoader {
+var shared struct {
+	once sync.Once
+	l    *deadLoader
+	err  error
+}
+
+// sharedLoader loads the module once per test binary: TestDeadCode and
+// TestDocReferences judge the same parse and the same type-checked
+// packages.
+func sharedLoader(t *testing.T) *deadLoader {
+	shared.once.Do(func() {
+		shared.l, shared.err = newDeadLoader()
+	})
+	if shared.err != nil {
+		t.Fatal(shared.err)
+	}
+	return shared.l
+}
+
+// newDeadLoader parses every Go file of the root module and bench/, with
+// comments, and type-checks each package and its test builds.
+func newDeadLoader() (*deadLoader, error) {
 	fset := token.NewFileSet()
 	l := &deadLoader{
-		t:    t,
 		fset: fset,
 		std:  importer.ForCompiler(fset, "source", nil),
 		pkgs: map[string]*deadPkg{},
@@ -145,7 +167,7 @@ func newDeadLoader(t *testing.T) *deadLoader {
 		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		file, err := parser.ParseFile(fset, path, nil, 0)
+		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
 			return err
 		}
@@ -171,7 +193,7 @@ func newDeadLoader(t *testing.T) *deadLoader {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	sort.Strings(l.order)
 	for _, ip := range l.order {
@@ -182,19 +204,20 @@ func newDeadLoader(t *testing.T) *deadLoader {
 	for _, ip := range l.order {
 		l.checkTests(l.pkgs[ip])
 	}
-	return l
+	return l, l.err
 }
 
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// check type-checks files as package ip; an error fails the test.
+// check type-checks files as package ip; the first error is kept in
+// l.err, which newDeadLoader returns.
 func (l *deadLoader) check(ip string, files []*ast.File, imp importerFunc) *types.Package {
 	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(ip, l.fset, files, l.info)
-	if err != nil {
-		l.t.Fatalf("type-checking %s: %v", ip, err)
+	if err != nil && l.err == nil {
+		l.err = fmt.Errorf("type-checking %s: %v", ip, err)
 	}
 	return pkg
 }
@@ -223,6 +246,7 @@ func (l *deadLoader) checkTests(p *deadPkg) {
 	variant := l.prod[p.path]
 	if len(p.tests) > 0 {
 		variant = l.check(p.path, append(append([]*ast.File{}, p.files...), p.tests...), l.importProd)
+		p.variants = append(p.variants, variant)
 	}
 	if len(p.xtests) == 0 {
 		return
@@ -239,7 +263,7 @@ func (l *deadLoader) checkTests(p *deadPkg) {
 		}
 		return l.importProd(ip)
 	}
-	l.check(p.path+"_test", p.xtests, imp)
+	p.variants = append(p.variants, l.check(p.path+"_test", p.xtests, imp))
 }
 
 // dependsOn reports whether pkg imports path, directly or not.

@@ -1,12 +1,3 @@
-// Package cudart is the CUDA-runtime analog the paper's workloads call
-// into: device memory management, per-PTX-file module registration (the
-// §III-A fix), kernel launches via both the runtime (cudaLaunch) and
-// driver (cuLaunchKernel) APIs, streams and events including
-// cudaStreamWaitEvent (§III-B), and the texture-binding APIs (§III-C).
-//
-// Execution is pluggable: the default Runner performs fast functional
-// simulation; internal/timing provides the cycle-level performance model
-// (the paper's "Performance simulation mode").
 package cudart
 
 import (

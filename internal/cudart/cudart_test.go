@@ -8,6 +8,7 @@ import (
 	"repro/internal/cudart"
 	"repro/internal/exec"
 	"repro/internal/kernels"
+	"repro/internal/timing"
 )
 
 const incrPTX = `
@@ -363,5 +364,43 @@ func TestTypedCopyAllocs(t *testing.T) {
 	}
 	if got := ctx.MemcpyF32DtoH(dst, n); !slices.Equal(got, src) {
 		t.Error("an empty transfer changed device memory")
+	}
+}
+
+// TestStickyAsyncError: a queued kernel's failure, drained implicitly by
+// a synchronous copy, is stored and returned once by the next explicit
+// sync, CUDA style; the sync after that succeeds.
+func TestStickyAsyncError(t *testing.T) {
+	ctx := cudart.NewContext(exec.BugSet{})
+	eng, err := timing.New(timing.GTX1050())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx.SetRunner(timing.Runner{E: eng})
+	const badPTX = `
+.version 6.0
+.target sm_61
+.address_size 64
+.visible .entry bad()
+{
+	.reg .b32 %r<3>;
+	add.u32 %r1, %r2;
+	ret;
+}
+`
+	if _, err := ctx.RegisterModule(badPTX); err != nil {
+		t.Fatal(err)
+	}
+	s := ctx.StreamCreate()
+	if _, err := ctx.LaunchOnStream(s, "bad", exec.Dim3{X: 1}, exec.Dim3{X: 32}, cudart.NewParams(), 0); err != nil {
+		t.Fatalf("queueing the launch failed: %v", err)
+	}
+	px, _ := ctx.Malloc(4)
+	ctx.MemcpyHtoD(px, make([]byte, 4)) // drains the queue; the error is stored
+	if err := ctx.DeviceSynchronize(); err == nil || !strings.Contains(err.Error(), "add") {
+		t.Fatalf("DeviceSynchronize after the failed drain returned %v, want the kernel's error", err)
+	}
+	if err := ctx.DeviceSynchronize(); err != nil {
+		t.Fatalf("second DeviceSynchronize returned %v, want nil: the error is returned once", err)
 	}
 }

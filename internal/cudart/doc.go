@@ -1,0 +1,45 @@
+// Package cudart is the CUDA-runtime analog the paper's workloads call
+// into: device memory management, per-PTX-file module registration (the
+// §III-A fix), kernel launches via both the runtime (cudaLaunch) and
+// driver (cuLaunchKernel) APIs, streams and events including
+// cudaStreamWaitEvent (§III-B), and the texture-binding APIs (§III-C).
+//
+// Execution is pluggable: the default Runner performs fast functional
+// simulation; internal/timing provides the cycle-level performance model
+// (the paper's "Performance simulation mode").
+//
+// The rules of the stream API, each with the test that enforces it:
+//
+//   - With a `StreamRunner` installed, `Context.LaunchOnStream` and
+//     `Context.MemcpyHtoDAsync` on a non-default stream queue into the
+//     detailed model and return at once; there is no device-to-host async
+//     copy. The queue drains at every sync point: `Context.StreamSynchronize`,
+//     `Context.DeviceSynchronize`, `Context.EventRecord`,
+//     `Context.StreamDestroy`, every synchronous copy or memset, every
+//     default-stream launch and `Context.KernelStatsLog`. The legacy
+//     default stream keeps its device-synchronising semantics
+//     (`timing.TestDrainQueueEdgeCases`,
+//     `timing.TestStreamVsSerialDifferential`).
+//   - A context keeps no clock. Streams and events are handle-checked
+//     ordering calls; `Context.StreamWaitEvent` holds by construction
+//     because recording an event drains (`TestStreamsAndEvents`). Modelled
+//     time is read in one place, the timing engine's Cycle; a functional
+//     context has none.
+//   - A queued kernel's error surfaces at the next explicit sync, CUDA
+//     style: an implicit drain stores it and `Context.stickyError` returns
+//     it once (`TestStickyAsyncError`).
+//   - MemcpyHtoDAsync on a queued stream stages a copy of the host bytes,
+//     as cudaMemcpyAsync from pageable memory must. The typed transfers
+//     (`Context.MemcpyF32HtoD`, `Context.MemcpyF32DtoH`, `Context.Memset`)
+//     write and read device pages in place, leaving the image and
+//     resident pages a byte copy would, and allocate nothing into
+//     resident pages but MemcpyF32DtoH's result (`TestTypedCopyAllocs`).
+//   - The launch log is one record per launch in launch order, kept in
+//     chunks that are never copied once allocated; an async launch's
+//     placeholder is filled in place at the drain (`TestKernelLogChunks`).
+//     `NewParams` reserves the largest library parameter block, so
+//     marshalling a launch allocates once (`TestParamsOneAllocation`).
+//   - The first registration of a kernel name wins a by-name lookup;
+//     `Context.CuLaunchKernel` names the module explicitly
+//     (`TestLookupKernelFirstRegistrationWins`).
+package cudart

@@ -4,6 +4,12 @@
 // runtime (internal/cudart): every high-level API call typically launches
 // several kernels, which is exactly the structure the paper's debugging
 // methodology (§III-D) has to cope with.
+//
+// The convolution paths take device workspace from one per-call `scratch`
+// value: `scratch.alloc` in call order, the first failure remembered and
+// checked once, `scratch.release` newest first — the allocation order
+// `torch.TestLaunchChainPinned`'s addresses depend on. A failed call
+// gives back every buffer it held (`TestScratchReleasedOnFailure`).
 package cudnn
 
 import (

@@ -1,9 +1,3 @@
-// Package exec implements GPGPU-Sim-style functional simulation of PTX
-// kernels: warps of 32 threads executing in lockstep under SIMT
-// reconvergence stacks, with barriers, predication, all memory spaces,
-// textures and atomics. The timing model (internal/timing) drives the same
-// machine one warp-instruction at a time; the functional mode used for
-// fast-forwarding (paper §III-F) runs warps to completion directly.
 package exec
 
 import (
@@ -108,7 +102,10 @@ func (m *Machine) NewGrid(k *ptx.Kernel, gridDim, blockDim Dim3, params []byte, 
 	if k == nil {
 		return nil, fmt.Errorf("exec: nil kernel")
 	}
-	if blockDim.Count() == 0 || blockDim.Count() > maxWarpsPerCTA*WarpSize {
+	if gridDim.X < 0 || gridDim.Y < 0 || gridDim.Z < 0 || blockDim.X < 0 || blockDim.Y < 0 || blockDim.Z < 0 {
+		return nil, fmt.Errorf("exec: invalid configuration: grid %v, block %v has a negative dimension", gridDim, blockDim)
+	}
+	if blockDim.Count() > maxWarpsPerCTA*WarpSize {
 		return nil, fmt.Errorf("exec: bad block size %d", blockDim.Count())
 	}
 	if len(params) < k.ParamBytes() {

@@ -90,7 +90,8 @@ func (o *Oracle) fudgeFor(name string) float64 {
 func (o *Oracle) Estimate(k cudart.KernelStats) float64 {
 	compute := float64(k.WarpInstrs) / (float64(o.NumSMs) * o.IssuePerSM)
 	mem := float64(uint64(k.OracleSegments)*exec.SegmentBytes) / o.BWBytesPerCycle
-	return o.LaunchOverhead + max(compute, mem)*o.fudgeFor(k.Name)
+	// float64 rounds the product before the add: no FMA on any target.
+	return o.LaunchOverhead + float64(max(compute, mem)*o.fudgeFor(k.Name))
 }
 
 // RunKernel implements cudart.Runner: it executes the kernel functionally

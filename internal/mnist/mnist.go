@@ -7,6 +7,12 @@
 // geometry is chosen so the FFT frames are exactly 32x32 for conv1
 // (28 + 5 - 1) and 16x16 for conv2 (12 + 5 - 1), matching the kernel set
 // the paper reports for MNIST in Fig. 7.
+//
+// LeNet is inference-only, but its conv and linear layers still allocate,
+// zeroed and unused, the gradient buffers they had when it trained
+// (`torch.reserveGradSlot`): without them every later device address
+// moves, and with it LeNet's pinned cycles. `TestLeNetLayout` pins the
+// address of every parameter.
 package mnist
 
 import (

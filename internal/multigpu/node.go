@@ -1,19 +1,3 @@
-// Package multigpu couples N independent timing engines into one
-// simulated multi-GPU node. Each device is a session.Session of its
-// own; the node adds a modelled NVLink fabric
-// (internal/nvlink) and a coordinator that drives per-device work in
-// *phases*: between collectives every device runs freely — and the host
-// steps them concurrently on the shared worker pool — while at a
-// collective boundary the coordinator performs the functional data
-// movement itself, in rank order, prices the collective on the fabric,
-// and fast-forwards every engine to its completion cycle.
-//
-// Determinism contract, extended across devices: a phase touches only
-// its own rank's state, all cross-device data flow happens on the
-// coordinator in rank order, and barrier cycles are keyed only off
-// modelled clocks — so modelled cycles, per-device stats and every
-// weight byte are identical whether the host steps devices with 1
-// worker or N.
 package multigpu
 
 import (

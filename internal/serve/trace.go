@@ -1,12 +1,3 @@
-// Package serve is the inference-serving scenario layer: an open-loop
-// request stream (seeded Poisson, bursty on/off, or a replayable trace
-// file) feeding transformer requests into a continuous-batching
-// scheduler that coalesces them onto CUDA streams in the detailed timing
-// model. The paper profiles ML workloads as closed batches; this package
-// simulates the serving regime — requests keep arriving whether or not
-// the simulated GPU keeps up — and reports the quantities serving
-// systems are judged by: p50/p99/p99.9 latency, time-to-first-token and
-// goodput versus offered load.
 package serve
 
 import (

@@ -10,7 +10,12 @@
 // touches.
 //
 // core, serve and multigpu build their drivers on it; nothing else in
-// the repo snapshots LiveAllocations.
+// the repo snapshots LiveAllocations. The policy is pinned table-driven:
+// the live set returns to the pinned set at every boundary, steady-state
+// iterations see identical addresses (`TestSessionIterations`), kept
+// buffers survive until dropped (`TestSessionKeepDrop`), and only a primed
+// arena (`Session.PrimeArena`) makes iteration 0 place buffers like
+// iteration 1 for a body that frees mid-iteration (`TestIterate`).
 package session
 
 import (

@@ -25,9 +25,11 @@ func Pearson(x, y []float64) float64 {
 	var cov, vx, vy float64
 	for i := range x {
 		dx, dy := x[i]-mx, y[i]-my
-		cov += dx * dy
-		vx += dx * dx
-		vy += dy * dy
+		// The conversions round each product before the add, so no
+		// target fuses them into an FMA and every host agrees.
+		cov += float64(dx * dy)
+		vx += float64(dx * dx)
+		vy += float64(dy * dy)
 	}
 	if vx == 0 || vy == 0 {
 		return math.NaN()

@@ -1,10 +1,3 @@
-// Package timing implements the cycle-level GPU performance model — the
-// paper's "Performance simulation mode": SIMT cores with per-scheduler
-// warp issue and register scoreboards, a memory coalescer, per-core L1
-// caches, a crossbar to memory partitions each holding an L2 slice and a
-// DRAM channel, and the per-interval statistics AerialVision plots
-// (global/per-shader IPC, warp-issue breakdowns, per-bank DRAM
-// efficiency/utilization).
 package timing
 
 import (

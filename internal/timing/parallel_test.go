@@ -25,7 +25,20 @@ type runSnapshot struct {
 // the given worker count and snapshots the results.
 func runWorkload(t *testing.T, workers int, load func(t *testing.T, ctx *cudart.Context, h *cudnn.Handle) (uint64, int)) runSnapshot {
 	t.Helper()
+	return runPadded(t, workers, 0, load)
+}
+
+// runPadded is runWorkload with a pad of pad bytes allocated, and never
+// freed, before the workload allocates: the first-fit allocator then
+// hands the workload every address it would have had, plus pad.
+func runPadded(t *testing.T, workers int, pad uint64, load func(t *testing.T, ctx *cudart.Context, h *cudnn.Handle) (uint64, int)) runSnapshot {
+	t.Helper()
 	ctx := cudart.NewContext(exec.BugSet{})
+	if pad > 0 {
+		if _, err := ctx.Malloc(pad); err != nil {
+			t.Fatal(err)
+		}
+	}
 	h, err := cudnn.Create(ctx)
 	if err != nil {
 		t.Fatal(err)

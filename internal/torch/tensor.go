@@ -1,9 +1,3 @@
-// Package torch is the PyTorch-analog mini-framework of this
-// reproduction: device tensors, LeNet's inference layers, the transformer
-// modules with their backward passes, and an SGD optimizer, all
-// implemented by calling the cuDNN-analog library (internal/cudnn)
-// through the CUDA runtime — the same layering through
-// which PyTorch reaches cuDNN in the paper (§III-E).
 package torch
 
 import (
