@@ -8,15 +8,28 @@
 //	       warp, shared memory per CTA (for the in-flight CTAs)
 //	Data2: global memory
 //
-// Resume restores the state into a fresh context and continues kernel x
-// from CTA M in the (7-8x slower) Performance simulation mode; kernels
-// before x are skipped, kernels after x run normally under timing.
+// Resume replays the application on a fresh context and continues kernel
+// x from CTA M in the (7-8x slower) Performance simulation mode. The
+// rules of resume, each with the test that enforces it:
+//
+//   - Data2 loads when kernel x is submitted, so what the host copied
+//     before x cannot overwrite what the kernels before x computed
+//     (`TestCheckpointMultiStreamResume`).
+//   - Resume is stream-aware. `ResumeRunner` counts launches in
+//     submission order, the order the capture ran them in behind cudart's
+//     in-order adapter. Work before x completes at once, kernel x queues
+//     on its own stream (`timing.Engine.SubmitResume`), and later work
+//     queues like any other, so streams overlap; the run is the same at
+//     any worker count (`TestCheckpointMultiStreamResume`).
+//   - A state that does not fit kernel x's relaunch is refused
+//     (`core.TestCheckpointResumeRefusesMisfits`).
 package checkpoint
 
 import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/cudart"
@@ -145,24 +158,17 @@ func (r *CaptureRunner) RunKernel(g *exec.Grid) (cudart.KernelStats, error) {
 		Launches:  r.n,
 	}
 	total := g.NumCTAs()
-	m0 := r.P.CTAM
-	if m0 > total {
-		m0 = total
-	}
+	m0 := min(r.P.CTAM, total)
 	for i := 0; i < m0; i++ {
 		cta := g.InitCTA(i, nil)
-		if err := m.RunCTA(cta); err != nil {
+		if err := m.RunCTA(cta, math.MaxInt64); err != nil {
 			return cudart.KernelStats{}, err
 		}
 	}
 	// CTAs M..M+T: execute y instructions per warp, then snapshot Data1.
-	hi := m0 + r.P.CTAT
-	if hi >= total {
-		hi = total - 1
-	}
-	for i := m0; i <= hi && i < total; i++ {
+	for i := m0; i <= m0+r.P.CTAT && i < total; i++ {
 		cta := g.InitCTA(i, nil)
-		if err := runBudget(m, cta, r.P.InstrY); err != nil {
+		if err := m.RunCTA(cta, r.P.InstrY); err != nil {
 			return cudart.KernelStats{}, err
 		}
 		st.CTAs = append(st.CTAs, snapshotCTA(cta))
@@ -170,34 +176,6 @@ func (r *CaptureRunner) RunKernel(g *exec.Grid) (cudart.KernelStats, error) {
 	st.Mem = r.Ctx.Mem.Snapshot() // Data2
 	r.State = st
 	return cudart.KernelStats{Name: g.Kernel.Name}, nil
-}
-
-// runBudget executes up to `budget` instructions per warp, respecting
-// barriers (a warp blocked at a barrier before exhausting its budget
-// waits for the others, exactly like the functional scheduler).
-func runBudget(m *exec.Machine, cta *exec.CTA, budget int64) error {
-	for {
-		progressed := false
-		for _, w := range cta.Warps {
-			left := budget - int64(w.InstrCount) // counted from the fresh CTA
-			if w.Done || w.AtBarrier || left <= 0 {
-				continue
-			}
-			n, err := m.RunWarp(cta, w, left)
-			if err != nil {
-				return err
-			}
-			if n > 0 {
-				progressed = true
-			}
-		}
-		if cta.ReleaseBarrier() {
-			continue
-		}
-		if !progressed {
-			return nil
-		}
-	}
 }
 
 func snapshotCTA(cta *exec.CTA) CTAState {
@@ -302,47 +280,51 @@ func (s *State) fits(g *exec.Grid) error {
 	return nil
 }
 
-// ResumeRunner is a cudart.Runner that restores a checkpoint: kernels
-// before x are skipped (global memory was restored wholesale), kernel x
-// resumes from CTA M with the saved in-flight CTAs, and later kernels run
-// under the performance engine.
+// ResumeRunner is the cudart.StreamRunner that resumes a checkpoint, by
+// the rules above: a timing.Runner that completes the work before kernel
+// x at once and submits kernel x preloaded. A context only submits to it
+// and drains it.
 type ResumeRunner struct {
-	Ctx     *cudart.Context
-	State   *State
-	Engine  *timing.Engine
-	n       int
-	resumed bool
+	timing.Runner
+	Ctx   *cudart.Context
+	State *State
+	n     int // kernels submitted so far
 }
 
-// Restore loads Data2 into the context's memory image. Call once before
-// replaying the application.
-func (r *ResumeRunner) Restore() {
-	r.Ctx.Mem.Restore(r.State.Mem)
-}
+// fastForwarded is the ticket of work submitted before kernel x.
+type fastForwarded struct{}
 
-// RunKernel implements cudart.Runner.
-func (r *ResumeRunner) RunKernel(g *exec.Grid) (cudart.KernelStats, error) {
+func (fastForwarded) Stats() (cudart.KernelStats, error) { return cudart.KernelStats{}, nil }
+
+// SubmitKernel implements cudart.StreamRunner.
+func (r *ResumeRunner) SubmitKernel(g *exec.Grid, stream int) (cudart.AsyncTicket, error) {
 	idx := r.n
 	r.n++
 	switch {
 	case idx < r.State.Launches:
-		// skipped: effects already in the restored global memory
-		return cudart.KernelStats{Name: g.Kernel.Name}, nil
-	case idx == r.State.Launches && !r.resumed:
-		r.resumed = true
-		if err := r.State.fits(g); err != nil {
-			return cudart.KernelStats{}, err
-		}
-		var preload []*exec.CTA
-		for _, cs := range r.State.CTAs {
-			cta, err := restoreCTA(g, cs)
-			if err != nil {
-				return cudart.KernelStats{}, err
-			}
-			preload = append(preload, cta)
-		}
-		return r.Engine.RunGridResume(g, r.State.Point.CTAM, preload)
-	default:
-		return r.Engine.RunGrid(g)
+		return fastForwarded{}, nil
+	case idx > r.State.Launches:
+		return r.Runner.SubmitKernel(g, stream)
 	}
+	if err := r.State.fits(g); err != nil {
+		return nil, err
+	}
+	var preload []*exec.CTA
+	for _, cs := range r.State.CTAs {
+		cta, err := restoreCTA(g, cs)
+		if err != nil {
+			return nil, err
+		}
+		preload = append(preload, cta)
+	}
+	r.Ctx.Mem.Restore(r.State.Mem) // Data2
+	return r.E.SubmitResume(g, stream, r.State.Point.CTAM, preload)
+}
+
+// SubmitCopy implements cudart.StreamRunner.
+func (r *ResumeRunner) SubmitCopy(stream, bytes int, apply func()) cudart.AsyncTicket {
+	if r.n <= r.State.Launches {
+		return fastForwarded{}
+	}
+	return r.Runner.SubmitCopy(stream, bytes, apply)
 }

@@ -84,9 +84,7 @@ func captureCheckpointSample() ([]byte, error) {
 // the sample application from it on eng, returning the output.
 func resumeCheckpointSample(state *checkpoint.State, eng *timing.Engine) ([]float32, error) {
 	ctx := cudart.NewContext(exec.BugSet{})
-	resume := &checkpoint.ResumeRunner{Ctx: ctx, State: state, Engine: eng}
-	ctx.SetRunner(resume)
-	resume.Restore()
+	ctx.SetRunner(&checkpoint.ResumeRunner{Runner: timing.Runner{E: eng}, Ctx: ctx, State: state})
 	pc, n, err := checkpointApp(ctx)
 	if err != nil {
 		return nil, err

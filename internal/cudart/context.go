@@ -45,49 +45,63 @@ type KernelStats struct {
 	Replayed bool
 }
 
-// Runner executes a prepared grid. Functional and timing modes implement
-// this interface.
+// Runner executes a prepared grid to completion at the call: the bare
+// form of a runner, which SetRunner puts behind the in-order adapter.
 type Runner interface {
 	RunKernel(g *exec.Grid) (KernelStats, error)
 }
 
-// AsyncTicket is a handle to a kernel submitted to a StreamRunner; its
-// statistics become available after the runner drains.
+// AsyncTicket is a handle to an operation submitted to a StreamRunner.
 type AsyncTicket interface {
-	// Stats returns the kernel's statistics once drained, or the
-	// simulation error if the kernel failed.
+	// Stats returns the operation's statistics once drained, or the
+	// simulation error if it failed.
 	Stats() (KernelStats, error)
-	// Done reports whether the operation has retired.
-	Done() bool
 }
 
-// StreamRunner is the optional interface of runners that model
-// concurrent multi-kernel stream execution (the detailed timing engine).
-// When a context's runner implements it, launches and async copies on
-// non-default streams are queued on the runner and simulated
-// concurrently at the next synchronisation point. Modelled time is the
-// runner's to report (timing.Engine.Cycle); a context keeps no clock.
+// StreamRunner is what a context runs its work through: launches and
+// copies submitted on streams finish by the next DrainAll. Modelled time
+// is the runner's to report (timing.Engine.Cycle); a context keeps none.
 type StreamRunner interface {
-	Runner
-	// SubmitKernel queues a launch on a stream without running it.
+	// SubmitKernel queues a launch on a stream.
 	SubmitKernel(g *exec.Grid, stream int) (AsyncTicket, error)
 	// SubmitCopy queues an n-byte host-device transfer on a stream;
 	// apply performs the functional memory effect when the modelled
 	// transfer completes. The ticket's Stats().Cycles reports the
 	// transfer's copy-engine occupancy.
 	SubmitCopy(stream, bytes int, apply func()) AsyncTicket
-	// DrainAll simulates until every queued operation has retired.
+	// DrainAll runs until every queued operation has retired.
 	DrainAll() error
 }
+
+// inOrder is the StreamRunner a bare Runner runs behind: every kernel
+// runs, and every copy applies, at its submit, whatever its stream, so
+// nothing is ever left to drain.
+type inOrder struct{ Runner }
+
+func (r inOrder) SubmitKernel(g *exec.Grid, _ int) (AsyncTicket, error) {
+	st, err := r.RunKernel(g)
+	return ran(st), err
+}
+
+func (inOrder) SubmitCopy(_, _ int, apply func()) AsyncTicket {
+	apply()
+	return ran{}
+}
+
+func (inOrder) DrainAll() error { return nil }
+
+// ran is the ticket of an operation that ran at its submit.
+type ran KernelStats
+
+func (t ran) Stats() (KernelStats, error) { return KernelStats(t), nil }
 
 // FunctionalRunner runs grids in the fast functional mode (no timing).
 type FunctionalRunner struct{}
 
 // RunKernel implements Runner.
 func (FunctionalRunner) RunKernel(g *exec.Grid) (KernelStats, error) {
-	var before uint64
 	m := g.Machine()
-	before = m.Coverage().Total()
+	before := m.Coverage().Total()
 	if err := m.RunGrid(g); err != nil {
 		return KernelStats{}, err
 	}
@@ -125,7 +139,7 @@ type Context struct {
 	Tex   *device.TextureRegistry
 	M     *exec.Machine
 
-	runner  Runner
+	runner  StreamRunner
 	modules []*ptx.Module
 	// kernels remembers what LookupKernel resolved a name to, so a launch
 	// walks the modules' maps once per name, not once per launch.
@@ -142,7 +156,7 @@ type Context struct {
 	log         kernelLog
 	texRefs     map[string]*device.TexRef // host texref handles by symbol
 
-	// async operations queued on a StreamRunner, awaiting a sync point
+	// operations submitted to the runner, awaiting a sync point
 	pending  []pendingLaunch
 	asyncErr error // sticky first failure of a drained batch
 }
@@ -153,7 +167,7 @@ type kernelRef struct {
 	k   *ptx.Kernel
 }
 
-// pendingLaunch tracks one async operation: the runner's ticket plus,
+// pendingLaunch tracks one submitted operation: the runner's ticket plus,
 // for kernels, the launch-ordered slot reserved in the kernel stats log
 // (logIdx is -1 for copies, which have no log entry).
 type pendingLaunch struct {
@@ -170,7 +184,7 @@ func NewContext(bugs exec.BugSet) *Context {
 		Alloc:   device.NewAllocator(),
 		Tex:     tex,
 		M:       exec.NewMachine(exec.Config{Bugs: bugs}, mem, tex),
-		runner:  FunctionalRunner{},
+		runner:  inOrder{FunctionalRunner{}},
 		kernels: make(map[string]kernelRef),
 		streams: map[Stream]bool{DefaultStream: true},
 		events:  make(map[Event]bool),
@@ -179,9 +193,17 @@ func NewContext(bugs exec.BugSet) *Context {
 	return c
 }
 
-// SetRunner installs a Runner (e.g. the timing model). The paper's
-// checkpoint flow switches a context from functional to performance mode.
-func (c *Context) SetRunner(r Runner) { c.runner = r }
+// SetRunner installs what runs the context's work (e.g. the timing
+// model): a Runner that is also a StreamRunner as it is, a bare Runner
+// behind the in-order adapter. The paper's checkpoint flow switches a
+// context from functional to performance mode.
+func (c *Context) SetRunner(r Runner) {
+	if sr, ok := r.(StreamRunner); ok {
+		c.runner = sr
+		return
+	}
+	c.runner = inOrder{r}
+}
 
 // RegisterModule parses one PTX translation unit and registers its
 // kernels. Each embedded PTX file of a library must be registered with a
@@ -228,17 +250,26 @@ func (c *Context) LookupKernel(name string) (*ptx.Module, *ptx.Kernel, error) {
 	return nil, nil, fmt.Errorf("cudart: no kernel named %q in %d registered modules", name, len(c.modules))
 }
 
-// drainPending runs every queued async operation to completion on the
-// StreamRunner and folds the per-kernel statistics into their reserved
-// slots of the launch-ordered stats log. The first failure is returned
-// and kept sticky (CUDA-style) for the next explicit synchronisation
-// call. A no-op for functional runners and when nothing is pending.
+// drainPending is drain for the synchronisation points: the first
+// failure is also kept sticky (CUDA-style) for the next explicit
+// synchronisation call.
 func (c *Context) drainPending() error {
-	sr, ok := c.runner.(StreamRunner)
-	if !ok || len(c.pending) == 0 {
+	err := c.drain()
+	if err != nil && c.asyncErr == nil {
+		c.asyncErr = err
+	}
+	return err
+}
+
+// drain runs every submitted operation to completion on the runner and
+// folds the per-kernel statistics into their reserved slots of the
+// launch-ordered stats log. It returns the runner's failure or, failing
+// that, the first failed operation's. A no-op when nothing is pending.
+func (c *Context) drain() error {
+	if len(c.pending) == 0 {
 		return nil
 	}
-	err := sr.DrainAll()
+	err := c.runner.DrainAll()
 	for _, p := range c.pending {
 		st, serr := p.ticket.Stats()
 		if serr != nil {
@@ -253,9 +284,6 @@ func (c *Context) drainPending() error {
 	}
 	clear(c.pending) // the backing array must not keep drained tickets alive
 	c.pending = c.pending[:0]
-	if err != nil && c.asyncErr == nil {
-		c.asyncErr = err
-	}
 	return err
 }
 

@@ -1,6 +1,8 @@
 package cudart_test
 
 import (
+	"encoding/binary"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -168,45 +170,29 @@ func TestLookupKernelFirstRegistrationWins(t *testing.T) {
 	}
 }
 
-// countingRunner is a StreamRunner that simulates nothing: every kernel,
-// run or drained, reports as its cycles one more than the number of
-// kernels before it, so a log record shows which launch it came from.
-type countingRunner struct {
-	kernels uint64
-	queued  []*countingTicket
-}
+// countingRunner is a StreamRunner that simulates nothing: every kernel
+// reports as its cycles one more than the number of kernels before it,
+// so a log record shows which launch it came from. Its ticket names no
+// launch, so a record that keeps the launch's identity was filled from
+// it. RunKernel is the form SetRunner takes; a context never calls it.
+type countingRunner struct{ kernels uint64 }
 
-type countingTicket struct {
-	st   cudart.KernelStats
-	done bool
-}
+type countingTicket cudart.KernelStats
 
-func (t *countingTicket) Stats() (cudart.KernelStats, error) { return t.st, nil }
-func (t *countingTicket) Done() bool                         { return t.done }
+func (t countingTicket) Stats() (cudart.KernelStats, error) { return cudart.KernelStats(t), nil }
 
 func (r *countingRunner) RunKernel(*exec.Grid) (cudart.KernelStats, error) {
-	r.kernels++
-	return cudart.KernelStats{Cycles: r.kernels}, nil
+	panic("a context only submits to a StreamRunner")
 }
 
 func (r *countingRunner) SubmitKernel(*exec.Grid, int) (cudart.AsyncTicket, error) {
 	r.kernels++
-	t := &countingTicket{st: cudart.KernelStats{Cycles: r.kernels, Name: "runner", LaunchID: -1}}
-	r.queued = append(r.queued, t)
-	return t, nil
+	return countingTicket{Cycles: r.kernels, Name: "runner", LaunchID: -1}, nil
 }
 
-func (r *countingRunner) SubmitCopy(int, int, func()) cudart.AsyncTicket {
-	return &countingTicket{}
-}
+func (r *countingRunner) SubmitCopy(int, int, func()) cudart.AsyncTicket { return countingTicket{} }
 
-func (r *countingRunner) DrainAll() error {
-	for _, t := range r.queued {
-		t.done = true
-	}
-	r.queued = r.queued[:0]
-	return nil
-}
+func (r *countingRunner) DrainAll() error { return nil }
 
 // TestKernelLogChunks: the launch-ordered log holds more than two chunks
 // of sync and async launches; every record keeps its launch id as its
@@ -367,17 +353,8 @@ func TestTypedCopyAllocs(t *testing.T) {
 	}
 }
 
-// TestStickyAsyncError: a queued kernel's failure, drained implicitly by
-// a synchronous copy, is stored and returned once by the next explicit
-// sync, CUDA style; the sync after that succeeds.
-func TestStickyAsyncError(t *testing.T) {
-	ctx := cudart.NewContext(exec.BugSet{})
-	eng, err := timing.New(timing.GTX1050())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx.SetRunner(timing.Runner{E: eng})
-	const badPTX = `
+// badPTX parses, but its one kernel fails when it runs.
+const badPTX = `
 .version 6.0
 .target sm_61
 .address_size 64
@@ -388,6 +365,67 @@ func TestStickyAsyncError(t *testing.T) {
 	ret;
 }
 `
+
+// TestDefaultStreamSync: on the legacy default stream, in functional and
+// performance mode alike, a failed launch returns its own error, naming
+// kernel and launch, from the launch; it is neither kept as the sticky
+// async error nor logged, and the next launch logs as usual.
+// MemcpyHtoDAsync there writes at once, with no modelled copy time.
+func TestDefaultStreamSync(t *testing.T) {
+	for _, perf := range []bool{false, true} {
+		ctx := cudart.NewContext(exec.BugSet{})
+		cycle := func() uint64 { return 0 }
+		if perf {
+			eng, err := timing.New(timing.GTX1050())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			ctx.SetRunner(timing.Runner{E: eng})
+			cycle = eng.Cycle
+		}
+		for _, src := range []string{badPTX, incrPTX} {
+			if _, err := ctx.RegisterModule(src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		px, _ := ctx.Malloc(4)
+		if err := ctx.MemcpyHtoDAsync(px, binary.LittleEndian.AppendUint32(nil, math.Float32bits(10)), cudart.DefaultStream); err != nil {
+			t.Fatal(err)
+		}
+		var got [4]byte
+		if ctx.Mem.Read(px, got[:]); math.Float32frombits(binary.LittleEndian.Uint32(got[:])) != 10 || cycle() != 0 {
+			t.Errorf("perf=%v: default-stream MemcpyHtoDAsync left %v after %d modelled cycles, want 10 written at once", perf, got, cycle())
+		}
+		_, err := ctx.Launch("bad", exec.Dim3{X: 1}, exec.Dim3{X: 32}, cudart.NewParams(), 0)
+		if err == nil || !strings.HasPrefix(err.Error(), "cudart: kernel bad (launch 0): ") {
+			t.Errorf("perf=%v: the failed launch returned %v, want it named kernel bad, launch 0", perf, err)
+		}
+		if err := ctx.DeviceSynchronize(); err != nil {
+			t.Errorf("perf=%v: DeviceSynchronize after the failed launch returned %v: it was kept sticky", perf, err)
+		}
+		if _, err := ctx.Launch("incr", exec.Dim3{X: 1}, exec.Dim3{X: 32}, cudart.NewParams().Ptr(px).U32(1), 0); err != nil {
+			t.Fatal(err)
+		}
+		if log := ctx.KernelStatsLog(); len(log) != 1 || log[0].Name != "incr" || log[0].LaunchID != 1 {
+			t.Errorf("perf=%v: kernel log %+v, want only incr as launch 1", perf, log)
+		}
+		if got := ctx.MemcpyF32DtoH(px, 1)[0]; got != 11 {
+			t.Errorf("perf=%v: x = %v after incr, want 11", perf, got)
+		}
+	}
+}
+
+// TestStickyAsyncError: a queued kernel's failure, drained implicitly by
+// a synchronous copy, is stored and returned once by the next explicit
+// sync, CUDA style; the sync after that succeeds.
+func TestStickyAsyncError(t *testing.T) {
+	ctx := cudart.NewContext(exec.BugSet{})
+	eng, err := timing.New(timing.GTX1050())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx.SetRunner(timing.Runner{E: eng})
 	if _, err := ctx.RegisterModule(badPTX); err != nil {
 		t.Fatal(err)
 	}

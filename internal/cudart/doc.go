@@ -4,21 +4,27 @@
 // driver (cuLaunchKernel) APIs, streams and events including
 // cudaStreamWaitEvent (§III-B), and the texture-binding APIs (§III-C).
 //
-// Execution is pluggable: the default Runner performs fast functional
+// Execution is pluggable: the default runner performs fast functional
 // simulation; internal/timing provides the cycle-level performance model
 // (the paper's "Performance simulation mode").
 //
 // The rules of the stream API, each with the test that enforces it:
 //
-//   - With a `StreamRunner` installed, `Context.LaunchOnStream` and
-//     `Context.MemcpyHtoDAsync` on a non-default stream queue into the
-//     detailed model and return at once; there is no device-to-host async
-//     copy. The queue drains at every sync point: `Context.StreamSynchronize`,
+//   - Every launch goes one way: `StreamRunner.SubmitKernel`, with its
+//     slot in the launch log reserved in launch order. `Context.SetRunner`
+//     puts a bare `Runner` behind `inOrder`, which runs each kernel and
+//     applies each copy at its submit. On a non-default stream
+//     `Context.LaunchOnStream` and `Context.MemcpyHtoDAsync` return at
+//     once; there is no device-to-host async copy. The queue drains at
+//     every sync point: `Context.StreamSynchronize`,
 //     `Context.DeviceSynchronize`, `Context.EventRecord`,
-//     `Context.StreamDestroy`, every synchronous copy or memset, every
-//     default-stream launch and `Context.KernelStatsLog`. The legacy
-//     default stream keeps its device-synchronising semantics
-//     (`timing.TestDrainQueueEdgeCases`,
+//     `Context.StreamDestroy`, every synchronous copy or memset and
+//     `Context.KernelStatsLog`. The legacy default stream keeps its
+//     device-synchronising semantics: a launch on it, or any captured
+//     launch, drains before and after its submit and returns its own
+//     failure, neither sticky nor logged; MemcpyHtoDAsync on it is an
+//     immediate write (`TestDefaultStreamSync`,
+//     `timing.TestDrainQueueEdgeCases`,
 //     `timing.TestStreamVsSerialDifferential`).
 //   - A context keeps no clock. Streams and events are handle-checked
 //     ordering calls; `Context.StreamWaitEvent` holds by construction

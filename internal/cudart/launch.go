@@ -62,13 +62,13 @@ func (c *Context) Launch(name string, grid, block exec.Dim3, params *Params, sha
 
 // LaunchOnStream launches a kernel on a specific stream.
 //
-// With a StreamRunner installed (performance mode), a launch on a
-// non-default stream is asynchronous: it queues in the detailed model
-// and executes concurrently with work on other streams at the next
-// synchronisation point. The returned KernelStats then carries only the
-// launch identity (zero cycles); final numbers appear in KernelStatsLog
-// after a sync. Default-stream launches keep the legacy
-// device-synchronizing semantics and run to completion immediately.
+// A launch on a non-default stream is asynchronous: it queues on the
+// runner (in performance mode, in the detailed model, where it executes
+// concurrently with work on other streams at the next synchronisation
+// point). The returned KernelStats then carries only the launch identity
+// (zero cycles); final numbers appear in KernelStatsLog after a sync.
+// Default-stream launches keep the legacy device-synchronizing semantics
+// and run to completion immediately.
 func (c *Context) LaunchOnStream(s Stream, name string, grid, block exec.Dim3, params *Params, sharedBytes int) (KernelStats, error) {
 	mod, k, err := c.LookupKernel(name)
 	if err != nil {
@@ -98,25 +98,15 @@ func (c *Context) launch(s Stream, mod *ptx.Module, k *ptx.Kernel, grid, block e
 		return KernelStats{}, err
 	}
 
-	// Concurrent-stream path: queue the launch in the detailed model and
-	// reserve its slot in the launch-ordered stats log. Launch capture
-	// needs before/after buffer snapshots, so it forces the sync path.
-	if sr, async := c.runner.(StreamRunner); async && s != DefaultStream && !c.capture {
-		tk, err := sr.SubmitKernel(g, int(s))
-		if err != nil {
+	// The legacy default stream is device-synchronizing: queued work
+	// drains before the launch, and the launch drains before it returns,
+	// its failure its own rather than sticky. Launch capture needs
+	// before/after buffer snapshots, so it synchronises too.
+	sync := s == DefaultStream || c.capture
+	if sync {
+		if err := c.drainPending(); err != nil {
 			return KernelStats{}, err
 		}
-		id := c.launchCount
-		c.launchCount++
-		ph := KernelStats{Name: k.Name, LaunchID: id, GridDim: grid, BlockDim: block}
-		c.pending = append(c.pending, pendingLaunch{ticket: tk, logIdx: c.log.add(ph)})
-		return ph, nil
-	}
-
-	// Synchronous path: the legacy default stream is device-synchronizing,
-	// so any queued async work completes first.
-	if err := c.drainPending(); err != nil {
-		return KernelStats{}, err
 	}
 	id := c.launchCount
 	c.launchCount++
@@ -126,7 +116,20 @@ func (c *Context) launch(s Stream, mod *ptx.Module, k *ptx.Kernel, grid, block e
 		rec = c.captureLaunch(mod, k, grid, block, rawParams, sharedBytes)
 	}
 
-	stats, err := c.runner.RunKernel(g)
+	stats := KernelStats{Name: k.Name, LaunchID: id, GridDim: grid, BlockDim: block}
+	tk, err := c.runner.SubmitKernel(g, int(s))
+	if err == nil {
+		i := c.log.add(stats)
+		c.pending = append(c.pending, pendingLaunch{ticket: tk, logIdx: i})
+		if !sync {
+			return stats, nil
+		}
+		if err = c.drain(); err == nil {
+			stats = c.log.at(i)
+		} else {
+			c.log.drop() // a failed synchronous launch leaves no record
+		}
+	}
 	if rec != nil {
 		// Snapshot the same buffers after execution so the debug tool can
 		// bisect the first incorrectly-executing kernel (paper Fig. 2).
@@ -138,13 +141,8 @@ func (c *Context) launch(s Stream, mod *ptx.Module, k *ptx.Kernel, grid, block e
 		}
 	}
 	if err != nil {
-		return stats, fmt.Errorf("cudart: kernel %s (launch %d): %w", k.Name, id, err)
+		return KernelStats{}, fmt.Errorf("cudart: kernel %s (launch %d): %w", k.Name, id, err)
 	}
-	stats.Name = k.Name
-	stats.LaunchID = id
-	stats.GridDim = grid
-	stats.BlockDim = block
-	c.log.add(stats)
 	return stats, nil
 }
 
@@ -167,7 +165,7 @@ type kernelLog struct {
 // add appends a record and returns its index.
 func (l *kernelLog) add(st KernelStats) int {
 	i := l.n
-	if i%logChunk == 0 {
+	if i == len(l.chunks)*logChunk {
 		l.chunks = append(l.chunks, make([]KernelStats, logChunk))
 	}
 	l.chunks[i/logChunk][i%logChunk] = st
@@ -176,11 +174,20 @@ func (l *kernelLog) add(st KernelStats) int {
 	return i
 }
 
+// at returns record i.
+func (l *kernelLog) at(i int) KernelStats { return l.chunks[i/logChunk][i%logChunk] }
+
+// drop removes the last record.
+func (l *kernelLog) drop() {
+	l.n--
+	l.flat = nil
+}
+
 // fill replaces record i with a drained launch's statistics, keeping the
-// name and launch id the placeholder was logged with.
+// launch identity the placeholder was logged with.
 func (l *kernelLog) fill(i int, st KernelStats) {
 	slot := &l.chunks[i/logChunk][i%logChunk]
-	st.Name, st.LaunchID = slot.Name, slot.LaunchID
+	st.Name, st.LaunchID, st.GridDim, st.BlockDim = slot.Name, slot.LaunchID, slot.GridDim, slot.BlockDim
 	*slot = st
 	l.flat = nil
 }

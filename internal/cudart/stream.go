@@ -68,8 +68,8 @@ func (c *Context) StreamWaitEvent(s Stream, e Event) error {
 }
 
 // StreamSynchronize blocks until a stream's work completes: queued async
-// operations drain through the detailed model (when one is installed).
-// Errors from drained kernels surface here.
+// operations drain through the runner. Errors from drained kernels
+// surface here.
 func (c *Context) StreamSynchronize(s Stream) error {
 	derr := c.drainPending()
 	if !c.streams[s] {
@@ -96,27 +96,25 @@ func (c *Context) stickyError(derr error) error {
 
 // MemcpyHtoDAsync is an asynchronous host-to-device copy on a stream.
 //
-// With a StreamRunner installed (performance mode) and a non-default
-// stream, the copy is queued into the detailed model: it orders against
-// kernels on its stream, serialises on the modelled copy engine, and its
-// functional memory effect happens when the modelled transfer completes
-// — so copy/kernel overlap shows up in the engine's cycle numbers.
-// Otherwise (functional runner, or the legacy device-synchronizing
-// default stream), the copy happens immediately.
+// On a non-default stream the copy is queued on the runner: in
+// performance mode it orders against kernels on its stream, serialises on
+// the modelled copy engine, and its functional memory effect happens when
+// the modelled transfer completes — so copy/kernel overlap shows up in
+// the engine's cycle numbers. On the legacy device-synchronizing default
+// stream it is MemcpyHtoD: an immediate write with no modelled copy time.
 func (c *Context) MemcpyHtoDAsync(dst uint64, src []byte, s Stream) error {
 	if !c.streams[s] {
 		return errBadStream(s)
 	}
-	if sr, async := c.runner.(StreamRunner); async && s != DefaultStream {
-		// The host buffer may be reused before the drain: snapshot it,
-		// matching cudaMemcpyAsync's pageable-memory staging behaviour.
-		staged := append([]byte(nil), src...)
-		tk := sr.SubmitCopy(int(s), len(src), func() { c.Mem.Write(dst, staged) })
-		c.pending = append(c.pending, pendingLaunch{ticket: tk, logIdx: -1})
+	if s == DefaultStream {
+		c.MemcpyHtoD(dst, src)
 		return nil
 	}
-	_ = c.drainPending()
-	c.Mem.Write(dst, src)
+	// The host buffer may be reused before the drain: snapshot it,
+	// matching cudaMemcpyAsync's pageable-memory staging behaviour.
+	staged := append([]byte(nil), src...)
+	tk := c.runner.SubmitCopy(int(s), len(src), func() { c.Mem.Write(dst, staged) })
+	c.pending = append(c.pending, pendingLaunch{ticket: tk, logIdx: -1})
 	return nil
 }
 

@@ -73,7 +73,7 @@
 //     and the goldens. `Grid.RegMap` is the map; a checkpoint saves it and
 //     resume refuses another.
 //   - `StepInfo` is filled in place through a pointer each SM core and
-//     each RunWarp loop owns, and counts nothing shared.
+//     each `Machine.RunCTA` loop owns, and counts nothing shared.
 //
 // # Memory
 //

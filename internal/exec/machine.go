@@ -46,8 +46,8 @@ type Machine struct {
 	cov *Coverage
 	rec *memRecorder // non-nil only inside CaptureGrid (memo.go)
 	// observe is ObserveGrid's per-step callback, nil outside it, and
-	// observed the StepInfo RunWarp steps into while it is set: on the
-	// Machine, because a pointer to RunWarp's own scratch handed to a func
+	// observed the StepInfo RunCTA steps into while it is set: on the
+	// Machine, because a pointer to RunCTA's own scratch handed to a func
 	// value would move that scratch to the heap on every functional path.
 	observe  func(*StepInfo)
 	observed StepInfo

@@ -205,28 +205,6 @@ func (m *Machine) stepBranch(w *Warp, top *StackEntry, pc int, in *ptx.Instr, ta
 	}
 }
 
-// RunWarp executes a warp until it retires, blocks at a barrier, or has
-// executed budget instructions. It returns the number of instructions
-// executed.
-func (m *Machine) RunWarp(c *CTA, w *Warp, budget int64) (int64, error) {
-	var n int64
-	var scratch StepInfo
-	info := &scratch
-	if m.observe != nil {
-		info = &m.observed
-	}
-	for !w.Done && !w.AtBarrier && n < budget {
-		if err := m.StepWarp(c, w, m.cov, info); err != nil {
-			return n, err
-		}
-		n++
-		if m.observe != nil {
-			m.observe(&m.observed)
-		}
-	}
-	return n, nil
-}
-
 // maxWarpInstrs is the interpreter's runaway guard, in functional and
 // timing mode alike: StepWarp refuses the next instruction of a warp that
 // has executed this many in one CTA (barrier episodes included) with a
@@ -254,22 +232,32 @@ func (e *RunawayError) Error() string {
 		e.Kernel, e.CTA, e.Warp, e.Instrs)
 }
 
-// RunCTA functionally executes one CTA to completion, interleaving warps
-// at barrier granularity. Each pass runs every warp until it retires or
-// reaches the barrier, so after a pass every live warp is waiting and the
-// barrier releases; a pass that leaves no live warp ends the CTA.
-func (m *Machine) RunCTA(c *CTA) error {
+// RunCTA functionally executes one CTA, interleaving warps at barrier
+// granularity, until each warp has retired or executed budget
+// instructions counted from the fresh CTA (math.MaxInt64 runs the CTA to
+// completion; the checkpoint flow's in-flight CTAs stop at y). Each pass
+// runs every warp until it retires, reaches the barrier or spends its
+// budget; the barrier then releases if every live warp waits at it, and
+// the run ends when it does not.
+func (m *Machine) RunCTA(c *CTA, budget int64) error {
+	var scratch StepInfo
+	info := &scratch
+	if m.observe != nil {
+		info = &m.observed
+	}
 	for {
 		for _, w := range c.Warps {
-			if w.Done || w.AtBarrier {
-				continue
-			}
-			if _, err := m.RunWarp(c, w, math.MaxInt64); err != nil {
-				if _, runaway := err.(*RunawayError); runaway {
-					return err
+			for !w.Done && !w.AtBarrier && int64(w.InstrCount) < budget {
+				if err := m.StepWarp(c, w, m.cov, info); err != nil {
+					if _, runaway := err.(*RunawayError); runaway {
+						return err
+					}
+					return fmt.Errorf("exec: kernel %s cta %d warp %d: %w",
+						c.Grid.Kernel.Name, c.Index, w.ID, err)
 				}
-				return fmt.Errorf("exec: kernel %s cta %d warp %d: %w",
-					c.Grid.Kernel.Name, c.Index, w.ID, err)
+				if m.observe != nil {
+					m.observe(&m.observed)
+				}
 			}
 		}
 		if !c.ReleaseBarrier() {
@@ -321,7 +309,7 @@ func (m *Machine) RunGrid(g *Grid) error {
 		if i > 0 {
 			cta.Reset(i)
 		}
-		if err := m.RunCTA(cta); err != nil {
+		if err := m.RunCTA(cta, math.MaxInt64); err != nil {
 			return err
 		}
 	}

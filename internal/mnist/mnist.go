@@ -52,13 +52,13 @@ func NewDataset(seed int64) *Dataset {
 						continue
 					}
 					dist := float32(dy*dy + dx*dx)
-					img[y*ImageSize+x] += float32(0.9) / (1 + dist/2)
+					img[y*ImageSize+x] += float32(0.9) / (1 + float32(dist/2))
 				}
 			}
 		}
-		// light deterministic texture
+		// light deterministic texture (float32(…) rounds before the add: no FMA)
 		for i := range img {
-			img[i] += protoRng.Float32() * 0.05
+			img[i] += float32(protoRng.Float32() * 0.05)
 			if img[i] > 1 {
 				img[i] = 1
 			}
@@ -74,7 +74,7 @@ func (d *Dataset) Sample() ([]float32, int32) {
 	img := make([]float32, ImageSize*ImageSize)
 	copy(img, d.protos[c])
 	for i := range img {
-		img[i] += (d.rng.Float32() - 0.5) * 0.1
+		img[i] += float32((d.rng.Float32() - 0.5) * 0.1)
 	}
 	return img, c
 }

@@ -198,13 +198,14 @@ func (e *Engine) Partitions() []*dram.Channel {
 	return out
 }
 
-// Runner adapts the engine to cudart.Runner — installing it on a context
-// switches the context into the paper's Performance simulation mode. It
-// also implements cudart.StreamRunner, so async launches and copies on
-// non-default streams execute concurrently inside the detailed model.
+// Runner adapts the engine to cudart.StreamRunner — installing it on a
+// context switches the context into the paper's Performance simulation
+// mode: launches and async copies queue in the detailed model, and those
+// on different streams execute concurrently.
 type Runner struct{ E *Engine }
 
-// RunKernel implements cudart.Runner.
+// RunKernel implements cudart.Runner, the form Context.SetRunner takes;
+// a context never calls it. It is RunGrid.
 func (r Runner) RunKernel(g *exec.Grid) (cudart.KernelStats, error) {
 	return r.E.RunGrid(g)
 }
@@ -282,9 +283,6 @@ type Ticket struct {
 	resample  bool
 }
 
-// Done reports whether the operation has retired.
-func (t *Ticket) Done() bool { return t.done }
-
 // Stats returns the kernel statistics. It errors until the engine has
 // drained the ticket, and reports the simulation error if the kernel
 // failed.
@@ -319,10 +317,14 @@ func (t *Ticket) record(instrs, segs uint64, mem MemCounters) {
 // streams run concurrently during Drain. All queued operations must come
 // from the same functional machine (one simulated device).
 func (e *Engine) Submit(g *exec.Grid, stream int) (*Ticket, error) {
-	return e.submit(g, stream, 0, nil)
+	return e.SubmitResume(g, stream, 0, nil)
 }
 
-func (e *Engine) submit(g *exec.Grid, stream, skipCTAs int, preload []*exec.CTA) (*Ticket, error) {
+// SubmitResume is Submit for a launch resumed from a checkpoint (paper
+// §III-F, Fig. 5): its first skipCTAs blocks completed before the
+// checkpoint, and preload holds the mid-flight CTAs restored from Data1,
+// which are placed before the blocks after them.
+func (e *Engine) SubmitResume(g *exec.Grid, stream, skipCTAs int, preload []*exec.CTA) (*Ticket, error) {
 	if e.machine != nil && g.Machine() != e.machine {
 		return nil, fmt.Errorf("timing: engine has pending work from a different machine")
 	}
@@ -377,27 +379,17 @@ func (e *Engine) newTicket() *Ticket {
 	return &e.tickets[len(e.tickets)-1]
 }
 
-// RunGrid simulates one kernel launch to completion (any previously
-// submitted operations drain along with it).
+// RunGrid simulates one kernel launch on the default stream to
+// completion (any previously submitted operations drain along with it).
 func (e *Engine) RunGrid(g *exec.Grid) (cudart.KernelStats, error) {
-	return e.RunGridResume(g, 0, nil)
-}
-
-// RunGridResume simulates a launch whose first skipCTAs blocks already
-// completed before a checkpoint, with `preload` holding mid-flight CTAs
-// restored from checkpoint Data1 (paper §III-F resume flow, Fig. 5).
-func (e *Engine) RunGridResume(g *exec.Grid, skipCTAs int, preload []*exec.CTA) (cudart.KernelStats, error) {
-	t, err := e.submit(g, 0, skipCTAs, preload)
+	t, err := e.Submit(g, 0)
 	if err != nil {
 		return cudart.KernelStats{}, err
 	}
-	if err := e.Drain(); err != nil {
-		if t.err != nil {
-			return cudart.KernelStats{}, t.err
-		}
+	if err := e.Drain(); err != nil && t.err == nil {
 		return cudart.KernelStats{}, err
 	}
-	return t.stats, t.err
+	return t.Stats()
 }
 
 // copyBytesPerUs is the copy engine's bandwidth for

@@ -480,7 +480,7 @@ func TestResumeFullyRetiredGrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tk, err := eng.submit(g, 0, g.NumCTAs(), nil)
+		tk, err := eng.SubmitResume(g, 0, g.NumCTAs(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,9 @@ import (
 	"encoding/hex"
 )
 
+// Done reports whether the operation has retired.
+func (t *Ticket) Done() bool { return t.done }
+
 // StallTotals returns the whole-run W0 bucket sums in StallNames order, so
 // the external golden tests can pin stall attribution to absolute values.
 func StallTotals(s *Stats) [numStallKinds]uint64 {

@@ -80,7 +80,7 @@ type kernelGolden struct {
 // lenetConvLoad is LeNet's first convolution layer (1x1x28x28 input,
 // 6 5x5 filters, pad 2) on the implicit-GEMM path — the paper's
 // canonical small-cuDNN-kernel shape.
-func lenetConvLoad(t *testing.T, ctx *cudart.Context, h *cudnn.Handle) (uint64, int) {
+func lenetConvLoad(t testing.TB, ctx *cudart.Context, h *cudnn.Handle) (uint64, int) {
 	t.Helper()
 	xd := cudnn.TensorDesc{N: 1, C: 1, H: 28, W: 28}
 	fd := cudnn.FilterDesc{K: 6, C: 1, R: 5, S: 5}
@@ -162,7 +162,7 @@ func makeGoldenEntry(cycles uint64, log []cudart.KernelStats, st *timing.Stats, 
 	return e
 }
 
-func goldenRun(t *testing.T, load func(*testing.T, *cudart.Context, *cudnn.Handle) (uint64, int)) goldenEntry {
+func goldenRun(t *testing.T, load func(testing.TB, *cudart.Context, *cudnn.Handle) (uint64, int)) goldenEntry {
 	t.Helper()
 	snap := runWorkload(t, 1, load)
 	return makeGoldenEntry(snap.Cycles, snap.Log, &snap.Stats, false)

@@ -23,7 +23,7 @@ type runSnapshot struct {
 
 // runWorkload executes one workload under a fresh context + engine with
 // the given worker count and snapshots the results.
-func runWorkload(t *testing.T, workers int, load func(t *testing.T, ctx *cudart.Context, h *cudnn.Handle) (uint64, int)) runSnapshot {
+func runWorkload(t *testing.T, workers int, load func(t testing.TB, ctx *cudart.Context, h *cudnn.Handle) (uint64, int)) runSnapshot {
 	t.Helper()
 	return runPadded(t, workers, 0, load)
 }
@@ -31,7 +31,7 @@ func runWorkload(t *testing.T, workers int, load func(t *testing.T, ctx *cudart.
 // runPadded is runWorkload with a pad of pad bytes allocated, and never
 // freed, before the workload allocates: the first-fit allocator then
 // hands the workload every address it would have had, plus pad.
-func runPadded(t *testing.T, workers int, pad uint64, load func(t *testing.T, ctx *cudart.Context, h *cudnn.Handle) (uint64, int)) runSnapshot {
+func runPadded(t testing.TB, workers int, pad uint64, load func(t testing.TB, ctx *cudart.Context, h *cudnn.Handle) (uint64, int)) runSnapshot {
 	t.Helper()
 	ctx := cudart.NewContext(exec.BugSet{})
 	if pad > 0 {
@@ -77,7 +77,7 @@ func assertIdentical(t *testing.T, serial, parallel runSnapshot, workers int) {
 	}
 }
 
-func gemmLoad(t *testing.T, ctx *cudart.Context, h *cudnn.Handle) (uint64, int) {
+func gemmLoad(t testing.TB, ctx *cudart.Context, h *cudnn.Handle) (uint64, int) {
 	t.Helper()
 	m, n, k := 64, 48, 56
 	a := make([]float32, m*k)
@@ -99,7 +99,7 @@ func gemmLoad(t *testing.T, ctx *cudart.Context, h *cudnn.Handle) (uint64, int) 
 	return pc, m * n
 }
 
-func im2colConvLoad(t *testing.T, ctx *cudart.Context, h *cudnn.Handle) (uint64, int) {
+func im2colConvLoad(t testing.TB, ctx *cudart.Context, h *cudnn.Handle) (uint64, int) {
 	t.Helper()
 	xd := cudnn.TensorDesc{N: 1, C: 3, H: 14, W: 14}
 	fd := cudnn.FilterDesc{K: 4, C: 3, R: 3, S: 3}
@@ -125,7 +125,7 @@ func im2colConvLoad(t *testing.T, ctx *cudart.Context, h *cudnn.Handle) (uint64,
 	return py, yd.Count()
 }
 
-func softmaxLoad(t *testing.T, ctx *cudart.Context, h *cudnn.Handle) (uint64, int) {
+func softmaxLoad(t testing.TB, ctx *cudart.Context, h *cudnn.Handle) (uint64, int) {
 	t.Helper()
 	rows, cols := 32, 40
 	x := make([]float32, rows*cols)
@@ -145,7 +145,7 @@ func softmaxLoad(t *testing.T, ctx *cudart.Context, h *cudnn.Handle) (uint64, in
 // 1 accumulates dw with atom.global.add.f32). The engine defers atomics to
 // a sequential drain, so even this must be deterministic across worker
 // counts.
-func atomicLoad(t *testing.T, ctx *cudart.Context, h *cudnn.Handle) (uint64, int) {
+func atomicLoad(t testing.TB, ctx *cudart.Context, h *cudnn.Handle) (uint64, int) {
 	t.Helper()
 	xd := cudnn.TensorDesc{N: 1, C: 2, H: 12, W: 12}
 	fd := cudnn.FilterDesc{K: 3, C: 2, R: 3, S: 3}
@@ -176,7 +176,7 @@ func atomicLoad(t *testing.T, ctx *cudart.Context, h *cudnn.Handle) (uint64, int
 func TestParallelDifferential(t *testing.T) {
 	cases := []struct {
 		name string
-		load func(*testing.T, *cudart.Context, *cudnn.Handle) (uint64, int)
+		load func(testing.TB, *cudart.Context, *cudnn.Handle) (uint64, int)
 	}{
 		{"gemm", gemmLoad},
 		{"im2col_gemm_conv", im2colConvLoad},
@@ -199,7 +199,7 @@ func TestParallelDifferential(t *testing.T) {
 // TestParallelWorkerSweep checks a multi-kernel sequence stays identical
 // across several worker counts, including oversubscription.
 func TestParallelWorkerSweep(t *testing.T) {
-	multi := func(t *testing.T, ctx *cudart.Context, h *cudnn.Handle) (uint64, int) {
+	multi := func(t testing.TB, ctx *cudart.Context, h *cudnn.Handle) (uint64, int) {
 		gemmLoad(t, ctx, h)
 		softmaxLoad(t, ctx, h)
 		return im2colConvLoad(t, ctx, h)
