@@ -10,7 +10,8 @@
 // package (exit 2, usage listing only that entry's flags), so no flag can
 // be accepted and then ignored. An entry reports what it measured through
 // an aerial.Report — text to stdout, and with -o DIR the same tables and
-// time series as CSV files.
+// time series as CSV files. -cpuprofile and -memprofile write pprof
+// profiles of the run on every entry.
 package main
 
 import (
@@ -20,6 +21,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strings"
 
@@ -33,7 +35,8 @@ type workload struct {
 	desc string
 	// define registers the entry's own flags on fs and returns its run
 	// function, called once fs has parsed the command line. -workload,
-	// -j and -o are the front door's and are on every entry's flag set.
+	// -j, -o, -cpuprofile and -memprofile are the front door's and are on
+	// every entry's flag set.
 	define func(fs *flag.FlagSet, workers *int) func(*aerial.Report) error
 }
 
@@ -87,7 +90,7 @@ func names() string {
 	return strings.Join(list, ", ")
 }
 
-// flagSet builds the entry's flag set: the front door's three flags plus
+// flagSet builds the entry's flag set: the front door's five flags plus
 // whatever the entry defines.
 func (w *workload) flagSet(stderr io.Writer) (fs *flag.FlagSet, out *string, run func(*aerial.Report) error) {
 	name := "gpgpusim [flags] file.ptx"
@@ -106,6 +109,8 @@ func (w *workload) flagSet(stderr io.Writer) (fs *flag.FlagSet, out *string, run
 	fs.String("workload", "", "built-in workload to run instead of a PTX file: "+names()+" (each has its own flags: -workload NAME -h)")
 	workers := fs.Int("j", 1, "worker goroutines stepping SM cores in the detailed model (0 = all CPUs); results are identical for any value")
 	out = fs.String("o", "", "directory to write every table and time series of the run into as CSV files (the AerialVision data)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to `FILE` (go tool pprof)")
+	memProfile := fs.String("memprofile", "", "write a heap profile to `FILE` after the run (go tool pprof)")
 	entry := w.define(fs, workers)
 	// -j is resolved here, once, so every entry and library it reaches
 	// sees a positive count (the libraries read 0 as one worker).
@@ -113,8 +118,37 @@ func (w *workload) flagSet(stderr io.Writer) (fs *flag.FlagSet, out *string, run
 		if *workers <= 0 {
 			*workers = runtime.NumCPU()
 		}
-		return entry(rep)
+		return profiled(*cpuProfile, *memProfile, func() error { return entry(rep) })
 	}
+}
+
+// profiled runs f, under a CPU profile written to cpuFile and followed by
+// a heap profile written to memFile; an empty name writes no profile.
+func profiled(cpuFile, memFile string, f func() error) error {
+	stop := func() error { return nil }
+	if cpuFile != "" {
+		cpu, err := os.Create(cpuFile)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return err
+		}
+		stop = func() error {
+			pprof.StopCPUProfile()
+			return cpu.Close()
+		}
+	}
+	if err := errors.Join(f(), stop()); err != nil || memFile == "" {
+		return err
+	}
+	mem, err := os.Create(memFile)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // the heap profile reports the live heap as of the last collection
+	return errors.Join(pprof.WriteHeapProfile(mem), mem.Close())
 }
 
 // run is main without the process: it returns the exit code.

@@ -35,8 +35,8 @@ func TestRegistryMatrix(t *testing.T) {
 			all[name] = true
 		}
 	}
-	if len(all) > 34 {
-		t.Errorf("the front door has %d distinct flags, want at most 34", len(all))
+	if len(all) > 36 {
+		t.Errorf("the front door has %d distinct flags, want at most 36", len(all))
 	}
 	cells := 0
 	for i := range workloads {
@@ -304,5 +304,26 @@ func TestJZeroMeansAllCPUs(t *testing.T) {
 	}
 	if want := fmt.Sprintf(", %d host workers\n", runtime.NumCPU()); !strings.Contains(stdout.String(), want) {
 		t.Errorf("stdout lacks %q:\n%s", want, stdout.String())
+	}
+}
+
+// TestProfileFlags: -cpuprofile and -memprofile are the front door's, so
+// a run of any entry writes both profiles, non-empty and gzip-framed as
+// pprof writes them.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-workload", "camping", "-cpuprofile", cpu, "-memprofile", mem}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr.String())
+	}
+	for _, path := range []string{cpu, mem} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Errorf("%s: %d bytes, want a gzip-framed pprof profile", filepath.Base(path), len(b))
+		}
 	}
 }

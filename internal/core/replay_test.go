@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -94,9 +95,10 @@ func BenchmarkTransformerReplay(b *testing.B) {
 
 // warmRun is what warmIterations measured over the warm iterations.
 type warmRun struct {
-	iters     int           // warm iterations
+	iters     int           // warm iterations measured
 	elapsed   time.Duration // their wall time
 	mallocs   uint64        // heap allocations during them
+	retained  int64         // live heap after them less live heap before, each read after a collection
 	launches  int           // kernel launches during them
 	batchHits uint64        // drain batches the batch rung retired, whole run
 }
@@ -106,12 +108,15 @@ type warmRun struct {
 // all-applied sightings.
 const warmClimb = 4
 
-// warmIterations runs warmClimb+warm iterations of the sample forward
+// warmIterations runs warmClimb+warm+1 iterations of the sample forward
 // batch (4 sequences x 12 tokens on 4 streams, 204 launches) on one
-// hybrid-replay session and measures the last warm ones.
+// hybrid-replay session and measures the warm ones after the climb. The
+// last iteration closes the window: it starts once the measured ones
+// have ended theirs, before the session builds the run's kernel log
+// view. Every iteration after the climb must retire as one batch.
 func warmIterations(warm int) (warmRun, error) {
 	const seqs, seqLen = 4, 12
-	iters := warmClimb + warm
+	iters := warmClimb + warm + 1
 	cfg := DefaultTransformerConfig()
 	batch := TransformerBatch(seqs, seqLen, cfg.Vocab)
 	s, err := sampleSession(1, 0, true)
@@ -124,25 +129,35 @@ func warmIterations(warm int) (warmRun, error) {
 		return warmRun{}, err
 	}
 	s.Pin()
+	w := warmRun{iters: warm}
 	var warmStart time.Time
 	var before, after runtime.MemStats
 	run, err := s.Iterate(iters, func(it int) error {
-		if it == warmClimb {
+		switch it {
+		case warmClimb:
+			runtime.GC()
 			runtime.ReadMemStats(&before)
 			warmStart = time.Now()
+		case iters - 1:
+			w.elapsed = time.Since(warmStart)
+			runtime.ReadMemStats(&after)
+			w.mallocs = after.Mallocs - before.Mallocs
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			w.retained = int64(after.HeapAlloc) - int64(before.HeapAlloc)
 		}
 		_, err := enc.ForwardBatch(batch, true)
 		return err
 	})
-	elapsed := time.Since(warmStart)
-	runtime.ReadMemStats(&after)
 	if err != nil {
 		return warmRun{}, err
 	}
-	return warmRun{
-		iters: warm, elapsed: elapsed, mallocs: after.Mallocs - before.Mallocs,
-		launches: run.Launches() / iters * warm, batchHits: run.Stats.ReplayBatchHits,
-	}, nil
+	w.launches = run.Launches() / iters * warm
+	w.batchHits = run.Stats.ReplayBatchHits
+	if w.batchHits != uint64(warm+1) {
+		return warmRun{}, fmt.Errorf("%d of %d warm iterations retired as a batch", w.batchHits, warm+1)
+	}
+	return w, nil
 }
 
 // TestWarmLaunchAllocs bounds what a warm launch allocates: after the
@@ -156,33 +171,47 @@ func TestWarmLaunchAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.batchHits != uint64(w.iters) {
-		t.Fatalf("%d of %d warm iterations retired as a batch", w.batchHits, w.iters)
-	}
 	if per := float64(w.mallocs) / float64(w.launches); per > 5 {
 		t.Errorf("%.2f heap allocations per warm launch (%d over %d launches), want at most 5", per, w.mallocs, w.launches)
+	}
+}
+
+// TestWarmLaunchRetainedBytes bounds the heap a warm launch keeps alive:
+// after the ladder's climb, 20 iterations retire through the batch rung
+// retaining at most 48 bytes per launch. The launch log interns its
+// records, so a launch whose record repeats an earlier one keeps only
+// its 16-byte entry; a log that stores the 144-byte record of every
+// launch fails the bound.
+func TestWarmLaunchRetainedBytes(t *testing.T) {
+	w, err := warmIterations(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := float64(w.retained) / float64(w.launches)
+	t.Logf("%.1f bytes retained per warm launch (%d over %d launches)", per, w.retained, w.launches)
+	if per > 48 {
+		t.Errorf("%.1f bytes retained per warm launch (%d over %d launches), want at most 48", per, w.retained, w.launches)
 	}
 }
 
 // BenchmarkReplayWarmIteration times the steady state of hybrid replay:
 // 200 iterations of the sample forward batch on one session, of which the
 // first four are the ladder's climb and the rest retire through the
-// replay cache's batch rung. It is the handle for a profile of what a
-// warm iteration still costs:
+// replay cache's batch rung; the 195 after the climb but the last are
+// measured. It is the handle for a profile of what a warm iteration
+// still costs:
 //
 //	go test ./internal/core -run '^$' -bench ReplayWarmIteration -benchtime 5x -cpuprofile cpu.prof
 func BenchmarkReplayWarmIteration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		w, err := warmIterations(196)
+		w, err := warmIterations(195)
 		if err != nil {
 			b.Fatal(err)
-		}
-		if w.batchHits != uint64(w.iters) {
-			b.Fatalf("%d of %d warm iterations retired as a batch", w.batchHits, w.iters)
 		}
 		b.ReportMetric(float64(w.elapsed.Microseconds())/float64(w.iters), "us_per_warm_iter")
 		b.ReportMetric(float64(w.batchHits), "batch_hits")
 		b.ReportMetric(float64(w.mallocs)/float64(w.launches), "allocs_per_launch")
+		b.ReportMetric(float64(w.retained)/float64(w.launches), "retained_bytes_per_launch")
 	}
 }
 

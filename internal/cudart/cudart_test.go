@@ -2,7 +2,9 @@ package cudart_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -174,12 +176,19 @@ func TestLookupKernelFirstRegistrationWins(t *testing.T) {
 // reports as its cycles one more than the number of kernels before it,
 // so a log record shows which launch it came from. Its ticket names no
 // launch, so a record that keeps the launch's identity was filled from
-// it. RunKernel is the form SetRunner takes; a context never calls it.
-type countingRunner struct{ kernels uint64 }
+// it. With failNext set, the next kernel's ticket fails instead.
+// RunKernel is the form SetRunner takes; a context never calls it.
+type countingRunner struct {
+	kernels  uint64
+	failNext bool
+}
 
-type countingTicket cudart.KernelStats
+type countingTicket struct {
+	st  cudart.KernelStats
+	err error
+}
 
-func (t countingTicket) Stats() (cudart.KernelStats, error) { return cudart.KernelStats(t), nil }
+func (t countingTicket) Stats() (cudart.KernelStats, error) { return t.st, t.err }
 
 func (r *countingRunner) RunKernel(*exec.Grid) (cudart.KernelStats, error) {
 	panic("a context only submits to a StreamRunner")
@@ -187,51 +196,90 @@ func (r *countingRunner) RunKernel(*exec.Grid) (cudart.KernelStats, error) {
 
 func (r *countingRunner) SubmitKernel(*exec.Grid, int) (cudart.AsyncTicket, error) {
 	r.kernels++
-	return countingTicket{Cycles: r.kernels, Name: "runner", LaunchID: -1}, nil
+	if r.failNext {
+		r.failNext = false
+		return countingTicket{err: errors.New("counting runner: failed")}, nil
+	}
+	return countingTicket{st: cudart.KernelStats{Cycles: r.kernels, Name: "runner", LaunchID: -1}}, nil
 }
 
 func (r *countingRunner) SubmitCopy(int, int, func()) cudart.AsyncTicket { return countingTicket{} }
 
 func (r *countingRunner) DrainAll() error { return nil }
 
-// TestKernelLogChunks: the launch-ordered log holds more than two chunks
-// of sync and async launches; every record keeps its launch id as its
-// index and the kernel's name across chunk edges, placeholder slots
-// queued across a chunk edge are filled in place by the drain, a repeated
-// KernelStatsLog call returns the same slice without allocating.
+// TestKernelLogChunks: a launch-ordered log of eight chunks of sync and
+// async launches, whose records are all distinct (each launch's cycles
+// are its kernel count), holds every record with its launch id and the
+// kernel's name and shape. Placeholder slots queued across a chunk edge
+// are filled by the drain; a failed synchronous launch uses up a launch
+// id and leaves no record, on a chunk's first and last slots as well as
+// every 97th launch. The log retains at most 176 bytes per launch — the
+// 144-byte record, its 16-byte entry and the record index — and a
+// repeated KernelStatsLog call returns the same slice without allocating.
 func TestKernelLogChunks(t *testing.T) {
 	ctx := cudart.NewContext(exec.BugSet{})
-	ctx.SetRunner(&countingRunner{})
+	r := &countingRunner{}
+	ctx.SetRunner(r)
 	if _, err := ctx.RegisterModule(incrPTX); err != nil {
 		t.Fatal(err)
 	}
 	s := ctx.StreamCreate()
 	px, _ := ctx.Malloc(4)
 	p := cudart.NewParams().Ptr(px).U32(1)
+	grid, block := exec.Dim3{X: 1}, exec.Dim3{X: 32}
 	const chunk = cudart.KernelLogChunk
-	launches := 2*chunk + chunk/2
+	const launches = 8 * chunk
+	logged := make([]int, 0, launches) // launch ids that leave a record
+	edgeFailed := -1                   // the log length at which a launch last failed on a chunk edge
+	edgeDrops := 0
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	for i := 0; i < launches; i++ {
 		// async runs of 40 launches around every chunk edge, sync between
 		stream := cudart.DefaultStream
 		if d := (i + 20) % chunk; d < 40 {
 			stream = s
 		}
-		ph, err := ctx.LaunchOnStream(stream, "incr", exec.Dim3{X: 1}, exec.Dim3{X: 32}, p, 0)
-		if err != nil {
-			t.Fatal(err)
+		edge := (len(logged)%chunk == 0 || len(logged)%chunk == chunk-1) && len(logged) != edgeFailed
+		fails := stream == cudart.DefaultStream && (edge || i%97 == 0)
+		if fails && edge {
+			edgeFailed = len(logged)
+			edgeDrops++
 		}
-		if ph.LaunchID != i {
-			t.Fatalf("launch %d returned launch id %d", i, ph.LaunchID)
+		r.failNext = fails
+		st, err := ctx.LaunchOnStream(stream, "incr", grid, block, p, 0)
+		switch {
+		case fails && err == nil:
+			t.Fatalf("launch %d: failed kernel returned no error", i)
+		case fails:
+			continue
+		case err != nil:
+			t.Fatalf("launch %d: %v", i, err)
+		case st.LaunchID != i || (stream == cudart.DefaultStream && st.Cycles != uint64(i+1)):
+			t.Fatalf("launch %d returned %+v", i, st)
 		}
+		logged = append(logged, i)
 	}
+	if err := ctx.DeviceSynchronize(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / launches
 	log := ctx.KernelStatsLog()
-	if len(log) != launches {
-		t.Fatalf("log holds %d records, want %d", len(log), launches)
+	if len(log) != len(logged) || launches-len(logged) < launches/97 || edgeDrops < 2 {
+		t.Fatalf("log holds %d records of %d launches, want %d (%d dropped on a chunk edge)", len(log), launches, len(logged), edgeDrops)
 	}
-	for i, k := range log {
-		if k.LaunchID != i || k.Name != "incr" || k.Cycles != uint64(i+1) {
-			t.Fatalf("record %d: %+v, want launch id %d, name incr, cycles %d", i, k, i, i+1)
+	for j, k := range log {
+		want := cudart.KernelStats{Name: "incr", LaunchID: logged[j], GridDim: grid, BlockDim: block, Cycles: uint64(logged[j] + 1)}
+		if k != want {
+			t.Fatalf("record %d: %+v, want %+v", j, k, want)
 		}
+	}
+	t.Logf("%.1f bytes retained per launch (%d launches, %d records)", per, launches, len(log))
+	if per > 144+32 {
+		t.Errorf("%.1f bytes retained per launch, want at most %d", per, 144+32)
 	}
 	if again := ctx.KernelStatsLog(); &again[0] != &log[0] || len(again) != len(log) {
 		t.Error("a second KernelStatsLog call built a new slice")

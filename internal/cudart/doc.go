@@ -40,9 +40,20 @@
 //     write and read device pages in place, leaving the image and
 //     resident pages a byte copy would, and allocate nothing into
 //     resident pages but MemcpyF32DtoH's result (`TestTypedCopyAllocs`).
-//   - The launch log is one record per launch in launch order, kept in
-//     chunks that are never copied once allocated; an async launch's
-//     placeholder is filled in place at the drain (`TestKernelLogChunks`).
+//   - The launch log interns its records: a table holds each distinct
+//     `KernelStats` once, its LaunchID zeroed, and each launch adds one
+//     pointer-free 16-byte entry naming its launch id and its record.
+//     Records and entries sit in chunks that are never copied once
+//     allocated; the table's index keys records by
+//     `maphash.Comparable` and checks candidates with ==, so it stores no
+//     second copy of a key. An async launch's placeholder is filled at
+//     the drain by re-pointing its entry, a failed synchronous launch's
+//     entry is dropped, and `Context.KernelStatsLog` returns one
+//     launch-ordered record per launch, cached until the log changes.
+//     The log retains at most 176 bytes per launch when its records are
+//     all distinct (`TestKernelLogChunks`), and at most 48 per warm
+//     replayed launch, whose record repeats an earlier one
+//     (`core.TestWarmLaunchRetainedBytes`).
 //     `NewParams` reserves the largest library parameter block, so
 //     marshalling a launch allocates once (`TestParamsOneAllocation`).
 //   - The first registration of a kernel name wins a by-name lookup;

@@ -3,6 +3,7 @@ package cudart
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
 
 	"repro/internal/exec"
@@ -146,38 +147,109 @@ func (c *Context) launch(s Stream, mod *ptx.Module, k *ptx.Kernel, grid, block e
 	return stats, nil
 }
 
-// logChunk is how many records one chunk of the kernel log holds.
+// logChunk is how many entries, and how many distinct records, one chunk
+// of the kernel log holds.
 const logChunk = 1024
 
-// kernelLog is the launch-ordered stats log. A long replayed run logs
-// hundreds of thousands of pointer-carrying records; one growing slice
-// would be re-allocated, zeroed and copied as it grows, and marked whole
-// by every collection. Records go into fixed-size chunks, which are never
-// copied once allocated, and a placeholder is filled in place by its
-// index. flat caches the contiguous view KernelStatsLog returns until
-// the next append or fill.
-type kernelLog struct {
-	chunks [][]KernelStats
-	n      int
-	flat   []KernelStats
+// logEntry is one launch's place in the log: its id and the index of its
+// record in the table of distinct records. It holds no pointer.
+type logEntry struct {
+	id  int
+	rec int32
 }
 
-// add appends a record and returns its index.
+// kernelLog is the launch-ordered stats log. A long replayed run logs
+// hundreds of thousands of launches whose records repeat a few thousand
+// distinct ones, so the log interns them: recs holds each distinct
+// record once, LaunchID zeroed, and every launch costs one pointer-free
+// entry naming its id and its record. Records and entries go into
+// fixed-size chunks, which are never copied once allocated and are not
+// marked by a collection unless they hold pointers. index finds a
+// record's twin: an open-addressed table of record index+1 (0 is an empty
+// slot) keyed by maphash.Comparable and checked with ==, so no key is
+// stored twice. A placeholder is filled by re-pointing its entry. flat
+// caches the contiguous view KernelStatsLog returns until the next
+// append, drop or fill.
+type kernelLog struct {
+	recs    [][]KernelStats
+	nrec    int
+	index   []int32
+	seed    maphash.Seed
+	entries [][]logEntry
+	n       int
+	flat    []KernelStats
+}
+
+// record returns distinct record r.
+func (l *kernelLog) record(r int32) *KernelStats { return &l.recs[r/logChunk][r%logChunk] }
+
+// entry returns launch entry i.
+func (l *kernelLog) entry(i int) *logEntry { return &l.entries[i/logChunk][i%logChunk] }
+
+// intern returns the index of the distinct record equal to *st, whose
+// LaunchID is zero, adding it if the table has none. The index keeps its
+// load at or under three quarters, so it costs at most 32/3 bytes per
+// distinct record.
+func (l *kernelLog) intern(st *KernelStats) int32 {
+	if 4*(l.nrec+1) > 3*len(l.index) {
+		l.grow()
+	}
+	mask := len(l.index) - 1
+	h := int(maphash.Comparable(l.seed, *st)) & mask
+	for ; l.index[h] != 0; h = (h + 1) & mask {
+		if r := l.index[h] - 1; *l.record(r) == *st {
+			return r
+		}
+	}
+	r := int32(l.nrec)
+	if l.nrec == len(l.recs)*logChunk {
+		l.recs = append(l.recs, make([]KernelStats, logChunk))
+	}
+	*l.record(r) = *st
+	l.nrec++
+	l.index[h] = r + 1
+	return r
+}
+
+// grow doubles the index (64 slots at first) and re-inserts every record.
+func (l *kernelLog) grow() {
+	if l.index == nil {
+		l.seed = maphash.MakeSeed()
+	}
+	l.index = make([]int32, max(64, 2*len(l.index)))
+	mask := len(l.index) - 1
+	for r := int32(0); int(r) < l.nrec; r++ {
+		h := int(maphash.Comparable(l.seed, *l.record(r))) & mask
+		for l.index[h] != 0 {
+			h = (h + 1) & mask
+		}
+		l.index[h] = r + 1
+	}
+}
+
+// add appends a launch's record and returns its index.
 func (l *kernelLog) add(st KernelStats) int {
 	i := l.n
-	if i == len(l.chunks)*logChunk {
-		l.chunks = append(l.chunks, make([]KernelStats, logChunk))
+	if i == len(l.entries)*logChunk {
+		l.entries = append(l.entries, make([]logEntry, logChunk))
 	}
-	l.chunks[i/logChunk][i%logChunk] = st
+	id := st.LaunchID
+	st.LaunchID = 0
+	*l.entry(i) = logEntry{id: id, rec: l.intern(&st)}
 	l.n++
 	l.flat = nil
 	return i
 }
 
 // at returns record i.
-func (l *kernelLog) at(i int) KernelStats { return l.chunks[i/logChunk][i%logChunk] }
+func (l *kernelLog) at(i int) KernelStats {
+	e := l.entry(i)
+	st := *l.record(e.rec)
+	st.LaunchID = e.id
+	return st
+}
 
-// drop removes the last record.
+// drop removes the last record. Its distinct record stays in the table.
 func (l *kernelLog) drop() {
 	l.n--
 	l.flat = nil
@@ -186,18 +258,20 @@ func (l *kernelLog) drop() {
 // fill replaces record i with a drained launch's statistics, keeping the
 // launch identity the placeholder was logged with.
 func (l *kernelLog) fill(i int, st KernelStats) {
-	slot := &l.chunks[i/logChunk][i%logChunk]
-	st.Name, st.LaunchID, st.GridDim, st.BlockDim = slot.Name, slot.LaunchID, slot.GridDim, slot.BlockDim
-	*slot = st
+	e := l.entry(i)
+	ph := l.record(e.rec)
+	st.Name, st.GridDim, st.BlockDim = ph.Name, ph.GridDim, ph.BlockDim
+	st.LaunchID = 0
+	e.rec = l.intern(&st)
 	l.flat = nil
 }
 
 // all returns every record in launch order as one slice (nil when empty).
 func (l *kernelLog) all() []KernelStats {
 	if l.flat == nil && l.n > 0 {
-		l.flat = make([]KernelStats, 0, l.n)
-		for _, ch := range l.chunks {
-			l.flat = append(l.flat, ch[:min(logChunk, l.n-len(l.flat))]...)
+		l.flat = make([]KernelStats, l.n)
+		for i := range l.flat {
+			l.flat[i] = l.at(i)
 		}
 	}
 	return l.flat

@@ -49,7 +49,7 @@ func Conv2DForward(x []float32, xs TensorShape4, w []float32, k, r int, p ConvPa
 								}
 								xv := x[((n*xs.C+c)*xs.H+iy)*xs.W+ix]
 								wv := w[((kk*xs.C+c)*r+rr)*r+qq]
-								acc += xv * wv
+								acc += float32(xv * wv)
 							}
 						}
 					}
@@ -81,7 +81,7 @@ func Conv2DBackwardData(dy []float32, ys TensorShape4, w []float32, c, r int, xs
 								if ix < 0 || ix >= xs.W {
 									continue
 								}
-								dx[((n*c+cc)*xs.H+iy)*xs.W+ix] += g * w[((kk*c+cc)*r+rr)*r+qq]
+								dx[((n*c+cc)*xs.H+iy)*xs.W+ix] += float32(g * w[((kk*c+cc)*r+rr)*r+qq])
 							}
 						}
 					}
@@ -112,7 +112,7 @@ func Conv2DBackwardFilter(x []float32, xs TensorShape4, dy []float32, ys TensorS
 								if ix < 0 || ix >= xs.W {
 									continue
 								}
-								dw[((kk*xs.C+cc)*r+rr)*r+qq] += g * x[((n*xs.C+cc)*xs.H+iy)*xs.W+ix]
+								dw[((kk*xs.C+cc)*r+rr)*r+qq] += float32(g * x[((n*xs.C+cc)*xs.H+iy)*xs.W+ix])
 							}
 						}
 					}
@@ -129,9 +129,9 @@ func Gemm(a, bm, cm []float32, m, n, k int, alpha, beta float32) {
 		for j := 0; j < n; j++ {
 			var acc float32
 			for p := 0; p < k; p++ {
-				acc += a[i*k+p] * bm[p*n+j]
+				acc += float32(a[i*k+p] * bm[p*n+j])
 			}
-			cm[i*n+j] = alpha*acc + beta*cm[i*n+j]
+			cm[i*n+j] = float32(alpha*acc) + float32(beta*cm[i*n+j])
 		}
 	}
 }
@@ -141,9 +141,9 @@ func GemvT(a, x, y []float32, rows, cols int, alpha, beta float32) {
 	for j := 0; j < cols; j++ {
 		var acc float32
 		for i := 0; i < rows; i++ {
-			acc += a[i*cols+j] * x[i]
+			acc += float32(a[i*cols+j] * x[i])
 		}
-		y[j] = alpha*acc + beta*y[j]
+		y[j] = float32(alpha*acc) + float32(beta*y[j])
 	}
 }
 
@@ -223,9 +223,9 @@ func LRNForward(x []float32, c, hw, win int, k, alpha, beta float32) []float32 {
 					continue
 				}
 				v := x[j*hw+i]
-				sum += v * v
+				sum += float32(v * v)
 			}
-			den := k + alpha/float32(win)*sum
+			den := k + float32(alpha/float32(win)*sum)
 			y[cc*hw+i] = x[cc*hw+i] / float32(math.Pow(float64(den), float64(beta)))
 		}
 	}

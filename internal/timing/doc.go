@@ -217,7 +217,8 @@
 //     flat).
 //   - Totals are sums of per-kernel records, folded at retirement.
 //     `Engine.foldRun` takes a record out of the shards and calls
-//     `Stats.add`; `Ticket.record` is the one conversion to
+//     `Stats.add`; `Ticket.record` assigns it to the ticket, which keeps
+//     it once, and `Ticket.Stats` is the one conversion to
 //     `cudart.KernelStats`. What an aborted batch left unretired is folded
 //     the same way onto its failed tickets in `Engine.abortBatch`, so
 //     `Engine.mergeShards` folds only what is not per kernel: the cores'
@@ -231,13 +232,14 @@
 //   - A core-side per-kernel counter has no engine total: `smCore.runSegs`
 //     (the hardware oracle's `exec.StepInfo.Segments`) is counted next to
 //     runInstrs, taken out by foldRun, memoized in `replayEntry` and
-//     written by Ticket.record into `cudart.KernelStats.OracleSegments`;
+//     kept by Ticket.record and read by Ticket.Stats into
+//     `cudart.KernelStats.OracleSegments`;
 //     Stats has no field for it. That field is a uint32 in padding the
 //     record already had: a uint64 grew the launch log by 8 bytes a record
 //     and cost xf_hybrid about 4.5% host time and 5% peak memory.
 //   - Adding a per-kernel counter is a field in MemCounters, a line in
 //     `MemCounters.add` and one increment in partition.drain, plus a line
-//     in Ticket.record only if cudart.KernelStats has a field for it (that
+//     in Ticket.Stats only if cudart.KernelStats has a field for it (that
 //     struct is the launch log's and bench's; grow it reluctantly).
 //     Summation, replay memoization and the ledger test follow unedited.
 //

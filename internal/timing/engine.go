@@ -245,6 +245,7 @@ type Ticket struct {
 	kind   opKind
 	stream int
 
+	name     string // the kernel's; a copy has none
 	grid     *exec.Grid
 	skipCTAs int
 	preload  []*exec.CTA
@@ -267,9 +268,15 @@ type Ticket struct {
 	startCycle uint64 // kernels: admission cycle; copies: transfer start
 	endCycle   uint64 // copies and replay hits: modelled completion cycle
 	done       bool
-	mem        MemCounters        // the kernel's record, as retirement assigned it
-	stats      cudart.KernelStats // what the launch log keeps of it
-	err        error
+
+	// The kernel's record, as retirement assigned it (Stats composes the
+	// launch log's view of it). A copy has only cycles.
+	replayed bool   // retired from the replay cache
+	segs     uint32 // KernelStats.OracleSegments
+	instrs   uint64
+	cycles   uint64 // kernels: admission to retirement; copies: transfer time
+	mem      MemCounters
+	err      error
 
 	// Hybrid replay (replay.go). sig/hasSig: the launch's replay
 	// signature, computed at submit when replay is on (resume launches
@@ -283,33 +290,38 @@ type Ticket struct {
 	resample  bool
 }
 
-// Stats returns the kernel statistics. It errors until the engine has
-// drained the ticket, and reports the simulation error if the kernel
-// failed.
+// Stats returns the kernel statistics: the one conversion from the
+// ledger to the launch log's view of a record (KernelStats has no room
+// for the segment latency sums, which the ticket keeps in mem). It names
+// the kernel but not the launch's grid and block, which its submitter
+// keeps. It errors until the engine has drained the ticket, and reports
+// the simulation error if the kernel failed.
 func (t *Ticket) Stats() (cudart.KernelStats, error) {
+	st := cudart.KernelStats{
+		Name:           t.name,
+		Cycles:         t.cycles,
+		WarpInstrs:     t.instrs,
+		L2Accesses:     t.mem.L2Accesses,
+		L2Hits:         t.mem.L2Hits,
+		L2Misses:       t.mem.L2Misses,
+		DRAMAccesses:   t.mem.DRAMAccesses,
+		DRAMRowHits:    t.mem.DRAMRowHits,
+		MemStallCycles: t.mem.IngressStallCycles,
+		OracleSegments: t.segs,
+		Replayed:       t.replayed,
+	}
 	if t.err != nil {
-		return t.stats, t.err
+		return st, t.err
 	}
 	if !t.done {
-		return t.stats, fmt.Errorf("timing: ticket not drained yet (call Engine.Drain)")
+		return st, fmt.Errorf("timing: ticket not drained yet (call Engine.Drain)")
 	}
-	return t.stats, nil
+	return st, nil
 }
 
-// record assigns the ticket its kernel's record: the one conversion from
-// the ledger to the launch log's view of it (KernelStats has no room for
-// the segment latency sums, which the ticket keeps in mem).
+// record assigns the ticket its kernel's record.
 func (t *Ticket) record(instrs, segs uint64, mem MemCounters) {
-	t.mem = mem
-	st := &t.stats
-	st.WarpInstrs = instrs
-	st.OracleSegments = uint32(segs)
-	st.L2Accesses = mem.L2Accesses
-	st.L2Hits = mem.L2Hits
-	st.L2Misses = mem.L2Misses
-	st.DRAMAccesses = mem.DRAMAccesses
-	st.DRAMRowHits = mem.DRAMRowHits
-	st.MemStallCycles = mem.IngressStallCycles
+	t.instrs, t.segs, t.mem = instrs, uint32(segs), mem
 }
 
 // Submit queues a kernel launch on a stream without running it. Launches
@@ -334,10 +346,7 @@ func (e *Engine) SubmitResume(g *exec.Grid, stream, skipCTAs int, preload []*exe
 	t := e.newTicket()
 	*t = Ticket{
 		kind: opKernel, stream: stream,
-		grid: g, skipCTAs: skipCTAs, preload: preload,
-		stats: cudart.KernelStats{
-			Name: g.Kernel.Name, GridDim: g.GridDim, BlockDim: g.BlockDim,
-		},
+		name: g.Kernel.Name, grid: g, skipCTAs: skipCTAs, preload: preload,
 	}
 	if e.replay != nil && skipCTAs == 0 && preload == nil {
 		t.sig = e.replay.signature(g)
@@ -469,7 +478,7 @@ func (e *Engine) Drain() error {
 					t.copyApply()
 					t.copyApply = nil
 				}
-				t.stats.Cycles = t.endCycle - t.startCycle
+				t.cycles = t.endCycle - t.startCycle
 				t.done = true
 				return nil
 			}
@@ -794,10 +803,10 @@ func (e *Engine) finishReplay(t *Ticket) error {
 func (e *Engine) retireReplayed(t *Ticket, ent *replayEntry) {
 	t.record(ent.instrs, ent.segs, ent.mem)
 	e.stats.add(ent.instrs, ent.mem)
-	t.stats.Cycles = t.endCycle - t.startCycle
-	t.stats.Replayed = true
+	t.cycles = t.endCycle - t.startCycle
+	t.replayed = true
 	t.done = true
-	e.stats.ReplayedCycles += t.stats.Cycles
+	e.stats.ReplayedCycles += t.cycles
 }
 
 // foldRun takes kernel id's record out of the cores' and partitions'
@@ -829,23 +838,22 @@ func (e *Engine) finishRun(r *gridRun, now uint64) {
 	t := r.op
 	instrs, segs, mem := e.foldRun(r.id)
 	t.record(instrs, segs, mem)
-	st := &t.stats
-	st.Cycles = now + 1 - t.startCycle
+	t.cycles = now + 1 - t.startCycle
 	t.done = true
-	e.stats.DetailedKernelCycles += st.Cycles
+	e.stats.DetailedKernelCycles += t.cycles
 	if e.replay != nil && t.hasSig {
 		if t.resample {
 			// Re-sampled hit: measure how far the memoized timing has
 			// drifted from a fresh detailed run before refreshing it.
 			if old := e.replay.entries[t.sig]; old != nil {
-				d := st.Cycles - old.cycles
-				if old.cycles > st.Cycles {
-					d = old.cycles - st.Cycles
+				d := t.cycles - old.cycles
+				if old.cycles > t.cycles {
+					d = old.cycles - t.cycles
 				}
 				e.stats.ReplayDriftCycles += d
 			}
 		}
-		e.replay.stage(t.sig, replayEntry{cycles: st.Cycles, instrs: instrs, segs: segs, mem: mem})
+		e.replay.stage(t.sig, replayEntry{cycles: t.cycles, instrs: instrs, segs: segs, mem: mem})
 	}
 }
 

@@ -74,7 +74,7 @@ func (e *Engine) drainLegacyForTest(workers int, afterCycle func(now uint64)) er
 					t.copyApply()
 					t.copyApply = nil
 				}
-				t.stats.Cycles = t.endCycle - t.startCycle
+				t.cycles = t.endCycle - t.startCycle
 				t.done = true
 				continue
 			}

@@ -323,9 +323,9 @@ func TestPerKernelMemCounters(t *testing.T) {
 				r.drain()
 			}
 			st := r.eng.Stats()
-			if !r.tickets[2].stats.Replayed || st.ReplayMemoApplied != 1 || st.ReplayBatchHits != 0 {
+			if !r.tickets[2].replayed || st.ReplayMemoApplied != 1 || st.ReplayBatchHits != 0 {
 				t.Fatalf("third launch replayed=%v, %d memos applied, %d batch hits: not a warm per-launch iteration",
-					r.tickets[2].stats.Replayed, st.ReplayMemoApplied, st.ReplayBatchHits)
+					r.tickets[2].replayed, st.ReplayMemoApplied, st.ReplayBatchHits)
 			}
 		}},
 		{"replay_batch_rung", replay, func(t *testing.T, r *ledgerRig) {
@@ -357,12 +357,12 @@ func TestPerKernelMemCounters(t *testing.T) {
 					switch {
 					case r.eng.Stats().ReplayBatchHits > rungHits:
 						how["batch rung"] = true
-					case tk.stats.Replayed:
+					case tk.replayed:
 						how["per-launch replay"] = true
 					default:
 						how["detailed"] = true
 					}
-					segs = append(segs, tk.stats.OracleSegments)
+					segs = append(segs, tk.segs)
 				}
 				return segs, how
 			}
@@ -402,7 +402,7 @@ func TestPerKernelMemCounters(t *testing.T) {
 			var instrs uint64
 			for _, tk := range r.tickets {
 				sum.add(tk.mem)
-				instrs += tk.stats.WarpInstrs
+				instrs += tk.instrs
 			}
 			st := r.eng.Stats()
 			if sum != st.MemCounters || instrs != st.Instructions {
