@@ -400,7 +400,11 @@ func TestPerKernelMemCounters(t *testing.T) {
 			row.run(t, r)
 			var sum MemCounters
 			var instrs uint64
-			for _, tk := range r.tickets {
+			for i, tk := range r.tickets {
+				if row.name != "batch_aborted_by_fault" && (tk.mem.SegServed != tk.mem.L2Accesses || tk.mem.L2Misses != tk.mem.DRAMAccesses) {
+					t.Errorf("ticket %d: SegServed %d, L2Accesses %d, L2Misses %d, DRAMAccesses %d: want the pairs equal",
+						i, tk.mem.SegServed, tk.mem.L2Accesses, tk.mem.L2Misses, tk.mem.DRAMAccesses)
+				}
 				sum.add(tk.mem)
 				instrs += tk.instrs
 			}
