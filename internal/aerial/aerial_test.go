@@ -74,7 +74,7 @@ func TestCSV(t *testing.T) {
 func TestKernelMemTable(t *testing.T) {
 	var b strings.Builder
 	KernelMemTable("mem", []cudart.KernelStats{
-		{Name: "saxpy", L2Accesses: 100, L2Hits: 25, DRAMAccesses: 75, DRAMRowHits: 30, MemStallCycles: 12},
+		{Name: "saxpy", MemCounters: cudart.MemCounters{L2Accesses: 100, L2Hits: 25, DRAMAccesses: 75, DRAMRowHits: 30, IngressStallCycles: 12}},
 		{Name: "cold"}, // zero traffic: rates must render n/a, not NaN
 	}).WriteText(&b)
 	out := b.String()
@@ -90,7 +90,7 @@ func TestKernelMemTable(t *testing.T) {
 func TestKernelMemTableCSV(t *testing.T) {
 	var b strings.Builder
 	tab := KernelMemTable("", []cudart.KernelStats{
-		{Name: "saxpy", LaunchID: 3, L2Accesses: 100, L2Hits: 25, L2Misses: 75, DRAMAccesses: 75, DRAMRowHits: 30, MemStallCycles: 12},
+		{Name: "saxpy", LaunchID: 3, MemCounters: cudart.MemCounters{L2Accesses: 100, L2Hits: 25, DRAMAccesses: 75, DRAMRowHits: 30, IngressStallCycles: 12}},
 	})
 	if err := tab.WriteCSV(&b); err != nil {
 		t.Fatal(err)

@@ -131,8 +131,8 @@ func KernelMemTable(title string, launches []cudart.KernelStats) *Table {
 	for _, k := range launches {
 		t.Rows = append(t.Rows, []any{
 			k.Name, fmt.Sprintf("%s#%d", k.Name, k.LaunchID), 1,
-			k.L2Accesses, pct(k.L2Hits, k.L2Accesses), k.L2Hits, k.L2Misses,
-			k.DRAMAccesses, pct(k.DRAMRowHits, k.DRAMAccesses), k.DRAMRowHits, k.MemStallCycles,
+			k.L2Accesses, pct(k.L2Hits, k.L2Accesses), k.L2Hits, k.DRAMAccesses, // every L2 miss goes to DRAM
+			k.DRAMAccesses, pct(k.DRAMRowHits, k.DRAMAccesses), k.DRAMRowHits, k.IngressStallCycles,
 		})
 	}
 	return t

@@ -17,17 +17,9 @@ type KernelStats struct {
 	Cycles     uint64 // 0 in functional mode
 	WarpInstrs uint64
 
-	// Per-kernel memory-system counters, attributed by the timing
-	// engine's partition shards (all 0 in functional mode): L2 outcomes,
-	// DRAM demand traffic and row-buffer locality, and cycles this
-	// kernel's segments spent stalled on partition ingress/port/MSHR
-	// reservations.
-	L2Accesses     uint64
-	L2Hits         uint64
-	L2Misses       uint64
-	DRAMAccesses   uint64
-	DRAMRowHits    uint64
-	MemStallCycles uint64
+	// The kernel's memory-system record, attributed by the timing
+	// engine's partitions (all 0 in functional mode).
+	MemCounters
 
 	// OracleSegments sums exec.StepInfo.Segments over the launch's memory
 	// instructions: the traffic the hardware oracle (internal/hwmodel)
@@ -43,6 +35,35 @@ type KernelStats struct {
 	// above are memoized from an earlier identical launch rather than
 	// freshly simulated. Always false in functional and detailed modes.
 	Replayed bool
+}
+
+// MemCounters is the per-kernel record of the shared memory system: L2
+// outcomes, DRAM demand traffic and row-buffer locality, and the latency
+// and back-pressure its segments saw. It is the one record type of the
+// timing engine's counter ledger: each field is incremented at one site,
+// into the record of the grid that issued the segment; a KernelStats, a
+// replay entry and the engine totals embed or hold that record, assigned
+// or summed, never counted again. Addition is commutative, so records
+// can be summed in any order.
+type MemCounters struct {
+	L2Accesses   uint64 // also the partition-serviced segment count
+	L2Hits       uint64
+	DRAMAccesses uint64 // also the L2 demand misses, MSHR bypasses included
+	DRAMRowHits  uint64
+	// cycles segments waited on a partition ingress slot, L2 port or L2
+	// MSHR reservation (the bandwidth-aware hierarchy's back-pressure)
+	IngressStallCycles uint64
+	SegCycles          uint64 // issue-to-response latency, summed over serviced segments
+}
+
+// Add sums another record into m.
+func (m *MemCounters) Add(o MemCounters) {
+	m.L2Accesses += o.L2Accesses
+	m.L2Hits += o.L2Hits
+	m.DRAMAccesses += o.DRAMAccesses
+	m.DRAMRowHits += o.DRAMRowHits
+	m.IngressStallCycles += o.IngressStallCycles
+	m.SegCycles += o.SegCycles
 }
 
 // Runner executes a prepared grid to completion at the call: the bare
@@ -355,10 +376,16 @@ func (c *Context) SetAPITag(tag string) { c.apiTag = tag }
 func (c *Context) CapturedLaunches() []*LaunchRecord { return c.captureLog }
 
 // KernelStatsLog returns per-kernel stats in launch order, draining any
-// queued async launches first so every entry is final. The slice is
-// built once and returned again until the next launch or drain changes
-// the log.
+// queued async launches first so every entry is final. Each call builds
+// a new slice, which the caller owns.
 func (c *Context) KernelStatsLog() []KernelStats {
 	_ = c.drainPending()
 	return c.log.all()
+}
+
+// KernelLogLen returns the number of records KernelStatsLog would
+// return, draining any queued async launches first.
+func (c *Context) KernelLogLen() int {
+	_ = c.drainPending()
+	return c.log.n
 }

@@ -48,8 +48,10 @@
 //     `maphash.Comparable` and checks candidates with ==, so it stores no
 //     second copy of a key. An async launch's placeholder is filled at
 //     the drain by re-pointing its entry, a failed synchronous launch's
-//     entry is dropped, and `Context.KernelStatsLog` returns one
-//     launch-ordered record per launch, cached until the log changes.
+//     entry is dropped. `Context.KernelStatsLog` builds a new slice of
+//     one launch-ordered record per launch, which its caller owns; the
+//     log keeps no flat copy, and `Context.KernelLogLen` counts the
+//     records without building one.
 //     The log retains at most 176 bytes per launch when its records are
 //     all distinct (`TestKernelLogChunks`), and at most 48 per warm
 //     replayed launch, whose record repeats an earlier one

@@ -167,9 +167,7 @@ type logEntry struct {
 // marked by a collection unless they hold pointers. index finds a
 // record's twin: an open-addressed table of record index+1 (0 is an empty
 // slot) keyed by maphash.Comparable and checked with ==, so no key is
-// stored twice. A placeholder is filled by re-pointing its entry. flat
-// caches the contiguous view KernelStatsLog returns until the next
-// append, drop or fill.
+// stored twice. A placeholder is filled by re-pointing its entry.
 type kernelLog struct {
 	recs    [][]KernelStats
 	nrec    int
@@ -177,7 +175,6 @@ type kernelLog struct {
 	seed    maphash.Seed
 	entries [][]logEntry
 	n       int
-	flat    []KernelStats
 }
 
 // record returns distinct record r.
@@ -237,7 +234,6 @@ func (l *kernelLog) add(st KernelStats) int {
 	st.LaunchID = 0
 	*l.entry(i) = logEntry{id: id, rec: l.intern(&st)}
 	l.n++
-	l.flat = nil
 	return i
 }
 
@@ -252,7 +248,6 @@ func (l *kernelLog) at(i int) KernelStats {
 // drop removes the last record. Its distinct record stays in the table.
 func (l *kernelLog) drop() {
 	l.n--
-	l.flat = nil
 }
 
 // fill replaces record i with a drained launch's statistics, keeping the
@@ -263,18 +258,19 @@ func (l *kernelLog) fill(i int, st KernelStats) {
 	st.Name, st.GridDim, st.BlockDim = ph.Name, ph.GridDim, ph.BlockDim
 	st.LaunchID = 0
 	e.rec = l.intern(&st)
-	l.flat = nil
 }
 
-// all returns every record in launch order as one slice (nil when empty).
+// all returns every record in launch order as a new slice (nil when
+// empty).
 func (l *kernelLog) all() []KernelStats {
-	if l.flat == nil && l.n > 0 {
-		l.flat = make([]KernelStats, l.n)
-		for i := range l.flat {
-			l.flat[i] = l.at(i)
-		}
+	if l.n == 0 {
+		return nil
 	}
-	return l.flat
+	out := make([]KernelStats, l.n)
+	for i := range out {
+		out[i] = l.at(i)
+	}
+	return out
 }
 
 // captureLaunch snapshots the launch inputs: parameter bytes plus the

@@ -229,7 +229,7 @@ func RunDPTrain(cfg Config, steps, seqLen int) (*DPTrainResult, error) {
 		return nil, err
 	}
 	for r := 0; r < world; r++ {
-		res.PerDevice = append(res.PerDevice, deviceStats(n, r, len(n.Devs[r].Ctx.KernelStatsLog())))
+		res.PerDevice = append(res.PerDevice, deviceStats(n, r, n.Devs[r].Ctx.KernelLogLen()))
 		res.ReplayHits += res.PerDevice[r].ReplayHits
 		res.ReplayMisses += res.PerDevice[r].ReplayMisses
 	}

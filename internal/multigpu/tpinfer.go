@@ -186,7 +186,7 @@ func RunTPInfer(cfg Config, seqs, seqLen int) (*TPInferResult, error) {
 		return nil, err
 	}
 	for r := 0; r < world; r++ {
-		res.PerDevice = append(res.PerDevice, deviceStats(n, r, len(n.Devs[r].Ctx.KernelStatsLog())))
+		res.PerDevice = append(res.PerDevice, deviceStats(n, r, n.Devs[r].Ctx.KernelLogLen()))
 	}
 	res.NVLink = n.Fabric.Stats()
 	return res, nil

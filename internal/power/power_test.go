@@ -3,6 +3,7 @@ package power
 import (
 	"testing"
 
+	"repro/internal/cudart"
 	"repro/internal/timing"
 )
 
@@ -33,7 +34,7 @@ func TestFractionsSumToOne(t *testing.T) {
 	st := &timing.Stats{
 		ALUOps: 5e6, SFUOps: 1e5, Instructions: 2e5,
 		L1Accesses: 3e4, NoCFlits: 2e4,
-		MemCounters: timing.MemCounters{L2Accesses: 1e4, DRAMAccesses: 3e3},
+		MemCounters: cudart.MemCounters{L2Accesses: 1e4, DRAMAccesses: 3e3},
 	}
 	b := m.Average(st, 200000, 1400)
 	names, watts := b.Components()

@@ -30,7 +30,7 @@ func AttnScoresCached(q, cacheK []float32, seq, heads, dh, maxSeq, cacheLen int,
 			for t := 0; t < cacheLen; t++ {
 				var acc float32
 				for d := 0; d < dh; d++ {
-					acc += q[(h*seq+s)*dh+d] * cacheK[(h*maxSeq+t)*dh+d]
+					acc += float32(q[(h*seq+s)*dh+d] * cacheK[(h*maxSeq+t)*dh+d])
 				}
 				scores[(h*seq+s)*cacheLen+t] = acc * scale
 			}
@@ -80,7 +80,7 @@ func AttnContextCached(probs, cacheV []float32, seq, heads, dh, maxSeq, cacheLen
 			for d := 0; d < dh; d++ {
 				var acc float32
 				for t := 0; t < cacheLen; t++ {
-					acc += probs[(h*seq+s)*cacheLen+t] * cacheV[(h*maxSeq+t)*dh+d]
+					acc += float32(probs[(h*seq+s)*cacheLen+t] * cacheV[(h*maxSeq+t)*dh+d])
 				}
 				out[(h*seq+s)*dh+d] = acc
 			}
@@ -96,7 +96,7 @@ func LogitGemv(x, table []float32, vocab, dim int) []float32 {
 	for v := 0; v < vocab; v++ {
 		var acc float32
 		for d := 0; d < dim; d++ {
-			acc += x[d] * table[v*dim+d]
+			acc += float32(x[d] * table[v*dim+d])
 		}
 		logits[v] = acc
 	}

@@ -15,9 +15,9 @@ func GemmTN(a, bm, cm []float32, m, n, k int, alpha, beta float32) {
 		for j := 0; j < n; j++ {
 			var acc float32
 			for p := 0; p < k; p++ {
-				acc += a[p*m+i] * bm[p*n+j]
+				acc += float32(a[p*m+i] * bm[p*n+j])
 			}
-			cm[i*n+j] = alpha*acc + beta*cm[i*n+j]
+			cm[i*n+j] = float32(alpha*acc) + float32(beta*cm[i*n+j])
 		}
 	}
 }
@@ -40,23 +40,23 @@ func LayerNormBackward(x, gamma, dy []float32, rows, cols int, eps float32) (dx,
 		var sq float64
 		for _, v := range row {
 			d := float64(v) - mean
-			sq += d * d
+			sq += float64(d * d)
 		}
 		inv := 1 / math.Sqrt(sq/float64(cols)+float64(eps))
 		// x̂ = (x-μ)·inv; g = dy·γ; dx = (g - mean(g) - x̂·mean(g·x̂))·inv
 		var s1, s2 float64
 		for j := range row {
 			xh := (float64(row[j]) - mean) * inv
-			g := float64(drow[j]) * float64(gamma[j])
+			g := float64(float64(drow[j]) * float64(gamma[j]))
 			s1 += g
-			s2 += g * xh
+			s2 += float64(g * xh)
 		}
 		s1 /= float64(cols)
 		s2 /= float64(cols)
 		for j := range row {
 			xh := (float64(row[j]) - mean) * inv
-			g := float64(drow[j]) * float64(gamma[j])
-			dx[r*cols+j] = float32((g - s1 - xh*s2) * inv)
+			g := float64(float64(drow[j]) * float64(gamma[j]))
+			dx[r*cols+j] = float32((g - s1 - float64(xh*s2)) * inv)
 			dgamma[j] += float32(float64(drow[j]) * xh)
 			dbeta[j] += drow[j]
 		}
@@ -71,10 +71,10 @@ func GeluBackward(x, dy []float32) []float32 {
 	const c1 = 0.044715
 	for i, v := range x {
 		z := float64(v)
-		u := c0 * (z + c1*z*z*z)
+		u := c0 * (z + float64(c1*z*z*z))
 		t := math.Tanh(u)
-		du := c0 * (1 + 3*c1*z*z)
-		d := 0.5*(1+t) + 0.5*z*(1-t*t)*du
+		du := c0 * (1 + float64(3*c1*z*z))
+		d := float64(0.5*(1+t)) + float64(0.5*z*(1-float64(t*t))*du)
 		dx[i] = float32(float64(dy[i]) * d)
 	}
 	return dx
@@ -88,7 +88,7 @@ func SoftmaxBackward(probs, dprobs []float32, rows, cols int) []float32 {
 	for r := 0; r < rows; r++ {
 		var dot float64
 		for j := 0; j < cols; j++ {
-			dot += float64(dprobs[r*cols+j]) * float64(probs[r*cols+j])
+			dot += float64(float64(dprobs[r*cols+j]) * float64(probs[r*cols+j]))
 		}
 		for j := 0; j < cols; j++ {
 			dx[r*cols+j] = float32(float64(probs[r*cols+j]) * (float64(dprobs[r*cols+j]) - dot))

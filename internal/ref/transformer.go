@@ -20,11 +20,11 @@ func LayerNorm(x, gamma, beta []float32, rows, cols int, eps float32) []float32 
 		var sq float64
 		for _, v := range row {
 			d := float64(v) - mean
-			sq += d * d
+			sq += float64(d * d)
 		}
 		inv := 1 / math.Sqrt(sq/float64(cols)+float64(eps))
 		for j, v := range row {
-			y[r*cols+j] = float32((float64(v)-mean)*inv)*gamma[j] + beta[j]
+			y[r*cols+j] = float32(float32((float64(v)-mean)*inv)*gamma[j]) + beta[j]
 		}
 	}
 	return y
@@ -37,7 +37,7 @@ func Gelu(x []float32) []float32 {
 	const c0 = 0.7978845608028654 // sqrt(2/pi)
 	for i, v := range x {
 		z := float64(v)
-		y[i] = float32(0.5 * z * (1 + math.Tanh(c0*(z+0.044715*z*z*z))))
+		y[i] = float32(0.5 * z * (1 + math.Tanh(c0*(z+float64(0.044715*z*z*z)))))
 	}
 	return y
 }
@@ -57,9 +57,9 @@ func GemmNT(a, bm, cm []float32, m, n, k int, alpha, beta float32) {
 		for j := 0; j < n; j++ {
 			var acc float32
 			for p := 0; p < k; p++ {
-				acc += a[i*k+p] * bm[j*k+p]
+				acc += float32(a[i*k+p] * bm[j*k+p])
 			}
-			cm[i*n+j] = alpha*acc + beta*cm[i*n+j]
+			cm[i*n+j] = float32(alpha*acc) + float32(beta*cm[i*n+j])
 		}
 	}
 }

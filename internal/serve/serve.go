@@ -439,7 +439,7 @@ func Run(cfg Config, tr Trace) (*Result, error) {
 		}
 	}
 	res.TotalCycles = now
-	res.Log = append([]cudart.KernelStats(nil), dev.Ctx.KernelStatsLog()...)
+	res.Log = dev.Ctx.KernelStatsLog()
 	res.Stats = *eng.Stats()
 	return res, nil
 }

@@ -208,19 +208,21 @@
 // Statistics are one ledger, kept per kernel (stats.go, partition.go,
 // engine.go):
 //
-//   - One increment site per counter. A `MemCounters` field is
+//   - One increment site per counter. A `cudart.MemCounters` field is
 //     incremented on one line of partition.drain, into
 //     `partition.perKernel` at the issuing grid's dense run id; warp
 //     instructions on one line of smCore.issue, into `smCore.runInstrs`.
-//     There is no scalar mirror and no second count. `partition.l2Writebacks`
-//     is the one partition counter outside the record (replay leaves it
-//     flat).
+//     There is no scalar mirror and no second count: a serviced segment
+//     is an L2 access and an L2 miss a DRAM access, so neither has a
+//     field of its own. `partition.l2Writebacks` is the one partition
+//     counter outside the record (replay leaves it flat).
 //   - Totals are sums of per-kernel records, folded at retirement.
 //     `Engine.foldRun` takes a record out of the shards and calls
 //     `Stats.add`; `Ticket.record` assigns it to the ticket, which keeps
 //     it once, and `Ticket.Stats` is the one conversion to
-//     `cudart.KernelStats`. What an aborted batch left unretired is folded
-//     the same way onto its failed tickets in `Engine.abortBatch`, so
+//     `cudart.KernelStats`, which embeds the record whole. What an
+//     aborted batch left unretired is folded the same way onto its
+//     failed tickets in `Engine.abortBatch`, so
 //     `Engine.mergeShards` folds only what is not per kernel: the cores'
 //     own counters and series (`Stats.merge` lists exactly those) and the
 //     writeback count. Folding is shared with the reference drain loop
@@ -237,15 +239,17 @@
 //     Stats has no field for it. That field is a uint32 in padding the
 //     record already had: a uint64 grew the launch log by 8 bytes a record
 //     and cost xf_hybrid about 4.5% host time and 5% peak memory.
-//   - Adding a per-kernel counter is a field in MemCounters, a line in
-//     `MemCounters.add` and one increment in partition.drain, plus a line
-//     in Ticket.Stats only if cudart.KernelStats has a field for it (that
-//     struct is the launch log's and bench's; grow it reluctantly).
+//   - Adding a per-kernel counter is one `cudart.MemCounters` field, one
+//     line in `cudart.MemCounters.Add` and one increment in
+//     partition.drain; Ticket.Stats needs no line. The field grows every
+//     launch-log record by 8 bytes (KernelStats embeds the record, and it
+//     is the launch log's and bench's), so add one reluctantly.
 //     Summation, replay memoization and the ledger test follow unedited.
 //
-// `TestPerKernelMemCounters` compares summed ticket records with
-// `Engine.Stats` as whole MemCounters structs plus the instruction count,
-// over concurrent grids with an async copy, a warm per-launch replay
+// `TestPerKernelMemCounters` compares the records the tickets report
+// through Ticket.Stats, summed, with `Engine.Stats` as whole
+// `cudart.MemCounters` structs plus the instruction count, over
+// concurrent grids with an async copy, a warm per-launch replay
 // iteration, a batch-rung iteration and an aborted batch; its
 // `TestPerKernelMemCounters/mem_segments_every_retirement` row reads one
 // signature's OracleSegments through detailed, per-launch and batch-rung

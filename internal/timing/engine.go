@@ -275,7 +275,7 @@ type Ticket struct {
 	segs     uint32 // KernelStats.OracleSegments
 	instrs   uint64
 	cycles   uint64 // kernels: admission to retirement; copies: transfer time
-	mem      MemCounters
+	mem      cudart.MemCounters
 	err      error
 
 	// Hybrid replay (replay.go). sig/hasSig: the launch's replay
@@ -291,22 +291,16 @@ type Ticket struct {
 }
 
 // Stats returns the kernel statistics: the one conversion from the
-// ledger to the launch log's view of a record (KernelStats has no room
-// for the segment latency sums, which the ticket keeps in mem). It names
-// the kernel but not the launch's grid and block, which its submitter
-// keeps. It errors until the engine has drained the ticket, and reports
-// the simulation error if the kernel failed.
+// ledger to the launch log's view of a record. It names the kernel but
+// not the launch's grid and block, which its submitter keeps. It errors
+// until the engine has drained the ticket, and reports the simulation
+// error if the kernel failed.
 func (t *Ticket) Stats() (cudart.KernelStats, error) {
 	st := cudart.KernelStats{
 		Name:           t.name,
 		Cycles:         t.cycles,
 		WarpInstrs:     t.instrs,
-		L2Accesses:     t.mem.L2Accesses,
-		L2Hits:         t.mem.L2Hits,
-		L2Misses:       t.mem.L2Misses,
-		DRAMAccesses:   t.mem.DRAMAccesses,
-		DRAMRowHits:    t.mem.DRAMRowHits,
-		MemStallCycles: t.mem.IngressStallCycles,
+		MemCounters:    t.mem,
 		OracleSegments: t.segs,
 		Replayed:       t.replayed,
 	}
@@ -320,7 +314,7 @@ func (t *Ticket) Stats() (cudart.KernelStats, error) {
 }
 
 // record assigns the ticket its kernel's record.
-func (t *Ticket) record(instrs, segs uint64, mem MemCounters) {
+func (t *Ticket) record(instrs, segs uint64, mem cudart.MemCounters) {
 	t.instrs, t.segs, t.mem = instrs, uint32(segs), mem
 }
 
@@ -815,15 +809,15 @@ func (e *Engine) retireReplayed(t *Ticket, ent *replayEntry) {
 // construction (segs has no total: it lives in the kernel log only). Runs
 // on the coordinator between cycle phases (cores and partitions idle), so
 // reading the shards is race-free.
-func (e *Engine) foldRun(id int) (instrs, segs uint64, mem MemCounters) {
+func (e *Engine) foldRun(id int) (instrs, segs uint64, mem cudart.MemCounters) {
 	for _, c := range e.cores {
 		instrs += c.runInstrs[id]
 		segs += c.runSegs[id]
 		c.runInstrs[id], c.runSegs[id] = 0, 0
 	}
 	for _, pt := range e.parts {
-		mem.add(pt.perKernel[id])
-		pt.perKernel[id] = MemCounters{}
+		mem.Add(pt.perKernel[id])
+		pt.perKernel[id] = cudart.MemCounters{}
 	}
 	e.stats.add(instrs, mem)
 	return instrs, segs, mem

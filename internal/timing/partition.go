@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/cudart"
 	"repro/internal/dram"
 )
 
@@ -63,7 +64,7 @@ type partition struct {
 	// per-drain grid id, the only place drain counts anything a kernel can
 	// be charged with. The engine sizes it at the start of every drain and
 	// takes each record out when its kernel retires (Engine.foldRun).
-	perKernel []MemCounters
+	perKernel []cudart.MemCounters
 
 	// l2Writebacks is the one count kept out of the records (see
 	// Stats.L2Writebacks); the engine folds it at batch boundaries.
@@ -158,7 +159,6 @@ func (p *partition) drain(cfg *Config) {
 			s.done = t + l2Lat
 			p.mergedQ = append(p.mergedQ, s)
 		default: // Miss or ReservationFail: go to DRAM
-			sh.L2Misses++
 			sh.DRAMAccesses++
 			start := t + l2Lat
 			slot := -1
@@ -260,7 +260,6 @@ func (p *partition) drain(cfg *Config) {
 		// traffic never re-executes
 		sh := &p.perKernel[s.runID]
 		sh.SegCycles += s.done - s.issue
-		sh.SegServed++
 	}
 }
 

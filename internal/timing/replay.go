@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 
+	"repro/internal/cudart"
 	"repro/internal/exec"
 	"repro/internal/ptx"
 )
@@ -59,12 +60,12 @@ type replaySig struct {
 
 // replayEntry is one memoized detailed outcome.
 type replayEntry struct {
-	cycles uint64      // admission-to-retirement duration
-	instrs uint64      // warp instructions committed
-	segs   uint64      // their StepInfo.Segments (cudart.KernelStats.OracleSegments)
-	mem    MemCounters // per-kernel memory counters, incl. segment latency stats
-	hits   uint64      // lookups served since recorded; drives the re-sampling cadence
-	stale  bool        // commit replaced it: no longer the cache's entry for its signature
+	cycles uint64             // admission-to-retirement duration
+	instrs uint64             // warp instructions committed
+	segs   uint64             // their StepInfo.Segments (cudart.KernelStats.OracleSegments)
+	mem    cudart.MemCounters // per-kernel memory counters, incl. segment latency stats
+	hits   uint64             // lookups served since recorded; drives the re-sampling cadence
+	stale  bool               // commit replaced it: no longer the cache's entry for its signature
 
 	// memo is the launch's captured functional effect (exec/memo.go),
 	// recorded lazily at the first hit's execution: later hits whose

@@ -1,5 +1,7 @@
 package timing
 
+import "repro/internal/cudart"
+
 type stallKind int
 
 const (
@@ -13,38 +15,6 @@ const (
 // StallNames labels the warp-issue breakdown categories (W0 variants in
 // the AerialVision warp plots).
 var StallNames = [numStallKinds]string{"W0_idle", "W0_data_hazard", "W0_barrier", "W0_memory"}
-
-// MemCounters is the per-kernel record of the shared memory system: L2
-// outcomes, DRAM demand traffic and row-buffer locality, and the latency
-// and back-pressure its segments saw. It is the one record type of the
-// counter ledger: partition.drain increments a field at exactly one site,
-// into the record of the grid that issued the segment; a ticket's
-// KernelStats, a replay entry and the engine totals (Stats embeds one)
-// are that record assigned or summed, never counted again. Addition is
-// commutative, so records can be summed in any order.
-type MemCounters struct {
-	L2Accesses   uint64
-	L2Hits       uint64
-	L2Misses     uint64 // demand misses sent to DRAM (incl. MSHR-bypass)
-	DRAMAccesses uint64
-	DRAMRowHits  uint64
-	// cycles segments waited on a partition ingress slot, L2 port or L2
-	// MSHR reservation (the bandwidth-aware hierarchy's back-pressure)
-	IngressStallCycles uint64
-	SegCycles          uint64 // issue-to-response latency, summed over serviced segments
-	SegServed          uint64 // partition-serviced segment count
-}
-
-func (m *MemCounters) add(o MemCounters) {
-	m.L2Accesses += o.L2Accesses
-	m.L2Hits += o.L2Hits
-	m.L2Misses += o.L2Misses
-	m.DRAMAccesses += o.DRAMAccesses
-	m.DRAMRowHits += o.DRAMRowHits
-	m.IngressStallCycles += o.IngressStallCycles
-	m.SegCycles += o.SegCycles
-	m.SegServed += o.SegServed
-}
 
 // Stats accumulates engine-wide counters and AerialVision time series.
 type Stats struct {
@@ -61,7 +31,7 @@ type Stats struct {
 	// Folded from the per-kernel records when a kernel retires, detailed
 	// or replayed (add): the sum of every kernel's memory-system record,
 	// and the warp instructions committed.
-	MemCounters
+	cudart.MemCounters
 	Instructions uint64
 
 	// Written by the SM cores, each into its own shard (a Stats of which
@@ -213,9 +183,9 @@ func (s *Stats) addIdleBulk(from, span uint64) {
 
 // add folds one kernel's record into the totals: what a detailed
 // retirement read out of the shards, or what a replay entry memoized.
-func (s *Stats) add(instrs uint64, mem MemCounters) {
+func (s *Stats) add(instrs uint64, mem cudart.MemCounters) {
 	s.Instructions += instrs
-	s.MemCounters.add(mem)
+	s.MemCounters.Add(mem)
 }
 
 // merge adds a core's shard — the counters a core writes and its time
@@ -286,7 +256,7 @@ func (s *Stats) reset() {
 // segments the partitions serviced — the load-dependent number the
 // bandwidth-aware hierarchy exists to produce (a lightly loaded machine
 // sees raw L2/DRAM latency; a saturated one sees queueing on top).
-func (s *Stats) AvgSegmentLatency() float64 { return ratio(s.SegCycles, s.SegServed) }
+func (s *Stats) AvgSegmentLatency() float64 { return ratio(s.SegCycles, s.L2Accesses) }
 
 // ReplayCoverage returns the fraction of kernel launches retired from
 // the replay cache: hits / (hits + misses + resamples). 0 when replay

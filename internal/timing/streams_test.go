@@ -129,7 +129,7 @@ func runSpin(t testing.TB, lanes int, concurrent bool) (uint64, []cudart.KernelS
 	if err := ctx.DeviceSynchronize(); err != nil {
 		t.Fatal(err)
 	}
-	return eng.Cycle() - start, append([]cudart.KernelStats(nil), ctx.KernelStatsLog()...)
+	return eng.Cycle() - start, ctx.KernelStatsLog()
 }
 
 func putF32(buf []byte, i int, v float32) {
@@ -215,7 +215,7 @@ func runStreams(t testing.TB, workers, lanes int, concurrent, asyncCopy bool) st
 	}
 	snap := streamSnapshot{
 		TotalCycles: eng.Cycle() - start,
-		Log:         append([]cudart.KernelStats(nil), ctx.KernelStatsLog()...),
+		Log:         ctx.KernelStatsLog(),
 		Stats:       *eng.Stats(),
 	}
 	for i := range prep {

@@ -414,7 +414,7 @@ func (c *CPUTrainState) ApplySGD(lr float32) { c.sgd(lr) }
 func (c *CPUTrainState) sgd(lr float32) {
 	step := func(w, g []float32) {
 		for i := range w {
-			w[i] -= lr * g[i]
+			w[i] -= float32(lr * g[i])
 			g[i] = 0
 		}
 	}
