@@ -32,7 +32,7 @@ var decodeWorkload = workload{
 			}
 			rep.Printf("decode workload: %d layers, %d heads, d_model %d — %d sequences, prompt %d + %d generated tokens, %d kernel launches\n",
 				res.Config.Layers, res.Config.Heads, res.Config.DModel,
-				res.Seqs, res.PromptLen, res.NewTokens, res.Launches())
+				res.Seqs, res.PromptLen, res.NewTokens, res.Launches)
 			rep.Printf("%d streams: %d total cycles concurrent vs %d serialized (overlap speedup %.2fx)\n",
 				res.Seqs, res.TotalCycles, res.SerializedCycles, res.Speedup())
 			clockMHz := timing.GTX1050().ClockMHz
@@ -47,7 +47,7 @@ var decodeWorkload = workload{
 				return err
 			}
 			rep.Printf("replay: %d identical generate batches on one engine, %d kernel launches\n",
-				hyb.Iters, hyb.Launches())
+				hyb.Iters, hyb.Launches)
 			printReplayCoverage(rep, &hyb.Stats)
 			rep.Printf("cycles: %d first iteration (detailed), %d total; hybrid throughput %.2f tokens/Mcycle\n",
 				hyb.FirstIterCycles, hyb.TotalCycles, hyb.TokensPerMcycle())

@@ -43,7 +43,7 @@ var trainWorkload = workload{
 			}
 			rep.Printf("train workload: %d layers, %d heads, d_model %d, vocab %d — %d steps × %d tokens, lr %g, %d kernel launches\n",
 				res.Config.Layers, res.Config.Heads, res.Config.DModel, res.Config.Vocab,
-				res.Iters, res.SeqLen, res.LR, res.Launches())
+				res.Iters, res.SeqLen, res.LR, res.Launches)
 			rep.Table(aerial.TrainLossTable("training loss (device vs CPU mirror)", res))
 			rep.Printf("max |device - cpu| loss diff %.2g (tolerance %g)\n", res.MaxLossDiff, core.TrainLossTolerance)
 			rep.Printf("throughput %.2f tokens/Mcycle: %d total cycles, %d first step\n",

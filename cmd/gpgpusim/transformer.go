@@ -41,7 +41,7 @@ var transformerWorkload = workload{
 				return err
 			}
 			rep.Printf("transformer workload: %d layers, %d heads, d_model %d — %d sequences × %d tokens, %d kernel launches\n",
-				res.Config.Layers, res.Config.Heads, res.Config.DModel, res.Seqs, res.SeqLen, res.Launches())
+				res.Config.Layers, res.Config.Heads, res.Config.DModel, res.Seqs, res.SeqLen, res.Launches)
 			rep.Printf("max |sim - cpu| = %.2g\n", res.MaxAbsDiff)
 			rep.Printf("%d streams: %d total cycles concurrent vs %d serialized (overlap speedup %.2fx), IPC %.2f\n",
 				res.Seqs, res.TotalCycles, res.SerializedCycles, res.Speedup(), res.IPC())
@@ -61,7 +61,7 @@ func runTransformerReplay(rep *aerial.Report, workers, streams, resampleEvery in
 		return err
 	}
 	rep.Printf("transformer replay workload: %d layers, %d heads, d_model %d — %d sequences × %d tokens, %d iterations, %d kernel launches\n",
-		res.Config.Layers, res.Config.Heads, res.Config.DModel, res.Seqs, res.SeqLen, res.Iters, res.Launches())
+		res.Config.Layers, res.Config.Heads, res.Config.DModel, res.Seqs, res.SeqLen, res.Iters, res.Launches)
 	rep.Printf("max |sim - cpu| = %.2g (first iteration; later iterations bit-equal by construction)\n", res.MaxAbsDiff)
 	printReplayCoverage(rep, &res.Stats)
 	rep.Printf("cycles: %d first iteration (detailed), %d total; %d replayed vs %d detailed kernel cycles",

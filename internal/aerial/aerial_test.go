@@ -10,6 +10,7 @@ import (
 	"repro/internal/cudart"
 	"repro/internal/multigpu"
 	"repro/internal/serve"
+	"repro/internal/session"
 )
 
 func TestHeatMapRendering(t *testing.T) {
@@ -108,7 +109,7 @@ func TestReport(t *testing.T) {
 	var text strings.Builder
 	rep := &Report{W: &text}
 	rep.Printf("summary %d\n", 7)
-	rep.Table(KernelReplayTable("shown", []core.KernelAgg{{Name: "k", Launches: 2}}))
+	rep.Table(KernelReplayTable("shown", []session.KernelAgg{{Name: "k", Launches: 2}}))
 	rep.Table(CSVTable("cells.csv", []string{"a", "b"}, [][]string{{"1", "x"}}))
 	rep.Series("ipc.csv", []string{"ipc"}, [][]float64{{0.5, 1}})
 	if got := text.String(); !strings.HasPrefix(got, "summary 7\n== shown ==\n") || strings.Contains(got, "cells") {
@@ -137,7 +138,7 @@ func TestReport(t *testing.T) {
 
 func TestKernelReplayTable(t *testing.T) {
 	var b strings.Builder
-	tab := KernelReplayTable("replay", []core.KernelAgg{
+	tab := KernelReplayTable("replay", []session.KernelAgg{
 		{Name: "matmul", Launches: 10, Replayed: 9, Cycles: 1000, ReplayedCycles: 880},
 		{Name: "once", Launches: 1}, // never replayed: rate must render, no NaN
 	})

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cudart"
 	"repro/internal/multigpu"
 	"repro/internal/serve"
+	"repro/internal/session"
 )
 
 // Column is one column of a Table. It appears in the text form when Head
@@ -142,7 +143,7 @@ func KernelMemTable(title string, launches []cudart.KernelStats) *Table {
 // which kernels the cache absorbed and which still pay detailed
 // simulation (the re-sampling budget should go where replayed% is low).
 // Its CSV form is kernel_replay.csv.
-func KernelReplayTable(title string, kernels []core.KernelAgg) *Table {
+func KernelReplayTable(title string, kernels []session.KernelAgg) *Table {
 	t := &Table{Title: title, File: "kernel_replay.csv", Columns: []Column{
 		{Head: "kernel", Width: -24, Verb: "%s", CSVHead: "kernel", CSVVerb: "%s"},
 		{Head: "launches", Width: 8, Verb: "%d", CSVHead: "launches", CSVVerb: "%d"},

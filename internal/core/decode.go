@@ -27,8 +27,7 @@ type DecodeReplayResult struct {
 	NewTokens int
 	session.Iterations
 
-	Tokens    [][]int32 // first iteration's generated ids, oracle-verified
-	PerKernel []KernelAgg
+	Tokens [][]int32 // first iteration's generated ids, oracle-verified
 }
 
 // TokensPerMcycle returns generated tokens per million modelled cycles
@@ -107,7 +106,6 @@ func RunDecodeReplay(workers, seqs, promptLen, newTokens, iters, resampleEvery i
 	if err != nil {
 		return nil, err
 	}
-	res.PerKernel = AggregateKernels(res.Log)
 	return res, nil
 }
 

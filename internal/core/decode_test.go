@@ -15,7 +15,7 @@ func TestRunDecodeSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Launches() == 0 || TotalInstrs(res.PerKernel) == 0 {
+	if res.Launches == 0 || res.Stats.Instructions == 0 {
 		t.Fatalf("decode issued no work: %+v", res)
 	}
 	if len(res.Tokens) != seqs {
@@ -58,9 +58,9 @@ func TestRunDecodeReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perIter := res.Launches() / iters
-	if res.Launches() != perIter*iters {
-		t.Errorf("launch count %d not divisible by %d iterations", res.Launches(), iters)
+	perIter := res.Launches / iters
+	if res.Launches != perIter*iters {
+		t.Errorf("launch count %d not divisible by %d iterations", res.Launches, iters)
 	}
 	if got, want := res.Stats.ReplayMisses, uint64(perIter); got != want {
 		t.Errorf("ReplayMisses = %d, want %d (first iteration only)", got, want)

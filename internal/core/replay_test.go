@@ -22,9 +22,9 @@ func TestRunTransformerReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perIter := res.Launches() / iters
-	if res.Launches() != perIter*iters {
-		t.Errorf("launch count %d not divisible by %d iterations", res.Launches(), iters)
+	perIter := res.Launches / iters
+	if res.Launches != perIter*iters {
+		t.Errorf("launch count %d not divisible by %d iterations", res.Launches, iters)
 	}
 	if got, want := res.Stats.ReplayMisses, uint64(perIter); got != want {
 		t.Errorf("ReplayMisses = %d, want %d (first iteration only)", got, want)
@@ -108,15 +108,15 @@ type warmRun struct {
 // all-applied sightings.
 const warmClimb = 4
 
-// warmIterations runs warmClimb+warm+1 iterations of the sample forward
+// warmIterations runs warmClimb+warm iterations of the sample forward
 // batch (4 sequences x 12 tokens on 4 streams, 204 launches) on one
 // hybrid-replay session and measures the warm ones after the climb. The
-// last iteration closes the window: it starts once the measured ones
-// have ended theirs, before the session builds the run's kernel log
-// view. Every iteration after the climb must retire as one batch.
+// window closes after Iterate returns, so it holds what the session hands
+// back about the run as well. Every iteration after the climb must retire
+// as one batch.
 func warmIterations(warm int) (warmRun, error) {
 	const seqs, seqLen = 4, 12
-	iters := warmClimb + warm + 1
+	iters := warmClimb + warm
 	cfg := DefaultTransformerConfig()
 	batch := TransformerBatch(seqs, seqLen, cfg.Vocab)
 	s, err := sampleSession(1, 0, true)
@@ -133,18 +133,10 @@ func warmIterations(warm int) (warmRun, error) {
 	var warmStart time.Time
 	var before, after runtime.MemStats
 	run, err := s.Iterate(iters, func(it int) error {
-		switch it {
-		case warmClimb:
+		if it == warmClimb {
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 			warmStart = time.Now()
-		case iters - 1:
-			w.elapsed = time.Since(warmStart)
-			runtime.ReadMemStats(&after)
-			w.mallocs = after.Mallocs - before.Mallocs
-			runtime.GC()
-			runtime.ReadMemStats(&after)
-			w.retained = int64(after.HeapAlloc) - int64(before.HeapAlloc)
 		}
 		_, err := enc.ForwardBatch(batch, true)
 		return err
@@ -152,10 +144,17 @@ func warmIterations(warm int) (warmRun, error) {
 	if err != nil {
 		return warmRun{}, err
 	}
-	w.launches = run.Launches() / iters * warm
+	w.elapsed = time.Since(warmStart)
+	runtime.ReadMemStats(&after)
+	w.mallocs = after.Mallocs - before.Mallocs
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	w.retained = int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	runtime.KeepAlive(run) // what Iterate handed back is live in the window
+	w.launches = run.Launches / iters * warm
 	w.batchHits = run.Stats.ReplayBatchHits
-	if w.batchHits != uint64(warm+1) {
-		return warmRun{}, fmt.Errorf("%d of %d warm iterations retired as a batch", w.batchHits, warm+1)
+	if w.batchHits != uint64(warm) {
+		return warmRun{}, fmt.Errorf("%d of %d warm iterations retired as a batch", w.batchHits, warm)
 	}
 	return w, nil
 }
@@ -178,10 +177,11 @@ func TestWarmLaunchAllocs(t *testing.T) {
 
 // TestWarmLaunchRetainedBytes bounds the heap a warm launch keeps alive:
 // after the ladder's climb, 20 iterations retire through the batch rung
-// retaining at most 48 bytes per launch. The launch log interns its
-// records, so a launch whose record repeats an earlier one keeps only
-// its 16-byte entry; a log that stores the 144-byte record of every
-// launch fails the bound.
+// retaining at most 48 bytes per launch, what Iterate hands back
+// included. The launch log interns its records, so a launch whose record
+// repeats an earlier one keeps only its 16-byte entry; a log that stores
+// the 144-byte record of every launch, or a session that hands back a
+// flat copy of it, fails the bound.
 func TestWarmLaunchRetainedBytes(t *testing.T) {
 	w, err := warmIterations(20)
 	if err != nil {
@@ -195,11 +195,10 @@ func TestWarmLaunchRetainedBytes(t *testing.T) {
 }
 
 // BenchmarkReplayWarmIteration times the steady state of hybrid replay:
-// 200 iterations of the sample forward batch on one session, of which the
-// first four are the ladder's climb and the rest retire through the
-// replay cache's batch rung; the 195 after the climb but the last are
-// measured. It is the handle for a profile of what a warm iteration
-// still costs:
+// 199 iterations of the sample forward batch on one session, of which the
+// first four are the ladder's climb and the 195 after it retire through
+// the replay cache's batch rung and are measured, up to Iterate's return.
+// It is the handle for a profile of what a warm iteration still costs:
 //
 //	go test ./internal/core -run '^$' -bench ReplayWarmIteration -benchtime 5x -cpuprofile cpu.prof
 func BenchmarkReplayWarmIteration(b *testing.B) {

@@ -41,8 +41,6 @@ type TrainResult struct {
 	CPULosses      []float32 // host-mirror loss per step
 	StepReplayHits []uint64  // replay-cache hits registered during each step
 	MaxLossDiff    float64
-
-	PerKernel []KernelAgg
 }
 
 // TokensPerMcycle returns trained tokens per million modelled cycles.
@@ -121,6 +119,5 @@ func RunTrainSample(workers, steps, seqLen, resampleEvery int, replay bool) (*Tr
 	if err != nil {
 		return nil, err
 	}
-	res.PerKernel = AggregateKernels(res.Log)
 	return res, nil
 }

@@ -27,9 +27,9 @@ func TestRunTrainSample(t *testing.T) {
 	if res.MaxLossDiff > TrainLossTolerance {
 		t.Fatalf("device/CPU loss divergence %g exceeds %g", res.MaxLossDiff, TrainLossTolerance)
 	}
-	if res.Launches() == 0 || res.TotalCycles == 0 || res.FirstIterCycles == 0 {
+	if res.Launches == 0 || res.TotalCycles == 0 || res.FirstIterCycles == 0 {
 		t.Fatalf("implausible run: %d launches, %d cycles, %d first-step cycles",
-			res.Launches(), res.TotalCycles, res.FirstIterCycles)
+			res.Launches, res.TotalCycles, res.FirstIterCycles)
 	}
 	if res.TokensPerMcycle() <= 0 {
 		t.Fatalf("tokens/Mcycle = %g", res.TokensPerMcycle())
@@ -83,13 +83,13 @@ func TestRunTrainReplay(t *testing.T) {
 		t.Fatalf("detailed run has replay activity: hits %d misses %d coverage %g",
 			detailed.Stats.ReplayHits, detailed.Stats.ReplayMisses, detailed.Stats.ReplayCoverage())
 	}
-	if hybrid.Launches() != detailed.Launches() {
-		t.Fatalf("launch count differs: hybrid %d vs detailed %d", hybrid.Launches(), detailed.Launches())
+	if hybrid.Launches != detailed.Launches {
+		t.Fatalf("launch count differs: hybrid %d vs detailed %d", hybrid.Launches, detailed.Launches)
 	}
-	if hybrid.Launches()%steps != 0 {
-		t.Fatalf("launches %d not divisible by %d steps", hybrid.Launches(), steps)
+	if hybrid.Launches%steps != 0 {
+		t.Fatalf("launches %d not divisible by %d steps", hybrid.Launches, steps)
 	}
-	perStep := hybrid.Launches() / steps
+	perStep := hybrid.Launches / steps
 	// per-step activations are freed between steps, so the allocator
 	// re-issues identical addresses and every steady-state launch
 	// signature repeats: steps 2..n replay entirely from the cache

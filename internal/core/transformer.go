@@ -15,9 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
-	"repro/internal/cudart"
 	"repro/internal/session"
 	"repro/internal/timing"
 	"repro/internal/torch"
@@ -25,53 +23,6 @@ import (
 
 // DefaultTransformerConfig sizes the sample encoder.
 func DefaultTransformerConfig() torch.TransformerConfig { return torch.SampleTransformerConfig() }
-
-// KernelAgg aggregates one kernel name's launches across a run,
-// splitting out the ones retired from the replay cache.
-type KernelAgg struct {
-	Name           string
-	Launches       int
-	Replayed       int // launches retired from the replay cache
-	WarpInstrs     uint64
-	Cycles         uint64 // all launches
-	ReplayedCycles uint64 // replayed launches only
-}
-
-// AggregateKernels folds a launch log by kernel name, sorted by name.
-func AggregateKernels(log []cudart.KernelStats) []KernelAgg {
-	byName := map[string]*KernelAgg{}
-	var names []string
-	for _, k := range log {
-		a := byName[k.Name]
-		if a == nil {
-			a = &KernelAgg{Name: k.Name}
-			byName[k.Name] = a
-			names = append(names, k.Name)
-		}
-		a.Launches++
-		a.WarpInstrs += k.WarpInstrs
-		a.Cycles += k.Cycles
-		if k.Replayed {
-			a.Replayed++
-			a.ReplayedCycles += k.Cycles
-		}
-	}
-	sort.Strings(names)
-	out := make([]KernelAgg, len(names))
-	for i, n := range names {
-		out[i] = *byName[n]
-	}
-	return out
-}
-
-// TotalInstrs sums the warp instructions of an aggregated log.
-func TotalInstrs(per []KernelAgg) uint64 {
-	var n uint64
-	for _, k := range per {
-		n += k.WarpInstrs
-	}
-	return n
-}
 
 // sampleSession builds the GTX 1050 session the transformer-family
 // drivers run on. With replay=true the engine runs in hybrid replay mode
@@ -106,7 +57,6 @@ type TransformerReplayResult struct {
 
 	MaxAbsDiff float64     // first iteration vs the ForwardCPU oracle
 	Outputs    [][]float32 // first iteration's activations
-	PerKernel  []KernelAgg
 }
 
 // RunTransformerReplay runs `iters` identical transformer forward
@@ -164,7 +114,6 @@ func RunTransformerReplay(workers, seqs, seqLen, iters, resampleEvery int, concu
 	if err != nil {
 		return nil, err
 	}
-	res.PerKernel = AggregateKernels(res.Log)
 	return res, nil
 }
 
@@ -182,7 +131,7 @@ func (r *TransformerSampleResult) Speedup() float64 {
 
 // IPC returns warp instructions per cycle of the concurrent run.
 func (r *TransformerSampleResult) IPC() float64 {
-	return float64(TotalInstrs(r.PerKernel)) / float64(r.TotalCycles)
+	return float64(r.Stats.Instructions) / float64(r.TotalCycles)
 }
 
 // RunTransformerSample executes the sample with `seqs` sequences of

@@ -2,6 +2,8 @@ package cudart
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 
 	"repro/internal/device"
 	"repro/internal/exec"
@@ -375,16 +377,26 @@ func (c *Context) SetAPITag(tag string) { c.apiTag = tag }
 // CapturedLaunches returns the captured launch records.
 func (c *Context) CapturedLaunches() []*LaunchRecord { return c.captureLog }
 
-// KernelStatsLog returns per-kernel stats in launch order, draining any
-// queued async launches first so every entry is final. Each call builds
-// a new slice, which the caller owns.
-func (c *Context) KernelStatsLog() []KernelStats {
-	_ = c.drainPending()
-	return c.log.all()
+// KernelLog ranges over per-kernel stats in launch order, building no slice;
+// ranging it drains any queued async launches first, so every record is final.
+func (c *Context) KernelLog() iter.Seq[KernelStats] {
+	return func(yield func(KernelStats) bool) {
+		_ = c.drainPending()
+		for i := range c.log.n {
+			if !yield(c.log.at(i)) {
+				return
+			}
+		}
+	}
 }
 
-// KernelLogLen returns the number of records KernelStatsLog would
-// return, draining any queued async launches first.
+// KernelStatsLog returns KernelLog's records in a new exact-capacity slice.
+func (c *Context) KernelStatsLog() []KernelStats {
+	return slices.AppendSeq(make([]KernelStats, 0, c.KernelLogLen()), c.KernelLog())
+}
+
+// KernelLogLen returns the number of records KernelLog yields, draining
+// any queued async launches first.
 func (c *Context) KernelLogLen() int {
 	_ = c.drainPending()
 	return c.log.n

@@ -216,7 +216,9 @@ func (r *countingRunner) DrainAll() error { return nil }
 // every 97th launch. The log retains at most 176 bytes per launch — the
 // 144-byte record, its 16-byte entry and the record index — and
 // KernelLogLen counts the records KernelStatsLog returns, in a slice its
-// caller owns.
+// caller owns. Ranging KernelLog yields the same records, stops at a
+// break, allocates nothing per record, and drains a launch still queued
+// on a stream when the range starts.
 func TestKernelLogChunks(t *testing.T) {
 	ctx := cudart.NewContext(exec.BugSet{})
 	r := &countingRunner{}
@@ -285,9 +287,49 @@ func TestKernelLogChunks(t *testing.T) {
 	if n := ctx.KernelLogLen(); n != len(log) {
 		t.Errorf("KernelLogLen %d, KernelStatsLog holds %d records", n, len(log))
 	}
+	if c := cap(log); c != len(log) {
+		t.Errorf("KernelStatsLog capacity %d, want exactly its %d records", c, len(log))
+	}
+	j := 0
+	for k := range ctx.KernelLog() {
+		if j >= len(log) || k != log[j] {
+			t.Fatalf("KernelLog record %d: %+v, KernelStatsLog holds %d records", j, k, len(log))
+		}
+		j++
+	}
+	if j != len(log) {
+		t.Errorf("KernelLog yielded %d records, KernelStatsLog holds %d", j, len(log))
+	}
+	j = 0
+	for range ctx.KernelLog() {
+		if j++; j == chunk+1 {
+			break
+		}
+	}
+	if j != chunk+1 {
+		t.Errorf("a break after %d records stopped the range at %d", chunk+1, j)
+	}
+	if allocs := testing.AllocsPerRun(3, func() {
+		for range ctx.KernelLog() {
+		}
+	}); allocs > 1 {
+		t.Errorf("ranging %d records allocated %.0f times, want at most once per range", len(log), allocs)
+	}
+
 	log[0].Cycles = 0 // the caller owns the slice
 	if again := ctx.KernelStatsLog(); again[0].Cycles != uint64(logged[0]+1) {
 		t.Errorf("a write to a returned slice reached the log: record 0 reads %+v", again[0])
+	}
+
+	if _, err := ctx.LaunchOnStream(s, "incr", grid, block, p, 0); err != nil {
+		t.Fatal(err)
+	}
+	var last cudart.KernelStats
+	for k := range ctx.KernelLog() {
+		last = k
+	}
+	if want := (cudart.KernelStats{Name: "incr", LaunchID: launches, GridDim: grid, BlockDim: block, Cycles: r.kernels}); last != want {
+		t.Errorf("a launch queued when the range started reads %+v, want its final %+v", last, want)
 	}
 }
 

@@ -19,7 +19,7 @@
 //     every sync point: `Context.StreamSynchronize`,
 //     `Context.DeviceSynchronize`, `Context.EventRecord`,
 //     `Context.StreamDestroy`, every synchronous copy or memset and
-//     `Context.KernelStatsLog`. The legacy default stream keeps its
+//     every read of the launch log. The legacy default stream keeps its
 //     device-synchronising semantics: a launch on it, or any captured
 //     launch, drains before and after its submit and returns its own
 //     failure, neither sticky nor logged; MemcpyHtoDAsync on it is an
@@ -48,10 +48,10 @@
 //     `maphash.Comparable` and checks candidates with ==, so it stores no
 //     second copy of a key. An async launch's placeholder is filled at
 //     the drain by re-pointing its entry, a failed synchronous launch's
-//     entry is dropped. `Context.KernelStatsLog` builds a new slice of
-//     one launch-ordered record per launch, which its caller owns; the
-//     log keeps no flat copy, and `Context.KernelLogLen` counts the
-//     records without building one.
+//     entry is dropped. The log keeps no flat copy: `Context.KernelLog`
+//     ranges over it in place, in launch order, `Context.KernelLogLen`
+//     counts it, and `Context.KernelStatsLog` is an exact-capacity slice
+//     of it for the benchmark and the tests.
 //     The log retains at most 176 bytes per launch when its records are
 //     all distinct (`TestKernelLogChunks`), and at most 48 per warm
 //     replayed launch, whose record repeats an earlier one

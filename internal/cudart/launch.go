@@ -260,19 +260,6 @@ func (l *kernelLog) fill(i int, st KernelStats) {
 	e.rec = l.intern(&st)
 }
 
-// all returns every record in launch order as a new slice (nil when
-// empty).
-func (l *kernelLog) all() []KernelStats {
-	if l.n == 0 {
-		return nil
-	}
-	out := make([]KernelStats, l.n)
-	for i := range out {
-		out[i] = l.at(i)
-	}
-	return out
-}
-
 // captureLaunch snapshots the launch inputs: parameter bytes plus the
 // contents of every allocation reachable from a pointer-sized parameter
 // (Fig. 2's "capture and save all relevant data").

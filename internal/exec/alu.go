@@ -285,10 +285,44 @@ func madOp(in *ptx.Instr, t ptx.Type, a, b, c uint64) (uint64, error) {
 	return truncToType(uint64(int64(p)+int64(c)), t), nil
 }
 
-// fmaF32 is fma.f32: the product is exact in float64, so one rounding to
-// float32 at the end reproduces a fused single-precision multiply-add.
+// fmaF32 is fma.rn.f32, rounded once (see fmaF32Fast).
 func fmaF32(a, b, c uint64) uint64 {
-	return f32bits(float32(math.FMA(float64(bitsF32(a)), float64(bitsF32(b)), float64(bitsF32(c)))))
+	if r, ok := fmaF32Fast(a, b, c); ok {
+		return r
+	}
+	return f32bits(float32(addOdd(float64(bitsF32(a))*float64(bitsF32(b)), float64(bitsF32(c)))))
+}
+
+// fmaF32Fast is fmaF32 through math.FMA, small enough to inline into the
+// per-lane loops. x·y is exact in float64, so the float64 sum rounds to
+// float32 as the exact sum does unless it is a float32 midpoint (low 29
+// bits 1<<28) or non-zero below float32's normal range (2^-126, biased
+// exponent 897; the unsigned compare wraps zero to the top): ok is false
+// there, and fmaF32 rounds the sum to odd at 53 bits first.
+func fmaF32Fast(a, b, c uint64) (r uint64, ok bool) {
+	s := math.FMA(float64(bitsF32(a)), float64(bitsF32(b)), float64(bitsF32(c)))
+	bits := math.Float64bits(s)
+	return f32bits(float32(s)), bits&(1<<29-1) != 1<<28 && bits<<1-1 >= 897<<53-1
+}
+
+// addOdd is x+y rounded to odd (Boldo and Melquiond, IEEE TC 2008): when
+// TwoSum's error e is non-zero, an even sum moves one ulp toward x+y.
+func addOdd(x, y float64) float64 {
+	s := x + y
+	v := s - x
+	if e := (x - (s - v)) + (y - v); math.Float64bits(s)&1 == 0 && (e < 0 || e > 0) {
+		return math.Nextafter(s, math.Copysign(math.Inf(1), e))
+	}
+	return s
+}
+
+// f32Odd is x rounded to odd at float32's precision.
+func f32Odd(x float64) float32 {
+	f := float32(x)
+	if e := x - float64(f); math.Float32bits(f)&1 == 0 && (e < 0 || e > 0) {
+		return math.Nextafter32(f, float32(math.Copysign(math.Inf(1), e)))
+	}
+	return f
 }
 
 func fmaOp(in *ptx.Instr, t ptx.Type, a, b, c uint64) (uint64, error) {
@@ -298,13 +332,13 @@ func fmaOp(in *ptx.Instr, t ptx.Type, a, b, c uint64) (uint64, error) {
 	case ptx.F64:
 		return f64bits(math.FMA(bitsF64(a), bitsF64(b), bitsF64(c))), nil
 	case ptx.F16:
-		// FMA keeps full precision between the multiply and the add; only
-		// the final result is rounded to f16. This is precisely the extra
-		// precision that caused the paper's FP16 mismatch (§III-D1).
+		// FMA keeps full precision between the multiply and the add (its
+		// float64 and float32 steps round to odd); only the result rounds to
+		// f16. This extra precision caused the paper's FP16 mismatch (§III-D1).
 		x := float64(HalfToF32(uint16(a)))
 		y := float64(HalfToF32(uint16(b)))
 		z := float64(HalfToF32(uint16(c)))
-		return uint64(F32ToHalf(float32(math.FMA(x, y, z)))), nil
+		return uint64(F32ToHalf(f32Odd(addOdd(x*y, z)))), nil
 	}
 	return 0, aluError(in, "bad type %v for fma", t)
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"math/big"
 	"math/bits"
 	"testing"
 	"testing/quick"
@@ -278,12 +279,7 @@ func TestFloatOps(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			want := float32(math.FMA(float64(a), float64(b), float64(c)))
-			got := math.Float32frombits(uint32(r))
-			if want != want {
-				return got != got
-			}
-			return got == want
+			return math.Float32frombits(uint32(r)) == fmaExact32(a, b, c)
 		}
 		if err := quick.Check(f, cfg); err != nil {
 			t.Error(err)
@@ -302,6 +298,67 @@ func TestFloatOps(t *testing.T) {
 			t.Error(err)
 		}
 	})
+}
+
+// fmaExact32 is a*b+c computed exactly and rounded once to float32.
+func fmaExact32(a, b, c float32) float32 {
+	r := new(big.Float).SetPrec(320).SetFloat64(float64(a))
+	r.Mul(r, big.NewFloat(float64(b))).Add(r, big.NewFloat(float64(c)))
+	f, _ := r.Float32()
+	return f
+}
+
+// TestFmaRoundsOnce: fma.rn rounds the exact a*b+c once, on rows where a
+// wider intermediate rounded to nearest rounds twice, in evalALU and in
+// the warp handler's full-mask and partial-mask loops.
+func TestFmaRoundsOnce(t *testing.T) {
+	m := cleanMachine()
+	for _, c := range []struct {
+		name    string
+		typ     ptx.Type
+		a, b, c uint64
+		want    uint64
+	}{
+		// (1+2^-12)^2 = 1+2^-11+2^-24 is a float32 midpoint; the 2^-80
+		// above it rounds up, and a float64 sum drops it
+		{"f32 midpoint plus 2^-80", ptx.F32, 0x3f800800, 0x3f800800, uint64(math.Float32bits(0x1p-80)), 0x3f801001},
+		// the exact sum is 2^-26 above the f16 midpoint of 0x3416 and
+		// 0x3417, itself a float32 midpoint: a float32 intermediate ties to
+		// the f16 midpoint, and f16 then ties to even
+		{"f16 above a midpoint", ptx.F16, 0xb2be, 0x2f61, 0x347a, 0x3417},
+		// (1+2^-23)(1-2^-23)2^-150 = 2^-150-2^-196 added to the float32
+		// subnormal 2^-130+2^-149: a float64 sum drops the 2^-196 and
+		// lands on the subnormal midpoint, which ties up to even
+		{"f32 subnormal below a midpoint", ptx.F32, 0x1a000001, 0x19fffffe, 0x00080001, 0x00080001},
+		{"f32 exact", ptx.F32, uint64(math.Float32bits(1.5)), uint64(math.Float32bits(-3)), uint64(math.Float32bits(0.25)), uint64(math.Float32bits(-4.25))},
+		{"f32 inf", ptx.F32, uint64(math.Float32bits(float32(math.Inf(1)))), uint64(math.Float32bits(2)), uint64(math.Float32bits(1)), uint64(math.Float32bits(float32(math.Inf(1))))},
+		{"f16 exact", ptx.F16, 0x3e00, 0xc200, 0x3400, 0xc440}, // 1.5 * -3 + 0.25 = -4.25
+	} {
+		r, err := m.evalALU(&ptx.Instr{Op: ptx.OpFma, T: c.typ, Raw: c.name}, [4]uint64{c.a, c.b, c.c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r != c.want {
+			t.Errorf("%s: fma(%#x, %#x, %#x) = %#x, want %#x", c.name, c.a, c.b, c.c, r, c.want)
+		}
+		for _, mask := range []uint32{fullMask, 0xAAAAAAAA} {
+			cta, w, _ := oneInstrWarp(t, m, aluInstr(ptx.Instr{Op: ptx.OpFma, T: c.typ}))
+			regs := newSlotRegs(cta, w)
+			for l := 0; l < WarpSize; l++ {
+				regs.set(slotA, l, c.a)
+				regs.set(slotB, l, c.b)
+				regs.set(slotC, l, c.c)
+				regs.set(slotPred, l, uint64(mask>>l&1))
+			}
+			var info StepInfo
+			if err := m.StepWarp(cta, w, m.cov, &info); err != nil {
+				t.Fatal(err)
+			}
+			if got := regs.get(slotDst, 31); got != c.want {
+				t.Errorf("%s: warp handler, mask %#x: lane 31 reads %#x, want %#x", c.name, mask, got, c.want)
+			}
+		}
+	}
 }
 
 func TestCvt(t *testing.T) {

@@ -206,13 +206,21 @@ func (m *Machine) execALU(d *decoded, dst, a, b, c, e *row, mask uint32) error {
 	case hfmaf32:
 		if mask == fullMask {
 			for l := range dst {
-				dst[l] = fmaF32(a[l], b[l], c[l])
+				r, ok := fmaF32Fast(a[l], b[l], c[l])
+				if !ok {
+					r = fmaF32(a[l], b[l], c[l])
+				}
+				dst[l] = r
 			}
 			break
 		}
 		for ; mask != 0; mask &= mask - 1 {
 			l := lane(mask)
-			dst[l] = fmaF32(a[l], b[l], c[l])
+			r, ok := fmaF32Fast(a[l], b[l], c[l])
+			if !ok {
+				r = fmaF32(a[l], b[l], c[l])
+			}
+			dst[l] = r
 		}
 	case hsetpu32:
 		cmp := d.cmp

@@ -16,9 +16,16 @@
 // buffers survive until dropped (`TestSessionKeepDrop`), and only a primed
 // arena (`Session.PrimeArena`) makes iteration 0 place buffers like
 // iteration 1 for a body that frees mid-iteration (`TestIterate`).
+// `Session.Iterate` folds the launch log in place into `KernelAgg`s, one
+// per kernel name, and copies no launch (`TestIteratePerKernel`).
 package session
 
 import (
+	"iter"
+	"maps"
+	"slices"
+	"strings"
+
 	"repro/internal/cudart"
 	"repro/internal/exec"
 	"repro/internal/timing"
@@ -107,21 +114,44 @@ func (s *Session) EndIteration() error {
 	return nil
 }
 
-// Iterations is what Iterate measured.
+// Iterations is what Iterate measured, the context's whole kernel log included.
 type Iterations struct {
 	Iters           int
 	FirstIterCycles uint64 // modelled cycles of the first (never replayed) iteration
 	TotalCycles     uint64 // modelled cycles of all iterations
 	Stats           timing.Stats
-	Log             []cudart.KernelStats // every launch, in launch order
+	Launches        int         // kernel launches
+	PerKernel       []KernelAgg // the launches folded by kernel name, sorted by name
 }
 
-// Launches returns the number of kernel launches across all iterations.
-func (it *Iterations) Launches() int { return len(it.Log) }
+// KernelAgg is one kernel name's launches in a run, the replayed ones split out.
+type KernelAgg struct {
+	Name           string
+	Launches       int
+	Replayed       int    // launches retired from the replay cache
+	Cycles         uint64 // all launches
+	ReplayedCycles uint64 // replayed launches only
+}
+
+// aggregateKernels folds a launch log by kernel name, sorted by name.
+func aggregateKernels(log iter.Seq[cudart.KernelStats]) []KernelAgg {
+	byName := map[string]KernelAgg{}
+	for k := range log {
+		a := byName[k.Name]
+		a.Name = k.Name
+		a.Launches++
+		a.Cycles += k.Cycles
+		if k.Replayed {
+			a.Replayed++
+			a.ReplayedCycles += k.Cycles
+		}
+		byName[k.Name] = a
+	}
+	return slices.SortedFunc(maps.Values(byName), func(a, b KernelAgg) int { return strings.Compare(a.Name, b.Name) })
+}
 
 // Iterate runs body iters times (at least once), ending each iteration
-// with EndIteration, and snapshots the engine counters and the kernel
-// log at the end.
+// with EndIteration, then snapshots the engine counters and the log's fold.
 func (s *Session) Iterate(iters int, body func(it int) error) (Iterations, error) {
 	if iters < 1 {
 		iters = 1
@@ -141,6 +171,7 @@ func (s *Session) Iterate(iters int, body func(it int) error) (Iterations, error
 	}
 	res.TotalCycles = s.Eng.Cycle() - start
 	res.Stats = *s.Eng.Stats()
-	res.Log = s.Dev.Ctx.KernelStatsLog()
+	res.Launches = s.Dev.Ctx.KernelLogLen()
+	res.PerKernel = aggregateKernels(s.Dev.Ctx.KernelLog())
 	return res, nil
 }

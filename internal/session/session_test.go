@@ -1,10 +1,12 @@
 package session
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/timing"
+	"repro/internal/torch"
 )
 
 // body allocates and frees a mix of transient buffers the way a
@@ -175,10 +177,73 @@ func TestIterate(t *testing.T) {
 	if !reflect.DeepEqual(addrs[0], addrs[2]) {
 		t.Errorf("iterations saw different addresses: %#x vs %#x", addrs[0], addrs[2])
 	}
-	if l := live(s, addrs[2]...); len(l) != 0 || run.Launches() != 0 || run.TotalCycles != 0 {
-		t.Errorf("launch-free body left live=%#x launches=%d cycles=%d", l, run.Launches(), run.TotalCycles)
+	if l := live(s, addrs[2]...); len(l) != 0 || run.Launches != 0 || run.TotalCycles != 0 {
+		t.Errorf("launch-free body left live=%#x launches=%d cycles=%d", l, run.Launches, run.TotalCycles)
 	}
 	if run, _ := s.Iterate(0, func(int) error { return nil }); run.Iters != 1 {
 		t.Errorf("Iterate(0) ran %d iterations, want 1", run.Iters)
+	}
+}
+
+// TestIteratePerKernel: Iterate's launch count and per-kernel aggregates
+// cover the context's whole log. Three replayed iterations of a
+// stream-overlapped encoder batch fold, sorted by name, into what a
+// by-name fold of KernelStatsLog gives, and their launch counts sum to
+// Launches.
+func TestIteratePerKernel(t *testing.T) {
+	cfg := timing.GTX1050()
+	cfg.ReplayEnabled = true
+	s, err := New(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	model := torch.TransformerConfig{Layers: 1, Heads: 2, DModel: 16, FF: 32, Vocab: 29, MaxSeq: 8}
+	enc, err := torch.NewTransformerEncoder(s.Dev, rand.New(rand.NewSource(7)), model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Pin()
+	batch := [][]int32{{1, 2, 3}, {4, 5, 6}}
+	run, err := s.Iterate(3, func(int) error {
+		_, err := enc.ForwardBatch(batch, true)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := s.Dev.Ctx.KernelStatsLog()
+	want := map[string]KernelAgg{}
+	for _, k := range log {
+		a := want[k.Name]
+		a.Name = k.Name
+		a.Launches++
+		a.Cycles += k.Cycles
+		if k.Replayed {
+			a.Replayed++
+			a.ReplayedCycles += k.Cycles
+		}
+		want[k.Name] = a
+	}
+	if run.Launches != len(log) || len(run.PerKernel) != len(want) {
+		t.Fatalf("Launches %d over %d kernels, KernelStatsLog holds %d launches of %d kernels",
+			run.Launches, len(run.PerKernel), len(log), len(want))
+	}
+	sum, replayed := 0, 0
+	for i, a := range run.PerKernel {
+		if a != want[a.Name] {
+			t.Errorf("kernel %s: %+v, want %+v", a.Name, a, want[a.Name])
+		}
+		if i > 0 && run.PerKernel[i-1].Name >= a.Name {
+			t.Errorf("PerKernel not sorted by name: %s before %s", run.PerKernel[i-1].Name, a.Name)
+		}
+		sum += a.Launches
+		replayed += a.Replayed
+	}
+	if sum != run.Launches {
+		t.Errorf("PerKernel launch counts sum to %d, Launches is %d", sum, run.Launches)
+	}
+	if replayed == 0 {
+		t.Errorf("no launch of %d replayed: the fold never saw a replayed record", run.Launches)
 	}
 }

@@ -64,7 +64,7 @@ func runDecode(t testing.TB, workers, seqs int, concurrent, replay bool, iters i
 	if err != nil {
 		t.Fatal(err)
 	}
-	return decodeSnapshot{Cycles: run.TotalCycles, Log: run.Log, Tokens: tokens, Stats: run.Stats}
+	return decodeSnapshot{Cycles: run.TotalCycles, Log: s.Dev.Ctx.KernelStatsLog(), Tokens: tokens, Stats: run.Stats}
 }
 
 // TestDecodeSimMatchesCPU runs the stream-overlapped decode through the

@@ -99,7 +99,8 @@
 //     `smCore.issue` or `smCore.applyMem`, which evaluate parks on and
 //     the wakeup heap re-arms — or it calls `schedState.rearm` when the
 //     event happens (barrier release, CTA placement). A delay that does
-//     neither leaves the warp parked for ever.
+//     neither leaves the warp parked for ever, and Drain then fails the
+//     batch as deadlocked (`TestDrainQueueEdgeCases`, `DropWakeups`).
 //   - A wake time computed at evaluation is final: only the warp's own
 //     issue and applyMem write its regReady and minIssueAt, and never
 //     after the cycle it issued in.

@@ -409,6 +409,35 @@ func TestDrainQueueEdgeCases(t *testing.T) {
 				}
 			}
 		}},
+		{"machine_deadlocked_with_resident_work", func(t *testing.T, _ *edgeHarness) {
+			// A warp whose wakeup is lost never issues again: the drain
+			// runs out of events with its kernel resident and fails the
+			// batch, every ticket in it, at any worker count. The
+			// engine stays usable.
+			for _, workers := range []int{1, 2} {
+				h := newEdgeHarnessOn(t, timing.GTX1050(), workers)
+				timing.DropWakeups(h.eng)
+				stuck := h.submitSqadd(1, h.alloc(mkData(0.5)), h.alloc(mkData(0.25)), n)
+				behind := h.eng.SubmitCopy(1, 64, func() { t.Error("copy behind the deadlocked kernel must not apply") })
+				err := h.eng.Drain()
+				const msg = "machine deadlocked with resident work"
+				if err == nil || !strings.Contains(err.Error(), msg) {
+					t.Fatalf("-j%d: Drain returned %v, want %q", workers, err, msg)
+				}
+				for i, tk := range []*timing.Ticket{stuck, behind} {
+					if _, terr := tk.Stats(); !tk.Done() || terr == nil {
+						t.Errorf("-j%d: ticket %d: done %v, error %v", workers, i, tk.Done(), terr)
+					}
+				}
+				after := h.submitSqadd(1, h.alloc(mkData(0.5)), h.alloc(mkData(0.25)), n)
+				if err := h.eng.Drain(); err != nil {
+					t.Fatalf("-j%d: engine unusable after the deadlock: %v", workers, err)
+				}
+				if st, err := after.Stats(); err != nil || st.WarpInstrs == 0 {
+					t.Errorf("-j%d: launch after the deadlock: %+v, %v", workers, st, err)
+				}
+			}
+		}},
 		{"ticket_outlives_later_drains", func(t *testing.T, h *edgeHarness) {
 			// Tickets are never recycled: one held across three later drains,
 			// which take more tickets than one slab chunk holds, still reports

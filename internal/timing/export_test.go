@@ -88,3 +88,14 @@ func OrphanL2Miss(e *Engine, addr uint64) (fill func()) {
 	p.l2.Access(addr, false)
 	return func() { p.l2.Fill(addr, false) }
 }
+
+// DropWakeups makes the next park on every scheduler lose its wakeup: the
+// parked warp never issues again, so its kernel cannot retire and the
+// drain runs out of events with the kernel resident.
+func DropWakeups(e *Engine) {
+	for _, c := range e.cores {
+		for i := range c.scheds {
+			c.scheds[i].dropWake = true
+		}
+	}
+}

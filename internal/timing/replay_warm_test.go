@@ -69,7 +69,7 @@ func runEncoderReplay(t testing.TB, o encoderReplayOpts) encoderReplayRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run.Cycles, run.Log, run.Stats = it.TotalCycles, it.Log, it.Stats
+	run.Cycles, run.Log, run.Stats = it.TotalCycles, s.Dev.Ctx.KernelStatsLog(), it.Stats
 	for _, p := range enc.Params() {
 		run.Weights = append(run.Weights, p.W.ToHost())
 	}

@@ -78,6 +78,8 @@ type schedState struct {
 	// charges them in one span.
 	kind stallKind
 	from uint64
+
+	dropWake bool // test seam (export_test.go): the next park loses its wakeup
 }
 
 // due reports whether the scheduler has work at cycle now: a re-armed
@@ -163,6 +165,10 @@ func (sc *schedState) rearm(w *warpCtx) {
 // park puts a candidate to sleep until the absolute cycle wake.
 func (sc *schedState) park(w *warpCtx, as warpState, wake uint64) {
 	sc.move(w, as)
+	if sc.dropWake {
+		sc.dropWake = false
+		return
+	}
 	w.wake = wake
 	q := append(sc.wakeQ, w)
 	i := len(q) - 1

@@ -75,7 +75,7 @@ func runTrain(t testing.TB, workers, steps int, replay bool) trainSnapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.Cycles, snap.Log, snap.Stats = run.TotalCycles, run.Log, run.Stats
+	snap.Cycles, snap.Log, snap.Stats = run.TotalCycles, s.Dev.Ctx.KernelStatsLog(), run.Stats
 	for _, p := range enc.Params() {
 		snap.Weights = append(snap.Weights, p.W.ToHost())
 	}
