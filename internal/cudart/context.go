@@ -206,7 +206,7 @@ func NewContext(bugs exec.BugSet) *Context {
 		Mem:     mem,
 		Alloc:   device.NewAllocator(),
 		Tex:     tex,
-		M:       exec.NewMachine(exec.Config{Bugs: bugs}, mem, tex),
+		M:       exec.NewMachine(bugs, mem, tex),
 		runner:  inOrder{FunctionalRunner{}},
 		kernels: make(map[string]kernelRef),
 		streams: map[Stream]bool{DefaultStream: true},

@@ -189,7 +189,7 @@ func (m *Machine) evalALU(in *ptx.Instr, s [4]uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if m.cfg.Bugs.broken(in.Op) {
+	if m.bugs.broken(in.Op) {
 		r = ^r
 	}
 	return r, nil
@@ -375,7 +375,7 @@ func divOp(in *ptx.Instr, t ptx.Type, a, b uint64) (uint64, error) {
 // implementation that the paper's debug flow tracked down inside
 // fft2d_r2c_32x32 (§III-D); otherwise it switches on the type specifier.
 func (m *Machine) remOp(in *ptx.Instr, t ptx.Type, a, b uint64) (uint64, error) {
-	if m.cfg.Bugs.RemU64 {
+	if m.bugs.RemU64 {
 		if b == 0 {
 			return ^uint64(0), nil
 		}
@@ -487,7 +487,7 @@ func unaryF(in *ptx.Instr, t ptx.Type, a uint64, f func(float64) float64) (uint6
 	case ptx.F64:
 		return f64bits(f(bitsF64(a))), nil
 	case ptx.F16:
-		return uint64(F32ToHalf(float32(f(float64(HalfToF32(uint16(a))))))), nil
+		return uint64(F32ToHalf(f32Odd(f(float64(HalfToF32(uint16(a))))))), nil
 	}
 	return 0, aluError(in, "bad type %v for unary float op", t)
 }
@@ -533,7 +533,7 @@ func (m *Machine) bfeOp(t ptx.Type, a, b, c uint64) uint64 {
 	if length > 0 && pos < width {
 		field = (a >> pos) & (^uint64(0) >> (64 - length))
 	}
-	if t.Signed() && !m.cfg.Bugs.BFESigned && length > 0 && length < 64 {
+	if t.Signed() && !m.bugs.BFESigned && length > 0 && length < 64 {
 		// Sign bit of the extracted field: bit min(pos+len-1, width-1) of a.
 		sb := pos + length - 1
 		if sb > width-1 {
@@ -580,7 +580,7 @@ func cvtOp(in *ptx.Instr, a uint64) (uint64, error) {
 		v = roundIfInt(in.Rnd, v)
 		switch dst {
 		case ptx.F16:
-			return uint64(F32ToHalf(float32(v))), nil
+			return uint64(F32ToHalf(f32Odd(v))), nil
 		case ptx.F32:
 			return f32bits(float32(v)), nil
 		default:

@@ -23,7 +23,7 @@ func evalBin(t *testing.T, m *Machine, op ptx.Op, typ ptx.Type, a, b uint64) uin
 func sneg(v int64) uint64 { return uint64(v) }
 
 func cleanMachine() *Machine {
-	return NewMachine(Config{}, nil, nil)
+	return NewMachine(BugSet{}, nil, nil)
 }
 
 // Property: integer arithmetic matches Go's native semantics for every
@@ -165,7 +165,7 @@ func TestIntegerALUProperties(t *testing.T) {
 // Property: the remainder bug injection reproduces exactly the original
 // GPGPU-Sim behaviour (u64 % u64) for every type specifier.
 func TestRemBugProperty(t *testing.T) {
-	buggy := NewMachine(Config{Bugs: BugSet{RemU64: true}}, nil, nil)
+	buggy := NewMachine(BugSet{RemU64: true}, nil, nil)
 	f := func(a, b int32) bool {
 		if b == 0 {
 			return true
@@ -210,7 +210,7 @@ func TestBFE(t *testing.T) {
 
 func TestBFEBugDiffersOnlyForSigned(t *testing.T) {
 	good := cleanMachine()
-	bad := NewMachine(Config{Bugs: BugSet{BFESigned: true}}, nil, nil)
+	bad := NewMachine(BugSet{BFESigned: true}, nil, nil)
 	f := func(a uint32, pos, length uint8) bool {
 		p, l := uint64(pos%32), uint64(length%16+1)
 		inU := &ptx.Instr{Op: ptx.OpBfe, T: ptx.U32, Raw: "t"}
@@ -391,6 +391,33 @@ func TestCvt(t *testing.T) {
 				t.Errorf("got %#x, want %#x", got, c.want)
 			}
 		})
+	}
+}
+
+// TestF16RoundsOnce: an f16 result computed in float64 rounds once, not
+// through float32 first, where that double rounding lands on a tie.
+func TestF16RoundsOnce(t *testing.T) {
+	m := cleanMachine()
+	for _, c := range []struct {
+		name string
+		in   ptx.Instr
+		src  uint64
+		want uint64
+	}{
+		// 1+2^-11+2^-40: float32 drops the 2^-40 and leaves the f16
+		// midpoint of 0x3c00 and 0x3c01, which ties to even
+		{"cvt.rn.f16.f64", ptx.Instr{Op: ptx.OpCvt, T: ptx.F16, T2: ptx.F64}, 0x3FF0020000001000, 0x3c01},
+		// the one f16 input where sqrt, rsqrt, rcp, lg2 or ex2 differ
+		{"ex2.approx.f16", ptx.Instr{Op: ptx.OpEx2, T: ptx.F16, Approx: true}, 0x11c5, 0x3c01},
+	} {
+		c.in.Raw = c.name
+		got, err := m.evalALU(&c.in, [4]uint64{c.src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("%s of %#x = %#x, want %#x", c.name, c.src, got, c.want)
+		}
 	}
 }
 

@@ -134,7 +134,13 @@ func candidates() []ptx.Instr {
 // warp about to execute it.
 func oneInstrWarp(t *testing.T, m *Machine, in ptx.Instr) (*CTA, *Warp, *decoded) {
 	t.Helper()
-	k := &ptx.Kernel{Name: "one", NumSlots: numTestSlots, Instrs: []ptx.Instr{in}}
+	return kernelWarp(t, m, &ptx.Kernel{Name: "one", NumSlots: numTestSlots, Instrs: []ptx.Instr{in}})
+}
+
+// kernelWarp lowers k on m and returns a fresh warp about to execute its
+// first instruction.
+func kernelWarp(t *testing.T, m *Machine, k *ptx.Kernel) (*CTA, *Warp, *decoded) {
+	t.Helper()
 	g, err := m.NewGrid(k, Dim3{X: 1}, Dim3{X: WarpSize}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +172,7 @@ func TestSpecialisedMatchesScalar(t *testing.T) {
 		seen[d.h] = true
 		bugSets := []BugSet{{}, {RemU64: true}, {BFESigned: true}, {BreakOp: in.Op}, {BreakOp: ptx.OpBrev}}
 		for _, bugs := range bugSets {
-			m := NewMachine(Config{Bugs: bugs}, nil, nil)
+			m := NewMachine(bugs, nil, nil)
 			for _, alias := range []bool{false, true} {
 				in := in
 				if alias {
@@ -275,6 +281,8 @@ func TestImmediatesDecodeToOperandType(t *testing.T) {
 		{ptx.Instr{Op: ptx.OpAdd, T: ptx.S32}, ptx.Operand{Kind: ptx.OperandImm, Imm: sneg(-3)}, 1, sneg(-2)},
 		{ptx.Instr{Op: ptx.OpMul, T: ptx.U32, Wide: true}, ptx.Operand{Kind: ptx.OperandImm, Imm: 4}, 0xFFFFFFFF, 0x3FFFFFFFC},
 		{ptx.Instr{Op: ptx.OpSetp, T: ptx.U32, Cmp: ptx.CmpGe}, ptx.Operand{Kind: ptx.OperandImm, Imm: 7}, 7, 1},
+		// 1+2^-11+2^-40 rounds once to f16, not through float32 to a tie
+		{ptx.Instr{Op: ptx.OpAdd, T: ptx.F16}, ptx.Operand{Kind: ptx.OperandImm, Imm: 0x3FF0020000001000, FloatImm: true}, 0, 0x3c01},
 	} {
 		in := aluInstr(tc.in)
 		in.PredReg = -1

@@ -7,15 +7,16 @@ import (
 	"repro/internal/ptx"
 )
 
-// A kernel is lowered once per Machine into a program: one decoded
+// A kernel is lowered once per BugSet into a program: one decoded
 // instruction per ptx.Instr, holding everything the per-lane loops would
 // otherwise re-derive on every execution — which handler runs it, the
 // register rows it touches, immediates already in the operand type's
 // bits, symbols resolved to parameter offsets or window addresses, the
 // element size and vector width of a memory access. Register slots are
-// allocated onto rows first (regalloc.go). ptx.Kernel.Instrs is
-// immutable after ptx.Parse (the debug instrumentation re-parses), so a
-// program never goes stale.
+// allocated onto rows first (regalloc.go). A ptx.Kernel is immutable
+// after ptx.Parse (the debug instrumentation re-parses), so the program
+// is kept on the kernel (ptx.Kernel.Derive), shared by every Machine with
+// that BugSet, and never goes stale.
 //
 // Decoding never fails: an instruction the interpreter cannot execute
 // (unknown symbol, wrong operand count or kind, mismatched vector width)
@@ -105,38 +106,31 @@ type decoded struct {
 	off   uint64    // added to the base register; the whole address when base < 0
 }
 
-// program is a kernel lowered for one Machine (the Machine's BugSet picks
-// handlers, so programs are not shared between machines).
+// program is a kernel lowered under one BugSet, which picks handlers.
 type program struct {
 	code     []decoded
 	issue    []IssueInfo // per PC, for pipeline models (issue.go)
 	regAlloc             // register slot -> row (regalloc.go)
 }
 
-// program returns the decoded form of k, lowering it on first use.
+// program returns k lowered under m's BugSet, lowering it on first use.
 func (m *Machine) program(k *ptx.Kernel) *program {
-	m.progMu.Lock()
-	defer m.progMu.Unlock()
-	p := m.progs[k]
-	if p == nil {
-		p = m.decode(k)
-		m.progs[k] = p
-	}
-	return p
+	return k.Derive(m.progKey, func() any { return decode(k, m.bugs) }).(*program)
 }
 
-// decoder carries the state of one decode pass (made under Machine.progMu).
+// decoder carries the state of one decode pass.
 type decoder struct {
-	m *Machine
-	k *ptx.Kernel
-	p *program
+	bugs   BugSet
+	k      *ptx.Kernel
+	p      *program
+	consts map[uint64]*row // immediates broadcast to rows, shared by the kernel's instructions
 }
 
-func (m *Machine) decode(k *ptx.Kernel) *program {
+func decode(k *ptx.Kernel, bugs BugSet) *program {
 	issue := issueTable(k)
 	p := &program{code: make([]decoded, len(k.Instrs)), issue: issue, regAlloc: allocRegs(k, issue)}
 	p.rename(issue)
-	dc := &decoder{m: m, k: k, p: p}
+	dc := &decoder{bugs: bugs, k: k, p: p, consts: make(map[uint64]*row)}
 	for i := range k.Instrs {
 		d := &p.code[i]
 		if err := dc.instr(d, &k.Instrs[i]); err != nil {
@@ -146,16 +140,15 @@ func (m *Machine) decode(k *ptx.Kernel) *program {
 	return p
 }
 
-// constRow returns the row holding v in every lane. Rows are shared by all
-// the kernels of a machine: most immediates are the same few small numbers.
+// constRow returns the row holding v in every lane.
 func (dc *decoder) constRow(v uint64) *row {
-	r := dc.m.consts[v]
+	r := dc.consts[v]
 	if r == nil {
 		r = new(row)
 		for l := range r {
 			r[l] = v
 		}
-		dc.m.consts[v] = r
+		dc.consts[v] = r
 	}
 	return r
 }
@@ -483,7 +476,7 @@ func (dc *decoder) alu(d *decoded, in *ptx.Instr) error {
 // hgeneric. An opcode BugSet.BreakOp names always runs generic, where
 // evalALU perturbs its result.
 func (dc *decoder) specialise(d *decoded, in *ptx.Instr) handler {
-	if dc.m.cfg.Bugs.broken(in.Op) {
+	if dc.bugs.broken(in.Op) {
 		return hgeneric
 	}
 	t := in.T

@@ -5,10 +5,11 @@
 // machine one warp-instruction at a time; the functional mode used for
 // fast-forwarding (paper §III-F) runs warps to completion directly.
 //
-// The first `Machine.NewGrid` of a kernel lowers its instructions once
-// (decode.go) into handler ids, register rows, resolved immediates and
-// symbols, cached per kernel for the life of the `Machine`;
-// `Machine.StepWarp` then runs one handler over a warp's 32-lane rows.
+// The first `Machine.NewGrid` of a kernel under a `BugSet` lowers its
+// instructions once (decode.go) into handler ids, register rows, resolved
+// immediates and symbols, kept on the kernel (`ptx.Kernel.Derive`) for
+// every Machine with that BugSet; `Machine.StepWarp` then runs one
+// handler over a warp's 32-lane rows.
 // This comment holds the rules a change to the interpreter must keep,
 // each with the test that enforces it.
 //
@@ -34,8 +35,10 @@
 //   - BugSet survives decoding: an opcode `BugSet.BreakOp` names is never
 //     specialised, so it reaches evalALU, which perturbs it; `BugSet.RemU64`
 //     and `BugSet.BFESigned` live in evalALU's rem and bfe, which are never
-//     specialised. A program is therefore per Machine, and no flag selects
-//     another interpreter, so internal/debug's localisation keeps working.
+//     specialised. A program is therefore per kernel and BugSet, whichever
+//     Machine lowered it first (`TestBreakOpSurvivesSharedPrograms`), and
+//     no flag selects another interpreter, so internal/debug's
+//     localisation keeps working.
 //   - A barrier releases when every live warp of the CTA has arrived, so a
 //     warp that exits first does not deadlock it (`TestBarrierDeadlock`).
 //
@@ -105,7 +108,7 @@
 //     `RunawayError` naming kernel, CTA and warp. On the timing path it
 //     aborts the batch like a faulting instruction and leaves engine and
 //     Machine usable (`TestRunawayGuard`, `TestRunawayMidDrain`). It is a
-//     constant, not a Config field; the largest count a tier-1 test or a
+//     constant, not a knob; the largest count a tier-1 test or a
 //     benchmark workload reaches is more than a thousand times below it.
 //   - `Machine.ObserveGrid` is RunGrid with a callback after every step,
 //     the one loop the hardware oracle's Runner form counts through.

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/device"
 	"repro/internal/ptx"
@@ -32,16 +31,12 @@ func (d Dim3) Count() int {
 	return x * y * z
 }
 
-// Config configures a functional machine.
-type Config struct {
-	Bugs BugSet
-}
-
 // Machine executes PTX kernels against a device memory image.
 type Machine struct {
-	cfg Config
-	Mem *device.Memory
-	Tex *device.TextureRegistry
+	bugs    BugSet
+	progKey any // bugs, boxed once: the key of this machine's programs on a kernel (decode.go)
+	Mem     *device.Memory
+	Tex     *device.TextureRegistry
 
 	cov *Coverage
 	rec *memRecorder // non-nil only inside CaptureGrid (memo.go)
@@ -57,24 +52,13 @@ type Machine struct {
 	// free holds the storage of the last CTA RunGrid ran, for the next
 	// one: at most one CTA's worth.
 	free FreeList
-
-	// The program cache lives as long as the Machine and is never evicted:
-	// it holds every kernel launched so far (136 bytes per instruction, a
-	// few hundred KiB for the whole cuDNN-style library) and keeps the
-	// *ptx.Kernel reachable, as cudart.Context.modules — which never
-	// unloads — already does. A long-lived Machine fed an unbounded stream
-	// of freshly parsed modules grows without bound; make a new Machine.
-	progMu sync.Mutex
-	progs  map[*ptx.Kernel]*program // kernels lowered so far (decode.go)
-	consts map[uint64]*row          // immediates broadcast to rows, shared by those programs
 }
 
 // NewMachine creates a functional machine over the given memory image and
 // texture registry (either may be shared with a runtime context).
-func NewMachine(cfg Config, mem *device.Memory, tex *device.TextureRegistry) *Machine {
-	return &Machine{cfg: cfg, Mem: mem, Tex: tex, cov: &Coverage{}, warpCeiling: maxWarpInstrs,
-		free:  NewFreeList(maxWarpsPerCTA),
-		progs: make(map[*ptx.Kernel]*program), consts: make(map[uint64]*row)}
+func NewMachine(bugs BugSet, mem *device.Memory, tex *device.TextureRegistry) *Machine {
+	return &Machine{bugs: bugs, progKey: bugs, Mem: mem, Tex: tex, cov: &Coverage{}, warpCeiling: maxWarpInstrs,
+		free: NewFreeList(maxWarpsPerCTA)}
 }
 
 // Coverage returns the machine's instruction-implementation coverage
@@ -92,12 +76,12 @@ type Grid struct {
 	SharedDyn int // dynamic shared memory bytes (third launch parameter)
 
 	machine *Machine
-	prog    *program // Kernel lowered for machine
+	prog    *program // Kernel lowered under machine's BugSet
 }
 
 // NewGrid prepares a launch. The parameter buffer must match the kernel's
 // parameter layout (see cudart for the marshalling helpers). The first
-// launch of a kernel on a machine lowers it (decode.go).
+// launch of a kernel under a BugSet lowers it (decode.go).
 func (m *Machine) NewGrid(k *ptx.Kernel, gridDim, blockDim Dim3, params []byte, sharedDyn int) (*Grid, error) {
 	if k == nil {
 		return nil, fmt.Errorf("exec: nil kernel")
@@ -446,7 +430,7 @@ func immValue(o *ptx.Operand, t ptx.Type) uint64 {
 	f := bitsF64(o.Imm)
 	switch t {
 	case ptx.F16:
-		return uint64(F32ToHalf(float32(f)))
+		return uint64(F32ToHalf(f32Odd(f)))
 	case ptx.F32:
 		return f32bits(float32(f))
 	case ptx.F64:

@@ -24,7 +24,7 @@ func newEnv(t testing.TB, bugs BugSet) *testEnv {
 	return &testEnv{
 		mem:   mem,
 		alloc: device.NewAllocator(),
-		m:     NewMachine(Config{Bugs: bugs}, mem, device.NewTextureRegistry()),
+		m:     NewMachine(bugs, mem, device.NewTextureRegistry()),
 	}
 }
 

@@ -87,7 +87,7 @@ func TestComposeMemos(t *testing.T) {
 	newImage := func(img []byte) *Machine {
 		mem := device.NewMemory()
 		mem.Write(base, img)
-		return NewMachine(Config{}, mem, nil)
+		return NewMachine(BugSet{}, mem, nil)
 	}
 	image := func(m *Machine) []byte {
 		buf := make([]byte, span)

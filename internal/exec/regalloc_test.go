@@ -125,7 +125,7 @@ func FuzzRegAlloc(f *testing.F) {
 func checkAllocation(t *testing.T, k *ptx.Kernel) {
 	t.Helper()
 	ra := allocRegs(k, issueTable(k))
-	p := NewMachine(Config{}, nil, nil).program(k)
+	p := NewMachine(BugSet{}, nil, nil).program(k)
 	if p.rows != ra.rows || fmt.Sprint(p.row) != fmt.Sprint(ra.row) {
 		t.Fatalf("kernel %s: the program's allocation differs from a second one", k.Name)
 	}
@@ -385,7 +385,7 @@ func checkRowOwners(t *testing.T, k *ptx.Kernel) int {
 			params = append(params, make([]byte, p.Size)...)
 		}
 	}
-	m := NewMachine(Config{}, device.NewMemory(), device.NewTextureRegistry())
+	m := NewMachine(BugSet{}, device.NewMemory(), device.NewTextureRegistry())
 	m.warpCeiling = 2000
 	g, err := m.NewGrid(k, Dim3{X: 1}, Dim3{X: 64}, params, 0)
 	if err != nil {

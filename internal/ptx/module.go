@@ -1,6 +1,9 @@
 package ptx
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Module is a parsed PTX translation unit. The paper's §III-A requires that
 // each embedded PTX file of a precompiled library is parsed as a separate
@@ -15,7 +18,8 @@ type Module struct {
 	Textures    []string // module-level .texref declarations
 }
 
-// Kernel is a parsed .entry function.
+// Kernel is a parsed .entry function. It is immutable after Parse, so
+// anything computed from it alone is computed once and kept on it (Derive).
 type Kernel struct {
 	Name   string
 	Params []Param
@@ -33,6 +37,22 @@ type Kernel struct {
 
 	Instrs []Instr
 	Labels map[string]int
+
+	derived sync.Map // Derive's results, by key
+}
+
+// Derive returns build's result for key, calling build on the first call
+// for that key; the result lives as long as k. Concurrent first calls may
+// each run build, but all of them return the one result kept. The key
+// names what build computes and every input it reads besides k, and is a
+// comparable value of a type the deriving package owns, so packages never
+// collide.
+func (k *Kernel) Derive(key any, build func() any) any {
+	if v, ok := k.derived.Load(key); ok {
+		return v
+	}
+	v, _ := k.derived.LoadOrStore(key, build())
+	return v
 }
 
 // Param describes one kernel parameter.

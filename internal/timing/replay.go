@@ -39,8 +39,8 @@ import (
 // of its composed write-set, no schedule — replayBatch. Every rung
 // leaves the same cycles, statistics and memory as the one below it.
 
-// digest is a SHA-256 of something hashed once per cache: the engine
-// configuration, a kernel's code under it.
+// digest is a SHA-256 of something hashed once: the engine configuration
+// per cache, a kernel's code under a configuration per kernel.
 type digest [sha256.Size]byte
 
 // replaySig identifies one kernel launch for replay purposes: the
@@ -89,10 +89,10 @@ type replayEntry struct {
 // (the first drain of any workload is byte-identical to detailed mode,
 // duplicates included) and never memoizes results from aborted batches.
 type replayCache struct {
-	cfgHash  digest
-	codeHash map[*ptx.Kernel]digest
-	entries  map[replaySig]*replayEntry
-	staged   map[replaySig]replayEntry
+	cfgHash digest
+	cfgKey  any // cfgHash, boxed once: the key of kernelHash's result on a kernel
+	entries map[replaySig]*replayEntry
+	staged  map[replaySig]replayEntry
 
 	// The batch rung (replayBatch). chains holds what is known about
 	// repeating drain batches, keyed by the first launch's signature;
@@ -110,10 +110,9 @@ type replayCache struct {
 
 func newReplayCache(cfg *Config) *replayCache {
 	rc := &replayCache{
-		codeHash: make(map[*ptx.Kernel]digest),
-		entries:  make(map[replaySig]*replayEntry),
-		staged:   make(map[replaySig]replayEntry),
-		chains:   make(map[replaySig]*replayChain),
+		entries: make(map[replaySig]*replayEntry),
+		staged:  make(map[replaySig]replayEntry),
+		chains:  make(map[replaySig]*replayChain),
 	}
 	// The fingerprint covers every timing-relevant knob (all of Config is
 	// worker-invariant; worker count is deliberately absent). The replay
@@ -125,6 +124,7 @@ func newReplayCache(cfg *Config) *replayCache {
 	h := sha256.New()
 	fmt.Fprintf(h, "%+v", c)
 	h.Sum(rc.cfgHash[:0])
+	rc.cfgKey = rc.cfgHash
 	return rc
 }
 
@@ -132,26 +132,25 @@ func newReplayCache(cfg *Config) *replayCache {
 // identity and code: entry name, parameter layout, register/shared/local
 // footprint and every instruction's source text. Hashing content (not
 // pointer identity) means the same PTX parsed into two modules still
-// collides, as it must. Once per kernel: the cache keeps the result.
+// collides, as it must. Once per kernel and configuration: the result is
+// kept on the kernel, shared by every engine with that configuration.
 func (rc *replayCache) kernelHash(k *ptx.Kernel) digest {
-	if h, ok := rc.codeHash[k]; ok {
+	return k.Derive(rc.cfgKey, func() any {
+		hw := sha256.New()
+		hw.Write(rc.cfgHash[:])
+		fmt.Fprintf(hw, "%s|%d|%d|%d\n", k.Name, k.NumSlots, k.SharedBytes, k.LocalBytes)
+		for i := range k.Params {
+			p := &k.Params[i]
+			fmt.Fprintf(hw, "p %s %d %d %d %d\n", p.Name, p.Type, p.Align, p.Size, p.Offset)
+		}
+		for i := range k.Instrs {
+			hw.Write([]byte(k.Instrs[i].String()))
+			hw.Write([]byte{'\n'})
+		}
+		var h digest
+		hw.Sum(h[:0])
 		return h
-	}
-	hw := sha256.New()
-	hw.Write(rc.cfgHash[:])
-	fmt.Fprintf(hw, "%s|%d|%d|%d\n", k.Name, k.NumSlots, k.SharedBytes, k.LocalBytes)
-	for i := range k.Params {
-		p := &k.Params[i]
-		fmt.Fprintf(hw, "p %s %d %d %d %d\n", p.Name, p.Type, p.Align, p.Size, p.Offset)
-	}
-	for i := range k.Instrs {
-		hw.Write([]byte(k.Instrs[i].String()))
-		hw.Write([]byte{'\n'})
-	}
-	var h digest
-	hw.Sum(h[:0])
-	rc.codeHash[k] = h
-	return h
+	}).(digest)
 }
 
 // signature builds a launch's replay signature.
