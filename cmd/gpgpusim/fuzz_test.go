@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// FuzzValidateFlagCombos drives the front door's parse stage — the
+// FuzzRegistryParse drives the front door's parse stage — the
 // -workload pre-scan and the selected entry's flag set; nothing runs —
 // with arbitrary workload names and flag combinations. It used to drive a
 // hand-written validator; what it holds the registry to is the same
@@ -17,7 +17,7 @@ import (
 // flag of another entry is rejected as undefined. The seeds come from the
 // registry: every entry bare, with all of its own flags, and with every
 // flag of every entry.
-func FuzzValidateFlagCombos(f *testing.F) {
+func FuzzRegistryParse(f *testing.F) {
 	all := map[string]bool{}
 	for i := range workloads {
 		own := entryFlags(&workloads[i])

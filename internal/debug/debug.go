@@ -11,7 +11,10 @@
 //  3. Instruction bisection: instrument that kernel's PTX so that every
 //     register-writing instruction also stores its (pc, value) to a
 //     per-thread log in global memory, replay the captured launch on both
-//     machines, and report the first differing log entry.
+//     machines, and report the first differing log entry. The instrumented
+//     kernel re-emits each original instruction's source text
+//     (`ptx.Instr.Raw`) unchanged (`InstrumentKernel`,
+//     `TestInstrumentedKernelRoundTrip`).
 //
 // The golden executor plays the role real GPU hardware plays in the
 // paper; the suspect executor carries injected bugs (exec.BugSet).

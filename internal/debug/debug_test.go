@@ -10,6 +10,7 @@ import (
 	"repro/internal/cudnn"
 	"repro/internal/debug"
 	"repro/internal/exec"
+	"repro/internal/kernels"
 	"repro/internal/ptx"
 )
 
@@ -185,32 +186,53 @@ func TestDebugLocalisesArbitraryOpcodeBug(t *testing.T) {
 	}
 }
 
-// TestInstrumentedKernelRoundTrip verifies the instrumentation pass emits
-// parseable PTX whose uninstrumented semantics are unchanged.
+// TestInstrumentedKernelRoundTrip instruments every kernel of the library
+// and re-parses the result: the instrumented kernel must be the original
+// plus logging and nothing else. Apart from the instructions that touch
+// the %dbg registers, it holds each original instruction's Raw text in
+// order, then the closing ret; every label lands on its instruction, and
+// the log pointer follows the original parameters.
 func TestInstrumentedKernelRoundTrip(t *testing.T) {
-	ctx := cudart.NewContext(exec.BugSet{})
-	h, err := cudnn.Create(ctx)
+	mods, err := kernels.ParsedModules()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = h
-	_, k, err := ctx.LookupKernel("fft2d_r2c_16x16")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := debug.InstrumentKernel(k, 64)
-	m, err := ptx.Parse(text)
-	if err != nil {
-		t.Fatalf("instrumented PTX does not parse: %v", err)
-	}
-	ik := m.Kernels["fft2d_r2c_16x16"]
-	if ik == nil {
-		t.Fatal("instrumented kernel missing")
-	}
-	if len(ik.Instrs) <= len(k.Instrs) {
-		t.Fatalf("instrumentation added no instructions: %d vs %d", len(ik.Instrs), len(k.Instrs))
-	}
-	if ik.ParamBytes() != k.ParamBytes()+8 {
-		t.Fatalf("instrumented params = %d bytes, want %d", ik.ParamBytes(), k.ParamBytes()+8)
+	for _, m := range mods {
+		for _, name := range m.KernelNames() {
+			k := m.Kernels[name]
+			im, err := ptx.Parse(debug.InstrumentKernel(k, 64))
+			if err != nil {
+				t.Fatalf("%s: instrumented PTX does not parse: %v", name, err)
+			}
+			ik := im.Kernels[name]
+			if ik == nil {
+				t.Fatalf("%s: instrumented kernel missing", name)
+			}
+			if want := (k.ParamBytes()+7)&^7 + 8; ik.ParamBytes() != want {
+				t.Errorf("%s: instrumented params = %d bytes, want %d", name, ik.ParamBytes(), want)
+			}
+			// at[pc] is where original pc sits in the instrumented kernel;
+			// at[len(k.Instrs)] is the closing ret.
+			var at []int
+			for ipc := range ik.Instrs {
+				if !strings.Contains(ik.Instrs[ipc].Raw, "%dbg") {
+					at = append(at, ipc)
+				}
+			}
+			if len(at) != len(k.Instrs)+1 || ik.Instrs[at[len(k.Instrs)]].Raw != "ret;" {
+				t.Errorf("%s: %d uninstrumented instructions, want the original %d and a closing ret", name, len(at), len(k.Instrs))
+				continue
+			}
+			for pc := range k.Instrs {
+				if got, want := ik.Instrs[at[pc]].Raw, k.Instrs[pc].Raw; got != want {
+					t.Errorf("%s pc %d: instrumented text %q, want %q", name, pc, got, want)
+				}
+			}
+			for l, pc := range k.Labels {
+				if ik.Labels[l] != at[pc] {
+					t.Errorf("%s: label %s at %d, want %d", name, l, ik.Labels[l], at[pc])
+				}
+			}
+		}
 	}
 }

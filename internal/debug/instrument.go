@@ -24,7 +24,9 @@ const dbgParam = "_dbg_log"
 
 // InstrumentKernel re-emits a kernel as PTX text with a (pc, value) store
 // appended after every register-writing instruction — the analog of the
-// paper's LLVM-based PTX instrumentation tool. The log pointer arrives
+// paper's LLVM-based PTX instrumentation tool. Each original instruction
+// is written as its source text (Instr.Raw), so the instrumented kernel is
+// the original plus logging and nothing else. The log pointer arrives
 // through an extra parameter; each thread owns `entries` slots.
 func InstrumentKernel(k *ptx.Kernel, entries int) string {
 	var b strings.Builder
@@ -99,7 +101,7 @@ func InstrumentKernel(k *ptx.Kernel, entries int) string {
 			fmt.Fprintf(&b, "%s:\n", l)
 		}
 		in := &k.Instrs[pc]
-		fmt.Fprintf(&b, "\t%s\n", ptx.FormatInstr(k, in))
+		fmt.Fprintf(&b, "\t%s\n", in.Raw)
 		if !in.HasRegDst(k) {
 			continue
 		}

@@ -408,7 +408,7 @@ func TestF16RoundsOnce(t *testing.T) {
 		// midpoint of 0x3c00 and 0x3c01, which ties to even
 		{"cvt.rn.f16.f64", ptx.Instr{Op: ptx.OpCvt, T: ptx.F16, T2: ptx.F64}, 0x3FF0020000001000, 0x3c01},
 		// the one f16 input where sqrt, rsqrt, rcp, lg2 or ex2 differ
-		{"ex2.approx.f16", ptx.Instr{Op: ptx.OpEx2, T: ptx.F16, Approx: true}, 0x11c5, 0x3c01},
+		{"ex2.approx.f16", ptx.Instr{Op: ptx.OpEx2, T: ptx.F16}, 0x11c5, 0x3c01},
 	} {
 		c.in.Raw = c.name
 		got, err := m.evalALU(&c.in, [4]uint64{c.src})

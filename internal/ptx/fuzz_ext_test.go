@@ -16,8 +16,9 @@ import (
 
 // TestParseKernelCorpusRoundTrip checks every PTX translation unit of
 // the cuDNN-analog library parses and survives a Print/Parse round trip
-// (complements the fuzz target, which seeds only the smaller modules to
-// keep mutation throughput high).
+// with every instruction's Raw text unchanged (complements the fuzz
+// target, which seeds only the smaller modules to keep mutation
+// throughput high).
 func TestParseKernelCorpusRoundTrip(t *testing.T) {
 	for i, src := range kernels.AllModules() {
 		m, err := ptx.Parse(src)
@@ -27,8 +28,20 @@ func TestParseKernelCorpusRoundTrip(t *testing.T) {
 		if len(m.KernelNames()) == 0 {
 			t.Fatalf("module %d has no kernels", i)
 		}
-		if _, err := ptx.Parse(ptx.Print(m)); err != nil {
+		m2, err := ptx.Parse(ptx.Print(m))
+		if err != nil {
 			t.Fatalf("module %d does not round-trip: %v", i, err)
+		}
+		for _, name := range m.KernelOrder {
+			k, k2 := m.Kernels[name], m2.Kernels[name]
+			if len(k2.Instrs) != len(k.Instrs) {
+				t.Fatalf("module %d kernel %s: %d instructions after the round trip, want %d", i, name, len(k2.Instrs), len(k.Instrs))
+			}
+			for pc := range k.Instrs {
+				if got, want := k2.Instrs[pc].Raw, k.Instrs[pc].Raw; got != want {
+					t.Errorf("module %d kernel %s pc %d: Raw %q after the round trip, want %q", i, name, pc, got, want)
+				}
+			}
 		}
 	}
 }

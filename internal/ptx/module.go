@@ -1,9 +1,6 @@
 package ptx
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // Module is a parsed PTX translation unit. The paper's §III-A requires that
 // each embedded PTX file of a precompiled library is parsed as a separate
@@ -121,20 +118,6 @@ const (
 	RndUpInt              // .rpi
 )
 
-func (r RndMode) String() string {
-	switch r {
-	case RndNearestInt:
-		return "rni"
-	case RndZeroInt:
-		return "rzi"
-	case RndDownInt:
-		return "rmi"
-	case RndUpInt:
-		return "rpi"
-	}
-	return ""
-}
-
 // OperandKind discriminates Operand.
 type OperandKind uint8
 
@@ -154,8 +137,7 @@ type Operand struct {
 	Kind OperandKind
 
 	// OperandReg
-	Reg     int // register slot
-	RegName string
+	Reg int // register slot
 
 	// OperandSReg
 	SReg SReg
@@ -181,21 +163,19 @@ type Instr struct {
 	PredReg int // register slot of guard predicate; -1 when unguarded
 	PredNeg bool
 
-	Op     Op
-	T      Type // primary (destination) type
-	T2     Type // source type for cvt / slct / setp second type / tex coord type
-	Cmp    CmpOp
-	Atom   AtomOp
-	Space  Space
-	Vec    int // 1, 2 or 4
-	Wide   bool
-	Hi     bool
-	Lo     bool
-	Uni    bool
-	To     bool // cvta.to: generic -> space conversion
-	Approx bool
-	Rnd    RndMode // integer-rounding mode for cvt (.rni/.rzi/.rmi/.rpi)
-	Geom   int     // tex geometry: 1 or 2 (dimensions)
+	Op    Op
+	T     Type // primary (destination) type
+	T2    Type // source type for cvt / slct / setp second type / tex coord type
+	Cmp   CmpOp
+	Atom  AtomOp
+	Space Space
+	Vec   int // 1, 2 or 4
+	Wide  bool
+	Hi    bool
+	Lo    bool
+	To    bool    // cvta.to: generic -> space conversion
+	Rnd   RndMode // integer-rounding mode for cvt (.rni/.rzi/.rmi/.rpi)
+	Geom  int     // tex geometry: 1 or 2 (dimensions)
 
 	Dst []Operand
 	Src []Operand
@@ -204,7 +184,11 @@ type Instr struct {
 	Target int    // resolved branch target PC
 	RPC    int    // reconvergence PC for potentially divergent branches
 
-	Raw string // source text, for diagnostics and instrumentation logs
+	// Raw is the instruction's source text, its tokens joined with
+	// canonical spacing. It is the one text form of an instruction:
+	// diagnostics print it, the debug tool's instrumentation re-emits it,
+	// and it re-parses to the same instruction with the same Raw.
+	Raw string
 }
 
 // HasRegDst reports whether the instruction writes at least one general
@@ -227,12 +211,7 @@ func (in *Instr) HasRegDst(k *Kernel) bool {
 	return false
 }
 
-func (in *Instr) String() string {
-	if in.Raw != "" {
-		return in.Raw
-	}
-	return fmt.Sprintf("%s.%s", in.Op, in.T)
-}
+func (in *Instr) String() string { return in.Raw }
 
 // KernelNames returns kernel names in declaration order.
 func (m *Module) KernelNames() []string {

@@ -423,14 +423,13 @@ func (p *parser) parseInstr() error {
 			in.Lo = true
 		case "hi":
 			in.Hi = true
-		case "uni":
-			in.Uni = true
-		case "sync":
-			// bar.sync / default
-		case "approx":
-			in.Approx = true
-		case "full", "rn", "rz", "rm", "rp", "ftz", "sat", "nc", "cta", "gl", "relaxed", "acquire", "release":
-			// rounding/caching/ordering modifiers: functionally ignored
+		case "sync", "uni", "approx", "full", "rn", "nc", "cta", "gl", "relaxed", "acquire", "release":
+			// hints, defaults and orderings the interpreter's results
+			// already satisfy: accepted and ignored
+		case "rz", "rm", "rp", "ftz", "sat":
+			// directed rounding, flush-to-zero and saturation would each
+			// change the result, and the interpreter implements none
+			return p.errf("modifier .%s on %s is not supported", m, opTok.text)
 		case "rni":
 			in.Rnd = RndNearestInt
 		case "rzi":
@@ -649,7 +648,7 @@ func (p *parser) parseOperand() (Operand, error) {
 		if err != nil {
 			return Operand{}, p.errf("%v", err)
 		}
-		return Operand{Kind: OperandReg, Reg: slot, RegName: t.text}, nil
+		return Operand{Kind: OperandReg, Reg: slot}, nil
 	case t.kind == tokIdent:
 		p.next()
 		return Operand{Kind: OperandSym, Sym: t.text}, nil

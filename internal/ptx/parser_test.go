@@ -173,7 +173,7 @@ func TestParseVectorAndShared(t *testing.T) {
 		t.Errorf("v2 load decode wrong: %+v", v2)
 	}
 	v4 := k.Instrs[3]
-	if v4.Vec != 4 || len(v4.Dst[0].Elems) != 4 || v4.Dst[0].Elems[3].RegName != "%f6" {
+	if v4.Vec != 4 || len(v4.Dst[0].Elems) != 4 || k.RegName(v4.Dst[0].Elems[3].Reg) != "%f6" {
 		t.Errorf("v4 load decode wrong: %+v", v4)
 	}
 	if v4.Src[0].Kind != OperandMem || v4.Src[0].Offset != 16 {
@@ -215,6 +215,26 @@ func TestParseErrors(t *testing.T) {
 .target sm_61
 .global .b32 tbl = {1,2,3};
 .visible .entry k() { ret; }`, "not supported"},
+		{"saturate", `
+.version 6.0
+.target sm_61
+.visible .entry k() { .reg .f32 %f<3>; cvt.sat.f32.f32 %f1, %f2; ret; }`, "modifier .sat on cvt is not supported"},
+		{"round toward zero", `
+.version 6.0
+.target sm_61
+.visible .entry k() { .reg .f32 %f<4>; add.rz.f32 %f1, %f2, %f3; ret; }`, "modifier .rz on add is not supported"},
+		{"round down", `
+.version 6.0
+.target sm_61
+.visible .entry k() { .reg .f32 %f<4>; mul.rm.f32 %f1, %f2, %f3; ret; }`, "modifier .rm on mul is not supported"},
+		{"round up", `
+.version 6.0
+.target sm_61
+.visible .entry k() { .reg .f32 %f<5>; fma.rp.f32 %f1, %f2, %f3, %f4; ret; }`, "modifier .rp on fma is not supported"},
+		{"flush to zero", `
+.version 6.0
+.target sm_61
+.visible .entry k() { .reg .f32 %f<4>; add.ftz.f32 %f1, %f2, %f3; ret; }`, "modifier .ftz on add is not supported"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -244,7 +264,7 @@ func TestRoundTrip(t *testing.T) {
 		a, b := k1.Instrs[i], k2.Instrs[i]
 		if a.Op != b.Op || a.T != b.T || a.Space != b.Space || a.Vec != b.Vec ||
 			a.Wide != b.Wide || a.Lo != b.Lo || a.Hi != b.Hi || a.Cmp != b.Cmp ||
-			a.Target != b.Target || a.RPC != b.RPC {
+			a.Target != b.Target || a.RPC != b.RPC || a.Raw != b.Raw {
 			t.Errorf("pc %d changed: %q vs %q", i, a.Raw, b.Raw)
 		}
 	}

@@ -5,9 +5,9 @@ import (
 	"strings"
 )
 
-// Print emits the module as parseable PTX text. Round-tripping a module
-// through Print and Parse yields an equivalent module, which the parser
-// and fuzz tests check.
+// Print emits the module as parseable PTX text, each instruction as its
+// Raw source text. Round-tripping a module through Print and Parse yields
+// an equivalent module, which the parser and fuzz tests check.
 func Print(m *Module) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, ".version %s\n", orDefault(m.Version, "6.0"))
@@ -74,7 +74,7 @@ func printKernel(b *strings.Builder, k *Kernel) {
 		for _, l := range labelAt[pc] {
 			fmt.Fprintf(b, "%s:\n", l)
 		}
-		fmt.Fprintf(b, "\t%s\n", FormatInstr(k, &k.Instrs[pc]))
+		fmt.Fprintf(b, "\t%s\n", k.Instrs[pc].Raw)
 	}
 	for _, l := range labelAt[len(k.Instrs)] {
 		fmt.Fprintf(b, "%s:\n", l)

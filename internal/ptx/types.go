@@ -1,6 +1,8 @@
-// Package ptx implements a parser, in-memory representation, printer and
+// Package ptx implements a parser, in-memory representation and
 // control-flow analysis for the subset of NVIDIA's PTX virtual ISA that is
-// used by the cuDNN-style kernels in this repository.
+// used by the cuDNN-style kernels in this repository. An instruction has
+// one text form, its source text (`Instr.Raw`); nothing rebuilds text
+// from the parsed fields.
 //
 // The subset covers everything the paper's workloads exercise: parameter,
 // global, shared, local, constant and generic memory spaces; vectorised
