@@ -236,3 +236,45 @@ func TestInstrumentedKernelRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestInstrumentedKernelKeepsParamOffsets instruments a kernel with an
+// aligned array parameter: every original parameter must keep its byte
+// offset, and the log pointer must land at the next 8-aligned offset
+// after them, where the replay appends it.
+func TestInstrumentedKernelKeepsParamOffsets(t *testing.T) {
+	const src = `.version 6.0
+.target sm_61
+.address_size 64
+
+.visible .entry arr(
+	.param .align 8 .b8 s[16],
+	.param .u64 p
+)
+{
+	.reg .u64 %rd1;
+	ld.param.u64 %rd1, [p];
+	ret;
+}
+`
+	m, err := ptx.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := m.Kernels["arr"]
+	im, err := ptx.Parse(debug.InstrumentKernel(k, 4))
+	if err != nil {
+		t.Fatalf("instrumented PTX does not parse: %v", err)
+	}
+	ik := im.Kernels["arr"]
+	if len(ik.Params) != len(k.Params)+1 {
+		t.Fatalf("instrumented kernel has %d parameters, want %d", len(ik.Params), len(k.Params)+1)
+	}
+	for i, p := range k.Params {
+		if got := ik.Params[i]; got.Offset != p.Offset || got.Size != p.Size {
+			t.Errorf("parameter %s at offset %d size %d, want offset %d size %d", p.Name, got.Offset, got.Size, p.Offset, p.Size)
+		}
+	}
+	if got, want := ik.Params[len(k.Params)].Offset, (k.ParamBytes()+7)&^7; got != want {
+		t.Errorf("log pointer at offset %d, want %d", got, want)
+	}
+}

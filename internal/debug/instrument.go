@@ -26,14 +26,24 @@ const dbgParam = "_dbg_log"
 // appended after every register-writing instruction — the analog of the
 // paper's LLVM-based PTX instrumentation tool. Each original instruction
 // is written as its source text (Instr.Raw), so the instrumented kernel is
-// the original plus logging and nothing else. The log pointer arrives
-// through an extra parameter; each thread owns `entries` slots.
+// the original plus logging and nothing else. Each parameter is declared
+// with its alignment and array length, so it keeps its offset; the log
+// pointer arrives through an extra parameter after them, at the next
+// 8-aligned offset. Each thread owns `entries` slots.
 func InstrumentKernel(k *ptx.Kernel, entries int) string {
 	var b strings.Builder
 	b.WriteString(".version 6.0\n.target sm_61\n.address_size 64\n\n")
 	fmt.Fprintf(&b, ".visible .entry %s(\n", k.Name)
 	for _, p := range k.Params {
-		fmt.Fprintf(&b, "\t.param .%s %s,\n", p.Type, p.Name)
+		b.WriteString("\t.param ")
+		if p.Align != p.Type.Size() {
+			fmt.Fprintf(&b, ".align %d ", p.Align)
+		}
+		fmt.Fprintf(&b, ".%s %s", p.Type, p.Name)
+		if sz := p.Type.Size(); p.Size > sz {
+			fmt.Fprintf(&b, "[%d]", p.Size/sz)
+		}
+		b.WriteString(",\n")
 	}
 	fmt.Fprintf(&b, "\t.param .u64 %s\n)\n{\n", dbgParam)
 

@@ -57,7 +57,7 @@ type Param struct {
 	Name   string
 	Type   Type
 	Align  int
-	Size   int // bytes; arrays possible but unused here
+	Size   int // bytes: Type.Size() times the array length, if any
 	Offset int // byte offset within the parameter buffer
 }
 
