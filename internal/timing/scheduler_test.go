@@ -239,7 +239,7 @@ func TestAddStall(t *testing.T) {
 		{"inside one bucket", 500, 0, stallData, 10, 100, []uint64{100}, 0},
 		{"ending on an edge", 500, 0, stallBarrier, 400, 100, []uint64{100}, 0},
 		{"starting on an edge", 500, 0, stallBarrier, 500, 100, []uint64{0, 100}, 0},
-		// the span addIdleBulk charges 750 of (ROADMAP open item 2(i))
+		// the span addIdleBulk charges 750 of (ROADMAP open item 19(b))
 		{"crossing several edges", 500, 0, stallMem, 250, 1500, []uint64{250, 500, 500, 250}, 0},
 		{"rebased shard", 500, 2, stallData, 1200, 600, []uint64{300, 300}, 0},
 		{"idle", 500, 0, stallIdle, 0, 700, []uint64{500, 200}, 700},

@@ -160,7 +160,7 @@ func (s *Stats) addStall(k stallKind, from, span uint64) {
 // addIdleBulk charges fast-forwarded cycles to the memory-stall category
 // (the machine was waiting on outstanding memory when it fast-forwards).
 //
-// Known defect, kept on purpose (ROADMAP open item 2(i)): the loop steps
+// Known defect, kept on purpose (ROADMAP open item 19(b)): the loop steps
 // by the sample interval instead of to the next bucket edge, so a span
 // that starts inside a bucket and crosses several is under-charged in
 // the series (IdleSlotCycles is right). Stepping like addStall fixes it
