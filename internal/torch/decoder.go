@@ -14,7 +14,6 @@ package torch
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/ref"
@@ -242,7 +241,7 @@ func (m *MultiHeadAttention) ForwardCached(x *Tensor, kv layerKV, pos, maxSeq in
 
 	if seq == 1 {
 		// decode step: [1, Heads*dh] is already [Heads, 1, dh]
-		scale := float32(1 / math.Sqrt(float64(dh)))
+		scale := invSqrt(dh)
 		scores, err := m.Dev.NewTensor(m.Heads, cacheLen)
 		if err != nil {
 			return nil, err
@@ -323,13 +322,6 @@ func (d *TransformerDecoder) GenerateBatch(prompts [][]int32, n int, concurrent 
 	return outs, nil
 }
 
-// ForwardCPU is the host oracle of the causal forward: the encoder
-// pipeline with causally masked attention. Returns the [len(ids),
-// DModel] final activations.
-func (d *TransformerDecoder) ForwardCPU(ids []int32) ([]float32, []int) {
-	return d.forwardCPU(ids, true)
-}
-
 // GenerateCPU is the host oracle of Generate: greedy decode with a full
 // causal re-forward per step (mathematically identical to KV caching).
 func (d *TransformerDecoder) GenerateCPU(prompt []int32, n int) ([]int32, error) {
@@ -344,12 +336,12 @@ func (d *TransformerDecoder) GenerateCPU(prompt []int32, n int) ([]int32, error)
 		return nil, err
 	}
 	dm := d.Cfg.DModel
-	table := d.Embed.Table.W.ToHost()
+	m := newHostModel(d.TransformerEncoder)
 	ids := append([]int32(nil), prompt...)
 	for i := 0; i < n; i++ {
-		x, _ := d.ForwardCPU(ids)
+		x := m.forward(ids, true)
 		last := x[(len(ids)-1)*dm:]
-		logits := ref.LogitGemv(last, table, d.Cfg.Vocab, dm)
+		logits := ref.LogitGemv(last, m.params[0].w, d.Cfg.Vocab, dm)
 		next := ref.Argmax(logits, 1, d.Cfg.Vocab)[0]
 		ids = append(ids, int32(next))
 	}

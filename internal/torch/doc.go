@@ -37,7 +37,12 @@
 // per-kernel instruction counts are pinned in the timing package's golden
 // stats (`timing.TestGoldenStats`). Every module carries a ForwardCPU
 // oracle (`TestTransformerEncoderForwardMatchesCPU` and one test per
-// module).
+// module). The transformer's oracles — the encoder's and the decoder's
+// ForwardCPU, GenerateCPU and `CPUTrainState` — run one host model, a
+// snapshot of `TransformerEncoder.Params()`; its outputs are pinned bit
+// for bit (`TestHostModelPinned`), the decoder's is causal
+// (`TestDecoderOracleIsCausal`), and generated shapes hold the device to
+// it (`TestGeneratedShapesMatchHostModel`).
 //
 // # Training
 //
@@ -65,9 +70,10 @@
 //     functional order) and the loss tracks the detailed run to
 //     float-atomics rounding: 1e-5, with exact timing identity for the
 //     first step (`core.TestRunTrainReplay`).
-//   - Loss is oracle-checked every step against `CPUTrainState`, an
-//     independent host mirror (tolerance 5e-2, observed about 5e-7), and
-//     the run fails on divergence (`core.TestRunTrainSample`;
+//   - Loss is oracle-checked every step against `CPUTrainState`, the
+//     host model with gradient buffers, an independent mirror of the
+//     weights (tolerance 5e-2, observed about 5e-7), and the run fails
+//     on divergence (`core.TestRunTrainSample`;
 //     `TestTrainStepMatchesCPUOracle` also compares every weight after 4
 //     steps).
 package torch

@@ -1,8 +1,11 @@
 package torch
 
+import "repro/internal/ref"
+
 // Methods only the tests call: the serial one-prompt decode the decoder
 // tests compare against the CPU oracle, the embedding's host-ids forward
-// and the training mirror's weights by parameter index.
+// and its host oracle, the decoder's causal host forward, and the
+// training mirror's weights by parameter index.
 
 // Generate greedy-decodes one prompt serially on the default stream:
 // prefill, then n-1 decode steps, drain, and return the n generated
@@ -29,17 +32,18 @@ func (e *Embedding) Forward(ids []int32) (*Tensor, error) {
 }
 
 // ParamSnapshot returns the mirror's weights for parameter index i, in
-// the same order as TransformerEncoder.Params(): table, pos, then per
-// block ln1.γ/β, q/k/v/o weight+bias, ln2.γ/β, fc1 and fc2 weight+bias,
-// and finally the last norm's γ/β.
-func (c *CPUTrainState) ParamSnapshot(i int) []float32 {
-	var all [][]float32
-	all = append(all, c.table, c.pos)
-	for _, b := range c.blocks {
-		all = append(all, b.ln1.g, b.ln1.b,
-			b.q.w, b.q.b, b.k.w, b.k.b, b.v.w, b.v.b, b.o.w, b.o.b,
-			b.ln2.g, b.ln2.b, b.fc1.w, b.fc1.b, b.fc2.w, b.fc2.b)
-	}
-	all = append(all, c.final.g, c.final.b)
-	return all[i]
+// the order of TransformerEncoder.Params().
+func (c *CPUTrainState) ParamSnapshot(i int) []float32 { return c.params[i].w }
+
+// ForwardCPU is the host oracle of Embedding.Forward.
+func (e *Embedding) ForwardCPU(ids []int32) ([]float32, []int) {
+	return ref.EmbeddingLookup(e.Table.W.ToHost(), ids, e.Dim), []int{len(ids), e.Dim}
+}
+
+// ForwardCPU is the host oracle of the decoder's causal forward: the host
+// model with causally masked attention. Without it, dec.ForwardCPU would
+// resolve to the embedded encoder's unmasked one.
+func (d *TransformerDecoder) ForwardCPU(ids []int32) ([]float32, []int) {
+	m := newHostModel(d.TransformerEncoder)
+	return m.forward(ids, true), []int{len(ids), d.Cfg.DModel}
 }

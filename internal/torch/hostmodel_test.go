@@ -4,9 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/torch"
@@ -116,6 +118,115 @@ func TestHostModelPinned(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			if got := hostOutputs(t, c.cfg, c.seq, 71); got != c.want {
 				t.Fatalf("host outputs hash %s, pinned %s", got, c.want)
+			}
+		})
+	}
+}
+
+// TestDecoderOracleIsCausal checks the decoder's host forward is causal:
+// row i-1 of ForwardCPU(ids) equals the last row of ForwardCPU(ids[:i])
+// bit for bit, for every prefix length i. The encoder's unmasked forward
+// on the same weights must break that for every shorter prefix, so a
+// decoder oracle that resolved to the encoder's would fail here.
+func TestDecoderOracleIsCausal(t *testing.T) {
+	for _, cfg := range []torch.TransformerConfig{
+		{Layers: 2, Heads: 2, DModel: 16, FF: 32, Vocab: 29, MaxSeq: 8},
+		{Layers: 1, Heads: 3, DModel: 15, FF: 12, Vocab: 17, MaxSeq: 6},
+	} {
+		_, dec := newDecoder(t, 73, cfg)
+		ids := trainIDs(rand.New(rand.NewSource(74)), cfg.MaxSeq, cfg.Vocab)
+		dm := cfg.DModel
+		full, _ := dec.ForwardCPU(ids)
+		enc, _ := dec.TransformerEncoder.ForwardCPU(ids)
+		for i := 1; i <= len(ids); i++ {
+			prefix, _ := dec.ForwardCPU(ids[:i])
+			encPrefix, _ := dec.TransformerEncoder.ForwardCPU(ids[:i])
+			row, last := full[(i-1)*dm:i*dm], prefix[(i-1)*dm:]
+			encRow, encLast := enc[(i-1)*dm:i*dm], encPrefix[(i-1)*dm:]
+			for j := range row {
+				if math.Float32bits(row[j]) != math.Float32bits(last[j]) {
+					t.Fatalf("%+v: decoder row %d col %d is %v over %d ids, %v over the prefix", cfg, i-1, j, row[j], len(ids), last[j])
+				}
+			}
+			if i < len(ids) && equalBits(encRow, encLast) {
+				t.Fatalf("%+v: encoder row %d equals its prefix's last row: its oracle is not bidirectional", cfg, i-1)
+			}
+		}
+		if equalBits(full, enc) {
+			t.Fatalf("%+v: decoder and encoder host forwards agree on %d ids", cfg, len(ids))
+		}
+	}
+}
+
+func equalBits(a, b []float32) bool {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+// TestGeneratedShapesMatchHostModel runs a fixed-seed table of generated
+// model shapes — 1 or 2 layers, 1 to 4 heads of width 1 to 9, FF 1 to
+// 40, sequences of 1, MaxSeq or a random length — and checks the device
+// against the host model: Forward against ForwardCPU, Generate against
+// GenerateCPU token for token, and one TrainStep's loss against
+// CPUTrainState's.
+func TestGeneratedShapesMatchHostModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(75))
+	for n := 0; n < 24; n++ {
+		heads := 1 + rng.Intn(4)
+		cfg := torch.TransformerConfig{
+			Layers: 1 + rng.Intn(2),
+			Heads:  heads,
+			DModel: heads * (1 + rng.Intn(9)),
+			FF:     1 + rng.Intn(40),
+			Vocab:  2 + rng.Intn(40),
+			MaxSeq: 1 + rng.Intn(10),
+		}
+		seq := [3]int{1, cfg.MaxSeq, 1 + rng.Intn(cfg.MaxSeq)}[n%3]
+		seed := rng.Int63()
+		t.Run(fmt.Sprintf("%d_L%dH%dD%dF%dV%dS%d_seq%d", n, cfg.Layers, cfg.Heads, cfg.DModel, cfg.FF, cfg.Vocab, cfg.MaxSeq, seq), func(t *testing.T) {
+			dev, dec := newDecoder(t, seed, cfg)
+			enc := dec.TransformerEncoder
+			ids := trainIDs(rand.New(rand.NewSource(seed+1)), seq, cfg.Vocab)
+
+			y, err := enc.Forward(ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := enc.ForwardCPU(ids)
+			for i, v := range y.ToHost() {
+				if d := math.Abs(float64(v - want[i])); d > 5e-3 {
+					t.Fatalf("Forward[%d] = %v, ForwardCPU %v", i, v, want[i])
+				}
+			}
+
+			gen := cfg.MaxSeq - seq + 1
+			got, err := dec.Generate(ids, gen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantTok, err := dec.GenerateCPU(ids, gen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, wantTok) {
+				t.Fatalf("Generate %v, GenerateCPU %v", got, wantTok)
+			}
+
+			cpu := torch.NewCPUTrainState(enc)
+			tr, err := torch.NewTransformerTrainer(dev, enc, 0.05)
+			if err != nil {
+				t.Fatal(err)
+			}
+			devLoss, err := tr.TrainStep(ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cpuLoss := cpu.TrainStep(ids, 0.05); math.Abs(float64(devLoss-cpuLoss)) > 2e-2 {
+				t.Fatalf("TrainStep loss %g, CPUTrainState %g", devLoss, cpuLoss)
 			}
 		})
 	}

@@ -197,15 +197,6 @@ func (p *projection) apply(dev *Device, x *Tensor) (*Tensor, error) {
 	return y, nil
 }
 
-// applyCPU mirrors apply on the host.
-func (p *projection) applyCPU(x []float32) []float32 {
-	rows := len(x) / p.in
-	y := make([]float32, rows*p.out)
-	ref.Gemm(x, p.W.W.ToHost(), y, rows, p.out, p.in, 1, 0)
-	ref.AddBias(y, p.B.W.ToHost(), rows, p.out, 1)
-	return y
-}
-
 // backward computes dx = dy·Wᵀ and accumulates dW += xᵀ·dy and
 // db += Σ_rows dy, where x is the cached forward input of this
 // projection.
@@ -337,7 +328,7 @@ func (m *MultiHeadAttention) attend(qh, k, v *Tensor, kvLen, kvStride, pos int) 
 	if err != nil {
 		return nil, nil, err
 	}
-	scale := float32(1 / math.Sqrt(float64(dh)))
+	scale := invSqrt(dh)
 	if err := h.GemmNTStridedBatched(qh.Ptr, k.Ptr, scores.Ptr,
 		seq, kvLen, dh, seq*dh, kvStride, seq*kvLen, m.Heads, scale, 0); err != nil {
 		return nil, nil, err
@@ -413,7 +404,7 @@ func (m *MultiHeadAttention) Backward(dy *Tensor) (*Tensor, error) {
 	dm := m.Wq.out
 	dh := dm / m.Heads
 	h := m.Dev.H
-	scale := float32(1 / math.Sqrt(float64(dh)))
+	scale := invSqrt(dh)
 
 	dmerged, err := m.Wo.backward(m.Dev, m.merged, dy)
 	if err != nil {
@@ -504,33 +495,10 @@ func (m *MultiHeadAttention) Params() []*Param {
 	return []*Param{m.Wq.W, m.Wq.B, m.Wk.W, m.Wk.B, m.Wv.W, m.Wv.B, m.Wo.W, m.Wo.B}
 }
 
-// ForwardCPU implements Module.
+// ForwardCPU implements Module: the host model's attention.
 func (m *MultiHeadAttention) ForwardCPU(x []float32, shape []int) ([]float32, []int) {
-	return m.forwardCPU(x, shape[0], false), shape
-}
-
-// forwardCPU mirrors Forward on the host or, with causal set,
-// ForwardCached from an empty cache: per-head causally masked attention
-// over the full sequence.
-func (m *MultiHeadAttention) forwardCPU(x []float32, seq int, causal bool) []float32 {
-	dh := m.headDim()
-	q := ref.SplitHeads(m.Wq.applyCPU(x), seq, m.Heads, dh)
-	k := ref.SplitHeads(m.Wk.applyCPU(x), seq, m.Heads, dh)
-	v := ref.SplitHeads(m.Wv.applyCPU(x), seq, m.Heads, dh)
-	scale := float32(1 / math.Sqrt(float64(dh)))
-	ctxh := make([]float32, m.Heads*seq*dh)
-	for hh := 0; hh < m.Heads; hh++ {
-		scores := make([]float32, seq*seq)
-		ref.GemmNT(q[hh*seq*dh:], k[hh*seq*dh:], scores, seq, seq, dh, scale, 0)
-		var probs []float32
-		if causal {
-			probs = ref.SoftmaxCausal(scores, seq, seq, seq, 0)
-		} else {
-			probs = ref.Softmax(scores, seq, seq)
-		}
-		ref.Gemm(probs, v[hh*seq*dh:(hh+1)*seq*dh], ctxh[hh*seq*dh:(hh+1)*seq*dh], seq, dh, seq, 1, 0)
-	}
-	return m.Wo.applyCPU(ref.MergeHeads(ctxh, seq, m.Heads, dh))
+	y, _ := hostAttn{snapshot(m.Params()), m.Heads}.forward(x, false)
+	return y, shape
 }
 
 // TransformerBlock is one pre-LN encoder block:
@@ -681,20 +649,10 @@ func (b *TransformerBlock) Params() []*Param {
 	return append(out, b.Fc1.W, b.Fc1.B, b.Fc2.W, b.Fc2.B)
 }
 
-// ForwardCPU implements Module.
+// ForwardCPU implements Module: the host model's block.
 func (b *TransformerBlock) ForwardCPU(x []float32, shape []int) ([]float32, []int) {
-	return b.forwardCPU(x, shape, false), shape
-}
-
-// forwardCPU mirrors Forward on the host; causal selects the decoder's
-// masked attention.
-func (b *TransformerBlock) forwardCPU(x []float32, shape []int, causal bool) []float32 {
-	n1, _ := b.Ln1.ForwardCPU(x, shape)
-	att := b.Attn.forwardCPU(n1, shape[0], causal)
-	h := ref.AddResidual(x, att)
-	n2, _ := b.Ln2.ForwardCPU(h, shape)
-	a := ref.Gelu(b.Fc1.applyCPU(n2))
-	return ref.AddResidual(h, b.Fc2.applyCPU(a))
+	y, _ := hostBlock{snapshot(b.Params()), b.Attn.Heads, b.Ln1.Eps}.forward(x, false)
+	return y, shape
 }
 
 // Embedding gathers learned [Vocab, Dim] rows by token id. It is not a
@@ -742,11 +700,6 @@ func (e *Embedding) Backward(dy *Tensor) error {
 		return err
 	}
 	return e.Dev.H.EmbeddingBackward(dy.Ptr, e.lastIDs, e.Table.Grad.Ptr, e.lastN, e.Dim)
-}
-
-// ForwardCPU is the host oracle of Forward.
-func (e *Embedding) ForwardCPU(ids []int32) ([]float32, []int) {
-	return ref.EmbeddingLookup(e.Table.W.ToHost(), ids, e.Dim), []int{len(ids), e.Dim}
 }
 
 // TransformerConfig sizes a TransformerEncoder.
@@ -879,20 +832,10 @@ func (t *TransformerEncoder) Forward(ids []int32) (*Tensor, error) {
 	return t.forwardDevice(addr, len(ids))
 }
 
-// ForwardCPU is the host oracle of Forward.
+// ForwardCPU is the host oracle of Forward: the host model's forward.
 func (t *TransformerEncoder) ForwardCPU(ids []int32) ([]float32, []int) {
-	return t.forwardCPU(ids, false)
-}
-
-// forwardCPU is the host pipeline behind the encoder's oracle and, with
-// causally masked attention, the decoder's.
-func (t *TransformerEncoder) forwardCPU(ids []int32, causal bool) ([]float32, []int) {
-	x, shape := t.Embed.ForwardCPU(ids)
-	x = ref.AddResidual(x, t.Pos.W.ToHost()[:len(x)])
-	for _, blk := range t.Blocks {
-		x = blk.forwardCPU(x, shape, causal)
-	}
-	return t.Final.ForwardCPU(x, shape)
+	m := newHostModel(t)
+	return m.forward(ids, false), []int{len(ids), t.Cfg.DModel}
 }
 
 // ForwardBatch runs several sequences through the encoder. With
@@ -936,4 +879,9 @@ func (t *TransformerEncoder) Params() []*Param {
 		out = append(out, blk.Params()...)
 	}
 	return append(out, t.Final.Params()...)
+}
+
+// invSqrt is attention's score scale for head width n.
+func invSqrt(n int) float32 {
+	return float32(1 / math.Sqrt(float64(n)))
 }
