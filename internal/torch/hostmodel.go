@@ -2,11 +2,11 @@ package torch
 
 // The transformer's host model, the one host forward and backward of the
 // encoder, in internal/ref arithmetic. The encoder's and the decoder's
-// ForwardCPU, GenerateCPU and CPUTrainState run it whole; attention's and
-// the block's ForwardCPU run those parts. It is a snapshot of
-// TransformerEncoder.Params(), in that order, into one flat list, which
-// hostProj, hostLN, hostAttn and hostBlock view. A forward keeps the
-// activations a backward reads (bounded by MaxSeq).
+// ForwardCPU, GenerateCPU and CPUTrainState run it whole; LayerNorm's,
+// attention's and the block's ForwardCPU run those parts. It is a
+// snapshot of TransformerEncoder.Params(), in that order, into one flat
+// list, which hostProj, hostLN, hostAttn and hostBlock view. A forward
+// keeps the activations a backward reads (bounded by MaxSeq).
 
 import "repro/internal/ref"
 

@@ -112,10 +112,9 @@ func (l *LayerNorm) Backward(dy *Tensor) (*Tensor, error) {
 // Params lists the trainable parameters.
 func (l *LayerNorm) Params() []*Param { return []*Param{l.Gamma, l.Beta} }
 
-// ForwardCPU implements Module.
+// ForwardCPU implements Module: the host model's layer norm.
 func (l *LayerNorm) ForwardCPU(x []float32, shape []int) ([]float32, []int) {
-	rows := len(x) / l.Dim
-	return ref.LayerNorm(x, l.Gamma.W.ToHost(), l.Beta.W.ToHost(), rows, l.Dim, l.Eps), shape
+	return hostLN(snapshot(l.Params())).forward(x, l.Eps), shape
 }
 
 // GELU is the tanh-form GELU activation.
