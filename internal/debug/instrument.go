@@ -115,19 +115,20 @@ func InstrumentKernel(k *ptx.Kernel, entries int) string {
 		if !in.HasRegDst(k) {
 			continue
 		}
-		var dstRegs []int
-		d := &in.Dst[0]
+		var dstRegs []int32
+		d := &in.Dst()[0]
 		switch d.Kind {
 		case ptx.OperandReg:
 			dstRegs = append(dstRegs, d.Reg)
 		case ptx.OperandVec:
-			for i := range d.Elems {
-				if d.Elems[i].Kind == ptx.OperandReg {
-					dstRegs = append(dstRegs, d.Elems[i].Reg)
+			for _, e := range in.Elems(d) {
+				if e.Kind == ptx.OperandReg {
+					dstRegs = append(dstRegs, e.Reg)
 				}
 			}
 		}
-		for _, slot := range dstRegs {
+		for _, r := range dstRegs {
+			slot := int(r)
 			t := k.RegType(slot)
 			if t == ptx.Pred {
 				continue

@@ -21,44 +21,46 @@ const fullMask = ^uint32(0)
 // compiler drop the bounds check on row indexing.
 func lane(mask uint32) int { return bits.TrailingZeros32(mask) & (WarpSize - 1) }
 
-// rowOf returns the 32 lanes the operand reads: its constant row or its
+// rowOf returns the 32 lanes a source code reads: a constant row or a
 // register row (special registers are materialised by stepALUSreg).
-func (o *operand) rowOf(regs []uint64) *row {
-	if o.konst != nil {
-		return o.konst
+func (p *program) rowOf(code int32, regs []uint64) *row {
+	if code >= 0 {
+		return (*row)(regs[code:])
 	}
-	return (*row)(regs[o.reg:])
+	return p.consts[^code]
 }
 
-func (m *Machine) stepALU(c *CTA, w *Warp, d *decoded, mask uint32) error {
-	if d.sregs {
-		return m.stepALUSreg(c, w, d, mask)
+// stepALU executes d, the instruction at pc.
+func (m *Machine) stepALU(c *CTA, w *Warp, pc int, d *instr, mask uint32) error {
+	if d.flags&fSRegs != 0 {
+		return m.stepALUSreg(c, w, pc, d, mask)
 	}
-	regs := w.Regs
-	return m.execALU(d, (*row)(regs[d.dst[0]:]),
-		d.src[0].rowOf(regs), d.src[1].rowOf(regs), d.src[2].rowOf(regs), d.src[3].rowOf(regs), mask)
+	p, regs := c.Grid.prog, w.Regs
+	return m.execALU(c.Grid, pc, d, (*row)(regs[d.dst[0]:]),
+		p.rowOf(d.src[0], regs), p.rowOf(d.src[1], regs), p.rowOf(d.src[2], regs), p.rowOf(d.src[3], regs), mask)
 }
 
 // stepALUSreg is stepALU for instructions that read special registers:
 // %tid, %ctaid, %clock and friends are computed once per warp instruction
 // into scratch rows. It is a separate function so that only these
 // instructions pay for the scratch.
-func (m *Machine) stepALUSreg(c *CTA, w *Warp, d *decoded, mask uint32) error {
+func (m *Machine) stepALUSreg(c *CTA, w *Warp, pc int, d *instr, mask uint32) error {
 	var scratch [4]row
 	var rows [4]*row
-	for i := range rows {
-		if o := &d.src[i]; o.sreg != ptx.SRegNone {
-			sregRow(c, w, o.sreg, &scratch[i])
+	for i, code := range d.src {
+		if s, ok := sregOf(code); ok {
+			sregRow(c, w, s, &scratch[i])
 			rows[i] = &scratch[i]
 		} else {
-			rows[i] = o.rowOf(w.Regs)
+			rows[i] = c.Grid.prog.rowOf(code, w.Regs)
 		}
 	}
-	return m.execALU(d, (*row)(w.Regs[d.dst[0]:]), rows[0], rows[1], rows[2], rows[3], mask)
+	return m.execALU(c.Grid, pc, d, (*row)(w.Regs[d.dst[0]:]), rows[0], rows[1], rows[2], rows[3], mask)
 }
 
-// execALU runs d's handler over the lanes in mask: dst = f(a, b, c, e).
-func (m *Machine) execALU(d *decoded, dst, a, b, c, e *row, mask uint32) error {
+// execALU runs d's handler, the instruction at pc of g's kernel, over the
+// lanes in mask: dst = f(a, b, c, e).
+func (m *Machine) execALU(g *Grid, pc int, d *instr, dst, a, b, c, e *row, mask uint32) error {
 	switch d.h {
 	case hmov:
 		if mask == fullMask {
@@ -257,7 +259,7 @@ func (m *Machine) execALU(d *decoded, dst, a, b, c, e *row, mask uint32) error {
 			dst[l] = f32bits(float32(float64(uint32(a[l]))))
 		}
 	default: // hgeneric
-		in := d.in
+		in := &g.Kernel.Instrs[pc]
 		for ; mask != 0; mask &= mask - 1 {
 			l := lane(mask)
 			r, err := m.evalALU(in, [4]uint64{a[l], b[l], c[l], e[l]})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/ptx"
@@ -83,10 +84,11 @@ var guardMasks = []uint32{
 // as many sources as the opcode takes.
 func aluInstr(in ptx.Instr) ptx.Instr {
 	in.PredReg, in.Vec, in.Target, in.RPC = slotPred, 1, -1, -1
-	in.Dst = []ptx.Operand{{Kind: ptx.OperandReg, Reg: slotDst}}
+	var src []ptx.Operand
 	for i := 0; i < int(aluSources[in.Op]); i++ {
-		in.Src = append(in.Src, ptx.Operand{Kind: ptx.OperandReg, Reg: slotA + i})
+		src = append(src, ptx.Operand{Kind: ptx.OperandReg, Reg: int32(slotA + i)})
 	}
+	in.SetOperands([]ptx.Operand{{Kind: ptx.OperandReg, Reg: slotDst}}, src)
 	in.Raw = fmt.Sprintf("%v.%v.%v(wide=%v hi=%v cmp=%v rnd=%v)", in.Op, in.T, in.T2, in.Wide, in.Hi, in.Cmp, in.Rnd)
 	return in
 }
@@ -132,14 +134,14 @@ func candidates() []ptx.Instr {
 
 // oneInstrWarp lowers a kernel holding just in on m and returns a fresh
 // warp about to execute it.
-func oneInstrWarp(t *testing.T, m *Machine, in ptx.Instr) (*CTA, *Warp, *decoded) {
+func oneInstrWarp(t *testing.T, m *Machine, in ptx.Instr) (*CTA, *Warp, *instr) {
 	t.Helper()
 	return kernelWarp(t, m, &ptx.Kernel{Name: "one", NumSlots: numTestSlots, Instrs: []ptx.Instr{in}})
 }
 
 // kernelWarp lowers k on m and returns a fresh warp about to execute its
 // first instruction.
-func kernelWarp(t *testing.T, m *Machine, k *ptx.Kernel) (*CTA, *Warp, *decoded) {
+func kernelWarp(t *testing.T, m *Machine, k *ptx.Kernel) (*CTA, *Warp, *instr) {
 	t.Helper()
 	g, err := m.NewGrid(k, Dim3{X: 1}, Dim3{X: WarpSize}, nil, 0)
 	if err != nil {
@@ -176,14 +178,14 @@ func TestSpecialisedMatchesScalar(t *testing.T) {
 			for _, alias := range []bool{false, true} {
 				in := in
 				if alias {
-					in.Dst = []ptx.Operand{in.Src[0]} // add %r1, %r1, …
+					in.SetOperands(in.Src()[:1], in.Src()) // add %r1, %r1, …
 				}
 				c, w, d := oneInstrWarp(t, m, in)
 				regs := newSlotRegs(c, w)
 				if broken := bugs.broken(in.Op); (d.h == hgeneric) != broken {
 					t.Fatalf("%s under %+v: handler %d", in.Raw, bugs, d.h)
 				}
-				dstSlot := in.Dst[0].Reg
+				dstSlot := int(in.Dst()[0].Reg)
 				// every pair of edge operands once, then random fill
 				rounds := (len(edgeOperands)*len(edgeOperands) + WarpSize - 1) / WarpSize
 				for round := 0; round < rounds+8; round++ {
@@ -215,7 +217,7 @@ func TestSpecialisedMatchesScalar(t *testing.T) {
 						want := before[dstSlot*WarpSize+l]
 						if mask>>l&1 != 0 {
 							var s [4]uint64
-							for i := range in.Src {
+							for i := range in.Src() {
 								s[i] = before[(slotA+i)*WarpSize+l]
 							}
 							var err error
@@ -257,7 +259,7 @@ func anyNaNPayload(in *ptx.Instr, regs []uint64, l int) bool {
 		return false
 	}
 	nans := 0
-	for i := range in.Src {
+	for i := range in.Src() {
 		if isNaN32(regs[(slotA+i)*WarpSize+l]) {
 			nans++
 		}
@@ -286,7 +288,9 @@ func TestImmediatesDecodeToOperandType(t *testing.T) {
 	} {
 		in := aluInstr(tc.in)
 		in.PredReg = -1
-		in.Src[1] = tc.imm
+		src := slices.Clone(in.Src())
+		src[1] = tc.imm
+		in.SetOperands(in.Dst(), src)
 		c, w, _ := oneInstrWarp(t, m, in)
 		regs := newSlotRegs(c, w)
 		for l := 0; l < WarpSize; l++ {

@@ -2,21 +2,27 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/device"
 	"repro/internal/ptx"
 )
 
-// A kernel is lowered once per BugSet into a program: one decoded
-// instruction per ptx.Instr, holding everything the per-lane loops would
-// otherwise re-derive on every execution — which handler runs it, the
-// register rows it touches, immediates already in the operand type's
-// bits, symbols resolved to parameter offsets or window addresses, the
-// element size and vector width of a memory access. Register slots are
-// allocated onto rows first (regalloc.go). A ptx.Kernel is immutable
-// after ptx.Parse (the debug instrumentation re-parses), so the program
-// is kept on the kernel (ptx.Kernel.Derive), shared by every Machine with
-// that BugSet, and never goes stale.
+// A kernel is lowered once per BugSet into a program: one instr record
+// per ptx.Instr, holding everything the per-lane loops would otherwise
+// re-derive on every execution — which handler runs it, the register rows
+// it touches, immediates already in the operand type's bits (as constant
+// rows), symbols resolved to parameter offsets or window addresses, the
+// element size and vector width of a memory access, a branch's target and
+// reconvergence PC — in 64 bytes. The scoreboard's rows for every PC sit
+// beside the records in one array (IssueTable). Cold data is found by PC:
+// the ptx.Instr (the generic ALU path, atomics, textures, coverage and
+// error text) on the kernel, and a deferred decode error in the program's
+// errs. Register slots are allocated onto rows first (regalloc.go). A
+// ptx.Kernel is immutable after ptx.Parse (the debug instrumentation
+// re-parses), so the program is kept on the kernel (ptx.Kernel.Derive),
+// shared by every Machine with that BugSet, and never goes stale.
 //
 // Decoding never fails: an instruction the interpreter cannot execute
 // (unknown symbol, wrong operand count or kind, mismatched vector width)
@@ -27,8 +33,18 @@ import (
 // row is the register file slice of one row: 32 lanes of raw bits.
 type row = [WarpSize]uint64
 
-// zeroRow stands in for the sources an instruction does not have.
-var zeroRow row
+// smallRows hold the constants 0 to 32 — absent sources read 0, and
+// steps, strides, shifts and element sizes are the immediates kernels
+// name most — once for every program: the library's 55 kernels name 311
+// constant rows of 52 values, 185 of them small.
+var smallRows = func() (t [33]row) {
+	for v := range t {
+		for l := range t[v] {
+			t[v][l] = uint64(v)
+		}
+	}
+	return t
+}()
 
 // handler selects the warp-wide routine that executes an instruction.
 type handler uint8
@@ -71,46 +87,71 @@ const (
 	numHandlers
 )
 
-// operand is a pre-decoded scalar source: a register row, a constant row
-// (an immediate or a resolved symbol address, broadcast to all lanes at
-// decode time), or a special register materialised once per warp
-// instruction.
-type operand struct {
-	konst *row
-	reg   int32 // row offset (row*WarpSize) when konst == nil and sreg == SRegNone
-	sreg  ptx.SReg
+// A source is coded in an int32: a register row offset (row*WarpSize)
+// when it is not negative, else the program's constant row ^code (an
+// immediate or a resolved symbol address, broadcast to all lanes at
+// decode time; ^0 is the zero row, which absent sources read), or a special
+// register materialised once per warp instruction (sregCode).
+const sregBase = math.MinInt32
+
+// sregCode codes special register s as a source.
+func sregCode(s ptx.SReg) int32 { return sregBase + int32(s) }
+
+// sregOf returns the special register a source code names, if it names
+// one.
+func sregOf(code int32) (ptx.SReg, bool) {
+	if code < sregBase+256 {
+		return ptx.SReg(code - sregBase), true
+	}
+	return 0, false
 }
 
-// decoded is one lowered instruction.
-type decoded struct {
-	in  *ptx.Instr
-	err error // herr: raised when the instruction executes
+// flags are an instr's small properties.
+type flags uint8
 
-	h       handler
-	cmp     ptx.CmpOp // hsetpu32: the comparison, lo/ls/hi/hs already mapped to lt/le/gt/ge
-	predNeg bool
-	sregs   bool   // some source is a special register
-	cov     uint16 // Coverage slot
-	pred    int32  // guard predicate row, -1 when unguarded
+const (
+	fPredNeg flags = 1 << iota // the guard predicate is negated
+	fSRegs                     // some source is a special register
+	fSext                      // loaded elements sign-extend to 64 bits
+	fLat0                      // fLat: the LatencyClass, for pipeline models (classOf)
+	fLat1
+	fAtomic // an atom.*, for pipeline models
+	fSFU    // SFU work, for pipeline models
 
-	ndst uint8
-	dst  [4]int32   // destination rows: one, or the elements of a vector load / texture fetch
-	src  [4]operand // ALU sources; store, atomic and texture-coordinate values; &zeroRow when absent
+	fLat      = fLat0 | fLat1
+	fLatShift = 3
+)
+
+// instr is one lowered instruction.
+type instr struct {
+	h     handler
+	cmp   ptx.CmpOp // hsetpu32: the comparison, lo/ls/hi/hs already mapped to lt/le/gt/ge
+	flags flags
 
 	// Memory operand of ld/st/atom.
 	space ptx.Space // static space; param when the base symbol is a kernel parameter
 	esize uint8     // bytes per element
 	vec   uint8     // elements per lane
-	sext  bool      // loaded elements sign-extend to 64 bits
-	base  int32     // address register row, -1 for a constant address
-	off   uint64    // added to the base register; the whole address when base < 0
+
+	ndst uint8
+	pred int32 // guard predicate row offset, -1 when unguarded
+	base int32 // address register row offset, -1 for a constant address
+
+	// hbra: the branch target and its reconvergence PC.
+	target, rpc int32
+
+	dst [4]int32 // destination row offsets: one, or the elements of a vector load / texture fetch
+	src [4]int32 // source codes: ALU sources; store, atomic and texture-coordinate values; ^0 when absent
+	off uint64   // added to the base register; the whole address when base < 0
 }
 
 // program is a kernel lowered under one BugSet, which picks handlers.
 type program struct {
-	code     []decoded
-	issue    []IssueInfo // per PC, for pipeline models (issue.go)
-	regAlloc             // register slot -> row (regalloc.go)
+	code     []instr
+	consts   []*row        // the constant rows sources name, the zero row first
+	errs     map[int]error // herr entries' errors, by PC
+	issue    IssueTable    // for pipeline models (issue.go)
+	regAlloc               // register slot -> row (regalloc.go)
 }
 
 // program returns k lowered under m's BugSet, lowering it on first use.
@@ -123,38 +164,53 @@ type decoder struct {
 	bugs   BugSet
 	k      *ptx.Kernel
 	p      *program
-	consts map[uint64]*row // immediates broadcast to rows, shared by the kernel's instructions
+	consts map[uint64]int32 // immediates broadcast to rows, shared by the kernel's instructions: their codes
 }
 
 func decode(k *ptx.Kernel, bugs BugSet) *program {
 	issue := issueTable(k)
-	p := &program{code: make([]decoded, len(k.Instrs)), issue: issue, regAlloc: allocRegs(k, issue)}
+	p := &program{code: make([]instr, len(k.Instrs)), issue: issue, regAlloc: allocRegs(k, issue), consts: []*row{&smallRows[0]}}
 	p.rename(issue)
-	dc := &decoder{bugs: bugs, k: k, p: p, consts: make(map[uint64]*row)}
+	p.issue.code = p.code
+	dc := &decoder{bugs: bugs, k: k, p: p, consts: map[uint64]int32{0: ^0}}
 	for i := range k.Instrs {
 		d := &p.code[i]
-		if err := dc.instr(d, &k.Instrs[i]); err != nil {
-			d.h, d.err = herr, err
+		in := &k.Instrs[i]
+		d.flags = classOf(in)
+		if err := dc.instr(d, in); err != nil {
+			d.h = herr
+			if p.errs == nil {
+				p.errs = make(map[int]error)
+			}
+			p.errs[i] = err
 		}
 	}
+	p.consts = slices.Clone(p.consts) // kept with the program: no slack
 	return p
 }
 
-// constRow returns the row holding v in every lane.
-func (dc *decoder) constRow(v uint64) *row {
-	r := dc.consts[v]
-	if r == nil {
-		r = new(row)
-		for l := range r {
-			r[l] = v
+// constant returns the code of the row holding v in every lane.
+func (dc *decoder) constant(v uint64) int32 {
+	c, ok := dc.consts[v]
+	if !ok {
+		var r *row
+		if v < uint64(len(smallRows)) {
+			r = &smallRows[v]
+		} else {
+			r = new(row)
+			for l := range r {
+				r[l] = v
+			}
 		}
-		dc.consts[v] = r
+		c = ^int32(len(dc.p.consts))
+		dc.p.consts = append(dc.p.consts, r)
+		dc.consts[v] = c
 	}
-	return r
+	return c
 }
 
-func (dc *decoder) regRow(slot int) (int32, error) {
-	if slot < 0 || slot >= dc.k.NumSlots {
+func (dc *decoder) regRow(slot int32) (int32, error) {
+	if slot < 0 || int(slot) >= dc.k.NumSlots {
 		return 0, fmt.Errorf("register slot %d out of range (kernel has %d)", slot, dc.k.NumSlots)
 	}
 	return dc.p.row[slot] * WarpSize, nil
@@ -177,25 +233,24 @@ func (dc *decoder) symAddress(sym string) (uint64, error) {
 }
 
 // source lowers one scalar source operand read as type t.
-func (dc *decoder) source(d *decoded, o *ptx.Operand, t ptx.Type) (operand, error) {
+func (dc *decoder) source(d *instr, o *ptx.Operand, t ptx.Type) (int32, error) {
 	switch o.Kind {
 	case ptx.OperandReg:
-		r, err := dc.regRow(o.Reg)
-		return operand{reg: r}, err
+		return dc.regRow(o.Reg)
 	case ptx.OperandSReg:
-		d.sregs = true
-		return operand{sreg: o.SReg}, nil
+		d.flags |= fSRegs
+		return sregCode(o.SReg), nil
 	case ptx.OperandImm:
-		return operand{konst: dc.constRow(immValue(o, t))}, nil
+		return dc.constant(immValue(o, t)), nil
 	case ptx.OperandSym:
 		a, err := dc.symAddress(o.Sym)
-		return operand{konst: dc.constRow(a)}, err
+		return dc.constant(a), err
 	}
-	return operand{}, fmt.Errorf("exec: unsupported source operand kind %d", o.Kind)
+	return 0, fmt.Errorf("exec: unsupported source operand kind %d", o.Kind)
 }
 
 // dest lowers a scalar register destination.
-func (dc *decoder) dest(d *decoded, o *ptx.Operand) error {
+func (dc *decoder) dest(d *instr, o *ptx.Operand) error {
 	if o.Kind != ptx.OperandReg {
 		return fmt.Errorf("non-register destination")
 	}
@@ -204,9 +259,9 @@ func (dc *decoder) dest(d *decoded, o *ptx.Operand) error {
 	return err
 }
 
-// vector checks that o lists exactly n scalar elements when n > 1, or is a
-// scalar itself when n == 1, and returns the elements.
-func vector(o *ptx.Operand, n int) ([]ptx.Operand, error) {
+// vector checks that o, an operand of in, lists exactly n scalar elements
+// when n > 1, or is a scalar itself when n == 1, and returns the elements.
+func vector(in *ptx.Instr, o *ptx.Operand, n int) ([]ptx.Operand, error) {
 	if n == 1 {
 		if o.Kind == ptx.OperandVec {
 			return nil, fmt.Errorf("vector operand on a scalar access")
@@ -216,41 +271,43 @@ func vector(o *ptx.Operand, n int) ([]ptx.Operand, error) {
 	if o.Kind != ptx.OperandVec {
 		return nil, fmt.Errorf(".v%d access needs a {…} vector operand", n)
 	}
-	if len(o.Elems) != n {
-		return nil, fmt.Errorf("vector operand has %d elements, want %d", len(o.Elems), n)
+	if elems := in.Elems(o); len(elems) != n {
+		return nil, fmt.Errorf("vector operand has %d elements, want %d", len(elems), n)
 	}
-	return o.Elems, nil
+	return in.Elems(o), nil
 }
 
 // address lowers the memory operand of ld/st/atom. A symbol base that
 // names a kernel parameter addresses the parameter buffer whatever space
 // the instruction states.
-func (dc *decoder) address(d *decoded, in *ptx.Instr, o *ptx.Operand, what string) error {
+func (dc *decoder) address(d *instr, in *ptx.Instr, o *ptx.Operand, what string) error {
 	if o.Kind != ptx.OperandMem {
 		return fmt.Errorf("%s is not a memory operand", what)
 	}
 	d.space = in.Space
 	d.esize = uint8(in.T.Size())
-	d.vec = uint8(in.Vec)
+	d.vec = in.Vec
 	if d.esize == 0 {
 		return fmt.Errorf("memory access needs a sized type")
 	}
-	if in.Vec < 1 || in.Vec > len(d.dst) {
+	if in.Vec < 1 || int(in.Vec) > len(d.dst) {
 		return fmt.Errorf("bad vector width %d", in.Vec)
 	}
-	d.sext = in.T.Signed() && d.esize < 8
+	if in.T.Signed() && d.esize < 8 {
+		d.flags |= fSext
+	}
 	if o.Base >= 0 {
 		r, err := dc.regRow(o.Base)
 		d.base, d.off = r, uint64(o.Offset)
 		return err
 	}
 	d.base = -1
-	if p := dc.k.ParamByName(o.BaseSym); p != nil {
+	if p := dc.k.ParamByName(o.Sym); p != nil {
 		d.space = ptx.SpaceParam
 		d.off = uint64(int64(p.Offset) + o.Offset)
 		return nil
 	}
-	a, err := dc.symAddress(o.BaseSym)
+	a, err := dc.symAddress(o.Sym)
 	d.off = uint64(int64(a) + o.Offset)
 	return err
 }
@@ -268,31 +325,31 @@ var aluSources = [ptx.OpLimit]uint8{
 }
 
 // instr lowers one instruction into d; an error makes it a herr entry.
-func (dc *decoder) instr(d *decoded, in *ptx.Instr) (err error) {
+func (dc *decoder) instr(d *instr, in *ptx.Instr) (err error) {
 	defer func() {
 		if err != nil {
 			err = fmt.Errorf("exec: %q: %w", in.Raw, err)
 		}
 	}()
-	d.in = in
-	d.cov = covIndex(in.Op, in.T)
 	d.pred = -1
-	d.predNeg = in.PredNeg
+	if in.PredNeg {
+		d.flags |= fPredNeg
+	}
 	if in.PredReg >= 0 {
 		if d.pred, err = dc.regRow(in.PredReg); err != nil {
 			return err
 		}
 	}
 	for i := range d.src {
-		d.src[i].konst = &zeroRow
+		d.src[i] = ^0
 	}
 
 	switch in.Op {
 	case ptx.OpBra:
-		if in.Target < 0 || in.Target > len(dc.k.Instrs) {
+		if in.Target < 0 || int(in.Target) > len(dc.k.Instrs) {
 			return fmt.Errorf("unresolved branch target %q", in.Label)
 		}
-		d.h = hbra
+		d.h, d.target, d.rpc = hbra, in.Target, in.RPC
 	case ptx.OpRet, ptx.OpExit:
 		d.h = hret
 	case ptx.OpBar:
@@ -317,14 +374,15 @@ func (dc *decoder) instr(d *decoded, in *ptx.Instr) (err error) {
 	return nil
 }
 
-func (dc *decoder) load(d *decoded, in *ptx.Instr) error {
-	if len(in.Dst) < 1 || len(in.Src) < 1 {
-		return fmt.Errorf("ld takes a destination and an address, got %d operands", len(in.Dst)+len(in.Src))
+func (dc *decoder) load(d *instr, in *ptx.Instr) error {
+	dst, src := in.Dst(), in.Src()
+	if len(dst) < 1 || len(src) < 1 {
+		return fmt.Errorf("ld takes a destination and an address, got %d operands", len(dst)+len(src))
 	}
-	if err := dc.address(d, in, &in.Src[0], "load source"); err != nil {
+	if err := dc.address(d, in, &src[0], "load source"); err != nil {
 		return err
 	}
-	elems, err := vector(&in.Dst[0], in.Vec)
+	elems, err := vector(in, &dst[0], int(in.Vec))
 	if err != nil {
 		return err
 	}
@@ -340,14 +398,15 @@ func (dc *decoder) load(d *decoded, in *ptx.Instr) error {
 	return nil
 }
 
-func (dc *decoder) store(d *decoded, in *ptx.Instr) error {
-	if len(in.Src) < 2 {
-		return fmt.Errorf("st takes an address and a value, got %d operands", len(in.Src))
+func (dc *decoder) store(d *instr, in *ptx.Instr) error {
+	src := in.Src()
+	if len(src) < 2 {
+		return fmt.Errorf("st takes an address and a value, got %d operands", len(src))
 	}
-	if err := dc.address(d, in, &in.Src[0], "store target"); err != nil {
+	if err := dc.address(d, in, &src[0], "store target"); err != nil {
 		return err
 	}
-	elems, err := vector(&in.Src[1], in.Vec)
+	elems, err := vector(in, &src[1], int(in.Vec))
 	if err != nil {
 		return err
 	}
@@ -359,7 +418,8 @@ func (dc *decoder) store(d *decoded, in *ptx.Instr) error {
 	return nil
 }
 
-func (dc *decoder) atom(d *decoded, in *ptx.Instr) error {
+func (dc *decoder) atom(d *instr, in *ptx.Instr) error {
+	dst, src := in.Dst(), in.Src()
 	want := 2
 	switch in.Atom {
 	case ptx.AtomAdd, ptx.AtomMin, ptx.AtomMax, ptx.AtomExch, ptx.AtomAnd, ptx.AtomOr, ptx.AtomXor:
@@ -368,35 +428,36 @@ func (dc *decoder) atom(d *decoded, in *ptx.Instr) error {
 	default:
 		return fmt.Errorf("unsupported atomic op")
 	}
-	if len(in.Src) < want {
-		return fmt.Errorf("atom.%v takes an address and %d values, got %d operands", in.Atom, want-1, len(in.Src))
+	if len(src) < want {
+		return fmt.Errorf("atom.%v takes an address and %d values, got %d operands", in.Atom, want-1, len(src))
 	}
 	if in.Vec != 1 {
 		return fmt.Errorf("vector atomics are not supported")
 	}
-	if err := dc.address(d, in, &in.Src[0], "atomic target"); err != nil {
+	if err := dc.address(d, in, &src[0], "atomic target"); err != nil {
 		return err
 	}
 	for i := 1; i < want; i++ {
 		var err error
-		if d.src[i-1], err = dc.source(d, &in.Src[i], in.T); err != nil {
+		if d.src[i-1], err = dc.source(d, &src[i], in.T); err != nil {
 			return err
 		}
 	}
 	// the fetched value is dropped unless the first operand is a register
-	if len(in.Dst) > 0 && in.Dst[0].Kind == ptx.OperandReg {
-		return dc.dest(d, &in.Dst[0])
+	if len(dst) > 0 && dst[0].Kind == ptx.OperandReg {
+		return dc.dest(d, &dst[0])
 	}
 	return nil
 }
 
-func (dc *decoder) tex(d *decoded, in *ptx.Instr) error {
-	if len(in.Dst) < 1 || len(in.Src) < 2 || in.Src[0].Kind != ptx.OperandSym {
+func (dc *decoder) tex(d *instr, in *ptx.Instr) error {
+	dst, src := in.Dst(), in.Src()
+	if len(dst) < 1 || len(src) < 2 || src[0].Kind != ptx.OperandSym {
 		return fmt.Errorf("tex takes a destination, a texture name and coordinates")
 	}
-	elems := []ptx.Operand{in.Dst[0]}
-	if in.Dst[0].Kind == ptx.OperandVec {
-		elems = in.Dst[0].Elems
+	elems := dst[:1]
+	if dst[0].Kind == ptx.OperandVec {
+		elems = in.Elems(&dst[0])
 		if len(elems) > 4 {
 			elems = elems[:4]
 		}
@@ -412,9 +473,9 @@ func (dc *decoder) tex(d *decoded, in *ptx.Instr) error {
 	}
 	d.ndst = uint8(len(elems))
 	// coordinates: x, then y for 2-D fetches that supply one
-	coords := []ptx.Operand{in.Src[1]}
-	if in.Src[1].Kind == ptx.OperandVec {
-		coords = in.Src[1].Elems
+	coords := src[1:2]
+	if src[1].Kind == ptx.OperandVec {
+		coords = in.Elems(&src[1])
 		if len(coords) == 0 {
 			return fmt.Errorf("tex needs a coordinate")
 		}
@@ -434,28 +495,29 @@ func (dc *decoder) tex(d *decoded, in *ptx.Instr) error {
 }
 
 // alu lowers a register-producing instruction and picks its handler.
-func (dc *decoder) alu(d *decoded, in *ptx.Instr) error {
+func (dc *decoder) alu(d *instr, in *ptx.Instr) error {
 	if int(in.Op) >= ptx.OpLimit || aluSources[in.Op] == 0 {
 		return fmt.Errorf("opcode has no ALU semantics")
 	}
-	if len(in.Dst) == 0 {
+	dst, src := in.Dst(), in.Src()
+	if len(dst) == 0 {
 		return fmt.Errorf("missing destination")
 	}
 	// mov of a vector (pack/unpack) is unsupported; scalar only.
-	if err := dc.dest(d, &in.Dst[0]); err != nil {
+	if err := dc.dest(d, &dst[0]); err != nil {
 		return err
 	}
 	// Operands past the ones the opcode reads are ignored, up to the four
 	// a source vector ever held.
 	want := int(aluSources[in.Op])
-	if len(in.Src) < want || len(in.Src) > len(d.src) {
-		return fmt.Errorf("%v takes %d source operands, got %d", in.Op, want, len(in.Src))
+	if len(src) < want || len(src) > len(d.src) {
+		return fmt.Errorf("%v takes %d source operands, got %d", in.Op, want, len(src))
 	}
 	srcT := in.T
 	if in.Op == ptx.OpCvt && in.T2 != ptx.TypeNone {
 		srcT = in.T2
 	}
-	for i := range in.Src[:want] {
+	for i := range src[:want] {
 		st := srcT
 		if in.Op == ptx.OpSelp && i == 2 {
 			st = ptx.Pred
@@ -464,7 +526,7 @@ func (dc *decoder) alu(d *decoded, in *ptx.Instr) error {
 			st = in.T2
 		}
 		var err error
-		if d.src[i], err = dc.source(d, &in.Src[i], st); err != nil {
+		if d.src[i], err = dc.source(d, &src[i], st); err != nil {
 			return err
 		}
 	}
@@ -475,7 +537,7 @@ func (dc *decoder) alu(d *decoded, in *ptx.Instr) error {
 // specialise picks the hand-written loop for (op, type, modifiers), or
 // hgeneric. An opcode BugSet.BreakOp names always runs generic, where
 // evalALU perturbs its result.
-func (dc *decoder) specialise(d *decoded, in *ptx.Instr) handler {
+func (dc *decoder) specialise(d *instr, in *ptx.Instr) handler {
 	if dc.bugs.broken(in.Op) {
 		return hgeneric
 	}

@@ -21,7 +21,7 @@ func TestProgramPerKernelAndBugSet(t *testing.T) {
 		return g
 	}
 	a, b := grid(cleanMachine()), grid(cleanMachine())
-	if &a.IssueTable()[0] != &b.IssueTable()[0] || &a.RegMap()[0] != &b.RegMap()[0] {
+	if a.prog != b.prog || &a.RegMap()[0] != &b.RegMap()[0] {
 		t.Error("two Machines with one BugSet lowered the kernel twice")
 	}
 	if c := grid(NewMachine(BugSet{BreakOp: ptx.OpAdd}, nil, nil)); c.prog == a.prog {

@@ -78,6 +78,19 @@
 //   - `StepInfo` is filled in place through a pointer each SM core and
 //     each `Machine.RunCTA` loop owns, and counts nothing shared.
 //
+// # Footprint
+//
+//   - Every process keeps the parsed library and its lowered programs, so
+//     both are records of fixed size: a parsed instruction is at most 96
+//     bytes and its operands 56 each, in one array per instruction; a
+//     lowered instruction is one 64-byte record of what StepWarp reads
+//     (handler, guard, rows, branch target, memory base and offset), with
+//     every PC's scoreboard rows in one array beside the records
+//     (`IssueTable`), and what only an error, a generic instruction,
+//     coverage or an atomic needs is read off the ptx.Instr by PC
+//     (`TestRecordSizes`). The 55 library kernels hold at most 2,000 KB
+//     parsed and 500 KB lowered (`TestLibraryFootprint`).
+//
 // # Memory
 //
 //   - `device.Memory` is lock-free on the access path, with a mutex only

@@ -1,6 +1,10 @@
 package exec
 
-import "repro/internal/ptx"
+import (
+	"slices"
+
+	"repro/internal/ptx"
+)
 
 // LatencyClass names the functional unit whose latency a non-memory
 // instruction pays; the pipeline model maps it to cycles.
@@ -12,25 +16,66 @@ const (
 	LatIntDiv
 )
 
-// IssueInfo is what a pipeline model needs to know about one instruction
-// before it executes: which register rows a scoreboard must see readable,
-// which it marks busy, and how the instruction is classed. One per PC,
-// built when the kernel is lowered (Grid.IssueTable); a scoreboard holds
-// Grid.RegRows entries per warp.
-type IssueInfo struct {
-	Src []int32 // rows read: guard predicate, sources, address bases, vector elements
-	Dst []int32 // rows written: destinations and destination vector elements
-	Lat LatencyClass
-	// Atomic marks atom.*: a read-modify-write other cores may race with.
-	Atomic bool
-	// SFU marks the transcendental-unit operations a power model counts
-	// as SFU work. div/rem pay LatSFU or LatIntDiv but count as ALU work.
-	SFU bool
+// classOf returns the flags that class in for a pipeline model: its
+// LatencyClass (fLat) and the atomic and SFU marks.
+func classOf(in *ptx.Instr) flags {
+	var f flags
+	if in.Op == ptx.OpAtom {
+		f |= fAtomic
+	}
+	switch in.Op {
+	case ptx.OpSqrt, ptx.OpRsqrt, ptx.OpRcp, ptx.OpLg2, ptx.OpEx2, ptx.OpSin, ptx.OpCos:
+		f |= flags(LatSFU)<<fLatShift | fSFU
+	case ptx.OpDiv, ptx.OpRem:
+		if in.T.Float() {
+			f |= flags(LatSFU) << fLatShift
+		} else {
+			f |= flags(LatIntDiv) << fLatShift
+		}
+	}
+	return f
 }
 
-// IssueTable returns the kernel's per-PC issue information. It is shared
-// and read-only.
-func (g *Grid) IssueTable() []IssueInfo { return g.prog.issue }
+// IssueTable is what a pipeline model needs to know about each
+// instruction of a kernel before it executes: which register rows a
+// scoreboard must see readable, which it marks busy, and how the
+// instruction is classed. It is built when the kernel is lowered
+// (Grid.IssueTable) and holds every PC's rows in one array; a scoreboard
+// holds Grid.RegRows entries per warp. It is shared and read-only.
+type IssueTable struct {
+	// rows holds, PC after PC, the rows read (guard predicate, sources,
+	// address bases, vector elements) and then the rows written
+	// (destinations and destination vector elements).
+	rows []int32
+	// at bounds them: PC pc reads rows[at[2pc]:at[2pc+1]] and writes
+	// rows[at[2pc+1]:at[2pc+2]].
+	at   []uint32
+	code []instr // the lowered instructions, which carry the classes
+}
+
+// Src returns the rows the instruction at pc reads.
+func (t *IssueTable) Src(pc int) []int32 { return t.rows[t.at[2*pc]:t.at[2*pc+1]] }
+
+// Dst returns the rows the instruction at pc writes.
+func (t *IssueTable) Dst(pc int) []int32 { return t.rows[t.at[2*pc+1]:t.at[2*pc+2]] }
+
+// Lat returns the latency class of the instruction at pc.
+func (t *IssueTable) Lat(pc int) LatencyClass {
+	return LatencyClass(t.code[pc].flags & fLat >> fLatShift)
+}
+
+// Atomic reports whether the instruction at pc is an atom.*: a
+// read-modify-write other cores may race with.
+func (t *IssueTable) Atomic(pc int) bool { return t.code[pc].flags&fAtomic != 0 }
+
+// SFU reports whether the instruction at pc is one of the
+// transcendental-unit operations a power model counts as SFU work.
+// div/rem pay LatSFU or LatIntDiv but count as ALU work.
+func (t *IssueTable) SFU(pc int) bool { return t.code[pc].flags&fSFU != 0 }
+
+// IssueTable returns the kernel's issue table. A copy shares its arrays
+// with the program's.
+func (g *Grid) IssueTable() IssueTable { return g.prog.issue }
 
 // issueTable walks every instruction's ptx operand lists once. It is the
 // single definition of which slots an instruction reads and writes for
@@ -40,16 +85,16 @@ func (g *Grid) IssueTable() []IssueInfo { return g.prog.issue }
 // waits on every source operand as written — including trailing ones an
 // opcode's handler ignores — and the modelled cycle counts depend on
 // that. Slots outside the kernel's register file are left out; such an
-// instruction raises its decode error when it executes.
-func issueTable(k *ptx.Kernel) []IssueInfo {
-	tbl := make([]IssueInfo, len(k.Instrs))
-	var slots []int32 // one backing array for every Src and Dst
-	add := func(slot int) {
-		if slot >= 0 && slot < k.NumSlots {
-			slots = append(slots, int32(slot))
+// instruction raises its decode error when it executes. The table has no
+// classes until decode gives it the program's code.
+func issueTable(k *ptx.Kernel) IssueTable {
+	t := IssueTable{at: make([]uint32, 2*len(k.Instrs)+1)}
+	add := func(slot int32) {
+		if slot >= 0 && int(slot) < k.NumSlots {
+			t.rows = append(t.rows, slot)
 		}
 	}
-	regs := func(ops []ptx.Operand, bases bool) {
+	regs := func(in *ptx.Instr, ops []ptx.Operand, bases bool) {
 		for i := range ops {
 			o := &ops[i]
 			switch o.Kind {
@@ -60,42 +105,22 @@ func issueTable(k *ptx.Kernel) []IssueInfo {
 					add(o.Base)
 				}
 			case ptx.OperandVec:
-				for j := range o.Elems {
-					if o.Elems[j].Kind == ptx.OperandReg {
-						add(o.Elems[j].Reg)
+				for _, e := range in.Elems(o) {
+					if e.Kind == ptx.OperandReg {
+						add(e.Reg)
 					}
 				}
 			}
 		}
 	}
-	type span struct{ src, dst, end int }
-	spans := make([]span, len(k.Instrs))
 	for pc := range k.Instrs {
 		in := &k.Instrs[pc]
-		sp := span{src: len(slots)}
 		add(in.PredReg)
-		regs(in.Src, true)
-		sp.dst = len(slots)
-		regs(in.Dst, false)
-		sp.end = len(slots)
-		spans[pc] = sp
-
-		e := &tbl[pc]
-		e.Atomic = in.Op == ptx.OpAtom
-		switch in.Op {
-		case ptx.OpSqrt, ptx.OpRsqrt, ptx.OpRcp, ptx.OpLg2, ptx.OpEx2, ptx.OpSin, ptx.OpCos:
-			e.Lat, e.SFU = LatSFU, true
-		case ptx.OpDiv, ptx.OpRem:
-			e.Lat = LatIntDiv
-			if in.T.Float() {
-				e.Lat = LatSFU
-			}
-		}
+		regs(in, in.Src(), true)
+		t.at[2*pc+1] = uint32(len(t.rows))
+		regs(in, in.Dst(), false)
+		t.at[2*pc+2] = uint32(len(t.rows))
 	}
-	// slice only once slots has stopped growing
-	for pc, sp := range spans {
-		tbl[pc].Src = slots[sp.src:sp.dst:sp.dst]
-		tbl[pc].Dst = slots[sp.dst:sp.end:sp.end]
-	}
-	return tbl
+	t.rows = slices.Clone(t.rows) // kept with the program: no slack
+	return t
 }

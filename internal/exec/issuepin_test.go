@@ -35,8 +35,8 @@ func TestLibraryIssueTablePinned(t *testing.T) {
 			p := m.program(k)
 			fmt.Fprintf(h, "kernel %s: %d rows\n", name, p.rows)
 			for pc := range k.Instrs {
-				e := &p.issue[pc]
-				writeIssue(h, e.Src, e.Dst, e.Lat, e.Atomic, e.SFU)
+				t := &p.issue
+				writeIssue(h, t.Src(pc), t.Dst(pc), t.Lat(pc), t.Atomic(pc), t.SFU(pc))
 			}
 		}
 	}

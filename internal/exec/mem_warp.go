@@ -21,29 +21,29 @@ var zeroPage device.Page
 
 // elem decodes the little-endian element at the start of b, extended to a
 // register value the way truncToType extends it.
-func (d *decoded) elem(b []byte) uint64 {
+func (d *instr) elem(b []byte) uint64 {
 	switch d.esize {
 	case 4:
-		if d.sext {
+		if d.flags&fSext != 0 {
 			return uint64(int64(int32(binary.LittleEndian.Uint32(b))))
 		}
 		return uint64(binary.LittleEndian.Uint32(b))
 	case 8:
 		return binary.LittleEndian.Uint64(b)
 	case 2:
-		if d.sext {
+		if d.flags&fSext != 0 {
 			return uint64(int64(int16(binary.LittleEndian.Uint16(b))))
 		}
 		return uint64(binary.LittleEndian.Uint16(b))
 	}
-	if d.sext {
+	if d.flags&fSext != 0 {
 		return uint64(int64(int8(b[0])))
 	}
 	return uint64(b[0])
 }
 
 // putElem encodes the low esize bytes of v at the start of b.
-func (d *decoded) putElem(b []byte, v uint64) {
+func (d *instr) putElem(b []byte, v uint64) {
 	switch d.esize {
 	case 4:
 		binary.LittleEndian.PutUint32(b, uint32(v))
@@ -57,7 +57,7 @@ func (d *decoded) putElem(b []byte, v uint64) {
 }
 
 // addresses computes the effective address of every lane in mask.
-func (d *decoded) addresses(w *Warp, mask uint32, addrs *row) {
+func (d *instr) addresses(w *Warp, mask uint32, addrs *row) {
 	off := d.off
 	if d.base < 0 {
 		for ; mask != 0; mask &= mask - 1 {
@@ -80,7 +80,7 @@ func (d *decoded) addresses(w *Warp, mask uint32, addrs *row) {
 
 // memSetup fills the static part of info, computes the lane addresses and
 // classifies the access from the first active lane.
-func (d *decoded) memSetup(w *Warp, mask uint32, info *StepInfo) {
+func (d *instr) memSetup(w *Warp, mask uint32, info *StepInfo) {
 	info.IsMem = true
 	info.AccSize = int(d.esize) * int(d.vec)
 	if mask != 0 {
@@ -95,7 +95,7 @@ type spaceMasks struct{ shared, local, param, global uint32 }
 
 // split sorts the lanes of mask by space: all into the decoded static
 // space, or lane by lane through the generic-address windows.
-func (d *decoded) split(mask uint32, addrs *row) (sm spaceMasks) {
+func (d *instr) split(mask uint32, addrs *row) (sm spaceMasks) {
 	switch d.space {
 	case ptx.SpaceShared:
 		sm.shared = mask
@@ -225,7 +225,7 @@ func (g *gcursor) write(addr uint64, b []byte) {
 	copy(g.page[off:], b)
 }
 
-func (m *Machine) stepLoad(c *CTA, w *Warp, d *decoded, mask uint32, info *StepInfo) error {
+func (m *Machine) stepLoad(c *CTA, w *Warp, d *instr, mask uint32, info *StepInfo) error {
 	d.memSetup(w, mask, info)
 	if mask == 0 {
 		return nil
@@ -250,14 +250,14 @@ func (m *Machine) stepLoad(c *CTA, w *Warp, d *decoded, mask uint32, info *StepI
 		}
 	}
 	if err != nil {
-		return fmt.Errorf("exec: %q: %w", d.in.Raw, err)
+		return fmt.Errorf("exec: %q: %w", c.Grid.Kernel.Instrs[info.PC].Raw, err)
 	}
 	return nil
 }
 
 // loadParam is ld.param [sym+off]: the address is a decode-time constant,
 // so the value is read once and broadcast to the active lanes.
-func (m *Machine) loadParam(c *CTA, w *Warp, d *decoded, mask uint32) error {
+func (m *Machine) loadParam(c *CTA, w *Warp, d *instr, mask uint32) error {
 	es := int(d.esize)
 	b, err := window(c, w, 0, ptx.SpaceParam, d.off, es*int(d.vec), "load")
 	if err != nil {
@@ -274,9 +274,9 @@ func (m *Machine) loadParam(c *CTA, w *Warp, d *decoded, mask uint32) error {
 }
 
 // loadSlice loads from shared, local or parameter memory.
-func (m *Machine) loadSlice(c *CTA, w *Warp, d *decoded, space ptx.Space, mask uint32, addrs *row) error {
+func (m *Machine) loadSlice(c *CTA, w *Warp, d *instr, space ptx.Space, mask uint32, addrs *row) error {
 	es, vec := int(d.esize), int(d.vec)
-	if space == ptx.SpaceShared && vec == 1 && es == 4 && !d.sext {
+	if space == ptx.SpaceShared && vec == 1 && es == 4 && d.flags&fSext == 0 {
 		// the GEMM tile reads: one bounds check and one 4-byte move per lane
 		sh, dst := c.Shared, (*row)(w.Regs[d.dst[0]:])
 		for ; mask != 0; mask &= mask - 1 {
@@ -307,7 +307,7 @@ func (m *Machine) loadSlice(c *CTA, w *Warp, d *decoded, space ptx.Space, mask u
 }
 
 // loadGlobal loads from global (or constant) memory.
-func (m *Machine) loadGlobal(w *Warp, d *decoded, mask uint32, addrs *row) {
+func (m *Machine) loadGlobal(w *Warp, d *instr, mask uint32, addrs *row) {
 	es, vec := uint64(d.esize), int(d.vec)
 	n := es * uint64(vec)
 	g := m.cursor()
@@ -333,7 +333,7 @@ func (m *Machine) loadGlobal(w *Warp, d *decoded, mask uint32, addrs *row) {
 	}
 }
 
-func (m *Machine) stepStore(c *CTA, w *Warp, d *decoded, mask uint32, info *StepInfo) error {
+func (m *Machine) stepStore(c *CTA, w *Warp, d *instr, mask uint32, info *StepInfo) error {
 	d.memSetup(w, mask, info)
 	info.IsStore = true
 	if mask == 0 {
@@ -342,7 +342,7 @@ func (m *Machine) stepStore(c *CTA, w *Warp, d *decoded, mask uint32, info *Step
 	addrs := &info.Addrs
 	var vals [4]*row
 	for e := 0; e < int(d.vec); e++ {
-		vals[e] = d.src[e].rowIn(c, w)
+		vals[e] = rowIn(c, w, d.src[e])
 	}
 	sm := d.split(mask, addrs)
 	var err error
@@ -359,24 +359,24 @@ func (m *Machine) stepStore(c *CTA, w *Warp, d *decoded, mask uint32, info *Step
 		err = fmt.Errorf("exec: store to parameter space")
 	}
 	if err != nil {
-		return fmt.Errorf("exec: %q: %w", d.in.Raw, err)
+		return fmt.Errorf("exec: %q: %w", c.Grid.Kernel.Instrs[info.PC].Raw, err)
 	}
 	return nil
 }
 
 // rowIn is rowOf for the memory handlers, which real PTX never hands a
 // special register: one is materialised on the heap if it happens.
-func (o *operand) rowIn(c *CTA, w *Warp) *row {
-	if o.sreg != ptx.SRegNone {
+func rowIn(c *CTA, w *Warp, code int32) *row {
+	if s, ok := sregOf(code); ok {
 		r := new(row)
-		sregRow(c, w, o.sreg, r)
+		sregRow(c, w, s, r)
 		return r
 	}
-	return o.rowOf(w.Regs)
+	return c.Grid.prog.rowOf(code, w.Regs)
 }
 
 // storeSlice stores to shared or local memory.
-func (m *Machine) storeSlice(c *CTA, w *Warp, d *decoded, space ptx.Space, mask uint32, addrs *row, vals *[4]*row) error {
+func (m *Machine) storeSlice(c *CTA, w *Warp, d *instr, space ptx.Space, mask uint32, addrs *row, vals *[4]*row) error {
 	es, vec := int(d.esize), int(d.vec)
 	for ; mask != 0; mask &= mask - 1 {
 		l := lane(mask)
@@ -392,7 +392,7 @@ func (m *Machine) storeSlice(c *CTA, w *Warp, d *decoded, space ptx.Space, mask 
 }
 
 // storeGlobal stores to global memory.
-func (m *Machine) storeGlobal(d *decoded, mask uint32, addrs *row, vals *[4]*row) {
+func (m *Machine) storeGlobal(d *instr, mask uint32, addrs *row, vals *[4]*row) {
 	es, vec := uint64(d.esize), int(d.vec)
 	n := es * uint64(vec)
 	g := m.cursor()
@@ -416,15 +416,15 @@ func (m *Machine) storeGlobal(d *decoded, mask uint32, addrs *row, vals *[4]*row
 	}
 }
 
-func (m *Machine) stepAtom(c *CTA, w *Warp, d *decoded, mask uint32, info *StepInfo) error {
+func (m *Machine) stepAtom(c *CTA, w *Warp, d *instr, mask uint32, info *StepInfo) error {
 	d.memSetup(w, mask, info)
 	info.IsAtomic = true
 	if mask == 0 {
 		return nil
 	}
-	in := d.in
+	in := &c.Grid.Kernel.Instrs[info.PC]
 	addrs := &info.Addrs
-	bRow, cRow := d.src[0].rowIn(c, w), d.src[1].rowIn(c, w)
+	bRow, cRow := rowIn(c, w, d.src[0]), rowIn(c, w, d.src[1])
 	size := uint64(d.esize)
 	g := m.cursor()
 	var buf [8]byte
@@ -493,12 +493,12 @@ func (m *Machine) stepAtom(c *CTA, w *Warp, d *decoded, mask uint32, info *StepI
 	return nil
 }
 
-func (m *Machine) stepTex(c *CTA, w *Warp, d *decoded, mask uint32, info *StepInfo) error {
-	in := d.in
+func (m *Machine) stepTex(c *CTA, w *Warp, d *instr, mask uint32, info *StepInfo) error {
+	in := &c.Grid.Kernel.Instrs[info.PC]
 	if m.Tex == nil {
 		return fmt.Errorf("exec: %q: no texture registry attached", in.Raw)
 	}
-	arr, err := m.Tex.LookupByName(in.Src[0].Sym)
+	arr, err := m.Tex.LookupByName(in.Src()[0].Sym)
 	if err != nil {
 		return fmt.Errorf("exec: %q: %w", in.Raw, err)
 	}
@@ -511,7 +511,7 @@ func (m *Machine) stepTex(c *CTA, w *Warp, d *decoded, mask uint32, info *StepIn
 	info.Space = ptx.SpaceTex
 	info.AccSize = 16
 	// a 1-D fetch has no second coordinate: its source is the zero row
-	xs, ys := d.src[0].rowIn(c, w), d.src[1].rowIn(c, w)
+	xs, ys := rowIn(c, w, d.src[0]), rowIn(c, w, d.src[1])
 	for ; mask != 0; mask &= mask - 1 {
 		l := lane(mask)
 		x, y := int(int32(xs[l])), int(int32(ys[l]))

@@ -65,9 +65,9 @@ func (b bitset) each(f func(int32)) {
 }
 
 // allocRegs allocates k's register slots onto rows. issue is k's issue
-// table still in slots (issueTable): its Src and Dst lists are the uses
+// table still in slots (issueTable): its Src and Dst rows are the uses
 // and definitions.
-func allocRegs(k *ptx.Kernel, issue []IssueInfo) regAlloc {
+func allocRegs(k *ptx.Kernel, issue IssueTable) regAlloc {
 	ra := regAlloc{row: make([]int32, k.NumSlots)}
 	cfg, err := ptx.BuildCFG(k)
 	if err != nil {
@@ -95,16 +95,16 @@ func allocRegs(k *ptx.Kernel, issue []IssueInfo) regAlloc {
 			live.or(in[s])
 		}
 		for pc := blk.End - 1; pc >= blk.Start; pc-- {
-			e := &issue[pc]
-			if len(e.Dst) > 0 {
+			src, dst := issue.Src(pc), issue.Dst(pc)
+			if len(dst) > 0 {
 				copy(around, live) // live out of pc
-				for _, s := range e.Src {
+				for _, s := range src {
 					around.set(s)
 				}
-				for _, d := range e.Dst {
+				for _, d := range dst {
 					around.set(d)
 				}
-				for _, d := range e.Dst {
+				for _, d := range dst {
 					nbrs(d).or(around)
 					around.each(func(s int32) { nbrs(s).set(d) })
 				}
@@ -114,7 +114,7 @@ func allocRegs(k *ptx.Kernel, issue []IssueInfo) regAlloc {
 			for w, v := range kill {
 				live[w] &^= v
 			}
-			for _, s := range e.Src {
+			for _, s := range src {
 				live.set(s)
 			}
 		}
@@ -123,14 +123,10 @@ func allocRegs(k *ptx.Kernel, issue []IssueInfo) regAlloc {
 	// Slots by first mention: the colouring order.
 	touch := make(bitset, nw)
 	order := make([]int32, 0, k.NumSlots)
-	for pc := range issue {
-		for _, l := range [2][]int32{issue[pc].Src, issue[pc].Dst} {
-			for _, s := range l {
-				if !touch.has(s) {
-					touch.set(s)
-					order = append(order, s)
-				}
-			}
+	for _, s := range issue.rows { // PC by PC, sources before destinations
+		if !touch.has(s) {
+			touch.set(s)
+			order = append(order, s)
 		}
 	}
 
@@ -169,13 +165,9 @@ func allocRegs(k *ptx.Kernel, issue []IssueInfo) regAlloc {
 }
 
 // rename rewrites an issue table built in slots (issueTable) into rows.
-func (ra *regAlloc) rename(issue []IssueInfo) {
-	for pc := range issue {
-		for _, l := range [2][]int32{issue[pc].Src, issue[pc].Dst} {
-			for i, s := range l {
-				l[i] = ra.row[s]
-			}
-		}
+func (ra *regAlloc) rename(issue IssueTable) {
+	for i, s := range issue.rows {
+		issue.rows[i] = ra.row[s]
 	}
 }
 
@@ -184,7 +176,7 @@ func (ra *regAlloc) rename(issue []IssueInfo) {
 // first instruction reads before an instruction kills them. It is the
 // backward dataflow in = gen ∪ (out − kill), out = ∪ in(succ), to a fixed
 // point; the virtual exit block's set stays empty.
-func liveIn(k *ptx.Kernel, issue []IssueInfo, cfg *ptx.CFG, succs [][]int) []bitset {
+func liveIn(k *ptx.Kernel, issue IssueTable, cfg *ptx.CFG, succs [][]int) []bitset {
 	nb, nw := len(cfg.Blocks), (k.NumSlots+63)/64
 	sets := make(bitset, 3*nb*nw)
 	set := func(i, b int) bitset { return sets[(i*nb+b)*nw : (i*nb+b+1)*nw] }
@@ -193,7 +185,7 @@ func liveIn(k *ptx.Kernel, issue []IssueInfo, cfg *ptx.CFG, succs [][]int) []bit
 		in[b] = set(0, b)
 		gen, kill := set(1, b), set(2, b) // upward-exposed uses, kills
 		for pc := blk.Start; pc < blk.End; pc++ {
-			for _, s := range issue[pc].Src {
+			for _, s := range issue.Src(pc) {
 				if !kill.has(s) {
 					gen.set(s)
 				}
@@ -249,7 +241,7 @@ func warpSuccs(k *ptx.Kernel, cfg *ptx.CFG) [][]int {
 		if in.Op != ptx.OpBra || in.PredReg < 0 || fall == exit {
 			continue
 		}
-		rpc, first := cfg.BlockOf(in.RPC), cfg.BlockOf(in.Target)
+		rpc, first := cfg.BlockOf(int(in.RPC)), cfg.BlockOf(int(in.Target))
 		if first == rpc {
 			continue
 		}
@@ -275,18 +267,19 @@ func warpSuccs(k *ptx.Kernel, cfg *ptx.CFG) [][]int {
 
 // kills calls f with each slot below numSlots that in overwrites in every
 // lane it executes for: the destinations the decoder lowers into
-// decoded.dst, when in is unguarded. An instruction the decoder rejects
+// instr.dst, when in is unguarded. An instruction the decoder rejects
 // ends the grid wherever an unguarded one executes, so what it claims to
 // kill never matters.
 func kills(in *ptx.Instr, numSlots int, f func(int32)) {
-	if in.PredReg >= 0 || len(in.Dst) == 0 {
+	dst := in.Dst()
+	if in.PredReg >= 0 || len(dst) == 0 {
 		return
 	}
-	elems := in.Dst[:1]
+	elems := dst[:1]
 	switch {
 	case in.Op == ptx.OpLd || in.Op == ptx.OpTex:
-		if in.Dst[0].Kind == ptx.OperandVec {
-			elems = in.Dst[0].Elems
+		if dst[0].Kind == ptx.OperandVec {
+			elems = in.Elems(&dst[0])
 			if in.Op == ptx.OpTex && len(elems) > 4 {
 				elems = elems[:4]
 			}
@@ -296,8 +289,8 @@ func kills(in *ptx.Instr, numSlots int, f func(int32)) {
 		return
 	}
 	for _, o := range elems {
-		if o.Kind == ptx.OperandReg && o.Reg >= 0 && o.Reg < numSlots {
-			f(int32(o.Reg))
+		if o.Kind == ptx.OperandReg && o.Reg >= 0 && int(o.Reg) < numSlots {
+			f(o.Reg)
 		}
 	}
 }

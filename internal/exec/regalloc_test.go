@@ -137,27 +137,28 @@ func checkAllocation(t *testing.T, k *ptx.Kernel) {
 	for pc := range k.Instrs {
 		in := &k.Instrs[pc]
 		reg := func(into *[]int32, o *ptx.Operand) {
-			if o.Kind == ptx.OperandReg && o.Reg >= 0 && o.Reg < k.NumSlots {
-				*into = append(*into, int32(o.Reg))
+			if o.Kind == ptx.OperandReg && o.Reg >= 0 && int(o.Reg) < k.NumSlots {
+				*into = append(*into, o.Reg)
 			}
 		}
 		if in.PredReg >= 0 {
 			reg(&uses[pc], &ptx.Operand{Kind: ptx.OperandReg, Reg: in.PredReg})
 		}
-		for i := range in.Src {
-			o := &in.Src[i]
+		for i := range in.Src() {
+			o := &in.Src()[i]
 			reg(&uses[pc], o)
 			if o.Kind == ptx.OperandMem && o.Base >= 0 {
 				reg(&uses[pc], &ptx.Operand{Kind: ptx.OperandReg, Reg: o.Base})
 			}
-			for j := range o.Elems {
-				reg(&uses[pc], &o.Elems[j])
+			for j := range in.Elems(o) {
+				reg(&uses[pc], &in.Elems(o)[j])
 			}
 		}
-		for i := range in.Dst {
-			reg(&defs[pc], &in.Dst[i])
-			for j := range in.Dst[i].Elems {
-				reg(&defs[pc], &in.Dst[i].Elems[j])
+		for i := range in.Dst() {
+			o := &in.Dst()[i]
+			reg(&defs[pc], o)
+			for j := range in.Elems(o) {
+				reg(&defs[pc], &in.Elems(o)[j])
 			}
 		}
 		if in.PredReg >= 0 {
@@ -180,8 +181,8 @@ func checkAllocation(t *testing.T, k *ptx.Kernel) {
 	succs := func(pc int) []int {
 		in := &k.Instrs[pc]
 		var out []int
-		if in.Op == ptx.OpBra && in.Target >= 0 && in.Target < n {
-			out = append(out, in.Target)
+		if in.Op == ptx.OpBra && in.Target >= 0 && int(in.Target) < n {
+			out = append(out, int(in.Target))
 		}
 		ends := in.Op == ptx.OpBra || in.Op == ptx.OpRet || in.Op == ptx.OpExit
 		if pc+1 < n && (!ends || in.PredReg >= 0) {
@@ -200,18 +201,18 @@ func checkAllocation(t *testing.T, k *ptx.Kernel) {
 	jumps := make([][]int, n)
 	for b := range k.Instrs {
 		in := &k.Instrs[b]
-		if in.Op != ptx.OpBra || in.PredReg < 0 || b+1 == n || in.Target < 0 || in.Target >= n {
+		if in.Op != ptx.OpBra || in.PredReg < 0 || b+1 == n || in.Target < 0 || int(in.Target) >= n {
 			continue
 		}
-		rpc := in.RPC
+		target, rpc := int(in.Target), int(in.RPC)
 		if rpc < 0 || rpc > n {
 			rpc = n
 		}
-		if in.Target == rpc {
+		if target == rpc {
 			continue
 		}
-		seen := map[int]bool{in.Target: true}
-		for queue := []int{in.Target}; len(queue) > 0; queue = queue[1:] {
+		seen := map[int]bool{target: true}
+		for queue := []int{target}; len(queue) > 0; queue = queue[1:] {
 			x := queue[0]
 			if ends(x) || slices.Contains(succs(x), rpc) {
 				jumps[x] = append(jumps[x], b+1)
@@ -423,7 +424,7 @@ func checkRowOwners(t *testing.T, k *ptx.Kernel) int {
 					continue
 				}
 				steps++
-				for _, s := range slots[pc].Src {
+				for _, s := range slots.Src(pc) {
 					if o := owner[wi][row[s]]; o != s && o != -1 {
 						t.Fatalf("kernel %s warp %d pc %d (%s) reads slot %d from row %d, which slot %d wrote last",
 							k.Name, wi, pc, k.Instrs[pc].Raw, s, row[s], o)
@@ -435,7 +436,7 @@ func checkRowOwners(t *testing.T, k *ptx.Kernel) int {
 						}
 					}
 				}
-				for _, d := range slots[pc].Dst {
+				for _, d := range slots.Dst(pc) {
 					owner[wi][row[d]] = d
 					for l := range WarpSize {
 						if info.ActiveMask>>l&1 != 0 {

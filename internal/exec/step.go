@@ -3,8 +3,6 @@ package exec
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/ptx"
 )
 
 // StepWarp executes exactly one warp instruction (the instruction at the
@@ -43,13 +41,12 @@ func (m *Machine) StepWarp(c *CTA, w *Warp, cov *Coverage, info *StepInfo) error
 
 	pc := top.PC
 	d := &code[pc]
-	in := d.in
 	info.PC = pc
 
 	// Guard predicate: per-lane execution mask.
 	execMask := top.Mask
 	if d.pred >= 0 {
-		execMask &= predMask((*row)(w.Regs[d.pred:]), d.predNeg)
+		execMask &= predMask((*row)(w.Regs[d.pred:]), d.flags&fPredNeg != 0)
 	}
 	info.ActiveMask = execMask
 	if int64(w.InstrCount) >= m.warpCeiling {
@@ -57,12 +54,13 @@ func (m *Machine) StepWarp(c *CTA, w *Warp, cov *Coverage, info *StepInfo) error
 	}
 	w.InstrCount++
 	if cov != nil {
-		cov.note(d.cov)
+		in := &c.Grid.Kernel.Instrs[pc]
+		cov.note(covIndex(in.Op, in.T))
 	}
 
 	switch d.h {
 	case hbra:
-		m.stepBranch(w, top, pc, in, execMask)
+		m.stepBranch(w, top, pc, d, execMask)
 		return nil
 
 	case hret:
@@ -106,10 +104,10 @@ func (m *Machine) StepWarp(c *CTA, w *Warp, cov *Coverage, info *StepInfo) error
 		}
 	case herr:
 		if execMask != 0 {
-			return d.err
+			return c.Grid.prog.errs[pc]
 		}
 	default:
-		if err := m.stepALU(c, w, d, execMask); err != nil {
+		if err := m.stepALU(c, w, pc, d, execMask); err != nil {
 			return err
 		}
 	}
@@ -185,22 +183,22 @@ func (m *Machine) retireLanes(w *Warp, mask uint32) {
 }
 
 // stepBranch implements SIMT-stack branch handling with reconvergence at
-// the branch's immediate post-dominator (in.RPC).
-func (m *Machine) stepBranch(w *Warp, top *StackEntry, pc int, in *ptx.Instr, takenMask uint32) {
+// the branch's immediate post-dominator (d.rpc).
+func (m *Machine) stepBranch(w *Warp, top *StackEntry, pc int, d *instr, takenMask uint32) {
 	active := top.Mask
 	notTaken := active &^ takenMask
 	switch {
 	case notTaken == 0: // uniform taken
-		top.PC = in.Target
+		top.PC = int(d.target)
 	case takenMask == 0: // uniform not taken
 		top.PC++
 	default: // divergence: current entry becomes the reconvergence entry
-		rpc := in.RPC
+		rpc := int(d.rpc)
 		fall := pc + 1
 		top.PC = rpc
 		w.Stack = append(w.Stack,
 			StackEntry{PC: fall, RPC: rpc, Mask: notTaken},
-			StackEntry{PC: in.Target, RPC: rpc, Mask: takenMask},
+			StackEntry{PC: int(d.target), RPC: rpc, Mask: takenMask},
 		)
 	}
 }

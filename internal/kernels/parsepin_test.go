@@ -38,18 +38,19 @@ func writeInstr(h hash.Hash, in *ptx.Instr) {
 	fmt.Fprintf(h, "%v %v %v cmp=%v atom=%v space=%v vec=%d wide=%v hi=%v lo=%v to=%v rnd=%d geom=%d",
 		in.Op, in.T, in.T2, in.Cmp, in.Atom, in.Space, in.Vec, in.Wide, in.Hi, in.Lo, in.To, in.Rnd, in.Geom)
 	fmt.Fprintf(h, " @%d neg=%v label=%q target=%d rpc=%d dst[", in.PredReg, in.PredNeg, in.Label, in.Target, in.RPC)
-	for i := range in.Dst {
-		writeOperand(h, &in.Dst[i])
+	for i := range in.Dst() {
+		writeOperand(h, in, &in.Dst()[i])
 	}
 	fmt.Fprint(h, "] src[")
-	for i := range in.Src {
-		writeOperand(h, &in.Src[i])
+	for i := range in.Src() {
+		writeOperand(h, in, &in.Src()[i])
 	}
 	fmt.Fprintf(h, "] %q\n", in.Raw)
 }
 
-// writeOperand writes the fields an operand's kind gives meaning to.
-func writeOperand(h hash.Hash, o *ptx.Operand) {
+// writeOperand writes the fields an operand of in gives meaning to by its
+// kind.
+func writeOperand(h hash.Hash, in *ptx.Instr, o *ptx.Operand) {
 	switch o.Kind {
 	case ptx.OperandReg:
 		fmt.Fprintf(h, "reg %d;", o.Reg)
@@ -58,11 +59,11 @@ func writeOperand(h hash.Hash, o *ptx.Operand) {
 	case ptx.OperandImm:
 		fmt.Fprintf(h, "imm %#x float=%v;", o.Imm, o.FloatImm)
 	case ptx.OperandMem:
-		fmt.Fprintf(h, "mem %d %q %+d;", o.Base, o.BaseSym, o.Offset)
+		fmt.Fprintf(h, "mem %d %q %+d;", o.Base, o.Sym, o.Offset)
 	case ptx.OperandVec:
 		fmt.Fprint(h, "vec{")
-		for i := range o.Elems {
-			writeOperand(h, &o.Elems[i])
+		for i := range in.Elems(o) {
+			writeOperand(h, in, &in.Elems(o)[i])
 		}
 		fmt.Fprint(h, "};")
 	case ptx.OperandSym:

@@ -49,7 +49,7 @@ func BuildCFG(k *Kernel) (*CFG, error) {
 		in := &k.Instrs[i]
 		switch in.Op {
 		case OpBra:
-			if in.Target < 0 || in.Target >= n {
+			if in.Target < 0 || int(in.Target) >= n {
 				return nil, fmt.Errorf("branch at pc %d targets %d (out of range)", i, in.Target)
 			}
 			leader[in.Target] = true
@@ -228,7 +228,7 @@ func AnalyzeReconvergence(k *Kernel) error {
 		}
 		b := cfg.blockOf[i]
 		ip := cfg.Blocks[b].IPDom
-		in.RPC = cfg.Blocks[ip].Start
+		in.RPC = int32(cfg.Blocks[ip].Start)
 	}
 	return nil
 }

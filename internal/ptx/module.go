@@ -1,6 +1,9 @@
 package ptx
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // Module is a parsed PTX translation unit. The paper's §III-A requires that
 // each embedded PTX file of a precompiled library is parsed as a separate
@@ -22,8 +25,8 @@ type Kernel struct {
 	Params []Param
 
 	// Register bookkeeping: every named register is assigned a dense slot
-	// in the per-thread register file. regSlots maps "%f3" to its slot.
-	regSlots    map[string]int
+	// in the per-thread register file (the parser maps names to slots
+	// while it runs).
 	regTypes    []Type // slot -> declared type
 	regNames    []string
 	NumSlots    int
@@ -94,18 +97,6 @@ func (k *Kernel) ParamByName(name string) *Param {
 	return nil
 }
 
-func (k *Kernel) addReg(name string, t Type) int {
-	if s, ok := k.regSlots[name]; ok {
-		return s
-	}
-	s := k.NumSlots
-	k.regSlots[name] = s
-	k.regTypes = append(k.regTypes, t)
-	k.regNames = append(k.regNames, name)
-	k.NumSlots++
-	return s
-}
-
 // RndMode is the integer-rounding modifier on cvt.
 type RndMode uint8
 
@@ -132,35 +123,47 @@ const (
 	OperandSym // bare symbol: label, param name, shared var, texref
 )
 
-// Operand is one instruction operand.
+// Operand is one instruction operand; Kind says which fields hold it. A
+// vector operand's elements are operands of the instruction that holds
+// it (Instr.Elems).
 type Operand struct {
-	Kind OperandKind
-
-	// OperandReg
-	Reg int // register slot
-
-	// OperandSReg
-	SReg SReg
-
 	// OperandImm: raw bits; FloatImm marks 0f/0d literals (already encoded).
-	Imm      uint64
+	Imm uint64
+
+	// OperandMem: the byte offset added to the base.
+	Offset int64
+
+	// OperandSym: the bare symbol. OperandMem: the parameter, shared or
+	// local variable a symbol-based address names (Base < 0).
+	Sym string
+
+	// OperandReg: register slot.
+	Reg int32
+
+	// OperandMem: register slot of the base, or -1 when symbol-based.
+	Base int32
+
+	Kind     OperandKind
+	SReg     SReg // OperandSReg
 	FloatImm bool
 
-	// OperandMem
-	Base    int    // register slot of base, or -1 when symbol-based
-	BaseSym string // param/shared/local symbol name when Base < 0
-	Offset  int64
-
-	// OperandVec
-	Elems []Operand
-
-	// OperandSym
-	Sym string
+	// OperandVec: its elements are the holding instruction's operands
+	// elem up to elem+nelem (Instr.Elems).
+	elem, nelem uint8
 }
+
+// maxOperands bounds the operands of one instruction, vector elements
+// included, so an operand's place in its instruction fits a uint8.
+const maxOperands = 255
 
 // Instr is one decoded PTX instruction.
 type Instr struct {
-	PredReg int // register slot of guard predicate; -1 when unguarded
+	// ops holds every operand in one array of exactly their number: the
+	// destinations, the sources, then the elements of vector operands.
+	ops        []Operand
+	nDst, nSrc uint8
+
+	PredReg int32 // register slot of guard predicate; -1 when unguarded
 	PredNeg bool
 
 	Op    Op
@@ -169,20 +172,17 @@ type Instr struct {
 	Cmp   CmpOp
 	Atom  AtomOp
 	Space Space
-	Vec   int // 1, 2 or 4
+	Vec   uint8 // 1, 2 or 4
 	Wide  bool
 	Hi    bool
 	Lo    bool
 	To    bool    // cvta.to: generic -> space conversion
 	Rnd   RndMode // integer-rounding mode for cvt (.rni/.rzi/.rmi/.rpi)
-	Geom  int     // tex geometry: 1 or 2 (dimensions)
-
-	Dst []Operand
-	Src []Operand
+	Geom  uint8   // tex geometry: 1 or 2 (dimensions)
 
 	Label  string // unresolved branch target label
-	Target int    // resolved branch target PC
-	RPC    int    // reconvergence PC for potentially divergent branches
+	Target int32  // resolved branch target PC
+	RPC    int32  // reconvergence PC for potentially divergent branches
 
 	// Raw is the instruction's source text, its tokens joined with
 	// canonical spacing. It is the one text form of an instruction:
@@ -191,20 +191,73 @@ type Instr struct {
 	Raw string
 }
 
+// Dst returns the destination operands. The slice is the instruction's
+// own; do not modify it.
+func (in *Instr) Dst() []Operand { return in.ops[:in.nDst:in.nDst] }
+
+// Src returns the source operands (a store's address first). The slice
+// is the instruction's own; do not modify it.
+func (in *Instr) Src() []Operand {
+	end := int(in.nDst) + int(in.nSrc)
+	return in.ops[in.nDst:end:end]
+}
+
+// Elems returns the elements of o, a vector operand of in; it is empty
+// for any other kind. The slice is the instruction's own; do not modify
+// it.
+func (in *Instr) Elems(o *Operand) []Operand {
+	end := int(o.elem) + int(o.nelem)
+	return in.ops[o.elem:end:end]
+}
+
+// SetOperands gives in the destinations dst and the sources src. A
+// vector operand among them keeps its elements, which it names by their
+// place in in's operands. The operands are copied into one array of
+// exactly their number, so the slices passed in may alias in's own.
+func (in *Instr) SetOperands(dst, src []Operand) {
+	n := len(dst) + len(src)
+	var count func(o *Operand)
+	count = func(o *Operand) {
+		for i := range in.Elems(o) {
+			n++
+			count(&in.ops[int(o.elem)+i])
+		}
+	}
+	for _, l := range [2][]Operand{dst, src} {
+		for i := range l {
+			count(&l[i])
+		}
+	}
+	if n > maxOperands {
+		panic(fmt.Sprintf("ptx: %d operands, at most %d", n, maxOperands))
+	}
+	ops := make([]Operand, 0, n)
+	ops = append(append(ops, dst...), src...)
+	// move each vector's elements behind the operands placed so far
+	for i := 0; i < len(ops); i++ {
+		if o := &ops[i]; o.Kind == OperandVec {
+			els := in.Elems(o)
+			o.elem = uint8(len(ops))
+			ops = append(ops, els...)
+		}
+	}
+	in.ops, in.nDst, in.nSrc = ops, uint8(len(dst)), uint8(len(src))
+}
+
 // HasRegDst reports whether the instruction writes at least one general
 // (non-predicate) register; used by the debug instrumentation pass.
 func (in *Instr) HasRegDst(k *Kernel) bool {
-	if len(in.Dst) == 0 {
+	if in.nDst == 0 {
 		return false
 	}
 	switch in.Op {
 	case OpSt, OpBra, OpBar, OpRet, OpExit, OpMembar:
 		return false
 	}
-	d := in.Dst[0]
+	d := in.Dst()[0]
 	switch d.Kind {
 	case OperandReg:
-		return k.RegType(d.Reg) != Pred
+		return k.RegType(int(d.Reg)) != Pred
 	case OperandVec:
 		return true
 	}

@@ -3,6 +3,7 @@ package ptx
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -14,7 +15,7 @@ func Parse(src string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, mod: &Module{
+	p := &parser{toks: toks, names: make(map[string]string), mod: &Module{
 		Kernels:     make(map[string]*Kernel),
 		AddressSize: 64,
 	}}
@@ -34,13 +35,31 @@ func Parse(src string) (*Module, error) {
 }
 
 type parser struct {
-	toks []token
-	pos  int
-	mod  *Module
+	toks  []token
+	pos   int
+	mod   *Module
+	names map[string]string // a token text -> the module's own copy (name)
 
 	// per-kernel state
 	k         *Kernel
 	regPrefix map[string]Type // "%f" -> F32 for ranged declarations
+	regSlots  map[string]int  // "%f3" -> its slot
+
+	// per-instruction scratch
+	elems []Operand // the vector operands' elements (Operand.elem indexes it)
+	raw   []byte    // the source text
+}
+
+// name returns a token's text as a string of the module's own: a parsed
+// module keeps no substring of the source text, so the source is not
+// kept alive with it. Equal names share one copy.
+func (p *parser) name(s string) string {
+	if n, ok := p.names[s]; ok {
+		return n
+	}
+	n := strings.Clone(s)
+	p.names[n] = n
+	return n
 }
 
 func (p *parser) cur() token { return p.toks[p.pos] }
@@ -78,10 +97,10 @@ func (p *parser) parseModule() error {
 			switch t.text {
 			case ".version":
 				p.next()
-				p.mod.Version = p.next().text
+				p.mod.Version = p.name(p.next().text)
 			case ".target":
 				p.next()
-				p.mod.Target = p.next().text
+				p.mod.Target = p.name(p.next().text)
 				for p.cur().kind == tokPunct && p.cur().text == "," {
 					p.next()
 					p.next()
@@ -106,7 +125,7 @@ func (p *parser) parseModule() error {
 				for p.cur().kind == tokDirective {
 					p.next()
 				}
-				p.mod.Textures = append(p.mod.Textures, p.next().text)
+				p.mod.Textures = append(p.mod.Textures, p.name(p.next().text))
 				if err := p.expectPunct(";"); err != nil {
 					return err
 				}
@@ -131,7 +150,7 @@ func (p *parser) parseModuleVar() error {
 			isTexref = true
 		}
 	}
-	name := p.next().text
+	name := p.name(p.next().text)
 	if p.cur().kind == tokPunct && p.cur().text == "[" {
 		return p.errf("module-scope array variables are not supported (pass tables via kernel parameters)")
 	}
@@ -149,14 +168,14 @@ func (p *parser) parseModuleVar() error {
 
 func (p *parser) parseEntry() error {
 	p.next() // .entry
-	name := p.next().text
+	name := p.name(p.next().text)
 	k := &Kernel{
-		Name:     name,
-		Labels:   make(map[string]int),
-		regSlots: make(map[string]int),
+		Name:   name,
+		Labels: make(map[string]int),
 	}
 	p.k = k
 	p.regPrefix = make(map[string]Type)
+	p.regSlots = make(map[string]int)
 
 	if p.cur().kind == tokPunct && p.cur().text == "(" {
 		p.next()
@@ -190,7 +209,7 @@ func (p *parser) parseEntry() error {
 					}
 				}
 			}
-			pname := p.next().text
+			pname := p.name(p.next().text)
 			size := pt.Size()
 			if p.cur().kind == tokPunct && p.cur().text == "[" {
 				p.next()
@@ -218,12 +237,16 @@ func (p *parser) parseEntry() error {
 	if err := p.parseBody(); err != nil {
 		return fmt.Errorf("kernel %s: %w", name, err)
 	}
+	// kept for the process: no slack behind the slices
+	k.Instrs = slices.Clone(k.Instrs)
+	k.regTypes = slices.Clone(k.regTypes)
+	k.regNames = slices.Clone(k.regNames)
 	if _, dup := p.mod.Kernels[name]; dup {
 		return fmt.Errorf("ptx: duplicate kernel %s within one module", name)
 	}
 	p.mod.Kernels[name] = k
 	p.mod.KernelOrder = append(p.mod.KernelOrder, name)
-	p.k = nil
+	p.k, p.regPrefix, p.regSlots = nil, nil, nil
 	return nil
 }
 
@@ -259,7 +282,7 @@ func (p *parser) parseBody() error {
 				return p.errf("unsupported body directive %s", t.text)
 			}
 		case t.kind == tokIdent && p.toks[p.pos+1].kind == tokPunct && p.toks[p.pos+1].text == ":":
-			k.Labels[t.text] = len(k.Instrs)
+			k.Labels[p.name(t.text)] = len(k.Instrs)
 			p.next()
 			p.next()
 		case t.kind == tokPunct && t.text == "@":
@@ -275,7 +298,6 @@ func (p *parser) parseBody() error {
 }
 
 func (p *parser) parseRegDecl() error {
-	k := p.k
 	p.next() // .reg
 	tt := p.next()
 	rt, ok := typeByName[strings.TrimPrefix(tt.text, ".")]
@@ -292,7 +314,7 @@ func (p *parser) parseRegDecl() error {
 			}
 			p.regPrefix[name] = rt
 		} else {
-			k.addReg(name, rt)
+			p.addReg(name, rt)
 		}
 		if p.cur().kind == tokPunct && p.cur().text == "," {
 			p.next()
@@ -319,7 +341,7 @@ func (p *parser) parseMemDecl(kind string) error {
 			et = t
 		}
 	}
-	name := p.next().text
+	name := p.name(p.next().text)
 	count := 1
 	if p.cur().kind == tokPunct && p.cur().text == "[" {
 		p.next()
@@ -344,18 +366,32 @@ func (p *parser) parseMemDecl(kind string) error {
 	return p.expectPunct(";")
 }
 
-// regType resolves the declared type of a register name via the ranged
-// declaration prefixes.
-func (p *parser) regRef(name string) (int, error) {
+// addReg gives the register name of type t a slot, if it has none yet.
+func (p *parser) addReg(name string, t Type) int32 {
+	if s, ok := p.regSlots[name]; ok {
+		return int32(s)
+	}
 	k := p.k
-	if s, ok := k.regSlots[name]; ok {
-		return s, nil
+	s := k.NumSlots
+	name = p.name(name)
+	p.regSlots[name] = s
+	k.regTypes = append(k.regTypes, t)
+	k.regNames = append(k.regNames, name)
+	k.NumSlots++
+	return int32(s)
+}
+
+// regRef returns the slot of a register name, slotting a name of a ranged
+// declaration (its longest prefix followed by digits) on first use.
+func (p *parser) regRef(name string) (int32, error) {
+	if s, ok := p.regSlots[name]; ok {
+		return int32(s), nil
 	}
 	// longest prefix with all-digit suffix
 	for l := len(name) - 1; l >= 2; l-- {
 		pre := name[:l]
 		if rt, ok := p.regPrefix[pre]; ok && allDigits(name[l:]) {
-			return k.addReg(name, rt), nil
+			return p.addReg(name, rt), nil
 		}
 	}
 	return -1, fmt.Errorf("undeclared register %s", name)
@@ -377,6 +413,7 @@ func (p *parser) parseInstr() error {
 	k := p.k
 	in := Instr{PredReg: -1, Vec: 1, Target: -1, RPC: -1}
 	startTok := p.pos
+	p.elems = p.elems[:0]
 
 	if p.cur().kind == tokPunct && p.cur().text == "@" {
 		p.next()
@@ -480,7 +517,7 @@ func (p *parser) parseInstr() error {
 		return err
 	}
 
-	var b strings.Builder
+	b := p.raw[:0]
 	for i := startTok; i < p.pos; i++ {
 		if i > startTok {
 			prev := p.toks[i-1]
@@ -489,12 +526,12 @@ func (p *parser) parseInstr() error {
 				!(prev.kind == tokPunct && (prev.text == "[" || prev.text == "@" || prev.text == "!" || prev.text == "{" || prev.text == "<")) &&
 				!(cur.kind == tokDirective) &&
 				!(cur.kind == tokPunct && cur.text == "}") {
-				b.WriteByte(' ')
+				b = append(b, ' ')
 			}
 		}
-		b.WriteString(p.toks[i].text)
+		b = append(b, p.toks[i].text...)
 	}
-	in.Raw = b.String()
+	in.Raw, p.raw = string(b), b
 
 	k.Instrs = append(k.Instrs, in)
 	return nil
@@ -506,38 +543,41 @@ func (p *parser) parseOperands(in *Instr) error {
 		p.next()
 		return nil
 	}
+	var dst, src []Operand
 	switch in.Op {
 	case OpBra:
-		in.Label = p.next().text
+		in.Label = p.name(p.next().text)
 		return p.expectPunct(";")
 	case OpBar:
 		o, err := p.parseOperand()
 		if err != nil {
 			return err
 		}
-		in.Src = append(in.Src, o)
+		src = append(src, o)
 		if p.cur().kind == tokPunct && p.cur().text == "," {
 			p.next()
 			o2, err := p.parseOperand()
 			if err != nil {
 				return err
 			}
-			in.Src = append(in.Src, o2)
+			src = append(src, o2)
 		}
-		return p.expectPunct(";")
+		if err := p.expectPunct(";"); err != nil {
+			return err
+		}
 	case OpTex:
 		d, err := p.parseOperand()
 		if err != nil {
 			return err
 		}
-		in.Dst = append(in.Dst, d)
+		dst = append(dst, d)
 		if err := p.expectPunct(","); err != nil {
 			return err
 		}
 		if err := p.expectPunct("["); err != nil {
 			return err
 		}
-		in.Src = append(in.Src, Operand{Kind: OperandSym, Sym: p.next().text})
+		src = append(src, Operand{Kind: OperandSym, Sym: p.name(p.next().text)})
 		if err := p.expectPunct(","); err != nil {
 			return err
 		}
@@ -545,43 +585,42 @@ func (p *parser) parseOperands(in *Instr) error {
 		if err != nil {
 			return err
 		}
-		in.Src = append(in.Src, c)
+		src = append(src, c)
 		if err := p.expectPunct("]"); err != nil {
 			return err
 		}
-		return p.expectPunct(";")
-	}
-
-	var ops []Operand
-	for {
-		o, err := p.parseOperand()
-		if err != nil {
+		if err := p.expectPunct(";"); err != nil {
 			return err
 		}
-		ops = append(ops, o)
-		if p.cur().kind == tokPunct && p.cur().text == "," {
-			p.next()
-			continue
-		}
-		break
-	}
-	if err := p.expectPunct(";"); err != nil {
-		return err
-	}
-
-	switch in.Op {
-	case OpSt:
-		// st [addr], src — first operand is the address (no register dst)
-		in.Src = ops
-	case OpSetp:
-		in.Dst = ops[:1]
-		in.Src = ops[1:]
 	default:
-		if len(ops) > 0 {
-			in.Dst = ops[:1]
-			in.Src = ops[1:]
+		var ops []Operand
+		for {
+			o, err := p.parseOperand()
+			if err != nil {
+				return err
+			}
+			ops = append(ops, o)
+			if p.cur().kind == tokPunct && p.cur().text == "," {
+				p.next()
+				continue
+			}
+			break
+		}
+		if err := p.expectPunct(";"); err != nil {
+			return err
+		}
+		if in.Op == OpSt {
+			// st [addr], src — first operand is the address (no register dst)
+			src = ops
+		} else {
+			dst, src = ops[:1], ops[1:]
 		}
 	}
+	if len(dst)+len(src)+len(p.elems) > maxOperands {
+		return p.errf("more than %d operands", maxOperands)
+	}
+	in.ops = p.elems // the vectors' elements, which SetOperands copies
+	in.SetOperands(dst, src)
 	return nil
 }
 
@@ -604,7 +643,7 @@ func (p *parser) parseOperand() (Operand, error) {
 			}
 			o.Base = slot
 		} else {
-			o.BaseSym = bt.text
+			o.Sym = p.name(bt.text)
 		}
 		if p.cur().kind == tokPunct && p.cur().text == "+" {
 			p.next()
@@ -621,14 +660,13 @@ func (p *parser) parseOperand() (Operand, error) {
 		return o, nil
 	case t.kind == tokPunct && t.text == "{":
 		p.next()
-		var o Operand
-		o.Kind = OperandVec
+		var elems []Operand
 		for {
 			e, err := p.parseOperand()
 			if err != nil {
-				return o, err
+				return Operand{}, err
 			}
-			o.Elems = append(o.Elems, e)
+			elems = append(elems, e)
 			if p.cur().kind == tokPunct && p.cur().text == "," {
 				p.next()
 				continue
@@ -636,8 +674,14 @@ func (p *parser) parseOperand() (Operand, error) {
 			break
 		}
 		if err := p.expectPunct("}"); err != nil {
-			return o, err
+			return Operand{}, err
 		}
+		if len(p.elems)+len(elems) > maxOperands {
+			return Operand{}, p.errf("more than %d operands", maxOperands)
+		}
+		// a nested vector's elements are already in p.elems
+		o := Operand{Kind: OperandVec, elem: uint8(len(p.elems)), nelem: uint8(len(elems))}
+		p.elems = append(p.elems, elems...)
 		return o, nil
 	case t.kind == tokIdent && strings.HasPrefix(t.text, "%"):
 		p.next()
@@ -651,7 +695,7 @@ func (p *parser) parseOperand() (Operand, error) {
 		return Operand{Kind: OperandReg, Reg: slot}, nil
 	case t.kind == tokIdent:
 		p.next()
-		return Operand{Kind: OperandSym, Sym: t.text}, nil
+		return Operand{Kind: OperandSym, Sym: p.name(t.text)}, nil
 	case t.kind == tokPunct && t.text == "!":
 		// !%p in selp-like contexts is not supported; guard only.
 		return Operand{}, p.errf("unexpected '!' in operand position")
@@ -728,7 +772,7 @@ func resolveBranches(k *Kernel) error {
 		if !ok {
 			return fmt.Errorf("ptx: kernel %s: undefined label %q", k.Name, in.Label)
 		}
-		in.Target = pc
+		in.Target = int32(pc)
 	}
 	return nil
 }

@@ -80,16 +80,16 @@ func TestParseVecAdd(t *testing.T) {
 	if br.Op != OpBra || br.PredReg < 0 {
 		t.Fatalf("pc 9 = %v, want guarded bra", br.Raw)
 	}
-	if br.Target != k.Labels["DONE"] {
+	if int(br.Target) != k.Labels["DONE"] {
 		t.Errorf("bra target = %d, want %d", br.Target, k.Labels["DONE"])
 	}
-	if br.RPC != k.Labels["DONE"] {
+	if int(br.RPC) != k.Labels["DONE"] {
 		t.Errorf("bra RPC = %d, want %d", br.RPC, k.Labels["DONE"])
 	}
 
 	// mad.lo.s32 decoding
 	mad := k.Instrs[7]
-	if mad.Op != OpMad || !mad.Lo || mad.T != S32 || len(mad.Src) != 3 {
+	if mad.Op != OpMad || !mad.Lo || mad.T != S32 || len(mad.Src()) != 3 {
 		t.Errorf("mad decode wrong: %+v", mad)
 	}
 	// mul.wide.s32
@@ -97,8 +97,8 @@ func TestParseVecAdd(t *testing.T) {
 	if mw.Op != OpMul || !mw.Wide || mw.T != S32 {
 		t.Errorf("mul.wide decode wrong: %+v", mw)
 	}
-	if mw.Src[1].Kind != OperandImm || mw.Src[1].Imm != 4 {
-		t.Errorf("mul.wide imm operand wrong: %+v", mw.Src[1])
+	if mw.Src()[1].Kind != OperandImm || mw.Src()[1].Imm != 4 {
+		t.Errorf("mul.wide imm operand wrong: %+v", mw.Src()[1])
 	}
 	// cvta.to.global
 	cv := k.Instrs[10]
@@ -169,25 +169,25 @@ func TestParseVectorAndShared(t *testing.T) {
 		t.Errorf("SharedBytes = %d, want 512", k.SharedBytes)
 	}
 	v2 := k.Instrs[2]
-	if v2.Vec != 2 || v2.Dst[0].Kind != OperandVec || len(v2.Dst[0].Elems) != 2 {
+	if v2.Vec != 2 || v2.Dst()[0].Kind != OperandVec || len(v2.Elems(&v2.Dst()[0])) != 2 {
 		t.Errorf("v2 load decode wrong: %+v", v2)
 	}
 	v4 := k.Instrs[3]
-	if v4.Vec != 4 || len(v4.Dst[0].Elems) != 4 || k.RegName(v4.Dst[0].Elems[3].Reg) != "%f6" {
+	if v4.Vec != 4 || len(v4.Elems(&v4.Dst()[0])) != 4 || k.RegName(int(v4.Elems(&v4.Dst()[0])[3].Reg)) != "%f6" {
 		t.Errorf("v4 load decode wrong: %+v", v4)
 	}
-	if v4.Src[0].Kind != OperandMem || v4.Src[0].Offset != 16 {
-		t.Errorf("v4 address decode wrong: %+v", v4.Src[0])
+	if v4.Src()[0].Kind != OperandMem || v4.Src()[0].Offset != 16 {
+		t.Errorf("v4 address decode wrong: %+v", v4.Src()[0])
 	}
 	stv := k.Instrs[5]
 	if stv.Op != OpSt || stv.Space != SpaceShared || stv.Vec != 2 {
 		t.Errorf("shared vector store decode wrong: %+v", stv)
 	}
-	if stv.Src[0].Kind != OperandMem || stv.Src[1].Kind != OperandVec {
-		t.Errorf("store operands wrong: %+v", stv.Src)
+	if stv.Src()[0].Kind != OperandMem || stv.Src()[1].Kind != OperandVec {
+		t.Errorf("store operands wrong: %+v", stv.Src())
 	}
 	movSym := k.Instrs[4]
-	if movSym.Src[0].Kind != OperandSym || movSym.Src[0].Sym != "tile" {
+	if movSym.Src()[0].Kind != OperandSym || movSym.Src()[0].Sym != "tile" {
 		t.Errorf("mov of shared symbol decode wrong: %+v", movSym)
 	}
 }
@@ -307,7 +307,7 @@ JOIN:
 	if br.Op != OpBra {
 		t.Fatalf("pc 3 is %v", br.Raw)
 	}
-	if br.RPC != join {
+	if int(br.RPC) != join {
 		t.Errorf("diamond branch RPC = %d, want JOIN at %d", br.RPC, join)
 	}
 	// The unconditional bra JOIN reconverges trivially at JOIN as well.
@@ -315,7 +315,7 @@ JOIN:
 	if ub.Op != OpBra || ub.PredReg >= 0 {
 		t.Fatalf("pc 5 is %v", ub.Raw)
 	}
-	if ub.RPC != join {
+	if int(ub.RPC) != join {
 		t.Errorf("uncond branch RPC = %d, want %d", ub.RPC, join)
 	}
 }
@@ -349,11 +349,11 @@ EXITL:
 	k := m.Kernels["loopk"]
 	exitl := k.Labels["EXITL"]
 	br := k.Instrs[4]
-	if br.RPC != exitl {
+	if int(br.RPC) != exitl {
 		t.Errorf("loop guard RPC = %d, want EXITL %d", br.RPC, exitl)
 	}
 	back := k.Instrs[7]
-	if back.Op != OpBra || back.Target != k.Labels["LOOP"] {
+	if back.Op != OpBra || int(back.Target) != k.Labels["LOOP"] {
 		t.Errorf("back edge decode wrong: %+v", back)
 	}
 }

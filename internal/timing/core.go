@@ -274,7 +274,7 @@ func (c *smCore) stepScheduler(m *exec.Machine, sc *schedState, now uint64) {
 		// The step that retires the warp: taken to make progress, not
 		// counted as an instruction.
 		err = m.StepWarp(w.slot.cta, w.warp, nil, &c.info)
-	case w.issue[w.pc].Atomic:
+	case w.issue.Atomic(w.pc):
 		// Atomics read-modify-write memory that other cores may touch
 		// in the same cycle. Defer both the functional execution and
 		// the timing to the coordinator's sequential drain so the
@@ -324,7 +324,7 @@ func (c *smCore) evaluate(m *exec.Machine, sc *schedState, w *warpCtx, now uint6
 		w.pc = m.PeekPC(w.slot.cta, w.warp)
 		if w.pc >= 0 {
 			var latest uint64
-			for _, r := range w.issue[w.pc].Src {
+			for _, r := range w.issue.Src(w.pc) {
 				if ready := w.regReady[r]; ready > latest {
 					latest = ready
 				}
@@ -349,8 +349,8 @@ func (c *smCore) issue(m *exec.Machine, w *warpCtx, now uint64) error {
 	}
 	// stepScheduler only sends warps with an instruction to execute (the
 	// step that merely retires a warp never comes here)
-	ii := &w.issue[info.PC]
-	c.stats.noteIssue(c.id, now, ii.SFU, bits.OnesCount32(info.ActiveMask))
+	pc, iss := info.PC, &w.issue
+	c.stats.noteIssue(c.id, now, iss.SFU(pc), bits.OnesCount32(info.ActiveMask))
 	c.runInstrs[w.runID]++
 
 	if info.Barrier || info.WarpDone {
@@ -358,7 +358,7 @@ func (c *smCore) issue(m *exec.Machine, w *warpCtx, now uint64) error {
 	}
 
 	if !info.IsMem {
-		w.markDst(ii.Dst, now+uint64(e.cfg.latency(ii.Lat)))
+		w.markDst(iss.Dst(pc), now+uint64(e.cfg.latency(iss.Lat(pc))))
 		return nil
 	}
 	c.runSegs[w.runID] += uint64(info.Segments())
@@ -370,17 +370,17 @@ func (c *smCore) issue(m *exec.Machine, w *warpCtx, now uint64) error {
 		if info.IsStore {
 			w.minIssueAt = now + uint64(conflict) // port serialization
 		} else {
-			w.markDst(ii.Dst, now+lat)
+			w.markDst(iss.Dst(pc), now+lat)
 		}
 		c.stats.SharedAccesses++
 	case ptx.SpaceLocal, ptx.SpaceGlobal, ptx.SpaceConst, ptx.SpaceNone:
 		c.memIssue(info, w, now)
 	case ptx.SpaceTex:
 		// texture fetch: modelled as an L1/texture-cache hit latency
-		w.markDst(ii.Dst, now+uint64(e.cfg.L1HitLat))
+		w.markDst(iss.Dst(pc), now+uint64(e.cfg.L1HitLat))
 		c.stats.TextureAccesses++
 	case ptx.SpaceParam:
-		w.markDst(ii.Dst, now+uint64(e.cfg.ALULat))
+		w.markDst(iss.Dst(pc), now+uint64(e.cfg.ALULat))
 	}
 	return nil
 }

@@ -113,7 +113,7 @@ func (c *smCore) memIssue(info *exec.StepInfo, w *warpCtx, now uint64) {
 
 	req := c.newReq()
 	req.w = w
-	req.dst = w.issue[info.PC].Dst
+	req.dst = w.issue.Dst(info.PC)
 	req.isStore = info.IsStore
 	req.isAtomic = info.IsAtomic
 	req.done = now

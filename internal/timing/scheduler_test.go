@@ -30,7 +30,7 @@ import (
 func refLatest(w *warpCtx, in *ptx.Instr) uint64 {
 	var latest uint64
 	row := w.slot.cta.Grid.RegMap()
-	see := func(slot int) {
+	see := func(slot int32) {
 		if r := w.regReady[row[slot]]; r > latest {
 			latest = r
 		}
@@ -38,8 +38,8 @@ func refLatest(w *warpCtx, in *ptx.Instr) uint64 {
 	if in.PredReg >= 0 {
 		see(in.PredReg)
 	}
-	for i := range in.Src {
-		switch o := &in.Src[i]; o.Kind {
+	for i := range in.Src() {
+		switch o := &in.Src()[i]; o.Kind {
 		case ptx.OperandReg:
 			see(o.Reg)
 		case ptx.OperandMem:
@@ -47,9 +47,9 @@ func refLatest(w *warpCtx, in *ptx.Instr) uint64 {
 				see(o.Base)
 			}
 		case ptx.OperandVec:
-			for j := range o.Elems {
-				if o.Elems[j].Kind == ptx.OperandReg {
-					see(o.Elems[j].Reg)
+			for _, e := range in.Elems(o) {
+				if e.Kind == ptx.OperandReg {
+					see(e.Reg)
 				}
 			}
 		}

@@ -28,10 +28,10 @@ const (
 type warpCtx struct {
 	slot       *ctaSlot
 	warp       *exec.Warp
-	issue      []exec.IssueInfo // the kernel's per-PC table
-	runID      int              // dense per-drain id of the owning grid (stat attribution)
-	regReady   []uint64         // scoreboard: per register row, cycle it becomes readable
-	minIssueAt uint64           // structural stall (atomics, retry delays)
+	issue      exec.IssueTable // the kernel's per-PC table
+	runID      int             // dense per-drain id of the owning grid (stat attribution)
+	regReady   []uint64        // scoreboard: per register row, cycle it becomes readable
+	minIssueAt uint64          // structural stall (atomics, retry delays)
 
 	// Scheduler bookkeeping, owned by the warp's schedState.
 	state warpState

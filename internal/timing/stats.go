@@ -116,7 +116,7 @@ func grow(s []uint64, idx uint64) []uint64 {
 }
 
 // noteIssue counts one issued warp instruction; sfu says whether the power
-// model sees it as SFU work (exec.IssueInfo.SFU) or ALU work.
+// model sees it as SFU work (exec.IssueTable.SFU) or ALU work.
 func (s *Stats) noteIssue(core int, cycle uint64, sfu bool, lanes int) {
 	s.ThreadInstrs += uint64(lanes)
 	if sfu {
