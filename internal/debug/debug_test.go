@@ -278,3 +278,42 @@ func TestInstrumentedKernelKeepsParamOffsets(t *testing.T) {
 		t.Errorf("log pointer at offset %d, want %d", got, want)
 	}
 }
+
+// TestInstrumentedKernelDeterministic instruments a kernel with two labels
+// at one PC twenty times: the text must be the same every time, its
+// labels at each PC in name order.
+func TestInstrumentedKernelDeterministic(t *testing.T) {
+	const src = `.version 6.0
+.target sm_61
+.address_size 64
+
+.visible .entry twolabels(
+	.param .u64 p
+)
+{
+	.reg .pred %p1;
+	.reg .u32 %r<2>;
+	mov.u32 %r1, %tid.x;
+	setp.eq.u32 %p1, %r1, 0;
+	@%p1 bra TAIL;
+LOOP:
+TAIL:
+	add.u32 %r1, %r1, 1;
+	ret;
+}
+`
+	m, err := ptx.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := m.Kernels["twolabels"]
+	first := debug.InstrumentKernel(k, 4)
+	if !strings.Contains(first, "LOOP:\nTAIL:\n") {
+		t.Fatalf("labels at one PC not in name order:\n%s", first)
+	}
+	for i := 1; i < 20; i++ {
+		if got := debug.InstrumentKernel(k, 4); got != first {
+			t.Fatalf("instrumentation %d differs from the first:\n%s\nfirst:\n%s", i, got, first)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package debug
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/cudart"
@@ -101,10 +102,14 @@ func InstrumentKernel(k *ptx.Kernel, entries int) string {
 	add.s64 %%dbgend, %%dbgcur, %d;
 `, dbgParam, perThread, perThread)
 
-	// body: labels, original instructions, instrumentation
+	// body: labels, original instructions, instrumentation; the labels
+	// at one PC in name order, so the text is the same on every call
 	labelAt := map[int][]string{}
 	for name, pc := range k.Labels {
 		labelAt[pc] = append(labelAt[pc], name)
+	}
+	for _, names := range labelAt {
+		slices.Sort(names)
 	}
 	for pc := range k.Instrs {
 		for _, l := range labelAt[pc] {
