@@ -205,10 +205,16 @@ func (b *Builder) GuardEnd(idx, n, endLabel string) {
 
 // ---- shared emitters ----
 //
-// Every emitter allocates its registers and labels in one fixed order, so
-// a kernel's text depends only on the order it calls them in. Labels are
+// What two or more kernels emit alike is written once, as an emitter:
+// here the ones that kernels of several files share, beside its family
+// the ones that stay within one file (Winograd's transform2D and
+// channelTiles, row.go's row phases, the decode GEMVs' dot). Every
+// emitter allocates its registers and labels in one fixed order, so a
+// kernel's text depends only on the order it calls them in. Labels are
 // passed in by name: fixed loop heads as given, generated ones as the
-// hint handed to NewLabel.
+// hint handed to NewLabel. An emitter takes operands, labels and an
+// operand order, never the identity of the kernel that calls it; a body
+// that would need one stays written out.
 
 // guardTid is the prologue of a one-thread-per-element kernel: it loads
 // the u32 extent parameters and sends every thread whose global x index
@@ -245,6 +251,60 @@ func (b *Builder) elemAddrs(idx string, params ...string) []string {
 		addrs[i] = b.ElemAddr(base, idx, 4)
 	}
 	return addrs
+}
+
+// copyElem loads the pointer parameters pIn and pOut and copies f32
+// element src of the one to element dst of the other.
+func (b *Builder) copyElem(pIn, pOut, src, dst string) {
+	in, out := b.LoadPtr(pIn), b.LoadPtr(pOut)
+	ain, aout := b.ElemAddr(in, src, 4), b.ElemAddr(out, dst, 4)
+	v := b.R(F32)
+	b.I("ld.global.f32 %s, [%s];", v, ain)
+	b.I("st.global.f32 [%s], %s;", aout, v)
+}
+
+// fmaLoad emits acc += x·y for the f32 elements x and y at the global
+// addresses a and c.
+func (b *Builder) fmaLoad(acc, a, c string) {
+	x, y := b.R(F32), b.R(F32)
+	b.I("ld.global.f32 %s, [%s];", x, a)
+	b.I("ld.global.f32 %s, [%s];", y, c)
+	b.I("fma.rn.f32 %s, %s, %s, %s;", acc, x, y, acc)
+}
+
+// inBounds emits pin = y < h && x < w (unsigned, so a coordinate that
+// wrapped below zero is out too); ptmp is the scratch predicate it used.
+func (b *Builder) inBounds(y, h, x, w string) (pin, ptmp string) {
+	pin, ptmp = b.R(Pred), b.R(Pred)
+	b.I("setp.lt.u32 %s, %s, %s;", pin, y, h)
+	b.I("setp.lt.u32 %s, %s, %s;", ptmp, x, w)
+	b.I("and.pred %s, %s, %s;", pin, pin, ptmp)
+	return pin, ptmp
+}
+
+// loadOrZero loads f32 element idx of ptr into a fresh register where
+// pin holds and zero where it does not; the address is clamped to
+// element 0 then, so the load itself stays in range.
+func (b *Builder) loadOrZero(ptr, idx, pin string) string {
+	clamped := b.R(B32)
+	b.I("selp.b32 %s, %s, 0, %s;", clamped, idx, pin)
+	a := b.ElemAddr(ptr, clamped, 4)
+	v := b.R(F32)
+	z := b.MovF32(0)
+	b.I("ld.global.f32 %s, [%s];", v, a)
+	b.I("selp.b32 %s, %s, %s, %s;", v, v, z, pin)
+	return v
+}
+
+// keepMax loads the f32 at addr and, where it is greater than best,
+// makes it best and i bestIdx: one step of a running argmax.
+func (b *Builder) keepMax(best, bestIdx, addr, i string) {
+	v := b.R(F32)
+	b.I("ld.global.f32 %s, [%s];", v, addr)
+	p := b.R(Pred)
+	b.I("setp.gt.f32 %s, %s, %s;", p, v, best)
+	b.I("selp.b32 %s, %s, %s, %s;", best, v, best, p)
+	b.I("selp.b32 %s, %s, %s, %s;", bestIdx, i, bestIdx, p)
 }
 
 // loop emits `for i = start; i < limit; i += step { body(i) }` over a
@@ -339,4 +399,92 @@ func (b *Builder) reduceShared(op string, width int, tid, slot, partial, loop, e
 	b.I("shr.u32 %s, %s, 1;", step, step)
 	b.I("bra %s;", loop)
 	b.L(end)
+}
+
+// f32Op emits `op.f32 r, args…` into a fresh f32 register r and returns
+// it (op is add, sub, mul, neg …).
+func (b *Builder) f32Op(op string, args ...string) string {
+	r := b.R(F32)
+	b.I("%s.f32 %s, %s;", op, r, strings.Join(args, ", "))
+	return r
+}
+
+// filterCoords decomposes the flat KCRS filter index idx into (kk, cc,
+// rr, ss).
+func (b *Builder) filterCoords(idx, c, r, s string) (kk, cc, rr, ss string) {
+	ss, t1 := b.remDiv(idx, s)
+	rr, t2 := b.remDiv(t1, r)
+	cc, kk = b.remDiv(t2, c)
+	return kk, cc, rr, ss
+}
+
+// windowPos emits o*stride + off - pad, the input coordinate that output
+// coordinate o reads at window offset off.
+func (b *Builder) windowPos(o, stride, off, pad string) string {
+	r := b.R(B32)
+	b.I("mad.lo.s32 %s, %s, %s, %s;", r, o, stride, off)
+	b.I("sub.u32 %s, %s, %s;", r, r, pad)
+	return r
+}
+
+// plus returns the coordinate function i -> origin + i.
+func (b *Builder) plus(origin string) func(i string) string {
+	return func(i string) string {
+		r := b.R(B32)
+		b.I("add.u32 %s, %s, %s;", r, origin, i)
+		return r
+	}
+}
+
+// window2D emits the nested loops over a rows x cols window that the
+// direct convolutions and max pooling share: loop counter y reads input
+// row iy = rowAt(y), x reads input column ix = colAt(x), and a position
+// whose iy is not below h or whose ix is not below w is skipped. yTag and
+// xTag name the two loops' labels.
+func (b *Builder) window2D(yTag, xTag, rows, cols, h, w string, rowAt, colAt func(string) string, body func(y, x, iy, ix string)) {
+	b.loop(yTag+"_LOOP", yTag+"_end", "0", rows, "1", func(y string) {
+		iy := rowAt(y)
+		pskipY := b.R(Pred)
+		ynext := b.NewLabel(yTag + "_next")
+		b.I("setp.ge.u32 %s, %s, %s;", pskipY, iy, h)
+		b.I("@%s bra %s;", pskipY, ynext)
+		b.loopNext(xTag+"_LOOP", xTag+"_next", xTag+"_end", "0", cols, "1", func(x, xnext string) {
+			ix := colAt(x)
+			pskipX := b.R(Pred)
+			b.I("setp.ge.u32 %s, %s, %s;", pskipX, ix, w)
+			b.I("@%s bra %s;", pskipX, xnext)
+			body(y, x, iy, ix)
+		})
+		b.L(ynext)
+	})
+}
+
+// planeBase emits n*imgStride + ch*planeStride, the flat offset of plane
+// ch of image n.
+func (b *Builder) planeBase(n, imgStride, ch, planeStride string) string {
+	base := b.R(B32)
+	b.I("mul.lo.u32 %s, %s, %s;", base, n, imgStride)
+	b.I("mad.lo.s32 %s, %s, %s, %s;", base, ch, planeStride, base)
+	return base
+}
+
+// planeItem is the work item of a one-thread-per-pixel kernel over an
+// OHxOW plane of the stack ctaid.y: pixel (y, x) of plane, flat index idx
+// of tot; end is the exit label.
+type planeItem struct{ end, idx, oh, ow, tot, plane, y, x string }
+
+// planePixel is the prologue of a planeItem kernel whose plane extents
+// are the u32 parameters pOH and pOW.
+func (b *Builder) planePixel(pOH, pOW string) (p planeItem) {
+	p.end = b.NewLabel("end")
+	p.idx = b.GlobalTidX()
+	p.oh = b.LoadU32(pOH)
+	p.ow = b.LoadU32(pOW)
+	p.tot = b.R(B32)
+	b.I("mul.lo.u32 %s, %s, %s;", p.tot, p.oh, p.ow)
+	b.GuardEnd(p.idx, p.tot, p.end)
+	p.plane = b.R(B32)
+	b.I("mov.u32 %s, %%ctaid.y;", p.plane)
+	p.y, p.x = b.divRem(p.idx, p.ow)
+	return p
 }

@@ -4,8 +4,28 @@ package kernels
 // "Algorithm 0/1/3" backward kernels the paper's conv_sample case study
 // sweeps over (§V-A). Tensors are NCHW; filters are KCRS.
 
-// convShape names a convolution kernel's u32 shape parameters.
-type convShape struct{ c, h, w, k, r, s, oh, ow, stride, pad string }
+// convShape names a convolution kernel's u32 shape parameters (n is
+// the image count, for the kernels that loop over images), or the
+// registers they are loaded into.
+type convShape struct{ n, c, h, w, k, r, s, oh, ow, stride, pad string }
+
+// fields lists the addresses of sh's fields in declaration order.
+func (sh *convShape) fields() []*string {
+	return []*string{&sh.n, &sh.c, &sh.h, &sh.w, &sh.k, &sh.r, &sh.s, &sh.oh, &sh.ow, &sh.stride, &sh.pad}
+}
+
+// load loads every declared parameter of sh that have holds no register
+// for, in declaration order, and returns have with those registers
+// added.
+func (sh convShape) load(b *Builder, have convShape) convShape {
+	dst := have.fields()
+	for i, p := range sh.fields() {
+		if *p != "" && *dst[i] == "" {
+			*dst[i] = b.LoadU32(*p)
+		}
+	}
+	return have
+}
 
 // convParams declares the u32 shape parameters that follow a convolution
 // kernel's pointers (and, in the kernels that loop over images, pN): pC,
@@ -65,49 +85,25 @@ func convForwardImplicitGemm() string {
 	b := NewBuilder("implicit_gemm_conv_fwd")
 	pX, pW, pY := b.PtrParam("pX"), b.PtrParam("pW"), b.PtrParam("pY")
 	sh := b.convParams("pWidth", true)
-	end, idx, kk, oy, ox, n, _ := pixelIndex(b, sh.k, sh.oh, sh.ow)
-
-	c := b.LoadU32(sh.c)
-	h := b.LoadU32(sh.h)
-	w := b.LoadU32(sh.w)
-	r := b.LoadU32(sh.r)
-	s := b.LoadU32(sh.s)
-	stride := b.LoadU32(sh.stride)
-	pad := b.LoadU32(sh.pad)
+	end, idx, kk, oy, ox, n, ext := pixelIndex(b, sh.k, sh.oh, sh.ow)
+	v := sh.load(b, convShape{k: ext[0], oh: ext[1], ow: ext[2]})
 	xB := b.LoadPtr(pX)
 	wB := b.LoadPtr(pW)
 	yB := b.LoadPtr(pY)
 
-	imgOff := imageOffset(b, n, c, h, w)
-	iy0, ix0 := patchOrigin(b, oy, ox, stride, pad)
+	imgOff := imageOffset(b, n, v.c, v.h, v.w)
+	iy0, ix0 := patchOrigin(b, oy, ox, v.stride, v.pad)
 
 	acc := b.MovF32(0)
-	b.loop("C_LOOP", "c_end", "0", c, "1", func(cc string) {
-		b.loop("RR_LOOP", "rr_end", "0", r, "1", func(rr string) {
-			iy := b.R(B32)
-			b.I("add.u32 %s, %s, %s;", iy, iy0, rr)
-			pskipR := b.R(Pred)
-			rnext := b.NewLabel("rr_next")
-			b.I("setp.ge.u32 %s, %s, %s;", pskipR, iy, h)
-			b.I("@%s bra %s;", pskipR, rnext)
-			b.loopNext("SS_LOOP", "ss_next", "ss_end", "0", s, "1", func(ss, snext string) {
-				ix := b.R(B32)
-				b.I("add.u32 %s, %s, %s;", ix, ix0, ss)
-				pskipS := b.R(Pred)
-				b.I("setp.ge.u32 %s, %s, %s;", pskipS, ix, w)
-				b.I("@%s bra %s;", pskipS, snext)
-				// x[n, cc, iy, ix]
-				xi := b.flatIndex(cc, h, iy, w, ix)
-				b.I("add.u32 %s, %s, %s;", xi, xi, imgOff)
-				ax := b.ElemAddr(xB, xi, 4)
-				// w[kk, cc, rr, ss]
-				aw := b.ElemAddr(wB, b.flatIndex(kk, c, cc, r, rr, s, ss), 4)
-				vx, vw := b.R(F32), b.R(F32)
-				b.I("ld.global.f32 %s, [%s];", vx, ax)
-				b.I("ld.global.f32 %s, [%s];", vw, aw)
-				b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vx, vw, acc)
-			})
-			b.L(rnext)
+	b.loop("C_LOOP", "c_end", "0", v.c, "1", func(cc string) {
+		b.window2D("RR", "SS", v.r, v.s, v.h, v.w, b.plus(iy0), b.plus(ix0), func(rr, ss, iy, ix string) {
+			// x[n, cc, iy, ix]
+			xi := b.flatIndex(cc, v.h, iy, v.w, ix)
+			b.I("add.u32 %s, %s, %s;", xi, xi, imgOff)
+			ax := b.ElemAddr(xB, xi, 4)
+			// w[kk, cc, rr, ss]
+			aw := b.ElemAddr(wB, b.flatIndex(kk, v.c, cc, v.r, rr, v.s, ss), 4)
+			b.fmaLoad(acc, ax, aw)
 		})
 	})
 
@@ -132,60 +128,49 @@ func convBwdDataAlgo0() string {
 	pDY, pW, pDX := b.PtrParam("pDY"), b.PtrParam("pW"), b.PtrParam("pDX")
 	sh := b.convParams("pWidth", true)
 	end, idx, cc, iy, ix, n, ext := pixelIndex(b, sh.c, sh.h, sh.w)
-	c, h, w := ext[0], ext[1], ext[2]
-
-	k := b.LoadU32(sh.k)
-	r := b.LoadU32(sh.r)
-	s := b.LoadU32(sh.s)
-	oh := b.LoadU32(sh.oh)
-	ow := b.LoadU32(sh.ow)
-	stride := b.LoadU32(sh.stride)
-	pad := b.LoadU32(sh.pad)
+	v := sh.load(b, convShape{c: ext[0], h: ext[1], w: ext[2]})
 	dyB := b.LoadPtr(pDY)
 	wB := b.LoadPtr(pW)
 	dxB := b.LoadPtr(pDX)
 
 	acc := b.MovF32(0)
-	b.loop("K_LOOP", "k_end", "0", k, "1", func(kk string) {
-		b.loop("RD_LOOP", "rd_end", "0", r, "1", func(rr string) {
-			b.loopNext("SD_LOOP", "sd_next", "sd_end", "0", s, "1", func(ss, snext string) {
+	b.loop("K_LOOP", "k_end", "0", v.k, "1", func(kk string) {
+		b.loop("RD_LOOP", "rd_end", "0", v.r, "1", func(rr string) {
+			b.loopNext("SD_LOOP", "sd_next", "sd_end", "0", v.s, "1", func(ss, snext string) {
 				ny, nx := b.R(B32), b.R(B32)
-				b.I("add.u32 %s, %s, %s;", ny, iy, pad)
+				b.I("add.u32 %s, %s, %s;", ny, iy, v.pad)
 				b.I("sub.u32 %s, %s, %s;", ny, ny, rr)
-				b.I("add.u32 %s, %s, %s;", nx, ix, pad)
+				b.I("add.u32 %s, %s, %s;", nx, ix, v.pad)
 				b.I("sub.u32 %s, %s, %s;", nx, nx, ss)
 				pv := b.R(Pred)
 				lim := b.R(B32)
-				b.I("mul.lo.u32 %s, %s, %s;", lim, oh, stride)
+				b.I("mul.lo.u32 %s, %s, %s;", lim, v.oh, v.stride)
 				b.I("setp.ge.u32 %s, %s, %s;", pv, ny, lim)
 				b.I("@%s bra %s;", pv, snext)
-				b.I("mul.lo.u32 %s, %s, %s;", lim, ow, stride)
+				b.I("mul.lo.u32 %s, %s, %s;", lim, v.ow, v.stride)
 				b.I("setp.ge.u32 %s, %s, %s;", pv, nx, lim)
 				b.I("@%s bra %s;", pv, snext)
 				remv := b.R(B32)
-				b.I("rem.u32 %s, %s, %s;", remv, ny, stride)
+				b.I("rem.u32 %s, %s, %s;", remv, ny, v.stride)
 				b.I("setp.ne.u32 %s, %s, 0;", pv, remv)
 				b.I("@%s bra %s;", pv, snext)
-				b.I("rem.u32 %s, %s, %s;", remv, nx, stride)
+				b.I("rem.u32 %s, %s, %s;", remv, nx, v.stride)
 				b.I("setp.ne.u32 %s, %s, 0;", pv, remv)
 				b.I("@%s bra %s;", pv, snext)
 				oyv, oxv := b.R(B32), b.R(B32)
-				b.I("div.u32 %s, %s, %s;", oyv, ny, stride)
-				b.I("div.u32 %s, %s, %s;", oxv, nx, stride)
+				b.I("div.u32 %s, %s, %s;", oyv, ny, v.stride)
+				b.I("div.u32 %s, %s, %s;", oxv, nx, v.stride)
 				// dy[n, kk, oyv, oxv] and w[kk, cc, rr, ss]
-				ady := b.ElemAddr(dyB, b.flatIndex(n, k, kk, oh, oyv, ow, oxv), 4)
-				aw := b.ElemAddr(wB, b.flatIndex(kk, c, cc, r, rr, s, ss), 4)
-				vdy, vw := b.R(F32), b.R(F32)
-				b.I("ld.global.f32 %s, [%s];", vdy, ady)
-				b.I("ld.global.f32 %s, [%s];", vw, aw)
-				b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vdy, vw, acc)
+				ady := b.ElemAddr(dyB, b.flatIndex(n, v.k, kk, v.oh, oyv, v.ow, oxv), 4)
+				aw := b.ElemAddr(wB, b.flatIndex(kk, v.c, cc, v.r, rr, v.s, ss), 4)
+				b.fmaLoad(acc, ady, aw)
 			})
 		})
 	})
 
 	chw := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", chw, c, h)
-	b.I("mul.lo.u32 %s, %s, %s;", chw, chw, w)
+	b.I("mul.lo.u32 %s, %s, %s;", chw, v.c, v.h)
+	b.I("mul.lo.u32 %s, %s, %s;", chw, chw, v.w)
 	adx := b.ElemAddr(dxB, b.flatIndex(n, chw, idx), 4)
 	b.I("st.global.f32 [%s], %s;", adx, acc)
 	b.L(end)
@@ -209,45 +194,36 @@ func convAlgo1(name string, ptrs [3]string, tag string, toFilter bool) string {
 	sh := b.convParams("pWidth", true)
 	end, _, kk, oy, ox, n, _ := pixelIndex(b, sh.k, sh.oh, sh.ow)
 
-	c := b.LoadU32(sh.c)
-	h := b.LoadU32(sh.h)
-	w := b.LoadU32(sh.w)
-	k := b.LoadU32(sh.k)
-	r := b.LoadU32(sh.r)
-	s := b.LoadU32(sh.s)
-	oh := b.LoadU32(sh.oh)
-	ow := b.LoadU32(sh.ow)
-	stride := b.LoadU32(sh.stride)
-	pad := b.LoadU32(sh.pad)
+	v := sh.load(b, convShape{})
 	dyB, srcB, dstB := b.LoadPtr(ptrs[0]), b.LoadPtr(ptrs[1]), b.LoadPtr(ptrs[2])
 	if toFilter {
 		dyB, srcB = srcB, dyB
 	}
 
 	// load this thread's dy value once
-	ady := b.ElemAddr(dyB, b.flatIndex(n, k, kk, oh, oy, ow, ox), 4)
+	ady := b.ElemAddr(dyB, b.flatIndex(n, v.k, kk, v.oh, oy, v.ow, ox), 4)
 	vdy := b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", vdy, ady)
 
-	iy0, ix0 := patchOrigin(b, oy, ox, stride, pad)
-	imgOff := imageOffset(b, n, c, h, w)
+	iy0, ix0 := patchOrigin(b, oy, ox, v.stride, v.pad)
+	imgOff := imageOffset(b, n, v.c, v.h, v.w)
 
-	b.loop("C"+tag+"_LOOP", "c"+tag+"_end", "0", c, "1", func(cc string) {
-		b.loop("R"+tag+"_LOOP", "r"+tag+"_end", "0", r, "1", func(rr string) {
-			b.loopNext("S"+tag+"_LOOP", "s"+tag+"_next", "s"+tag+"_end", "0", s, "1", func(ss, snext string) {
+	b.loop("C"+tag+"_LOOP", "c"+tag+"_end", "0", v.c, "1", func(cc string) {
+		b.loop("R"+tag+"_LOOP", "r"+tag+"_end", "0", v.r, "1", func(rr string) {
+			b.loopNext("S"+tag+"_LOOP", "s"+tag+"_next", "s"+tag+"_end", "0", v.s, "1", func(ss, snext string) {
 				iy, ix := b.R(B32), b.R(B32)
 				b.I("add.u32 %s, %s, %s;", iy, iy0, rr)
 				b.I("add.u32 %s, %s, %s;", ix, ix0, ss)
 				pv := b.R(Pred)
-				b.I("setp.ge.u32 %s, %s, %s;", pv, iy, h)
+				b.I("setp.ge.u32 %s, %s, %s;", pv, iy, v.h)
 				b.I("@%s bra %s;", pv, snext)
-				b.I("setp.ge.u32 %s, %s, %s;", pv, ix, w)
+				b.I("setp.ge.u32 %s, %s, %s;", pv, ix, v.w)
 				b.I("@%s bra %s;", pv, snext)
 				// this step pairs filter element [kk, cc, rr, ss] with
 				// image element [n, cc, iy, ix]
-				filterIdx := func() string { return b.flatIndex(kk, c, cc, r, rr, s, ss) }
+				filterIdx := func() string { return b.flatIndex(kk, v.c, cc, v.r, rr, v.s, ss) }
 				imageIdx := func() string {
-					xi := b.flatIndex(cc, h, iy, w, ix)
+					xi := b.flatIndex(cc, v.h, iy, v.w, ix)
 					b.I("add.u32 %s, %s, %s;", xi, xi, imgOff)
 					return xi
 				}
@@ -291,49 +267,23 @@ func convBwdFilterAlgo0() string {
 	pX, pDY, pDW := b.PtrParam("pX"), b.PtrParam("pDY"), b.PtrParam("pDW")
 	pN := b.U32Param("pN")
 	sh := b.convParams("pWidth", true)
+	sh.n = pN
 	end, idx, ext := b.guardTid(sh.k, sh.c, sh.r, sh.s)
-	k, c, r, s := ext[0], ext[1], ext[2], ext[3]
-	ss, t1 := b.remDiv(idx, s)
-	rr, t2 := b.remDiv(t1, r)
-	cc, kk := b.remDiv(t2, c)
-
-	nN := b.LoadU32(pN)
-	h := b.LoadU32(sh.h)
-	w := b.LoadU32(sh.w)
-	oh := b.LoadU32(sh.oh)
-	ow := b.LoadU32(sh.ow)
-	stride := b.LoadU32(sh.stride)
-	pad := b.LoadU32(sh.pad)
+	kk, cc, rr, ss := b.filterCoords(idx, ext[1], ext[2], ext[3])
+	v := sh.load(b, convShape{k: ext[0], c: ext[1], r: ext[2], s: ext[3]})
 	xB := b.LoadPtr(pX)
 	dyB := b.LoadPtr(pDY)
 	dwB := b.LoadPtr(pDW)
 
 	acc := b.MovF32(0)
-	b.loop("NF_LOOP", "nf_end", "0", nN, "1", func(nn string) {
-		b.loop("YF_LOOP", "yf_end", "0", oh, "1", func(oyv string) {
-			iy := b.R(B32)
-			b.I("mad.lo.s32 %s, %s, %s, %s;", iy, oyv, stride, rr)
-			b.I("sub.u32 %s, %s, %s;", iy, iy, pad)
-			pskipY := b.R(Pred)
-			ynext := b.NewLabel("yf_next")
-			b.I("setp.ge.u32 %s, %s, %s;", pskipY, iy, h)
-			b.I("@%s bra %s;", pskipY, ynext)
-			b.loopNext("XF_LOOP", "xf_next", "xf_end", "0", ow, "1", func(oxv, xnext string) {
-				ix := b.R(B32)
-				b.I("mad.lo.s32 %s, %s, %s, %s;", ix, oxv, stride, ss)
-				b.I("sub.u32 %s, %s, %s;", ix, ix, pad)
-				pskipX := b.R(Pred)
-				b.I("setp.ge.u32 %s, %s, %s;", pskipX, ix, w)
-				b.I("@%s bra %s;", pskipX, xnext)
-				// dy[nn, kk, oyv, oxv] and x[nn, cc, iy, ix]
-				ady := b.ElemAddr(dyB, b.flatIndex(nn, k, kk, oh, oyv, ow, oxv), 4)
-				ax := b.ElemAddr(xB, b.flatIndex(nn, c, cc, h, iy, w, ix), 4)
-				vdy, vx := b.R(F32), b.R(F32)
-				b.I("ld.global.f32 %s, [%s];", vdy, ady)
-				b.I("ld.global.f32 %s, [%s];", vx, ax)
-				b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vdy, vx, acc)
-			})
-			b.L(ynext)
+	b.loop("NF_LOOP", "nf_end", "0", v.n, "1", func(nn string) {
+		rowAt := func(oy string) string { return b.windowPos(oy, v.stride, rr, v.pad) }
+		colAt := func(ox string) string { return b.windowPos(ox, v.stride, ss, v.pad) }
+		b.window2D("YF", "XF", v.oh, v.ow, v.h, v.w, rowAt, colAt, func(oyv, oxv, iy, ix string) {
+			// dy[nn, kk, oyv, oxv] and x[nn, cc, iy, ix]
+			ady := b.ElemAddr(dyB, b.flatIndex(nn, v.k, kk, v.oh, oyv, v.ow, oxv), 4)
+			ax := b.ElemAddr(xB, b.flatIndex(nn, v.c, cc, v.h, iy, v.w, ix), 4)
+			b.fmaLoad(acc, ady, ax)
 		})
 	})
 
@@ -352,56 +302,38 @@ func convBwdFilterAlgo3() string {
 	pX, pDY, pDW := b.PtrParam("pX"), b.PtrParam("pDY"), b.PtrParam("pDW")
 	pN := b.U32Param("pN")
 	sh := b.convParams("pWidth", true)
+	sh.n = pN
 	sred := b.Shared("sred", 256*4, 4)
 
 	fidx := b.R(B32)
 	b.I("mov.u32 %s, %%ctaid.x;", fidx)
 	tid := b.R(B32)
 	b.I("mov.u32 %s, %%tid.x;", tid)
-	k := b.LoadU32(sh.k)
-	c := b.LoadU32(sh.c)
-	r := b.LoadU32(sh.r)
-	s := b.LoadU32(sh.s)
-	ss, t1 := b.remDiv(fidx, s)
-	rr, t2 := b.remDiv(t1, r)
-	cc, kk := b.remDiv(t2, c)
-
-	nN := b.LoadU32(pN)
-	h := b.LoadU32(sh.h)
-	w := b.LoadU32(sh.w)
-	oh := b.LoadU32(sh.oh)
-	ow := b.LoadU32(sh.ow)
-	stride := b.LoadU32(sh.stride)
-	pad := b.LoadU32(sh.pad)
+	f := convShape{k: b.LoadU32(sh.k), c: b.LoadU32(sh.c), r: b.LoadU32(sh.r), s: b.LoadU32(sh.s)}
+	kk, cc, rr, ss := b.filterCoords(fidx, f.c, f.r, f.s)
+	v := sh.load(b, f)
 	xB := b.LoadPtr(pX)
 	dyB := b.LoadPtr(pDY)
 	dwB := b.LoadPtr(pDW)
 
 	tot := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", tot, nN, oh)
-	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, ow)
+	b.I("mul.lo.u32 %s, %s, %s;", tot, v.n, v.oh)
+	b.I("mul.lo.u32 %s, %s, %s;", tot, tot, v.ow)
 	acc := b.MovF32(0)
 	b.loop("P3_LOOP", "p3_end", tid, tot, "256", func(pos string) {
-		oxv, tq := b.remDiv(pos, ow)
-		oyv, nn := b.remDiv(tq, oh)
-		iy, ix := b.R(B32), b.R(B32)
-		b.I("mad.lo.s32 %s, %s, %s, %s;", iy, oyv, stride, rr)
-		b.I("sub.u32 %s, %s, %s;", iy, iy, pad)
-		b.I("mad.lo.s32 %s, %s, %s, %s;", ix, oxv, stride, ss)
-		b.I("sub.u32 %s, %s, %s;", ix, ix, pad)
+		oxv, tq := b.remDiv(pos, v.ow)
+		oyv, nn := b.remDiv(tq, v.oh)
+		iy, ix := b.windowPos(oyv, v.stride, rr, v.pad), b.windowPos(oxv, v.stride, ss, v.pad)
 		pv := b.R(Pred)
 		pnext := b.NewLabel("p3_next")
-		b.I("setp.ge.u32 %s, %s, %s;", pv, iy, h)
+		b.I("setp.ge.u32 %s, %s, %s;", pv, iy, v.h)
 		b.I("@%s bra %s;", pv, pnext)
-		b.I("setp.ge.u32 %s, %s, %s;", pv, ix, w)
+		b.I("setp.ge.u32 %s, %s, %s;", pv, ix, v.w)
 		b.I("@%s bra %s;", pv, pnext)
 		// dy[nn, kk, oyv, oxv] and x[nn, cc, iy, ix]
-		ady := b.ElemAddr(dyB, b.flatIndex(nn, k, kk, oh, oyv, ow, oxv), 4)
-		ax := b.ElemAddr(xB, b.flatIndex(nn, c, cc, h, iy, w, ix), 4)
-		vdy, vx := b.R(F32), b.R(F32)
-		b.I("ld.global.f32 %s, [%s];", vdy, ady)
-		b.I("ld.global.f32 %s, [%s];", vx, ax)
-		b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vdy, vx, acc)
+		ady := b.ElemAddr(dyB, b.flatIndex(nn, v.k, kk, v.oh, oyv, v.ow, oxv), 4)
+		ax := b.ElemAddr(xB, b.flatIndex(nn, v.c, cc, v.h, iy, v.w, ix), 4)
+		b.fmaLoad(acc, ady, ax)
 		b.L(pnext)
 	})
 

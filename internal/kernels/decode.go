@@ -21,15 +21,10 @@ func kvCacheAppend() string {
 	pSeq, pHeads, pDh := b.U32Param("pSeq"), b.U32Param("pHeads"), b.U32Param("pDh")
 	pMaxSeq, pPos := b.U32Param("pMaxSeq"), b.U32Param("pPos")
 	end, idx, ext := b.guardTid(pSeq, pHeads, pDh)
-	seq, heads, dh := ext[0], ext[1], ext[2]
-	// idx -> (h, s, d) over the cache-side [heads, seq, dh] iteration space
-	d, t := b.remDiv(idx, dh)
-	s, h := b.remDiv(t, seq)
-	// src = (s*heads + h)*dh + d
-	src := b.R(B32)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", src, s, heads, h)
-	b.I("mul.lo.u32 %s, %s, %s;", src, src, dh)
-	b.I("add.u32 %s, %s, %s;", src, src, d)
+	dh := ext[2]
+	// idx -> (h, s, d) over the cache-side [heads, seq, dh] iteration
+	// space; src = (s*heads + h)*dh + d
+	d, s, h, src := b.headIndex(idx, ext[0], ext[1], dh)
 	// dst = (h*maxSeq + pos + s)*dh + d
 	maxSeq := b.LoadU32(pMaxSeq)
 	pos := b.LoadU32(pPos)
@@ -38,13 +33,7 @@ func kvCacheAppend() string {
 	b.I("add.u32 %s, %s, %s;", dst, dst, s)
 	b.I("mul.lo.u32 %s, %s, %s;", dst, dst, dh)
 	b.I("add.u32 %s, %s, %s;", dst, dst, d)
-	in := b.LoadPtr(pIn)
-	cache := b.LoadPtr(pCache)
-	ain := b.ElemAddr(in, src, 4)
-	aout := b.ElemAddr(cache, dst, 4)
-	v := b.R(F32)
-	b.I("ld.global.f32 %s, [%s];", v, ain)
-	b.I("st.global.f32 [%s], %s;", aout, v)
+	b.copyElem(pIn, pCache, src, dst)
 	b.L(end)
 	return b.Build()
 }
@@ -74,15 +63,7 @@ func attnQKCached() string {
 	b.I("mul.lo.u32 %s, %s, %s;", ki, ki, dh)
 	qa := b.ElemAddr(qB, qi, 4)
 	ka := b.ElemAddr(kB, ki, 4)
-	acc := b.MovF32(0)
-	b.loop("QK_DOT", "qk_done", "0", dh, "1", func(string) {
-		vq, vk := b.R(F32), b.R(F32)
-		b.I("ld.global.f32 %s, [%s];", vq, qa)
-		b.I("ld.global.f32 %s, [%s];", vk, ka)
-		b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vq, vk, acc)
-		b.I("add.u64 %s, %s, 4;", qa, qa)
-		b.I("add.u64 %s, %s, 4;", ka, ka)
-	})
+	acc := b.dot("QK_DOT", "qk_done", dh, qa, "4", ka, "4")
 	scale := b.LoadF32(pScale)
 	b.I("mul.f32 %s, %s, %s;", acc, acc, scale)
 	sa := b.elemAddrs(idx, pS)[0]
@@ -118,15 +99,7 @@ func attnAVCached() string {
 	va := b.ElemAddr(vB, vi, 4)
 	rowStride := b.R(B64)
 	b.I("mul.wide.u32 %s, %s, 4;", rowStride, dh)
-	acc := b.MovF32(0)
-	b.loop("AV_DOT", "av_done", "0", ln, "1", func(string) {
-		vp, vv := b.R(F32), b.R(F32)
-		b.I("ld.global.f32 %s, [%s];", vp, pa)
-		b.I("ld.global.f32 %s, [%s];", vv, va)
-		b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vp, vv, acc)
-		b.I("add.u64 %s, %s, 4;", pa, pa)
-		b.I("add.u64 %s, %s, %s;", va, va, rowStride)
-	})
+	acc := b.dot("AV_DOT", "av_done", ln, pa, "4", va, rowStride)
 	oa := b.elemAddrs(idx, pOut)[0]
 	b.I("st.global.f32 [%s], %s;", oa, acc)
 	b.L(end)
@@ -204,19 +177,25 @@ func logitGemv() string {
 	b.I("mul.lo.u32 %s, %s, %s;", ti, idx, dim)
 	xa := b.ElemAddr(xB, b.movZero(), 4)
 	ta := b.ElemAddr(tB, ti, 4)
-	acc := b.MovF32(0)
-	b.loop("LG_DOT", "lg_done", "0", dim, "1", func(string) {
-		vx, vt := b.R(F32), b.R(F32)
-		b.I("ld.global.f32 %s, [%s];", vx, xa)
-		b.I("ld.global.f32 %s, [%s];", vt, ta)
-		b.I("fma.rn.f32 %s, %s, %s, %s;", acc, vx, vt, acc)
-		b.I("add.u64 %s, %s, 4;", xa, xa)
-		b.I("add.u64 %s, %s, 4;", ta, ta)
-	})
+	acc := b.dot("LG_DOT", "lg_done", dim, xa, "4", ta, "4")
 	la := b.elemAddrs(idx, pL)[0]
 	b.I("st.global.f32 [%s], %s;", la, acc)
 	b.L(end)
 	return b.Build()
+}
+
+// dot emits the dot product of n f32 elements read from the global
+// addresses a and c, which advance by aStep and cStep bytes (registers or
+// immediates) per element, into a fresh register; head and endHint label
+// its loop.
+func (b *Builder) dot(head, endHint, n, a, aStep, c, cStep string) string {
+	acc := b.MovF32(0)
+	b.loop(head, endHint, "0", n, "1", func(string) {
+		b.fmaLoad(acc, a, c)
+		b.I("add.u64 %s, %s, %s;", a, a, aStep)
+		b.I("add.u64 %s, %s, %s;", c, c, cStep)
+	})
+	return acc
 }
 
 // movZero emits a u32 zero into a fresh register (helper for ElemAddr
@@ -252,13 +231,7 @@ func argmaxU32() string {
 	bestIdx := b.R(B32)
 	b.I("mov.u32 %s, 0;", bestIdx)
 	b.loop("AG_SCAN", "ag_scan_end", tid, n, "32", func(i string) {
-		ax := b.ElemAddr(xB, i, 4)
-		v := b.R(F32)
-		b.I("ld.global.f32 %s, [%s];", v, ax)
-		pg := b.R(Pred)
-		b.I("setp.gt.f32 %s, %s, %s;", pg, v, best)
-		b.I("selp.b32 %s, %s, %s, %s;", best, v, best, pg)
-		b.I("selp.b32 %s, %s, %s, %s;", bestIdx, i, bestIdx, pg)
+		b.keepMax(best, bestIdx, b.ElemAddr(xB, i, 4), i)
 	})
 
 	vbase, ibase := b.R(B32), b.R(B32)

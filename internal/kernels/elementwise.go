@@ -109,23 +109,14 @@ func rotateFilter180() string {
 	end, idx, ext := b.guardTid(pK, pC, pR, pS)
 	k, c, r, s := ext[0], ext[1], ext[2], ext[3]
 	// idx -> (kk, cc, rr, ss) in KCRS order
-	ss, t1 := b.remDiv(idx, s)
-	rr, t2 := b.remDiv(t1, r)
-	cc, kk := b.remDiv(t2, c)
+	kk, cc, rr, ss := b.filterCoords(idx, c, r, s)
 	// out index: ((cc*K + kk)*R + (R-1-rr))*S + (S-1-ss)
 	rref, ssref := b.R(B32), b.R(B32)
 	b.I("sub.u32 %s, %s, %s;", rref, r, rr)
 	b.I("sub.u32 %s, %s, 1;", rref, rref)
 	b.I("sub.u32 %s, %s, %s;", ssref, s, ss)
 	b.I("sub.u32 %s, %s, 1;", ssref, ssref)
-	o := b.flatIndex(cc, k, kk, r, rref, s, ssref)
-	in := b.LoadPtr(pIn)
-	out := b.LoadPtr(pOut)
-	ain := b.ElemAddr(in, idx, 4)
-	aout := b.ElemAddr(out, o, 4)
-	v := b.R(F32)
-	b.I("ld.global.f32 %s, [%s];", v, ain)
-	b.I("st.global.f32 [%s], %s;", aout, v)
+	b.copyElem(pIn, pOut, idx, b.flatIndex(cc, k, kk, r, rref, s, ssref))
 	b.L(end)
 	return b.Build()
 }
@@ -139,23 +130,16 @@ func pad2D() string {
 	pH, pW := b.U32Param("pH"), b.U32Param("pW")
 	pOH, pOW := b.U32Param("pOH"), b.U32Param("pOW")
 	pTop, pLeft := b.U32Param("pTop"), b.U32Param("pLeft")
-	end, idx, ext := b.guardTid(pOH, pOW)
-	oh, ow := ext[0], ext[1]
-	plane := b.R(B32)
-	b.I("mov.u32 %s, %%ctaid.y;", plane)
-	oy, ox := b.divRem(idx, ow)
+	p := b.planePixel(pOH, pOW)
 	top := b.LoadU32(pTop)
 	left := b.LoadU32(pLeft)
 	h := b.LoadU32(pH)
 	w := b.LoadU32(pW)
 	iy, ix := b.R(B32), b.R(B32)
-	b.I("sub.u32 %s, %s, %s;", iy, oy, top)
-	b.I("sub.u32 %s, %s, %s;", ix, ox, left)
+	b.I("sub.u32 %s, %s, %s;", iy, p.y, top)
+	b.I("sub.u32 %s, %s, %s;", ix, p.x, left)
 	// in-bounds test uses unsigned wraparound: iy < H && ix < W
-	pin, ptmp := b.R(Pred), b.R(Pred)
-	b.I("setp.lt.u32 %s, %s, %s;", pin, iy, h)
-	b.I("setp.lt.u32 %s, %s, %s;", ptmp, ix, w)
-	b.I("and.pred %s, %s, %s;", pin, pin, ptmp)
+	pin, _ := b.inBounds(iy, h, ix, w)
 	in := b.LoadPtr(pIn)
 	out := b.LoadPtr(pOut)
 	// source address (clamped to 0 when out of bounds to stay in range)
@@ -163,7 +147,7 @@ func pad2D() string {
 	b.I("mad.lo.s32 %s, %s, %s, %s;", sidx, iy, w, ix)
 	planeOff := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", planeOff, h, w)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", sidx, plane, planeOff, sidx)
+	b.I("mad.lo.s32 %s, %s, %s, %s;", sidx, p.plane, planeOff, sidx)
 	b.I("selp.b32 %s, %s, 0, %s;", clamped, sidx, pin)
 	ain := b.ElemAddr(in, clamped, 4)
 	v := b.R(F32)
@@ -172,11 +156,11 @@ func pad2D() string {
 	b.I("selp.b32 %s, %s, %s, %s;", v, v, z, pin)
 	didx := b.R(B32)
 	dplaneOff := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", dplaneOff, oh, ow)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", didx, plane, dplaneOff, idx)
+	b.I("mul.lo.u32 %s, %s, %s;", dplaneOff, p.oh, p.ow)
+	b.I("mad.lo.s32 %s, %s, %s, %s;", didx, p.plane, dplaneOff, p.idx)
 	aout := b.ElemAddr(out, didx, 4)
 	b.I("st.global.f32 [%s], %s;", aout, v)
-	b.L(end)
+	b.L(p.end)
 	return b.Build()
 }
 

@@ -261,6 +261,18 @@ func cgemm() string {
 	return b.Build()
 }
 
+// squareElem emits the flat index of element (u, v) of plane `plane` in
+// a stack of n x n planes.
+func squareElem(b *Builder, plane, n, u, v string) string {
+	nn := b.R(B32)
+	b.I("mul.lo.u32 %s, %s, %s;", nn, n, n)
+	si := b.R(B32)
+	b.I("mad.lo.s32 %s, %s, %s, 0;", si, plane, nn)
+	b.I("mad.lo.s32 %s, %s, %s, %s;", si, u, n, si)
+	b.I("add.u32 %s, %s, %s;", si, si, v)
+	return si
+}
+
 // fftCrop extracts the valid correlation region from full inverse-FFT
 // frames: out[p, u, v] = in[p, (u-P) mod N, (v-P) mod N] for planes p.
 func fftCrop() string {
@@ -269,39 +281,25 @@ func fftCrop() string {
 	pN := b.U32Param("pN")
 	pOH, pOW := b.U32Param("pOH"), b.U32Param("pOW")
 	pPad := b.U32Param("pPad")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	oh := b.LoadU32(pOH)
-	ow := b.LoadU32(pOW)
-	tot := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", tot, oh, ow)
-	b.GuardEnd(idx, tot, end)
-	plane := b.R(B32)
-	b.I("mov.u32 %s, %%ctaid.y;", plane)
-	u, v := b.divRem(idx, ow)
+	p := b.planePixel(pOH, pOW)
 	n := b.LoadU32(pN)
 	pad := b.LoadU32(pPad)
 	su, sv := b.R(B32), b.R(B32)
-	b.I("add.u32 %s, %s, %s;", su, u, n)
+	b.I("add.u32 %s, %s, %s;", su, p.y, n)
 	b.I("sub.u32 %s, %s, %s;", su, su, pad)
 	b.I("rem.u32 %s, %s, %s;", su, su, n)
-	b.I("add.u32 %s, %s, %s;", sv, v, n)
+	b.I("add.u32 %s, %s, %s;", sv, p.x, n)
 	b.I("sub.u32 %s, %s, %s;", sv, sv, pad)
 	b.I("rem.u32 %s, %s, %s;", sv, sv, n)
 	inB := b.LoadPtr(pIn)
 	outB := b.LoadPtr(pOut)
-	nn := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", nn, n, n)
-	si := b.R(B32)
-	b.I("mad.lo.s32 %s, %s, %s, 0;", si, plane, nn)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", si, su, n, si)
-	b.I("add.u32 %s, %s, %s;", si, si, sv)
+	si := squareElem(b, p.plane, n, su, sv)
 	ain := b.ElemAddr(inB, si, 4)
 	val := b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", val, ain)
-	aout := b.ElemAddr(outB, b.flatIndex(plane, tot, idx), 4)
+	aout := b.ElemAddr(outB, b.flatIndex(p.plane, p.tot, p.idx), 4)
 	b.I("st.global.f32 [%s], %s;", aout, val)
-	b.L(end)
+	b.L(p.end)
 	return b.Build()
 }
 
@@ -334,17 +332,10 @@ func fftTileExtract() string {
 	u, v := b.divRem(idx, tn)
 	step := b.LoadU32(pStep)
 	pad := b.LoadU32(pPad)
-	iy, ix := b.R(B32), b.R(B32)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", iy, ty, step, u)
-	b.I("sub.u32 %s, %s, %s;", iy, iy, pad)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", ix, tx, step, v)
-	b.I("sub.u32 %s, %s, %s;", ix, ix, pad)
+	iy, ix := b.windowPos(ty, step, u, pad), b.windowPos(tx, step, v, pad)
 	h := b.LoadU32(pH)
 	w := b.LoadU32(pW)
-	pin, ptmp := b.R(Pred), b.R(Pred)
-	b.I("setp.lt.u32 %s, %s, %s;", pin, iy, h)
-	b.I("setp.lt.u32 %s, %s, %s;", ptmp, ix, w)
-	b.I("and.pred %s, %s, %s;", pin, pin, ptmp)
+	pin, ptmp := b.inBounds(iy, h, ix, w)
 	winLim := b.LoadU32(pWin)
 	b.I("setp.lt.u32 %s, %s, %s;", ptmp, u, winLim)
 	b.I("and.pred %s, %s, %s;", pin, pin, ptmp)
@@ -353,13 +344,7 @@ func fftTileExtract() string {
 	xB := b.LoadPtr(pX)
 	outB := b.LoadPtr(pOut)
 	si := b.flatIndex(c, h, iy, w, ix)
-	clamped := b.R(B32)
-	b.I("selp.b32 %s, %s, 0, %s;", clamped, si, pin)
-	ax := b.ElemAddr(xB, clamped, 4)
-	val := b.R(F32)
-	z := b.MovF32(0)
-	b.I("ld.global.f32 %s, [%s];", val, ax)
-	b.I("selp.b32 %s, %s, %s, %s;", val, val, z, pin)
+	val := b.loadOrZero(xB, si, pin)
 	aout := b.ElemAddr(outB, b.flatIndex(plane, nn, idx), 4)
 	b.I("st.global.f32 [%s], %s;", aout, val)
 	b.L(end)
@@ -375,19 +360,11 @@ func fftTileStitch() string {
 	pOH, pOW := b.U32Param("pOH"), b.U32Param("pOW")
 	pTileN, pNTX, pNTY := b.U32Param("pTileN"), b.U32Param("pNTX"), b.U32Param("pNTY")
 	pStep := b.U32Param("pStep")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	oh := b.LoadU32(pOH)
-	ow := b.LoadU32(pOW)
-	tot := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", tot, oh, ow)
-	b.GuardEnd(idx, tot, end)
-	k := b.R(B32)
-	b.I("mov.u32 %s, %%ctaid.y;", k)
-	oy, ox := b.divRem(idx, ow)
+	p := b.planePixel(pOH, pOW)
+	k := p.plane
 	step := b.LoadU32(pStep)
-	ty, u := b.divRem(oy, step)
-	tx, v := b.divRem(ox, step)
+	ty, u := b.divRem(p.y, step)
+	tx, v := b.divRem(p.x, step)
 	ntx := b.LoadU32(pNTX)
 	nty := b.LoadU32(pNTY)
 	tn := b.LoadU32(pTileN)
@@ -397,20 +374,15 @@ func fftTileStitch() string {
 	b.I("mad.lo.s32 %s, %s, %s, 0;", plane, k, tiles)
 	b.I("mad.lo.s32 %s, %s, %s, %s;", plane, ty, ntx, plane)
 	b.I("add.u32 %s, %s, %s;", plane, plane, tx)
-	nn := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", nn, tn, tn)
-	si := b.R(B32)
-	b.I("mad.lo.s32 %s, %s, %s, 0;", si, plane, nn)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", si, u, tn, si)
-	b.I("add.u32 %s, %s, %s;", si, si, v)
+	si := squareElem(b, plane, tn, u, v)
 	tB := b.LoadPtr(pTiles)
 	yB := b.LoadPtr(pY)
 	ain := b.ElemAddr(tB, si, 4)
 	val := b.R(F32)
 	b.I("ld.global.f32 %s, [%s];", val, ain)
-	aout := b.ElemAddr(yB, b.flatIndex(k, tot, idx), 4)
+	aout := b.ElemAddr(yB, b.flatIndex(k, p.tot, p.idx), 4)
 	b.I("st.global.f32 [%s], %s;", aout, val)
-	b.L(end)
+	b.L(p.end)
 	return b.Build()
 }
 

@@ -76,10 +76,7 @@ func sgemm(name string, transA, transB bool) string {
 	// at base (element (j, i) of a [jMax, iMax] one when swapped) into
 	// the tile slot st, guarded via selp clamp: zero outside the matrix
 	stage := func(base, i, iMax, j, jMax, st string, swapped bool) {
-		p1, p2 := b.R(Pred), b.R(Pred)
-		b.I("setp.lt.u32 %s, %s, %s;", p1, i, iMax)
-		b.I("setp.lt.u32 %s, %s, %s;", p2, j, jMax)
-		b.I("and.pred %s, %s, %s;", p1, p1, p2)
+		p1, _ := b.inBounds(i, iMax, j, jMax)
 		idx := b.R(B32)
 		if swapped {
 			b.I("mad.lo.s32 %s, %s, %s, %s;", idx, j, iMax, i)
@@ -140,12 +137,7 @@ func sgemm(name string, transA, transB bool) string {
 	b.I("mad.lo.s32 %s, %s, %s, %s;", cIdx, row, n, col)
 	cAddr := b.ElemAddr(cBase, cIdx, 4)
 	alpha, beta := b.LoadF32(pAl), b.LoadF32(pBe)
-	old := b.R(F32)
-	b.I("ld.global.f32 %s, [%s];", old, cAddr)
-	resv := b.R(F32)
-	b.I("mul.f32 %s, %s, %s;", resv, acc, alpha)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", resv, old, beta, resv)
-	b.I("st.global.f32 [%s], %s;", cAddr, resv)
+	b.storeAxpby(cAddr, acc, alpha, beta)
 	b.L(end)
 	return b.Build()
 }
@@ -176,21 +168,24 @@ func gemv2T() string {
 	strideBytes := b.R(B64)
 	b.I("mul.wide.u32 %s, %s, 4;", strideBytes, cols)
 	b.loop("ROW_LOOP", "row_end", "0", rows, "1", func(string) {
-		va, vx := b.R(F32), b.R(F32)
-		b.I("ld.global.f32 %s, [%s];", va, aPtr)
-		b.I("ld.global.f32 %s, [%s];", vx, xPtr)
-		b.I("fma.rn.f32 %s, %s, %s, %s;", acc, va, vx, acc)
+		b.fmaLoad(acc, aPtr, xPtr)
 		b.I("add.s64 %s, %s, %s;", aPtr, aPtr, strideBytes)
 		b.I("add.s64 %s, %s, 4;", xPtr, xPtr)
 	})
 
 	alpha, beta := b.LoadF32(pAl), b.LoadF32(pBe)
 	yAddr := b.ElemAddr(yBase, j, 4)
-	old, res := b.R(F32), b.R(F32)
-	b.I("ld.global.f32 %s, [%s];", old, yAddr)
-	b.I("mul.f32 %s, %s, %s;", res, acc, alpha)
-	b.I("fma.rn.f32 %s, %s, %s, %s;", res, old, beta, res)
-	b.I("st.global.f32 [%s], %s;", yAddr, res)
+	b.storeAxpby(yAddr, acc, alpha, beta)
 	b.L(end)
 	return b.Build()
+}
+
+// storeAxpby emits y = alpha·acc + beta·y for the f32 element y at the
+// global address addr: the write-back of the GEMM family.
+func (b *Builder) storeAxpby(addr, acc, alpha, beta string) {
+	old, res := b.R(F32), b.R(F32)
+	b.I("ld.global.f32 %s, [%s];", old, addr)
+	b.I("mul.f32 %s, %s, %s;", res, acc, alpha)
+	b.I("fma.rn.f32 %s, %s, %s, %s;", res, old, beta, res)
+	b.I("st.global.f32 [%s], %s;", addr, res)
 }

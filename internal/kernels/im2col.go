@@ -23,27 +23,14 @@ func im2Col() string {
 	pad := b.LoadU32(sh.pad)
 	h := b.LoadU32(sh.h)
 	w := b.LoadU32(sh.w)
-	iy, ix := b.R(B32), b.R(B32)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", iy, oy, stride, rr)
-	b.I("sub.u32 %s, %s, %s;", iy, iy, pad)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", ix, ox, stride, ss)
-	b.I("sub.u32 %s, %s, %s;", ix, ix, pad)
+	iy, ix := b.windowPos(oy, stride, rr, pad), b.windowPos(ox, stride, ss, pad)
 
-	pin, ptmp := b.R(Pred), b.R(Pred)
-	b.I("setp.lt.u32 %s, %s, %s;", pin, iy, h)
-	b.I("setp.lt.u32 %s, %s, %s;", ptmp, ix, w)
-	b.I("and.pred %s, %s, %s;", pin, pin, ptmp)
+	pin, _ := b.inBounds(iy, h, ix, w)
 
 	x := b.LoadPtr(pX)
 	col := b.LoadPtr(pCol)
 	sidx := b.flatIndex(cc, h, iy, w, ix)
-	clamped := b.R(B32)
-	b.I("selp.b32 %s, %s, 0, %s;", clamped, sidx, pin)
-	ax := b.ElemAddr(x, clamped, 4)
-	v := b.R(F32)
-	z := b.MovF32(0)
-	b.I("ld.global.f32 %s, [%s];", v, ax)
-	b.I("selp.b32 %s, %s, %s, %s;", v, v, z, pin)
+	v := b.loadOrZero(x, sidx, pin)
 	acol := b.ElemAddr(col, idx, 4)
 	b.I("st.global.f32 [%s], %s;", acol, v)
 	b.L(end)

@@ -26,9 +26,7 @@ func maxPoolForward() string {
 	// base index of the (n, cc) plane = n*C*H*W + cc*H*W
 	hw := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", hw, h, w)
-	base := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", base, n, chw)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", base, cc, hw, base)
+	base := b.planeBase(n, chw, cc, hw)
 
 	best := b.MovF32(-3.4e38)
 	bestIdx := b.R(B32)
@@ -37,30 +35,10 @@ func maxPoolForward() string {
 	b.I("mul.lo.u32 %s, %s, %s;", iy0, oy, stride)
 	b.I("mul.lo.u32 %s, %s, %s;", ix0, ox, stride)
 
-	b.loop("PY_LOOP", "py_end", "0", win, "1", func(dy string) {
-		iy := b.R(B32)
-		b.I("add.u32 %s, %s, %s;", iy, iy0, dy)
-		pySkip := b.R(Pred)
-		ynext := b.NewLabel("py_next")
-		b.I("setp.ge.u32 %s, %s, %s;", pySkip, iy, h)
-		b.I("@%s bra %s;", pySkip, ynext)
-		b.loopNext("PX_LOOP", "px_next", "px_end", "0", win, "1", func(dx, xnext string) {
-			ix := b.R(B32)
-			b.I("add.u32 %s, %s, %s;", ix, ix0, dx)
-			pxSkip := b.R(Pred)
-			b.I("setp.ge.u32 %s, %s, %s;", pxSkip, ix, w)
-			b.I("@%s bra %s;", pxSkip, xnext)
-			xi := b.flatIndex(iy, w, ix)
-			b.I("add.u32 %s, %s, %s;", xi, xi, base)
-			ax := b.ElemAddr(xB, xi, 4)
-			v := b.R(F32)
-			b.I("ld.global.f32 %s, [%s];", v, ax)
-			pbetter := b.R(Pred)
-			b.I("setp.gt.f32 %s, %s, %s;", pbetter, v, best)
-			b.I("selp.b32 %s, %s, %s, %s;", best, v, best, pbetter)
-			b.I("selp.b32 %s, %s, %s, %s;", bestIdx, xi, bestIdx, pbetter)
-		})
-		b.L(ynext)
+	b.window2D("PY", "PX", win, win, h, w, b.plus(iy0), b.plus(ix0), func(_, _, iy, ix string) {
+		xi := b.flatIndex(iy, w, ix)
+		b.I("add.u32 %s, %s, %s;", xi, xi, base)
+		b.keepMax(best, bestIdx, b.ElemAddr(xB, xi, 4), xi)
 	})
 
 	cohw := b.R(B32)

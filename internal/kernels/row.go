@@ -14,6 +14,28 @@ func (b *Builder) laneAndRow() (tid, row string) {
 	return tid, row
 }
 
+// rowItem is the state of a one-CTA-per-row kernel: lane tid of row
+// row, whose cols elements start at flat index rowOff; ptr holds the
+// loaded pointer parameters.
+type rowItem struct {
+	tid, row, cols, rowOff string
+	ptr                    []string
+}
+
+// rowStart is the prologue of a row kernel whose width is the u32
+// parameter pCols: lane and row, the width, the pointer parameters ptrs
+// in order, then the row's offset.
+func (b *Builder) rowStart(pCols string, ptrs ...string) (r rowItem) {
+	r.tid, r.row = b.laneAndRow()
+	r.cols = b.LoadU32(pCols)
+	for _, p := range ptrs {
+		r.ptr = append(r.ptr, b.LoadPtr(p))
+	}
+	r.rowOff = b.R(B32)
+	b.I("mul.lo.u32 %s, %s, %s;", r.rowOff, r.row, r.cols)
+	return r
+}
+
 // laneSlots emits the shared byte address of the reduction array sred
 // (lane 0's slot, where a reduction leaves its result) and of this lane's
 // slot in it.

@@ -11,31 +11,27 @@ func softmaxForward() string {
 	pCols := b.U32Param("pCols")
 	sred := b.Shared("smax", 32*4, 4)
 
-	tid, row := b.laneAndRow()
-	cols := b.LoadU32(pCols)
-	xB := b.LoadPtr(pX)
-	yB := b.LoadPtr(pY)
-	rowOff := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", rowOff, row, cols)
+	r := b.rowStart(pCols, pX, pY)
+	xB, yB := r.ptr[0], r.ptr[1]
 
 	// row max: local max over strided elements, then a shared-memory max
 	// reduction over the 32 lanes
-	best := b.laneMax("SM_MAX", "sm_max_end", tid, cols, xB, rowOff)
-	sbase, slot := b.laneSlots(sred, tid)
-	b.reduceShared("max", 32, tid, slot, best, "SM_RED", "sm_red_end", "sm_skip")
+	best := b.laneMax("SM_MAX", "sm_max_end", r.tid, r.cols, xB, r.rowOff)
+	sbase, slot := b.laneSlots(sred, r.tid)
+	b.reduceShared("max", 32, r.tid, slot, best, "SM_RED", "sm_red_end", "sm_skip")
 	rowMax := b.R(F32)
 	b.I("ld.shared.f32 %s, [%s];", rowMax, sbase)
 	b.I("bar.sync 0;")
 
 	// row total of exp(x - max)
-	log2e, sum := b.laneExpSum("SM_SUM", "sm_sum_end", tid, cols, xB, rowOff, rowMax)
-	b.reduceShared("add", 32, tid, slot, sum, "SM_RED2", "sm_red2_end", "sm_skip2")
+	log2e, sum := b.laneExpSum("SM_SUM", "sm_sum_end", r.tid, r.cols, xB, r.rowOff, rowMax)
+	b.reduceShared("add", 32, r.tid, slot, sum, "SM_RED2", "sm_red2_end", "sm_skip2")
 	total := b.R(F32)
 	b.I("ld.shared.f32 %s, [%s];", total, sbase)
 
 	// write y = exp(x - max) / total
-	b.loop("SM_WRITE", "sm_write_end", tid, cols, "32", func(i string) {
-		ei, ax := b.rowElem(xB, rowOff, i)
+	b.loop("SM_WRITE", "sm_write_end", r.tid, r.cols, "32", func(i string) {
+		ei, ax := b.rowElem(xB, r.rowOff, i)
 		ay := b.ElemAddr(yB, ei, 4)
 		ev := b.expShifted(ax, rowMax, log2e)
 		b.I("div.rn.f32 %s, %s, %s;", ev, ev, total)

@@ -28,67 +28,45 @@ func layerNormBackward() string {
 	pEps := b.F32Param("pEps")
 	sred := b.Shared("slnb", 32*4, 4)
 
-	tid, row := b.laneAndRow()
-	cols := b.LoadU32(pCols)
-	xB := b.LoadPtr(pX)
-	gB := b.LoadPtr(pG)
-	dyB := b.LoadPtr(pDY)
-	dxB := b.LoadPtr(pDX)
-	dgB := b.LoadPtr(pDG)
-	dbB := b.LoadPtr(pDB)
-	rowOff := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", rowOff, row, cols)
-	sbase, slot := b.laneSlots(sred, tid)
+	r := b.rowStart(pCols, pX, pG, pDY, pDX, pDG, pDB)
+	xB, gB, dyB, dxB, dgB, dbB := r.ptr[0], r.ptr[1], r.ptr[2], r.ptr[3], r.ptr[4], r.ptr[5]
+	sbase, slot := b.laneSlots(sred, r.tid)
 
 	// passes 1 and 2: row mean and inverse standard deviation
-	mean, inv, colsF := b.rowMeanInv("LNB", tid, cols, xB, rowOff, sbase, slot, pEps)
+	mean, inv, colsF := b.rowMeanInv("LNB", r.tid, r.cols, xB, r.rowOff, sbase, slot, pEps)
 	b.I("bar.sync 0;")
 
 	// pass 3: partial s1 = Σ dy·γ and s2 = Σ dy·γ·x̂ in one strided loop
 	ps1 := b.MovF32(0)
 	ps2 := b.MovF32(0)
-	b.loop("LNB_GSUM", "lnb_gsum_end", tid, cols, "32", func(i string) {
-		ei, ax := b.rowElem(xB, rowOff, i)
+	b.loop("LNB_GSUM", "lnb_gsum_end", r.tid, r.cols, "32", func(i string) {
+		ei, ax := b.rowElem(xB, r.rowOff, i)
 		ady := b.ElemAddr(dyB, ei, 4)
 		ag := b.ElemAddr(gB, i, 4)
-		vx, vdy, vg := b.R(F32), b.R(F32), b.R(F32)
-		b.I("ld.global.f32 %s, [%s];", vx, ax)
-		b.I("ld.global.f32 %s, [%s];", vdy, ady)
-		b.I("ld.global.f32 %s, [%s];", vg, ag)
-		xh, g := b.R(F32), b.R(F32)
-		b.I("sub.f32 %s, %s, %s;", xh, vx, mean)
-		b.I("mul.f32 %s, %s, %s;", xh, xh, inv)
-		b.I("mul.f32 %s, %s, %s;", g, vdy, vg)
+		_, xh, g := layerNormTerms(b, ax, ady, ag, mean, inv)
 		b.I("add.f32 %s, %s, %s;", ps1, ps1, g)
 		b.I("fma.rn.f32 %s, %s, %s, %s;", ps2, g, xh, ps2)
 	})
 
-	b.reduceAdd32(tid, slot, ps1)
+	b.reduceAdd32(r.tid, slot, ps1)
 	s1 := b.R(F32)
 	b.I("ld.shared.f32 %s, [%s];", s1, sbase)
 	b.I("div.rn.f32 %s, %s, %s;", s1, s1, colsF)
 	b.I("bar.sync 0;")
-	b.reduceAdd32(tid, slot, ps2)
+	b.reduceAdd32(r.tid, slot, ps2)
 	s2 := b.R(F32)
 	b.I("ld.shared.f32 %s, [%s];", s2, sbase)
 	b.I("div.rn.f32 %s, %s, %s;", s2, s2, colsF)
 
 	// pass 4: write dx and atomically accumulate dgamma/dbeta
-	b.loop("LNB_WRITE", "lnb_write_end", tid, cols, "32", func(i string) {
-		ei, ax := b.rowElem(xB, rowOff, i)
+	b.loop("LNB_WRITE", "lnb_write_end", r.tid, r.cols, "32", func(i string) {
+		ei, ax := b.rowElem(xB, r.rowOff, i)
 		ady := b.ElemAddr(dyB, ei, 4)
 		ag := b.ElemAddr(gB, i, 4)
 		adx := b.ElemAddr(dxB, ei, 4)
 		adg := b.ElemAddr(dgB, i, 4)
 		adb := b.ElemAddr(dbB, i, 4)
-		vx, vdy, vg := b.R(F32), b.R(F32), b.R(F32)
-		b.I("ld.global.f32 %s, [%s];", vx, ax)
-		b.I("ld.global.f32 %s, [%s];", vdy, ady)
-		b.I("ld.global.f32 %s, [%s];", vg, ag)
-		xh, g := b.R(F32), b.R(F32)
-		b.I("sub.f32 %s, %s, %s;", xh, vx, mean)
-		b.I("mul.f32 %s, %s, %s;", xh, xh, inv)
-		b.I("mul.f32 %s, %s, %s;", g, vdy, vg)
+		vdy, xh, g := layerNormTerms(b, ax, ady, ag, mean, inv)
 		dx := b.R(F32)
 		b.I("sub.f32 %s, %s, %s;", dx, g, s1)
 		neg := b.R(F32)
@@ -103,6 +81,20 @@ func layerNormBackward() string {
 		b.I("atom.global.add.f32 %s, [%s], %s;", oldb, adb, vdy)
 	})
 	return b.Build()
+}
+
+// layerNormTerms loads x, dy and γ from the addresses ax, ady and ag
+// and emits x̂ = (x-mean)·inv and g = dy·γ.
+func layerNormTerms(b *Builder, ax, ady, ag, mean, inv string) (vdy, xh, g string) {
+	vx, vdy, vg := b.R(F32), b.R(F32), b.R(F32)
+	b.I("ld.global.f32 %s, [%s];", vx, ax)
+	b.I("ld.global.f32 %s, [%s];", vdy, ady)
+	b.I("ld.global.f32 %s, [%s];", vg, ag)
+	xh, g = b.R(F32), b.R(F32)
+	b.I("sub.f32 %s, %s, %s;", xh, vx, mean)
+	b.I("mul.f32 %s, %s, %s;", xh, xh, inv)
+	b.I("mul.f32 %s, %s, %s;", g, vdy, vg)
+	return vdy, xh, g
 }
 
 // geluBackward computes dx = dy·GELU'(x) for the tanh-form GELU, with
@@ -162,32 +154,24 @@ func softmaxBackward() string {
 	pCols := b.U32Param("pCols")
 	sred := b.Shared("ssb", 32*4, 4)
 
-	tid, row := b.laneAndRow()
-	cols := b.LoadU32(pCols)
-	pB := b.LoadPtr(pP)
-	dpB := b.LoadPtr(pDP)
-	dxB := b.LoadPtr(pDX)
-	rowOff := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", rowOff, row, cols)
-	sbase, slot := b.laneSlots(sred, tid)
+	r := b.rowStart(pCols, pP, pDP, pDX)
+	pB, dpB, dxB := r.ptr[0], r.ptr[1], r.ptr[2]
+	sbase, slot := b.laneSlots(sred, r.tid)
 
 	// strided partial dot = Σ p·dp
 	dot := b.MovF32(0)
-	b.loop("SB_DOT", "sb_dot_end", tid, cols, "32", func(i string) {
-		ei, ap := b.rowElem(pB, rowOff, i)
+	b.loop("SB_DOT", "sb_dot_end", r.tid, r.cols, "32", func(i string) {
+		ei, ap := b.rowElem(pB, r.rowOff, i)
 		adp := b.ElemAddr(dpB, ei, 4)
-		vp, vdp := b.R(F32), b.R(F32)
-		b.I("ld.global.f32 %s, [%s];", vp, ap)
-		b.I("ld.global.f32 %s, [%s];", vdp, adp)
-		b.I("fma.rn.f32 %s, %s, %s, %s;", dot, vp, vdp, dot)
+		b.fmaLoad(dot, ap, adp)
 	})
-	b.reduceAdd32(tid, slot, dot)
+	b.reduceAdd32(r.tid, slot, dot)
 	total := b.R(F32)
 	b.I("ld.shared.f32 %s, [%s];", total, sbase)
 
 	// write dx = p·(dp - dot)
-	b.loop("SB_WRITE", "sb_write_end", tid, cols, "32", func(i string) {
-		ei, ap := b.rowElem(pB, rowOff, i)
+	b.loop("SB_WRITE", "sb_write_end", r.tid, r.cols, "32", func(i string) {
+		ei, ap := b.rowElem(pB, r.rowOff, i)
 		adp := b.ElemAddr(dpB, ei, 4)
 		adx := b.ElemAddr(dxB, ei, 4)
 		vp, vdp := b.R(F32), b.R(F32)
@@ -291,13 +275,7 @@ func embeddingBackward() string {
 	b := NewBuilder("embedding_backward")
 	pDY, pIds, pDT := b.PtrParam("pDY"), b.PtrParam("pIds"), b.PtrParam("pDTable")
 	pRows, pCols := b.U32Param("pRows"), b.U32Param("pCols")
-	end, idx, ext := b.guardTid(pRows, pCols)
-	cols := ext[1]
-	row, col := b.divRem(idx, cols)
-	aid := b.elemAddrs(row, pIds)[0]
-	id := b.R(B32)
-	b.I("ld.global.u32 %s, [%s];", id, aid)
-	dst := b.flatIndex(id, cols, col)
+	end, idx, dst := b.tokenRow(pRows, pCols, pIds)
 	dyB := b.LoadPtr(pDY)
 	dtB := b.LoadPtr(pDT)
 	ady := b.ElemAddr(dyB, idx, 4)

@@ -25,22 +25,16 @@ func layerNormForward() string {
 	pEps := b.F32Param("pEps")
 	sred := b.Shared("sln", 32*4, 4)
 
-	tid, row := b.laneAndRow()
-	cols := b.LoadU32(pCols)
-	xB := b.LoadPtr(pX)
-	gB := b.LoadPtr(pG)
-	btB := b.LoadPtr(pBt)
-	yB := b.LoadPtr(pY)
-	rowOff := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", rowOff, row, cols)
-	sbase, slot := b.laneSlots(sred, tid)
+	r := b.rowStart(pCols, pX, pG, pBt, pY)
+	xB, gB, btB, yB := r.ptr[0], r.ptr[1], r.ptr[2], r.ptr[3]
+	sbase, slot := b.laneSlots(sred, r.tid)
 
 	// passes 1 and 2: row mean and inverse standard deviation
-	mean, inv, _ := b.rowMeanInv("LN", tid, cols, xB, rowOff, sbase, slot, pEps)
+	mean, inv, _ := b.rowMeanInv("LN", r.tid, r.cols, xB, r.rowOff, sbase, slot, pEps)
 
 	// pass 3: write y = (x - mean) * inv * gamma[col] + beta[col]
-	b.loop("LN_WRITE", "ln_write_end", tid, cols, "32", func(i string) {
-		ei, ax := b.rowElem(xB, rowOff, i)
+	b.loop("LN_WRITE", "ln_write_end", r.tid, r.cols, "32", func(i string) {
+		ei, ax := b.rowElem(xB, r.rowOff, i)
 		ag := b.ElemAddr(gB, i, 4)
 		ab := b.ElemAddr(btB, i, 4)
 		ay := b.ElemAddr(yB, ei, 4)
@@ -131,56 +125,39 @@ func residualAdd() string {
 // splitHeads permutes a [seq, heads*dh] activation into per-head
 // [heads, seq, dh] layout: out[(h*S+s)*dh+d] = in[(s*H+h)*dh+d]. One
 // thread per element, div/rem index decomposition on the output index.
-func splitHeads() string {
-	b := NewBuilder("split_heads")
+func splitHeads() string { return permuteHeads("split_heads", 0, 1) }
+
+// mergeHeads is the inverse permute, [heads, seq, dh] back to
+// [seq, heads*dh]: out[(s*H+h)*dh+d] = in[(h*S+s)*dh+d].
+func mergeHeads() string { return permuteHeads("merge_heads", 1, 0) }
+
+// permuteHeads emits a permute between the [seq, heads, dh] and
+// [heads, seq, dh] layouts. Of the extents ext = (seq, heads, dh), the
+// output's outer axis is ext[outer] and its middle one ext[inner]; one
+// thread per output element copies the input element with the two
+// swapped.
+func permuteHeads(name string, inner, outer int) string {
+	b := NewBuilder(name)
 	pIn, pOut := b.PtrParam("pIn"), b.PtrParam("pOut")
 	pSeq, pHeads, pDh := b.U32Param("pSeq"), b.U32Param("pHeads"), b.U32Param("pDh")
 	end, idx, ext := b.guardTid(pSeq, pHeads, pDh)
-	seq, heads, dh := ext[0], ext[1], ext[2]
-	// output idx -> (h, s, d)
-	d, t := b.remDiv(idx, dh)
-	s, h := b.remDiv(t, seq)
-	// input idx = (s*H + h)*dh + d
-	src := b.R(B32)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", src, s, heads, h)
-	b.I("mul.lo.u32 %s, %s, %s;", src, src, dh)
-	b.I("add.u32 %s, %s, %s;", src, src, d)
-	in := b.LoadPtr(pIn)
-	out := b.LoadPtr(pOut)
-	ain := b.ElemAddr(in, src, 4)
-	aout := b.ElemAddr(out, idx, 4)
-	v := b.R(F32)
-	b.I("ld.global.f32 %s, [%s];", v, ain)
-	b.I("st.global.f32 [%s], %s;", aout, v)
+	_, _, _, src := b.headIndex(idx, ext[inner], ext[outer], ext[2])
+	b.copyElem(pIn, pOut, src, idx)
 	b.L(end)
 	return b.Build()
 }
 
-// mergeHeads is the inverse permute, [heads, seq, dh] back to
-// [seq, heads*dh]: out[(s*H+h)*dh+d] = in[(h*S+s)*dh+d].
-func mergeHeads() string {
-	b := NewBuilder("merge_heads")
-	pIn, pOut := b.PtrParam("pIn"), b.PtrParam("pOut")
-	pSeq, pHeads, pDh := b.U32Param("pSeq"), b.U32Param("pHeads"), b.U32Param("pDh")
-	end, idx, ext := b.guardTid(pSeq, pHeads, pDh)
-	seq, heads, dh := ext[0], ext[1], ext[2]
-	// output idx -> (s, h, d)
+// headIndex decomposes the flat index idx over [outer, inner, dh] into
+// (o, i, d) and emits the index (i*outer + o)*dh + d of the same element
+// in the [inner, outer, dh] layout.
+func (b *Builder) headIndex(idx, inner, outer, dh string) (d, i, o, src string) {
 	d, t := b.remDiv(idx, dh)
-	h, s := b.remDiv(t, heads)
-	// input idx = (h*S + s)*dh + d
-	src := b.R(B32)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", src, h, seq, s)
+	i, o = b.remDiv(t, inner)
+	src = b.R(B32)
+	b.I("mad.lo.s32 %s, %s, %s, %s;", src, i, outer, o)
 	b.I("mul.lo.u32 %s, %s, %s;", src, src, dh)
 	b.I("add.u32 %s, %s, %s;", src, src, d)
-	in := b.LoadPtr(pIn)
-	out := b.LoadPtr(pOut)
-	ain := b.ElemAddr(in, src, 4)
-	aout := b.ElemAddr(out, idx, 4)
-	v := b.R(F32)
-	b.I("ld.global.f32 %s, [%s];", v, ain)
-	b.I("st.global.f32 [%s], %s;", aout, v)
-	b.L(end)
-	return b.Build()
+	return d, i, o, src
 }
 
 // embeddingLookup gathers rows of table[vocab, cols] selected by the u32
@@ -189,20 +166,22 @@ func embeddingLookup() string {
 	b := NewBuilder("embedding_lookup")
 	pT, pIds, pOut := b.PtrParam("pTable"), b.PtrParam("pIds"), b.PtrParam("pOut")
 	pRows, pCols := b.U32Param("pRows"), b.U32Param("pCols")
+	end, idx, src := b.tokenRow(pRows, pCols, pIds)
+	b.copyElem(pT, pOut, src, idx)
+	b.L(end)
+	return b.Build()
+}
+
+// tokenRow is the prologue of the embedding kernels, one thread per
+// element idx of a [rows, cols] activation (the u32 parameters pRows and
+// pCols): it loads the token id of the element's row from the u32 buffer
+// pIds and emits id*cols + col, the flat index of the table element the
+// element pairs with.
+func (b *Builder) tokenRow(pRows, pCols, pIds string) (end, idx, tableIdx string) {
 	end, idx, ext := b.guardTid(pRows, pCols)
-	cols := ext[1]
-	row, col := b.divRem(idx, cols)
+	row, col := b.divRem(idx, ext[1])
 	aid := b.elemAddrs(row, pIds)[0]
 	id := b.R(B32)
 	b.I("ld.global.u32 %s, [%s];", id, aid)
-	src := b.flatIndex(id, cols, col)
-	table := b.LoadPtr(pT)
-	out := b.LoadPtr(pOut)
-	at := b.ElemAddr(table, src, 4)
-	ao := b.ElemAddr(out, idx, 4)
-	v := b.R(F32)
-	b.I("ld.global.f32 %s, [%s];", v, at)
-	b.I("st.global.f32 [%s], %s;", ao, v)
-	b.L(end)
-	return b.Build()
+	return end, idx, b.flatIndex(id, ext[1], col)
 }

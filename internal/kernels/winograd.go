@@ -13,99 +13,61 @@ package kernels
 //	U = G g Gᵀ   (filter 3x3 -> 4x4)
 //	Y = Aᵀ (U ⊙ V) A  (output 2x2)
 
-// emitInputTransform emits V = Bᵀ d B for 16 f32 registers (row-major).
-func emitInputTransform(b *Builder, d [16]string) [16]string {
-	var t, v [16]string
-	// t = Bᵀ d : rows combine
-	for j := 0; j < 4; j++ {
-		t[0*4+j] = b.R(F32)
-		b.I("sub.f32 %s, %s, %s;", t[0*4+j], d[0*4+j], d[2*4+j])
-		t[1*4+j] = b.R(F32)
-		b.I("add.f32 %s, %s, %s;", t[1*4+j], d[1*4+j], d[2*4+j])
-		t[2*4+j] = b.R(F32)
-		b.I("sub.f32 %s, %s, %s;", t[2*4+j], d[2*4+j], d[1*4+j])
-		t[3*4+j] = b.R(F32)
-		b.I("sub.f32 %s, %s, %s;", t[3*4+j], d[1*4+j], d[3*4+j])
+// transform2D applies the 1-D transform f to every column of the
+// row-major matrix x of the given row count, then to every row of the
+// result, and returns the product row-major. Each of Winograd's
+// transforms is one such pair of passes.
+func transform2D(x []string, rows int, f func(a []string) []string) []string {
+	cols := len(x) / rows
+	var t []string
+	for j := 0; j < cols; j++ {
+		col := make([]string, rows)
+		for i := range col {
+			col[i] = x[i*cols+j]
+		}
+		fc := f(col)
+		if t == nil {
+			t = make([]string, len(fc)*cols)
+		}
+		for i, v := range fc {
+			t[i*cols+j] = v
+		}
 	}
-	// v = t B : columns combine
-	for i := 0; i < 4; i++ {
-		v[i*4+0] = b.R(F32)
-		b.I("sub.f32 %s, %s, %s;", v[i*4+0], t[i*4+0], t[i*4+2])
-		v[i*4+1] = b.R(F32)
-		b.I("add.f32 %s, %s, %s;", v[i*4+1], t[i*4+1], t[i*4+2])
-		v[i*4+2] = b.R(F32)
-		b.I("sub.f32 %s, %s, %s;", v[i*4+2], t[i*4+2], t[i*4+1])
-		v[i*4+3] = b.R(F32)
-		b.I("sub.f32 %s, %s, %s;", v[i*4+3], t[i*4+1], t[i*4+3])
+	var out []string
+	for i := 0; i < len(t); i += cols {
+		out = append(out, f(t[i:i+cols])...)
 	}
-	return v
+	return out
 }
 
-// emitFilterTransform emits U = G g Gᵀ for a 3x3 filter in registers.
-func emitFilterTransform(b *Builder, g [9]string) [16]string {
-	half := b.MovF32(0.5)
-	var t [12]string // 4x3
-	for j := 0; j < 3; j++ {
-		t[0*3+j] = g[0*3+j]
-		s1 := b.R(F32)
-		b.I("add.f32 %s, %s, %s;", s1, g[0*3+j], g[1*3+j])
-		b.I("add.f32 %s, %s, %s;", s1, s1, g[2*3+j])
-		t1 := b.R(F32)
-		b.I("mul.f32 %s, %s, %s;", t1, s1, half)
-		t[1*3+j] = t1
-		s2 := b.R(F32)
-		b.I("sub.f32 %s, %s, %s;", s2, g[0*3+j], g[1*3+j])
-		b.I("add.f32 %s, %s, %s;", s2, s2, g[2*3+j])
-		t2 := b.R(F32)
-		b.I("mul.f32 %s, %s, %s;", t2, s2, half)
-		t[2*3+j] = t2
-		t[3*3+j] = g[2*3+j]
-	}
-	var u [16]string
-	for i := 0; i < 4; i++ {
-		u[i*4+0] = t[i*3+0]
-		s1 := b.R(F32)
-		b.I("add.f32 %s, %s, %s;", s1, t[i*3+0], t[i*3+1])
-		b.I("add.f32 %s, %s, %s;", s1, s1, t[i*3+2])
-		u1 := b.R(F32)
-		b.I("mul.f32 %s, %s, %s;", u1, s1, half)
-		u[i*4+1] = u1
-		s2 := b.R(F32)
-		b.I("sub.f32 %s, %s, %s;", s2, t[i*3+0], t[i*3+1])
-		b.I("add.f32 %s, %s, %s;", s2, s2, t[i*3+2])
-		u2 := b.R(F32)
-		b.I("mul.f32 %s, %s, %s;", u2, s2, half)
-		u[i*4+2] = u2
-		u[i*4+3] = t[i*3+2]
-	}
-	return u
+// winogradB is one pass of the input transform V = Bᵀ d B:
+// (a0-a2, a1+a2, a2-a1, a1-a3).
+func (b *Builder) winogradB(a []string) []string {
+	return []string{b.f32Op("sub", a[0], a[2]), b.f32Op("add", a[1], a[2]),
+		b.f32Op("sub", a[2], a[1]), b.f32Op("sub", a[1], a[3])}
 }
 
-// emitOutputTransform emits Y = Aᵀ m A (2x2 result).
-func emitOutputTransform(b *Builder, m [16]string) [4]string {
-	var t [8]string // 2x4
-	for j := 0; j < 4; j++ {
-		t0 := b.R(F32)
-		b.I("add.f32 %s, %s, %s;", t0, m[0*4+j], m[1*4+j])
-		b.I("add.f32 %s, %s, %s;", t0, t0, m[2*4+j])
-		t[0*4+j] = t0
-		t1 := b.R(F32)
-		b.I("sub.f32 %s, %s, %s;", t1, m[1*4+j], m[2*4+j])
-		b.I("sub.f32 %s, %s, %s;", t1, t1, m[3*4+j])
-		t[1*4+j] = t1
+// winogradG returns one pass of the filter transform U = G g Gᵀ:
+// (a0, (a0+a1+a2)/2, (a0-a1+a2)/2, a2), halving by the register half.
+func (b *Builder) winogradG(half string) func(a []string) []string {
+	return func(a []string) []string {
+		halfOf := func(op string) string {
+			s := b.f32Op(op, a[0], a[1])
+			b.I("add.f32 %s, %s, %s;", s, s, a[2])
+			return b.f32Op("mul", s, half)
+		}
+		return []string{a[0], halfOf("add"), halfOf("sub"), a[2]}
 	}
-	var y [4]string
-	for i := 0; i < 2; i++ {
-		y0 := b.R(F32)
-		b.I("add.f32 %s, %s, %s;", y0, t[i*4+0], t[i*4+1])
-		b.I("add.f32 %s, %s, %s;", y0, y0, t[i*4+2])
-		y[i*2+0] = y0
-		y1 := b.R(F32)
-		b.I("sub.f32 %s, %s, %s;", y1, t[i*4+1], t[i*4+2])
-		b.I("sub.f32 %s, %s, %s;", y1, y1, t[i*4+3])
-		y[i*2+1] = y1
-	}
-	return y
+}
+
+// winogradA is one pass of the output transform Y = Aᵀ m A:
+// (a0+a1+a2, a1-a2-a3).
+func (b *Builder) winogradA(a []string) []string {
+	t0 := b.f32Op("add", a[0], a[1])
+	b.I("add.f32 %s, %s, %s;", t0, t0, a[2])
+	t1 := b.f32Op("sub", a[1], a[2])
+	b.I("sub.f32 %s, %s, %s;", t1, t1, a[3])
+	return []string{t0, t1}
 }
 
 // emitLoadBounded loads element (y, x) of the HxW plane at flat offset
@@ -113,10 +75,7 @@ func emitOutputTransform(b *Builder, m [16]string) [4]string {
 // (y, x) lies outside the plane (the address is clamped to the plane's
 // first element so the load itself stays in range).
 func emitLoadBounded(b *Builder, ptr, base, y, x, h, w, z string) string {
-	pin, ptmp := b.R(Pred), b.R(Pred)
-	b.I("setp.lt.u32 %s, %s, %s;", pin, y, h)
-	b.I("setp.lt.u32 %s, %s, %s;", ptmp, x, w)
-	b.I("and.pred %s, %s, %s;", pin, pin, ptmp)
+	pin, _ := b.inBounds(y, h, x, w)
 	si := b.flatIndex(y, w, x)
 	b.I("add.u32 %s, %s, %s;", si, si, base)
 	clamped := b.R(B32)
@@ -131,8 +90,8 @@ func emitLoadBounded(b *Builder, ptr, base, y, x, h, w, z string) string {
 
 // emitLoadPatch4 loads a 4x4 input patch at (y0, x0) of plane base
 // (bounds-checked, zeros outside) into 16 fresh f32 registers.
-func emitLoadPatch4(b *Builder, xB, base, y0, x0, h, w string) [16]string {
-	var d [16]string
+func emitLoadPatch4(b *Builder, xB, base, y0, x0, h, w string) []string {
+	d := make([]string, 16)
 	z := b.MovF32(0)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
@@ -147,8 +106,8 @@ func emitLoadPatch4(b *Builder, xB, base, y0, x0, h, w string) [16]string {
 
 // emitLoadFilter3 loads the 3x3 filter whose first element has flat index
 // fbase in wB into 9 fresh f32 registers.
-func emitLoadFilter3(b *Builder, wB, fbase string) [9]string {
-	var g [9]string
+func emitLoadFilter3(b *Builder, wB, fbase string) []string {
+	g := make([]string, 9)
 	for i := range g {
 		fi := b.R(B32)
 		b.I("add.u32 %s, %s, %d;", fi, fbase, i)
@@ -183,7 +142,7 @@ func emitTileOrigin(b *Builder, ty, tx, pad string) (y0, x0 string) {
 
 // emitStoreTransformed stores the 16 transform-domain values of work item
 // idx into the [16][count] matrix at base: element xi goes to xi*count+idx.
-func emitStoreTransformed(b *Builder, base, count, idx string, vals [16]string) {
+func emitStoreTransformed(b *Builder, base, count, idx string, vals []string) {
 	for xi, v := range vals {
 		ei := b.R(B32)
 		b.I("mad.lo.s32 %s, %s, %d, %s;", ei, count, xi, idx)
@@ -195,27 +154,63 @@ func emitStoreTransformed(b *Builder, base, count, idx string, vals [16]string) 
 // emitStoreTile2 stores the 2x2 output tile yv of tile (ty, tx) into the
 // OHxOW plane at flat offset outBase, skipping the pixels a ragged edge
 // leaves outside it. skipHint names the generated skip labels.
-func emitStoreTile2(b *Builder, yB string, yv [4]string, ty, tx, oh, ow, outBase, skipHint string) {
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			oy, oxr := b.R(B32), b.R(B32)
-			b.I("shl.b32 %s, %s, 1;", oy, ty)
-			b.I("add.u32 %s, %s, %d;", oy, oy, i)
-			b.I("shl.b32 %s, %s, 1;", oxr, tx)
-			b.I("add.u32 %s, %s, %d;", oxr, oxr, j)
-			pin, ptmp := b.R(Pred), b.R(Pred)
-			skip := b.NewLabel(skipHint)
-			b.I("setp.ge.u32 %s, %s, %s;", pin, oy, oh)
-			b.I("@%s bra %s;", pin, skip)
-			b.I("setp.ge.u32 %s, %s, %s;", ptmp, oxr, ow)
-			b.I("@%s bra %s;", ptmp, skip)
-			oi := b.flatIndex(oy, ow, oxr)
-			b.I("add.u32 %s, %s, %s;", oi, oi, outBase)
-			a := b.ElemAddr(yB, oi, 4)
-			b.I("st.global.f32 [%s], %s;", a, yv[i*2+j])
-			b.L(skip)
-		}
+func emitStoreTile2(b *Builder, yB string, yv []string, ty, tx, oh, ow, outBase, skipHint string) {
+	tilePixels(b, ty, tx, func(k int, oy, ox string) {
+		pin, ptmp := b.R(Pred), b.R(Pred)
+		skip := b.NewLabel(skipHint)
+		b.I("setp.ge.u32 %s, %s, %s;", pin, oy, oh)
+		b.I("@%s bra %s;", pin, skip)
+		b.I("setp.ge.u32 %s, %s, %s;", ptmp, ox, ow)
+		b.I("@%s bra %s;", ptmp, skip)
+		oi := b.flatIndex(oy, ow, ox)
+		b.I("add.u32 %s, %s, %s;", oi, oi, outBase)
+		a := b.ElemAddr(yB, oi, 4)
+		b.I("st.global.f32 [%s], %s;", a, yv[k])
+		b.L(skip)
+	})
+}
+
+// tilePixels calls body for the four pixels (2ty+i, 2tx+j) of 2x2 output
+// tile (ty, tx) in row-major order, k = 2i+j.
+func tilePixels(b *Builder, ty, tx string, body func(k int, oy, ox string)) {
+	for k := 0; k < 4; k++ {
+		oy, ox := b.R(B32), b.R(B32)
+		b.I("shl.b32 %s, %s, 1;", oy, ty)
+		b.I("add.u32 %s, %s, %d;", oy, oy, k/2)
+		b.I("shl.b32 %s, %s, 1;", ox, tx)
+		b.I("add.u32 %s, %s, %d;", ox, ox, k%2)
+		body(k, oy, ox)
 	}
+}
+
+// tileItem is one work item of a non-fused Winograd transform: channel
+// ch (of chans) of image n, 2x2 output tile (ty, tx); tot counts the work
+// items, idx is this thread's, end is the exit label.
+type tileItem struct{ end, idx, chans, tot, ch, n, ty, tx string }
+
+// channelTiles is the prologue of the non-fused input and output
+// transforms: one thread per (channel, image, tile) with the channel
+// outermost, the extents taken from the u32 parameters pCh, pTX, pTY and
+// pNImg, and every thread past the last item sent to the exit label.
+func channelTiles(b *Builder, pCh, pTX, pTY, pNImg string) (t tileItem) {
+	t.end = b.NewLabel("end")
+	t.idx = b.GlobalTidX()
+	t.chans = b.LoadU32(pCh)
+	tx := b.LoadU32(pTX)
+	ty := b.LoadU32(pTY)
+	nimg := b.LoadU32(pNImg)
+	tilesPerImg := b.R(B32)
+	b.I("mul.lo.u32 %s, %s, %s;", tilesPerImg, tx, ty)
+	p := b.R(B32)
+	b.I("mul.lo.u32 %s, %s, %s;", p, tilesPerImg, nimg)
+	t.tot = b.R(B32)
+	b.I("mul.lo.u32 %s, %s, %s;", t.tot, t.chans, p)
+	b.GuardEnd(t.idx, t.tot, t.end)
+	var pp, tIdx string
+	pp, t.ch = b.remDiv(t.idx, p)
+	tIdx, t.n = b.remDiv(pp, tilesPerImg)
+	t.ty, t.tx = b.divRem(tIdx, tx)
+	return t
 }
 
 // winogradFused is the single-kernel F(2x2,3x3) convolution ("Winograd" in
@@ -252,7 +247,7 @@ func winogradFused() string {
 	yB := b.LoadPtr(pY)
 
 	// accumulators
-	var acc [16]string
+	acc := make([]string, 16)
 	for i := range acc {
 		acc[i] = b.MovF32(0)
 	}
@@ -266,26 +261,23 @@ func winogradFused() string {
 
 	b.loop("WF_C", "wf_c_end", "0", c, "1", func(cc string) {
 		base := b.flatIndex(cc, hw, imgOff)
-		d := emitLoadPatch4(b, xB, base, y0, x0, h, w)
-		v := emitInputTransform(b, d)
+		v := transform2D(emitLoadPatch4(b, xB, base, y0, x0, h, w), 4, b.winogradB)
 		// load 3x3 filter w[kk, cc]
 		fbase := b.flatIndex(kk, c, cc)
 		b.I("mul.lo.u32 %s, %s, 9;", fbase, fbase)
-		u := emitFilterTransform(b, emitLoadFilter3(b, wB, fbase))
+		u := transform2D(emitLoadFilter3(b, wB, fbase), 3, b.winogradG(b.MovF32(0.5)))
 		for i := 0; i < 16; i++ {
 			b.I("fma.rn.f32 %s, %s, %s, %s;", acc[i], u[i], v[i], acc[i])
 		}
 	})
 
-	yv := emitOutputTransform(b, acc)
+	yv := transform2D(acc, 4, b.winogradA)
 	// store 2x2 with bounds
 	kohw := b.R(B32)
 	ohw := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", ohw, oh, ow)
 	b.I("mul.lo.u32 %s, %s, %s;", kohw, k, ohw)
-	outBase := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", outBase, n, kohw)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", outBase, kk, ohw, outBase)
+	outBase := b.planeBase(n, kohw, kk, ohw)
 	emitStoreTile2(b, yB, yv, ty, tx, oh, ow, outBase, "wf_skip")
 	b.L(end)
 	return b.Build()
@@ -303,7 +295,7 @@ func winogradFilterTransform() string {
 	uB := b.LoadPtr(pU)
 	fbase := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, 9;", fbase, idx)
-	u := emitFilterTransform(b, emitLoadFilter3(b, wB, fbase))
+	u := transform2D(emitLoadFilter3(b, wB, fbase), 3, b.winogradG(b.MovF32(0.5)))
 	emitStoreTransformed(b, uB, kc, idx, u)
 	b.L(end)
 	return b.Build()
@@ -318,24 +310,7 @@ func winogradInputTransform() string {
 	pC, pH, pWw := b.U32Param("pC"), b.U32Param("pH"), b.U32Param("pWidth")
 	pTX, pTY := b.U32Param("pTilesX"), b.U32Param("pTilesY")
 	pPad, pNImg := b.U32Param("pPad"), b.U32Param("pNImg")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	c := b.LoadU32(pC)
-	tx := b.LoadU32(pTX)
-	ty := b.LoadU32(pTY)
-	nimg := b.LoadU32(pNImg)
-	tilesPerImg := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", tilesPerImg, tx, ty)
-	p := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", p, tilesPerImg, nimg)
-	tot := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", tot, c, p)
-	b.GuardEnd(idx, tot, end)
-	// idx -> (cc, pp); pp -> (n, tyy, txx)
-	pp, cc := b.remDiv(idx, p)
-	tIdx, n := b.remDiv(pp, tilesPerImg)
-	tyy, txx := b.divRem(tIdx, tx)
-
+	t := channelTiles(b, pC, pTX, pTY, pNImg)
 	h := b.LoadU32(pH)
 	w := b.LoadU32(pWw)
 	pad := b.LoadU32(pPad)
@@ -344,15 +319,12 @@ func winogradInputTransform() string {
 	hw := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", hw, h, w)
 	chw := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", chw, c, hw)
-	base := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", base, n, chw)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", base, cc, hw, base)
-	y0, x0 := emitTileOrigin(b, tyy, txx, pad)
-	d := emitLoadPatch4(b, xB, base, y0, x0, h, w)
-	v := emitInputTransform(b, d)
-	emitStoreTransformed(b, vB, tot, idx, v)
-	b.L(end)
+	b.I("mul.lo.u32 %s, %s, %s;", chw, t.chans, hw)
+	base := b.planeBase(t.n, chw, t.ch, hw)
+	y0, x0 := emitTileOrigin(b, t.ty, t.tx, pad)
+	v := transform2D(emitLoadPatch4(b, xB, base, y0, x0, h, w), 4, b.winogradB)
+	emitStoreTransformed(b, vB, t.tot, t.idx, v)
+	b.L(t.end)
 	return b.Build()
 }
 
@@ -363,46 +335,27 @@ func winogradOutputTransform() string {
 	pM, pY := b.PtrParam("pM"), b.PtrParam("pY")
 	pK, pOH, pOW := b.U32Param("pK"), b.U32Param("pOH"), b.U32Param("pOW")
 	pTX, pTY, pNImg := b.U32Param("pTilesX"), b.U32Param("pTilesY"), b.U32Param("pNImg")
-	end := b.NewLabel("end")
-	idx := b.GlobalTidX()
-	k := b.LoadU32(pK)
-	tx := b.LoadU32(pTX)
-	ty := b.LoadU32(pTY)
-	nimg := b.LoadU32(pNImg)
-	tilesPerImg := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", tilesPerImg, tx, ty)
-	p := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", p, tilesPerImg, nimg)
-	tot := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", tot, k, p)
-	b.GuardEnd(idx, tot, end)
-	pp, kk := b.remDiv(idx, p)
-	tIdx, n := b.remDiv(pp, tilesPerImg)
-	tyy, txx := b.divRem(tIdx, tx)
-
+	t := channelTiles(b, pK, pTX, pTY, pNImg)
 	mB := b.LoadPtr(pM)
 	yB := b.LoadPtr(pY)
-	var m [16]string
-	for xi := 0; xi < 16; xi++ {
+	m := make([]string, 16)
+	for xi := range m {
 		mi := b.R(B32)
-		b.I("mad.lo.s32 %s, %s, %d, %s;", mi, tot, xi, idx)
+		b.I("mad.lo.s32 %s, %s, %d, %s;", mi, t.tot, xi, t.idx)
 		a := b.ElemAddr(mB, mi, 4)
-		mv := b.R(F32)
-		b.I("ld.global.f32 %s, [%s];", mv, a)
-		m[xi] = mv
+		m[xi] = b.R(F32)
+		b.I("ld.global.f32 %s, [%s];", m[xi], a)
 	}
-	yv := emitOutputTransform(b, m)
+	yv := transform2D(m, 4, b.winogradA)
 	oh := b.LoadU32(pOH)
 	ow := b.LoadU32(pOW)
 	ohw := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", ohw, oh, ow)
 	kohw := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", kohw, k, ohw)
-	outBase := b.R(B32)
-	b.I("mul.lo.u32 %s, %s, %s;", outBase, n, kohw)
-	b.I("mad.lo.s32 %s, %s, %s, %s;", outBase, kk, ohw, outBase)
-	emitStoreTile2(b, yB, yv, tyy, txx, oh, ow, outBase, "wo_skip")
-	b.L(end)
+	b.I("mul.lo.u32 %s, %s, %s;", kohw, t.chans, ohw)
+	outBase := b.planeBase(t.n, kohw, t.ch, ohw)
+	emitStoreTile2(b, yB, yv, t.ty, t.tx, oh, ow, outBase, "wo_skip")
+	b.L(t.end)
 	return b.Build()
 }
 
@@ -450,7 +403,7 @@ func winogradBwdFilter() string {
 	kohw := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, %s;", kohw, k, ohw)
 
-	var acc [16]string
+	acc := make([]string, 16)
 	for i := range acc {
 		acc[i] = b.MovF32(0)
 	}
@@ -458,57 +411,20 @@ func winogradBwdFilter() string {
 		tIdx, n := b.remDiv(pos, tilesPerImg)
 		tyy, txx := b.divRem(tIdx, tilesX)
 		// input patch of x[n, cc]
-		base := b.R(B32)
-		b.I("mul.lo.u32 %s, %s, %s;", base, n, chw)
-		b.I("mad.lo.s32 %s, %s, %s, %s;", base, cc, hw, base)
+		base := b.planeBase(n, chw, cc, hw)
 		y0, x0 := emitTileOrigin(b, tyy, txx, pad)
-		d := emitLoadPatch4(b, xB, base, y0, x0, h, w)
-		v := emitInputTransform(b, d)
+		v := transform2D(emitLoadPatch4(b, xB, base, y0, x0, h, w), 4, b.winogradB)
 		// dy 2x2 tile of dy[n, kk] (zeros outside)
-		dyBase := b.R(B32)
-		b.I("mul.lo.u32 %s, %s, %s;", dyBase, n, kohw)
-		b.I("mad.lo.s32 %s, %s, %s, %s;", dyBase, kk, ohw, dyBase)
-		var dyv [4]string
+		dyBase := b.planeBase(n, kohw, kk, ohw)
+		dyv := make([]string, 4)
 		z := b.MovF32(0)
-		for i := 0; i < 2; i++ {
-			for j := 0; j < 2; j++ {
-				oy, oxr := b.R(B32), b.R(B32)
-				b.I("shl.b32 %s, %s, 1;", oy, tyy)
-				b.I("add.u32 %s, %s, %d;", oy, oy, i)
-				b.I("shl.b32 %s, %s, 1;", oxr, txx)
-				b.I("add.u32 %s, %s, %d;", oxr, oxr, j)
-				dyv[i*2+j] = emitLoadBounded(b, dyB, dyBase, oy, oxr, oh, ow, z)
-			}
-		}
+		tilePixels(b, tyy, txx, func(k int, oy, ox string) {
+			dyv[k] = emitLoadBounded(b, dyB, dyBase, oy, ox, oh, ow, z)
+		})
 		// Mdy = A dy Aᵀ where A (4x2) = [[1,0],[1,1],[1,-1],[0,-1]]
-		var trows [8]string // 4x2: A*dy
-		for j := 0; j < 2; j++ {
-			t0 := dyv[0*2+j]
-			t1 := b.R(F32)
-			b.I("add.f32 %s, %s, %s;", t1, dyv[0*2+j], dyv[1*2+j])
-			t2 := b.R(F32)
-			b.I("sub.f32 %s, %s, %s;", t2, dyv[0*2+j], dyv[1*2+j])
-			t3 := b.R(F32)
-			b.I("neg.f32 %s, %s;", t3, dyv[1*2+j])
-			trows[0*2+j] = t0
-			trows[1*2+j] = t1
-			trows[2*2+j] = t2
-			trows[3*2+j] = t3
-		}
-		var mdy [16]string
-		for i := 0; i < 4; i++ {
-			m0 := trows[i*2+0]
-			m1 := b.R(F32)
-			b.I("add.f32 %s, %s, %s;", m1, trows[i*2+0], trows[i*2+1])
-			m2 := b.R(F32)
-			b.I("sub.f32 %s, %s, %s;", m2, trows[i*2+0], trows[i*2+1])
-			m3 := b.R(F32)
-			b.I("neg.f32 %s, %s;", m3, trows[i*2+1])
-			mdy[i*4+0] = m0
-			mdy[i*4+1] = m1
-			mdy[i*4+2] = m2
-			mdy[i*4+3] = m3
-		}
+		mdy := transform2D(dyv, 2, func(a []string) []string {
+			return []string{a[0], b.f32Op("add", a[0], a[1]), b.f32Op("sub", a[0], a[1]), b.f32Op("neg", a[1])}
+		})
 		for i := 0; i < 16; i++ {
 			b.I("fma.rn.f32 %s, %s, %s, %s;", acc[i], v[i], mdy[i], acc[i])
 		}
@@ -559,49 +475,22 @@ func winogradBwdFilter() string {
 	done := b.NewLabel("wbf_done")
 	b.I("setp.ne.u32 %s, %s, 0;", p0, tid)
 	b.I("@%s bra %s;", p0, done)
-	var s [16]string
-	for i := 0; i < 16; i++ {
+	s := make([]string, 16)
+	for i := range s {
 		a := b.R(B32)
 		b.I("add.u32 %s, %s, %d;", a, sbase, i*64*4)
-		sv := b.R(F32)
-		b.I("ld.shared.f32 %s, [%s];", sv, a)
-		s[i] = sv
+		s[i] = b.R(F32)
+		b.I("ld.shared.f32 %s, [%s];", s[i], a)
 	}
-	// t = Gᵀ s : 3x4, Gᵀ = [[1,.5,.5,0],[0,.5,-.5,0],[0,.5,.5,1]]
+	// dw = Gᵀ s G, Gᵀ = [[1,.5,.5,0],[0,.5,-.5,0],[0,.5,.5,1]]
 	half := b.MovF32(0.5)
-	var tg [12]string
-	for j := 0; j < 4; j++ {
-		sum12 := b.R(F32)
-		b.I("add.f32 %s, %s, %s;", sum12, s[1*4+j], s[2*4+j])
+	dwv := transform2D(s, 4, func(a []string) []string {
+		sum12 := b.f32Op("add", a[1], a[2])
 		b.I("mul.f32 %s, %s, %s;", sum12, sum12, half)
-		dif12 := b.R(F32)
-		b.I("sub.f32 %s, %s, %s;", dif12, s[1*4+j], s[2*4+j])
+		dif12 := b.f32Op("sub", a[1], a[2])
 		b.I("mul.f32 %s, %s, %s;", dif12, dif12, half)
-		t0 := b.R(F32)
-		b.I("add.f32 %s, %s, %s;", t0, s[0*4+j], sum12)
-		t2 := b.R(F32)
-		b.I("add.f32 %s, %s, %s;", t2, s[3*4+j], sum12)
-		tg[0*4+j] = t0
-		tg[1*4+j] = dif12
-		tg[2*4+j] = t2
-	}
-	// dw = t G : 3x3
-	var dwv [9]string
-	for i := 0; i < 3; i++ {
-		sum12 := b.R(F32)
-		b.I("add.f32 %s, %s, %s;", sum12, tg[i*4+1], tg[i*4+2])
-		b.I("mul.f32 %s, %s, %s;", sum12, sum12, half)
-		dif12 := b.R(F32)
-		b.I("sub.f32 %s, %s, %s;", dif12, tg[i*4+1], tg[i*4+2])
-		b.I("mul.f32 %s, %s, %s;", dif12, dif12, half)
-		d0 := b.R(F32)
-		b.I("add.f32 %s, %s, %s;", d0, tg[i*4+0], sum12)
-		d2 := b.R(F32)
-		b.I("add.f32 %s, %s, %s;", d2, tg[i*4+3], sum12)
-		dwv[i*3+0] = d0
-		dwv[i*3+1] = dif12
-		dwv[i*3+2] = d2
-	}
+		return []string{b.f32Op("add", a[0], sum12), dif12, b.f32Op("add", a[3], sum12)}
+	})
 	outBase := b.R(B32)
 	b.I("mul.lo.u32 %s, %s, 9;", outBase, fid)
 	for i := 0; i < 9; i++ {
