@@ -270,6 +270,45 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPrintLabelsInNameOrder prints a kernel with two labels at one PC
+// twenty times: the text must be the same every time, its labels at that
+// PC in name order (the fuzzer's re-parse check and TestRoundTrip compare
+// printed text).
+func TestPrintLabelsInNameOrder(t *testing.T) {
+	const src = `.version 6.0
+.target sm_61
+.address_size 64
+
+.visible .entry twolabels(
+	.param .u64 p
+)
+{
+	.reg .pred %p1;
+	.reg .u32 %r<2>;
+	mov.u32 %r1, %tid.x;
+	setp.eq.u32 %p1, %r1, 0;
+	@%p1 bra TAIL;
+LOOP:
+TAIL:
+	add.u32 %r1, %r1, 1;
+	ret;
+}
+`
+	m, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := Print(m)
+	if !strings.Contains(first, "LOOP:\nTAIL:\n") {
+		t.Fatalf("labels at one PC not in name order:\n%s", first)
+	}
+	for i := 1; i < 20; i++ {
+		if got := Print(m); got != first {
+			t.Fatalf("print %d differs from the first:\n%s\nfirst:\n%s", i, got, first)
+		}
+	}
+}
+
 func TestCFGDiamond(t *testing.T) {
 	src := `
 .version 6.0

@@ -2,6 +2,7 @@ package ptx
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -65,10 +66,14 @@ func printKernel(b *strings.Builder, k *Kernel) {
 	}
 	b.WriteString("\n")
 
-	// invert labels: pc -> names
+	// invert labels: pc -> names, in name order so the text is the same
+	// on every call
 	labelAt := map[int][]string{}
 	for name, pc := range k.Labels {
 		labelAt[pc] = append(labelAt[pc], name)
+	}
+	for _, names := range labelAt {
+		slices.Sort(names)
 	}
 	for pc := range k.Instrs {
 		for _, l := range labelAt[pc] {
