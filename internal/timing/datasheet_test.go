@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/cudart"
 	"repro/internal/exec"
 	"repro/internal/kernels"
@@ -104,15 +105,7 @@ func TestPointerChaseLatencies(t *testing.T) {
 		{"L2 hit GTX1050", timing.GTX1050(), 128 << 10, l2Hit},
 		{"L2 hit GTX1080Ti", timing.GTX1080Ti(), 1 << 20, l2Hit},
 	} {
-		t.Run(c.name, func(t *testing.T) {
-			nodes := c.ws / stride
-			lap := chase(t, c.cfg, c.ws, stride, false, 2).Cycles - chase(t, c.cfg, c.ws, stride, false, 1).Cycles
-			got, want := float64(lap)/float64(nodes), c.want(c.cfg)
-			t.Logf("%d KiB: %.2f cycles/load, formula %d", c.ws>>10, got, want)
-			if got != float64(want) {
-				t.Errorf("%.2f cycles per load, want %d", got, want)
-			}
-		})
+		t.Run(c.name, func(t *testing.T) { secondLap(t, c.cfg, c.ws, stride, c.want(c.cfg)) })
 	}
 
 	// Past the L2 (4 MiB against the GTX 1050's 1 MiB), in random order:
@@ -138,6 +131,64 @@ func TestPointerChaseLatencies(t *testing.T) {
 			t.Errorf("second lap %d cycles, want %d", lap, want)
 		}
 	})
+}
+
+// TestPointerChaseCapacities reads the cache capacities back out of the
+// model (ROADMAP 23(a)): a sequential chase of exactly a cache's capacity
+// still hits it on the second lap, and one more line per set (LRU, so
+// every set then cycles through one line more than its ways) makes every
+// second-lap load miss it.
+func TestPointerChaseCapacities(t *testing.T) {
+	// perSet is the bytes of one more line in every set of c.
+	perSet := func(c cache.Config) int { return c.SizeBytes / c.Assoc }
+	for _, p := range []struct {
+		name string
+		cfg  timing.Config
+	}{{"GTX1050", timing.GTX1050()}, {"GTX1080Ti", timing.GTX1080Ti()}} {
+		l1, stride := p.cfg.L1, p.cfg.L1.LineBytes
+		for _, c := range []struct {
+			name string
+			ws   int
+			want func(cfg timing.Config) int
+		}{
+			{"L1 capacity", l1.SizeBytes, l1Hit},
+			{"L1 capacity + a line per set", l1.SizeBytes + perSet(l1), l2Hit},
+		} {
+			t.Run(c.name+" "+p.name, func(t *testing.T) { secondLap(t, p.cfg, c.ws, stride, c.want(p.cfg)) })
+		}
+	}
+
+	// The L2 is NumPartitions slices interleaved by line. On the GTX 1050
+	// a chase of its full capacity does not hit (ROADMAP 19(c)), so only
+	// the GTX 1080 Ti has these rows.
+	cfg := timing.GTX1080Ti()
+	l2, stride := cfg.L2, cfg.L2.LineBytes
+	t.Run("L2 capacity GTX1080Ti", func(t *testing.T) {
+		secondLap(t, cfg, cfg.NumPartitions*l2.SizeBytes, stride, l2Hit(cfg))
+	})
+	t.Run("L2 capacity + a line per set GTX1080Ti", func(t *testing.T) {
+		ws := cfg.NumPartitions * (l2.SizeBytes + perSet(l2))
+		nodes := uint64(ws / stride)
+		one, two := chase(t, cfg, ws, stride, false, 1), chase(t, cfg, ws, stride, false, 2)
+		got := two.DRAMAccesses - one.DRAMAccesses
+		t.Logf("%d KiB: %d DRAM accesses in the second lap of %d loads", ws>>10, got, nodes)
+		if got != nodes {
+			t.Errorf("second lap: %d DRAM accesses, want one per load (%d)", got, nodes)
+		}
+	})
+}
+
+// secondLap checks that the second lap of a sequential chase of ws bytes
+// costs exactly want cycles per load: the difference between a two-lap
+// and a one-lap run, after the first lap has warmed the caches.
+func secondLap(t *testing.T, cfg timing.Config, ws, stride, want int) {
+	t.Helper()
+	lap := chase(t, cfg, ws, stride, false, 2).Cycles - chase(t, cfg, ws, stride, false, 1).Cycles
+	got := float64(lap) / float64(ws/stride)
+	t.Logf("%d KiB: %.2f cycles/load, formula %d", ws>>10, got, want)
+	if got != float64(want) {
+		t.Errorf("%.2f cycles per load, want %d", got, want)
+	}
 }
 
 func l1Hit(cfg timing.Config) int { return cfg.L1HitLat }
