@@ -28,10 +28,11 @@ var allowReasons = []string{"test oracle", "CUDA-runtime parity", "used by bench
 // the standard library from source, so nothing is downloaded) and fails on
 // two kinds of dead code under internal/:
 //
-//   - (A) an exported func, method, type, const or var declared in a
-//     non-test file that no non-test file of the root module or bench/
-//     uses. A method that satisfies an interface is used, and so is a
-//     member of a const block another member of which is used.
+//   - (A) an exported func, method, type, const or var, or an unexported
+//     package-level func or method, declared in a non-test file that no
+//     non-test file of the root module or bench/ uses. A method that
+//     satisfies an interface is used, and so is a member of a const block
+//     another member of which is used.
 //   - (B) a struct field declared in a non-test file that no file reads,
 //     tests and bench/ included. Assignment, op-assignment, ++/--, a
 //     composite-literal key, and index-assignment or delete through the
@@ -432,6 +433,10 @@ func (l *deadLoader) unusedExports() []deadFinding {
 
 	var out []deadFinding
 	report := func(p *deadPkg, obj types.Object, name, kind string) {
+		vis := "unexported"
+		if obj.Exported() {
+			vis = "exported"
+		}
 		if used[obj.Pos()] {
 			return
 		}
@@ -441,7 +446,7 @@ func (l *deadLoader) unusedExports() []deadFinding {
 			}
 		}
 		name = strings.TrimPrefix(p.dir, "internal/") + "." + name
-		msg := fmt.Sprintf("(A) %s %s is exported and no non-test file of the root module or bench/ uses it", kind, name)
+		msg := fmt.Sprintf("(A) %s %s is %s and no non-test file of the root module or bench/ uses it", kind, name, vis)
 		if pos, ok := testUse[obj.Pos()]; ok {
 			msg += " (only tests do, first at " + l.where(pos) + ")"
 		}
@@ -451,7 +456,7 @@ func (l *deadLoader) unusedExports() []deadFinding {
 		scope := l.prod[p.path].Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if obj.Exported() {
+			if _, fn := obj.(*types.Func); obj.Exported() || fn {
 				report(p, obj, name, strings.ToLower(strings.TrimPrefix(fmt.Sprintf("%T", obj), "*types.")))
 			}
 			tn, ok := obj.(*types.TypeName)
@@ -461,7 +466,7 @@ func (l *deadLoader) unusedExports() []deadFinding {
 			named := tn.Type().(*types.Named)
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
-				if m.Exported() && !satisfies(m) {
+				if !satisfies(m) {
 					report(p, m, name+"."+m.Name(), "method")
 				}
 			}
