@@ -11,10 +11,8 @@ import (
 // benchDrainDepth builds the queue-depth workload — a transformer-batch-
 // shaped mix of small same-stream kernels with interleaved copies, so
 // the active set stays tiny while the queue is deep — and times one
-// drain of it per iteration with the given drain function. Both twins
-// below share it so their sim_cycles (and therefore ns_per_sim_cycle
-// denominators) are directly comparable.
-func benchDrainDepth(b *testing.B, depth int, drain func(*Engine) error) {
+// drain of it per iteration.
+func benchDrainDepth(b *testing.B, depth int) {
 	b.Helper()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
@@ -49,7 +47,7 @@ func benchDrainDepth(b *testing.B, depth int, drain func(*Engine) error) {
 				b.Fatal(err)
 			}
 		}
-		if err := drain(eng); err != nil {
+		if err := eng.Drain(); err != nil {
 			b.Fatal(err)
 		}
 		cycles = eng.Cycle()
@@ -67,25 +65,14 @@ var drainDepths = []int{1, 16, 256, 1024}
 // Before the active-set scheduler the drain loop rescanned every queued
 // ticket each cycle, so ns_per_sim_cycle grew with depth; with the
 // first-unfinished cursor + active-copy list it stays roughly flat from
-// 16 to 1024 queued tickets (compare the Legacy twin below). Simulated
-// cycle counts are identical across both loops at every depth — that
-// contract is pinned by TestDrainEquivalence and the golden stats.
+// 16 to 1024 queued tickets; CHANGES.md records that loop against the
+// full-scan one at 2.5x the cost at depth 1024. Simulated cycle counts are
+// identical across both loops at every depth — that contract is pinned
+// by TestDrainEquivalence and the golden stats.
 func BenchmarkDrainQueueDepth(b *testing.B) {
 	for _, depth := range drainDepths {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			benchDrainDepth(b, depth, func(e *Engine) error { return e.Drain() })
-		})
-	}
-}
-
-// BenchmarkDrainQueueDepthLegacy drains the same workload with the
-// pre-rewrite full-scan loop kept as the reference implementation in
-// equivalence_test.go, demonstrating the asymptotic win: its per-cycle
-// cost grows linearly with queue depth.
-func BenchmarkDrainQueueDepthLegacy(b *testing.B) {
-	for _, depth := range drainDepths {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			benchDrainDepth(b, depth, func(e *Engine) error { return e.drainLegacyForTest(1, nil) })
+			benchDrainDepth(b, depth)
 		})
 	}
 }
