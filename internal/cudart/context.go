@@ -349,15 +349,16 @@ func (c *Context) Memset(dst uint64, b byte, n int) {
 	c.Mem.Fill(dst, b, n)
 }
 
-// MemcpyF32HtoD writes a []float32 to the device, encoding straight
-// into device memory. It is device-synchronizing like MemcpyHtoD.
+// MemcpyF32HtoD writes a []float32 to the device: MemcpyHtoD of the
+// bytes of src, without a copy of them on a little-endian host. It is
+// device-synchronizing like MemcpyHtoD.
 func (c *Context) MemcpyF32HtoD(dst uint64, src []float32) {
 	_ = c.drainPending()
 	c.Mem.WriteF32(dst, src)
 }
 
-// MemcpyF32DtoH reads n float32 values from the device, decoding
-// straight out of device memory; the result is the only allocation. It
+// MemcpyF32DtoH reads n float32 values from the device: MemcpyDtoH into
+// the bytes of the result, which is the only allocation. It
 // drains queued async work first, like MemcpyDtoH. n <= 0 is an empty
 // transfer, as a 0-byte cudaMemcpy is, and returns an empty slice.
 func (c *Context) MemcpyF32DtoH(src uint64, n int) []float32 {

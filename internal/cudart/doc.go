@@ -35,11 +35,17 @@
 //     style: an implicit drain stores it and `Context.stickyError` returns
 //     it once (`TestStickyAsyncError`).
 //   - MemcpyHtoDAsync on a queued stream stages a copy of the host bytes,
-//     as cudaMemcpyAsync from pageable memory must. The typed transfers
-//     (`Context.MemcpyF32HtoD`, `Context.MemcpyF32DtoH`, `Context.Memset`)
-//     write and read device pages in place, leaving the image and
-//     resident pages a byte copy would, and allocate nothing into
-//     resident pages but MemcpyF32DtoH's result (`TestTypedCopyAllocs`).
+//     as cudaMemcpyAsync from pageable memory must. The float32
+//     transfers (`Context.MemcpyF32HtoD`, `Context.MemcpyF32DtoH`) are
+//     views of the byte path: `device.Memory.Write` and
+//     `device.Memory.Read` of the float slice's own bytes. Those bytes
+//     are device order because device memory is little-endian and so is
+//     every host the module is built for (amd64, arm64); a big-endian
+//     host would encode through a scratch buffer onto the same byte
+//     path. They and `Context.Memset`
+//     leave the image and resident pages a byte copy would, and allocate
+//     nothing into resident pages but MemcpyF32DtoH's result
+//     (`TestTypedCopyAllocs`).
 //   - The launch log interns its records: a table holds each distinct
 //     `KernelStats` once, its LaunchID zeroed, and each launch adds one
 //     pointer-free 16-byte entry naming its launch id and its record.

@@ -9,10 +9,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Address-space windows for generic addressing. A generic 64-bit address
@@ -209,49 +209,40 @@ func (m *Memory) Write(addr uint64, buf []byte) {
 	}
 }
 
-// WriteF32 stores vals as little-endian float32 starting at addr,
-// encoding straight into the pages: the same bytes, and the same pages
-// made resident, as Write of the encoded buffer. A value that straddles
-// a page edge (addr%4 != 0) takes the byte path.
+// WriteF32 stores vals as little-endian float32 starting at addr: Write
+// of the bytes of vals, so the image and the pages made resident are the
+// byte path's.
 func (m *Memory) WriteF32(addr uint64, vals []float32) {
-	for len(vals) > 0 {
-		off := int(addr & (PageSize - 1))
-		n := min((PageSize-off)/4, len(vals))
-		if n == 0 {
-			m.Store(addr, uint64(math.Float32bits(vals[0])), 4)
-			vals, addr = vals[1:], addr+4
-			continue
-		}
-		p := m.Touch(addr >> PageBits)[off:]
-		for i, v := range vals[:n] {
-			binary.LittleEndian.PutUint32(p[4*i:], math.Float32bits(v))
-		}
-		vals, addr = vals[n:], addr+uint64(4*n)
+	b := f32View(vals)
+	if !littleEndianHost {
+		b, _ = binary.Append(nil, binary.LittleEndian, vals)
 	}
+	m.Write(addr, b)
 }
 
-// ReadF32 loads len(out) little-endian float32 values starting at addr,
-// decoding straight out of the pages. Like Read, unwritten memory reads
-// as zero and stays non-resident.
+// ReadF32 loads len(out) little-endian float32 values starting at addr:
+// Read into the bytes of out. Like Read, unwritten memory reads as zero
+// and stays non-resident.
 func (m *Memory) ReadF32(addr uint64, out []float32) {
-	for len(out) > 0 {
-		off := int(addr & (PageSize - 1))
-		n := min((PageSize-off)/4, len(out))
-		if n == 0 {
-			out[0] = math.Float32frombits(uint32(m.Load(addr, 4)))
-			out, addr = out[1:], addr+4
-			continue
-		}
-		if p := m.Page(addr >> PageBits); p != nil {
-			b := p[off:]
-			for i := range out[:n] {
-				out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-			}
-		} else {
-			clear(out[:n])
-		}
-		out, addr = out[n:], addr+uint64(4*n)
+	if littleEndianHost {
+		m.Read(addr, f32View(out))
+		return
 	}
+	b := make([]byte, 4*len(out))
+	m.Read(addr, b)
+	binary.Decode(b, binary.LittleEndian, out)
+}
+
+// littleEndianHost is true where a float32's bytes in host memory are
+// already in device order (amd64, arm64 and every other little-endian
+// GOARCH): the typed transfers then move the float slice's own bytes. A
+// big-endian host encodes through a scratch buffer onto the same Write
+// and Read.
+var littleEndianHost = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// f32View is the bytes of vals in host order, without a copy.
+func f32View(vals []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), 4*len(vals))
 }
 
 // Fill sets the n bytes starting at addr to b in place, faulting in the

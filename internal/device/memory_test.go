@@ -182,4 +182,43 @@ func BenchmarkMemoryLoadStore(b *testing.B) {
 	})
 }
 
+// BenchmarkTypedTransfers prices the typed host transfers against the
+// byte path they are views of: 16 MiB of float32 written into fresh and
+// into resident pages, read back, and written as bytes.
+func BenchmarkTypedTransfers(b *testing.B) {
+	const size = 16 << 20
+	vals := make([]float32, size/4)
+	for i := range vals {
+		vals[i] = float32(i) / 3
+	}
+	raw, _ := binary.Append(nil, binary.LittleEndian, vals)
+	resident := NewMemory()
+	resident.Write(GlobalBase, raw)
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"WriteF32 fresh", func() { NewMemory().WriteF32(GlobalBase, vals) }},
+		{"WriteF32 resident", func() { resident.WriteF32(GlobalBase, vals) }},
+		{"ReadF32", func() { resident.ReadF32(GlobalBase, vals) }},
+		{"Write resident", func() { resident.Write(GlobalBase, raw) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(size)
+			for i := 0; i < b.N; i++ {
+				c.f()
+			}
+		})
+	}
+}
+
+// TestTypedTransfersEncoded runs TestTypedTransfers through the branch a
+// big-endian host takes, which encodes into a scratch buffer instead of
+// viewing the float slice's bytes.
+func TestTypedTransfersEncoded(t *testing.T) {
+	defer func(host bool) { littleEndianHost = host }(littleEndianHost)
+	littleEndianHost = false
+	TestTypedTransfers(t)
+}
+
 var sink uint64

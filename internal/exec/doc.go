@@ -125,6 +125,11 @@
 //     benchmark workload reaches is more than a thousand times below it.
 //   - `Machine.ObserveGrid` is RunGrid with a callback after every step,
 //     the one loop the hardware oracle's Runner form counts through.
+//   - RunGrid runs blocks in block order. A test-only seam
+//     (export_test.go's `SetCTAOrder`) runs them reversed or in a seeded
+//     permutation, CaptureGrid included; a launch whose final image moves
+//     with the order — float atomics, a cross-CTA race — is reported,
+//     and the library's residual add is not (`TestCTAOrderDependence`).
 //   - A texture name maps to the cudaArray bound to it and nothing else:
 //     f32 texels, point-sampled, clamp-to-edge (`TestTextureFetch`,
 //     `device.TestCudaArrayClamp`).

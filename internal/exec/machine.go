@@ -48,6 +48,10 @@ type Machine struct {
 	observed StepInfo
 
 	warpCeiling int64 // maxWarpInstrs; tests lower it (export_test.go)
+	// ctaOrder, when set, is the order RunGrid visits a launch's n blocks
+	// in, a permutation of 0..n-1; nil (block order) outside the tests
+	// that set it (export_test.go).
+	ctaOrder func(n int) []int
 
 	// free holds the storage of the last CTA RunGrid ran, for the next
 	// one: at most one CTA's worth.

@@ -297,15 +297,26 @@ func (m *Machine) ObserveGrid(g *Grid, observe func(*StepInfo)) error {
 	return m.RunGrid(g)
 }
 
-// RunGrid functionally executes an entire launch, CTA by CTA. This is the
-// paper's fast Functional simulation mode. Every block runs in one CTA's
-// storage, which the machine keeps for its next launch.
+// RunGrid functionally executes an entire launch, CTA by CTA in block
+// order. This is the paper's fast Functional simulation mode. Every block
+// runs in one CTA's storage, which the machine keeps for its next launch:
+// the first block through InitCTA, the rest through Reset.
 func (m *Machine) RunGrid(g *Grid) error {
-	cta := g.InitCTA(0, &m.free)
+	var order []int
+	if m.ctaOrder != nil {
+		order = m.ctaOrder(g.NumCTAs())
+	}
+	block := func(k int) int {
+		if order == nil {
+			return k
+		}
+		return order[k]
+	}
+	cta := g.InitCTA(block(0), &m.free)
 	defer m.free.Put(cta)
-	for i := 0; i < g.NumCTAs(); i++ {
-		if i > 0 {
-			cta.Reset(i)
+	for k := 0; k < g.NumCTAs(); k++ {
+		if k > 0 {
+			cta.Reset(block(k))
 		}
 		if err := m.RunCTA(cta, math.MaxInt64); err != nil {
 			return err

@@ -24,8 +24,12 @@
 //     (`nvlink.Fabric`: directed-link busy horizons that only advance, a
 //     transfer starting at max(ready, horizon)), then
 //     `timing.Engine.AdvanceTo` fast-forwards every engine to the
-//     collective's end. AdvanceTo refuses a non-empty queue, so engines
-//     are drained first. Every run ends on the same rendezvous, so the
+//     collective's end. AdvanceTo refuses a non-empty queue, so a
+//     collective first synchronises every rank's device, queued stream
+//     work included, and returns the first error in rank order; it then
+//     reads memory and clocks that work has already written
+//     (`TestCollectivesSynchroniseRanks`). Every run ends on the same
+//     rendezvous, so the
 //     per-device cycle counts are equal at the end by construction.
 //   - -j1 and -jN are byte-identical across devices: modelled cycles,
 //     per-device stats, replay counters, final weight bytes and output

@@ -3,7 +3,12 @@ package multigpu
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
+
+	"repro/internal/cudart"
+	"repro/internal/exec"
+	"repro/internal/torch"
 )
 
 // TestDPTrainWorkerDeterminism is the cross-device extension of the
@@ -155,5 +160,60 @@ func TestNodeValidation(t *testing.T) {
 	}
 	if _, err := RunTPInfer(Config{Devices: 3, Workers: 1}, 1, 4); err == nil {
 		t.Fatal("RunTPInfer accepted world 3 for a 4-head model")
+	}
+}
+
+// TestCollectivesSynchroniseRanks queues a kernel on a non-default stream
+// of rank 1 and calls each collective with no sync: the collective must
+// drain every rank first, so that it reduces or gathers that kernel's
+// output rather than the memory the kernel has not written yet.
+func TestCollectivesSynchroniseRanks(t *testing.T) {
+	n, err := NewNode(Config{Devices: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	vals := [][]float32{{1, 2, 3, 4}, {10, 20, 30, 40}}
+	// upload puts vals on every rank and queues, on rank 1, a residual_add
+	// that doubles its tensor in place
+	upload := func(shape ...int) []*torch.Tensor {
+		ts := make([]*torch.Tensor, 2)
+		for r, dev := range n.Devs {
+			if ts[r], err = dev.FromHost(vals[r], shape...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctx, p := n.Devs[1].Ctx, ts[1].Ptr
+		params := cudart.NewParams().Ptr(p).Ptr(p).Ptr(p).U32(4)
+		if _, err := ctx.LaunchOnStream(ctx.StreamCreate(), "residual_add", exec.Dim3{X: 1}, exec.Dim3{X: 32}, params, 0); err != nil {
+			t.Fatal(err)
+		}
+		return ts
+	}
+
+	ts := upload(4)
+	if err := n.AllReduce([][]*torch.Tensor{{ts[0]}, {ts[1]}}); err != nil {
+		t.Fatal(err)
+	}
+	for r, tt := range ts {
+		if got, want := tt.ToHost(), []float32{21, 42, 63, 84}; !slices.Equal(got, want) {
+			t.Errorf("AllReduce: rank %d holds %v, want %v (rank 1's queued kernel summed)", r, got, want)
+		}
+	}
+
+	shards := upload(2, 2)
+	dsts := make([]*torch.Tensor, 2)
+	for r, dev := range n.Devs {
+		if dsts[r], err = dev.NewTensor(2, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.AllGatherCols(shards, dsts); err != nil {
+		t.Fatal(err)
+	}
+	for r, tt := range dsts {
+		if got, want := tt.ToHost(), []float32{1, 2, 20, 40, 3, 4, 60, 80}; !slices.Equal(got, want) {
+			t.Errorf("AllGatherCols: rank %d holds %v, want %v (rank 1's queued kernel gathered)", r, got, want)
+		}
 	}
 }

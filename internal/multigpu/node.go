@@ -126,13 +126,19 @@ func (n *Node) advanceAll(cycle uint64) error {
 	return nil
 }
 
-// readyCycles snapshots every engine's clock (collective readiness).
-func (n *Node) readyCycles() []uint64 {
+// readyCycles synchronises every rank, so that a collective reads memory
+// and clocks with all queued work retired, then snapshots every engine's
+// clock (collective readiness). The first error in rank order is
+// returned.
+func (n *Node) readyCycles() ([]uint64, error) {
+	if err := n.Parallel(func(r int) error { return n.Devs[r].Ctx.DeviceSynchronize() }); err != nil {
+		return nil, err
+	}
 	ready := make([]uint64, len(n.Sessions))
 	for i, s := range n.Sessions {
 		ready[i] = s.Eng.Cycle()
 	}
-	return ready
+	return ready, nil
 }
 
 // AllReduce sums the per-rank tensor lists element-wise — in rank
@@ -149,7 +155,11 @@ func (n *Node) AllReduce(tensors [][]*torch.Tensor) error {
 	for _, t := range tensors[0] {
 		total += 4 * t.Count()
 	}
-	end := n.Fabric.RingAllReduce(total, n.readyCycles())
+	ready, err := n.readyCycles()
+	if err != nil {
+		return err
+	}
+	end := n.Fabric.RingAllReduce(total, ready)
 	for p := range tensors[0] {
 		sum := readF32(n.Devs[0], tensors[0][p])
 		for r := 1; r < world; r++ {
@@ -180,7 +190,11 @@ func (n *Node) AllGatherCols(shards, dsts []*torch.Tensor) error {
 		return fmt.Errorf("multigpu: AllGatherCols got %d/%d ranks, node has %d", len(shards), len(dsts), world)
 	}
 	rows, cols := shards[0].Dim(0), shards[0].Dim(1)
-	end := n.Fabric.RingAllGather(4*rows*cols, n.readyCycles())
+	ready, err := n.readyCycles()
+	if err != nil {
+		return err
+	}
+	end := n.Fabric.RingAllGather(4*rows*cols, ready)
 	parts := make([][]byte, world)
 	for r := 0; r < world; r++ {
 		if shards[r].Dim(0) != rows || shards[r].Dim(1) != cols {

@@ -133,14 +133,16 @@ func TestPointerChaseLatencies(t *testing.T) {
 	})
 }
 
+// perSet is the bytes of one more line in every set of c: also the
+// stride at which lines share one set.
+func perSet(c cache.Config) int { return c.SizeBytes / c.Assoc }
+
 // TestPointerChaseCapacities reads the cache capacities back out of the
 // model (ROADMAP 23(a)): a sequential chase of exactly a cache's capacity
 // still hits it on the second lap, and one more line per set (LRU, so
 // every set then cycles through one line more than its ways) makes every
 // second-lap load miss it.
 func TestPointerChaseCapacities(t *testing.T) {
-	// perSet is the bytes of one more line in every set of c.
-	perSet := func(c cache.Config) int { return c.SizeBytes / c.Assoc }
 	for _, p := range []struct {
 		name string
 		cfg  timing.Config
@@ -176,6 +178,23 @@ func TestPointerChaseCapacities(t *testing.T) {
 			t.Errorf("second lap: %d DRAM accesses, want one per load (%d)", got, nodes)
 		}
 	})
+}
+
+// TestPointerChaseAssociativity reads the L1's associativity back out of
+// the model (ROADMAP 23(a)): a chase of L1.Assoc lines that all fall in
+// one set (a stride of L1.SizeBytes/L1.Assoc) hits the L1 on the second
+// lap, and one more line in that set makes every second-lap load an L2
+// hit.
+func TestPointerChaseAssociativity(t *testing.T) {
+	for _, p := range []struct {
+		name string
+		cfg  timing.Config
+	}{{"GTX1050", timing.GTX1050()}, {"GTX1080Ti", timing.GTX1080Ti()}} {
+		l1 := p.cfg.L1
+		stride := perSet(l1)
+		t.Run("L1 ways "+p.name, func(t *testing.T) { secondLap(t, p.cfg, l1.Assoc*stride, stride, l1Hit(p.cfg)) })
+		t.Run("L1 ways + a line "+p.name, func(t *testing.T) { secondLap(t, p.cfg, (l1.Assoc+1)*stride, stride, l2Hit(p.cfg)) })
+	}
 }
 
 // secondLap checks that the second lap of a sequential chase of ws bytes
