@@ -3,6 +3,7 @@ package torch_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -12,7 +13,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cudart"
+	"repro/internal/cudnn"
 	"repro/internal/golden"
 	"repro/internal/torch"
 )
@@ -203,10 +206,123 @@ func TestLaunchChainPinned(t *testing.T) {
 		traces[fmt.Sprintf("tp2_rank%d", r)] = s.Dev.Ctx.CapturedLaunches()
 	}
 
+	convTraces(t, traces)
+
 	got := map[string]chainPin{}
 	for name, trace := range traces {
 		got[name] = pinOf(trace)
 	}
 	golden.Check(t, filepath.Join("testdata", "launch_pin.json"), *update, got,
 		func(name string, g, w chainPin) string { return firstDiff(traces[name], g, w) })
+}
+
+// convPinShape is one shape of the convolution scenarios; all have N=2,
+// C=3 and K=2 and square inputs and filters.
+type convPinShape struct {
+	name             string
+	hw, r, pad, step int
+}
+
+var convPinShapes = []convPinShape{
+	{"12x12_r3_pad1", 12, 3, 1, 1},    // every pair; plain FFT on 16x16 frames
+	{"34x34_r3_pad1", 34, 3, 1, 1},    // FFT tiling over 2x2 tiles of 32x32; plain FFT refuses
+	{"11x11_r5_stride2", 11, 5, 0, 2}, // the direct algorithms
+}
+
+// convRefusals is every (shape, direction, algorithm) the library answers
+// with ErrNotSupported, and its reason.
+var convRefusals = map[string]string{
+	"34x34_r3_pad1/fwd/fft":                        "FFT frame 36 exceeds 32x32 (use FFT tiling)",
+	"34x34_r3_pad1/bwdfilter/fft":                  "FFT frame 36 exceeds 32x32 (use FFT tiling)",
+	"11x11_r5_stride2/fwd/fft":                     "FFT convolution requires stride 1",
+	"11x11_r5_stride2/fwd/fft_tiling":              "FFT tiling requires stride 1",
+	"11x11_r5_stride2/fwd/winograd":                "Winograd requires 3x3 filters and stride 1",
+	"11x11_r5_stride2/fwd/winograd_nonfused":       "Winograd requires 3x3 filters and stride 1",
+	"11x11_r5_stride2/bwddata/fft_tiling":          "fft_tiling backward data requires stride 1",
+	"11x11_r5_stride2/bwddata/winograd":            "winograd backward data requires stride 1",
+	"11x11_r5_stride2/bwddata/winograd_nonfused":   "winograd_nonfused backward data requires stride 1",
+	"11x11_r5_stride2/bwdfilter/fft":               "FFT backward filter requires stride 1",
+	"11x11_r5_stride2/bwdfilter/fft_tiling":        "FFT backward filter requires stride 1",
+	"11x11_r5_stride2/bwdfilter/winograd_nonfused": "Winograd backward filter requires 3x3 stride 1",
+}
+
+// convTraces adds a scenario per (shape, direction, algorithm) of the
+// paper's §V-A sweep that the library supports, each issued through the
+// cuDNN handle of a fresh device. Every pair of the sweep must be pinned
+// at some shape, and every refusal must be one of convRefusals.
+func convTraces(t *testing.T, traces map[string][]*cudart.LaunchRecord) {
+	pinned := map[string]bool{}
+	refused := map[string]string{}
+	for _, s := range convPinShapes {
+		xd := cudnn.TensorDesc{N: 2, C: 3, H: s.hw, W: s.hw}
+		fd := cudnn.FilterDesc{K: 2, C: 3, R: s.r, S: s.r}
+		cd := cudnn.ConvDesc{Pad: s.pad, Stride: s.step}
+		yd := cudnn.TensorDesc{N: 2, C: 2, H: cd.OutDim(s.hw, s.r), W: cd.OutDim(s.hw, s.r)}
+		for _, dir := range []core.ConvDirection{core.Forward, core.BackwardData, core.BackwardFilter} {
+			for _, algo := range core.AlgorithmsFor(dir) {
+				dev := capturingDev(t)
+				var bufs [6]uint64 // x, w, dy, y, dx, dw
+				for i, n := range []int{xd.Count(), fd.Count(), yd.Count(), yd.Count(), xd.Count(), fd.Count()} {
+					var err error
+					if bufs[i], err = dev.Ctx.Malloc(uint64(4 * n)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				x, w, dy, y, dx, dw := bufs[0], bufs[1], bufs[2], bufs[3], bufs[4], bufs[5]
+				var err error
+				switch dir {
+				case core.Forward:
+					_, err = dev.H.ConvolutionForward(algoNamed(t, algo, cudnn.FwdAlgoWinogradNonfused), x, xd, w, fd, cd, y)
+				case core.BackwardData:
+					err = dev.H.ConvolutionBackwardData(algoNamed(t, algo, cudnn.BwdDataWinogradNonfused), w, fd, dy, yd, cd, dx, xd)
+				case core.BackwardFilter:
+					err = dev.H.ConvolutionBackwardFilter(algoNamed(t, algo, cudnn.BwdFilterWinogradNonfused), x, xd, dy, yd, cd, dw, fd)
+				}
+				key := s.name + "/" + string(dir) + "/" + algo
+				var ns cudnn.ErrNotSupported
+				switch {
+				case errors.As(err, &ns):
+					refused[key] = ns.Reason
+				case err != nil:
+					t.Fatalf("%s: %v", key, err)
+				default:
+					traces["conv_"+string(dir)+"_"+algo+"_"+s.name] = dev.Ctx.CapturedLaunches()
+					pinned[string(dir)+"/"+algo] = true
+				}
+			}
+		}
+	}
+	for _, dir := range []core.ConvDirection{core.Forward, core.BackwardData, core.BackwardFilter} {
+		for _, algo := range core.AlgorithmsFor(dir) {
+			if !pinned[string(dir)+"/"+algo] {
+				t.Errorf("%s %s is refused at every shape, so nothing pins its launches", dir, algo)
+			}
+		}
+	}
+	for key, reason := range refused {
+		if want, ok := convRefusals[key]; !ok || reason != want {
+			t.Errorf("%s refused with %q, want %q", key, reason, want)
+		}
+	}
+	for key := range convRefusals {
+		if _, ok := refused[key]; !ok {
+			t.Errorf("%s ran, want it refused with %q", key, convRefusals[key])
+		}
+	}
+}
+
+// algoNamed returns the algorithm of A, from 0 up to last, that prints as
+// name: the cuDNN enums' String forms are the names of the §V-A sweep.
+func algoNamed[A interface {
+	~int
+	fmt.Stringer
+}](t *testing.T, name string, last A) A {
+	t.Helper()
+	for a := A(0); a <= last; a++ {
+		if a.String() == name {
+			return a
+		}
+	}
+	t.Fatalf("no algorithm prints as %q", name)
+	return 0
 }
