@@ -15,28 +15,18 @@ func (h *Handle) ConvolutionBackwardData(algo ConvBwdDataAlgo, w uint64, fd Filt
 	}
 	switch algo {
 	case BwdDataAlgo0:
-		per := xd.C * xd.H * xd.W
-		p := h.bwdDataParams(dy, w, dx, xd, fd, yd, cd)
-		return h.launch2D("conv_bwd_data_algo0", per, 128, xd.N, p)
+		p := convParams(dy, w, dx, false, xd, fd, yd, cd)
+		return h.launch2D("conv_bwd_data_algo0", xd.C*xd.H*xd.W, 128, xd.N, p)
 	case BwdDataAlgo1:
 		if err := h.zero(dx, xd.Count()); err != nil {
 			return err
 		}
-		per := fd.K * yd.H * yd.W
-		p := h.bwdDataParams(dy, w, dx, xd, fd, yd, cd)
-		return h.launch2D("conv_bwd_data_algo1", per, 128, xd.N, p)
+		p := convParams(dy, w, dx, false, xd, fd, yd, cd)
+		return h.launch2D("conv_bwd_data_algo1", fd.K*yd.H*yd.W, 128, xd.N, p)
 	case BwdDataFFTTiling, BwdDataWinograd, BwdDataWinogradNonfused:
 		return h.bwdDataAsForward(algo, w, fd, dy, yd, cd, dx, xd)
 	}
 	return ErrNotSupported{Reason: "unknown backward-data algorithm"}
-}
-
-func (h *Handle) bwdDataParams(dy, w, dx uint64, xd TensorDesc, fd FilterDesc, yd TensorDesc, cd ConvDesc) *cudart.Params {
-	return cudart.NewParams().Ptr(dy).Ptr(w).Ptr(dx).
-		U32(uint32(xd.C)).U32(uint32(xd.H)).U32(uint32(xd.W)).
-		U32(uint32(fd.K)).U32(uint32(fd.R)).U32(uint32(fd.S)).
-		U32(uint32(yd.H)).U32(uint32(yd.W)).
-		U32(uint32(cd.Stride)).U32(uint32(cd.Pad))
 }
 
 // bwdDataAsForward expresses backward-data (stride 1) as a forward
@@ -84,32 +74,17 @@ func (h *Handle) ConvolutionBackwardFilter(algo ConvBwdFilterAlgo, x uint64, xd 
 	h.ctx.SetAPITag("cudnnConvolutionBackwardFilter")
 	switch algo {
 	case BwdFilterAlgo0:
-		n := fd.Count()
-		p := cudart.NewParams().Ptr(x).Ptr(dy).Ptr(dw).
-			U32(uint32(xd.N)).U32(uint32(xd.C)).U32(uint32(xd.H)).U32(uint32(xd.W)).
-			U32(uint32(fd.K)).U32(uint32(fd.R)).U32(uint32(fd.S)).
-			U32(uint32(yd.H)).U32(uint32(yd.W)).
-			U32(uint32(cd.Stride)).U32(uint32(cd.Pad))
-		return h.launch1D("conv_bwd_filter_algo0", n, 64, p)
+		p := convParams(x, dy, dw, true, xd, fd, yd, cd)
+		return h.launch1D("conv_bwd_filter_algo0", fd.Count(), 64, p)
 	case BwdFilterAlgo1:
 		if err := h.zero(dw, fd.Count()); err != nil {
 			return err
 		}
-		per := fd.K * yd.H * yd.W
-		p := cudart.NewParams().Ptr(x).Ptr(dy).Ptr(dw).
-			U32(uint32(xd.C)).U32(uint32(xd.H)).U32(uint32(xd.W)).
-			U32(uint32(fd.K)).U32(uint32(fd.R)).U32(uint32(fd.S)).
-			U32(uint32(yd.H)).U32(uint32(yd.W)).
-			U32(uint32(cd.Stride)).U32(uint32(cd.Pad))
-		return h.launch2D("conv_bwd_filter_algo1", per, 128, xd.N, p)
+		p := convParams(x, dy, dw, false, xd, fd, yd, cd)
+		return h.launch2D("conv_bwd_filter_algo1", fd.K*yd.H*yd.W, 128, xd.N, p)
 	case BwdFilterAlgo3:
-		p := cudart.NewParams().Ptr(x).Ptr(dy).Ptr(dw).
-			U32(uint32(xd.N)).U32(uint32(xd.C)).U32(uint32(xd.H)).U32(uint32(xd.W)).
-			U32(uint32(fd.K)).U32(uint32(fd.R)).U32(uint32(fd.S)).
-			U32(uint32(yd.H)).U32(uint32(yd.W)).
-			U32(uint32(cd.Stride)).U32(uint32(cd.Pad))
-		return h.launch("conv_bwd_filter_algo3",
-			exec.Dim3{X: fd.Count()}, exec.Dim3{X: 256}, p)
+		p := convParams(x, dy, dw, true, xd, fd, yd, cd)
+		return h.launch("conv_bwd_filter_algo3", exec.Dim3{X: fd.Count()}, exec.Dim3{X: 256}, p)
 	case BwdFilterFFT:
 		return h.bwdFilterFFT(x, xd, dy, yd, cd, dw, fd, false)
 	case BwdFilterFFTTiling:
@@ -137,28 +112,11 @@ func (h *Handle) bwdFilterFFT(x uint64, xd TensorDesc, dy uint64, yd TensorDesc,
 	if cd.Stride != 1 {
 		return ErrNotSupported{Reason: "FFT backward filter requires stride 1"}
 	}
-	var n, step, ntx, nty int
-	if tiling {
-		n = 32
-		if fd.R >= n {
-			return ErrNotSupported{Reason: "filter too large for 32x32 tiles"}
-		}
-		step = n - fd.R + 1
-		ntx = (yd.W + step - 1) / step
-		nty = (yd.H + step - 1) / step
-	} else {
-		need := max(xd.H, xd.W) + 2*cd.Pad
-		var err error
-		n, err = pickFFTSize(need)
-		if err != nil {
-			return err
-		}
-		step = n
-		ntx, nty = 1, 1
+	f, err := fftFraming(tiling, max(xd.H, xd.W)+2*cd.Pad, fd.R, yd)
+	if err != nil {
+		return err
 	}
-	nt := ntx * nty
-	nn := n * n
-	r2c, c2r := fftKernelNames(n)
+	n, nt, nn := f.n, f.ntx*f.nty, f.n*f.n
 
 	ws := h.scratch()
 	defer ws.release()
@@ -174,31 +132,20 @@ func (h *Handle) bwdFilterFFT(x uint64, xd TensorDesc, dy uint64, yd TensorDesc,
 	if err := h.zero(dwSpec, 2*fd.K*fd.C*nn); err != nil {
 		return err
 	}
-	dyWin := step
-	if !tiling {
-		dyWin = n
-	}
 	for img := 0; img < xd.N; img++ {
 		xOff := x + uint64(4*img*xd.C*xd.H*xd.W)
-		p := cudart.NewParams().Ptr(xOff).Ptr(xTiles).
-			U32(uint32(xd.C)).U32(uint32(xd.H)).U32(uint32(xd.W)).
-			U32(uint32(n)).U32(uint32(ntx)).U32(uint32(nty)).
-			U32(uint32(step)).U32(uint32(cd.Pad)).U32(uint32(n))
-		if err := h.launch2D("fft_tile_extract", nn, 256, xd.C*nt, p); err != nil {
+		if err := h.tileExtract(xOff, xTiles, xd.C, xd.H, xd.W, f, cd.Pad, n); err != nil {
 			return err
 		}
+		// dy frames start at the origin and are zeroed beyond one step
 		dyOff := dy + uint64(4*img*fd.K*yd.H*yd.W)
-		p = cudart.NewParams().Ptr(dyOff).Ptr(dyTiles).
-			U32(uint32(fd.K)).U32(uint32(yd.H)).U32(uint32(yd.W)).
-			U32(uint32(n)).U32(uint32(ntx)).U32(uint32(nty)).
-			U32(uint32(step)).U32(0).U32(uint32(dyWin))
-		if err := h.launch2D("fft_tile_extract", nn, 256, fd.K*nt, p); err != nil {
+		if err := h.tileExtract(dyOff, dyTiles, fd.K, yd.H, yd.W, f, 0, f.step); err != nil {
 			return err
 		}
-		if err := h.launch(r2c, exec.Dim3{X: xd.C * nt}, exec.Dim3{X: n}, cudart.NewParams().Ptr(xTiles).Ptr(xSpec)); err != nil {
+		if err := h.r2c(n, xd.C*nt, xTiles, xSpec); err != nil {
 			return err
 		}
-		if err := h.launch(r2c, exec.Dim3{X: fd.K * nt}, exec.Dim3{X: n}, cudart.NewParams().Ptr(dyTiles).Ptr(dySpec)); err != nil {
+		if err := h.r2c(n, fd.K*nt, dyTiles, dySpec); err != nil {
 			return err
 		}
 		cg := cudart.NewParams().Ptr(xSpec).Ptr(dySpec).Ptr(dwSpec).
@@ -207,8 +154,7 @@ func (h *Handle) bwdFilterFFT(x uint64, xd TensorDesc, dy uint64, yd TensorDesc,
 			return err
 		}
 	}
-	if err := h.launch(c2r, exec.Dim3{X: fd.K * fd.C}, exec.Dim3{X: n},
-		cudart.NewParams().Ptr(dwSpec).Ptr(dwFull).F32(1/float32(nn))); err != nil {
+	if err := h.c2r(n, fd.K*fd.C, dwSpec, dwFull); err != nil {
 		return err
 	}
 	// crop offset 0: the filter gradient starts at the frame's origin

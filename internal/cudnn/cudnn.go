@@ -10,6 +10,30 @@
 // checked once, `scratch.release` newest first — the allocation order
 // `torch.TestLaunchChainPinned`'s addresses depend on. A failed call
 // gives back every buffer it held (`TestScratchReleasedOnFailure`).
+//
+// Each launch sequence is written out once:
+//   - The frequency-domain paths are one pipeline with two framings.
+//     `fftFraming` sizes the frames: one n x n frame per plane for plain
+//     FFT, or the grid of overlapping 32x32 tiles for FFT tiling. Each
+//     image goes through a framing stage (`Handle.pad2d` for the plain
+//     forward, `Handle.tileExtract` otherwise), `Handle.r2c`, a CGEMM,
+//     `Handle.c2r` and an unframing stage. The forward
+//     (`Handle.convFwdFFT`) and the backward filter (`Handle.bwdFilterFFT`)
+//     take the framing as an argument.
+//   - The direct convolutions (implicit GEMM forward, backward-data
+//     algorithms 0 and 1, backward-filter algorithms 0, 1 and 3) take
+//     their parameters from `convParams`, the host mirror of the kernels'
+//     convShape: three tensors, N for the kernels that loop over images,
+//     then C, H, W, K, R, S, OH, OW, stride, pad. A new direct-convolution
+//     kernel's parameters go through it too.
+//   - The row kernels that skip an empty matrix (layer norm forward and
+//     backward, softmax backward, the fused softmax cross-entropy
+//     backward, causal softmax) launch through `Handle.launchRows`: one
+//     32-thread CTA per row, nothing when rows or cols is 0.
+//
+// `torch.TestLaunchChainPinned` pins every (direction, algorithm) pair of
+// the §V-A sweep at three shapes: kernel, grid, block and parameter bytes
+// of each launch, in order.
 package cudnn
 
 import (
@@ -162,6 +186,15 @@ func (h *Handle) launch2D(name string, n, block, gy int, p *cudart.Params) error
 		return nil
 	}
 	return h.launch(name, exec.Dim3{X: (n + block - 1) / block, Y: gy}, exec.Dim3{X: block}, p)
+}
+
+// launchRows launches one 32-thread CTA per row of a [rows, cols]
+// matrix, and nothing when the matrix is empty.
+func (h *Handle) launchRows(name string, rows, cols int, p *cudart.Params) error {
+	if rows == 0 || cols == 0 {
+		return nil
+	}
+	return h.launch(name, exec.Dim3{X: rows}, exec.Dim3{X: 32}, p)
 }
 
 // zero fills a float32 device range using the fill_zero kernel.

@@ -41,12 +41,9 @@ func (h *Handle) AttnScoresCached(q, cacheK, scores uint64, heads, dh, maxSeq, c
 // row, like SoftmaxForward.
 func (h *Handle) SoftmaxCausalForward(x, y uint64, rows, cols, seq, pos int) error {
 	h.ctx.SetAPITag("softmaxCausalForward")
-	if rows == 0 || cols == 0 {
-		return nil
-	}
 	p := cudart.NewParams().Ptr(x).Ptr(y).
 		U32(uint32(cols)).U32(uint32(seq)).U32(uint32(pos))
-	return h.launch("softmax_causal", exec.Dim3{X: rows}, exec.Dim3{X: 32}, p)
+	return h.launchRows("softmax_causal", rows, cols, p)
 }
 
 // AttnContextCached computes the decode-step context row

@@ -6,10 +6,7 @@ package cudnn
 // parameter gradients with global atomics, so their gradient buffers
 // must be zeroed (or hold the running accumulation) before the call.
 
-import (
-	"repro/internal/cudart"
-	"repro/internal/exec"
-)
+import "repro/internal/cudart"
 
 // GemmTNStridedBatched computes C[b] = alpha*A[b]ᵀ*B[b] + beta*C[b] for
 // row-major A[k,m], B[k,n], C[m,n] slices — the weight-gradient GEMM
@@ -24,12 +21,9 @@ func (h *Handle) GemmTNStridedBatched(a, bm, cm uint64, m, n, k, strideA, stride
 // (global atomics — zero the buffers first unless accumulating).
 func (h *Handle) LayerNormBackward(x, gamma, dy, dx, dgamma, dbeta uint64, rows, cols int, eps float32) error {
 	h.ctx.SetAPITag("cudnnLayerNormBackward")
-	if rows == 0 || cols == 0 {
-		return nil
-	}
 	p := cudart.NewParams().Ptr(x).Ptr(gamma).Ptr(dy).Ptr(dx).Ptr(dgamma).Ptr(dbeta).
 		U32(uint32(cols)).F32(eps)
-	return h.launch("layernorm_backward", exec.Dim3{X: rows}, exec.Dim3{X: 32}, p)
+	return h.launchRows("layernorm_backward", rows, cols, p)
 }
 
 // GeluBackward computes dx = dy·GELU'(x) over n elements.
@@ -43,11 +37,8 @@ func (h *Handle) GeluBackward(x, dy, dx uint64, n int) error {
 // from the forward softmax output p[rows, cols].
 func (h *Handle) SoftmaxBackward(probs, dprobs, dx uint64, rows, cols int) error {
 	h.ctx.SetAPITag("cudnnSoftmaxBackward")
-	if rows == 0 || cols == 0 {
-		return nil
-	}
 	p := cudart.NewParams().Ptr(probs).Ptr(dprobs).Ptr(dx).U32(uint32(cols))
-	return h.launch("softmax_backward", exec.Dim3{X: rows}, exec.Dim3{X: 32}, p)
+	return h.launchRows("softmax_backward", rows, cols, p)
 }
 
 // SoftmaxXentBackward fuses the loss head on raw logits[rows, cols]:
@@ -55,12 +46,9 @@ func (h *Handle) SoftmaxBackward(probs, dprobs, dx uint64, rows, cols int) error
 // -log softmax[label] into loss[rows].
 func (h *Handle) SoftmaxXentBackward(logits, labels, dx, loss uint64, rows, cols int) error {
 	h.ctx.SetAPITag("cudnnSoftmaxXentBackward")
-	if rows == 0 || cols == 0 {
-		return nil
-	}
 	p := cudart.NewParams().Ptr(logits).Ptr(labels).Ptr(dx).Ptr(loss).
 		U32(uint32(cols)).U32(uint32(rows))
-	return h.launch("softmax_xent_backward", exec.Dim3{X: rows}, exec.Dim3{X: 32}, p)
+	return h.launchRows("softmax_xent_backward", rows, cols, p)
 }
 
 // AccumulateAdd computes y[i] += x[i] over n elements — gradient

@@ -6,10 +6,7 @@ package cudnn
 // stream, whole forward passes queue asynchronously and overlap in the
 // detailed timing model.
 
-import (
-	"repro/internal/cudart"
-	"repro/internal/exec"
-)
+import "repro/internal/cudart"
 
 // GemmStridedBatched computes C[b] = alpha*A[b]*B[b] + beta*C[b] for
 // `batch` row-major slices at the given element strides (the
@@ -32,12 +29,9 @@ func (h *Handle) GemmNTStridedBatched(a, bm, cm uint64, m, n, k, strideA, stride
 // (each `cols` long): y = (x-μ)/√(σ²+eps)·γ + β.
 func (h *Handle) LayerNormForward(x, gamma, beta, y uint64, rows, cols int, eps float32) error {
 	h.ctx.SetAPITag("cudnnLayerNormForward")
-	if rows == 0 || cols == 0 {
-		return nil
-	}
 	p := cudart.NewParams().Ptr(x).Ptr(gamma).Ptr(beta).Ptr(y).
 		U32(uint32(cols)).F32(eps)
-	return h.launch("layernorm_forward", exec.Dim3{X: rows}, exec.Dim3{X: 32}, p)
+	return h.launchRows("layernorm_forward", rows, cols, p)
 }
 
 // GeluForward applies the tanh-form GELU activation over n elements.

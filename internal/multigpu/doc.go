@@ -28,7 +28,11 @@
 //     collective first synchronises every rank's device, queued stream
 //     work included, and returns the first error in rank order; it then
 //     reads memory and clocks that work has already written
-//     (`TestCollectivesSynchroniseRanks`). Every run ends on the same
+//     (`TestCollectivesSynchroniseRanks`). Before that, a collective
+//     checks every rank's operands (list lengths, element counts, shard
+//     shapes, destination sizes), so a mismatched call fails without
+//     effects: no sync, no fabric charge, no byte written
+//     (`TestCollectivesFailWithoutEffects`). Every run ends on the same
 //     rendezvous, so the
 //     per-device cycle counts are equal at the end by construction.
 //   - -j1 and -jN are byte-identical across devices: modelled cycles,

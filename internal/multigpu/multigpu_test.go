@@ -217,3 +217,90 @@ func TestCollectivesSynchroniseRanks(t *testing.T) {
 		}
 	}
 }
+
+// TestCollectivesFailWithoutEffects calls each collective with operands
+// that do not match across ranks. The call must return an error and
+// leave the fabric's counters, every engine's clock and every operand's
+// bytes as they were: the shapes are checked before the collective
+// synchronises, charges the fabric or writes a rank.
+func TestCollectivesFailWithoutEffects(t *testing.T) {
+	type mkFunc = func(rank int, shape ...int) *torch.Tensor
+	cases := []struct {
+		name string
+		// setup makes the operands with mk and returns the call
+		setup func(mk mkFunc) func(*Node) error
+	}{
+		{"all_reduce_unequal_lists", func(mk mkFunc) func(*Node) error {
+			a0, b0, a1 := mk(0, 2), mk(0, 2), mk(1, 2)
+			return func(n *Node) error { return n.AllReduce([][]*torch.Tensor{{a0, b0}, {a1}}) }
+		}},
+		{"all_reduce_unequal_counts", func(mk mkFunc) func(*Node) error {
+			a0, b0, a1, b1 := mk(0, 2), mk(0, 3), mk(1, 2), mk(1, 2)
+			return func(n *Node) error { return n.AllReduce([][]*torch.Tensor{{a0, b0}, {a1, b1}}) }
+		}},
+		{"all_gather_small_dst", func(mk mkFunc) func(*Node) error {
+			s0, s1, d0, d1 := mk(0, 2, 2), mk(1, 2, 2), mk(0, 2, 4), mk(1, 2, 3)
+			return func(n *Node) error { return n.AllGatherCols([]*torch.Tensor{s0, s1}, []*torch.Tensor{d0, d1}) }
+		}},
+		{"all_gather_unequal_shards", func(mk mkFunc) func(*Node) error {
+			s0, s1, d0, d1 := mk(0, 2, 2), mk(1, 2, 3), mk(0, 2, 4), mk(1, 2, 4)
+			return func(n *Node) error { return n.AllGatherCols([]*torch.Tensor{s0, s1}, []*torch.Tensor{d0, d1}) }
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n, err := NewNode(Config{Devices: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			var operands []*torch.Tensor
+			var before [][]float32
+			call := tc.setup(func(rank int, shape ...int) *torch.Tensor {
+				vals := make([]float32, 1)
+				for _, d := range shape {
+					vals = slices.Repeat(vals, d)
+				}
+				for i := range vals {
+					vals[i] = float32(100*rank + len(operands)*10 + i + 1)
+				}
+				tt, err := n.Devs[rank].FromHost(vals, shape...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				operands, before = append(operands, tt), append(before, vals)
+				return tt
+			})
+			cycles := func() (cs []uint64) {
+				for _, s := range n.Sessions {
+					cs = append(cs, s.Eng.Cycle())
+				}
+				return cs
+			}
+			fab, clocks := n.Fabric.Stats(), cycles()
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("panicked: %v", p)
+					}
+				}()
+				err = call(n)
+			}()
+			if err == nil {
+				t.Fatal("mismatched operands accepted")
+			}
+			t.Log(err)
+			if got := n.Fabric.Stats(); got != fab {
+				t.Errorf("fabric counters %+v after the failed call, %+v before", got, fab)
+			}
+			if got := cycles(); !slices.Equal(got, clocks) {
+				t.Errorf("engine clocks %v after the failed call, %v before", got, clocks)
+			}
+			for i, tt := range operands {
+				if got := tt.ToHost(); !slices.Equal(got, before[i]) {
+					t.Errorf("operand %d holds %v after the failed call, %v before", i, got, before[i])
+				}
+			}
+		})
+	}
+}

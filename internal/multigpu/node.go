@@ -145,11 +145,24 @@ func (n *Node) readyCycles() ([]uint64, error) {
 // order, the same summation order the CPU mirror uses — and writes the
 // sum back to every rank. The timing side is one fused ring all-reduce
 // of the total byte count; every engine is advanced to its completion
-// cycle. tensors[r][i] must have identical element counts across ranks.
+// cycle. Every rank must pass as many tensors as rank 0, tensors[r][i]
+// with rank 0's element count; otherwise the call fails before it
+// synchronises, charges the fabric or writes a rank.
 func (n *Node) AllReduce(tensors [][]*torch.Tensor) error {
 	world := n.World()
 	if len(tensors) != world {
 		return fmt.Errorf("multigpu: AllReduce got %d ranks, node has %d", len(tensors), world)
+	}
+	for r, list := range tensors {
+		if len(list) != len(tensors[0]) {
+			return fmt.Errorf("multigpu: AllReduce rank %d has %d tensors, rank 0 has %d", r, len(list), len(tensors[0]))
+		}
+		for p, t := range list {
+			if want := tensors[0][p].Count(); t.Count() != want {
+				return fmt.Errorf("multigpu: AllReduce tensor %d: rank %d has %d elements, rank 0 has %d",
+					p, r, t.Count(), want)
+			}
+		}
 	}
 	total := 0
 	for _, t := range tensors[0] {
@@ -163,12 +176,7 @@ func (n *Node) AllReduce(tensors [][]*torch.Tensor) error {
 	for p := range tensors[0] {
 		sum := readF32(n.Devs[0], tensors[0][p])
 		for r := 1; r < world; r++ {
-			vals := readF32(n.Devs[r], tensors[r][p])
-			if len(vals) != len(sum) {
-				return fmt.Errorf("multigpu: AllReduce tensor %d: rank %d has %d elements, rank 0 has %d",
-					p, r, len(vals), len(sum))
-			}
-			for j, v := range vals {
+			for j, v := range readF32(n.Devs[r], tensors[r][p]) {
 				sum[j] += v
 			}
 		}
@@ -183,13 +191,26 @@ func (n *Node) AllReduce(tensors [][]*torch.Tensor) error {
 // r's [rows, cols] shard becomes columns [r*cols, (r+1)*cols) of every
 // rank's [rows, world*cols] destination. Pure byte movement — the
 // gathered activation is bitwise the concatenation of the shards. The
-// timing side is one ring all-gather of the shard size.
+// timing side is one ring all-gather of the shard size. Every shard must
+// have rank 0's shape and every destination rows*world*cols elements;
+// otherwise the call fails before it synchronises, charges the fabric or
+// writes a rank.
 func (n *Node) AllGatherCols(shards, dsts []*torch.Tensor) error {
 	world := n.World()
 	if len(shards) != world || len(dsts) != world {
 		return fmt.Errorf("multigpu: AllGatherCols got %d/%d ranks, node has %d", len(shards), len(dsts), world)
 	}
 	rows, cols := shards[0].Dim(0), shards[0].Dim(1)
+	for r := 0; r < world; r++ {
+		if shards[r].Dim(0) != rows || shards[r].Dim(1) != cols {
+			return fmt.Errorf("multigpu: AllGatherCols shard %d is [%d,%d], want [%d,%d]",
+				r, shards[r].Dim(0), shards[r].Dim(1), rows, cols)
+		}
+		if dsts[r].Count() != rows*world*cols {
+			return fmt.Errorf("multigpu: AllGatherCols dst %d has %d elements, want %d",
+				r, dsts[r].Count(), rows*world*cols)
+		}
+	}
 	ready, err := n.readyCycles()
 	if err != nil {
 		return err
@@ -197,10 +218,6 @@ func (n *Node) AllGatherCols(shards, dsts []*torch.Tensor) error {
 	end := n.Fabric.RingAllGather(4*rows*cols, ready)
 	parts := make([][]byte, world)
 	for r := 0; r < world; r++ {
-		if shards[r].Dim(0) != rows || shards[r].Dim(1) != cols {
-			return fmt.Errorf("multigpu: AllGatherCols shard %d is [%d,%d], want [%d,%d]",
-				r, shards[r].Dim(0), shards[r].Dim(1), rows, cols)
-		}
 		buf := make([]byte, 4*rows*cols)
 		n.Devs[r].Ctx.Mem.Read(shards[r].Ptr, buf)
 		parts[r] = buf
@@ -212,10 +229,6 @@ func (n *Node) AllGatherCols(shards, dsts []*torch.Tensor) error {
 		}
 	}
 	for r := 0; r < world; r++ {
-		if dsts[r].Count() != rows*world*cols {
-			return fmt.Errorf("multigpu: AllGatherCols dst %d has %d elements, want %d",
-				r, dsts[r].Count(), rows*world*cols)
-		}
 		n.Devs[r].Ctx.Mem.Write(dsts[r].Ptr, full)
 	}
 	return n.advanceAll(end)

@@ -24,6 +24,8 @@ type decodeSnapshot struct {
 	Log    []cudart.KernelStats
 	Tokens [][]int32
 	Stats  timing.Stats
+	// DRAMServed is the requests the DRAM channels served (dramServed).
+	DRAMServed uint64
 }
 
 // runDecode greedy-decodes a `seqs`-prompt batch (3 prompt tokens, 4
@@ -64,7 +66,7 @@ func runDecode(t testing.TB, workers, seqs int, concurrent, replay bool, iters i
 	if err != nil {
 		t.Fatal(err)
 	}
-	return decodeSnapshot{Cycles: run.TotalCycles, Log: s.Dev.Ctx.KernelStatsLog(), Tokens: tokens, Stats: run.Stats}
+	return decodeSnapshot{Cycles: run.TotalCycles, Log: s.Dev.Ctx.KernelStatsLog(), Tokens: tokens, Stats: run.Stats, DRAMServed: dramServed(s.Eng)}
 }
 
 // TestDecodeSimMatchesCPU runs the stream-overlapped decode through the

@@ -165,6 +165,7 @@ func makeGoldenEntry(cycles uint64, log []cudart.KernelStats, st *timing.Stats, 
 func goldenRun(t *testing.T, load func(testing.TB, *cudart.Context, *cudnn.Handle) (uint64, int)) goldenEntry {
 	t.Helper()
 	snap := runWorkload(t, 1, load)
+	checkDRAMLaw(t, snap.DRAMServed, &snap.Stats, snap.Log)
 	return makeGoldenEntry(snap.Cycles, snap.Log, &snap.Stats, false)
 }
 
@@ -174,6 +175,7 @@ func goldenRun(t *testing.T, load func(testing.TB, *cudart.Context, *cudnn.Handl
 func goldenTransformer(t *testing.T) goldenEntry {
 	t.Helper()
 	snap := runTransformer(t, 1, 2, true)
+	checkDRAMLaw(t, snap.DRAMServed, &snap.Stats, snap.Log)
 	return makeGoldenEntry(snap.Cycles, snap.Log, &snap.Stats, true)
 }
 
@@ -185,6 +187,7 @@ func goldenTransformer(t *testing.T) goldenEntry {
 func goldenStreams(t *testing.T) goldenEntry {
 	t.Helper()
 	snap := runStreams(t, 1, 3, true, true)
+	checkDRAMLaw(t, snap.DRAMServed, &snap.Stats, snap.Log)
 	return makeGoldenEntry(snap.TotalCycles, snap.Log, &snap.Stats, true)
 }
 
@@ -222,6 +225,7 @@ func goldenServe(t *testing.T) goldenEntry {
 func goldenDecode(t *testing.T) goldenEntry {
 	t.Helper()
 	snap := runDecode(t, 1, 2, true, false, 1)
+	checkDRAMLaw(t, snap.DRAMServed, &snap.Stats, snap.Log)
 	return makeGoldenEntry(snap.Cycles, snap.Log, &snap.Stats, true)
 }
 

@@ -19,6 +19,8 @@ type runSnapshot struct {
 	Log     []cudart.KernelStats
 	Stats   timing.Stats
 	Outputs []float32
+	// DRAMServed is the requests the DRAM channels served (dramServed).
+	DRAMServed uint64
 }
 
 // runWorkload executes one workload under a fresh context + engine with
@@ -54,6 +56,8 @@ func runPadded(t testing.TB, workers int, pad uint64, load func(t testing.TB, ct
 		Log:     ctx.KernelStatsLog(),
 		Stats:   *eng.Stats(),
 		Outputs: ctx.MemcpyF32DtoH(out, n),
+
+		DRAMServed: dramServed(eng),
 	}
 }
 

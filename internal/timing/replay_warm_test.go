@@ -36,6 +36,8 @@ type encoderReplayRun struct {
 	Stats   timing.Stats
 	Outputs [][][]float32 // [iteration][sequence]
 	Weights [][]float32   // every parameter after the last iteration
+	// DRAMServed is the requests the DRAM channels served (dramServed).
+	DRAMServed uint64
 }
 
 func runEncoderReplay(t testing.TB, o encoderReplayOpts) encoderReplayRun {
@@ -69,7 +71,7 @@ func runEncoderReplay(t testing.TB, o encoderReplayOpts) encoderReplayRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run.Cycles, run.Log, run.Stats = it.TotalCycles, s.Dev.Ctx.KernelStatsLog(), it.Stats
+	run.Cycles, run.Log, run.Stats, run.DRAMServed = it.TotalCycles, s.Dev.Ctx.KernelStatsLog(), it.Stats, dramServed(s.Eng)
 	for _, p := range enc.Params() {
 		run.Weights = append(run.Weights, p.W.ToHost())
 	}
@@ -108,6 +110,7 @@ func withReplayPins(e goldenEntry, log []cudart.KernelStats, st *timing.Stats) g
 func goldenTransformerReplayWarm(t *testing.T) goldenEntry {
 	t.Helper()
 	run := runEncoderReplay(t, encoderReplayOpts{iters: 8})
+	checkDRAMLaw(t, run.DRAMServed, &run.Stats, run.Log)
 	return withReplayPins(makeGoldenEntry(run.Cycles, run.Log, &run.Stats, true), run.Log, &run.Stats)
 }
 
@@ -117,5 +120,6 @@ func goldenTransformerReplayWarm(t *testing.T) goldenEntry {
 func goldenDecodeReplayWarm(t *testing.T) goldenEntry {
 	t.Helper()
 	snap := runDecode(t, 1, 2, true, true, 5)
+	checkDRAMLaw(t, snap.DRAMServed, &snap.Stats, snap.Log)
 	return withReplayPins(makeGoldenEntry(snap.Cycles, snap.Log, &snap.Stats, true), snap.Log, &snap.Stats)
 }

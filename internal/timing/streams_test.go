@@ -146,6 +146,8 @@ type streamSnapshot struct {
 	Log         []cudart.KernelStats
 	Outputs     [][]float32
 	Stats       timing.Stats
+	// DRAMServed is the requests the DRAM channels served (dramServed).
+	DRAMServed uint64
 }
 
 // runStreams executes `lanes` kernels over disjoint buffer pairs — one
@@ -217,6 +219,7 @@ func runStreams(t testing.TB, workers, lanes int, concurrent, asyncCopy bool) st
 		TotalCycles: eng.Cycle() - start,
 		Log:         ctx.KernelStatsLog(),
 		Stats:       *eng.Stats(),
+		DRAMServed:  dramServed(eng),
 	}
 	for i := range prep {
 		snap.Outputs = append(snap.Outputs, ctx.MemcpyF32DtoH(prep[i].py, streamN))

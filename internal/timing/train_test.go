@@ -28,6 +28,8 @@ type trainSnapshot struct {
 	CPU     []float32
 	Weights [][]float32
 	Stats   timing.Stats
+	// DRAMServed is the requests the DRAM channels served (dramServed).
+	DRAMServed uint64
 }
 
 // runTrain executes `steps` training steps of a 6-token sequence on the
@@ -75,7 +77,7 @@ func runTrain(t testing.TB, workers, steps int, replay bool) trainSnapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.Cycles, snap.Log, snap.Stats = run.TotalCycles, s.Dev.Ctx.KernelStatsLog(), run.Stats
+	snap.Cycles, snap.Log, snap.Stats, snap.DRAMServed = run.TotalCycles, s.Dev.Ctx.KernelStatsLog(), run.Stats, dramServed(s.Eng)
 	for _, p := range enc.Params() {
 		snap.Weights = append(snap.Weights, p.W.ToHost())
 	}
@@ -149,5 +151,6 @@ func TestTrainWorkerDeterminism(t *testing.T) {
 func goldenTrain(t *testing.T) goldenEntry {
 	t.Helper()
 	snap := runTrain(t, 1, 2, false)
+	checkDRAMLaw(t, snap.DRAMServed, &snap.Stats, snap.Log)
 	return makeGoldenEntry(snap.Cycles, snap.Log, &snap.Stats, true)
 }

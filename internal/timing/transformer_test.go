@@ -41,6 +41,8 @@ type transformerSnapshot struct {
 	Log     []cudart.KernelStats
 	Outputs [][]float32
 	Stats   timing.Stats
+	// DRAMServed is the requests the DRAM channels served (dramServed).
+	DRAMServed uint64
 }
 
 // runTransformer executes a `seqs`-sequence encoder forward batch on the
@@ -73,6 +75,8 @@ func runTransformer(t testing.TB, workers, seqs int, concurrent bool) transforme
 		Log:     dev.Ctx.KernelStatsLog(),
 		Outputs: outs,
 		Stats:   *eng.Stats(),
+
+		DRAMServed: dramServed(eng),
 	}
 }
 
